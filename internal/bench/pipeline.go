@@ -20,8 +20,8 @@ import (
 
 // PipelineConfig scales the execution-pipeline benchmark: a synthetic
 // band-join executed twice on the same plan — once on the retained serial
-// reference path (serial shuffle, one local join at a time, baseline
-// allocating local-join algorithm) and once on the optimized path (parallel
+// reference path (serial shuffle, one local join at a time, the
+// one-dimensional sorted probe) and once on the optimized path (parallel
 // two-pass shuffle, GOMAXPROCS-parallel allocation-free local joins).
 type PipelineConfig struct {
 	// Tuples is the per-relation input size (the acceptance workload is 1M).
@@ -135,7 +135,7 @@ func RunPipeline(cfg PipelineConfig) (*PipelineReport, error) {
 		Model:         costmodel.Default(),
 		SerialShuffle: true,
 		Parallelism:   1,
-		Algorithm:     localjoin.BaselineSortProbe{},
+		Algorithm:     localjoin.SortProbe{},
 	}
 	optOpts := exec.Options{Workers: cfg.Workers, Model: costmodel.Default()}
 
@@ -221,9 +221,7 @@ func microBenchmarks() []MicroBenchmark {
 	band := data.Uniform(3, 0.0005)
 	algs := []localjoin.Algorithm{
 		localjoin.SortProbe{},
-		localjoin.BaselineSortProbe{},
 		localjoin.GridSortScan{},
-		localjoin.BaselineGridSortScan{},
 		localjoin.EpsGrid{},
 	}
 	out := make([]MicroBenchmark, 0, len(algs))

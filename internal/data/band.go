@@ -13,6 +13,18 @@ import (
 // The symmetric band-join of the paper, |s.A_i − t.A_i| ≤ ε_i, corresponds to
 // Low[i] == High[i] == ε_i. Asymmetric conditions (Section 2 of the paper)
 // use different Low and High.
+//
+// The condition is evaluated exactly as written, in float64 arithmetic, and
+// that evaluation is the definition every join algorithm and partitioner
+// must agree with on every input:
+//   - a NaN key matches nothing, not even another NaN (both comparisons are
+//     false);
+//   - ±Inf keys follow IEEE arithmetic: since widths are finite (Validate),
+//     s.A_i = +Inf gives the range [+Inf, +Inf], so +Inf matches exactly +Inf,
+//     and likewise −Inf matches exactly −Inf;
+//   - for huge finite keys the bounds s.A_i − Low[i] and s.A_i + High[i]
+//     round like any float64 sum (a width below half an ulp of the key is
+//     absorbed; a sum beyond MaxFloat64 becomes ±Inf).
 type Band struct {
 	Low  []float64
 	High []float64
@@ -77,7 +89,7 @@ func (b Band) Validate() error {
 // Matches reports whether the pair (s, t) satisfies the band condition.
 func (b Band) Matches(s, t []float64) bool {
 	for i := range b.Low {
-		if t[i] < s[i]-b.Low[i] || t[i] > s[i]+b.High[i] {
+		if !b.MatchesDim(i, s[i], t[i]) {
 			return false
 		}
 	}

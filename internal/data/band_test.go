@@ -141,6 +141,31 @@ func TestMatchesDim(t *testing.T) {
 	}
 }
 
+// TestMatchesNonFinite pins the documented semantics: Matches and MatchesDim
+// are the same predicate, false for NaN on either side, and ±Inf matches only
+// itself.
+func TestMatchesNonFinite(t *testing.T) {
+	b := Symmetric(1)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		s, t float64
+		want bool
+	}{
+		{nan, 0, false}, {0, nan, false}, {nan, nan, false},
+		{inf, inf, true}, {-inf, -inf, true}, {inf, -inf, false},
+		{inf, math.MaxFloat64, false}, {0, inf, false},
+		{1e300, 1e300, true}, {math.MaxFloat64, inf, false},
+	}
+	for _, c := range cases {
+		if got := b.Matches([]float64{c.s}, []float64{c.t}); got != c.want {
+			t.Errorf("Matches(%g, %g) = %v, want %v", c.s, c.t, got, c.want)
+		}
+		if got := b.MatchesDim(0, c.s, c.t); got != c.want {
+			t.Errorf("MatchesDim(%g, %g) = %v, want %v", c.s, c.t, got, c.want)
+		}
+	}
+}
+
 func TestBandString(t *testing.T) {
 	if Symmetric(1).String() == "" {
 		t.Error("String() empty")

@@ -31,24 +31,17 @@ func benchmarkAlgorithm(b *testing.B, alg Algorithm, n, d int) {
 	b.SetBytes(int64(n * d * 8 * 2))
 }
 
-func benchmarkBoth(b *testing.B, fast, baseline Algorithm) {
-	for _, cfg := range []struct{ n, d int }{{10_000, 1}, {10_000, 3}} {
-		b.Run(fmt.Sprintf("n=%d/d=%d", cfg.n, cfg.d), func(b *testing.B) {
-			benchmarkAlgorithm(b, fast, cfg.n, cfg.d)
-		})
-		b.Run(fmt.Sprintf("baseline/n=%d/d=%d", cfg.n, cfg.d), func(b *testing.B) {
-			benchmarkAlgorithm(b, baseline, cfg.n, cfg.d)
+func benchmarkDims(b *testing.B, alg Algorithm, dims ...int) {
+	for _, d := range dims {
+		b.Run(fmt.Sprintf("n=10000/d=%d", d), func(b *testing.B) {
+			benchmarkAlgorithm(b, alg, 10_000, d)
 		})
 	}
 }
 
-func BenchmarkSortProbe(b *testing.B) {
-	benchmarkBoth(b, SortProbe{}, BaselineSortProbe{})
-}
-
-func BenchmarkGridSortScan(b *testing.B) {
-	benchmarkBoth(b, GridSortScan{}, BaselineGridSortScan{})
-}
+func BenchmarkSortProbe(b *testing.B)    { benchmarkDims(b, SortProbe{}, 1, 3) }
+func BenchmarkGridSortScan(b *testing.B) { benchmarkDims(b, GridSortScan{}, 1, 3) }
+func BenchmarkEpsGrid(b *testing.B)      { benchmarkDims(b, EpsGrid{}, 2, 3) }
 
 // TestSortProbeSteadyStateAllocs asserts the acceptance criterion directly:
 // after warm-up, SortProbe performs zero allocations per join call.
@@ -79,14 +72,6 @@ func TestEpsGridSteadyStateAllocs(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Errorf("EpsGrid steady state allocates %.1f times per join, want 0", avg)
-	}
-}
-
-func BenchmarkEpsGrid(b *testing.B) {
-	for _, cfg := range []struct{ n, d int }{{10_000, 2}, {10_000, 3}} {
-		b.Run(fmt.Sprintf("n=%d/d=%d", cfg.n, cfg.d), func(b *testing.B) {
-			benchmarkAlgorithm(b, EpsGrid{}, cfg.n, cfg.d)
-		})
 	}
 }
 

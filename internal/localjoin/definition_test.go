@@ -1,0 +1,232 @@
+package localjoin
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"bandjoin/internal/data"
+)
+
+// hostileRelation builds n rows meant to hurt a grid join: coordinates sit
+// exactly on cell boundaries (multiples of the cell width, negative ones
+// included), at ± the band extents from them and one ulp to either side, on
+// two point masses (heavy cells, so the grid refines), and occasionally on
+// NaN, ±Inf and ±1e300.
+func hostileRelation(rng *rand.Rand, name string, n int, band data.Band) *data.Relation {
+	d := band.Dims()
+	r := data.NewRelationCapacity(name, d, n)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, math.MaxFloat64, 0, math.Copysign(0, -1)}
+	// The same two masses in S and T, one cell apart: every mass row has
+	// matches, some of them across a cell boundary.
+	masses := [][]float64{make([]float64, d), make([]float64, d)}
+	for j := range masses[1] {
+		masses[1][j] = -band.MaxWidth(j)
+	}
+	key := make([]float64, d)
+	for i := 0; i < n; i++ {
+		if rng.Intn(4) == 0 {
+			r.AppendKey(masses[rng.Intn(len(masses))])
+			continue
+		}
+		for j := range key {
+			w := band.MaxWidth(j)
+			if w == 0 {
+				w = 0.5 // equi-join dimension: a small lattice with many ties
+			}
+			v := float64(rng.Intn(7)-3) * w
+			switch rng.Intn(8) {
+			case 0:
+				v += band.Low[j]
+			case 1:
+				v -= band.High[j]
+			case 2:
+				v = math.Nextafter(v, math.Inf(1))
+			case 3:
+				v = math.Nextafter(v, math.Inf(-1))
+			case 4:
+				v += (rng.Float64() - 0.5) * w
+			case 5:
+				if rng.Intn(6) == 0 {
+					v = specials[rng.Intn(len(specials))]
+				}
+			}
+			key[j] = v
+		}
+		r.AppendKey(key)
+	}
+	return r
+}
+
+// hostileBand draws a band of the given shape over d dimensions.
+func hostileBand(rng *rand.Rand, shape string, d int) data.Band {
+	low, high := make([]float64, d), make([]float64, d)
+	for j := range low {
+		low[j] = 0.05 + rng.Float64()
+		high[j] = low[j]
+		switch shape {
+		case "asymmetric":
+			high[j] = 0.05 + rng.Float64()
+		case "one-sided":
+			if j%2 == 0 {
+				low[j] = 0
+			} else {
+				high[j] = 0
+			}
+		}
+	}
+	switch shape {
+	case "zero-dim0": // grid undefined: sorted-scan fallback
+		low[0], high[0] = 0, 0
+	case "zero-last": // grid defined, refinement has to skip a dimension
+		low[d-1], high[d-1] = 0, 0
+		if d > 3 {
+			low[2], high[2] = 0, 0
+		}
+	case "tiny": // |x/w| overflows int64 for the 1e300 keys
+		for j := range low {
+			low[j], high[j] = 1e-9, 1e-9
+		}
+	}
+	return data.Asymmetric(low, high)
+}
+
+// checkExactlyOnce fails unless got holds every pair of want exactly once and
+// nothing else.
+func checkExactlyOnce(t *testing.T, what string, got []idxPair, want map[idxPair]bool) {
+	t.Helper()
+	seen := make(map[idxPair]bool, len(got))
+	for _, p := range got {
+		if !want[p] {
+			t.Fatalf("%s: emitted %v, which does not satisfy the band condition", what, p)
+		}
+		if seen[p] {
+			t.Fatalf("%s: emitted %v twice", what, p)
+		}
+		seen[p] = true
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("%s: %d pairs, definition has %d", what, len(seen), len(want))
+	}
+}
+
+// TestEpsGridAgainstDefinition checks the k-dimensional grid — one-shot Join,
+// JoinRange stripes, and Prepare + ProbeRange stripes — against the nested
+// loop, i.e. against the band-join definition itself, as a pair set with
+// every pair exactly once.
+func TestEpsGridAgainstDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	shapes := []string{"symmetric", "asymmetric", "one-sided", "zero-dim0", "zero-last", "tiny"}
+	sizes := [][2]int{{160, 160}, {0, 40}, {40, 0}, {1, 90}, {90, 1}, {1, 1}}
+	for _, d := range []int{2, 3, 5, 8} {
+		for _, shape := range shapes {
+			for _, size := range sizes {
+				band := hostileBand(rng, shape, d)
+				s := hostileRelation(rng, "s", size[0], band)
+				tt := hostileRelation(rng, "t", size[1], band)
+				name := fmt.Sprintf("d=%d/%s/%dx%d", d, shape, size[0], size[1])
+
+				want := make(map[idxPair]bool)
+				NestedLoop{}.Join(s, tt, band, func(si, ti int, _, _ []float64) { want[idxPair{si, ti}] = true })
+				if size[0] == 160 && shape != "tiny" && len(want) == 0 {
+					t.Fatalf("%s: no matching pairs; the inputs do not exercise the join", name)
+				}
+
+				for _, alg := range []RangeJoiner{EpsGrid{}, Auto{}} {
+					var got []idxPair
+					if n := alg.Join(s, tt, band, emitInto(&got)); n != int64(len(got)) {
+						t.Fatalf("%s/%s: Join returned %d, emitted %d", name, alg.Name(), n, len(got))
+					}
+					checkExactlyOnce(t, name+"/"+alg.Name()+"/Join", got, want)
+
+					prep, _ := Prepare(alg, s, tt, band).(RangeProber)
+					for _, step := range []int{1, 7, 1000} {
+						got = got[:0]
+						for lo := 0; lo < s.Len(); lo += step {
+							alg.JoinRange(s, tt, band, lo, min(lo+step, s.Len()), emitInto(&got))
+						}
+						checkExactlyOnce(t, fmt.Sprintf("%s/%s/JoinRange step %d", name, alg.Name(), step), got, want)
+						if prep == nil {
+							continue // empty side, or Auto's nested loop
+						}
+						got = got[:0]
+						for lo := 0; lo < s.Len(); lo += step {
+							prep.ProbeRange(s, lo, min(lo+step, s.Len()), emitInto(&got))
+						}
+						checkExactlyOnce(t, fmt.Sprintf("%s/%s/ProbeRange step %d", name, alg.Name(), step), got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGridRefinesOnLoad pins the choice of k: two dimensions while the cells
+// are light, more (up to maxGridDims, skipping zero-extent dimensions) while
+// they are heavy, and no further once a refinement stops paying.
+func TestGridRefinesOnLoad(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	uniform := func(d, n int, span float64) *data.Relation {
+		r := data.NewRelationCapacity("t", d, n)
+		key := make([]float64, d)
+		for i := 0; i < n; i++ {
+			for j := range key {
+				key[j] = rng.Float64() * span
+			}
+			r.AppendKey(key)
+		}
+		return r
+	}
+	point := data.NewRelation("t", 5)
+	for i := 0; i < 500; i++ {
+		point.Append(1, 1, 1, 1, 1)
+	}
+	skip := data.Band{Low: []float64{1, 1, 0, 1, 1}, High: []float64{1, 1, 0, 1, 1}}
+	cases := []struct {
+		name  string
+		t     *data.Relation
+		band  data.Band
+		wantK int
+		dims  []int
+	}{
+		{"sparse 5-d stays at 2", uniform(5, 2000, 1000), data.Uniform(5, 1), 2, []int{0, 1}},
+		{"dense 2-d has nowhere to go", uniform(2, 2000, 3), data.Uniform(2, 1), 2, []int{0, 1}},
+		{"dense 5-d refines to the cap", uniform(5, 20000, 4), data.Uniform(5, 1), 4, []int{0, 1, 2, 3}},
+		{"zero-extent dimension is skipped", uniform(5, 20000, 4), skip, 4, []int{0, 1, 3, 4}},
+		{"point mass gives up after one step", point, data.Uniform(5, 1), 3, []int{0, 1, 2}},
+	}
+	for _, c := range cases {
+		var g gridState
+		g.build(c.t, c.band)
+		if g.k != c.wantK || fmt.Sprint(g.gdim[:g.k]) != fmt.Sprint(c.dims) {
+			t.Errorf("%s: grid on dimensions %v, want %v", c.name, g.gdim[:g.k], c.dims)
+		}
+	}
+}
+
+// TestCellCoordDefinedEverywhere: the clamped coordinate is finite, monotone,
+// and agrees with floor(x/w) wherever that fits.
+func TestCellCoordDefinedEverywhere(t *testing.T) {
+	xs := []float64{math.Inf(-1), -math.MaxFloat64, -1e300, -7.5, -1, math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, 0.999, 1, 7.5, 1e300, math.MaxFloat64, math.Inf(1)}
+	for _, w := range []float64{math.SmallestNonzeroFloat64, 1e-9, 1, 2.5, 1e300} {
+		prev := int64(math.MinInt64)
+		for _, x := range xs {
+			c := cellCoord(x, w)
+			if c < -cellLimit || c > cellLimit {
+				t.Fatalf("cellCoord(%g, %g) = %d, outside ±cellLimit", x, w, c)
+			}
+			if c < prev {
+				t.Fatalf("cellCoord(%g, %g) = %d, below its predecessor's %d", x, w, c, prev)
+			}
+			prev = c
+			if q := math.Floor(x / w); math.Abs(q) < 1e15 && c != int64(q) {
+				t.Fatalf("cellCoord(%g, %g) = %d, want %g", x, w, c, q)
+			}
+		}
+		if c := cellCoord(math.NaN(), w); c != 0 {
+			t.Fatalf("cellCoord(NaN, %g) = %d, want 0", w, c)
+		}
+	}
+}

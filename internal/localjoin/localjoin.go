@@ -12,12 +12,14 @@
 // with slices.SortFunc over a concrete element type instead of sort.Slice
 // with closure comparators, and the probe loop scans contiguous rows with no
 // index indirection. Auto, the executor's default, picks per partition among
-// the nested loop (tiny inputs), the 2D local ε-grid (multi-dimensional
-// bands), the sorted probe (1D), and the sliding-window sorted scan.
-// The previous allocating implementations are retained as BaselineSortProbe
-// and BaselineGridSortScan; they serve as additional correctness oracles and
-// as the pre-optimization reference the pipeline benchmark (internal/bench)
-// measures speedups against.
+// the nested loop (tiny inputs), the k-dimensional local ε-grid
+// (multi-dimensional bands; k chosen per build from the cell load), the sorted
+// probe (1D), and the sliding-window sorted scan. The nested loop is the one
+// correctness oracle.
+//
+// All algorithms implement the band condition as data.Band.Matches defines it
+// on every float64 input: a NaN key matches nothing, ±Inf keys follow IEEE
+// arithmetic.
 package localjoin
 
 import (
@@ -128,6 +130,15 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
+// resize returns buf with length n, reusing its storage when large enough;
+// the contents are unspecified.
+func resize[E any](buf []E, n int) []E {
+	if cap(buf) < n {
+		return make([]E, n)
+	}
+	return buf[:n]
+}
+
 // sortedPairs fills buf with (dimension-0 key, index) pairs of r, sorted by
 // key, reusing buf's storage when it is large enough.
 func sortedPairs(buf []keyIdx, r *data.Relation) []keyIdx {
@@ -135,11 +146,7 @@ func sortedPairs(buf []keyIdx, r *data.Relation) []keyIdx {
 	if n > math.MaxInt32 {
 		panic(fmt.Sprintf("localjoin: partition of %d tuples exceeds the 2^31-1 local index range", n))
 	}
-	if cap(buf) < n {
-		buf = make([]keyIdx, n)
-	} else {
-		buf = buf[:n]
-	}
+	buf = resize(buf, n)
 	for i := 0; i < n; i++ {
 		buf[i] = keyIdx{key: r.KeyAt(i, 0), idx: int32(i)}
 	}
@@ -150,10 +157,34 @@ func sortedPairs(buf []keyIdx, r *data.Relation) []keyIdx {
 		case a.key > b.key:
 			return 1
 		default:
-			return 0
+			// Equal, or NaN involved: order NaN keys last, so the searches
+			// and window scans below see a consistently sorted prefix.
+			switch aNaN, bNaN := a.key != a.key, b.key != b.key; {
+			case aNaN == bNaN:
+				return 0
+			case aNaN:
+				return 1
+			default:
+				return -1
+			}
 		}
 	})
 	return buf
+}
+
+// Dim0Order returns r's tuple indices in the dimension-0 order the sort-based
+// algorithms scan T in (ties in whatever order their sort leaves them). A
+// caller that needs SortProbe's emission order from another kernel ranks that
+// kernel's matches by it.
+func Dim0Order(r *data.Relation) []int32 {
+	sc := scratchPool.Get().(*scratch)
+	sc.pairs = sortedPairs(sc.pairs, r)
+	order := make([]int32, len(sc.pairs))
+	for pos, p := range sc.pairs {
+		order[pos] = p.idx
+	}
+	scratchPool.Put(sc)
+	return order
 }
 
 // build fills sr with r's rows sorted by dimension 0, using sc.pairs as the
@@ -161,16 +192,8 @@ func sortedPairs(buf []keyIdx, r *data.Relation) []keyIdx {
 func (sr *sortedRel) build(sc *scratch, r *data.Relation) {
 	n, dims := r.Len(), r.Dims()
 	sc.pairs = sortedPairs(sc.pairs, r)
-	if cap(sr.rows) < n*dims {
-		sr.rows = make([]float64, n*dims)
-	} else {
-		sr.rows = sr.rows[:n*dims]
-	}
-	if cap(sr.perm) < n {
-		sr.perm = make([]int32, n)
-	} else {
-		sr.perm = sr.perm[:n]
-	}
+	sr.rows = resize(sr.rows, n*dims)
+	sr.perm = resize(sr.perm, n)
 	for pos, p := range sc.pairs {
 		sr.perm[pos] = p.idx
 		copy(sr.rows[pos*dims:(pos+1)*dims], r.Key(int(p.idx)))
@@ -205,10 +228,12 @@ func searchRowsGT(rows []float64, dims, n int, x float64) int {
 	return lo
 }
 
-// matchesFrom checks the band condition for dimensions [from, d).
+// matchesFrom checks the band condition for dimensions [from, d): the
+// predicate of data.Band.MatchesDim, spelled out because the call — inlined
+// or not — compiles to a slower probe loop (+15% on a 2-d serving workload).
 func matchesFrom(band data.Band, sk, tk []float64, from int) bool {
 	for d := from; d < len(sk); d++ {
-		if tk[d] < sk[d]-band.Low[d] || tk[d] > sk[d]+band.High[d] {
+		if !(tk[d] >= sk[d]-band.Low[d] && tk[d] <= sk[d]+band.High[d]) {
 			return false
 		}
 	}
@@ -255,7 +280,7 @@ func probeSortedTRange(rows []float64, perm []int32, n, dims int, s *data.Relati
 		}
 		for pos := start; pos < n; pos++ {
 			base := pos * dims
-			if rows[base] > hi {
+			if !(rows[base] <= hi) { // past the window, or the NaN tail
 				break
 			}
 			row := rows[base : base+dims]
@@ -340,7 +365,7 @@ func scanSortedWindowRange(sRows []float64, sPerm []int32, tRows []float64, tPer
 		}
 		for pos := winLo; pos < nt; pos++ {
 			base := pos * dims
-			if tRows[base] > hi {
+			if !(tRows[base] <= hi) { // past the window, or the NaN tail
 				break
 			}
 			row := tRows[base : base+dims]
@@ -392,11 +417,11 @@ func (GridSortScan) JoinRange(s, t *data.Relation, band data.Band, lo, hi int, e
 // Adaptive selection
 
 // Auto picks the cheapest algorithm per partition: the quadratic nested loop
-// when either side is too small for sorting to pay off, the two-dimensional
-// ε-grid when it is defined (d ≥ 2 and non-zero band extents on the first two
-// dimensions — it filters candidates on two dimensions instead of one), the
-// sorted probe for one-dimensional joins (whose count-only path answers each
-// probe with two binary searches), and the sliding-window sorted scan for
+// when either side is too small for sorting to pay off, the ε-grid when it is
+// defined (d ≥ 2 and non-zero band extents on the first two dimensions — it
+// filters candidates on two to four dimensions instead of one), the sorted
+// probe for one-dimensional joins (whose count-only path answers each probe
+// with two binary searches), and the sliding-window sorted scan for
 // everything else (e.g. equi-join dimensions).
 type Auto struct{}
 
@@ -462,10 +487,6 @@ func ByName(name string) (Algorithm, bool) {
 		return GridSortScan{}, true
 	case "eps-grid":
 		return EpsGrid{}, true
-	case "baseline-sort-probe":
-		return BaselineSortProbe{}, true
-	case "baseline-grid-sort-scan":
-		return BaselineGridSortScan{}, true
 	default:
 		return nil, false
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 func algorithms() []Algorithm {
-	return []Algorithm{NestedLoop{}, SortProbe{}, GridSortScan{}, EpsGrid{}, Auto{}, BaselineSortProbe{}, BaselineGridSortScan{}}
+	return []Algorithm{NestedLoop{}, SortProbe{}, GridSortScan{}, EpsGrid{}, Auto{}}
 }
 
 func makePair(n, d int, eps float64, seed int64) (*data.Relation, *data.Relation, data.Band) {
@@ -118,9 +118,7 @@ func TestAlgorithmsAgreeProperty(t *testing.T) {
 			ok := (SortProbe{}).Join(s, tt, band, nil) == want &&
 				(GridSortScan{}).Join(s, tt, band, nil) == want &&
 				(EpsGrid{}).Join(s, tt, band, nil) == want &&
-				(Auto{}).Join(s, tt, band, nil) == want &&
-				(BaselineSortProbe{}).Join(s, tt, band, nil) == want &&
-				(BaselineGridSortScan{}).Join(s, tt, band, nil) == want
+				(Auto{}).Join(s, tt, band, nil) == want
 			if !ok {
 				return false
 			}
@@ -150,7 +148,7 @@ func TestEmitIndicesValid(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	names := []string{"auto", "nested-loop", "sort-probe", "grid-sort-scan", "eps-grid", "baseline-sort-probe", "baseline-grid-sort-scan"}
+	names := []string{"auto", "nested-loop", "sort-probe", "grid-sort-scan", "eps-grid"}
 	sort.Strings(names)
 	for _, n := range names {
 		alg, ok := ByName(n)

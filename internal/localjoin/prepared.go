@@ -1,7 +1,7 @@
 package localjoin
 
 import (
-	"math"
+	"slices"
 
 	"bandjoin/internal/data"
 )
@@ -44,8 +44,8 @@ type RangeProber interface {
 // rebuild on every Join of the same (s, t, band), dispatching exactly like
 // the algorithm's own Join (including Auto's per-partition selection, which
 // only consults the fixed sizes and dimensionality). It returns nil when the
-// algorithm has no prepared form (e.g. the nested loop, or the retained
-// baseline oracles), in which case callers fall back to plain Join calls.
+// algorithm has no prepared form (the nested loop), in which case callers fall
+// back to plain Join calls.
 func Prepare(alg Algorithm, s, t *data.Relation, band data.Band) PreparedT {
 	if s.Len() == 0 || t.Len() == 0 {
 		return nil
@@ -60,13 +60,11 @@ func Prepare(alg Algorithm, s, t *data.Relation, band data.Band) PreparedT {
 		}
 		return Prepare(EpsGrid{}, s, t, band)
 	case EpsGrid:
-		w0, w1, ok := epsGridWidths(t.Dims(), band)
-		if !ok {
+		if !epsGridDefined(t.Dims(), band) {
 			return Prepare(GridSortScan{}, s, t, band)
 		}
-		g := &gridState{}
-		g.build(t, w0, w1)
-		p := &preparedEpsGrid{g: g, band: band, dims: t.Dims(), w0: w0, w1: w1}
+		p := &preparedEpsGrid{}
+		p.g.build(t, band)
 		p.resolveCells(s)
 		return p
 	case SortProbe:
@@ -100,39 +98,31 @@ func buildSortedStandalone(r *data.Relation) *sortedRel {
 // preparedEpsGrid is the cached form of EpsGrid: the CSR cell buckets over T
 // plus, per S-tuple, the resolved list of non-empty cells its band region
 // intersects (sStarts/sCells, CSR over S). The plain probe spends most of its
-// time hash-looking-up the ≤ 9 candidate cells per S-tuple, almost all of
+// time hash-looking-up the ≤ 3^k candidate cells per S-tuple, almost all of
 // which are empty for sparse workloads; resolving them once at Prepare turns
 // every later probe into a read of a short precomputed id list.
 type preparedEpsGrid struct {
-	g      *gridState
-	band   data.Band
-	dims   int
-	w0, w1 float64
+	g gridState
 
 	sStarts []int32
 	sCells  []int32
 }
 
 // resolveCells records, for every S-tuple, the dense ids of the existing
-// cells its band region intersects, in the exact (c0 asc, c1 asc) order the
-// plain probe visits them, so the emission order is unchanged.
+// cells its band region intersects, in the exact order the plain probe
+// visits them, so the emission order is unchanged.
 func (p *preparedEpsGrid) resolveCells(s *data.Relation) {
 	ns := s.Len()
 	p.sStarts = make([]int32, ns+1)
 	p.sCells = make([]int32, 0, ns)
 	for i := 0; i < ns; i++ {
-		sk := s.Key(i)
-		cl0 := int64(math.Floor((sk[0] - p.band.Low[0]) / p.w0))
-		ch0 := int64(math.Floor((sk[0] + p.band.High[0]) / p.w0))
-		cl1 := int64(math.Floor((sk[1] - p.band.Low[1]) / p.w1))
-		ch1 := int64(math.Floor((sk[1] + p.band.High[1]) / p.w1))
-		for c0 := cl0; c0 <= ch0; c0++ {
-			for c1 := cl1; c1 <= ch1; c1++ {
-				if id := p.g.lookup(c0, c1); id >= 0 {
-					p.sCells = append(p.sCells, id)
-				}
-			}
+		if n := len(p.sCells); i > 0 && cap(p.sCells)-n < maxWalkCells {
+			// Out of room for a full walk: grow once to the size the rows
+			// so far predict. Growing by append's steps copied the list
+			// several times over, a fifth of a large partition's Prepare.
+			p.sCells = slices.Grow(p.sCells, n/i*(ns-i)+n/8+maxWalkCells)
 		}
+		p.sCells = p.g.appendCells(p.sCells, s.Key(i))
 		p.sStarts[i+1] = int32(len(p.sCells))
 	}
 }
@@ -151,25 +141,11 @@ func (p *preparedEpsGrid) ProbeRange(s *data.Relation, lo, hi int, emit Emit) in
 	if len(p.sStarts) != ns+1 {
 		// Not the S side this structure was prepared for; fall back to the
 		// hash-lookup probe, which only assumes the T side.
-		return p.g.probeRange(s, p.dims, p.band, p.w0, p.w1, lo, hi, emit)
+		return p.g.probeRange(s, lo, hi, emit)
 	}
-	g, dims, band := p.g, p.dims, p.band
 	var count int64
 	for i := lo; i < hi; i++ {
-		sk := s.Key(i)
-		for ci := p.sStarts[i]; ci < p.sStarts[i+1]; ci++ {
-			id := p.sCells[ci]
-			for pos := g.starts[id]; pos < g.starts[id+1]; pos++ {
-				base := int(pos) * dims
-				row := g.rows[base : base+dims]
-				if matchesFrom(band, sk, row, 0) {
-					count++
-					if emit != nil {
-						emit(i, int(g.perm[pos]), sk, row)
-					}
-				}
-			}
-		}
+		count += p.g.scanCells(p.sCells[p.sStarts[i]:p.sStarts[i+1]], i, s.Key(i), emit)
 	}
 	return count
 }

@@ -47,8 +47,7 @@ func TestJoinRangeConcatenationMatchesJoin(t *testing.T) {
 	}
 	for caseName, mk := range cases {
 		s, tt, band := mk()
-		// The baseline oracles are deliberately range-free; every production
-		// algorithm must stripe.
+		// Every algorithm must stripe.
 		for _, alg := range []Algorithm{NestedLoop{}, SortProbe{}, GridSortScan{}, EpsGrid{}, Auto{}} {
 			rj, ok := alg.(RangeJoiner)
 			if !ok {

@@ -9,6 +9,7 @@ package sample
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"bandjoin/internal/data"
 	"bandjoin/internal/localjoin"
@@ -47,11 +48,13 @@ type Options struct {
 }
 
 // DefaultOptions returns the sampling configuration used by the experiments.
-// The paper samples 100,000 input tuples; with the allocation-free parallel
-// planner the optimization phase stays far below the join cost even at 32,000
-// input samples (see BENCH_optimizer.json), so the default cashes in that
-// headroom — larger samples mean tighter load estimates and better plans on
-// skewed inputs. Inputs smaller than the sample size are used whole.
+// The paper samples 100,000 input tuples; 32,000 keep the optimization phase
+// far below the join cost — the sample join (ForBand) runs on the local
+// ε-grid kernel, about 35 ms for an 8-dimensional band over two 16,000-row
+// Pareto samples, and the planner is allocation-free and parallel (see
+// BENCH_optimizer.json) — while larger samples mean tighter load estimates and
+// better plans on skewed inputs. Inputs smaller than the sample size are used
+// whole.
 func DefaultOptions() Options {
 	return Options{InputSampleSize: 32000, OutputSampleSize: 4000, Seed: 1}
 }
@@ -322,27 +325,34 @@ func Uniform(r *data.Relation, k int, rng *rand.Rand) *data.Relation {
 // sampleOutput joins the two input samples and keeps at most maxPairs pairs,
 // recording the scale factor that converts sample-pair counts to estimated
 // real output counts.
+//
+// The pair order decides which pairs a subsample keeps, so it is fixed
+// independently of the join kernel: S index ascending and, within one S
+// tuple, T in dimension-0 order — what the one-dimensional sorted probe this
+// join used to run emitted. Each pair is collected as (S index, T rank) packed
+// into one sortable word.
 func (s *Sample) sampleOutput(maxPairs int, rng *rand.Rand) {
 	d := s.Band.Dims()
 	outS := data.NewRelation("outS", d)
 	outT := data.NewRelation("outT", d)
-	var pairs int64
-	alg := localjoin.SortProbe{}
-	// First pass counts; second pass subsamples if needed. For typical sample
-	// sizes the pair count is modest, so collect and subsample in memory.
-	type pair struct{ si, ti int }
-	collected := make([]pair, 0, maxPairs)
-	pairs = alg.Join(s.S, s.T, s.Band, func(si, ti int, _, _ []float64) {
-		collected = append(collected, pair{si, ti})
+	order := localjoin.Dim0Order(s.T)
+	rank := make([]uint64, len(order))
+	for pos, ti := range order {
+		rank[ti] = uint64(pos)
+	}
+	collected := make([]uint64, 0, maxPairs)
+	localjoin.Auto{}.Join(s.S, s.T, s.Band, func(si, ti int, _, _ []float64) {
+		collected = append(collected, uint64(si)<<32|rank[ti])
 	})
+	slices.Sort(collected)
 	kept := collected
 	if len(collected) > maxPairs {
 		rng.Shuffle(len(collected), func(i, j int) { collected[i], collected[j] = collected[j], collected[i] })
 		kept = collected[:maxPairs]
 	}
 	for _, p := range kept {
-		outS.AppendKey(s.S.Key(p.si))
-		outT.AppendKey(s.T.Key(p.ti))
+		outS.AppendKey(s.S.Key(int(p >> 32)))
+		outT.AppendKey(s.T.Key(int(order[uint32(p)])))
 	}
 	s.OutS, s.OutT = outS, outT
 	// Each sample pair came from the cross product of the samples, which is a
@@ -352,7 +362,7 @@ func (s *Sample) sampleOutput(maxPairs int, rng *rand.Rand) {
 		pairWeight = 1 / (s.SRate * s.TRate)
 	}
 	if len(kept) > 0 && len(collected) > len(kept) {
-		pairWeight *= float64(pairs) / float64(len(kept))
+		pairWeight *= float64(len(collected)) / float64(len(kept))
 	}
 	s.OutWeight = pairWeight
 }
