@@ -147,11 +147,11 @@ type Options struct {
 	// streaming plane.
 	ClusterSerial bool
 	// ClusterCompression selects the streaming shuffle's wire encoding:
-	// "auto" (default; per-column delta+varint with entropy-gated LZ4-style
-	// block compression), "delta" (varint columns only), "lz4" (always
-	// attempt block compression), or "off" (the v1 row-major packed plane,
-	// retained as the equivalence oracle). Workers that have not negotiated
-	// the v2 wire format fall back to v1 automatically.
+	// "auto" (default; columnar chunks whose fixed-decimal key columns and ID
+	// column are bit-packed, everything else shipped raw) or "off" (the v1
+	// row-major packed plane, retained as the tests' reference). Workers that
+	// have not negotiated the current wire format fall back to v1
+	// automatically.
 	ClusterCompression string
 
 	// The drift knobs govern when an Engine replaces a cached plan whose

@@ -67,7 +67,7 @@ func main() {
 		clusterWindow  = flag.Int("cluster-window", 0, "max in-flight Load RPCs per worker on cluster runs (default 4)")
 		clusterJoinPar = flag.Int("cluster-join-parallelism", 0, "partition joins each worker runs concurrently (default: worker GOMAXPROCS)")
 		clusterSerial  = flag.Bool("cluster-serial", false, "use the serial reference data plane instead of the pipelined streaming shuffle")
-		clusterComp    = flag.String("cluster-compression", "", "streaming shuffle wire encoding: auto (default), off, delta, or lz4")
+		clusterComp    = flag.String("cluster-compression", "", "streaming shuffle wire encoding: auto (default; columnar chunks) or off (v1 row-major chunks)")
 
 		clusterMinWorkers  = flag.Int("cluster-min-workers", 0, "start the coordinator as long as this many workers are reachable; the rest join via the heartbeat (default: all must be reachable)")
 		clusterCallTimeout = flag.Duration("cluster-call-timeout", 0, "per-attempt deadline of control-plane RPCs (default 15s, negative disables)")

@@ -93,7 +93,6 @@ func main() {
 		clusterWindow   = flag.Int("cluster-window", 0, "max in-flight Load RPCs per worker on the streaming plane (default 4)")
 		clusterDims     = flag.Int("cluster-dims", 0, "number of join attributes of the cluster benchmark (default 8)")
 		clusterEps      = flag.Float64("cluster-eps", 0, "symmetric band width of the cluster benchmark (default 0.003)")
-		clusterComp     = flag.String("cluster-compression", "", "streaming wire encoding of the cluster benchmark: auto (default), delta, or lz4; off is always measured as the baseline")
 		clusterDecimals = flag.Int("cluster-decimals", -1, "decimal places benchmark keys are quantized to, PTF-style fixed precision (default 3; negative values other than the -1 sentinel disable quantization)")
 
 		scalingPath    = flag.String("scaling", "", "run the GOMAXPROCS scaling sweep (shuffle, join, planner, engine tiers) and write the JSON report to this path")
@@ -270,9 +269,6 @@ func main() {
 		if *clusterEps > 0 {
 			cfg.Eps = *clusterEps
 		}
-		if *clusterComp != "" {
-			cfg.Compression = *clusterComp
-		}
 		if *clusterDecimals != -1 {
 			cfg.KeyDecimals = *clusterDecimals
 		}
@@ -297,10 +293,10 @@ func main() {
 		fmt.Printf("serial %.2fs (shuffle %.2fs + join %.2fs), streaming %.2fs (shuffle %.2fs + join %.2fs)\n",
 			rep.Serial.WallSeconds, rep.Serial.ShuffleSeconds, rep.Serial.JoinSeconds,
 			rep.Streaming.WallSeconds, rep.Streaming.ShuffleSeconds, rep.Streaming.JoinSeconds)
-		fmt.Printf("shuffle wire: serial %d RPCs / %.1f MB, streaming-off %d RPCs / %.1f MB, streaming(%s) %d RPCs / %.1f MB\n",
+		fmt.Printf("shuffle wire: serial %d RPCs / %.1f MB, streaming-off %d RPCs / %.1f MB, streaming %d RPCs / %.1f MB\n",
 			rep.Serial.ShuffleRPCs, float64(rep.Serial.ShuffleBytes)/(1<<20),
 			rep.StreamingOff.ShuffleRPCs, float64(rep.StreamingOff.ShuffleBytes)/(1<<20),
-			rep.Compression, rep.Streaming.ShuffleRPCs, float64(rep.Streaming.ShuffleBytes)/(1<<20))
+			rep.Streaming.ShuffleRPCs, float64(rep.Streaming.ShuffleBytes)/(1<<20))
 		fmt.Printf("compression %.2fx vs off (raw %.1f MB); pairs checked %d identical=%v\n",
 			rep.CompressionRatio, float64(rep.Streaming.ShuffleRawBytes)/(1<<20), rep.PairsChecked, rep.PairsIdentical)
 		fmt.Printf("end-to-end speedup %.2fx (shuffle %.2fx, join %.2fx); report written to %s\n",

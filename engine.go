@@ -871,7 +871,9 @@ func (e *Engine) Join(ctx context.Context, sName, tName string, band Band, opts 
 	}
 	shuffleEnd := absorbEnd.Add(res.ShuffleTime)
 	if res.ShuffleTime > 0 {
-		tr.AddSpan("shuffle", absorbEnd, shuffleEnd, fmt.Sprintf("bytes=%d rpcs=%d", res.ShuffleBytes, res.ShuffleRPCs))
+		tr.AddSpan("shuffle", absorbEnd, shuffleEnd, fmt.Sprintf("bytes=%d raw_bytes=%d rpcs=%d encode_busy_us=%d decode_busy_us=%d",
+			res.ShuffleBytes, res.ShuffleRawBytes, res.ShuffleRPCs,
+			res.ShuffleEncodeBusy.Microseconds(), res.ShuffleDecodeBusy.Microseconds()))
 	}
 	joinEnd := shuffleEnd.Add(res.JoinWallTime)
 	tr.AddSpan("join", shuffleEnd, joinEnd, fmt.Sprintf("partitions=%d tier=%s", res.Partitions, tr.RetainedTier))

@@ -340,6 +340,8 @@ func TestOptionsValidation(t *testing.T) {
 	bad := []bandjoin.Options{
 		{Workers: -1},
 		{ClusterChunkSize: -5},
+		{ClusterChunkSize: 1<<20 + 1}, // past wire.MaxChunkRows
+		{ClusterCompression: "lz4"},
 		{ClusterWindow: -2},
 		{ClusterJoinParallelism: -1},
 		{InputSampleSize: -100},

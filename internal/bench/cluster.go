@@ -51,17 +51,12 @@ type ClusterConfig struct {
 	SelfMatch bool
 	// KeyDecimals quantizes every generated key to this many decimal places,
 	// modelling the fixed-precision coordinates real survey data ships (the
-	// paper's PTF workload). Fixed precision is what the columnar scaled-int
-	// wire encodings are built for; full-entropy float64 mantissas are
-	// incompressible by any codec. Negative disables quantization. The
+	// paper's PTF workload). Fixed precision is what the columnar wire
+	// format bit-packs; full-entropy float64 mantissas ship raw. Negative
+	// disables quantization. The
 	// self-match guarantee survives quantization as long as 10^-KeyDecimals
 	// ≤ Eps (jitter ≤ Eps/2 plus half an ulp of the grid stays in the band).
 	KeyDecimals int
-	// Compression selects the streaming plane's wire encoding ("" = auto).
-	// The benchmark always also measures the v1 packed plane
-	// (compression=off) on the same plan as the wire-size baseline and
-	// pair-level equivalence oracle.
-	Compression string
 	// Seed drives data generation and planning.
 	Seed int64
 }
@@ -131,7 +126,6 @@ type ClusterReport struct {
 	ChunkSize   int     `json:"chunk_size"`
 	Window      int     `json:"window"`
 	KeyDecimals int     `json:"key_decimals"`
-	Compression string  `json:"compression"`
 	Partitioner string  `json:"partitioner"`
 	Partitions  int     `json:"partitions"`
 	TotalInput  int64   `json:"total_input"`
@@ -139,19 +133,19 @@ type ClusterReport struct {
 
 	// Serial is the v1 tuple-at-a-time oracle plane. StreamingOff is the
 	// streaming plane with compression=off (v1 packed chunks) — the wire-size
-	// baseline. Streaming is the streaming plane under the configured
-	// compression mode.
+	// baseline and pair-level reference. Streaming is the default streaming
+	// plane (columnar chunks).
 	Serial       ClusterMeasurement `json:"serial"`
 	StreamingOff ClusterMeasurement `json:"streaming_off"`
 	Streaming    ClusterMeasurement `json:"streaming"`
 
 	// CompressionRatio is StreamingOff.ShuffleBytes / Streaming.ShuffleBytes:
-	// how much smaller the columnar compressed shuffle is than the packed v1
-	// shuffle for the same tuples.
+	// how much smaller the columnar shuffle is than the packed v1 shuffle for
+	// the same tuples.
 	CompressionRatio float64 `json:"compression_ratio"`
 
 	// PairsChecked result pairs were compared bit-for-bit between a
-	// compression=off run and a compressed run of a subsample-sized rerun of
+	// compression=off run and a columnar run of a subsample-sized rerun of
 	// the workload (full-size runs only compare output cardinalities, which
 	// the timed planes must also agree on).
 	PairsChecked   int  `json:"pairs_checked"`
@@ -252,7 +246,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 
 	serialOpts := cluster.Options{Serial: true, ChunkSize: cfg.ChunkSize}
 	offOpts := cluster.Options{ChunkSize: cfg.ChunkSize, Window: cfg.Window, Compression: "off"}
-	streamOpts := cluster.Options{ChunkSize: cfg.ChunkSize, Window: cfg.Window, Compression: cfg.Compression}
+	streamOpts := cluster.Options{ChunkSize: cfg.ChunkSize, Window: cfg.Window}
 
 	serial, serialRes, err := measureCluster(coord, plan, ctx, s, t, band, serialOpts, cfg.Rounds, "serial")
 	if err != nil {
@@ -272,15 +266,15 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 			serialRes.TotalInput, serialRes.Output, offRes.TotalInput, offRes.Output, streamRes.TotalInput, streamRes.Output)
 	}
 
-	// Pair-level identity between the compression=off oracle and the
-	// compressed plane, on a subsample-sized rerun so pair collection stays
+	// Pair-level identity between the compression=off reference and the
+	// columnar plane, on a subsample-sized rerun so pair collection stays
 	// tractable at benchmark scale.
 	checked, identical, err := clusterPairCheck(coord, cfg, band)
 	if err != nil {
 		return nil, err
 	}
 	if !identical {
-		return nil, fmt.Errorf("bench: compressed pairs differ from the compression=off oracle pairs")
+		return nil, fmt.Errorf("bench: columnar pairs differ from the compression=off pairs")
 	}
 
 	rep := &ClusterReport{
@@ -295,7 +289,6 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 		ChunkSize:      cfg.ChunkSize,
 		Window:         cfg.Window,
 		KeyDecimals:    cfg.KeyDecimals,
-		Compression:    compressionName(cfg.Compression),
 		Partitioner:    pt.Name(),
 		Partitions:     streamRes.Partitions,
 		TotalInput:     streamRes.TotalInput,
@@ -313,16 +306,8 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 	return rep, nil
 }
 
-func compressionName(mode string) string {
-	if mode == "" {
-		return "auto"
-	}
-	return mode
-}
-
 // clusterPairCheck reruns the workload at a reduced size with pair collection
-// on, once under compression=off and once under the configured mode, and
-// compares the result pairs bit-for-bit (as sorted multisets — the parallel
+// on, once under compression=off and once under the default, and compares the result pairs bit-for-bit (as sorted multisets — the parallel
 // worker joins do not define a global pair order).
 func clusterPairCheck(coord *cluster.Coordinator, cfg ClusterConfig, band data.Band) (int, bool, error) {
 	tuples := cfg.Tuples
@@ -350,7 +335,7 @@ func clusterPairCheck(coord *cluster.Coordinator, cfg ClusterConfig, band data.B
 			Seed:         small.Seed,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("bench: pair-check run (compression=%s): %w", compressionName(mode), err)
+			return nil, fmt.Errorf("bench: pair-check run (compression=%q): %w", mode, err)
 		}
 		pairs := res.Pairs
 		sort.Slice(pairs, func(i, j int) bool {
@@ -365,7 +350,7 @@ func clusterPairCheck(coord *cluster.Coordinator, cfg ClusterConfig, band data.B
 	if err != nil {
 		return 0, false, err
 	}
-	got, err := run(cfg.Compression)
+	got, err := run("")
 	if err != nil {
 		return 0, false, err
 	}

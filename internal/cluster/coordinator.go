@@ -254,11 +254,9 @@ type Options struct {
 	// failover: a worker failure is a clean error, never a wrong answer.
 	Serial bool
 	// Compression selects the streaming shuffle's wire encoding
-	// (wire.ParseMode): "auto" (default; delta+varint columns, LZ4-style block
-	// compression where an entropy probe predicts a win), "delta" (varint
-	// columns only), "lz4" (always attempt block compression), or "off" (the
-	// v1 row-major PackedChunk plane, retained as the equivalence oracle).
-	// Anything but "off" requires the worker to have advertised
+	// (wire.ParseMode): "auto" (default; columnar chunks, decimal columns
+	// bit-packed) or "off" (the v1 row-major PackedChunk plane, retained as
+	// the tests' reference). "auto" requires the worker to have advertised
 	// wire.Version in its Ping reply; older workers fall back to v1 per
 	// connection. Ignored when Serial is set.
 	Compression string
@@ -287,12 +285,16 @@ type Options struct {
 	band data.Band
 }
 
-// withWireMode parses Compression into the internal mode field; it is called
-// once at every coordinator entry point that can reach the streaming sender.
+// withWireMode parses Compression into the internal mode field and checks
+// that a chunk fits the wire format; it is called once at every coordinator
+// entry point that can reach the streaming sender.
 func (o Options) withWireMode() (Options, error) {
 	mode, err := wire.ParseMode(o.Compression)
 	if err != nil {
 		return o, fmt.Errorf("cluster: %w", err)
+	}
+	if o.ChunkSize > wire.MaxChunkRows {
+		return o, fmt.Errorf("cluster: ChunkSize %d exceeds the wire format's %d rows per chunk", o.ChunkSize, wire.MaxChunkRows)
 	}
 	o.mode = mode
 	return o, nil
@@ -349,6 +351,10 @@ type runState struct {
 	// query shipped (including failover reshipments), mirroring how wire bytes
 	// are counted; it becomes Result.ShuffleRawBytes.
 	rawBytes atomic.Int64
+	// encodeNanos and decodeNanos sum, over the same chunks, the senders'
+	// time inside EncodeChunk and the workers' reported decode time.
+	encodeNanos atomic.Int64
+	decodeNanos atomic.Int64
 
 	mu       sync.Mutex
 	lost     map[int]bool
@@ -620,8 +626,8 @@ func (c *Coordinator) runTransient(ctx context.Context, plan partition.Plan, pct
 	}
 
 	// The transient path knows the upcoming join at shuffle time, so the
-	// sender can issue per-partition Complete markers and v2 workers overlap
-	// presort/prepare with chunks still in flight.
+	// sender can issue per-partition Complete markers and workers on the
+	// current wire version overlap prepare with chunks still in flight.
 	opts.band = band
 
 	redistribute := redistributor(plan, pctx)
@@ -1441,20 +1447,22 @@ func (c *Coordinator) evictWorkers(planID string) {
 func (c *Coordinator) aggregate(joined []slotJoin, opts Options, s, t *data.Relation, st shuffleStats, joinWall time.Duration, rs *runState) *exec.Result {
 	workers := len(c.workers)
 	res := &exec.Result{
-		Workers:         workers,
-		ShuffleTime:     st.duration,
-		DeltaAbsorbTime: st.absorbed,
-		JoinWallTime:    joinWall,
-		InputS:          s.Len(),
-		InputT:          t.Len(),
-		TotalInput:      st.totalInput,
-		ShuffleBytes:    st.bytes + rs.extraBytes.Load(),
-		ShuffleRawBytes: rs.rawBytes.Load(),
-		ShuffleRPCs:     st.rpcs + rs.extraRPCs.Load(),
-		Retries:         int(rs.retries.Load()),
-		LostWorkers:     rs.lostCount(),
-		WorkerInput:     make([]int64, workers),
-		WorkerOutput:    make([]int64, workers),
+		Workers:           workers,
+		ShuffleTime:       st.duration,
+		DeltaAbsorbTime:   st.absorbed,
+		JoinWallTime:      joinWall,
+		InputS:            s.Len(),
+		InputT:            t.Len(),
+		TotalInput:        st.totalInput,
+		ShuffleBytes:      st.bytes + rs.extraBytes.Load(),
+		ShuffleRawBytes:   rs.rawBytes.Load(),
+		ShuffleEncodeBusy: time.Duration(rs.encodeNanos.Load()),
+		ShuffleDecodeBusy: time.Duration(rs.decodeNanos.Load()),
+		ShuffleRPCs:       st.rpcs + rs.extraRPCs.Load(),
+		Retries:           int(rs.retries.Load()),
+		LostWorkers:       rs.lostCount(),
+		WorkerInput:       make([]int64, workers),
+		WorkerOutput:      make([]int64, workers),
 	}
 	res.Degraded = res.LostWorkers > 0 || rs.liveAtStart < workers
 	res.FailoverRounds = int(rs.failovers.Load())
@@ -1520,10 +1528,10 @@ func (c *Coordinator) aggregate(joined []slotJoin, opts Options, s, t *data.Rela
 
 // sendPartitions streams one worker's partitions in fixed-size chunks, keeping
 // at most opts.Window Load RPCs in flight. When the worker's Ping negotiated
-// wire.Version (and compression is not off), chunks travel as v2 columnar
-// compressed payloads encoded straight out of the shuffle arenas; otherwise
-// they fall back to the v1 packed representation (raw key and ID bytes, a
-// memcpy-grade pack on each end). On transient streaming runs the sender also
+// wire.Version (and compression is not off), chunks travel as columnar
+// payloads encoded straight out of the shuffle arenas; otherwise they fall
+// back to the v1 packed representation (raw key and ID bytes, a memcpy-grade
+// pack on each end). On transient streaming runs the sender also
 // issues a Complete marker after each partition's last chunk, letting the
 // worker begin presorting and preparing that partition's join structure while
 // later partitions are still in flight. Each wait for a window slot is bounded
@@ -1535,17 +1543,17 @@ func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids
 		wc.markSuspect()
 		return 0, err
 	}
-	v2 := wc.wireVersion() >= wire.Version
+	current := wc.wireVersion() >= wire.Version
 	var enc *wire.Encoder
-	if v2 && opts.mode != wire.ModeOff {
+	if current && opts.mode != wire.ModeOff {
 		// Client.Go gob-encodes the args before returning, so one encoder's
 		// buffer can back every chunk of the stream without copies.
 		enc = wire.NewEncoder(opts.mode)
 	}
 	// Markers only apply to transient streaming runs (retained plans prepare
-	// at Seal time, deltas invalidate instead) and require a v2 worker, which
-	// knows Complete.
-	markers := v2 && !opts.retain && !opts.delta && opts.band.Dims() > 0
+	// at Seal time, deltas invalidate instead) and are not sent to workers
+	// that negotiated down.
+	markers := current && !opts.retain && !opts.delta && opts.band.Dims() > 0
 	deadline := c.opts.callDeadline()
 	done := make(chan *rpc.Call, opts.Window+1)
 	inFlight := 0
@@ -1568,6 +1576,7 @@ func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids
 			wc.markSuspect()
 		case call := <-done:
 			inFlight--
+			rs.decodeNanos.Add(call.Reply.(*LoadReply).DecodeNanos)
 			if call.Error != nil && firstErr == nil {
 				firstErr = call.Error
 				if isTransportErr(call.Error) {
@@ -1600,7 +1609,9 @@ func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids
 			Delta:     opts.delta,
 		}
 		if enc != nil {
+			start := time.Now()
 			args.Columnar = enc.EncodeChunk(rel.KeysRange(lo, hi), dims, ids[lo:hi])
+			rs.encodeNanos.Add(time.Since(start).Nanoseconds())
 		} else {
 			args.Packed = &PackedChunk{Dims: dims, Keys: rel.PackKeysLE(lo, hi), IDs: data.PackInt64sLE(ids[lo:hi]), SideTotal: rel.Len()}
 		}

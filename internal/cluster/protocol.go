@@ -32,12 +32,12 @@ type LoadArgs struct {
 	IDs []int64
 	// Packed is the streaming plane's v1 compact chunk representation.
 	Packed *PackedChunk
-	// Columnar is the streaming plane's v2 chunk representation: a
-	// self-describing columnar compressed chunk encoded by internal/wire
-	// (per-dimension column slabs, delta+varint and optional LZ4-style block
-	// compression). Senders use it when the worker's Ping advertised
-	// WireVersion >= wire.Version and compression is not off; exactly one of
-	// Chunk, Packed, and Columnar must be set on a data-bearing Load.
+	// Columnar is the streaming plane's current chunk representation: a
+	// self-describing columnar chunk encoded by internal/wire (one column per
+	// dimension plus the ID column, each bit-packed or raw64). Senders use it
+	// when the worker's Ping advertised WireVersion >= wire.Version and
+	// compression is not off; exactly one of Chunk, Packed, and Columnar must
+	// be set on a data-bearing Load.
 	Columnar []byte
 	// SideTotal, when positive, is the total number of tuples this
 	// (partition, side) will receive over the whole shuffle — the columnar
@@ -109,9 +109,12 @@ func (pc *PackedChunk) Tuples() (int, error) {
 	return n, nil
 }
 
-// LoadReply acknowledges a batch.
+// LoadReply acknowledges a batch. DecodeNanos is the time the worker spent
+// decoding the batch's columnar chunk into the partition (zero for the other
+// representations).
 type LoadReply struct {
-	Received int
+	Received    int
+	DecodeNanos int64
 }
 
 // JoinArgs starts the local joins of one job on a worker.
@@ -286,7 +289,7 @@ type PingReply struct {
 	// Draining reports that the worker is shutting down gracefully: it still
 	// answers Ping but rejects new Load/Join/Seal work.
 	Draining bool
-	// WireVersion is the newest chunk format the worker accepts (see
+	// WireVersion is the columnar chunk format the worker decodes (see
 	// internal/wire.Version). Coordinators fall back to the v1 row-major
 	// PackedChunk when a worker reports an older version — gob zero-fills the
 	// field for peers that predate it, so the fallback is automatic.

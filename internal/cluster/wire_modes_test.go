@@ -2,17 +2,22 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 	"testing"
+	"time"
 
 	"bandjoin/internal/core"
 	"bandjoin/internal/data"
+	"bandjoin/internal/exec"
+	"bandjoin/internal/wire"
 )
 
 // decimalPair returns a Pareto pair with keys quantized to three decimals —
-// the fixed-precision shape (PTF-style) the columnar delta+varint encodings
-// are built for. Full-entropy float64 mantissas are incompressible by design.
+// the fixed-precision shape (PTF-style) the columnar format bit-packs.
+// Full-entropy float64 mantissas ship raw64 by design.
 func decimalPair(dims, n int, seed int64) (*data.Relation, *data.Relation) {
 	s, t := data.ParetoPair(dims, 1.4, n, seed)
 	quantize := func(r *data.Relation) *data.Relation {
@@ -41,11 +46,11 @@ func workerLoadTotals(lc *LocalCluster) (wire, raw, preps int64) {
 	return
 }
 
-// TestCompressionModesMatchOracle runs the same plan under every wire mode and
+// TestCompressionModesMatchOracle runs the same plan under both wire modes and
 // requires bit-identical pairs, with "off" (the v1 packed plane) as the
-// equivalence oracle. On decimal data the compressed modes must also move
-// measurably fewer payload bytes than the raw row-major footprint, and the
-// streaming plane must report the pipelined background preparations.
+// reference. On decimal data the columnar plane must also move measurably
+// fewer payload bytes than the raw row-major footprint, report where its codec
+// time went, and run the pipelined background preparations.
 func TestCompressionModesMatchOracle(t *testing.T) {
 	s, tt := decimalPair(3, 900, 41)
 	band := data.Symmetric(0.05, 0.05, 0.05)
@@ -72,10 +77,15 @@ func TestCompressionModesMatchOracle(t *testing.T) {
 	if oracle.ShuffleRawBytes == 0 {
 		t.Error("off mode reported zero ShuffleRawBytes; raw accounting must cover the v1 plane too")
 	}
+	if oracle.ShuffleEncodeBusy != 0 || oracle.ShuffleDecodeBusy != 0 {
+		t.Errorf("off mode reported codec time (encode %v, decode %v) without running the codec",
+			oracle.ShuffleEncodeBusy, oracle.ShuffleDecodeBusy)
+	}
 
-	for _, mode := range []string{"", "auto", "delta", "lz4"} {
+	for _, mode := range []string{"", "auto"} {
 		t.Run("mode="+mode, func(t *testing.T) {
 			wireBefore, rawBefore, _ := workerLoadTotals(lc)
+			decodedBefore := decodeNanos(lc)
 			res, err := coord.Run(context.Background(), core.NewRecPartS(),
 				s, tt, band, Options{CollectPairs: true, Seed: 7, ChunkSize: 128, Compression: mode})
 			if err != nil {
@@ -98,31 +108,46 @@ func TestCompressionModesMatchOracle(t *testing.T) {
 			if preps == 0 {
 				t.Error("no pipelined background preparations ran on a streaming transient run")
 			}
+			if res.ShuffleEncodeBusy <= 0 || res.ShuffleDecodeBusy <= 0 {
+				t.Errorf("shuffle codec time not reported: encode %v, decode %v", res.ShuffleEncodeBusy, res.ShuffleDecodeBusy)
+			}
+			// The workers' histogram sums seconds as floats; allow its rounding.
+			if want := time.Duration(decodeNanos(lc) - decodedBefore); (res.ShuffleDecodeBusy - want).Abs() > time.Microsecond {
+				t.Errorf("ShuffleDecodeBusy = %v, workers measured %v", res.ShuffleDecodeBusy, want)
+			}
 		})
 	}
 
+	for _, mode := range []string{"zstd", "delta", "lz4"} {
+		if _, err := coord.Run(context.Background(), core.NewRecPartS(),
+			s, tt, band, Options{Compression: mode}); err == nil {
+			t.Fatalf("compression mode %q was accepted", mode)
+		}
+	}
 	if _, err := coord.Run(context.Background(), core.NewRecPartS(),
-		s, tt, band, Options{Compression: "zstd"}); err == nil {
-		t.Fatal("unknown compression mode was accepted")
+		s, tt, band, Options{ChunkSize: wire.MaxChunkRows + 1}); err == nil {
+		t.Fatal("a chunk size past wire.MaxChunkRows was accepted")
 	}
 }
 
-// TestWireVersionNegotiationFallback forces workers to advertise the v1 wire
-// format: the coordinator must fall back to packed chunks per connection (no
-// columnar decoding on the worker) and still produce the oracle's pairs. A
-// mixed cluster — one old worker among new ones — must also work.
+// TestWireVersionNegotiationFallback forces workers to advertise an older wire
+// version — 0, a peer that predates the field, and 2, the previous columnar
+// format this coordinator no longer encodes: the coordinator must fall back to
+// v1 packed chunks per connection (no columnar decoding on the worker) and
+// still produce the all-current run's pairs. A mixed cluster — one old worker
+// among new ones — must also work.
 func TestWireVersionNegotiationFallback(t *testing.T) {
 	s, tt := decimalPair(2, 700, 43)
 	band := data.Symmetric(0.05, 0.05)
 
-	setup := func(t *testing.T, oldWorkers ...int) (*LocalCluster, *Coordinator) {
+	setup := func(t *testing.T, version int, oldWorkers ...int) (*LocalCluster, *Coordinator) {
 		lc, err := StartLocal(3)
 		if err != nil {
 			t.Fatalf("StartLocal: %v", err)
 		}
 		t.Cleanup(lc.Stop)
 		for _, i := range oldWorkers {
-			lc.Handles()[i].SetWireVersion(0)
+			lc.Handles()[i].SetWireVersion(version)
 		}
 		coord, err := Dial(lc.Addrs())
 		if err != nil {
@@ -132,35 +157,38 @@ func TestWireVersionNegotiationFallback(t *testing.T) {
 		return lc, coord
 	}
 
-	lcNew, coordNew := setup(t)
+	lcNew, coordNew := setup(t, wire.Version)
 	oracle, err := coordNew.Run(context.Background(), core.NewRecPartS(),
 		s, tt, band, Options{CollectPairs: true, Seed: 3, ChunkSize: 128})
 	if err != nil {
-		t.Fatalf("v2 run: %v", err)
+		t.Fatalf("all-current run: %v", err)
 	}
 	if decoded := decodeNanos(lcNew); decoded == 0 {
-		t.Error("v2 cluster decoded no columnar chunks")
+		t.Error("all-current cluster decoded no columnar chunks")
 	}
 
 	cases := []struct {
-		name string
-		old  []int
+		name    string
+		version int
+		old     []int
 	}{
-		{"all-v1", []int{0, 1, 2}},
-		{"mixed", []int{1}},
+		{"all-v0", 0, []int{0, 1, 2}},
+		{"mixed-v0", 0, []int{1}},
+		{"all-parent", wire.Version - 1, []int{0, 1, 2}},
+		{"mixed-parent", wire.Version - 1, []int{1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			lc, coord := setup(t, tc.old...)
+			lc, coord := setup(t, tc.version, tc.old...)
 			res, err := coord.Run(context.Background(), core.NewRecPartS(),
 				s, tt, band, Options{CollectPairs: true, Seed: 3, ChunkSize: 128})
 			if err != nil {
-				t.Fatalf("run against v1 workers: %v", err)
+				t.Fatalf("run against old workers: %v", err)
 			}
-			samePairs(t, tc.name+" vs v2", res.Pairs, oracle.Pairs)
+			samePairs(t, tc.name+" vs all-current", res.Pairs, oracle.Pairs)
 			for _, i := range tc.old {
 				if n := lc.Handles()[i].m.decodeSeconds.Sum(); n != 0 {
-					t.Errorf("v1 worker %d decoded columnar chunks (%.9fs); negotiation did not fall back", i, n)
+					t.Errorf("old worker %d decoded columnar chunks (%.9fs); negotiation did not fall back", i, n)
 				}
 			}
 			if res.ShuffleRawBytes == 0 {
@@ -236,4 +264,82 @@ func TestCompressedDeltaAppendMatchesUncompressed(t *testing.T) {
 			t.Fatalf("warm pair %d differs: off=%s auto=%s", i, off.pairs[i], auto.pairs[i])
 		}
 	}
+}
+
+// TestBadColumnarChunkLeavesPartitionIntact is the regression test for a
+// chunk that fails part-way through decoding: its Load must fail cleanly and
+// leave the partition exactly as it was, so that the chunks that follow and
+// the Join see only whole rows, each with its ID. A header declaring more rows
+// than wire.MaxChunkRows must be refused before anything is sized by it.
+func TestBadColumnarChunkLeavesPartitionIntact(t *testing.T) {
+	s, tt := decimalPair(2, 300, 53)
+	band := data.Symmetric(0.05, 0.05)
+	ids := make([]int64, s.Len())
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	enc := wire.NewEncoder(wire.ModeAuto)
+	chunk := func(r *data.Relation, lo, hi int) []byte {
+		return append([]byte(nil), enc.EncodeChunk(r.KeysRange(lo, hi), r.Dims(), ids[lo:hi])...)
+	}
+	const half = 150
+	first := chunk(s, 0, half)
+	// Every key column decodes and the ID column is cut short; the chunk ends
+	// inside a key column after an earlier one was already scattered.
+	truncated, halved := first[:len(first)-3], first[:len(first)/2]
+
+	w := NewWorker("w")
+	load := func(side string, payload []byte) error {
+		return w.Load(&LoadArgs{JobID: "j", Partition: 0, Side: side, Columnar: payload}, &LoadReply{})
+	}
+	if err := load("S", truncated); err == nil {
+		t.Fatal("chunk cut short in its ID column was accepted")
+	}
+	if err := load("T", halved); err == nil {
+		t.Fatal("chunk cut short in a key column was accepted")
+	}
+	oversize := binary.AppendUvarint([]byte{first[0]}, wire.MaxChunkRows+1)
+	oversize = append(oversize, 2)
+	if err := load("S", oversize); err == nil {
+		t.Fatal("chunk declaring more than MaxChunkRows rows was accepted")
+	}
+	for _, l := range []struct {
+		side    string
+		payload []byte
+	}{{"S", first}, {"S", chunk(s, half, s.Len())}, {"T", chunk(tt, 0, half)}, {"T", chunk(tt, half, tt.Len())}} {
+		if err := load(l.side, l.payload); err != nil {
+			t.Fatalf("valid %s chunk after the bad ones: %v", l.side, err)
+		}
+	}
+	var jr JoinReply
+	if err := w.Join(&JoinArgs{JobID: "j", Band: band, CollectPairs: true}, &jr); err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	var got []exec.Pair
+	for _, ps := range jr.Partitions {
+		if ps.InputS != s.Len() || ps.InputT != tt.Len() {
+			t.Fatalf("partition holds %d x %d rows, want %d x %d", ps.InputS, ps.InputT, s.Len(), tt.Len())
+		}
+		for i := range ps.PairS {
+			got = append(got, exec.Pair{S: ps.PairS[i], T: ps.PairT[i]})
+		}
+	}
+	var want []exec.Pair
+	for i := 0; i < s.Len(); i++ {
+		for j := 0; j < tt.Len(); j++ {
+			if band.Matches(s.Key(i), tt.Key(j)) {
+				want = append(want, exec.Pair{S: int64(i), T: int64(j)})
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("test data joins to nothing")
+	}
+	sort.Slice(got, func(a, b int) bool {
+		if got[a].S != got[b].S {
+			return got[a].S < got[b].S
+		}
+		return got[a].T < got[b].T
+	})
+	samePairs(t, "after bad chunks vs nested loop", got, want)
 }

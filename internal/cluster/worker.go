@@ -61,7 +61,7 @@ type Worker struct {
 	// wireVersion is the chunk format version advertised in Ping replies
 	// (wire.Version by default). Tests force an older value via
 	// SetWireVersion to exercise the coordinator's v1 fallback; Load accepts
-	// every format regardless, so the knob only affects negotiation.
+	// every representation regardless, so the knob only affects negotiation.
 	wireVersion int
 
 	// prepSem bounds the background pipelined-join preparations (partitions
@@ -279,12 +279,6 @@ type partitionData struct {
 	markerBand       data.Band
 	markerAlg        string
 	preparing        bool
-
-	// colMin/colMax are per-dimension value ranges observed while decoding
-	// columnar chunks into this partition's arenas (both sides folded
-	// together) — decode-time sanity stats that come for free from the
-	// column codecs.
-	colMin, colMax []float64
 }
 
 // newPartitionData returns an empty partition for the given dimensionality.
@@ -458,8 +452,8 @@ func (w *Worker) Retained() int {
 
 // Load implements the RPC method receiving partition input, in the reference
 // representation (Chunk + IDs), the streaming plane's v1 packed form, or the
-// v2 columnar compressed form — or a per-partition Complete marker carrying
-// no data (the pipelined-join path).
+// columnar form of internal/wire — or a per-partition Complete marker
+// carrying no data (the pipelined-join path).
 func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 	if err := w.beginWork(); err != nil {
 		return err
@@ -492,8 +486,9 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 		n = args.Chunk.Len()
 		dims = args.Chunk.Dims()
 	default:
-		// Parse only the header here; the column payloads are decoded
-		// straight into the partition's arenas once it is resolved.
+		// Parse only the header here (it bounds the row count by
+		// wire.MaxChunkRows); the columns are decoded straight into the
+		// partition's arenas once it is resolved.
 		var hdr wire.Decoder
 		var err error
 		if n, dims, err = hdr.Begin(args.Columnar); err != nil {
@@ -553,11 +548,12 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 		payload = int64(n) * int64(dims+1) * 8
 	default:
 		start := time.Now()
-		if err := w.decodeColumnar(args, p, rel, ids, n, dims); err != nil {
+		if err := w.decodeColumnar(args, rel, ids, n, dims); err != nil {
 			p.mu.Unlock()
 			return fmt.Errorf("cluster: worker %s: %w", w.name, err)
 		}
 		decodeNanos = time.Since(start).Nanoseconds()
+		reply.DecodeNanos = decodeNanos
 		payload = int64(len(args.Columnar))
 	}
 	if args.Delta {
@@ -621,13 +617,14 @@ func (w *Worker) jobFor(args *LoadArgs) (*jobState, error) {
 	return job, nil
 }
 
-// decodeColumnar decodes a v2 chunk straight into the partition's arenas: a
-// block of rows is reserved once, then each key column is decoded and
-// scattered with one strided pass (no row-major intermediate), and the ID
-// column is decoded directly into the grown ID slice. Per-column min/max from
-// the decoder are folded into the partition's decode-time stats. Caller holds
-// p.mu.
-func (w *Worker) decodeColumnar(args *LoadArgs, p *partitionData, rel *data.Relation, ids *[]int64, n, dims int) error {
+// decodeColumnar decodes a columnar chunk straight into the partition's
+// arenas: a block of rows is reserved once, then each key column is decoded
+// and scattered with one strided pass (no row-major intermediate), and the ID
+// column is decoded directly into the grown ID slice. The append is
+// transactional: a chunk that fails to decode part-way leaves rel and ids at
+// their previous lengths, so the partition never holds half-written rows or
+// more rows than IDs. Caller holds p.mu.
+func (w *Worker) decodeColumnar(args *LoadArgs, rel *data.Relation, ids *[]int64, n, dims int) (err error) {
 	if total := args.SideTotal; total > rel.Len() {
 		rel.Reserve(total - rel.Len())
 		*ids = slices.Grow(*ids, total-len(*ids))
@@ -641,32 +638,20 @@ func (w *Worker) decodeColumnar(args *LoadArgs, p *partitionData, rel *data.Rela
 		sc.col = make([]float64, n)
 	}
 	col := sc.col[:n]
-	if p.colMin == nil {
-		p.colMin = make([]float64, dims)
-		p.colMax = make([]float64, dims)
-		for d := range p.colMin {
-			p.colMin[d] = math.Inf(1)
-			p.colMax[d] = math.Inf(-1)
-		}
-	}
-	base := rel.GrowRows(n)
-	for d := 0; d < dims; d++ {
-		min, max, err := sc.dec.KeyColumn(col)
+	base, idBase := rel.GrowRows(n), len(*ids)
+	defer func() {
 		if err != nil {
+			rel.Truncate(base)
+			*ids = (*ids)[:idBase]
+		}
+	}()
+	for d := 0; d < dims; d++ {
+		if _, _, err := sc.dec.KeyColumn(col); err != nil {
 			return err
 		}
 		rel.SetColumn(base, d, col)
-		if n > 0 {
-			if min < p.colMin[d] {
-				p.colMin[d] = min
-			}
-			if max > p.colMax[d] {
-				p.colMax[d] = max
-			}
-		}
 	}
-	idBase := len(*ids)
-	*ids = append(*ids, make([]int64, n)...)
+	*ids = slices.Grow(*ids, n)[:idBase+n]
 	return sc.dec.IDs((*ids)[idBase:])
 }
 
@@ -953,12 +938,17 @@ func (w *Worker) joinTasksMorsels(alg localjoin.Algorithm, tasks []joinTask, arg
 				}
 				p.mu.Unlock()
 			}
-			// Held until the morsel phase completes (released by the caller's
-			// defer below); RUnlock from another goroutine is fine.
-			p.mu.RLock()
 		}(i)
 	}
 	wg.Wait()
+	// Read locks are held until the morsel phase completes. They are taken
+	// only here, one goroutine in pid order, with no other partition lock
+	// held: concurrent Joins of one job each hold several of these while a
+	// Load's pending write lock blocks new readers, and any other
+	// acquisition order lets two Joins wait on each other's partitions.
+	for i := range tasks {
+		tasks[i].p.mu.RLock()
+	}
 	defer func() {
 		for i := range tasks {
 			tasks[i].p.mu.RUnlock()

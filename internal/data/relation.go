@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -129,13 +130,23 @@ func (r *Relation) KeysRange(lo, hi int) []float64 {
 	return r.keys[lo*r.dims : hi*r.dims : hi*r.dims]
 }
 
-// GrowRows appends n zeroed tuples and returns the index of the first, so
-// columnar decoders can reserve a block of rows and fill it one dimension at
-// a time with SetColumn.
+// GrowRows appends n tuples and returns the index of the first, so columnar
+// decoders can reserve a block of rows and fill it one dimension at a time
+// with SetColumn. Rows carved out of already reserved capacity are not
+// cleared: their values are unspecified until every dimension has been set.
 func (r *Relation) GrowRows(n int) int {
 	base := r.Len()
-	r.keys = append(r.keys, make([]float64, n*r.dims)...)
+	r.keys = slices.Grow(r.keys, n*r.dims)[:len(r.keys)+n*r.dims]
 	return base
+}
+
+// Truncate drops every tuple from index n on, undoing a GrowRows whose
+// columns could not all be filled.
+func (r *Relation) Truncate(n int) {
+	if n < 0 || n > r.Len() {
+		panic(fmt.Sprintf("data: Truncate(%d) out of bounds for relation of %d tuples", n, r.Len()))
+	}
+	r.keys = r.keys[:n*r.dims]
 }
 
 // SetColumn overwrites attribute d of tuples [base, base+len(vals)) — one

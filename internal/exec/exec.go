@@ -114,6 +114,13 @@ type Result struct {
 	// ShuffleRawBytes/ShuffleBytes is the shuffle's effective compression
 	// ratio. Zero for in-process runs.
 	ShuffleRawBytes int64
+	// ShuffleEncodeBusy and ShuffleDecodeBusy split the shuffle's codec cost
+	// out of ShuffleTime: the coordinator senders' summed time encoding
+	// columnar chunks, and the workers' summed time decoding them into their
+	// partitions (reported per Load). Both are busy time across concurrent
+	// senders and workers, so they can exceed the wall time they overlap.
+	ShuffleEncodeBusy time.Duration
+	ShuffleDecodeBusy time.Duration
 
 	// Fault-tolerance accounting, filled only by the cluster coordinator.
 	// Degraded reports that the query ran on fewer workers than the cluster

@@ -2,22 +2,17 @@ package wire
 
 import "fmt"
 
-// Mode selects how chunks are encoded on the wire.
+// Mode selects whether chunks travel in this package's columnar format.
 type Mode uint8
 
 const (
-	// ModeAuto is the default: columnar encoding with the LZ4 stage gated by
-	// an entropy probe per column.
+	// ModeAuto is the default: columnar chunks, each column packed or raw64
+	// as its values allow.
 	ModeAuto Mode = iota
 	// ModeOff disables this package entirely; the cluster ships the v1
-	// row-major packed format. Retained as the equivalence oracle.
+	// row-major packed format. Retained as the tests' reference plane and the
+	// fallback negotiated with older peers.
 	ModeOff
-	// ModeDelta uses the columnar varint/delta encodings but never attempts
-	// the LZ4 stage.
-	ModeDelta
-	// ModeLZ4 always attempts the LZ4 stage on every column (kept only when
-	// strictly smaller).
-	ModeLZ4
 )
 
 // ParseMode parses a compression knob value. The empty string means ModeAuto.
@@ -27,12 +22,8 @@ func ParseMode(s string) (Mode, error) {
 		return ModeAuto, nil
 	case "off":
 		return ModeOff, nil
-	case "delta":
-		return ModeDelta, nil
-	case "lz4":
-		return ModeLZ4, nil
 	}
-	return ModeAuto, fmt.Errorf("wire: unknown compression mode %q (want auto, off, delta, or lz4)", s)
+	return ModeAuto, fmt.Errorf("wire: unknown compression mode %q (want auto or off)", s)
 }
 
 // String implements fmt.Stringer.
@@ -42,10 +33,6 @@ func (m Mode) String() string {
 		return "auto"
 	case ModeOff:
 		return "off"
-	case ModeDelta:
-		return "delta"
-	case ModeLZ4:
-		return "lz4"
 	}
 	return fmt.Sprintf("wire.Mode(%d)", uint8(m))
 }

@@ -1,27 +1,26 @@
-// Package wire implements the cluster's columnar compressed chunk format
-// (shuffle protocol v2). A chunk carries n tuples as dims key columns plus one
-// tuple-ID column; every column is encoded independently with the cheapest of
-// several encodings and optionally wrapped in an LZ4-style compressed block:
+// Package wire implements the cluster's columnar chunk format (shuffle
+// protocol v3). A chunk carries n tuples as dims key columns plus one tuple-ID
+// column; every column is encoded independently as one of two encodings:
 //
-//	chunk   := version(1B) uvarint(n) uvarint(dims) column{dims+1}
-//	column  := tag(1B) uvarint(len(payload)) payload
-//	payload := raw64 | scaled | scaledDelta | int | intDelta
-//	          (tag bit 0x80 set: payload = uvarint(rawLen) lz4Block)
+//	chunk  := version(1B) uvarint(n) uvarint(dims) column{dims+1}
+//	column := 0x00 raw64 | 0x01 packed
+//	raw64  := n × 8B little-endian (IEEE-754 bits, or two's-complement IDs)
+//	packed := flags(1B) width(1B) lo(8B) hi(8B) [first(8B) dbase(8B)] bits
+//	flags  := scale k (bits 0-2) | form (bit 3) | delta (bit 4)
 //
-// Key columns holding fixed-decimal values (v == m/10^k exactly, the shape of
-// sensor/coordinate data such as the PTF workload) are shipped as zigzag
-// varints of the scaled integers — plain or delta-coded, whichever a fused
-// cost pass says is smaller; anything else falls back to raw little-endian
-// IEEE-754. Tuple-ID columns get the same treatment without the decimal scale
-// (IDs are monotonic per sender pass, so deltas are tiny). The selection is
-// exact, not heuristic: the encoder computes the byte cost of each candidate
-// and never produces a column larger than raw.
+// packed is frame-of-reference bit-packing of integers m: plain columns store
+// m-lo, delta columns (first and dbase present) store (m[i]-m[i-1])-dbase for
+// i >= 1, each in width bits of a little-endian bit stream. lo and hi are the
+// integer extrema of the column. Key columns are packed when every value is a
+// fixed decimal — v == m/10^k (form 0) or v == m*10^-k (form 1), bit for bit
+// — and ship raw64 otherwise; the ID column is packed with k = 0. The encoder
+// never produces a column larger than raw64.
 //
 // Encoder and Decoder own all scratch they need; steady-state EncodeChunk and
 // column decoding perform zero allocations (pinned by TestWireSteadyStateAllocs
 // and CI's allocation-check step). Decoding is defensive: malformed input from
-// the network returns an error, never panics and never over-allocates beyond
-// the declared row count.
+// the network returns an error, never panics, and allocates at most
+// MaxChunkRows values of scratch.
 package wire
 
 import (
@@ -30,36 +29,66 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Version is the chunk format version this package encodes. It is also the
 // wire version advertised in cluster Ping replies; peers that report an older
 // version receive the v1 row-major packed format instead.
-const Version = 2
+const Version = 3
 
 // chunkVersion is the leading byte of every encoded chunk.
-const chunkVersion = 1
+const chunkVersion = 2
 
-// Column encoding tags. The high bit (flagLZ4) marks a payload wrapped in an
-// LZ4-style compressed block.
+// MaxChunkRows bounds the row count a chunk may declare. A packed column of
+// width 0 has an empty payload, so the payload cannot bound the count; this
+// constant does, and with it what a decoder allocates for one chunk.
+const MaxChunkRows = 1 << 20
+
+// maxDims bounds the dimensionality a chunk may declare.
+const maxDims = 4096
+
+// Column encodings.
 const (
-	tagRaw64       = 0 // little-endian 64-bit values, 8 bytes each
-	tagScaled      = 1 // uvarint k, then zigzag varints of round(v*10^k)
-	tagScaledDelta = 2 // uvarint k, first value plain, then zigzag varint deltas
-	tagInt         = 3 // zigzag varints of int64 values
-	tagIntDelta    = 4 // first value plain, then zigzag varint deltas
-	flagLZ4        = 0x80
+	encRaw64  = 0
+	encPacked = 1
+)
+
+// Packed-column flags.
+const (
+	flagScaleMask = 0x07 // decimal scale k
+	flagMul       = 0x08 // v == m*10^-k rather than v == m/10^k
+	flagDelta     = 0x10 // bits hold consecutive differences
+)
+
+const (
+	plainHeader = 2 + 16      // flags, width, lo, hi
+	deltaHeader = 2 + 16 + 16 // ... first, dbase
 )
 
 // maxScale is the largest decimal exponent the encoder probes: values with
 // more than 6 fractional decimal digits ship raw.
 const maxScale = 6
 
-var pow10 = [maxScale + 1]float64{1, 10, 100, 1e3, 1e4, 1e5, 1e6}
+var (
+	pow10    = [maxScale + 1]float64{1, 10, 100, 1e3, 1e4, 1e5, 1e6}
+	invPow10 = [maxScale + 1]float64{1, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6}
+)
 
-// maxExact is the largest magnitude at which every integer is exactly
-// representable as a float64.
-const maxExact = 1 << 53
+// roundMagic rounds x to the nearest integer (ties to even) as
+// (x+roundMagic)-roundMagic, for |x| < maxScaled.
+const (
+	roundMagic = 3 << 51
+	maxScaled  = 1 << 51
+)
+
+// maxWidth is the widest packed value: one unaligned 8-byte load then holds
+// any value at any bit offset. Wider columns save under 1/8 and ship raw64.
+const maxWidth = 56
+
+// sampleSize is how many values of a column screen a (scale, form) candidate
+// before the full verifying pass.
+const sampleSize = 32
 
 var (
 	errTruncated  = errors.New("wire: truncated chunk")
@@ -74,33 +103,49 @@ func RawBytes(n, dims int) int64 {
 	return int64(n) * int64(dims+1) * 8
 }
 
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+// extrema are the signed bounds of a column's integers and of their
+// consecutive (wrapping) differences.
+type extrema struct {
+	lo, hi, dlo, dhi int64
+}
 
-// uvarintLen returns the encoded size of x in bytes.
-func uvarintLen(x uint64) int {
-	return (bits.Len64(x|1) + 6) / 7
+// startExtrema returns the extrema of the one-value column {first}: no
+// differences yet.
+func startExtrema(first int64) extrema {
+	return extrema{lo: first, hi: first, dlo: math.MaxInt64, dhi: math.MinInt64}
+}
+
+// packedLayout picks the narrower of the plain and delta layouts for n values
+// with the given extrema. ok is false when neither beats raw64.
+func packedLayout(n int, ex extrema) (delta bool, width int, ok bool) {
+	// hi >= lo as signed values, so the unsigned difference is their distance
+	// even when it exceeds MaxInt64.
+	width = bits.Len64(uint64(ex.hi) - uint64(ex.lo))
+	size := plainHeader + (n*width+7)/8
+	if n > 1 {
+		dw := bits.Len64(uint64(ex.dhi) - uint64(ex.dlo))
+		if dsize := deltaHeader + ((n-1)*dw+7)/8; dsize < size {
+			delta, width, size = true, dw, dsize
+		}
+	}
+	return delta, width, width <= maxWidth && size < 8*n
 }
 
 // Encoder encodes chunks. It is not safe for concurrent use; every sender
 // goroutine owns one. All returned buffers are reused by the next call.
 type Encoder struct {
-	mode   Mode
 	buf    []byte  // finished chunk
-	col    []byte  // column payload before optional compression
-	lz     []byte  // compressed-column scratch
-	scaled []int64 // decimal-scaled or id column values
-	table  [lzTableSize]int32
-	hist   [256]int32
+	scaled []int64 // decimal-scaled key column
+	sample [sampleSize + 2*maxScale + 2]float64
 }
 
-// NewEncoder returns an encoder producing chunks under the given mode, which
-// must not be ModeOff (off means "do not use this package").
+// NewEncoder returns an encoder. mode must not be ModeOff (off means "do not
+// use this package").
 func NewEncoder(mode Mode) *Encoder {
 	if mode == ModeOff {
 		panic("wire: NewEncoder with ModeOff")
 	}
-	return &Encoder{mode: mode}
+	return &Encoder{}
 }
 
 // EncodeChunk encodes a chunk of n = len(ids) tuples whose keys are the given
@@ -113,6 +158,9 @@ func (e *Encoder) EncodeChunk(keys []float64, dims int, ids []int64) []byte {
 	if len(keys) != n*dims {
 		panic(fmt.Sprintf("wire: EncodeChunk: %d key values for %d tuples x %d dims", len(keys), n, dims))
 	}
+	if n > MaxChunkRows {
+		panic(fmt.Sprintf("wire: EncodeChunk: %d tuples exceed MaxChunkRows", n))
+	}
 	buf := e.buf[:0]
 	buf = append(buf, chunkVersion)
 	buf = binary.AppendUvarint(buf, uint64(n))
@@ -120,186 +168,214 @@ func (e *Encoder) EncodeChunk(keys []float64, dims int, ids []int64) []byte {
 	for d := 0; d < dims; d++ {
 		buf = e.appendKeyColumn(buf, keys, d, dims, n)
 	}
-	buf = e.appendIDColumn(buf, ids)
+	buf = appendIDColumn(buf, ids)
 	e.buf = buf
 	return buf
 }
 
-// appendKeyColumn encodes one key column (strided gather fused into the
-// encoding — no row-major intermediate) and appends tag+len+payload to buf.
+// appendKeyColumn encodes column d of the row-major slab: packed when a
+// decimal scale represents every value exactly, raw64 otherwise.
 func (e *Encoder) appendKeyColumn(buf []byte, keys []float64, d, dims, n int) []byte {
-	tag := byte(tagRaw64)
-	col := e.col[:0]
-	if k, ok := e.scaleColumn(keys, d, dims, n); ok {
-		// Exact cost of plain vs delta varints over the scaled ints.
-		plain, delta := varintCosts(e.scaled)
-		kPrefix := uvarintLen(uint64(k))
-		if plain <= delta && kPrefix+plain < 8*n {
-			tag = tagScaled
-			col = binary.AppendUvarint(col, uint64(k))
-			for _, m := range e.scaled {
-				col = binary.AppendUvarint(col, zigzag(m))
-			}
-		} else if delta < plain && kPrefix+delta < 8*n {
-			tag = tagScaledDelta
-			col = binary.AppendUvarint(col, uint64(k))
-			col = appendDeltas(col, e.scaled)
+	if flags, ex, ok := e.scaleColumn(keys, d, dims, n); ok {
+		if delta, width, ok := packedLayout(n, ex); ok {
+			return appendPacked(buf, flags, e.scaled, ex, delta, width)
 		}
 	}
-	if tag == tagRaw64 {
-		for i := 0; i < n; i++ {
-			col = binary.LittleEndian.AppendUint64(col, math.Float64bits(keys[i*dims+d]))
-		}
+	buf = append(buf, encRaw64)
+	off := len(buf)
+	buf = slices.Grow(buf, 8*n)[:off+8*n]
+	out := buf[off:]
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(keys[i*dims+d]))
 	}
-	e.col = col
-	return e.appendColumn(buf, tag, col)
+	return buf
 }
 
-// appendIDColumn encodes the tuple-ID column.
-func (e *Encoder) appendIDColumn(buf []byte, ids []int64) []byte {
-	n := len(ids)
-	e.scaled = append(e.scaled[:0], ids...)
-	plain, delta := varintCosts(e.scaled)
-	tag := byte(tagRaw64)
-	col := e.col[:0]
-	switch {
-	case delta < plain && delta < 8*n:
-		tag = tagIntDelta
-		col = appendDeltas(col, e.scaled)
-	case plain <= delta && plain < 8*n:
-		tag = tagInt
-		for _, m := range e.scaled {
-			col = binary.AppendUvarint(col, zigzag(m))
+// appendIDColumn encodes the tuple-ID column: packed with scale 0, or raw64.
+func appendIDColumn(buf []byte, ids []int64) []byte {
+	if len(ids) > 0 {
+		ex := startExtrema(ids[0])
+		for i, m := range ids[1:] {
+			dm := m - ids[i] // wraps; packBits and unpackBits wrap alike
+			ex.lo, ex.hi = min(ex.lo, m), max(ex.hi, m)
+			ex.dlo, ex.dhi = min(ex.dlo, dm), max(ex.dhi, dm)
 		}
-	default:
-		for _, v := range ids {
-			col = binary.LittleEndian.AppendUint64(col, uint64(v))
+		if delta, width, ok := packedLayout(len(ids), ex); ok {
+			return appendPacked(buf, 0, ids, ex, delta, width)
 		}
 	}
-	e.col = col
-	return e.appendColumn(buf, tag, col)
+	buf = append(buf, encRaw64)
+	for _, m := range ids {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(m))
+	}
+	return buf
 }
 
-// appendColumn applies the optional LZ4 stage and appends the framed column.
-func (e *Encoder) appendColumn(buf []byte, tag byte, payload []byte) []byte {
-	if e.shouldCompress(payload) {
-		e.lz = lz4Compress(payload, e.lz[:0], &e.table)
-		wrapped := uvarintLen(uint64(len(payload))) + len(e.lz)
-		if len(e.lz) > 0 && wrapped < len(payload) {
-			buf = append(buf, tag|flagLZ4)
-			buf = binary.AppendUvarint(buf, uint64(wrapped))
-			buf = binary.AppendUvarint(buf, uint64(len(payload)))
-			return append(buf, e.lz...)
-		}
+// scaleExact returns r = round(v*p) and whether v is exactly that integer
+// under the given form (p = 10^k, inv = 10^-k): |r| < maxScaled and scaling r
+// back yields v's bits, which also rejects -0, NaN and ±Inf.
+func scaleExact(v, p, inv float64, mul bool) (float64, bool) {
+	r := (v*p + roundMagic) - roundMagic
+	var back float64
+	if mul {
+		back = r * inv
+	} else {
+		back = r / p
 	}
-	buf = append(buf, tag)
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	return append(buf, payload...)
+	return r, r > -maxScaled && r < maxScaled && math.Float64bits(back) == math.Float64bits(v)
 }
 
-// shouldCompress gates the LZ4 attempt: never under ModeDelta, always under
-// ModeLZ4, and under ModeAuto only when a cheap byte-entropy probe suggests
-// the payload is compressible at all.
-func (e *Encoder) shouldCompress(payload []byte) bool {
-	switch e.mode {
-	case ModeDelta:
-		return false
-	case ModeLZ4:
-		return len(payload) >= lzMinInput
+// scaleColumn finds a decimal scale and form under which every value of
+// column d is an exact integer, filling e.scaled with the integers. Each
+// candidate — k ascending, so the integers are as narrow as the data allows —
+// is screened on a small sample of the column, then verified on every value
+// by scaleAll. A value that fails the full pass joins the sample, so no later
+// candidate pays a full pass to fail on it too.
+func (e *Encoder) scaleColumn(keys []float64, d, dims, n int) (flags byte, _ extrema, ok bool) {
+	if n == 0 {
+		return 0, extrema{}, false
 	}
-	if len(payload) < lzMinInput {
-		return false
+	col := keys[d:]
+	sample := e.sample[:0]
+	for i := 0; i < min(n, sampleSize); i++ {
+		sample = append(sample, col[(i*n/min(n, sampleSize))*dims])
 	}
-	return e.entropyBitsPerByte(payload) < 7.2
-}
-
-// entropyBitsPerByte estimates the Shannon entropy of payload from a sample of
-// at most 4096 bytes.
-func (e *Encoder) entropyBitsPerByte(p []byte) float64 {
-	clear(e.hist[:])
-	stride := len(p)/4096 + 1
-	n := 0
-	for i := 0; i < len(p); i += stride {
-		e.hist[p[i]]++
-		n++
-	}
-	h := 0.0
-	for _, c := range e.hist {
-		if c == 0 {
-			continue
-		}
-		f := float64(c) / float64(n)
-		h -= f * math.Log2(f)
-	}
-	return h
-}
-
-// scaleColumn finds the smallest decimal scale k such that every value of
-// column d is exactly round(v*10^k)/10^k, filling e.scaled with the scaled
-// integers. It reports false when no k <= maxScale represents the column
-// exactly (the raw fallback). Negative zero is rejected so decoded bits always
-// equal encoded bits.
-func (e *Encoder) scaleColumn(keys []float64, d, dims, n int) (int, bool) {
-	if cap(e.scaled) < n {
-		e.scaled = make([]int64, 0, n)
-	}
+	e.scaled = slices.Grow(e.scaled[:0], n)[:n]
 	for k := 0; k <= maxScale; k++ {
-		p := pow10[k]
-		scaled := e.scaled[:0]
-		ok := true
-		for i := 0; i < n; i++ {
-			v := keys[i*dims+d]
-			if v == 0 && math.Signbit(v) {
-				return 0, false
+		p, inv := pow10[k], invPow10[k]
+	form:
+		for _, mul := range [2]bool{false, true} {
+			if mul && k == 0 {
+				break // 10^0: both forms are the same test
 			}
-			m := math.Round(v * p)
-			if !(m >= -maxExact && m <= maxExact) { // also rejects NaN
-				ok = false
-				break
+			for _, v := range sample {
+				if _, ok := scaleExact(v, p, inv, mul); !ok {
+					continue form
+				}
 			}
-			mi := int64(m)
-			if float64(mi)/p != v {
-				ok = false
-				break
+			ex, bad := scaleAll(e.scaled, col, dims, p, inv, mul)
+			if bad >= 0 {
+				sample = append(sample, col[bad*dims])
+				continue
 			}
-			scaled = append(scaled, mi)
-		}
-		if ok {
-			e.scaled = scaled
-			return k, true
+			flags = byte(k)
+			if mul {
+				flags |= flagMul
+			}
+			return flags, ex, true
 		}
 	}
-	return 0, false
+	return 0, extrema{}, false
 }
 
-// varintCosts returns the encoded sizes of vals as plain zigzag varints and as
-// first-value + zigzag-delta varints.
-func varintCosts(vals []int64) (plain, delta int) {
-	prev := int64(0)
-	for i, m := range vals {
-		plain += uvarintLen(zigzag(m))
-		if i == 0 {
-			delta += uvarintLen(zigzag(m))
-		} else {
-			delta += uvarintLen(zigzag(m - prev))
+// scaleAll is the fused gather/scale/verify/extrema pass over one column of a
+// row-major slab: out[i] = round(col[i*stride]*p) for every i. It stops at
+// the first value that is not exact under (p, inv, mul) and returns its
+// index, or -1 when the whole column is exact.
+func scaleAll(out []int64, col []float64, stride int, p, inv float64, mul bool) (ex extrema, bad int) {
+	r, ok := scaleExact(col[0], p, inv, mul)
+	if !ok {
+		return ex, 0
+	}
+	prev := int64(r)
+	out[0] = prev
+	ex = startExtrema(prev)
+	for i := 1; i < len(out); i++ {
+		r, ok := scaleExact(col[i*stride], p, inv, mul)
+		if !ok {
+			return ex, i
 		}
+		m := int64(r)
+		out[i] = m
+		ex.lo, ex.hi = min(ex.lo, m), max(ex.hi, m)
+		ex.dlo, ex.dhi = min(ex.dlo, m-prev), max(ex.dhi, m-prev)
 		prev = m
 	}
-	return plain, delta
+	return ex, -1
 }
 
-// appendDeltas appends vals as first-value + zigzag-delta varints.
-func appendDeltas(dst []byte, vals []int64) []byte {
-	prev := int64(0)
-	for i, m := range vals {
-		if i == 0 {
-			dst = binary.AppendUvarint(dst, zigzag(m))
-		} else {
-			dst = binary.AppendUvarint(dst, zigzag(m-prev))
-		}
-		prev = m
+// appendPacked appends vals as a packed column in the given layout.
+func appendPacked(buf []byte, flags byte, vals []int64, ex extrema, delta bool, width int) []byte {
+	base, prev := uint64(ex.lo), uint64(0)
+	if delta {
+		flags |= flagDelta
+		base, prev = uint64(ex.dlo), uint64(vals[0])
 	}
-	return dst
+	buf = append(buf, encPacked, flags, byte(width))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(ex.lo))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(ex.hi))
+	if delta {
+		buf = binary.LittleEndian.AppendUint64(buf, prev)
+		buf = binary.LittleEndian.AppendUint64(buf, base)
+		vals = vals[1:]
+	}
+	off := len(buf)
+	size := (len(vals)*width + 7) / 8
+	// 8 bytes of slack let packBits flush whole words; the slack is cut off.
+	buf = slices.Grow(buf, size+8)[:off+size+8]
+	packBits(buf[off:], vals, base, prev, delta, uint(width))
+	return buf[:off+size]
+}
+
+// packBits writes the low w bits of each vals[i]-base — of each
+// (vals[i]-vals[i-1])-base under delta, prev standing in for vals[-1] — as a
+// little-endian bit stream. out must hold the stream rounded up to whole
+// 8-byte words.
+func packBits(out []byte, vals []int64, base, prev uint64, delta bool, w uint) {
+	if w == 0 {
+		return
+	}
+	var acc uint64
+	var fill uint
+	for _, m := range vals {
+		u := uint64(m) - prev - base
+		if delta {
+			prev = uint64(m)
+		}
+		acc |= u << fill
+		fill += w
+		if fill >= 64 {
+			binary.LittleEndian.PutUint64(out, acc)
+			out = out[8:]
+			fill -= 64
+			acc = u >> (w - fill)
+		}
+	}
+	if fill > 0 {
+		binary.LittleEndian.PutUint64(out, acc)
+	}
+}
+
+// unpackBits is the inverse of packBits: it reads len(dst) values of w bits
+// from payload, which holds exactly the stream rounded up to whole bytes.
+func unpackBits(dst []int64, payload []byte, base, prev uint64, delta bool, w uint) {
+	// Values whose 8-byte load stays inside the payload are read in place;
+	// the last few are read from a zero-padded copy of the payload's tail.
+	fast := 0
+	if w > 0 && len(payload) >= 8 {
+		fast = min(len(dst), ((len(payload)-8)*8+7)/int(w)+1)
+	}
+	prev = unpackRun(dst[:fast], payload, 0, base, prev, delta, w)
+	var tail [16]byte
+	tailOff := max(len(payload)-8, 0)
+	copy(tail[:], payload[tailOff:])
+	unpackRun(dst[fast:], tail[:], uint(fast)*w-uint(tailOff)*8, base, prev, delta, w)
+}
+
+// unpackRun decodes the values whose bits start at bit, bit+w, ... of src,
+// every one of which must leave 8 readable bytes from its first byte on. It
+// returns the last value, the next run's prev.
+func unpackRun(dst []int64, src []byte, bit uint, base, prev uint64, delta bool, w uint) uint64 {
+	mask := uint64(1)<<w - 1
+	for i := range dst {
+		m := binary.LittleEndian.Uint64(src[bit>>3:])>>(bit&7)&mask + base + prev
+		if delta {
+			prev = m
+		}
+		dst[i] = int64(m)
+		bit += w
+	}
+	return prev
 }
 
 // Decoder decodes chunks. It is not safe for concurrent use. Columns are read
@@ -308,8 +384,8 @@ type Decoder struct {
 	raw     []byte
 	pos     int
 	n, dims int
-	cols    int // columns consumed so far
-	lz      []byte
+	cols    int     // columns consumed so far
+	ints    []int64 // unpacked integers of a packed key column
 }
 
 // Begin parses the chunk header and returns the tuple count and
@@ -323,7 +399,7 @@ func (d *Decoder) Begin(raw []byte) (n, dims int, err error) {
 		return 0, 0, errTruncated
 	}
 	if raw[0] != chunkVersion {
-		return 0, 0, fmt.Errorf("wire: unsupported chunk version %d", raw[0])
+		return 0, 0, fmt.Errorf("wire: unsupported chunk version %d (want %d)", raw[0], chunkVersion)
 	}
 	d.pos = 1
 	un, err := d.uvarint()
@@ -334,7 +410,7 @@ func (d *Decoder) Begin(raw []byte) (n, dims int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if un > math.MaxInt32 || ud == 0 || ud > 4096 {
+	if un > MaxChunkRows || ud == 0 || ud > maxDims {
 		return 0, 0, errCorrupt
 	}
 	d.n, d.dims = int(un), int(ud)
@@ -350,42 +426,70 @@ func (d *Decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// nextColumn unwraps the next column's framing (and LZ4 block, if any),
-// returning the decompressed payload and the base encoding tag.
-func (d *Decoder) nextColumn() (tag byte, payload []byte, err error) {
-	if d.pos >= len(d.raw) {
-		return 0, nil, errTruncated
+// take consumes the next size bytes of the chunk.
+func (d *Decoder) take(size int) ([]byte, error) {
+	if size > len(d.raw)-d.pos {
+		return nil, errTruncated
 	}
-	tag = d.raw[d.pos]
-	d.pos++
-	plen, err := d.uvarint()
+	b := d.raw[d.pos : d.pos+size]
+	d.pos += size
+	return b, nil
+}
+
+// column is one consumed column: the 8n payload bytes of a raw64 column, or
+// the header of a packed one whose integers nextColumn has already unpacked.
+type column struct {
+	raw    []byte
+	packed bool
+	flags  byte
+	lo, hi int64
+}
+
+// nextColumn consumes the next column, unpacking a packed column's integers
+// into dst (len must be the chunk's tuple count).
+func (d *Decoder) nextColumn(dst []int64) (c column, err error) {
+	enc, err := d.take(1)
 	if err != nil {
-		return 0, nil, err
+		return c, err
 	}
-	if plen > uint64(len(d.raw)-d.pos) {
-		return 0, nil, errTruncated
+	switch enc[0] {
+	case encRaw64:
+		c.raw, err = d.take(8 * d.n)
+		return c, err
+	case encPacked:
+	default:
+		return c, fmt.Errorf("wire: unknown column encoding %d", enc[0])
 	}
-	payload = d.raw[d.pos : d.pos+int(plen)]
-	d.pos += int(plen)
-	if tag&flagLZ4 == 0 {
-		return tag, payload, nil
-	}
-	rawLen, w := binary.Uvarint(payload)
-	if w <= 0 || rawLen > uint64(d.n+1)*8+16 {
-		return 0, nil, errCorrupt
-	}
-	if cap(d.lz) < int(rawLen) {
-		d.lz = make([]byte, 0, int(rawLen))
-	}
-	out, err := lz4Decompress(payload[w:], d.lz[:0], int(rawLen))
+	hdr, err := d.take(plainHeader)
 	if err != nil {
-		return 0, nil, err
+		return c, err
 	}
-	if len(out) != int(rawLen) {
-		return 0, nil, errCorrupt
+	c.packed, c.flags = true, hdr[0]
+	width := int(hdr[1])
+	c.lo = int64(binary.LittleEndian.Uint64(hdr[2:]))
+	c.hi = int64(binary.LittleEndian.Uint64(hdr[10:]))
+	delta := c.flags&flagDelta != 0
+	if c.flags&^(flagScaleMask|flagMul|flagDelta) != 0 || c.flags&flagScaleMask > maxScale ||
+		width > maxWidth || c.lo > c.hi || d.n == 0 {
+		return c, errCorrupt
 	}
-	d.lz = out
-	return tag &^ flagLZ4, out, nil
+	base, prev := uint64(c.lo), uint64(0)
+	if delta {
+		ext, err := d.take(deltaHeader - plainHeader)
+		if err != nil {
+			return c, err
+		}
+		prev = binary.LittleEndian.Uint64(ext)
+		base = binary.LittleEndian.Uint64(ext[8:])
+		dst[0] = int64(prev)
+		dst = dst[1:]
+	}
+	payload, err := d.take((len(dst)*width + 7) / 8)
+	if err != nil {
+		return c, err
+	}
+	unpackBits(dst, payload, base, prev, delta, uint(width))
+	return c, nil
 }
 
 // KeyColumn decodes the next key column into dst (len must be the chunk's
@@ -397,69 +501,52 @@ func (d *Decoder) KeyColumn(dst []float64) (min, max float64, err error) {
 	if len(dst) != d.n {
 		return 0, 0, errColumnSize
 	}
-	tag, payload, err := d.nextColumn()
+	if cap(d.ints) < d.n {
+		d.ints = make([]int64, d.n)
+	}
+	ints := d.ints[:d.n]
+	c, err := d.nextColumn(ints)
 	if err != nil {
 		return 0, 0, err
 	}
 	d.cols++
-	min, max = math.Inf(1), math.Inf(-1)
-	switch tag {
-	case tagRaw64:
-		if len(payload) != 8*d.n {
-			return 0, 0, errColumnSize
-		}
-		for i := range dst {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
-			dst[i] = v
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-	case tagScaled, tagScaledDelta:
-		uk, w := binary.Uvarint(payload)
-		if w <= 0 || uk > maxScale {
-			return 0, 0, errCorrupt
-		}
-		p := pow10[uk]
-		payload = payload[w:]
-		prev := int64(0)
-		for i := range dst {
-			u, w := binary.Uvarint(payload)
-			if w <= 0 {
-				return 0, 0, errTruncated
-			}
-			payload = payload[w:]
-			m := unzigzag(u)
-			if tag == tagScaledDelta && i > 0 {
-				m += prev
-			}
-			prev = m
-			v := float64(m) / p
-			dst[i] = v
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		if len(payload) != 0 {
-			return 0, 0, errColumnSize
-		}
-	default:
-		return 0, 0, fmt.Errorf("wire: unknown key column tag %d", tag)
-	}
 	if d.n == 0 {
 		return 0, 0, nil
 	}
-	return min, max, nil
+	if !c.packed {
+		min, max = math.Inf(1), math.Inf(-1)
+		for i := range dst {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(c.raw[i*8:]))
+			dst[i] = v
+			if v < min {
+				min = v
+			}
+			if v > max {
+				max = v
+			}
+		}
+		return min, max, nil
+	}
+	// Scaling is monotone, so the column's extrema are the scaled integer
+	// extrema of the header.
+	k := c.flags & flagScaleMask
+	if c.flags&flagMul != 0 {
+		inv := invPow10[k]
+		for i, m := range ints {
+			dst[i] = float64(m) * inv
+		}
+		return float64(c.lo) * inv, float64(c.hi) * inv, nil
+	}
+	p := pow10[k]
+	for i, m := range ints {
+		dst[i] = float64(m) / p
+	}
+	return float64(c.lo) / p, float64(c.hi) / p, nil
 }
 
 // IDs decodes the tuple-ID column into dst (len must be the chunk's tuple
-// count). It must be called after every key column has been read.
+// count). It must be called after every key column has been read, and fails
+// if bytes remain after the column.
 func (d *Decoder) IDs(dst []int64) error {
 	if d.cols != d.dims {
 		return fmt.Errorf("wire: IDs called after %d of %d key columns", d.cols, d.dims)
@@ -467,39 +554,21 @@ func (d *Decoder) IDs(dst []int64) error {
 	if len(dst) != d.n {
 		return errColumnSize
 	}
-	tag, payload, err := d.nextColumn()
+	c, err := d.nextColumn(dst)
 	if err != nil {
 		return err
 	}
 	d.cols++
-	switch tag {
-	case tagRaw64:
-		if len(payload) != 8*d.n {
-			return errColumnSize
-		}
+	if c.packed && c.flags&(flagScaleMask|flagMul) != 0 {
+		return errCorrupt
+	}
+	if !c.packed {
 		for i := range dst {
-			dst[i] = int64(binary.LittleEndian.Uint64(payload[i*8:]))
+			dst[i] = int64(binary.LittleEndian.Uint64(c.raw[i*8:]))
 		}
-	case tagInt, tagIntDelta:
-		prev := int64(0)
-		for i := range dst {
-			u, w := binary.Uvarint(payload)
-			if w <= 0 {
-				return errTruncated
-			}
-			payload = payload[w:]
-			m := unzigzag(u)
-			if tag == tagIntDelta && i > 0 {
-				m += prev
-			}
-			prev = m
-			dst[i] = m
-		}
-		if len(payload) != 0 {
-			return errColumnSize
-		}
-	default:
-		return fmt.Errorf("wire: unknown id column tag %d", tag)
+	}
+	if d.pos != len(d.raw) {
+		return errCorrupt
 	}
 	return nil
 }

@@ -47,8 +47,8 @@ func (o Options) resolve() (resolved, error) {
 		return r, fmt.Errorf("bandjoin: sample sizes must be >= 0, got input %d, output %d",
 			o.InputSampleSize, o.OutputSampleSize)
 	}
-	if o.ClusterChunkSize < 0 {
-		return r, fmt.Errorf("bandjoin: ClusterChunkSize must be >= 0, got %d", o.ClusterChunkSize)
+	if o.ClusterChunkSize < 0 || o.ClusterChunkSize > wire.MaxChunkRows {
+		return r, fmt.Errorf("bandjoin: ClusterChunkSize must be in [0, %d], got %d", wire.MaxChunkRows, o.ClusterChunkSize)
 	}
 	if o.ClusterWindow < 0 {
 		return r, fmt.Errorf("bandjoin: ClusterWindow must be >= 0, got %d", o.ClusterWindow)

@@ -3,6 +3,7 @@ package bandjoin_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"bandjoin"
@@ -68,6 +69,20 @@ func TestQueryTraceColdWarm(t *testing.T) {
 			if planeName == "cluster" {
 				if ctr.ShuffleBytes == 0 || !spanNames(ctr)["shuffle"] {
 					t.Errorf("cold cluster trace has no shuffle (bytes=%d spans=%v)", ctr.ShuffleBytes, ctr.Spans)
+				}
+				// The shuffle span says where its time and bytes went.
+				for _, sp := range ctr.Spans {
+					if sp.Name != "shuffle" {
+						continue
+					}
+					var bytes, raw, rpcs, encodeUS, decodeUS int64
+					if _, err := fmt.Sscanf(sp.Detail, "bytes=%d raw_bytes=%d rpcs=%d encode_busy_us=%d decode_busy_us=%d",
+						&bytes, &raw, &rpcs, &encodeUS, &decodeUS); err != nil {
+						t.Fatalf("shuffle span detail %q: %v", sp.Detail, err)
+					}
+					if bytes != ctr.ShuffleBytes || raw != cold.ShuffleRawBytes || encodeUS <= 0 || decodeUS <= 0 {
+						t.Errorf("shuffle span detail %q disagrees with the result (bytes=%d raw=%d)", sp.Detail, ctr.ShuffleBytes, cold.ShuffleRawBytes)
+					}
 				}
 				if wtr.ShuffleBytes != 0 || wtr.ShuffleRPCs != 0 {
 					t.Errorf("warm cluster trace shuffled: bytes=%d rpcs=%d", wtr.ShuffleBytes, wtr.ShuffleRPCs)
