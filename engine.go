@@ -1020,8 +1020,9 @@ type retainedParts struct {
 	coveredS int
 	coveredT int
 	// dirty marks partitions whose presort order and prepared structure were
-	// invalidated by an absorbed delta; they are rebuilt lazily on the next
-	// probe (rebuildDirtyLocked), never at append time.
+	// invalidated by an absorbed delta (one that grew T; rows appended to S
+	// alone are probed through the structure as it is); they are rebuilt
+	// lazily on the next probe (rebuildDirtyLocked), never at append time.
 	dirty map[int]bool
 
 	// bytes is the retained partitions' approximate footprint (key and ID
@@ -1072,8 +1073,9 @@ func (rec *retainedParts) cloneSlicesLocked(n int) ([]*exec.PartitionInput, []lo
 
 // catchUpLocked absorbs rows appended past the record's covered prefixes:
 // the suffixes are shuffled through the plan (with tuple IDs offset to stay
-// globally consistent) and folded into the retained partitions, which are
-// marked dirty for lazy rebuild. The fold is copy-on-write — extended
+// globally consistent) and folded into the retained partitions; those whose T
+// side grew (or whose structure pins S, localjoin.SurvivesSAppend) are marked
+// dirty for lazy rebuild. The fold is copy-on-write — extended
 // partitions are new PartitionInput snapshots (Relation.Extend never mutates
 // the old head), swapped in via fresh slices — so queries executing off a
 // previously snapshotted view race nothing. Caller holds rec.mu for writing;
@@ -1106,6 +1108,11 @@ func (rec *retainedParts) catchUpLocked(ctx context.Context, plan Plan, s, t *Re
 				SIDs: append(base.SIDs, dp.SIDs...),
 				T:    base.T.Extend(dp.T),
 				TIDs: append(base.TIDs, dp.TIDs...),
+			}
+			if dp.T.Len() == 0 && localjoin.SurvivesSAppend(nextPrep[pid]) {
+				// Only S grew: T, its order and the structure over it stand,
+				// and the structure probes the appended rows too.
+				continue
 			}
 		}
 		rec.dirty[pid] = true

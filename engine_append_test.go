@@ -167,9 +167,10 @@ func TestEngineAppendValidation(t *testing.T) {
 	}
 }
 
-// TestEngineAppendTraceShowsLazyRebuild: Append defers re-sorting and prepared
-// structure rebuilds to the next probe; that query's result must account the
-// rebuild (StaleRebuildTime) and carry a delta_absorb span in its trace.
+// TestEngineAppendTraceShowsLazyRebuild: an Append to T defers re-sorting and
+// prepared structure rebuilds to the next probe; that query's result must
+// account the rebuild (StaleRebuildTime) and carry a delta_absorb span in its
+// trace.
 func TestEngineAppendTraceShowsLazyRebuild(t *testing.T) {
 	fullS, fullT := bandjoin.Pareto(2, 1.5, 800, 29)
 	band := bandjoin.Uniform(2, 0.1)
@@ -178,16 +179,16 @@ func TestEngineAppendTraceShowsLazyRebuild(t *testing.T) {
 	e := bandjoin.NewEngine(bandjoin.EngineOptions{})
 	defer e.Close()
 	ctx := context.Background()
-	if err := e.Register("s", fullS.Slice("s", 0, 600)); err != nil {
+	if err := e.Register("s", fullS); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if err := e.Register("t", fullT); err != nil {
+	if err := e.Register("t", fullT.Slice("t", 0, 600)); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	if _, err := e.Join(ctx, "s", "t", band, opts); err != nil {
 		t.Fatalf("cold Join: %v", err)
 	}
-	if err := e.Append(ctx, "s", fullS.Slice("d", 600, 800)); err != nil {
+	if err := e.Append(ctx, "t", fullT.Slice("d", 600, 800)); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 	warm, err := e.Join(ctx, "s", "t", band, opts)
@@ -208,6 +209,77 @@ func TestEngineAppendTraceShowsLazyRebuild(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("trace spans %+v lack a delta_absorb span", warm.Trace.Spans)
+	}
+}
+
+// TestEngineAppendToSKeepsPreparedStructures: rows appended to S alone leave
+// every partition's T side, and the join structure built over it, as they
+// were, so the next query rebuilds nothing — on either plane — and still
+// answers like a fresh engine over the grown relation.
+func TestEngineAppendToSKeepsPreparedStructures(t *testing.T) {
+	fullS, fullT := bandjoin.Pareto(2, 1.5, 4000, 29)
+	band := bandjoin.Uniform(2, 0.05)
+	opts := bandjoin.Options{Workers: 2, Seed: 5, CollectPairs: true}
+	staleRebuilds := func(cl *bandjoin.Cluster) (n int64) {
+		for _, ws := range cl.Stats(context.Background()).Workers {
+			n += ws.Stats.StaleRebuilds
+		}
+		return n
+	}
+
+	cl, err := bandjoin.StartLocalCluster(2)
+	if err != nil {
+		t.Fatalf("StartLocalCluster: %v", err)
+	}
+	defer cl.Close()
+	planes := map[string]func(bandjoin.EngineOptions) *bandjoin.Engine{"in-process": bandjoin.NewEngine, "cluster": cl.NewEngine}
+	for planeName, newEngine := range planes {
+		t.Run(planeName, func(t *testing.T) {
+			e := newEngine(bandjoin.EngineOptions{})
+			defer e.Close()
+			ctx := context.Background()
+			for name, rel := range map[string]*bandjoin.Relation{"s": fullS.Slice("s", 0, 3000), "t": fullT} {
+				if err := e.Register(name, rel); err != nil {
+					t.Fatalf("Register: %v", err)
+				}
+			}
+			if _, err := e.Join(ctx, "s", "t", band, opts); err != nil {
+				t.Fatalf("cold Join: %v", err)
+			}
+			before := staleRebuilds(cl)
+			var warm *bandjoin.Result
+			for _, cut := range [][2]int{{3000, 3400}, {3400, 4000}} {
+				if err := e.Append(ctx, "s", fullS.Slice("d", cut[0], cut[1])); err != nil {
+					t.Fatalf("Append: %v", err)
+				}
+				var err error
+				if warm, err = e.Join(ctx, "s", "t", band, opts); err != nil {
+					t.Fatalf("warm Join: %v", err)
+				}
+				if !warm.WarmPartitions {
+					t.Errorf("query after append to S did not run on the retained partitions")
+				}
+				if warm.StaleRebuildTime != 0 {
+					t.Errorf("query after append to S reports StaleRebuildTime = %v, want 0 (T did not change)", warm.StaleRebuildTime)
+				}
+				if after := staleRebuilds(cl); after != before {
+					t.Errorf("workers rebuilt %d prepared structures after an append to S, want 0", after-before)
+				}
+			}
+
+			fresh := newEngine(bandjoin.EngineOptions{})
+			defer fresh.Close()
+			for name, rel := range map[string]*bandjoin.Relation{"s": fullS, "t": fullT} {
+				if err := fresh.Register(name, rel); err != nil {
+					t.Fatalf("Register: %v", err)
+				}
+			}
+			want, err := fresh.Join(ctx, "s", "t", band, opts)
+			if err != nil {
+				t.Fatalf("fresh Join: %v", err)
+			}
+			pairsEqual(t, "appended vs fresh engine", warm.Pairs, want.Pairs)
+		})
 	}
 }
 

@@ -41,8 +41,8 @@ type LoadArgs struct {
 	Columnar []byte
 	// SideTotal, when positive, is the total number of tuples this
 	// (partition, side) will receive over the whole shuffle — the columnar
-	// path's counterpart of PackedChunk.SideTotal, used by the worker to
-	// reserve storage once.
+	// path's counterpart of PackedChunk.SideTotal, a hint the worker reserves
+	// storage by (never more than a constant factor over the rows received).
 	SideTotal int
 	// Complete marks this Load as a per-partition end-of-shipment marker (it
 	// carries no data): every chunk of the partition has been issued on this
@@ -68,9 +68,10 @@ type LoadArgs struct {
 	// Delta marks a retained load as an incremental append into an already
 	// sealed plan (Engine.Append's delta shuffle): the worker accepts it
 	// without unsealing, appends the rows to the resident partition (creating
-	// it if the delta opens a new partition), and marks the partition's
-	// presort order and prepared join structure stale — they are rebuilt
-	// lazily on the next probe, not eagerly at append time. Requires Retain.
+	// it if the delta opens a new partition), and, when the rows go to the T
+	// side, drops the partition's prepared join structure — it is rebuilt
+	// lazily on the next probe, not eagerly at append time; S-side rows are
+	// probed through the structure as it is. Requires Retain.
 	Delta bool
 }
 
@@ -88,8 +89,9 @@ type PackedChunk struct {
 	// SideTotal, when positive, is the total number of tuples this
 	// (partition, side) will receive over the whole shuffle. The streaming
 	// sender knows it up front (partitions are routed before shipping), and
-	// the worker uses it to reserve storage once instead of growing
-	// repeatedly under append.
+	// the worker uses it as a hint to reserve storage ahead instead of growing
+	// repeatedly under append (never more than a constant factor over the
+	// rows received: it is unvalidated input).
 	SideTotal int
 }
 

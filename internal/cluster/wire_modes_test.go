@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -311,6 +312,13 @@ func TestBadColumnarChunkLeavesPartitionIntact(t *testing.T) {
 			t.Fatalf("valid %s chunk after the bad ones: %v", l.side, err)
 		}
 	}
+	checkWorkerJoin(t, w, s, tt, band)
+}
+
+// checkWorkerJoin joins job "j" on w, whose single partition must hold exactly
+// s and tt with row indices as IDs, and compares the pairs with a nested loop.
+func checkWorkerJoin(t *testing.T, w *Worker, s, tt *data.Relation, band data.Band) {
+	t.Helper()
 	var jr JoinReply
 	if err := w.Join(&JoinArgs{JobID: "j", Band: band, CollectPairs: true}, &jr); err != nil {
 		t.Fatalf("Join: %v", err)
@@ -341,5 +349,48 @@ func TestBadColumnarChunkLeavesPartitionIntact(t *testing.T) {
 		}
 		return got[a].T < got[b].T
 	})
-	samePairs(t, "after bad chunks vs nested loop", got, want)
+	samePairs(t, "worker join vs nested loop", got, want)
+}
+
+// TestHostileSideTotalReservesLittle: SideTotal arrives unvalidated from the
+// network and sizes a reservation. A Load claiming 2^40 rows to come, on the
+// columnar and on the packed path, must cost no more than a small multiple of
+// the rows it carries (honoured as sent it is a 16 TiB allocation, which kills
+// the process); a negative one is refused; honest chunks then load and join.
+func TestHostileSideTotalReservesLittle(t *testing.T) {
+	s, tt := decimalPair(2, 300, 53)
+	band := data.Symmetric(0.05, 0.05)
+	ids := make([]int64, s.Len())
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	enc := wire.NewEncoder(wire.ModeAuto)
+	w := NewWorker("w")
+	loadS := func(lo, hi, total int) error { // columnar path
+		payload := append([]byte(nil), enc.EncodeChunk(s.KeysRange(lo, hi), s.Dims(), ids[lo:hi])...)
+		return w.Load(&LoadArgs{JobID: "j", Side: "S", Columnar: payload, SideTotal: total}, &LoadReply{})
+	}
+	loadT := func(lo, hi, total int) error { // packed path
+		pc := &PackedChunk{Dims: tt.Dims(), Keys: tt.PackKeysLE(lo, hi), IDs: data.PackInt64sLE(ids[lo:hi]), SideTotal: total}
+		return w.Load(&LoadArgs{JobID: "j", Side: "T", Packed: pc}, &LoadReply{})
+	}
+	const half = 150
+	for name, load := range map[string]func(lo, hi, total int) error{"columnar": loadS, "packed": loadT} {
+		if err := load(0, half, -1); err == nil {
+			t.Errorf("%s: negative SideTotal was accepted", name)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := load(0, half, 1<<40); err != nil {
+			t.Fatalf("%s: chunk with an inflated SideTotal: %v", name, err)
+		}
+		runtime.ReadMemStats(&after)
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+			t.Errorf("%s: a %d-row chunk announcing 2^40 rows allocated %d bytes", name, half, grown)
+		}
+		if err := load(half, s.Len(), s.Len()); err != nil {
+			t.Fatalf("%s: honest chunk after the inflated one: %v", name, err)
+		}
+	}
+	checkWorkerJoin(t, w, s, tt, band)
 }

@@ -313,8 +313,9 @@ func prepKeyFor(alg localjoin.Algorithm, band data.Band) string {
 // preparedFor returns the cached prepared join for (alg, band), building and
 // caching it on miss, and reports the nanoseconds the rebuild took (zero on a
 // cache hit). A miss happens when a query asks for a different algorithm than
-// the plan was sealed with, or when a delta append invalidated the sealed
-// structure (Load clears prepKey); either way localjoin.Prepare sorts its
+// the plan was sealed with, or when a delta append to the T side invalidated
+// the sealed structure (Load clears prepKey; an append to S alone keeps it,
+// see localjoin.SurvivesSAppend); either way localjoin.Prepare sorts its
 // inputs internally, so rebuilding over unsorted appended tails is correct. A
 // nil prepared return means the algorithm has no prepared form; callers run
 // the plain per-query join.
@@ -498,6 +499,9 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 	if args.Side != "S" && args.Side != "T" {
 		return fmt.Errorf("cluster: unknown relation side %q", args.Side)
 	}
+	if args.SideTotal < 0 || (args.Packed != nil && args.Packed.SideTotal < 0) {
+		return fmt.Errorf("cluster: worker %s: negative side total", w.name)
+	}
 	if args.Delta && !args.Retain {
 		return fmt.Errorf("cluster: worker %s: delta load requires retain", w.name)
 	}
@@ -532,10 +536,7 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 	var decodeNanos int64
 	switch {
 	case args.Packed != nil:
-		if total := args.Packed.SideTotal; total > rel.Len() {
-			rel.Reserve(total - rel.Len())
-			*ids = slices.Grow(*ids, total-len(*ids))
-		}
+		reserveSide(rel, ids, args.Packed.SideTotal, n)
 		if err := rel.AppendKeysLE(args.Packed.Keys); err != nil {
 			p.mu.Unlock()
 			return fmt.Errorf("cluster: worker %s: %w", w.name, err)
@@ -557,11 +558,14 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 		payload = int64(len(args.Columnar))
 	}
 	if args.Delta {
-		// The appended tail breaks the sealed presort order and any prebuilt
-		// join structure over the old rows. Invalidate under the write lock
-		// already held; the next probe's preparedFor rebuilds lazily.
-		p.prepKey = ""
-		p.prepared = nil
+		// Rows appended to T are missing from any prebuilt join structure:
+		// invalidate it under the write lock already held; the next probe's
+		// preparedFor rebuilds lazily. Rows appended to S leave T and its
+		// structure as they were, and the structure probes them too.
+		if args.Side == "T" || !localjoin.SurvivesSAppend(p.prepared) {
+			p.prepKey = ""
+			p.prepared = nil
+		}
 		w.m.deltaLoads.Inc()
 		w.m.deltaTuples.Add(int64(n))
 	}
@@ -617,6 +621,27 @@ func (w *Worker) jobFor(args *LoadArgs) (*jobState, error) {
 	return job, nil
 }
 
+// reserveAhead bounds what a sender's SideTotal may reserve: this many times
+// the rows the side holds once the chunk at hand is appended. SideTotal is
+// unvalidated network input — honoured as sent, one small Load claiming 2^40
+// rows allocates terabytes — so it is a hint that costs at most a constant
+// factor over the rows actually received. An honest side of up to 32 chunks
+// still gets its one exact reservation, a larger one a few (each about 33
+// times the last) instead of append's dozens. (At 8 the 2-worker 8-d cluster
+// workload, 27 chunks a side, reserved twice: peak RSS +5%.)
+const reserveAhead = 32
+
+// reserveSide makes room for a chunk of n rows on a side that was announced
+// total rows: nothing while the chunk fits, else up to total within the
+// reserveAhead bound. Caller holds p.mu.
+func reserveSide(rel *data.Relation, ids *[]int64, total, n int) {
+	have := rel.Len()
+	if want := min(total, reserveAhead*(have+n)); rel.Cap() < have+n && want > have {
+		rel.Reserve(want - have)
+		*ids = slices.Grow(*ids, want-len(*ids))
+	}
+}
+
 // decodeColumnar decodes a columnar chunk straight into the partition's
 // arenas: a block of rows is reserved once, then each key column is decoded
 // and scattered with one strided pass (no row-major intermediate), and the ID
@@ -625,10 +650,7 @@ func (w *Worker) jobFor(args *LoadArgs) (*jobState, error) {
 // their previous lengths, so the partition never holds half-written rows or
 // more rows than IDs. Caller holds p.mu.
 func (w *Worker) decodeColumnar(args *LoadArgs, rel *data.Relation, ids *[]int64, n, dims int) (err error) {
-	if total := args.SideTotal; total > rel.Len() {
-		rel.Reserve(total - rel.Len())
-		*ids = slices.Grow(*ids, total-len(*ids))
-	}
+	reserveSide(rel, ids, args.SideTotal, n)
 	sc := w.decPool.Get().(*decodeScratch)
 	defer w.decPool.Put(sc)
 	if _, _, err := sc.dec.Begin(args.Columnar); err != nil {

@@ -108,6 +108,9 @@ func (r *Relation) AppendRows(src *Relation, lo, hi int) {
 	r.keys = append(r.keys, src.keys[lo*src.dims:hi*src.dims]...)
 }
 
+// Cap returns the number of tuples the key storage holds without reallocation.
+func (r *Relation) Cap() int { return cap(r.keys) / r.dims }
+
 // Reserve grows the key storage capacity so that n further tuples can be
 // appended without reallocation.
 func (r *Relation) Reserve(n int) {

@@ -2,6 +2,7 @@ package localjoin
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"bandjoin/internal/data"
@@ -64,15 +65,20 @@ func TestEpsGridSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; steady state not observable")
 	}
-	s, tt, band := benchInputs(5_000, 3)
-	alg := EpsGrid{}
-	alg.Join(s, tt, band, nil)
-	avg := testing.AllocsPerRun(10, func() {
+	check := func(cells string, s, tt *data.Relation, band data.Band) {
+		alg := EpsGrid{}
 		alg.Join(s, tt, band, nil)
-	})
-	if avg > 0 {
-		t.Errorf("EpsGrid steady state allocates %.1f times per join, want 0", avg)
+		avg := testing.AllocsPerRun(10, func() {
+			alg.Join(s, tt, band, nil)
+		})
+		if avg > 0 {
+			t.Errorf("EpsGrid steady state on %s cells allocates %.1f times per join, want 0", cells, avg)
+		}
 	}
+	s, tt, band := benchInputs(5_000, 3)
+	check("sparse", s, tt, band)
+	s, tt, band = denseCellInputs(20_000)
+	check("dense", s, tt, band)
 }
 
 func TestGridSortScanSteadyStateAllocs(t *testing.T) {
@@ -87,5 +93,70 @@ func TestGridSortScanSteadyStateAllocs(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Errorf("GridSortScan steady state allocates %.1f times per join, want 0", avg)
+	}
+}
+
+// denseCellInputs is the serving workload's partition shape: a 2-d Pareto T
+// whose corner cells hold around a hundred rows each (the grid cannot refine,
+// k = dims), probed by a Pareto S with 5% of its rows on one point inside the
+// corner.
+func denseCellInputs(n int) (*data.Relation, *data.Relation, data.Band) {
+	s, t := data.ParetoPair(2, 1.5, n, 42)
+	for i := 0; i < n; i += 20 {
+		copy(s.Key(i), []float64{1.05, 1.05})
+	}
+	return s, t, data.Uniform(2, 0.02)
+}
+
+// sparseCellInputs is the control: the 8-d self-match shape, every T row a
+// jittered copy of one S row in a wide domain, about one row per cell, so the
+// dense-cell path never runs.
+func sparseCellInputs(n int) (*data.Relation, *data.Relation, data.Band) {
+	const dims, eps = 8, 0.02
+	rng := rand.New(rand.NewSource(42))
+	s := data.NewRelationCapacity("s", dims, n)
+	t := data.NewRelationCapacity("t", dims, n)
+	sk, tk := make([]float64, dims), make([]float64, dims)
+	for i := 0; i < n; i++ {
+		for d := range sk {
+			sk[d] = rng.Float64() * 100
+			tk[d] = sk[d] + (rng.Float64()-0.5)*eps
+		}
+		s.AppendKey(sk)
+		t.AppendKey(tk)
+	}
+	return s, t, data.Uniform(dims, eps)
+}
+
+// BenchmarkEpsGridDenseCells times the grid kernel where its cost is per
+// output pair (dense) and where it is per probe (sparse), as ns/pair: the
+// one-shot join (build + probe), and the prepared probe counting and emitting.
+// It is what the denseCell threshold is measured with.
+func BenchmarkEpsGridDenseCells(b *testing.B) {
+	shapes := []struct {
+		name   string
+		inputs func(int) (*data.Relation, *data.Relation, data.Band)
+	}{{"dense2d", denseCellInputs}, {"sparse8d", sparseCellInputs}}
+	for _, shape := range shapes {
+		s, t, band := shape.inputs(100_000)
+		prep := Prepare(EpsGrid{}, s, t, band)
+		var sink int
+		runs := []struct {
+			name string
+			run  func() int64
+		}{
+			{"join", func() int64 { return EpsGrid{}.Join(s, t, band, nil) }},
+			{"probe-count", func() int64 { return prep.Probe(s, nil) }},
+			{"probe-emit", func() int64 { return prep.Probe(s, func(si, ti int, _, _ []float64) { sink += si ^ ti }) }},
+		}
+		for _, r := range runs {
+			b.Run(shape.name+"/"+r.name, func(b *testing.B) {
+				var pairs int64
+				for i := 0; i < b.N; i++ {
+					pairs += r.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
+			})
+		}
 	}
 }

@@ -13,10 +13,15 @@ import (
 // exactly on cell boundaries (multiples of the cell width, negative ones
 // included), at ± the band extents from them and one ulp to either side, on
 // two point masses (heavy cells, so the grid refines), and occasionally on
-// NaN, ±Inf and ±1e300.
-func hostileRelation(rng *rand.Rand, name string, n int, band data.Band) *data.Relation {
+// NaN, ±Inf and ±1e300. With heavy set (n ≥ 100) the rows crowd into a few
+// cells instead, so that those are dense — see heavyRows.
+func hostileRelation(rng *rand.Rand, name string, n int, band data.Band, heavy bool) *data.Relation {
 	d := band.Dims()
 	r := data.NewRelationCapacity(name, d, n)
+	if heavy {
+		heavyRows(rng, r, n, band)
+		return r
+	}
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, math.MaxFloat64, 0, math.Copysign(0, -1)}
 	// The same two masses in S and T, one cell apart: every mass row has
 	// matches, some of them across a cell boundary.
@@ -57,6 +62,75 @@ func hostileRelation(rng *rand.Rand, name string, n int, band data.Band) *data.R
 		r.AppendKey(key)
 	}
 	return r
+}
+
+// heavyRows appends n rows that put denseCell rows or more into single cells,
+// whatever dimensions the grid and the order fall on. Three far-apart
+// clusters: denseCell−1 rows and denseCell rows spread inside one cell each
+// (the last sparse and the first dense cell), and a point mass. The rest sits
+// around the origin: mostly inside cell 0 (0, −0, a random offset), else
+// exactly a band extent away — where a row at 0 has its interval's ends — or
+// one ulp to either side of that, and now and then on NaN or ±Inf, which on a
+// dimension outside the grid stay inside the dense cell. S and T are drawn
+// alike, so interval ends meet keys bit for bit.
+func heavyRows(rng *rand.Rand, r *data.Relation, n int, band data.Band) {
+	d := band.Dims()
+	width := func(j int) float64 {
+		if w := band.MaxWidth(j); w > 0 {
+			return w
+		}
+		return 0.5 // equi-join dimension
+	}
+	key := make([]float64, d)
+	clusters := []struct {
+		rows  int
+		at    float64 // dimension-0 coordinate, in cell widths
+		exact bool    // all rows on one point
+	}{{denseCell - 1, 10, false}, {denseCell, 20, false}, {2 * denseCell, 30, true}}
+	for _, c := range clusters {
+		for i := 0; i < c.rows; i++ {
+			for j := range key {
+				key[j] = 0.25 * width(j)
+				if !c.exact {
+					key[j] = rng.Float64() * 0.999 * width(j)
+				}
+			}
+			key[0] += c.at * width(0)
+			r.AppendKey(key)
+			n--
+		}
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for ; n > 0; n-- {
+		for j := range key {
+			var v float64
+			switch c := rng.Intn(20); {
+			case c < 4:
+				v = 0
+			case c < 6:
+				v = math.Copysign(0, -1)
+			case c < 12:
+				v = rng.Float64() * 0.999 * width(j)
+			default:
+				v = band.High[j]
+				if c%2 == 0 {
+					v = -band.Low[j]
+				}
+				switch c / 2 {
+				case 6:
+					v = math.Nextafter(v, math.Inf(1))
+				case 7:
+					v = math.Nextafter(v, math.Inf(-1))
+				case 8:
+					if rng.Intn(4) == 0 {
+						v = specials[rng.Intn(len(specials))]
+					}
+				}
+			}
+			key[j] = v
+		}
+		r.AppendKey(key)
+	}
 }
 
 // hostileBand draws a band of the given shape over d dimensions.
@@ -112,25 +186,38 @@ func checkExactlyOnce(t *testing.T, what string, got []idxPair, want map[idxPair
 }
 
 // TestEpsGridAgainstDefinition checks the k-dimensional grid — one-shot Join,
-// JoinRange stripes, and Prepare + ProbeRange stripes — against the nested
-// loop, i.e. against the band-join definition itself, as a pair set with
-// every pair exactly once.
+// JoinRange stripes, and Prepare + ProbeRange stripes, emitting and counting —
+// against the nested loop, i.e. against the band-join definition itself, as a
+// pair set with every pair exactly once. The heavy sizes run the dense-cell
+// path: order-dimension range search, box test, and the count-only shortcut.
 func TestEpsGridAgainstDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := []string{"symmetric", "asymmetric", "one-sided", "zero-dim0", "zero-last", "tiny"}
-	sizes := [][2]int{{160, 160}, {0, 40}, {40, 0}, {1, 90}, {90, 1}, {1, 1}}
+	sizes := []struct {
+		s, t  int
+		heavy bool
+	}{{160, 160, false}, {0, 40, false}, {40, 0, false}, {1, 90, false}, {90, 1, false}, {1, 1, false}, {400, 400, true}}
+	orderIsLastGridDim := map[bool]bool{}
 	for _, d := range []int{2, 3, 5, 8} {
 		for _, shape := range shapes {
 			for _, size := range sizes {
 				band := hostileBand(rng, shape, d)
-				s := hostileRelation(rng, "s", size[0], band)
-				tt := hostileRelation(rng, "t", size[1], band)
-				name := fmt.Sprintf("d=%d/%s/%dx%d", d, shape, size[0], size[1])
+				s := hostileRelation(rng, "s", size.s, band, size.heavy)
+				tt := hostileRelation(rng, "t", size.t, band, size.heavy)
+				name := fmt.Sprintf("d=%d/%s/%dx%d", d, shape, size.s, size.t)
 
 				want := make(map[idxPair]bool)
 				NestedLoop{}.Join(s, tt, band, func(si, ti int, _, _ []float64) { want[idxPair{si, ti}] = true })
-				if size[0] == 160 && shape != "tiny" && len(want) == 0 {
+				if size.s >= 160 && shape != "tiny" && len(want) == 0 {
 					t.Fatalf("%s: no matching pairs; the inputs do not exercise the join", name)
+				}
+				if size.heavy && epsGridDefined(d, band) {
+					var g gridState
+					g.build(tt, band)
+					if len(g.box) < 3*2*d {
+						t.Fatalf("%s: %d dense cells, want the two clusters, the point mass and the origin", name, len(g.box)/(2*d))
+					}
+					orderIsLastGridDim[g.odim == g.gdim[g.k-1]] = true
 				}
 
 				for _, alg := range []RangeJoiner{EpsGrid{}, Auto{}} {
@@ -139,26 +226,47 @@ func TestEpsGridAgainstDefinition(t *testing.T) {
 						t.Fatalf("%s/%s: Join returned %d, emitted %d", name, alg.Name(), n, len(got))
 					}
 					checkExactlyOnce(t, name+"/"+alg.Name()+"/Join", got, want)
+					if n := alg.Join(s, tt, band, nil); n != int64(len(want)) {
+						t.Fatalf("%s/%s: Join counted %d pairs, definition has %d", name, alg.Name(), n, len(want))
+					}
 
 					prep, _ := Prepare(alg, s, tt, band).(RangeProber)
-					for _, step := range []int{1, 7, 1000} {
+					steps := []int{1, 7, 1000}
+					if size.heavy {
+						steps = steps[1:] // one-row JoinRange stripes rebuild the grid per row
+					}
+					for _, step := range steps {
 						got = got[:0]
+						var counted int64
 						for lo := 0; lo < s.Len(); lo += step {
 							alg.JoinRange(s, tt, band, lo, min(lo+step, s.Len()), emitInto(&got))
+							counted += alg.JoinRange(s, tt, band, lo, min(lo+step, s.Len()), nil)
 						}
 						checkExactlyOnce(t, fmt.Sprintf("%s/%s/JoinRange step %d", name, alg.Name(), step), got, want)
+						if counted != int64(len(want)) {
+							t.Fatalf("%s/%s/JoinRange step %d: counted %d pairs, definition has %d", name, alg.Name(), step, counted, len(want))
+						}
 						if prep == nil {
 							continue // empty side, or Auto's nested loop
 						}
-						got = got[:0]
+						got, counted = got[:0], 0
 						for lo := 0; lo < s.Len(); lo += step {
 							prep.ProbeRange(s, lo, min(lo+step, s.Len()), emitInto(&got))
+							counted += prep.ProbeRange(s, lo, min(lo+step, s.Len()), nil)
 						}
 						checkExactlyOnce(t, fmt.Sprintf("%s/%s/ProbeRange step %d", name, alg.Name(), step), got, want)
+						if counted != int64(len(want)) {
+							t.Fatalf("%s/%s/ProbeRange step %d: counted %d pairs, definition has %d", name, alg.Name(), step, counted, len(want))
+						}
 					}
 				}
 			}
 		}
+	}
+	// Both order-dimension rules must have run: a dimension outside the grid,
+	// and (k = d) the grid's last.
+	if len(orderIsLastGridDim) < 2 {
+		t.Fatalf("order dimension chosen by one rule only (last grid dimension: %v)", orderIsLastGridDim)
 	}
 }
 
@@ -229,4 +337,63 @@ func TestCellCoordDefinedEverywhere(t *testing.T) {
 			t.Fatalf("cellCoord(NaN, %g) = %d, want 0", w, c)
 		}
 	}
+}
+
+// fuzzKeys are the values FuzzEpsGridDefinition quantises keys onto: few
+// enough that cells fill up and turn dense, on and next to the interval ends
+// the fuzzBandWidths give, plus the non-finite ones.
+var fuzzKeys = [16]float64{0, math.Copysign(0, -1), 0.25, 0.5, 1, 1.5, 2, 3, -0.5, -1,
+	math.Nextafter(1, 2), math.Nextafter(1, 0), math.NaN(), math.Inf(1), math.Inf(-1), 1e300}
+
+var fuzzBandWidths = [4]float64{0, 0.5, 1, 2}
+
+// FuzzEpsGridDefinition lets the fuzzer pick the dimensionality, the band (two
+// bits per dimension and side: zero-width, one-sided and asymmetric included)
+// and the keys (one byte per coordinate, even rows to S, odd rows to T), and
+// compares the grid — Join emitting and counting, Prepare + ProbeRange — with
+// the nested loop as a pair set.
+func FuzzEpsGridDefinition(f *testing.F) {
+	f.Fuzz(func(t *testing.T, dims uint8, lows, highs uint16, raw []byte) {
+		d := 2 + int(dims%4)
+		low, high := make([]float64, d), make([]float64, d)
+		for j := range low {
+			low[j] = fuzzBandWidths[lows>>(2*j)&3]
+			high[j] = fuzzBandWidths[highs>>(2*j)&3]
+		}
+		band := data.Asymmetric(low, high)
+		raw = raw[:min(len(raw), 600*d)]
+		s, tt := data.NewRelation("s", d), data.NewRelation("t", d)
+		key := make([]float64, d)
+		for row := 0; (row+1)*d <= len(raw); row++ {
+			for j := range key {
+				key[j] = fuzzKeys[raw[row*d+j]%16]
+			}
+			if row%2 == 0 {
+				s.AppendKey(key)
+			} else {
+				tt.AppendKey(key)
+			}
+		}
+		want := make(map[idxPair]bool)
+		NestedLoop{}.Join(s, tt, band, func(si, ti int, _, _ []float64) { want[idxPair{si, ti}] = true })
+
+		var got []idxPair
+		EpsGrid{}.Join(s, tt, band, emitInto(&got))
+		checkExactlyOnce(t, "Join", got, want)
+		if n := (EpsGrid{}).Join(s, tt, band, nil); n != int64(len(want)) {
+			t.Fatalf("Join counted %d pairs, definition has %d", n, len(want))
+		}
+		prep, _ := Prepare(EpsGrid{}, s, tt, band).(RangeProber)
+		if prep == nil {
+			return // an empty side
+		}
+		got = got[:0]
+		half := s.Len() / 2
+		prep.ProbeRange(s, 0, half, emitInto(&got))
+		prep.ProbeRange(s, half, s.Len(), emitInto(&got))
+		checkExactlyOnce(t, "ProbeRange", got, want)
+		if n := prep.Probe(s, nil); n != int64(len(want)) {
+			t.Fatalf("Probe counted %d pairs, definition has %d", n, len(want))
+		}
+	})
 }

@@ -2,6 +2,7 @@ package localjoin
 
 import (
 	"math"
+	"slices"
 
 	"bandjoin/internal/data"
 )
@@ -21,7 +22,9 @@ import (
 // on the first two dimensions and is refined onto further dimensions while
 // its cells stay heavily loaded, up to maxGridDims. Every candidate is
 // verified on all dimensions, so k only decides how many candidates there
-// are, never which pairs are emitted.
+// are, never which pairs are emitted. Cells that stay heavy all the same are
+// kept sorted on one more dimension, with their bounding box, and searched
+// instead of scanned.
 //
 // The grid is undefined when either of the first two band extents is zero
 // (equi-join dimensions) or the join is one-dimensional; Join falls back to
@@ -50,6 +53,10 @@ const (
 	// cellLimit bounds cell coordinates, so the float-to-int conversion is
 	// defined for every float64 and coordinate arithmetic cannot overflow.
 	cellLimit = 1 << 62
+	// denseCell is the number of rows from which a cell is dense: its rows are
+	// kept in order-dimension order and range-searched per probe instead of
+	// tested one by one (see gridState.build).
+	denseCell = 24
 )
 
 // cellCoord returns the grid coordinate of x for cell width w, clamped to
@@ -83,7 +90,7 @@ type gridState struct {
 	w    [maxGridDims]float64
 
 	// Open-addressing cell table, at most half full: per slot, the cell's
-	// dense id + 1 (0 when empty) in tab and its k coordinates in tabC.
+	// id + 1 (0 when empty) in tab and its k coordinates in tabC.
 	tab  []int32
 	tabC []int64
 	mask int
@@ -93,11 +100,19 @@ type gridState struct {
 	bits    []uint64
 	bitMask uint64
 
-	cellOf []int32 // per T tuple, dense cell id
+	cellOf []int32 // per T tuple, cell id
 	starts []int32 // CSR: per cell id, start row (len numCells+1)
-	cursor []int32 // per cell id, next row to fill during the gather
 	rows   []float64
 	perm   []int32
+
+	// Dense cells (denseCell rows or more): their rows are sorted on dimension
+	// odim, and box holds per dense cell the minimum (dims values) and maximum
+	// (dims values) of its rows on every dimension, NaN where a row has NaN.
+	// boxOf is, per cell id, the next row to fill during the gather; afterwards
+	// the cell's index into box, or -1 for a sparse cell.
+	odim  int
+	boxOf []int32
+	box   []float64
 }
 
 // epsGridDefined reports whether the grid is defined for the band: at least
@@ -133,7 +148,7 @@ func (g *gridState) slotOf(h uint64, c0, c1, c2, c3 int64) int {
 	return slot
 }
 
-// lookup returns the dense id of the cell, or -1. Most cells of a walk are
+// lookup returns the id of the cell, or -1. Most cells of a walk are
 // empty; the occupancy bits answer for those without touching the table.
 func (g *gridState) lookup(c0, c1, c2, c3 int64) int32 {
 	h := hashCell(c0, c1, c2, c3)
@@ -144,7 +159,7 @@ func (g *gridState) lookup(c0, c1, c2, c3 int64) int32 {
 }
 
 // assign places every T-tuple in its cell of the current k-dimensional grid,
-// numbering cells densely in first-seen order, and counts the CSR offsets.
+// numbering cells consecutively in first-seen order, and counts the CSR offsets.
 func (g *gridState) assign(t *data.Relation) {
 	k := g.k
 	g.tabC = resize(g.tabC, len(g.tab)*k)
@@ -198,6 +213,12 @@ func (g *gridState) load() float64 {
 // gridRefineLoad, it is rebuilt with the next dimension of non-zero band
 // extent added, up to maxGridDims; a refinement that does not even halve the
 // load (point masses, perfectly correlated dimensions) is the last one.
+//
+// What refinement cannot thin out (a 2-d grid has nowhere to go) is ordered
+// instead: the rows of every dense cell are sorted on the order dimension —
+// the first dimension with a band extent that the grid does not filter on, a
+// filter that costs no extra cells to walk, else the grid's last dimension —
+// so that a probe range-searches the cell (see scanCells).
 func (g *gridState) build(t *data.Relation, band data.Band) {
 	nt, dims := t.Len(), t.Dims()
 	g.band, g.dims = band, dims
@@ -216,42 +237,90 @@ func (g *gridState) build(t *data.Relation, band data.Band) {
 		g.gdim[j], g.w[j] = j, band.MaxWidth(j)
 	}
 	g.assign(t)
-	for next := 2; g.k < maxGridDims; {
-		for next < dims && band.MaxWidth(next) == 0 {
-			next++
+	skipZero := func(d int) int {
+		for d < dims && band.MaxWidth(d) == 0 {
+			d++
 		}
-		if next == dims {
-			break
-		}
+		return d
+	}
+	next := skipZero(2)
+	for g.k < maxGridDims && next < dims {
 		before := g.load()
 		if before <= gridRefineLoad {
 			break
 		}
 		g.gdim[g.k], g.w[g.k] = next, band.MaxWidth(next)
 		g.k++
-		next++
+		next = skipZero(next + 1)
 		g.assign(t)
 		if 2*g.load() > before {
 			break
 		}
 	}
+	g.odim = g.gdim[g.k-1]
+	if next < dims {
+		g.odim = next
+	}
 
-	g.cursor = resize(g.cursor, len(g.starts)-1)
-	copy(g.cursor, g.starts)
+	g.boxOf = resize(g.boxOf, len(g.starts)-1)
+	copy(g.boxOf, g.starts)
 	g.rows = resize(g.rows, nt*dims)
 	g.perm = resize(g.perm, nt)
 	for i, id := range g.cellOf {
-		pos := int(g.cursor[id])
-		g.cursor[id]++
+		pos := int(g.boxOf[id])
+		g.boxOf[id]++
 		copy(g.rows[pos*dims:(pos+1)*dims], t.Key(i))
 		g.perm[pos] = int32(i)
 	}
+
+	g.orderDenseCells(t)
 }
 
-// appendCells appends to dst the dense ids of the existing cells the band
-// region [sk−Low, sk+High] intersects, in lexicographic coordinate order
-// (gdim[0] outermost). This walk order, with T in input order inside a cell,
-// is the emission order of one S-tuple's matches.
+// orderDenseCells re-gathers every dense cell's rows in order-dimension order
+// (NaN last, ties in input order) and records its box.
+func (g *gridState) orderDenseCells(t *data.Relation) {
+	dims, od := g.dims, g.odim
+	byOrder := func(a, b int32) int {
+		if c := cmpNaNLast(t.KeyAt(int(a), od), t.KeyAt(int(b), od)); c != 0 {
+			return c
+		}
+		return int(a - b)
+	}
+	g.box = g.box[:0]
+	for id := range g.boxOf {
+		lo, hi := int(g.starts[id]), int(g.starts[id+1])
+		g.boxOf[id] = -1
+		if hi-lo < denseCell {
+			continue
+		}
+		slices.SortFunc(g.perm[lo:hi], byOrder)
+		g.boxOf[id] = int32(len(g.box) / (2 * dims))
+		for pos := lo; pos < hi; pos++ {
+			row := g.rows[pos*dims : (pos+1)*dims]
+			copy(row, t.Key(int(g.perm[pos])))
+			if pos == lo {
+				g.box = append(append(g.box, row...), row...)
+				continue
+			}
+			box := g.box[len(g.box)-2*dims:]
+			for d, v := range row {
+				// NaN sticks: nothing compares below or above it.
+				if v < box[d] || v != v {
+					box[d] = v
+				}
+				if v > box[dims+d] || v != v {
+					box[dims+d] = v
+				}
+			}
+		}
+	}
+}
+
+// appendCells appends to dst the ids of the existing cells the band region
+// [sk−Low, sk+High] intersects, in lexicographic coordinate order (gdim[0]
+// outermost). This walk order, with T in input order inside a sparse cell and
+// in order-dimension order (ties in input order) inside a dense one, is the
+// emission order of one S-tuple's matches.
 func (g *gridState) appendCells(dst []int32, sk []float64) []int32 {
 	var lo, hi [maxGridDims]int64 // dimensions beyond k: the single coordinate 0
 	for j := 0; j < g.k; j++ {
@@ -273,13 +342,21 @@ func (g *gridState) appendCells(dst []int32, sk []float64) []int32 {
 	return dst
 }
 
-// scanCells verifies S-tuple i against every T-tuple of the given cells, on
-// all dimensions.
+// scanCells verifies S-tuple i against the T-tuples of the given cells, on all
+// dimensions; a dense cell is narrowed by denseRange first.
 func (g *gridState) scanCells(cells []int32, i int, sk []float64, emit Emit) int64 {
 	var count int64
 	dims := g.dims
 	for _, id := range cells {
-		for pos := int(g.starts[id]); pos < int(g.starts[id+1]); pos++ {
+		lo, hi := int(g.starts[id]), int(g.starts[id+1])
+		if hi-lo >= denseCell {
+			var inside bool
+			if lo, hi, inside = g.denseRange(id, lo, hi, sk); inside && emit == nil {
+				count += int64(hi - lo)
+				continue
+			}
+		}
+		for pos := lo; pos < hi; pos++ {
 			row := g.rows[pos*dims : (pos+1)*dims]
 			if matchesFrom(g.band, sk, row, 0) {
 				count++
@@ -290,6 +367,26 @@ func (g *gridState) scanCells(cells []int32, i int, sk []float64, emit Emit) int
 		}
 	}
 	return count
+}
+
+// denseRange narrows dense cell id, rows [lo, hi), to the rows inside sk's
+// band on the order dimension, by two binary searches with the predicate's own
+// comparisons (so boundary, NaN and ±Inf behaviour are the predicate's). It
+// also reports whether the cell's box lies inside the band on every other
+// dimension, in which case all of those rows match: the condition holds for a
+// cell's minimum and maximum exactly when it holds for every row between them.
+func (g *gridState) denseRange(id int32, lo, hi int, sk []float64) (int, int, bool) {
+	dims, od := g.dims, g.odim
+	keys := g.rows[lo*dims+od:] // every dims-th value is an order-dimension key of the cell
+	hi = lo + searchRowsGT(keys, dims, hi-lo, sk[od]+g.band.High[od])
+	lo += searchRowsGE(keys, dims, hi-lo, sk[od]-g.band.Low[od])
+	box := g.box[int(g.boxOf[id])*2*dims:]
+	for d := 0; d < dims; d++ {
+		if d != od && !(box[d] >= sk[d]-g.band.Low[d] && box[dims+d] <= sk[d]+g.band.High[d]) {
+			return lo, hi, false
+		}
+	}
+	return lo, hi, true
 }
 
 // probeRange joins S indices [sLo, sHi) against the grid. Each S-tuple's cell

@@ -150,26 +150,28 @@ func sortedPairs(buf []keyIdx, r *data.Relation) []keyIdx {
 	for i := 0; i < n; i++ {
 		buf[i] = keyIdx{key: r.KeyAt(i, 0), idx: int32(i)}
 	}
-	slices.SortFunc(buf, func(a, b keyIdx) int {
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
-		default:
-			// Equal, or NaN involved: order NaN keys last, so the searches
-			// and window scans below see a consistently sorted prefix.
-			switch aNaN, bNaN := a.key != a.key, b.key != b.key; {
-			case aNaN == bNaN:
-				return 0
-			case aNaN:
-				return 1
-			default:
-				return -1
-			}
-		}
-	})
+	slices.SortFunc(buf, func(a, b keyIdx) int { return cmpNaNLast(a.key, b.key) })
 	return buf
+}
+
+// cmpNaNLast orders float64 keys ascending with NaN keys last (and equal to
+// each other), so the searches and window scans over a sorted run see a
+// consistently sorted prefix.
+func cmpNaNLast(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	switch aNaN, bNaN := a != a, b != b; {
+	case aNaN == bNaN:
+		return 0
+	case aNaN:
+		return 1
+	default:
+		return -1
+	}
 }
 
 // Dim0Order returns r's tuple indices in the dimension-0 order the sort-based
@@ -200,7 +202,9 @@ func (sr *sortedRel) build(sc *scratch, r *data.Relation) {
 	}
 }
 
-// searchRowsGE returns the first sorted position whose dimension-0 key is >= x.
+// searchRowsGE returns the first of n sorted rows, dims values apart in rows,
+// whose leading key is >= x (callers slice rows to put the sort dimension
+// first). NaN keys, sorted last, count as above every x.
 func searchRowsGE(rows []float64, dims, n int, x float64) int {
 	lo, hi := 0, n
 	for lo < hi {
@@ -214,7 +218,7 @@ func searchRowsGE(rows []float64, dims, n int, x float64) int {
 	return lo
 }
 
-// searchRowsGT returns the first sorted position whose dimension-0 key is > x.
+// searchRowsGT is searchRowsGE for the first row whose leading key is > x.
 func searchRowsGT(rows []float64, dims, n int, x float64) int {
 	lo, hi := 0, n
 	for lo < hi {

@@ -16,11 +16,14 @@ import (
 // produce exactly the pairs — in the same order — as the corresponding
 // Algorithm.Join over the same inputs.
 //
-// Probe's s must be the relation passed to Prepare. Retained partitions
-// change only through delta appends, and an append invalidates the cached
-// PreparedT (the worker drops it and rebuilds from the grown partition on the
-// next probe), so every live PreparedT matches its partition's current rows.
-// A PreparedT is immutable after Prepare and safe for concurrent Probe calls.
+// Probe's s must be the relation passed to Prepare, or that relation with rows
+// appended: the T side and the band are what the structure is built over, the
+// S side only seeds per-row shortcuts, and appended rows take the path
+// without them. So a retained partition keeps its PreparedT across S-side
+// delta appends (unless SurvivesSAppend says the structure pins S as well) and
+// drops it when T grows; the worker or engine then rebuilds from the grown
+// partition on the next probe. A PreparedT is immutable after Prepare and safe
+// for concurrent Probe calls.
 type PreparedT interface {
 	// Probe joins s against the prepared structure, invoking emit (if
 	// non-nil) per matching pair, and returns the number of result pairs.
@@ -81,6 +84,15 @@ func Prepare(alg Algorithm, s, t *data.Relation, band data.Band) PreparedT {
 	}
 }
 
+// SurvivesSAppend reports whether p stays a correct and efficient structure
+// for its partition after rows are appended to the S side only. False for the
+// sorted scan, which keeps a sorted copy of S and would re-sort the grown S on
+// every range probe; such partitions are re-prepared like T-side appends.
+func SurvivesSAppend(p PreparedT) bool {
+	_, pinsS := p.(*preparedGridSortScan)
+	return p != nil && !pinsS
+}
+
 // buildSortedStandalone materializes r's rows in dimension-0 order into
 // storage owned by the result (unlike sortedRel.build, whose buffers belong
 // to the pooled scratch and must not outlive the call).
@@ -108,7 +120,7 @@ type preparedEpsGrid struct {
 	sCells  []int32
 }
 
-// resolveCells records, for every S-tuple, the dense ids of the existing
+// resolveCells records, for every S-tuple, the ids of the existing
 // cells its band region intersects, in the exact order the plain probe
 // visits them, so the emission order is unchanged.
 func (p *preparedEpsGrid) resolveCells(s *data.Relation) {
@@ -132,22 +144,15 @@ func (p *preparedEpsGrid) Probe(s *data.Relation, emit Emit) int64 {
 }
 
 // ProbeRange implements RangeProber: the probe restricted to S indices
-// [lo, hi).
+// [lo, hi). Rows appended to S since Prepare have no resolved list; they take
+// the hash-lookup probe, which only assumes the T side.
 func (p *preparedEpsGrid) ProbeRange(s *data.Relation, lo, hi int, emit Emit) int64 {
-	ns := s.Len()
-	if ns == 0 || lo >= hi {
-		return 0
-	}
-	if len(p.sStarts) != ns+1 {
-		// Not the S side this structure was prepared for; fall back to the
-		// hash-lookup probe, which only assumes the T side.
-		return p.g.probeRange(s, lo, hi, emit)
-	}
+	resolved := min(hi, len(p.sStarts)-1)
 	var count int64
-	for i := lo; i < hi; i++ {
+	for i := lo; i < resolved; i++ {
 		count += p.g.scanCells(p.sCells[p.sStarts[i]:p.sStarts[i+1]], i, s.Key(i), emit)
 	}
-	return count
+	return count + p.g.probeRange(s, max(lo, resolved), hi, emit)
 }
 
 // preparedSortProbe is the cached form of SortProbe: T's dim-0-sorted rows,
@@ -175,11 +180,9 @@ func (p *preparedSortProbe) ProbeRange(s *data.Relation, lo, hi int, emit Emit) 
 // preparedGridSortScan caches the dim-0-sorted rows of both sides: T's, and —
 // because the S side of a prepared partition is pinned too — S's, so that
 // concurrent range probes share one read-only sorted copy instead of each
-// re-sorting S. When Probe is handed a different S than the one prepared for
-// (same fallback contract as preparedEpsGrid), the S side is sorted per call
-// with pooled scratch (retained partitions are presorted at seal time and
-// re-presorted when a delta append dirties them, so that sort finds sorted
-// input and is linear).
+// re-sorting S. When Probe is handed an S of another length than the one
+// prepared for, the S side is sorted per call with pooled scratch: correct, but
+// repeated by every range probe, which is why SurvivesSAppend is false for it.
 type preparedGridSortScan struct {
 	s    *sortedRel
 	ns   int
