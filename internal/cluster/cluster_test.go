@@ -419,3 +419,67 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 		t.Error("Load accepted a packed chunk whose dims differ from the partition's")
 	}
 }
+
+// TestLateLoadAfterFinalReset is the regression test for a leak: a Load (or
+// Complete marker) that the network delayed past its query's last Reset found
+// no job and created one that nothing would ever reset. A final Reset closes
+// the id; a Reset that clears a worker before reshipping under the same id
+// does not.
+func TestLateLoadAfterFinalReset(t *testing.T) {
+	w := NewWorker("late")
+	chunk := data.NewRelation("c", 1)
+	chunk.Append(1)
+	load := func(job string) error {
+		return w.Load(&LoadArgs{JobID: job, Partition: 0, Side: "S", Chunk: chunk, IDs: []int64{7}}, &LoadReply{})
+	}
+	jobs := func() int {
+		var pong PingReply
+		if err := w.Ping(&PingArgs{}, &pong); err != nil {
+			t.Fatalf("Ping: %v", err)
+		}
+		return pong.Jobs
+	}
+
+	if err := load("q1"); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if err := w.Reset(&ResetArgs{JobID: "q1"}, &ResetReply{}); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	if err := load("q1"); err != nil || jobs() != 1 {
+		t.Fatalf("reship after a mid-query Reset: err %v, %d jobs resident, want 1", err, jobs())
+	}
+
+	// Twice, as the coordinator's retry does.
+	for i := 0; i < 2; i++ {
+		if err := w.Reset(&ResetArgs{JobID: "q1", Final: true}, &ResetReply{}); err != nil {
+			t.Fatalf("final Reset: %v", err)
+		}
+	}
+	if err := load("q1"); err == nil {
+		t.Error("Load after the job's final Reset succeeded, want an error")
+	}
+	marker := &LoadArgs{JobID: "q1", Partition: 0, Complete: true, Band: data.Symmetric(1)}
+	if err := w.Load(marker, &LoadReply{}); err == nil {
+		t.Error("Complete marker after the job's final Reset succeeded, want an error")
+	}
+	if n := jobs(); n != 0 {
+		t.Errorf("%d jobs resident after late loads, want 0", n)
+	}
+	if err := load("q2"); err != nil {
+		t.Errorf("Load of another job: %v", err)
+	}
+
+	// The memory of closed ids is bounded, oldest forgotten first.
+	for i := 0; i < closedJobs; i++ {
+		if err := w.Reset(&ResetArgs{JobID: fmt.Sprint("old-", i), Final: true}, &ResetReply{}); err != nil {
+			t.Fatalf("final Reset: %v", err)
+		}
+	}
+	if len(w.closed) != closedJobs {
+		t.Errorf("worker remembers %d closed jobs, want %d", len(w.closed), closedJobs)
+	}
+	if err := load("q1"); err != nil {
+		t.Errorf("Load under an id closed %d jobs ago: %v", closedJobs, err)
+	}
+}

@@ -219,6 +219,7 @@ func (c *Coordinator) wireBytes() int64 {
 // Options configures a distributed run.
 type Options struct {
 	// JobID names the job on the workers; empty generates one from the clock.
+	// An id is good for one run: workers close it when the run ends.
 	JobID string
 	// Algorithm is the local join algorithm name (localjoin.ByName).
 	Algorithm string
@@ -1749,12 +1750,13 @@ func (c *Coordinator) shuffleSerial(ctx context.Context, plan partition.Plan, sl
 // mid-shuffle or mid-join retains nothing on the workers. Cleanup uses a
 // background context (the query's may already be cancelled) and retries once:
 // a Reset lost to a transient blip must not leak a job in a long-lived
-// recpartd.
+// recpartd. The Reset is final: the workers close the job ids, so a Load of
+// this query still in flight somewhere cannot bring a job back afterwards.
 func (c *Coordinator) resetJobs(jobIDs []string) {
 	for _, jobID := range jobIDs {
 		for _, wc := range c.workers {
 			var rr ResetReply
-			_ = wc.call(context.Background(), ServiceName+".Reset", &ResetArgs{JobID: jobID}, &rr, c.opts.callDeadline(), 1, nil)
+			_ = wc.call(context.Background(), ServiceName+".Reset", &ResetArgs{JobID: jobID, Final: true}, &rr, c.opts.callDeadline(), 1, nil)
 		}
 	}
 }

@@ -182,6 +182,13 @@ type JoinReply struct {
 // registry — eviction is a separate, explicit Evict call.
 type ResetArgs struct {
 	JobID string
+	// Final closes the job: its query is over and nothing loads under this id
+	// again. The worker remembers the id (see closedJobs) and refuses a
+	// transient Load that names it — a delayed handler running after the
+	// query's last Reset would otherwise re-create state nobody resets. A
+	// mid-query Reset that clears a worker before reshipping under the same id
+	// leaves it false.
+	Final bool
 }
 
 // ResetReply acknowledges a reset.

@@ -47,10 +47,17 @@ type Worker struct {
 	// ErrUnknownRetainedPlan and fall back to a cold shuffle).
 	maxRetained int
 
-	mu       sync.Mutex // guards jobs, retained, sealSeq, draining
+	mu       sync.Mutex // guards jobs, closed, retained, sealSeq, draining
 	jobs     map[string]*jobState
 	retained map[string]*retainedState
 	sealSeq  uint64
+
+	// closed holds the ids of the last closedJobs jobs reset with
+	// ResetArgs.Final, closedRing the same ids in closing order (closedNext is
+	// the oldest, overwritten next).
+	closed     map[string]struct{}
+	closedRing [closedJobs]string
+	closedNext int
 
 	// draining rejects new data-plane work (Load, Join, Seal) while inflight
 	// tracks the calls already running, so a graceful shutdown can stop taking
@@ -345,6 +352,7 @@ func NewWorker(name string) *Worker {
 	w := &Worker{
 		name:        name,
 		jobs:        make(map[string]*jobState),
+		closed:      make(map[string]struct{}),
 		retained:    make(map[string]*retainedState),
 		wireVersion: wire.Version,
 		prepSem:     make(chan struct{}, runtime.GOMAXPROCS(0)),
@@ -615,6 +623,9 @@ func (w *Worker) jobFor(args *LoadArgs) (*jobState, error) {
 	}
 	job, ok := w.jobs[args.JobID]
 	if !ok {
+		if _, closed := w.closed[args.JobID]; closed {
+			return nil, fmt.Errorf("cluster: worker %s: job %q is closed", w.name, args.JobID)
+		}
 		job = &jobState{partitions: make(map[int]*partitionData)}
 		w.jobs[args.JobID] = job
 	}
@@ -1071,12 +1082,27 @@ func (w *Worker) joinTasksMorsels(alg localjoin.Algorithm, tasks []joinTask, arg
 // aborted query (whose coordinator fires a best-effort Reset on every exit
 // path) can never take warm partitions down with it. Eviction of retained
 // plans is only ever explicit, via Evict.
+//
+// A final Reset also closes the job id: a Load or Complete marker that the
+// network delayed past the end of its query finds no job, and without the
+// closed set jobFor would create one that no Reset ever follows.
 func (w *Worker) Reset(args *ResetArgs, _ *ResetReply) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	delete(w.jobs, args.JobID)
+	if _, closed := w.closed[args.JobID]; args.Final && !closed {
+		delete(w.closed, w.closedRing[w.closedNext])
+		w.closedRing[w.closedNext] = args.JobID
+		w.closedNext = (w.closedNext + 1) % closedJobs
+		w.closed[args.JobID] = struct{}{}
+	}
 	return nil
 }
+
+// closedJobs is how many closed job ids a worker remembers. A late Load trails
+// its query by at most a call deadline plus retries, so it only has to outlast
+// the queries that can end in that time; an id costs a few dozen bytes.
+const closedJobs = 1024
 
 // Seal implements the RPC method completing a retained plan's shipment: it
 // marks the plan joinable, creating an empty entry on workers that received no

@@ -128,15 +128,27 @@ func sparseCellInputs(n int) (*data.Relation, *data.Relation, data.Band) {
 	return s, t, data.Uniform(dims, eps)
 }
 
-// BenchmarkEpsGridDenseCells times the grid kernel where its cost is per
-// output pair (dense) and where it is per probe (sparse), as ns/pair: the
-// one-shot join (build + probe), and the prepared probe counting and emitting.
-// It is what the denseCell threshold is measured with.
+// refinedCellInputs is the in-process workload's shape: a 3-d Pareto pair whose
+// 2-d cells are too heavy, so the grid refines to k = 3 = dims and leaves
+// nearly every cell below denseCell — candidates that match about one time in
+// three, verified one by one in sparse cells. (ε = 0.045 puts as many of
+// 100 000 rows into a cell as the workload's 0.03 does of 320 000.)
+func refinedCellInputs(n int) (*data.Relation, *data.Relation, data.Band) {
+	s, t := data.ParetoPair(3, 1.5, n, 42)
+	return s, t, data.Uniform(3, 0.045)
+}
+
+// BenchmarkEpsGridDenseCells times the grid kernel in its three regimes, as
+// ns/pair: dense cells with every dimension a grid dimension (cost per output
+// pair), sparse cells with every dimension a grid dimension (cost per
+// candidate), and sparse cells with most dimensions outside the grid (cost per
+// probe). Each as the one-shot join (build + probe) and the prepared probe
+// counting and emitting. It is what the denseCell threshold is measured with.
 func BenchmarkEpsGridDenseCells(b *testing.B) {
 	shapes := []struct {
 		name   string
 		inputs func(int) (*data.Relation, *data.Relation, data.Band)
-	}{{"dense2d", denseCellInputs}, {"sparse8d", sparseCellInputs}}
+	}{{"dense2d", denseCellInputs}, {"sparse3d", refinedCellInputs}, {"sparse8d", sparseCellInputs}}
 	for _, shape := range shapes {
 		s, t, band := shape.inputs(100_000)
 		prep := Prepare(EpsGrid{}, s, t, band)

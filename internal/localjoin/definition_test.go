@@ -190,17 +190,36 @@ func checkExactlyOnce(t *testing.T, what string, got []idxPair, want map[idxPair
 // against the nested loop, i.e. against the band-join definition itself, as a
 // pair set with every pair exactly once. The heavy sizes run the dense-cell
 // path: order-dimension range search, box test, and the count-only shortcut.
+//
+// scanCells verifies the leading kc grid dimensions without branches against
+// interval ends hoisted out of the candidate loop, and only the rest through
+// matchesFrom; the table must therefore build grids with kc < k (an equi-join
+// dimension between grid dimensions), with kc = d for d = 2, 3 and 4 (counting
+// then takes the jump-free loop, emitting the other), and probe them with S
+// keys that make a hoisted end NaN, +Inf and -Inf — asserted at the end. Each
+// of these mutations of scanCells fails the test (checked by hand): `>=` → `>`
+// or `<=` → `<` in the hoisted comparison, dropping either half of its AND,
+// reading a lower end where the upper belongs (b[d] for b[maxGridDims+d]) or
+// the reverse, and skipping matchesFrom(…, kc).
 func TestEpsGridAgainstDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := []string{"symmetric", "asymmetric", "one-sided", "zero-dim0", "zero-last", "tiny"}
 	sizes := []struct {
 		s, t  int
 		heavy bool
-	}{{160, 160, false}, {0, 40, false}, {40, 0, false}, {1, 90, false}, {90, 1, false}, {1, 1, false}, {400, 400, true}}
+		only  int // run for this dimensionality only; 0 = for all
+	}{{160, 160, false, 0}, {0, 40, false, 0}, {40, 0, false, 0}, {1, 90, false, 0}, {90, 1, false, 0}, {1, 1, false, 0}, {400, 400, true, 0},
+		// A T whose origin crowd outweighs the clusters no refinement can
+		// split: each step halves the load, and a 4-d grid reaches k = 4.
+		{200, 800, true, 4}}
 	orderIsLastGridDim := map[bool]bool{}
-	for _, d := range []int{2, 3, 5, 8} {
+	built := map[string]bool{}
+	for _, d := range []int{2, 3, 4, 5, 8} {
 		for _, shape := range shapes {
 			for _, size := range sizes {
+				if size.only != 0 && size.only != d {
+					continue
+				}
 				band := hostileBand(rng, shape, d)
 				s := hostileRelation(rng, "s", size.s, band, size.heavy)
 				tt := hostileRelation(rng, "t", size.t, band, size.heavy)
@@ -218,6 +237,18 @@ func TestEpsGridAgainstDefinition(t *testing.T) {
 						t.Fatalf("%s: %d dense cells, want the two clusters, the point mass and the origin", name, len(g.box)/(2*d))
 					}
 					orderIsLastGridDim[g.odim == g.gdim[g.k-1]] = true
+					if g.kc < g.k {
+						built["kc < k"] = true
+					} else if g.kc == d {
+						built[fmt.Sprintf("kc = d = %d", d)] = true
+					}
+					for i := 0; i < s.Len(); i++ {
+						for j := 0; j < g.kc; j++ {
+							if v := s.KeyAt(i, j); v != v || math.IsInf(v, 0) {
+								built[fmt.Sprintf("S key %v on a grid dimension", v)] = true
+							}
+						}
+					}
 				}
 
 				for _, alg := range []RangeJoiner{EpsGrid{}, Auto{}} {
@@ -267,6 +298,12 @@ func TestEpsGridAgainstDefinition(t *testing.T) {
 	// and (k = d) the grid's last.
 	if len(orderIsLastGridDim) < 2 {
 		t.Fatalf("order dimension chosen by one rule only (last grid dimension: %v)", orderIsLastGridDim)
+	}
+	for _, c := range []string{"kc < k", "kc = d = 2", "kc = d = 3", "kc = d = 4",
+		"S key NaN on a grid dimension", "S key +Inf on a grid dimension", "S key -Inf on a grid dimension"} {
+		if !built[c] {
+			t.Errorf("no case with %s; the branch-free verification is not exercised there", c)
+		}
 	}
 }
 

@@ -84,10 +84,13 @@ type gridState struct {
 	band data.Band
 	dims int // dimensionality of the rows
 
-	// The grid proper: k dimensions gdim[:k] with cell widths w[:k].
-	k    int
-	gdim [maxGridDims]int
-	w    [maxGridDims]float64
+	// The grid proper: k dimensions gdim[:k] with cell widths w[:k]. The first
+	// kc of them are dimensions 0..kc-1 themselves (gdim[j] == j; 2 <= kc <= k,
+	// less than k when refinement skipped an equi-join dimension): the
+	// dimensions scanCells verifies without branches.
+	k, kc int
+	gdim  [maxGridDims]int
+	w     [maxGridDims]float64
 
 	// Open-addressing cell table, at most half full: per slot, the cell's
 	// id + 1 (0 when empty) in tab and its k coordinates in tabC.
@@ -257,6 +260,8 @@ func (g *gridState) build(t *data.Relation, band data.Band) {
 			break
 		}
 	}
+	for g.kc = 2; g.kc < g.k && g.gdim[g.kc] == g.kc; g.kc++ {
+	}
 	g.odim = g.gdim[g.k-1]
 	if next < dims {
 		g.odim = next
@@ -344,9 +349,29 @@ func (g *gridState) appendCells(dst []int32, sk []float64) []int32 {
 
 // scanCells verifies S-tuple i against the T-tuples of the given cells, on all
 // dimensions; a dense cell is narrowed by denseRange first.
+//
+// A candidate in a walked cell passes a grid dimension about two times in
+// three (the walk covers three cell widths, the band two), so a jump on that
+// outcome is mispredicted for every other candidate. The leading kc dimensions
+// are therefore tested without one: the interval ends are computed once per
+// probe — the float expressions of data.Band.MatchesDim and of denseRange's
+// searches, so boundary, NaN, ±Inf and -0 behaviour is theirs — and the 2·kc
+// comparison results of a candidate are ANDed into one 0/1 integer. When that
+// is the whole predicate (kc == dims) and pairs are only counted, the integer
+// is added to the count and the candidate loop has no data-dependent branch.
+// On the remaining dimensions the outcome is no coin toss (an 8-d candidate
+// that passed the grid dimensions nearly always fails the next one, or —
+// self-match — passes all), so there matchesFrom's early exit stays. The first
+// two dimensions, which every grid has, are written out: inside one loop over
+// kc the compiler keeps the integer on the stack.
 func (g *gridState) scanCells(cells []int32, i int, sk []float64, emit Emit) int64 {
 	var count int64
-	dims := g.dims
+	dims, kc := g.dims, g.kc
+	var b [2 * maxGridDims]float64 // lower ends, then upper ends at maxGridDims
+	for d := 0; d < kc; d++ {
+		b[d] = sk[d] - g.band.Low[d]
+		b[maxGridDims+d] = sk[d] + g.band.High[d]
+	}
 	for _, id := range cells {
 		lo, hi := int(g.starts[id]), int(g.starts[id+1])
 		if hi-lo >= denseCell {
@@ -358,15 +383,34 @@ func (g *gridState) scanCells(cells []int32, i int, sk []float64, emit Emit) int
 		}
 		for pos := lo; pos < hi; pos++ {
 			row := g.rows[pos*dims : (pos+1)*dims]
-			if matchesFrom(g.band, sk, row, 0) {
+			ok := b2i(row[0] >= b[0]) & b2i(row[0] <= b[maxGridDims]) &
+				b2i(row[1] >= b[1]) & b2i(row[1] <= b[maxGridDims+1])
+			for d := 2; d < kc; d++ {
+				ok &= b2i(row[d] >= b[d]) & b2i(row[d] <= b[maxGridDims+d])
+			}
+			if kc < dims && ok != 0 {
+				ok = b2i(matchesFrom(g.band, sk, row, kc))
+			}
+			// emit is tested first: counting adds the outcome, only emitting
+			// jumps on it.
+			if emit == nil {
+				count += ok
+			} else if ok != 0 {
 				count++
-				if emit != nil {
-					emit(i, int(g.perm[pos]), sk, row)
-				}
+				emit(i, int(g.perm[pos]), sk, row)
 			}
 		}
 	}
 	return count
+}
+
+// b2i is 1 for true and 0 for false; it compiles to a flag-to-register move,
+// not a jump.
+func b2i(v bool) int64 {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // denseRange narrows dense cell id, rows [lo, hi), to the rows inside sk's

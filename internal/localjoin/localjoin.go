@@ -232,9 +232,13 @@ func searchRowsGT(rows []float64, dims, n int, x float64) int {
 	return lo
 }
 
-// matchesFrom checks the band condition for dimensions [from, d): the
-// predicate of data.Band.MatchesDim, spelled out because the call — inlined
-// or not — compiles to a slower probe loop (+15% on a 2-d serving workload).
+// matchesFrom checks the band condition for dimensions [from, d), stopping at
+// the first that fails: everything past dimension 0 for the sorted scans,
+// whose window settles dimension 0, and for the grid the dimensions past the
+// leading grid dimensions, which scanCells tests itself without branches. It
+// is the predicate of data.Band.MatchesDim, spelled out because the call —
+// inlined or not — compiles to a slower probe loop (+15% on a 2-d serving
+// workload).
 func matchesFrom(band data.Band, sk, tk []float64, from int) bool {
 	for d := from; d < len(sk); d++ {
 		if !(tk[d] >= sk[d]-band.Low[d] && tk[d] <= sk[d]+band.High[d]) {
