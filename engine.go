@@ -899,15 +899,16 @@ func (e *Engine) finishTrace(tr *exec.QueryTrace, res *Result, start, end time.T
 	res.Trace = tr
 }
 
-// inputSampleBytes approximates a drawn input sample's resident footprint
-// (key bytes of both sampled relations).
+// inputSampleBytes approximates a drawn input sample's resident footprint: the
+// key bytes of both sampled relations plus the sorted columnar views the first
+// plan builds over them (sample.Columns; counted from the draw on, since every
+// sample the engine draws is drawn to be planned from).
 func inputSampleBytes(in *sample.InputSample) int64 {
 	var total int64
-	if in.S != nil {
-		total += int64(in.S.Len()) * int64(in.S.Dims()) * 8
-	}
-	if in.T != nil {
-		total += int64(in.T.Len()) * int64(in.T.Dims()) * 8
+	for _, r := range []*Relation{in.S, in.T} {
+		if r != nil {
+			total += int64(r.Len())*int64(r.Dims())*8 + sample.ColumnsBytes(r.Len(), r.Dims())
+		}
 	}
 	return total
 }

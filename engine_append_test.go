@@ -440,3 +440,72 @@ func TestEngineAppendDriftRepartition(t *testing.T) {
 		})
 	}
 }
+
+// TestEngineAppendReplansFromMergedSample: the planner reads the input sample
+// through sorted columns cached with it, built by the first plan. An append
+// merges the delta into a new sample; a plan made afterwards must read that
+// one's rows, never the views of the sample it replaced. The oracle is an
+// engine with the same history whose serial reference grower reads the
+// row-major sample and caches nothing: both must execute the same plan.
+func TestEngineAppendReplansFromMergedSample(t *testing.T) {
+	fullS, fullT := bandjoin.Pareto(3, 1.5, 30000, 17)
+	baseS, deltaS := fullS.Slice("s", 0, 20000), fullS.Slice("d", 20000, 30000)
+	baseT, deltaT := fullT.Slice("t", 0, 20000), fullT.Slice("d", 20000, 30000)
+	before, after := bandjoin.Uniform(3, 0.03), bandjoin.Uniform(3, 0.04)
+
+	run := func(serial bool) (*bandjoin.Result, *bandjoin.Result) {
+		e := bandjoin.NewEngine(bandjoin.EngineOptions{})
+		defer e.Close()
+		ctx := context.Background()
+		opts := bandjoin.Options{Workers: 6, Seed: 5, InputSampleSize: 4000, OutputSampleSize: 1000,
+			Partitioner: bandjoin.RecPartWith(bandjoin.RecPartOptions{Symmetric: true, SerialPlanner: serial})}
+		for name, r := range map[string]*bandjoin.Relation{"s": baseS, "t": baseT} {
+			if err := e.Register(name, r); err != nil {
+				t.Fatalf("Register: %v", err)
+			}
+		}
+		first, err := e.Join(ctx, "s", "t", before, opts) // plans: the fast grower's columns now exist
+		if err != nil {
+			t.Fatalf("Join before append: %v", err)
+		}
+		// The resident-sample gauge counts those columns beside the keys: 20
+		// bytes (8 key, 8 column, 4 order) for each of 4000 rows × 3 dimensions.
+		var prom strings.Builder
+		e.Metrics().WritePrometheus(&prom)
+		if want := `bandjoin_engine_cache_bytes{tier="sample"} 240000`; !strings.Contains(prom.String(), want+"\n") {
+			t.Errorf("engine /metrics missing %q", want)
+		}
+		if err := e.Append(ctx, "s", deltaS); err != nil {
+			t.Fatalf("Append(s): %v", err)
+		}
+		if err := e.Append(ctx, "t", deltaT); err != nil {
+			t.Fatalf("Append(t): %v", err)
+		}
+		second, err := e.Join(ctx, "s", "t", after, opts) // a new band: plans again, from the merged sample
+		if err != nil {
+			t.Fatalf("Join after append: %v", err)
+		}
+		if st := e.Stats(); st.CachedSamples != 1 || st.SampleHits != 1 || st.PlanHits != 0 {
+			t.Fatalf("%d cached samples, %d sample hits, %d plan hits; want one sample merged in place and two plans",
+				st.CachedSamples, st.SampleHits, st.PlanHits)
+		}
+		return first, second
+	}
+	fastFirst, fastSecond := run(false)
+	serialFirst, serialSecond := run(true)
+	for _, c := range []struct {
+		when         string
+		fast, serial *bandjoin.Result
+	}{{"before", fastFirst, serialFirst}, {"after", fastSecond, serialSecond}} {
+		f, s := c.fast, c.serial
+		if f.Partitions < 2 {
+			t.Fatalf("%s the append: a plan of %d partition(s) compares nothing", c.when, f.Partitions)
+		}
+		if f.Partitions != s.Partitions || f.TotalInput != s.TotalInput || f.Output != s.Output || f.Im != s.Im || f.Om != s.Om ||
+			fmt.Sprint(f.WorkerInput, f.WorkerOutput) != fmt.Sprint(s.WorkerInput, s.WorkerOutput) {
+			t.Errorf("%s the append the fast grower's plan ran as partitions=%d I=%d O=%d Im=%d Om=%d %v %v,\nthe serial grower's as partitions=%d I=%d O=%d Im=%d Om=%d %v %v",
+				c.when, f.Partitions, f.TotalInput, f.Output, f.Im, f.Om, f.WorkerInput, f.WorkerOutput,
+				s.Partitions, s.TotalInput, s.Output, s.Im, s.Om, s.WorkerInput, s.WorkerOutput)
+		}
+	}
+}

@@ -233,6 +233,43 @@ func TestChaosSeededSchedules(t *testing.T) {
 	}
 }
 
+// TestStaleLoadOfAbortedShipmentIsNotJoined stages the wrong answer the seeded
+// schedules produced once in a hundred runs under load. The chaotic worker's
+// first Load is held back; a later Load of the same shipment is dropped, so
+// the coordinator sees the connection die, finds the worker alive, clears it
+// and ships everything again under the same job id (or plan fingerprint). The
+// held-back Load — of the aborted shipment — then lands among the reshipped
+// rows, while the worker's Join is held back in turn to be sure it sees them.
+// Joined, its rows count twice; the worker must refuse them instead.
+func TestStaleLoadOfAbortedShipmentIsNotJoined(t *testing.T) {
+	s, tt, band := testData()
+	oracle := oraclePairs(t, core.NewRecPartS(), s, tt, band)
+	for _, mode := range []string{"transient", "retained"} {
+		t.Run(mode, func(t *testing.T) {
+			sched := chaos.NewSchedule(
+				chaos.Fault{Method: "Load", Call: 0, Kind: chaos.Delay, Delay: 150 * time.Millisecond},
+				chaos.Fault{Method: "Load", Call: 2, Kind: chaos.Drop},
+				chaos.Fault{Method: "Seal", Call: 0, Kind: chaos.Delay, Delay: 300 * time.Millisecond},
+				chaos.Fault{Method: "Join", Call: 0, Kind: chaos.Delay, Delay: 300 * time.Millisecond},
+			)
+			coord, nodes := startChaosCluster(t, sched, testDialOptions())
+			opts := cluster.Options{CollectPairs: true, ChunkSize: 32, Window: 4, Seed: 42}
+			if mode == "retained" {
+				opts.PlanID = "chaos|" + t.Name()
+			}
+			res, err := coord.Run(context.Background(), core.NewRecPartS(), s, tt, band, opts)
+			if err != nil {
+				t.Fatalf("want recovered success, got error: %v", err)
+			}
+			if res.Retries == 0 {
+				t.Fatal("the shipment was never repeated; the schedule stages nothing")
+			}
+			assertPairsEqual(t, oracle, res.Pairs)
+			assertNoJobLeaks(t, nodes)
+		})
+	}
+}
+
 // TestWorkerDeathBetweenLoadAndJoinLeavesNoJobState is the leak regression of
 // the failover path: a worker that accepts its partitions and then dies
 // before joining must neither fail the query nor leave transient job state on

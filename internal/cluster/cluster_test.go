@@ -483,3 +483,99 @@ func TestLateLoadAfterFinalReset(t *testing.T) {
 		t.Errorf("Load under an id closed %d jobs ago: %v", closedJobs, err)
 	}
 }
+
+// TestStaleLoadAfterMidQueryClear: when a shipment to a live worker dies on
+// the wire, the coordinator clears that worker and ships again under the same
+// job id (or plan fingerprint). A Load of the aborted shipment that is still
+// in flight then arrives after the clearing; accepted, its rows sit beside
+// their reshipped copies and are joined twice — a wrong answer, not a leak.
+// Shipments are numbered, the clearing call names the one it makes room for,
+// and the worker refuses what is older.
+func TestStaleLoadAfterMidQueryClear(t *testing.T) {
+	w := NewWorker("stale")
+	row := func(v float64) *data.Relation {
+		r := data.NewRelation("c", 1)
+		r.Append(v)
+		return r
+	}
+	load := func(job, side string, attempt int, retain, delta bool) error {
+		return w.Load(&LoadArgs{JobID: job, Partition: 0, Side: side, Chunk: row(1), IDs: []int64{7},
+			Attempt: attempt, Retain: retain, Delta: delta}, &LoadReply{})
+	}
+	output := func(job string, retained bool) int64 {
+		t.Helper()
+		var jr JoinReply
+		if err := w.Join(&JoinArgs{JobID: job, Band: data.Symmetric(0.5), Retained: retained}, &jr); err != nil {
+			t.Fatalf("Join: %v", err)
+		}
+		if len(jr.Partitions) != 1 {
+			t.Fatalf("joined %d partitions, want 1", len(jr.Partitions))
+		}
+		return jr.Partitions[0].Output
+	}
+	mustLoad := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	mustRefuse := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s was accepted, want an error", what)
+		}
+	}
+
+	// Transient job: S and half-shipped T, cleared, shipped again.
+	mustLoad("first shipment, S", load("q", "S", 0, false, false))
+	mustLoad("first shipment, T", load("q", "T", 0, false, false))
+	if err := w.Reset(&ResetArgs{JobID: "q", Attempt: 1}, &ResetReply{}); err != nil {
+		t.Fatalf("clearing Reset: %v", err)
+	}
+	mustRefuse("a Load of the aborted shipment, first after the clearing", load("q", "S", 0, false, false))
+	mustLoad("second shipment, S", load("q", "S", 1, false, false))
+	mustLoad("second shipment, T", load("q", "T", 1, false, false))
+	mustRefuse("a Load of the aborted shipment among the reshipped rows", load("q", "T", 0, false, false))
+	mustRefuse("a Complete marker of the aborted shipment",
+		w.Load(&LoadArgs{JobID: "q", Partition: 0, Complete: true, ExpectS: 1, ExpectT: 1, Band: data.Symmetric(0.5)}, &LoadReply{}))
+	if got := output("q", false); got != 1 {
+		t.Errorf("transient job joined %d pairs, want the reshipped rows' 1", got)
+	}
+	// Cleared a second time, the second shipment is the stale one.
+	if err := w.Reset(&ResetArgs{JobID: "q", Attempt: 2}, &ResetReply{}); err != nil {
+		t.Fatalf("second clearing Reset: %v", err)
+	}
+	mustRefuse("a Load of the second shipment after the second clearing", load("q", "S", 1, false, false))
+	mustLoad("third shipment", load("q", "S", 2, false, false))
+	if err := w.Reset(&ResetArgs{JobID: "q", Final: true}, &ResetReply{}); err != nil {
+		t.Fatalf("final Reset: %v", err)
+	}
+	var pong PingReply
+	if err := w.Ping(&PingArgs{}, &pong); err != nil || pong.Jobs != 0 {
+		t.Errorf("after the final Reset: Ping err %v, %d jobs resident, want 0", err, pong.Jobs)
+	}
+
+	// Retained plan: the same, cleared by Evict; then sealed and extended by a
+	// delta, which belongs to no shipment and carries no number.
+	mustLoad("first retained shipment", load("plan", "S", 0, true, false))
+	if err := w.Evict(&EvictArgs{PlanID: "plan", Attempt: 1}, &EvictReply{}); err != nil {
+		t.Fatalf("clearing Evict: %v", err)
+	}
+	mustRefuse("a retained Load of the aborted shipment", load("plan", "S", 0, true, false))
+	mustLoad("second retained shipment, S", load("plan", "S", 1, true, false))
+	mustLoad("second retained shipment, T", load("plan", "T", 1, true, false))
+	if err := w.Seal(&SealArgs{PlanID: "plan", Band: data.Symmetric(0.5)}, &SealReply{}); err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	if got := output("plan", true); got != 1 {
+		t.Errorf("retained plan joined %d pairs, want the reshipped rows' 1", got)
+	}
+	mustLoad("delta into the sealed plan", load("plan", "S", 0, true, true))
+	if got := output("plan", true); got != 2 {
+		t.Errorf("retained plan joined %d pairs after a one-row delta, want 2", got)
+	}
+	var er EvictReply
+	if err := w.Evict(&EvictArgs{PlanID: "plan"}, &er); err != nil || !er.Existed || w.Retained() != 0 {
+		t.Errorf("plain Evict: err %v, existed %v, %d plans resident; want the plan gone", err, er.Existed, w.Retained())
+	}
+}

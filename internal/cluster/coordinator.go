@@ -277,6 +277,9 @@ type Options struct {
 	// already sealed plan (see LoadArgs.Delta). It is set internally on the
 	// catch-up path of a retained run and by AbsorbPlan.
 	delta bool
+	// attempt numbers the shipment to one worker under one job id or plan
+	// fingerprint (see LoadArgs.Attempt); shipPartitions sets it per worker.
+	attempt int
 	// mode is Compression parsed (withWireMode); zero value is wire.ModeAuto.
 	mode wire.Mode
 	// band, when non-empty, lets the streaming sender issue per-partition
@@ -694,20 +697,20 @@ func (c *Coordinator) runTransientSerial(ctx context.Context, plan partition.Pla
 }
 
 // clearTransient returns the recovery hook that clears one job's partial
-// state on a single worker before reshipping to it.
-func (c *Coordinator) clearTransient(jobID string) func(context.Context, *workerClient) error {
-	return func(ctx context.Context, wc *workerClient) error {
+// state on a single worker before reshipping to it as the given attempt.
+func (c *Coordinator) clearTransient(jobID string) func(context.Context, *workerClient, int) error {
+	return func(ctx context.Context, wc *workerClient, attempt int) error {
 		var rr ResetReply
-		return wc.call(ctx, ServiceName+".Reset", &ResetArgs{JobID: jobID}, &rr, c.opts.callDeadline(), 1, nil)
+		return wc.call(ctx, ServiceName+".Reset", &ResetArgs{JobID: jobID, Attempt: attempt}, &rr, c.opts.callDeadline(), 1, nil)
 	}
 }
 
 // clearRetained returns the recovery hook that clears one plan's partial
-// shipment on a single worker before reshipping to it.
-func (c *Coordinator) clearRetained(planID string) func(context.Context, *workerClient) error {
-	return func(ctx context.Context, wc *workerClient) error {
+// shipment on a single worker before reshipping to it as the given attempt.
+func (c *Coordinator) clearRetained(planID string) func(context.Context, *workerClient, int) error {
+	return func(ctx context.Context, wc *workerClient, attempt int) error {
 		var er EvictReply
-		return wc.call(ctx, ServiceName+".Evict", &EvictArgs{PlanID: planID}, &er, c.opts.callDeadline(), 1, nil)
+		return wc.call(ctx, ServiceName+".Evict", &EvictArgs{PlanID: planID, Attempt: attempt}, &er, c.opts.callDeadline(), 1, nil)
 	}
 }
 
@@ -722,7 +725,12 @@ const maxShipAttemptsPerWorker = 2
 //   - alive → its partial job state is cleared and everything it was given
 //     (including pids shipped in earlier rounds — clearing dropped them) is
 //     reshipped to it, up to maxShipAttemptsPerWorker times, after which the
-//     worker is abandoned for this query and its pids redistributed;
+//     worker is abandoned for this query and its pids redistributed. The
+//     reshipment goes under the same job id or plan fingerprint, so the
+//     shipments to a worker are numbered: the clearing call and the Loads
+//     that follow it carry the new attempt's number, and the worker refuses
+//     a Load of the aborted attempt that arrives late instead of joining its
+//     rows a second time;
 //   - dead → marked down; everything it ever owned is re-placed over the
 //     surviving workers and reshipped from the coordinator-held parts.
 //
@@ -730,7 +738,7 @@ const maxShipAttemptsPerWorker = 2
 // worker that rejects a chunk will reject it again; the shipment fails
 // cleanly. The returned map is the final ownership (slot → pids resident
 // there) the join phase must target.
-func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]int, parts []*exec.PartitionInput, opts Options, clear func(context.Context, *workerClient) error, redistribute func(pids, targets []int) map[int][]int, rs *runState) (map[int][]int, int64, error) {
+func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]int, parts []*exec.PartitionInput, opts Options, clear func(context.Context, *workerClient, int) error, redistribute func(pids, targets []int) map[int][]int, rs *runState) (map[int][]int, int64, error) {
 	owned := make(map[int][]int)
 	attempts := make(map[int]int)
 	var rpcs int64
@@ -750,9 +758,11 @@ func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]i
 		var wg sync.WaitGroup
 		for i, slot := range slots {
 			wg.Add(1)
+			sopts := opts
+			sopts.attempt = attempts[slot]
 			go func(i, slot int) {
 				defer wg.Done()
-				outs[i].sent, outs[i].err = c.sendPartitions(ctx, c.workers[slot], assignment[slot], parts, opts, rs)
+				outs[i].sent, outs[i].err = c.sendPartitions(ctx, c.workers[slot], assignment[slot], parts, sopts, rs)
 			}(i, slot)
 		}
 		wg.Wait()
@@ -785,7 +795,7 @@ func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]i
 				// this worker for the query.
 				rs.exclude(slot)
 				abandon = true
-			} else if cerr := clear(ctx, wc); cerr != nil {
+			} else if cerr := clear(ctx, wc, attempts[slot]); cerr != nil {
 				if isTransportErr(cerr) && !wc.probe(ctx) {
 					rs.noteLost(slot)
 				} else {
@@ -1608,6 +1618,7 @@ func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids
 			SideTotal: rel.Len(),
 			Retain:    opts.retain,
 			Delta:     opts.delta,
+			Attempt:   opts.attempt,
 		}
 		if enc != nil {
 			start := time.Now()
@@ -1635,6 +1646,7 @@ func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids
 				ExpectT:   p.T.Len(),
 				Band:      opts.band,
 				Algorithm: opts.Algorithm,
+				Attempt:   opts.attempt,
 			})
 		}
 	}

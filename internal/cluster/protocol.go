@@ -73,6 +73,15 @@ type LoadArgs struct {
 	// lazily on the next probe, not eagerly at append time; S-side rows are
 	// probed through the structure as it is. Requires Retain.
 	Delta bool
+	// Attempt numbers the shipment this Load belongs to among the shipments
+	// one coordinator makes to this worker under JobID: 0 for the first, n
+	// after the n-th mid-query clearing (ResetArgs.Attempt,
+	// EvictArgs.Attempt). A worker refuses a Load numbered below the last
+	// clearing — the aborted shipment's Load that was still in flight when
+	// the worker was cleared would otherwise land in the reshipped job and
+	// its rows be joined twice. Delta loads extend a sealed plan, belong to
+	// no shipment, and are not checked.
+	Attempt int
 }
 
 // PackedChunk is the streaming shuffle's wire representation of one chunk:
@@ -189,6 +198,11 @@ type ResetArgs struct {
 	// mid-query Reset that clears a worker before reshipping under the same id
 	// leaves it false.
 	Final bool
+	// Attempt, when positive, marks a mid-query Reset: the coordinator is
+	// about to ship to this worker again under the same id, as shipment
+	// number Attempt. The worker keeps the job, emptied, and from now on
+	// refuses its Loads of a lower number (see LoadArgs.Attempt).
+	Attempt int
 }
 
 // ResetReply acknowledges a reset.
@@ -222,6 +236,12 @@ type SealReply struct {
 // unregistered or replaced.
 type EvictArgs struct {
 	PlanID string
+	// Attempt, when positive, marks the clearing of a partial shipment that
+	// is about to be repeated under the same fingerprint, as shipment number
+	// Attempt: the worker keeps the plan's entry, emptied and unsealed, and
+	// refuses its non-delta Loads of a lower number (see LoadArgs.Attempt).
+	// Requires PlanID.
+	Attempt int
 }
 
 // EvictReply reports whether the plan was resident.

@@ -245,6 +245,10 @@ func (w *Worker) Drain(timeout time.Duration) bool {
 type jobState struct {
 	mu         sync.Mutex
 	partitions map[int]*partitionData
+	// attempt is the lowest shipment number this job accepts Loads of: the
+	// Attempt of the last Reset or Evict that cleared it mid-query, 0 if none
+	// did. Written only when the job is created (under Worker.mu).
+	attempt int
 }
 
 // retainedState is one retained plan: a jobState plus the seal bit that makes
@@ -600,10 +604,12 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 }
 
 // jobFor resolves (creating if appropriate) the job or retained-plan entry a
-// Load targets.
+// Load targets. A Load of a shipment older than the entry's last mid-query
+// clearing is refused: its shipment was aborted and is being repeated.
 func (w *Worker) jobFor(args *LoadArgs) (*jobState, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	var job *jobState
 	if args.Retain {
 		rs, ok := w.retained[args.JobID]
 		if !ok {
@@ -619,15 +625,20 @@ func (w *Worker) jobFor(args *LoadArgs) (*jobState, error) {
 		} else if rs.sealed && !args.Delta {
 			return nil, fmt.Errorf("cluster: worker %s: retained plan %q is sealed", w.name, args.JobID)
 		}
-		return &rs.jobState, nil
-	}
-	job, ok := w.jobs[args.JobID]
-	if !ok {
-		if _, closed := w.closed[args.JobID]; closed {
-			return nil, fmt.Errorf("cluster: worker %s: job %q is closed", w.name, args.JobID)
+		job = &rs.jobState
+	} else {
+		var ok bool
+		if job, ok = w.jobs[args.JobID]; !ok {
+			if _, closed := w.closed[args.JobID]; closed {
+				return nil, fmt.Errorf("cluster: worker %s: job %q is closed", w.name, args.JobID)
+			}
+			job = &jobState{partitions: make(map[int]*partitionData)}
+			w.jobs[args.JobID] = job
 		}
-		job = &jobState{partitions: make(map[int]*partitionData)}
-		w.jobs[args.JobID] = job
+	}
+	if !args.Delta && args.Attempt < job.attempt {
+		return nil, fmt.Errorf("cluster: worker %s: Load of shipment %d to %q, which was cleared for shipment %d",
+			w.name, args.Attempt, args.JobID, job.attempt)
 	}
 	return job, nil
 }
@@ -1083,6 +1094,11 @@ func (w *Worker) joinTasksMorsels(alg localjoin.Algorithm, tasks []joinTask, arg
 // path) can never take warm partitions down with it. Eviction of retained
 // plans is only ever explicit, via Evict.
 //
+// A mid-query Reset (ResetArgs.Attempt) leaves the job in place, emptied: the
+// coordinator reships under the same id, and the emptied job remembers which
+// shipment it was cleared for, so that a Load of the aborted one still in
+// flight is refused instead of landing among the reshipped rows.
+//
 // A final Reset also closes the job id: a Load or Complete marker that the
 // network delayed past the end of its query finds no job, and without the
 // closed set jobFor would create one that no Reset ever follows.
@@ -1090,6 +1106,9 @@ func (w *Worker) Reset(args *ResetArgs, _ *ResetReply) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	delete(w.jobs, args.JobID)
+	if args.Attempt > 0 && !args.Final {
+		w.jobs[args.JobID] = &jobState{partitions: make(map[int]*partitionData), attempt: args.Attempt}
+	}
 	if _, closed := w.closed[args.JobID]; args.Final && !closed {
 		delete(w.closed, w.closedRing[w.closedNext])
 		w.closedRing[w.closedNext] = args.JobID
@@ -1203,7 +1222,8 @@ func (w *Worker) Seal(args *SealArgs, reply *SealReply) error {
 }
 
 // Evict implements the RPC method discarding retained plans: one plan when
-// PlanID is set, the whole registry when it is empty.
+// PlanID is set, the whole registry when it is empty. With EvictArgs.Attempt
+// it clears one plan's partial shipment for the next one.
 func (w *Worker) Evict(args *EvictArgs, reply *EvictReply) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1218,6 +1238,11 @@ func (w *Worker) Evict(args *EvictArgs, reply *EvictReply) error {
 		w.m.evictions.Inc()
 	}
 	delete(w.retained, args.PlanID)
+	if args.Attempt > 0 {
+		// Cleared to be shipped again (see Reset): keep an unsealed, empty
+		// entry that refuses the aborted shipment's late Loads.
+		w.retained[args.PlanID] = &retainedState{jobState: jobState{partitions: make(map[int]*partitionData), attempt: args.Attempt}}
+	}
 	return nil
 }
 

@@ -2,12 +2,12 @@ package core
 
 import (
 	"container/heap"
-	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"bandjoin/internal/data"
+	"bandjoin/internal/sample"
 )
 
 // fastGrower is the high-performance implementation of Algorithm 1. It makes
@@ -15,11 +15,18 @@ import (
 // equivalence suite pins bit-identical action logs and histories — but gets
 // there very differently:
 //
-//   - Sort inheritance. The root sample is argsorted once per dimension into
-//     index arrays; a split then distributes each sorted view to the two
-//     children with a linear stable partition, so every child's per-dimension
-//     sorted views cost O(n·d) instead of the oracle's fresh
+//   - Sort inheritance. The root starts from the sample's per-dimension
+//     argsorts (sample.Columns: S's and T's are cached with the drawn input
+//     sample, so a plan for a new band copies them; only the band's own output
+//     pairs are sorted per plan); a split then distributes each sorted view to
+//     the two children with a linear stable partition, so every child's
+//     per-dimension sorted views cost O(n·d) instead of the oracle's fresh
 //     O(n·d·log n) sorts per leaf.
+//
+//   - Columnar reads. Every sample value the grower reads — a leaf's sorted
+//     values of one dimension, the split dimension's values when distributing
+//     — comes from that dimension's contiguous column, never from the
+//     row-major relation, where one value costs a 64-byte row's cache line.
 //
 //   - Allocation-free growth. Leaf index slabs are carved from a reusable
 //     arena, growth nodes come from a chunked node arena, and every sweep,
@@ -44,6 +51,7 @@ type fastGrower struct {
 	growEnv
 
 	dims     int
+	cols     sampleColumns
 	numNodes int
 	root     *node
 	leaves   leafHeap
@@ -111,6 +119,12 @@ func (a *nodeArena) alloc() *node {
 
 func (a *nodeArena) reset() { a.bi, a.ni = 0, 0 }
 
+// sampleColumns is the one way the fast grower reads the sample: the four
+// relations by column, each column with its argsort.
+type sampleColumns struct {
+	s, t, outS, outT *sample.Columns
+}
+
 // evalScratch is one sweep worker's private value buffers.
 type evalScratch struct {
 	sv, tv, ovS, ovT, cands []float64
@@ -137,9 +151,8 @@ type plannerScratch struct {
 	evals                 []evalScratch
 	tasks                 []evalTask
 
-	// Root argsort (radix) buffers.
-	radixK, radixK2 []uint64
-	radixI, radixI2 []int32
+	// The columns of the plan's output sample pairs, rebuilt per plan in place.
+	outS, outT sample.Columns
 }
 
 var plannerPool = sync.Pool{New: func() interface{} { return &plannerScratch{} }}
@@ -170,6 +183,10 @@ func runFastGrower(env growEnv, parallelism int) (growEnv, int) {
 	f.sc = plannerPool.Get().(*plannerScratch)
 	defer f.release()
 	smp := f.ctx.Sample
+	f.cols.s, f.cols.t = smp.InputColumns()
+	f.sc.outS.Build(smp.OutS)
+	f.sc.outT.Build(smp.OutT)
+	f.cols.outS, f.cols.outT = &f.sc.outS, &f.sc.outT
 	growBytes(&f.sc.membS, smp.S.Len())
 	growBytes(&f.sc.membT, smp.T.Len())
 	growBytes(&f.sc.membOut, smp.OutS.Len())
@@ -197,8 +214,8 @@ func (f *fastGrower) release() {
 	f.leaves = nil
 }
 
-// initialize builds the root leaf: one argsort of the samples per dimension,
-// the only sorting the fast grower ever performs (lines 1-4 of Algorithm 1).
+// initialize builds the root leaf from the columns' argsorts; the grower
+// itself never sorts (lines 1-4 of Algorithm 1).
 func (f *fastGrower) initialize() {
 	smp := f.ctx.Sample
 	d := f.dims
@@ -211,10 +228,10 @@ func (f *fastGrower) initialize() {
 	root.nS, root.nT, root.nOut = smp.S.Len(), smp.T.Len(), smp.OutS.Len()
 	root.slab = f.sc.idx.alloc(d * (root.nS + root.nT + 2*root.nOut))
 	for dim := 0; dim < d; dim++ {
-		f.argsortInto(smp.S, root.nS, dim, root.sView(dim))
-		f.argsortInto(smp.T, root.nT, dim, root.tView(d, dim))
-		f.argsortInto(smp.OutS, root.nOut, dim, root.outSView(d, dim))
-		f.argsortInto(smp.OutT, root.nOut, dim, root.outTView(d, dim))
+		copy(root.sView(dim), f.cols.s.Order(dim))
+		copy(root.tView(d, dim), f.cols.t.Order(dim))
+		copy(root.outSView(d, dim), f.cols.outS.Order(dim))
+		copy(root.outTView(d, dim), f.cols.outT.Order(dim))
 	}
 	f.setEstimates(root)
 	root.small = root.region.IsSmall(f.band)
@@ -226,83 +243,6 @@ func (f *fastGrower) initialize() {
 	heap.Push(&f.leaves, root)
 	f.totalInput = root.assignedInput()
 	f.history = append(f.history, f.snapshotStats(f.leaves, 0, &f.sc.stats))
-}
-
-// argsortInto writes the indices 0..n-1 of r sorted by dimension dim (ties by
-// index) into out, using a stable byte-wise LSD radix sort over the
-// order-preserving integer encoding of the float keys. Byte positions on
-// which every key agrees are skipped, so the near-constant exponent bytes of
-// typical samples cost only their histogram pass.
-func (f *fastGrower) argsortInto(r *data.Relation, n, dim int, out []int32) {
-	if n == 0 {
-		return
-	}
-	sc := f.sc
-	keys := resizeU64(&sc.radixK, n)
-	idx := resizeI32(&sc.radixI, n)
-	tmpK := resizeU64(&sc.radixK2, n)
-	tmpI := resizeI32(&sc.radixI2, n)
-	for i := 0; i < n; i++ {
-		keys[i] = floatSortKey(r.KeyAt(i, dim))
-		idx[i] = int32(i)
-	}
-	for shift := 0; shift < 64; shift += 8 {
-		var count [256]int
-		for _, k := range keys {
-			count[byte(k>>shift)]++
-		}
-		if count[byte(keys[0]>>shift)] == n {
-			continue // all keys share this byte
-		}
-		pos := 0
-		var start [256]int
-		for b := 0; b < 256; b++ {
-			start[b] = pos
-			pos += count[b]
-		}
-		for i, k := range keys {
-			b := byte(k >> shift)
-			tmpK[start[b]] = k
-			tmpI[start[b]] = idx[i]
-			start[b]++
-		}
-		keys, tmpK = tmpK, keys
-		idx, tmpI = tmpI, idx
-	}
-	copy(out, idx)
-	// The buffers may have swapped an odd number of times; store them back so
-	// every slice the scratch retains is scratch-owned (never a slab view).
-	sc.radixK, sc.radixK2 = keys, tmpK
-	sc.radixI, sc.radixI2 = idx, tmpI
-}
-
-// floatSortKey maps a float64 to a uint64 whose unsigned order matches the
-// float order (negative values are bit-complemented, positives get the sign
-// bit set).
-func floatSortKey(v float64) uint64 {
-	b := math.Float64bits(v)
-	if b&(1<<63) != 0 {
-		return ^b
-	}
-	return b | 1<<63
-}
-
-// resizeU64 returns *buf with length n (contents unspecified).
-func resizeU64(buf *[]uint64, n int) []uint64 {
-	if cap(*buf) < n {
-		*buf = make([]uint64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// resizeI32 returns *buf with length n (contents unspecified).
-func resizeI32(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
 }
 
 // grow runs the repeat loop until a termination condition fires and returns
@@ -379,18 +319,18 @@ func (f *fastGrower) apply(n *node) {
 // dimension's sorted view is split by a linear stable partition, so the
 // children's views are sorted without sorting.
 func (f *fastGrower) distribute(n *node, c candidate, left, right *node) {
-	smp := f.ctx.Sample
 	d := f.dims
 	dim, x := c.dim, c.val
 	low, high := f.band.Low[dim], f.band.High[dim]
 	membS, membT, membOut := f.sc.membS, f.sc.membT, f.sc.membOut
+	sCol, tCol := f.cols.s.Col(dim), f.cols.t.Col(dim)
 
 	var lnS, rnS, lnT, rnT, lnOut, rnOut int
 	if c.kind == splitT {
 		// T-split: partition S at x, duplicate T within the band; output
 		// pairs follow their S side.
 		for _, i := range n.sView(0) {
-			if smp.S.KeyAt(int(i), dim) < x {
+			if sCol[i] < x {
 				membS[i] = sideLeft
 				lnS++
 			} else {
@@ -399,7 +339,7 @@ func (f *fastGrower) distribute(n *node, c candidate, left, right *node) {
 			}
 		}
 		for _, i := range n.tView(d, 0) {
-			v := smp.T.KeyAt(int(i), dim)
+			v := tCol[i]
 			var m byte
 			if v < x+high {
 				m = sideLeft
@@ -411,8 +351,9 @@ func (f *fastGrower) distribute(n *node, c candidate, left, right *node) {
 			}
 			membT[i] = m
 		}
+		outCol := f.cols.outS.Col(dim)
 		for _, i := range n.outSView(d, 0) {
-			if smp.OutS.KeyAt(int(i), dim) < x {
+			if outCol[i] < x {
 				membOut[i] = sideLeft
 				lnOut++
 			} else {
@@ -424,7 +365,7 @@ func (f *fastGrower) distribute(n *node, c candidate, left, right *node) {
 		// S-split: partition T at x, duplicate S near the boundary; output
 		// pairs follow their T side.
 		for _, i := range n.tView(d, 0) {
-			if smp.T.KeyAt(int(i), dim) < x {
+			if tCol[i] < x {
 				membT[i] = sideLeft
 				lnT++
 			} else {
@@ -433,7 +374,7 @@ func (f *fastGrower) distribute(n *node, c candidate, left, right *node) {
 			}
 		}
 		for _, i := range n.sView(0) {
-			v := smp.S.KeyAt(int(i), dim)
+			v := sCol[i]
 			var m byte
 			if v < x+low {
 				m = sideLeft
@@ -445,8 +386,9 @@ func (f *fastGrower) distribute(n *node, c candidate, left, right *node) {
 			}
 			membS[i] = m
 		}
+		outCol := f.cols.outT.Col(dim)
 		for _, i := range n.outTView(d, 0) {
-			if smp.OutT.KeyAt(int(i), dim) < x {
+			if outCol[i] < x {
 				membOut[i] = sideLeft
 				lnOut++
 			} else {
@@ -576,12 +518,11 @@ func (f *fastGrower) runTasks(tasks []evalTask) {
 // leaf's sorted values from its inherited views (no sorting), merge S and T
 // linearly, form the candidate mid-points, and run the shared sweep.
 func (f *fastGrower) evalDim(n *node, dim int, lpSq float64, es *evalScratch) candidate {
-	smp := f.ctx.Sample
 	d := f.dims
-	es.sv = gatherVals(smp.S, n.sView(dim), dim, es.sv[:0])
-	es.tv = gatherVals(smp.T, n.tView(d, dim), dim, es.tv[:0])
-	es.ovS = gatherVals(smp.OutS, n.outSView(d, dim), dim, es.ovS[:0])
-	es.ovT = gatherVals(smp.OutT, n.outTView(d, dim), dim, es.ovT[:0])
+	es.sv = gatherVals(f.cols.s.Col(dim), n.sView(dim), es.sv)
+	es.tv = gatherVals(f.cols.t.Col(dim), n.tView(d, dim), es.tv)
+	es.ovS = gatherVals(f.cols.outS.Col(dim), n.outSView(d, dim), es.ovS)
+	es.ovT = gatherVals(f.cols.outT.Col(dim), n.outTView(d, dim), es.ovT)
 	es.cands, es.cS, es.cT = candsFromSorted(es.sv, es.tv, n.region.Lo[dim], n.region.Hi[dim],
 		es.cands[:0], es.cS[:0], es.cT[:0])
 	if len(es.cands) == 0 {
@@ -590,12 +531,14 @@ func (f *fastGrower) evalDim(n *node, dim int, lpSq float64, es *evalScratch) ca
 	return f.sweepDim(dim, es.sv, es.tv, es.ovS, es.ovT, es.cands, es.cS, es.cT, lpSq)
 }
 
-// gatherVals appends dimension dim of the referenced sample tuples to out.
-// idx is sorted by that dimension's value, so out comes out sorted — the same
-// value sequence sortedVals produces for the same membership.
-func gatherVals(r *data.Relation, idx []int32, dim int, out []float64) []float64 {
-	for _, id := range idx {
-		out = append(out, r.KeyAt(int(id), dim))
+// gatherVals returns the column's values of the referenced sample tuples, in
+// buf's storage when it is large enough. idx is sorted by that column's value,
+// so the result comes out sorted — the same value sequence sortedVals produces
+// for the same membership.
+func gatherVals(col []float64, idx []int32, buf []float64) []float64 {
+	out := slices.Grow(buf[:0], len(idx))[:len(idx)]
+	for i, id := range idx {
+		out[i] = col[id]
 	}
 	return out
 }

@@ -531,12 +531,18 @@ func joinMorsels(ctx context.Context, parts []*PartitionInput, prepared []localj
 
 	local := make([]localjoin.PreparedT, len(parts))
 	copy(local, prepared[:min(len(prepared), len(parts))])
+	var unprepared []int
+	for pid, p := range parts {
+		if p != nil && local[pid] == nil && p.S.Len() > rows {
+			unprepared = append(unprepared, pid)
+		}
+	}
+	// Largest first (ties by pid), so the longest build never starts last.
+	size := func(pid int) int { return parts[pid].S.Len() + parts[pid].T.Len() }
+	sort.SliceStable(unprepared, func(a, b int) bool { return size(unprepared[a]) > size(unprepared[b]) })
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, parallelism)
-	for pid, p := range parts {
-		if p == nil || local[pid] != nil || p.S.Len() <= rows {
-			continue
-		}
+	for _, pid := range unprepared {
 		if ctx.Err() != nil {
 			break
 		}
@@ -546,7 +552,7 @@ func joinMorsels(ctx context.Context, parts []*PartitionInput, prepared []localj
 			defer wg.Done()
 			defer func() { <-sem }()
 			local[pid] = localjoin.Prepare(alg, p.S, p.T, band)
-		}(pid, p)
+		}(pid, parts[pid])
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {

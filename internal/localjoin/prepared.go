@@ -50,6 +50,20 @@ type RangeProber interface {
 // algorithm has no prepared form (the nested loop), in which case callers fall
 // back to plain Join calls.
 func Prepare(alg Algorithm, s, t *data.Relation, band data.Band) PreparedT {
+	return prepare(alg, s, t, band, true)
+}
+
+// PrepareOnce is Prepare for a structure that will be probed once — one pass
+// over s, typically split into concurrent ProbeRange calls. It builds the T
+// side only: the ε-grid leaves the S rows' cell lists unresolved (Prepare
+// resolves them serially, work that pays off from the second probe on) and
+// every row takes the hash-lookup path, as rows appended after Prepare do.
+// The pairs and their order are Prepare's.
+func PrepareOnce(alg Algorithm, s, t *data.Relation, band data.Band) PreparedT {
+	return prepare(alg, s, t, band, false)
+}
+
+func prepare(alg Algorithm, s, t *data.Relation, band data.Band, resolveS bool) PreparedT {
 	if s.Len() == 0 || t.Len() == 0 {
 		return nil
 	}
@@ -59,16 +73,18 @@ func Prepare(alg Algorithm, s, t *data.Relation, band data.Band) PreparedT {
 			return nil // nested loop: nothing to prepare, and sorting cannot pay off
 		}
 		if t.Dims() == 1 {
-			return Prepare(SortProbe{}, s, t, band)
+			return prepare(SortProbe{}, s, t, band, resolveS)
 		}
-		return Prepare(EpsGrid{}, s, t, band)
+		return prepare(EpsGrid{}, s, t, band, resolveS)
 	case EpsGrid:
 		if !epsGridDefined(t.Dims(), band) {
-			return Prepare(GridSortScan{}, s, t, band)
+			return prepare(GridSortScan{}, s, t, band, resolveS)
 		}
 		p := &preparedEpsGrid{}
 		p.g.build(t, band)
-		p.resolveCells(s)
+		if resolveS {
+			p.resolveCells(s)
+		}
 		return p
 	case SortProbe:
 		sr := buildSortedStandalone(t)

@@ -9,7 +9,10 @@ package sample
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"bandjoin/internal/data"
 	"bandjoin/internal/localjoin"
@@ -34,6 +37,22 @@ type Sample struct {
 	// pair represents, so OutWeight * OutS.Len() estimates |S ⋈B T|.
 	OutS, OutT *data.Relation
 	OutWeight  float64
+
+	// in is the InputSample that ForBand derived this sample from (nil for a
+	// Sample assembled by hand); its cached columns serve InputColumns.
+	in *InputSample
+}
+
+// InputColumns returns the sorted columnar views of S and T. A sample derived
+// by ForBand shares the views its InputSample builds once — every band over
+// the same drawn inputs reads the same columns and argsorts — and a Sample
+// assembled by hand gets fresh ones from the same constructor. OutS and OutT
+// differ per band; their consumer builds those per plan (Columns.Build).
+func (s *Sample) InputColumns() (sCols, tCols *Columns) {
+	if s.in != nil {
+		return s.in.columns()
+	}
+	return NewColumns(s.S), NewColumns(s.T)
 }
 
 // Options configures sampling.
@@ -75,6 +94,21 @@ type InputSample struct {
 	// OutputSampleSize bound and derives its deterministic subsample RNG from
 	// its Seed.
 	Opts Options
+
+	// The sorted columnar views of S and T, built on the first plan that asks
+	// (columns) and shared by every Sample ForBand derives. They live and die
+	// with this InputSample: Merge returns a new one without them.
+	colsOnce     sync.Once
+	sCols, tCols *Columns
+}
+
+// columns returns the views of S and T, building them on first use. Nothing
+// may modify S or T after the draw, which is what lets the views be shared.
+func (is *InputSample) columns() (sCols, tCols *Columns) {
+	is.colsOnce.Do(func() {
+		is.sCols, is.tCols = NewColumns(is.S), NewColumns(is.T)
+	})
+	return is.sCols, is.tCols
 }
 
 // DrawInputs draws the band-independent input samples. It is the stage of Draw
@@ -152,6 +186,7 @@ func (is *InputSample) ForBand(band data.Band) (*Sample, error) {
 		TRate:  is.TRate,
 		TotalS: is.TotalS,
 		TotalT: is.TotalT,
+		in:     is,
 	}
 	// The golden-ratio offset decorrelates this stream from the input-sampling
 	// stream seeded with Opts.Seed itself.
@@ -330,7 +365,8 @@ func Uniform(r *data.Relation, k int, rng *rand.Rand) *data.Relation {
 // independently of the join kernel: S index ascending and, within one S
 // tuple, T in dimension-0 order — what the one-dimensional sorted probe this
 // join used to run emitted. Each pair is collected as (S index, T rank) packed
-// into one sortable word.
+// into one sortable word, so the kernel's own order — and how joinSamples
+// splits the probe — never shows.
 func (s *Sample) sampleOutput(maxPairs int, rng *rand.Rand) {
 	d := s.Band.Dims()
 	outS := data.NewRelation("outS", d)
@@ -340,10 +376,7 @@ func (s *Sample) sampleOutput(maxPairs int, rng *rand.Rand) {
 	for pos, ti := range order {
 		rank[ti] = uint64(pos)
 	}
-	collected := make([]uint64, 0, maxPairs)
-	localjoin.Auto{}.Join(s.S, s.T, s.Band, func(si, ti int, _, _ []float64) {
-		collected = append(collected, uint64(si)<<32|rank[ti])
-	})
+	collected := s.joinSamples(rank)
 	slices.Sort(collected)
 	kept := collected
 	if len(collected) > maxPairs {
@@ -365,6 +398,54 @@ func (s *Sample) sampleOutput(maxPairs int, rng *rand.Rand) {
 		pairWeight *= float64(len(collected)) / float64(len(kept))
 	}
 	s.OutWeight = pairWeight
+}
+
+// probeChunk is the number of S rows a sample-join goroutine claims at a time:
+// small enough to balance a skewed probe order (the sorted scan's domain is
+// sorted S positions), large enough that the claim is free.
+const probeChunk = 512
+
+// joinSamples joins the two input samples and returns every pair as
+// uint64(S index)<<32 | rank[T index], in no particular order. The T-side
+// structure is built once and the S side probed in chunks on up to GOMAXPROCS
+// goroutines, each collecting into its own list.
+func (s *Sample) joinSamples(rank []uint64) []uint64 {
+	collectInto := func(dst *[]uint64) localjoin.Emit {
+		return func(si, ti int, _, _ []float64) {
+			*dst = append(*dst, uint64(si)<<32|rank[ti])
+		}
+	}
+	prober, _ := localjoin.PrepareOnce(localjoin.Auto{}, s.S, s.T, s.Band).(localjoin.RangeProber)
+	if prober == nil {
+		// Empty or tiny samples: the nested loop, nothing to share.
+		var collected []uint64
+		localjoin.Auto{}.Join(s.S, s.T, s.Band, collectInto(&collected))
+		return collected
+	}
+	ns := s.S.Len()
+	lists := make([][]uint64, min(runtime.GOMAXPROCS(0), (ns+probeChunk-1)/probeChunk))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range lists {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Collected through a variable of the goroutine's own, not
+			// &lists[w]: neighbouring slice headers share a cache line.
+			var list []uint64
+			emit := collectInto(&list)
+			for {
+				lo := int(next.Add(probeChunk)) - probeChunk
+				if lo >= ns {
+					break
+				}
+				prober.ProbeRange(s.S, lo, min(lo+probeChunk, ns), emit)
+			}
+			lists[w] = list
+		}()
+	}
+	wg.Wait()
+	return slices.Concat(lists...)
 }
 
 // EstimatedOutput returns the estimated size of the full join output.
