@@ -876,7 +876,8 @@ func (e *Engine) Join(ctx context.Context, sName, tName string, band Band, opts 
 			res.ShuffleEncodeBusy.Microseconds(), res.ShuffleDecodeBusy.Microseconds()))
 	}
 	joinEnd := shuffleEnd.Add(res.JoinWallTime)
-	tr.AddSpan("join", shuffleEnd, joinEnd, fmt.Sprintf("partitions=%d tier=%s", res.Partitions, tr.RetainedTier))
+	tr.AddSpan("join", shuffleEnd, joinEnd, fmt.Sprintf("partitions=%d tier=%s folds=%d fold_us=%d",
+		res.Partitions, tr.RetainedTier, res.Folds, res.FoldTime.Microseconds()))
 	if end.After(joinEnd) {
 		tr.AddSpan("merge", joinEnd, end, "")
 	}
@@ -1020,10 +1021,12 @@ type retainedParts struct {
 	// idempotently, because covered only advances past an absorbed delta.
 	coveredS int
 	coveredT int
-	// dirty marks partitions whose presort order and prepared structure were
-	// invalidated by an absorbed delta (one that grew T; rows appended to S
-	// alone are probed through the structure as it is); they are rebuilt
-	// lazily on the next probe (rebuildDirtyLocked), never at append time.
+	// dirty marks partitions an absorbed delta left behind, to be brought up
+	// to date lazily by the next probe (rebuildDirtyLocked), never at append
+	// time: true where the presort order and the prepared structure were
+	// invalidated (the delta grew T, or the structure pins S), false where the
+	// structure stands and probes the appended S rows as it is, but those rows
+	// have outgrown their share and are due a fold (exec.NeedsFold).
 	dirty map[int]bool
 
 	// bytes is the retained partitions' approximate footprint (key and ID
@@ -1112,7 +1115,11 @@ func (rec *retainedParts) catchUpLocked(ctx context.Context, plan Plan, s, t *Re
 			}
 			if dp.T.Len() == 0 && localjoin.SurvivesSAppend(nextPrep[pid]) {
 				// Only S grew: T, its order and the structure over it stand,
-				// and the structure probes the appended rows too.
+				// and the structure probes the appended rows too — until
+				// there are too many of them.
+				if !rec.dirty[pid] && exec.NeedsFold(next[pid].S, nextPrep[pid]) {
+					rec.dirty[pid] = false
+				}
 				continue
 			}
 		}
@@ -1125,24 +1132,40 @@ func (rec *retainedParts) catchUpLocked(ctx context.Context, plan Plan, s, t *Re
 	return nil
 }
 
-// rebuildDirtyLocked re-sorts the delta-appended partitions and rebuilds their
-// prepared join structures — the lazy half of delta absorption, paid by the
-// first probe after an append rather than by the append. Replacement is
-// copy-on-write, like catchUpLocked. Caller holds rec.mu for writing.
-func (rec *retainedParts) rebuildDirtyLocked(band Band, alg localjoin.Algorithm) {
+// rebuildDirtyLocked brings the delta-appended partitions up to date — the
+// lazy half of delta absorption, paid by the first probe after an append rather
+// than by the append: a full re-sort and a new prepared structure where T grew,
+// a fold of the S side (exec.FoldS, the T-side structure kept) where only the
+// appended S rows were due one. It returns the time spent on each kind and the
+// number of folds. Replacement is copy-on-write, like catchUpLocked: a query
+// probing a snapshot taken before keeps its partition and the structure
+// resolved for it. Caller holds rec.mu for writing.
+func (rec *retainedParts) rebuildDirtyLocked(band Band, alg localjoin.Algorithm) (rebuildTime, foldTime time.Duration, folds int) {
 	next, nextPrep := rec.cloneSlicesLocked(0)
-	for pid := range rec.dirty {
+	for pid, full := range rec.dirty {
 		p := next[pid]
 		if p == nil {
 			continue
 		}
+		if !full {
+			folded := &exec.PartitionInput{T: p.T, TIDs: p.TIDs}
+			var took time.Duration
+			folded.S, folded.SIDs, nextPrep[pid], took = exec.FoldS(p.S, p.SIDs, nextPrep[pid])
+			next[pid] = folded
+			foldTime += took
+			folds++
+			continue
+		}
+		start := time.Now()
 		sorted := p.Presort()
 		next[pid] = sorted
 		nextPrep[pid] = localjoin.Prepare(alg, sorted.S, sorted.T, band)
+		rebuildTime += time.Since(start)
 	}
 	rec.parts, rec.prepared = next, nextPrep
 	rec.dirty = nil
 	rec.bytes.Store(partitionBytes(rec.parts))
+	return rebuildTime, foldTime, folds
 }
 
 func (p *inProcessPlane) workers() int { return 0 }
@@ -1170,7 +1193,8 @@ func (p *inProcessPlane) execute(ctx context.Context, prep *exec.Prepared, s, t 
 	}
 	algName := alg.Name()
 
-	var shuffleTime, absorbTime, rebuildTime time.Duration
+	var shuffleTime, absorbTime, rebuildTime, foldTime time.Duration
+	folds := 0
 	warm := true
 	rec.mu.RLock()
 	for {
@@ -1205,7 +1229,7 @@ func (p *inProcessPlane) execute(ctx context.Context, prep *exec.Prepared, s, t 
 		if rec.prepAlg != algName {
 			// A query switched local-join algorithms on a retained plan:
 			// rebuild the prepared structures once for the new algorithm (the
-			// pattern of the cluster worker's preparedFor). Delta-appended
+			// pattern of the cluster worker's refresh). Delta-appended
 			// partitions are re-sorted first so the prepare sees sorted rows;
 			// both replacements are copy-on-write like catchUpLocked's.
 			next, _ := rec.cloneSlicesLocked(0)
@@ -1220,9 +1244,10 @@ func (p *inProcessPlane) execute(ctx context.Context, prep *exec.Prepared, s, t 
 			rec.prepAlg = algName
 		}
 		if len(rec.dirty) > 0 {
-			start := time.Now()
-			rec.rebuildDirtyLocked(band, alg)
-			rebuildTime += time.Since(start)
+			rebuilt, folded, n := rec.rebuildDirtyLocked(band, alg)
+			rebuildTime += rebuilt
+			foldTime += folded
+			folds += n
 		}
 		rec.mu.Unlock()
 		rec.mu.RLock()
@@ -1237,6 +1262,7 @@ func (p *inProcessPlane) execute(ctx context.Context, prep *exec.Prepared, s, t 
 	res.ShuffleTime = shuffleTime
 	res.DeltaAbsorbTime = absorbTime
 	res.StaleRebuildTime = rebuildTime
+	res.Folds, res.FoldTime = folds, foldTime
 	res.WarmPartitions = warm
 	return res, nil
 }

@@ -215,7 +215,9 @@ func TestEngineAppendTraceShowsLazyRebuild(t *testing.T) {
 // TestEngineAppendToSKeepsPreparedStructures: rows appended to S alone leave
 // every partition's T side, and the join structure built over it, as they
 // were, so the next query rebuilds nothing — on either plane — and still
-// answers like a fresh engine over the grown relation.
+// answers like a fresh engine over the grown relation. The two appends (13 %,
+// then 18 % of S) each outgrow the fold threshold: the queries after them must
+// report a fold, which is not a stale rebuild.
 func TestEngineAppendToSKeepsPreparedStructures(t *testing.T) {
 	fullS, fullT := bandjoin.Pareto(2, 1.5, 4000, 29)
 	band := bandjoin.Uniform(2, 0.05)
@@ -248,6 +250,7 @@ func TestEngineAppendToSKeepsPreparedStructures(t *testing.T) {
 			}
 			before := staleRebuilds(cl)
 			var warm *bandjoin.Result
+			folds := 0
 			for _, cut := range [][2]int{{3000, 3400}, {3400, 4000}} {
 				if err := e.Append(ctx, "s", fullS.Slice("d", cut[0], cut[1])); err != nil {
 					t.Fatalf("Append: %v", err)
@@ -265,6 +268,13 @@ func TestEngineAppendToSKeepsPreparedStructures(t *testing.T) {
 				if after := staleRebuilds(cl); after != before {
 					t.Errorf("workers rebuilt %d prepared structures after an append to S, want 0", after-before)
 				}
+				if (warm.Folds > 0) != (warm.FoldTime > 0) {
+					t.Errorf("query reports %d folds taking %v", warm.Folds, warm.FoldTime)
+				}
+				folds += warm.Folds
+			}
+			if folds == 0 {
+				t.Errorf("no fold reported after appending a third of S")
 			}
 
 			fresh := newEngine(bandjoin.EngineOptions{})

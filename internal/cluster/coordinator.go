@@ -1494,6 +1494,10 @@ func (c *Coordinator) aggregate(joined []slotJoin, opts Options, s, t *data.Rela
 			res.WorkerOutput[sj.slot] += ps.Output
 			res.Output += ps.Output
 			res.StaleRebuildTime += time.Duration(ps.RebuildNanos)
+			if ps.FoldNanos > 0 {
+				res.Folds++
+				res.FoldTime += time.Duration(ps.FoldNanos)
+			}
 			workerBusy[sj.slot] += time.Duration(ps.JoinNanos)
 			if opts.CollectPairs {
 				for i := range ps.PairS {

@@ -174,6 +174,11 @@ type PartitionStats struct {
 	// partition's prepared join structure after delta appends invalidated it
 	// (zero when the sealed structure was still fresh).
 	RebuildNanos int64
+	// FoldNanos is the time this probe spent folding the partition's appended
+	// S rows into its sorted order and resolved cell lists (exec.FoldS; zero
+	// when no fold was due). A fold keeps the T-side structure, so it is no
+	// rebuild and is not part of RebuildNanos.
+	FoldNanos int64
 	// PairS/PairT are parallel slices of result pairs when requested.
 	PairS []int64
 	PairT []int64
@@ -280,12 +285,15 @@ type StatsReply struct {
 	DecodeNanos  int64
 	LoadRejected int64
 	// Delta path: incremental appends into sealed retained plans
-	// (LoadArgs.Delta) and the lazy rebuilds of prepared join structures they
-	// invalidated.
+	// (LoadArgs.Delta), the lazy rebuilds of prepared join structures they
+	// invalidated (T-side appends), and the folds of appended S rows into
+	// structures that were kept.
 	DeltaLoads        int64
 	DeltaTuples       int64
 	StaleRebuilds     int64
 	StaleRebuildNanos int64
+	Folds             int64
+	FoldNanos         int64
 
 	// Join path. Morsels/MorselSteals/StragglerRatio are the morsel
 	// scheduler's skew accounting: probe-side morsels executed, morsels run

@@ -108,6 +108,7 @@ type workerMetrics struct {
 	deltaLoads    *obs.Counter
 	deltaTuples   *obs.Counter
 	staleRebuilds *obs.Counter
+	folds         *obs.Counter
 
 	joinRPCs         *obs.Counter
 	partitionsJoined *obs.Counter
@@ -125,6 +126,7 @@ type workerMetrics struct {
 	partitionJoinSeconds *obs.Histogram
 	loadChunkBytes       *obs.Histogram
 	staleRebuildSeconds  *obs.Histogram
+	foldSeconds          *obs.Histogram
 	decodeSeconds        *obs.Histogram
 }
 
@@ -141,6 +143,7 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 		deltaLoads:       reg.Counter("bandjoin_worker_delta_loads_total", "Delta Load RPCs appended into sealed retained plans."),
 		deltaTuples:      reg.Counter("bandjoin_worker_delta_tuples_total", "Tuples appended into sealed retained plans via delta Loads."),
 		staleRebuilds:    reg.Counter("bandjoin_worker_stale_rebuilds_total", "Prepared join structures rebuilt lazily after delta invalidation."),
+		folds:            reg.Counter("bandjoin_worker_folds_total", "Retained partitions whose appended S rows were folded into dim-0 order and given resolved cell lists (T-side structure kept)."),
 		joinRPCs:         reg.Counter("bandjoin_worker_join_rpcs_total", "Join RPCs served."),
 		partitionsJoined: reg.Counter("bandjoin_worker_partitions_joined_total", "Partition-level local joins executed."),
 		pairsEmitted:     reg.Counter("bandjoin_worker_pairs_emitted_total", "Result pairs produced by local joins."),
@@ -158,6 +161,8 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 			"Per-Load payload size (keys+IDs).", obs.ByteBuckets()),
 		staleRebuildSeconds: reg.Histogram("bandjoin_worker_stale_rebuild_seconds",
 			"Per-partition lazy prepared-structure rebuild latency.", obs.LatencyBuckets()),
+		foldSeconds: reg.Histogram("bandjoin_worker_fold_seconds",
+			"Per-partition S-side fold latency.", obs.LatencyBuckets()),
 		decodeSeconds: reg.Histogram("bandjoin_worker_decode_seconds",
 			"Per-Load columnar chunk decode latency (wire bytes to partition arenas).", obs.LatencyBuckets()),
 	}
@@ -186,6 +191,18 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 		return 0
 	})
 	return m
+}
+
+// observeRefresh records what one partitionData.refresh did.
+func (m *workerMetrics) observeRefresh(rebuildNanos, foldNanos int64) {
+	if rebuildNanos > 0 {
+		m.staleRebuilds.Inc()
+		m.staleRebuildSeconds.Observe(float64(rebuildNanos) / 1e9)
+	}
+	if foldNanos > 0 {
+		m.folds.Inc()
+		m.foldSeconds.Observe(float64(foldNanos) / 1e9)
+	}
 }
 
 // Metrics returns the worker's metrics registry (what recpartd serves behind
@@ -321,34 +338,58 @@ func prepKeyFor(alg localjoin.Algorithm, band data.Band) string {
 	return fmt.Sprintf("%s|%v|%v", alg.Name(), band.Low, band.High)
 }
 
-// preparedFor returns the cached prepared join for (alg, band), building and
-// caching it on miss, and reports the nanoseconds the rebuild took (zero on a
-// cache hit). A miss happens when a query asks for a different algorithm than
-// the plan was sealed with, or when a delta append to the T side invalidated
-// the sealed structure (Load clears prepKey; an append to S alone keeps it,
-// see localjoin.SurvivesSAppend); either way localjoin.Prepare sorts its
-// inputs internally, so rebuilding over unsorted appended tails is correct. A
-// nil prepared return means the algorithm has no prepared form; callers run
-// the plain per-query join.
-func (p *partitionData) preparedFor(alg localjoin.Algorithm, band data.Band) (localjoin.PreparedT, int64) {
+// refresh brings a retained partition's prepared join up to date for (alg,
+// band) before a probe, and reports the nanoseconds of whichever of two things
+// that took (both zero when the cached structure was current):
+//
+//   - a rebuild, when the query asks for a different algorithm than the plan
+//     was sealed with, or a delta append to the T side invalidated the sealed
+//     structure (Load clears prepKey; an append to S alone keeps it unless the
+//     structure pins S, see localjoin.SurvivesSAppend). localjoin.Prepare is
+//     correct over inputs in any order — the ε-grid does not sort them, the
+//     sorted scans sort copies — so rebuilding over an unsorted appended tail
+//     is too;
+//   - a fold (exec.FoldS), when the structure stands but the rows appended to
+//     S since the seal or the last fold have outgrown their share: S and its
+//     IDs are re-sorted and the structure gets lists for all of S, the T side
+//     untouched. s, sIDs and prepared are replaced together under the write
+//     lock, and a join reads all three under the read lock it holds while it
+//     probes (see probeSetup): the lists are positional, a structure resolved
+//     for one S order must never meet another.
+//
+// The structure itself is fetched afterwards, under the join's read lock.
+func (p *partitionData) refresh(alg localjoin.Algorithm, band data.Band) (rebuildNanos, foldNanos int64) {
 	key := prepKeyFor(alg, band)
 	p.mu.RLock()
-	if p.prepKey == key {
-		prep := p.prepared
-		p.mu.RUnlock()
-		return prep, 0
-	}
+	current := p.prepKey == key && !exec.NeedsFold(p.s, p.prepared)
 	p.mu.RUnlock()
+	if current {
+		return 0, 0
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var rebuildNanos int64
 	if p.prepKey != key {
 		start := time.Now()
 		p.prepared = localjoin.Prepare(alg, p.s, p.t, band)
 		p.prepKey = key
 		rebuildNanos = time.Since(start).Nanoseconds()
+	} else if exec.NeedsFold(p.s, p.prepared) {
+		var took time.Duration
+		p.s, p.sIDs, p.prepared, took = exec.FoldS(p.s, p.sIDs, p.prepared)
+		foldNanos = took.Nanoseconds()
 	}
-	return p.prepared, rebuildNanos
+	return rebuildNanos, foldNanos
+}
+
+// preparedLocked returns the partition's prepared join if it is the one for
+// (alg, band), else nil (a T-side delta landed since refresh; the join builds
+// or sorts for itself, as for a transient partition). Caller holds p.mu, and
+// keeps holding it while it probes the structure with p.s.
+func (p *partitionData) preparedLocked(alg localjoin.Algorithm, band data.Band) localjoin.PreparedT {
+	if p.prepKey != prepKeyFor(alg, band) {
+		return nil
+	}
+	return p.prepared
 }
 
 // NewWorker returns a worker service with the given display name.
@@ -572,8 +613,9 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 	if args.Delta {
 		// Rows appended to T are missing from any prebuilt join structure:
 		// invalidate it under the write lock already held; the next probe's
-		// preparedFor rebuilds lazily. Rows appended to S leave T and its
-		// structure as they were, and the structure probes them too.
+		// refresh rebuilds lazily. Rows appended to S leave T and its
+		// structure as they were, and the structure probes them too (refresh
+		// folds them in once they outgrow their share).
 		if args.Side == "T" || !localjoin.SurvivesSAppend(p.prepared) {
 			p.prepKey = ""
 			p.prepared = nil
@@ -739,7 +781,7 @@ func (w *Worker) completeMarker(args *LoadArgs) error {
 
 // spawnPrepare launches the background prepare for a partition whose shipment
 // is complete. Unlike Seal it does not presort: localjoin.Prepare is
-// self-contained over unsorted inputs (preparedFor relies on the same
+// self-contained over unsorted inputs (refresh relies on the same
 // property), and keeping arrival order means the probe emits pairs in the
 // exact order a plain per-query join would. The goroutine joins the worker's
 // inflight group so Drain waits for it; p.preparing was claimed by the caller
@@ -874,13 +916,10 @@ func (w *Worker) joinPartition(alg localjoin.Algorithm, pid int, p *partitionDat
 	w.m.joinInflight.Add(1)
 	defer w.m.joinInflight.Add(-1)
 	var prep localjoin.PreparedT
-	var rebuildNanos int64
+	var rebuildNanos, foldNanos int64
 	if retained {
-		prep, rebuildNanos = p.preparedFor(alg, args.Band)
-		if rebuildNanos > 0 {
-			w.m.staleRebuilds.Inc()
-			w.m.staleRebuildSeconds.Observe(float64(rebuildNanos) / 1e9)
-		}
+		rebuildNanos, foldNanos = p.refresh(alg, args.Band)
+		w.m.observeRefresh(rebuildNanos, foldNanos)
 	}
 	if !retained {
 		// Pipelined-join handoff. If the background build finished (or is
@@ -902,8 +941,11 @@ func (w *Worker) joinPartition(alg localjoin.Algorithm, pid int, p *partitionDat
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
+	if retained {
+		prep = p.preparedLocked(alg, args.Band)
+	}
 	start := time.Now()
-	stats := PartitionStats{Partition: pid, InputS: p.s.Len(), InputT: p.t.Len(), RebuildNanos: rebuildNanos}
+	stats := PartitionStats{Partition: pid, InputS: p.s.Len(), InputT: p.t.Len(), RebuildNanos: rebuildNanos, FoldNanos: foldNanos}
 	var emit localjoin.Emit
 	if args.CollectPairs {
 		emit = func(si, ti int, _, _ []float64) {
@@ -933,6 +975,7 @@ type joinTask struct {
 type morselTaskState struct {
 	prep         localjoin.PreparedT
 	rebuildNanos int64
+	foldNanos    int64
 	buildNanos   int64
 }
 
@@ -964,11 +1007,8 @@ func (w *Worker) joinTasksMorsels(alg localjoin.Algorithm, tasks []joinTask, arg
 			st := &states[i]
 			p := tasks[i].p
 			if args.Retained {
-				st.prep, st.rebuildNanos = p.preparedFor(alg, args.Band)
-				if st.rebuildNanos > 0 {
-					w.m.staleRebuilds.Inc()
-					w.m.staleRebuildSeconds.Observe(float64(st.rebuildNanos) / 1e9)
-				}
+				st.rebuildNanos, st.foldNanos = p.refresh(alg, args.Band)
+				w.m.observeRefresh(st.rebuildNanos, st.foldNanos)
 			} else {
 				// Pipelined-join handoff, as in joinPartition: adopt a finished
 				// background build, cancel a queued one.
@@ -992,6 +1032,9 @@ func (w *Worker) joinTasksMorsels(alg localjoin.Algorithm, tasks []joinTask, arg
 	// acquisition order lets two Joins wait on each other's partitions.
 	for i := range tasks {
 		tasks[i].p.mu.RLock()
+		if args.Retained {
+			states[i].prep = tasks[i].p.preparedLocked(alg, args.Band)
+		}
 	}
 	defer func() {
 		for i := range tasks {
@@ -1067,6 +1110,7 @@ func (w *Worker) joinTasksMorsels(alg localjoin.Algorithm, tasks []joinTask, arg
 			Output:       jres[i].Count,
 			JoinNanos:    jres[i].Nanos + states[i].buildNanos,
 			RebuildNanos: states[i].rebuildNanos,
+			FoldNanos:    states[i].foldNanos,
 		}
 		if args.CollectPairs {
 			st.PairS = make([]int64, len(jres[i].SIdx))
@@ -1286,6 +1330,8 @@ func (w *Worker) Stats(_ *StatsArgs, reply *StatsReply) error {
 	reply.DeltaTuples = m.deltaTuples.Value()
 	reply.StaleRebuilds = m.staleRebuilds.Value()
 	reply.StaleRebuildNanos = int64(m.staleRebuildSeconds.Sum() * 1e9)
+	reply.Folds = m.folds.Value()
+	reply.FoldNanos = int64(m.foldSeconds.Sum() * 1e9)
 	reply.JoinRPCs = m.joinRPCs.Value()
 	reply.PartitionsJoined = m.partitionsJoined.Value()
 	reply.PairsEmitted = m.pairsEmitted.Value()

@@ -155,6 +155,12 @@ type Result struct {
 	// query after an append and is zero afterwards.
 	DeltaAbsorbTime  time.Duration
 	StaleRebuildTime time.Duration
+	// Folds counts the retained partitions whose appended S rows this query
+	// folded into their sorted order and resolved cell lists (FoldS), and
+	// FoldTime sums what that took across partitions. A fold keeps the T-side
+	// structure: it is no stale rebuild and no part of StaleRebuildTime.
+	Folds    int
+	FoldTime time.Duration
 
 	// Morsel-scheduler accounting (see morsel.go): morsels executed, morsels
 	// run by a worker other than their partition's first claimer, and the

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 
 	"bandjoin/internal/data"
@@ -45,40 +44,47 @@ type PartitionInput struct {
 // Tuples returns the partition's input size |S_p| + |T_p|.
 func (p *PartitionInput) Tuples() int { return p.S.Len() + p.T.Len() }
 
-// Presort reorders the partition's rows into ascending dim-0 key order (ties
-// kept in row order), returning a new PartitionInput that owns its storage.
-// Every sort-based local join algorithm begins by sorting its inputs on the
-// first join attribute; retained partitions are presorted once at retention
-// time so each warm query's internal sort finds already-sorted input and
-// degenerates to a linear scan — the registry's analogue of an index built at
-// load time. The result set is unchanged (joins are order-independent, and
-// tuple IDs travel with their rows).
+// Presort reorders the partition's rows into ascending dim-0 key order (NaN
+// last, ties kept in row order), returning a new PartitionInput that owns its
+// storage. Retained partitions are presorted once at retention time — the
+// registry's analogue of an index built at load time. The sort-based local
+// joins begin by sorting their inputs on the first join attribute and find
+// them sorted. The ε-grid sorts nothing, and gains more: it probes S in row
+// order and numbers T's cells in first-seen order, so over presorted sides
+// consecutive probes walk neighbouring cells whose rows lie next to each other
+// in memory (the serving workload's warm op reads 0.15 s sealed this way,
+// 0.27 s sealed unsorted; DESIGN.md, "Folding the appended tail"). The result
+// set is unchanged (joins are order-independent, and tuple IDs travel with
+// their rows).
 func (p *PartitionInput) Presort() *PartitionInput {
-	s, sIDs := sortByDim0(p.S, p.SIDs)
-	t, tIDs := sortByDim0(p.T, p.TIDs)
+	s, sIDs := sortByDim0(p.S, p.SIDs, 0)
+	t, tIDs := sortByDim0(p.T, p.TIDs, 0)
 	return &PartitionInput{S: s, SIDs: sIDs, T: t, TIDs: tIDs}
 }
 
 // sortByDim0 returns the relation's rows (and their parallel tuple IDs)
-// reordered by ascending first-dimension key, stably.
-func sortByDim0(rel *data.Relation, ids []int64) (*data.Relation, []int64) {
+// reordered by ascending first-dimension key, NaN last, stably, in storage of
+// their own with room for spare more rows.
+func sortByDim0(rel *data.Relation, ids []int64, spare int) (*data.Relation, []int64) {
 	n := rel.Len()
 	if n < 2 {
 		return rel, ids
 	}
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		return rel.KeyAt(int(perm[a]), 0) < rel.KeyAt(int(perm[b]), 0)
-	})
 	dims := rel.Dims()
-	keys := make([]float64, n*dims)
-	outIDs := make([]int64, n)
-	for row, src := range perm {
-		copy(keys[row*dims:(row+1)*dims], rel.Key(int(src)))
-		outIDs[row] = ids[src]
+	src := rel.KeysRange(0, n)
+	keys := make([]float64, n*dims, (n+spare)*dims)
+	// The output's own first n values stage the dim-0 column for the argsort;
+	// the gather below overwrites them.
+	col := keys[:n]
+	for i := range col {
+		col[i] = src[i*dims]
+	}
+	perm := make([]int32, n)
+	data.Argsort(col, perm)
+	outIDs := make([]int64, n, n+spare)
+	for row, from := range perm {
+		copy(keys[row*dims:(row+1)*dims], src[int(from)*dims:(int(from)+1)*dims])
+		outIDs[row] = ids[from]
 	}
 	return data.NewRelationFromKeys(rel.Name(), dims, keys), outIDs
 }

@@ -201,6 +201,21 @@ func checkExactlyOnce(t *testing.T, what string, got []idxPair, want map[idxPair
 // or `<=` → `<` in the hoisted comparison, dropping either half of its AND,
 // reading a lower end where the upper belongs (b[d] for b[maxGridDims+d]) or
 // the reverse, and skipping matchesFrom(…, kc).
+//
+// A dense cell's rows are tested only on the dimensions denseRange reports
+// open. The table must reach, with a non-empty range, a cell with none open
+// (counted or emitted as it stands), one open with rows of the range on both
+// sides of the outcome — for d = 2, where the order dimension is the grid's
+// last, and for k = d = 3 — and several open; the walk at the end of each
+// heavy case records them through denseRange itself, and both modes run on
+// every case. Hand mutations killed: an open dimension treated as settled
+// (denseRange returning noneOpen for one open, or the one-open loop adding
+// every row), a settled one as open (denseRange always reporting several: the
+// none-open and one-open cases are then never reached), the wrong dimension
+// tested (vals offset by another dimension; the order dimension instead of the
+// open one), the none-open range emitted back to front (emission order inside
+// a cell is checked against the cell's stored order), and NaN in the box
+// ignored (the box test written so that NaN passes it).
 func TestEpsGridAgainstDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := []string{"symmetric", "asymmetric", "one-sided", "zero-dim0", "zero-last", "tiny"}
@@ -249,6 +264,10 @@ func TestEpsGridAgainstDefinition(t *testing.T) {
 							}
 						}
 					}
+					recordOpenDimensions(&g, s, built)
+					var got []idxPair
+					EpsGrid{}.Join(s, tt, band, emitInto(&got))
+					checkCellOrder(t, name, &g, got)
 				}
 
 				for _, alg := range []RangeJoiner{EpsGrid{}, Auto{}} {
@@ -303,6 +322,78 @@ func TestEpsGridAgainstDefinition(t *testing.T) {
 		"S key NaN on a grid dimension", "S key +Inf on a grid dimension", "S key -Inf on a grid dimension"} {
 		if !built[c] {
 			t.Errorf("no case with %s; the branch-free verification is not exercised there", c)
+		}
+	}
+	for _, c := range []string{"none open", "one open decides, d = 2", "one open decides, k = d = 3", "several open",
+		"NaN in the box of a non-empty range"} {
+		if !built[c] {
+			t.Errorf("no dense cell range with %s; that path of the open-dimension scan is not exercised", c)
+		}
+	}
+}
+
+// recordOpenDimensions walks every S row's dense cells as scanCells does and
+// records in built which reports of denseRange come with a non-empty range.
+func recordOpenDimensions(g *gridState, s *data.Relation, built map[string]bool) {
+	d := g.dims
+	for i := 0; i < s.Len(); i++ {
+		sk := s.Key(i)
+		for _, id := range g.appendCells(nil, sk) {
+			lo, hi := int(g.starts[id]), int(g.starts[id+1])
+			if hi-lo < denseCell {
+				continue
+			}
+			lo, hi, open := g.denseRange(id, lo, hi, sk)
+			if lo == hi {
+				continue
+			}
+			box := g.box[int(g.boxOf[id])*2*d:][:2*d]
+			for _, v := range box {
+				if v != v {
+					built["NaN in the box of a non-empty range"] = true
+				}
+			}
+			switch {
+			case open == noneOpen:
+				built["none open"] = true
+			case open == d:
+				built["several open"] = true
+			default:
+				if open == g.odim {
+					panic("denseRange reports the order dimension open")
+				}
+				in, out := false, false
+				for pos := lo; pos < hi; pos++ {
+					if g.band.MatchesDim(open, sk[open], g.rows[pos*d+open]) {
+						in = true
+					} else {
+						out = true
+					}
+				}
+				if in && out && d == 2 {
+					built["one open decides, d = 2"] = true
+				}
+				if in && out && d == 3 && g.k == 3 {
+					built["one open decides, k = d = 3"] = true
+				}
+			}
+		}
+	}
+}
+
+// checkCellOrder fails unless the matches of one S row that share a cell were
+// emitted in the cell's stored order: input order in a sparse cell,
+// order-dimension order in a dense one.
+func checkCellOrder(t *testing.T, name string, g *gridState, got []idxPair) {
+	t.Helper()
+	posOf := make([]int, len(g.perm))
+	for pos, ti := range g.perm {
+		posOf[ti] = pos
+	}
+	for n := 1; n < len(got); n++ {
+		prev, cur := got[n-1], got[n]
+		if prev.s == cur.s && g.cellOf[prev.t] == g.cellOf[cur.t] && posOf[cur.t] <= posOf[prev.t] {
+			t.Fatalf("%s: S row %d: T rows %d and %d of one cell emitted against the cell's order", name, cur.s, prev.t, cur.t)
 		}
 	}
 }

@@ -348,7 +348,8 @@ func (g *gridState) appendCells(dst []int32, sk []float64) []int32 {
 }
 
 // scanCells verifies S-tuple i against the T-tuples of the given cells, on all
-// dimensions; a dense cell is narrowed by denseRange first.
+// dimensions; a dense cell goes through scanDense first, which leaves it only
+// the rows it could not settle on fewer.
 //
 // A candidate in a walked cell passes a grid dimension about two times in
 // three (the walk covers three cell widths, the band two), so a jump on that
@@ -375,11 +376,9 @@ func (g *gridState) scanCells(cells []int32, i int, sk []float64, emit Emit) int
 	for _, id := range cells {
 		lo, hi := int(g.starts[id]), int(g.starts[id+1])
 		if hi-lo >= denseCell {
-			var inside bool
-			if lo, hi, inside = g.denseRange(id, lo, hi, sk); inside && emit == nil {
-				count += int64(hi - lo)
-				continue
-			}
+			var matched int64
+			lo, hi, matched = g.scanDense(id, lo, hi, i, sk, emit)
+			count += matched
 		}
 		for pos := lo; pos < hi; pos++ {
 			row := g.rows[pos*dims : (pos+1)*dims]
@@ -413,24 +412,73 @@ func b2i(v bool) int64 {
 	return 0
 }
 
+// scanDense narrows dense cell id, rows [lo, hi), by denseRange and tests what
+// is left on the dimensions that reports open. With none open every row of the
+// range matches: it is counted, or emitted, as it stands. With one open that
+// dimension alone decides, and as in scanCells the outcome is added, not jumped
+// on, unless pairs are emitted. In both cases it returns the matches and an
+// empty range; with several open it returns no matches and the narrowed range,
+// for scanCells to verify like a sparse cell's.
+func (g *gridState) scanDense(id int32, lo, hi, i int, sk []float64, emit Emit) (int, int, int64) {
+	dims := g.dims
+	lo, hi, open := g.denseRange(id, lo, hi, sk)
+	if lo == hi || open == dims {
+		return lo, hi, 0
+	}
+	if open == noneOpen {
+		if emit != nil {
+			for pos := lo; pos < hi; pos++ {
+				emit(i, int(g.perm[pos]), sk, g.rows[pos*dims:(pos+1)*dims])
+			}
+		}
+		return hi, hi, int64(hi - lo)
+	}
+	var count int64
+	vals := g.rows[lo*dims+open : hi*dims]
+	vlo, vhi := sk[open]-g.band.Low[open], sk[open]+g.band.High[open]
+	if emit == nil {
+		for at := 0; at < len(vals); at += dims {
+			count += b2i(vals[at] >= vlo) & b2i(vals[at] <= vhi)
+		}
+		return hi, hi, count
+	}
+	for pos := lo; pos < hi; pos++ {
+		if v := vals[(pos-lo)*dims]; v >= vlo && v <= vhi {
+			count++
+			emit(i, int(g.perm[pos]), sk, g.rows[pos*dims:(pos+1)*dims])
+		}
+	}
+	return hi, hi, count
+}
+
+// noneOpen is denseRange's report that no dimension is left to test.
+const noneOpen = -1
+
 // denseRange narrows dense cell id, rows [lo, hi), to the rows inside sk's
 // band on the order dimension, by two binary searches with the predicate's own
-// comparisons (so boundary, NaN and ±Inf behaviour are the predicate's). It
-// also reports whether the cell's box lies inside the band on every other
-// dimension, in which case all of those rows match: the condition holds for a
-// cell's minimum and maximum exactly when it holds for every row between them.
-func (g *gridState) denseRange(id int32, lo, hi int, sk []float64) (int, int, bool) {
+// comparisons (so boundary, NaN and ±Inf behaviour are the predicate's): that
+// dimension is settled for every row it returns. Any other dimension is
+// settled too where the cell's box lies inside the band — the condition holds
+// for a cell's minimum and maximum exactly when it holds for every row between
+// them, and a NaN in the box or in sk fails it. The third result is what is
+// left open: noneOpen (all of the rows match), the one open dimension, or dims
+// when there are several.
+func (g *gridState) denseRange(id int32, lo, hi int, sk []float64) (int, int, int) {
 	dims, od := g.dims, g.odim
 	keys := g.rows[lo*dims+od:] // every dims-th value is an order-dimension key of the cell
 	hi = lo + searchRowsGT(keys, dims, hi-lo, sk[od]+g.band.High[od])
 	lo += searchRowsGE(keys, dims, hi-lo, sk[od]-g.band.Low[od])
 	box := g.box[int(g.boxOf[id])*2*dims:]
+	open := noneOpen
 	for d := 0; d < dims; d++ {
 		if d != od && !(box[d] >= sk[d]-g.band.Low[d] && box[dims+d] <= sk[d]+g.band.High[d]) {
-			return lo, hi, false
+			if open != noneOpen {
+				return lo, hi, dims
+			}
+			open = d
 		}
 	}
-	return lo, hi, true
+	return lo, hi, open
 }
 
 // probeRange joins S indices [sLo, sHi) against the grid. Each S-tuple's cell

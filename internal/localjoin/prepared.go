@@ -1,7 +1,9 @@
 package localjoin
 
 import (
+	"runtime"
 	"slices"
+	"sync"
 
 	"bandjoin/internal/data"
 )
@@ -22,8 +24,12 @@ import (
 // without them. So a retained partition keeps its PreparedT across S-side
 // delta appends (unless SurvivesSAppend says the structure pins S as well) and
 // drops it when T grows; the worker or engine then rebuilds from the grown
-// partition on the next probe. A PreparedT is immutable after Prepare and safe
-// for concurrent Probe calls.
+// partition on the next probe. The shortcuts are positional — row i's belong
+// to the i-th row of that S — so an S in another order needs the structure
+// ResolveS makes for it, over the same T side; that is how a retained partition
+// folds its appended rows back into sorted order once UnresolvedS says there
+// are many of them (exec.FoldS). A PreparedT is immutable after Prepare and
+// safe for concurrent Probe calls.
 type PreparedT interface {
 	// Probe joins s against the prepared structure, invoking emit (if
 	// non-nil) per matching pair, and returns the number of result pairs.
@@ -83,7 +89,7 @@ func prepare(alg Algorithm, s, t *data.Relation, band data.Band, resolveS bool) 
 		p := &preparedEpsGrid{}
 		p.g.build(t, band)
 		if resolveS {
-			p.resolveCells(s)
+			p.resolveCells(s, 1)
 		}
 		return p
 	case SortProbe:
@@ -136,23 +142,94 @@ type preparedEpsGrid struct {
 	sCells  []int32
 }
 
-// resolveCells records, for every S-tuple, the ids of the existing
-// cells its band region intersects, in the exact order the plain probe
-// visits them, so the emission order is unchanged.
-func (p *preparedEpsGrid) resolveCells(s *data.Relation) {
+// resolveMinRows is the least number of S rows worth a goroutine of their own
+// in resolveCells.
+const resolveMinRows = 4096
+
+// resolveCells records, for every S-tuple, the ids of the existing cells its
+// band region intersects, in the exact order the plain probe visits them, so
+// the emission order is unchanged. Rows are independent: contiguous ranges of S
+// are resolved on up to workers goroutines and their lists concatenated in
+// range order, which gives the lists of one serial pass bit for bit. Prepare
+// passes 1 — its callers already prepare partitions side by side, and on busy
+// cores the concatenation is a copy for nothing (+4 % localjoin.prepare_s on
+// the cold in-process workload); a fold, which may be the only one running,
+// passes GOMAXPROCS.
+func (p *preparedEpsGrid) resolveCells(s *data.Relation, workers int) {
 	ns := s.Len()
 	p.sStarts = make([]int32, ns+1)
-	p.sCells = make([]int32, 0, ns)
-	for i := 0; i < ns; i++ {
-		if n := len(p.sCells); i > 0 && cap(p.sCells)-n < maxWalkCells {
+	lists := make([][]int32, max(1, min(workers, ns/resolveMinRows)))
+	bound := func(w int) int { return w * ns / len(lists) }
+	var wg sync.WaitGroup
+	for w := range lists {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lists[w] = p.resolveRange(s, bound(w), bound(w+1))
+		}()
+	}
+	wg.Wait()
+	if len(lists) == 1 {
+		p.sCells = lists[0]
+		return
+	}
+	total := 0
+	for _, list := range lists {
+		total += len(list)
+	}
+	p.sCells = make([]int32, 0, total)
+	for w, list := range lists {
+		// resolveRange counted from the start of its own list.
+		base := int32(len(p.sCells))
+		for i := bound(w); i < bound(w+1); i++ {
+			p.sStarts[i+1] += base
+		}
+		p.sCells = append(p.sCells, list...)
+	}
+}
+
+// resolveRange returns the concatenated cell lists of S rows [lo, hi) and
+// records in sStarts[i+1] where row i's list ends in it.
+func (p *preparedEpsGrid) resolveRange(s *data.Relation, lo, hi int) []int32 {
+	cells := make([]int32, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		if n := len(cells); i > lo && cap(cells)-n < maxWalkCells {
 			// Out of room for a full walk: grow once to the size the rows
 			// so far predict. Growing by append's steps copied the list
 			// several times over, a fifth of a large partition's Prepare.
-			p.sCells = slices.Grow(p.sCells, n/i*(ns-i)+n/8+maxWalkCells)
+			cells = slices.Grow(cells, n/(i-lo)*(hi-i)+n/8+maxWalkCells)
 		}
-		p.sCells = p.g.appendCells(p.sCells, s.Key(i))
-		p.sStarts[i+1] = int32(len(p.sCells))
+		cells = p.g.appendCells(cells, s.Key(i))
+		p.sStarts[i+1] = int32(len(cells))
 	}
+	return cells
+}
+
+// UnresolvedS returns how many rows at the end of s the structure p would
+// probe without a per-row shortcut: the rows appended to s since p was prepared
+// or made by ResolveS. It is 0 for a structure that keeps no per-row state of
+// S; there an appended row is probed like any other.
+func UnresolvedS(p PreparedT, s *data.Relation) int {
+	if g, ok := p.(*preparedEpsGrid); ok {
+		return s.Len() - max(len(g.sStarts)-1, 0)
+	}
+	return 0
+}
+
+// ResolveS returns a structure over the T side p was built on — shared with p,
+// which stays valid for the S it was handed — whose per-row shortcuts are
+// those of Prepare for s: every row resolved, none left to the hash-lookup
+// path. s may be any S side for p's T and band, in any order; a retained
+// partition hands it the S it has re-sorted, appended rows included. Nothing of
+// T is read or rebuilt. It returns p itself when p keeps no per-row state.
+func ResolveS(p PreparedT, s *data.Relation) PreparedT {
+	old, ok := p.(*preparedEpsGrid)
+	if !ok {
+		return p
+	}
+	fresh := &preparedEpsGrid{g: old.g}
+	fresh.resolveCells(s, runtime.GOMAXPROCS(0))
+	return fresh
 }
 
 func (p *preparedEpsGrid) Probe(s *data.Relation, emit Emit) int64 {
