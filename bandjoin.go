@@ -141,18 +141,6 @@ type Options struct {
 	// ClusterJoinParallelism bounds the number of partition joins each worker
 	// runs concurrently (default: the worker's GOMAXPROCS).
 	ClusterJoinParallelism int
-	// ClusterSerial selects the serial reference data plane (tuple-at-a-time
-	// routing, blocking per-chunk RPCs, sequential worker joins) — the
-	// correctness oracle and benchmark baseline — instead of the pipelined
-	// streaming plane.
-	ClusterSerial bool
-	// ClusterCompression selects the streaming shuffle's wire encoding:
-	// "auto" (default; columnar chunks whose fixed-decimal key columns and ID
-	// column are bit-packed, everything else shipped raw) or "off" (the v1
-	// row-major packed plane, retained as the tests' reference). Workers that
-	// have not negotiated the current wire format fall back to v1
-	// automatically.
-	ClusterCompression string
 
 	// The drift knobs govern when an Engine replaces a cached plan whose
 	// quality degraded under Engine.Append. Both are off (0) by default:

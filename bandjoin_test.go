@@ -1,6 +1,8 @@
 package bandjoin_test
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -214,5 +216,33 @@ func TestAsymmetricPublicAPI(t *testing.T) {
 	}
 	if len(res.Pairs) != 2 {
 		t.Errorf("CollectPairs returned %d pairs", len(res.Pairs))
+	}
+}
+
+// TestOptionsSurface pins the exported fields of the three option structs, so
+// that a new knob is a deliberate diff here: each one multiplies the
+// configurations the tests and the benchmark have to cover.
+func TestOptionsSurface(t *testing.T) {
+	for _, c := range []struct {
+		opts any
+		want []string
+	}{
+		{bandjoin.Options{}, []string{
+			"Workers", "Partitioner", "LocalAlgorithm", "Model", "InputSampleSize", "OutputSampleSize",
+			"CollectPairs", "EstimateOnly", "MorselRows", "PlannerParallelism", "Seed",
+			"ClusterChunkSize", "ClusterWindow", "ClusterJoinParallelism", "MaxPlanDrift", "MaxDeltaFraction"}},
+		{bandjoin.RecPartOptions{}, []string{"Symmetric", "Theoretical", "MaxIterations", "Seed", "PlannerParallelism"}},
+		{bandjoin.EngineOptions{}, []string{"DisableRetention"}},
+	} {
+		typ := reflect.TypeOf(c.opts)
+		var got []string
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%v has fields\n%v, pinned are\n%v", typ, got, c.want)
+		}
 	}
 }

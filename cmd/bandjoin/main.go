@@ -66,16 +66,13 @@ func main() {
 		clusterChunk   = flag.Int("cluster-chunk", 0, "tuples per Load RPC on cluster runs (default 4096)")
 		clusterWindow  = flag.Int("cluster-window", 0, "max in-flight Load RPCs per worker on cluster runs (default 4)")
 		clusterJoinPar = flag.Int("cluster-join-parallelism", 0, "partition joins each worker runs concurrently (default: worker GOMAXPROCS)")
-		clusterSerial  = flag.Bool("cluster-serial", false, "use the serial reference data plane instead of the pipelined streaming shuffle")
-		clusterComp    = flag.String("cluster-compression", "", "streaming shuffle wire encoding: auto (default; columnar chunks) or off (v1 row-major chunks)")
 
 		clusterMinWorkers  = flag.Int("cluster-min-workers", 0, "start the coordinator as long as this many workers are reachable; the rest join via the heartbeat (default: all must be reachable)")
 		clusterCallTimeout = flag.Duration("cluster-call-timeout", 0, "per-attempt deadline of control-plane RPCs (default 15s, negative disables)")
 		clusterJoinTimeout = flag.Duration("cluster-join-timeout", 0, "per-attempt deadline of Join RPCs (default 2m, negative disables)")
 		clusterRetries     = flag.Int("cluster-retries", 0, "transport-error retries per idempotent RPC before failover (default 3, negative disables)")
 
-		plannerPar    = flag.Int("planner-parallelism", 0, "worker pool bound of RecPart's parallel best-split evaluation (0 = GOMAXPROCS)")
-		serialPlanner = flag.Bool("serial-planner", false, "use RecPart's serial reference grower (the oracle) instead of the fast planner")
+		plannerPar = flag.Int("planner-parallelism", 0, "worker pool bound of RecPart's parallel best-split evaluation (0 = GOMAXPROCS)")
 
 		repeat     = flag.Int("repeat", 1, "serve the query this many times through an engine; repeats are answered from cached samples, plans, and retained partitions")
 		noRetain   = flag.Bool("no-retain", false, "with -repeat: disable partition retention (repeats reuse the plan but reshuffle)")
@@ -111,7 +108,7 @@ func main() {
 	}
 	band := bandjoin.Symmetric(eps...)
 
-	pt, err := pickPartitioner(*partitioner, *seed, *plannerPar, *serialPlanner)
+	pt, err := pickPartitioner(*partitioner, *seed, *plannerPar)
 	if err != nil {
 		fatal(err)
 	}
@@ -124,8 +121,6 @@ func main() {
 		ClusterChunkSize:       *clusterChunk,
 		ClusterWindow:          *clusterWindow,
 		ClusterJoinParallelism: *clusterJoinPar,
-		ClusterSerial:          *clusterSerial,
-		ClusterCompression:     *clusterComp,
 	}
 
 	if *repeat < 1 {
@@ -345,15 +340,15 @@ func parseEps(s string) ([]float64, error) {
 	return out, nil
 }
 
-func pickPartitioner(name string, seed int64, plannerPar int, serialPlanner bool) (bandjoin.Partitioner, error) {
+func pickPartitioner(name string, seed int64, plannerPar int) (bandjoin.Partitioner, error) {
 	switch strings.ToLower(name) {
 	case "recpart":
 		return bandjoin.RecPartWith(bandjoin.RecPartOptions{
-			Symmetric: true, Seed: seed, PlannerParallelism: plannerPar, SerialPlanner: serialPlanner,
+			Symmetric: true, Seed: seed, PlannerParallelism: plannerPar,
 		}), nil
 	case "recpart-s":
 		return bandjoin.RecPartWith(bandjoin.RecPartOptions{
-			Seed: seed, PlannerParallelism: plannerPar, SerialPlanner: serialPlanner,
+			Seed: seed, PlannerParallelism: plannerPar,
 		}), nil
 	case "1-bucket", "onebucket":
 		return bandjoin.OneBucket(), nil

@@ -1,26 +1,19 @@
 // Command experiments regenerates the paper's evaluation tables and figures,
-// and benchmarks the execution pipeline itself.
+// and runs the legacy serving benchmarks.
 //
 // Usage:
 //
 //	experiments -list
 //	experiments -table 2b
 //	experiments -table all -workers 30 -tuples 40000 -csv results.csv
-//	experiments -pipeline BENCH_pipeline.json -pipeline-tuples 1000000
-//	experiments -cluster BENCH_cluster.json -cluster-tuples 500000 -cluster-workers 2
 //	experiments -append BENCH_append.json -append-tuples 500000 -append-delta 0.10
 //
 // Each table identifier corresponds to one paper artifact (see DESIGN.md for
 // the full index). Output is an aligned text table; -csv additionally exports
-// the raw per-method measurements. -pipeline runs the serial-reference vs
-// parallel execution-pipeline comparison (shuffle and join throughput,
-// allocations per local join, speedups) and writes the machine-readable
-// report to the given path. -cluster runs the distributed data-plane
-// comparison (serial coordinator vs pipelined streaming shuffle + parallel
-// worker joins) over in-process RPC workers and writes BENCH_cluster.json.
-// -append runs the incremental-ingestion benchmark (Engine.Append of a delta
-// versus a full rebuild, warm-query latency under sustained appends, and the
-// drift-triggered re-partition cost) and writes BENCH_append.json.
+// the raw per-method measurements. -engine, -append, -scaling and -skew run
+// the serving-tier, incremental-ingestion, GOMAXPROCS-sweep and point-mass
+// benchmarks and write their JSON reports to the given paths; they stay until
+// the repository's benchmark (BENCHMARK.json) has their shapes as workloads.
 package main
 
 import (
@@ -61,15 +54,6 @@ func main() {
 		csvPath = flag.String("csv", "", "also export raw measurements to this CSV file")
 		quick   = flag.Bool("quick", false, "use a very small configuration (smoke test)")
 
-		pipelinePath   = flag.String("pipeline", "", "run the execution-pipeline benchmark and write the JSON report to this path")
-		pipelineTuples = flag.Int("pipeline-tuples", 0, "per-relation input size of the pipeline benchmark (default 1000000)")
-
-		optimizerPath    = flag.String("optimizer", "", "run the planner benchmark (fast RecPart grower vs the serial oracle across sample sizes) and write the JSON report to this path")
-		optimizerTuples  = flag.Int("optimizer-tuples", 0, "per-relation input size of the optimizer benchmark (default 200000)")
-		optimizerDims    = flag.Int("optimizer-dims", 0, "number of join attributes of the optimizer benchmark (default 3)")
-		optimizerWorkers = flag.Int("optimizer-workers", 0, "planning-time worker count of the optimizer benchmark (default 30)")
-		optimizerRounds  = flag.Int("optimizer-rounds", 0, "rounds per grower and sample size, fastest kept (default 5)")
-
 		enginePath    = flag.String("engine", "", "run the engine-throughput benchmark (cold vs warm-plan vs warm-partitions on the cluster plane) and write the JSON report to this path")
 		engineTuples  = flag.Int("engine-tuples", 0, "per-relation input size of the engine benchmark (default 500000)")
 		engineWorkers = flag.Int("engine-workers", 0, "number of in-process RPC workers of the engine benchmark (default 2)")
@@ -85,15 +69,6 @@ func main() {
 		appendDelta   = flag.Float64("append-delta", 0, "appended delta as a fraction of the base (default 0.10)")
 		appendBatches = flag.Int("append-batches", 0, "batches the delta is streamed in during the sustained phase (default 5)")
 		appendRounds  = flag.Int("append-rounds", 0, "rounds per one-shot phase, fastest kept (default 3)")
-
-		clusterPath     = flag.String("cluster", "", "run the distributed data-plane benchmark and write the JSON report to this path")
-		clusterTuples   = flag.Int("cluster-tuples", 0, "per-relation input size of the cluster benchmark (default 500000)")
-		clusterWorkers  = flag.Int("cluster-workers", 0, "number of in-process RPC workers of the cluster benchmark (default 2)")
-		clusterChunk    = flag.Int("cluster-chunk", 0, "tuples per Load RPC (default 16384)")
-		clusterWindow   = flag.Int("cluster-window", 0, "max in-flight Load RPCs per worker on the streaming plane (default 4)")
-		clusterDims     = flag.Int("cluster-dims", 0, "number of join attributes of the cluster benchmark (default 8)")
-		clusterEps      = flag.Float64("cluster-eps", 0, "symmetric band width of the cluster benchmark (default 0.003)")
-		clusterDecimals = flag.Int("cluster-decimals", -1, "decimal places benchmark keys are quantized to, PTF-style fixed precision (default 3; negative values other than the -1 sentinel disable quantization)")
 
 		scalingPath    = flag.String("scaling", "", "run the GOMAXPROCS scaling sweep (shuffle, join, planner, engine tiers) and write the JSON report to this path")
 		scalingTuples  = flag.Int("scaling-tuples", 0, "per-relation input size of the scaling sweep (default 250000)")
@@ -111,48 +86,6 @@ func main() {
 		skewProcs   = flag.String("skew-procs", "", "comma-separated GOMAXPROCS list to measure at (default: current setting)")
 	)
 	flag.Parse()
-
-	if *optimizerPath != "" {
-		cfg := bench.DefaultOptimizerConfig()
-		if *optimizerTuples > 0 {
-			cfg.Tuples = *optimizerTuples
-		}
-		if *optimizerDims > 0 {
-			cfg.Dims = *optimizerDims
-		}
-		if *optimizerWorkers > 0 {
-			cfg.Workers = *optimizerWorkers
-		}
-		if *optimizerRounds > 0 {
-			cfg.Rounds = *optimizerRounds
-		}
-		cfg.Seed = *seed
-		f, err := os.Create(*optimizerPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "creating %s: %v\n", *optimizerPath, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		fmt.Printf("optimizer benchmark: %d x %d tuples, %dD, band %g, w=%d, sample sizes %v...\n",
-			cfg.Tuples, cfg.Tuples, cfg.Dims, cfg.Eps, cfg.Workers, cfg.SampleSizes)
-		rep, err := bench.RunOptimizer(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "optimizer benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteOptimizerJSON(f, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *optimizerPath, err)
-			os.Exit(1)
-		}
-		for _, row := range rep.Rows {
-			fmt.Printf("%-9s sample %6d: serial %7.2fms / fast %7.2fms = %.2fx; allocs %6.0f -> %5.0f (%.0fx); identical=%v\n",
-				row.Partitioner, row.SampleSize,
-				1000*row.Serial.WallSeconds, 1000*row.Fast.WallSeconds, row.Speedup,
-				row.Serial.AllocsPerOp, row.Fast.AllocsPerOp, row.AllocReduction, row.PlansIdentical)
-		}
-		fmt.Printf("report written to %s\n", *optimizerPath)
-		return
-	}
 
 	if *enginePath != "" {
 		cfg := bench.DefaultEngineConfig()
@@ -246,61 +179,6 @@ func main() {
 			rep.Sustained.Queries, rep.Sustained.MeanSeconds, rep.Sustained.MedianSeconds, rep.Sustained.MaxSeconds)
 		fmt.Printf("drift re-partition %.2fs in background (%d queries served during swap); pairs checked %d identical=%v; report written to %s\n",
 			rep.RepartitionSeconds, rep.ServedDuringRepartition, rep.PairsChecked, rep.PairsIdentical, *appendPath)
-		return
-	}
-
-	if *clusterPath != "" {
-		cfg := bench.DefaultClusterConfig()
-		if *clusterTuples > 0 {
-			cfg.Tuples = *clusterTuples
-		}
-		if *clusterWorkers > 0 {
-			cfg.Workers = *clusterWorkers
-		}
-		if *clusterChunk > 0 {
-			cfg.ChunkSize = *clusterChunk
-		}
-		if *clusterWindow > 0 {
-			cfg.Window = *clusterWindow
-		}
-		if *clusterDims > 0 {
-			cfg.Dims = *clusterDims
-		}
-		if *clusterEps > 0 {
-			cfg.Eps = *clusterEps
-		}
-		if *clusterDecimals != -1 {
-			cfg.KeyDecimals = *clusterDecimals
-		}
-		cfg.Seed = *seed
-		f, err := os.Create(*clusterPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "creating %s: %v\n", *clusterPath, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		fmt.Printf("cluster benchmark: %d x %d tuples, %dD, band %g, %d in-process workers...\n",
-			cfg.Tuples, cfg.Tuples, cfg.Dims, cfg.Eps, cfg.Workers)
-		rep, err := bench.RunCluster(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cluster benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteClusterJSON(f, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *clusterPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("serial %.2fs (shuffle %.2fs + join %.2fs), streaming %.2fs (shuffle %.2fs + join %.2fs)\n",
-			rep.Serial.WallSeconds, rep.Serial.ShuffleSeconds, rep.Serial.JoinSeconds,
-			rep.Streaming.WallSeconds, rep.Streaming.ShuffleSeconds, rep.Streaming.JoinSeconds)
-		fmt.Printf("shuffle wire: serial %d RPCs / %.1f MB, streaming-off %d RPCs / %.1f MB, streaming %d RPCs / %.1f MB\n",
-			rep.Serial.ShuffleRPCs, float64(rep.Serial.ShuffleBytes)/(1<<20),
-			rep.StreamingOff.ShuffleRPCs, float64(rep.StreamingOff.ShuffleBytes)/(1<<20),
-			rep.Streaming.ShuffleRPCs, float64(rep.Streaming.ShuffleBytes)/(1<<20))
-		fmt.Printf("compression %.2fx vs off (raw %.1f MB); pairs checked %d identical=%v\n",
-			rep.CompressionRatio, float64(rep.Streaming.ShuffleRawBytes)/(1<<20), rep.PairsChecked, rep.PairsIdentical)
-		fmt.Printf("end-to-end speedup %.2fx (shuffle %.2fx, join %.2fx); report written to %s\n",
-			rep.SpeedupEndToEnd, rep.SpeedupShuffle, rep.SpeedupJoin, *clusterPath)
 		return
 	}
 
@@ -413,42 +291,6 @@ func main() {
 				pt.Procs, pt.PerPartitionSeconds, pt.MorselSeconds, pt.Speedup, pt.Morsels, pt.Steals)
 		}
 		fmt.Printf("report written to %s\n", *skewPath)
-		return
-	}
-
-	if *pipelinePath != "" {
-		cfg := bench.DefaultPipelineConfig()
-		if *pipelineTuples > 0 {
-			cfg.Tuples = *pipelineTuples
-		}
-		cfg.Seed = *seed
-		if *workers > 0 {
-			cfg.Workers = *workers
-		}
-		// Create the output file up front so a bad path fails before the
-		// (potentially long) benchmark runs.
-		f, err := os.Create(*pipelinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "creating %s: %v\n", *pipelinePath, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		fmt.Printf("pipeline benchmark: %d x %d tuples, %dD, band %g, %d workers...\n",
-			cfg.Tuples, cfg.Tuples, cfg.Dims, cfg.Eps, cfg.Workers)
-		rep, err := bench.RunPipeline(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipeline benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WritePipelineJSON(f, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *pipelinePath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("reference %.2fs (shuffle %.2fs + join %.2fs), parallel %.2fs (shuffle %.2fs + join %.2fs)\n",
-			rep.Reference.TotalSeconds, rep.Reference.ShuffleSeconds, rep.Reference.JoinSeconds,
-			rep.Optimized.TotalSeconds, rep.Optimized.ShuffleSeconds, rep.Optimized.JoinSeconds)
-		fmt.Printf("end-to-end speedup %.2fx (shuffle %.2fx, join %.2fx); report written to %s\n",
-			rep.SpeedupEndToEnd, rep.SpeedupShuffle, rep.SpeedupJoin, *pipelinePath)
 		return
 	}
 

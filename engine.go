@@ -289,12 +289,6 @@ type planEntry struct {
 	// evicting.
 	planID string
 
-	// compression is the wire-compression mode the plan's queries resolved
-	// (Options.ClusterCompression), written alongside prep before ready flips;
-	// Append's eager delta absorb reuses it so deltas travel the same encoding
-	// as the plan's shipment.
-	compression string
-
 	// Drift accounting. predictedOverhead and baseTuples are written once at
 	// plan time (inside the once, or at creation for a replacement entry):
 	// the plan's estimated load_overhead on the sample it was optimized for,
@@ -492,7 +486,7 @@ func (e *Engine) Append(ctx context.Context, name string, rows *Relation) error 
 		if !w.pe.ready.Load() || w.pe.planID == "" {
 			continue
 		}
-		if err := e.plane.absorb(ctx, w.pe.prep, w.s, w.t, w.pe.planID, w.pe.compression); err != nil {
+		if err := e.plane.absorb(ctx, w.pe.prep, w.s, w.t, w.pe.planID); err != nil {
 			e.plane.evict(w.pe.planID)
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
@@ -584,7 +578,7 @@ func (e *Engine) repartition(pk planKey, old *planEntry, sName, tName string, ba
 	old.driftMu.Lock()
 	gen := old.generation + 1
 	old.driftMu.Unlock()
-	ne := &planEntry{prep: prep, generation: gen, compression: r.Compression}
+	ne := &planEntry{prep: prep, generation: gen}
 	ne.planID = fmt.Sprintf("%s#g%d", e.planIDFor(pk), gen)
 	est := exec.EstimatePlan(prep.Plan, prep.Ctx)
 	ne.predictedOverhead = est.LoadOverhead
@@ -814,7 +808,6 @@ func (e *Engine) Join(ctx context.Context, sName, tName string, band Band, opts 
 			est := exec.EstimatePlan(pe.prep.Plan, pe.prep.Ctx)
 			pe.predictedOverhead = est.LoadOverhead
 			pe.baseTuples = int64(sRel.Len() + tRel.Len())
-			pe.compression = r.Compression
 			pe.ready.Store(true)
 		}
 	})
@@ -976,9 +969,7 @@ type enginePlane interface {
 	// s and t past its covered prefixes, shuffling only the delta through the
 	// plan's routing. A plan with nothing retained is a no-op. On error the
 	// retained data may be torn; the caller must evict the fingerprint.
-	// compression is the wire-compression mode of the plan's queries; the
-	// in-process plane ignores it.
-	absorb(ctx context.Context, prep *exec.Prepared, s, t *Relation, planID, compression string) error
+	absorb(ctx context.Context, prep *exec.Prepared, s, t *Relation, planID string) error
 	// prime shuffles and retains a plan's partitions without joining — the
 	// background half of a drift-triggered re-partition.
 	prime(ctx context.Context, prep *exec.Prepared, s, t *Relation, band Band, r resolved, planID string) error
@@ -1271,7 +1262,7 @@ func (p *inProcessPlane) execute(ctx context.Context, prep *exec.Prepared, s, t 
 // prefixes into the in-memory partitions. A plan with nothing retained (never
 // filled, or evicted) is a no-op: the next query fills cold from the full
 // relations.
-func (p *inProcessPlane) absorb(ctx context.Context, prep *exec.Prepared, s, t *Relation, planID, _ string) error {
+func (p *inProcessPlane) absorb(ctx context.Context, prep *exec.Prepared, s, t *Relation, planID string) error {
 	p.mu.Lock()
 	rec := p.parts[planID]
 	p.mu.Unlock()
@@ -1364,8 +1355,6 @@ func (p *clusterPlane) execute(ctx context.Context, prep *exec.Prepared, s, t *R
 		Window:          r.Window,
 		JoinParallelism: r.JoinParallelism,
 		MorselRows:      r.MorselRows,
-		Serial:          r.Serial,
-		Compression:     r.Compression,
 		Seed:            r.Seed,
 		PlanID:          planID,
 	}
@@ -1374,8 +1363,8 @@ func (p *clusterPlane) execute(ctx context.Context, prep *exec.Prepared, s, t *R
 
 // absorb ships the appended suffixes as delta Loads into the sealed plan on
 // the workers, so the next warm query moves zero bytes.
-func (p *clusterPlane) absorb(ctx context.Context, prep *exec.Prepared, s, t *Relation, planID, compression string) error {
-	return p.coord.AbsorbPlan(ctx, prep.Plan, prep.Ctx, s, t, cluster.Options{PlanID: planID, Compression: compression})
+func (p *clusterPlane) absorb(ctx context.Context, prep *exec.Prepared, s, t *Relation, planID string) error {
+	return p.coord.AbsorbPlan(ctx, prep.Plan, prep.Ctx, s, t, cluster.Options{PlanID: planID})
 }
 
 // prime ships and seals a plan's partitions on the workers without joining.
@@ -1388,8 +1377,6 @@ func (p *clusterPlane) prime(ctx context.Context, prep *exec.Prepared, s, t *Rel
 		Window:          r.Window,
 		JoinParallelism: r.JoinParallelism,
 		MorselRows:      r.MorselRows,
-		Serial:          r.Serial,
-		Compression:     r.Compression,
 		Seed:            r.Seed,
 		PlanID:          planID,
 	}

@@ -35,11 +35,11 @@ func foldBand(rng *rand.Rand, shape string, d int) bandjoin.Band {
 // foldRows appends n rows to r that sit where a retained ε-grid partition is
 // easiest to get wrong: a fifth on one point (matches whatever the dimension,
 // and a dense cell), the rest on a lattice of cell widths — cell boundaries —
-// moved by a band extent or at random, and, when special is set, now and then
-// NaN or ±Inf. (No keys one ulp off an interval end, which the kernel's own
-// definition table has: RecPart's and Grid-ε's routing rounds differently from
-// the predicate there and loses such pairs before any local join runs — at the
-// parent commit too; ROADMAP item 8.)
+// moved by a band extent, by one ulp or at random, and, when special is set,
+// now and then NaN or ±Inf. The one-ulp moves put keys within rounding of an
+// interval end: a partitioner that routes with other float expressions than
+// the predicate's loses their pairs before any local join runs
+// (TestPartitionersGroundTruth).
 func foldRows(rng *rand.Rand, r *bandjoin.Relation, n int, band bandjoin.Band, special bool) {
 	d := band.Dims()
 	key := make([]float64, d)
@@ -63,6 +63,10 @@ func foldRows(rng *rand.Rand, r *bandjoin.Relation, n int, band bandjoin.Band, s
 				if special && rng.Intn(8) == 0 {
 					v = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
 				}
+			case 4:
+				v = math.Nextafter(v, math.Inf(1))
+			case 5:
+				v = math.Nextafter(v, math.Inf(-1))
 			}
 			key[j] = v
 		}
@@ -176,6 +180,67 @@ func TestEngineFoldGroundTruth(t *testing.T) {
 						}
 					})
 				}
+			}
+		}
+	}
+}
+
+// TestPartitionersGroundTruth runs every partitioner on both planes over
+// foldRows inputs and compares the pairs with the nested loop: routing, not
+// the local join, is what differs between the columns. The first row is the
+// wrong answer ROADMAP item 8 had on record, found with this generator: the
+// one-sided band of seed 102, where an S key one ulp below High[2] matches the
+// T key 2·High[2] because s+High rounds up to it, while t−High, which RecPart's
+// T-duplicating splits and Grid-ε's cell range were computed from, does not
+// round down to s. Of this row's 6 000 pairs RecPart returned 5 995, RecPart-S
+// 5 994, Grid-ε 5 976 and Grid* as many as its grid lost.
+func TestPartitionersGroundTruth(t *testing.T) {
+	planes := enginePlanes(t, 8)
+	partitioners := []struct {
+		name string
+		pt   bandjoin.Partitioner
+	}{
+		{"RecPart", bandjoin.RecPart()}, {"RecPart-S", bandjoin.RecPartS()}, {"1-Bucket", bandjoin.OneBucket()},
+		{"Grid-eps", bandjoin.GridEps()}, {"Grid*", bandjoin.GridStar()}, {"CSIO", bandjoin.CSIO()}, {"IEJoin", bandjoin.IEJoin()},
+	}
+	for _, row := range []struct {
+		name     string
+		d        int
+		shape    string
+		bandSeed int64
+		rowSeed  int64
+	}{
+		{"item-8", 3, "one-sided", 102, 39},
+		{"symmetric-2d", 2, "symmetric", 7, 8},
+		{"asymmetric-3d", 3, "asymmetric", 9, 10},
+	} {
+		band := foldBand(rand.New(rand.NewSource(row.bandSeed)), row.shape, row.d)
+		rng := rand.New(rand.NewSource(row.rowSeed))
+		s, tt := bandjoin.NewRelation("s", row.d), bandjoin.NewRelation("t", row.d)
+		foldRows(rng, s, 360, band, false)
+		foldRows(rng, tt, 360, band, true)
+		want := definitionPairs(s, tt, band)
+		if len(want) == 0 {
+			t.Fatalf("%s: the definition has no pairs; the inputs exercise nothing", row.name)
+		}
+		for _, p := range partitioners {
+			for planeName, newEngine := range planes {
+				t.Run(fmt.Sprintf("%s/%s/%s", row.name, p.name, planeName), func(t *testing.T) {
+					e := newEngine(bandjoin.EngineOptions{})
+					defer e.Close()
+					if err := e.Register("s", s); err != nil {
+						t.Fatalf("Register: %v", err)
+					}
+					if err := e.Register("t", tt); err != nil {
+						t.Fatalf("Register: %v", err)
+					}
+					res, err := e.Join(context.Background(), "s", "t", band,
+						bandjoin.Options{Workers: 8, Seed: 5, CollectPairs: true, Partitioner: p.pt})
+					if err != nil {
+						t.Fatalf("Join: %v", err)
+					}
+					pairsEqual(t, "engine vs nested loop", res.Pairs, want)
+				})
 			}
 		}
 	}

@@ -341,7 +341,6 @@ func TestOptionsValidation(t *testing.T) {
 		{Workers: -1},
 		{ClusterChunkSize: -5},
 		{ClusterChunkSize: 1<<20 + 1}, // past wire.MaxChunkRows
-		{ClusterCompression: "lz4"},
 		{ClusterWindow: -2},
 		{ClusterJoinParallelism: -1},
 		{InputSampleSize: -100},
@@ -517,7 +516,6 @@ func TestEnginePlanCacheIgnoresPlannerKnobs(t *testing.T) {
 	variants := []bandjoin.Options{
 		{Workers: 3, Seed: 4},
 		{Workers: 3, Seed: 4, PlannerParallelism: 2},
-		{Workers: 3, Seed: 4, Partitioner: bandjoin.RecPartWith(bandjoin.RecPartOptions{Symmetric: true, Seed: 1, SerialPlanner: true})},
 		{Workers: 3, Seed: 4, Partitioner: bandjoin.RecPartWith(bandjoin.RecPartOptions{Symmetric: true, Seed: 1, PlannerParallelism: 3})},
 	}
 	for i, opts := range variants {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"runtime"
 	"time"
 
@@ -37,9 +39,8 @@ type EngineConfig struct {
 	Seed int64
 }
 
-// DefaultEngineConfig mirrors the cluster benchmark's acceptance workload (8D
-// near-duplicate self-match, shuffle-dominated) so the engine's tiers are
-// directly comparable with the data-plane numbers in BENCH_cluster.json.
+// DefaultEngineConfig is an 8D near-duplicate self-match, shuffle-dominated:
+// the shape of the benchmark's cold-cluster-ptf8d workload.
 func DefaultEngineConfig() EngineConfig {
 	return EngineConfig{
 		Tuples:    500_000,
@@ -106,10 +107,57 @@ type EngineReport struct {
 }
 
 // engineWorkload generates the benchmark's near-duplicate self-match pair
-// (each T tuple within the band of its S counterpart), shared with the
-// cluster data-plane benchmark.
+// (each T tuple within the band of its S counterpart).
 func engineWorkload(tuples, dims int, eps float64, seed int64) (*data.Relation, *data.Relation) {
 	return selfMatchPair(tuples, dims, eps, seed, -1)
+}
+
+// quantizeKeys rounds every key of r to the given number of decimal places in
+// place; negative decimals is a no-op.
+func quantizeKeys(r *data.Relation, decimals int) {
+	if decimals < 0 {
+		return
+	}
+	scale := math.Pow(10, float64(decimals))
+	keys := r.KeysRange(0, r.Len())
+	for i, k := range keys {
+		keys[i] = math.Round(k*scale) / scale
+	}
+}
+
+// selfMatchPair generates the paper's PTF-style near-duplicate workload: S is
+// Pareto-distributed and each T tuple is a jittered copy of its S counterpart
+// within the band, guaranteeing an output of at least |S| pairs at any
+// dimensionality. It is shared by the engine, append and scaling benchmarks.
+// Non-negative decimals quantize both relations to that many decimal places; S
+// is quantized before T is derived, so as long as 10^-decimals ≤ eps the
+// jitter (≤ eps/2) plus T's own rounding error (≤ 10^-decimals/2) keeps every
+// T tuple within the band of its S counterpart and the output floor of |S|
+// pairs survives.
+func selfMatchPair(tuples, dims int, eps float64, seed int64, decimals int) (*data.Relation, *data.Relation) {
+	gen := data.NewPareto(dims, 1.5)
+	s := gen.Generate("S", tuples, rand.New(rand.NewSource(seed)))
+	quantizeKeys(s, decimals)
+	rng := rand.New(rand.NewSource(seed + 1))
+	t := data.NewRelationCapacity("T", dims, s.Len())
+	key := make([]float64, dims)
+	for i := 0; i < s.Len(); i++ {
+		k := s.Key(i)
+		for d := range key {
+			key[d] = k[d] + (rng.Float64()-0.5)*eps
+		}
+		t.AppendKey(key)
+	}
+	quantizeKeys(t, decimals)
+	return s, t
+}
+
+// ratio returns ref/opt, or 0 when opt is not positive.
+func ratio(ref, opt float64) float64 {
+	if opt <= 0 {
+		return 0
+	}
+	return ref / opt
 }
 
 // RunEngine executes the engine-throughput benchmark over in-process RPC
@@ -241,7 +289,7 @@ func measureEngine(tier string, rounds int, query func() (*bandjoin.Result, erro
 	var best *bandjoin.Result
 	var bestWall time.Duration
 	for r := 0; r < rounds; r++ {
-		// Level the heap across rounds and tiers, as in the cluster benchmark.
+		// Level the heap across rounds and tiers.
 		runtime.GC()
 		start := time.Now()
 		res, err := query()

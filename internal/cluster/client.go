@@ -227,10 +227,10 @@ type workerClient struct {
 	workerName string
 
 	// wireVer is the chunk format version the worker advertised in the Ping
-	// answered at dial time (re-negotiated on every redial, so a worker
-	// restarted with different capabilities is picked up automatically). Zero
-	// until the first successful Ping — senders treat anything below
-	// wire.Version as "use the v1 row-major format".
+	// answered at dial time (read again on every redial, so a worker
+	// restarted as another build is picked up automatically). Zero
+	// until the first successful Ping; senders refuse anything below
+	// wire.Version.
 	wireVer atomic.Int32
 
 	rngMu sync.Mutex
@@ -317,7 +317,7 @@ func (wc *workerClient) conn() (*rpc.Client, error) {
 	return cl, nil
 }
 
-// wireVersion returns the chunk format version negotiated with the worker.
+// wireVersion returns the chunk format version the worker advertised.
 func (wc *workerClient) wireVersion() int { return int(wc.wireVer.Load()) }
 
 // dropConn closes and forgets cl if it is still the current connection,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,19 +13,25 @@ import (
 	"bandjoin/internal/data"
 	"bandjoin/internal/exec"
 	"bandjoin/internal/grid"
+	"bandjoin/internal/localjoin"
 	"bandjoin/internal/onebucket"
 	"bandjoin/internal/partition"
+	"bandjoin/internal/wire"
 )
 
-func bruteForce(s, t *data.Relation, band data.Band) map[exec.Pair]bool {
-	out := make(map[exec.Pair]bool)
-	for i := 0; i < s.Len(); i++ {
-		for j := 0; j < t.Len(); j++ {
-			if band.Matches(s.Key(i), t.Key(j)) {
-				out[exec.Pair{S: int64(i), T: int64(j)}] = true
-			}
-		}
-	}
+// chunkOf encodes rel's rows, with the given tuple IDs, as the one columnar
+// chunk of a hand-made Load.
+func chunkOf(rel *data.Relation, ids []int64) []byte {
+	return wire.NewEncoder(wire.ModeAuto).EncodeChunk(rel.KeysRange(0, rel.Len()), rel.Dims(), ids)
+}
+
+// definitionPairs is the band-join of s and t by the nested loop, sorted by
+// (S, T) like Result.Pairs.
+func definitionPairs(s, t *data.Relation, band data.Band) []exec.Pair {
+	var out []exec.Pair
+	localjoin.NestedLoop{}.Join(s, t, band, func(si, ti int, _, _ []float64) {
+		out = append(out, exec.Pair{S: int64(si), T: int64(ti)})
+	})
 	return out
 }
 
@@ -45,7 +52,7 @@ func TestDistributedJoinMatchesBruteForce(t *testing.T) {
 
 	s, tt := data.ParetoPair(2, 1.2, 400, 17)
 	band := data.Symmetric(0.5, 0.5)
-	want := bruteForce(s, tt, band)
+	want := definitionPairs(s, tt, band)
 	if len(want) == 0 {
 		t.Fatal("test workload produced no results")
 	}
@@ -58,19 +65,9 @@ func TestDistributedJoinMatchesBruteForce(t *testing.T) {
 		if int(res.Output) != len(want) {
 			t.Fatalf("%s: output = %d, want %d", pt.Name(), res.Output, len(want))
 		}
-		seen := make(map[exec.Pair]int)
-		for _, p := range res.Pairs {
-			seen[p]++
-			if seen[p] > 1 {
-				t.Fatalf("%s: pair %v produced more than once", pt.Name(), p)
-			}
-			if !want[p] {
-				t.Fatalf("%s: pair %v is not a real result", pt.Name(), p)
-			}
-		}
-		if len(seen) != len(want) {
-			t.Fatalf("%s: produced %d distinct pairs, want %d", pt.Name(), len(seen), len(want))
-		}
+		// Both lists are sorted: a pair missing, invented or produced twice
+		// shows as a difference.
+		samePairs(t, pt.Name()+" vs nested loop", res.Pairs, want)
 		if res.TotalInput < int64(s.Len()+tt.Len()) {
 			t.Errorf("%s: total input %d below |S|+|T| = %d", pt.Name(), res.TotalInput, s.Len()+tt.Len())
 		}
@@ -111,9 +108,9 @@ func TestDistributedAgreesWithSimulator(t *testing.T) {
 }
 
 // TestClusterMatchesInProcessExact checks pair-level equivalence between the
-// in-process executor and the RPC cluster, for both the streaming and the
-// serial data plane, across every partitioner family: identical plans must
-// produce bit-identical (sorted) result pair sets. It also verifies that
+// in-process executor, the RPC cluster and the nested loop across every
+// partitioner family: identical plans must produce bit-identical (sorted)
+// result pair sets, and those are the definition's. It also verifies that
 // completed runs retain no job state on the workers.
 func TestClusterMatchesInProcessExact(t *testing.T) {
 	lc, err := StartLocal(3)
@@ -129,6 +126,7 @@ func TestClusterMatchesInProcessExact(t *testing.T) {
 
 	s, tt := data.ParetoPair(2, 1.4, 600, 23)
 	band := data.Symmetric(0.3, 0.3)
+	want := definitionPairs(s, tt, band)
 
 	for _, pt := range []partition.Partitioner{core.NewDefault(), core.NewRecPartS(), onebucket.New(), grid.New()} {
 		simOpts := exec.DefaultOptions(3)
@@ -141,41 +139,27 @@ func TestClusterMatchesInProcessExact(t *testing.T) {
 		if len(sim.Pairs) == 0 {
 			t.Fatalf("%s: simulator produced no pairs", pt.Name())
 		}
-		modes := []struct {
-			name string
-			opts Options
-		}{
-			{"streaming", Options{CollectPairs: true, Seed: 11, ChunkSize: 128, Window: 3}},
-			{"serial", Options{CollectPairs: true, Seed: 11, ChunkSize: 128, Serial: true}},
-		}
-		for _, mode := range modes {
-			t.Run(pt.Name()+"/"+mode.name, func(t *testing.T) {
-				dist, err := coord.Run(context.Background(), pt, s, tt, band, mode.opts)
-				if err != nil {
-					t.Fatalf("distributed run: %v", err)
-				}
-				if dist.Output != sim.Output {
-					t.Errorf("output: distributed %d, simulator %d", dist.Output, sim.Output)
-				}
-				if dist.TotalInput != sim.TotalInput {
-					t.Errorf("total input: distributed %d, simulator %d", dist.TotalInput, sim.TotalInput)
-				}
-				if len(dist.Pairs) != len(sim.Pairs) {
-					t.Fatalf("pair count: distributed %d, simulator %d", len(dist.Pairs), len(sim.Pairs))
-				}
-				for i := range sim.Pairs {
-					if dist.Pairs[i] != sim.Pairs[i] {
-						t.Fatalf("pair %d: distributed %v, simulator %v", i, dist.Pairs[i], sim.Pairs[i])
-					}
-				}
-				if !mode.opts.Serial && dist.ShuffleRPCs == 0 {
-					t.Error("streaming run reported zero shuffle RPCs")
-				}
-				if !mode.opts.Serial && dist.ShuffleBytes == 0 {
-					t.Error("streaming run reported zero shuffle bytes")
-				}
-			})
-		}
+		samePairs(t, pt.Name()+": simulator vs nested loop", sim.Pairs, want)
+		t.Run(pt.Name()+"/streaming", func(t *testing.T) {
+			dist, err := coord.Run(context.Background(), pt, s, tt, band,
+				Options{CollectPairs: true, Seed: 11, ChunkSize: 128, Window: 3})
+			if err != nil {
+				t.Fatalf("distributed run: %v", err)
+			}
+			if dist.Output != sim.Output {
+				t.Errorf("output: distributed %d, simulator %d", dist.Output, sim.Output)
+			}
+			if dist.TotalInput != sim.TotalInput {
+				t.Errorf("total input: distributed %d, simulator %d", dist.TotalInput, sim.TotalInput)
+			}
+			samePairs(t, "distributed vs simulator", dist.Pairs, sim.Pairs)
+			if dist.ShuffleRPCs == 0 {
+				t.Error("streaming run reported zero shuffle RPCs")
+			}
+			if dist.ShuffleBytes == 0 {
+				t.Error("streaming run reported zero shuffle bytes")
+			}
+		})
 	}
 
 	for i, w := range lc.Handles() {
@@ -232,7 +216,7 @@ func (w *failJoinWorker) Join(_ *JoinArgs, _ *JoinReply) error {
 
 // TestFailedRunLeavesNoJobState is the leak regression test: a run that
 // errors mid-shuffle or mid-join must leave zero retained job state on every
-// worker, streaming and serial plane alike.
+// worker.
 func TestFailedRunLeavesNoJobState(t *testing.T) {
 	s, tt := data.ParetoPair(2, 1.2, 400, 31)
 	band := data.Symmetric(0.4, 0.4)
@@ -246,39 +230,37 @@ func TestFailedRunLeavesNoJobState(t *testing.T) {
 		{"join-failure", NewWorker("bad-join"), func(w *Worker) any { return &failJoinWorker{Worker: w} }},
 	}
 	for _, tc := range cases {
-		for _, serial := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/serial=%v", tc.name, serial), func(t *testing.T) {
-				good := NewWorker("good")
-				goodAddr, stopGood := serveService(t, good)
-				defer stopGood()
-				badAddr, stopBad := serveService(t, tc.make(tc.inner))
-				defer stopBad()
+		t.Run(tc.name, func(t *testing.T) {
+			good := NewWorker("good")
+			goodAddr, stopGood := serveService(t, good)
+			defer stopGood()
+			badAddr, stopBad := serveService(t, tc.make(tc.inner))
+			defer stopBad()
 
-				coord, err := Dial([]string{goodAddr, badAddr})
-				if err != nil {
-					t.Fatalf("Dial: %v", err)
-				}
-				defer coord.Close()
+			coord, err := Dial([]string{goodAddr, badAddr})
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			defer coord.Close()
 
-				// 1-Bucket duplicates T to every partition, so with LPT
-				// placement over two partitions both workers are guaranteed
-				// to receive data before the injected fault fires.
-				_, err = coord.Run(context.Background(), onebucket.New(), s, tt, band, Options{ChunkSize: 64, Serial: serial})
-				if err == nil {
-					t.Fatal("run with a failing worker unexpectedly succeeded")
-				}
+			// 1-Bucket duplicates T to every partition, so with LPT
+			// placement over two partitions both workers are guaranteed
+			// to receive data before the injected fault fires.
+			_, err = coord.Run(context.Background(), onebucket.New(), s, tt, band, Options{ChunkSize: 64})
+			if err == nil {
+				t.Fatal("run with a failing worker unexpectedly succeeded")
+			}
 
-				for _, w := range []*Worker{good, tc.inner} {
-					var pong PingReply
-					if err := w.Ping(&PingArgs{}, &pong); err != nil {
-						t.Fatalf("Ping %s: %v", w.name, err)
-					}
-					if pong.Jobs != 0 {
-						t.Errorf("worker %s retains %d jobs after failed run", w.name, pong.Jobs)
-					}
+			for _, w := range []*Worker{good, tc.inner} {
+				var pong PingReply
+				if err := w.Ping(&PingArgs{}, &pong); err != nil {
+					t.Fatalf("Ping %s: %v", w.name, err)
 				}
-			})
-		}
+				if pong.Jobs != 0 {
+					t.Errorf("worker %s retains %d jobs after failed run", w.name, pong.Jobs)
+				}
+			}
+		})
 	}
 }
 
@@ -307,7 +289,7 @@ func TestWorkerLoadJoinRaceSafety(t *testing.T) {
 					side = "T"
 				}
 				var lr LoadReply
-				if err := w.Load(&LoadArgs{JobID: "job", Partition: round % 5, Side: side, Chunk: chunk, IDs: ids}, &lr); err != nil {
+				if err := w.Load(&LoadArgs{JobID: "job", Partition: round % 5, Side: side, Columnar: chunkOf(chunk, ids)}, &lr); err != nil {
 					t.Errorf("Load: %v", err)
 					return
 				}
@@ -350,7 +332,7 @@ func TestJoinReplyDeterministicOrder(t *testing.T) {
 		}
 		for _, side := range []string{"S", "T"} {
 			var lr LoadReply
-			if err := w.Load(&LoadArgs{JobID: "j", Partition: pid, Side: side, Chunk: chunk, IDs: ids}, &lr); err != nil {
+			if err := w.Load(&LoadArgs{JobID: "j", Partition: pid, Side: side, Columnar: chunkOf(chunk, ids)}, &lr); err != nil {
 				t.Fatalf("Load partition %d side %s: %v", pid, side, err)
 			}
 		}
@@ -385,38 +367,43 @@ func TestJoinReplyDeterministicOrder(t *testing.T) {
 func TestWorkerRejectsBadRequests(t *testing.T) {
 	w := NewWorker("w0")
 	var lr LoadReply
-	if err := w.Load(&LoadArgs{JobID: "j", Partition: 0, Side: "S", Chunk: nil}, &lr); err == nil {
-		t.Error("Load accepted a nil chunk")
-	}
 	chunk := data.NewRelation("c", 1)
 	chunk.Append(1)
-	if err := w.Load(&LoadArgs{JobID: "j", Partition: 0, Side: "X", Chunk: chunk, IDs: []int64{0}}, &lr); err == nil {
+	if err := w.Load(&LoadArgs{JobID: "j", Partition: 0, Side: "X", Columnar: chunkOf(chunk, []int64{0})}, &lr); err == nil {
 		t.Error("Load accepted an unknown relation side")
-	}
-	if err := w.Load(&LoadArgs{JobID: "j", Partition: 0, Side: "S", Chunk: chunk, IDs: nil}, &lr); err == nil {
-		t.Error("Load accepted mismatched id count")
 	}
 	var jr JoinReply
 	if err := w.Join(&JoinArgs{JobID: "j", Band: data.Symmetric(1), Algorithm: "nope"}, &jr); err == nil {
 		t.Error("Join accepted an unknown algorithm")
 	}
-	if err := w.Load(&LoadArgs{JobID: "j", Partition: 0, Side: "S", Chunk: chunk, IDs: []int64{0},
-		Packed: &PackedChunk{Dims: 1, Keys: make([]byte, 8), IDs: make([]byte, 8)}}, &lr); err == nil {
-		t.Error("Load accepted both a chunk and a packed chunk")
-	}
-	if err := w.Load(&LoadArgs{JobID: "j", Partition: 0, Side: "S",
-		Packed: &PackedChunk{Dims: 1, Keys: make([]byte, 12), IDs: make([]byte, 8)}}, &lr); err == nil {
-		t.Error("Load accepted a misaligned packed chunk")
-	}
 	// Establish a 1D partition, then try to append a 2D chunk to it: the
 	// mismatch must fail the Load instead of desyncing keys from IDs.
-	if err := w.Load(&LoadArgs{JobID: "j", Partition: 3, Side: "S",
-		Packed: &PackedChunk{Dims: 1, Keys: make([]byte, 8), IDs: make([]byte, 8)}}, &lr); err != nil {
-		t.Fatalf("Load of a valid packed chunk failed: %v", err)
+	if err := w.Load(&LoadArgs{JobID: "j", Partition: 3, Side: "S", Columnar: chunkOf(chunk, []int64{0})}, &lr); err != nil {
+		t.Fatalf("Load of a valid chunk failed: %v", err)
 	}
-	if err := w.Load(&LoadArgs{JobID: "j", Partition: 3, Side: "S",
-		Packed: &PackedChunk{Dims: 2, Keys: make([]byte, 32), IDs: make([]byte, 16)}}, &lr); err == nil {
-		t.Error("Load accepted a packed chunk whose dims differ from the partition's")
+	wide := data.NewRelation("c2", 2)
+	wide.Append(1, 2)
+	if err := w.Load(&LoadArgs{JobID: "j", Partition: 3, Side: "S", Columnar: chunkOf(wide, []int64{1})}, &lr); err == nil {
+		t.Error("Load accepted a chunk whose dims differ from the partition's")
+	}
+}
+
+// TestWorkerRefusesLoadWithoutColumnarChunk: a data-bearing Load with an empty
+// Columnar field is what a coordinator from before wire.Version sends (gob
+// drops the row-major fields this worker no longer declares). The worker must
+// say so, naming the version it reads, and keep nothing.
+func TestWorkerRefusesLoadWithoutColumnarChunk(t *testing.T) {
+	w := NewWorker("w0")
+	err := w.Load(&LoadArgs{JobID: "j", Partition: 0, Side: "S", SideTotal: 1}, &LoadReply{})
+	if err == nil {
+		t.Fatal("Load without a columnar chunk was accepted")
+	}
+	if want := fmt.Sprintf("wire version %d", wire.Version); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name %q", err, want)
+	}
+	var pong PingReply
+	if err := w.Ping(&PingArgs{}, &pong); err != nil || pong.Jobs != 0 {
+		t.Errorf("after the refused Load: Ping err %v, %d jobs resident, want 0", err, pong.Jobs)
 	}
 }
 
@@ -430,7 +417,7 @@ func TestLateLoadAfterFinalReset(t *testing.T) {
 	chunk := data.NewRelation("c", 1)
 	chunk.Append(1)
 	load := func(job string) error {
-		return w.Load(&LoadArgs{JobID: job, Partition: 0, Side: "S", Chunk: chunk, IDs: []int64{7}}, &LoadReply{})
+		return w.Load(&LoadArgs{JobID: job, Partition: 0, Side: "S", Columnar: chunkOf(chunk, []int64{7})}, &LoadReply{})
 	}
 	jobs := func() int {
 		var pong PingReply
@@ -499,7 +486,7 @@ func TestStaleLoadAfterMidQueryClear(t *testing.T) {
 		return r
 	}
 	load := func(job, side string, attempt int, retain, delta bool) error {
-		return w.Load(&LoadArgs{JobID: job, Partition: 0, Side: side, Chunk: row(1), IDs: []int64{7},
+		return w.Load(&LoadArgs{JobID: job, Partition: 0, Side: side, Columnar: chunkOf(row(1), []int64{7}),
 			Attempt: attempt, Retain: retain, Delta: delta}, &LoadReply{})
 	}
 	output := func(job string, retained bool) int64 {

@@ -27,15 +27,13 @@ import (
 // the results into the same Result structure the in-process simulator
 // produces.
 //
-// The default data plane is a pipelined streaming shuffle: inputs are routed
-// through the same sharded two-pass assignment machinery as the in-process
-// executor (exec.Shuffle), and each worker has a dedicated sender goroutine
-// shipping fixed-size chunks with a bounded window of asynchronous Load RPCs
-// in flight, so routing, gob encoding, network transfer, and the workers'
-// decode+append overlap instead of serializing on every chunk round trip. The
-// pre-rewrite serial plane (tuple-at-a-time routing, one blocking Load per
-// chunk, sequential per-worker joins) is retained behind Options.Serial as
-// the correctness oracle and benchmark baseline.
+// The data plane is a pipelined streaming shuffle: inputs are routed through
+// the same sharded two-pass assignment machinery as the in-process executor
+// (exec.Shuffle), and each worker has a dedicated sender goroutine shipping
+// fixed-size columnar chunks (internal/wire) with a bounded window of
+// asynchronous Load RPCs in flight, so routing, encoding, network transfer,
+// and the workers' decode+append overlap instead of serializing on every chunk
+// round trip.
 //
 // The coordinator is fault tolerant (see DESIGN.md, "Failure model"): every
 // RPC carries a deadline and honors the query's context, idempotent calls are
@@ -233,34 +231,17 @@ type Options struct {
 	// ChunkSize is the number of tuples per Load RPC; zero means 4096.
 	ChunkSize int
 	// Window is the maximum number of Load RPCs in flight per worker on the
-	// streaming shuffle; zero means 4. Ignored when Serial is set.
+	// streaming shuffle; zero means 4.
 	Window int
 	// JoinParallelism bounds the number of partition joins each worker runs
-	// concurrently; zero lets every worker use its GOMAXPROCS. Forced to 1
-	// when Serial is set.
+	// concurrently; zero lets every worker use its GOMAXPROCS.
 	JoinParallelism int
 	// MorselRows sets the workers' join execution grain (JoinArgs.MorselRows):
 	// 0 runs the morsel-driven scheduler with an automatic probe-side morsel
 	// size, > 0 fixes the morsel row count, and < 0 selects the retained
 	// one-goroutine-per-partition path (the correctness oracle and skew
-	// baseline). Forced to the per-partition path when Serial is set — the
-	// serial plane stays the strictly sequential reference. All settings
-	// produce bit-identical results.
+	// baseline). All settings produce bit-identical results.
 	MorselRows int
-	// Serial selects the retained reference data plane: tuple-at-a-time
-	// routing into per-(partition, side) buffers, one blocking Load call per
-	// chunk, and strictly sequential partition joins on every worker. It is
-	// the correctness oracle and the baseline the cluster benchmark measures
-	// the streaming plane against. The serial plane has deadlines but no
-	// failover: a worker failure is a clean error, never a wrong answer.
-	Serial bool
-	// Compression selects the streaming shuffle's wire encoding
-	// (wire.ParseMode): "auto" (default; columnar chunks, decimal columns
-	// bit-packed) or "off" (the v1 row-major PackedChunk plane, retained as
-	// the tests' reference). "auto" requires the worker to have advertised
-	// wire.Version in its Ping reply; older workers fall back to v1 per
-	// connection. Ignored when Serial is set.
-	Compression string
 	// PlanID, when non-empty, is the plan's fingerprint and enables partition
 	// retention: the first run ships the shuffled partitions to the workers'
 	// retained registry (surviving job Reset), and every later run with the
@@ -280,8 +261,6 @@ type Options struct {
 	// attempt numbers the shipment to one worker under one job id or plan
 	// fingerprint (see LoadArgs.Attempt); shipPartitions sets it per worker.
 	attempt int
-	// mode is Compression parsed (withWireMode); zero value is wire.ModeAuto.
-	mode wire.Mode
 	// band, when non-empty, lets the streaming sender issue per-partition
 	// Complete markers (pipelined worker-side joins). It is set internally on
 	// the transient streaming path, where the upcoming Join's band is known at
@@ -289,19 +268,13 @@ type Options struct {
 	band data.Band
 }
 
-// withWireMode parses Compression into the internal mode field and checks
-// that a chunk fits the wire format; it is called once at every coordinator
-// entry point that can reach the streaming sender.
-func (o Options) withWireMode() (Options, error) {
-	mode, err := wire.ParseMode(o.Compression)
-	if err != nil {
-		return o, fmt.Errorf("cluster: %w", err)
-	}
+// resolve fills unset options and checks that a chunk fits the wire format; it
+// is called once at every coordinator entry point that can reach the sender.
+func (o Options) resolve() (Options, error) {
 	if o.ChunkSize > wire.MaxChunkRows {
 		return o, fmt.Errorf("cluster: ChunkSize %d exceeds the wire format's %d rows per chunk", o.ChunkSize, wire.MaxChunkRows)
 	}
-	o.mode = mode
-	return o, nil
+	return o.withDefaults(), nil
 }
 
 // jobCounter disambiguates generated job IDs: two queries starting in the
@@ -599,8 +572,7 @@ func (c *Coordinator) RunPlan(ctx context.Context, plan partition.Plan, pctx *pa
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	opts, err := opts.withWireMode()
+	opts, err := opts.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -624,10 +596,6 @@ func (c *Coordinator) runTransient(ctx context.Context, plan partition.Plan, pct
 	// retained plans of other queries are untouched.
 	rs.addJob(opts.JobID)
 	defer func() { c.resetJobs(rs.jobList()) }()
-
-	if opts.Serial {
-		return c.runTransientSerial(ctx, plan, pctx, s, t, band, opts, rs)
-	}
 
 	// The transient path knows the upcoming join at shuffle time, so the
 	// sender can issue per-partition Complete markers and workers on the
@@ -658,38 +626,6 @@ func (c *Coordinator) runTransient(ctx context.Context, plan partition.Plan, pct
 	}
 
 	joined, joinWall, err := c.runJoinsTransient(ctx, opts.JobID, owned, parts, redistribute, band, opts, rs)
-	if err != nil {
-		return nil, err
-	}
-	return c.aggregate(joined, opts, s, t, st, joinWall, rs), nil
-}
-
-// runTransientSerial is the reference data plane with deadlines but no
-// failover: any worker failure is a clean error. Join replies are still
-// validated against the shipped pid set, so a worker restarting between Load
-// and Join surfaces as an error, never as silently missing results.
-func (c *Coordinator) runTransientSerial(ctx context.Context, plan partition.Plan, pctx *partition.Context, s, t *data.Relation, band data.Band, opts Options, rs *runState) (*exec.Result, error) {
-	targets := c.liveSlots(rs)
-	if len(targets) == 0 {
-		return nil, errNoLiveWorkers
-	}
-	place := placementOver(plan, pctx, len(targets))
-	slotOf := func(pid int) int { return targets[place(pid)] }
-
-	wireStart := c.wireBytes()
-	shuffleStart := time.Now()
-	var st shuffleStats
-	var owned map[int][]int
-	var err error
-	st.totalInput, st.rpcs, owned, err = c.shuffleSerial(ctx, plan, slotOf, s, t, opts)
-	if err != nil {
-		return nil, err
-	}
-	st.duration = time.Since(shuffleStart)
-	st.bytes = c.wireBytes() - wireStart
-	rs.rawBytes.Add(st.totalInput * int64(8*(s.Dims()+1)))
-
-	joined, joinWall, err := c.runJoinsSimple(ctx, opts.JobID, false, targets, owned, band, opts, rs)
 	if err != nil {
 		return nil, err
 	}
@@ -953,20 +889,11 @@ func (c *Coordinator) runJoinsTransient(ctx context.Context, baseJob string, own
 	return collected, time.Since(joinStart), nil
 }
 
-// runJoinsSimple triggers the local joins of one job (or retained plan) on
-// the given slots in parallel, with retries but no failover. expected, when
-// non-nil, is the pid set each slot must report (slots absent from it are
-// queried but expected to hold nothing); a shortfall means the worker lost
-// state mid-query and is an error. A worker that fails its liveness probe
-// yields errWorkerLost, which the retained path turns into an invalidate-and-
-// reship.
-func (c *Coordinator) runJoinsSimple(ctx context.Context, jobID string, retained bool, slots []int, expected map[int][]int, band data.Band, opts Options, rs *runState) ([]slotJoin, time.Duration, error) {
-	joinParallelism := opts.JoinParallelism
-	morselRows := opts.MorselRows
-	if opts.Serial {
-		joinParallelism = 1
-		morselRows = -1 // the serial plane stays the per-partition reference
-	}
+// runJoinsRetained triggers the local joins of one sealed retained plan on
+// the given slots in parallel, with retries but no failover. A worker that
+// fails its liveness probe yields errWorkerLost, which the retained path turns
+// into an invalidate-and-reship.
+func (c *Coordinator) runJoinsRetained(ctx context.Context, planID string, slots []int, band data.Band, opts Options, rs *runState) ([]slotJoin, time.Duration, error) {
 	joinStart := time.Now()
 	outs := make([]JoinReply, len(slots))
 	errs := make([]error, len(slots))
@@ -976,13 +903,13 @@ func (c *Coordinator) runJoinsSimple(ctx context.Context, jobID string, retained
 		go func(i, slot int) {
 			defer wg.Done()
 			args := &JoinArgs{
-				JobID:        jobID,
+				JobID:        planID,
 				Band:         band,
 				Algorithm:    opts.Algorithm,
 				CollectPairs: opts.CollectPairs,
-				Parallelism:  joinParallelism,
-				Retained:     retained,
-				MorselRows:   morselRows,
+				Parallelism:  opts.JoinParallelism,
+				Retained:     true,
+				MorselRows:   opts.MorselRows,
 			}
 			errs[i] = c.workers[slot].call(ctx, ServiceName+".Join", args, &outs[i],
 				c.opts.joinDeadline(), c.opts.MaxRetries, rs.retry)
@@ -1005,18 +932,6 @@ func (c *Coordinator) runJoinsSimple(ctx context.Context, jobID string, retained
 				return nil, 0, fmt.Errorf("cluster: local joins on worker %d (%s): %w (%v)", slot, wc.name(), errWorkerLost, err)
 			}
 			return nil, 0, fmt.Errorf("cluster: local joins on worker %d (%s) failed: %w", slot, wc.name(), err)
-		}
-		if expected != nil {
-			returned := make(map[int]bool, len(outs[i].Partitions))
-			for _, ps := range outs[i].Partitions {
-				returned[ps.Partition] = true
-			}
-			for _, pid := range expected[slot] {
-				if !returned[pid] {
-					return nil, 0, fmt.Errorf("cluster: worker %d (%s) lost partition %d between Load and Join: %w",
-						slot, wc.name(), pid, errWorkerLost)
-				}
-			}
 		}
 		joined = append(joined, slotJoin{slot: slot, stats: outs[i].Partitions})
 	}
@@ -1096,7 +1011,7 @@ func (c *Coordinator) runRetained(ctx context.Context, plan partition.Plan, pctx
 				continue
 			}
 		}
-		joined, joinWall, err := c.runJoinsSimple(ctx, opts.PlanID, true, slots, nil, band, opts, rs)
+		joined, joinWall, err := c.runJoinsRetained(ctx, opts.PlanID, slots, band, opts, rs)
 		if err == nil {
 			res := c.aggregate(joined, opts, s, t, st, joinWall, rs)
 			res.WarmPartitions = warm
@@ -1181,28 +1096,16 @@ func (c *Coordinator) ensureShipped(ctx context.Context, rec *retainedPlanRec, p
 	if len(targets) == 0 {
 		return shuffleStats{}, nil, false, errNoLiveWorkers
 	}
-	if opts.Serial {
-		place := placementOver(plan, pctx, len(targets))
-		slotOf := func(pid int) int { return targets[place(pid)] }
-		var err error
-		st.totalInput, st.rpcs, owned, err = c.shuffleSerial(ctx, plan, slotOf, s, t, opts)
-		if err != nil {
-			c.evictWorkers(opts.PlanID)
-			return shuffleStats{}, nil, false, err
-		}
-		rs.rawBytes.Add(st.totalInput * int64(8*(s.Dims()+1)))
-	} else {
-		parts, totalInput, err := exec.Shuffle(ctx, plan, s, t, runtime.GOMAXPROCS(0))
-		if err != nil {
-			return shuffleStats{}, nil, false, err
-		}
-		st.totalInput = totalInput
-		assignment := redistribute(nonEmptyPids(parts), targets)
-		owned, st.rpcs, err = c.shipPartitions(ctx, assignment, parts, opts, c.clearRetained(opts.PlanID), redistribute, rs)
-		if err != nil {
-			c.evictWorkers(opts.PlanID)
-			return shuffleStats{}, nil, false, err
-		}
+	parts, totalInput, err := exec.Shuffle(ctx, plan, s, t, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return shuffleStats{}, nil, false, err
+	}
+	st.totalInput = totalInput
+	assignment := redistribute(nonEmptyPids(parts), targets)
+	owned, st.rpcs, err = c.shipPartitions(ctx, assignment, parts, opts, c.clearRetained(opts.PlanID), redistribute, rs)
+	if err != nil {
+		c.evictWorkers(opts.PlanID)
+		return shuffleStats{}, nil, false, err
 	}
 
 	// Seal on every slot that may serve this plan — both the owners and the
@@ -1358,8 +1261,7 @@ func (c *Coordinator) ensureFresh(ctx context.Context, rec *retainedPlanRec, pla
 // cold from the full relations and needs no delta. On error the shipment may
 // be torn; the caller must evict the plan (the next query then reships cold).
 func (c *Coordinator) AbsorbPlan(ctx context.Context, plan partition.Plan, pctx *partition.Context, s, t *data.Relation, opts Options) error {
-	opts = opts.withDefaults()
-	opts, err := opts.withWireMode()
+	opts, err := opts.resolve()
 	if err != nil {
 		return err
 	}
@@ -1385,8 +1287,7 @@ func (c *Coordinator) AbsorbPlan(ctx context.Context, plan partition.Plan, pctx 
 // an engine can build a replacement plan in the background (drift-triggered
 // re-partitioning) while the old plan keeps serving, then swap atomically.
 func (c *Coordinator) ShipPlan(ctx context.Context, plan partition.Plan, pctx *partition.Context, s, t *data.Relation, band data.Band, opts Options) error {
-	opts = opts.withDefaults()
-	opts, err := opts.withWireMode()
+	opts, err := opts.resolve()
 	if err != nil {
 		return err
 	}
@@ -1542,11 +1443,10 @@ func (c *Coordinator) aggregate(joined []slotJoin, opts Options, s, t *data.Rela
 }
 
 // sendPartitions streams one worker's partitions in fixed-size chunks, keeping
-// at most opts.Window Load RPCs in flight. When the worker's Ping negotiated
-// wire.Version (and compression is not off), chunks travel as columnar
-// payloads encoded straight out of the shuffle arenas; otherwise they fall
-// back to the v1 packed representation (raw key and ID bytes, a memcpy-grade
-// pack on each end). On transient streaming runs the sender also
+// at most opts.Window Load RPCs in flight. Chunks travel as columnar payloads
+// encoded straight out of the shuffle arenas; a worker whose Ping advertised
+// less than wire.Version cannot read them and is refused with an error that is
+// not failed over. On transient runs the sender also
 // issues a Complete marker after each partition's last chunk, letting the
 // worker begin presorting and preparing that partition's join structure while
 // later partitions are still in flight. Each wait for a window slot is bounded
@@ -1558,17 +1458,15 @@ func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids
 		wc.markSuspect()
 		return 0, err
 	}
-	current := wc.wireVersion() >= wire.Version
-	var enc *wire.Encoder
-	if current && opts.mode != wire.ModeOff {
-		// Client.Go gob-encodes the args before returning, so one encoder's
-		// buffer can back every chunk of the stream without copies.
-		enc = wire.NewEncoder(opts.mode)
+	if v := wc.wireVersion(); v < wire.Version {
+		return 0, fmt.Errorf("the worker reads wire version %d, this coordinator ships version %d only", v, wire.Version)
 	}
-	// Markers only apply to transient streaming runs (retained plans prepare
-	// at Seal time, deltas invalidate instead) and are not sent to workers
-	// that negotiated down.
-	markers := current && !opts.retain && !opts.delta && opts.band.Dims() > 0
+	// Client.Go gob-encodes the args before returning, so one encoder's
+	// buffer can back every chunk of the stream without copies.
+	enc := wire.NewEncoder(wire.ModeAuto)
+	// Markers only apply to transient runs (retained plans prepare at Seal
+	// time, deltas invalidate instead).
+	markers := !opts.retain && !opts.delta && opts.band.Dims() > 0
 	deadline := c.opts.callDeadline()
 	done := make(chan *rpc.Call, opts.Window+1)
 	inFlight := 0
@@ -1624,13 +1522,9 @@ func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids
 			Delta:     opts.delta,
 			Attempt:   opts.attempt,
 		}
-		if enc != nil {
-			start := time.Now()
-			args.Columnar = enc.EncodeChunk(rel.KeysRange(lo, hi), dims, ids[lo:hi])
-			rs.encodeNanos.Add(time.Since(start).Nanoseconds())
-		} else {
-			args.Packed = &PackedChunk{Dims: dims, Keys: rel.PackKeysLE(lo, hi), IDs: data.PackInt64sLE(ids[lo:hi]), SideTotal: rel.Len()}
-		}
+		start := time.Now()
+		args.Columnar = enc.EncodeChunk(rel.KeysRange(lo, hi), dims, ids[lo:hi])
+		rs.encodeNanos.Add(time.Since(start).Nanoseconds())
 		dispatch(args)
 	}
 	for _, pid := range pids {
@@ -1662,103 +1556,6 @@ func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids
 	}
 	wc.markUp()
 	return sent, nil
-}
-
-// shuffleBuffer accumulates tuples of one (partition, side) destined for a
-// worker and flushes them in chunks.
-type shuffleBuffer struct {
-	chunk *data.Relation
-	ids   []int64
-}
-
-// shuffleSerial is the retained reference data plane: every tuple is routed
-// individually into growable per-(partition, side) buffers, and each full
-// chunk is shipped with a blocking (deadline-guarded) Load call before
-// routing continues. Load is not idempotent, so it is never retried here; any
-// failure is a clean error. The returned ownership map (slot → pids) lets the
-// join phase validate that no worker silently lost state.
-func (c *Coordinator) shuffleSerial(ctx context.Context, plan partition.Plan, slotOf func(int) int, s, t *data.Relation, opts Options) (int64, int64, map[int][]int, error) {
-	type bufKey struct {
-		pid  int
-		side string
-	}
-	buffers := make(map[bufKey]*shuffleBuffer)
-	owned := make(map[int][]int)
-	ownedSeen := make(map[int]map[int]bool)
-	var totalInput, rpcs int64
-
-	flush := func(pid int, side string, buf *shuffleBuffer) error {
-		if buf.chunk.Len() == 0 {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		slot := slotOf(pid)
-		wc := c.workers[slot]
-		args := &LoadArgs{JobID: opts.JobID, Partition: pid, Side: side, Chunk: buf.chunk, IDs: buf.ids, Retain: opts.retain, Delta: opts.delta}
-		var reply LoadReply
-		rpcs++
-		if err := wc.call(ctx, ServiceName+".Load", args, &reply, c.opts.callDeadline(), 0, nil); err != nil {
-			return fmt.Errorf("cluster: shipping partition %d to worker %d: %w", pid, slot, err)
-		}
-		if ownedSeen[slot] == nil {
-			ownedSeen[slot] = make(map[int]bool)
-		}
-		if !ownedSeen[slot][pid] {
-			ownedSeen[slot][pid] = true
-			owned[slot] = append(owned[slot], pid)
-		}
-		dims := buf.chunk.Dims()
-		buf.chunk = data.NewRelation(side+"-chunk", dims)
-		buf.ids = buf.ids[:0]
-		return nil
-	}
-	add := func(pid int, side string, key []float64, id int64, dims int) error {
-		k := bufKey{pid: pid, side: side}
-		buf, ok := buffers[k]
-		if !ok {
-			buf = &shuffleBuffer{chunk: data.NewRelation(side+"-chunk", dims)}
-			buffers[k] = buf
-		}
-		buf.chunk.AppendKey(key)
-		buf.ids = append(buf.ids, id)
-		if buf.chunk.Len() >= opts.ChunkSize {
-			return flush(pid, side, buf)
-		}
-		return nil
-	}
-
-	var dst []int
-	for i := 0; i < s.Len(); i++ {
-		key := s.Key(i)
-		dst = plan.AssignS(int64(i), key, dst[:0])
-		totalInput += int64(len(dst))
-		for _, pid := range dst {
-			if err := add(pid, "S", key, int64(i), s.Dims()); err != nil {
-				return 0, 0, nil, err
-			}
-		}
-	}
-	for i := 0; i < t.Len(); i++ {
-		key := t.Key(i)
-		dst = plan.AssignT(int64(i), key, dst[:0])
-		totalInput += int64(len(dst))
-		for _, pid := range dst {
-			if err := add(pid, "T", key, int64(i), t.Dims()); err != nil {
-				return 0, 0, nil, err
-			}
-		}
-	}
-	for k, buf := range buffers {
-		if err := flush(k.pid, k.side, buf); err != nil {
-			return 0, 0, nil, err
-		}
-	}
-	for _, pids := range owned {
-		sort.Ints(pids)
-	}
-	return totalInput, rpcs, owned, nil
 }
 
 // resetJobs discards the jobs' partition state on every worker, best effort.

@@ -16,7 +16,7 @@ func TestDrainGatesDataPlane(t *testing.T) {
 
 	chunk := data.NewRelation("c", 1)
 	chunk.Append(1.0)
-	load := &LoadArgs{JobID: "job", Partition: 0, Side: "S", Chunk: chunk, IDs: []int64{0}}
+	load := &LoadArgs{JobID: "job", Partition: 0, Side: "S", Columnar: chunkOf(chunk, []int64{0})}
 	if err := w.Load(load, &LoadReply{}); err != nil {
 		t.Fatalf("Load before drain: %v", err)
 	}

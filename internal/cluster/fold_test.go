@@ -50,7 +50,7 @@ func newFoldFixture(t *testing.T, parts, batches int) *foldFixture {
 	s := foldPoints(rng, "s", f.base)
 	for pid := 0; pid < parts; pid++ {
 		for side, rel := range map[string]*data.Relation{"S": s, "T": f.t} {
-			if err := f.w.Load(&LoadArgs{JobID: "plan", Partition: pid, Side: side, Chunk: rel, IDs: seqIDs(0, rel.Len()), Retain: true}, &LoadReply{}); err != nil {
+			if err := f.w.Load(&LoadArgs{JobID: "plan", Partition: pid, Side: side, Columnar: chunkOf(rel, seqIDs(0, rel.Len())), Retain: true}, &LoadReply{}); err != nil {
 				t.Fatalf("Load: %v", err)
 			}
 		}
@@ -60,7 +60,11 @@ func newFoldFixture(t *testing.T, parts, batches int) *foldFixture {
 	}
 	grown := s.Clone("s")
 	for k := 0; k <= batches; k++ {
-		f.want = append(f.want, bruteForce(grown, f.t, f.band))
+		want := make(map[exec.Pair]bool)
+		for _, p := range definitionPairs(grown, f.t, f.band) {
+			want[p] = true
+		}
+		f.want = append(f.want, want)
 		if k < batches {
 			batch := foldPoints(rng, "d", grown.Len()/10)
 			f.batches = append(f.batches, batch)
@@ -78,7 +82,7 @@ func (f *foldFixture) appendBatch(t *testing.T, k int) {
 		from += b.Len()
 	}
 	b := f.batches[k]
-	if err := f.w.Load(&LoadArgs{JobID: "plan", Partition: 0, Side: "S", Chunk: b, IDs: seqIDs(from, b.Len()), Retain: true, Delta: true}, &LoadReply{}); err != nil {
+	if err := f.w.Load(&LoadArgs{JobID: "plan", Partition: 0, Side: "S", Columnar: chunkOf(b, seqIDs(from, b.Len())), Retain: true, Delta: true}, &LoadReply{}); err != nil {
 		t.Errorf("delta Load: %v", err)
 	}
 }

@@ -91,48 +91,3 @@ func TestWorkerMorselMatchesPerPartitionOracle(t *testing.T) {
 		t.Error("no worker reported executed morsels after morsel-path runs")
 	}
 }
-
-// TestSerialPlaneForcesPerPartitionPath: the serial reference data plane is
-// the correctness oracle, so it must ignore a morsel request and keep its
-// sequential per-partition schedule — while still producing identical pairs.
-func TestSerialPlaneForcesPerPartitionPath(t *testing.T) {
-	lc, err := StartLocal(3)
-	if err != nil {
-		t.Fatalf("StartLocal: %v", err)
-	}
-	defer lc.Stop()
-	coord, err := Dial(lc.Addrs())
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer coord.Close()
-
-	s, tt, band := skewedClusterInputs(400, 5)
-	plan, pctx := retainPlanFor(t, core.NewRecPartS(), s, tt, band, 3)
-
-	streaming, err := coord.RunPlan(context.Background(), plan, pctx, s, tt, band,
-		Options{CollectPairs: true, ChunkSize: 128, MorselRows: 16})
-	if err != nil {
-		t.Fatalf("streaming RunPlan: %v", err)
-	}
-	before := int64(0)
-	for _, ws := range coord.Stats(context.Background()).Workers {
-		before += ws.Stats.Morsels
-	}
-	if before == 0 {
-		t.Fatal("streaming morsel run executed no morsels")
-	}
-	serial, err := coord.RunPlan(context.Background(), plan, pctx, s, tt, band,
-		Options{CollectPairs: true, ChunkSize: 128, MorselRows: 16, Serial: true})
-	if err != nil {
-		t.Fatalf("serial RunPlan: %v", err)
-	}
-	samePairs(t, "serial vs streaming", serial.Pairs, streaming.Pairs)
-	after := int64(0)
-	for _, ws := range coord.Stats(context.Background()).Workers {
-		after += ws.Stats.Morsels
-	}
-	if after != before {
-		t.Errorf("serial plane executed %d morsels, want 0 (it is the per-partition oracle)", after-before)
-	}
-}

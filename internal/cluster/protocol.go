@@ -7,42 +7,30 @@
 // separate processes (cmd/recpartd) or in-process for tests.
 package cluster
 
-import (
-	"fmt"
-
-	"bandjoin/internal/data"
-)
+import "bandjoin/internal/data"
 
 // ServiceName is the name the worker RPC service is registered under.
 const ServiceName = "BandJoinWorker"
 
 // LoadArgs ships one batch of partition input to a worker. Batches for the
-// same partition accumulate on the worker. Exactly one of Chunk and Packed
-// must be set: Chunk is the reference (serial) plane's representation — a
-// Relation gob-encoded value by value — while the streaming plane ships
-// Packed, whose raw byte payload gob moves with single copies.
+// same partition accumulate on the worker.
 type LoadArgs struct {
 	JobID     string
 	Partition int
 	// Side is "S" or "T".
-	Side  string
-	Chunk *data.Relation
-	// IDs are the original tuple indices of the chunk, used to report result
-	// pairs for verification. Set together with Chunk.
-	IDs []int64
-	// Packed is the streaming plane's v1 compact chunk representation.
-	Packed *PackedChunk
-	// Columnar is the streaming plane's current chunk representation: a
-	// self-describing columnar chunk encoded by internal/wire (one column per
-	// dimension plus the ID column, each bit-packed or raw64). Senders use it
-	// when the worker's Ping advertised WireVersion >= wire.Version and
-	// compression is not off; exactly one of Chunk, Packed, and Columnar must
-	// be set on a data-bearing Load.
+	Side string
+	// Columnar is the batch: a self-describing columnar chunk encoded by
+	// internal/wire (one column per dimension plus the column of original
+	// tuple indices, each bit-packed or raw64). Every data-bearing Load has
+	// one; senders ship only to workers whose Ping advertised
+	// WireVersion >= wire.Version.
 	Columnar []byte
 	// SideTotal, when positive, is the total number of tuples this
-	// (partition, side) will receive over the whole shuffle — the columnar
-	// path's counterpart of PackedChunk.SideTotal, a hint the worker reserves
-	// storage by (never more than a constant factor over the rows received).
+	// (partition, side) will receive over the whole shuffle. The sender knows
+	// it up front (partitions are routed before shipping), and the worker uses
+	// it as a hint to reserve storage ahead instead of growing repeatedly
+	// under append (never more than a constant factor over the rows received:
+	// it is unvalidated input).
 	SideTotal int
 	// Complete marks this Load as a per-partition end-of-shipment marker (it
 	// carries no data): every chunk of the partition has been issued on this
@@ -84,45 +72,8 @@ type LoadArgs struct {
 	Attempt int
 }
 
-// PackedChunk is the streaming shuffle's wire representation of one chunk:
-// keys and original tuple IDs packed as raw little-endian bytes
-// (data.Relation.PackKeysLE and data.PackInt64sLE). gob copies a []byte wholesale,
-// so encoding and decoding cost a memcpy per chunk instead of a reflective
-// per-value walk — the difference is most of the serial plane's wire CPU.
-type PackedChunk struct {
-	Dims int
-	// Keys holds n*Dims float64 values, row-major, 8 bytes each.
-	Keys []byte
-	// IDs holds n int64 values, 8 bytes each.
-	IDs []byte
-	// SideTotal, when positive, is the total number of tuples this
-	// (partition, side) will receive over the whole shuffle. The streaming
-	// sender knows it up front (partitions are routed before shipping), and
-	// the worker uses it as a hint to reserve storage ahead instead of growing
-	// repeatedly under append (never more than a constant factor over the
-	// rows received: it is unvalidated input).
-	SideTotal int
-}
-
-// Tuples returns the number of tuples in the chunk, or an error if the
-// payload is misaligned.
-func (pc *PackedChunk) Tuples() (int, error) {
-	if pc.Dims < 1 {
-		return 0, fmt.Errorf("cluster: packed chunk has invalid dimensionality %d", pc.Dims)
-	}
-	if len(pc.Keys)%(8*pc.Dims) != 0 {
-		return 0, fmt.Errorf("cluster: packed chunk has %d key bytes, not a multiple of %d", len(pc.Keys), 8*pc.Dims)
-	}
-	n := len(pc.Keys) / (8 * pc.Dims)
-	if len(pc.IDs) != n*8 {
-		return 0, fmt.Errorf("cluster: packed chunk has %d id bytes for %d tuples", len(pc.IDs), n)
-	}
-	return n, nil
-}
-
 // LoadReply acknowledges a batch. DecodeNanos is the time the worker spent
-// decoding the batch's columnar chunk into the partition (zero for the other
-// representations).
+// decoding the batch's columnar chunk into the partition.
 type LoadReply struct {
 	Received    int
 	DecodeNanos int64
@@ -327,8 +278,8 @@ type PingReply struct {
 	// answers Ping but rejects new Load/Join/Seal work.
 	Draining bool
 	// WireVersion is the columnar chunk format the worker decodes (see
-	// internal/wire.Version). Coordinators fall back to the v1 row-major
-	// PackedChunk when a worker reports an older version — gob zero-fills the
-	// field for peers that predate it, so the fallback is automatic.
+	// internal/wire.Version). Coordinators refuse to ship to a worker that
+	// reports an older version — gob zero-fills the field for peers that
+	// predate it, so those are refused too.
 	WireVersion int
 }

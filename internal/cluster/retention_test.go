@@ -45,8 +45,7 @@ func samePairs(t *testing.T, label string, a, b []exec.Pair) {
 
 // TestRetainedPlanZeroShuffleRerun is the core warm-partition property: a
 // repeated RunPlan naming the same plan fingerprint must move zero shuffle
-// bytes and zero Load RPCs, and report bit-identical accounting and pairs,
-// on both data planes.
+// bytes and zero Load RPCs, and report bit-identical accounting and pairs.
 func TestRetainedPlanZeroShuffleRerun(t *testing.T) {
 	lc, err := StartLocal(3)
 	if err != nil {
@@ -63,32 +62,29 @@ func TestRetainedPlanZeroShuffleRerun(t *testing.T) {
 	band := data.Symmetric(0.3, 0.3)
 	plan, ctx := retainPlanFor(t, core.NewRecPartS(), s, tt, band, 3)
 
-	for _, serial := range []bool{false, true} {
-		t.Run(fmt.Sprintf("serial=%v", serial), func(t *testing.T) {
-			opts := Options{PlanID: fmt.Sprintf("test-plan-serial=%v", serial), CollectPairs: true, ChunkSize: 128, Serial: serial}
-			cold, err := coord.RunPlan(context.Background(), plan, ctx, s, tt, band, opts)
-			if err != nil {
-				t.Fatalf("cold RunPlan: %v", err)
-			}
-			if cold.ShuffleBytes == 0 || cold.ShuffleRPCs == 0 {
-				t.Fatalf("cold run reports no shuffle traffic (bytes=%d rpcs=%d)", cold.ShuffleBytes, cold.ShuffleRPCs)
-			}
-			warm, err := coord.RunPlan(context.Background(), plan, ctx, s, tt, band, opts)
-			if err != nil {
-				t.Fatalf("warm RunPlan: %v", err)
-			}
-			if warm.ShuffleBytes != 0 || warm.ShuffleRPCs != 0 {
-				t.Errorf("warm run shuffled: bytes=%d rpcs=%d, want 0/0", warm.ShuffleBytes, warm.ShuffleRPCs)
-			}
-			if warm.TotalInput != cold.TotalInput || warm.Output != cold.Output ||
-				warm.Im != cold.Im || warm.Om != cold.Om || warm.Partitions != cold.Partitions {
-				t.Errorf("warm accounting differs: cold (I=%d out=%d Im=%d Om=%d parts=%d), warm (I=%d out=%d Im=%d Om=%d parts=%d)",
-					cold.TotalInput, cold.Output, cold.Im, cold.Om, cold.Partitions,
-					warm.TotalInput, warm.Output, warm.Im, warm.Om, warm.Partitions)
-			}
-			samePairs(t, "cold vs warm", cold.Pairs, warm.Pairs)
-		})
+	opts := Options{PlanID: "test-plan", CollectPairs: true, ChunkSize: 128}
+	cold, err := coord.RunPlan(context.Background(), plan, ctx, s, tt, band, opts)
+	if err != nil {
+		t.Fatalf("cold RunPlan: %v", err)
 	}
+	if cold.ShuffleBytes == 0 || cold.ShuffleRPCs == 0 {
+		t.Fatalf("cold run reports no shuffle traffic (bytes=%d rpcs=%d)", cold.ShuffleBytes, cold.ShuffleRPCs)
+	}
+	warm, err := coord.RunPlan(context.Background(), plan, ctx, s, tt, band, opts)
+	if err != nil {
+		t.Fatalf("warm RunPlan: %v", err)
+	}
+	if warm.ShuffleBytes != 0 || warm.ShuffleRPCs != 0 {
+		t.Errorf("warm run shuffled: bytes=%d rpcs=%d, want 0/0", warm.ShuffleBytes, warm.ShuffleRPCs)
+	}
+	if warm.TotalInput != cold.TotalInput || warm.Output != cold.Output ||
+		warm.Im != cold.Im || warm.Om != cold.Om || warm.Partitions != cold.Partitions {
+		t.Errorf("warm accounting differs: cold (I=%d out=%d Im=%d Om=%d parts=%d), warm (I=%d out=%d Im=%d Om=%d parts=%d)",
+			cold.TotalInput, cold.Output, cold.Im, cold.Om, cold.Partitions,
+			warm.TotalInput, warm.Output, warm.Im, warm.Om, warm.Partitions)
+	}
+	samePairs(t, "cold vs warm", cold.Pairs, warm.Pairs)
+	samePairs(t, "cold vs nested loop", cold.Pairs, definitionPairs(s, tt, band))
 }
 
 // TestResetScopedToTransientJobs pins the Reset-scoping bugfix at the worker
@@ -104,7 +100,7 @@ func TestResetScopedToTransientJobs(t *testing.T) {
 	}
 	for _, side := range []string{"S", "T"} {
 		var lr LoadReply
-		if err := w.Load(&LoadArgs{JobID: "plan-x", Partition: 0, Side: side, Chunk: chunk, IDs: ids, Retain: true}, &lr); err != nil {
+		if err := w.Load(&LoadArgs{JobID: "plan-x", Partition: 0, Side: side, Columnar: chunkOf(chunk, ids), Retain: true}, &lr); err != nil {
 			t.Fatalf("Load: %v", err)
 		}
 	}
@@ -285,7 +281,7 @@ func TestWorkerMaxRetainedCap(t *testing.T) {
 
 	for _, plan := range []string{"plan-a", "plan-b"} {
 		var lr LoadReply
-		if err := w.Load(&LoadArgs{JobID: plan, Partition: 0, Side: "S", Chunk: chunk, IDs: ids, Retain: true}, &lr); err != nil {
+		if err := w.Load(&LoadArgs{JobID: plan, Partition: 0, Side: "S", Columnar: chunkOf(chunk, ids), Retain: true}, &lr); err != nil {
 			t.Fatalf("Load(%s): %v", plan, err)
 		}
 		var sr SealReply

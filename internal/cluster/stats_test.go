@@ -131,7 +131,7 @@ func TestStatsWhileDraining(t *testing.T) {
 
 	chunk := data.NewRelation("c", 1)
 	chunk.Append(1)
-	err := w.Load(&LoadArgs{JobID: "j", Partition: 0, Side: "S", Chunk: chunk, IDs: []int64{0}}, &LoadReply{})
+	err := w.Load(&LoadArgs{JobID: "j", Partition: 0, Side: "S", Columnar: chunkOf(chunk, []int64{0})}, &LoadReply{})
 	if err == nil || !strings.Contains(err.Error(), "draining") {
 		t.Fatalf("Load on draining worker: err = %v, want draining rejection", err)
 	}

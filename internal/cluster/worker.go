@@ -66,9 +66,9 @@ type Worker struct {
 	inflight sync.WaitGroup
 
 	// wireVersion is the chunk format version advertised in Ping replies
-	// (wire.Version by default). Tests force an older value via
-	// SetWireVersion to exercise the coordinator's v1 fallback; Load accepts
-	// every representation regardless, so the knob only affects negotiation.
+	// (wire.Version by default). Tests advertise an older value via
+	// SetWireVersion to stand in for an old worker, which a coordinator must
+	// refuse to ship to.
 	wireVersion int
 
 	// prepSem bounds the background pipelined-join preparations (partitions
@@ -408,9 +408,8 @@ func NewWorker(name string) *Worker {
 }
 
 // SetWireVersion overrides the chunk format version the worker advertises in
-// Ping replies (tests use it to force coordinators onto the v1 row-major
-// fallback). It must be called before the worker starts serving. Load accepts
-// every format regardless of the advertised version.
+// Ping replies (tests use it to stand in for an old worker). It must be called
+// before the worker starts serving.
 func (w *Worker) SetWireVersion(v int) {
 	if v < 0 {
 		v = 0
@@ -504,10 +503,9 @@ func (w *Worker) Retained() int {
 	return len(w.retained)
 }
 
-// Load implements the RPC method receiving partition input, in the reference
-// representation (Chunk + IDs), the streaming plane's v1 packed form, or the
-// columnar form of internal/wire — or a per-partition Complete marker
-// carrying no data (the pipelined-join path).
+// Load implements the RPC method receiving partition input as a columnar
+// chunk of internal/wire — or a per-partition Complete marker carrying no data
+// (the pipelined-join path).
 func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 	if err := w.beginWork(); err != nil {
 		return err
@@ -516,43 +514,24 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 	if args.Complete {
 		return w.completeMarker(args)
 	}
-	payloads := 0
-	for _, set := range []bool{args.Packed != nil, args.Chunk != nil, len(args.Columnar) > 0} {
-		if set {
-			payloads++
-		}
+	if len(args.Columnar) == 0 {
+		// gob drops the fields this struct no longer has, so this is also what
+		// a coordinator that still ships one of the older row-major forms sends.
+		return fmt.Errorf("cluster: worker %s: Load carries no columnar chunk; this worker reads wire version %d only (the row-major formats before it are gone)",
+			w.name, wire.Version)
 	}
-	if payloads != 1 {
-		return fmt.Errorf("cluster: worker %s: Load needs exactly one of chunk, packed, columnar; got %d", w.name, payloads)
-	}
-	var n, dims int
-	switch {
-	case args.Packed != nil:
-		var err error
-		if n, err = args.Packed.Tuples(); err != nil {
-			return fmt.Errorf("cluster: worker %s: %w", w.name, err)
-		}
-		dims = args.Packed.Dims
-	case args.Chunk != nil:
-		if len(args.IDs) != args.Chunk.Len() {
-			return fmt.Errorf("cluster: worker %s received %d ids for %d tuples", w.name, len(args.IDs), args.Chunk.Len())
-		}
-		n = args.Chunk.Len()
-		dims = args.Chunk.Dims()
-	default:
-		// Parse only the header here (it bounds the row count by
-		// wire.MaxChunkRows); the columns are decoded straight into the
-		// partition's arenas once it is resolved.
-		var hdr wire.Decoder
-		var err error
-		if n, dims, err = hdr.Begin(args.Columnar); err != nil {
-			return fmt.Errorf("cluster: worker %s: %w", w.name, err)
-		}
+	// Parse only the header here (it bounds the row count by
+	// wire.MaxChunkRows); the columns are decoded straight into the
+	// partition's arenas once it is resolved.
+	var hdr wire.Decoder
+	n, dims, err := hdr.Begin(args.Columnar)
+	if err != nil {
+		return fmt.Errorf("cluster: worker %s: %w", w.name, err)
 	}
 	if args.Side != "S" && args.Side != "T" {
 		return fmt.Errorf("cluster: unknown relation side %q", args.Side)
 	}
-	if args.SideTotal < 0 || (args.Packed != nil && args.Packed.SideTotal < 0) {
+	if args.SideTotal < 0 {
 		return fmt.Errorf("cluster: worker %s: negative side total", w.name)
 	}
 	if args.Delta && !args.Retain {
@@ -573,9 +552,7 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 	job.mu.Unlock()
 
 	p.mu.Lock()
-	// Chunks of one partition must agree on dimensionality; without this
-	// check a mismatched packed chunk could append more keys than IDs and
-	// blow up a later join instead of failing the offending Load.
+	// Chunks of one partition must agree on dimensionality.
 	if dims != p.s.Dims() {
 		p.mu.Unlock()
 		return fmt.Errorf("cluster: worker %s: partition %d chunk has %d dims, want %d",
@@ -585,31 +562,14 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 	if args.Side == "T" {
 		rel, ids = p.t, &p.tIDs
 	}
-	var payload int64
-	var decodeNanos int64
-	switch {
-	case args.Packed != nil:
-		reserveSide(rel, ids, args.Packed.SideTotal, n)
-		if err := rel.AppendKeysLE(args.Packed.Keys); err != nil {
-			p.mu.Unlock()
-			return fmt.Errorf("cluster: worker %s: %w", w.name, err)
-		}
-		*ids = data.AppendInt64sLE(*ids, args.Packed.IDs)
-		payload = int64(len(args.Packed.Keys) + len(args.Packed.IDs))
-	case args.Chunk != nil:
-		rel.AppendRows(args.Chunk, 0, args.Chunk.Len())
-		*ids = append(*ids, args.IDs...)
-		payload = int64(n) * int64(dims+1) * 8
-	default:
-		start := time.Now()
-		if err := w.decodeColumnar(args, rel, ids, n, dims); err != nil {
-			p.mu.Unlock()
-			return fmt.Errorf("cluster: worker %s: %w", w.name, err)
-		}
-		decodeNanos = time.Since(start).Nanoseconds()
-		reply.DecodeNanos = decodeNanos
-		payload = int64(len(args.Columnar))
+	start := time.Now()
+	if err := w.decodeColumnar(args, rel, ids, n, dims); err != nil {
+		p.mu.Unlock()
+		return fmt.Errorf("cluster: worker %s: %w", w.name, err)
 	}
+	decodeNanos := time.Since(start).Nanoseconds()
+	reply.DecodeNanos = decodeNanos
+	payload := int64(len(args.Columnar))
 	if args.Delta {
 		// Rows appended to T are missing from any prebuilt join structure:
 		// invalidate it under the write lock already held; the next probe's
@@ -639,9 +599,7 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 	w.m.loadBytes.Add(payload)
 	w.m.loadRawBytes.Add(wire.RawBytes(n, dims))
 	w.m.loadChunkBytes.Observe(float64(payload))
-	if decodeNanos > 0 {
-		w.m.decodeSeconds.Observe(float64(decodeNanos) / 1e9)
-	}
+	w.m.decodeSeconds.Observe(float64(decodeNanos) / 1e9)
 	return nil
 }
 

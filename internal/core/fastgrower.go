@@ -7,21 +7,23 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"bandjoin/internal/partition"
 	"bandjoin/internal/sample"
 )
 
-// fastGrower is the high-performance implementation of Algorithm 1. It makes
-// the same decisions as the serial reference grower (grower.go) — the
-// equivalence suite pins bit-identical action logs and histories — but gets
-// there very differently:
+// fastGrower is the implementation of Algorithm 1's repeat loop. Its
+// decisions are growEnv's (grower.go); what it adds is the machinery that
+// makes them cheap — "fast" against the textbook form that re-sorts every
+// leaf's sample per dimension, which this repository carried as a reference
+// until TestPlanGolden and the equivalence suite recorded its plans:
 //
 //   - Sort inheritance. The root starts from the sample's per-dimension
 //     argsorts (sample.Columns: S's and T's are cached with the drawn input
 //     sample, so a plan for a new band copies them; only the band's own output
 //     pairs are sorted per plan); a split then distributes each sorted view to
 //     the two children with a linear stable partition, so every child's
-//     per-dimension sorted views cost O(n·d) instead of the oracle's fresh
-//     O(n·d·log n) sorts per leaf.
+//     per-dimension sorted views cost O(n·d) instead of fresh O(n·d·log n)
+//     sorts per leaf.
 //
 //   - Columnar reads. Every sample value the grower reads — a leaf's sorted
 //     values of one dimension, the split dimension's values when distributing
@@ -45,8 +47,9 @@ import (
 //   - Parallel best-split. The per-dimension sweeps of the leaves created by
 //     a split are evaluated on a bounded worker pool (Options.Parallelism)
 //     and merged deterministically in (node, ascending dimension) order with
-//     score.better — the exact visit order of the serial oracle — so plans
-//     are bit-identical regardless of scheduling.
+//     score.better (a strict weak order, so the first element of the maximal
+//     class wins whatever the interleaving): plans are bit-identical
+//     regardless of scheduling.
 type fastGrower struct {
 	growEnv
 
@@ -173,10 +176,11 @@ const (
 // ---------------------------------------------------------------------------
 // Growth
 
-// runFastGrower grows the split tree with pooled scratch and returns the
-// populated environment (action log, history) plus the winning iteration.
-func runFastGrower(env growEnv, parallelism int) (growEnv, int) {
-	f := &fastGrower{growEnv: env, dims: env.band.Dims(), par: parallelism}
+// growTree grows the split tree with pooled scratch and returns the populated
+// growth environment (action log, history) plus the winning iteration.
+func growTree(ctx *partition.Context, opts Options) (growEnv, int) {
+	env := newGrowEnv(ctx, opts)
+	f := &fastGrower{growEnv: env, dims: env.band.Dims(), par: opts.Parallelism}
 	if f.par <= 0 {
 		f.par = runtime.GOMAXPROCS(0)
 	}
@@ -313,8 +317,9 @@ func (f *fastGrower) apply(n *node) {
 }
 
 // distribute assigns the leaf's sample tuples to the two children of the
-// given split — the same membership predicates as the serial grower's
-// distribute (Algorithm 3) — while inheriting sortedness: membership flags
+// given split, duplicating tuples of the duplicated relation whose ε-range
+// crosses the split boundary, as the real shuffle will (Algorithm 3) — while
+// inheriting sortedness: membership flags
 // are computed once per tuple from the dimension-0 views, then every
 // dimension's sorted view is split by a linear stable partition, so the
 // children's views are sorted without sorting.
@@ -435,7 +440,7 @@ func stablePartition(src []int32, memb []byte, left, right []int32) {
 // evalBatch computes the best action of the given fresh leaves (b may be
 // nil). Small leaves are scored inline; the regular leaves' per-dimension
 // sweeps are fanned out to the worker pool and reduced in (node, ascending
-// dimension) order, exactly the serial oracle's visit order.
+// dimension) order.
 func (f *fastGrower) evalBatch(a, b *node) {
 	tasks := f.sc.tasks[:0]
 	for _, n := range [2]*node{a, b} {
@@ -533,8 +538,7 @@ func (f *fastGrower) evalDim(n *node, dim int, lpSq float64, es *evalScratch) ca
 
 // gatherVals returns the column's values of the referenced sample tuples, in
 // buf's storage when it is large enough. idx is sorted by that column's value,
-// so the result comes out sorted — the same value sequence sortedVals produces
-// for the same membership.
+// so the result comes out sorted.
 func gatherVals(col []float64, idx []int32, buf []float64) []float64 {
 	out := slices.Grow(buf[:0], len(idx))[:len(idx)]
 	for i, id := range idx {
@@ -543,10 +547,12 @@ func gatherVals(col []float64, idx []int32, buf []float64) []float64 {
 	return out
 }
 
-// candsFromSorted fuses the merge of two ascending value slices with the
-// mid-point generation and below-count bookkeeping of candidatePoints into
-// one pass: at the moment a candidate is emitted, the merge positions are
-// exactly the counts of S and T values strictly below it.
+// candsFromSorted returns the candidate split points of one dimension — the
+// mid-points between consecutive distinct values of the merged sample,
+// restricted to the open interval (lo, hi) — together with the per-candidate
+// counts of S and T values strictly below each point (the sweep's unshifted
+// pointers). One merge pass does all three: at the moment a candidate is
+// emitted, the merge positions are exactly those counts.
 func candsFromSorted(sv, tv []float64, lo, hi float64, out []float64, cS, cT []int32) ([]float64, []int32, []int32) {
 	i, j := 0, 0
 	have := false

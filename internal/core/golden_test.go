@@ -13,19 +13,13 @@ import (
 	"bandjoin/internal/sample"
 )
 
-// hashPlan folds everything a grower decides — the whole action log, the
+// hashPlan folds everything the grower decides — the whole action log, the
 // winning iteration, and the leaf regions of the replayed plan — into one
 // FNV-1a hash over the integer values and float64 bit patterns.
 func hashPlan(t *testing.T, env growEnv, chosen int) uint64 {
 	t.Helper()
 	h := fnv.New64a()
-	var buf [8]byte
-	put := func(bits uint64) {
-		for i := range buf {
-			buf[i] = byte(bits >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+	put := func(bits uint64) { put64(h, bits) }
 	flag := func(b bool) uint64 {
 		if b {
 			return 1
@@ -86,16 +80,15 @@ func goldenQuantized3D() (s, t *data.Relation) {
 	return gen("s", 31), gen("t", 32)
 }
 
-// TestPlanGolden pins the growers' decisions on three fixed inputs, for
+// TestPlanGolden pins the grower's decisions on three fixed inputs, for
 // RecPart and RecPart-S, a symmetric and an asymmetric band each. The hashes
-// were captured on the commit before the fast grower moved from the row-major
-// sample and a per-plan radix sort to the sample's cached sorted columns. The
-// equivalence suite compares the two growers with each other, and both share
-// sweepDim; these hashes compare either with that commit.
+// were captured on the commit before the grower moved from the row-major
+// sample and a per-plan radix sort to the sample's cached sorted columns, when
+// the serial reference grower (since removed) produced them too.
 //
-// The fast grower also plans from a copy of each sample assembled by hand —
-// no InputSample behind it, so no cached columns to share — and must land on
-// the same hash: there is one path from a sample to its columns.
+// The grower also plans from a copy of each sample assembled by hand — no
+// InputSample behind it, so no cached columns to share — and must land on the
+// same hash: there is one path from a sample to its columns.
 func TestPlanGolden(t *testing.T) {
 	pareto8S, pareto8T := data.ParetoPair(8, 1.5, 20000, 11)
 	pointS, pointT := goldenPointMass2D()
@@ -138,23 +131,20 @@ func TestPlanGolden(t *testing.T) {
 				opts := DefaultOptions()
 				opts.Symmetric = symmetric
 				ctx := ctx
-				check := func(grower string, o Options) {
+				check := func(how string, o Options) {
 					env, chosen := growTree(ctx, o)
 					if got := hashPlan(t, env, chosen); got != want {
 						t.Errorf("%s band %d symmetric=%v %s: %d actions, chosen %d, hash %#x; want %#x",
-							in.name, bi, symmetric, grower, len(env.actions), chosen, got, want)
+							in.name, bi, symmetric, how, len(env.actions), chosen, got, want)
 					}
 				}
-				so := opts
-				so.Serial = true
-				check("serial", so)
 				for _, par := range []int{1, 2, 8} {
 					fo := opts
 					fo.Parallelism = par
-					check(fmt.Sprintf("fast/par=%d", par), fo)
+					check(fmt.Sprintf("par=%d", par), fo)
 				}
 				ctx = &handCtx
-				check("fast/hand-built sample", opts)
+				check("hand-built sample", opts)
 			}
 		}
 	}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 
 	"bandjoin/internal/data"
 	"bandjoin/internal/partition"
@@ -27,13 +25,12 @@ type action struct {
 	addRow      bool
 }
 
-// growEnv is the state and arithmetic shared by the two grower
-// implementations: the serial reference grower below (the correctness oracle)
-// and the fast grower (fastgrower.go). Everything that influences a planning
-// decision — split scoring, the per-iteration statistics, the termination
-// rule, the incremental total-input accounting — lives here and is executed
-// through the same code by both, so the two growers produce bit-identical
-// action logs and histories (the property the equivalence suite pins).
+// growEnv is the grower's decision state and arithmetic: everything that
+// influences a planning decision — split scoring, the per-iteration
+// statistics, the termination rule, the incremental total-input accounting —
+// lives here, apart from the machinery that feeds it (fastgrower.go: sorted
+// views, arenas, the parallel sweep). The recorded hashes of TestPlanGolden
+// and the equivalence suite pin its decisions bit for bit.
 type growEnv struct {
 	ctx  *partition.Context
 	opts Options
@@ -47,8 +44,7 @@ type growEnv struct {
 	// Sweep constants with the sampling rates folded in: b2s·count ==
 	// β2·ScaleS(count) (up to rounding), and likewise for T and the output
 	// sample weight. Hoisting the divisions out of the per-candidate loop
-	// roughly halves the sweep's cost; both growers share the folded
-	// arithmetic, so their scores remain bit-identical to each other.
+	// roughly halves the sweep's cost.
 	b2s, b2t, b3o float64 // β2/SRate, β2/TRate, β3·OutWeight
 	invS, invT    float64 // 1/SRate, 1/TRate (0 when the rate is 0)
 
@@ -63,9 +59,9 @@ type growEnv struct {
 	// totalInput is Σ leaf.assignedInput() over the current leaves — the
 	// estimated total input I including duplicates. It is maintained
 	// incrementally (the split leaf's contribution leaves, its replacements'
-	// enter) through noteSplit/noteSmall rather than re-summed per iteration;
-	// since floating-point addition is order-sensitive, both growers share
-	// these exact update expressions so the value is bit-identical.
+	// enter) through noteSplit/noteSmall rather than re-summed per iteration.
+	// Floating-point addition is order-sensitive: reordering these updates
+	// changes plans.
 	totalInput float64
 }
 
@@ -158,206 +154,6 @@ func (e *growEnv) noteSmall(n *node, prev float64) {
 	e.totalInput += n.assignedInput() - prev
 }
 
-// grower is the straightforward serial implementation of Algorithm 1: one
-// leaf at a time, re-sorting the leaf's sample per dimension for every
-// best-split evaluation, with freshly allocated candidate and statistics
-// buffers. It is retained behind Options.Serial as the reference the fast
-// grower is compared against (the SerialShuffle pattern of internal/exec).
-// Note the scope of that oracle role: the *mechanical* machinery the fast
-// grower replaces — sort inheritance, arenas, membership-flag distribution,
-// the parallel reduction — is independent here and cross-checked by the
-// equivalence suite, while the decision arithmetic itself (sweep scoring,
-// statistics, termination) is deliberately shared through growEnv, because
-// bit-identical plans are impossible under independently-rounded floating
-// point. Bugs in the shared arithmetic are instead caught by the semantic
-// tests (Definition 1 invariants, history monotonicity, plan-quality
-// comparisons), which run against the default fast path.
-type grower struct {
-	growEnv
-
-	nodes  []*node
-	root   *node
-	leaves leafHeap
-}
-
-func newGrower(ctx *partition.Context, opts Options) *grower {
-	return &grower{growEnv: newGrowEnv(ctx, opts)}
-}
-
-// initialize builds the root leaf holding all samples (lines 1-4 of
-// Algorithm 1).
-func (g *grower) initialize() {
-	smp := g.ctx.Sample
-	root := &node{
-		id:      0,
-		region:  g.rootRegion(),
-		isLeaf:  true,
-		rows:    1,
-		cols:    1,
-		heapIdx: -1,
-	}
-	root.sIdx = make([]int32, smp.S.Len())
-	for i := range root.sIdx {
-		root.sIdx[i] = int32(i)
-	}
-	root.tIdx = make([]int32, smp.T.Len())
-	for i := range root.tIdx {
-		root.tIdx[i] = int32(i)
-	}
-	root.outIdx = make([]int32, smp.OutS.Len())
-	for i := range root.outIdx {
-		root.outIdx[i] = int32(i)
-	}
-	g.updateEstimates(root)
-	root.small = root.region.IsSmall(g.band)
-	root.best = g.bestSplit(root)
-
-	g.root = root
-	g.nodes = []*node{root}
-	g.leaves = leafHeap{}
-	heap.Push(&g.leaves, root)
-	g.totalInput = root.assignedInput()
-	g.history = append(g.history, g.snapshotStats(g.leaves, 0, nil))
-}
-
-// updateEstimates refreshes the leaf's scaled input/output estimates from its
-// sample membership.
-func (g *grower) updateEstimates(n *node) {
-	n.nS, n.nT, n.nOut = len(n.sIdx), len(n.tIdx), len(n.outIdx)
-	g.setEstimates(n)
-}
-
-// grow runs the repeat loop until a termination condition fires and returns
-// the index (into the action log) of the winning partitioning.
-func (g *grower) grow() int {
-	for iter := 1; iter <= g.opts.MaxIterations; iter++ {
-		top := g.leaves.peek()
-		if top == nil || !top.best.sc.valid {
-			break
-		}
-		top = heap.Pop(&g.leaves).(*node)
-		g.apply(top)
-		g.history = append(g.history, g.snapshotStats(g.leaves, len(g.actions), nil))
-		if g.shouldStop() {
-			break
-		}
-	}
-	return g.bestIteration()
-}
-
-// apply performs the leaf's best action and re-inserts the affected leaves
-// with fresh best-split scores (lines 7-9 of Algorithm 1).
-func (g *grower) apply(n *node) {
-	c := n.best
-	if c.smallAction {
-		prev := n.assignedInput()
-		if c.addRow {
-			n.rows++
-		} else {
-			n.cols++
-		}
-		g.noteSmall(n, prev)
-		n.best = g.bestSplit(n)
-		heap.Push(&g.leaves, n)
-		g.actions = append(g.actions, action{nodeID: n.id, smallAction: true, addRow: c.addRow})
-		return
-	}
-
-	leftRegion, rightRegion := n.region.SplitAt(c.dim, c.val)
-	left := &node{id: len(g.nodes), region: leftRegion, isLeaf: true, rows: 1, cols: 1, heapIdx: -1}
-	right := &node{id: len(g.nodes) + 1, region: rightRegion, isLeaf: true, rows: 1, cols: 1, heapIdx: -1}
-	g.nodes = append(g.nodes, left, right)
-
-	g.distribute(n, c, left, right)
-	g.updateEstimates(left)
-	g.updateEstimates(right)
-	left.small = left.region.IsSmall(g.band)
-	right.small = right.region.IsSmall(g.band)
-	left.best = g.bestSplit(left)
-	right.best = g.bestSplit(right)
-	g.noteSplit(n, left, right)
-
-	n.isLeaf = false
-	n.dim, n.val, n.kind = c.dim, c.val, c.kind
-	n.left, n.right = left, right
-	n.sIdx, n.tIdx, n.outIdx = nil, nil, nil
-
-	heap.Push(&g.leaves, left)
-	heap.Push(&g.leaves, right)
-	g.actions = append(g.actions, action{nodeID: n.id, dim: c.dim, val: c.val, kind: c.kind})
-}
-
-// distribute assigns the leaf's sample tuples to the two children of the given
-// split, duplicating tuples of the duplicated relation whose ε-range crosses
-// the split boundary, exactly as the real shuffle will (Algorithm 3).
-func (g *grower) distribute(n *node, c candidate, left, right *node) {
-	smp := g.ctx.Sample
-	dim, x := c.dim, c.val
-	low, high := g.band.Low[dim], g.band.High[dim]
-
-	if c.kind == splitT {
-		for _, i := range n.sIdx {
-			if smp.S.Key(int(i))[dim] < x {
-				left.sIdx = append(left.sIdx, i)
-			} else {
-				right.sIdx = append(right.sIdx, i)
-			}
-		}
-		for _, i := range n.tIdx {
-			v := smp.T.Key(int(i))[dim]
-			if v < x+high {
-				left.tIdx = append(left.tIdx, i)
-			}
-			if v >= x-low {
-				right.tIdx = append(right.tIdx, i)
-			}
-		}
-		for _, i := range n.outIdx {
-			if smp.OutS.Key(int(i))[dim] < x {
-				left.outIdx = append(left.outIdx, i)
-			} else {
-				right.outIdx = append(right.outIdx, i)
-			}
-		}
-		return
-	}
-	// S-split: partition T, duplicate S near the boundary.
-	for _, i := range n.tIdx {
-		if smp.T.Key(int(i))[dim] < x {
-			left.tIdx = append(left.tIdx, i)
-		} else {
-			right.tIdx = append(right.tIdx, i)
-		}
-	}
-	for _, i := range n.sIdx {
-		v := smp.S.Key(int(i))[dim]
-		if v < x+low {
-			left.sIdx = append(left.sIdx, i)
-		}
-		if v >= x-high {
-			right.sIdx = append(right.sIdx, i)
-		}
-	}
-	for _, i := range n.outIdx {
-		if smp.OutT.Key(int(i))[dim] < x {
-			left.outIdx = append(left.outIdx, i)
-		} else {
-			right.outIdx = append(right.outIdx, i)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// best_split (Algorithm 2)
-
-// bestSplit returns the best available action for the leaf.
-func (g *grower) bestSplit(n *node) candidate {
-	if n.small {
-		return g.evalSmall(n)
-	}
-	return g.evalRegular(n)
-}
-
 // evalSmall scores incrementing the row or column count of a small leaf's
 // internal 1-Bucket grid. Adding a row duplicates every T-tuple in the leaf
 // once more (each T-tuple is replicated to all rows of its column); adding a
@@ -382,46 +178,11 @@ func (e *growEnv) evalSmall(n *node) candidate {
 	return candidate{sc: invalidScore()}
 }
 
-// evalRegular finds the best decision-tree style split of a regular leaf: for
-// every dimension in which the leaf is not yet small, it sorts the sample and
-// sweeps all mid-points between consecutive values, scoring each as a T-split
-// and (if symmetric partitioning is enabled) as an S-split. Per-dimension
-// winners are merged in dimension order, which selects exactly the candidate a
-// single interleaved sweep would (score.better is a strict weak order, so the
-// first element of the maximal class wins either way).
-func (g *grower) evalRegular(n *node) candidate {
-	best := candidate{sc: invalidScore()}
-	smp := g.ctx.Sample
-	lp := n.load(g.beta2, g.beta3)
-	lpSq := lp * lp
-	if lp <= 0 {
-		return best
-	}
-
-	for dim := 0; dim < g.band.Dims(); dim++ {
-		if n.region.SmallInDim(dim, g.band) {
-			continue
-		}
-		sv := sortedVals(smp.S, n.sIdx, dim)
-		tv := sortedVals(smp.T, n.tIdx, dim)
-		ovS := sortedVals(smp.OutS, n.outIdx, dim)
-		ovT := sortedVals(smp.OutT, n.outIdx, dim)
-		cands, cS, cT := candidatePoints(sv, tv, n.region.Lo[dim], n.region.Hi[dim])
-		if len(cands) == 0 {
-			continue
-		}
-		if c := g.sweepDim(dim, sv, tv, ovS, ovT, cands, cS, cT, lpSq); c.sc.better(best.sc) {
-			best = c
-		}
-	}
-	return best
-}
-
 // sweepDim scores every candidate split point of one dimension and returns the
 // dimension's best candidate, visiting candidates in ascending order and
 // scoring the T-split before the S-split at each point. The value slices must
 // be the leaf's sample values in that dimension, sorted ascending; cands, cS,
-// and cT must come from candidatePoints (or candsFromSorted) over sv and tv:
+// and cT must come from candsFromSorted over sv and tv:
 // the candidate points plus, per candidate, the number of S and T values
 // strictly below it.
 func (e *growEnv) sweepDim(dim int, sv, tv, ovS, ovT, cands []float64, cS, cT []int32, lpSq float64) candidate {
@@ -507,17 +268,6 @@ func (e *growEnv) sweepDim(dim int, sv, tv, ovS, ovT, cands []float64, cS, cT []
 	}
 }
 
-// sortedVals extracts dimension dim of the referenced sample tuples, sorted
-// ascending.
-func sortedVals(r *data.Relation, idx []int32, dim int) []float64 {
-	out := make([]float64, len(idx))
-	for i, id := range idx {
-		out[i] = r.Key(int(id))[dim]
-	}
-	sort.Float64s(out)
-	return out
-}
-
 // advance moves pointer p forward until vals[p] >= threshold and returns the
 // new position, i.e. the count of values strictly below the threshold.
 func advance(vals []float64, p int, threshold float64) int {
@@ -527,45 +277,11 @@ func advance(vals []float64, p int, threshold float64) int {
 	return p
 }
 
-// candidatePoints returns the mid-points between consecutive distinct values
-// of the combined sample, restricted to the open interval (lo, hi), together
-// with the per-candidate counts of S and T values strictly below each point
-// (the sweep's unshifted pointers, precomputed).
-func candidatePoints(sv, tv []float64, lo, hi float64) (cands []float64, cS, cT []int32) {
-	merged := make([]float64, 0, len(sv)+len(tv))
-	merged = append(merged, sv...)
-	merged = append(merged, tv...)
-	sort.Float64s(merged)
-	for i := 1; i < len(merged); i++ {
-		a, b := merged[i-1], merged[i]
-		if a == b {
-			continue
-		}
-		mid := a + (b-a)/2
-		if mid > lo && mid < hi && mid > a {
-			cands = append(cands, mid)
-		}
-	}
-	cS = make([]int32, len(cands))
-	cT = make([]int32, len(cands))
-	var pS, pT int
-	for i, x := range cands {
-		pS = advance(sv, pS, x)
-		pT = advance(tv, pT, x)
-		cS[i] = int32(pS)
-		cT[i] = int32(pT)
-	}
-	return cands, cS, cT
-}
-
 // ---------------------------------------------------------------------------
 // Per-iteration statistics and termination
 
-// statsScratch holds the reusable buffers of snapshotStats. A nil scratch
-// allocates fresh buffers per call (the serial oracle's behavior); the fast
-// grower passes a pooled scratch so the per-iteration statistics are
-// allocation-free in steady state. Either way the computed values are
-// identical.
+// statsScratch holds the reusable buffers of snapshotStats, so the
+// per-iteration statistics are allocation-free in steady state.
 type statsScratch struct {
 	inputs, outputs, loads          []float64
 	workerLoad, workerIn, workerOut []float64
@@ -575,33 +291,20 @@ type statsScratch struct {
 // snapshotStats estimates the quality of the current partitioning: total input
 // including duplicates (maintained incrementally in e.totalInput), and max
 // worker load / input / output under LPT placement of all (sub-)partitions.
-// The leaves slice is iterated in its given order; both growers pass their
-// leaf heap's backing slice, which evolves identically under identical
-// operation sequences.
+// The leaves slice (the leaf heap's backing slice) is iterated in its given
+// order.
 func (e *growEnv) snapshotStats(leaves []*node, iteration int, sc *statsScratch) IterationStats {
-	var inputs, outputs, loads []float64
-	if sc != nil {
-		inputs, outputs, loads = sc.inputs[:0], sc.outputs[:0], sc.loads[:0]
-	}
+	inputs, outputs, loads := sc.inputs[:0], sc.outputs[:0], sc.loads[:0]
 	parts := 0
 	for _, leaf := range leaves {
 		inputs, outputs, loads = leaf.subPartitionLoads(e.beta2, e.beta3, inputs, outputs, loads)
 		parts += leaf.numPartitions()
 	}
-	var sched partition.Schedule
-	var workerLoad, workerIn, workerOut []float64
-	if sc != nil {
-		sc.inputs, sc.outputs, sc.loads = inputs, outputs, loads
-		sched = partition.LPTInto(loads, e.w, &sc.lpt)
-		workerLoad = resetFloats(&sc.workerLoad, e.w)
-		workerIn = resetFloats(&sc.workerIn, e.w)
-		workerOut = resetFloats(&sc.workerOut, e.w)
-	} else {
-		sched = partition.LPT(loads, e.w)
-		workerLoad = make([]float64, e.w)
-		workerIn = make([]float64, e.w)
-		workerOut = make([]float64, e.w)
-	}
+	sc.inputs, sc.outputs, sc.loads = inputs, outputs, loads
+	sched := partition.LPTInto(loads, e.w, &sc.lpt)
+	workerLoad := resetFloats(&sc.workerLoad, e.w)
+	workerIn := resetFloats(&sc.workerIn, e.w)
+	workerOut := resetFloats(&sc.workerOut, e.w)
 	for p, wk := range sched {
 		workerLoad[wk] += loads[p]
 		workerIn[wk] += inputs[p]
@@ -706,7 +409,7 @@ func (e *growEnv) bestIteration() int {
 // replay rebuilds the split tree produced by the first k actions without
 // recomputing any scores; node IDs are assigned in creation order, so they
 // coincide with the IDs recorded in the action log. The returned tree is
-// freshly allocated (never from a grower arena), since the Plan retains it.
+// freshly allocated (never from the grower's arena), since the Plan retains it.
 func (e *growEnv) replay(k int) (*node, error) {
 	root := &node{id: 0, region: e.rootRegion(), isLeaf: true, rows: 1, cols: 1, heapIdx: -1}
 	root.small = root.region.IsSmall(e.band)

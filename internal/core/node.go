@@ -54,18 +54,18 @@ type node struct {
 	kind   splitKind
 	left   *node
 	right  *node
+	// tLeftMax and tRightMin route T at a T-split of a finalized plan: the
+	// largest T key that matches an S key below val, and the smallest that
+	// matches one at or above it, in the predicate's float arithmetic.
+	tLeftMax, tRightMin float64
 
 	// Leaf state.
 	small      bool
 	rows, cols int // internal 1-Bucket grid for small leaves (1×1 otherwise)
-	sIdx       []int32
-	tIdx       []int32
-	outIdx     []int32
-	// nS/nT/nOut are the leaf's sample membership counts. The serial grower
-	// derives them from the index slices above; the fast grower stores only
-	// the counts plus the per-dimension sorted views in slab.
+	// nS/nT/nOut are the leaf's sample membership counts; the members
+	// themselves are the per-dimension sorted views in slab.
 	nS, nT, nOut int
-	// slab is the fast grower's sort-inherited leaf state, carved from the
+	// slab is the leaf's sort-inherited state, carved from the
 	// planner arena: dims consecutive segments of the leaf's S sample indices
 	// (each segment sorted by that dimension's value), then dims segments of
 	// T indices, then dims segments of output-pair indices sorted by the OutS

@@ -75,19 +75,10 @@ type Options struct {
 	// inside small partitions.
 	Seed int64
 
-	// Serial selects the retained serial reference grower — per-leaf
-	// re-sorting, freshly allocated buffers, single-threaded — instead of the
-	// fast planner (sort inheritance, arena scratch, parallel best-split; see
-	// fastgrower.go). Both produce bit-identical plans; the serial grower is
-	// kept as the correctness oracle and benchmark baseline, the same pattern
-	// as exec.Options.SerialShuffle.
-	Serial bool
-
-	// Parallelism bounds the fast planner's worker pool for best-split
-	// evaluation (per-dimension sweeps of the leaves created by each split).
-	// Zero selects GOMAXPROCS; 1 evaluates inline on the calling goroutine.
-	// The planner's decisions are bit-identical regardless of the value.
-	// Ignored when Serial is set.
+	// Parallelism bounds the planner's worker pool for best-split evaluation
+	// (per-dimension sweeps of the leaves created by each split). Zero selects
+	// GOMAXPROCS; 1 evaluates inline on the calling goroutine. The planner's
+	// decisions are bit-identical regardless of the value.
 	Parallelism int
 }
 

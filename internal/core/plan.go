@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"bandjoin/internal/data"
 	"bandjoin/internal/partition"
@@ -29,7 +30,8 @@ type Plan struct {
 	Leaves int
 }
 
-// finalizePlan numbers the partitions of every leaf and returns the plan.
+// finalizePlan numbers the partitions of every leaf, fixes the T-splits'
+// routing thresholds and returns the plan.
 func finalizePlan(root *node, band data.Band, seed int64) *Plan {
 	p := &Plan{root: root, band: band, seed: uint64(seed)}
 	var walk func(n *node)
@@ -39,6 +41,10 @@ func finalizePlan(root *node, band data.Band, seed int64) *Plan {
 			p.parts += n.numPartitions()
 			p.Leaves++
 			return
+		}
+		if n.kind == splitT {
+			n.tLeftMax = math.Nextafter(n.val, math.Inf(-1)) + band.High[n.dim]
+			n.tRightMin = n.val - band.Low[n.dim]
 		}
 		walk(n.left)
 		walk(n.right)
@@ -77,15 +83,23 @@ func (p *Plan) assign(n *node, id int64, key []float64, isS bool, dst []int) []i
 			}
 			continue
 		}
+		// A duplicated tuple goes to each side that holds a key of the other
+		// relation it matches, decided with the predicate's own float
+		// expressions (Band.MatchesDim: t >= s-Low && t <= s+High, each
+		// non-decreasing in s) evaluated at the side's extreme key — never
+		// with the tuple's ε-range, whose t-High and t+Low round differently
+		// from the predicate's s+High and s-Low within an ulp of x.
 		var goLeft, goRight bool
 		if isS {
-			// S duplicated at an S-split: ε-range of s is [s−Low, s+High].
+			// S duplicated at an S-split: T keys below x are left, the rest
+			// right; s reaches the T keys in [s−Low, s+High].
 			goLeft = key[dim]-p.band.Low[dim] < x
 			goRight = key[dim]+p.band.High[dim] >= x
 		} else {
-			// T duplicated at a T-split: ε-range of t is [t−High, t+Low].
-			goLeft = key[dim]-p.band.High[dim] < x
-			goRight = key[dim]+p.band.Low[dim] >= x
+			// T duplicated at a T-split: S keys below x are left — the largest
+			// is the float before x — the rest right, the smallest being x.
+			goLeft = key[dim] <= n.tLeftMax
+			goRight = key[dim] >= n.tRightMin
 		}
 		switch {
 		case goLeft && goRight:

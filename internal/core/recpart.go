@@ -38,14 +38,13 @@ func (r *RecPart) Name() string {
 }
 
 // PlanFingerprint returns a canonical description of every option that
-// influences the plans this partitioner produces. The execution-only knobs —
-// Serial and Parallelism — are excluded: plans are bit-identical regardless
-// of them, so caches keyed on the fingerprint (the engine's plan cache and
+// influences the plans this partitioner produces. The execution-only knob,
+// Parallelism, is excluded: plans are bit-identical regardless of it, so
+// caches keyed on the fingerprint (the engine's plan cache and
 // partition-retention registry) share plans and retained partitions across
-// grower implementations and parallelism levels.
+// parallelism levels.
 func (r *RecPart) PlanFingerprint() string {
 	o := r.Opts
-	o.Serial = false
 	o.Parallelism = 0
 	return fmt.Sprintf("%T%+v", r, o)
 }
@@ -77,18 +76,4 @@ func (r *RecPart) PlanDetailed(ctx *partition.Context) (*Plan, error) {
 	plan.Chosen = chosen
 	plan.Symmetric = env.opts.Symmetric
 	return plan, nil
-}
-
-// growTree runs the configured grower implementation — the fast planner by
-// default, the serial reference oracle behind Options.Serial — and returns
-// the populated growth environment (action log, history) plus the winning
-// iteration. Both implementations produce bit-identical results.
-func growTree(ctx *partition.Context, opts Options) (growEnv, int) {
-	if opts.Serial {
-		g := newGrower(ctx, opts)
-		g.initialize()
-		chosen := g.grow()
-		return g.growEnv, chosen
-	}
-	return runFastGrower(newGrowEnv(ctx, opts), opts.Parallelism)
 }

@@ -47,84 +47,6 @@ func (r *Relation) GobDecode(b []byte) error {
 	return nil
 }
 
-// PackKeysLE returns the key values of tuples [lo, hi) packed as raw
-// little-endian IEEE-754 bytes (8 per value, row-major). Packed bytes travel
-// through gob with a single copy instead of gob's per-value float encoding,
-// which is what the cluster's streaming shuffle ships; AppendKeysLE is the
-// receiving side. On little-endian hosts the result is a zero-copy view
-// aliasing the relation's storage: the caller must neither modify it nor
-// mutate the relation while the slice is live. On big-endian hosts
-// (hostLittleEndian is a per-target constant, see pack_le.go/pack_be.go) the
-// values are byte-swapped into a fresh slice so the wire format is identical.
-func (r *Relation) PackKeysLE(lo, hi int) []byte {
-	if lo < 0 || hi > r.Len() || lo > hi {
-		panic(fmt.Sprintf("data: pack range [%d,%d) out of bounds for relation of %d tuples", lo, hi, r.Len()))
-	}
-	vals := r.keys[lo*r.dims : hi*r.dims]
-	if len(vals) == 0 {
-		return nil
-	}
-	if hostLittleEndian {
-		return packFloatsNative(vals)
-	}
-	return packFloatsPortable(make([]byte, 0, len(vals)*8), vals)
-}
-
-// AppendKeysLE appends tuples packed by PackKeysLE. It returns an error (not
-// a panic) on misaligned input because the bytes typically arrive from the
-// network.
-func (r *Relation) AppendKeysLE(raw []byte) error {
-	if len(raw)%(8*r.dims) != 0 {
-		return fmt.Errorf("data: relation %q: %d raw key bytes is not a multiple of %d (8 bytes x %d dims)",
-			r.name, len(raw), 8*r.dims, r.dims)
-	}
-	n := len(raw) / 8
-	if n == 0 {
-		return nil
-	}
-	base := len(r.keys)
-	r.keys = append(r.keys, make([]float64, n)...)
-	dst := r.keys[base:]
-	if hostLittleEndian {
-		unpackFloatsNative(dst, raw)
-	} else {
-		unpackFloatsPortable(dst, raw)
-	}
-	return nil
-}
-
-// PackInt64sLE packs the values as raw little-endian bytes (8 per value),
-// the companion of PackKeysLE for tuple-ID slices. On little-endian hosts the
-// result is a zero-copy view aliasing vals: the caller must neither modify it
-// nor mutate vals while the slice is live.
-func PackInt64sLE(vals []int64) []byte {
-	if len(vals) == 0 {
-		return nil
-	}
-	if hostLittleEndian {
-		return packInt64sNative(vals)
-	}
-	return packInt64sPortable(make([]byte, 0, len(vals)*8), vals)
-}
-
-// AppendInt64sLE appends values packed by PackInt64sLE to dst. Trailing bytes
-// beyond the last complete value are ignored; callers validate alignment.
-func AppendInt64sLE(dst []int64, raw []byte) []int64 {
-	n := len(raw) / 8
-	if n == 0 {
-		return dst
-	}
-	base := len(dst)
-	dst = append(dst, make([]int64, n)...)
-	out := dst[base:]
-	if hostLittleEndian {
-		unpackInt64sNative(out, raw[:n*8])
-	} else {
-		unpackInt64sPortable(out, raw[:n*8])
-	}
-	return dst
-}
-
 // WriteCSV writes the relation's join attributes to w as CSV, one tuple per
 // row, with a header row naming the attributes A1..Ad.
 func (r *Relation) WriteCSV(w io.Writer) error {

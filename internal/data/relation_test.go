@@ -234,48 +234,27 @@ func TestReserve(t *testing.T) {
 	}
 }
 
-func TestPackedLERoundTrip(t *testing.T) {
-	r := NewRelation("r", 2)
-	for i := 0; i < 6; i++ {
-		r.Append(float64(i)+0.25, float64(i)*-10)
+func TestGrowRowsSetColumn(t *testing.T) {
+	r := NewRelation("g", 3)
+	r.Append(1, 2, 3)
+	base := r.GrowRows(4)
+	if base != 1 || r.Len() != 5 {
+		t.Fatalf("GrowRows: base=%d len=%d", base, r.Len())
 	}
-	back := NewRelation("back", 2)
-	if err := back.AppendKeysLE(r.PackKeysLE(0, 3)); err != nil {
-		t.Fatalf("AppendKeysLE: %v", err)
+	for d := 0; d < 3; d++ {
+		col := []float64{10 + float64(d), 20 + float64(d), 30 + float64(d), 40 + float64(d)}
+		r.SetColumn(base, d, col)
 	}
-	if err := back.AppendKeysLE(r.PackKeysLE(3, 6)); err != nil {
-		t.Fatalf("AppendKeysLE: %v", err)
-	}
-	if back.Len() != r.Len() {
-		t.Fatalf("round trip has %d tuples, want %d", back.Len(), r.Len())
-	}
-	for i := 0; i < r.Len(); i++ {
-		for d := 0; d < r.Dims(); d++ {
-			if back.KeyAt(i, d) != r.KeyAt(i, d) {
-				t.Fatalf("row %d dim %d: %v != %v", i, d, back.KeyAt(i, d), r.KeyAt(i, d))
+	for i := 0; i < 4; i++ {
+		for d := 0; d < 3; d++ {
+			want := float64((i+1)*10 + d)
+			if got := r.KeyAt(base+i, d); got != want {
+				t.Fatalf("row %d dim %d = %v, want %v", i, d, got, want)
 			}
 		}
 	}
-	if err := back.AppendKeysLE(make([]byte, 12)); err == nil {
-		t.Error("AppendKeysLE accepted a misaligned payload")
-	}
-	for _, bad := range [][2]int{{-1, 2}, {3, 7}, {4, 2}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("PackKeysLE(%d, %d) did not panic", bad[0], bad[1])
-				}
-			}()
-			r.PackKeysLE(bad[0], bad[1])
-		}()
-	}
-
-	ids := []int64{0, -7, 1 << 40, 42}
-	got := AppendInt64sLE([]int64{99}, PackInt64sLE(ids))
-	want := append([]int64{99}, ids...)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("id round trip %v, want %v", got, want)
-		}
+	slab := r.KeysRange(1, 3)
+	if len(slab) != 6 || slab[0] != 10 || slab[5] != 22 {
+		t.Fatalf("KeysRange view wrong: %v", slab)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // TestExecutePlanHonorsCancellation: a cancelled context must stop the
 // in-process pipeline between its stages — shuffle passes and per-partition
-// joins — and surface the context's error, on both shuffle modes.
+// joins — and surface the context's error.
 func TestExecutePlanHonorsCancellation(t *testing.T) {
 	s, tt := data.ParetoPair(2, 1.4, 400, 3)
 	band := data.Symmetric(0.3, 0.3)
@@ -20,12 +20,8 @@ func TestExecutePlanHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	for _, serial := range []bool{false, true} {
-		opts := DefaultOptions(3)
-		opts.SerialShuffle = serial
-		if _, err := ExecutePlan(ctx, plan, s, tt, band, opts); !errors.Is(err, context.Canceled) {
-			t.Errorf("ExecutePlan(serial=%v) with cancelled ctx: got %v, want context.Canceled", serial, err)
-		}
+	if _, err := ExecutePlan(ctx, plan, s, tt, band, DefaultOptions(3)); !errors.Is(err, context.Canceled) {
+		t.Errorf("ExecutePlan with cancelled ctx: got %v, want context.Canceled", err)
 	}
 	if _, _, err := Shuffle(ctx, plan, s, tt, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("Shuffle with cancelled ctx: got %v, want context.Canceled", err)

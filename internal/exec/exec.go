@@ -7,14 +7,9 @@
 // the input Im and output Om of the most loaded worker, max worker load Lm,
 // the Lemma 1 lower bounds, and the relative overheads plotted in Figure 4.
 //
-// Two knobs control the execution pipeline itself:
-//
-//   - Options.Parallelism bounds both the number of shuffle shards and the
-//     number of concurrent local joins (zero means GOMAXPROCS).
-//   - Options.SerialShuffle replaces the default parallel two-pass shuffle
-//     (see shuffle.go) with the single-threaded reference implementation.
-//     Both produce bit-identical partitions; the serial path exists as the
-//     correctness oracle and benchmark baseline.
+// Options.Parallelism bounds both the number of shuffle shards (see
+// shuffle.go) and the number of concurrent local joins (zero means
+// GOMAXPROCS).
 package exec
 
 import (
@@ -51,11 +46,6 @@ type Options struct {
 	// Parallelism bounds the number of shuffle shards and concurrent local
 	// joins; zero means GOMAXPROCS.
 	Parallelism int
-	// SerialShuffle selects the retained single-threaded reference shuffle
-	// instead of the parallel two-pass shuffle. It exists as the correctness
-	// oracle for equivalence tests and as the pipeline benchmark's baseline;
-	// both shuffles produce bit-identical partitions.
-	SerialShuffle bool
 	// MorselRows sets the probe-side morsel size of the reduce phase's
 	// morsel-driven scheduler (see morsel.go): 0 sizes morsels automatically
 	// from the partition sizes and the parallelism, > 0 fixes the row count,
@@ -266,26 +256,12 @@ func ExecutePlan(ctx context.Context, plan partition.Plan, s, t *data.Relation, 
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("exec: need at least one worker, got %d", opts.Workers)
 	}
-	parallelism := opts.Parallelism
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
 
 	// --- Shuffle (map phase): route every tuple to its partitions.
 	shuffleStart := time.Now()
-	var parts []*PartitionInput
-	var totalInput int64
-	if opts.SerialShuffle {
-		parts, totalInput = ShuffleSerial(plan, s, t)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		parts, totalInput, err = parallelShuffle(ctx, plan, s, t, parallelism)
-		if err != nil {
-			return nil, err
-		}
+	parts, totalInput, err := Shuffle(ctx, plan, s, t, opts.Parallelism)
+	if err != nil {
+		return nil, err
 	}
 	shuffleTime := time.Since(shuffleStart)
 

@@ -10,23 +10,16 @@ import (
 )
 
 // The map phase (shuffle) routes every input tuple through the plan's
-// assignment into per-partition buffers. Two implementations exist:
-//
-//   - serialShuffle is the straightforward single-threaded reference: one pass
-//     over S then T, appending to growable per-partition relations. It is kept
-//     behind Options.SerialShuffle as the correctness oracle the equivalence
-//     tests compare against, and as the baseline the pipeline benchmark
-//     measures speedups over.
-//
-//   - parallelShuffle shards S and T across goroutines and builds every
-//     partition in exactly-sized flat buffers with two passes: pass 1 records
-//     each tuple's partition assignments and counts per-(shard, partition)
-//     occupancy; a prefix sum over the count matrix then yields the exact row
-//     every (shard, partition) pair writes to; pass 2 replays the recorded
-//     assignments and copies keys and tuple IDs straight to their final
-//     locations. Shards write disjoint row ranges, so the write path needs no
-//     locks and no append growth, and partition contents come out in global
-//     tuple order — bit-identical to the serial shuffle.
+// assignment into per-partition buffers. Shuffle shards S and T across
+// goroutines and builds every partition in exactly-sized flat buffers with two
+// passes: pass 1 records each tuple's partition assignments and counts
+// per-(shard, partition) occupancy; a prefix sum over the count matrix then
+// yields the exact row every (shard, partition) pair writes to; pass 2 replays
+// the recorded assignments and copies keys and tuple IDs straight to their
+// final locations. Shards write disjoint row ranges, so the write path needs
+// no locks and no append growth, and partition contents come out in global
+// tuple order — what one pass over S then T appending to per-partition
+// relations would produce (TestShuffleEquivalence).
 //
 // Plans must be safe for concurrent Assign calls (all in-repo plans are; see
 // grid.Plan for the one that needed internal synchronization).
@@ -113,20 +106,6 @@ func PresortPartitions(parts []*PartitionInput, parallelism int) {
 	wg.Wait()
 }
 
-// Shuffle routes every tuple of s and t through the plan's assignment with the
-// parallel two-pass shuffle and returns the per-partition inputs plus the
-// total routed tuple count I (input including duplicates). Entries for empty
-// partitions are nil. parallelism bounds the shard goroutines; values < 1
-// select GOMAXPROCS. It is the routing stage the RPC coordinator
-// (internal/cluster) shares with the in-process executor. Cancelling ctx
-// aborts the shuffle between its two passes, returning ctx.Err().
-func Shuffle(ctx context.Context, plan partition.Plan, s, t *data.Relation, parallelism int) ([]*PartitionInput, int64, error) {
-	if parallelism < 1 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	return parallelShuffle(ctx, plan, s, t, parallelism)
-}
-
 // ShuffleDelta routes only appended rows through the plan's assignment,
 // returning per-partition delta inputs whose tuple IDs are offset by the base
 // cardinalities (sBase rows of S and tBase rows of T existed before the
@@ -171,49 +150,6 @@ func (o *offsetIDPlan) AssignS(id int64, key []float64, dst []int) []int {
 
 func (o *offsetIDPlan) AssignT(id int64, key []float64, dst []int) []int {
 	return o.Plan.AssignT(id+o.tOff, key, dst)
-}
-
-// ShuffleSerial is the retained single-threaded reference shuffle, exported as
-// the correctness oracle Shuffle is compared against. The parts slice is
-// pre-sized from plan.NumPartitions; only plans that discover partitions
-// lazily during assignment (Grid-ε) ever grow it.
-func ShuffleSerial(plan partition.Plan, s, t *data.Relation) ([]*PartitionInput, int64) {
-	parts := make([]*PartitionInput, plan.NumPartitions())
-	getPart := func(id int) *PartitionInput {
-		for id >= len(parts) {
-			parts = append(parts, nil)
-		}
-		if parts[id] == nil {
-			parts[id] = &PartitionInput{
-				S: data.NewRelation("S-part", s.Dims()),
-				T: data.NewRelation("T-part", t.Dims()),
-			}
-		}
-		return parts[id]
-	}
-	var dst []int
-	var totalInput int64
-	for i := 0; i < s.Len(); i++ {
-		key := s.Key(i)
-		dst = plan.AssignS(int64(i), key, dst[:0])
-		for _, pid := range dst {
-			p := getPart(pid)
-			p.S.AppendKey(key)
-			p.SIDs = append(p.SIDs, int64(i))
-		}
-		totalInput += int64(len(dst))
-	}
-	for i := 0; i < t.Len(); i++ {
-		key := t.Key(i)
-		dst = plan.AssignT(int64(i), key, dst[:0])
-		for _, pid := range dst {
-			p := getPart(pid)
-			p.T.AppendKey(key)
-			p.TIDs = append(p.TIDs, int64(i))
-		}
-		totalInput += int64(len(dst))
-	}
-	return parts, totalInput
 }
 
 // shardAssignments records what one shard's counting pass learned about one
@@ -336,12 +272,17 @@ func (sb *sideBuffers) partitionRows(pid, dims int) ([]float64, []int64) {
 	return sb.keys[lo*dims : hi*dims : hi*dims], sb.ids[lo:hi:hi]
 }
 
-// parallelShuffle shards each input into at most `shards` ranges and builds
-// every partition with the two-pass count/prefix-sum/write scheme described
-// above; at most `shards` goroutines run at any time across both relations.
-func parallelShuffle(ctx context.Context, plan partition.Plan, s, t *data.Relation, shards int) ([]*PartitionInput, int64, error) {
+// Shuffle routes every tuple of s and t through the plan's assignment and
+// returns the per-partition inputs plus the total routed tuple count I (input
+// including duplicates). Entries for empty partitions are nil. Each input is
+// cut into at most `shards` ranges (values < 1 select GOMAXPROCS), and at most
+// that many goroutines run at any time across both relations. It is the
+// routing stage the RPC coordinator (internal/cluster) shares with the
+// in-process executor. Cancelling ctx aborts the shuffle between its two
+// passes, returning ctx.Err().
+func Shuffle(ctx context.Context, plan partition.Plan, s, t *data.Relation, shards int) ([]*PartitionInput, int64, error) {
 	if shards < 1 {
-		shards = 1
+		shards = runtime.GOMAXPROCS(0)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err

@@ -3,12 +3,14 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"bandjoin/internal/core"
 	"bandjoin/internal/costmodel"
 	"bandjoin/internal/data"
 	"bandjoin/internal/grid"
+	"bandjoin/internal/localjoin"
 	"bandjoin/internal/onebucket"
 	"bandjoin/internal/partition"
 	"bandjoin/internal/sample"
@@ -29,46 +31,77 @@ func planFor(t *testing.T, pt partition.Partitioner, s, tt *data.Relation, band 
 	return plan
 }
 
-// equalParts verifies two shuffle outcomes are bit-identical: same number of
-// partitions, same per-partition sizes, and the same keys and tuple IDs in the
-// same order.
-func equalParts(t *testing.T, serial, par []*PartitionInput) {
-	t.Helper()
-	if len(serial) != len(par) {
-		t.Fatalf("partition count: serial %d, parallel %d", len(serial), len(par))
-	}
-	for pid := range serial {
-		sp, pp := serial[pid], par[pid]
-		if (sp == nil) != (pp == nil) {
-			t.Fatalf("partition %d: serial nil=%v, parallel nil=%v", pid, sp == nil, pp == nil)
+// shuffleByDefinition is what a shuffle means: one pass over S then T, every
+// tuple appended, with its index as ID, to each partition its Assign call
+// names. Partitions that received nothing stay nil.
+func shuffleByDefinition(plan partition.Plan, s, tt *data.Relation) (parts []*PartitionInput, total int64) {
+	part := func(pid int) *PartitionInput {
+		for pid >= len(parts) {
+			parts = append(parts, nil)
 		}
-		if sp == nil {
+		if parts[pid] == nil {
+			parts[pid] = &PartitionInput{S: data.NewRelation("S", s.Dims()), T: data.NewRelation("T", tt.Dims())}
+		}
+		return parts[pid]
+	}
+	var dst []int
+	for i := 0; i < s.Len(); i++ {
+		dst = plan.AssignS(int64(i), s.Key(i), dst[:0])
+		total += int64(len(dst))
+		for _, pid := range dst {
+			p := part(pid)
+			p.S.AppendKey(s.Key(i))
+			p.SIDs = append(p.SIDs, int64(i))
+		}
+	}
+	for i := 0; i < tt.Len(); i++ {
+		dst = plan.AssignT(int64(i), tt.Key(i), dst[:0])
+		total += int64(len(dst))
+		for _, pid := range dst {
+			p := part(pid)
+			p.T.AppendKey(tt.Key(i))
+			p.TIDs = append(p.TIDs, int64(i))
+		}
+	}
+	for len(parts) < plan.NumPartitions() {
+		parts = append(parts, nil)
+	}
+	return parts, total
+}
+
+// equalParts verifies a shuffle outcome against the definition's: same number
+// of partitions, same per-partition sizes, and the same keys and tuple IDs in
+// the same order.
+func equalParts(t *testing.T, want, got []*PartitionInput) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("partition count: definition %d, Shuffle %d", len(want), len(got))
+	}
+	sameSide := func(pid int, side string, wr, gr *data.Relation, wids, gids []int64) {
+		if wr.Len() != gr.Len() {
+			t.Fatalf("partition %d %s size: definition %d, Shuffle %d", pid, side, wr.Len(), gr.Len())
+		}
+		for i := 0; i < wr.Len(); i++ {
+			if wids[i] != gids[i] {
+				t.Fatalf("partition %d %s row %d: definition id %d, Shuffle id %d", pid, side, i, wids[i], gids[i])
+			}
+			for d := 0; d < wr.Dims(); d++ {
+				if wr.KeyAt(i, d) != gr.KeyAt(i, d) {
+					t.Fatalf("partition %d %s row %d dim %d: keys differ", pid, side, i, d)
+				}
+			}
+		}
+	}
+	for pid := range want {
+		wp, gp := want[pid], got[pid]
+		if (wp == nil) != (gp == nil) {
+			t.Fatalf("partition %d: definition nil=%v, Shuffle nil=%v", pid, wp == nil, gp == nil)
+		}
+		if wp == nil {
 			continue
 		}
-		if sp.S.Len() != pp.S.Len() || sp.T.Len() != pp.T.Len() {
-			t.Fatalf("partition %d sizes: serial (%d,%d), parallel (%d,%d)",
-				pid, sp.S.Len(), sp.T.Len(), pp.S.Len(), pp.T.Len())
-		}
-		for i := 0; i < sp.S.Len(); i++ {
-			if sp.SIDs[i] != pp.SIDs[i] {
-				t.Fatalf("partition %d S row %d: serial id %d, parallel id %d", pid, i, sp.SIDs[i], pp.SIDs[i])
-			}
-			for d := 0; d < sp.S.Dims(); d++ {
-				if sp.S.KeyAt(i, d) != pp.S.KeyAt(i, d) {
-					t.Fatalf("partition %d S row %d dim %d: keys differ", pid, i, d)
-				}
-			}
-		}
-		for i := 0; i < sp.T.Len(); i++ {
-			if sp.TIDs[i] != pp.TIDs[i] {
-				t.Fatalf("partition %d T row %d: serial id %d, parallel id %d", pid, i, sp.TIDs[i], pp.TIDs[i])
-			}
-			for d := 0; d < sp.T.Dims(); d++ {
-				if sp.T.KeyAt(i, d) != pp.T.KeyAt(i, d) {
-					t.Fatalf("partition %d T row %d dim %d: keys differ", pid, i, d)
-				}
-			}
-		}
+		sameSide(pid, "S", wp.S, gp.S, wp.SIDs, gp.SIDs)
+		sameSide(pid, "T", wp.T, gp.T, wp.TIDs, gp.TIDs)
 	}
 }
 
@@ -83,56 +116,61 @@ func equivalenceBands() map[string]data.Band {
 	}
 }
 
-// TestShuffleEquivalence checks that the parallel two-pass shuffle produces
-// bit-identical partitions to the serial reference for every partitioner and
-// both symmetric and asymmetric bands, at several shard counts. The serial
-// shuffle runs first so that lazily-discovering plans (Grid-ε) number their
-// partitions deterministically before the parallel run replays them.
+// TestShuffleEquivalence checks that the two-pass shuffle produces exactly the
+// partitions of the definition for every partitioner and both symmetric and
+// asymmetric bands, at several shard counts. The definition's pass runs first
+// so that lazily-discovering plans (Grid-ε) number their partitions
+// deterministically before the sharded runs replay them.
 func TestShuffleEquivalence(t *testing.T) {
 	s, tt := data.ParetoPair(2, 1.5, 900, 17)
 	for bandName, band := range equivalenceBands() {
 		for _, pt := range equivalencePartitioners() {
 			plan := planFor(t, pt, s, tt, band, 6)
-			serialParts, serialTotal := ShuffleSerial(plan, s, tt)
+			wantParts, wantTotal := shuffleByDefinition(plan, s, tt)
 			for _, shards := range []int{1, 3, 8} {
 				t.Run(fmt.Sprintf("%s/%s/shards=%d", pt.Name(), bandName, shards), func(t *testing.T) {
-					parParts, parTotal, err := parallelShuffle(context.Background(), plan, s, tt, shards)
+					parts, total, err := Shuffle(context.Background(), plan, s, tt, shards)
 					if err != nil {
-						t.Fatalf("parallelShuffle: %v", err)
+						t.Fatalf("Shuffle: %v", err)
 					}
-					if serialTotal != parTotal {
-						t.Fatalf("total input: serial %d, parallel %d", serialTotal, parTotal)
+					if total != wantTotal {
+						t.Fatalf("total input: definition %d, Shuffle %d", wantTotal, total)
 					}
-					equalParts(t, serialParts, parParts)
+					equalParts(t, wantParts, parts)
 				})
 			}
 		}
 	}
 }
 
-// TestExecutePlanSerialVsParallel checks the end-to-end accounting: both
-// shuffle modes must agree on every quantity the paper evaluates and on the
-// exact (sorted) result pair set.
+// TestExecutePlanSerialVsParallel checks the end-to-end accounting: a run on
+// one goroutine (one shuffle shard, one local join at a time) and a run on
+// seven must agree on every quantity the paper evaluates, and both must return
+// exactly the pairs of the band-join definition.
 func TestExecutePlanSerialVsParallel(t *testing.T) {
 	s, tt := data.ParetoPair(2, 1.5, 700, 29)
 	for bandName, band := range equivalenceBands() {
+		var want []Pair
+		localjoin.NestedLoop{}.Join(s, tt, band, func(si, ti int, _, _ []float64) {
+			want = append(want, Pair{S: int64(si), T: int64(ti)})
+		})
 		for _, pt := range equivalencePartitioners() {
 			t.Run(pt.Name()+"/"+bandName, func(t *testing.T) {
 				plan := planFor(t, pt, s, tt, band, 5)
-				serialOpts := DefaultOptions(5)
-				serialOpts.SerialShuffle = true
-				serialOpts.CollectPairs = true
-				serialRes, err := ExecutePlan(context.Background(), plan, s, tt, band, serialOpts)
-				if err != nil {
-					t.Fatalf("serial ExecutePlan: %v", err)
+				run := func(parallelism int) *Result {
+					opts := DefaultOptions(5)
+					opts.CollectPairs = true
+					opts.Parallelism = parallelism
+					res, err := ExecutePlan(context.Background(), plan, s, tt, band, opts)
+					if err != nil {
+						t.Fatalf("ExecutePlan(parallelism=%d): %v", parallelism, err)
+					}
+					if !slices.Equal(res.Pairs, want) {
+						t.Fatalf("parallelism=%d: %d pairs, the definition has %d (or they differ)", parallelism, len(res.Pairs), len(want))
+					}
+					return res
 				}
-				parOpts := DefaultOptions(5)
-				parOpts.CollectPairs = true
-				parOpts.Parallelism = 7
-				parRes, err := ExecutePlan(context.Background(), plan, s, tt, band, parOpts)
-				if err != nil {
-					t.Fatalf("parallel ExecutePlan: %v", err)
-				}
+				serialRes, parRes := run(1), run(7)
 				if serialRes.TotalInput != parRes.TotalInput {
 					t.Errorf("TotalInput: serial %d, parallel %d", serialRes.TotalInput, parRes.TotalInput)
 				}
@@ -146,20 +184,12 @@ func TestExecutePlanSerialVsParallel(t *testing.T) {
 					t.Errorf("max-worker accounting: serial (Im=%d,Om=%d), parallel (Im=%d,Om=%d)",
 						serialRes.Im, serialRes.Om, parRes.Im, parRes.Om)
 				}
-				if len(serialRes.Pairs) != len(parRes.Pairs) {
-					t.Fatalf("pair count: serial %d, parallel %d", len(serialRes.Pairs), len(parRes.Pairs))
-				}
-				for i := range serialRes.Pairs {
-					if serialRes.Pairs[i] != parRes.Pairs[i] {
-						t.Fatalf("pair %d: serial %v, parallel %v", i, serialRes.Pairs[i], parRes.Pairs[i])
-					}
-				}
 			})
 		}
 	}
 }
 
-// TestParallelShuffleRace hammers the parallel shuffle with many shards; run
+// TestParallelShuffleRace hammers the shuffle with many shards; run
 // under -race (as CI does) it verifies the concurrent counting pass, the
 // lock-free write pass, and Grid-ε's synchronized lazy cell discovery.
 func TestParallelShuffleRace(t *testing.T) {
@@ -170,9 +200,9 @@ func TestParallelShuffleRace(t *testing.T) {
 			plan := planFor(t, pt, s, tt, band, 8)
 			var wantTotal int64 = -1
 			for round := 0; round < 3; round++ {
-				parts, total, err := parallelShuffle(context.Background(), plan, s, tt, 16)
+				parts, total, err := Shuffle(context.Background(), plan, s, tt, 16)
 				if err != nil {
-					t.Fatalf("parallelShuffle: %v", err)
+					t.Fatalf("Shuffle: %v", err)
 				}
 				if wantTotal == -1 {
 					wantTotal = total

@@ -144,9 +144,24 @@ func (p *Plan) AssignS(_ int64, key []float64, dst []int) []int {
 	return append(dst, p.lookup(coords))
 }
 
+// tCells returns the range of cell indices, in dimension i, of the S keys that
+// a T key v can match. The predicate (Band.MatchesDim) holds for the s with
+// v <= fl(s+High) and v >= fl(s−Low); a sum rounds to v from anywhere in the
+// half-gaps around v, so in real numbers those s lie within
+// [pred(v)−High, succ(v)+Low]. v−High and v+Low themselves fall short of that
+// by up to an ulp of v — a whole cell's worth of keys when v−High cancels to
+// something tiny next to a cell boundary. Each end is computed from v's float
+// neighbour and then moved one float outward, which covers the rounding of the
+// subtraction itself.
+func (p *Plan) tCells(i int, v float64) (lo, hi int64) {
+	down, up := math.Inf(-1), math.Inf(1)
+	lo = cellIndex(math.Nextafter(math.Nextafter(v, down)-p.band.High[i], down), p.cellSize[i])
+	hi = cellIndex(math.Nextafter(math.Nextafter(v, up)+p.band.Low[i], up), p.cellSize[i])
+	return lo, hi
+}
+
 // AssignT implements partition.Plan: the T-tuple is copied to every cell that
-// its ε-range [t−High, t+Low] intersects (the cells that may hold matching
-// S-tuples).
+// may hold an S-tuple it matches (tCells, per dimension).
 func (p *Plan) AssignT(_ int64, key []float64, dst []int) []int {
 	d := len(key)
 	var bufLo, bufHi, bufC [maxStackDims]int64
@@ -155,8 +170,8 @@ func (p *Plan) AssignT(_ int64, key []float64, dst []int) []int {
 		lo, hi, coords = make([]int64, 0, d), make([]int64, 0, d), make([]int64, d)
 	}
 	for i, v := range key {
-		lo = append(lo, cellIndex(v-p.band.High[i], p.cellSize[i]))
-		hi = append(hi, cellIndex(v+p.band.Low[i], p.cellSize[i]))
+		l, h := p.tCells(i, v)
+		lo, hi = append(lo, l), append(hi, h)
 	}
 	copy(coords, lo)
 	for {
@@ -183,8 +198,7 @@ func (p *Plan) AssignT(_ int64, key []float64, dst []int) []int {
 func (p *Plan) Replication(key []float64) int {
 	n := 1
 	for i, v := range key {
-		lo := cellIndex(v-p.band.High[i], p.cellSize[i])
-		hi := cellIndex(v+p.band.Low[i], p.cellSize[i])
+		lo, hi := p.tCells(i, v)
 		n *= int(hi - lo + 1)
 	}
 	return n

@@ -70,8 +70,8 @@ type Options struct {
 // The paper samples 100,000 input tuples; 32,000 keep the optimization phase
 // far below the join cost — the sample join (ForBand) runs on the local
 // ε-grid kernel, about 35 ms for an 8-dimensional band over two 16,000-row
-// Pareto samples, and the planner is allocation-free and parallel (see
-// BENCH_optimizer.json) — while larger samples mean tighter load estimates and
+// Pareto samples, and the planner is allocation-free and parallel — while
+// larger samples mean tighter load estimates and
 // better plans on skewed inputs. Inputs smaller than the sample size are used
 // whole.
 func DefaultOptions() Options {

@@ -33,8 +33,8 @@ import (
 )
 
 // Version is the chunk format version this package encodes. It is also the
-// wire version advertised in cluster Ping replies; peers that report an older
-// version receive the v1 row-major packed format instead.
+// wire version advertised in cluster Ping replies; a coordinator refuses to
+// ship to a peer that reports an older one.
 const Version = 3
 
 // chunkVersion is the leading byte of every encoded chunk.
@@ -96,9 +96,9 @@ var (
 	errColumnSize = errors.New("wire: column length mismatch")
 )
 
-// RawBytes returns the number of bytes the v1 row-major format would ship for
-// a chunk of n tuples with the given dimensionality: 8 bytes per key value
-// plus 8 per tuple ID. It is the numerator of the compression-ratio metrics.
+// RawBytes returns the number of bytes a chunk of n tuples with the given
+// dimensionality occupies row-major and unencoded: 8 bytes per key value plus
+// 8 per tuple ID. It is the numerator of the compression-ratio metrics.
 func RawBytes(n, dims int) int64 {
 	return int64(n) * int64(dims+1) * 8
 }
@@ -139,14 +139,17 @@ type Encoder struct {
 	sample [sampleSize + 2*maxScale + 2]float64
 }
 
-// NewEncoder returns an encoder. mode must not be ModeOff (off means "do not
-// use this package").
-func NewEncoder(mode Mode) *Encoder {
-	if mode == ModeOff {
-		panic("wire: NewEncoder with ModeOff")
-	}
-	return &Encoder{}
-}
+// Mode names the chunk encoding a caller asks NewEncoder for. There is one,
+// this package's columnar format; the parameter outlives the modes it used to
+// select because the repository's benchmark calls NewEncoder(ModeAuto).
+type Mode uint8
+
+// ModeAuto is the columnar format, each column packed or raw64 as its values
+// allow.
+const ModeAuto Mode = 0
+
+// NewEncoder returns an encoder.
+func NewEncoder(Mode) *Encoder { return &Encoder{} }
 
 // EncodeChunk encodes a chunk of n = len(ids) tuples whose keys are the given
 // row-major slab (len(keys) == n*dims). The returned slice aliases the

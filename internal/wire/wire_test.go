@@ -490,18 +490,3 @@ func TestDecoderRejectsMalformedChunks(t *testing.T) {
 		t.Fatal("IDs before KeyColumn should fail")
 	}
 }
-
-func TestParseMode(t *testing.T) {
-	cases := map[string]Mode{"": ModeAuto, "auto": ModeAuto, "off": ModeOff}
-	for s, want := range cases {
-		got, err := ParseMode(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseMode(%q) = (%v, %v), want %v", s, got, err, want)
-		}
-	}
-	for _, s := range []string{"delta", "lz4", "zstd"} {
-		if _, err := ParseMode(s); err == nil || !strings.Contains(err.Error(), "auto or off") {
-			t.Fatalf("ParseMode(%q) = %v, want an error naming auto and off", s, err)
-		}
-	}
-}

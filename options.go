@@ -28,8 +28,6 @@ type resolved struct {
 	Window           int
 	JoinParallelism  int
 	MorselRows       int
-	Serial           bool
-	Compression      string
 	MaxPlanDrift     float64
 	MaxDeltaFraction float64
 }
@@ -55,9 +53,6 @@ func (o Options) resolve() (resolved, error) {
 	}
 	if o.ClusterJoinParallelism < 0 {
 		return r, fmt.Errorf("bandjoin: ClusterJoinParallelism must be >= 0, got %d", o.ClusterJoinParallelism)
-	}
-	if _, err := wire.ParseMode(o.ClusterCompression); err != nil {
-		return r, fmt.Errorf("bandjoin: %w", err)
 	}
 	if o.PlannerParallelism < 0 {
 		return r, fmt.Errorf("bandjoin: PlannerParallelism must be >= 0, got %d", o.PlannerParallelism)
@@ -105,8 +100,6 @@ func (o Options) resolve() (resolved, error) {
 	r.Window = o.ClusterWindow
 	r.JoinParallelism = o.ClusterJoinParallelism
 	r.MorselRows = o.MorselRows // negative is meaningful: the per-partition oracle path
-	r.Serial = o.ClusterSerial
-	r.Compression = o.ClusterCompression
 	r.MaxPlanDrift = o.MaxPlanDrift
 	r.MaxDeltaFraction = o.MaxDeltaFraction
 	return r, nil

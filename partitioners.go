@@ -21,12 +21,7 @@ type RecPartOptions struct {
 	MaxIterations int
 	// Seed drives the deterministic small-partition row/column assignment.
 	Seed int64
-	// SerialPlanner selects the serial reference grower — the correctness
-	// oracle and benchmark baseline — instead of the fast planner (sort
-	// inheritance, reusable arenas, parallel best-split). Both produce
-	// bit-identical plans.
-	SerialPlanner bool
-	// PlannerParallelism bounds the fast planner's worker pool for best-split
+	// PlannerParallelism bounds the planner's worker pool for best-split
 	// evaluation; 0 selects GOMAXPROCS, 1 evaluates inline. Plans are
 	// bit-identical regardless of the value.
 	PlannerParallelism int
@@ -48,7 +43,6 @@ func RecPartWith(opts RecPartOptions) Partitioner {
 	}
 	o.MaxIterations = opts.MaxIterations
 	o.Seed = opts.Seed
-	o.Serial = opts.SerialPlanner
 	o.Parallelism = opts.PlannerParallelism
 	return core.New(o)
 }
