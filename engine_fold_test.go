@@ -6,10 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"bandjoin"
 	"bandjoin/internal/localjoin"
+	"bandjoin/internal/partition"
 )
 
 // foldBand draws a band of the given shape over d dimensions.
@@ -47,6 +50,9 @@ func foldRows(rng *rand.Rand, r *bandjoin.Relation, n int, band bandjoin.Band, s
 		mass := rng.Intn(5) == 0
 		for j := range key {
 			w := math.Max(band.Low[j], band.High[j])
+			if w == 0 {
+				w = 1 // ε = 0 on this dimension: a unit lattice, equal keys match
+			}
 			if mass {
 				key[j] = 0.25 * w
 				continue
@@ -209,18 +215,33 @@ func TestPartitionersGroundTruth(t *testing.T) {
 		shape    string
 		bandSeed int64
 		rowSeed  int64
+		zero     []int // dimensions whose band extents are set to 0
+		nS, nT   int   // rows per side; one row is the point every band matches
+		boundary bool  // after the first join, append keys on the plan's split boundaries and join again
 	}{
-		{"item-8", 3, "one-sided", 102, 39},
-		{"symmetric-2d", 2, "symmetric", 7, 8},
-		{"asymmetric-3d", 3, "asymmetric", 9, 10},
+		{"item-8", 3, "one-sided", 102, 39, nil, 360, 360, false},
+		{"symmetric-2d", 2, "symmetric", 7, 8, nil, 360, 360, false},
+		{"asymmetric-3d", 3, "asymmetric", 9, 10, nil, 360, 360, false},
+		{"eps0-one-dim", 3, "asymmetric", 11, 12, []int{1}, 360, 360, false},
+		{"eps0-all-dims", 2, "symmetric", 13, 14, []int{0, 1}, 360, 360, false},
+		{"empty-S", 2, "symmetric", 7, 8, nil, 0, 360, false},
+		{"empty-T", 3, "one-sided", 102, 39, nil, 360, 0, false},
+		{"one-row-sides", 2, "asymmetric", 15, 16, nil, 1, 1, false},
+		{"append-on-boundaries", 2, "asymmetric", 17, 18, nil, 360, 360, true},
 	} {
 		band := foldBand(rand.New(rand.NewSource(row.bandSeed)), row.shape, row.d)
+		for _, j := range row.zero {
+			band.Low[j], band.High[j] = 0, 0
+		}
 		rng := rand.New(rand.NewSource(row.rowSeed))
 		s, tt := bandjoin.NewRelation("s", row.d), bandjoin.NewRelation("t", row.d)
-		foldRows(rng, s, 360, band, false)
-		foldRows(rng, tt, 360, band, true)
+		foldRows(rng, s, row.nS, band, false)
+		foldRows(rng, tt, row.nT, band, true)
+		if row.nS == 1 && row.nT == 1 {
+			s.SetKey(0, tt.Key(0))
+		}
 		want := definitionPairs(s, tt, band)
-		if len(want) == 0 {
+		if len(want) == 0 && row.nS > 0 && row.nT > 0 {
 			t.Fatalf("%s: the definition has no pairs; the inputs exercise nothing", row.name)
 		}
 		for _, p := range partitioners {
@@ -228,20 +249,140 @@ func TestPartitionersGroundTruth(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/%s", row.name, p.name, planeName), func(t *testing.T) {
 					e := newEngine(bandjoin.EngineOptions{})
 					defer e.Close()
-					if err := e.Register("s", s); err != nil {
+					s, tt := s.Clone("s"), tt.Clone("t")
+					if err := e.Register("s", s.Clone("s")); err != nil {
 						t.Fatalf("Register: %v", err)
 					}
-					if err := e.Register("t", tt); err != nil {
+					if err := e.Register("t", tt.Clone("t")); err != nil {
 						t.Fatalf("Register: %v", err)
 					}
-					res, err := e.Join(context.Background(), "s", "t", band,
-						bandjoin.Options{Workers: 8, Seed: 5, CollectPairs: true, Partitioner: p.pt})
+					spy := &planSpy{Partitioner: p.pt}
+					opts := bandjoin.Options{Workers: 8, Seed: 5, CollectPairs: true, Partitioner: spy}
+					res, err := e.Join(context.Background(), "s", "t", band, opts)
+					if len(row.zero) > 0 && strings.HasPrefix(p.name, "Grid") {
+						// A grid of ε-wide cells has no cells at ε = 0, and says so.
+						if err == nil || !strings.Contains(err.Error(), "undefined for equi-joins") {
+							t.Fatalf("Join with a zero band width: got %v, want the grid's refusal", err)
+						}
+						return
+					}
 					if err != nil {
 						t.Fatalf("Join: %v", err)
 					}
 					pairsEqual(t, "engine vs nested loop", res.Pairs, want)
+					if !row.boundary {
+						return
+					}
+					// Keys on either side of every place where the plan's routing
+					// changes along a line through a row of S, and, for each, T keys
+					// at the ends of its band: appended, they are routed alone
+					// (a delta shuffle with offset IDs) into the partitions the
+					// first join left.
+					deltaS, deltaT := bandjoin.NewRelation("s", row.d), bandjoin.NewRelation("t", row.d)
+					for _, key := range boundaryKeys(spy.plans[0], s, tt) {
+						deltaS.AppendKey(key)
+						for j := range key {
+							for _, v := range []float64{key[j] - band.Low[j], key[j] + band.High[j]} {
+								partner := append([]float64(nil), key...)
+								partner[j] = v
+								deltaT.AppendKey(partner)
+							}
+						}
+					}
+					if p.name != "1-Bucket" && deltaS.Len() == 0 {
+						t.Fatal("the plan's routing changes nowhere; the append stages nothing")
+					}
+					// 1-Bucket routes by tuple ID, not by key: its appended rows
+					// (copies of rows already there) check the offset IDs instead.
+					for i := 0; deltaS.Len() < 16; i++ {
+						deltaS.AppendKey(s.Key(i))
+						deltaT.AppendKey(tt.Key(i))
+					}
+					s.AppendRows(deltaS, 0, deltaS.Len())
+					tt.AppendRows(deltaT, 0, deltaT.Len())
+					if err := e.Append(context.Background(), "s", deltaS); err != nil {
+						t.Fatalf("Append(s): %v", err)
+					}
+					if err := e.Append(context.Background(), "t", deltaT); err != nil {
+						t.Fatalf("Append(t): %v", err)
+					}
+					res, err = e.Join(context.Background(), "s", "t", band, opts)
+					if err != nil {
+						t.Fatalf("Join after the append: %v", err)
+					}
+					if len(spy.plans) != 1 {
+						t.Fatalf("the engine planned %d times; the appended keys were meant for the first plan", len(spy.plans))
+					}
+					pairsEqual(t, "after the append: engine vs nested loop", res.Pairs, definitionPairs(s, tt, band))
 				})
 			}
 		}
 	}
+}
+
+// planSpy is a partitioner that keeps the plans it makes. Its fingerprint is
+// fixed, so the plans it has kept do not make it a new partitioner to the
+// engine's plan cache.
+type planSpy struct {
+	bandjoin.Partitioner
+	mu    sync.Mutex
+	plans []bandjoin.Plan
+}
+
+func (p *planSpy) PlanFingerprint() string { return "spy|" + p.Name() }
+
+func (p *planSpy) Plan(ctx *partition.Context) (bandjoin.Plan, error) {
+	plan, err := p.Partitioner.Plan(ctx)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.plans = append(p.plans, plan)
+	return plan, err
+}
+
+// boundaryKeys finds keys exactly on a plan's split boundaries without knowing
+// what kind of plan it is: along each dimension through a few rows of s, it
+// looks for neighbouring key values of the inputs between which AssignS or
+// AssignT changes its answer, and bisects down to the two adjacent floats
+// where it does. Both are returned (at most a few dozen keys).
+func boundaryKeys(plan bandjoin.Plan, s, t *bandjoin.Relation) [][]float64 {
+	var out [][]float64
+	d := s.Dims()
+	for _, assign := range []func(int64, []float64, []int) []int{plan.AssignS, plan.AssignT} {
+		at := func(key []float64, j int, v float64) string {
+			probe := append([]float64(nil), key...)
+			probe[j] = v
+			return fmt.Sprint(assign(0, probe, nil))
+		}
+		for row := 0; row < s.Len() && len(out) < 48; row += s.Len() / 4 {
+			key := s.Key(row)
+			for j := 0; j < d; j++ {
+				vals := append(s.Values(j), t.Values(j)...)
+				sort.Float64s(vals)
+				for i := 1; i < len(vals); i++ {
+					lo, hi := vals[i-1], vals[i]
+					if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) || at(key, j, lo) == at(key, j, hi) {
+						continue
+					}
+					for left := at(key, j, lo); ; {
+						mid := lo + (hi-lo)/2
+						if mid <= lo || mid >= hi {
+							break // adjacent floats
+						}
+						if at(key, j, mid) == left {
+							lo = mid
+						} else {
+							hi = mid
+						}
+					}
+					for _, v := range []float64{lo, hi} {
+						k := append([]float64(nil), key...)
+						k[j] = v
+						out = append(out, k)
+					}
+					break // one boundary per row and dimension is plenty
+				}
+			}
+		}
+	}
+	return out
 }

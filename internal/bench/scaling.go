@@ -68,7 +68,7 @@ type ScalingPoint struct {
 
 // ScalingTier is one pipeline stage's sweep.
 type ScalingTier struct {
-	// Tier names the stage: "shuffle" (parallel two-pass routing), "join"
+	// Tier names the stage: "shuffle" (parallel routing and gather), "join"
 	// (the morsel-driven reduce phase over pre-shuffled partitions),
 	// "join-per-partition" (the retained one-goroutine-per-partition reduce
 	// path, the skew baseline the morsel tier is compared against), "planner"

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/rpc"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -27,19 +28,20 @@ import (
 // the results into the same Result structure the in-process simulator
 // produces.
 //
-// The data plane is a pipelined streaming shuffle: inputs are routed through
-// the same sharded two-pass assignment machinery as the in-process executor
-// (exec.Shuffle), and each worker has a dedicated sender goroutine shipping
-// fixed-size columnar chunks (internal/wire) with a bounded window of
-// asynchronous Load RPCs in flight, so routing, encoding, network transfer,
-// and the workers' decode+append overlap instead of serializing on every chunk
-// round trip.
+// The data plane is a pipelined streaming shuffle: inputs are routed by the
+// same sharded pass as the in-process executor's (exec.Route) into
+// per-partition row lists — no copy of the input is made — and each worker has
+// a dedicated sender goroutine that gathers one fixed-size chunk at a time out
+// of the source relations and ships it columnar (internal/wire) with a bounded
+// window of asynchronous Load RPCs in flight, so gathering, encoding, network
+// transfer, and the workers' decode+append overlap instead of serializing on
+// every chunk round trip.
 //
 // The coordinator is fault tolerant (see DESIGN.md, "Failure model"): every
 // RPC carries a deadline and honors the query's context, idempotent calls are
 // retried with capped deterministic backoff, and a worker that dies
 // mid-query has its partitions re-placed over the survivors and reshipped
-// from the coordinator's held PartitionInputs — the query completes degraded
+// from the coordinator's held row lists — the query completes degraded
 // (Result.Degraded/LostWorkers/Retries) instead of failing. Application
 // errors returned by a worker's method are never retried or failed over:
 // they indicate a semantic problem that reshipping cannot fix, and the query
@@ -56,6 +58,12 @@ type Coordinator struct {
 	// fingerprints have been fully shipped and sealed on the workers.
 	mu            sync.Mutex
 	retainedPlans map[string]*retainedPlanRec
+
+	// shipments numbers every shipment this coordinator makes, to any worker
+	// under any job id or plan fingerprint (see LoadArgs.Attempt): one monotone
+	// counter, so whatever a worker is cleared for is newer than every Load
+	// still in flight — of this shipPartitions call or of one long returned.
+	shipments atomic.Int64
 
 	m *coordMetrics
 }
@@ -258,8 +266,8 @@ type Options struct {
 	// already sealed plan (see LoadArgs.Delta). It is set internally on the
 	// catch-up path of a retained run and by AbsorbPlan.
 	delta bool
-	// attempt numbers the shipment to one worker under one job id or plan
-	// fingerprint (see LoadArgs.Attempt); shipPartitions sets it per worker.
+	// attempt is the number of the shipment to one worker (see
+	// LoadArgs.Attempt); shipPartitions sets it per worker.
 	attempt int
 	// band, when non-empty, lets the streaming sender issue per-partition
 	// Complete markers (pipelined worker-side joins). It is set internally on
@@ -518,17 +526,6 @@ func redistributor(plan partition.Plan, pctx *partition.Context) func(pids, targ
 	}
 }
 
-// nonEmptyPids lists the non-nil partition ids in ascending order.
-func nonEmptyPids(parts []*exec.PartitionInput) []int {
-	pids := make([]int, 0, len(parts))
-	for pid, p := range parts {
-		if p != nil {
-			pids = append(pids, pid)
-		}
-	}
-	return pids
-}
-
 func sortedKeys(m map[int][]int) []int {
 	keys := make([]int, 0, len(m))
 	for k := range m {
@@ -605,7 +602,7 @@ func (c *Coordinator) runTransient(ctx context.Context, plan partition.Plan, pct
 	redistribute := redistributor(plan, pctx)
 	wireStart := c.wireBytes()
 	shuffleStart := time.Now()
-	parts, totalInput, err := exec.Shuffle(ctx, plan, s, t, runtime.GOMAXPROCS(0))
+	routed, err := exec.Route(ctx, plan, s, t, 0, 0, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
 	}
@@ -613,19 +610,19 @@ func (c *Coordinator) runTransient(ctx context.Context, plan partition.Plan, pct
 	if len(targets) == 0 {
 		return nil, errNoLiveWorkers
 	}
-	assignment := redistribute(nonEmptyPids(parts), targets)
-	owned, rpcs, err := c.shipPartitions(ctx, assignment, parts, opts, c.clearTransient(opts.JobID), redistribute, rs)
+	assignment := redistribute(routed.NonEmpty(), targets)
+	owned, rpcs, err := c.shipPartitions(ctx, assignment, routed, opts, c.clearTransient(opts.JobID), redistribute, rs)
 	if err != nil {
 		return nil, err
 	}
 	st := shuffleStats{
-		totalInput: totalInput,
+		totalInput: routed.TotalInput,
 		rpcs:       rpcs,
 		duration:   time.Since(shuffleStart),
 		bytes:      c.wireBytes() - wireStart,
 	}
 
-	joined, joinWall, err := c.runJoinsTransient(ctx, opts.JobID, owned, parts, redistribute, band, opts, rs)
+	joined, joinWall, err := c.runJoinsTransient(ctx, opts.JobID, owned, routed, redistribute, band, opts, rs)
 	if err != nil {
 		return nil, err
 	}
@@ -662,21 +659,22 @@ const maxShipAttemptsPerWorker = 2
 //     (including pids shipped in earlier rounds — clearing dropped them) is
 //     reshipped to it, up to maxShipAttemptsPerWorker times, after which the
 //     worker is abandoned for this query and its pids redistributed. The
-//     reshipment goes under the same job id or plan fingerprint, so the
-//     shipments to a worker are numbered: the clearing call and the Loads
-//     that follow it carry the new attempt's number, and the worker refuses
-//     a Load of the aborted attempt that arrives late instead of joining its
-//     rows a second time;
+//     reshipment goes under the same job id or plan fingerprint, so shipments
+//     are numbered (Coordinator.shipments): the clearing call and the Loads
+//     that follow it carry the new shipment's number, and the worker refuses
+//     a Load of an aborted one that arrives late instead of joining its rows
+//     a second time;
 //   - dead → marked down; everything it ever owned is re-placed over the
-//     surviving workers and reshipped from the coordinator-held parts.
+//     surviving workers and reshipped from the coordinator-held row lists.
 //
 // Application errors are not failed over: Load is not idempotent, and a
 // worker that rejects a chunk will reject it again; the shipment fails
 // cleanly. The returned map is the final ownership (slot → pids resident
 // there) the join phase must target.
-func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]int, parts []*exec.PartitionInput, opts Options, clear func(context.Context, *workerClient, int) error, redistribute func(pids, targets []int) map[int][]int, rs *runState) (map[int][]int, int64, error) {
+func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]int, routed *exec.Routed, opts Options, clear func(context.Context, *workerClient, int) error, redistribute func(pids, targets []int) map[int][]int, rs *runState) (map[int][]int, int64, error) {
 	owned := make(map[int][]int)
-	attempts := make(map[int]int)
+	attempts := make(map[int]int) // slot → shipments to it that died on the wire
+	numbers := make(map[int]int)  // slot → number of the shipment to it now
 	var rpcs int64
 	for round := 0; len(assignment) > 0; round++ {
 		if round > 2*len(c.workers)+4 {
@@ -694,11 +692,14 @@ func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]i
 		var wg sync.WaitGroup
 		for i, slot := range slots {
 			wg.Add(1)
+			if numbers[slot] == 0 {
+				numbers[slot] = int(c.shipments.Add(1))
+			}
 			sopts := opts
-			sopts.attempt = attempts[slot]
+			sopts.attempt = numbers[slot]
 			go func(i, slot int) {
 				defer wg.Done()
-				outs[i].sent, outs[i].err = c.sendPartitions(ctx, c.workers[slot], assignment[slot], parts, sopts, rs)
+				outs[i].sent, outs[i].err = c.sendPartitions(ctx, c.workers[slot], assignment[slot], routed, sopts, rs)
 			}(i, slot)
 		}
 		wg.Wait()
@@ -722,6 +723,7 @@ func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]i
 			}
 			rs.retry()
 			attempts[slot]++
+			numbers[slot] = int(c.shipments.Add(1))
 			abandon := false
 			if !wc.probe(ctx) {
 				rs.noteLost(slot)
@@ -731,7 +733,7 @@ func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]i
 				// this worker for the query.
 				rs.exclude(slot)
 				abandon = true
-			} else if cerr := clear(ctx, wc, attempts[slot]); cerr != nil {
+			} else if cerr := clear(ctx, wc, numbers[slot]); cerr != nil {
 				if isTransportErr(cerr) && !wc.probe(ctx) {
 					rs.noteLost(slot)
 				} else {
@@ -781,7 +783,7 @@ const maxRecoveryRounds = 4
 // against the pid set the worker owns, and each pid's stats are merged
 // exactly once, so recovered queries return the same pairs as undisturbed
 // ones.
-func (c *Coordinator) runJoinsTransient(ctx context.Context, baseJob string, owned map[int][]int, parts []*exec.PartitionInput, redistribute func(pids, targets []int) map[int][]int, band data.Band, opts Options, rs *runState) ([]slotJoin, time.Duration, error) {
+func (c *Coordinator) runJoinsTransient(ctx context.Context, baseJob string, owned map[int][]int, routed *exec.Routed, redistribute func(pids, targets []int) map[int][]int, band data.Band, opts Options, rs *runState) ([]slotJoin, time.Duration, error) {
 	joinParallelism := opts.JoinParallelism
 	joinStart := time.Now()
 	var collected []slotJoin
@@ -878,7 +880,7 @@ func (c *Coordinator) runJoinsTransient(ctx context.Context, baseJob string, own
 		ropts.JobID = curJob
 		ropts.retain = false
 		wireStart := c.wireBytes()
-		newOwned, rpcs, err := c.shipPartitions(ctx, redistribute(lostPids, targets), parts, ropts, c.clearTransient(curJob), redistribute, rs)
+		newOwned, rpcs, err := c.shipPartitions(ctx, redistribute(lostPids, targets), routed, ropts, c.clearTransient(curJob), redistribute, rs)
 		rs.extraRPCs.Add(rpcs)
 		rs.extraBytes.Add(c.wireBytes() - wireStart)
 		if err != nil {
@@ -1081,8 +1083,11 @@ func (c *Coordinator) ensureShipped(ctx context.Context, rec *retainedPlanRec, p
 		return shuffleStats{}, nil, false, errStalePlanRec
 	}
 	// Clear any half-shipped remnants of a previously failed shipment before
-	// loading: the registry accumulates across Load calls.
-	c.evictWorkers(opts.PlanID)
+	// loading: the registry accumulates across Load calls. The clearing is
+	// numbered like a shipment, so a Load that outlived an earlier shipment of
+	// this fingerprint — failed, evicted, long forgotten here — is older than
+	// what every worker now accepts.
+	c.evictWorkers(opts.PlanID, int(c.shipments.Add(1)))
 
 	opts.JobID = opts.PlanID
 	opts.retain = true
@@ -1096,15 +1101,15 @@ func (c *Coordinator) ensureShipped(ctx context.Context, rec *retainedPlanRec, p
 	if len(targets) == 0 {
 		return shuffleStats{}, nil, false, errNoLiveWorkers
 	}
-	parts, totalInput, err := exec.Shuffle(ctx, plan, s, t, runtime.GOMAXPROCS(0))
+	routed, err := exec.Route(ctx, plan, s, t, 0, 0, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return shuffleStats{}, nil, false, err
 	}
-	st.totalInput = totalInput
-	assignment := redistribute(nonEmptyPids(parts), targets)
-	owned, st.rpcs, err = c.shipPartitions(ctx, assignment, parts, opts, c.clearRetained(opts.PlanID), redistribute, rs)
+	st.totalInput = routed.TotalInput
+	assignment := redistribute(routed.NonEmpty(), targets)
+	owned, st.rpcs, err = c.shipPartitions(ctx, assignment, routed, opts, c.clearRetained(opts.PlanID), redistribute, rs)
 	if err != nil {
-		c.evictWorkers(opts.PlanID)
+		c.evictWorkers(opts.PlanID, 0)
 		return shuffleStats{}, nil, false, err
 	}
 
@@ -1139,7 +1144,7 @@ func (c *Coordinator) ensureShipped(ctx context.Context, rec *retainedPlanRec, p
 			rs.noteLost(slot)
 			continue
 		}
-		c.evictWorkers(opts.PlanID)
+		c.evictWorkers(opts.PlanID, 0)
 		if isTransportErr(err) {
 			if !wc.probe(ctx) {
 				rs.noteLost(slot)
@@ -1201,7 +1206,7 @@ func (c *Coordinator) ensureFresh(ctx context.Context, rec *retainedPlanRec, pla
 	start := time.Now()
 	deltaS := s.Slice(s.Name(), rec.coveredS, s.Len())
 	deltaT := t.Slice(t.Name(), rec.coveredT, t.Len())
-	parts, deltaInput, err := exec.ShuffleDelta(ctx, plan, deltaS, deltaT, rec.coveredS, rec.coveredT, runtime.GOMAXPROCS(0))
+	routed, err := exec.Route(ctx, plan, deltaS, deltaT, rec.coveredS, rec.coveredT, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return err
 	}
@@ -1210,7 +1215,7 @@ func (c *Coordinator) ensureFresh(ctx context.Context, rec *retainedPlanRec, pla
 	opts.delta = true
 	place := placementOver(plan, pctx, len(rec.slots))
 	assignment := make(map[int][]int)
-	for _, pid := range nonEmptyPids(parts) {
+	for _, pid := range routed.NonEmpty() {
 		slot, ok := rec.pidSlot[pid]
 		if !ok {
 			slot = rec.slots[place(pid)]
@@ -1222,7 +1227,7 @@ func (c *Coordinator) ensureFresh(ctx context.Context, rec *retainedPlanRec, pla
 		pids := assignment[slot]
 		sort.Ints(pids)
 		wc := c.workers[slot]
-		sent, err := c.sendPartitions(ctx, wc, pids, parts, opts, rs)
+		sent, err := c.sendPartitions(ctx, wc, pids, routed, opts, rs)
 		rpcs += sent
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
@@ -1244,7 +1249,7 @@ func (c *Coordinator) ensureFresh(ctx context.Context, rec *retainedPlanRec, pla
 			}
 		}
 	}
-	rec.totalInput += deltaInput
+	rec.totalInput += routed.TotalInput
 	rec.coveredS = s.Len()
 	rec.coveredT = t.Len()
 	st.totalInput = rec.totalInput
@@ -1325,7 +1330,7 @@ func (c *Coordinator) EvictPlan(planID string) {
 	rec := c.retainedPlans[planID]
 	c.mu.Unlock()
 	if rec == nil {
-		c.evictWorkers(planID)
+		c.evictWorkers(planID, 0)
 		return
 	}
 	// Take the record's write lock so an in-flight shipment completes before
@@ -1338,17 +1343,18 @@ func (c *Coordinator) EvictPlan(planID string) {
 		delete(c.retainedPlans, planID)
 	}
 	c.mu.Unlock()
-	c.evictWorkers(planID)
+	c.evictWorkers(planID, 0)
 	rec.mu.Unlock()
 }
 
-// evictWorkers drops the plan from every worker's registry, best effort.
+// evictWorkers drops the plan from every worker's registry, best effort; a
+// positive shipment number makes room for that shipment (EvictArgs.Attempt).
 // Cleanup runs on a background context: it must proceed even when the query's
 // context is already cancelled.
-func (c *Coordinator) evictWorkers(planID string) {
+func (c *Coordinator) evictWorkers(planID string, shipment int) {
 	for _, wc := range c.workers {
 		var er EvictReply
-		_ = wc.call(context.Background(), ServiceName+".Evict", &EvictArgs{PlanID: planID}, &er, c.opts.callDeadline(), 1, nil)
+		_ = wc.call(context.Background(), ServiceName+".Evict", &EvictArgs{PlanID: planID, Attempt: shipment}, &er, c.opts.callDeadline(), 1, nil)
 	}
 }
 
@@ -1443,8 +1449,11 @@ func (c *Coordinator) aggregate(joined []slotJoin, opts Options, s, t *data.Rela
 }
 
 // sendPartitions streams one worker's partitions in fixed-size chunks, keeping
-// at most opts.Window Load RPCs in flight. Chunks travel as columnar payloads
-// encoded straight out of the shuffle arenas; a worker whose Ping advertised
+// at most opts.Window Load RPCs in flight. A chunk's rows are gathered from the
+// source relation, through the partition's routed list, into a slab this
+// sender owns and reuses, and travel as a columnar payload encoded from it
+// (a row list may span several routing shards; the chunk boundaries are those
+// of the partition, not of its lists). A worker whose Ping advertised
 // less than wire.Version cannot read them and is refused with an error that is
 // not failed over. On transient runs the sender also
 // issues a Complete marker after each partition's last chunk, letting the
@@ -1452,7 +1461,7 @@ func (c *Coordinator) aggregate(joined []slotJoin, opts Options, s, t *data.Rela
 // later partitions are still in flight. Each wait for a window slot is bounded
 // by the call deadline and the query context; either firing drops the
 // connection, aborting the whole in-flight window at once.
-func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids []int, parts []*exec.PartitionInput, opts Options, rs *runState) (int64, error) {
+func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids []int, routed *exec.Routed, opts Options, rs *runState) (int64, error) {
 	cl, err := wc.conn()
 	if err != nil {
 		wc.markSuspect()
@@ -1462,8 +1471,11 @@ func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids
 		return 0, fmt.Errorf("the worker reads wire version %d, this coordinator ships version %d only", v, wire.Version)
 	}
 	// Client.Go gob-encodes the args before returning, so one encoder's
-	// buffer can back every chunk of the stream without copies.
+	// buffer — and one slab of gathered rows under it — can back every chunk
+	// of the stream without copies.
 	enc := wire.NewEncoder(wire.ModeAuto)
+	var keys []float64
+	var ids []int64
 	// Markers only apply to transient runs (retained plans prepare at Seal
 	// time, deltas invalidate instead).
 	markers := !opts.retain && !opts.delta && opts.band.Dims() > 0
@@ -1510,38 +1522,38 @@ func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids
 		inFlight++
 		sent++
 	}
-	send := func(pid int, side string, rel *data.Relation, ids []int64, lo, hi int) {
-		dims := rel.Dims()
-		rs.rawBytes.Add(wire.RawBytes(hi-lo, dims))
-		args := &LoadArgs{
-			JobID:     opts.JobID,
-			Partition: pid,
-			Side:      side,
-			SideTotal: rel.Len(),
-			Retain:    opts.retain,
-			Delta:     opts.delta,
-			Attempt:   opts.attempt,
+	sendSide := func(pid int, name string, side *exec.RoutedSide) {
+		dims, total := side.Rel.Dims(), side.Rows(pid)
+		for lo := 0; lo < total && firstErr == nil; lo += opts.ChunkSize {
+			n := min(opts.ChunkSize, total-lo)
+			keys, ids = slices.Grow(keys[:0], n*dims)[:n*dims], slices.Grow(ids[:0], n)[:n]
+			side.Gather(pid, lo, lo+n, keys, ids)
+			rs.rawBytes.Add(wire.RawBytes(n, dims))
+			args := &LoadArgs{
+				JobID:     opts.JobID,
+				Partition: pid,
+				Side:      name,
+				SideTotal: total,
+				Retain:    opts.retain,
+				Delta:     opts.delta,
+				Attempt:   opts.attempt,
+			}
+			start := time.Now()
+			args.Columnar = enc.EncodeChunk(keys, dims, ids)
+			rs.encodeNanos.Add(time.Since(start).Nanoseconds())
+			dispatch(args)
 		}
-		start := time.Now()
-		args.Columnar = enc.EncodeChunk(rel.KeysRange(lo, hi), dims, ids[lo:hi])
-		rs.encodeNanos.Add(time.Since(start).Nanoseconds())
-		dispatch(args)
 	}
 	for _, pid := range pids {
-		p := parts[pid]
-		for lo := 0; lo < p.S.Len() && firstErr == nil; lo += opts.ChunkSize {
-			send(pid, "S", p.S, p.SIDs, lo, min(lo+opts.ChunkSize, p.S.Len()))
-		}
-		for lo := 0; lo < p.T.Len() && firstErr == nil; lo += opts.ChunkSize {
-			send(pid, "T", p.T, p.TIDs, lo, min(lo+opts.ChunkSize, p.T.Len()))
-		}
+		sendSide(pid, "S", &routed.S)
+		sendSide(pid, "T", &routed.T)
 		if markers && firstErr == nil {
 			dispatch(&LoadArgs{
 				JobID:     opts.JobID,
 				Partition: pid,
 				Complete:  true,
-				ExpectS:   p.S.Len(),
-				ExpectT:   p.T.Len(),
+				ExpectS:   routed.S.Rows(pid),
+				ExpectT:   routed.T.Rows(pid),
 				Band:      opts.band,
 				Algorithm: opts.Algorithm,
 				Attempt:   opts.attempt,

@@ -61,14 +61,16 @@ type LoadArgs struct {
 	// lazily on the next probe, not eagerly at append time; S-side rows are
 	// probed through the structure as it is. Requires Retain.
 	Delta bool
-	// Attempt numbers the shipment this Load belongs to among the shipments
-	// one coordinator makes to this worker under JobID: 0 for the first, n
-	// after the n-th mid-query clearing (ResetArgs.Attempt,
-	// EvictArgs.Attempt). A worker refuses a Load numbered below the last
-	// clearing — the aborted shipment's Load that was still in flight when
-	// the worker was cleared would otherwise land in the reshipped job and
-	// its rows be joined twice. Delta loads extend a sealed plan, belong to
-	// no shipment, and are not checked.
+	// Attempt numbers the shipment this Load belongs to among all the
+	// shipments its coordinator ever makes: one counter per coordinator,
+	// starting at 1, so a later shipment under the same JobID — repeated
+	// mid-query, or made by a later query after the plan was evicted — has a
+	// higher number. A worker refuses a Load numbered below what it was last
+	// cleared for (ResetArgs.Attempt, EvictArgs.Attempt) — an aborted
+	// shipment's Load that was still in flight when the worker was cleared
+	// would otherwise land in the reshipped job and its rows be joined
+	// twice. Delta loads extend a sealed plan, belong to no shipment, and
+	// are not checked.
 	Attempt int
 }
 
@@ -192,11 +194,11 @@ type SealReply struct {
 // unregistered or replaced.
 type EvictArgs struct {
 	PlanID string
-	// Attempt, when positive, marks the clearing of a partial shipment that
-	// is about to be repeated under the same fingerprint, as shipment number
-	// Attempt: the worker keeps the plan's entry, emptied and unsealed, and
-	// refuses its non-delta Loads of a lower number (see LoadArgs.Attempt).
-	// Requires PlanID.
+	// Attempt, when positive, marks a clearing that makes room for a shipment
+	// under the same fingerprint — the first of a query, or the repeat of one
+	// that died on the wire — numbered Attempt or higher: the worker keeps the
+	// plan's entry, emptied and unsealed, and refuses its non-delta Loads of a
+	// lower number (see LoadArgs.Attempt). Requires PlanID.
 	Attempt int
 }
 

@@ -511,6 +511,10 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 		return err
 	}
 	defer w.endWork()
+	// The arguments are unvalidated network input (FuzzLoadArgs).
+	if args.Partition < 0 || args.SideTotal < 0 || args.Attempt < 0 || args.ExpectS < 0 || args.ExpectT < 0 {
+		return fmt.Errorf("cluster: worker %s: malformed Load: a negative partition, side total, shipment number or expected count", w.name)
+	}
 	if args.Complete {
 		return w.completeMarker(args)
 	}
@@ -530,9 +534,6 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 	}
 	if args.Side != "S" && args.Side != "T" {
 		return fmt.Errorf("cluster: unknown relation side %q", args.Side)
-	}
-	if args.SideTotal < 0 {
-		return fmt.Errorf("cluster: worker %s: negative side total", w.name)
 	}
 	if args.Delta && !args.Retain {
 		return fmt.Errorf("cluster: worker %s: delta load requires retain", w.name)
@@ -707,7 +708,7 @@ func (w *Worker) completeMarker(args *LoadArgs) error {
 	if args.Retain || args.Delta {
 		return fmt.Errorf("cluster: worker %s: Complete markers apply to transient jobs only", w.name)
 	}
-	if args.ExpectS < 0 || args.ExpectT < 0 || args.Band.Validate() != nil {
+	if args.Band.Validate() != nil {
 		return fmt.Errorf("cluster: worker %s: malformed Complete marker for partition %d", w.name, args.Partition)
 	}
 	job, err := w.jobFor(args)

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -10,16 +12,18 @@ import (
 )
 
 // The map phase (shuffle) routes every input tuple through the plan's
-// assignment into per-partition buffers. Shuffle shards S and T across
-// goroutines and builds every partition in exactly-sized flat buffers with two
-// passes: pass 1 records each tuple's partition assignments and counts
-// per-(shard, partition) occupancy; a prefix sum over the count matrix then
-// yields the exact row every (shard, partition) pair writes to; pass 2 replays
-// the recorded assignments and copies keys and tuple IDs straight to their
-// final locations. Shards write disjoint row ranges, so the write path needs
-// no locks and no append growth, and partition contents come out in global
-// tuple order — what one pass over S then T appending to per-partition
-// relations would produce (TestShuffleEquivalence).
+// assignment. Route is the whole of it: S and T are cut into shards, and one
+// pass per shard calls the plan's assignment once per tuple and appends the
+// tuple's row number to the list of each partition it names. A partition's
+// rows are its shards' lists in shard order — global tuple order — and a
+// tuple's ID is its row number plus the side's base, so the routed lists name
+// everything a partition holds without copying a key. The RPC coordinator
+// ships from them, gathering one chunk at a time out of the source relations
+// (Routed.Gather); Shuffle materialises them for the in-process plane with one
+// gather per (partition, shard) segment into exactly-sized shared arenas.
+// Shards write disjoint row ranges, so no path needs a lock, and partition
+// contents come out as one pass over S then T appending to per-partition
+// relations would produce them (TestRouteMatchesAssign, TestShuffleEquivalence).
 //
 // Plans must be safe for concurrent Assign calls (all in-repo plans are; see
 // grid.Plan for the one that needed internal synchronization).
@@ -106,275 +110,259 @@ func PresortPartitions(parts []*PartitionInput, parallelism int) {
 	wg.Wait()
 }
 
-// ShuffleDelta routes only appended rows through the plan's assignment,
-// returning per-partition delta inputs whose tuple IDs are offset by the base
-// cardinalities (sBase rows of S and tBase rows of T existed before the
-// append), so a delta shuffle's IDs are exactly what a full-relation shuffle
-// of the extended inputs would have assigned those rows. Either delta may be
-// empty. The returned partitions own their arenas (nothing aliases the
-// deltas), so callers may append them into retained partition storage.
-func ShuffleDelta(ctx context.Context, plan partition.Plan, deltaS, deltaT *data.Relation, sBase, tBase int, parallelism int) ([]*PartitionInput, int64, error) {
-	// Route with the rows' global IDs: plans that consult the tuple ID
-	// (1-Bucket's randomized row/column choice) must see the same ID a
-	// full-relation shuffle of the extended input would pass them.
-	shifted := &offsetIDPlan{Plan: plan, sOff: int64(sBase), tOff: int64(tBase)}
-	parts, totalInput, err := Shuffle(ctx, shifted, deltaS, deltaT, parallelism)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, p := range parts {
-		if p == nil {
+// RoutedSide is one relation's routing outcome: per shard and partition, the
+// rows of Rel the shard's pass sent there, ascending. Row numbers are int32
+// (Route refuses longer relations), and row i's tuple ID is i + Base. It holds
+// Rel as the caller passed it — a snapshot: rows appended to the relation
+// afterwards (Relation.Extend shares the prefix and writes past it) are
+// beyond anything a list names.
+type RoutedSide struct {
+	Rel    *data.Relation
+	Base   int64
+	assign func(id int64, key []float64, dst []int) []int // plan.AssignS or AssignT
+	shards [][][]int32                                    // [shard][partition] → rows
+	totals []int                                          // per partition, rows over all shards
+}
+
+// Rows returns the number of tuples routed to partition pid.
+func (rs *RoutedSide) Rows(pid int) int { return rs.totals[pid] }
+
+// Gather copies rows [lo, hi) of partition pid — positions in the partition's
+// global tuple order, which may span several shards' lists — into keys
+// (row-major, (hi-lo)*Dims values) and ids.
+func (rs *RoutedSide) Gather(pid, lo, hi int, keys []float64, ids []int64) {
+	dims := rs.Rel.Dims()
+	for _, lists := range rs.shards {
+		if pid >= len(lists) {
 			continue
 		}
-		for i := range p.SIDs {
-			p.SIDs[i] += int64(sBase)
+		seg := lists[pid]
+		if from, to := max(lo, 0), min(hi, len(seg)); from < to {
+			rs.gather(seg[from:to], keys, ids)
+			keys, ids = keys[(to-from)*dims:], ids[to-from:]
 		}
-		for i := range p.TIDs {
-			p.TIDs[i] += int64(tBase)
-		}
+		lo, hi = lo-len(seg), hi-len(seg)
 	}
-	return parts, totalInput, nil
 }
 
-// offsetIDPlan rebases the tuple IDs a delta shuffle passes to the wrapped
-// plan's assignment. Only the routing surface Shuffle touches (AssignS,
-// AssignT, NumPartitions via embedding) is forwarded.
-type offsetIDPlan struct {
-	partition.Plan
-	sOff, tOff int64
+// gather copies the listed rows' keys and tuple IDs to the front of keys and
+// ids.
+func (rs *RoutedSide) gather(rows []int32, keys []float64, ids []int64) {
+	dims := rs.Rel.Dims()
+	src := rs.Rel.KeysRange(0, rs.Rel.Len())
+	for i, row := range rows {
+		copy(keys[i*dims:(i+1)*dims], src[int(row)*dims:(int(row)+1)*dims])
+		ids[i] = int64(row) + rs.Base
+	}
 }
 
-func (o *offsetIDPlan) AssignS(id int64, key []float64, dst []int) []int {
-	return o.Plan.AssignS(id+o.sOff, key, dst)
-}
-
-func (o *offsetIDPlan) AssignT(id int64, key []float64, dst []int) []int {
-	return o.Plan.AssignT(id+o.tOff, key, dst)
-}
-
-// shardAssignments records what one shard's counting pass learned about one
-// relation: the concatenated partition ids of its tuples (in tuple order), how
-// many partitions each tuple went to, and the per-partition occupancy.
-type shardAssignments struct {
-	pids    []int32 // partition ids, concatenated in tuple order
-	degrees []int32 // per tuple, number of entries in pids
-	counts  []int   // per partition, number of tuples this shard sends there
-}
-
-// assignFunc is plan.AssignS or plan.AssignT.
-type assignFunc func(id int64, key []float64, dst []int) []int
-
-// countShard runs the counting pass of one shard over rel[lo:hi). numParts
-// pre-sizes the occupancy counters; lazily-discovering plans may report more
-// partitions as they go, growing the counters past it.
-func countShard(assign assignFunc, rel *data.Relation, lo, hi, numParts int, sa *shardAssignments) {
+// route runs shard k's pass, over its share of the side's rows, and stores its
+// per-partition row lists. numParts is the plan's partition count before the
+// pass: each of those lists starts with room for an even share of the shard
+// (at most 4 bytes per input row in all; append's growth from nothing left 5×
+// a list's size in garbage), and lazily-discovering plans may name more
+// partitions as they go, growing the slice past it.
+func (rs *RoutedSide) route(k, numParts int) {
+	n, shards := rs.Rel.Len(), len(rs.shards)
+	lists := make([][]int32, numParts)
 	dst := make([]int, 0, 16)
-	sa.counts = make([]int, numParts)
-	sa.degrees = make([]int32, 0, hi-lo)
-	sa.pids = make([]int32, 0, hi-lo)
+	lo, hi := n*k/shards, n*(k+1)/shards
+	hint := (hi - lo) / max(numParts, 1)
 	for i := lo; i < hi; i++ {
-		dst = assign(int64(i), rel.Key(i), dst[:0])
-		sa.degrees = append(sa.degrees, int32(len(dst)))
+		dst = rs.assign(int64(i)+rs.Base, rs.Rel.Key(i), dst[:0])
 		for _, pid := range dst {
-			for pid >= len(sa.counts) {
-				sa.counts = append(sa.counts, make([]int, pid+1-len(sa.counts))...)
+			for pid >= len(lists) {
+				lists = append(lists, nil)
 			}
-			sa.counts[pid]++
-			sa.pids = append(sa.pids, int32(pid))
+			if lists[pid] == nil && pid < numParts {
+				lists[pid] = make([]int32, 0, hint)
+			}
+			lists[pid] = append(lists[pid], int32(i))
 		}
 	}
+	rs.shards[k] = lists
 }
 
-// writeShard replays one shard's recorded assignments, copying keys and tuple
-// IDs to their pre-computed rows. off[pid] is the next global row this shard
-// writes for partition pid; rows of different shards are disjoint, so the
-// writes need no synchronization.
-func writeShard(rel *data.Relation, lo, hi int, sa *shardAssignments, off []int, keys []float64, ids []int64) {
-	dims := rel.Dims()
-	sp := 0
-	for i := lo; i < hi; i++ {
-		key := rel.Key(i)
-		for e := int32(0); e < sa.degrees[i-lo]; e++ {
-			pid := sa.pids[sp]
-			sp++
-			row := off[pid]
-			off[pid] = row + 1
-			copy(keys[row*dims:(row+1)*dims], key)
-			ids[row] = int64(i)
+// Routed is what Route returns: both sides' row lists, the number of
+// partitions they cover (every partition the plan knew or discovered), and the
+// total routed tuple count I (input including duplicates).
+type Routed struct {
+	S, T          RoutedSide
+	NumPartitions int
+	TotalInput    int64
+	shards        int // the goroutine bound Route was given, resolved
+}
+
+// NonEmpty lists, ascending, the partitions that received a tuple.
+func (r *Routed) NonEmpty() []int {
+	pids := make([]int, 0, r.NumPartitions)
+	for pid := 0; pid < r.NumPartitions; pid++ {
+		if r.S.Rows(pid)+r.T.Rows(pid) > 0 {
+			pids = append(pids, pid)
 		}
 	}
+	return pids
 }
 
-// shardRanges splits n tuples into at most shards contiguous ranges.
-func shardRanges(n, shards int) [][2]int {
-	if shards > n {
-		shards = n
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	out := make([][2]int, 0, shards)
-	for k := 0; k < shards; k++ {
-		lo := n * k / shards
-		hi := n * (k + 1) / shards
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
-
-// sideBuffers aggregates the two-pass bookkeeping of one relation side.
-type sideBuffers struct {
-	shards  [][2]int
-	assigns []shardAssignments
-	totals  []int     // per partition, total tuple count
-	starts  []int     // per partition, first row in the arena
-	offsets [][]int   // per shard, next row per partition (consumed by pass 2)
-	keys    []float64 // arena: all partitions' keys, row-major
-	ids     []int64   // arena: all partitions' tuple IDs
-}
-
-// finishCounts turns per-shard counts into per-partition totals and exact
-// per-(shard, partition) write offsets over a single shared arena.
-func (sb *sideBuffers) finishCounts(numParts, dims int) int64 {
-	sb.totals = make([]int, numParts)
-	for k := range sb.assigns {
-		for pid, c := range sb.assigns[k].counts {
-			sb.totals[pid] += c
+// eachShard executes fn for every S- and T-shard, at most r.shards at a time
+// across both sides, so Options.Parallelism truly bounds the concurrency
+// (Parallelism = 1 processes the shards strictly one after another).
+func (r *Routed) eachShard(fn func(side *RoutedSide, k int)) {
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, r.shards)
+	for _, side := range []*RoutedSide{&r.S, &r.T} {
+		for k := range side.shards {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(side *RoutedSide, k int) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				fn(side, k)
+			}(side, k)
 		}
 	}
-	var total int64
-	sb.starts = make([]int, numParts+1)
-	for pid, c := range sb.totals {
-		sb.starts[pid+1] = sb.starts[pid] + c
-		total += int64(c)
-	}
-	cum := make([]int, numParts)
-	copy(cum, sb.starts[:numParts])
-	sb.offsets = make([][]int, len(sb.assigns))
-	for k := range sb.assigns {
-		off := make([]int, numParts)
-		copy(off, cum)
-		sb.offsets[k] = off
-		for pid, c := range sb.assigns[k].counts {
-			cum[pid] += c
-		}
-	}
-	sb.keys = make([]float64, int(total)*dims)
-	sb.ids = make([]int64, total)
-	return total
+	wg.Wait()
 }
 
-// partitionRows returns the rows of partition pid as zero-copy slices of the
-// arena. Capacities are clamped so a later Append on the wrapped relation
-// reallocates instead of silently overwriting the next partition's rows.
-func (sb *sideBuffers) partitionRows(pid, dims int) ([]float64, []int64) {
-	lo, hi := sb.starts[pid], sb.starts[pid+1]
-	return sb.keys[lo*dims : hi*dims : hi*dims], sb.ids[lo:hi:hi]
-}
-
-// Shuffle routes every tuple of s and t through the plan's assignment and
-// returns the per-partition inputs plus the total routed tuple count I (input
-// including duplicates). Entries for empty partitions are nil. Each input is
-// cut into at most `shards` ranges (values < 1 select GOMAXPROCS), and at most
-// that many goroutines run at any time across both relations. It is the
+// Route routes every tuple of s and t through the plan's assignment and
+// returns the per-partition row lists. A tuple's ID — what the assignment sees
+// and what Gather reports — is its row number plus sBase or tBase: zero for
+// whole relations, the rows that came before for an appended delta. Each input
+// is cut into at most `shards` ranges (values < 1 select GOMAXPROCS), and at
+// most that many goroutines run at any time across both relations. It is the
 // routing stage the RPC coordinator (internal/cluster) shares with the
-// in-process executor. Cancelling ctx aborts the shuffle between its two
-// passes, returning ctx.Err().
-func Shuffle(ctx context.Context, plan partition.Plan, s, t *data.Relation, shards int) ([]*PartitionInput, int64, error) {
+// in-process executor. A context cancelled before or during the pass yields
+// ctx.Err(); a relation whose row numbers do not fit the lists' 32 bits is
+// refused.
+func Route(ctx context.Context, plan partition.Plan, s, t *data.Relation, sBase, tBase, shards int) (*Routed, error) {
 	if shards < 1 {
 		shards = runtime.GOMAXPROCS(0)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	var sb, tb sideBuffers
-	sb.shards = shardRanges(s.Len(), shards)
-	tb.shards = shardRanges(t.Len(), shards)
-	sb.assigns = make([]shardAssignments, len(sb.shards))
-	tb.assigns = make([]shardAssignments, len(tb.shards))
+	r := &Routed{
+		S:      RoutedSide{Rel: s, Base: int64(sBase), assign: plan.AssignS},
+		T:      RoutedSide{Rel: t, Base: int64(tBase), assign: plan.AssignT},
+		shards: shards,
+	}
+	for _, side := range []*RoutedSide{&r.S, &r.T} {
+		n := side.Rel.Len()
+		if err := checkRows(side.Rel.Name(), n); err != nil {
+			return nil, err
+		}
+		side.shards = make([][][]int32, max(1, min(shards, n)))
+	}
 	planned := plan.NumPartitions()
-
-	// run executes fn for every S- and T-shard, at most `shards` at a time
-	// across both sides, so Options.Parallelism truly bounds the concurrency
-	// (Parallelism = 1 processes the shards strictly one after another).
-	run := func(fn func(side *sideBuffers, isS bool, k int)) {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, shards)
-		for _, side := range []struct {
-			sb  *sideBuffers
-			isS bool
-		}{{&sb, true}, {&tb, false}} {
-			for k := range side.sb.shards {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(sb *sideBuffers, isS bool, k int) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					fn(sb, isS, k)
-				}(side.sb, side.isS, k)
+	r.eachShard(func(side *RoutedSide, k int) { side.route(k, planned) })
+	// The pass is the expensive part (every Assign call); honor a cancellation
+	// that arrived during it before anyone gathers or ships.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// All partitions are known now, even for lazily-discovering plans.
+	r.NumPartitions = plan.NumPartitions()
+	for _, side := range []*RoutedSide{&r.S, &r.T} {
+		for _, lists := range side.shards {
+			r.NumPartitions = max(r.NumPartitions, len(lists))
+		}
+	}
+	for _, side := range []*RoutedSide{&r.S, &r.T} {
+		side.totals = make([]int, r.NumPartitions)
+		for _, lists := range side.shards {
+			for pid, rows := range lists {
+				side.totals[pid] += len(rows)
+				r.TotalInput += int64(len(rows))
 			}
 		}
-		wg.Wait()
 	}
+	return r, nil
+}
 
-	// Pass 1: count and record assignments, in parallel over shards.
-	run(func(side *sideBuffers, isS bool, k int) {
-		r := side.shards[k]
-		if isS {
-			countShard(plan.AssignS, s, r[0], r[1], planned, &side.assigns[k])
-		} else {
-			countShard(plan.AssignT, t, r[0], r[1], planned, &side.assigns[k])
+// checkRows refuses a relation of n tuples whose row numbers overflow int32.
+func checkRows(name string, n int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("exec: relation %q has %d tuples; routing numbers rows in 32 bits (at most %d)", name, n, math.MaxInt32)
+	}
+	return nil
+}
+
+// arena is one side's materialised partitions: all keys (row-major) and tuple
+// IDs in partition order, partition pid at rows [starts[pid], starts[pid+1]).
+type arena struct {
+	dims   int
+	starts []int
+	keys   []float64
+	ids    []int64
+}
+
+// newArena sizes a side's arena exactly.
+func newArena(rs *RoutedSide) *arena {
+	a := &arena{dims: rs.Rel.Dims(), starts: make([]int, len(rs.totals)+1)}
+	for pid, n := range rs.totals {
+		a.starts[pid+1] = a.starts[pid] + n
+	}
+	total := a.starts[len(rs.totals)]
+	a.keys = make([]float64, total*a.dims)
+	a.ids = make([]int64, total)
+	return a
+}
+
+// partition returns partition pid's rows as zero-copy slices of the arena.
+// Capacities are clamped so a later Append on the wrapped relation reallocates
+// instead of silently overwriting the next partition's rows.
+func (a *arena) partition(name string, pid int) (*data.Relation, []int64) {
+	lo, hi := a.starts[pid], a.starts[pid+1]
+	return data.NewRelationFromKeys(name, a.dims, a.keys[lo*a.dims:hi*a.dims:hi*a.dims]), a.ids[lo:hi:hi]
+}
+
+// Shuffle routes every tuple of s and t (Route) and materialises the
+// per-partition inputs, returning them with the total routed tuple count I.
+// Entries for empty partitions are nil. shards bounds the goroutines of both
+// steps as it does Route's. Cancelling ctx aborts the shuffle between routing
+// and gathering, returning ctx.Err().
+func Shuffle(ctx context.Context, plan partition.Plan, s, t *data.Relation, shards int) ([]*PartitionInput, int64, error) {
+	return ShuffleDelta(ctx, plan, s, t, 0, 0, shards)
+}
+
+// ShuffleDelta is Shuffle over appended rows only: tuple IDs are offset by the
+// base cardinalities (sBase rows of S and tBase rows of T existed before the
+// append), both as the plan's assignment sees them — plans that consult the
+// tuple ID (1-Bucket's randomized row/column choice) must see what a
+// full-relation shuffle of the extended input would pass them — and as
+// returned, so a delta shuffle's IDs are exactly what that full shuffle would
+// have assigned those rows. Either delta may be empty. The returned partitions
+// own their arenas (nothing aliases the deltas), so callers may append them
+// into retained partition storage.
+func ShuffleDelta(ctx context.Context, plan partition.Plan, deltaS, deltaT *data.Relation, sBase, tBase int, shards int) ([]*PartitionInput, int64, error) {
+	r, err := Route(ctx, plan, deltaS, deltaT, sBase, tBase, shards)
+	if err != nil {
+		return nil, 0, err
+	}
+	// One gather per (partition, shard) segment, the shards side by side: a
+	// segment starts where the partition's earlier shards' segments end.
+	arenas := map[*RoutedSide]*arena{&r.S: newArena(&r.S), &r.T: newArena(&r.T)}
+	r.eachShard(func(side *RoutedSide, k int) {
+		a := arenas[side]
+		for pid, rows := range side.shards[k] {
+			at := a.starts[pid]
+			for _, earlier := range side.shards[:k] {
+				if pid < len(earlier) {
+					at += len(earlier[pid])
+				}
+			}
+			side.gather(rows, a.keys[at*a.dims:], a.ids[at:])
 		}
 	})
-
-	// Pass 1 is the expensive half (every Assign call); honor a cancellation
-	// that arrived during it before committing to the arena writes of pass 2.
+	parts := make([]*PartitionInput, r.NumPartitions)
+	for _, pid := range r.NonEmpty() {
+		p := &PartitionInput{}
+		p.S, p.SIDs = arenas[&r.S].partition("S-part", pid)
+		p.T, p.TIDs = arenas[&r.T].partition("T-part", pid)
+		parts[pid] = p
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-
-	// All partitions are known now, even for lazily-discovering plans.
-	numParts := plan.NumPartitions()
-	for k := range sb.assigns {
-		if n := len(sb.assigns[k].counts); n > numParts {
-			numParts = n
-		}
-	}
-	for k := range tb.assigns {
-		if n := len(tb.assigns[k].counts); n > numParts {
-			numParts = n
-		}
-	}
-
-	// Prefix sums: exact write offsets and exactly-sized arenas.
-	totalInput := sb.finishCounts(numParts, s.Dims()) + tb.finishCounts(numParts, t.Dims())
-
-	// Pass 2: write keys and IDs to their final rows, in parallel over shards.
-	run(func(side *sideBuffers, isS bool, k int) {
-		r := side.shards[k]
-		if isS {
-			writeShard(s, r[0], r[1], &side.assigns[k], side.offsets[k], side.keys, side.ids)
-		} else {
-			writeShard(t, r[0], r[1], &side.assigns[k], side.offsets[k], side.keys, side.ids)
-		}
-	})
-
-	parts := make([]*PartitionInput, numParts)
-	for pid := 0; pid < numParts; pid++ {
-		if sb.totals[pid] == 0 && tb.totals[pid] == 0 {
-			continue
-		}
-		sKeys, sIDs := sb.partitionRows(pid, s.Dims())
-		tKeys, tIDs := tb.partitionRows(pid, t.Dims())
-		parts[pid] = &PartitionInput{
-			S:    data.NewRelationFromKeys("S-part", s.Dims(), sKeys),
-			SIDs: sIDs,
-			T:    data.NewRelationFromKeys("T-part", t.Dims(), tKeys),
-			TIDs: tIDs,
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	return parts, totalInput, nil
+	return parts, r.TotalInput, nil
 }

@@ -2,7 +2,10 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -116,7 +119,7 @@ func equivalenceBands() map[string]data.Band {
 	}
 }
 
-// TestShuffleEquivalence checks that the two-pass shuffle produces exactly the
+// TestShuffleEquivalence checks that the shuffle produces exactly the
 // partitions of the definition for every partitioner and both symmetric and
 // asymmetric bands, at several shard counts. The definition's pass runs first
 // so that lazily-discovering plans (Grid-ε) number their partitions
@@ -190,8 +193,8 @@ func TestExecutePlanSerialVsParallel(t *testing.T) {
 }
 
 // TestParallelShuffleRace hammers the shuffle with many shards; run
-// under -race (as CI does) it verifies the concurrent counting pass, the
-// lock-free write pass, and Grid-ε's synchronized lazy cell discovery.
+// under -race (as CI does) it verifies the concurrent routing pass, the
+// lock-free gather, and Grid-ε's synchronized lazy cell discovery.
 func TestParallelShuffleRace(t *testing.T) {
 	s, tt := data.ParetoPair(3, 1.2, 1500, 41)
 	band := data.Uniform(3, 0.3)
@@ -212,6 +215,209 @@ func TestParallelShuffleRace(t *testing.T) {
 				if countNonEmpty(parts) == 0 {
 					t.Fatal("shuffle produced no partitions")
 				}
+			}
+		})
+	}
+}
+
+// TestRouteMatchesAssign checks the routing stage against what it means: every
+// partition's list — rows in ascending order, IDs row plus base — equals a
+// loop over plan.AssignS/AssignT, whatever the shard count; and Gather returns
+// those rows' keys for any window, including one that spans shards' lists.
+// Grid-ε discovers its partitions while it routes, so the first sharded run
+// finds a partition count that has grown mid-pass; the loop then runs over the
+// numbering that run left.
+func TestRouteMatchesAssign(t *testing.T) {
+	bands := equivalenceBands()
+	bands["one-sided"] = data.Asymmetric([]float64{0, 0.3}, []float64{0.4, 0})
+	sizes := map[string][2]int{"full": {700, 650}, "emptyS": {0, 300}, "emptyT": {300, 0}, "oneRow": {1, 1}}
+	partitioners := append(equivalencePartitioners(), core.NewDefault())
+	const sBase, tBase = 1000, 5
+	for bandName, band := range bands {
+		for sizeName, size := range sizes {
+			fullS, fullT := data.ParetoPair(2, 1.5, 700, 23)
+			s, tt := fullS.Slice("S", 0, size[0]), fullT.Slice("T", 0, size[1])
+			for _, pt := range partitioners {
+				plan := planFor(t, pt, fullS, fullT, band, 6)
+				for _, shards := range []int{8, 1, 2, 3} {
+					name := fmt.Sprintf("%s/%s/%s/shards=%d", pt.Name(), bandName, sizeName, shards)
+					r, err := Route(context.Background(), plan, s, tt, sBase, tBase, shards)
+					if err != nil {
+						t.Fatalf("%s: Route: %v", name, err)
+					}
+					wantTotal := checkSide(t, name+"/S", &r.S, r.NumPartitions, plan.AssignS)
+					wantTotal += checkSide(t, name+"/T", &r.T, r.NumPartitions, plan.AssignT)
+					if r.TotalInput != wantTotal {
+						t.Errorf("%s: TotalInput %d, the assignments name %d", name, r.TotalInput, wantTotal)
+					}
+					if r.NumPartitions < plan.NumPartitions() {
+						t.Errorf("%s: %d partitions routed, the plan has %d", name, r.NumPartitions, plan.NumPartitions())
+					}
+					for _, pid := range r.NonEmpty() {
+						if r.S.Rows(pid)+r.T.Rows(pid) == 0 {
+							t.Errorf("%s: NonEmpty lists empty partition %d", name, pid)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkSide compares one routed side with a loop over assign and returns the
+// number of assignments the loop made.
+func checkSide(t *testing.T, name string, rs *RoutedSide, numParts int, assign func(int64, []float64, []int) []int) (total int64) {
+	t.Helper()
+	want := make([][]int64, numParts)
+	var dst []int
+	for i := 0; i < rs.Rel.Len(); i++ {
+		dst = assign(int64(i)+rs.Base, rs.Rel.Key(i), dst[:0])
+		total += int64(len(dst))
+		for _, pid := range dst {
+			if pid >= numParts {
+				t.Fatalf("%s: the assignment names partition %d, Route covered %d", name, pid, numParts)
+			}
+			want[pid] = append(want[pid], int64(i)+rs.Base)
+		}
+	}
+	dims := rs.Rel.Dims()
+	for pid, ids := range want {
+		n := rs.Rows(pid)
+		if n != len(ids) {
+			t.Fatalf("%s: partition %d has %d rows, the assignments name %d", name, pid, n, len(ids))
+		}
+		// The whole list, then every window of a third of it: some start and
+		// end inside a shard's list, some span two.
+		step := max(1, n/3)
+		windows := [][2]int{{0, n}}
+		for lo := 0; lo < n; lo += step - step/2 {
+			windows = append(windows, [2]int{lo, min(n, lo+step)})
+		}
+		for _, w := range windows {
+			keys := make([]float64, (w[1]-w[0])*dims)
+			got := make([]int64, w[1]-w[0])
+			rs.Gather(pid, w[0], w[1], keys, got)
+			if !slices.Equal(got, ids[w[0]:w[1]]) {
+				t.Fatalf("%s: partition %d rows [%d,%d): ids %v, want %v", name, pid, w[0], w[1], got, ids[w[0]:w[1]])
+			}
+			for i, id := range got {
+				if !slices.Equal(keys[i*dims:(i+1)*dims], rs.Rel.Key(int(id-rs.Base))) {
+					t.Fatalf("%s: partition %d row %d: gathered keys are not tuple %d's", name, pid, w[0]+i, id)
+				}
+			}
+		}
+	}
+	return total
+}
+
+// TestRouteRefusesWhatItCannotNumber: row numbers are 32 bits wide, so a
+// relation past math.MaxInt32 rows is an error, not a wrapped row number; and
+// a cancelled context stops Route before and after its pass.
+func TestRouteRefusesWhatItCannotNumber(t *testing.T) {
+	if err := checkRows("S", math.MaxInt32); err != nil {
+		t.Errorf("%d rows refused: %v", math.MaxInt32, err)
+	}
+	if math.MaxInt > math.MaxInt32 {
+		big := math.MaxInt32
+		big++
+		if err := checkRows("S", big); err == nil {
+			t.Errorf("%d rows accepted, want an error", big)
+		}
+	}
+	s, tt := data.ParetoPair(2, 1.4, 400, 3)
+	band := data.Symmetric(0.3, 0.3)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Route(ctx, planFor(t, core.NewRecPartS(), s, tt, band, 3), s, tt, 0, 0, 4); !errors.Is(err, context.Canceled) {
+		t.Errorf("Route with cancelled ctx: got %v, want context.Canceled", err)
+	}
+	// Cancelled during the pass: the plan's first assignment pulls the plug.
+	ctx, cancel = context.WithCancel(context.Background())
+	plan := &cancellingPlan{Plan: planFor(t, onebucket.New(), s, tt, band, 3), cancel: cancel}
+	if _, err := Route(ctx, plan, s, tt, 0, 0, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("Route cancelled mid-pass: got %v, want context.Canceled", err)
+	}
+}
+
+// cancellingPlan cancels a context the first time it routes an S tuple.
+type cancellingPlan struct {
+	partition.Plan
+	cancel context.CancelFunc
+}
+
+func (p *cancellingPlan) AssignS(id int64, key []float64, dst []int) []int {
+	p.cancel()
+	return p.Plan.AssignS(id, key, dst)
+}
+
+// selfMatch8d is the shape of the benchmark's cold cluster workload: repeat
+// observations of clustered objects in 8 attributes, T a jittered copy of S,
+// three decimals.
+func selfMatch8d(n int, eps float64) (s, t *data.Relation) {
+	rng := rand.New(rand.NewSource(1))
+	s, t = data.NewRelationCapacity("s", 8, n), data.NewRelationCapacity("t", 8, n)
+	var center, sk, tk [8]float64
+	for i := 0; i < n; i++ {
+		for d := range center {
+			if i%3 == 0 {
+				center[d] = rng.Float64() * 100
+			}
+			sk[d] = math.Round((center[d]+rng.NormFloat64()*0.05)*1e3) / 1e3
+			tk[d] = math.Round((sk[d]+(rng.Float64()-0.5)*eps)*1e3) / 1e3
+		}
+		s.AppendKey(sk[:])
+		t.AppendKey(tk[:])
+	}
+	return s, t
+}
+
+// BenchmarkShuffle times the map phase on the two shapes of the repository's
+// cold workloads — 3-d Pareto planned for 30 workers, the 8-d self-match
+// planned by RecPart-S for 2 — materialised (Shuffle, what the in-process
+// plane runs) and routed only (Route, what the coordinator runs before it
+// ships from the source relations).
+func BenchmarkShuffle(b *testing.B) {
+	shapes := []struct {
+		name    string
+		pt      partition.Partitioner
+		workers int
+		band    data.Band
+		gen     func() (*data.Relation, *data.Relation)
+	}{
+		{"pareto3d-w30", core.NewDefault(), 30, data.Uniform(3, 0.03),
+			func() (*data.Relation, *data.Relation) { return data.ParetoPair(3, 1.5, 320_000, 1) }},
+		{"selfmatch8d-w2", core.NewRecPartS(), 2, data.Uniform(8, 0.003),
+			func() (*data.Relation, *data.Relation) { return selfMatch8d(450_000, 0.003) }},
+	}
+	for _, sh := range shapes {
+		s, t := sh.gen()
+		smp, err := sample.Draw(s, t, sh.band, sample.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, err := sh.pt.Plan(&partition.Context{Band: sh.band, Workers: sh.workers, Sample: smp, Model: costmodel.Default(), Seed: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var sink int64
+		b.Run(sh.name+"/shuffle", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, total, err := Shuffle(context.Background(), plan, s, t, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink += total
+			}
+		})
+		b.Run(sh.name+"/route", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := Route(context.Background(), plan, s, t, 0, 0, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink += r.TotalInput
 			}
 		})
 	}
