@@ -245,6 +245,25 @@ func TestPartitionersGroundTruth(t *testing.T) {
 			t.Fatalf("%s: the definition has no pairs; the inputs exercise nothing", row.name)
 		}
 		for _, p := range partitioners {
+			// The one-shot plane: no retention, every partition built when the
+			// morsel scheduler reaches it, straight from the routed lists —
+			// striped into morsels, and whole.
+			for _, morselRows := range []int{0, -1} {
+				t.Run(fmt.Sprintf("%s/%s/one-shot-morsels=%d", row.name, p.name, morselRows), func(t *testing.T) {
+					opts := bandjoin.Options{Workers: 8, Seed: 5, CollectPairs: true, Partitioner: p.pt, MorselRows: morselRows}
+					res, err := bandjoin.Join(s, tt, band, opts)
+					if len(row.zero) > 0 && strings.HasPrefix(p.name, "Grid") {
+						if err == nil || !strings.Contains(err.Error(), "undefined for equi-joins") {
+							t.Fatalf("Join with a zero band width: got %v, want the grid's refusal", err)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatalf("Join: %v", err)
+					}
+					pairsEqual(t, "one-shot vs nested loop", res.Pairs, want)
+				})
+			}
 			for planeName, newEngine := range planes {
 				t.Run(fmt.Sprintf("%s/%s/%s", row.name, p.name, planeName), func(t *testing.T) {
 					e := newEngine(bandjoin.EngineOptions{})

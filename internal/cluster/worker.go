@@ -935,7 +935,6 @@ type morselTaskState struct {
 	prep         localjoin.PreparedT
 	rebuildNanos int64
 	foldNanos    int64
-	buildNanos   int64
 }
 
 // joinTasksMorsels is the worker-side morsel join: the same per-partition
@@ -1001,63 +1000,17 @@ func (w *Worker) joinTasksMorsels(alg localjoin.Algorithm, tasks []joinTask, arg
 		}
 	}()
 
-	maxRows := 0
-	for i := range tasks {
-		if l := tasks[i].p.s.Len(); l > maxRows {
-			maxRows = l
-		}
-	}
-	rows := exec.ResolveMorselRows(args.MorselRows, parallelism, maxRows)
-
-	// Build a shared range-probe structure for each unprepared partition big
-	// enough to split — the sort/grid work its plain join would have spent
-	// inline, paid once here and then probed by every morsel.
-	for i := range tasks {
-		if states[i].prep != nil || tasks[i].p.s.Len() <= rows {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			p := tasks[i].p
-			start := time.Now()
-			states[i].prep = localjoin.Prepare(alg, p.s, p.t, args.Band)
-			states[i].buildNanos = time.Since(start).Nanoseconds()
-		}(i)
-	}
-	wg.Wait()
-
+	// A partition without a structure is prepared when the morsel scheduler
+	// reaches it — the sort/grid work its plain join would have spent inline,
+	// paid once and then probed by every morsel — and released after its last.
 	jobs := make([]exec.MorselJob, n)
 	for i := range tasks {
 		p := tasks[i].p
-		switch {
-		case states[i].prep != nil:
-			if rp, ok := states[i].prep.(localjoin.RangeProber); ok {
-				jobs[i] = exec.MorselJob{Rows: p.s.Len(), Run: func(lo, hi int, emit localjoin.Emit) int64 {
-					return rp.ProbeRange(p.s, lo, hi, emit)
-				}}
-			} else {
-				prep := states[i].prep
-				jobs[i] = exec.MorselJob{Rows: p.s.Len(), Single: true, Run: func(_, _ int, emit localjoin.Emit) int64 {
-					return prep.Probe(p.s, emit)
-				}}
-			}
-		case localjoin.RangeNeedsNoPrepare(alg):
-			rj := alg.(localjoin.RangeJoiner)
-			jobs[i] = exec.MorselJob{Rows: p.s.Len(), Run: func(lo, hi int, emit localjoin.Emit) int64 {
-				return rj.JoinRange(p.s, p.t, args.Band, lo, hi, emit)
-			}}
-		default:
-			jobs[i] = exec.MorselJob{Rows: p.s.Len(), Single: true, Run: func(_, _ int, emit localjoin.Emit) int64 {
-				return alg.Join(p.s, p.t, args.Band, emit)
-			}}
-		}
+		jobs[i] = exec.PartitionJob(alg, states[i].prep, p.s, p.t, args.Band)
 	}
 	// The context never cancels (worker RPCs run to completion), so the only
 	// error path of RunMorsels is unreachable here.
-	jres, mstats, _ := exec.RunMorsels(context.Background(), jobs, rows, parallelism, args.CollectPairs)
+	jres, mstats, _ := exec.RunMorsels(context.Background(), jobs, args.MorselRows, parallelism, args.CollectPairs)
 
 	stats := make([]PartitionStats, n)
 	for i := range tasks {
@@ -1067,7 +1020,7 @@ func (w *Worker) joinTasksMorsels(alg localjoin.Algorithm, tasks []joinTask, arg
 			InputS:       p.s.Len(),
 			InputT:       p.t.Len(),
 			Output:       jres[i].Count,
-			JoinNanos:    jres[i].Nanos + states[i].buildNanos,
+			JoinNanos:    jres[i].Nanos,
 			RebuildNanos: states[i].rebuildNanos,
 			FoldNanos:    states[i].foldNanos,
 		}

@@ -49,9 +49,9 @@ type Options struct {
 	// MorselRows sets the probe-side morsel size of the reduce phase's
 	// morsel-driven scheduler (see morsel.go): 0 sizes morsels automatically
 	// from the partition sizes and the parallelism, > 0 fixes the row count,
-	// and < 0 disables morsels entirely, selecting the retained
-	// one-goroutine-per-partition path (the correctness oracle and skew
-	// baseline). All settings produce bit-identical results.
+	// and < 0 runs every partition as one morsel (the per-partition schedule,
+	// the skew harnesses' baseline). All settings produce bit-identical
+	// results.
 	MorselRows int
 	// Seed drives randomized plan decisions.
 	Seed int64
@@ -152,10 +152,10 @@ type Result struct {
 	Folds    int
 	FoldTime time.Duration
 
-	// Morsel-scheduler accounting (see morsel.go): morsels executed, morsels
-	// run by a worker other than their partition's first claimer, and the
-	// max/mean partition probe-row ratio the schedule absorbed. All zero on
-	// the per-partition oracle path (MorselRows < 0).
+	// Morsel-scheduler accounting (see morsel.go): morsels executed — one
+	// per partition with S rows when MorselRows < 0 — morsels run by a worker
+	// other than their partition's first claimer, and the max/mean partition
+	// probe-row ratio the schedule absorbed.
 	Morsels        int64
 	MorselSteals   int64
 	StragglerRatio float64
@@ -249,9 +249,13 @@ func Run(pt partition.Partitioner, s, t *data.Relation, band data.Band, opts Opt
 	return res, nil
 }
 
-// ExecutePlan runs the shuffle and local joins for an already-computed plan.
-// Cancelling ctx aborts the run between shuffle passes and between local
-// joins, returning ctx.Err().
+// ExecutePlan routes s and t through an already-computed plan (Route) and runs
+// the local joins without materialising the shuffle: each non-empty partition
+// is one morsel job whose Build gathers its rows from the routed lists into
+// pooled buffers and prepares them once, and whose release hands the buffers
+// back after the partition's last morsel, so only the partitions in flight
+// are held at once. Cancelling ctx aborts the run after routing and between
+// morsels, returning ctx.Err().
 func ExecutePlan(ctx context.Context, plan partition.Plan, s, t *data.Relation, band data.Band, opts Options) (*Result, error) {
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("exec: need at least one worker, got %d", opts.Workers)
@@ -259,19 +263,41 @@ func ExecutePlan(ctx context.Context, plan partition.Plan, s, t *data.Relation, 
 
 	// --- Shuffle (map phase): route every tuple to its partitions.
 	shuffleStart := time.Now()
-	parts, totalInput, err := Shuffle(ctx, plan, s, t, opts.Parallelism)
+	r, err := Route(ctx, plan, s, t, 0, 0, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
 	shuffleTime := time.Since(shuffleStart)
 
-	res, err := ExecuteShuffled(ctx, plan, parts, totalInput, s.Len(), t.Len(), band, opts)
+	alg := algorithm(opts)
+	jobs := make([]MorselJob, r.NumPartitions)
+	tuples := make([]int64, r.NumPartitions)
+	ids := make([][2][]int64, r.NumPartitions) // filled by the builds when pairs are collected
+	for _, pid := range r.NonEmpty() {
+		tuples[pid] = int64(r.S.Rows(pid) + r.T.Rows(pid))
+		jobs[pid] = preparingJob(r.S.Rows(pid), alg, band, func() (*data.Relation, *data.Relation, func()) {
+			buf := gatherPool.Get().(*gatherBuf)
+			var sIDs, tIDs *[]int64
+			if opts.CollectPairs {
+				sIDs, tIDs = &ids[pid][0], &ids[pid][1]
+			}
+			sp, tp := r.S.gatherAll(pid, &buf.s, sIDs), r.T.gatherAll(pid, &buf.t, tIDs)
+			return sp, tp, func() { gatherPool.Put(buf) }
+		})
+	}
+	res, err := reduce(ctx, plan, jobs, tuples, func(pid int) ([]int64, []int64) { return ids[pid][0], ids[pid][1] },
+		r.TotalInput, s.Len(), t.Len(), opts)
 	if err != nil {
 		return nil, err
 	}
 	res.ShuffleTime = shuffleTime
 	return res, nil
 }
+
+// gatherBuf holds one partition's gathered keys while its job is in flight.
+type gatherBuf struct{ s, t []float64 }
+
+var gatherPool = sync.Pool{New: func() any { return new(gatherBuf) }}
 
 // PrepareShuffled builds, for every non-nil partition, the local join's
 // reusable T-side structure for (p.S, p.T, band) with the given algorithm
@@ -320,56 +346,114 @@ func ExecuteShuffled(ctx context.Context, plan partition.Plan, parts []*Partitio
 // join structures were prebuilt with PrepareShuffled (for the same algorithm
 // and band): partitions with a non-nil entry probe the prepared structure
 // instead of rebuilding sort orders and grid buckets per query. prepared may
-// be nil or sparse; those partitions run the plain per-query join. Results
+// be nil or sparse; those partitions prepare once for this query. Results
 // are identical either way (PreparedT.Probe emits exactly the pairs of the
 // corresponding Join, in the same order).
 func ExecuteShuffledPrepared(ctx context.Context, plan partition.Plan, parts []*PartitionInput, prepared []localjoin.PreparedT, totalInput int64, inputS, inputT int, band data.Band, opts Options) (*Result, error) {
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("exec: need at least one worker, got %d", opts.Workers)
 	}
+	alg := algorithm(opts)
+	jobs := make([]MorselJob, len(parts))
+	tuples := make([]int64, len(parts))
+	for pid, p := range parts {
+		if p == nil {
+			continue
+		}
+		var prep localjoin.PreparedT
+		if pid < len(prepared) {
+			prep = prepared[pid]
+		}
+		jobs[pid] = PartitionJob(alg, prep, p.S, p.T, band)
+		tuples[pid] = int64(p.Tuples())
+	}
+	return reduce(ctx, plan, jobs, tuples, func(pid int) ([]int64, []int64) { return parts[pid].SIDs, parts[pid].TIDs },
+		totalInput, inputS, inputT, opts)
+}
+
+// algorithm returns the local join the options select.
+func algorithm(opts Options) localjoin.Algorithm {
+	if opts.Algorithm == nil {
+		return localjoin.Default()
+	}
+	return opts.Algorithm
+}
+
+// PartitionJob is the morsel job joining one partition (s, t): over prep, the
+// structure built for it earlier, when there is one, and otherwise through a
+// Build that prepares the partition once (localjoin.PrepareOnce) and a release
+// that hands the structure back after the job's last morsel.
+func PartitionJob(alg localjoin.Algorithm, prep localjoin.PreparedT, s, t *data.Relation, band data.Band) MorselJob {
+	if rp, ok := prep.(localjoin.RangeProber); ok {
+		return MorselJob{Rows: s.Len(), Run: func(lo, hi int, emit localjoin.Emit) int64 {
+			return rp.ProbeRange(s, lo, hi, emit)
+		}}
+	}
+	if prep != nil {
+		return MorselJob{Rows: s.Len(), Single: true, Run: func(_, _ int, emit localjoin.Emit) int64 {
+			return prep.Probe(s, emit)
+		}}
+	}
+	return preparingJob(s.Len(), alg, band, func() (*data.Relation, *data.Relation, func()) { return s, t, nil })
+}
+
+// preparingJob is the job of a partition of rows S-rows without a structure:
+// its Build loads the two sides, prepares them once, and its release hands the
+// structure back and calls the loader's done. Only an algorithm without a range
+// form runs whole partitions (Single).
+func preparingJob(rows int, alg localjoin.Algorithm, band data.Band, load func() (s, t *data.Relation, done func())) MorselJob {
+	rj, ranged := alg.(localjoin.RangeJoiner)
+	return MorselJob{Rows: rows, Single: !ranged, Build: func() (RangeRun, func()) {
+		s, t, done := load()
+		prep := localjoin.PrepareOnce(alg, s, t, band)
+		release := func() {
+			localjoin.Release(prep)
+			if done != nil {
+				done()
+			}
+		}
+		if rp, ok := prep.(localjoin.RangeProber); ok {
+			return func(lo, hi int, emit localjoin.Emit) int64 { return rp.ProbeRange(s, lo, hi, emit) }, release
+		}
+		if ranged {
+			// No structure: the nested loop (or an empty side), nothing to share.
+			return func(lo, hi int, emit localjoin.Emit) int64 { return rj.JoinRange(s, t, band, lo, hi, emit) }, release
+		}
+		return func(_, _ int, emit localjoin.Emit) int64 { return alg.Join(s, t, band, emit) }, release
+	}}
+}
+
+// reduce runs the reduce phase — jobs[pid] joins partition pid, whose input
+// |S_p| + |T_p| is tuples[pid] (0 for an empty partition) — on the morsel
+// scheduler, places the partitions on workers, and does the accounting. ids
+// maps a partition's local S and T indices to tuple IDs when pairs are
+// collected; it is called after the jobs have run.
+func reduce(ctx context.Context, plan partition.Plan, jobs []MorselJob, tuples []int64, ids func(pid int) (sIDs, tIDs []int64), totalInput int64, inputS, inputT int, opts Options) (*Result, error) {
 	if (opts.Model == costmodel.Model{}) {
 		opts.Model = costmodel.Default()
 	}
-	alg := opts.Algorithm
-	if alg == nil {
-		alg = localjoin.Default()
-	}
-
 	parallelism := opts.Parallelism
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 
-	// --- Reduce phase: morsel-driven by default (a shared pool drains
-	// probe-row ranges of all partitions, so one fat partition cannot bound
-	// the wall time), or the retained one-goroutine-per-partition oracle when
-	// MorselRows < 0. Both produce bit-identical results.
+	// --- Reduce phase: a shared pool drains probe-row ranges of all
+	// partitions, so one fat partition cannot bound the wall time (every
+	// partition is one range when MorselRows < 0).
 	joinStart := time.Now()
-	var results []partResult
-	var mstats MorselStats
-	var err error
-	if opts.MorselRows < 0 {
-		results, err = joinPerPartition(ctx, parts, prepared, alg, band, parallelism, opts.CollectPairs)
-	} else {
-		results, mstats, err = joinMorsels(ctx, parts, prepared, alg, band, parallelism, opts.MorselRows, opts.CollectPairs)
-	}
+	jres, mstats, err := RunMorsels(ctx, jobs, opts.MorselRows, parallelism, opts.CollectPairs)
 	if err != nil {
 		return nil, err
 	}
 	joinWall := time.Since(joinStart)
 
 	// --- Place partitions on workers and aggregate per-worker accounting.
-	numParts := len(parts)
+	numParts := len(jobs)
 	loads := make([]float64, numParts)
-	partIn := make([]int64, numParts)
-	partOut := make([]int64, numParts)
-	for pid, p := range parts {
-		if p == nil {
-			continue
+	for pid := range jobs {
+		if tuples[pid] > 0 {
+			loads[pid] = opts.Model.Load(float64(tuples[pid]), float64(jres[pid].Count))
 		}
-		partIn[pid] = int64(p.Tuples())
-		partOut[pid] = results[pid].output
-		loads[pid] = opts.Model.Load(float64(partIn[pid]), float64(partOut[pid]))
 	}
 	var sched partition.Schedule
 	if placer, ok := plan.(partition.WorkerPlacer); ok {
@@ -380,7 +464,6 @@ func ExecuteShuffledPrepared(ctx context.Context, plan partition.Plan, parts []*
 
 	res := &Result{
 		Workers:        opts.Workers,
-		Partitions:     numParts,
 		JoinWallTime:   joinWall,
 		InputS:         inputS,
 		InputT:         inputT,
@@ -392,15 +475,22 @@ func ExecuteShuffledPrepared(ctx context.Context, plan partition.Plan, parts []*
 		WorkerOutput:   make([]int64, opts.Workers),
 	}
 	workerBusy := make([]time.Duration, opts.Workers)
-	for pid := range parts {
-		if parts[pid] == nil {
+	for pid := range jobs {
+		if tuples[pid] == 0 {
 			continue
 		}
+		res.Partitions++
 		w := sched[pid]
-		res.WorkerInput[w] += partIn[pid]
-		res.WorkerOutput[w] += partOut[pid]
-		res.Output += partOut[pid]
-		workerBusy[w] += results[pid].duration
+		res.WorkerInput[w] += tuples[pid]
+		res.WorkerOutput[w] += jres[pid].Count
+		res.Output += jres[pid].Count
+		workerBusy[w] += time.Duration(jres[pid].Nanos)
+		if opts.CollectPairs {
+			sIDs, tIDs := ids(pid)
+			for k, si := range jres[pid].SIdx {
+				res.Pairs = append(res.Pairs, Pair{S: sIDs[si], T: tIDs[jres[pid].TIdx[k]]})
+			}
+		}
 	}
 	maxW := 0
 	for w := 1; w < opts.Workers; w++ {
@@ -427,9 +517,6 @@ func ExecuteShuffledPrepared(ctx context.Context, plan partition.Plan, parts []*
 		}
 	}
 	if opts.CollectPairs {
-		for pid := range results {
-			res.Pairs = append(res.Pairs, results[pid].pairs...)
-		}
 		sort.Slice(res.Pairs, func(a, b int) bool {
 			if res.Pairs[a].S != res.Pairs[b].S {
 				return res.Pairs[a].S < res.Pairs[b].S
@@ -437,170 +524,7 @@ func ExecuteShuffledPrepared(ctx context.Context, plan partition.Plan, parts []*
 			return res.Pairs[a].T < res.Pairs[b].T
 		})
 	}
-	res.Partitions = countNonEmpty(parts)
 	return res, nil
-}
-
-// partResult is one partition's reduce-phase outcome.
-type partResult struct {
-	output   int64
-	duration time.Duration
-	pairs    []Pair
-}
-
-// joinPerPartition is the retained one-goroutine-per-partition reduce phase:
-// the morsel scheduler's correctness oracle and skew baseline. One fat
-// partition bounds its wall time no matter the parallelism.
-func joinPerPartition(ctx context.Context, parts []*PartitionInput, prepared []localjoin.PreparedT, alg localjoin.Algorithm, band data.Band, parallelism int, collectPairs bool) ([]partResult, error) {
-	results := make([]partResult, len(parts))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, parallelism)
-	for pid, p := range parts {
-		if p == nil {
-			continue
-		}
-		// Cancellation is checked before dispatching each partition, so a
-		// cancelled query stops after the joins already in flight rather than
-		// draining the whole partition list.
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(pid int, p *PartitionInput) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			start := time.Now()
-			var pairs []Pair
-			var emit localjoin.Emit
-			if collectPairs {
-				emit = func(si, ti int, _, _ []float64) {
-					pairs = append(pairs, Pair{S: p.SIDs[si], T: p.TIDs[ti]})
-				}
-			}
-			var count int64
-			if pid < len(prepared) && prepared[pid] != nil {
-				count = prepared[pid].Probe(p.S, emit)
-			} else {
-				count = alg.Join(p.S, p.T, band, emit)
-			}
-			results[pid] = partResult{output: count, duration: time.Since(start), pairs: pairs}
-		}(pid, p)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// joinMorsels is the morsel-driven reduce phase. Partitions with a prepared
-// range-probe structure stripe directly over it; unprepared partitions big
-// enough to split get one built here first (bounded-parallel, largest first —
-// the same work their plain Join would have spent inline, paid once and then
-// shared by all morsels); everything else runs as a single whole-partition
-// morsel through the pooled-scratch plain join, except algorithms whose range
-// form needs no per-call build (the nested loop, and Auto's nested-loop
-// choice), which stripe directly.
-func joinMorsels(ctx context.Context, parts []*PartitionInput, prepared []localjoin.PreparedT, alg localjoin.Algorithm, band data.Band, parallelism, morselRows int, collectPairs bool) ([]partResult, MorselStats, error) {
-	maxRows := 0
-	for _, p := range parts {
-		if p != nil && p.S.Len() > maxRows {
-			maxRows = p.S.Len()
-		}
-	}
-	rows := ResolveMorselRows(morselRows, parallelism, maxRows)
-
-	local := make([]localjoin.PreparedT, len(parts))
-	copy(local, prepared[:min(len(prepared), len(parts))])
-	var unprepared []int
-	for pid, p := range parts {
-		if p != nil && local[pid] == nil && p.S.Len() > rows {
-			unprepared = append(unprepared, pid)
-		}
-	}
-	// Largest first (ties by pid), so the longest build never starts last.
-	size := func(pid int) int { return parts[pid].S.Len() + parts[pid].T.Len() }
-	sort.SliceStable(unprepared, func(a, b int) bool { return size(unprepared[a]) > size(unprepared[b]) })
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, parallelism)
-	for _, pid := range unprepared {
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(pid int, p *PartitionInput) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			local[pid] = localjoin.Prepare(alg, p.S, p.T, band)
-		}(pid, parts[pid])
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, MorselStats{}, err
-	}
-
-	jobs := make([]MorselJob, len(parts))
-	for pid, p := range parts {
-		if p == nil {
-			continue
-		}
-		p := p
-		switch {
-		case local[pid] != nil:
-			if rp, ok := local[pid].(localjoin.RangeProber); ok {
-				jobs[pid] = MorselJob{Rows: p.S.Len(), Run: func(lo, hi int, emit localjoin.Emit) int64 {
-					return rp.ProbeRange(p.S, lo, hi, emit)
-				}}
-			} else {
-				prep := local[pid]
-				jobs[pid] = MorselJob{Rows: p.S.Len(), Single: true, Run: func(_, _ int, emit localjoin.Emit) int64 {
-					return prep.Probe(p.S, emit)
-				}}
-			}
-		case localjoin.RangeNeedsNoPrepare(alg):
-			// Prepare returned nil, which for these algorithms means the
-			// nested loop: no build work to repeat per range, stripe directly.
-			rj := alg.(localjoin.RangeJoiner)
-			jobs[pid] = MorselJob{Rows: p.S.Len(), Run: func(lo, hi int, emit localjoin.Emit) int64 {
-				return rj.JoinRange(p.S, p.T, band, lo, hi, emit)
-			}}
-		default:
-			jobs[pid] = MorselJob{Rows: p.S.Len(), Single: true, Run: func(_, _ int, emit localjoin.Emit) int64 {
-				return alg.Join(p.S, p.T, band, emit)
-			}}
-		}
-	}
-	jres, mstats, err := RunMorsels(ctx, jobs, rows, parallelism, collectPairs)
-	if err != nil {
-		return nil, mstats, err
-	}
-	results := make([]partResult, len(parts))
-	for pid, p := range parts {
-		if p == nil {
-			continue
-		}
-		r := partResult{output: jres[pid].Count, duration: time.Duration(jres[pid].Nanos)}
-		if collectPairs {
-			r.pairs = make([]Pair, len(jres[pid].SIdx))
-			for k := range jres[pid].SIdx {
-				r.pairs[k] = Pair{S: p.SIDs[jres[pid].SIdx[k]], T: p.TIDs[jres[pid].TIdx[k]]}
-			}
-		}
-		results[pid] = r
-	}
-	return results, mstats, nil
-}
-
-func countNonEmpty(parts []*PartitionInput) int {
-	n := 0
-	for _, p := range parts {
-		if p != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // String returns a one-line summary of the result.

@@ -15,8 +15,13 @@
 // consecutive ranges reproduces the sequential probe bit-identically.
 // Emission is per-S-tuple, so no pair crosses a morsel boundary; each morsel
 // buffers its own pairs and the scheduler concatenates them in (partition,
-// morsel) order, making the merged output byte-for-byte equal to the retained
-// per-partition path whatever the claim interleaving was.
+// morsel) order, making the merged output byte-for-byte equal to one
+// sequential probe per partition whatever the claim interleaving was.
+//
+// Memory: a job may come without its structure and say how to build it. The
+// scheduler builds it when a worker first reaches it and releases it after its
+// last morsel, so a one-shot join holds only the partitions in flight, and a
+// released structure's buffers are the next one's.
 package exec
 
 import (
@@ -60,20 +65,29 @@ func ResolveMorselRows(morselRows, parallelism, maxRows int) int {
 	return min(max(rows, autoMorselMin), autoMorselMax)
 }
 
+// RangeRun executes probe positions [lo, hi) of a partition's own probe order
+// and returns the pair count.
+type RangeRun func(lo, hi int, emit localjoin.Emit) int64
+
 // MorselJob is one partition's probe work for RunMorsels: Rows is the probe
-// domain size (always the partition's S cardinality), and Run executes probe
-// positions [lo, hi) of the partition's own probe order, returning the pair
-// count. Single forces the job to run as one morsel regardless of size (used
-// for structures without a range probe, where only whole-job execution
-// preserves the sequential emission order).
+// domain size (always the partition's S cardinality), and Run executes its
+// ranges. A job whose structure does not exist yet has a Build instead: RunMorsels
+// calls it once, when a worker first needs the job, runs the returned RangeRun,
+// and calls the returned release (if non-nil) right after the job's last
+// morsel, so only the partitions in flight are held at once. Single forces the
+// job to run as one morsel regardless of size (used for structures without a
+// range probe, where only whole-job execution preserves the sequential
+// emission order).
 type MorselJob struct {
 	Rows   int
 	Single bool
-	Run    func(lo, hi int, emit localjoin.Emit) int64
+	Run    RangeRun
+	Build  func() (run RangeRun, release func())
 }
 
 // JobResult is one job's aggregated outcome: the pair count, the summed
-// execution time of its morsels (the partition's simulated busy time), and —
+// execution time of its build and its morsels (the partition's simulated busy
+// time), and —
 // when pairs were collected — the emitted local (S index, T index) pairs
 // concatenated in morsel order, i.e. in exactly the sequential probe's
 // emission order.
@@ -113,12 +127,139 @@ type morselSlot struct {
 	tIdx  []int32
 }
 
+// buildsPerWorker bounds the jobs RunMorsels holds built and not yet finished
+// at once, per worker: enough that a worker which reaches a job another worker
+// is still building can build the next one meanwhile, few enough that the
+// structures in memory are those of the partitions in flight.
+const buildsPerWorker = 2
+
+// jobState is RunMorsels' view of one job: whether a worker has taken its
+// Build, its RangeRun once ready is closed, what releases it, its morsels not
+// yet run and the time its Build took.
+type jobState struct {
+	taken   atomic.Bool
+	ready   chan struct{}
+	run     RangeRun
+	release func()
+	left    atomic.Int64
+	nanos   int64
+}
+
+// builder hands out the jobs' structures. A build holds one of slots from
+// before it starts until its job's last morsel has run, and always takes the
+// first job of the queue order not yet taken, so the taken jobs are a prefix
+// of that order: a worker waiting for a slot waits on jobs whose morsels have
+// all been claimed, and those finish.
+type builder struct {
+	jobs  []MorselJob
+	state []jobState
+	order []int // the jobs in queue order
+	next  atomic.Int64
+	slots chan struct{}
+}
+
+// await returns job j's RangeRun, building it — or, while another worker
+// builds it, the next job of the queue — as needed; nil when ctx is cancelled
+// first.
+func (b *builder) await(ctx context.Context, j int) RangeRun {
+	st := &b.state[j]
+	for {
+		select {
+		case <-st.ready:
+			return st.run
+		default:
+		}
+		if st.taken.Load() {
+			// Another worker builds j: build the next job meanwhile, if there
+			// is one and a slot is free.
+			acquired := false
+			if int(b.next.Load()) < len(b.order) {
+				select {
+				case b.slots <- struct{}{}:
+					acquired = true
+				default:
+				}
+			}
+			if !acquired {
+				select {
+				case <-st.ready:
+					return st.run
+				case <-ctx.Done():
+					return nil
+				}
+			}
+		} else {
+			select {
+			case b.slots <- struct{}{}:
+			case <-st.ready:
+				return st.run
+			case <-ctx.Done():
+				return nil
+			}
+		}
+		if !b.buildNext(ctx) {
+			return nil
+		}
+	}
+}
+
+// buildNext builds the first job of the queue order no worker has taken, with
+// the slot its caller holds; with none left it frees the slot. It reports false
+// when ctx was cancelled instead.
+func (b *builder) buildNext(ctx context.Context) bool {
+	for i := int(b.next.Load()); i < len(b.order); i++ {
+		j := b.order[i]
+		st := &b.state[j]
+		if !st.taken.CompareAndSwap(false, true) {
+			continue
+		}
+		b.next.Store(int64(i + 1))
+		if ctx.Err() != nil {
+			<-b.slots
+			return false
+		}
+		start := time.Now()
+		st.run, st.release = b.jobs[j].Build()
+		st.nanos = time.Since(start).Nanoseconds()
+		close(st.ready)
+		return true
+	}
+	b.next.Store(int64(len(b.order)))
+	<-b.slots
+	return true
+}
+
+// closedChan is the ready channel of a job that needs no build.
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// done records that one of job j's morsels has run; after the last one it
+// releases the job's structure and its slot.
+func (b *builder) done(j int) {
+	st := &b.state[j]
+	if st.left.Add(-1) != 0 || b.jobs[j].Build == nil {
+		return
+	}
+	if st.release != nil {
+		st.release()
+	}
+	<-b.slots
+}
+
 // RunMorsels executes the jobs' probe work on a pool of parallelism workers
 // draining a single largest-partition-first morsel queue, and returns per-job
 // results merged in deterministic (job, morsel) order. morselRows follows the
-// MorselRows knob convention (> 0 fixed, 0 auto); collect materializes the
-// emitted pairs. Cancelling ctx stops workers at the next morsel claim and
-// returns ctx.Err().
+// MorselRows knob convention (> 0 fixed, 0 auto, < 0 every job one morsel);
+// collect materializes the emitted pairs. A job with a Build is built when a
+// worker first claims one of its morsels, or ahead of that by a worker that
+// would otherwise wait on another's build, with at most buildsPerWorker ×
+// parallelism jobs built and unfinished at any time; zero-row jobs are never
+// built. Cancelling ctx stops workers at the next morsel claim, starts no
+// further Build, and returns ctx.Err() once every worker has stopped, with
+// the jobs built so far released.
 func RunMorsels(ctx context.Context, jobs []MorselJob, morselRows, parallelism int, collect bool) ([]JobResult, MorselStats, error) {
 	if parallelism < 1 {
 		parallelism = 1
@@ -150,15 +291,25 @@ func RunMorsels(ctx context.Context, jobs []MorselJob, morselRows, parallelism i
 		}
 	}
 	sort.SliceStable(order, func(a, b int) bool { return jobs[order[a]].Rows > jobs[order[b]].Rows })
+	b := &builder{jobs: jobs, state: make([]jobState, len(jobs)), order: order,
+		slots: make(chan struct{}, buildsPerWorker*parallelism)}
 	var morsels []morsel
 	for _, j := range order {
 		step := rows
-		if jobs[j].Single {
+		if jobs[j].Single || morselRows < 0 {
 			step = jobs[j].Rows
 		}
 		for lo := 0; lo < jobs[j].Rows; lo += step {
 			hi := min(lo+step, jobs[j].Rows)
 			morsels = append(morsels, morsel{job: int32(j), lo: int32(lo), hi: int32(hi)})
+			b.state[j].left.Add(1)
+		}
+		if st := &b.state[j]; jobs[j].Build == nil {
+			st.taken.Store(true)
+			st.ready = closedChan
+			st.run = jobs[j].Run
+		} else {
+			st.ready = make(chan struct{})
 		}
 	}
 	slots := make([]morselSlot, len(morsels))
@@ -186,6 +337,11 @@ func RunMorsels(ctx context.Context, jobs []MorselJob, morselRows, parallelism i
 					return
 				}
 				m := morsels[idx]
+				run := b.await(ctx, int(m.job))
+				if run == nil {
+					canceled.Store(true)
+					return
+				}
 				if !owners[m.job].CompareAndSwap(-1, worker) && owners[m.job].Load() != worker {
 					steals.Add(1)
 				}
@@ -198,13 +354,20 @@ func RunMorsels(ctx context.Context, jobs []MorselJob, morselRows, parallelism i
 					}
 				}
 				start := time.Now()
-				slot.count = jobs[m.job].Run(int(m.lo), int(m.hi), emit)
+				slot.count = run(int(m.lo), int(m.hi), emit)
 				slot.nanos = time.Since(start).Nanoseconds()
+				b.done(int(m.job))
 			}
 		}(int32(w))
 	}
 	wg.Wait()
 	if canceled.Load() {
+		// Every worker has stopped: release what was built and not finished.
+		for j := range b.state {
+			if st := &b.state[j]; st.release != nil && st.left.Load() > 0 {
+				st.release()
+			}
+		}
 		return nil, stats, ctx.Err()
 	}
 	stats.Morsels = int64(len(morsels))
@@ -213,6 +376,9 @@ func RunMorsels(ctx context.Context, jobs []MorselJob, morselRows, parallelism i
 	// Deterministic merge: fold each job's morsels in queue (= probe range)
 	// order, so the concatenated emissions equal the sequential probe's.
 	results := make([]JobResult, len(jobs))
+	for j := range results {
+		results[j].Nanos = b.state[j].nanos
+	}
 	for idx := range morsels {
 		m := morsels[idx]
 		r := &results[m.job]

@@ -2,8 +2,13 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"bandjoin/internal/core"
 	"bandjoin/internal/data"
@@ -26,11 +31,11 @@ func skewedInputs(n int, seed int64) (*data.Relation, *data.Relation, data.Band)
 	return sk, t, data.Symmetric(0.2, 0.2)
 }
 
-// TestMorselMatchesPerPartitionOracle pins the tentpole acceptance criterion:
-// for every morsel granularity — auto, pathological 1-row morsels, and fixed
-// sizes — the morsel-driven reduce phase produces output bit-identical to the
-// retained per-partition path (MorselRows < 0), on uniform and point-mass
-// skewed inputs, across the local algorithms.
+// TestMorselMatchesPerPartitionOracle: for every morsel granularity — auto,
+// pathological 1-row morsels, and fixed sizes — the morsel-driven reduce phase
+// produces output bit-identical to the per-partition schedule (MorselRows < 0,
+// every partition one morsel), whose pairs are the band-join definition's, on
+// uniform and point-mass skewed inputs, across the local algorithms.
 func TestMorselMatchesPerPartitionOracle(t *testing.T) {
 	type inputs struct {
 		s, t *data.Relation
@@ -61,6 +66,17 @@ func TestMorselMatchesPerPartitionOracle(t *testing.T) {
 				}
 				if oracle.Output == 0 {
 					t.Fatal("oracle produced no pairs; widen the band")
+				}
+				var want []Pair
+				localjoin.NestedLoop{}.Join(in.s, in.t, in.band, func(si, ti int, _, _ []float64) {
+					want = append(want, Pair{S: int64(si), T: int64(ti)})
+				})
+				if !slices.Equal(oracle.Pairs, want) {
+					t.Fatalf("per-partition schedule: %d pairs, the definition has %d (or they differ)", len(oracle.Pairs), len(want))
+				}
+				// One morsel per partition with S rows.
+				if oracle.Morsels == 0 || oracle.Morsels > int64(oracle.Partitions) {
+					t.Errorf("per-partition schedule ran %d morsels over %d partitions", oracle.Morsels, oracle.Partitions)
 				}
 				for _, rows := range []int{0, 1, 7, 64} {
 					opts.MorselRows = rows
@@ -211,5 +227,153 @@ func TestMorselSteadyStateAllocs(t *testing.T) {
 	if perMorsel > 0.1 {
 		t.Errorf("morsel hot path allocates %.3f per morsel (%.0f per run over %d morsels), want ~0",
 			perMorsel, perRun, nMorsels)
+	}
+}
+
+// TestRunMorselsLazyBuild pins the lazy-build contract on jobs of uneven sizes
+// whose builds take uneven times: every job with rows is built exactly once
+// and released exactly once, after its last morsel, and nothing of it runs
+// after the release; zero-row jobs are never built; the jobs built and not
+// yet released never exceed buildsPerWorker × parallelism. Once a context is
+// cancelled no worker that has seen it starts a Build — only one that checked
+// just before may still enter its Build, so with one worker none does — and
+// RunMorsels releases what was built and leaves no goroutine behind.
+func TestRunMorselsLazyBuild(t *testing.T) {
+	const morselRows = 4
+	sizes := []int{37, 0, 5, 64, 1, 0, 23, 9, 16, 3, 41, 2, 8, 12, 30, 7, 50, 19}
+	type record struct {
+		builds, releases, ran atomic.Int64
+		released              atomic.Bool
+	}
+	// jobsFor returns the jobs over sizes and their records; Build counts in
+	// late the builds it enters with ctx already cancelled, then calls hook.
+	jobsFor := func(t *testing.T, ctx context.Context, late *atomic.Int64, hook func(j int)) ([]MorselJob, []record, *atomic.Int64, *atomic.Int64) {
+		recs := make([]record, len(sizes))
+		var inflight, maxInflight atomic.Int64
+		jobs := make([]MorselJob, len(sizes))
+		for j, rows := range sizes {
+			r := &recs[j]
+			morsels := int64((rows + morselRows - 1) / morselRows)
+			jobs[j] = MorselJob{Rows: rows, Build: func() (RangeRun, func()) {
+				if ctx.Err() != nil {
+					late.Add(1)
+				}
+				hook(j)
+				r.builds.Add(1)
+				n := inflight.Add(1)
+				for m := maxInflight.Load(); n > m && !maxInflight.CompareAndSwap(m, n); m = maxInflight.Load() {
+				}
+				time.Sleep(time.Duration(j%3) * 200 * time.Microsecond)
+				run := func(lo, hi int, _ localjoin.Emit) int64 {
+					if r.released.Load() {
+						t.Errorf("job %d: a morsel ran after the release", j)
+					}
+					r.ran.Add(1)
+					return int64(hi - lo)
+				}
+				return run, func() {
+					if got := r.ran.Load(); got != morsels && ctx.Err() == nil {
+						t.Errorf("job %d released after %d of its %d morsels", j, got, morsels)
+					}
+					r.released.Store(true)
+					r.releases.Add(1)
+					inflight.Add(-1)
+				}
+			}}
+		}
+		return jobs, recs, &inflight, &maxInflight
+	}
+	for _, p := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("parallelism=%d", p), func(t *testing.T) {
+			var late atomic.Int64
+			jobs, recs, inflight, maxInflight := jobsFor(t, context.Background(), &late, func(int) {})
+			res, _, err := RunMorsels(context.Background(), jobs, morselRows, p, false)
+			if err != nil {
+				t.Fatalf("RunMorsels: %v", err)
+			}
+			for j, rows := range sizes {
+				want := int64(0)
+				if rows > 0 {
+					want = 1
+				}
+				if b, r := recs[j].builds.Load(), recs[j].releases.Load(); b != want || r != want {
+					t.Errorf("job %d (%d rows): %d builds and %d releases, want %d of each", j, rows, b, r, want)
+				}
+				if res[j].Count != int64(rows) {
+					t.Errorf("job %d: count %d, want %d", j, res[j].Count, rows)
+				}
+			}
+			if inflight.Load() != 0 {
+				t.Errorf("%d jobs left unreleased", inflight.Load())
+			}
+			if m := maxInflight.Load(); m > int64(buildsPerWorker*p) {
+				t.Errorf("%d jobs built and unfinished at once, the bound is %d", m, buildsPerWorker*p)
+			}
+		})
+		t.Run(fmt.Sprintf("parallelism=%d/cancelled", p), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var started, late atomic.Int64
+			jobs, recs, inflight, _ := jobsFor(t, ctx, &late, func(int) {
+				if started.Add(1) == 3 {
+					cancel()
+				}
+			})
+			if _, _, err := RunMorsels(ctx, jobs, morselRows, p, false); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			var builds int64
+			for j := range recs {
+				if b, r := recs[j].builds.Load(), recs[j].releases.Load(); b != r || b > 1 {
+					t.Errorf("job %d: %d builds, %d releases", j, b, r)
+				}
+				builds += recs[j].builds.Load()
+			}
+			if builds == 0 || builds > int64(min(len(sizes), 2+p)) {
+				t.Errorf("%d builds around a cancellation in the third", builds)
+			}
+			if inflight.Load() != 0 {
+				t.Errorf("%d built jobs left unreleased", inflight.Load())
+			}
+			if n := late.Load(); n > int64(p-1) {
+				t.Errorf("%d builds started after the cancellation; at most the %d other workers may have checked just before", n, p-1)
+			}
+			// Pre-cancelled: nothing is built at all.
+			jobs, recs, _, _ = jobsFor(t, ctx, &late, func(int) {})
+			if _, _, err := RunMorsels(ctx, jobs, morselRows, p, false); !errors.Is(err, context.Canceled) {
+				t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
+			}
+			for j := range recs {
+				if recs[j].builds.Load() != 0 {
+					t.Errorf("pre-cancelled: job %d built", j)
+				}
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the cancelled runs, %d before", runtime.NumGoroutine(), before)
+				}
+			}
+		})
+	}
+}
+
+// TestRunMorselsCountsBuildTime: a job's busy time includes its build, so a
+// partition prepared inside the scheduler is charged for it like one joined
+// whole.
+func TestRunMorselsCountsBuildTime(t *testing.T) {
+	const sleep = 20 * time.Millisecond
+	jobs := []MorselJob{{Rows: 100, Build: func() (RangeRun, func()) {
+		time.Sleep(sleep)
+		return func(lo, hi int, _ localjoin.Emit) int64 { return int64(hi - lo) }, nil
+	}}}
+	for _, rows := range []int{0, 10, -1} {
+		res, _, err := RunMorsels(context.Background(), jobs, rows, 2, false)
+		if err != nil {
+			t.Fatalf("RunMorsels: %v", err)
+		}
+		if res[0].Nanos < sleep.Nanoseconds() || res[0].Count != 100 {
+			t.Errorf("morselRows=%d: %v busy and %d pairs, want at least the %v build and 100", rows, time.Duration(res[0].Nanos), res[0].Count, sleep)
+		}
 	}
 }

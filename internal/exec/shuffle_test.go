@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -212,7 +213,7 @@ func TestParallelShuffleRace(t *testing.T) {
 				} else if total != wantTotal {
 					t.Fatalf("round %d total input %d, want %d", round, total, wantTotal)
 				}
-				if countNonEmpty(parts) == 0 {
+				if !slices.ContainsFunc(parts, func(p *PartitionInput) bool { return p != nil }) {
 					t.Fatal("shuffle produced no partitions")
 				}
 			}
@@ -420,5 +421,73 @@ func BenchmarkShuffle(b *testing.B) {
 				sink += r.TotalInput
 			}
 		})
+	}
+}
+
+// pareto3dPlan is the in-process cold workload's shape: 3-d Pareto, 320k × 320k,
+// planned by RecPart for 30 workers.
+func pareto3dPlan(tb testing.TB) (s, t *data.Relation, band data.Band, plan partition.Plan) {
+	tb.Helper()
+	s, t = data.ParetoPair(3, 1.5, 320_000, 1)
+	band = data.Uniform(3, 0.03)
+	smp, err := sample.Draw(s, t, band, sample.DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan, err = core.NewDefault().Plan(&partition.Context{Band: band, Workers: 30, Sample: smp, Model: costmodel.Default(), Seed: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, t, band, plan
+}
+
+// TestExecutePlanSteadyStateAllocs: a warm one-shot join holds only the
+// partitions in flight and builds them in the buffers earlier ones handed
+// back, so it allocates less than the input's keys occupy — the routed lists,
+// no copy of the input — and sets off no garbage collection.
+func TestExecutePlanSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; steady state not observable")
+	}
+	s, tt, band, plan := pareto3dPlan(t)
+	run := func() int64 {
+		res, err := ExecutePlan(context.Background(), plan, s, tt, band, DefaultOptions(30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Output
+	}
+	want := run()
+	run()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := run()
+	runtime.ReadMemStats(&after)
+	if got != want || got == 0 {
+		t.Fatalf("warm run: %d pairs, the first %d", got, want)
+	}
+	keyBytes := uint64(s.Len()+tt.Len()) * uint64(s.Dims()) * 8
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > keyBytes {
+		t.Errorf("a warm ExecutePlan allocated %.1f MB, more than the input's %.1f MB of keys", float64(alloc)/1e6, float64(keyBytes)/1e6)
+	}
+	if gcs := after.NumGC - before.NumGC; gcs != 0 {
+		t.Errorf("a warm ExecutePlan ran %d garbage collections", gcs)
+	}
+}
+
+// BenchmarkExecutePlan times the whole one-shot join (route, then build,
+// probe and release every partition) on the in-process cold workload's shape.
+func BenchmarkExecutePlan(b *testing.B) {
+	s, t, band, plan := pareto3dPlan(b)
+	var sink int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := ExecutePlan(context.Background(), plan, s, t, band, DefaultOptions(30))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink += res.Output
 	}
 }

@@ -466,22 +466,6 @@ func (Auto) JoinRange(s, t *data.Relation, band data.Band, lo, hi int, emit Emit
 // Default returns the algorithm the executor uses when none is specified.
 func Default() Algorithm { return Auto{} }
 
-// RangeNeedsNoPrepare reports whether alg's JoinRange repeats no build work
-// per range, so a partition without a prepared structure can be striped
-// through it directly. True only for the nested loop — including Auto, whose
-// Prepare returns nil exactly when it would pick the nested loop — whose
-// probe has no T-side structure to rebuild. The sort- and grid-based
-// algorithms rebuild their structure per JoinRange call; stripe those through
-// Prepare + ProbeRange instead.
-func RangeNeedsNoPrepare(alg Algorithm) bool {
-	switch alg.(type) {
-	case NestedLoop, Auto:
-		return true
-	default:
-		return false
-	}
-}
-
 // ByName returns the algorithm with the given name, or false if unknown.
 func ByName(name string) (Algorithm, bool) {
 	switch name {

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"bandjoin/internal/data"
 )
@@ -64,9 +65,24 @@ func Prepare(alg Algorithm, s, t *data.Relation, band data.Band) PreparedT {
 // side only: the ε-grid leaves the S rows' cell lists unresolved (Prepare
 // resolves them serially, work that pays off from the second probe on) and
 // every row takes the hash-lookup path, as rows appended after Prepare do.
-// The pairs and their order are Prepare's.
+// The pairs and their order are Prepare's. An ε-grid reuses the buffers of
+// one that an earlier PrepareOnce made and Release handed back, if any.
 func PrepareOnce(alg Algorithm, s, t *data.Relation, band data.Band) PreparedT {
 	return prepare(alg, s, t, band, false)
+}
+
+// oncePool holds the ε-grids Release handed back, for PrepareOnce to rebuild.
+var oncePool = sync.Pool{New: func() any { return new(preparedEpsGrid) }}
+
+// Release hands p's buffers back for the next PrepareOnce to build in. It is
+// for p's sole owner, after p's last probe, and a no-op for nil, for anything
+// Prepare made, for structures without pooled buffers (everything but the
+// ε-grid) and for one whose buffers ResolveS has shared: nothing a retained
+// partition or a fold can reach is ever recycled.
+func Release(p PreparedT) {
+	if g, ok := p.(*preparedEpsGrid); ok && g.pooled.CompareAndSwap(true, false) {
+		oncePool.Put(g)
+	}
 }
 
 func prepare(alg Algorithm, s, t *data.Relation, band data.Band, resolveS bool) PreparedT {
@@ -86,11 +102,15 @@ func prepare(alg Algorithm, s, t *data.Relation, band data.Band, resolveS bool) 
 		if !epsGridDefined(t.Dims(), band) {
 			return prepare(GridSortScan{}, s, t, band, resolveS)
 		}
+		if !resolveS {
+			p := oncePool.Get().(*preparedEpsGrid)
+			p.g.build(t, band)
+			p.pooled.Store(true)
+			return p
+		}
 		p := &preparedEpsGrid{}
 		p.g.build(t, band)
-		if resolveS {
-			p.resolveCells(s, 1)
-		}
+		p.resolveCells(s, 1)
 		return p
 	case SortProbe:
 		sr := buildSortedStandalone(t)
@@ -140,6 +160,10 @@ type preparedEpsGrid struct {
 
 	sStarts []int32
 	sCells  []int32
+
+	// pooled marks a PrepareOnce structure whose buffers no other structure
+	// shares: Release may recycle it.
+	pooled atomic.Bool
 }
 
 // resolveMinRows is the least number of S rows worth a goroutine of their own
@@ -227,6 +251,7 @@ func ResolveS(p PreparedT, s *data.Relation) PreparedT {
 	if !ok {
 		return p
 	}
+	old.pooled.Store(false) // its buffers are fresh's too now
 	fresh := &preparedEpsGrid{g: old.g}
 	fresh.resolveCells(s, runtime.GOMAXPROCS(0))
 	return fresh

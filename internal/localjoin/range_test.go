@@ -179,17 +179,29 @@ func TestConcurrentProbeRangeShared(t *testing.T) {
 	}
 }
 
-// TestRangeNeedsNoPrepare pins which algorithms may be striped without a
-// prepared structure: exactly those whose Prepare can return nil while
-// JoinRange repeats no build work (nested loop, and Auto only when its
-// dispatch picks nested loop — which is exactly when its Prepare is nil).
-func TestRangeNeedsNoPrepare(t *testing.T) {
-	if !RangeNeedsNoPrepare(NestedLoop{}) || !RangeNeedsNoPrepare(Auto{}) {
-		t.Error("NestedLoop and Auto must stripe without a prepared structure")
+// TestPrepareOnceNilOnlyForTheNestedLoop pins what the morsel scheduler's
+// builds rely on when they stripe a partition without a structure through
+// JoinRange: on non-empty sides PrepareOnce returns a range prober for every
+// algorithm with a structure, and nil only for the nested loop — NestedLoop
+// itself, and Auto exactly when its dispatch picks the nested loop — whose
+// JoinRange has nothing to rebuild per range.
+func TestPrepareOnceNilOnlyForTheNestedLoop(t *testing.T) {
+	small, smallT := data.ParetoPair(2, 1.5, autoNestedLoopMax, 3)
+	s, tt := data.ParetoPair(2, 1.5, 4*autoNestedLoopMax, 3)
+	s1, t1 := data.ParetoPair(1, 1.5, 4*autoNestedLoopMax, 3)
+	band, band1 := data.Uniform(2, 0.1), data.Uniform(1, 0.1)
+	if PrepareOnce(NestedLoop{}, s, tt, band) != nil || PrepareOnce(Auto{}, small, smallT, band) != nil {
+		t.Error("the nested loop, chosen or by Auto, has a structure")
 	}
-	for _, alg := range []Algorithm{SortProbe{}, GridSortScan{}, EpsGrid{}} {
-		if RangeNeedsNoPrepare(alg) {
-			t.Errorf("%s wrongly claims prepare-free range probes (JoinRange rebuilds per call)", alg.Name())
+	for _, alg := range []Algorithm{Auto{}, SortProbe{}, GridSortScan{}, EpsGrid{}} {
+		for _, in := range [][2]*data.Relation{{s, tt}, {s1, t1}} {
+			b := band
+			if in[0].Dims() == 1 {
+				b = band1
+			}
+			if _, ok := PrepareOnce(alg, in[0], in[1], b).(RangeProber); !ok {
+				t.Errorf("%s, %d-d: PrepareOnce returned no range prober", alg.Name(), in[0].Dims())
+			}
 		}
 	}
 }

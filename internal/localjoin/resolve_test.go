@@ -1,6 +1,7 @@
 package localjoin
 
 import (
+	"cmp"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -58,5 +59,56 @@ func TestResolveS(t *testing.T) {
 	}
 	if UnresolvedS(nil, s) != 0 || ResolveS(nil, s) != nil {
 		t.Error("no structure: unresolved rows or a structure out of nothing")
+	}
+}
+
+// TestReleaseIsForSoleOwners: Release recycles only a PrepareOnce ε-grid no
+// other structure shares. Released beside a Prepare structure, a non-grid
+// PrepareOnce structure, nil, and a PrepareOnce grid that ResolveS has shared,
+// then churned by PrepareOnce builds over other inputs, every survivor still
+// probes exactly the nested loop's pairs; a sole owner's grid is rebuilt in by
+// the next PrepareOnce.
+func TestReleaseIsForSoleOwners(t *testing.T) {
+	s, tt, band := denseCellInputs(2 * resolveMinRows)
+	other, otherT := data.ParetoPair(2, 1.2, resolveMinRows, 7)
+	otherBand := data.Uniform(2, 0.05)
+	pairs := func(probe func(Emit) int64) [][2]int {
+		var out [][2]int
+		probe(func(si, ti int, _, _ []float64) { out = append(out, [2]int{si, ti}) })
+		slices.SortFunc(out, func(a, b [2]int) int { return cmp.Or(a[0]-b[0], a[1]-b[1]) })
+		return out
+	}
+	want := pairs(func(emit Emit) int64 { return NestedLoop{}.Join(s, tt, band, emit) })
+	if len(want) == 0 {
+		t.Fatal("the nested loop has no pairs; the inputs exercise nothing")
+	}
+
+	prepared := Prepare(EpsGrid{}, s, tt, band)
+	sorted := PrepareOnce(GridSortScan{}, s, tt, band)
+	once := PrepareOnce(EpsGrid{}, s, tt, band)
+	shared := ResolveS(once, s)
+	for _, p := range []PreparedT{nil, prepared, sorted, once, shared} {
+		Release(p)
+	}
+	for range 4 {
+		Release(PrepareOnce(EpsGrid{}, other, otherT, otherBand))
+	}
+	for name, p := range map[string]PreparedT{"Prepare": prepared, "PrepareOnce sort-scan": sorted, "PrepareOnce shared by ResolveS": once, "ResolveS": shared} {
+		if got := pairs(func(emit Emit) int64 { return p.Probe(s, emit) }); !slices.Equal(got, want) {
+			t.Errorf("%s: %d pairs after the releases, the nested loop has %d (or they differ)", name, len(got), len(want))
+		}
+	}
+
+	// A sole owner's grid goes back to the pool, once.
+	sole := PrepareOnce(EpsGrid{}, s, tt, band).(*preparedEpsGrid)
+	Release(sole)
+	Release(sole)
+	if sole.pooled.Load() {
+		t.Error("a released grid is still marked as its owner's")
+	}
+	if !raceEnabled { // the race detector's pool drops items at random
+		if next := PrepareOnce(EpsGrid{}, other, otherT, otherBand); next != PreparedT(sole) {
+			t.Error("the next PrepareOnce did not build in the released grid")
+		}
 	}
 }

@@ -416,6 +416,8 @@ func (s *Sample) joinSamples(rank []uint64) []uint64 {
 		}
 	}
 	prober, _ := localjoin.PrepareOnce(localjoin.Auto{}, s.S, s.T, s.Band).(localjoin.RangeProber)
+	// The next plan's sample join rebuilds in this one's buffers.
+	defer localjoin.Release(prober)
 	if prober == nil {
 		// Empty or tiny samples: the nested loop, nothing to share.
 		var collected []uint64
