@@ -95,9 +95,6 @@ type Options struct {
 	// Partitioner selects the partitioning algorithm; nil selects RecPart
 	// with symmetric partitioning.
 	Partitioner Partitioner
-	// LocalAlgorithm names the per-worker join algorithm: "sort-probe"
-	// (default), "grid-sort-scan", or "nested-loop".
-	LocalAlgorithm string
 	// Model supplies the β coefficients; the zero value selects the default
 	// model.
 	Model CostModel

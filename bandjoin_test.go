@@ -1,6 +1,8 @@
 package bandjoin_test
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -36,9 +38,6 @@ func TestJoinValidatesArguments(t *testing.T) {
 	}
 	if _, err := bandjoin.Join(s, tt, bandjoin.Symmetric(-1, 1), bandjoin.Options{}); err == nil {
 		t.Error("negative band width accepted")
-	}
-	if _, err := bandjoin.Join(s, tt, bandjoin.Uniform(2, 1), bandjoin.Options{LocalAlgorithm: "nope"}); err == nil {
-		t.Error("unknown local algorithm accepted")
 	}
 }
 
@@ -102,19 +101,55 @@ func TestCountAndEstimateOnly(t *testing.T) {
 	}
 }
 
-func TestLocalAlgorithmSelection(t *testing.T) {
-	s, tt := bandjoin.Pareto(1, 1.5, 1000, 7)
-	band := bandjoin.Symmetric(0.01)
-	var counts []int64
-	for _, alg := range []string{"sort-probe", "grid-sort-scan", "nested-loop"} {
-		res, err := bandjoin.Join(s, tt, band, bandjoin.Options{Workers: 3, LocalAlgorithm: alg})
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
+// bandShapes are the band shapes the local ε-grid took over from two deleted
+// kernels — one dimension, a zero width on dimension 0, an equi-join on every
+// dimension — over Pareto keys, floored onto integers wherever a width is
+// zero, so that there are pairs to find.
+func bandShapes(n int, seed int64) map[string]struct {
+	s, t *bandjoin.Relation
+	band bandjoin.Band
+} {
+	lattice := func(d, latticeDims int, scale float64) (*bandjoin.Relation, *bandjoin.Relation) {
+		s, t := bandjoin.Pareto(d, 1.5, n, seed)
+		for _, r := range []*bandjoin.Relation{s, t} {
+			for i := 0; i < r.Len(); i++ {
+				for j := 0; j < latticeDims; j++ {
+					r.Key(i)[j] = math.Floor(scale * r.Key(i)[j])
+				}
+			}
 		}
-		counts = append(counts, res.Output)
+		return s, t
 	}
-	if counts[0] != counts[1] || counts[1] != counts[2] {
-		t.Errorf("local algorithms disagree: %v", counts)
+	s1, t1 := bandjoin.Pareto(1, 1.5, n, seed)
+	s3, t3 := lattice(3, 1, 4)
+	s2, t2 := lattice(2, 2, 2)
+	return map[string]struct {
+		s, t *bandjoin.Relation
+		band bandjoin.Band
+	}{
+		"1d":        {s1, t1, bandjoin.Symmetric(0.01)},
+		"zero-dim0": {s3, t3, bandjoin.Symmetric(0, 0.3, 0.3)},
+		"all-zero":  {s2, t2, bandjoin.Symmetric(0, 0)},
+	}
+}
+
+// TestLocalAlgorithmSelection: a partition joins through the nested loop when
+// a side has at most 32 rows and through the ε-grid otherwise. On every band
+// shape, 60 workers (small partitions) and 2 (large ones) both give the
+// definition's pairs.
+func TestLocalAlgorithmSelection(t *testing.T) {
+	for shape, in := range bandShapes(1000, 7) {
+		want := definitionPairs(in.s, in.t, in.band)
+		if len(want) == 0 {
+			t.Fatalf("%s: the definition has no pairs; the inputs exercise nothing", shape)
+		}
+		for _, workers := range []int{60, 2} {
+			res, err := bandjoin.Join(in.s, in.t, in.band, bandjoin.Options{Workers: workers, CollectPairs: true})
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", shape, workers, err)
+			}
+			pairsEqual(t, fmt.Sprintf("%s, %d workers: join vs nested loop", shape, workers), res.Pairs, want)
+		}
 	}
 }
 
@@ -228,7 +263,7 @@ func TestOptionsSurface(t *testing.T) {
 		want []string
 	}{
 		{bandjoin.Options{}, []string{
-			"Workers", "Partitioner", "LocalAlgorithm", "Model", "InputSampleSize", "OutputSampleSize",
+			"Workers", "Partitioner", "Model", "InputSampleSize", "OutputSampleSize",
 			"CollectPairs", "EstimateOnly", "MorselRows", "PlannerParallelism", "Seed",
 			"ClusterChunkSize", "ClusterWindow", "ClusterJoinParallelism", "MaxPlanDrift", "MaxDeltaFraction"}},
 		{bandjoin.RecPartOptions{}, []string{"Symmetric", "Theoretical", "MaxIterations", "Seed", "PlannerParallelism"}},

@@ -183,20 +183,16 @@ func BenchmarkAblationSymmetric(b *testing.B) {
 // -----------------------------------------------------------------------------
 // Micro-benchmarks of the building blocks
 
-// BenchmarkMicroLocalJoin measures the local band-join algorithms on one
-// partition-sized input.
+// BenchmarkMicroLocalJoin measures the local band-join on one partition-sized
+// input.
 func BenchmarkMicroLocalJoin(b *testing.B) {
 	s, t := data.ParetoPair(3, 1.5, 20_000, 5)
 	band := data.Uniform(3, 0.03)
-	for _, alg := range []localjoin.Algorithm{localjoin.SortProbe{}, localjoin.GridSortScan{}} {
-		b.Run(alg.Name(), func(b *testing.B) {
-			var out int64
-			for i := 0; i < b.N; i++ {
-				out = alg.Join(s, t, band, nil)
-			}
-			b.ReportMetric(float64(out), "pairs")
-		})
+	var out int64
+	for i := 0; i < b.N; i++ {
+		out = localjoin.Join(s, t, band, nil)
 	}
+	b.ReportMetric(float64(out), "pairs")
 }
 
 // BenchmarkMicroOptimization measures the optimization phase (planning only)

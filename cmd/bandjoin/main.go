@@ -58,7 +58,6 @@ func main() {
 		partitioner = flag.String("partitioner", "recpart", "recpart | recpart-s | 1-bucket | grid | grid-star | csio | iejoin")
 		workers     = flag.Int("workers", 8, "number of simulated workers (ignored with -cluster)")
 		clusterAddr = flag.String("cluster", "", "comma-separated recpartd worker addresses for a real distributed run")
-		local       = flag.String("local", "", "local join algorithm: auto | sort-probe | grid-sort-scan | eps-grid | nested-loop")
 		morselRows  = flag.Int("morsel-rows", 0, "probe-side rows per join morsel (0 = auto from partition sizes and parallelism, < 0 = per-partition oracle path)")
 		seed        = flag.Int64("seed", 1, "random seed")
 		verbose     = flag.Bool("v", false, "print per-worker load distribution")
@@ -115,7 +114,6 @@ func main() {
 	opts := bandjoin.Options{
 		Workers:                *workers,
 		Partitioner:            pt,
-		LocalAlgorithm:         *local,
 		MorselRows:             *morselRows,
 		Seed:                   *seed,
 		ClusterChunkSize:       *clusterChunk,

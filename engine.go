@@ -994,17 +994,14 @@ type inProcessPlane struct {
 // the same role as the coordinator's shipment record: exactly one shuffle per
 // fingerprint, any number of concurrent warm joins. Alongside the presorted
 // partitions it retains the local join's prepared structures (ε-grid CSR
-// buckets, sorted-row caches, resolved candidate cells), the in-process
-// analogue of the cluster workers' Seal-time prebuild; prepAlg names the
-// algorithm they were built for, and a query using a different local
-// algorithm rebuilds them once.
+// buckets and resolved candidate cells), the in-process analogue of the
+// cluster workers' Seal-time prebuild.
 type retainedParts struct {
 	mu         sync.RWMutex
 	done       bool
 	parts      []*exec.PartitionInput
 	totalInput int64
-	prepAlg    string
-	prepared   []localjoin.PreparedT
+	prepared   []*localjoin.EpsGrid
 
 	// coveredS/coveredT record the base-relation prefix lengths the retained
 	// partitions were shuffled from. Appended suffixes are absorbed by
@@ -1015,7 +1012,7 @@ type retainedParts struct {
 	// dirty marks partitions an absorbed delta left behind, to be brought up
 	// to date lazily by the next probe (rebuildDirtyLocked), never at append
 	// time: true where the presort order and the prepared structure were
-	// invalidated (the delta grew T, or the structure pins S), false where the
+	// invalidated (the delta grew T, or the partition had none), false where the
 	// structure stands and probes the appended S rows as it is, but those rows
 	// have outgrown their share and are due a fold (exec.NeedsFold).
 	dirty map[int]bool
@@ -1029,7 +1026,7 @@ type retainedParts struct {
 // fillLocked runs the cold fill: shuffle everything, presort, prebuild the
 // local join's structures, and record the covered prefix lengths. Caller holds
 // rec.mu for writing.
-func (rec *retainedParts) fillLocked(ctx context.Context, plan Plan, s, t *Relation, band Band, alg localjoin.Algorithm) error {
+func (rec *retainedParts) fillLocked(ctx context.Context, plan Plan, s, t *Relation, band Band) error {
 	parts, totalInput, err := exec.Shuffle(ctx, plan, s, t, 0)
 	if err != nil {
 		// A cancelled shuffle leaves the record unfilled; the next query
@@ -1041,8 +1038,7 @@ func (rec *retainedParts) fillLocked(ctx context.Context, plan Plan, s, t *Relat
 	// the workers' seal-time presort + prepare): warm joins find sorted rows
 	// and ready-made join structures.
 	exec.PresortPartitions(rec.parts, 0)
-	rec.prepared = exec.PrepareShuffled(rec.parts, band, alg, 0)
-	rec.prepAlg = alg.Name()
+	rec.prepared = exec.PrepareShuffled(rec.parts, band, nil, 0)
 	rec.coveredS, rec.coveredT = s.Len(), t.Len()
 	rec.bytes.Store(partitionBytes(rec.parts))
 	rec.done = true
@@ -1055,13 +1051,13 @@ func (rec *retainedParts) fillLocked(ctx context.Context, plan Plan, s, t *Relat
 // snapshotted the previous slices under the read lock keeps reading a
 // consistent, immutable view while an absorb or rebuild proceeds. Caller holds
 // rec.mu for writing.
-func (rec *retainedParts) cloneSlicesLocked(n int) ([]*exec.PartitionInput, []localjoin.PreparedT) {
+func (rec *retainedParts) cloneSlicesLocked(n int) ([]*exec.PartitionInput, []*localjoin.EpsGrid) {
 	if n < len(rec.parts) {
 		n = len(rec.parts)
 	}
 	parts := make([]*exec.PartitionInput, n)
 	copy(parts, rec.parts)
-	prepared := make([]localjoin.PreparedT, n)
+	prepared := make([]*localjoin.EpsGrid, n)
 	copy(prepared, rec.prepared)
 	return parts, prepared
 }
@@ -1069,8 +1065,8 @@ func (rec *retainedParts) cloneSlicesLocked(n int) ([]*exec.PartitionInput, []lo
 // catchUpLocked absorbs rows appended past the record's covered prefixes:
 // the suffixes are shuffled through the plan (with tuple IDs offset to stay
 // globally consistent) and folded into the retained partitions; those whose T
-// side grew (or whose structure pins S, localjoin.SurvivesSAppend) are marked
-// dirty for lazy rebuild. The fold is copy-on-write — extended
+// side grew (or that had no structure, joining through the nested loop) are
+// marked dirty for lazy rebuild. The fold is copy-on-write — extended
 // partitions are new PartitionInput snapshots (Relation.Extend never mutates
 // the old head), swapped in via fresh slices — so queries executing off a
 // previously snapshotted view race nothing. Caller holds rec.mu for writing;
@@ -1104,7 +1100,7 @@ func (rec *retainedParts) catchUpLocked(ctx context.Context, plan Plan, s, t *Re
 				T:    base.T.Extend(dp.T),
 				TIDs: append(base.TIDs, dp.TIDs...),
 			}
-			if dp.T.Len() == 0 && localjoin.SurvivesSAppend(nextPrep[pid]) {
+			if dp.T.Len() == 0 && nextPrep[pid] != nil {
 				// Only S grew: T, its order and the structure over it stand,
 				// and the structure probes the appended rows too — until
 				// there are too many of them.
@@ -1131,7 +1127,7 @@ func (rec *retainedParts) catchUpLocked(ctx context.Context, plan Plan, s, t *Re
 // number of folds. Replacement is copy-on-write, like catchUpLocked: a query
 // probing a snapshot taken before keeps its partition and the structure
 // resolved for it. Caller holds rec.mu for writing.
-func (rec *retainedParts) rebuildDirtyLocked(band Band, alg localjoin.Algorithm) (rebuildTime, foldTime time.Duration, folds int) {
+func (rec *retainedParts) rebuildDirtyLocked(band Band) (rebuildTime, foldTime time.Duration, folds int) {
 	next, nextPrep := rec.cloneSlicesLocked(0)
 	for pid, full := range rec.dirty {
 		p := next[pid]
@@ -1150,7 +1146,7 @@ func (rec *retainedParts) rebuildDirtyLocked(band Band, alg localjoin.Algorithm)
 		start := time.Now()
 		sorted := p.Presort()
 		next[pid] = sorted
-		nextPrep[pid] = localjoin.Prepare(alg, sorted.S, sorted.T, band)
+		nextPrep[pid] = localjoin.Prepare(sorted.S, sorted.T, band)
 		rebuildTime += time.Since(start)
 	}
 	rec.parts, rec.prepared = next, nextPrep
@@ -1178,20 +1174,13 @@ func (p *inProcessPlane) execute(ctx context.Context, prep *exec.Prepared, s, t 
 	}
 	p.mu.Unlock()
 
-	alg := r.Algorithm
-	if alg == nil {
-		alg = localjoin.Default()
-	}
-	algName := alg.Name()
-
 	var shuffleTime, absorbTime, rebuildTime, foldTime time.Duration
 	folds := 0
 	warm := true
 	rec.mu.RLock()
 	for {
 		current := rec.done &&
-			rec.coveredS >= s.Len() && rec.coveredT >= t.Len() &&
-			rec.prepAlg == algName && len(rec.dirty) == 0
+			rec.coveredS >= s.Len() && rec.coveredT >= t.Len() && len(rec.dirty) == 0
 		if current {
 			break
 		}
@@ -1200,7 +1189,7 @@ func (p *inProcessPlane) execute(ctx context.Context, prep *exec.Prepared, s, t 
 		if !rec.done {
 			warm = false
 			start := time.Now()
-			if err := rec.fillLocked(ctx, prep.Plan, s, t, band, alg); err != nil {
+			if err := rec.fillLocked(ctx, prep.Plan, s, t, band); err != nil {
 				rec.mu.Unlock()
 				return nil, err
 			}
@@ -1217,25 +1206,8 @@ func (p *inProcessPlane) execute(ctx context.Context, prep *exec.Prepared, s, t 
 			}
 			absorbTime += time.Since(start)
 		}
-		if rec.prepAlg != algName {
-			// A query switched local-join algorithms on a retained plan:
-			// rebuild the prepared structures once for the new algorithm (the
-			// pattern of the cluster worker's refresh). Delta-appended
-			// partitions are re-sorted first so the prepare sees sorted rows;
-			// both replacements are copy-on-write like catchUpLocked's.
-			next, _ := rec.cloneSlicesLocked(0)
-			for pid := range rec.dirty {
-				if p := next[pid]; p != nil {
-					next[pid] = p.Presort()
-				}
-			}
-			rec.dirty = nil
-			rec.parts = next
-			rec.prepared = exec.PrepareShuffled(next, band, alg, 0)
-			rec.prepAlg = algName
-		}
 		if len(rec.dirty) > 0 {
-			rebuilt, folded, n := rec.rebuildDirtyLocked(band, alg)
+			rebuilt, folded, n := rec.rebuildDirtyLocked(band)
 			rebuildTime += rebuilt
 			foldTime += folded
 			folds += n
@@ -1290,14 +1262,10 @@ func (p *inProcessPlane) prime(ctx context.Context, prep *exec.Prepared, s, t *R
 		p.parts[planID] = rec
 	}
 	p.mu.Unlock()
-	alg := r.Algorithm
-	if alg == nil {
-		alg = localjoin.Default()
-	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	if !rec.done {
-		return rec.fillLocked(ctx, prep.Plan, s, t, band, alg)
+		return rec.fillLocked(ctx, prep.Plan, s, t, band)
 	}
 	return rec.catchUpLocked(ctx, prep.Plan, s, t)
 }
@@ -1347,7 +1315,6 @@ func (p *clusterPlane) workers() int { return p.coord.Workers() }
 
 func (p *clusterPlane) execute(ctx context.Context, prep *exec.Prepared, s, t *Relation, band Band, r resolved, planID string) (*Result, error) {
 	copts := cluster.Options{
-		Algorithm:       r.AlgorithmName,
 		Model:           r.Model,
 		Sampling:        r.Sampling,
 		CollectPairs:    r.CollectPairs,
@@ -1370,7 +1337,6 @@ func (p *clusterPlane) absorb(ctx context.Context, prep *exec.Prepared, s, t *Re
 // prime ships and seals a plan's partitions on the workers without joining.
 func (p *clusterPlane) prime(ctx context.Context, prep *exec.Prepared, s, t *Relation, band Band, r resolved, planID string) error {
 	copts := cluster.Options{
-		Algorithm:       r.AlgorithmName,
 		Model:           r.Model,
 		Sampling:        r.Sampling,
 		ChunkSize:       r.ChunkSize,

@@ -106,24 +106,33 @@ func definitionPairs(s, t *bandjoin.Relation, band bandjoin.Band) []bandjoin.Pai
 // already sealed (ties the stable re-sort must keep apart from their IDs), NaN
 // and ±Inf keys (sorted last, never folded into a cell they do not belong to).
 //
-// Structures without per-row S state never fold: a sort-probe keeps its
-// structure across S appends, the sorted scan pins S and is rebuilt in full,
-// as before.
+// The last part of a subtest's name sets widths to zero: on dimension 0, or on
+// every dimension. Such partitions fold like any other — their structure is the
+// same grid, with exact-key dimensions — where they used to be rebuilt in full
+// on every S append. One dimension runs too.
 func TestEngineFoldGroundTruth(t *testing.T) {
 	planes := enginePlanes(t, 2)
 	ctx := context.Background()
-	for _, d := range []int{2, 3, 8} {
+	for _, d := range []int{1, 2, 3, 8} {
 		for _, shape := range []string{"symmetric", "asymmetric", "one-sided"} {
-			for _, alg := range []string{"", "sort-probe", "grid-sort-scan"} {
-				if alg != "" && (d != 3 || shape != "asymmetric") {
+			for _, zero := range []string{"", "zero-dim0", "all-zero"} {
+				if d == 1 && shape != "asymmetric" || zero == "zero-dim0" && d != 3 ||
+					zero == "all-zero" && (d > 3 || shape != "asymmetric") {
 					continue
 				}
 				for planeName, newEngine := range planes {
-					name := fmt.Sprintf("%s/d=%d/%s/%s", planeName, d, shape, alg)
+					name := fmt.Sprintf("%s/d=%d/%s/%s", planeName, d, shape, zero)
 					t.Run(name, func(t *testing.T) {
 						rng := rand.New(rand.NewSource(int64(31*d + len(shape))))
 						band := foldBand(rng, shape, d)
-						opts := bandjoin.Options{Workers: 2, Seed: 5, CollectPairs: true, LocalAlgorithm: alg}
+						switch zero {
+						case "zero-dim0":
+							band.Low[0], band.High[0] = 0, 0
+						case "all-zero":
+							clear(band.Low)
+							clear(band.High)
+						}
+						opts := bandjoin.Options{Workers: 2, Seed: 5, CollectPairs: true}
 						s, tt := bandjoin.NewRelation("s", d), bandjoin.NewRelation("t", d)
 						foldRows(rng, s, 360, band, false)
 						foldRows(rng, tt, 360, band, true)
@@ -178,10 +187,7 @@ func TestEngineFoldGroundTruth(t *testing.T) {
 						if rebuilds == 0 {
 							t.Errorf("no query paid a stale rebuild; the append to T should have cost one")
 						}
-						switch {
-						case alg != "" && folds != 0:
-							t.Errorf("%d folds with %s, which keeps no per-row state of S", folds, alg)
-						case alg == "" && folds < 3:
+						if folds < 3 {
 							t.Errorf("%d folds over six appends of a tenth of S each, want at least 3", folds)
 						}
 					})
@@ -228,6 +234,8 @@ func TestPartitionersGroundTruth(t *testing.T) {
 		{"empty-T", 3, "one-sided", 102, 39, nil, 360, 0, false},
 		{"one-row-sides", 2, "asymmetric", 15, 16, nil, 1, 1, false},
 		{"append-on-boundaries", 2, "asymmetric", 17, 18, nil, 360, 360, true},
+		{"one-dim", 1, "asymmetric", 19, 20, nil, 360, 360, false},
+		{"one-dim-eps0", 1, "symmetric", 21, 22, []int{0}, 360, 360, false},
 	} {
 		band := foldBand(rand.New(rand.NewSource(row.bandSeed)), row.shape, row.d)
 		for _, j := range row.zero {

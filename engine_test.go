@@ -460,39 +460,30 @@ func TestEngineWarmOptimizationTimeIsPerQuery(t *testing.T) {
 	}
 }
 
-// TestEngineRetainedPreparedAlgorithmSwitch: the in-process retained plane
-// prebuilds local-join structures for the sealing query's algorithm; a later
-// warm query that names a different algorithm must still produce identical
-// pairs (the prepared structures are rebuilt for it, not misused).
-func TestEngineRetainedPreparedAlgorithmSwitch(t *testing.T) {
-	s, tt := bandjoin.Pareto(2, 1.4, 900, 41)
-	band := bandjoin.Uniform(2, 0.12)
-
-	e := bandjoin.NewEngine(bandjoin.EngineOptions{})
-	defer e.Close()
-	if err := e.Register("s", s); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	if err := e.Register("t", tt); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	base := bandjoin.Options{Workers: 3, Seed: 7, CollectPairs: true}
-
-	cold, err := e.Join(context.Background(), "s", "t", band, base)
-	if err != nil {
-		t.Fatalf("cold Join: %v", err)
-	}
-	for _, alg := range []string{"", "sort-probe", "grid-sort-scan", "nested-loop", "eps-grid"} {
-		opts := base
-		opts.LocalAlgorithm = alg
-		warm, err := e.Join(context.Background(), "s", "t", band, opts)
-		if err != nil {
-			t.Fatalf("warm Join (%q): %v", alg, err)
+// TestEngineRetainedWarmMatchesCold: on both planes, the warm queries of a
+// retained plan — probing the structures prebuilt when it was sealed — give
+// the cold query's pairs, which are the definition's, on every band shape.
+func TestEngineRetainedWarmMatchesCold(t *testing.T) {
+	planes := enginePlanes(t, 2)
+	for shape, in := range bandShapes(900, 41) {
+		want := definitionPairs(in.s, in.t, in.band)
+		for planeName, newEngine := range planes {
+			e := newEngine(bandjoin.EngineOptions{})
+			if err := e.Register("s", in.s); err != nil {
+				t.Fatalf("Register: %v", err)
+			}
+			if err := e.Register("t", in.t); err != nil {
+				t.Fatalf("Register: %v", err)
+			}
+			for _, step := range []string{"cold", "warm", "warm again"} {
+				res, err := e.Join(context.Background(), "s", "t", in.band, bandjoin.Options{Workers: 3, Seed: 7, CollectPairs: true})
+				if err != nil {
+					t.Fatalf("%s/%s, %s Join: %v", shape, planeName, step, err)
+				}
+				pairsEqual(t, fmt.Sprintf("%s/%s, %s: engine vs nested loop", shape, planeName, step), res.Pairs, want)
+			}
+			e.Close()
 		}
-		if warm.Output != cold.Output {
-			t.Fatalf("algorithm %q: output %d, want %d", alg, warm.Output, cold.Output)
-		}
-		pairsEqual(t, "cold vs warm "+alg, cold.Pairs, warm.Pairs)
 	}
 }
 

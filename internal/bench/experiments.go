@@ -131,7 +131,7 @@ func Workloads(cfg Config) (*Table, error) {
 	for _, w := range wls {
 		s, tt := w.make()
 		band := data.Symmetric(w.eps...)
-		count := localjoin.SortProbe{}.Join(s, tt, band, nil)
+		count := localjoin.Join(s, tt, band, nil)
 		row := Row{
 			Labels: labels(
 				"dataset", w.name,

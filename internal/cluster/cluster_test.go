@@ -373,8 +373,8 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 		t.Error("Load accepted an unknown relation side")
 	}
 	var jr JoinReply
-	if err := w.Join(&JoinArgs{JobID: "j", Band: data.Symmetric(1), Algorithm: "nope"}, &jr); err == nil {
-		t.Error("Join accepted an unknown algorithm")
+	if err := w.Join(&JoinArgs{JobID: "j", Band: data.Band{Low: []float64{1}, High: []float64{-1}}}, &jr); err == nil {
+		t.Error("Join accepted an invalid band")
 	}
 	// Establish a 1D partition, then try to append a 2D chunk to it: the
 	// mismatch must fail the Load instead of desyncing keys from IDs.

@@ -227,8 +227,6 @@ type Options struct {
 	// JobID names the job on the workers; empty generates one from the clock.
 	// An id is good for one run: workers close it when the run ends.
 	JobID string
-	// Algorithm is the local join algorithm name (localjoin.ByName).
-	Algorithm string
 	// Model supplies β coefficients for planning and load accounting.
 	Model costmodel.Model
 	// Sampling configures the optimization-phase samples.
@@ -807,7 +805,6 @@ func (c *Coordinator) runJoinsTransient(ctx context.Context, baseJob string, own
 				args := &JoinArgs{
 					JobID:        curJob,
 					Band:         band,
-					Algorithm:    opts.Algorithm,
 					CollectPairs: opts.CollectPairs,
 					Parallelism:  joinParallelism,
 					MorselRows:   opts.MorselRows,
@@ -907,7 +904,6 @@ func (c *Coordinator) runJoinsRetained(ctx context.Context, planID string, slots
 			args := &JoinArgs{
 				JobID:        planID,
 				Band:         band,
-				Algorithm:    opts.Algorithm,
 				CollectPairs: opts.CollectPairs,
 				Parallelism:  opts.JoinParallelism,
 				Retained:     true,
@@ -1132,7 +1128,7 @@ func (c *Coordinator) ensureShipped(ctx context.Context, rec *retainedPlanRec, p
 	for _, slot := range sealed {
 		wc := c.workers[slot]
 		var sr SealReply
-		sealArgs := &SealArgs{PlanID: opts.PlanID, Band: band, Algorithm: opts.Algorithm}
+		sealArgs := &SealArgs{PlanID: opts.PlanID, Band: band}
 		err := wc.call(ctx, ServiceName+".Seal", sealArgs, &sr, c.opts.callDeadline(), c.opts.MaxRetries, rs.retry)
 		if err == nil {
 			final = append(final, slot)
@@ -1555,7 +1551,6 @@ func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids
 				ExpectS:   routed.S.Rows(pid),
 				ExpectT:   routed.T.Rows(pid),
 				Band:      opts.band,
-				Algorithm: opts.Algorithm,
 				Attempt:   opts.attempt,
 			})
 		}

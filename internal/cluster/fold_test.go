@@ -8,7 +8,6 @@ import (
 
 	"bandjoin/internal/data"
 	"bandjoin/internal/exec"
-	"bandjoin/internal/localjoin"
 )
 
 // foldFixture is one worker holding a sealed retained plan "plan" whose
@@ -137,7 +136,6 @@ func (f *foldFixture) partition(pid int) *partitionData {
 func TestFoldBetweenJoinPhases(t *testing.T) {
 	f := newFoldFixture(t, 2, 2)
 	p0, p1 := f.partition(0), f.partition(1)
-	alg := localjoin.Default()
 	f.appendBatch(t, 0)
 
 	p1.mu.Lock()
@@ -153,7 +151,7 @@ func TestFoldBetweenJoinPhases(t *testing.T) {
 		}
 	}
 	f.appendBatch(t, 1)
-	if _, foldNanos := p0.refresh(alg, f.band); foldNanos == 0 {
+	if _, foldNanos := p0.refresh(f.band); foldNanos == 0 {
 		t.Error("the second query's first phase did not fold batch 1")
 	}
 	p1.mu.Unlock()

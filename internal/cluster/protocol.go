@@ -43,10 +43,9 @@ type LoadArgs struct {
 	// guarding the marker against net/rpc's out-of-order request dispatch.
 	ExpectS int
 	ExpectT int
-	// Band and Algorithm describe the upcoming Join call so the background
-	// preparation builds the right structure. Set only on marker Loads.
-	Band      data.Band
-	Algorithm string
+	// Band describes the upcoming Join call so the background preparation
+	// builds the right structure. Set only on marker Loads.
+	Band data.Band
 	// Retain stores the partition data in the worker's retained-plan registry
 	// under JobID (a plan fingerprint) instead of the transient job table:
 	// the data survives job completion, failure, and Reset, and serves later
@@ -85,9 +84,6 @@ type LoadReply struct {
 type JoinArgs struct {
 	JobID string
 	Band  data.Band
-	// Algorithm is the local join algorithm name (see localjoin.ByName);
-	// empty selects the default.
-	Algorithm string
 	// CollectPairs requests the result pairs (original tuple index pairs) in
 	// the reply; otherwise only counts are returned.
 	CollectPairs bool
@@ -179,9 +175,6 @@ type SealArgs struct {
 	// the band, so the join structure prebuilt for it serves every later
 	// query of the plan.
 	Band data.Band
-	// Algorithm is the local join algorithm name the structure is built for
-	// (empty selects the default).
-	Algorithm string
 }
 
 // SealReply reports the sealed plan's resident partition count.

@@ -288,14 +288,13 @@ type partitionData struct {
 	t    *data.Relation
 	tIDs []int64
 
-	// prepared caches the local join's reusable T-side structure (ε-grid
-	// buckets or sorted rows), keyed by algorithm name and band. For retained
-	// partitions it is prebuilt at Seal time for the plan's band and rebuilt
-	// lazily if a query asks for a different algorithm; for transient
+	// prepared caches the local join's reusable structure (the ε-grid),
+	// keyed by band. For retained partitions it is prebuilt at Seal time for
+	// the plan's band and rebuilt lazily after a T-side delta; for transient
 	// partitions the pipelined-join path builds it in the background as soon
 	// as the partition's shipment completes.
 	prepKey  string
-	prepared localjoin.PreparedT
+	prepared *localjoin.EpsGrid
 
 	// Pipelined-join marker state (transient jobs only). expectS/expectT are
 	// the partition's final per-side tuple counts from the coordinator's
@@ -305,7 +304,6 @@ type partitionData struct {
 	// build so it is spawned at most once.
 	expectS, expectT int
 	markerBand       data.Band
-	markerAlg        string
 	preparing        bool
 }
 
@@ -328,27 +326,25 @@ func (p *partitionData) readyLocked() bool {
 
 // prepCanceled marks a transient partition whose join started before the
 // queued background preparation did: spawnPrepare backs off (prepKey is no
-// longer empty) and the join runs its plain sort inline exactly once. It can
-// never collide with a real prep key (those are "name|band" strings).
+// longer empty) and the join builds its structure inline exactly once. It can
+// never collide with a real prep key (those are "low|high" strings).
 const prepCanceled = "\x00canceled"
 
-// prepKeyFor names one (algorithm, band) combination a prepared structure is
-// valid for.
-func prepKeyFor(alg localjoin.Algorithm, band data.Band) string {
-	return fmt.Sprintf("%s|%v|%v", alg.Name(), band.Low, band.High)
+// prepKeyFor names the band a prepared structure is valid for.
+func prepKeyFor(band data.Band) string {
+	return fmt.Sprintf("%v|%v", band.Low, band.High)
 }
 
-// refresh brings a retained partition's prepared join up to date for (alg,
-// band) before a probe, and reports the nanoseconds of whichever of two things
-// that took (both zero when the cached structure was current):
+// refresh brings a retained partition's prepared join up to date for band
+// before a probe, and reports the nanoseconds of whichever of two things that
+// took (both zero when the cached structure was current):
 //
-//   - a rebuild, when the query asks for a different algorithm than the plan
-//     was sealed with, or a delta append to the T side invalidated the sealed
-//     structure (Load clears prepKey; an append to S alone keeps it unless the
-//     structure pins S, see localjoin.SurvivesSAppend). localjoin.Prepare is
-//     correct over inputs in any order — the ε-grid does not sort them, the
-//     sorted scans sort copies — so rebuilding over an unsorted appended tail
-//     is too;
+//   - a rebuild, when a delta append to the T side invalidated the sealed
+//     structure (Load clears prepKey; an append to S alone keeps it, unless
+//     the partition joined through the nested loop and had none), or when the
+//     query's band is not the one the structure was built for.
+//     localjoin.Prepare is correct over inputs in any order — the ε-grid does
+//     not sort them — so rebuilding over an unsorted appended tail is too;
 //   - a fold (exec.FoldS), when the structure stands but the rows appended to
 //     S since the seal or the last fold have outgrown their share: S and its
 //     IDs are re-sorted and the structure gets lists for all of S, the T side
@@ -358,8 +354,8 @@ func prepKeyFor(alg localjoin.Algorithm, band data.Band) string {
 //     for one S order must never meet another.
 //
 // The structure itself is fetched afterwards, under the join's read lock.
-func (p *partitionData) refresh(alg localjoin.Algorithm, band data.Band) (rebuildNanos, foldNanos int64) {
-	key := prepKeyFor(alg, band)
+func (p *partitionData) refresh(band data.Band) (rebuildNanos, foldNanos int64) {
+	key := prepKeyFor(band)
 	p.mu.RLock()
 	current := p.prepKey == key && !exec.NeedsFold(p.s, p.prepared)
 	p.mu.RUnlock()
@@ -370,7 +366,7 @@ func (p *partitionData) refresh(alg localjoin.Algorithm, band data.Band) (rebuil
 	defer p.mu.Unlock()
 	if p.prepKey != key {
 		start := time.Now()
-		p.prepared = localjoin.Prepare(alg, p.s, p.t, band)
+		p.prepared = localjoin.Prepare(p.s, p.t, band)
 		p.prepKey = key
 		rebuildNanos = time.Since(start).Nanoseconds()
 	} else if exec.NeedsFold(p.s, p.prepared) {
@@ -382,11 +378,11 @@ func (p *partitionData) refresh(alg localjoin.Algorithm, band data.Band) (rebuil
 }
 
 // preparedLocked returns the partition's prepared join if it is the one for
-// (alg, band), else nil (a T-side delta landed since refresh; the join builds
-// or sorts for itself, as for a transient partition). Caller holds p.mu, and
-// keeps holding it while it probes the structure with p.s.
-func (p *partitionData) preparedLocked(alg localjoin.Algorithm, band data.Band) localjoin.PreparedT {
-	if p.prepKey != prepKeyFor(alg, band) {
+// band, else nil (a T-side delta landed since refresh; the join builds for
+// itself, as for a transient partition). Caller holds p.mu, and keeps holding
+// it while it probes the structure with p.s.
+func (p *partitionData) preparedLocked(band data.Band) *localjoin.EpsGrid {
+	if p.prepKey != prepKeyFor(band) {
 		return nil
 	}
 	return p.prepared
@@ -576,8 +572,10 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 		// invalidate it under the write lock already held; the next probe's
 		// refresh rebuilds lazily. Rows appended to S leave T and its
 		// structure as they were, and the structure probes them too (refresh
-		// folds them in once they outgrow their share).
-		if args.Side == "T" || !localjoin.SurvivesSAppend(p.prepared) {
+		// folds them in once they outgrow their share). A partition that
+		// joined through the nested loop is re-prepared: it may have outgrown
+		// it.
+		if args.Side == "T" || p.prepared == nil {
 			p.prepKey = ""
 			p.prepared = nil
 		}
@@ -725,7 +723,7 @@ func (w *Worker) completeMarker(args *LoadArgs) error {
 
 	p.mu.Lock()
 	p.expectS, p.expectT = args.ExpectS, args.ExpectT
-	p.markerBand, p.markerAlg = args.Band, args.Algorithm
+	p.markerBand = args.Band
 	spawn := false
 	if p.readyLocked() {
 		p.preparing = true
@@ -760,14 +758,8 @@ func (w *Worker) spawnPrepare(p *partitionData) {
 		if band.Validate() != nil || p.s.Dims() != band.Dims() {
 			return
 		}
-		alg := localjoin.Default()
-		if p.markerAlg != "" {
-			if a, ok := localjoin.ByName(p.markerAlg); ok {
-				alg = a
-			}
-		}
-		p.prepared = localjoin.Prepare(alg, p.s, p.t, band)
-		p.prepKey = prepKeyFor(alg, band)
+		p.prepared = localjoin.Prepare(p.s, p.t, band)
+		p.prepKey = prepKeyFor(band)
 		w.m.pipelinedPreps.Inc()
 	}()
 }
@@ -781,14 +773,6 @@ func (w *Worker) Join(args *JoinArgs, reply *JoinReply) error {
 		return err
 	}
 	defer w.endWork()
-	alg := localjoin.Default()
-	if args.Algorithm != "" {
-		a, ok := localjoin.ByName(args.Algorithm)
-		if !ok {
-			return fmt.Errorf("cluster: unknown local join algorithm %q", args.Algorithm)
-		}
-		alg = a
-	}
 	if err := args.Band.Validate(); err != nil {
 		return fmt.Errorf("cluster: invalid band condition: %w", err)
 	}
@@ -838,7 +822,7 @@ func (w *Worker) Join(args *JoinArgs, reply *JoinReply) error {
 	// MorselRows < 0 selects the retained one-goroutine-per-partition path,
 	// the correctness oracle the morsel reply must stay bit-identical to.
 	if args.MorselRows >= 0 {
-		reply.Partitions = w.joinTasksMorsels(alg, tasks, args, parallelism)
+		reply.Partitions = w.joinTasksMorsels(tasks, args, parallelism)
 		return nil
 	}
 
@@ -857,7 +841,7 @@ func (w *Worker) Join(args *JoinArgs, reply *JoinReply) error {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			stats[i] = w.joinPartition(alg, tasks[i].pid, tasks[i].p, args, args.Retained)
+			stats[i] = w.joinPartition(tasks[i].pid, tasks[i].p, args, args.Retained)
 		}(i)
 	}
 	wg.Wait()
@@ -871,24 +855,24 @@ func (w *Worker) Join(args *JoinArgs, reply *JoinReply) error {
 // lock) waits for running joins instead of racing them. Retained partitions
 // probe the cached prepared structure (built at Seal) instead of rebuilding
 // the join's index per query.
-func (w *Worker) joinPartition(alg localjoin.Algorithm, pid int, p *partitionData, args *JoinArgs, retained bool) PartitionStats {
+func (w *Worker) joinPartition(pid int, p *partitionData, args *JoinArgs, retained bool) PartitionStats {
 	w.m.joinInflight.Add(1)
 	defer w.m.joinInflight.Add(-1)
-	var prep localjoin.PreparedT
+	var prep *localjoin.EpsGrid
 	var rebuildNanos, foldNanos int64
 	if retained {
-		rebuildNanos, foldNanos = p.refresh(alg, args.Band)
+		rebuildNanos, foldNanos = p.refresh(args.Band)
 		w.m.observeRefresh(rebuildNanos, foldNanos)
 	}
 	if !retained {
 		// Pipelined-join handoff. If the background build finished (or is
 		// mid-build — the write lock waits for it), adopt its structure and
-		// probe instead of sorting. If the build is still queued behind the
+		// probe instead of building. If the build is still queued behind the
 		// prep semaphore, cancel it: the join phase has started, so a late
-		// prepare could only duplicate the sort this join is about to run
+		// prepare could only duplicate the build this join is about to run
 		// inline, stealing cores from the remaining joins (spawnPrepare sees
 		// prepKey set and backs off).
-		key := prepKeyFor(alg, args.Band)
+		key := prepKeyFor(args.Band)
 		p.mu.Lock()
 		switch p.prepKey {
 		case key:
@@ -901,7 +885,7 @@ func (w *Worker) joinPartition(alg localjoin.Algorithm, pid int, p *partitionDat
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if retained {
-		prep = p.preparedLocked(alg, args.Band)
+		prep = p.preparedLocked(args.Band)
 	}
 	start := time.Now()
 	stats := PartitionStats{Partition: pid, InputS: p.s.Len(), InputT: p.t.Len(), RebuildNanos: rebuildNanos, FoldNanos: foldNanos}
@@ -915,7 +899,7 @@ func (w *Worker) joinPartition(alg localjoin.Algorithm, pid int, p *partitionDat
 	if prep != nil {
 		stats.Output = prep.Probe(p.s, emit)
 	} else {
-		stats.Output = alg.Join(p.s, p.t, args.Band, emit)
+		stats.Output = localjoin.Join(p.s, p.t, args.Band, emit)
 	}
 	stats.JoinNanos = time.Since(start).Nanoseconds()
 	w.m.partitionsJoined.Inc()
@@ -932,7 +916,7 @@ type joinTask struct {
 
 // morselTaskState is one partition's resolved probe setup for the morsel join.
 type morselTaskState struct {
-	prep         localjoin.PreparedT
+	prep         *localjoin.EpsGrid
 	rebuildNanos int64
 	foldNanos    int64
 }
@@ -945,7 +929,7 @@ type morselTaskState struct {
 // — the same exclusion against late Loads the per-partition path has, just
 // wider — and each partition's pairs are concatenated in morsel order, so the
 // reply is bit-identical to the per-partition oracle path.
-func (w *Worker) joinTasksMorsels(alg localjoin.Algorithm, tasks []joinTask, args *JoinArgs, parallelism int) []PartitionStats {
+func (w *Worker) joinTasksMorsels(tasks []joinTask, args *JoinArgs, parallelism int) []PartitionStats {
 	n := len(tasks)
 	if n == 0 {
 		return []PartitionStats{}
@@ -965,12 +949,12 @@ func (w *Worker) joinTasksMorsels(alg localjoin.Algorithm, tasks []joinTask, arg
 			st := &states[i]
 			p := tasks[i].p
 			if args.Retained {
-				st.rebuildNanos, st.foldNanos = p.refresh(alg, args.Band)
+				st.rebuildNanos, st.foldNanos = p.refresh(args.Band)
 				w.m.observeRefresh(st.rebuildNanos, st.foldNanos)
 			} else {
 				// Pipelined-join handoff, as in joinPartition: adopt a finished
 				// background build, cancel a queued one.
-				key := prepKeyFor(alg, args.Band)
+				key := prepKeyFor(args.Band)
 				p.mu.Lock()
 				switch p.prepKey {
 				case key:
@@ -991,7 +975,7 @@ func (w *Worker) joinTasksMorsels(alg localjoin.Algorithm, tasks []joinTask, arg
 	for i := range tasks {
 		tasks[i].p.mu.RLock()
 		if args.Retained {
-			states[i].prep = tasks[i].p.preparedLocked(alg, args.Band)
+			states[i].prep = tasks[i].p.preparedLocked(args.Band)
 		}
 	}
 	defer func() {
@@ -1001,12 +985,12 @@ func (w *Worker) joinTasksMorsels(alg localjoin.Algorithm, tasks []joinTask, arg
 	}()
 
 	// A partition without a structure is prepared when the morsel scheduler
-	// reaches it — the sort/grid work its plain join would have spent inline,
+	// reaches it — the grid its plain join would have built inline,
 	// paid once and then probed by every morsel — and released after its last.
 	jobs := make([]exec.MorselJob, n)
 	for i := range tasks {
 		p := tasks[i].p
-		jobs[i] = exec.PartitionJob(alg, states[i].prep, p.s, p.t, args.Band)
+		jobs[i] = exec.PartitionJob(states[i].prep, p.s, p.t, args.Band)
 	}
 	// The context never cancels (worker RPCs run to completion), so the only
 	// error path of RunMorsels is unreachable here.
@@ -1112,15 +1096,7 @@ func (w *Worker) Seal(args *SealArgs, reply *SealReply) error {
 	// permuted under its own write lock so a straggler Load cannot race the
 	// reorder. When the seal names a valid band, the local join's reusable
 	// structure is built here too — once, off every query's critical path.
-	var prebuildAlg localjoin.Algorithm
-	if args.Band.Validate() == nil {
-		prebuildAlg = localjoin.Default()
-		if args.Algorithm != "" {
-			if a, ok := localjoin.ByName(args.Algorithm); ok {
-				prebuildAlg = a
-			}
-		}
-	}
+	prebuild := args.Band.Validate() == nil
 	parallelism := runtime.GOMAXPROCS(0)
 	if w.maxParallelism > 0 && parallelism > w.maxParallelism {
 		parallelism = w.maxParallelism
@@ -1136,9 +1112,9 @@ func (w *Worker) Seal(args *SealArgs, reply *SealReply) error {
 			p.mu.Lock()
 			sorted := (&exec.PartitionInput{S: p.s, SIDs: p.sIDs, T: p.t, TIDs: p.tIDs}).Presort()
 			p.s, p.sIDs, p.t, p.tIDs = sorted.S, sorted.SIDs, sorted.T, sorted.TIDs
-			if prebuildAlg != nil && p.s.Dims() == args.Band.Dims() {
-				p.prepared = localjoin.Prepare(prebuildAlg, p.s, p.t, args.Band)
-				p.prepKey = prepKeyFor(prebuildAlg, args.Band)
+			if prebuild && p.s.Dims() == args.Band.Dims() {
+				p.prepared = localjoin.Prepare(p.s, p.t, args.Band)
+				p.prepKey = prepKeyFor(args.Band)
 			}
 			p.mu.Unlock()
 		}(p)

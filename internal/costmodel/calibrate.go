@@ -17,8 +17,6 @@ type CalibrationOptions struct {
 	Queries int
 	// MaxInput is the largest per-side input size of a training join.
 	MaxInput int
-	// Algorithm is the local join algorithm being profiled.
-	Algorithm localjoin.Algorithm
 	// Seed makes calibration deterministic.
 	Seed int64
 }
@@ -27,7 +25,7 @@ type CalibrationOptions struct {
 // under a second while still spanning an order of magnitude of input and
 // output sizes.
 func DefaultCalibration() CalibrationOptions {
-	return CalibrationOptions{Queries: 40, MaxInput: 20000, Algorithm: localjoin.Default(), Seed: 7}
+	return CalibrationOptions{Queries: 40, MaxInput: 20000, Seed: 7}
 }
 
 // CalibrationResult is the outcome of a calibration run.
@@ -51,9 +49,6 @@ func Calibrate(opts CalibrationOptions) (*CalibrationResult, error) {
 	if opts.Queries <= 0 {
 		opts = DefaultCalibration()
 	}
-	if opts.Algorithm == nil {
-		opts.Algorithm = localjoin.Default()
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	var (
@@ -75,7 +70,7 @@ func Calibrate(opts CalibrationOptions) (*CalibrationResult, error) {
 		band := data.Symmetric(eps)
 
 		start := time.Now()
-		out := opts.Algorithm.Join(s, t, band, nil)
+		out := localjoin.Join(s, t, band, nil)
 		elapsed := time.Since(start).Seconds()
 
 		im := float64(s.Len() + t.Len())

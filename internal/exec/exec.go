@@ -31,11 +31,6 @@ import (
 type Options struct {
 	// Workers is the number of simulated worker machines.
 	Workers int
-	// Algorithm is the local band-join algorithm; nil selects the adaptive
-	// default (localjoin.Auto: nested loop for tiny partitions, 2D local
-	// ε-grid for multi-dimensional bands, sorted probe for 1D, sorted
-	// sliding-window scan otherwise).
-	Algorithm localjoin.Algorithm
 	// Model supplies the β coefficients; a zero value selects the default.
 	Model costmodel.Model
 	// Sampling configures the optimization-phase samples.
@@ -269,13 +264,12 @@ func ExecutePlan(ctx context.Context, plan partition.Plan, s, t *data.Relation, 
 	}
 	shuffleTime := time.Since(shuffleStart)
 
-	alg := algorithm(opts)
 	jobs := make([]MorselJob, r.NumPartitions)
 	tuples := make([]int64, r.NumPartitions)
 	ids := make([][2][]int64, r.NumPartitions) // filled by the builds when pairs are collected
 	for _, pid := range r.NonEmpty() {
 		tuples[pid] = int64(r.S.Rows(pid) + r.T.Rows(pid))
-		jobs[pid] = preparingJob(r.S.Rows(pid), alg, band, func() (*data.Relation, *data.Relation, func()) {
+		jobs[pid] = preparingJob(r.S.Rows(pid), band, func() (*data.Relation, *data.Relation, func()) {
 			buf := gatherPool.Get().(*gatherBuf)
 			var sIDs, tIDs *[]int64
 			if opts.CollectPairs {
@@ -300,20 +294,18 @@ type gatherBuf struct{ s, t []float64 }
 var gatherPool = sync.Pool{New: func() any { return new(gatherBuf) }}
 
 // PrepareShuffled builds, for every non-nil partition, the local join's
-// reusable T-side structure for (p.S, p.T, band) with the given algorithm
-// (nil selects the default), running at most parallelism builds concurrently
-// (< 1 selects GOMAXPROCS). Entries are nil where the algorithm has no
-// prepared form. It is the in-process analogue of the cluster workers'
-// Seal-time prebuild: paid once at retention time, off every warm query's
-// critical path.
-func PrepareShuffled(parts []*PartitionInput, band data.Band, alg localjoin.Algorithm, parallelism int) []localjoin.PreparedT {
-	if alg == nil {
-		alg = localjoin.Default()
-	}
+// reusable structure for (p.S, p.T, band) (localjoin.Prepare), running at most
+// parallelism builds concurrently (< 1 selects GOMAXPROCS). Entries are nil
+// where the partition joins through the nested loop. It is the in-process
+// analogue of the cluster workers' Seal-time prebuild: paid once at retention
+// time, off every warm query's critical path. The third parameter is unused:
+// it named the local join algorithm, and stays only because the benchmark
+// harness (benchmark/replay.go) passes nil there.
+func PrepareShuffled(parts []*PartitionInput, band data.Band, _ any, parallelism int) []*localjoin.EpsGrid {
 	if parallelism < 1 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	prepared := make([]localjoin.PreparedT, len(parts))
+	prepared := make([]*localjoin.EpsGrid, len(parts))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, parallelism)
 	for pid, p := range parts {
@@ -325,7 +317,7 @@ func PrepareShuffled(parts []*PartitionInput, band data.Band, alg localjoin.Algo
 		go func(pid int, p *PartitionInput) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			prepared[pid] = localjoin.Prepare(alg, p.S, p.T, band)
+			prepared[pid] = localjoin.Prepare(p.S, p.T, band)
 		}(pid, p)
 	}
 	wg.Wait()
@@ -343,83 +335,66 @@ func ExecuteShuffled(ctx context.Context, plan partition.Plan, parts []*Partitio
 }
 
 // ExecuteShuffledPrepared is ExecuteShuffled over partitions whose reusable
-// join structures were prebuilt with PrepareShuffled (for the same algorithm
-// and band): partitions with a non-nil entry probe the prepared structure
-// instead of rebuilding sort orders and grid buckets per query. prepared may
-// be nil or sparse; those partitions prepare once for this query. Results
-// are identical either way (PreparedT.Probe emits exactly the pairs of the
-// corresponding Join, in the same order).
-func ExecuteShuffledPrepared(ctx context.Context, plan partition.Plan, parts []*PartitionInput, prepared []localjoin.PreparedT, totalInput int64, inputS, inputT int, band data.Band, opts Options) (*Result, error) {
+// join structures were prebuilt with PrepareShuffled (for the same band):
+// partitions with a non-nil entry probe the prepared structure instead of
+// rebuilding grid buckets per query. prepared may be nil or sparse; those
+// partitions prepare once for this query. Results are identical either way
+// (a prepared probe emits exactly the pairs of the one-shot join, in the same
+// order).
+func ExecuteShuffledPrepared(ctx context.Context, plan partition.Plan, parts []*PartitionInput, prepared []*localjoin.EpsGrid, totalInput int64, inputS, inputT int, band data.Band, opts Options) (*Result, error) {
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("exec: need at least one worker, got %d", opts.Workers)
 	}
-	alg := algorithm(opts)
 	jobs := make([]MorselJob, len(parts))
 	tuples := make([]int64, len(parts))
 	for pid, p := range parts {
 		if p == nil {
 			continue
 		}
-		var prep localjoin.PreparedT
+		var prep *localjoin.EpsGrid
 		if pid < len(prepared) {
 			prep = prepared[pid]
 		}
-		jobs[pid] = PartitionJob(alg, prep, p.S, p.T, band)
+		jobs[pid] = PartitionJob(prep, p.S, p.T, band)
 		tuples[pid] = int64(p.Tuples())
 	}
 	return reduce(ctx, plan, jobs, tuples, func(pid int) ([]int64, []int64) { return parts[pid].SIDs, parts[pid].TIDs },
 		totalInput, inputS, inputT, opts)
 }
 
-// algorithm returns the local join the options select.
-func algorithm(opts Options) localjoin.Algorithm {
-	if opts.Algorithm == nil {
-		return localjoin.Default()
-	}
-	return opts.Algorithm
-}
-
 // PartitionJob is the morsel job joining one partition (s, t): over prep, the
 // structure built for it earlier, when there is one, and otherwise through a
 // Build that prepares the partition once (localjoin.PrepareOnce) and a release
 // that hands the structure back after the job's last morsel.
-func PartitionJob(alg localjoin.Algorithm, prep localjoin.PreparedT, s, t *data.Relation, band data.Band) MorselJob {
-	if rp, ok := prep.(localjoin.RangeProber); ok {
-		return MorselJob{Rows: s.Len(), Run: func(lo, hi int, emit localjoin.Emit) int64 {
-			return rp.ProbeRange(s, lo, hi, emit)
-		}}
-	}
+func PartitionJob(prep *localjoin.EpsGrid, s, t *data.Relation, band data.Band) MorselJob {
 	if prep != nil {
-		return MorselJob{Rows: s.Len(), Single: true, Run: func(_, _ int, emit localjoin.Emit) int64 {
-			return prep.Probe(s, emit)
+		return MorselJob{Rows: s.Len(), Run: func(lo, hi int, emit localjoin.Emit) int64 {
+			return prep.ProbeRange(s, lo, hi, emit)
 		}}
 	}
-	return preparingJob(s.Len(), alg, band, func() (*data.Relation, *data.Relation, func()) { return s, t, nil })
+	return preparingJob(s.Len(), band, func() (*data.Relation, *data.Relation, func()) { return s, t, nil })
 }
 
 // preparingJob is the job of a partition of rows S-rows without a structure:
 // its Build loads the two sides, prepares them once, and its release hands the
-// structure back and calls the loader's done. Only an algorithm without a range
-// form runs whole partitions (Single).
-func preparingJob(rows int, alg localjoin.Algorithm, band data.Band, load func() (s, t *data.Relation, done func())) MorselJob {
-	rj, ranged := alg.(localjoin.RangeJoiner)
-	return MorselJob{Rows: rows, Single: !ranged, Build: func() (RangeRun, func()) {
+// structure back and calls the loader's done.
+func preparingJob(rows int, band data.Band, load func() (s, t *data.Relation, done func())) MorselJob {
+	return MorselJob{Rows: rows, Build: func() (RangeRun, func()) {
 		s, t, done := load()
-		prep := localjoin.PrepareOnce(alg, s, t, band)
+		prep := localjoin.PrepareOnce(s, t, band)
 		release := func() {
 			localjoin.Release(prep)
 			if done != nil {
 				done()
 			}
 		}
-		if rp, ok := prep.(localjoin.RangeProber); ok {
-			return func(lo, hi int, emit localjoin.Emit) int64 { return rp.ProbeRange(s, lo, hi, emit) }, release
+		if prep == nil {
+			// The nested loop (or an empty side): nothing to share.
+			return func(lo, hi int, emit localjoin.Emit) int64 {
+				return localjoin.NestedLoop{}.JoinRange(s, t, band, lo, hi, emit)
+			}, release
 		}
-		if ranged {
-			// No structure: the nested loop (or an empty side), nothing to share.
-			return func(lo, hi int, emit localjoin.Emit) int64 { return rj.JoinRange(s, t, band, lo, hi, emit) }, release
-		}
-		return func(_, _ int, emit localjoin.Emit) int64 { return alg.Join(s, t, band, emit) }, release
+		return func(lo, hi int, emit localjoin.Emit) int64 { return prep.ProbeRange(s, lo, hi, emit) }, release
 	}}
 }
 

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bandjoin/internal/core"
@@ -10,7 +12,6 @@ import (
 	"bandjoin/internal/data"
 	"bandjoin/internal/grid"
 	"bandjoin/internal/iejoin"
-	"bandjoin/internal/localjoin"
 	"bandjoin/internal/onebucket"
 	"bandjoin/internal/partition"
 	"bandjoin/internal/sample"
@@ -184,18 +185,60 @@ func TestEstimateAgreesRoughlyWithExecution(t *testing.T) {
 	}
 }
 
-func TestExecutePlanWithExplicitAlgorithms(t *testing.T) {
-	s, tt, band := testInputs(300, 41)
-	want := bruteForce(s, tt, band)
-	for _, alg := range []localjoin.Algorithm{localjoin.NestedLoop{}, localjoin.SortProbe{}, localjoin.GridSortScan{}} {
-		opts := DefaultOptions(3)
-		opts.Algorithm = alg
-		opts.CollectPairs = true
-		res, err := Run(onebucket.New(), s, tt, band, opts)
-		if err != nil {
-			t.Fatalf("Run with %s: %v", alg.Name(), err)
+// joinInputs is one join's relations and band.
+type joinInputs struct {
+	s, t *data.Relation
+	band data.Band
+}
+
+// bandShapeInputs are the band shapes the local ε-grid took over from two
+// deleted kernels: one dimension, a zero width on dimension 0, and an
+// equi-join on every dimension, over keys on an integer lattice wherever a
+// width is zero, so that there are pairs to find.
+func bandShapeInputs(n int, seed int64) map[string]joinInputs {
+	lattice := func(d, latticeDims int, scale float64) (*data.Relation, *data.Relation) {
+		s, t := data.ParetoPair(d, 1.5, n, seed)
+		for _, r := range []*data.Relation{s, t} {
+			for i := 0; i < r.Len(); i++ {
+				for j := 0; j < latticeDims; j++ {
+					r.Key(i)[j] = math.Floor(scale * r.Key(i)[j])
+				}
+			}
 		}
-		checkExactlyOnce(t, res, want)
+		return s, t
+	}
+	s1, t1 := data.ParetoPair(1, 1.5, n, seed)
+	s3, t3 := lattice(3, 1, 4)
+	s2, t2 := lattice(2, 2, 2)
+	return map[string]joinInputs{
+		"1d":        {s1, t1, data.Symmetric(0.01)},
+		"zero-dim0": {s3, t3, data.Symmetric(0, 0.3, 0.3)},
+		"all-zero":  {s2, t2, data.Symmetric(0, 0)},
+	}
+}
+
+// TestExecutePlanOnEveryBandShape runs every partitioner over the band shapes
+// of bandShapeInputs and checks the pairs against the definition.
+func TestExecutePlanOnEveryBandShape(t *testing.T) {
+	for shape, in := range bandShapeInputs(300, 41) {
+		want := bruteForce(in.s, in.t, in.band)
+		if len(want) == 0 {
+			t.Fatalf("%s: the definition has no pairs; the inputs exercise nothing", shape)
+		}
+		for _, pt := range allPartitioners() {
+			opts := DefaultOptions(3)
+			opts.CollectPairs = true
+			res, err := Run(pt, in.s, in.t, in.band, opts)
+			if err != nil {
+				// Grid-ε and Grid* are undefined for a zero width
+				// (TestGridRejectsEquiJoin); nothing else may fail.
+				if !strings.HasPrefix(pt.Name(), "Grid") || in.band.MaxWidth(0) != 0 {
+					t.Errorf("%s/%s: %v", shape, pt.Name(), err)
+				}
+				continue
+			}
+			checkExactlyOnce(t, res, want)
+		}
 	}
 }
 

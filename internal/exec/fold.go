@@ -21,7 +21,7 @@ const foldTail = 16
 
 // NeedsFold reports whether FoldS is due for a retained partition's S side
 // and its prepared structure.
-func NeedsFold(s *data.Relation, prep localjoin.PreparedT) bool {
+func NeedsFold(s *data.Relation, prep *localjoin.EpsGrid) bool {
 	tail := localjoin.UnresolvedS(prep, s)
 	return tail*foldTail > s.Len()-tail
 }
@@ -36,7 +36,7 @@ func NeedsFold(s *data.Relation, prep localjoin.PreparedT) bool {
 // probes (both planes' retained partitions do), and must not probe the new S
 // with prep or the old S with the result. The inputs are not modified; probes
 // still running on them stay correct.
-func FoldS(s *data.Relation, sIDs []int64, prep localjoin.PreparedT) (*data.Relation, []int64, localjoin.PreparedT, time.Duration) {
+func FoldS(s *data.Relation, sIDs []int64, prep *localjoin.EpsGrid) (*data.Relation, []int64, *localjoin.EpsGrid, time.Duration) {
 	start := time.Now()
 	s, sIDs = sortByDim0(s, sIDs, s.Len()/foldTail+s.Len()/(4*foldTail))
 	prep = localjoin.ResolveS(prep, s)

@@ -86,20 +86,20 @@ func skewedPair(n int) (*data.Relation, *data.Relation, data.Band) {
 // tailedPartition returns a partition as a retained one stands after appends:
 // the first n−tail rows of S presorted and prepared with T, the last tail rows
 // appended behind them in arrival order.
-func tailedPartition(s, t *data.Relation, band data.Band, tail int) (*PartitionInput, localjoin.PreparedT) {
+func tailedPartition(s, t *data.Relation, band data.Band, tail int) (*PartitionInput, *localjoin.EpsGrid) {
 	n := s.Len()
 	ids := make([]int64, n)
 	for i := range ids {
 		ids[i] = int64(i)
 	}
 	sealed := (&PartitionInput{S: s.Slice("s", 0, n-tail), SIDs: ids[:n-tail], T: t, TIDs: ids[:t.Len()]}).Presort()
-	prep := localjoin.Prepare(localjoin.EpsGrid{}, sealed.S, sealed.T, band)
+	prep := localjoin.Prepare(sealed.S, sealed.T, band)
 	sealed.S = sealed.S.Extend(s.Slice("d", n-tail, n))
 	sealed.SIDs = append(sealed.SIDs, ids[n-tail:]...)
 	return sealed, prep
 }
 
-func probePairs(prep localjoin.PreparedT, p *PartitionInput, sIDs []int64) []Pair {
+func probePairs(prep *localjoin.EpsGrid, p *PartitionInput, sIDs []int64) []Pair {
 	var pairs []Pair
 	prep.Probe(p.S, func(si, ti int, _, _ []float64) {
 		pairs = append(pairs, Pair{S: sIDs[si], T: p.TIDs[ti]})
@@ -118,9 +118,33 @@ func probePairs(prep localjoin.PreparedT, p *PartitionInput, sIDs []int64) []Pai
 // unresolved and room for the next tail; the inputs are untouched (a probe
 // still running on them stays right).
 // And the three do belong together: the old structure over the folded S gives
-// other pairs — which is what both planes' locking is there to prevent.
+// other pairs — which is what both planes' locking is there to prevent. It runs
+// on the serving shape and on its exact-key twin, a zero width on dimension 0,
+// which folds like any other band.
 func TestFoldS(t *testing.T) {
-	s, tt, band := skewedPair(6000)
+	for _, shape := range []string{"2d", "zero-dim0"} {
+		s, tt, band := skewedPair(6000)
+		if shape == "zero-dim0" {
+			s, tt, band = exactDim0(s, tt, band)
+		}
+		t.Run(shape, func(t *testing.T) { testFoldS(t, s, tt, band) })
+	}
+}
+
+// exactDim0 puts dimension 0 of s and t on a lattice of integers (⌊50·x⌋) and
+// gives band width zero there.
+func exactDim0(s, t *data.Relation, band data.Band) (*data.Relation, *data.Relation, data.Band) {
+	for _, r := range []*data.Relation{s, t} {
+		for i := 0; i < r.Len(); i++ {
+			r.Key(i)[0] = math.Floor(50 * r.Key(i)[0])
+		}
+	}
+	low, high := slices.Clone(band.Low), slices.Clone(band.High)
+	low[0], high[0] = 0, 0
+	return s, t, data.Asymmetric(low, high)
+}
+
+func testFoldS(t *testing.T, s, tt *data.Relation, band data.Band) {
 	p, prep := tailedPartition(s, tt, band, 600)
 	// The rule: more than a sixteenth of the rows before them, 17·k > 6000.
 	for tail, want := range map[int]bool{0: false, 352: false, 353: true, 600: true} {
@@ -168,12 +192,6 @@ func TestFoldS(t *testing.T) {
 		t.Error("the old structure answers for the folded S: this input cannot show a stale structure")
 	}
 
-	// Structures without per-row S state have nothing to fold.
-	for _, alg := range []localjoin.Algorithm{localjoin.SortProbe{}, localjoin.GridSortScan{}} {
-		if other := localjoin.Prepare(alg, p.S, p.T, band); NeedsFold(p.S.Extend(p.S), other) {
-			t.Errorf("%s structure asks for a fold", alg.Name())
-		}
-	}
 	if NeedsFold(p.S, nil) {
 		t.Error("a partition without a prepared structure asks for a fold")
 	}
@@ -202,7 +220,7 @@ func BenchmarkAppendTail(b *testing.B) {
 	var sink int64
 	for _, pct := range []int{0, 5, 10, 20} {
 		p, prep := tailedPartition(s, t, band, s.Len()*pct/100)
-		probe := func(prep localjoin.PreparedT, s *data.Relation) func(*testing.B) {
+		probe := func(prep *localjoin.EpsGrid, s *data.Relation) func(*testing.B) {
 			return func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					sink += prep.Probe(s, nil)
@@ -215,7 +233,7 @@ func BenchmarkAppendTail(b *testing.B) {
 			continue
 		}
 		var fs *data.Relation
-		var fprep localjoin.PreparedT
+		var fprep *localjoin.EpsGrid
 		b.Run(fmt.Sprintf("tail=%d%%/fold", pct), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				fs, _, fprep, _ = FoldS(p.S, p.SIDs, prep)

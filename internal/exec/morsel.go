@@ -10,8 +10,9 @@
 // straggler partition instead of waiting on it, and wall time tracks
 // total-work/p instead of max-partition.
 //
-// Determinism: morsels probe a shared read-only structure
-// (localjoin.RangeProber) whose range contract guarantees that concatenating
+// Determinism: morsels probe a shared read-only structure (a localjoin.EpsGrid
+// through ProbeRange, or the nested loop's JoinRange) whose range contract
+// guarantees that concatenating
 // consecutive ranges reproduces the sequential probe bit-identically.
 // Emission is per-S-tuple, so no pair crosses a morsel boundary; each morsel
 // buffers its own pairs and the scheduler concatenates them in (partition,
@@ -74,15 +75,11 @@ type RangeRun func(lo, hi int, emit localjoin.Emit) int64
 // ranges. A job whose structure does not exist yet has a Build instead: RunMorsels
 // calls it once, when a worker first needs the job, runs the returned RangeRun,
 // and calls the returned release (if non-nil) right after the job's last
-// morsel, so only the partitions in flight are held at once. Single forces the
-// job to run as one morsel regardless of size (used for structures without a
-// range probe, where only whole-job execution preserves the sequential
-// emission order).
+// morsel, so only the partitions in flight are held at once.
 type MorselJob struct {
-	Rows   int
-	Single bool
-	Run    RangeRun
-	Build  func() (run RangeRun, release func())
+	Rows  int
+	Run   RangeRun
+	Build func() (run RangeRun, release func())
 }
 
 // JobResult is one job's aggregated outcome: the pair count, the summed
@@ -296,7 +293,7 @@ func RunMorsels(ctx context.Context, jobs []MorselJob, morselRows, parallelism i
 	var morsels []morsel
 	for _, j := range order {
 		step := rows
-		if jobs[j].Single || morselRows < 0 {
+		if morselRows < 0 {
 			step = jobs[j].Rows
 		}
 		for lo := 0; lo < jobs[j].Rows; lo += step {

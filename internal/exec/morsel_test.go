@@ -35,78 +35,68 @@ func skewedInputs(n int, seed int64) (*data.Relation, *data.Relation, data.Band)
 // pathological 1-row morsels, and fixed sizes — the morsel-driven reduce phase
 // produces output bit-identical to the per-partition schedule (MorselRows < 0,
 // every partition one morsel), whose pairs are the band-join definition's, on
-// uniform and point-mass skewed inputs, across the local algorithms.
+// uniform and point-mass skewed inputs, and on the band shapes of
+// bandShapeInputs.
 func TestMorselMatchesPerPartitionOracle(t *testing.T) {
-	type inputs struct {
-		s, t *data.Relation
-		band data.Band
-	}
-	cases := map[string]inputs{}
+	cases := bandShapeInputs(600, 11)
 	{
 		s, tt, band := testInputs(600, 11)
-		cases["pareto"] = inputs{s, tt, band}
+		cases["pareto"] = joinInputs{s, tt, band}
 		s, tt, band = skewedInputs(700, 17)
-		cases["skewed"] = inputs{s, tt, band}
+		cases["skewed"] = joinInputs{s, tt, band}
 	}
 	for caseName, in := range cases {
-		for _, alg := range []localjoin.Algorithm{nil, localjoin.SortProbe{}, localjoin.GridSortScan{}, localjoin.NestedLoop{}} {
-			algName := "auto"
-			if alg != nil {
-				algName = alg.Name()
+		t.Run(caseName, func(t *testing.T) {
+			opts := DefaultOptions(4)
+			opts.CollectPairs = true
+			opts.Seed = 3
+			opts.MorselRows = -1 // the per-partition oracle
+			oracle, err := Run(core.NewRecPartS(), in.s, in.t, in.band, opts)
+			if err != nil {
+				t.Fatalf("oracle Run: %v", err)
 			}
-			t.Run(fmt.Sprintf("%s/%s", caseName, algName), func(t *testing.T) {
-				opts := DefaultOptions(4)
-				opts.CollectPairs = true
-				opts.Algorithm = alg
-				opts.Seed = 3
-				opts.MorselRows = -1 // the per-partition oracle
-				oracle, err := Run(core.NewRecPartS(), in.s, in.t, in.band, opts)
-				if err != nil {
-					t.Fatalf("oracle Run: %v", err)
-				}
-				if oracle.Output == 0 {
-					t.Fatal("oracle produced no pairs; widen the band")
-				}
-				var want []Pair
-				localjoin.NestedLoop{}.Join(in.s, in.t, in.band, func(si, ti int, _, _ []float64) {
-					want = append(want, Pair{S: int64(si), T: int64(ti)})
-				})
-				if !slices.Equal(oracle.Pairs, want) {
-					t.Fatalf("per-partition schedule: %d pairs, the definition has %d (or they differ)", len(oracle.Pairs), len(want))
-				}
-				// One morsel per partition with S rows.
-				if oracle.Morsels == 0 || oracle.Morsels > int64(oracle.Partitions) {
-					t.Errorf("per-partition schedule ran %d morsels over %d partitions", oracle.Morsels, oracle.Partitions)
-				}
-				for _, rows := range []int{0, 1, 7, 64} {
-					opts.MorselRows = rows
-					got, err := Run(core.NewRecPartS(), in.s, in.t, in.band, opts)
-					if err != nil {
-						t.Fatalf("morsel Run (rows=%d): %v", rows, err)
-					}
-					if got.Output != oracle.Output || got.TotalInput != oracle.TotalInput ||
-						got.Im != oracle.Im || got.Om != oracle.Om {
-						t.Fatalf("rows=%d: accounting (out=%d I=%d Im=%d Om=%d) differs from oracle (out=%d I=%d Im=%d Om=%d)",
-							rows, got.Output, got.TotalInput, got.Im, got.Om,
-							oracle.Output, oracle.TotalInput, oracle.Im, oracle.Om)
-					}
-					if len(got.Pairs) != len(oracle.Pairs) {
-						t.Fatalf("rows=%d: %d pairs, oracle %d", rows, len(got.Pairs), len(oracle.Pairs))
-					}
-					for i := range oracle.Pairs {
-						if got.Pairs[i] != oracle.Pairs[i] {
-							t.Fatalf("rows=%d: pair %d = %v, oracle %v", rows, i, got.Pairs[i], oracle.Pairs[i])
-						}
-					}
-					if rows >= 0 && got.Morsels == 0 {
-						t.Errorf("rows=%d: morsel path reported zero morsels", rows)
-					}
-					if got.StragglerRatio < 1.0 {
-						t.Errorf("rows=%d: straggler ratio %f < 1", rows, got.StragglerRatio)
-					}
-				}
+			if oracle.Output == 0 {
+				t.Fatal("oracle produced no pairs; widen the band")
+			}
+			var want []Pair
+			localjoin.NestedLoop{}.Join(in.s, in.t, in.band, func(si, ti int, _, _ []float64) {
+				want = append(want, Pair{S: int64(si), T: int64(ti)})
 			})
-		}
+			if !slices.Equal(oracle.Pairs, want) {
+				t.Fatalf("per-partition schedule: %d pairs, the definition has %d (or they differ)", len(oracle.Pairs), len(want))
+			}
+			// One morsel per partition with S rows.
+			if oracle.Morsels == 0 || oracle.Morsels > int64(oracle.Partitions) {
+				t.Errorf("per-partition schedule ran %d morsels over %d partitions", oracle.Morsels, oracle.Partitions)
+			}
+			for _, rows := range []int{0, 1, 7, 64} {
+				opts.MorselRows = rows
+				got, err := Run(core.NewRecPartS(), in.s, in.t, in.band, opts)
+				if err != nil {
+					t.Fatalf("morsel Run (rows=%d): %v", rows, err)
+				}
+				if got.Output != oracle.Output || got.TotalInput != oracle.TotalInput ||
+					got.Im != oracle.Im || got.Om != oracle.Om {
+					t.Fatalf("rows=%d: accounting (out=%d I=%d Im=%d Om=%d) differs from oracle (out=%d I=%d Im=%d Om=%d)",
+						rows, got.Output, got.TotalInput, got.Im, got.Om,
+						oracle.Output, oracle.TotalInput, oracle.Im, oracle.Om)
+				}
+				if len(got.Pairs) != len(oracle.Pairs) {
+					t.Fatalf("rows=%d: %d pairs, oracle %d", rows, len(got.Pairs), len(oracle.Pairs))
+				}
+				for i := range oracle.Pairs {
+					if got.Pairs[i] != oracle.Pairs[i] {
+						t.Fatalf("rows=%d: pair %d = %v, oracle %v", rows, i, got.Pairs[i], oracle.Pairs[i])
+					}
+				}
+				if rows >= 0 && got.Morsels == 0 {
+					t.Errorf("rows=%d: morsel path reported zero morsels", rows)
+				}
+				if got.StragglerRatio < 1.0 {
+					t.Errorf("rows=%d: straggler ratio %f < 1", rows, got.StragglerRatio)
+				}
+			}
+		})
 	}
 }
 
@@ -208,11 +198,10 @@ func TestMorselSteadyStateAllocs(t *testing.T) {
 	}
 	s, tt := data.ParetoPair(3, 1.5, 20_000, 42)
 	band := data.Uniform(3, 0.001)
-	prep := localjoin.Prepare(localjoin.SortProbe{}, s, tt, band)
-	rp := prep.(localjoin.RangeProber)
+	prep := localjoin.Prepare(s, tt, band)
 	jobs := []MorselJob{{
 		Rows: s.Len(),
-		Run:  func(lo, hi int, emit localjoin.Emit) int64 { return rp.ProbeRange(s, lo, hi, emit) },
+		Run:  func(lo, hi int, emit localjoin.Emit) int64 { return prep.ProbeRange(s, lo, hi, emit) },
 	}}
 	const rows = 64
 	nMorsels := (s.Len() + rows - 1) / rows

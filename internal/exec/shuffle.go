@@ -47,10 +47,8 @@ func (p *PartitionInput) Tuples() int { return p.S.Len() + p.T.Len() }
 // Presort reorders the partition's rows into ascending dim-0 key order (NaN
 // last, ties kept in row order), returning a new PartitionInput that owns its
 // storage. Retained partitions are presorted once at retention time — the
-// registry's analogue of an index built at load time. The sort-based local
-// joins begin by sorting their inputs on the first join attribute and find
-// them sorted. The ε-grid sorts nothing, and gains more: it probes S in row
-// order and numbers T's cells in first-seen order, so over presorted sides
+// registry's analogue of an index built at load time. The ε-grid probes S in
+// row order and numbers T's cells in first-seen order, so over presorted sides
 // consecutive probes walk neighbouring cells whose rows lie next to each other
 // in memory (the serving workload's warm op reads 0.15 s sealed this way,
 // 0.27 s sealed unsorted; DESIGN.md, "Folding the appended tail"). The result

@@ -2,6 +2,7 @@ package localjoin
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -15,84 +16,100 @@ func benchInputs(n, d int) (*data.Relation, *data.Relation, data.Band) {
 	return s, t, data.Uniform(d, 0.001)
 }
 
-func benchmarkAlgorithm(b *testing.B, alg Algorithm, n, d int) {
-	s, t, band := benchInputs(n, d)
-	// Warm the scratch pool so the steady state is measured.
-	alg.Join(s, t, band, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var total int64
-	for i := 0; i < b.N; i++ {
-		total += alg.Join(s, t, band, nil)
-	}
-	b.StopTimer()
-	if total < 0 {
-		b.Fatal("impossible negative count")
-	}
-	b.SetBytes(int64(n * d * 8 * 2))
-}
-
-func benchmarkDims(b *testing.B, alg Algorithm, dims ...int) {
-	for _, d := range dims {
+func BenchmarkEpsGrid(b *testing.B) {
+	for _, d := range []int{2, 3} {
 		b.Run(fmt.Sprintf("n=10000/d=%d", d), func(b *testing.B) {
-			benchmarkAlgorithm(b, alg, 10_000, d)
+			s, t, band := benchInputs(10_000, d)
+			// Warm the grid pool so the steady state is measured.
+			Join(s, t, band, nil)
+			b.ReportAllocs()
+			b.SetBytes(int64(10_000 * d * 8 * 2))
+			for i := 0; i < b.N; i++ {
+				Join(s, t, band, nil)
+			}
 		})
 	}
 }
 
-func BenchmarkSortProbe(b *testing.B)    { benchmarkDims(b, SortProbe{}, 1, 3) }
-func BenchmarkGridSortScan(b *testing.B) { benchmarkDims(b, GridSortScan{}, 1, 3) }
-func BenchmarkEpsGrid(b *testing.B)      { benchmarkDims(b, EpsGrid{}, 2, 3) }
-
-// TestSortProbeSteadyStateAllocs asserts the acceptance criterion directly:
-// after warm-up, SortProbe performs zero allocations per join call.
-func TestSortProbeSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race; steady state not observable")
-	}
-	s, tt, band := benchInputs(5_000, 3)
-	alg := SortProbe{}
-	alg.Join(s, tt, band, nil) // warm the scratch pool
-	avg := testing.AllocsPerRun(10, func() {
-		alg.Join(s, tt, band, nil)
-	})
-	if avg > 0 {
-		t.Errorf("SortProbe steady state allocates %.1f times per join, want 0", avg)
-	}
-}
-
+// TestEpsGridSteadyStateAllocs: after warm-up, a one-shot Join allocates
+// nothing — the grid's buffers come back through Release's pool — on sparse
+// and dense cells, in one dimension and with an exact-key dimension 0.
 func TestEpsGridSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; steady state not observable")
 	}
 	check := func(cells string, s, tt *data.Relation, band data.Band) {
-		alg := EpsGrid{}
-		alg.Join(s, tt, band, nil)
+		Join(s, tt, band, nil)
 		avg := testing.AllocsPerRun(10, func() {
-			alg.Join(s, tt, band, nil)
+			Join(s, tt, band, nil)
 		})
 		if avg > 0 {
-			t.Errorf("EpsGrid steady state on %s cells allocates %.1f times per join, want 0", cells, avg)
+			t.Errorf("EpsGrid steady state on %s allocates %.1f times per join, want 0", cells, avg)
 		}
 	}
 	s, tt, band := benchInputs(5_000, 3)
-	check("sparse", s, tt, band)
+	check("sparse cells", s, tt, band)
 	s, tt, band = denseCellInputs(20_000)
-	check("dense", s, tt, band)
+	check("dense cells", s, tt, band)
+	s, tt, band = benchInputs(5_000, 1)
+	check("a 1-d band", s, tt, band)
+	s, tt, band = zeroDim0Inputs(5_000)
+	check("a zero width on dimension 0", s, tt, band)
 }
 
-func TestGridSortScanSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race; steady state not observable")
+// zeroDim0Inputs is a 3-d Pareto pair whose dimension 0 is an integer lattice
+// (⌊10·x⌋, an eighth of the rows on its first value) under a band of width 0
+// there and 0.01 on the other two.
+func zeroDim0Inputs(n int) (*data.Relation, *data.Relation, data.Band) {
+	s, t := data.ParetoPair(3, 1.5, n, 42)
+	for _, r := range []*data.Relation{s, t} {
+		for i := 0; i < r.Len(); i++ {
+			r.Key(i)[0] = math.Floor(10 * r.Key(i)[0])
+		}
 	}
-	s, tt, band := benchInputs(5_000, 3)
-	alg := GridSortScan{}
-	alg.Join(s, tt, band, nil)
-	avg := testing.AllocsPerRun(10, func() {
-		alg.Join(s, tt, band, nil)
-	})
-	if avg > 0 {
-		t.Errorf("GridSortScan steady state allocates %.1f times per join, want 0", avg)
+	return s, t, data.Symmetric(0, 0.01, 0.01)
+}
+
+// BenchmarkLocalJoin1D times the kernel on the bands it took over from the
+// sorted probe (one dimension: Pareto keys, 10k and 100k rows per side, ε
+// 0.001 and 0.01) and the sorted scan (a zero width on dimension 0, 3-d, 20k
+// rows), each as a one-shot join counting and emitting, and as the count of a
+// prepared probe.
+func BenchmarkLocalJoin1D(b *testing.B) {
+	type shape struct {
+		name string
+		s, t *data.Relation
+		band data.Band
+	}
+	var shapes []shape
+	for _, n := range []int{10_000, 100_000} {
+		for _, eps := range []float64{0.001, 0.01} {
+			s, t := data.ParetoPair(1, 1.5, n, 42)
+			shapes = append(shapes, shape{fmt.Sprintf("d=1/n=%d/eps=%g", n, eps), s, t, data.Uniform(1, eps)})
+		}
+	}
+	s, t, band := zeroDim0Inputs(20_000)
+	shapes = append(shapes, shape{"zero-dim0/d=3/n=20000", s, t, band})
+	for _, sh := range shapes {
+		prep := Prepare(sh.s, sh.t, sh.band)
+		var sink int
+		runs := []struct {
+			name string
+			run  func() int64
+		}{
+			{"join-count", func() int64 { return Join(sh.s, sh.t, sh.band, nil) }},
+			{"join-emit", func() int64 { return Join(sh.s, sh.t, sh.band, func(si, ti int, _, _ []float64) { sink += si ^ ti }) }},
+			{"probe-count", func() int64 { return prep.Probe(sh.s, nil) }},
+		}
+		for _, r := range runs {
+			b.Run(sh.name+"/"+r.name, func(b *testing.B) {
+				var pairs int64
+				for i := 0; i < b.N; i++ {
+					pairs += r.run()
+				}
+				b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+			})
+		}
 	}
 }
 
@@ -151,13 +168,13 @@ func BenchmarkEpsGridDenseCells(b *testing.B) {
 	}{{"dense2d", denseCellInputs}, {"sparse3d", refinedCellInputs}, {"sparse8d", sparseCellInputs}}
 	for _, shape := range shapes {
 		s, t, band := shape.inputs(100_000)
-		prep := Prepare(EpsGrid{}, s, t, band)
+		prep := Prepare(s, t, band)
 		var sink int
 		runs := []struct {
 			name string
 			run  func() int64
 		}{
-			{"join", func() int64 { return EpsGrid{}.Join(s, t, band, nil) }},
+			{"join", func() int64 { return Join(s, t, band, nil) }},
 			{"probe-count", func() int64 { return prep.Probe(s, nil) }},
 			{"probe-emit", func() int64 { return prep.Probe(s, func(si, ti int, _, _ []float64) { sink += si ^ ti }) }},
 		}

@@ -71,7 +71,9 @@ func hostileRelation(rng *rand.Rand, name string, n int, band data.Band, heavy b
 // around the origin: mostly inside cell 0 (0, −0, a random offset), else
 // exactly a band extent away — where a row at 0 has its interval's ends — or
 // one ulp to either side of that, and now and then on NaN or ±Inf, which on a
-// dimension outside the grid stay inside the dense cell. S and T are drawn
+// dimension outside the grid stay inside the dense cell. On a zero-width
+// dimension, an exact-key grid dimension, the spread rows sit on one key
+// instead, so that the crowds stay in one cell there too. S and T are drawn
 // alike, so interval ends meet keys bit for bit.
 func heavyRows(rng *rand.Rand, r *data.Relation, n int, band data.Band) {
 	d := band.Dims()
@@ -80,6 +82,12 @@ func heavyRows(rng *rand.Rand, r *data.Relation, n int, band data.Band) {
 			return w
 		}
 		return 0.5 // equi-join dimension
+	}
+	spread := func(j int) float64 {
+		if band.MaxWidth(j) == 0 {
+			return 0.25 * width(j)
+		}
+		return rng.Float64() * 0.999 * width(j)
 	}
 	key := make([]float64, d)
 	clusters := []struct {
@@ -92,7 +100,7 @@ func heavyRows(rng *rand.Rand, r *data.Relation, n int, band data.Band) {
 			for j := range key {
 				key[j] = 0.25 * width(j)
 				if !c.exact {
-					key[j] = rng.Float64() * 0.999 * width(j)
+					key[j] = spread(j)
 				}
 			}
 			key[0] += c.at * width(0)
@@ -110,7 +118,7 @@ func heavyRows(rng *rand.Rand, r *data.Relation, n int, band data.Band) {
 			case c < 6:
 				v = math.Copysign(0, -1)
 			case c < 12:
-				v = rng.Float64() * 0.999 * width(j)
+				v = spread(j)
 			default:
 				v = band.High[j]
 				if c%2 == 0 {
@@ -151,9 +159,14 @@ func hostileBand(rng *rand.Rand, shape string, d int) data.Band {
 		}
 	}
 	switch shape {
-	case "zero-dim0": // grid undefined: sorted-scan fallback
+	case "zero-dim0": // an exact-key grid dimension
 		low[0], high[0] = 0, 0
-	case "zero-last": // grid defined, refinement has to skip a dimension
+	case "zero-dim1":
+		low[1], high[1] = 0, 0
+	case "all-zero": // an equi-join on every dimension
+		clear(low)
+		clear(high)
+	case "zero-last": // refinement has to skip a dimension
 		low[d-1], high[d-1] = 0, 0
 		if d > 3 {
 			low[2], high[2] = 0, 0
@@ -186,10 +199,14 @@ func checkExactlyOnce(t *testing.T, what string, got []idxPair, want map[idxPair
 }
 
 // TestEpsGridAgainstDefinition checks the k-dimensional grid — one-shot Join,
-// JoinRange stripes, and Prepare + ProbeRange stripes, emitting and counting —
-// against the nested loop, i.e. against the band-join definition itself, as a
-// pair set with every pair exactly once. The heavy sizes run the dense-cell
-// path: order-dimension range search, box test, and the count-only shortcut.
+// and ProbeRange stripes over grids with and without resolved S cell lists,
+// emitting and counting — against the nested loop, i.e. against the band-join
+// definition itself, as a pair set with every pair exactly once. The grid is
+// built whatever the sizes (Join leaves the smallest to the nested loop). The
+// heavy sizes run the dense-cell path: order-dimension range search, box test,
+// and the count-only shortcut. The table runs d = 1 (k = 1, every cell dense)
+// and zero widths on dimension 0, dimension 1 and every dimension (exact-key
+// grid dimensions).
 //
 // scanCells verifies the leading kc grid dimensions without branches against
 // interval ends hoisted out of the candidate loop, and only the rest through
@@ -218,7 +235,7 @@ func checkExactlyOnce(t *testing.T, what string, got []idxPair, want map[idxPair
 // ignored (the box test written so that NaN passes it).
 func TestEpsGridAgainstDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	shapes := []string{"symmetric", "asymmetric", "one-sided", "zero-dim0", "zero-last", "tiny"}
+	shapes := []string{"symmetric", "asymmetric", "one-sided", "zero-dim0", "zero-dim1", "all-zero", "zero-last", "tiny"}
 	sizes := []struct {
 		s, t  int
 		heavy bool
@@ -229,10 +246,10 @@ func TestEpsGridAgainstDefinition(t *testing.T) {
 		{200, 800, true, 4}}
 	orderIsLastGridDim := map[bool]bool{}
 	built := map[string]bool{}
-	for _, d := range []int{2, 3, 4, 5, 8} {
+	for _, d := range []int{1, 2, 3, 4, 5, 8} {
 		for _, shape := range shapes {
 			for _, size := range sizes {
-				if size.only != 0 && size.only != d {
+				if size.only != 0 && size.only != d || shape == "zero-dim1" && d < 2 {
 					continue
 				}
 				band := hostileBand(rng, shape, d)
@@ -245,7 +262,7 @@ func TestEpsGridAgainstDefinition(t *testing.T) {
 				if size.s >= 160 && shape != "tiny" && len(want) == 0 {
 					t.Fatalf("%s: no matching pairs; the inputs do not exercise the join", name)
 				}
-				if size.heavy && epsGridDefined(d, band) {
+				if size.heavy {
 					var g gridState
 					g.build(tt, band)
 					if len(g.box) < 3*2*d {
@@ -266,47 +283,34 @@ func TestEpsGridAgainstDefinition(t *testing.T) {
 					}
 					recordOpenDimensions(&g, s, built)
 					var got []idxPair
-					EpsGrid{}.Join(s, tt, band, emitInto(&got))
+					Join(s, tt, band, emitInto(&got))
 					checkCellOrder(t, name, &g, got)
 				}
 
-				for _, alg := range []RangeJoiner{EpsGrid{}, Auto{}} {
-					var got []idxPair
-					if n := alg.Join(s, tt, band, emitInto(&got)); n != int64(len(got)) {
-						t.Fatalf("%s/%s: Join returned %d, emitted %d", name, alg.Name(), n, len(got))
-					}
-					checkExactlyOnce(t, name+"/"+alg.Name()+"/Join", got, want)
-					if n := alg.Join(s, tt, band, nil); n != int64(len(want)) {
-						t.Fatalf("%s/%s: Join counted %d pairs, definition has %d", name, alg.Name(), n, len(want))
-					}
-
-					prep, _ := Prepare(alg, s, tt, band).(RangeProber)
-					steps := []int{1, 7, 1000}
-					if size.heavy {
-						steps = steps[1:] // one-row JoinRange stripes rebuild the grid per row
-					}
-					for _, step := range steps {
+				var got []idxPair
+				if n := Join(s, tt, band, emitInto(&got)); n != int64(len(got)) {
+					t.Fatalf("%s: Join returned %d, emitted %d", name, n, len(got))
+				}
+				checkExactlyOnce(t, name+"/Join", got, want)
+				if n := Join(s, tt, band, nil); n != int64(len(want)) {
+					t.Fatalf("%s: Join counted %d pairs, definition has %d", name, n, len(want))
+				}
+				if tt.Len() == 0 {
+					continue
+				}
+				for _, resolved := range []bool{true, false} {
+					grid := gridFor(s, tt, band, resolved)
+					for _, step := range []int{1, 7, 1000} {
 						got = got[:0]
 						var counted int64
 						for lo := 0; lo < s.Len(); lo += step {
-							alg.JoinRange(s, tt, band, lo, min(lo+step, s.Len()), emitInto(&got))
-							counted += alg.JoinRange(s, tt, band, lo, min(lo+step, s.Len()), nil)
+							grid.ProbeRange(s, lo, min(lo+step, s.Len()), emitInto(&got))
+							counted += grid.ProbeRange(s, lo, min(lo+step, s.Len()), nil)
 						}
-						checkExactlyOnce(t, fmt.Sprintf("%s/%s/JoinRange step %d", name, alg.Name(), step), got, want)
+						what := fmt.Sprintf("%s/resolved=%v/ProbeRange step %d", name, resolved, step)
+						checkExactlyOnce(t, what, got, want)
 						if counted != int64(len(want)) {
-							t.Fatalf("%s/%s/JoinRange step %d: counted %d pairs, definition has %d", name, alg.Name(), step, counted, len(want))
-						}
-						if prep == nil {
-							continue // empty side, or Auto's nested loop
-						}
-						got, counted = got[:0], 0
-						for lo := 0; lo < s.Len(); lo += step {
-							prep.ProbeRange(s, lo, min(lo+step, s.Len()), emitInto(&got))
-							counted += prep.ProbeRange(s, lo, min(lo+step, s.Len()), nil)
-						}
-						checkExactlyOnce(t, fmt.Sprintf("%s/%s/ProbeRange step %d", name, alg.Name(), step), got, want)
-						if counted != int64(len(want)) {
-							t.Fatalf("%s/%s/ProbeRange step %d: counted %d pairs, definition has %d", name, alg.Name(), step, counted, len(want))
+							t.Fatalf("%s: counted %d pairs, definition has %d", what, counted, len(want))
 						}
 					}
 				}
@@ -340,7 +344,7 @@ func recordOpenDimensions(g *gridState, s *data.Relation, built map[string]bool)
 		sk := s.Key(i)
 		for _, id := range g.appendCells(nil, sk) {
 			lo, hi := int(g.starts[id]), int(g.starts[id+1])
-			if hi-lo < denseCell {
+			if hi-lo < g.dense {
 				continue
 			}
 			lo, hi, open := g.denseRange(id, lo, hi, sk)
@@ -465,6 +469,67 @@ func TestCellCoordDefinedEverywhere(t *testing.T) {
 			t.Fatalf("cellCoord(NaN, %g) = %d, want 0", w, c)
 		}
 	}
+	// Width 0: an exact key per coordinate, ±0 and NaN on 0, and nothing at
+	// the top of the range a walk's increment could overflow from.
+	seen := map[int64]float64{}
+	for _, x := range xs {
+		c := cellCoord(x, 0)
+		if prev, ok := seen[c]; ok && prev != x {
+			t.Fatalf("cellCoord(%g, 0) = cellCoord(%g, 0) = %d", x, prev, c)
+		}
+		seen[c] = x
+		if c == math.MaxInt64 {
+			t.Fatalf("cellCoord(%g, 0) = MaxInt64", x)
+		}
+	}
+	if cellCoord(math.Copysign(0, -1), 0) != 0 || cellCoord(math.NaN(), 0) != 0 {
+		t.Fatal("−0 or NaN is not on coordinate 0 at width 0")
+	}
+}
+
+// TestGridChoiceUnchanged pins what the grid build chooses — k, kc, the grid
+// dimensions, their widths and the order dimension — on the bands the
+// repository's benchmark runs: the three BenchmarkEpsGridDenseCells inputs and
+// a partition-sized input under each workload's band (cold in-process 3-d ε
+// 0.03, cold cluster 8-d ε 0.003 over self-match rows, the plan sweep's 8-d ε
+// 0.17, the 2-d serving band ε 0.01). The values were recorded from the build
+// as it was before it took one-dimensional and zero-width bands over from
+// two other kernels; with them, those workloads run the same grid.
+func TestGridChoiceUnchanged(t *testing.T) {
+	pareto := func(d int, eps float64) func() (*data.Relation, *data.Relation, data.Band) {
+		return func() (*data.Relation, *data.Relation, data.Band) {
+			s, t := data.ParetoPair(d, 1.5, 20_000, 1)
+			return s, t, data.Uniform(d, eps)
+		}
+	}
+	cases := []struct {
+		name   string
+		inputs func() (*data.Relation, *data.Relation, data.Band)
+		want   string
+	}{
+		{"dense2d", func() (*data.Relation, *data.Relation, data.Band) { return denseCellInputs(100_000) },
+			"k=2 kc=2 gdim=[0 1] w=[0.02 0.02] odim=1"},
+		{"sparse3d", func() (*data.Relation, *data.Relation, data.Band) { return refinedCellInputs(100_000) },
+			"k=3 kc=3 gdim=[0 1 2] w=[0.045 0.045 0.045] odim=2"},
+		{"sparse8d", func() (*data.Relation, *data.Relation, data.Band) { return sparseCellInputs(100_000) },
+			"k=2 kc=2 gdim=[0 1] w=[0.02 0.02] odim=2"},
+		{"cold-inproc 3-d 0.03", pareto(3, 0.03), "k=3 kc=3 gdim=[0 1 2] w=[0.03 0.03 0.03] odim=2"},
+		{"cold-cluster 8-d 0.003", func() (*data.Relation, *data.Relation, data.Band) {
+			s, t, _ := sparseCellInputs(20_000)
+			return s, t, data.Uniform(8, 0.003)
+		}, "k=2 kc=2 gdim=[0 1] w=[0.003 0.003] odim=2"},
+		{"plan-sweep 8-d 0.17", pareto(8, 0.17), "k=4 kc=4 gdim=[0 1 2 3] w=[0.17 0.17 0.17 0.17] odim=4"},
+		{"serve 2-d 0.01", pareto(2, 0.01), "k=2 kc=2 gdim=[0 1] w=[0.01 0.01] odim=1"},
+	}
+	for _, c := range cases {
+		_, tt, band := c.inputs()
+		var g gridState
+		g.build(tt, band)
+		got := fmt.Sprintf("k=%d kc=%d gdim=%v w=%v odim=%d", g.k, g.kc, g.gdim[:g.k], g.w[:g.k], g.odim)
+		if got != c.want {
+			t.Errorf("%s: the grid chose %s, want %s", c.name, got, c.want)
+		}
+	}
 }
 
 // fuzzKeys are the values FuzzEpsGridDefinition quantises keys onto: few
@@ -478,11 +543,12 @@ var fuzzBandWidths = [4]float64{0, 0.5, 1, 2}
 // FuzzEpsGridDefinition lets the fuzzer pick the dimensionality, the band (two
 // bits per dimension and side: zero-width, one-sided and asymmetric included)
 // and the keys (one byte per coordinate, even rows to S, odd rows to T), and
-// compares the grid — Join emitting and counting, Prepare + ProbeRange — with
-// the nested loop as a pair set.
+// compares the grid — Join emitting and counting, ProbeRange over grids with
+// and without resolved S cell lists, built whatever the sizes — with the
+// nested loop as a pair set.
 func FuzzEpsGridDefinition(f *testing.F) {
 	f.Fuzz(func(t *testing.T, dims uint8, lows, highs uint16, raw []byte) {
-		d := 2 + int(dims%4)
+		d := 1 + int(dims%5)
 		low, high := make([]float64, d), make([]float64, d)
 		for j := range low {
 			low[j] = fuzzBandWidths[lows>>(2*j)&3]
@@ -506,22 +572,37 @@ func FuzzEpsGridDefinition(f *testing.F) {
 		NestedLoop{}.Join(s, tt, band, func(si, ti int, _, _ []float64) { want[idxPair{si, ti}] = true })
 
 		var got []idxPair
-		EpsGrid{}.Join(s, tt, band, emitInto(&got))
+		Join(s, tt, band, emitInto(&got))
 		checkExactlyOnce(t, "Join", got, want)
-		if n := (EpsGrid{}).Join(s, tt, band, nil); n != int64(len(want)) {
+		if n := Join(s, tt, band, nil); n != int64(len(want)) {
 			t.Fatalf("Join counted %d pairs, definition has %d", n, len(want))
 		}
-		prep, _ := Prepare(EpsGrid{}, s, tt, band).(RangeProber)
-		if prep == nil {
-			return // an empty side
+		if tt.Len() == 0 {
+			return
 		}
-		got = got[:0]
-		half := s.Len() / 2
-		prep.ProbeRange(s, 0, half, emitInto(&got))
-		prep.ProbeRange(s, half, s.Len(), emitInto(&got))
-		checkExactlyOnce(t, "ProbeRange", got, want)
-		if n := prep.Probe(s, nil); n != int64(len(want)) {
-			t.Fatalf("Probe counted %d pairs, definition has %d", n, len(want))
+		for _, resolved := range []bool{true, false} {
+			grid := gridFor(s, tt, band, resolved)
+			got = got[:0]
+			half := s.Len() / 2
+			grid.ProbeRange(s, 0, half, emitInto(&got))
+			grid.ProbeRange(s, half, s.Len(), emitInto(&got))
+			checkExactlyOnce(t, fmt.Sprintf("ProbeRange, resolved=%v", resolved), got, want)
+			if n := grid.Probe(s, nil); n != int64(len(want)) {
+				t.Fatalf("Probe (resolved=%v) counted %d pairs, definition has %d", resolved, n, len(want))
+			}
 		}
 	})
+}
+
+// gridFor builds the grid over t (non-empty) for band whatever the sides'
+// sizes — Prepare leaves partitions of up to nestedLoopMax rows to the nested
+// loop — with S's cell lists resolved, as Prepare does, or not, as PrepareOnce
+// does.
+func gridFor(s, t *data.Relation, band data.Band, resolve bool) *EpsGrid {
+	p := &EpsGrid{}
+	p.g.build(t, band)
+	if resolve {
+		p.resolveCells(s, 1)
+	}
+	return p
 }

@@ -2,37 +2,9 @@ package localjoin
 
 import (
 	"math"
-	"slices"
 
 	"bandjoin/internal/data"
 )
-
-// EpsGrid is the local ε-grid join: the T-side of the partition is bucketed
-// into grid cells of one band extent per side on k of its dimensions, and
-// every S-tuple probes only the (at most 3^k) cells its band region can
-// intersect. Sorting-based algorithms filter candidates on one dimension
-// only, so on multi-dimensional workloads they scan every tuple in the
-// dimension-0 window — often orders of magnitude more than the true matches;
-// the grid filters on k dimensions at once, shrinking the scanned candidates
-// to roughly the tuples inside the band neighborhood. Cells are kept in an
-// open-addressing hash table and a CSR bucket layout, both reused through the
-// scratch pool, so the steady state allocates nothing.
-//
-// k is chosen per build from the data (see gridState.build): the grid starts
-// on the first two dimensions and is refined onto further dimensions while
-// its cells stay heavily loaded, up to maxGridDims. Every candidate is
-// verified on all dimensions, so k only decides how many candidates there
-// are, never which pairs are emitted. Cells that stay heavy all the same are
-// kept sorted on one more dimension, with their bounding box, and searched
-// instead of scanned.
-//
-// The grid is undefined when either of the first two band extents is zero
-// (equi-join dimensions) or the join is one-dimensional; Join falls back to
-// GridSortScan in that case.
-type EpsGrid struct{}
-
-// Name implements Algorithm.
-func (EpsGrid) Name() string { return "eps-grid" }
 
 const (
 	// maxGridDims caps k: an S-tuple's cell walk visits up to 3^k cells, so
@@ -64,7 +36,19 @@ const (
 // irrelevant). It is monotone in x, which is all the grid needs: a T-key
 // inside [lo, hi] lands in a cell inside [cellCoord(lo), cellCoord(hi)], with
 // or without clamping.
+//
+// Width 0 is an exact-key dimension, where a T-key matches only the S-key
+// itself: the coordinate is the key's bits, with −0 folded into +0 so that
+// equal keys share a cell, and a walk visits the one coordinate its S-key has
+// (sk − 0 and sk + 0 fold to the same bits). NaN again maps to 0; no bit
+// pattern of a number reaches cellLimit, so the walk's loops cannot overflow.
 func cellCoord(x, w float64) int64 {
+	if w == 0 {
+		if x != x || x == 0 {
+			return 0
+		}
+		return int64(math.Float64bits(x))
+	}
 	q := math.Floor(x / w)
 	switch {
 	case q > -cellLimit && q < cellLimit:
@@ -78,25 +62,28 @@ func cellCoord(x, w float64) int64 {
 	}
 }
 
-// gridState is one built ε-grid over a T side. The one-shot joins keep it in
-// the pooled scratch; a prepared structure owns its own.
+// gridState is one built ε-grid over a T side.
 type gridState struct {
 	band data.Band
 	dims int // dimensionality of the rows
 
-	// The grid proper: k dimensions gdim[:k] with cell widths w[:k]. The first
-	// kc of them are dimensions 0..kc-1 themselves (gdim[j] == j; 2 <= kc <= k,
-	// less than k when refinement skipped an equi-join dimension): the
-	// dimensions scanCells verifies without branches.
+	// The grid proper: k dimensions gdim[:k] with cell widths w[:k] (0 for an
+	// exact-key dimension). The first kc of them are dimensions 0..kc-1
+	// themselves (gdim[j] == j; min(2, dims) <= kc <= k, less than k when
+	// refinement skipped a zero-width dimension): the dimensions scanCells
+	// verifies without branches.
 	k, kc int
 	gdim  [maxGridDims]int
 	w     [maxGridDims]float64
 
 	// Open-addressing cell table, at most half full: per slot, the cell's
-	// id + 1 (0 when empty) in tab and its k coordinates in tabC.
-	tab  []int32
-	tabC []int64
-	mask int
+	// id + 1 (0 when empty) in tab and its coordinates in tabC, stride of
+	// them: k, but two for k = 1, whose second is the 0 every cell beyond k
+	// has (so slotOf compares two without asking).
+	tab    []int32
+	tabC   []int64
+	stride int
+	mask   int
 	// Occupancy bits, indexed by the high half of a cell's hash: clear means
 	// no such cell. At four bits per slot they are 1/8 of tab and stay in
 	// cache when tab does not.
@@ -108,20 +95,17 @@ type gridState struct {
 	rows   []float64
 	perm   []int32
 
-	// Dense cells (denseCell rows or more): their rows are sorted on dimension
+	// Dense cells (dense rows or more): their rows are sorted on dimension
 	// odim, and box holds per dense cell the minimum (dims values) and maximum
 	// (dims values) of its rows on every dimension, NaN where a row has NaN.
 	// boxOf is, per cell id, the next row to fill during the gather; afterwards
-	// the cell's index into box, or -1 for a sparse cell.
+	// the cell's index into box, or -1 for a sparse cell. dense is denseCell,
+	// or 1 for a one-dimensional grid (see build).
+	dense int
 	odim  int
 	boxOf []int32
 	box   []float64
-}
-
-// epsGridDefined reports whether the grid is defined for the band: at least
-// two dimensions and non-zero extents on the first two.
-func epsGridDefined(dims int, band data.Band) bool {
-	return dims >= 2 && band.MaxWidth(0) > 0 && band.MaxWidth(1) > 0
+	order []keyIdx // sort scratch of orderDenseCells
 }
 
 // hashCell mixes a cell's coordinates on the grid dimensions: a multilinear
@@ -140,7 +124,7 @@ func hashCell(c0, c1, c2, c3 int64) uint64 {
 // slotOf returns the table slot holding the cell (whose hash is h), or the
 // empty slot where it would be inserted.
 func (g *gridState) slotOf(h uint64, c0, c1, c2, c3 int64) int {
-	k := g.k
+	k := g.stride
 	slot := int(h) & g.mask
 	for ; g.tab[slot] != 0; slot = (slot + 1) & g.mask {
 		if t := g.tabC[slot*k : slot*k+k]; t[0] == c0 && t[1] == c1 &&
@@ -164,8 +148,9 @@ func (g *gridState) lookup(c0, c1, c2, c3 int64) int32 {
 // assign places every T-tuple in its cell of the current k-dimensional grid,
 // numbering cells consecutively in first-seen order, and counts the CSR offsets.
 func (g *gridState) assign(t *data.Relation) {
-	k := g.k
-	g.tabC = resize(g.tabC, len(g.tab)*k)
+	k, stride := g.k, max(g.k, 2)
+	g.stride = stride
+	g.tabC = resize(g.tabC, len(g.tab)*stride)
 	clear(g.tab)
 	clear(g.bits)
 	var c [maxGridDims]int64
@@ -180,7 +165,7 @@ func (g *gridState) assign(t *data.Relation) {
 		if g.tab[slot] == 0 {
 			numCells++
 			g.tab[slot] = numCells
-			copy(g.tabC[slot*k:slot*k+k], c[:k])
+			copy(g.tabC[slot*stride:(slot+1)*stride], c[:stride])
 			bit := (h >> 32) & g.bitMask
 			g.bits[bit>>6] |= 1 << (bit & 63)
 		}
@@ -209,21 +194,26 @@ func (g *gridState) load() float64 {
 	return sq / float64(len(g.cellOf))
 }
 
-// build buckets t into the grid for band (which must satisfy epsGridDefined)
-// and gathers its rows bucket by bucket so each probe scans contiguously.
+// build buckets t into the grid for band and gathers its rows bucket by
+// bucket so each probe scans contiguously.
 //
-// The grid starts on dimensions 0 and 1. While the cells are loaded above
-// gridRefineLoad, it is rebuilt with the next dimension of non-zero band
-// extent added, up to maxGridDims; a refinement that does not even halve the
-// load (point masses, perfectly correlated dimensions) is the last one.
+// The grid starts on dimensions 0 and 1 (on dimension 0 alone for a
+// one-dimensional band), exact-key where the band's width is zero. While the
+// cells are loaded above gridRefineLoad, it is rebuilt with the next dimension
+// of non-zero band extent added, up to maxGridDims; a refinement that does not
+// even halve the load (point masses, perfectly correlated dimensions) is the
+// last one.
 //
 // What refinement cannot thin out (a 2-d grid has nowhere to go) is ordered
 // instead: the rows of every dense cell are sorted on the order dimension —
 // the first dimension with a band extent that the grid does not filter on, a
 // filter that costs no extra cells to walk, else the grid's last dimension —
-// so that a probe range-searches the cell (see scanCells).
+// so that a probe range-searches the cell (see scanCells). In one dimension
+// every cell is dense: ordered on the only dimension, a cell is settled by
+// denseRange's two binary searches, and no row is ever tested one by one.
 func (g *gridState) build(t *data.Relation, band data.Band) {
 	nt, dims := t.Len(), t.Dims()
+	checkRows(nt)
 	g.band, g.dims = band, dims
 	size := 2
 	for size < 2*nt {
@@ -235,8 +225,8 @@ func (g *gridState) build(t *data.Relation, band data.Band) {
 	g.bitMask = uint64(len(g.bits))*64 - 1
 	g.cellOf = resize(g.cellOf, nt)
 
-	g.k = 2
-	for j := 0; j < 2; j++ {
+	g.k = min(2, dims)
+	for j := 0; j < g.k; j++ {
 		g.gdim[j], g.w[j] = j, band.MaxWidth(j)
 	}
 	g.assign(t)
@@ -260,7 +250,7 @@ func (g *gridState) build(t *data.Relation, band data.Band) {
 			break
 		}
 	}
-	for g.kc = 2; g.kc < g.k && g.gdim[g.kc] == g.kc; g.kc++ {
+	for g.kc = min(2, g.k); g.kc < g.k && g.gdim[g.kc] == g.kc; g.kc++ {
 	}
 	g.odim = g.gdim[g.k-1]
 	if next < dims {
@@ -278,6 +268,10 @@ func (g *gridState) build(t *data.Relation, band data.Band) {
 		g.perm[pos] = int32(i)
 	}
 
+	g.dense = denseCell
+	if dims == 1 {
+		g.dense = 1
+	}
 	g.orderDenseCells(t)
 }
 
@@ -285,22 +279,21 @@ func (g *gridState) build(t *data.Relation, band data.Band) {
 // (NaN last, ties in input order) and records its box.
 func (g *gridState) orderDenseCells(t *data.Relation) {
 	dims, od := g.dims, g.odim
-	byOrder := func(a, b int32) int {
-		if c := cmpNaNLast(t.KeyAt(int(a), od), t.KeyAt(int(b), od)); c != 0 {
-			return c
-		}
-		return int(a - b)
-	}
 	g.box = g.box[:0]
 	for id := range g.boxOf {
 		lo, hi := int(g.starts[id]), int(g.starts[id+1])
 		g.boxOf[id] = -1
-		if hi-lo < denseCell {
+		if hi-lo < g.dense {
 			continue
 		}
-		slices.SortFunc(g.perm[lo:hi], byOrder)
+		g.order = resize(g.order, hi-lo)
+		for pos := lo; pos < hi; pos++ {
+			g.order[pos-lo] = keyIdx{key: g.rows[pos*dims+od], idx: g.perm[pos]}
+		}
+		sortKeyIdx(g.order)
 		g.boxOf[id] = int32(len(g.box) / (2 * dims))
 		for pos := lo; pos < hi; pos++ {
+			g.perm[pos] = g.order[pos-lo].idx
 			row := g.rows[pos*dims : (pos+1)*dims]
 			copy(row, t.Key(int(g.perm[pos])))
 			if pos == lo {
@@ -363,8 +356,9 @@ func (g *gridState) appendCells(dst []int32, sk []float64) []int32 {
 // On the remaining dimensions the outcome is no coin toss (an 8-d candidate
 // that passed the grid dimensions nearly always fails the next one, or —
 // self-match — passes all), so there matchesFrom's early exit stays. The first
-// two dimensions, which every grid has, are written out: inside one loop over
-// kc the compiler keeps the integer on the stack.
+// two dimensions are written out: inside one loop over kc the compiler keeps
+// the integer on the stack. A one-dimensional grid has only dense cells, which
+// scanDense settles whole, so the candidate loop never runs on its rows.
 func (g *gridState) scanCells(cells []int32, i int, sk []float64, emit Emit) int64 {
 	var count int64
 	dims, kc := g.dims, g.kc
@@ -375,7 +369,7 @@ func (g *gridState) scanCells(cells []int32, i int, sk []float64, emit Emit) int
 	}
 	for _, id := range cells {
 		lo, hi := int(g.starts[id]), int(g.starts[id+1])
-		if hi-lo >= denseCell {
+		if hi-lo >= g.dense {
 			var matched int64
 			lo, hi, matched = g.scanDense(id, lo, hi, i, sk, emit)
 			count += matched
@@ -455,20 +449,25 @@ func (g *gridState) scanDense(id int32, lo, hi, i int, sk []float64, emit Emit) 
 const noneOpen = -1
 
 // denseRange narrows dense cell id, rows [lo, hi), to the rows inside sk's
-// band on the order dimension, by two binary searches with the predicate's own
+// band on the order dimension, by binary searches with the predicate's own
 // comparisons (so boundary, NaN and ±Inf behaviour are the predicate's): that
 // dimension is settled for every row it returns. Any other dimension is
 // settled too where the cell's box lies inside the band — the condition holds
 // for a cell's minimum and maximum exactly when it holds for every row between
-// them, and a NaN in the box or in sk fails it. The third result is what is
-// left open: noneOpen (all of the rows match), the one open dimension, or dims
-// when there are several.
+// them, and a NaN in the box or in sk fails it — and so is either end of the
+// order dimension's range, whose search is skipped. The third result is what
+// is left open: noneOpen (all of the rows match), the one open dimension, or
+// dims when there are several.
 func (g *gridState) denseRange(id int32, lo, hi int, sk []float64) (int, int, int) {
 	dims, od := g.dims, g.odim
-	keys := g.rows[lo*dims+od:] // every dims-th value is an order-dimension key of the cell
-	hi = lo + searchRowsGT(keys, dims, hi-lo, sk[od]+g.band.High[od])
-	lo += searchRowsGE(keys, dims, hi-lo, sk[od]-g.band.Low[od])
 	box := g.box[int(g.boxOf[id])*2*dims:]
+	keys := g.rows[lo*dims+od:] // every dims-th value is an order-dimension key of the cell
+	if end := sk[od] + g.band.High[od]; !(box[dims+od] <= end) {
+		hi = lo + searchRowsGT(keys, dims, hi-lo, end)
+	}
+	if end := sk[od] - g.band.Low[od]; !(box[od] >= end) {
+		lo += searchRowsGE(keys, dims, hi-lo, end)
+	}
 	open := noneOpen
 	for d := 0; d < dims; d++ {
 		if d != od && !(box[d] >= sk[d]-g.band.Low[d] && box[dims+d] <= sk[d]+g.band.High[d]) {
@@ -491,28 +490,5 @@ func (g *gridState) probeRange(s *data.Relation, sLo, sHi int, emit Emit) int64 
 		sk := s.Key(i)
 		count += g.scanCells(g.appendCells(buf[:0], sk), i, sk, emit)
 	}
-	return count
-}
-
-// Join implements Algorithm.
-func (EpsGrid) Join(s, t *data.Relation, band data.Band, emit Emit) int64 {
-	return EpsGrid{}.JoinRange(s, t, band, 0, s.Len(), emit)
-}
-
-// JoinRange implements RangeJoiner: the cell-walk loop restricted to S
-// indices [lo, hi) (or the sorted-scan fallback's range form when the grid is
-// undefined). The grid is rebuilt per call; when several ranges of the same
-// partition run, Prepare the structure once and use ProbeRange instead.
-func (EpsGrid) JoinRange(s, t *data.Relation, band data.Band, lo, hi int, emit Emit) int64 {
-	if s.Len() == 0 || t.Len() == 0 || lo >= hi {
-		return 0
-	}
-	if !epsGridDefined(t.Dims(), band) {
-		return GridSortScan{}.JoinRange(s, t, band, lo, hi, emit)
-	}
-	sc := scratchPool.Get().(*scratch)
-	sc.grid.build(t, band)
-	count := sc.grid.probeRange(s, lo, hi, emit)
-	scratchPool.Put(sc)
 	return count
 }

@@ -1,24 +1,17 @@
-// Package localjoin implements the band-join algorithms each worker runs on
-// its local partition after the shuffle. The paper (Section 6.1) uses an
-// index-nested-loop algorithm that range-partitions T on the most selective
-// dimension A1 with ranges of size ε1 and probes with binary search; a
-// sorted-scan variant is used for Grid-ε partitions, and a block nested loop
-// serves as the correctness reference. All algorithms produce each matching
-// pair exactly once.
+// Package localjoin implements the band-join each worker runs on its local
+// partition after the shuffle. There is one kernel, the local ε-grid (see
+// EpsGrid): the T side is bucketed into cells of one band extent per side on
+// up to four dimensions — exact-key cells on a dimension of width zero, one
+// dimension for a one-dimensional band — and every S-tuple probes the cells
+// its band region can intersect. The paper (Section 6.1) uses an
+// index-nested-loop that range-partitions T on A1 and probes with binary
+// search; in one dimension the grid does exactly that, and on more it filters
+// on several dimensions at once. A block nested loop serves as the definition
+// oracle and as the join of partitions too small for a structure to pay off.
+// Every pair is produced exactly once.
 //
-// SortProbe and GridSortScan are allocation-free in the steady state: sort
-// scratch (flat (key, index) pair buffers and a dimension-0-sorted copy of
-// the partition rows) is reused through a sync.Pool, the pairs are sorted
-// with slices.SortFunc over a concrete element type instead of sort.Slice
-// with closure comparators, and the probe loop scans contiguous rows with no
-// index indirection. Auto, the executor's default, picks per partition among
-// the nested loop (tiny inputs), the k-dimensional local ε-grid
-// (multi-dimensional bands; k chosen per build from the cell load), the sorted
-// probe (1D), and the sliding-window sorted scan. The nested loop is the one
-// correctness oracle.
-//
-// All algorithms implement the band condition as data.Band.Matches defines it
-// on every float64 input: a NaN key matches nothing, ±Inf keys follow IEEE
+// The kernel implements the band condition as data.Band.Matches defines it on
+// every float64 input: a NaN key matches nothing, ±Inf keys follow IEEE
 // arithmetic.
 package localjoin
 
@@ -26,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"bandjoin/internal/data"
 )
@@ -37,48 +29,38 @@ import (
 // materializing billions of pairs.
 type Emit func(sIdx, tIdx int, sKey, tKey []float64)
 
-// Algorithm is a local band-join algorithm.
-type Algorithm interface {
-	// Name identifies the algorithm in reports.
-	Name() string
-	// Join computes the band-join of s and t, invoking emit (if non-nil) for
-	// every matching pair, and returns the number of result pairs.
-	Join(s, t *data.Relation, band data.Band, emit Emit) int64
-}
+// nestedLoopMax is the side size up to which the nested loop beats building a
+// grid: Prepare and PrepareOnce return nil for such partitions.
+const nestedLoopMax = 32
 
-// RangeJoiner is an Algorithm whose probe loop can be restricted to a
-// contiguous range of its own probe order. JoinRange(s, t, band, lo, hi, emit)
-// runs positions [lo, hi) of the exact probe sequence Join(s, t, band, emit)
-// would run: concatenating the emissions of consecutive ranges covering
-// [0, probe-domain) reproduces Join's output bit-identically, which is what
-// lets the morsel scheduler stripe one partition across workers and still
-// merge a deterministic result. The probe domain is S — raw S indices for the
-// probe-style algorithms, dim-0-sorted S positions for the sorted scan — so
-// the domain size is always s.Len(). Emission is per-S-tuple; no pair crosses
-// a range boundary.
-type RangeJoiner interface {
-	Algorithm
-	JoinRange(s, t *data.Relation, band data.Band, lo, hi int, emit Emit) int64
+// Join computes the band-join of s and t once, invoking emit (if non-nil) for
+// every matching pair, and returns the number of result pairs: the ε-grid
+// built by PrepareOnce and released after the probe, or the nested loop where
+// PrepareOnce returns nil.
+func Join(s, t *data.Relation, band data.Band, emit Emit) int64 {
+	p := PrepareOnce(s, t, band)
+	if p == nil {
+		return NestedLoop{}.Join(s, t, band, emit)
+	}
+	count := p.Probe(s, emit)
+	Release(p)
+	return count
 }
 
 // ---------------------------------------------------------------------------
 // Block nested loop (reference implementation)
 
 // NestedLoop is the quadratic reference algorithm. It is used by tests as the
-// ground truth and by workers for very small partitions where sorting is not
-// worthwhile.
+// ground truth and for partitions too small for a grid to pay off.
 type NestedLoop struct{}
 
-// Name implements Algorithm.
-func (NestedLoop) Name() string { return "nested-loop" }
-
-// Join implements Algorithm.
+// Join runs the nested loop over all of S.
 func (NestedLoop) Join(s, t *data.Relation, band data.Band, emit Emit) int64 {
 	return NestedLoop{}.JoinRange(s, t, band, 0, s.Len(), emit)
 }
 
-// JoinRange implements RangeJoiner: the outer loop restricted to S indices
-// [lo, hi).
+// JoinRange runs the outer loop over S indices [lo, hi) only: the emissions of
+// consecutive ranges concatenate to Join's.
 func (NestedLoop) JoinRange(s, t *data.Relation, band data.Band, lo, hi int, emit Emit) int64 {
 	var count int64
 	for i := lo; i < hi; i++ {
@@ -97,38 +79,16 @@ func (NestedLoop) JoinRange(s, t *data.Relation, band data.Band, lo, hi int, emi
 }
 
 // ---------------------------------------------------------------------------
-// Sort scratch shared by the fast algorithms
+// Shared helpers
 
-// keyIdx is one element of the flat sort arrays: the dimension-0 key of a
-// tuple together with its index in the partition relation. Sorting and
-// scanning these 16-byte records keeps the probe loop on contiguous memory,
-// unlike sorting an []int index slice whose comparator chases the key through
-// the relation on every comparison.
+// keyIdx is one element of a flat sort array: a key together with its index.
+// Sorting these 16-byte records keeps the comparisons on contiguous memory,
+// unlike sorting an index slice whose comparator chases the key through the
+// relation on every comparison.
 type keyIdx struct {
 	key float64
 	idx int32
 }
-
-// sortedRel is a partition relation re-materialized in dimension-0 order:
-// rows holds all key rows contiguously (row-major) sorted by dimension 0, and
-// perm maps a sorted position back to the original tuple index (needed only
-// when pairs are emitted). Gathering the rows once turns every probe's
-// candidate scan into a purely sequential read — the original implementations
-// chased an index indirection into the relation for every candidate.
-type sortedRel struct {
-	rows []float64
-	perm []int32
-}
-
-// scratch holds the reusable sort buffers of one worker. Buffers grow to the
-// largest partition a worker sees and are then reused allocation-free.
-type scratch struct {
-	pairs []keyIdx
-	s, t  sortedRel
-	grid  gridState
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // resize returns buf with length n, reusing its storage when large enough;
 // the contents are unspecified.
@@ -139,24 +99,20 @@ func resize[E any](buf []E, n int) []E {
 	return buf[:n]
 }
 
-// sortedPairs fills buf with (dimension-0 key, index) pairs of r, sorted by
-// key, reusing buf's storage when it is large enough.
-func sortedPairs(buf []keyIdx, r *data.Relation) []keyIdx {
-	n := r.Len()
-	if n > math.MaxInt32 {
-		panic(fmt.Sprintf("localjoin: partition of %d tuples exceeds the 2^31-1 local index range", n))
-	}
-	buf = resize(buf, n)
-	for i := 0; i < n; i++ {
-		buf[i] = keyIdx{key: r.KeyAt(i, 0), idx: int32(i)}
-	}
-	slices.SortFunc(buf, func(a, b keyIdx) int { return cmpNaNLast(a.key, b.key) })
-	return buf
+// sortKeyIdx sorts buf by key, NaN last, ties by index: a total order, so the
+// result does not depend on the sort algorithm.
+func sortKeyIdx(buf []keyIdx) {
+	slices.SortFunc(buf, func(a, b keyIdx) int {
+		if c := cmpNaNLast(a.key, b.key); c != 0 {
+			return c
+		}
+		return int(a.idx - b.idx)
+	})
 }
 
 // cmpNaNLast orders float64 keys ascending with NaN keys last (and equal to
-// each other), so the searches and window scans over a sorted run see a
-// consistently sorted prefix.
+// each other), so the searches over a sorted run see a consistently sorted
+// prefix.
 func cmpNaNLast(a, b float64) int {
 	switch {
 	case a < b:
@@ -174,32 +130,30 @@ func cmpNaNLast(a, b float64) int {
 	}
 }
 
-// Dim0Order returns r's tuple indices in the dimension-0 order the sort-based
-// algorithms scan T in (ties in whatever order their sort leaves them). A
-// caller that needs SortProbe's emission order from another kernel ranks that
-// kernel's matches by it.
-func Dim0Order(r *data.Relation) []int32 {
-	sc := scratchPool.Get().(*scratch)
-	sc.pairs = sortedPairs(sc.pairs, r)
-	order := make([]int32, len(sc.pairs))
-	for pos, p := range sc.pairs {
-		order[pos] = p.idx
+// checkRows panics when a partition of n tuples does not fit the kernel's
+// int32 local indices.
+func checkRows(n int) {
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("localjoin: partition of %d tuples exceeds the 2^31-1 local index range", n))
 	}
-	scratchPool.Put(sc)
-	return order
 }
 
-// build fills sr with r's rows sorted by dimension 0, using sc.pairs as the
-// sort scratch. All buffers are reused when large enough.
-func (sr *sortedRel) build(sc *scratch, r *data.Relation) {
-	n, dims := r.Len(), r.Dims()
-	sc.pairs = sortedPairs(sc.pairs, r)
-	sr.rows = resize(sr.rows, n*dims)
-	sr.perm = resize(sr.perm, n)
-	for pos, p := range sc.pairs {
-		sr.perm[pos] = p.idx
-		copy(sr.rows[pos*dims:(pos+1)*dims], r.Key(int(p.idx)))
+// Dim0Order returns r's tuple indices in dimension-0 order, NaN last (ties in
+// whatever order the sort leaves them, which is deterministic). A caller that
+// needs a kernel-independent order of the matches of one S-tuple ranks them by
+// it.
+func Dim0Order(r *data.Relation) []int32 {
+	checkRows(r.Len())
+	pairs := make([]keyIdx, r.Len())
+	for i := range pairs {
+		pairs[i] = keyIdx{key: r.KeyAt(i, 0), idx: int32(i)}
 	}
+	slices.SortFunc(pairs, func(a, b keyIdx) int { return cmpNaNLast(a.key, b.key) })
+	order := make([]int32, len(pairs))
+	for pos, p := range pairs {
+		order[pos] = p.idx
+	}
+	return order
 }
 
 // searchRowsGE returns the first of n sorted rows, dims values apart in rows,
@@ -233,12 +187,10 @@ func searchRowsGT(rows []float64, dims, n int, x float64) int {
 }
 
 // matchesFrom checks the band condition for dimensions [from, d), stopping at
-// the first that fails: everything past dimension 0 for the sorted scans,
-// whose window settles dimension 0, and for the grid the dimensions past the
-// leading grid dimensions, which scanCells tests itself without branches. It
-// is the predicate of data.Band.MatchesDim, spelled out because the call —
-// inlined or not — compiles to a slower probe loop (+15% on a 2-d serving
-// workload).
+// the first that fails: the dimensions past the leading grid dimensions,
+// which scanCells tests itself without branches. It is the predicate of
+// data.Band.MatchesDim, spelled out because the call — inlined or not —
+// compiles to a slower probe loop (+15% on a 2-d serving workload).
 func matchesFrom(band data.Band, sk, tk []float64, from int) bool {
 	for d := from; d < len(sk); d++ {
 		if !(tk[d] >= sk[d]-band.Low[d] && tk[d] <= sk[d]+band.High[d]) {
@@ -246,240 +198,4 @@ func matchesFrom(band data.Band, sk, tk []float64, from int) bool {
 		}
 	}
 	return true
-}
-
-// ---------------------------------------------------------------------------
-// Sorted probe (the paper's index-nested-loop, realized with one sort)
-
-// SortProbe sorts T on dimension 0 once and, for every S-tuple, locates the
-// matching T-range with binary search and scans it, verifying the remaining
-// dimensions. This is equivalent to the paper's index-nested-loop with
-// ε1-sized ranges (the binary search plays the role of the range index) and
-// also covers the equi-join case ε = 0, for which Grid-ε is undefined but the
-// other partitioners still need a local algorithm.
-type SortProbe struct{}
-
-// Name implements Algorithm.
-func (SortProbe) Name() string { return "sort-probe" }
-
-// probeSortedT runs the sorted-probe loop of S against a dim-0-sorted T
-// (rows/perm as produced by sortedRel.build). It is shared by the one-shot
-// Join and the prepared (cached T side) form.
-func probeSortedT(rows []float64, perm []int32, n, dims int, s *data.Relation, band data.Band, emit Emit) int64 {
-	return probeSortedTRange(rows, perm, n, dims, s, 0, s.Len(), band, emit)
-}
-
-// probeSortedTRange is probeSortedT restricted to S indices [sLo, sHi). Each
-// S-tuple's probe is independent, so a range runs exactly the iterations the
-// full loop would run for those indices.
-func probeSortedTRange(rows []float64, perm []int32, n, dims int, s *data.Relation, sLo, sHi int, band data.Band, emit Emit) int64 {
-	var count int64
-	countOnly1D := emit == nil && dims == 1
-	for i := sLo; i < sHi; i++ {
-		sk := s.Key(i)
-		lo := sk[0] - band.Low[0]
-		hi := sk[0] + band.High[0]
-		start := searchRowsGE(rows, dims, n, lo)
-		if countOnly1D {
-			// One dimension and no pair materialization: the matching range
-			// is exactly [start, end), no per-tuple verification needed.
-			count += int64(searchRowsGT(rows, dims, n, hi) - start)
-			continue
-		}
-		for pos := start; pos < n; pos++ {
-			base := pos * dims
-			if !(rows[base] <= hi) { // past the window, or the NaN tail
-				break
-			}
-			row := rows[base : base+dims]
-			if matchesFrom(band, sk, row, 1) {
-				count++
-				if emit != nil {
-					emit(i, int(perm[pos]), sk, row)
-				}
-			}
-		}
-	}
-	return count
-}
-
-// Join implements Algorithm.
-func (SortProbe) Join(s, t *data.Relation, band data.Band, emit Emit) int64 {
-	n := t.Len()
-	if n == 0 || s.Len() == 0 {
-		return 0
-	}
-	dims := t.Dims()
-	sc := scratchPool.Get().(*scratch)
-	sc.t.build(sc, t)
-	count := probeSortedT(sc.t.rows, sc.t.perm, n, dims, s, band, emit)
-	scratchPool.Put(sc)
-	return count
-}
-
-// JoinRange implements RangeJoiner: the probe loop restricted to S indices
-// [lo, hi). The T side is rebuilt per call; when several ranges of the same
-// partition run, Prepare the structure once and use ProbeRange instead.
-func (SortProbe) JoinRange(s, t *data.Relation, band data.Band, lo, hi int, emit Emit) int64 {
-	n := t.Len()
-	if n == 0 || lo >= hi {
-		return 0
-	}
-	dims := t.Dims()
-	sc := scratchPool.Get().(*scratch)
-	sc.t.build(sc, t)
-	count := probeSortedTRange(sc.t.rows, sc.t.perm, n, dims, s, lo, hi, band, emit)
-	scratchPool.Put(sc)
-	return count
-}
-
-// ---------------------------------------------------------------------------
-// Grid sorted scan (the Grid-ε local algorithm from Section 6.1)
-
-// GridSortScan sorts both inputs on dimension 0 and, for every S-tuple in
-// sorted order, advances a sliding window over T. It matches the paper's
-// description of the slightly modified local algorithm used for Grid-ε
-// partitions, whose extent in A1 already equals the grid size.
-type GridSortScan struct{}
-
-// Name implements Algorithm.
-func (GridSortScan) Name() string { return "grid-sort-scan" }
-
-// scanSortedWindow runs the sliding-window scan of a dim-0-sorted S against a
-// dim-0-sorted T. It is shared by the one-shot Join and the prepared form.
-func scanSortedWindow(sRows []float64, sPerm []int32, ns int, tRows []float64, tPerm []int32, nt, dims int, band data.Band, emit Emit) int64 {
-	return scanSortedWindowRange(sRows, sPerm, tRows, tPerm, nt, dims, 0, ns, band, emit)
-}
-
-// scanSortedWindowRange is scanSortedWindow restricted to sorted-S positions
-// [sLo, sHi). The sequential scan's window start is monotone: winLo stops at
-// the first T position with key >= (sKey - band.Low[0]), and that bound is
-// nondecreasing in sorted-S order, so winLo at any position equals the binary
-// search for it — recomputing it at sLo puts a range on the exact state the
-// sequential scan would have there, and the emissions of consecutive ranges
-// concatenate to the full scan bit-identically.
-func scanSortedWindowRange(sRows []float64, sPerm []int32, tRows []float64, tPerm []int32, nt, dims, sLo, sHi int, band data.Band, emit Emit) int64 {
-	var count int64
-	if sLo >= sHi {
-		return 0
-	}
-	winLo := searchRowsGE(tRows, dims, nt, sRows[sLo*dims]-band.Low[0])
-	for spos := sLo; spos < sHi; spos++ {
-		sk := sRows[spos*dims : (spos+1)*dims]
-		lo := sk[0] - band.Low[0]
-		hi := sk[0] + band.High[0]
-		for winLo < nt && tRows[winLo*dims] < lo {
-			winLo++
-		}
-		for pos := winLo; pos < nt; pos++ {
-			base := pos * dims
-			if !(tRows[base] <= hi) { // past the window, or the NaN tail
-				break
-			}
-			row := tRows[base : base+dims]
-			if matchesFrom(band, sk, row, 1) {
-				count++
-				if emit != nil {
-					emit(int(sPerm[spos]), int(tPerm[pos]), sk, row)
-				}
-			}
-		}
-	}
-	return count
-}
-
-// Join implements Algorithm.
-func (GridSortScan) Join(s, t *data.Relation, band data.Band, emit Emit) int64 {
-	ns, nt := s.Len(), t.Len()
-	if ns == 0 || nt == 0 {
-		return 0
-	}
-	dims := t.Dims()
-	sc := scratchPool.Get().(*scratch)
-	sc.s.build(sc, s)
-	sc.t.build(sc, t)
-	count := scanSortedWindow(sc.s.rows, sc.s.perm, ns, sc.t.rows, sc.t.perm, nt, dims, band, emit)
-	scratchPool.Put(sc)
-	return count
-}
-
-// JoinRange implements RangeJoiner. The probe domain is dim-0-sorted S
-// positions, not raw S indices: [lo, hi) of the sorted scan order. Both sides
-// are rebuilt per call; when several ranges of the same partition run,
-// Prepare the structure once and use ProbeRange instead.
-func (GridSortScan) JoinRange(s, t *data.Relation, band data.Band, lo, hi int, emit Emit) int64 {
-	ns, nt := s.Len(), t.Len()
-	if ns == 0 || nt == 0 || lo >= hi {
-		return 0
-	}
-	dims := t.Dims()
-	sc := scratchPool.Get().(*scratch)
-	sc.s.build(sc, s)
-	sc.t.build(sc, t)
-	count := scanSortedWindowRange(sc.s.rows, sc.s.perm, sc.t.rows, sc.t.perm, nt, dims, lo, hi, band, emit)
-	scratchPool.Put(sc)
-	return count
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive selection
-
-// Auto picks the cheapest algorithm per partition: the quadratic nested loop
-// when either side is too small for sorting to pay off, the ε-grid when it is
-// defined (d ≥ 2 and non-zero band extents on the first two dimensions — it
-// filters candidates on two to four dimensions instead of one), the sorted
-// probe for one-dimensional joins (whose count-only path answers each probe
-// with two binary searches), and the sliding-window sorted scan for
-// everything else (e.g. equi-join dimensions).
-type Auto struct{}
-
-// autoNestedLoopMax is the side size below which the nested loop wins.
-const autoNestedLoopMax = 32
-
-// Name implements Algorithm.
-func (Auto) Name() string { return "auto" }
-
-// Join implements Algorithm.
-func (Auto) Join(s, t *data.Relation, band data.Band, emit Emit) int64 {
-	if s.Len() <= autoNestedLoopMax || t.Len() <= autoNestedLoopMax {
-		return NestedLoop{}.Join(s, t, band, emit)
-	}
-	if t.Dims() == 1 {
-		return SortProbe{}.Join(s, t, band, emit)
-	}
-	// EpsGrid falls back to GridSortScan itself when its grid is undefined.
-	return EpsGrid{}.Join(s, t, band, emit)
-}
-
-// JoinRange implements RangeJoiner, dispatching exactly like Join (the
-// selection consults only sizes and dimensionality, never the range).
-func (Auto) JoinRange(s, t *data.Relation, band data.Band, lo, hi int, emit Emit) int64 {
-	if s.Len() <= autoNestedLoopMax || t.Len() <= autoNestedLoopMax {
-		return NestedLoop{}.JoinRange(s, t, band, lo, hi, emit)
-	}
-	if t.Dims() == 1 {
-		return SortProbe{}.JoinRange(s, t, band, lo, hi, emit)
-	}
-	return EpsGrid{}.JoinRange(s, t, band, lo, hi, emit)
-}
-
-// Default returns the algorithm the executor uses when none is specified.
-func Default() Algorithm { return Auto{} }
-
-// ByName returns the algorithm with the given name, or false if unknown.
-func ByName(name string) (Algorithm, bool) {
-	switch name {
-	case "auto":
-		return Auto{}, true
-	case "nested-loop":
-		return NestedLoop{}, true
-	case "sort-probe":
-		return SortProbe{}, true
-	case "grid-sort-scan":
-		return GridSortScan{}, true
-	case "eps-grid":
-		return EpsGrid{}, true
-	default:
-		return nil, false
-	}
 }

@@ -1,6 +1,7 @@
 package localjoin
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -36,92 +37,81 @@ func skewedPair(n, d int, eps float64, seed int64) (*data.Relation, *data.Relati
 	return sk, t, data.Uniform(d, eps)
 }
 
-// TestJoinRangeConcatenationMatchesJoin pins the RangeJoiner contract: running
-// consecutive ranges and concatenating the emissions must reproduce the plain
-// Join bit-identically — same pairs, same order, same count — for every range
+// stripes runs run over consecutive ranges of [0, n) of the given step and
+// returns the concatenated emissions and the summed count.
+func stripes(n, step int, run func(lo, hi int, emit Emit) int64) ([]idxPair, int64) {
+	var got []idxPair
+	var count int64
+	for lo := 0; lo < n; lo += step {
+		count += run(lo, min(lo+step, n), emitInto(&got))
+	}
+	return got, count
+}
+
+// TestJoinRangeConcatenationMatchesJoin pins the range contract of the two
+// forms the morsel scheduler stripes a partition through — the nested loop's
+// JoinRange, and ProbeRange over a PrepareOnce grid: running consecutive
+// ranges and concatenating the emissions must reproduce the plain join
+// bit-identically — same pairs, same order, same count — for every range
 // granularity, including degenerate 1-row morsels.
 func TestJoinRangeConcatenationMatchesJoin(t *testing.T) {
-	cases := map[string]func() (*data.Relation, *data.Relation, data.Band){
-		"pareto": func() (*data.Relation, *data.Relation, data.Band) { return makePair(350, 2, 0.1, 3) },
-		"skewed": func() (*data.Relation, *data.Relation, data.Band) { return skewedPair(350, 2, 0.05, 9) },
-	}
+	cases := bandShapes()
+	cases["skewed"] = func() (*data.Relation, *data.Relation, data.Band) { return skewedPair(350, 2, 0.05, 9) }
 	for caseName, mk := range cases {
 		s, tt, band := mk()
-		// Every algorithm must stripe.
-		for _, alg := range []Algorithm{NestedLoop{}, SortProbe{}, GridSortScan{}, EpsGrid{}, Auto{}} {
-			rj, ok := alg.(RangeJoiner)
-			if !ok {
-				t.Errorf("%s does not implement RangeJoiner", alg.Name())
-				continue
+		once := PrepareOnce(s, tt, band)
+		forms := map[string]func(lo, hi int, emit Emit) int64{
+			"nested-loop":  func(lo, hi int, emit Emit) int64 { return NestedLoop{}.JoinRange(s, tt, band, lo, hi, emit) },
+			"prepare-once": func(lo, hi int, emit Emit) int64 { return once.ProbeRange(s, lo, hi, emit) },
+		}
+		var plain []idxPair
+		wantCount := Join(s, tt, band, emitInto(&plain))
+		if wantCount == 0 {
+			t.Fatalf("%s: reference join empty; widen the band", caseName)
+		}
+		for formName, run := range forms {
+			want, _ := stripes(s.Len(), s.Len(), run)
+			if formName == "prepare-once" && !slices.Equal(want, plain) {
+				t.Fatalf("%s: the one-shot Join emits other pairs than its structure's probe", caseName)
 			}
-			var plain []idxPair
-			wantCount := alg.Join(s, tt, band, emitInto(&plain))
-			if wantCount == 0 {
-				t.Fatalf("%s/%s: reference join empty; widen the band", caseName, alg.Name())
-			}
-			for _, step := range []int{1, 3, 17, 100, s.Len(), s.Len() + 7} {
-				var got []idxPair
-				var gotCount int64
-				for lo := 0; lo < s.Len(); lo += step {
-					hi := min(lo+step, s.Len())
-					gotCount += rj.JoinRange(s, tt, band, lo, hi, emitInto(&got))
-				}
+			for _, step := range []int{1, 3, 17, 100, s.Len() + 7} {
+				got, gotCount := stripes(s.Len(), step, run)
 				if gotCount != wantCount {
-					t.Fatalf("%s/%s step %d: range count %d, plain %d", caseName, alg.Name(), step, gotCount, wantCount)
+					t.Fatalf("%s/%s step %d: range count %d, plain %d", caseName, formName, step, gotCount, wantCount)
 				}
-				if len(got) != len(plain) {
-					t.Fatalf("%s/%s step %d: %d pairs, plain %d", caseName, alg.Name(), step, len(got), len(plain))
-				}
-				for i := range plain {
-					if got[i] != plain[i] {
-						t.Fatalf("%s/%s step %d: pair %d = %v, plain %v", caseName, alg.Name(), step, i, got[i], plain[i])
-					}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s/%s step %d: %d pairs, plain %d (or in another order)", caseName, formName, step, len(got), len(want))
 				}
 			}
-			// Empty and full ranges behave.
-			if rj.JoinRange(s, tt, band, 0, 0, nil) != 0 {
-				t.Errorf("%s: empty range emitted pairs", alg.Name())
-			}
-			if rj.JoinRange(s, tt, band, 0, s.Len(), nil) != wantCount {
-				t.Errorf("%s: full range disagrees with Join", alg.Name())
+			if run(0, 0, nil) != 0 {
+				t.Errorf("%s/%s: empty range emitted pairs", caseName, formName)
 			}
 		}
+		Release(once)
 	}
 }
 
 // TestProbeRangeConcatenationMatchesProbe pins the same contract on the
-// prepared structures — the shared read-only form the morsel scheduler
-// actually probes.
+// structures Prepare builds — the shared read-only form the morsel scheduler
+// probes for retained partitions.
 func TestProbeRangeConcatenationMatchesProbe(t *testing.T) {
-	s, tt, band := skewedPair(400, 3, 0.15, 7)
-	for _, alg := range []Algorithm{Auto{}, SortProbe{}, GridSortScan{}, EpsGrid{}} {
-		prep := Prepare(alg, s, tt, band)
+	cases := bandShapes()
+	cases["skewed"] = func() (*data.Relation, *data.Relation, data.Band) { return skewedPair(400, 3, 0.15, 7) }
+	for caseName, mk := range cases {
+		s, tt, band := mk()
+		prep := Prepare(s, tt, band)
 		if prep == nil {
-			t.Fatalf("%s: no prepared form", alg.Name())
-		}
-		rp, ok := prep.(RangeProber)
-		if !ok {
-			t.Fatalf("%s: prepared form does not implement RangeProber", alg.Name())
+			t.Fatalf("%s: no structure", caseName)
 		}
 		var plain []idxPair
 		wantCount := prep.Probe(s, emitInto(&plain))
 		if wantCount == 0 {
-			t.Fatalf("%s: reference probe empty; widen the band", alg.Name())
+			t.Fatalf("%s: reference probe empty; widen the band", caseName)
 		}
 		for _, step := range []int{1, 5, 64, s.Len()} {
-			var got []idxPair
-			var gotCount int64
-			for lo := 0; lo < s.Len(); lo += step {
-				hi := min(lo+step, s.Len())
-				gotCount += rp.ProbeRange(s, lo, hi, emitInto(&got))
-			}
-			if gotCount != wantCount {
-				t.Fatalf("%s step %d: range count %d, plain %d", alg.Name(), step, gotCount, wantCount)
-			}
-			for i := range plain {
-				if got[i] != plain[i] {
-					t.Fatalf("%s step %d: pair %d = %v, plain %v", alg.Name(), step, i, got[i], plain[i])
-				}
+			got, gotCount := stripes(s.Len(), step, func(lo, hi int, emit Emit) int64 { return prep.ProbeRange(s, lo, hi, emit) })
+			if gotCount != wantCount || !slices.Equal(got, plain) {
+				t.Fatalf("%s step %d: range count %d, plain %d (or other pairs)", caseName, step, gotCount, wantCount)
 			}
 		}
 	}
@@ -133,12 +123,13 @@ func TestProbeRangeConcatenationMatchesProbe(t *testing.T) {
 // the per-stripe buffers in stripe order must reproduce the sequential probe
 // exactly. This is precisely the access pattern of the morsel worker pool.
 func TestConcurrentProbeRangeShared(t *testing.T) {
-	s, tt, band := skewedPair(600, 2, 0.1, 21)
 	const goroutines = 8
 	const step = 37
-	for _, alg := range []Algorithm{Auto{}, SortProbe{}, GridSortScan{}, EpsGrid{}} {
-		prep := Prepare(alg, s, tt, band)
-		rp := prep.(RangeProber)
+	cases := bandShapes()
+	cases["skewed"] = func() (*data.Relation, *data.Relation, data.Band) { return skewedPair(600, 2, 0.1, 21) }
+	for caseName, mk := range cases {
+		s, tt, band := mk()
+		prep := Prepare(s, tt, band)
 		var plain []idxPair
 		wantCount := prep.Probe(s, emitInto(&plain))
 
@@ -153,7 +144,7 @@ func TestConcurrentProbeRangeShared(t *testing.T) {
 				for stripe := g; stripe < nStripes; stripe += goroutines {
 					lo := stripe * step
 					hi := min(lo+step, s.Len())
-					counts[stripe] = rp.ProbeRange(s, lo, hi, emitInto(&buffers[stripe]))
+					counts[stripe] = prep.ProbeRange(s, lo, hi, emitInto(&buffers[stripe]))
 				}
 			}(g)
 		}
@@ -166,42 +157,31 @@ func TestConcurrentProbeRangeShared(t *testing.T) {
 			gotCount += counts[i]
 		}
 		if gotCount != wantCount {
-			t.Fatalf("%s: concurrent count %d, sequential %d", alg.Name(), gotCount, wantCount)
+			t.Fatalf("%s: concurrent count %d, sequential %d", caseName, gotCount, wantCount)
 		}
-		if len(got) != len(plain) {
-			t.Fatalf("%s: %d pairs, sequential %d", alg.Name(), len(got), len(plain))
-		}
-		for i := range plain {
-			if got[i] != plain[i] {
-				t.Fatalf("%s: pair %d = %v, sequential %v", alg.Name(), i, got[i], plain[i])
-			}
+		if !slices.Equal(got, plain) {
+			t.Fatalf("%s: %d pairs, sequential %d (or in another order)", caseName, len(got), len(plain))
 		}
 	}
 }
 
 // TestPrepareOnceNilOnlyForTheNestedLoop pins what the morsel scheduler's
 // builds rely on when they stripe a partition without a structure through
-// JoinRange: on non-empty sides PrepareOnce returns a range prober for every
-// algorithm with a structure, and nil only for the nested loop — NestedLoop
-// itself, and Auto exactly when its dispatch picks the nested loop — whose
-// JoinRange has nothing to rebuild per range.
+// NestedLoop.JoinRange: PrepareOnce and Prepare return nil exactly when a
+// side is empty or holds at most nestedLoopMax rows, and a grid otherwise, for
+// every band shape.
 func TestPrepareOnceNilOnlyForTheNestedLoop(t *testing.T) {
-	small, smallT := data.ParetoPair(2, 1.5, autoNestedLoopMax, 3)
-	s, tt := data.ParetoPair(2, 1.5, 4*autoNestedLoopMax, 3)
-	s1, t1 := data.ParetoPair(1, 1.5, 4*autoNestedLoopMax, 3)
-	band, band1 := data.Uniform(2, 0.1), data.Uniform(1, 0.1)
-	if PrepareOnce(NestedLoop{}, s, tt, band) != nil || PrepareOnce(Auto{}, small, smallT, band) != nil {
-		t.Error("the nested loop, chosen or by Auto, has a structure")
+	small, smallT := data.ParetoPair(2, 1.5, nestedLoopMax, 3)
+	if PrepareOnce(small, smallT, data.Uniform(2, 0.1)) != nil || Prepare(small, smallT, data.Uniform(2, 0.1)) != nil {
+		t.Error("a partition of nestedLoopMax rows has a structure")
 	}
-	for _, alg := range []Algorithm{Auto{}, SortProbe{}, GridSortScan{}, EpsGrid{}} {
-		for _, in := range [][2]*data.Relation{{s, tt}, {s1, t1}} {
-			b := band
-			if in[0].Dims() == 1 {
-				b = band1
-			}
-			if _, ok := PrepareOnce(alg, in[0], in[1], b).(RangeProber); !ok {
-				t.Errorf("%s, %d-d: PrepareOnce returned no range prober", alg.Name(), in[0].Dims())
-			}
+	for shape, mk := range bandShapes() {
+		s, tt, band := mk()
+		if PrepareOnce(s, tt, band) == nil || Prepare(s, tt, band) == nil {
+			t.Errorf("%s: no structure for %d x %d rows", shape, s.Len(), tt.Len())
+		}
+		if PrepareOnce(s.Slice("s", 0, nestedLoopMax), tt, band) != nil {
+			t.Errorf("%s: a structure for an S side of nestedLoopMax rows", shape)
 		}
 	}
 }

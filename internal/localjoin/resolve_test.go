@@ -17,7 +17,7 @@ import (
 func TestResolveS(t *testing.T) {
 	s, tt, band := denseCellInputs(3 * resolveMinRows)
 	sealed := s.Slice("s", 0, 2*resolveMinRows)
-	old := Prepare(EpsGrid{}, sealed, tt, band).(*preparedEpsGrid)
+	old := Prepare(sealed, tt, band)
 	if got := UnresolvedS(old, s); got != resolveMinRows {
 		t.Fatalf("UnresolvedS = %d for %d appended rows", got, resolveMinRows)
 	}
@@ -29,10 +29,10 @@ func TestResolveS(t *testing.T) {
 		shuffled.AppendKey(s.Key(i))
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	want := Prepare(EpsGrid{}, shuffled, tt, band).(*preparedEpsGrid)
+	want := Prepare(shuffled, tt, band)
 	for _, procs := range []int{1, 2, 3, 8} {
 		runtime.GOMAXPROCS(procs)
-		got := ResolveS(old, shuffled).(*preparedEpsGrid)
+		got := ResolveS(old, shuffled)
 		if !slices.Equal(got.sStarts, want.sStarts) || !slices.Equal(got.sCells, want.sCells) {
 			t.Fatalf("GOMAXPROCS=%d: the resolved lists differ from one serial Prepare's", procs)
 		}
@@ -50,24 +50,16 @@ func TestResolveS(t *testing.T) {
 		t.Fatal("ResolveS modified the structure it was given")
 	}
 
-	// Structures without per-row S state come back as they are.
-	for _, alg := range []Algorithm{SortProbe{}, GridSortScan{}} {
-		p := Prepare(alg, sealed, tt, band)
-		if UnresolvedS(p, s) != 0 || ResolveS(p, s) != p {
-			t.Errorf("%s: a structure without cell lists reports unresolved rows or was replaced", alg.Name())
-		}
-	}
 	if UnresolvedS(nil, s) != 0 || ResolveS(nil, s) != nil {
 		t.Error("no structure: unresolved rows or a structure out of nothing")
 	}
 }
 
-// TestReleaseIsForSoleOwners: Release recycles only a PrepareOnce ε-grid no
-// other structure shares. Released beside a Prepare structure, a non-grid
-// PrepareOnce structure, nil, and a PrepareOnce grid that ResolveS has shared,
-// then churned by PrepareOnce builds over other inputs, every survivor still
-// probes exactly the nested loop's pairs; a sole owner's grid is rebuilt in by
-// the next PrepareOnce.
+// TestReleaseIsForSoleOwners: Release recycles only a PrepareOnce grid no
+// other structure shares. Released beside a Prepare structure, nil, and a
+// PrepareOnce grid that ResolveS has shared, then churned by PrepareOnce
+// builds over other inputs, every survivor still probes exactly the nested
+// loop's pairs; a sole owner's grid is rebuilt in by the next PrepareOnce.
 func TestReleaseIsForSoleOwners(t *testing.T) {
 	s, tt, band := denseCellInputs(2 * resolveMinRows)
 	other, otherT := data.ParetoPair(2, 1.2, resolveMinRows, 7)
@@ -83,31 +75,30 @@ func TestReleaseIsForSoleOwners(t *testing.T) {
 		t.Fatal("the nested loop has no pairs; the inputs exercise nothing")
 	}
 
-	prepared := Prepare(EpsGrid{}, s, tt, band)
-	sorted := PrepareOnce(GridSortScan{}, s, tt, band)
-	once := PrepareOnce(EpsGrid{}, s, tt, band)
+	prepared := Prepare(s, tt, band)
+	once := PrepareOnce(s, tt, band)
 	shared := ResolveS(once, s)
-	for _, p := range []PreparedT{nil, prepared, sorted, once, shared} {
+	for _, p := range []*EpsGrid{nil, prepared, once, shared} {
 		Release(p)
 	}
 	for range 4 {
-		Release(PrepareOnce(EpsGrid{}, other, otherT, otherBand))
+		Release(PrepareOnce(other, otherT, otherBand))
 	}
-	for name, p := range map[string]PreparedT{"Prepare": prepared, "PrepareOnce sort-scan": sorted, "PrepareOnce shared by ResolveS": once, "ResolveS": shared} {
+	for name, p := range map[string]*EpsGrid{"Prepare": prepared, "PrepareOnce shared by ResolveS": once, "ResolveS": shared} {
 		if got := pairs(func(emit Emit) int64 { return p.Probe(s, emit) }); !slices.Equal(got, want) {
 			t.Errorf("%s: %d pairs after the releases, the nested loop has %d (or they differ)", name, len(got), len(want))
 		}
 	}
 
 	// A sole owner's grid goes back to the pool, once.
-	sole := PrepareOnce(EpsGrid{}, s, tt, band).(*preparedEpsGrid)
+	sole := PrepareOnce(s, tt, band)
 	Release(sole)
 	Release(sole)
 	if sole.pooled.Load() {
 		t.Error("a released grid is still marked as its owner's")
 	}
 	if !raceEnabled { // the race detector's pool drops items at random
-		if next := PrepareOnce(EpsGrid{}, other, otherT, otherBand); next != PreparedT(sole) {
+		if next := PrepareOnce(other, otherT, otherBand); next != sole {
 			t.Error("the next PrepareOnce did not build in the released grid")
 		}
 	}

@@ -401,8 +401,8 @@ func (s *Sample) sampleOutput(maxPairs int, rng *rand.Rand) {
 }
 
 // probeChunk is the number of S rows a sample-join goroutine claims at a time:
-// small enough to balance a skewed probe order (the sorted scan's domain is
-// sorted S positions), large enough that the claim is free.
+// small enough to balance a skewed probe order, large enough that the claim is
+// free.
 const probeChunk = 512
 
 // joinSamples joins the two input samples and returns every pair as
@@ -415,13 +415,13 @@ func (s *Sample) joinSamples(rank []uint64) []uint64 {
 			*dst = append(*dst, uint64(si)<<32|rank[ti])
 		}
 	}
-	prober, _ := localjoin.PrepareOnce(localjoin.Auto{}, s.S, s.T, s.Band).(localjoin.RangeProber)
+	prober := localjoin.PrepareOnce(s.S, s.T, s.Band)
 	// The next plan's sample join rebuilds in this one's buffers.
 	defer localjoin.Release(prober)
 	if prober == nil {
 		// Empty or tiny samples: the nested loop, nothing to share.
 		var collected []uint64
-		localjoin.Auto{}.Join(s.S, s.T, s.Band, collectInto(&collected))
+		localjoin.NestedLoop{}.Join(s.S, s.T, s.Band, collectInto(&collected))
 		return collected
 	}
 	ns := s.S.Len()

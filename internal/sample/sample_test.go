@@ -88,7 +88,7 @@ func TestDrawScalesBackToTotals(t *testing.T) {
 func TestOutputSampleEstimatesJoinSize(t *testing.T) {
 	s, tt := data.ParetoPair(1, 1.5, 6000, 5)
 	band := data.Symmetric(0.01)
-	exact := localjoin.SortProbe{}.Join(s, tt, band, nil)
+	exact := localjoin.Join(s, tt, band, nil)
 	if exact == 0 {
 		t.Skip("workload produced no output; widen the band")
 	}

@@ -5,7 +5,6 @@ import (
 
 	"bandjoin/internal/costmodel"
 	"bandjoin/internal/exec"
-	"bandjoin/internal/localjoin"
 	"bandjoin/internal/sample"
 	"bandjoin/internal/wire"
 )
@@ -17,8 +16,6 @@ import (
 type resolved struct {
 	Workers          int
 	Partitioner      Partitioner
-	Algorithm        localjoin.Algorithm // nil selects the adaptive default
-	AlgorithmName    string              // wire name for cluster runs
 	Model            CostModel
 	Sampling         sample.Options
 	CollectPairs     bool
@@ -72,14 +69,6 @@ func (o Options) resolve() (resolved, error) {
 	if r.Partitioner == nil {
 		r.Partitioner = defaultPartitioner(o.PlannerParallelism)
 	}
-	if o.LocalAlgorithm != "" {
-		alg, ok := localjoin.ByName(o.LocalAlgorithm)
-		if !ok {
-			return r, fmt.Errorf("bandjoin: unknown local join algorithm %q", o.LocalAlgorithm)
-		}
-		r.Algorithm = alg
-		r.AlgorithmName = o.LocalAlgorithm
-	}
 	r.Model = o.Model
 	if (r.Model == costmodel.Model{}) {
 		r.Model = costmodel.Default()
@@ -110,7 +99,6 @@ func (o Options) resolve() (resolved, error) {
 func (r resolved) execOptions() exec.Options {
 	return exec.Options{
 		Workers:      r.Workers,
-		Algorithm:    r.Algorithm,
 		Model:        r.Model,
 		Sampling:     r.Sampling,
 		CollectPairs: r.CollectPairs,
