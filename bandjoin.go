@@ -114,9 +114,8 @@ type Options struct {
 	// shared worker pool draining a largest-partition-first queue, so one fat
 	// partition cannot bound query latency (skew immunity). 0 (the default)
 	// sizes morsels automatically from the partition sizes and the join
-	// parallelism; > 0 fixes the row count; < 0 runs every partition whole —
-	// one morsel each in process, one goroutine each on cluster workers — the
-	// skew baseline. Results are bit-identical for every setting.
+	// parallelism; > 0 fixes the row count; < 0 runs every partition as one
+	// morsel, the skew baseline. Results are bit-identical for every setting.
 	MorselRows int
 	// PlannerParallelism bounds the worker pool of the default partitioner's
 	// parallel best-split evaluation (0 = GOMAXPROCS, 1 = inline). It applies

@@ -58,7 +58,7 @@ func main() {
 		partitioner = flag.String("partitioner", "recpart", "recpart | recpart-s | 1-bucket | grid | grid-star | csio | iejoin")
 		workers     = flag.Int("workers", 8, "number of simulated workers (ignored with -cluster)")
 		clusterAddr = flag.String("cluster", "", "comma-separated recpartd worker addresses for a real distributed run")
-		morselRows  = flag.Int("morsel-rows", 0, "probe-side rows per join morsel (0 = auto from partition sizes and parallelism, < 0 = per-partition oracle path)")
+		morselRows  = flag.Int("morsel-rows", 0, "probe-side rows per join morsel (0 = auto from partition sizes and parallelism, < 0 = one morsel per partition)")
 		seed        = flag.Int64("seed", 1, "random seed")
 		verbose     = flag.Bool("v", false, "print per-worker load distribution")
 

@@ -390,16 +390,23 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 
 // TestWorkerRefusesLoadWithoutColumnarChunk: a data-bearing Load with an empty
 // Columnar field is what a coordinator from before wire.Version sends (gob
-// drops the row-major fields this worker no longer declares). The worker must
+// drops the row-major fields this worker no longer declares), and what the
+// end-of-partition marker of a coordinator from before every Load carried its
+// partition's counts arrives as (gob drops its Complete flag). The worker must
 // say so, naming the version it reads, and keep nothing.
 func TestWorkerRefusesLoadWithoutColumnarChunk(t *testing.T) {
 	w := NewWorker("w0")
-	err := w.Load(&LoadArgs{JobID: "j", Partition: 0, Side: "S", SideTotal: 1}, &LoadReply{})
-	if err == nil {
-		t.Fatal("Load without a columnar chunk was accepted")
-	}
-	if want := fmt.Sprintf("wire version %d", wire.Version); !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q does not name %q", err, want)
+	for _, args := range []*LoadArgs{
+		{JobID: "j", Partition: 0, Side: "S", ExpectS: 1},
+		{JobID: "j", Partition: 0, ExpectS: 1, ExpectT: 1, Band: data.Symmetric(1)},
+	} {
+		err := w.Load(args, &LoadReply{})
+		if err == nil {
+			t.Fatalf("Load without a columnar chunk was accepted: %+v", args)
+		}
+		if want := fmt.Sprintf("wire version %d", wire.Version); !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 	var pong PingReply
 	if err := w.Ping(&PingArgs{}, &pong); err != nil || pong.Jobs != 0 {
@@ -407,9 +414,8 @@ func TestWorkerRefusesLoadWithoutColumnarChunk(t *testing.T) {
 	}
 }
 
-// TestLateLoadAfterFinalReset is the regression test for a leak: a Load (or
-// Complete marker) that the network delayed past its query's last Reset found
-// no job and created one that nothing would ever reset. A final Reset closes
+// TestLateLoadAfterFinalReset is the regression test for a leak: a Load that
+// the network delayed past its query's last Reset found no job and created one that nothing would ever reset. A final Reset closes
 // the id; a Reset that clears a worker before reshipping under the same id
 // does not.
 func TestLateLoadAfterFinalReset(t *testing.T) {
@@ -445,10 +451,6 @@ func TestLateLoadAfterFinalReset(t *testing.T) {
 	}
 	if err := load("q1"); err == nil {
 		t.Error("Load after the job's final Reset succeeded, want an error")
-	}
-	marker := &LoadArgs{JobID: "q1", Partition: 0, Complete: true, Band: data.Symmetric(1)}
-	if err := w.Load(marker, &LoadReply{}); err == nil {
-		t.Error("Complete marker after the job's final Reset succeeded, want an error")
 	}
 	if n := jobs(); n != 0 {
 		t.Errorf("%d jobs resident after late loads, want 0", n)
@@ -523,8 +525,6 @@ func TestStaleLoadAfterMidQueryClear(t *testing.T) {
 	mustLoad("second shipment, S", load("q", "S", 1, false, false))
 	mustLoad("second shipment, T", load("q", "T", 1, false, false))
 	mustRefuse("a Load of the aborted shipment among the reshipped rows", load("q", "T", 0, false, false))
-	mustRefuse("a Complete marker of the aborted shipment",
-		w.Load(&LoadArgs{JobID: "q", Partition: 0, Complete: true, ExpectS: 1, ExpectT: 1, Band: data.Symmetric(0.5)}, &LoadReply{}))
 	if got := output("q", false); got != 1 {
 		t.Errorf("transient job joined %d pairs, want the reshipped rows' 1", got)
 	}

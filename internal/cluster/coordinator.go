@@ -242,11 +242,10 @@ type Options struct {
 	// JoinParallelism bounds the number of partition joins each worker runs
 	// concurrently; zero lets every worker use its GOMAXPROCS.
 	JoinParallelism int
-	// MorselRows sets the workers' join execution grain (JoinArgs.MorselRows):
-	// 0 runs the morsel-driven scheduler with an automatic probe-side morsel
-	// size, > 0 fixes the morsel row count, and < 0 selects the retained
-	// one-goroutine-per-partition path (the correctness oracle and skew
-	// baseline). All settings produce bit-identical results.
+	// MorselRows sets the grain of the workers' morsel-driven joins
+	// (JoinArgs.MorselRows): 0 sizes probe-side morsels automatically, > 0
+	// fixes the morsel row count, and < 0 runs every partition as one morsel.
+	// All settings produce bit-identical results.
 	MorselRows int
 	// PlanID, when non-empty, is the plan's fingerprint and enables partition
 	// retention: the first run ships the shuffled partitions to the workers'
@@ -267,10 +266,10 @@ type Options struct {
 	// attempt is the number of the shipment to one worker (see
 	// LoadArgs.Attempt); shipPartitions sets it per worker.
 	attempt int
-	// band, when non-empty, lets the streaming sender issue per-partition
-	// Complete markers (pipelined worker-side joins). It is set internally on
-	// the transient streaming path, where the upcoming Join's band is known at
-	// shuffle time.
+	// band, when non-empty, rides on every Load (LoadArgs.Band) so workers
+	// prepare each partition in the background once its rows are all in
+	// (pipelined worker-side joins). It is set internally on the transient
+	// path, where the upcoming Join's band is known at shuffle time.
 	band data.Band
 }
 
@@ -592,9 +591,9 @@ func (c *Coordinator) runTransient(ctx context.Context, plan partition.Plan, pct
 	rs.addJob(opts.JobID)
 	defer func() { c.resetJobs(rs.jobList()) }()
 
-	// The transient path knows the upcoming join at shuffle time, so the
-	// sender can issue per-partition Complete markers and workers on the
-	// current wire version overlap prepare with chunks still in flight.
+	// The transient path knows the upcoming join at shuffle time, so its
+	// Loads carry the band and workers overlap prepare with chunks still in
+	// flight.
 	opts.band = band
 
 	redistribute := redistributor(plan, pctx)
@@ -1451,10 +1450,10 @@ func (c *Coordinator) aggregate(joined []slotJoin, opts Options, s, t *data.Rela
 // (a row list may span several routing shards; the chunk boundaries are those
 // of the partition, not of its lists). A worker whose Ping advertised
 // less than wire.Version cannot read them and is refused with an error that is
-// not failed over. On transient runs the sender also
-// issues a Complete marker after each partition's last chunk, letting the
-// worker begin presorting and preparing that partition's join structure while
-// later partitions are still in flight. Each wait for a window slot is bounded
+// not failed over. Every Load carries its partition's row counts per side
+// (and, on transient runs, the band), so the worker knows when a partition is
+// whole and can begin preparing its join structure while later partitions are
+// still in flight. Each wait for a window slot is bounded
 // by the call deadline and the query context; either firing drops the
 // connection, aborting the whole in-flight window at once.
 func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids []int, routed *exec.Routed, opts Options, rs *runState) (int64, error) {
@@ -1472,9 +1471,6 @@ func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids
 	enc := wire.NewEncoder(wire.ModeAuto)
 	var keys []float64
 	var ids []int64
-	// Markers only apply to transient runs (retained plans prepare at Seal
-	// time, deltas invalidate instead).
-	markers := !opts.retain && !opts.delta && opts.band.Dims() > 0
 	deadline := c.opts.callDeadline()
 	done := make(chan *rpc.Call, opts.Window+1)
 	inFlight := 0
@@ -1529,7 +1525,9 @@ func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids
 				JobID:     opts.JobID,
 				Partition: pid,
 				Side:      name,
-				SideTotal: total,
+				ExpectS:   routed.S.Rows(pid),
+				ExpectT:   routed.T.Rows(pid),
+				Band:      opts.band,
 				Retain:    opts.retain,
 				Delta:     opts.delta,
 				Attempt:   opts.attempt,
@@ -1543,17 +1541,6 @@ func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids
 	for _, pid := range pids {
 		sendSide(pid, "S", &routed.S)
 		sendSide(pid, "T", &routed.T)
-		if markers && firstErr == nil {
-			dispatch(&LoadArgs{
-				JobID:     opts.JobID,
-				Partition: pid,
-				Complete:  true,
-				ExpectS:   routed.S.Rows(pid),
-				ExpectT:   routed.T.Rows(pid),
-				Band:      opts.band,
-				Attempt:   opts.attempt,
-			})
-		}
 	}
 	for inFlight > 0 && firstErr == nil {
 		collect()

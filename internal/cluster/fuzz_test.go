@@ -14,15 +14,14 @@ import (
 // around it is the fuzzer's. Whatever arrives, Load must not panic, must leave
 // every partition with as many IDs as rows, must not allocate beyond what
 // TestHostileSideTotalReservesLittle allows a small chunk, and must refuse
-// the arguments no coordinator sends: a negative partition, side total,
-// shipment number or expected count, a side other than S or T, a chunk whose
-// dimensionality is not its partition's, a Complete marker on a retained or
-// delta Load, a delta without retain.
+// the arguments no coordinator sends: a negative partition, shipment number
+// or expected count, a side other than S or T, a chunk whose dimensionality
+// is not its partition's, a delta without retain.
 func FuzzLoadArgs(f *testing.F) {
-	f.Add(uint8(0), 0, "S", 3, 0, 0, 0, false, false, false, uint8(3), uint8(1)) // an honest Load
+	f.Add(uint8(0), 0, "S", 0, 3, 0, false, false, uint8(3), uint8(1)) // an honest Load
 	// The hostile seeds, one per refusal, are in testdata/fuzz/FuzzLoadArgs.
-	f.Fuzz(func(t *testing.T, job uint8, partition int, side string, sideTotal, attempt, expectS, expectT int,
-		complete, retain, delta bool, rows, dims uint8) {
+	f.Fuzz(func(t *testing.T, job uint8, partition int, side string, attempt, expectS, expectT int,
+		retain, delta bool, rows, dims uint8) {
 		w := NewWorker("fuzzed")
 		seed := func(jobID string, retain bool) {
 			for _, side := range []string{"S", "T"} {
@@ -50,12 +49,9 @@ func FuzzLoadArgs(f *testing.F) {
 			chunk.AppendKey(key)
 		}
 		args := &LoadArgs{
-			JobID: []string{"j", "p", "new"}[job%3], Partition: partition, Side: side, SideTotal: sideTotal,
-			Attempt: attempt, ExpectS: expectS, ExpectT: expectT, Complete: complete, Retain: retain, Delta: delta,
+			JobID: []string{"j", "p", "new"}[job%3], Partition: partition, Side: side, Columnar: chunkOf(chunk, ids),
+			Attempt: attempt, ExpectS: expectS, ExpectT: expectT, Retain: retain, Delta: delta,
 			Band: data.Symmetric(0.5, 0.5),
-		}
-		if !complete {
-			args.Columnar = chunkOf(chunk, ids)
 		}
 
 		var before, after runtime.MemStats
@@ -63,16 +59,15 @@ func FuzzLoadArgs(f *testing.F) {
 		err := w.Load(args, &LoadReply{})
 		runtime.ReadMemStats(&after)
 		if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
-			t.Errorf("a %d-row, %d-d chunk announcing %d rows allocated %d bytes", rows, d, sideTotal, grown)
+			t.Errorf("a %d-row, %d-d chunk announcing %d/%d rows allocated %d bytes", rows, d, expectS, expectT, grown)
 		}
 		resident := partition == 0 && (args.JobID == "j" && !retain || args.JobID == "p" && retain)
-		hostile := partition < 0 || sideTotal < 0 || attempt < 0 || expectS < 0 || expectT < 0 ||
-			(complete && (retain || delta)) || (delta && !retain) ||
-			(!complete && (side != "S" && side != "T" || resident && d != 2))
+		hostile := partition < 0 || attempt < 0 || expectS < 0 || expectT < 0 || (delta && !retain) ||
+			side != "S" && side != "T" || resident && d != 2
 		if hostile && err == nil {
 			t.Errorf("hostile Load accepted: %+v", args)
 		}
-		w.Drain(0) // a Complete marker may have started a background prepare
+		w.Drain(0) // a transient Load may have started a background prepare
 		for _, job := range []*jobState{w.jobs["j"], w.jobs["new"], &w.retained["p"].jobState} {
 			if job == nil {
 				continue

@@ -26,11 +26,12 @@ func skewedClusterInputs(n int, seed int64) (*data.Relation, *data.Relation, dat
 	return sk, t, data.Symmetric(0.2, 0.2)
 }
 
-// TestWorkerMorselMatchesPerPartitionOracle pins the worker-side morsel path
-// against the retained per-partition path at the RPC level, on a point-mass
-// skewed workload, for both the transient and the retained partition
-// lifecycle: bit-identical pairs and accounting for every MorselRows setting.
-func TestWorkerMorselMatchesPerPartitionOracle(t *testing.T) {
+// TestWorkerMorselRowsMatchDefinition pins the worker's morsel join at the RPC
+// level, on a point-mass skewed workload, for both the transient and the
+// retained partition lifecycle: every MorselRows setting — one morsel per
+// partition, fixed grains and auto — returns exactly the nested loop's pairs,
+// with the same accounting.
+func TestWorkerMorselRowsMatchDefinition(t *testing.T) {
 	lc, err := StartLocal(3)
 	if err != nil {
 		t.Fatalf("StartLocal: %v", err)
@@ -43,34 +44,33 @@ func TestWorkerMorselMatchesPerPartitionOracle(t *testing.T) {
 	defer coord.Close()
 
 	s, tt, band := skewedClusterInputs(700, 19)
+	want := definitionPairs(s, tt, band)
+	if len(want) == 0 {
+		t.Fatal("test data joins to nothing; widen the band")
+	}
 	plan, pctx := retainPlanFor(t, core.NewRecPartS(), s, tt, band, 3)
 
 	for _, mode := range []string{"transient", "retained"} {
 		t.Run(mode, func(t *testing.T) {
-			run := func(morselRows int) *exec.Result {
-				opts := Options{CollectPairs: true, ChunkSize: 128, MorselRows: morselRows}
+			var first *exec.Result
+			for _, rows := range []int{-1, 0, 1, 16} {
+				opts := Options{CollectPairs: true, ChunkSize: 128, MorselRows: rows}
 				if mode == "retained" {
 					opts.PlanID = fmt.Sprintf("morsel-%s", mode)
 				}
-				res, err := coord.RunPlan(context.Background(), plan, pctx, s, tt, band, opts)
+				got, err := coord.RunPlan(context.Background(), plan, pctx, s, tt, band, opts)
 				if err != nil {
-					t.Fatalf("RunPlan(MorselRows=%d): %v", morselRows, err)
+					t.Fatalf("RunPlan(MorselRows=%d): %v", rows, err)
 				}
-				return res
-			}
-			oracle := run(-1)
-			if oracle.Output == 0 {
-				t.Fatal("oracle produced no pairs; widen the band")
-			}
-			for _, rows := range []int{16, 1, 0} {
-				got := run(rows)
-				if got.Output != oracle.Output || got.TotalInput != oracle.TotalInput ||
-					got.Im != oracle.Im || got.Om != oracle.Om {
-					t.Errorf("rows=%d: accounting (out=%d I=%d Im=%d Om=%d) differs from oracle (out=%d I=%d Im=%d Om=%d)",
+				samePairs(t, fmt.Sprintf("rows=%d vs nested loop", rows), got.Pairs, want)
+				if first == nil {
+					first = got
+				} else if got.Output != first.Output || got.TotalInput != first.TotalInput ||
+					got.Im != first.Im || got.Om != first.Om {
+					t.Errorf("rows=%d: accounting (out=%d I=%d Im=%d Om=%d) differs from rows=-1's (out=%d I=%d Im=%d Om=%d)",
 						rows, got.Output, got.TotalInput, got.Im, got.Om,
-						oracle.Output, oracle.TotalInput, oracle.Im, oracle.Om)
+						first.Output, first.TotalInput, first.Im, first.Om)
 				}
-				samePairs(t, fmt.Sprintf("rows=%d vs oracle", rows), got.Pairs, oracle.Pairs)
 			}
 		})
 	}

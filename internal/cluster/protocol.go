@@ -25,26 +25,19 @@ type LoadArgs struct {
 	// one; senders ship only to workers whose Ping advertised
 	// WireVersion >= wire.Version.
 	Columnar []byte
-	// SideTotal, when positive, is the total number of tuples this
-	// (partition, side) will receive over the whole shuffle. The sender knows
-	// it up front (partitions are routed before shipping), and the worker uses
-	// it as a hint to reserve storage ahead instead of growing repeatedly
-	// under append (never more than a constant factor over the rows received:
-	// it is unvalidated input).
-	SideTotal int
-	// Complete marks this Load as a per-partition end-of-shipment marker (it
-	// carries no data): every chunk of the partition has been issued on this
-	// connection. Once the resident tuple counts reach ExpectS/ExpectT the
-	// worker may start presorting and preparing the partition's join structure
-	// in the background, overlapping with later partitions still in flight —
-	// the streaming plane's pipelined-join path.
-	Complete bool
-	// ExpectS/ExpectT are the partition's total tuple counts per side,
-	// guarding the marker against net/rpc's out-of-order request dispatch.
+	// ExpectS/ExpectT are the partition's total tuple counts per side over the
+	// whole shipment, on every data Load. The sender knows them up front
+	// (partitions are routed before shipping). The worker reserves the Load's
+	// own side ahead from its count instead of growing it repeatedly under
+	// append (never more than a constant factor over the rows received: the
+	// counts are unvalidated input), and on a transient job it starts
+	// preparing the partition's join structure in the background once both
+	// sides hold exactly these counts, whatever order the Loads arrived in,
+	// overlapping with later partitions still in flight.
 	ExpectS int
 	ExpectT int
-	// Band describes the upcoming Join call so the background preparation
-	// builds the right structure. Set only on marker Loads.
+	// Band is the upcoming Join's band, on transient Loads, so the background
+	// preparation builds the right structure.
 	Band data.Band
 	// Retain stores the partition data in the worker's retained-plan registry
 	// under JobID (a plan fingerprint) instead of the transient job table:
@@ -76,7 +69,6 @@ type LoadArgs struct {
 // LoadReply acknowledges a batch. DecodeNanos is the time the worker spent
 // decoding the batch's columnar chunk into the partition.
 type LoadReply struct {
-	Received    int
 	DecodeNanos int64
 }
 
@@ -97,12 +89,11 @@ type JoinArgs struct {
 	// that fingerprint (never shipped, evicted, or restarted), signalling the
 	// coordinator to fall back to a cold shuffle.
 	Retained bool
-	// MorselRows selects the worker's join execution grain: 0 (also what gob
-	// zero-fills for coordinators that predate the field) runs the
-	// morsel-driven scheduler with an automatic probe-side morsel size, > 0
-	// fixes the morsel row count, and < 0 selects the retained
-	// one-goroutine-per-partition path (the correctness oracle and skew
-	// baseline). All settings produce bit-identical replies.
+	// MorselRows selects the grain of the worker's morsel-driven join: 0
+	// (also what gob zero-fills for coordinators that predate the field) sizes
+	// probe-side morsels automatically, > 0 fixes the morsel row count, and
+	// < 0 runs every partition as one morsel. All settings produce
+	// bit-identical replies.
 	MorselRows int
 }
 
@@ -166,8 +157,8 @@ type ResetReply struct{}
 // joinable on the worker (creating an empty entry on workers that received no
 // partitions, so "sealed with zero partitions" is distinguishable from
 // "evicted"). Sealing presorts the partitions and prebuilds each partition's
-// reusable local-join structure for the plan's band and algorithm — paid once
-// at retention time, so warm queries go straight to probing. Sealing may
+// reusable local-join structure for the plan's band — paid once at retention
+// time, so warm queries go straight to probing. Sealing may
 // evict the oldest retained plan if the worker's retention cap is exceeded.
 type SealArgs struct {
 	PlanID string

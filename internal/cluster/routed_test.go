@@ -18,9 +18,9 @@ import (
 )
 
 // loadKey identifies a data Load by everything the worker sees of it but the
-// job and the shipment number.
-func loadKey(pid int, side string, total int, chunk []byte) string {
-	return fmt.Sprintf("%d|%s|%d|%x", pid, side, total, chunk)
+// job, the shipment number and the band.
+func loadKey(pid int, side string, expectS, expectT int, chunk []byte) string {
+	return fmt.Sprintf("%d|%s|%d|%d|%x", pid, side, expectS, expectT, chunk)
 }
 
 // materializedStream is what shipping exec.Shuffle's output sends: every
@@ -43,7 +43,7 @@ func materializedStream(parts []*exec.PartitionInput, s, t *data.Relation, chunk
 			for lo := 0; lo < side.rel.Len(); lo += chunkSize {
 				hi := min(lo+chunkSize, side.rel.Len())
 				chunk := enc.EncodeChunk(side.rel.KeysRange(lo, hi), side.rel.Dims(), side.ids[lo:hi])
-				keys = append(keys, loadKey(pid, side.name, side.rel.Len(), chunk))
+				keys = append(keys, loadKey(pid, side.name, p.S.Len(), p.T.Len(), chunk))
 				raw += wire.RawBytes(hi-lo, side.rel.Dims())
 				for k := 1; k < shards; k++ {
 					bound := int64(side.source.Len() * k / shards)
@@ -103,9 +103,6 @@ func TestRoutedShipMatchesMaterialized(t *testing.T) {
 			coord, workers := startTapped(t, 2, func(_ int, conn net.Conn, args *LoadArgs) error {
 				mu.Lock()
 				defer mu.Unlock()
-				if args.Complete {
-					return nil
-				}
 				seen = append(seen, args)
 				if len(seen) == tc.dropAt {
 					conn.Close()
@@ -134,7 +131,7 @@ func TestRoutedShipMatchesMaterialized(t *testing.T) {
 			var got []string
 			for _, a := range seen {
 				if a.Attempt == last[a.Partition] {
-					got = append(got, loadKey(a.Partition, a.Side, a.SideTotal, a.Columnar))
+					got = append(got, loadKey(a.Partition, a.Side, a.ExpectS, a.ExpectT, a.Columnar))
 				}
 			}
 			slices.Sort(got)
@@ -142,12 +139,8 @@ func TestRoutedShipMatchesMaterialized(t *testing.T) {
 				t.Fatalf("%d Loads reached the workers, shipping the materialised shuffle sends %d (or they differ)", len(got), len(wantLoads))
 			}
 			if tc.dropAt == 0 {
-				markers := 0
-				if !tc.retained {
-					markers = nonEmpty
-				}
-				if res.ShuffleRPCs != int64(len(wantLoads)+markers) || len(seen) != len(wantLoads) {
-					t.Errorf("%d Load RPCs (%d with data), want %d chunks + %d markers", res.ShuffleRPCs, len(seen), len(wantLoads), markers)
+				if res.ShuffleRPCs != int64(len(wantLoads)) || len(seen) != len(wantLoads) {
+					t.Errorf("%d Load RPCs (%d seen), want one per chunk, %d", res.ShuffleRPCs, len(seen), len(wantLoads))
 				}
 				if res.ShuffleRawBytes != wantRaw {
 					t.Errorf("raw shuffle bytes %d, want %d", res.ShuffleRawBytes, wantRaw)

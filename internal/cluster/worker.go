@@ -296,32 +296,24 @@ type partitionData struct {
 	prepKey  string
 	prepared *localjoin.EpsGrid
 
-	// Pipelined-join marker state (transient jobs only). expectS/expectT are
-	// the partition's final per-side tuple counts from the coordinator's
-	// Complete marker, or -1 while no marker has arrived. Because net/rpc
-	// dispatches requests out of order, readiness is "marker seen AND counts
-	// reached", checked after every Load. preparing claims the background
-	// build so it is spawned at most once.
-	expectS, expectT int
-	markerBand       data.Band
-	preparing        bool
+	// preparing claims a transient partition's background build, so it is
+	// spawned at most once.
+	preparing bool
 }
 
 // newPartitionData returns an empty partition for the given dimensionality.
 func newPartitionData(dims int) *partitionData {
-	return &partitionData{
-		s:       data.NewRelation("S-part", dims),
-		t:       data.NewRelation("T-part", dims),
-		expectS: -1,
-		expectT: -1,
-	}
+	return &partitionData{s: data.NewRelation("S-part", dims), t: data.NewRelation("T-part", dims)}
 }
 
-// readyLocked reports (under p.mu) that the partition's shipment is complete
-// and no prepared structure exists or is being built yet.
-func (p *partitionData) readyLocked() bool {
-	return p.expectS >= 0 && !p.preparing && p.prepKey == "" &&
-		p.s.Len() == p.expectS && p.t.Len() == p.expectT
+// readyLocked reports (under p.mu) that a transient partition holds exactly
+// the rows the Load at hand announced for its shipment, in a band it can be
+// prepared for, and that no prepared structure exists or is being built yet.
+// net/rpc dispatches requests out of order, so this is checked after every
+// data Load, whichever side came last.
+func (p *partitionData) readyLocked(args *LoadArgs) bool {
+	return !p.preparing && p.prepKey == "" && p.s.Len() == args.ExpectS && p.t.Len() == args.ExpectT &&
+		args.Band.Validate() == nil && args.Band.Dims() == p.s.Dims()
 }
 
 // prepCanceled marks a transient partition whose join started before the
@@ -500,23 +492,20 @@ func (w *Worker) Retained() int {
 }
 
 // Load implements the RPC method receiving partition input as a columnar
-// chunk of internal/wire — or a per-partition Complete marker carrying no data
-// (the pipelined-join path).
+// chunk of internal/wire.
 func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 	if err := w.beginWork(); err != nil {
 		return err
 	}
 	defer w.endWork()
 	// The arguments are unvalidated network input (FuzzLoadArgs).
-	if args.Partition < 0 || args.SideTotal < 0 || args.Attempt < 0 || args.ExpectS < 0 || args.ExpectT < 0 {
-		return fmt.Errorf("cluster: worker %s: malformed Load: a negative partition, side total, shipment number or expected count", w.name)
-	}
-	if args.Complete {
-		return w.completeMarker(args)
+	if args.Partition < 0 || args.Attempt < 0 || args.ExpectS < 0 || args.ExpectT < 0 {
+		return fmt.Errorf("cluster: worker %s: malformed Load: a negative partition, shipment number or expected count", w.name)
 	}
 	if len(args.Columnar) == 0 {
 		// gob drops the fields this struct no longer has, so this is also what
-		// a coordinator that still ships one of the older row-major forms sends.
+		// a coordinator that still ships one of the older row-major forms, or
+		// an end-of-partition marker carrying no data, sends.
 		return fmt.Errorf("cluster: worker %s: Load carries no columnar chunk; this worker reads wire version %d only (the row-major formats before it are gone)",
 			w.name, wire.Version)
 	}
@@ -583,16 +572,23 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 		w.m.deltaTuples.Add(int64(n))
 	}
 	spawn := false
-	if !args.Retain && p.readyLocked() {
-		p.preparing = true
-		spawn = true
+	if !args.Retain {
+		// Rows beyond what a background build saw (a stale or hostile Load;
+		// the coordinator sends none after a partition is whole) drop its
+		// structure, and the join builds its own over all the rows. A build
+		// still queued sees them anyway, and so does a join that cancelled one.
+		if p.prepKey != "" && p.prepKey != prepCanceled {
+			p.prepKey, p.prepared = "", nil
+		}
+		if spawn = p.readyLocked(args); spawn {
+			p.preparing = true
+		}
 	}
 	p.mu.Unlock()
 	if spawn {
-		w.spawnPrepare(p)
+		w.spawnPrepare(p, args.Band)
 	}
 
-	reply.Received = n
 	w.m.loadRPCs.Inc()
 	w.m.loadTuples.Add(int64(n))
 	w.m.loadBytes.Add(payload)
@@ -642,9 +638,9 @@ func (w *Worker) jobFor(args *LoadArgs) (*jobState, error) {
 	return job, nil
 }
 
-// reserveAhead bounds what a sender's SideTotal may reserve: this many times
-// the rows the side holds once the chunk at hand is appended. SideTotal is
-// unvalidated network input — honoured as sent, one small Load claiming 2^40
+// reserveAhead bounds what a sender's expected count may reserve: this many
+// times the rows the side holds once the chunk at hand is appended. The count
+// is unvalidated network input — honoured as sent, one small Load claiming 2^40
 // rows allocates terabytes — so it is a hint that costs at most a constant
 // factor over the rows actually received. An honest side of up to 32 chunks
 // still gets its one exact reservation, a larger one a few (each about 33
@@ -671,7 +667,11 @@ func reserveSide(rel *data.Relation, ids *[]int64, total, n int) {
 // their previous lengths, so the partition never holds half-written rows or
 // more rows than IDs. Caller holds p.mu.
 func (w *Worker) decodeColumnar(args *LoadArgs, rel *data.Relation, ids *[]int64, n, dims int) (err error) {
-	reserveSide(rel, ids, args.SideTotal, n)
+	total := args.ExpectS
+	if args.Side == "T" {
+		total = args.ExpectT
+	}
+	reserveSide(rel, ids, total, n)
 	sc := w.decPool.Get().(*decodeScratch)
 	defer w.decPool.Put(sc)
 	if _, _, err := sc.dec.Begin(args.Columnar); err != nil {
@@ -698,52 +698,14 @@ func (w *Worker) decodeColumnar(args *LoadArgs, rel *data.Relation, ids *[]int64
 	return sc.dec.IDs((*ids)[idBase:])
 }
 
-// completeMarker handles a per-partition end-of-shipment marker: it records
-// the expected per-side tuple counts and, if the partition is already fully
-// resident (markers and data race through net/rpc's per-request goroutines),
-// kicks off the background preparation.
-func (w *Worker) completeMarker(args *LoadArgs) error {
-	if args.Retain || args.Delta {
-		return fmt.Errorf("cluster: worker %s: Complete markers apply to transient jobs only", w.name)
-	}
-	if args.Band.Validate() != nil {
-		return fmt.Errorf("cluster: worker %s: malformed Complete marker for partition %d", w.name, args.Partition)
-	}
-	job, err := w.jobFor(args)
-	if err != nil {
-		return err
-	}
-	job.mu.Lock()
-	p, ok := job.partitions[args.Partition]
-	if !ok {
-		p = newPartitionData(args.Band.Dims())
-		job.partitions[args.Partition] = p
-	}
-	job.mu.Unlock()
-
-	p.mu.Lock()
-	p.expectS, p.expectT = args.ExpectS, args.ExpectT
-	p.markerBand = args.Band
-	spawn := false
-	if p.readyLocked() {
-		p.preparing = true
-		spawn = true
-	}
-	p.mu.Unlock()
-	if spawn {
-		w.spawnPrepare(p)
-	}
-	return nil
-}
-
 // spawnPrepare launches the background prepare for a partition whose shipment
 // is complete. Unlike Seal it does not presort: localjoin.Prepare is
 // self-contained over unsorted inputs (refresh relies on the same
 // property), and keeping arrival order means the probe emits pairs in the
 // exact order a plain per-query join would. The goroutine joins the worker's
 // inflight group so Drain waits for it; p.preparing was claimed by the caller
-// under p.mu.
-func (w *Worker) spawnPrepare(p *partitionData) {
+// under p.mu, which also checked band against the partition.
+func (w *Worker) spawnPrepare(p *partitionData, band data.Band) {
 	w.inflight.Add(1)
 	go func() {
 		defer w.inflight.Done()
@@ -752,11 +714,7 @@ func (w *Worker) spawnPrepare(p *partitionData) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		if p.prepKey != "" {
-			return // a join raced ahead and built it already
-		}
-		band := p.markerBand
-		if band.Validate() != nil || p.s.Dims() != band.Dims() {
-			return
+			return // a join raced ahead and cancelled it
 		}
 		p.prepared = localjoin.Prepare(p.s, p.t, band)
 		p.prepKey = prepKeyFor(band)
@@ -817,95 +775,8 @@ func (w *Worker) Join(args *JoinArgs, reply *JoinReply) error {
 		parallelism = 1
 	}
 
-	// Morsel-driven by default: one shared pool drains probe-row ranges of
-	// all partitions, so one fat partition cannot bound the join phase.
-	// MorselRows < 0 selects the retained one-goroutine-per-partition path,
-	// the correctness oracle the morsel reply must stay bit-identical to.
-	if args.MorselRows >= 0 {
-		reply.Partitions = w.joinTasksMorsels(tasks, args, parallelism)
-		return nil
-	}
-
-	if parallelism > len(tasks) {
-		parallelism = len(tasks)
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	stats := make([]PartitionStats, len(tasks))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, parallelism)
-	for i := range tasks {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			stats[i] = w.joinPartition(tasks[i].pid, tasks[i].p, args, args.Retained)
-		}(i)
-	}
-	wg.Wait()
-	reply.Partitions = stats
+	reply.Partitions = w.joinTasksMorsels(tasks, args, parallelism)
 	return nil
-}
-
-// joinPartition runs one partition's local join under the partition's read
-// lock: joins never mutate the inputs, so concurrent queries over the same
-// retained partitions proceed in parallel, while a late Load batch (write
-// lock) waits for running joins instead of racing them. Retained partitions
-// probe the cached prepared structure (built at Seal) instead of rebuilding
-// the join's index per query.
-func (w *Worker) joinPartition(pid int, p *partitionData, args *JoinArgs, retained bool) PartitionStats {
-	w.m.joinInflight.Add(1)
-	defer w.m.joinInflight.Add(-1)
-	var prep *localjoin.EpsGrid
-	var rebuildNanos, foldNanos int64
-	if retained {
-		rebuildNanos, foldNanos = p.refresh(args.Band)
-		w.m.observeRefresh(rebuildNanos, foldNanos)
-	}
-	if !retained {
-		// Pipelined-join handoff. If the background build finished (or is
-		// mid-build — the write lock waits for it), adopt its structure and
-		// probe instead of building. If the build is still queued behind the
-		// prep semaphore, cancel it: the join phase has started, so a late
-		// prepare could only duplicate the build this join is about to run
-		// inline, stealing cores from the remaining joins (spawnPrepare sees
-		// prepKey set and backs off).
-		key := prepKeyFor(args.Band)
-		p.mu.Lock()
-		switch p.prepKey {
-		case key:
-			prep = p.prepared
-		case "":
-			p.prepKey = prepCanceled
-		}
-		p.mu.Unlock()
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if retained {
-		prep = p.preparedLocked(args.Band)
-	}
-	start := time.Now()
-	stats := PartitionStats{Partition: pid, InputS: p.s.Len(), InputT: p.t.Len(), RebuildNanos: rebuildNanos, FoldNanos: foldNanos}
-	var emit localjoin.Emit
-	if args.CollectPairs {
-		emit = func(si, ti int, _, _ []float64) {
-			stats.PairS = append(stats.PairS, p.sIDs[si])
-			stats.PairT = append(stats.PairT, p.tIDs[ti])
-		}
-	}
-	if prep != nil {
-		stats.Output = prep.Probe(p.s, emit)
-	} else {
-		stats.Output = localjoin.Join(p.s, p.t, args.Band, emit)
-	}
-	stats.JoinNanos = time.Since(start).Nanoseconds()
-	w.m.partitionsJoined.Inc()
-	w.m.pairsEmitted.Add(stats.Output)
-	w.m.partitionJoinSeconds.Observe(float64(stats.JoinNanos) / 1e9)
-	return stats
 }
 
 // joinTask is one partition of a Join call, in pid order.
@@ -921,14 +792,14 @@ type morselTaskState struct {
 	foldNanos    int64
 }
 
-// joinTasksMorsels is the worker-side morsel join: the same per-partition
-// structure resolution as joinPartition (retained prepared structures with
-// lazy rebuild, the pipelined-join handoff for transient jobs), followed by
-// one shared exec.RunMorsels pool draining probe-row ranges of all partitions
-// largest-first. Partition read locks are held across the whole morsel phase
-// — the same exclusion against late Loads the per-partition path has, just
-// wider — and each partition's pairs are concatenated in morsel order, so the
-// reply is bit-identical to the per-partition oracle path.
+// joinTasksMorsels runs a job's local joins: each partition's structure is
+// resolved first (a retained one refreshed, with lazy rebuild and fold; a
+// transient one's queued background build cancelled), then one shared
+// exec.RunMorsels pool drains probe-row ranges of all partitions
+// largest-first, so one fat partition cannot bound the join phase. Partition
+// read locks are held across the whole morsel phase, so a late Load waits for
+// the join instead of racing it, and each partition's pairs are concatenated
+// in morsel order, so the reply is the same for every MorselRows.
 func (w *Worker) joinTasksMorsels(tasks []joinTask, args *JoinArgs, parallelism int) []PartitionStats {
 	n := len(tasks)
 	if n == 0 {
@@ -951,19 +822,19 @@ func (w *Worker) joinTasksMorsels(tasks []joinTask, args *JoinArgs, parallelism 
 			if args.Retained {
 				st.rebuildNanos, st.foldNanos = p.refresh(args.Band)
 				w.m.observeRefresh(st.rebuildNanos, st.foldNanos)
-			} else {
-				// Pipelined-join handoff, as in joinPartition: adopt a finished
-				// background build, cancel a queued one.
-				key := prepKeyFor(args.Band)
-				p.mu.Lock()
-				switch p.prepKey {
-				case key:
-					st.prep = p.prepared
-				case "":
-					p.prepKey = prepCanceled
-				}
-				p.mu.Unlock()
+				return
 			}
+			// The join phase has started: a background build still queued
+			// behind the prep semaphore could only duplicate the build this
+			// join runs when it reaches the partition, stealing cores from the
+			// other joins, so it is cancelled (spawnPrepare sees prepKey set
+			// and backs off). One already running holds the write lock; this
+			// waits for it.
+			p.mu.Lock()
+			if p.prepKey == "" {
+				p.prepKey = prepCanceled
+			}
+			p.mu.Unlock()
 		}(i)
 	}
 	wg.Wait()
@@ -971,12 +842,12 @@ func (w *Worker) joinTasksMorsels(tasks []joinTask, args *JoinArgs, parallelism 
 	// only here, one goroutine in pid order, with no other partition lock
 	// held: concurrent Joins of one job each hold several of these while a
 	// Load's pending write lock blocks new readers, and any other
-	// acquisition order lets two Joins wait on each other's partitions.
+	// acquisition order lets two Joins wait on each other's partitions. The
+	// structure is read under the lock that covers its probe, so one a Load
+	// dropped in between is never probed.
 	for i := range tasks {
 		tasks[i].p.mu.RLock()
-		if args.Retained {
-			states[i].prep = tasks[i].p.preparedLocked(args.Band)
-		}
+		states[i].prep = tasks[i].p.preparedLocked(args.Band)
 	}
 	defer func() {
 		for i := range tasks {
@@ -985,8 +856,8 @@ func (w *Worker) joinTasksMorsels(tasks []joinTask, args *JoinArgs, parallelism 
 	}()
 
 	// A partition without a structure is prepared when the morsel scheduler
-	// reaches it — the grid its plain join would have built inline,
-	// paid once and then probed by every morsel — and released after its last.
+	// reaches it — paid once and then probed by every morsel — and released
+	// after its last.
 	jobs := make([]exec.MorselJob, n)
 	for i := range tasks {
 		p := tasks[i].p
@@ -1039,8 +910,7 @@ func (w *Worker) joinTasksMorsels(tasks []joinTask, args *JoinArgs, parallelism 
 // shipment it was cleared for, so that a Load of the aborted one still in
 // flight is refused instead of landing among the reshipped rows.
 //
-// A final Reset also closes the job id: a Load or Complete marker that the
-// network delayed past the end of its query finds no job, and without the
+// A final Reset also closes the job id: a Load that the network delayed past the end of its query finds no job, and without the
 // closed set jobFor would create one that no Reset ever follows.
 func (w *Worker) Reset(args *ResetArgs, _ *ResetReply) error {
 	w.mu.Lock()
@@ -1067,9 +937,11 @@ const closedJobs = 1024
 // marks the plan joinable, creating an empty entry on workers that received no
 // partitions so a later retained Join can distinguish "sealed, zero
 // partitions" from "evicted". Sealing presorts every partition's rows on the
-// first join attribute — paid once, off every later query's critical path —
-// so warm joins' internal sorts find presorted input and run linearly. If the
-// retention cap is exceeded, the least-recently-sealed other plan is evicted.
+// first join attribute and, for a valid band, prebuilds its ε-grid — both
+// paid once, off every later query's critical path. The ε-grid sorts nothing;
+// the presort gives warm probes their locality and is the order exec.FoldS
+// merges appended S rows into. If the retention cap is exceeded, the
+// least-recently-sealed other plan is evicted.
 func (w *Worker) Seal(args *SealArgs, reply *SealReply) error {
 	if err := w.beginWork(); err != nil {
 		return err

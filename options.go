@@ -88,7 +88,7 @@ func (o Options) resolve() (resolved, error) {
 	r.ChunkSize = o.ClusterChunkSize
 	r.Window = o.ClusterWindow
 	r.JoinParallelism = o.ClusterJoinParallelism
-	r.MorselRows = o.MorselRows // negative is meaningful: the per-partition oracle path
+	r.MorselRows = o.MorselRows // negative is meaningful: one morsel per partition
 	r.MaxPlanDrift = o.MaxPlanDrift
 	r.MaxDeltaFraction = o.MaxDeltaFraction
 	return r, nil
