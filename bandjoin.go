@@ -137,21 +137,6 @@ type Options struct {
 	// ClusterJoinParallelism bounds the number of partition joins each worker
 	// runs concurrently (default: the worker's GOMAXPROCS).
 	ClusterJoinParallelism int
-
-	// The drift knobs govern when an Engine replaces a cached plan whose
-	// quality degraded under Engine.Append. Both are off (0) by default:
-	// appends are still absorbed, but plans are never replaced. They have no
-	// effect on one-shot Join.
-
-	// MaxPlanDrift triggers a background re-partition when a retained plan's
-	// observed load_overhead exceeds its predicted overhead by more than this
-	// amount (absolute, e.g. 0.25) after appends. The old plan keeps serving
-	// until the replacement is primed.
-	MaxPlanDrift float64
-	// MaxDeltaFraction triggers a background re-partition when appended rows
-	// exceed this fraction (0..1, e.g. 0.3) of a retained plan's total input,
-	// regardless of observed drift.
-	MaxDeltaFraction float64
 }
 
 // Join runs the band-join of s and t on the in-process cluster simulator.

@@ -265,7 +265,7 @@ func TestOptionsSurface(t *testing.T) {
 		{bandjoin.Options{}, []string{
 			"Workers", "Partitioner", "Model", "InputSampleSize", "OutputSampleSize",
 			"CollectPairs", "EstimateOnly", "MorselRows", "PlannerParallelism", "Seed",
-			"ClusterChunkSize", "ClusterWindow", "ClusterJoinParallelism", "MaxPlanDrift", "MaxDeltaFraction"}},
+			"ClusterChunkSize", "ClusterWindow", "ClusterJoinParallelism"}},
 		{bandjoin.RecPartOptions{}, []string{"Symmetric", "Theoretical", "MaxIterations", "Seed", "PlannerParallelism"}},
 		{bandjoin.EngineOptions{}, []string{"DisableRetention"}},
 	} {

@@ -61,7 +61,7 @@ func main() {
 		engineEps     = flag.Float64("engine-eps", 0, "symmetric band width of the engine benchmark (default 0.003)")
 		engineRounds  = flag.Int("engine-rounds", 0, "rounds per serving tier, fastest kept (default 3)")
 
-		appendPath    = flag.String("append", "", "run the incremental-ingestion benchmark (Engine.Append vs full rebuild, sustained-append query latency, drift re-partition cost) and write the JSON report to this path")
+		appendPath    = flag.String("append", "", "run the incremental-ingestion benchmark (Engine.Append vs full rebuild, sustained-append query latency) and write the JSON report to this path")
 		appendTuples  = flag.Int("append-tuples", 0, "per-relation base size of the append benchmark (default 500000)")
 		appendWorkers = flag.Int("append-workers", 0, "number of in-process RPC workers of the append benchmark (default 2)")
 		appendDims    = flag.Int("append-dims", 0, "number of join attributes of the append benchmark (default 8)")
@@ -177,8 +177,8 @@ func main() {
 			rep.WarmShuffleBytes, rep.SpeedupVsRebuild)
 		fmt.Printf("sustained appends: %d warm queries, mean %.3fs / median %.3fs / max %.3fs\n",
 			rep.Sustained.Queries, rep.Sustained.MeanSeconds, rep.Sustained.MedianSeconds, rep.Sustained.MaxSeconds)
-		fmt.Printf("drift re-partition %.2fs in background (%d queries served during swap); pairs checked %d identical=%v; report written to %s\n",
-			rep.RepartitionSeconds, rep.ServedDuringRepartition, rep.PairsChecked, rep.PairsIdentical, *appendPath)
+		fmt.Printf("pairs checked %d identical=%v; report written to %s\n",
+			rep.PairsChecked, rep.PairsIdentical, *appendPath)
 		return
 	}
 

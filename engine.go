@@ -80,7 +80,6 @@ type engineMetrics struct {
 	appends      *obs.Counter
 	appendTuples *obs.Counter
 	appendBytes  *obs.Counter
-	repartitions *obs.Counter
 
 	querySeconds *obs.Histogram
 	planSeconds  *obs.Histogram
@@ -105,7 +104,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		appends:        reg.Counter("bandjoin_engine_appends_total", "Append calls absorbed without cache invalidation."),
 		appendTuples:   reg.Counter("bandjoin_engine_appended_tuples_total", "Tuples added via Append."),
 		appendBytes:    reg.Counter("bandjoin_engine_appended_bytes_total", "Key bytes added via Append."),
-		repartitions:   reg.Counter("bandjoin_engine_repartitions_total", "Background re-partitions triggered by plan drift."),
 		querySeconds:   reg.Histogram("bandjoin_engine_query_seconds", "End-to-end Join latency.", obs.LatencyBuckets()),
 		planSeconds:    reg.Histogram("bandjoin_engine_plan_seconds", "Per-query planning-stage latency (≈0 on plan-cache hits).", obs.LatencyBuckets()),
 	}
@@ -282,28 +280,9 @@ type planEntry struct {
 
 	// planID is the retention fingerprint, computed deterministically from
 	// the plan key when the entry is created (under e.mu, so the invalidation
-	// paths can read it there without racing the once). A drift-triggered
-	// replacement appends a generation suffix ("#g2", ...) so the new shipment
-	// never collides with the old plan's resident partitions. Empty when
-	// retention is disabled: nothing is ever resident, so nothing needs
-	// evicting.
+	// paths can read it there without racing the once). Empty when retention
+	// is disabled: nothing is ever resident, so nothing needs evicting.
 	planID string
-
-	// Drift accounting. predictedOverhead and baseTuples are written once at
-	// plan time (inside the once, or at creation for a replacement entry):
-	// the plan's estimated load_overhead on the sample it was optimized for,
-	// and the input size it was optimized against. deltaTuples accumulates
-	// rows appended to either side since (guarded by driftMu); the observed
-	// minus predicted overhead and the delta fraction drive the re-partition
-	// trigger (Options.MaxPlanDrift / MaxDeltaFraction). repartitioning
-	// ensures at most one background re-partition is in flight per entry;
-	// generation numbers the replacements.
-	driftMu           sync.Mutex
-	predictedOverhead float64
-	baseTuples        int64
-	deltaTuples       int64
-	generation        int
-	repartitioning    atomic.Bool
 }
 
 // Register adds (or replaces) a named dataset. Re-registering a name bumps
@@ -311,6 +290,8 @@ type planEntry struct {
 // the old relation are invalidated and the memory they pin is released.
 // Contrast Append, which grows a registered dataset without a version bump:
 // derived entries stay live and absorb the delta instead of being rebuilt.
+// A cached plan never changes otherwise, so re-registering is how a caller
+// asks for fresh plans after the data's distribution shifted.
 func (e *Engine) Register(name string, rel *Relation) error {
 	if name == "" {
 		return fmt.Errorf("bandjoin: dataset name must be non-empty")
@@ -454,13 +435,6 @@ func (e *Engine) Append(ctx context.Context, name string, rows *Relation) error 
 		if !okS || !okT || sd.version != k.sVer || td.version != k.tVer {
 			continue
 		}
-		n := int64(rows.Len())
-		if k.s == name && k.t == name {
-			n *= 2 // a self-join's delta lands on both sides
-		}
-		pe.driftMu.Lock()
-		pe.deltaTuples += n
-		pe.driftMu.Unlock()
 		planWorks = append(planWorks, planWork{pe: pe, s: sd.rel, t: td.rel})
 	}
 	e.mu.Unlock()
@@ -496,114 +470,6 @@ func (e *Engine) Append(ctx context.Context, name string, rows *Relation) error 
 	return ctx.Err()
 }
 
-// noteDrift records one executed retained query's plan-quality drift — the
-// observed load_overhead minus what the plan predicted on the sample it was
-// optimized for — plus the appended fraction of the plan's input, and triggers
-// at most one background re-partition per plan entry when either crosses its
-// threshold (Options.MaxPlanDrift / MaxDeltaFraction, both off by default).
-// The old plan keeps serving until the replacement is primed and swapped.
-func (e *Engine) noteDrift(pk planKey, pe *planEntry, sName, tName string, band Band, r resolved, res *Result) {
-	drift := res.LoadOverhead - pe.predictedOverhead
-	pe.driftMu.Lock()
-	delta := pe.deltaTuples
-	pe.driftMu.Unlock()
-	var deltaFrac float64
-	if total := pe.baseTuples + delta; total > 0 {
-		deltaFrac = float64(delta) / float64(total)
-	}
-	e.m.reg.Gauge("bandjoin_engine_plan_drift_millis",
-		"Observed minus predicted load_overhead per plan, in thousandths.",
-		"pair", sName+"|"+tName).Set(int64(drift * 1000))
-	if delta == 0 {
-		return // nothing appended; replanning from the same sample changes nothing
-	}
-	trigger := (r.MaxPlanDrift > 0 && drift > r.MaxPlanDrift) ||
-		(r.MaxDeltaFraction > 0 && deltaFrac > r.MaxDeltaFraction)
-	if !trigger {
-		return
-	}
-	if !pe.repartitioning.CompareAndSwap(false, true) {
-		return // a re-partition of this entry is already in flight
-	}
-	go e.repartition(pk, pe, sName, tName, band, r)
-}
-
-// repartition builds a replacement plan from the current (caught-up) sample,
-// primes its partitions on the execution plane under a new generation
-// fingerprint, and swaps it into the plan cache — all in the background, while
-// the old plan keeps serving warm queries. Only after the swap are the old
-// plan's retained partitions evicted; a query that raced the swap holding the
-// old entry simply refills it cold (correct, just slower). On any failure the
-// old entry stays in place and its repartitioning latch is released so a later
-// drifted query can try again.
-func (e *Engine) repartition(pk planKey, old *planEntry, sName, tName string, band Band, r resolved) {
-	swapped := false
-	defer func() {
-		if !swapped {
-			old.repartitioning.Store(false)
-		}
-	}()
-	ctx := context.Background()
-
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	ds, okS := e.datasets[sName]
-	dt, okT := e.datasets[tName]
-	if !okS || !okT || ds.version != pk.sVer || dt.version != pk.tVer || e.plans[pk] != old {
-		e.mu.Unlock()
-		return
-	}
-	se := e.samples[sampleKey{s: sName, t: tName, sVer: ds.version, tVer: dt.version, sampling: r.Sampling}]
-	sRel, tRel := ds.rel, dt.rel
-	e.mu.Unlock()
-	if se == nil || !se.drawn.Load() {
-		return
-	}
-
-	in, err := se.catchUp(sRel, tRel)
-	if err != nil {
-		return
-	}
-	smp, err := in.ForBand(band)
-	if err != nil {
-		return
-	}
-	prep, err := exec.PlanQuery(r.Partitioner, smp, band, r.execOptions())
-	if err != nil {
-		return
-	}
-	old.driftMu.Lock()
-	gen := old.generation + 1
-	old.driftMu.Unlock()
-	ne := &planEntry{prep: prep, generation: gen}
-	ne.planID = fmt.Sprintf("%s#g%d", e.planIDFor(pk), gen)
-	est := exec.EstimatePlan(prep.Plan, prep.Ctx)
-	ne.predictedOverhead = est.LoadOverhead
-	ne.baseTuples = int64(sRel.Len() + tRel.Len())
-	ne.once.Do(func() {}) // planning is done; queries must not re-plan
-	ne.ready.Store(true)
-
-	if err := e.plane.prime(ctx, prep, sRel, tRel, band, r, ne.planID); err != nil {
-		e.plane.evict(ne.planID)
-		return
-	}
-
-	e.mu.Lock()
-	if e.closed || e.plans[pk] != old {
-		e.mu.Unlock()
-		e.plane.evict(ne.planID)
-		return
-	}
-	e.plans[pk] = ne
-	e.mu.Unlock()
-	swapped = true
-	e.plane.evict(old.planID)
-	e.m.repartitions.Inc()
-}
-
 // Datasets returns the registered dataset names.
 func (e *Engine) Datasets() []string {
 	e.mu.Lock()
@@ -627,10 +493,8 @@ type EngineStats struct {
 	SampleHits   int64
 	PlanHits     int64
 	RetainedHits int64
-	// Appends counts Append calls absorbed without invalidation;
-	// Repartitions counts drift-triggered background re-partitions.
-	Appends      int64
-	Repartitions int64
+	// Appends counts Append calls absorbed without invalidation.
+	Appends int64
 }
 
 // Stats returns a snapshot of the engine's cache counters.
@@ -646,7 +510,6 @@ func (e *Engine) Stats() EngineStats {
 		PlanHits:      e.m.planHits.Value(),
 		RetainedHits:  e.m.retainedHits.Value(),
 		Appends:       e.m.appends.Value(),
-		Repartitions:  e.m.repartitions.Value(),
 	}
 }
 
@@ -805,9 +668,6 @@ func (e *Engine) Join(ctx context.Context, sName, tName string, band Band, opts 
 		}
 		pe.prep, pe.err = exec.PlanQuery(r.Partitioner, smp, band, r.execOptions())
 		if pe.err == nil {
-			est := exec.EstimatePlan(pe.prep.Plan, pe.prep.Ctx)
-			pe.predictedOverhead = est.LoadOverhead
-			pe.baseTuples = int64(sRel.Len() + tRel.Len())
 			pe.ready.Store(true)
 		}
 	})
@@ -846,7 +706,6 @@ func (e *Engine) Join(ctx context.Context, sName, tName string, band Band, opts 
 			e.m.retainedMisses.Inc()
 			tr.RetainedTier = exec.TierMiss
 		}
-		e.noteDrift(pk, pe, sName, tName, band, r, res)
 	}
 	e.m.shuffleBytes.Add(res.ShuffleBytes)
 	e.m.shuffleRPCs.Add(res.ShuffleRPCs)
@@ -933,8 +792,7 @@ func (e *Engine) sampleFor(k sampleKey) (*sampleEntry, bool) {
 	return se, false
 }
 
-// planIDFor computes a plan key's base retention fingerprint (generation
-// suffixes are appended by the re-partition path).
+// planIDFor computes a plan key's retention fingerprint.
 func (e *Engine) planIDFor(k planKey) string {
 	return fmt.Sprintf("%s|%s@%d|%s@%d|b=%s|p=%s|w=%d|m=%+v|smp=%+v|seed=%d",
 		e.id, k.s, k.sVer, k.t, k.tVer, k.band, k.pt, k.workers, k.model, k.sampling, k.seed)
@@ -970,9 +828,6 @@ type enginePlane interface {
 	// plan's routing. A plan with nothing retained is a no-op. On error the
 	// retained data may be torn; the caller must evict the fingerprint.
 	absorb(ctx context.Context, prep *exec.Prepared, s, t *Relation, planID string) error
-	// prime shuffles and retains a plan's partitions without joining — the
-	// background half of a drift-triggered re-partition.
-	prime(ctx context.Context, prep *exec.Prepared, s, t *Relation, band Band, r resolved, planID string) error
 	// evict drops one retained partition set.
 	evict(planID string)
 	// retained reports the plane's retained-partition occupancy: resident
@@ -1249,27 +1104,6 @@ func (p *inProcessPlane) absorb(ctx context.Context, prep *exec.Prepared, s, t *
 	return rec.catchUpLocked(ctx, prep.Plan, s, t)
 }
 
-// prime fills (or catches up) a plan's retained partitions without joining —
-// the background half of a drift-triggered re-partition.
-func (p *inProcessPlane) prime(ctx context.Context, prep *exec.Prepared, s, t *Relation, band Band, r resolved, planID string) error {
-	p.mu.Lock()
-	if p.parts == nil {
-		p.parts = make(map[string]*retainedParts)
-	}
-	rec, ok := p.parts[planID]
-	if !ok {
-		rec = &retainedParts{}
-		p.parts[planID] = rec
-	}
-	p.mu.Unlock()
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if !rec.done {
-		return rec.fillLocked(ctx, prep.Plan, s, t, band)
-	}
-	return rec.catchUpLocked(ctx, prep.Plan, s, t)
-}
-
 // partitionBytes sums the partitions' key and ID bytes.
 func partitionBytes(parts []*exec.PartitionInput) int64 {
 	var total int64
@@ -1332,21 +1166,6 @@ func (p *clusterPlane) execute(ctx context.Context, prep *exec.Prepared, s, t *R
 // the workers, so the next warm query moves zero bytes.
 func (p *clusterPlane) absorb(ctx context.Context, prep *exec.Prepared, s, t *Relation, planID string) error {
 	return p.coord.AbsorbPlan(ctx, prep.Plan, prep.Ctx, s, t, cluster.Options{PlanID: planID})
-}
-
-// prime ships and seals a plan's partitions on the workers without joining.
-func (p *clusterPlane) prime(ctx context.Context, prep *exec.Prepared, s, t *Relation, band Band, r resolved, planID string) error {
-	copts := cluster.Options{
-		Model:           r.Model,
-		Sampling:        r.Sampling,
-		ChunkSize:       r.ChunkSize,
-		Window:          r.Window,
-		JoinParallelism: r.JoinParallelism,
-		MorselRows:      r.MorselRows,
-		Seed:            r.Seed,
-		PlanID:          planID,
-	}
-	return p.coord.ShipPlan(ctx, prep.Plan, prep.Ctx, s, t, band, copts)
 }
 
 func (p *clusterPlane) evict(planID string) { p.coord.EvictPlan(planID) }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"bandjoin"
 )
@@ -374,79 +373,6 @@ func TestEngineAppendRacingWarmJoins(t *testing.T) {
 				t.Errorf("settled output = %d, fresh rebuild = %d", res.Output, full.Output)
 			}
 			pairsEqual(t, "settled append vs rebuild", res.Pairs, full.Pairs)
-		})
-	}
-}
-
-// TestEngineAppendDriftRepartition forces plan-quality drift via
-// MaxDeltaFraction and verifies the full lifecycle on both planes: exactly one
-// background re-partition fires, queries keep succeeding (and stay correct)
-// throughout the swap, and the trigger does not re-fire once the replacement
-// plan is serving.
-func TestEngineAppendDriftRepartition(t *testing.T) {
-	fullS, fullT := bandjoin.Pareto(2, 1.4, 1300, 41)
-	band := bandjoin.Uniform(2, 0.1)
-	opts := bandjoin.Options{Workers: 3, CollectPairs: true, Seed: 7, MaxDeltaFraction: 0.2}
-	baseS := fullS.Slice("s", 0, 800)
-	deltaS := fullS.Slice("d", 800, 1300)
-	baseT := fullT.Slice("t", 0, 800)
-	extended, err := bandjoin.Join(fullS, baseT, band, opts)
-	if err != nil {
-		t.Fatalf("oracle: %v", err)
-	}
-
-	for planeName, newEngine := range enginePlanes(t, 3) {
-		t.Run(planeName, func(t *testing.T) {
-			e := newEngine(bandjoin.EngineOptions{})
-			defer e.Close()
-			ctx := context.Background()
-			if err := e.Register("s", baseS); err != nil {
-				t.Fatalf("Register: %v", err)
-			}
-			if err := e.Register("t", baseT); err != nil {
-				t.Fatalf("Register: %v", err)
-			}
-			if _, err := e.Join(ctx, "s", "t", band, opts); err != nil {
-				t.Fatalf("cold Join: %v", err)
-			}
-			// 500 appended of 2100 total = 0.238 > MaxDeltaFraction.
-			if err := e.Append(ctx, "s", deltaS); err != nil {
-				t.Fatalf("Append: %v", err)
-			}
-
-			// The next warm query observes the drift and kicks off the
-			// background re-partition; queries must keep being served and
-			// correct while it plans, primes, and swaps.
-			deadline := time.Now().Add(10 * time.Second)
-			for e.Stats().Repartitions == 0 {
-				res, err := e.Join(ctx, "s", "t", band, opts)
-				if err != nil {
-					t.Fatalf("Join during re-partition: %v", err)
-				}
-				if res.Output != extended.Output {
-					t.Fatalf("output during re-partition = %d, want %d", res.Output, extended.Output)
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("drift-triggered re-partition never completed")
-				}
-				time.Sleep(time.Millisecond)
-			}
-
-			// The replacement plan serves identically, and with no further
-			// appends the trigger must not fire again.
-			for i := 0; i < 3; i++ {
-				res, err := e.Join(ctx, "s", "t", band, opts)
-				if err != nil {
-					t.Fatalf("Join after re-partition: %v", err)
-				}
-				if res.Output != extended.Output {
-					t.Errorf("output after re-partition = %d, want %d", res.Output, extended.Output)
-				}
-				pairsEqual(t, "post-repartition", res.Pairs, extended.Pairs)
-			}
-			if got := e.Stats().Repartitions; got != 1 {
-				t.Errorf("Repartitions = %d, want exactly 1", got)
-			}
 		})
 	}
 }

@@ -15,9 +15,8 @@ import (
 )
 
 // AppendConfig scales the incremental-ingestion benchmark: Engine.Append of a
-// small delta versus a full Register + cold-join rebuild, warm-query latency
-// while appends are streaming in, and the cost of a drift-triggered background
-// re-partition versus that full rebuild — all on the RPC cluster plane.
+// small delta versus a full Register + cold-join rebuild, and warm-query
+// latency while appends are streaming in — both on the RPC cluster plane.
 type AppendConfig struct {
 	// Tuples is the per-relation base size; the delta rides on top of it.
 	Tuples int
@@ -108,12 +107,6 @@ type AppendReport struct {
 
 	// Sustained is the latency profile of warm queries racing batch appends.
 	Sustained AppendLatency `json:"sustained_warm_queries"`
-
-	// RepartitionSeconds is the wall time of the drift-triggered background
-	// re-partition (plan + prime + swap), during which ServedDuringRepartition
-	// warm queries kept being answered with zero failures.
-	RepartitionSeconds      float64 `json:"repartition_seconds"`
-	ServedDuringRepartition int     `json:"queries_served_during_repartition"`
 
 	// PairsChecked/PairsIdentical verify Register+Append+Join against a fresh
 	// full Register+Join bit for bit on a subsample-sized instance.
@@ -259,14 +252,6 @@ func RunAppend(cfg AppendConfig) (*AppendReport, error) {
 	}
 	rep.Sustained = lat
 
-	// --- Drift-triggered re-partition vs the full rebuild.
-	repartSecs, served, err := runDriftRepartition(ctx, cl, cfg, baseS, baseT, deltaS, deltaT, band, opts)
-	if err != nil {
-		return nil, err
-	}
-	rep.RepartitionSeconds = repartSecs
-	rep.ServedDuringRepartition = served
-
 	// --- Pair-level identity between append-then-join and a fresh rebuild, on
 	// a subsample-sized instance (pair collection over RPC is quadratic).
 	checked, identical, err := appendPairCheck(ctx, cl, cfg, band)
@@ -355,44 +340,6 @@ func runSustained(ctx context.Context, cl *bandjoin.Cluster, cfg AppendConfig, b
 		lat.MaxSeconds = sorted[len(sorted)-1]
 	}
 	return lat, nil
-}
-
-// runDriftRepartition forces the drift trigger with a tight MaxDeltaFraction,
-// measures how long the background re-partition takes end to end, and serves
-// warm queries throughout to verify none fail or block on the swap.
-func runDriftRepartition(ctx context.Context, cl *bandjoin.Cluster, cfg AppendConfig, baseS, baseT, deltaS, deltaT *data.Relation, band data.Band, opts bandjoin.Options) (float64, int, error) {
-	dOpts := opts
-	dOpts.MaxDeltaFraction = cfg.DeltaFraction / 2
-	e := cl.NewEngine(bandjoin.EngineOptions{})
-	defer e.Close()
-	if err := registerPair(e, baseS, baseT); err != nil {
-		return 0, 0, err
-	}
-	if _, err := e.Join(ctx, "s", "t", band, dOpts); err != nil {
-		return 0, 0, fmt.Errorf("bench: priming drift engine: %w", err)
-	}
-	if err := e.Append(ctx, "s", deltaS); err != nil {
-		return 0, 0, fmt.Errorf("bench: drift Append(s): %w", err)
-	}
-	if err := e.Append(ctx, "t", deltaT); err != nil {
-		return 0, 0, fmt.Errorf("bench: drift Append(t): %w", err)
-	}
-
-	// The first warm query observes the crossed threshold and kicks off the
-	// background re-partition; keep serving until the swap lands.
-	start := time.Now()
-	served := 0
-	deadline := start.Add(5 * time.Minute)
-	for e.Stats().Repartitions == 0 {
-		if _, err := e.Join(ctx, "s", "t", band, dOpts); err != nil {
-			return 0, served, fmt.Errorf("bench: query during re-partition: %w", err)
-		}
-		served++
-		if time.Now().After(deadline) {
-			return 0, served, fmt.Errorf("bench: drift re-partition never completed")
-		}
-	}
-	return time.Since(start).Seconds(), served, nil
 }
 
 // appendPairCheck verifies Register+Append+Join equals a fresh full

@@ -8,9 +8,8 @@ import (
 
 // TestRunAppendQuick runs the append benchmark harness on a small workload:
 // the post-append warm query must report zero shuffle traffic (enforced inside
-// RunAppend, along with pair-level identity against a fresh rebuild), the
-// drift phase must have completed exactly one re-partition with queries served
-// throughout, and the JSON artifact must round-trip.
+// RunAppend, along with pair-level identity against a fresh rebuild), and the
+// JSON artifact must round-trip.
 func TestRunAppendQuick(t *testing.T) {
 	cfg := AppendConfig{
 		Tuples:        4000,
@@ -46,10 +45,6 @@ func TestRunAppendQuick(t *testing.T) {
 	if rep.Sustained.Queries <= 0 || rep.Sustained.MaxSeconds <= 0 {
 		t.Errorf("sustained phase served %d queries (max %gs), want > 0",
 			rep.Sustained.Queries, rep.Sustained.MaxSeconds)
-	}
-	if rep.RepartitionSeconds <= 0 || rep.ServedDuringRepartition <= 0 {
-		t.Errorf("drift phase: re-partition took %gs with %d queries served, want both > 0",
-			rep.RepartitionSeconds, rep.ServedDuringRepartition)
 	}
 	if !rep.PairsIdentical || rep.PairsChecked <= 0 {
 		t.Errorf("pair check: %d pairs, identical=%v", rep.PairsChecked, rep.PairsIdentical)

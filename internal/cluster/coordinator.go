@@ -1283,9 +1283,9 @@ func (c *Coordinator) AbsorbPlan(ctx context.Context, plan partition.Plan, pctx 
 }
 
 // ShipPlan shuffles, ships, and seals a plan's partitions on the workers
-// without running a join — the priming half of a retained query, exported so
-// an engine can build a replacement plan in the background (drift-triggered
-// re-partitioning) while the old plan keeps serving, then swap atomically.
+// without running a join — the priming half of a retained query. Its only
+// caller is the benchmark's replay, which times the ship stage apart from the
+// join.
 func (c *Coordinator) ShipPlan(ctx context.Context, plan partition.Plan, pctx *partition.Context, s, t *data.Relation, band data.Band, opts Options) error {
 	opts, err := opts.resolve()
 	if err != nil {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"bandjoin/internal/core"
@@ -89,5 +90,29 @@ func TestWorkerMorselRowsMatchDefinition(t *testing.T) {
 	}
 	if morsels == 0 {
 		t.Error("no worker reported executed morsels after morsel-path runs")
+	}
+}
+
+// TestWorkerJoinOversizedParallelism: JoinArgs.Parallelism is unvalidated
+// network input, and net/rpc does not recover a panicking handler, so a value
+// that overflowed the morsel scheduler's arithmetic would kill the worker
+// process. Both lifecycles must instead answer the band-join definition.
+func TestWorkerJoinOversizedParallelism(t *testing.T) {
+	w, parts := joinFixture(t)
+	defer w.Drain(0)
+	band := data.Symmetric(0.25, 0.25)
+	want := joinFixtureDefinition(parts, band)
+	if len(want) == 0 {
+		t.Fatal("fixture joins to nothing; widen the band")
+	}
+	for _, job := range []string{"j", "p"} {
+		for _, parallelism := range []int{math.MaxInt, math.MaxInt/2 + 1} {
+			var reply JoinReply
+			args := &JoinArgs{JobID: job, Band: band, CollectPairs: true, Parallelism: parallelism, Retained: job == "p"}
+			if err := w.Join(args, &reply); err != nil {
+				t.Fatalf("Join(%s, parallelism %d): %v", job, parallelism, err)
+			}
+			samePairs(t, fmt.Sprintf("%s, parallelism %d vs nested loop", job, parallelism), replyPairs(&reply), want)
+		}
 	}
 }

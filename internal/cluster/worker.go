@@ -287,6 +287,9 @@ type partitionData struct {
 	sIDs []int64
 	t    *data.Relation
 	tIDs []int64
+	// dims is the partition's dimensionality, fixed at creation, so it is
+	// read without the lock.
+	dims int
 
 	// prepared caches the local join's reusable structure (the ε-grid),
 	// keyed by band. For retained partitions it is prebuilt at Seal time for
@@ -303,7 +306,7 @@ type partitionData struct {
 
 // newPartitionData returns an empty partition for the given dimensionality.
 func newPartitionData(dims int) *partitionData {
-	return &partitionData{s: data.NewRelation("S-part", dims), t: data.NewRelation("T-part", dims)}
+	return &partitionData{s: data.NewRelation("S-part", dims), t: data.NewRelation("T-part", dims), dims: dims}
 }
 
 // readyLocked reports (under p.mu) that a transient partition holds exactly
@@ -762,6 +765,12 @@ func (w *Worker) Join(args *JoinArgs, reply *JoinReply) error {
 		tasks = append(tasks, joinTask{pid: pid, p: p})
 	}
 	job.mu.Unlock()
+	for _, task := range tasks {
+		if task.p.dims != args.Band.Dims() {
+			return fmt.Errorf("cluster: worker %s: band condition has %d dimensions but partition %d has %d",
+				w.name, args.Band.Dims(), task.pid, task.p.dims)
+		}
+	}
 	sort.Slice(tasks, func(a, b int) bool { return tasks[a].pid < tasks[b].pid })
 
 	parallelism := args.Parallelism

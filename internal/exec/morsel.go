@@ -272,6 +272,10 @@ func RunMorsels(ctx context.Context, jobs []MorselJob, morselRows, parallelism i
 			maxRows = jobs[i].Rows
 		}
 	}
+	// More workers than rows cannot help: the morsel size and the worker count
+	// both saturate below this, and clamping keeps an oversized (e.g.
+	// network-supplied) parallelism from overflowing the products below.
+	parallelism = min(parallelism, max(totalRows, 1))
 	var stats MorselStats
 	if nonEmpty > 0 {
 		stats.StragglerRatio = float64(maxRows) / (float64(totalRows) / float64(nonEmpty))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -173,6 +174,38 @@ func TestRunMorselsStragglerRatio(t *testing.T) {
 	}
 	if stats.Morsels != 12 {
 		t.Errorf("morsels = %d, want 12", stats.Morsels)
+	}
+}
+
+// TestRunMorselsOversizedParallelism: Worker.Join passes a parallelism that
+// arrives over the network. One far beyond the row count must run exactly the
+// morsels of one worker per row — the most that can help — instead of
+// overflowing the build-slot count (math.MaxInt) or the auto morsel size's
+// divisor (math.MaxInt/2+1, whose product with autoMorselPerWorker wraps to 0).
+func TestRunMorselsOversizedParallelism(t *testing.T) {
+	run := func(lo, hi int, _ localjoin.Emit) int64 { return int64(hi - lo) }
+	build := func() (RangeRun, func()) { return run, nil }
+	jobs := []MorselJob{{Rows: 3000, Build: build}, {Rows: 40, Run: run}, {Rows: 0, Build: build}, {Rows: 7, Build: build}}
+	const totalRows = 3047
+	for _, rows := range []int{0, 16, -1} {
+		_, want, err := RunMorsels(context.Background(), jobs, rows, totalRows, false)
+		if err != nil {
+			t.Fatalf("MorselRows=%d, parallelism %d: %v", rows, totalRows, err)
+		}
+		for _, parallelism := range []int{math.MaxInt, math.MaxInt/2 + 1} {
+			res, stats, err := RunMorsels(context.Background(), jobs, rows, parallelism, false)
+			if err != nil {
+				t.Fatalf("MorselRows=%d, parallelism %d: %v", rows, parallelism, err)
+			}
+			for j := range jobs {
+				if res[j].Count != int64(jobs[j].Rows) {
+					t.Errorf("MorselRows=%d, parallelism %d: job %d counted %d of %d rows", rows, parallelism, j, res[j].Count, jobs[j].Rows)
+				}
+			}
+			if stats.Morsels != want.Morsels {
+				t.Errorf("MorselRows=%d, parallelism %d: %d morsels, one worker per row runs %d", rows, parallelism, stats.Morsels, want.Morsels)
+			}
+		}
 	}
 }
 

@@ -14,19 +14,17 @@ import (
 // cluster path, and the engine — previously each path defaulted its knobs
 // independently (and silently accepted nonsense like negative worker counts).
 type resolved struct {
-	Workers          int
-	Partitioner      Partitioner
-	Model            CostModel
-	Sampling         sample.Options
-	CollectPairs     bool
-	EstimateOnly     bool
-	Seed             int64
-	ChunkSize        int
-	Window           int
-	JoinParallelism  int
-	MorselRows       int
-	MaxPlanDrift     float64
-	MaxDeltaFraction float64
+	Workers         int
+	Partitioner     Partitioner
+	Model           CostModel
+	Sampling        sample.Options
+	CollectPairs    bool
+	EstimateOnly    bool
+	Seed            int64
+	ChunkSize       int
+	Window          int
+	JoinParallelism int
+	MorselRows      int
 }
 
 // resolve validates the options and fills defaults. Nonsensical values —
@@ -53,12 +51,6 @@ func (o Options) resolve() (resolved, error) {
 	}
 	if o.PlannerParallelism < 0 {
 		return r, fmt.Errorf("bandjoin: PlannerParallelism must be >= 0, got %d", o.PlannerParallelism)
-	}
-	if o.MaxPlanDrift < 0 {
-		return r, fmt.Errorf("bandjoin: MaxPlanDrift must be >= 0 (0 disables drift-triggered re-partitioning), got %v", o.MaxPlanDrift)
-	}
-	if o.MaxDeltaFraction < 0 || o.MaxDeltaFraction > 1 {
-		return r, fmt.Errorf("bandjoin: MaxDeltaFraction must be in [0, 1] (0 disables), got %v", o.MaxDeltaFraction)
 	}
 
 	r.Workers = o.Workers
@@ -89,8 +81,6 @@ func (o Options) resolve() (resolved, error) {
 	r.Window = o.ClusterWindow
 	r.JoinParallelism = o.ClusterJoinParallelism
 	r.MorselRows = o.MorselRows // negative is meaningful: one morsel per partition
-	r.MaxPlanDrift = o.MaxPlanDrift
-	r.MaxDeltaFraction = o.MaxDeltaFraction
 	return r, nil
 }
 
