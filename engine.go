@@ -9,7 +9,6 @@ import (
 
 	"bandjoin/internal/cluster"
 	"bandjoin/internal/exec"
-	"bandjoin/internal/localjoin"
 	"bandjoin/internal/obs"
 	"bandjoin/internal/sample"
 )
@@ -845,18 +844,16 @@ type inProcessPlane struct {
 	parts map[string]*retainedParts
 }
 
-// retainedParts is one retained in-memory shuffle outcome. Its RWMutex plays
-// the same role as the coordinator's shipment record: exactly one shuffle per
-// fingerprint, any number of concurrent warm joins. Alongside the presorted
-// partitions it retains the local join's prepared structures (ε-grid CSR
-// buckets and resolved candidate cells), the in-process analogue of the
-// cluster workers' Seal-time prebuild.
+// retainedParts is one retained in-memory shuffle outcome, its partitions kept
+// as the cluster workers keep theirs (exec.Partition). Its RWMutex plays the
+// role of the coordinator's shipment record: exactly one shuffle per
+// fingerprint, any number of concurrent warm joins, each holding the read lock
+// while it probes, so a catch-up appends only between joins.
 type retainedParts struct {
 	mu         sync.RWMutex
 	done       bool
-	parts      []*exec.PartitionInput
+	parts      []*exec.Partition
 	totalInput int64
-	prepared   []*localjoin.EpsGrid
 
 	// coveredS/coveredT record the base-relation prefix lengths the retained
 	// partitions were shuffled from. Appended suffixes are absorbed by
@@ -864,150 +861,69 @@ type retainedParts struct {
 	// idempotently, because covered only advances past an absorbed delta.
 	coveredS int
 	coveredT int
-	// dirty marks partitions an absorbed delta left behind, to be brought up
-	// to date lazily by the next probe (rebuildDirtyLocked), never at append
-	// time: true where the presort order and the prepared structure were
-	// invalidated (the delta grew T, or the partition had none), false where the
-	// structure stands and probes the appended S rows as it is, but those rows
-	// have outgrown their share and are due a fold (exec.NeedsFold).
-	dirty map[int]bool
 
 	// bytes is the retained partitions' approximate footprint (key and ID
-	// bytes), stored when the record fills so the occupancy gauge can read it
-	// without taking the record's lock against a running shuffle.
+	// bytes), stored when the record fills or absorbs so the occupancy gauge
+	// can read it without taking the record's lock against a running shuffle.
 	bytes atomic.Int64
 }
 
-// fillLocked runs the cold fill: shuffle everything, presort, prebuild the
-// local join's structures, and record the covered prefix lengths. Caller holds
-// rec.mu for writing.
+// fillLocked runs the cold fill: shuffle everything, seal every partition
+// (presort, prebuild the local join's structure) and record the covered
+// prefix lengths. Caller holds rec.mu for writing.
 func (rec *retainedParts) fillLocked(ctx context.Context, plan Plan, s, t *Relation, band Band) error {
-	parts, totalInput, err := exec.Shuffle(ctx, plan, s, t, 0)
+	ins, totalInput, err := exec.Shuffle(ctx, plan, s, t, 0)
 	if err != nil {
-		// A cancelled shuffle leaves the record unfilled; the next query
-		// redoes it.
-		return err
+		return err // the record stays unfilled; the next query redoes it
 	}
-	rec.parts, rec.totalInput = parts, totalInput
-	// Presort and prebuild once at retention time (the in-process analogue of
-	// the workers' seal-time presort + prepare): warm joins find sorted rows
-	// and ready-made join structures.
-	exec.PresortPartitions(rec.parts, 0)
-	rec.prepared = exec.PrepareShuffled(rec.parts, band, nil, 0)
+	rec.parts = make([]*exec.Partition, len(ins))
+	for pid, in := range ins {
+		if in != nil {
+			rec.parts[pid] = exec.PartitionOf(in)
+		}
+	}
+	exec.SealAll(rec.parts, band, 0)
+	rec.totalInput, rec.done = totalInput, true
 	rec.coveredS, rec.coveredT = s.Len(), t.Len()
-	rec.bytes.Store(partitionBytes(rec.parts))
-	rec.done = true
+	rec.bytes.Store(exec.Bytes(rec.parts))
 	return nil
 }
 
-// cloneSlicesLocked returns fresh parts/prepared slice headers of at least n
-// elements, sharing the current element pointers. Every write path replaces
-// elements through such clones and swaps them in whole, so a query that
-// snapshotted the previous slices under the read lock keeps reading a
-// consistent, immutable view while an absorb or rebuild proceeds. Caller holds
-// rec.mu for writing.
-func (rec *retainedParts) cloneSlicesLocked(n int) ([]*exec.PartitionInput, []*localjoin.EpsGrid) {
-	if n < len(rec.parts) {
-		n = len(rec.parts)
-	}
-	parts := make([]*exec.PartitionInput, n)
-	copy(parts, rec.parts)
-	prepared := make([]*localjoin.EpsGrid, n)
-	copy(prepared, rec.prepared)
-	return parts, prepared
-}
-
-// catchUpLocked absorbs rows appended past the record's covered prefixes:
-// the suffixes are shuffled through the plan (with tuple IDs offset to stay
-// globally consistent) and folded into the retained partitions; those whose T
-// side grew (or that had no structure, joining through the nested loop) are
-// marked dirty for lazy rebuild. The fold is copy-on-write — extended
-// partitions are new PartitionInput snapshots (Relation.Extend never mutates
-// the old head), swapped in via fresh slices — so queries executing off a
-// previously snapshotted view race nothing. Caller holds rec.mu for writing;
-// covered advances only on success, so a failed or cancelled catch-up is
-// simply retried by the next caller.
+// catchUpLocked absorbs rows appended past the record's covered prefixes: the
+// suffixes are shuffled through the plan (with tuple IDs offset to stay
+// globally consistent) and appended to the retained partitions under the
+// delta rule (exec.Partition.Append), creating those seen for the first time;
+// their structures are brought up to date by the next probe. Caller holds
+// rec.mu for writing; covered advances only on success, so a failed or
+// cancelled catch-up is simply retried by the next caller.
 func (rec *retainedParts) catchUpLocked(ctx context.Context, plan Plan, s, t *Relation) error {
-	if rec.coveredS >= s.Len() && rec.coveredT >= t.Len() {
-		return nil
-	}
 	deltaS := s.Slice(s.Name(), rec.coveredS, s.Len())
 	deltaT := t.Slice(t.Name(), rec.coveredT, t.Len())
-	parts, deltaInput, err := exec.ShuffleDelta(ctx, plan, deltaS, deltaT, rec.coveredS, rec.coveredT, 0)
+	ins, deltaInput, err := exec.ShuffleDelta(ctx, plan, deltaS, deltaT, rec.coveredS, rec.coveredT, 0)
 	if err != nil {
 		return err
 	}
-	next, nextPrep := rec.cloneSlicesLocked(len(parts))
-	if rec.dirty == nil {
-		rec.dirty = make(map[int]bool)
+	if n := len(ins) - len(rec.parts); n > 0 {
+		rec.parts = append(rec.parts, make([]*exec.Partition, n)...)
 	}
-	for pid, dp := range parts {
-		if dp == nil {
+	for pid, in := range ins {
+		if in == nil {
 			continue
 		}
-		base := next[pid]
-		if base == nil {
-			next[pid] = dp
-		} else {
-			next[pid] = &exec.PartitionInput{
-				S:    base.S.Extend(dp.S),
-				SIDs: append(base.SIDs, dp.SIDs...),
-				T:    base.T.Extend(dp.T),
-				TIDs: append(base.TIDs, dp.TIDs...),
-			}
-			if dp.T.Len() == 0 && nextPrep[pid] != nil {
-				// Only S grew: T, its order and the structure over it stand,
-				// and the structure probes the appended rows too — until
-				// there are too many of them.
-				if !rec.dirty[pid] && exec.NeedsFold(next[pid].S, nextPrep[pid]) {
-					rec.dirty[pid] = false
-				}
-				continue
-			}
+		if rec.parts[pid] == nil {
+			rec.parts[pid] = exec.NewPartition(s.Dims())
 		}
-		rec.dirty[pid] = true
+		rec.parts[pid].AppendInput(in)
 	}
-	rec.parts, rec.prepared = next, nextPrep
 	rec.totalInput += deltaInput
 	rec.coveredS, rec.coveredT = s.Len(), t.Len()
-	rec.bytes.Store(partitionBytes(rec.parts))
+	rec.bytes.Store(exec.Bytes(rec.parts))
 	return nil
 }
 
-// rebuildDirtyLocked brings the delta-appended partitions up to date — the
-// lazy half of delta absorption, paid by the first probe after an append rather
-// than by the append: a full re-sort and a new prepared structure where T grew,
-// a fold of the S side (exec.FoldS, the T-side structure kept) where only the
-// appended S rows were due one. It returns the time spent on each kind and the
-// number of folds. Replacement is copy-on-write, like catchUpLocked: a query
-// probing a snapshot taken before keeps its partition and the structure
-// resolved for it. Caller holds rec.mu for writing.
-func (rec *retainedParts) rebuildDirtyLocked(band Band) (rebuildTime, foldTime time.Duration, folds int) {
-	next, nextPrep := rec.cloneSlicesLocked(0)
-	for pid, full := range rec.dirty {
-		p := next[pid]
-		if p == nil {
-			continue
-		}
-		if !full {
-			folded := &exec.PartitionInput{T: p.T, TIDs: p.TIDs}
-			var took time.Duration
-			folded.S, folded.SIDs, nextPrep[pid], took = exec.FoldS(p.S, p.SIDs, nextPrep[pid])
-			next[pid] = folded
-			foldTime += took
-			folds++
-			continue
-		}
-		start := time.Now()
-		sorted := p.Presort()
-		next[pid] = sorted
-		nextPrep[pid] = localjoin.Prepare(sorted.S, sorted.T, band)
-		rebuildTime += time.Since(start)
-	}
-	rec.parts, rec.prepared = next, nextPrep
-	rec.dirty = nil
-	rec.bytes.Store(partitionBytes(rec.parts))
-	return rebuildTime, foldTime, folds
+// currentLocked reports whether the record covers s and t. Caller holds rec.mu.
+func (rec *retainedParts) currentLocked(s, t *Relation) bool {
+	return rec.done && rec.coveredS >= s.Len() && rec.coveredT >= t.Len()
 }
 
 func (p *inProcessPlane) workers() int { return 0 }
@@ -1029,66 +945,43 @@ func (p *inProcessPlane) execute(ctx context.Context, prep *exec.Prepared, s, t 
 	}
 	p.mu.Unlock()
 
-	var shuffleTime, absorbTime, rebuildTime, foldTime time.Duration
-	folds := 0
-	warm := true
+	var shuffleTime, absorbTime time.Duration
 	rec.mu.RLock()
-	for {
-		current := rec.done &&
-			rec.coveredS >= s.Len() && rec.coveredT >= t.Len() && len(rec.dirty) == 0
-		if current {
-			break
-		}
+	warm := rec.done
+	if !rec.currentLocked(s, t) {
 		rec.mu.RUnlock()
 		rec.mu.Lock()
-		if !rec.done {
-			warm = false
-			start := time.Now()
-			if err := rec.fillLocked(ctx, prep.Plan, s, t, band); err != nil {
-				rec.mu.Unlock()
-				return nil, err
-			}
+		start := time.Now()
+		var err error
+		if warm = rec.done; !warm {
+			err = rec.fillLocked(ctx, prep.Plan, s, t, band)
 			shuffleTime = time.Since(start)
-		}
-		if rec.coveredS < s.Len() || rec.coveredT < t.Len() {
+		} else if !rec.currentLocked(s, t) {
 			// The fill (possibly by a concurrent query holding an older
 			// snapshot) covers a prefix of this query's relations: absorb the
 			// appended suffix through the plan's routing before joining.
-			start := time.Now()
-			if err := rec.catchUpLocked(ctx, prep.Plan, s, t); err != nil {
-				rec.mu.Unlock()
-				return nil, err
-			}
-			absorbTime += time.Since(start)
-		}
-		if len(rec.dirty) > 0 {
-			rebuilt, folded, n := rec.rebuildDirtyLocked(band)
-			rebuildTime += rebuilt
-			foldTime += folded
-			folds += n
+			err = rec.catchUpLocked(ctx, prep.Plan, s, t)
+			absorbTime = time.Since(start)
 		}
 		rec.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		// Covered prefixes only grow, so the record still covers s and t.
 		rec.mu.RLock()
 	}
-	parts, totalInput, prepared := rec.parts, rec.totalInput, rec.prepared
+	res, err := exec.ExecutePartitions(ctx, prep.Plan, rec.parts, rec.totalInput, s.Len(), t.Len(), band, execOpts)
 	rec.mu.RUnlock()
-
-	res, err := exec.ExecuteShuffledPrepared(ctx, prep.Plan, parts, prepared, totalInput, s.Len(), t.Len(), band, execOpts)
 	if err != nil {
 		return nil, err
 	}
-	res.ShuffleTime = shuffleTime
-	res.DeltaAbsorbTime = absorbTime
-	res.StaleRebuildTime = rebuildTime
-	res.Folds, res.FoldTime = folds, foldTime
-	res.WarmPartitions = warm
+	res.ShuffleTime, res.DeltaAbsorbTime, res.WarmPartitions = shuffleTime, absorbTime, warm
 	return res, nil
 }
 
-// absorb eagerly folds rows appended past the retained record's covered
-// prefixes into the in-memory partitions. A plan with nothing retained (never
-// filled, or evicted) is a no-op: the next query fills cold from the full
-// relations.
+// absorb eagerly appends rows past the retained record's covered prefixes to
+// the in-memory partitions. A plan with nothing retained (never filled, or
+// evicted) is a no-op: the next query fills cold from the full relations.
 func (p *inProcessPlane) absorb(ctx context.Context, prep *exec.Prepared, s, t *Relation, planID string) error {
 	p.mu.Lock()
 	rec := p.parts[planID]
@@ -1098,23 +991,10 @@ func (p *inProcessPlane) absorb(ctx context.Context, prep *exec.Prepared, s, t *
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if !rec.done {
+	if !rec.done || rec.currentLocked(s, t) {
 		return nil // a cold fill in progress covers a snapshot; its query catches up
 	}
 	return rec.catchUpLocked(ctx, prep.Plan, s, t)
-}
-
-// partitionBytes sums the partitions' key and ID bytes.
-func partitionBytes(parts []*exec.PartitionInput) int64 {
-	var total int64
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		total += int64(p.S.Len()+p.T.Len())*int64(p.S.Dims())*8 +
-			int64(len(p.SIDs)+len(p.TIDs))*8
-	}
-	return total
 }
 
 func (p *inProcessPlane) evict(planID string) {

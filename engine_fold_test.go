@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -110,6 +111,10 @@ func definitionPairs(s, t *bandjoin.Relation, band bandjoin.Band) []bandjoin.Pai
 // every dimension. Such partitions fold like any other — their structure is the
 // same grid, with exact-key dimensions — where they used to be rebuilt in full
 // on every S append. One dimension runs too.
+//
+// Both planes keep retained partitions in one store (exec.Partition), so for
+// each configuration they must report the same folds on every query and a
+// stale rebuild on exactly the same queries.
 func TestEngineFoldGroundTruth(t *testing.T) {
 	planes := enginePlanes(t, 2)
 	ctx := context.Background()
@@ -120,6 +125,7 @@ func TestEngineFoldGroundTruth(t *testing.T) {
 					zero == "all-zero" && (d > 3 || shape != "asymmetric") {
 					continue
 				}
+				trail := make(map[string][]string) // per plane, what each query reported
 				for planeName, newEngine := range planes {
 					name := fmt.Sprintf("%s/d=%d/%s/%s", planeName, d, shape, zero)
 					t.Run(name, func(t *testing.T) {
@@ -161,6 +167,7 @@ func TestEngineFoldGroundTruth(t *testing.T) {
 							if res.StaleRebuildTime > 0 {
 								rebuilds++
 							}
+							trail[planeName] = append(trail[planeName], fmt.Sprintf("%s: %d folds, stale rebuild %v", step, res.Folds, res.StaleRebuildTime > 0))
 						}
 						query("cold")
 						for batch := 0; batch < 6; batch++ {
@@ -191,6 +198,9 @@ func TestEngineFoldGroundTruth(t *testing.T) {
 							t.Errorf("%d folds over six appends of a tenth of S each, want at least 3", folds)
 						}
 					})
+				}
+				if a, b := trail["in-process"], trail["cluster"]; len(a) > 0 && len(b) > 0 && !slices.Equal(a, b) {
+					t.Errorf("d=%d/%s/%s: the planes' retained partitions went different ways:\nin-process %q\ncluster    %q", d, shape, zero, a, b)
 				}
 			}
 		}

@@ -473,6 +473,55 @@ func TestLateLoadAfterFinalReset(t *testing.T) {
 	}
 }
 
+// TestLateRetainedLoadAfterFinalEvict: a retained Load the coordinator timed
+// out on may land after the plan was evicted for good (EvictPlan, or a failed
+// shipment's clean-up). Accepted, it would leave rows resident under a plan id
+// that no Seal or Evict ever names again, and the retention cap, which spares
+// unsealed entries as shipments in progress, would never reclaim them. A
+// numbered Evict, which precedes every shipment, reopens the id.
+func TestLateRetainedLoadAfterFinalEvict(t *testing.T) {
+	w := NewWorker("late-retained")
+	w.SetMaxRetained(1)
+	chunk := data.NewRelation("c", 1)
+	chunk.Append(1)
+	load := &LoadArgs{JobID: "p", Side: "S", Columnar: chunkOf(chunk, []int64{7}), Retain: true, Attempt: 3}
+	if err := w.Evict(&EvictArgs{PlanID: "p", Attempt: 3}, &EvictReply{}); err != nil {
+		t.Fatalf("numbered Evict: %v", err)
+	}
+	if err := w.Load(load, &LoadReply{}); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if err := w.Seal(&SealArgs{PlanID: "p"}, &SealReply{}); err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	if err := w.Evict(&EvictArgs{PlanID: "p"}, &EvictReply{}); err != nil {
+		t.Fatalf("final Evict: %v", err)
+	}
+	if err := w.Load(load, &LoadReply{}); err == nil {
+		t.Error("a Load landing after its plan's final Evict was accepted")
+	}
+	if n := w.Retained(); n != 0 {
+		t.Errorf("%d plans resident after the late Load, want 0", n)
+	}
+	for _, id := range []string{"q", "r"} {
+		if err := w.Seal(&SealArgs{PlanID: id}, &SealReply{}); err != nil {
+			t.Fatalf("Seal %s: %v", id, err)
+		}
+	}
+	if n := w.Retained(); n != 1 {
+		t.Errorf("%d plans resident under a cap of 1, want 1", n)
+	}
+
+	// The next shipment of the plan reopens it.
+	load.Attempt = 4
+	if err := w.Evict(&EvictArgs{PlanID: "p", Attempt: 4}, &EvictReply{}); err != nil {
+		t.Fatalf("numbered Evict: %v", err)
+	}
+	if err := w.Load(load, &LoadReply{}); err != nil {
+		t.Errorf("Load of a reopened plan: %v", err)
+	}
+}
+
 // TestStaleLoadAfterMidQueryClear: when a shipment to a live worker dies on
 // the wire, the coordinator clears that worker and ships again under the same
 // job id (or plan fingerprint). A Load of the aborted shipment that is still

@@ -138,7 +138,14 @@ func TestFoldBetweenJoinPhases(t *testing.T) {
 	p0, p1 := f.partition(0), f.partition(1)
 	f.appendBatch(t, 0)
 
-	p1.mu.Lock()
+	// Hold partition 1's write lock: an append whose rows never come.
+	locked, unlock := make(chan struct{}), make(chan struct{})
+	go p1.part.Append(false, func(*data.Relation, *[]int64) error {
+		close(locked)
+		<-unlock
+		return nil
+	})
+	<-locked
 	var reply JoinReply
 	done := make(chan error, 1)
 	go func() {
@@ -146,15 +153,15 @@ func TestFoldBetweenJoinPhases(t *testing.T) {
 	}()
 	for deadline := time.Now().Add(10 * time.Second); f.w.m.folds.Value() < 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			p1.mu.Unlock()
+			close(unlock)
 			t.Fatal("Join A never folded partition 0")
 		}
 	}
 	f.appendBatch(t, 1)
-	if _, foldNanos := p0.refresh(f.band); foldNanos == 0 {
+	if _, foldNanos := p0.part.Refresh(f.band); foldNanos == 0 {
 		t.Error("the second query's first phase did not fold batch 1")
 	}
-	p1.mu.Unlock()
+	close(unlock)
 	if err := <-done; err != nil {
 		t.Fatalf("Join A: %v", err)
 	}

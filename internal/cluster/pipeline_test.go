@@ -100,3 +100,26 @@ func TestLoadAfterPipelinedPrepareDropsGrid(t *testing.T) {
 	}
 	checkWorkerJoin(t, w, s, tt, band)
 }
+
+// TestLoadAfterPipelinedPrepareKeepsGridForS: late rows on the S side follow
+// the delta rule of the retained partitions — the grid, built over T, stays and
+// probes them as an unresolved tail — and the join still returns exactly the
+// nested loop's pairs over every row.
+func TestLoadAfterPipelinedPrepareKeepsGridForS(t *testing.T) {
+	s, tt := decimalPair(2, 80, 73)
+	tt = tt.Slice("T", 0, 40)
+	band := data.Symmetric(0.1, 0.1)
+	w := NewWorker("w")
+	loadRows(t, w, "S", s, 0, 40, 40, 40, band)
+	loadRows(t, w, "T", tt, 0, 40, 40, 40, band)
+	w.inflight.Wait()
+	if n := w.m.pipelinedPreps.Value(); n != 1 {
+		t.Fatalf("%d pipelined prepares after the announced rows, want 1", n)
+	}
+	loadRows(t, w, "S", s, 40, 80, 40, 40, band)
+
+	if len(definitionPairs(s.Slice("S", 0, 40), tt, band)) == len(definitionPairs(s, tt, band)) {
+		t.Fatal("the late S rows join nothing; the test stages no wrong answer")
+	}
+	checkWorkerJoin(t, w, s, tt, band)
+}

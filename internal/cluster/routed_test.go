@@ -158,8 +158,11 @@ func TestRoutedShipMatchesMaterialized(t *testing.T) {
 			for _, w := range workers {
 				for pid, p := range w.retained[opts.PlanID].partitions {
 					resident++
-					sameRows(t, fmt.Sprintf("partition %d S", pid), p.s, p.sIDs, parts[pid].S, parts[pid].SIDs)
-					sameRows(t, fmt.Sprintf("partition %d T", pid), p.t, p.tIDs, parts[pid].T, parts[pid].TIDs)
+					_, held, unlock := exec.LockForProbe([]*exec.Partition{p.part}, band, nil, 1)
+					in := held[0]
+					sameRows(t, fmt.Sprintf("partition %d S", pid), in.S, in.SIDs, parts[pid].S, parts[pid].SIDs)
+					sameRows(t, fmt.Sprintf("partition %d T", pid), in.T, in.TIDs, parts[pid].T, parts[pid].TIDs)
+					unlock()
 				}
 			}
 			if resident != nonEmpty {

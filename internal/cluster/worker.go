@@ -15,7 +15,6 @@ import (
 
 	"bandjoin/internal/data"
 	"bandjoin/internal/exec"
-	"bandjoin/internal/localjoin"
 	"bandjoin/internal/obs"
 	"bandjoin/internal/wire"
 )
@@ -52,10 +51,11 @@ type Worker struct {
 	retained map[string]*retainedState
 	sealSeq  uint64
 
-	// closed holds the ids of the last closedJobs jobs reset with
-	// ResetArgs.Final, closedRing the same ids in closing order (closedNext is
-	// the oldest, overwritten next).
-	closed     map[string]struct{}
+	// closed maps the ids of the last closedJobs jobs reset with
+	// ResetArgs.Final and plans evicted for good (EvictArgs without Attempt)
+	// to their slot in closedRing, which holds the ids in closing order
+	// (closedNext is the oldest, overwritten next).
+	closed     map[string]int
 	closedRing [closedJobs]string
 	closedNext int
 
@@ -177,10 +177,10 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 		return float64(len(w.retained))
 	})
 	reg.GaugeFunc("bandjoin_worker_retained_bytes", "Approximate key/ID bytes held by retained plans.", func() float64 {
-		return float64(w.retainedBytes())
+		return float64(w.heldBytes(true))
 	})
 	reg.GaugeFunc("bandjoin_worker_transient_bytes", "Approximate key/ID bytes held by transient jobs.", func() float64 {
-		return float64(w.transientBytes())
+		return float64(w.heldBytes(false))
 	})
 	reg.GaugeFunc("bandjoin_worker_draining", "1 while the worker is draining.", func() float64 {
 		w.mu.Lock()
@@ -191,18 +191,6 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 		return 0
 	})
 	return m
-}
-
-// observeRefresh records what one partitionData.refresh did.
-func (m *workerMetrics) observeRefresh(rebuildNanos, foldNanos int64) {
-	if rebuildNanos > 0 {
-		m.staleRebuilds.Inc()
-		m.staleRebuildSeconds.Observe(float64(rebuildNanos) / 1e9)
-	}
-	if foldNanos > 0 {
-		m.folds.Inc()
-		m.foldSeconds.Observe(float64(foldNanos) / 1e9)
-	}
 }
 
 // Metrics returns the worker's metrics registry (what recpartd serves behind
@@ -276,111 +264,30 @@ type retainedState struct {
 	seq    uint64
 }
 
+// partitionData is one partition a worker holds: its rows and their join
+// structure (exec.Partition, shared with the in-process plane) and, for a
+// transient job's partition, the state of its pipelined background build.
 type partitionData struct {
-	// mu is a read-write lock: Load appends under the write lock, while joins
-	// hold the read lock, so any number of concurrent queries can join the
-	// same (immutable once sealed) retained partition in parallel, and a late
-	// Load batch for a partition whose join is already running waits for that
-	// join instead of racing it.
-	mu   sync.RWMutex
-	s    *data.Relation
-	sIDs []int64
-	t    *data.Relation
-	tIDs []int64
-	// dims is the partition's dimensionality, fixed at creation, so it is
-	// read without the lock.
-	dims int
+	part *exec.Partition
 
-	// prepared caches the local join's reusable structure (the ε-grid),
-	// keyed by band. For retained partitions it is prebuilt at Seal time for
-	// the plan's band and rebuilt lazily after a T-side delta; for transient
-	// partitions the pipelined-join path builds it in the background as soon
-	// as the partition's shipment completes.
-	prepKey  string
-	prepared *localjoin.EpsGrid
-
-	// preparing claims a transient partition's background build, so it is
-	// spawned at most once.
+	// mu guards preparing and canceled, and is held across the background
+	// build, so a join that cancels the build waits for one already running.
+	// It is never taken while part's lock is held.
+	mu sync.Mutex
+	// preparing claims the background build, so it is spawned at most once;
+	// canceled marks a partition whose join started first: a queued build
+	// backs off, and the join builds the structure itself exactly once.
 	preparing bool
+	canceled  bool
 }
 
-// newPartitionData returns an empty partition for the given dimensionality.
-func newPartitionData(dims int) *partitionData {
-	return &partitionData{s: data.NewRelation("S-part", dims), t: data.NewRelation("T-part", dims), dims: dims}
-}
-
-// readyLocked reports (under p.mu) that a transient partition holds exactly
-// the rows the Load at hand announced for its shipment, in a band it can be
-// prepared for, and that no prepared structure exists or is being built yet.
-// net/rpc dispatches requests out of order, so this is checked after every
-// data Load, whichever side came last.
-func (p *partitionData) readyLocked(args *LoadArgs) bool {
-	return !p.preparing && p.prepKey == "" && p.s.Len() == args.ExpectS && p.t.Len() == args.ExpectT &&
-		args.Band.Validate() == nil && args.Band.Dims() == p.s.Dims()
-}
-
-// prepCanceled marks a transient partition whose join started before the
-// queued background preparation did: spawnPrepare backs off (prepKey is no
-// longer empty) and the join builds its structure inline exactly once. It can
-// never collide with a real prep key (those are "low|high" strings).
-const prepCanceled = "\x00canceled"
-
-// prepKeyFor names the band a prepared structure is valid for.
-func prepKeyFor(band data.Band) string {
-	return fmt.Sprintf("%v|%v", band.Low, band.High)
-}
-
-// refresh brings a retained partition's prepared join up to date for band
-// before a probe, and reports the nanoseconds of whichever of two things that
-// took (both zero when the cached structure was current):
-//
-//   - a rebuild, when a delta append to the T side invalidated the sealed
-//     structure (Load clears prepKey; an append to S alone keeps it, unless
-//     the partition joined through the nested loop and had none), or when the
-//     query's band is not the one the structure was built for.
-//     localjoin.Prepare is correct over inputs in any order — the ε-grid does
-//     not sort them — so rebuilding over an unsorted appended tail is too;
-//   - a fold (exec.FoldS), when the structure stands but the rows appended to
-//     S since the seal or the last fold have outgrown their share: S and its
-//     IDs are re-sorted and the structure gets lists for all of S, the T side
-//     untouched. s, sIDs and prepared are replaced together under the write
-//     lock, and a join reads all three under the read lock it holds while it
-//     probes (see probeSetup): the lists are positional, a structure resolved
-//     for one S order must never meet another.
-//
-// The structure itself is fetched afterwards, under the join's read lock.
-func (p *partitionData) refresh(band data.Band) (rebuildNanos, foldNanos int64) {
-	key := prepKeyFor(band)
-	p.mu.RLock()
-	current := p.prepKey == key && !exec.NeedsFold(p.s, p.prepared)
-	p.mu.RUnlock()
-	if current {
-		return 0, 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.prepKey != key {
-		start := time.Now()
-		p.prepared = localjoin.Prepare(p.s, p.t, band)
-		p.prepKey = key
-		rebuildNanos = time.Since(start).Nanoseconds()
-	} else if exec.NeedsFold(p.s, p.prepared) {
-		var took time.Duration
-		p.s, p.sIDs, p.prepared, took = exec.FoldS(p.s, p.sIDs, p.prepared)
-		foldNanos = took.Nanoseconds()
-	}
-	return rebuildNanos, foldNanos
-}
-
-// preparedLocked returns the partition's prepared join if it is the one for
-// band, else nil (a T-side delta landed since refresh; the join builds for
-// itself, as for a transient partition). Caller holds p.mu, and keeps holding
-// it while it probes the structure with p.s.
-func (p *partitionData) preparedLocked(band data.Band) *localjoin.EpsGrid {
-	if p.prepKey != prepKeyFor(band) {
-		return nil
-	}
-	return p.prepared
+// readyLocked reports (under p.mu) that no background build was claimed or
+// cancelled yet and that the Load at hand, whose append left sRows and tRows,
+// completed the rows it announced, in a band they can be prepared for.
+// net/rpc dispatches requests out of order, so every data Load checks this.
+func (p *partitionData) readyLocked(args *LoadArgs, sRows, tRows int) bool {
+	return !p.preparing && !p.canceled && sRows == args.ExpectS && tRows == args.ExpectT &&
+		args.Band.Validate() == nil && args.Band.Dims() == p.part.Dims()
 }
 
 // NewWorker returns a worker service with the given display name.
@@ -388,7 +295,7 @@ func NewWorker(name string) *Worker {
 	w := &Worker{
 		name:        name,
 		jobs:        make(map[string]*jobState),
-		closed:      make(map[string]struct{}),
+		closed:      make(map[string]int),
 		retained:    make(map[string]*retainedState),
 		wireVersion: wire.Version,
 		prepSem:     make(chan struct{}, runtime.GOMAXPROCS(0)),
@@ -408,63 +315,33 @@ func (w *Worker) SetWireVersion(v int) {
 	w.wireVersion = v
 }
 
-// payloadBytes approximates one partition's resident key/ID footprint under
-// its read lock.
-func (p *partitionData) payloadBytes() int64 {
-	return int64(p.s.Len()+p.t.Len())*int64(p.s.Dims())*8 +
-		int64(len(p.sIDs)+len(p.tIDs))*8
-}
-
-// sumJobBytes walks one job's partitions and sums their footprints. It takes
-// job.mu only to copy the partition pointers and each p.mu read lock only to
-// sum, so a scrape never holds two locks at once and cannot deadlock against
-// the Load path (which locks job.mu then p.mu).
-func sumJobBytes(job *jobState) int64 {
-	job.mu.Lock()
-	parts := make([]*partitionData, 0, len(job.partitions))
-	for _, p := range job.partitions {
-		parts = append(parts, p)
-	}
-	job.mu.Unlock()
-	var total int64
-	for _, p := range parts {
-		p.mu.RLock()
-		total += p.payloadBytes()
-		p.mu.RUnlock()
-	}
-	return total
-}
-
-// retainedBytes approximates the key/ID bytes held by the retained-plan
-// registry. w.mu is released before any per-job lock is taken.
-func (w *Worker) retainedBytes() int64 {
+// heldBytes approximates the key/ID bytes held by the retained-plan registry
+// or by the transient job table. It takes w.mu only to copy the job pointers,
+// each job.mu only to copy its partition pointers and each partition's read
+// lock only to sum, so a scrape never holds two locks at once and cannot
+// deadlock against the Load path (which locks job.mu, then the partition).
+func (w *Worker) heldBytes(retained bool) int64 {
 	w.mu.Lock()
-	jobs := make([]*jobState, 0, len(w.retained))
-	for _, rs := range w.retained {
-		jobs = append(jobs, &rs.jobState)
+	var jobs []*jobState
+	if retained {
+		for _, rs := range w.retained {
+			jobs = append(jobs, &rs.jobState)
+		}
+	} else {
+		for _, job := range w.jobs {
+			jobs = append(jobs, job)
+		}
 	}
 	w.mu.Unlock()
-	var total int64
+	var parts []*exec.Partition
 	for _, job := range jobs {
-		total += sumJobBytes(job)
+		job.mu.Lock()
+		for _, p := range job.partitions {
+			parts = append(parts, p.part)
+		}
+		job.mu.Unlock()
 	}
-	return total
-}
-
-// transientBytes approximates the key/ID bytes held by the transient job
-// table.
-func (w *Worker) transientBytes() int64 {
-	w.mu.Lock()
-	jobs := make([]*jobState, 0, len(w.jobs))
-	for _, job := range w.jobs {
-		jobs = append(jobs, job)
-	}
-	w.mu.Unlock()
-	var total int64
-	for _, job := range jobs {
-		total += sumJobBytes(job)
-	}
-	return total
+	return exec.Bytes(parts)
 }
 
 // SetMaxParallelism caps the join parallelism coordinators may request; n < 1
@@ -535,61 +412,39 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 	job.mu.Lock()
 	p, ok := job.partitions[args.Partition]
 	if !ok {
-		p = newPartitionData(dims)
+		p = &partitionData{part: exec.NewPartition(dims)}
 		job.partitions[args.Partition] = p
 	}
 	job.mu.Unlock()
 
-	p.mu.Lock()
 	// Chunks of one partition must agree on dimensionality.
-	if dims != p.s.Dims() {
-		p.mu.Unlock()
+	if dims != p.part.Dims() {
 		return fmt.Errorf("cluster: worker %s: partition %d chunk has %d dims, want %d",
-			w.name, args.Partition, dims, p.s.Dims())
+			w.name, args.Partition, dims, p.part.Dims())
 	}
-	rel, ids := p.s, &p.sIDs
-	if args.Side == "T" {
-		rel, ids = p.t, &p.tIDs
-	}
-	start := time.Now()
-	if err := w.decodeColumnar(args, rel, ids, n, dims); err != nil {
-		p.mu.Unlock()
+	var decodeNanos int64
+	sRows, tRows, err := p.part.Append(args.Side == "T", func(rel *data.Relation, ids *[]int64) error {
+		start := time.Now()
+		defer func() { decodeNanos = time.Since(start).Nanoseconds() }()
+		return w.decodeColumnar(args, rel, ids, n, dims)
+	})
+	if err != nil {
 		return fmt.Errorf("cluster: worker %s: %w", w.name, err)
 	}
-	decodeNanos := time.Since(start).Nanoseconds()
 	reply.DecodeNanos = decodeNanos
 	payload := int64(len(args.Columnar))
 	if args.Delta {
-		// Rows appended to T are missing from any prebuilt join structure:
-		// invalidate it under the write lock already held; the next probe's
-		// refresh rebuilds lazily. Rows appended to S leave T and its
-		// structure as they were, and the structure probes them too (refresh
-		// folds them in once they outgrow their share). A partition that
-		// joined through the nested loop is re-prepared: it may have outgrown
-		// it.
-		if args.Side == "T" || p.prepared == nil {
-			p.prepKey = ""
-			p.prepared = nil
-		}
 		w.m.deltaLoads.Inc()
 		w.m.deltaTuples.Add(int64(n))
 	}
-	spawn := false
 	if !args.Retain {
-		// Rows beyond what a background build saw (a stale or hostile Load;
-		// the coordinator sends none after a partition is whole) drop its
-		// structure, and the join builds its own over all the rows. A build
-		// still queued sees them anyway, and so does a join that cancelled one.
-		if p.prepKey != "" && p.prepKey != prepCanceled {
-			p.prepKey, p.prepared = "", nil
+		p.mu.Lock()
+		spawn := p.readyLocked(args, sRows, tRows)
+		p.preparing = p.preparing || spawn
+		p.mu.Unlock()
+		if spawn {
+			w.spawnPrepare(p, args.Band)
 		}
-		if spawn = p.readyLocked(args); spawn {
-			p.preparing = true
-		}
-	}
-	p.mu.Unlock()
-	if spawn {
-		w.spawnPrepare(p, args.Band)
 	}
 
 	w.m.loadRPCs.Inc()
@@ -617,6 +472,11 @@ func (w *Worker) jobFor(args *LoadArgs) (*jobState, error) {
 				// retained-miss marker so the caller falls back to a cold
 				// shuffle instead of building a partial plan from the delta.
 				return nil, fmt.Errorf("cluster: worker %s: %s %q", w.name, ErrUnknownRetainedPlan, args.JobID)
+			}
+			if _, closed := w.closed[args.JobID]; closed {
+				// Evicted for good: a Load its coordinator gave up on, landing
+				// late, would hold rows no Seal or Evict ever follows.
+				return nil, fmt.Errorf("cluster: worker %s: retained plan %q is closed", w.name, args.JobID)
 			}
 			rs = &retainedState{jobState: jobState{partitions: make(map[int]*partitionData)}}
 			w.retained[args.JobID] = rs
@@ -653,7 +513,7 @@ const reserveAhead = 32
 
 // reserveSide makes room for a chunk of n rows on a side that was announced
 // total rows: nothing while the chunk fits, else up to total within the
-// reserveAhead bound. Caller holds p.mu.
+// reserveAhead bound. Caller holds the partition's write lock.
 func reserveSide(rel *data.Relation, ids *[]int64, total, n int) {
 	have := rel.Len()
 	if want := min(total, reserveAhead*(have+n)); rel.Cap() < have+n && want > have {
@@ -668,7 +528,7 @@ func reserveSide(rel *data.Relation, ids *[]int64, total, n int) {
 // column is decoded directly into the grown ID slice. The append is
 // transactional: a chunk that fails to decode part-way leaves rel and ids at
 // their previous lengths, so the partition never holds half-written rows or
-// more rows than IDs. Caller holds p.mu.
+// more rows than IDs. Caller holds the partition's write lock.
 func (w *Worker) decodeColumnar(args *LoadArgs, rel *data.Relation, ids *[]int64, n, dims int) (err error) {
 	total := args.ExpectS
 	if args.Side == "T" {
@@ -702,12 +562,12 @@ func (w *Worker) decodeColumnar(args *LoadArgs, rel *data.Relation, ids *[]int64
 }
 
 // spawnPrepare launches the background prepare for a partition whose shipment
-// is complete. Unlike Seal it does not presort: localjoin.Prepare is
-// self-contained over unsorted inputs (refresh relies on the same
-// property), and keeping arrival order means the probe emits pairs in the
-// exact order a plain per-query join would. The goroutine joins the worker's
-// inflight group so Drain waits for it; p.preparing was claimed by the caller
-// under p.mu, which also checked band against the partition.
+// is complete (exec.Partition.Prepare). Unlike Seal it does not presort:
+// localjoin.Prepare is self-contained over unsorted inputs, and keeping arrival
+// order means the probe emits pairs in the exact order a plain per-query join
+// would. The goroutine joins the worker's inflight group so Drain waits for
+// it; p.preparing was claimed by the caller under p.mu, which also checked
+// band against the partition.
 func (w *Worker) spawnPrepare(p *partitionData, band data.Band) {
 	w.inflight.Add(1)
 	go func() {
@@ -716,12 +576,9 @@ func (w *Worker) spawnPrepare(p *partitionData, band data.Band) {
 		defer func() { <-w.prepSem }()
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		if p.prepKey != "" {
-			return // a join raced ahead and cancelled it
+		if !p.canceled && p.part.Prepare(band) {
+			w.m.pipelinedPreps.Inc()
 		}
-		p.prepared = localjoin.Prepare(p.s, p.t, band)
-		p.prepKey = prepKeyFor(band)
-		w.m.pipelinedPreps.Inc()
 	}()
 }
 
@@ -766,26 +623,27 @@ func (w *Worker) Join(args *JoinArgs, reply *JoinReply) error {
 	}
 	job.mu.Unlock()
 	for _, task := range tasks {
-		if task.p.dims != args.Band.Dims() {
+		if task.p.part.Dims() != args.Band.Dims() {
 			return fmt.Errorf("cluster: worker %s: band condition has %d dimensions but partition %d has %d",
-				w.name, args.Band.Dims(), task.pid, task.p.dims)
+				w.name, args.Band.Dims(), task.pid, task.p.part.Dims())
 		}
 	}
 	sort.Slice(tasks, func(a, b int) bool { return tasks[a].pid < tasks[b].pid })
 
-	parallelism := args.Parallelism
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if w.maxParallelism > 0 && parallelism > w.maxParallelism {
-		parallelism = w.maxParallelism
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-
-	reply.Partitions = w.joinTasksMorsels(tasks, args, parallelism)
+	reply.Partitions = w.joinTasksMorsels(tasks, args, w.parallelism(args.Parallelism))
 	return nil
+}
+
+// parallelism resolves a requested pool width: GOMAXPROCS for asked < 1, then
+// capped by SetMaxParallelism.
+func (w *Worker) parallelism(asked int) int {
+	if asked < 1 {
+		asked = runtime.GOMAXPROCS(0)
+	}
+	if w.maxParallelism > 0 {
+		asked = min(asked, w.maxParallelism)
+	}
+	return asked
 }
 
 // joinTask is one partition of a Join call, in pid order.
@@ -794,21 +652,14 @@ type joinTask struct {
 	p   *partitionData
 }
 
-// morselTaskState is one partition's resolved probe setup for the morsel join.
-type morselTaskState struct {
-	prep         *localjoin.EpsGrid
-	rebuildNanos int64
-	foldNanos    int64
-}
-
-// joinTasksMorsels runs a job's local joins: each partition's structure is
-// resolved first (a retained one refreshed, with lazy rebuild and fold; a
-// transient one's queued background build cancelled), then one shared
-// exec.RunMorsels pool drains probe-row ranges of all partitions
-// largest-first, so one fat partition cannot bound the join phase. Partition
-// read locks are held across the whole morsel phase, so a late Load waits for
-// the join instead of racing it, and each partition's pairs are concatenated
-// in morsel order, so the reply is the same for every MorselRows.
+// joinTasksMorsels runs a job's local joins: exec.LockForProbe refreshes each
+// retained partition's structure (lazy rebuild and fold) and read-locks the
+// partitions — a transient one's queued background build is cancelled first —
+// then one shared exec.RunMorsels pool drains probe-row ranges of all
+// partitions largest-first, so one fat partition cannot bound the join phase.
+// The read locks are held across the whole morsel phase, so a late Load waits
+// for the join instead of racing it, and each partition's pairs are
+// concatenated in morsel order, so the reply is the same for every MorselRows.
 func (w *Worker) joinTasksMorsels(tasks []joinTask, args *JoinArgs, parallelism int) []PartitionStats {
 	n := len(tasks)
 	if n == 0 {
@@ -817,83 +668,59 @@ func (w *Worker) joinTasksMorsels(tasks []joinTask, args *JoinArgs, parallelism 
 	w.m.joinInflight.Add(int64(n))
 	defer w.m.joinInflight.Add(int64(-n))
 
-	states := make([]morselTaskState, n)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, min(parallelism, n))
-	for i := range tasks {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			st := &states[i]
-			p := tasks[i].p
-			if args.Retained {
-				st.rebuildNanos, st.foldNanos = p.refresh(args.Band)
-				w.m.observeRefresh(st.rebuildNanos, st.foldNanos)
-				return
+	parts := make([]*exec.Partition, n)
+	rebuild, fold := make([]int64, n), make([]int64, n)
+	var refreshed func(i int, rebuildNanos, foldNanos int64)
+	if args.Retained {
+		refreshed = func(i int, r, f int64) {
+			rebuild[i], fold[i] = r, f
+			if r > 0 {
+				w.m.staleRebuilds.Inc()
+				w.m.staleRebuildSeconds.Observe(float64(r) / 1e9)
 			}
+			if f > 0 {
+				w.m.folds.Inc()
+				w.m.foldSeconds.Observe(float64(f) / 1e9)
+			}
+		}
+	}
+	for i, task := range tasks {
+		parts[i] = task.p.part
+		if !args.Retained {
 			// The join phase has started: a background build still queued
 			// behind the prep semaphore could only duplicate the build this
 			// join runs when it reaches the partition, stealing cores from the
-			// other joins, so it is cancelled (spawnPrepare sees prepKey set
-			// and backs off). One already running holds the write lock; this
-			// waits for it.
-			p.mu.Lock()
-			if p.prepKey == "" {
-				p.prepKey = prepCanceled
-			}
-			p.mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	// Read locks are held until the morsel phase completes. They are taken
-	// only here, one goroutine in pid order, with no other partition lock
-	// held: concurrent Joins of one job each hold several of these while a
-	// Load's pending write lock blocks new readers, and any other
-	// acquisition order lets two Joins wait on each other's partitions. The
-	// structure is read under the lock that covers its probe, so one a Load
-	// dropped in between is never probed.
-	for i := range tasks {
-		tasks[i].p.mu.RLock()
-		states[i].prep = tasks[i].p.preparedLocked(args.Band)
-	}
-	defer func() {
-		for i := range tasks {
-			tasks[i].p.mu.RUnlock()
+			// other joins, so it is cancelled. One already running holds p.mu;
+			// this waits for it.
+			task.p.mu.Lock()
+			task.p.canceled = true
+			task.p.mu.Unlock()
 		}
-	}()
-
-	// A partition without a structure is prepared when the morsel scheduler
-	// reaches it — paid once and then probed by every morsel — and released
-	// after its last.
-	jobs := make([]exec.MorselJob, n)
-	for i := range tasks {
-		p := tasks[i].p
-		jobs[i] = exec.PartitionJob(states[i].prep, p.s, p.t, args.Band)
 	}
+	jobs, held, unlock := exec.LockForProbe(parts, args.Band, refreshed, parallelism)
+	defer unlock()
 	// The context never cancels (worker RPCs run to completion), so the only
 	// error path of RunMorsels is unreachable here.
 	jres, mstats, _ := exec.RunMorsels(context.Background(), jobs, args.MorselRows, parallelism, args.CollectPairs)
 
 	stats := make([]PartitionStats, n)
 	for i := range tasks {
-		p := tasks[i].p
+		in := held[i]
 		st := PartitionStats{
 			Partition:    tasks[i].pid,
-			InputS:       p.s.Len(),
-			InputT:       p.t.Len(),
+			InputS:       in.S.Len(),
+			InputT:       in.T.Len(),
 			Output:       jres[i].Count,
 			JoinNanos:    jres[i].Nanos,
-			RebuildNanos: states[i].rebuildNanos,
-			FoldNanos:    states[i].foldNanos,
+			RebuildNanos: rebuild[i],
+			FoldNanos:    fold[i],
 		}
 		if args.CollectPairs {
 			st.PairS = make([]int64, len(jres[i].SIdx))
 			st.PairT = make([]int64, len(jres[i].SIdx))
 			for k, si := range jres[i].SIdx {
-				st.PairS[k] = p.sIDs[si]
-				st.PairT[k] = p.tIDs[jres[i].TIdx[k]]
+				st.PairS[k] = in.SIDs[si]
+				st.PairT[k] = in.TIDs[jres[i].TIdx[k]]
 			}
 		}
 		stats[i] = st
@@ -928,16 +755,27 @@ func (w *Worker) Reset(args *ResetArgs, _ *ResetReply) error {
 	if args.Attempt > 0 && !args.Final {
 		w.jobs[args.JobID] = &jobState{partitions: make(map[int]*partitionData), attempt: args.Attempt}
 	}
-	if _, closed := w.closed[args.JobID]; args.Final && !closed {
-		delete(w.closed, w.closedRing[w.closedNext])
-		w.closedRing[w.closedNext] = args.JobID
-		w.closedNext = (w.closedNext + 1) % closedJobs
-		w.closed[args.JobID] = struct{}{}
+	if args.Final {
+		w.closeLocked(args.JobID)
 	}
 	return nil
 }
 
-// closedJobs is how many closed job ids a worker remembers. A late Load trails
+// closeLocked remembers id as closed, forgetting the oldest closed id. Caller
+// holds w.mu.
+func (w *Worker) closeLocked(id string) {
+	if _, closed := w.closed[id]; closed {
+		return
+	}
+	if old := w.closedRing[w.closedNext]; w.closed[old] == w.closedNext {
+		delete(w.closed, old) // unless it was reopened, or closed again since
+	}
+	w.closedRing[w.closedNext] = id
+	w.closed[id] = w.closedNext
+	w.closedNext = (w.closedNext + 1) % closedJobs
+}
+
+// closedJobs is how many closed job and plan ids a worker remembers. A late Load trails
 // its query by at most a call deadline plus retries, so it only has to outlast
 // the queries that can end in that time; an id costs a few dozen bytes.
 const closedJobs = 1024
@@ -945,8 +783,9 @@ const closedJobs = 1024
 // Seal implements the RPC method completing a retained plan's shipment: it
 // marks the plan joinable, creating an empty entry on workers that received no
 // partitions so a later retained Join can distinguish "sealed, zero
-// partitions" from "evicted". Sealing presorts every partition's rows on the
-// first join attribute and, for a valid band, prebuilds its ε-grid — both
+// partitions" from "evicted". Sealing (exec.Partition.Seal) presorts every
+// partition's rows on the first join attribute and, for a valid band,
+// prebuilds its ε-grid — both
 // paid once, off every later query's critical path. The ε-grid sorts nothing;
 // the presort gives warm probes their locality and is the order exec.FoldS
 // merges appended S rows into. If the retention cap is exceeded, the
@@ -965,42 +804,17 @@ func (w *Worker) Seal(args *SealArgs, reply *SealReply) error {
 		rs = &retainedState{jobState: jobState{partitions: make(map[int]*partitionData)}}
 		w.retained[args.PlanID] = rs
 	}
-	parts := make([]*partitionData, 0, len(rs.partitions))
+	parts := make([]*exec.Partition, 0, len(rs.partitions))
 	if !rs.sealed {
 		for _, p := range rs.partitions {
-			parts = append(parts, p)
+			parts = append(parts, p.part)
 		}
 	}
 	w.mu.Unlock()
 
-	// Presort and prebuild outside the registry lock; each partition is
-	// permuted under its own write lock so a straggler Load cannot race the
-	// reorder. When the seal names a valid band, the local join's reusable
-	// structure is built here too — once, off every query's critical path.
-	prebuild := args.Band.Validate() == nil
-	parallelism := runtime.GOMAXPROCS(0)
-	if w.maxParallelism > 0 && parallelism > w.maxParallelism {
-		parallelism = w.maxParallelism
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, parallelism)
-	for _, p := range parts {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(p *partitionData) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			p.mu.Lock()
-			sorted := (&exec.PartitionInput{S: p.s, SIDs: p.sIDs, T: p.t, TIDs: p.tIDs}).Presort()
-			p.s, p.sIDs, p.t, p.tIDs = sorted.S, sorted.SIDs, sorted.T, sorted.TIDs
-			if prebuild && p.s.Dims() == args.Band.Dims() {
-				p.prepared = localjoin.Prepare(p.s, p.t, args.Band)
-				p.prepKey = prepKeyFor(args.Band)
-			}
-			p.mu.Unlock()
-		}(p)
-	}
-	wg.Wait()
+	// Seal outside the registry lock; each partition is presorted under its
+	// own write lock, so a straggler Load cannot race the reorder.
+	exec.SealAll(parts, args.Band, w.parallelism(0))
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1036,7 +850,9 @@ func (w *Worker) Seal(args *SealArgs, reply *SealReply) error {
 
 // Evict implements the RPC method discarding retained plans: one plan when
 // PlanID is set, the whole registry when it is empty. With EvictArgs.Attempt
-// it clears one plan's partial shipment for the next one.
+// it clears one plan's partial shipment for the next one, and reopens the plan
+// id. Without, it closes the id like a final Reset: a non-delta Load of the
+// plan that lands after it is refused until a numbered Evict reopens it.
 func (w *Worker) Evict(args *EvictArgs, reply *EvictReply) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1054,7 +870,10 @@ func (w *Worker) Evict(args *EvictArgs, reply *EvictReply) error {
 	if args.Attempt > 0 {
 		// Cleared to be shipped again (see Reset): keep an unsealed, empty
 		// entry that refuses the aborted shipment's late Loads.
+		delete(w.closed, args.PlanID)
 		w.retained[args.PlanID] = &retainedState{jobState: jobState{partitions: make(map[int]*partitionData), attempt: args.Attempt}}
+	} else {
+		w.closeLocked(args.PlanID)
 	}
 	return nil
 }
@@ -1084,8 +903,8 @@ func (w *Worker) Stats(_ *StatsArgs, reply *StatsReply) error {
 	w.mu.Unlock()
 
 	// Byte sums take per-job/per-partition locks; w.mu is already released.
-	reply.RetainedBytes = w.retainedBytes()
-	reply.TransientBytes = w.transientBytes()
+	reply.RetainedBytes = w.heldBytes(true)
+	reply.TransientBytes = w.heldBytes(false)
 
 	m := w.m
 	reply.JoinInflight = m.joinInflight.Value()

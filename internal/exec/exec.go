@@ -296,31 +296,12 @@ var gatherPool = sync.Pool{New: func() any { return new(gatherBuf) }}
 // PrepareShuffled builds, for every non-nil partition, the local join's
 // reusable structure for (p.S, p.T, band) (localjoin.Prepare), running at most
 // parallelism builds concurrently (< 1 selects GOMAXPROCS). Entries are nil
-// where the partition joins through the nested loop. It is the in-process
-// analogue of the cluster workers' Seal-time prebuild: paid once at retention
-// time, off every warm query's critical path. The third parameter is unused:
-// it named the local join algorithm, and stays only because the benchmark
-// harness (benchmark/replay.go) passes nil there.
+// where the partition joins through the nested loop. The benchmark harness
+// (benchmark/replay.go) prebuilds its retained partitions with it; the third
+// parameter is unused, and stays only because the harness passes nil there.
 func PrepareShuffled(parts []*PartitionInput, band data.Band, _ any, parallelism int) []*localjoin.EpsGrid {
-	if parallelism < 1 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
 	prepared := make([]*localjoin.EpsGrid, len(parts))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, parallelism)
-	for pid, p := range parts {
-		if p == nil {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(pid int, p *PartitionInput) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			prepared[pid] = localjoin.Prepare(p.S, p.T, band)
-		}(pid, p)
-	}
-	wg.Wait()
+	each(parts, parallelism, func(pid int, p *PartitionInput) { prepared[pid] = localjoin.Prepare(p.S, p.T, band) })
 	return prepared
 }
 
@@ -360,6 +341,38 @@ func ExecuteShuffledPrepared(ctx context.Context, plan partition.Plan, parts []*
 	}
 	return reduce(ctx, plan, jobs, tuples, func(pid int) ([]int64, []int64) { return parts[pid].SIDs, parts[pid].TIDs },
 		totalInput, inputS, inputT, opts)
+}
+
+// ExecutePartitions is ExecuteShuffled over partitions kept between queries
+// (the in-process plane's retained plans): LockForProbe refreshes each for
+// band and holds it read-locked through the joins and the accounting, and the
+// result reports what the refreshes took (StaleRebuildTime, Folds, FoldTime).
+func ExecutePartitions(ctx context.Context, plan partition.Plan, parts []*Partition, totalInput int64, inputS, inputT int, band data.Band, opts Options) (*Result, error) {
+	if opts.Workers < 1 {
+		return nil, fmt.Errorf("exec: need at least one worker, got %d", opts.Workers)
+	}
+	rebuild, fold := make([]int64, len(parts)), make([]int64, len(parts))
+	jobs, held, unlock := LockForProbe(parts, band, func(i int, r, f int64) { rebuild[i], fold[i] = r, f }, opts.Parallelism)
+	defer unlock()
+	tuples := make([]int64, len(parts))
+	for pid, in := range held {
+		if in != nil {
+			tuples[pid] = int64(in.Tuples())
+		}
+	}
+	res, err := reduce(ctx, plan, jobs, tuples, func(pid int) ([]int64, []int64) { return held[pid].SIDs, held[pid].TIDs },
+		totalInput, inputS, inputT, opts)
+	if err != nil {
+		return nil, err
+	}
+	for pid := range parts {
+		res.StaleRebuildTime += time.Duration(rebuild[pid])
+		if fold[pid] > 0 {
+			res.Folds++
+			res.FoldTime += time.Duration(fold[pid])
+		}
+	}
+	return res, nil
 }
 
 // PartitionJob is the morsel job joining one partition (s, t): over prep, the

@@ -46,14 +46,14 @@ func (p *PartitionInput) Tuples() int { return p.S.Len() + p.T.Len() }
 
 // Presort reorders the partition's rows into ascending dim-0 key order (NaN
 // last, ties kept in row order), returning a new PartitionInput that owns its
-// storage. Retained partitions are presorted once at retention time — the
-// registry's analogue of an index built at load time. The ε-grid probes S in
-// row order and numbers T's cells in first-seen order, so over presorted sides
-// consecutive probes walk neighbouring cells whose rows lie next to each other
-// in memory (the serving workload's warm op reads 0.15 s sealed this way,
-// 0.27 s sealed unsorted; DESIGN.md, "Folding the appended tail"). The result
-// set is unchanged (joins are order-independent, and tuple IDs travel with
-// their rows).
+// storage. Retained partitions are presorted when sealed and when rebuilt
+// (Partition.Seal, Partition.Refresh) — the analogue of an index built at load
+// time. The ε-grid probes S in row order and numbers T's cells in first-seen
+// order, so over presorted sides consecutive probes walk neighbouring cells
+// whose rows lie next to each other in memory (the serving workload's warm op
+// reads 0.15 s sealed this way, 0.27 s sealed unsorted; DESIGN.md, "Folding
+// the appended tail"). The result set is unchanged (joins are
+// order-independent, and tuple IDs travel with their rows).
 func (p *PartitionInput) Presort() *PartitionInput {
 	s, sIDs := sortByDim0(p.S, p.SIDs, 0)
 	t, tIDs := sortByDim0(p.T, p.TIDs, 0)
@@ -62,13 +62,9 @@ func (p *PartitionInput) Presort() *PartitionInput {
 
 // sortByDim0 returns the relation's rows (and their parallel tuple IDs)
 // reordered by ascending first-dimension key, NaN last, stably, in storage of
-// their own with room for spare more rows.
+// their own (whatever the row count) with room for spare more rows.
 func sortByDim0(rel *data.Relation, ids []int64, spare int) (*data.Relation, []int64) {
-	n := rel.Len()
-	if n < 2 {
-		return rel, ids
-	}
-	dims := rel.Dims()
+	n, dims := rel.Len(), rel.Dims()
 	src := rel.KeysRange(0, n)
 	keys := make([]float64, n*dims, (n+spare)*dims)
 	// The output's own first n values stage the dim-0 column for the argsort;
@@ -85,30 +81,6 @@ func sortByDim0(rel *data.Relation, ids []int64, spare int) (*data.Relation, []i
 		outIDs[row] = ids[from]
 	}
 	return data.NewRelationFromKeys(rel.Name(), dims, keys), outIDs
-}
-
-// PresortPartitions presorts every non-nil partition in place (slice entries
-// are replaced; the underlying arenas are not mutated), with at most
-// `parallelism` concurrent sorts (< 1 selects GOMAXPROCS).
-func PresortPartitions(parts []*PartitionInput, parallelism int) {
-	if parallelism < 1 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, parallelism)
-	for pid, p := range parts {
-		if p == nil {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(pid int, p *PartitionInput) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			parts[pid] = p.Presort()
-		}(pid, p)
-	}
-	wg.Wait()
 }
 
 // RoutedSide is one relation's routing outcome: per shard and partition, the
