@@ -129,11 +129,9 @@ type Options struct {
 	// The remaining knobs tune the RPC data plane and apply only to cluster
 	// runs (Cluster.Join); zeros select the defaults.
 
-	// ClusterChunkSize is the number of tuples per Load RPC (default 4096).
+	// ClusterChunkSize is the number of tuples per chunk of a shipment
+	// stream (default 4096).
 	ClusterChunkSize int
-	// ClusterWindow is the maximum number of Load RPCs in flight per worker
-	// on the streaming shuffle (default 4).
-	ClusterWindow int
 	// ClusterJoinParallelism bounds the number of partition joins each worker
 	// runs concurrently (default: the worker's GOMAXPROCS).
 	ClusterJoinParallelism int

@@ -23,12 +23,14 @@ type ClusterConfig struct {
 	// long as this many workers are reachable, and the rest join the pool when
 	// the background heartbeat finds them. Zero requires every worker.
 	MinWorkers int
-	// CallTimeout is the per-attempt deadline of control-plane RPCs (Load,
-	// Ping, Seal, Evict, Reset) and of dialing. Zero means 15s; negative
+	// CallTimeout is the per-attempt deadline of control-plane RPCs (Ping,
+	// Seal, Evict, Stats), of dialing, of each frame written to a shipment
+	// stream and of a retained stream's reply. Zero means 15s; negative
 	// disables the deadline.
 	CallTimeout time.Duration
-	// JoinTimeout is the per-attempt deadline of Join RPCs, which legitimately
-	// run long. Zero means 2m; negative disables the deadline.
+	// JoinTimeout is the per-attempt deadline of Join RPCs and of a one-shot
+	// stream's reply, which comes after its join: both legitimately run long.
+	// Zero means 2m; negative disables the deadline.
 	JoinTimeout time.Duration
 	// MaxRetries is how many times an idempotent RPC is retried after a
 	// transport error before recovery escalates to failover. Zero means 3;

@@ -62,13 +62,12 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed")
 		verbose     = flag.Bool("v", false, "print per-worker load distribution")
 
-		clusterChunk   = flag.Int("cluster-chunk", 0, "tuples per Load RPC on cluster runs (default 4096)")
-		clusterWindow  = flag.Int("cluster-window", 0, "max in-flight Load RPCs per worker on cluster runs (default 4)")
+		clusterChunk   = flag.Int("cluster-chunk", 0, "tuples per shipment chunk on cluster runs (default 4096)")
 		clusterJoinPar = flag.Int("cluster-join-parallelism", 0, "partition joins each worker runs concurrently (default: worker GOMAXPROCS)")
 
 		clusterMinWorkers  = flag.Int("cluster-min-workers", 0, "start the coordinator as long as this many workers are reachable; the rest join via the heartbeat (default: all must be reachable)")
-		clusterCallTimeout = flag.Duration("cluster-call-timeout", 0, "per-attempt deadline of control-plane RPCs (default 15s, negative disables)")
-		clusterJoinTimeout = flag.Duration("cluster-join-timeout", 0, "per-attempt deadline of Join RPCs (default 2m, negative disables)")
+		clusterCallTimeout = flag.Duration("cluster-call-timeout", 0, "per-attempt deadline of control-plane RPCs and of each shipment frame (default 15s, negative disables)")
+		clusterJoinTimeout = flag.Duration("cluster-join-timeout", 0, "per-attempt deadline of joins: Join RPCs and one-shot shipment replies (default 2m, negative disables)")
 		clusterRetries     = flag.Int("cluster-retries", 0, "transport-error retries per idempotent RPC before failover (default 3, negative disables)")
 
 		plannerPar = flag.Int("planner-parallelism", 0, "worker pool bound of RecPart's parallel best-split evaluation (0 = GOMAXPROCS)")
@@ -117,7 +116,6 @@ func main() {
 		MorselRows:             *morselRows,
 		Seed:                   *seed,
 		ClusterChunkSize:       *clusterChunk,
-		ClusterWindow:          *clusterWindow,
 		ClusterJoinParallelism: *clusterJoinPar,
 	}
 
@@ -189,7 +187,7 @@ func main() {
 	fmt.Printf("optimization time  %v\n", res.OptimizationTime.Round(time.Millisecond))
 	fmt.Printf("shuffle time       %v\n", res.ShuffleTime.Round(time.Millisecond))
 	if res.ShuffleRPCs > 0 {
-		fmt.Printf("shuffle wire       %d Load RPCs, %.1f MB\n", res.ShuffleRPCs, float64(res.ShuffleBytes)/(1<<20))
+		fmt.Printf("shuffle wire       %d chunks, %.1f MB\n", res.ShuffleRPCs, float64(res.ShuffleBytes)/(1<<20))
 	}
 	fmt.Printf("join makespan      %v\n", res.Makespan.Round(time.Millisecond))
 	fmt.Printf("wall time          %v\n", elapsed.Round(time.Millisecond))
@@ -268,7 +266,7 @@ func serveQueries(engine *bandjoin.Engine, onCluster bool, s, t *bandjoin.Relati
 			q+1, tier, wall.Round(time.Millisecond), res.OptimizationTime.Round(time.Millisecond),
 			res.ShuffleTime.Round(time.Millisecond))
 		if onCluster {
-			line += fmt.Sprintf("  wire %d RPCs / %.1f MB", res.ShuffleRPCs, float64(res.ShuffleBytes)/(1<<20))
+			line += fmt.Sprintf("  wire %d chunks / %.1f MB", res.ShuffleRPCs, float64(res.ShuffleBytes)/(1<<20))
 		}
 		if q > 0 && wall > 0 {
 			line += fmt.Sprintf("  speedup %.2fx", float64(coldWall)/float64(wall))

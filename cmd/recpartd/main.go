@@ -24,8 +24,8 @@
 // if it is queried again).
 //
 // On SIGINT or SIGTERM the worker shuts down gracefully: it stops accepting
-// connections, rejects new Load/Join/Seal work (coordinators see the refusals
-// as clean errors and fail over), drains the RPCs already in flight for up to
+// connections, rejects new shipments and Join/Seal work (coordinators see the
+// refusals as clean errors and fail over), drains the work in flight for up to
 // -drain-timeout, logs the retained-plan count it is taking down, and exits 0.
 package main
 
@@ -48,7 +48,7 @@ func main() {
 		name         = flag.String("name", "", "worker name reported to the coordinator (default: hostname)")
 		maxPar       = flag.Int("max-parallelism", 0, "cap on concurrent partition joins per job, regardless of what coordinators request (default: GOMAXPROCS)")
 		maxRetained  = flag.Int("max-retained", 0, "cap on resident retained plans (engine warm-partition cache); exceeding it evicts the least-recently-sealed plan, and coordinators transparently reshuffle evicted plans (default: unlimited)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGINT/SIGTERM shutdown waits for in-flight Load/Join RPCs to finish before exiting anyway (0 waits indefinitely)")
+		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGINT/SIGTERM shutdown waits for in-flight shipments and Join RPCs to finish before exiting anyway (0 waits indefinitely)")
 		metricsAddr  = flag.String("metrics-addr", "", "HTTP address serving /metrics (Prometheus), /debug/vars (expvar), and /debug/pprof (empty disables)")
 	)
 	flag.Parse()

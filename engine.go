@@ -99,7 +99,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		retainedHits:   reg.Counter("bandjoin_engine_cache_hits_total", hits, "tier", "retained"),
 		retainedMisses: reg.Counter("bandjoin_engine_cache_misses_total", misses, "tier", "retained"),
 		shuffleBytes:   reg.Counter("bandjoin_engine_shuffle_bytes_total", "Wire bytes moved by engine queries (cluster plane)."),
-		shuffleRPCs:    reg.Counter("bandjoin_engine_shuffle_rpcs_total", "Load RPCs issued by engine queries (cluster plane)."),
+		shuffleRPCs:    reg.Counter("bandjoin_engine_shuffle_rpcs_total", "Chunk frames shipped by engine queries (cluster plane)."),
 		appends:        reg.Counter("bandjoin_engine_appends_total", "Append calls absorbed without cache invalidation."),
 		appendTuples:   reg.Counter("bandjoin_engine_appended_tuples_total", "Tuples added via Append."),
 		appendBytes:    reg.Counter("bandjoin_engine_appended_bytes_total", "Key bytes added via Append."),
@@ -1033,7 +1033,6 @@ func (p *clusterPlane) execute(ctx context.Context, prep *exec.Prepared, s, t *R
 		Sampling:        r.Sampling,
 		CollectPairs:    r.CollectPairs,
 		ChunkSize:       r.ChunkSize,
-		Window:          r.Window,
 		JoinParallelism: r.JoinParallelism,
 		MorselRows:      r.MorselRows,
 		Seed:            r.Seed,

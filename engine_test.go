@@ -341,7 +341,6 @@ func TestOptionsValidation(t *testing.T) {
 		{Workers: -1},
 		{ClusterChunkSize: -5},
 		{ClusterChunkSize: 1<<20 + 1}, // past wire.MaxChunkRows
-		{ClusterWindow: -2},
 		{ClusterJoinParallelism: -1},
 		{InputSampleSize: -100},
 		{PlannerParallelism: -3},

@@ -26,10 +26,8 @@ type AppendConfig struct {
 	Eps float64
 	// Workers is the number of in-process RPC workers.
 	Workers int
-	// ChunkSize is the number of tuples per Load RPC.
+	// ChunkSize is the number of tuples per shipment chunk.
 	ChunkSize int
-	// Window is the streaming plane's per-worker in-flight RPC bound.
-	Window int
 	// DeltaFraction sizes the appended delta as a fraction of the base
 	// (per relation). The acceptance scenario is 0.10: a ≤10% append must be
 	// absorbed without any full-relation reshuffle.
@@ -53,7 +51,6 @@ func DefaultAppendConfig() AppendConfig {
 		Eps:           0.003,
 		Workers:       2,
 		ChunkSize:     4096,
-		Window:        4,
 		DeltaFraction: 0.10,
 		Batches:       5,
 		Rounds:        3,
@@ -84,7 +81,6 @@ type AppendReport struct {
 	Eps           float64 `json:"band_width"`
 	Workers       int     `json:"workers"`
 	ChunkSize     int     `json:"chunk_size"`
-	Window        int     `json:"window"`
 	Partitioner   string  `json:"partitioner"`
 	Output        int64   `json:"output_pairs"`
 
@@ -147,7 +143,6 @@ func RunAppend(cfg AppendConfig) (*AppendReport, error) {
 		Partitioner:      bandjoin.RecPartS(),
 		Seed:             cfg.Seed,
 		ClusterChunkSize: cfg.ChunkSize,
-		ClusterWindow:    cfg.Window,
 	}
 
 	cl, err := bandjoin.StartLocalCluster(cfg.Workers)
@@ -169,7 +164,6 @@ func RunAppend(cfg AppendConfig) (*AppendReport, error) {
 		Eps:           cfg.Eps,
 		Workers:       cfg.Workers,
 		ChunkSize:     cfg.ChunkSize,
-		Window:        cfg.Window,
 	}
 
 	// --- Baseline: register the full relations fresh and serve the cold
@@ -359,7 +353,6 @@ func appendPairCheck(ctx context.Context, cl *bandjoin.Cluster, cfg AppendConfig
 		Partitioner:      bandjoin.RecPartS(),
 		Seed:             cfg.Seed,
 		ClusterChunkSize: cfg.ChunkSize,
-		ClusterWindow:    cfg.Window,
 		CollectPairs:     true,
 	}
 	fresh, err := cl.Join(baseS.Clone("s").Extend(deltaS), baseT.Clone("t").Extend(deltaT), band, opts)

@@ -17,7 +17,6 @@ func TestRunAppendQuick(t *testing.T) {
 		Eps:           0.01,
 		Workers:       2,
 		ChunkSize:     256,
-		Window:        3,
 		DeltaFraction: 0.10,
 		Batches:       3,
 		Rounds:        1,

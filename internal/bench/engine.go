@@ -29,10 +29,8 @@ type EngineConfig struct {
 	Eps float64
 	// Workers is the number of in-process RPC workers.
 	Workers int
-	// ChunkSize is the number of tuples per Load RPC.
+	// ChunkSize is the number of tuples per shipment chunk.
 	ChunkSize int
-	// Window is the streaming plane's per-worker in-flight RPC bound.
-	Window int
 	// Rounds measures each tier this many times and keeps the fastest.
 	Rounds int
 	// Seed drives data generation and planning.
@@ -48,7 +46,6 @@ func DefaultEngineConfig() EngineConfig {
 		Eps:       0.003,
 		Workers:   2,
 		ChunkSize: 4096,
-		Window:    4,
 		Rounds:    3,
 		Seed:      1,
 	}
@@ -86,7 +83,6 @@ type EngineReport struct {
 	Eps         float64 `json:"band_width"`
 	Workers     int     `json:"workers"`
 	ChunkSize   int     `json:"chunk_size"`
-	Window      int     `json:"window"`
 	Partitioner string  `json:"partitioner"`
 	TotalInput  int64   `json:"total_input"`
 	Output      int64   `json:"output_pairs"`
@@ -178,7 +174,6 @@ func RunEngine(cfg EngineConfig) (*EngineReport, error) {
 		Partitioner:      bandjoin.RecPartS(),
 		Seed:             cfg.Seed,
 		ClusterChunkSize: cfg.ChunkSize,
-		ClusterWindow:    cfg.Window,
 	}
 
 	cl, err := bandjoin.StartLocalCluster(cfg.Workers)
@@ -259,7 +254,6 @@ func RunEngine(cfg EngineConfig) (*EngineReport, error) {
 		Eps:            cfg.Eps,
 		Workers:        cfg.Workers,
 		ChunkSize:      cfg.ChunkSize,
-		Window:         cfg.Window,
 		Partitioner:    coldRes.Partitioner,
 		TotalInput:     coldRes.TotalInput,
 		Output:         coldRes.Output,
@@ -333,7 +327,6 @@ func enginePairCheck(cl *bandjoin.Cluster, cfg EngineConfig) (int, bool, error) 
 		Partitioner:      bandjoin.RecPartS(),
 		Seed:             cfg.Seed,
 		ClusterChunkSize: cfg.ChunkSize,
-		ClusterWindow:    cfg.Window,
 		CollectPairs:     true,
 	}
 	coldRes, err := cl.Join(s, t, band, opts)

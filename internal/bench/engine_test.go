@@ -17,7 +17,6 @@ func TestRunEngineQuick(t *testing.T) {
 		Eps:       0.01,
 		Workers:   2,
 		ChunkSize: 256,
-		Window:    3,
 		Rounds:    1,
 		Seed:      5,
 	}

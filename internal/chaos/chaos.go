@@ -60,10 +60,12 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Fault perturbs one specific RPC invocation.
+// Fault perturbs one specific RPC invocation or point of a shipment stream.
 type Fault struct {
-	// Method is the short RPC method name ("Load", "Join", "Seal", "Evict",
-	// "Reset", "Ping"), or "*" to match any method.
+	// Method is the short RPC method name ("Join", "Seal", "Evict", "Ping",
+	// "Stats"), a shipment stream's point ("Open" once its header is read,
+	// "Chunk" at each chunk frame, "Reply" between its end frame and its
+	// reply; cluster.ShipPoint), or "*" to match any of them.
 	Method string
 	// Call selects the k-th (0-based) invocation counted per method — or
 	// across all methods when Method is "*". The fault fires exactly once.
@@ -131,14 +133,15 @@ func (s *Schedule) Calls(method string) int {
 }
 
 // Generate derives a deterministic pseudo-random schedule of n faults from a
-// seed: recoverable kinds only (Drop, Delay, Error) against the data-plane
-// methods, so a generated schedule can never hang a query or kill the worker
-// — it exercises the retry/failover/clean-error envelope. The same seed
-// always yields the same schedule.
+// seed: recoverable kinds only (Drop, Delay, Error) against a one-shot
+// query's data plane — its chunks and the join before its reply — so a
+// generated schedule can never hang a query or kill the worker; it exercises
+// the retry/failover/clean-error envelope. The same seed always yields the
+// same schedule.
 func Generate(seed int64, n int) *Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	kinds := []Kind{Drop, Delay, Error}
-	methods := []string{"Load", "Join"}
+	methods := []string{"Chunk", "Reply"}
 	faults := make([]Fault, n)
 	for i := range faults {
 		faults[i] = Fault{

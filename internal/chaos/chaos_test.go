@@ -17,7 +17,7 @@ import (
 )
 
 // testData is the shared small workload: big enough that every worker
-// receives several Load chunks (so mid-shuffle faults have calls to hit),
+// receives several chunks (so mid-shuffle faults have frames to hit),
 // small enough that the whole matrix stays fast under -race.
 func testData() (*data.Relation, *data.Relation, data.Band) {
 	s, tt := data.ParetoPair(2, 1.5, 260, 7)
@@ -105,9 +105,9 @@ func startChaosCluster(t *testing.T, sched *chaos.Schedule, dopts cluster.DialOp
 }
 
 // assertNoJobLeaks verifies that every worker still alive eventually holds
-// zero transient jobs. Eventually: the coordinator's cleanup Resets race the
-// last server-side handlers of an aborted query, so a brief settling window
-// is part of the contract, a lingering job is not.
+// zero transient jobs: no one-shot stream open. Eventually: a stream its
+// query gave up on may still be running its join when the query returns, so a
+// brief settling window is part of the contract, a lingering stream is not.
 func assertNoJobLeaks(t *testing.T, nodes []*chaos.Node) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -132,11 +132,22 @@ func assertNoJobLeaks(t *testing.T, nodes []*chaos.Node) {
 	}
 }
 
+// joinPoint is where a query's join phase meets its worker: the Join RPC of a
+// retained plan, the point between a one-shot stream's end frame and its
+// reply.
+func joinPoint(mode string) string {
+	if mode == "retained" {
+		return "Join"
+	}
+	return "Reply"
+}
+
 // TestChaosMatrix is the equivalence suite: every seeded fault schedule, on
 // both data-plane-relevant partitioners and both the transient and retained
 // paths, must yield either pairs bit-identical to the serial oracle or a
 // clean error — never a hang, a leaked job, or a wrong answer. Kill faults
-// additionally must complete degraded with exactly one lost worker.
+// additionally must complete degraded with exactly one lost worker. The
+// shuffle's faults hit chunk frames; the join's, the join point of the mode.
 func TestChaosMatrix(t *testing.T) {
 	s, tt, band := testData()
 
@@ -147,31 +158,34 @@ func TestChaosMatrix(t *testing.T) {
 		{"recpart-s", func() partition.Partitioner { return core.NewRecPartS() }},
 		{"1-bucket", func() partition.Partitioner { return onebucket.New() }},
 	}
-	faultCases := []struct {
+	type faultCase struct {
 		name     string
 		faults   []chaos.Fault
 		wantErr  bool
 		wantLost int
-	}{
-		{"drop-load", []chaos.Fault{{Method: "Load", Call: 1, Kind: chaos.Drop}}, false, 0},
-		{"drop-join", []chaos.Fault{{Method: "Join", Call: 0, Kind: chaos.Drop}}, false, 0},
-		{"delay-load", []chaos.Fault{{Method: "Load", Call: 0, Kind: chaos.Delay, Delay: 30 * time.Millisecond}}, false, 0},
-		{"delay-join", []chaos.Fault{{Method: "Join", Call: 0, Kind: chaos.Delay, Delay: 30 * time.Millisecond}}, false, 0},
-		{"hang-load", []chaos.Fault{{Method: "Load", Call: 2, Kind: chaos.Hang}}, false, 0},
-		{"hang-join", []chaos.Fault{{Method: "Join", Call: 0, Kind: chaos.Hang}}, false, 0},
-		{"error-load", []chaos.Fault{{Method: "Load", Call: 1, Kind: chaos.Error}}, true, 0},
-		{"error-join", []chaos.Fault{{Method: "Join", Call: 0, Kind: chaos.Error}}, true, 0},
-		{"kill-mid-shuffle", []chaos.Fault{{Method: "Load", Call: 1, Kind: chaos.Kill}}, false, 1},
-		{"kill-mid-join", []chaos.Fault{{Method: "Join", Call: 0, Kind: chaos.Kill}}, false, 1},
+	}
+	faultCases := func(join string) []faultCase {
+		return []faultCase{
+			{"drop-load", []chaos.Fault{{Method: "Chunk", Call: 1, Kind: chaos.Drop}}, false, 0},
+			{"drop-join", []chaos.Fault{{Method: join, Call: 0, Kind: chaos.Drop}}, false, 0},
+			{"delay-load", []chaos.Fault{{Method: "Chunk", Call: 0, Kind: chaos.Delay, Delay: 30 * time.Millisecond}}, false, 0},
+			{"delay-join", []chaos.Fault{{Method: join, Call: 0, Kind: chaos.Delay, Delay: 30 * time.Millisecond}}, false, 0},
+			{"hang-load", []chaos.Fault{{Method: "Chunk", Call: 2, Kind: chaos.Hang}}, false, 0},
+			{"hang-join", []chaos.Fault{{Method: join, Call: 0, Kind: chaos.Hang}}, false, 0},
+			{"error-load", []chaos.Fault{{Method: "Chunk", Call: 1, Kind: chaos.Error}}, true, 0},
+			{"error-join", []chaos.Fault{{Method: join, Call: 0, Kind: chaos.Error}}, true, 0},
+			{"kill-mid-shuffle", []chaos.Fault{{Method: "Chunk", Call: 1, Kind: chaos.Kill}}, false, 1},
+			{"kill-mid-join", []chaos.Fault{{Method: join, Call: 0, Kind: chaos.Kill}}, false, 1},
+		}
 	}
 
 	for _, ptc := range partitioners {
 		oracle := oraclePairs(t, ptc.mk(), s, tt, band)
 		for _, mode := range []string{"transient", "retained"} {
-			for _, fc := range faultCases {
+			for _, fc := range faultCases(joinPoint(mode)) {
 				t.Run(ptc.name+"/"+mode+"/"+fc.name, func(t *testing.T) {
 					coord, nodes := startChaosCluster(t, chaos.NewSchedule(fc.faults...), testDialOptions())
-					opts := cluster.Options{CollectPairs: true, ChunkSize: 32, Window: 2, Seed: 42}
+					opts := cluster.Options{CollectPairs: true, ChunkSize: 32, Seed: 42}
 					if mode == "retained" {
 						opts.PlanID = "chaos|" + t.Name()
 					}
@@ -221,7 +235,7 @@ func TestChaosSeededSchedules(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			coord, nodes := startChaosCluster(t, chaos.Generate(seed, 4), testDialOptions())
-			opts := cluster.Options{CollectPairs: true, ChunkSize: 32, Window: 2, Seed: 42}
+			opts := cluster.Options{CollectPairs: true, ChunkSize: 32, Seed: 42}
 			res, err := coord.Run(context.Background(), core.NewRecPartS(), s, tt, band, opts)
 			if err != nil {
 				t.Logf("seed %d: clean error (acceptable): %v", seed, err)
@@ -234,26 +248,28 @@ func TestChaosSeededSchedules(t *testing.T) {
 }
 
 // TestStaleLoadOfAbortedShipmentIsNotJoined stages the wrong answer the seeded
-// schedules produced once in a hundred runs under load. The chaotic worker's
-// first Load is held back; a later Load of the same shipment is dropped, so
-// the coordinator sees the connection die, finds the worker alive, clears it
-// and ships everything again under the same job id (or plan fingerprint). The
-// held-back Load — of the aborted shipment — then lands among the reshipped
-// rows, while the worker's Join is held back in turn to be sure it sees them.
-// Joined, its rows count twice; the worker must refuse them instead.
+// schedules produced once in a hundred runs under load. The chaotic worker
+// reads its first stream's header and then stalls past the coordinator's
+// deadline, so the coordinator gives up on the connection, finds the worker
+// alive, clears it and ships everything again under the same plan
+// fingerprint. The stalled stream — of the aborted shipment, its frames still
+// buffered — then goes on into the reshipped plan, while the worker's Seal
+// and Join are held back in turn to be sure it lands first. Joined, its rows
+// count twice; the worker must refuse them instead. A one-shot stream shares
+// nothing with its repeat, so on the transient path the stalled one joins
+// alone, to an answer nobody reads.
 func TestStaleLoadOfAbortedShipmentIsNotJoined(t *testing.T) {
 	s, tt, band := testData()
 	oracle := oraclePairs(t, core.NewRecPartS(), s, tt, band)
 	for _, mode := range []string{"transient", "retained"} {
 		t.Run(mode, func(t *testing.T) {
 			sched := chaos.NewSchedule(
-				chaos.Fault{Method: "Load", Call: 0, Kind: chaos.Delay, Delay: 150 * time.Millisecond},
-				chaos.Fault{Method: "Load", Call: 2, Kind: chaos.Drop},
-				chaos.Fault{Method: "Seal", Call: 0, Kind: chaos.Delay, Delay: 300 * time.Millisecond},
+				chaos.Fault{Method: "Open", Call: 0, Kind: chaos.Delay, Delay: 1000 * time.Millisecond},
+				chaos.Fault{Method: "Seal", Call: 0, Kind: chaos.Delay, Delay: 800 * time.Millisecond},
 				chaos.Fault{Method: "Join", Call: 0, Kind: chaos.Delay, Delay: 300 * time.Millisecond},
 			)
 			coord, nodes := startChaosCluster(t, sched, testDialOptions())
-			opts := cluster.Options{CollectPairs: true, ChunkSize: 32, Window: 4, Seed: 42}
+			opts := cluster.Options{CollectPairs: true, ChunkSize: 32, Seed: 42}
 			if mode == "retained" {
 				opts.PlanID = "chaos|" + t.Name()
 			}
@@ -278,10 +294,10 @@ func TestStaleLoadOfAbortedShipmentIsNotJoined(t *testing.T) {
 func TestWorkerDeathBetweenLoadAndJoinLeavesNoJobState(t *testing.T) {
 	s, tt, band := testData()
 	oracle := oraclePairs(t, core.NewRecPartS(), s, tt, band)
-	sched := chaos.NewSchedule(chaos.Fault{Method: "Join", Call: 0, Kind: chaos.Kill})
+	sched := chaos.NewSchedule(chaos.Fault{Method: "Reply", Call: 0, Kind: chaos.Kill})
 	coord, nodes := startChaosCluster(t, sched, testDialOptions())
 
-	opts := cluster.Options{CollectPairs: true, ChunkSize: 32, Window: 2, Seed: 42}
+	opts := cluster.Options{CollectPairs: true, ChunkSize: 32, Seed: 42}
 	res, err := coord.Run(context.Background(), core.NewRecPartS(), s, tt, band, opts)
 	if err != nil {
 		t.Fatalf("query should have failed over, got: %v", err)
@@ -406,11 +422,11 @@ func TestDialConfigMinWorkers(t *testing.T) {
 }
 
 // TestContextCancelAbortsHungQuery proves cancellation is the backstop even
-// with per-call deadlines disabled: a worker hanging a Load forever cannot
+// with per-call deadlines disabled: a worker hanging a shipment forever cannot
 // outlive the query's context, and the abort leaves no job state behind.
 func TestContextCancelAbortsHungQuery(t *testing.T) {
 	s, tt, band := testData()
-	sched := chaos.NewSchedule(chaos.Fault{Method: "Load", Call: 0, Kind: chaos.Hang})
+	sched := chaos.NewSchedule(chaos.Fault{Method: "Chunk", Call: 0, Kind: chaos.Hang})
 	dopts := testDialOptions()
 	dopts.CallTimeout = -1 // ctx is the only bound
 	dopts.JoinTimeout = -1
@@ -461,20 +477,19 @@ func TestChaosMorselSkewedEquivalence(t *testing.T) {
 	s, tt, band := skewedData()
 	oracle := oraclePairs(t, core.NewRecPartS(), s, tt, band)
 
-	faultCases := []struct {
-		name     string
-		faults   []chaos.Fault
-		wantLost int
-	}{
-		{"drop-join", []chaos.Fault{{Method: "Join", Call: 0, Kind: chaos.Drop}}, 0},
-		{"kill-mid-join", []chaos.Fault{{Method: "Join", Call: 0, Kind: chaos.Kill}}, 1},
-	}
 	for _, morselRows := range []int{0, 16, -1} {
 		for _, mode := range []string{"transient", "retained"} {
-			for _, fc := range faultCases {
+			for _, fc := range []struct {
+				name     string
+				faults   []chaos.Fault
+				wantLost int
+			}{
+				{"drop-join", []chaos.Fault{{Method: joinPoint(mode), Call: 0, Kind: chaos.Drop}}, 0},
+				{"kill-mid-join", []chaos.Fault{{Method: joinPoint(mode), Call: 0, Kind: chaos.Kill}}, 1},
+			} {
 				t.Run(fmt.Sprintf("rows=%d/%s/%s", morselRows, mode, fc.name), func(t *testing.T) {
 					coord, nodes := startChaosCluster(t, chaos.NewSchedule(fc.faults...), testDialOptions())
-					opts := cluster.Options{CollectPairs: true, ChunkSize: 32, Window: 2, Seed: 42, MorselRows: morselRows}
+					opts := cluster.Options{CollectPairs: true, ChunkSize: 32, Seed: 42, MorselRows: morselRows}
 					if mode == "retained" {
 						opts.PlanID = "chaos|" + t.Name()
 					}

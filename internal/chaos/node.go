@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"io"
 	"net"
 	"net/rpc"
 	"sync"
@@ -16,8 +17,10 @@ var ErrInjected = errors.New("chaos: injected fault")
 
 // Node serves one cluster.Worker behind the fault interceptor. Every RPC
 // method passes through the node's Schedule before (maybe) reaching the
-// worker, and the node owns the listener and every accepted connection so
-// Drop, Hang, and Kill faults can sever them mid-call.
+// worker, and so does every shipment stream at each of its points ("Open",
+// "Chunk", "Reply": cluster.ShipPoint), through the worker's ship hook. The
+// node owns the listener and every accepted connection so Drop, Hang, and
+// Kill faults can sever them mid-call.
 type Node struct {
 	worker *cluster.Worker
 	sched  *Schedule
@@ -52,6 +55,7 @@ func StartOn(addr string, worker *cluster.Worker, sched *Schedule) (*Node, error
 		ln:       ln,
 		conns:    make(map[net.Conn]struct{}),
 	}
+	worker.SetShipHook(n.interceptShip)
 	go n.acceptLoop(ln)
 	return n, nil
 }
@@ -85,13 +89,20 @@ func (n *Node) acceptLoop(ln net.Listener) {
 		}
 		n.conns[conn] = struct{}{}
 		n.mu.Unlock()
-		// One server per connection: the interceptor service is bound to the
-		// delivering conn, which Drop/Hang faults need to sever.
-		srv := rpc.NewServer()
-		_ = srv.RegisterName(cluster.ServiceName, &chaosService{node: n, conn: conn})
 		go func() {
-			srv.ServeConn(conn)
-			n.forget(conn)
+			defer n.forget(conn)
+			c, stream, err := cluster.SplitConn(conn)
+			switch {
+			case err != nil:
+			case stream:
+				n.worker.ServeShipment(c)
+			default:
+				// One server per connection: the interceptor service is bound
+				// to the delivering conn, which Drop/Hang faults need to sever.
+				srv := rpc.NewServer()
+				_ = srv.RegisterName(cluster.ServiceName, &chaosService{node: n, conn: conn})
+				srv.ServeConn(c)
+			}
 		}()
 	}
 }
@@ -141,6 +152,31 @@ func (n *Node) Stop() {
 // intercept applies the scheduled fault (if any) of one method invocation and
 // otherwise executes it.
 func (n *Node) intercept(method string, conn net.Conn, invoke func() error) error {
+	return n.fault(method, conn, invoke, func() { <-n.released })
+}
+
+// interceptShip is the worker's ship hook: it applies the scheduled fault (if
+// any) of one point of a shipment stream. A hung stream stops being read: it
+// ends when the node is released or when the coordinator, whose own deadline
+// bounds the wait, gives up on the connection — so a hang leaves no stream
+// open behind a query that has moved on.
+func (n *Node) interceptShip(ev *cluster.ShipEvent) error {
+	return n.fault(ev.At.String(), ev.Conn, func() error { return nil }, func() {
+		gone := make(chan struct{})
+		go func() {
+			io.Copy(io.Discard, ev.Conn)
+			close(gone)
+		}()
+		select {
+		case <-n.released:
+		case <-gone:
+		}
+	})
+}
+
+// fault applies the scheduled fault (if any) of one invocation of method on
+// conn and otherwise executes it. A Hang waits in hang.
+func (n *Node) fault(method string, conn net.Conn, invoke func() error, hang func()) error {
 	f := n.sched.next(method)
 	if f == nil {
 		return invoke()
@@ -160,7 +196,7 @@ func (n *Node) intercept(method string, conn net.Conn, invoke func() error) erro
 		// Block until released (or the node dies), then sever the connection:
 		// the client must experience a call that never answers, bounded only
 		// by its own deadline.
-		<-n.released
+		hang()
 		conn.Close()
 		return ErrInjected
 	case Drop:
@@ -182,16 +218,8 @@ type chaosService struct {
 	conn net.Conn
 }
 
-func (s *chaosService) Load(args *cluster.LoadArgs, reply *cluster.LoadReply) error {
-	return s.node.intercept("Load", s.conn, func() error { return s.node.worker.Load(args, reply) })
-}
-
 func (s *chaosService) Join(args *cluster.JoinArgs, reply *cluster.JoinReply) error {
 	return s.node.intercept("Join", s.conn, func() error { return s.node.worker.Join(args, reply) })
-}
-
-func (s *chaosService) Reset(args *cluster.ResetArgs, reply *cluster.ResetReply) error {
-	return s.node.intercept("Reset", s.conn, func() error { return s.node.worker.Reset(args, reply) })
 }
 
 func (s *chaosService) Seal(args *cluster.SealArgs, reply *cluster.SealReply) error {

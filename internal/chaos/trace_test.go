@@ -16,7 +16,7 @@ import (
 // degraded with one lost worker, at least one failover round, and the fault
 // events rebased into the trace's span timeline.
 func TestTraceRecordsKillFailover(t *testing.T) {
-	sched := chaos.NewSchedule(chaos.Fault{Method: "Join", Call: 0, Kind: chaos.Kill})
+	sched := chaos.NewSchedule(chaos.Fault{Method: "Reply", Call: 0, Kind: chaos.Kill})
 	addrs := make([]string, 3)
 	for i := range addrs {
 		var s *chaos.Schedule

@@ -149,14 +149,9 @@ func TestAbsorbAfterWorkerLossFallsBackToCold(t *testing.T) {
 	band := data.Symmetric(0.3, 0.3)
 	baseS, baseT := extendPair(fullS, fullT, 300, 300)
 
-	good := NewWorker("good")
-	goodAddr, stopGood := serveService(t, good)
-	defer stopGood()
-	flaky := &toggleFailLoadWorker{Worker: NewWorker("flaky")}
-	flakyAddr, stopFlaky := serveService(t, flaky)
-	defer stopFlaky()
-
-	coord, err := Dial([]string{goodAddr, flakyAddr})
+	good, flaky := NewWorker("good"), NewWorker("flaky")
+	fail := failShipments(flaky)
+	coord, err := Dial([]string{serveWorker(t, good), serveWorker(t, flaky)})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -168,13 +163,13 @@ func TestAbsorbAfterWorkerLossFallsBackToCold(t *testing.T) {
 		t.Fatalf("cold RunPlan: %v", err)
 	}
 
-	// The delta Loads die at one worker: the absorb must surface the failure
+	// The delta streams die at one worker: the absorb must surface the failure
 	// rather than leave half-applied retained state serving queries.
-	flaky.fail.Store(true)
+	fail.Store(true)
 	if err := coord.AbsorbPlan(context.Background(), plan, pctx, fullS, fullT, opts); err == nil {
 		t.Fatal("AbsorbPlan with a failing worker unexpectedly succeeded")
 	}
-	flaky.fail.Store(false)
+	fail.Store(false)
 
 	// The engine's Append reacts by evicting the fingerprint; the next
 	// retained run reships everything cold from the extended relations.

@@ -54,10 +54,12 @@ type DialOptions struct {
 	// reachable (the strict historical behavior).
 	MinWorkers int
 	// CallTimeout is the per-attempt deadline of control-plane RPCs (Ping,
-	// Load, Seal, Evict, Reset) and of dialing; zero selects 15s, negative
+	// Seal, Evict, Stats), of dialing, of each frame written to a shipment
+	// stream and of a retained stream's reply; zero selects 15s, negative
 	// disables the deadline.
 	CallTimeout time.Duration
-	// JoinTimeout is the per-attempt deadline of Join RPCs, which legitimately
+	// JoinTimeout is the per-attempt deadline of Join RPCs and of a one-shot
+	// stream's reply (its join runs at the stream's end), which legitimately
 	// run long; zero selects 2m, negative disables the deadline (the caller's
 	// context still bounds the query).
 	JoinTimeout time.Duration
@@ -286,31 +288,37 @@ func (wc *workerClient) name() string {
 	return wc.addr
 }
 
-// conn returns the current client, dialing (with the call deadline) and
-// verifying the worker with a Ping if there is none.
+// dial opens a new connection to the worker (with the call deadline), its
+// bytes counted into the client's counters.
+func (wc *workerClient) dial() (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", wc.addr, wc.opts.callDeadline())
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: conn, read: &wc.read, written: &wc.written}, nil
+}
+
+// conn returns the current client, dialing and verifying the worker with a
+// Ping if there is none.
 func (wc *workerClient) conn() (*rpc.Client, error) {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
 	if wc.client != nil {
 		return wc.client, nil
 	}
-	dialTimeout := wc.opts.callDeadline()
-	var conn net.Conn
-	var err error
-	if dialTimeout > 0 {
-		conn, err = net.DialTimeout("tcp", wc.addr, dialTimeout)
-	} else {
-		conn, err = net.Dial("tcp", wc.addr)
-	}
+	conn, err := wc.dial()
 	if err != nil {
 		return nil, err
 	}
-	cl := rpc.NewClient(&countingConn{Conn: conn, read: &wc.read, written: &wc.written})
+	// The verifying Ping is bounded by a deadline on the connection itself.
+	conn.SetDeadline(time.Now().Add(wc.opts.probeDeadline()))
+	cl := rpc.NewClient(conn)
 	var pong PingReply
-	if err := rawTimedCall(cl, ServiceName+".Ping", &PingArgs{}, &pong, wc.opts.probeDeadline()); err != nil {
+	if err := cl.Call(ServiceName+".Ping", &PingArgs{}, &pong); err != nil {
 		cl.Close()
 		return nil, err
 	}
+	conn.SetDeadline(time.Time{})
 	wc.client = cl
 	wc.workerName = pong.Worker
 	wc.wireVer.Store(int32(pong.WireVersion))
@@ -340,23 +348,6 @@ func (wc *workerClient) close() {
 	wc.mu.Unlock()
 	if cl != nil {
 		cl.Close()
-	}
-}
-
-// rawTimedCall is a bare deadline-guarded call used while the connection is
-// being established (before it is published to other goroutines).
-func rawTimedCall(cl *rpc.Client, method string, args, reply any, timeout time.Duration) error {
-	if timeout <= 0 {
-		return cl.Call(method, args, reply)
-	}
-	call := cl.Go(method, args, reply, make(chan *rpc.Call, 1))
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case c := <-call.Done:
-		return c.Error
-	case <-timer.C:
-		return fmt.Errorf("%w: %s after %v", errCallTimeout, method, timeout)
 	}
 }
 

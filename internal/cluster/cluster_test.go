@@ -2,9 +2,8 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"net"
-	"net/rpc"
 	"strings"
 	"sync"
 	"testing"
@@ -19,8 +18,8 @@ import (
 	"bandjoin/internal/wire"
 )
 
-// chunkOf encodes rel's rows, with the given tuple IDs, as the one columnar
-// chunk of a hand-made Load.
+// chunkOf encodes rel's rows, with the given tuple IDs, as one columnar chunk
+// of a hand-made shipment.
 func chunkOf(rel *data.Relation, ids []int64) []byte {
 	return wire.NewEncoder(wire.ModeAuto).EncodeChunk(rel.KeysRange(0, rel.Len()), rel.Dims(), ids)
 }
@@ -142,7 +141,7 @@ func TestClusterMatchesInProcessExact(t *testing.T) {
 		samePairs(t, pt.Name()+": simulator vs nested loop", sim.Pairs, want)
 		t.Run(pt.Name()+"/streaming", func(t *testing.T) {
 			dist, err := coord.Run(context.Background(), pt, s, tt, band,
-				Options{CollectPairs: true, Seed: 11, ChunkSize: 128, Window: 3})
+				Options{CollectPairs: true, Seed: 11, ChunkSize: 128})
 			if err != nil {
 				t.Fatalf("distributed run: %v", err)
 			}
@@ -173,71 +172,35 @@ func TestClusterMatchesInProcessExact(t *testing.T) {
 	}
 }
 
-// serveService runs an arbitrary RPC service under the worker service name on
-// an ephemeral loopback port, for fault-injection tests.
-func serveService(t *testing.T, svc any) (addr string, stop func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(ServiceName, svc); err != nil {
-		ln.Close()
-		t.Fatalf("register: %v", err)
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
+// failAt is a ship hook that fails every stream at the given point,
+// simulating a node that dies there.
+func failAt(at ShipPoint) func(*ShipEvent) error {
+	return func(ev *ShipEvent) error {
+		if ev.At == at {
+			return errors.New("synthetic failure")
 		}
-	}()
-	return ln.Addr().String(), func() { ln.Close() }
-}
-
-// failLoadWorker is a worker whose Load always fails, simulating a node that
-// dies mid-shuffle.
-type failLoadWorker struct{ *Worker }
-
-func (w *failLoadWorker) Load(_ *LoadArgs, _ *LoadReply) error {
-	return fmt.Errorf("synthetic mid-shuffle failure")
-}
-
-// failJoinWorker is a worker that accepts partition data but fails every
-// join, simulating a node that dies mid-reduce.
-type failJoinWorker struct{ *Worker }
-
-func (w *failJoinWorker) Join(_ *JoinArgs, _ *JoinReply) error {
-	return fmt.Errorf("synthetic mid-join failure")
+		return nil
+	}
 }
 
 // TestFailedRunLeavesNoJobState is the leak regression test: a run that
-// errors mid-shuffle or mid-join must leave zero retained job state on every
+// errors mid-shuffle or mid-join must leave zero transient state on every
 // worker.
 func TestFailedRunLeavesNoJobState(t *testing.T) {
 	s, tt := data.ParetoPair(2, 1.2, 400, 31)
 	band := data.Symmetric(0.4, 0.4)
 
-	cases := []struct {
-		name  string
-		inner *Worker
-		make  func(*Worker) any
+	for _, tc := range []struct {
+		name string
+		at   ShipPoint
 	}{
-		{"load-failure", NewWorker("bad-load"), func(w *Worker) any { return &failLoadWorker{Worker: w} }},
-		{"join-failure", NewWorker("bad-join"), func(w *Worker) any { return &failJoinWorker{Worker: w} }},
-	}
-	for _, tc := range cases {
+		{"load-failure", ShipChunk},
+		{"join-failure", ShipReply},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			good := NewWorker("good")
-			goodAddr, stopGood := serveService(t, good)
-			defer stopGood()
-			badAddr, stopBad := serveService(t, tc.make(tc.inner))
-			defer stopBad()
-
-			coord, err := Dial([]string{goodAddr, badAddr})
+			good, bad := NewWorker("good"), NewWorker("bad")
+			bad.SetShipHook(failAt(tc.at))
+			coord, err := Dial([]string{serveWorker(t, good), serveWorker(t, bad)})
 			if err != nil {
 				t.Fatalf("Dial: %v", err)
 			}
@@ -251,7 +214,7 @@ func TestFailedRunLeavesNoJobState(t *testing.T) {
 				t.Fatal("run with a failing worker unexpectedly succeeded")
 			}
 
-			for _, w := range []*Worker{good, tc.inner} {
+			for _, w := range []*Worker{good, bad} {
 				var pong PingReply
 				if err := w.Ping(&PingArgs{}, &pong); err != nil {
 					t.Fatalf("Ping %s: %v", w.name, err)
@@ -264,19 +227,22 @@ func TestFailedRunLeavesNoJobState(t *testing.T) {
 	}
 }
 
-// TestWorkerLoadJoinRaceSafety hammers one worker with concurrent Load
-// batches and Join requests for the same job; run under -race (as CI does) it
-// verifies the per-job and per-partition locking that lets the pipelined
-// shuffle overlap late batches with running joins.
+// TestWorkerLoadJoinRaceSafety hammers one worker with concurrent delta
+// streams and Join requests for the same retained plan; run under -race (as
+// CI does) it verifies the per-plan and per-partition locking that lets rows
+// land beside running joins.
 func TestWorkerLoadJoinRaceSafety(t *testing.T) {
 	w := NewWorker("race")
 	band := data.Symmetric(0.5)
 	chunk := data.NewRelation("c", 1)
-	ids := make([]int64, 64)
 	for i := 0; i < 64; i++ {
 		chunk.Append(float64(i) / 64)
-		ids[i] = int64(i)
 	}
+	if err := w.Seal(&SealArgs{PlanID: "job", Band: band}, &SealReply{}); err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	delta := toPlan("job")
+	delta.Delta = true
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -284,13 +250,12 @@ func TestWorkerLoadJoinRaceSafety(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < 40; round++ {
-				side := "S"
+				p := testPart{pid: round % 5, s: chunk}
 				if (g+round)%2 == 1 {
-					side = "T"
+					p = testPart{pid: round % 5, t: chunk}
 				}
-				var lr LoadReply
-				if err := w.Load(&LoadArgs{JobID: "job", Partition: round % 5, Side: side, Columnar: chunkOf(chunk, ids)}, &lr); err != nil {
-					t.Errorf("Load: %v", err)
+				if _, err := ship(w, delta, p); err != nil {
+					t.Errorf("delta stream: %v", err)
 					return
 				}
 			}
@@ -302,7 +267,7 @@ func TestWorkerLoadJoinRaceSafety(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 15; round++ {
 				var jr JoinReply
-				if err := w.Join(&JoinArgs{JobID: "job", Band: band, Parallelism: 3}, &jr); err != nil {
+				if err := w.Join(&JoinArgs{PlanID: "job", Band: band, Parallelism: 3}, &jr); err != nil {
 					t.Errorf("Join: %v", err)
 					return
 				}
@@ -311,18 +276,18 @@ func TestWorkerLoadJoinRaceSafety(t *testing.T) {
 	}
 	wg.Wait()
 
-	var rr ResetReply
-	if err := w.Reset(&ResetArgs{JobID: "job"}, &rr); err != nil {
-		t.Fatalf("Reset: %v", err)
+	if err := w.Evict(&EvictArgs{PlanID: "job"}, &EvictReply{}); err != nil {
+		t.Fatalf("Evict: %v", err)
 	}
 }
 
-// TestJoinReplyDeterministicOrder checks that Join replies list partitions in
-// ascending partition-id order regardless of load order, and that repeated
-// joins of the same state produce identical replies.
+// TestJoinReplyDeterministicOrder checks that a one-shot stream's reply lists
+// partitions in ascending partition-id order regardless of shipping order, and
+// that joining the same partitions again produces an identical reply.
 func TestJoinReplyDeterministicOrder(t *testing.T) {
 	w := NewWorker("det")
 	band := data.Symmetric(0.2)
+	var parts []testPart
 	for _, pid := range []int{7, 2, 9, 0, 5} {
 		chunk := data.NewRelation("c", 1)
 		ids := make([]int64, 8)
@@ -330,21 +295,20 @@ func TestJoinReplyDeterministicOrder(t *testing.T) {
 			chunk.Append(float64(pid) + float64(i)*0.05)
 			ids[i] = int64(pid*100 + i)
 		}
-		for _, side := range []string{"S", "T"} {
-			var lr LoadReply
-			if err := w.Load(&LoadArgs{JobID: "j", Partition: pid, Side: side, Columnar: chunkOf(chunk, ids)}, &lr); err != nil {
-				t.Fatalf("Load partition %d side %s: %v", pid, side, err)
-			}
-		}
+		parts = append(parts, testPart{pid: pid, s: chunk, t: chunk, sIDs: ids, tIDs: ids})
 	}
 
-	var first, second JoinReply
-	if err := w.Join(&JoinArgs{JobID: "j", Band: band, Parallelism: 4}, &first); err != nil {
-		t.Fatalf("first Join: %v", err)
+	var replies [2]*JoinReply
+	for i, parallelism := range []int{4, 2} {
+		hdr := oneShotOf(band)
+		hdr.Parallelism = parallelism
+		reply, err := ship(w, hdr, parts...)
+		if err != nil {
+			t.Fatalf("stream %d: %v", i, err)
+		}
+		replies[i] = reply
 	}
-	if err := w.Join(&JoinArgs{JobID: "j", Band: band, Parallelism: 2}, &second); err != nil {
-		t.Fatalf("second Join: %v", err)
-	}
+	first, second := replies[0], replies[1]
 	if len(first.Partitions) != 5 {
 		t.Fatalf("got %d partitions, want 5", len(first.Partitions))
 	}
@@ -366,130 +330,54 @@ func TestJoinReplyDeterministicOrder(t *testing.T) {
 
 func TestWorkerRejectsBadRequests(t *testing.T) {
 	w := NewWorker("w0")
-	var lr LoadReply
 	chunk := data.NewRelation("c", 1)
 	chunk.Append(1)
-	if err := w.Load(&LoadArgs{JobID: "j", Partition: 0, Side: "X", Columnar: chunkOf(chunk, []int64{0})}, &lr); err == nil {
-		t.Error("Load accepted an unknown relation side")
+	unknownFrame := encodeShipment(toPlan("j"), func(sw *shipWriter) { sw.write([]byte{'U'}) })
+	if _, err := shipBytes(w, unknownFrame); err == nil {
+		t.Error("a stream with an unknown frame was accepted")
 	}
-	var jr JoinReply
-	if err := w.Join(&JoinArgs{JobID: "j", Band: data.Band{Low: []float64{1}, High: []float64{-1}}}, &jr); err == nil {
+	invalid := data.Band{Low: []float64{1}, High: []float64{-1}}
+	if err := w.Join(&JoinArgs{PlanID: "j", Band: invalid}, &JoinReply{}); err == nil {
 		t.Error("Join accepted an invalid band")
 	}
+	if _, err := ship(w, oneShotOf(invalid), testPart{s: chunk, t: chunk}); err == nil {
+		t.Error("a one-shot stream accepted an invalid band")
+	}
 	// Establish a 1D partition, then try to append a 2D chunk to it: the
-	// mismatch must fail the Load instead of desyncing keys from IDs.
-	if err := w.Load(&LoadArgs{JobID: "j", Partition: 3, Side: "S", Columnar: chunkOf(chunk, []int64{0})}, &lr); err != nil {
-		t.Fatalf("Load of a valid chunk failed: %v", err)
+	// mismatch must fail the stream instead of desyncing keys from IDs.
+	if _, err := ship(w, toPlan("j"), testPart{pid: 3, s: chunk}); err != nil {
+		t.Fatalf("a stream of a valid chunk failed: %v", err)
 	}
 	wide := data.NewRelation("c2", 2)
 	wide.Append(1, 2)
-	if err := w.Load(&LoadArgs{JobID: "j", Partition: 3, Side: "S", Columnar: chunkOf(wide, []int64{1})}, &lr); err == nil {
-		t.Error("Load accepted a chunk whose dims differ from the partition's")
+	if _, err := ship(w, toPlan("j"), testPart{pid: 3, s: wide, sIDs: []int64{1}}); err == nil {
+		t.Error("a stream appended a chunk whose dims differ from the partition's")
 	}
 }
 
-// TestWorkerRefusesLoadWithoutColumnarChunk: a data-bearing Load with an empty
-// Columnar field is what a coordinator from before wire.Version sends (gob
-// drops the row-major fields this worker no longer declares), and what the
-// end-of-partition marker of a coordinator from before every Load carried its
-// partition's counts arrives as (gob drops its Complete flag). The worker must
-// say so, naming the version it reads, and keep nothing.
-func TestWorkerRefusesLoadWithoutColumnarChunk(t *testing.T) {
-	w := NewWorker("w0")
-	for _, args := range []*LoadArgs{
-		{JobID: "j", Partition: 0, Side: "S", ExpectS: 1},
-		{JobID: "j", Partition: 0, ExpectS: 1, ExpectT: 1, Band: data.Symmetric(1)},
-	} {
-		err := w.Load(args, &LoadReply{})
-		if err == nil {
-			t.Fatalf("Load without a columnar chunk was accepted: %+v", args)
-		}
-		if want := fmt.Sprintf("wire version %d", wire.Version); !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
-		}
-	}
-	var pong PingReply
-	if err := w.Ping(&PingArgs{}, &pong); err != nil || pong.Jobs != 0 {
-		t.Errorf("after the refused Load: Ping err %v, %d jobs resident, want 0", err, pong.Jobs)
-	}
-}
-
-// TestLateLoadAfterFinalReset is the regression test for a leak: a Load that
-// the network delayed past its query's last Reset found no job and created one that nothing would ever reset. A final Reset closes
-// the id; a Reset that clears a worker before reshipping under the same id
-// does not.
-func TestLateLoadAfterFinalReset(t *testing.T) {
-	w := NewWorker("late")
-	chunk := data.NewRelation("c", 1)
-	chunk.Append(1)
-	load := func(job string) error {
-		return w.Load(&LoadArgs{JobID: job, Partition: 0, Side: "S", Columnar: chunkOf(chunk, []int64{7})}, &LoadReply{})
-	}
-	jobs := func() int {
-		var pong PingReply
-		if err := w.Ping(&PingArgs{}, &pong); err != nil {
-			t.Fatalf("Ping: %v", err)
-		}
-		return pong.Jobs
-	}
-
-	if err := load("q1"); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if err := w.Reset(&ResetArgs{JobID: "q1"}, &ResetReply{}); err != nil {
-		t.Fatalf("Reset: %v", err)
-	}
-	if err := load("q1"); err != nil || jobs() != 1 {
-		t.Fatalf("reship after a mid-query Reset: err %v, %d jobs resident, want 1", err, jobs())
-	}
-
-	// Twice, as the coordinator's retry does.
-	for i := 0; i < 2; i++ {
-		if err := w.Reset(&ResetArgs{JobID: "q1", Final: true}, &ResetReply{}); err != nil {
-			t.Fatalf("final Reset: %v", err)
-		}
-	}
-	if err := load("q1"); err == nil {
-		t.Error("Load after the job's final Reset succeeded, want an error")
-	}
-	if n := jobs(); n != 0 {
-		t.Errorf("%d jobs resident after late loads, want 0", n)
-	}
-	if err := load("q2"); err != nil {
-		t.Errorf("Load of another job: %v", err)
-	}
-
-	// The memory of closed ids is bounded, oldest forgotten first.
-	for i := 0; i < closedJobs; i++ {
-		if err := w.Reset(&ResetArgs{JobID: fmt.Sprint("old-", i), Final: true}, &ResetReply{}); err != nil {
-			t.Fatalf("final Reset: %v", err)
-		}
-	}
-	if len(w.closed) != closedJobs {
-		t.Errorf("worker remembers %d closed jobs, want %d", len(w.closed), closedJobs)
-	}
-	if err := load("q1"); err != nil {
-		t.Errorf("Load under an id closed %d jobs ago: %v", closedJobs, err)
-	}
-}
-
-// TestLateRetainedLoadAfterFinalEvict: a retained Load the coordinator timed
-// out on may land after the plan was evicted for good (EvictPlan, or a failed
-// shipment's clean-up). Accepted, it would leave rows resident under a plan id
-// that no Seal or Evict ever names again, and the retention cap, which spares
-// unsealed entries as shipments in progress, would never reclaim them. A
-// numbered Evict, which precedes every shipment, reopens the id.
+// TestLateRetainedLoadAfterFinalEvict: a retained stream the coordinator
+// timed out on may be read after the plan was evicted for good (EvictPlan, or
+// a failed shipment's clean-up). Accepted, it would leave rows resident under
+// a plan id that no Seal or Evict ever names again, and the retention cap,
+// which spares unsealed entries as shipments in progress, would never reclaim
+// them. A numbered Evict, which precedes every shipment, reopens the id. The
+// memory of closed ids is bounded, oldest forgotten first.
 func TestLateRetainedLoadAfterFinalEvict(t *testing.T) {
 	w := NewWorker("late-retained")
 	w.SetMaxRetained(1)
 	chunk := data.NewRelation("c", 1)
 	chunk.Append(1)
-	load := &LoadArgs{JobID: "p", Side: "S", Columnar: chunkOf(chunk, []int64{7}), Retain: true, Attempt: 3}
+	hdr := toPlan("p")
+	hdr.Attempt = 3
+	load := func() error {
+		_, err := ship(w, hdr, testPart{s: chunk, sIDs: []int64{7}})
+		return err
+	}
 	if err := w.Evict(&EvictArgs{PlanID: "p", Attempt: 3}, &EvictReply{}); err != nil {
 		t.Fatalf("numbered Evict: %v", err)
 	}
-	if err := w.Load(load, &LoadReply{}); err != nil {
-		t.Fatalf("Load: %v", err)
+	if err := load(); err != nil {
+		t.Fatalf("stream: %v", err)
 	}
 	if err := w.Seal(&SealArgs{PlanID: "p"}, &SealReply{}); err != nil {
 		t.Fatalf("Seal: %v", err)
@@ -497,11 +385,11 @@ func TestLateRetainedLoadAfterFinalEvict(t *testing.T) {
 	if err := w.Evict(&EvictArgs{PlanID: "p"}, &EvictReply{}); err != nil {
 		t.Fatalf("final Evict: %v", err)
 	}
-	if err := w.Load(load, &LoadReply{}); err == nil {
-		t.Error("a Load landing after its plan's final Evict was accepted")
+	if err := load(); err == nil {
+		t.Error("a stream read after its plan's final Evict was accepted")
 	}
 	if n := w.Retained(); n != 0 {
-		t.Errorf("%d plans resident after the late Load, want 0", n)
+		t.Errorf("%d plans resident after the late stream, want 0", n)
 	}
 	for _, id := range []string{"q", "r"} {
 		if err := w.Seal(&SealArgs{PlanID: id}, &SealReply{}); err != nil {
@@ -513,37 +401,85 @@ func TestLateRetainedLoadAfterFinalEvict(t *testing.T) {
 	}
 
 	// The next shipment of the plan reopens it.
-	load.Attempt = 4
+	hdr.Attempt = 4
 	if err := w.Evict(&EvictArgs{PlanID: "p", Attempt: 4}, &EvictReply{}); err != nil {
 		t.Fatalf("numbered Evict: %v", err)
 	}
-	if err := w.Load(load, &LoadReply{}); err != nil {
-		t.Errorf("Load of a reopened plan: %v", err)
+	if err := load(); err != nil {
+		t.Errorf("stream of a reopened plan: %v", err)
+	}
+
+	// Closed for good again, then forgotten once closedPlans others closed.
+	if err := w.Evict(&EvictArgs{PlanID: "p"}, &EvictReply{}); err != nil {
+		t.Fatalf("final Evict: %v", err)
+	}
+	for i := 0; i < closedPlans; i++ {
+		if err := w.Evict(&EvictArgs{PlanID: fmt.Sprint("old-", i)}, &EvictReply{}); err != nil {
+			t.Fatalf("final Evict: %v", err)
+		}
+	}
+	if len(w.closed) != closedPlans {
+		t.Errorf("worker remembers %d closed plans, want %d", len(w.closed), closedPlans)
+	}
+	if err := load(); err != nil {
+		t.Errorf("stream under an id closed %d plans ago: %v", closedPlans, err)
+	}
+}
+
+// TestLateSealAfterFinalEvict is the regression test for a Seal that brought
+// an evicted plan back: after its final Evict, a Seal of the plan — a retry
+// its coordinator gave up on, landing late — created an empty entry, sealed,
+// that a retained Join then answered with zero partitions, and that under a
+// retention cap could push a real plan out. The closed id refuses it.
+func TestLateSealAfterFinalEvict(t *testing.T) {
+	w := NewWorker("late-seal")
+	w.SetMaxRetained(1)
+	band := data.Symmetric(0.5)
+	if err := w.Seal(&SealArgs{PlanID: "q", Band: band}, &SealReply{}); err != nil {
+		t.Fatalf("Seal q: %v", err)
+	}
+	if err := w.Evict(&EvictArgs{PlanID: "p"}, &EvictReply{}); err != nil {
+		t.Fatalf("final Evict: %v", err)
+	}
+	if err := w.Seal(&SealArgs{PlanID: "p", Band: band}, &SealReply{}); err == nil {
+		t.Error("a Seal after its plan's final Evict was accepted")
+	}
+	if n := w.Retained(); n != 1 {
+		t.Errorf("%d plans resident after the late Seal, want q's 1", n)
+	}
+	if err := w.Join(&JoinArgs{PlanID: "p", Band: band}, &JoinReply{}); err == nil || !strings.Contains(err.Error(), ErrUnknownRetainedPlan) {
+		t.Errorf("retained Join of the evicted plan: err = %v, want %q", err, ErrUnknownRetainedPlan)
+	}
+	if err := w.Join(&JoinArgs{PlanID: "q", Band: band}, &JoinReply{}); err != nil {
+		t.Errorf("retained Join of q, which the late Seal must not push out: %v", err)
 	}
 }
 
 // TestStaleLoadAfterMidQueryClear: when a shipment to a live worker dies on
 // the wire, the coordinator clears that worker and ships again under the same
-// job id (or plan fingerprint). A Load of the aborted shipment that is still
-// in flight then arrives after the clearing; accepted, its rows sit beside
-// their reshipped copies and are joined twice — a wrong answer, not a leak.
-// Shipments are numbered, the clearing call names the one it makes room for,
-// and the worker refuses what is older.
+// plan fingerprint. A stream of the aborted shipment that the worker reads
+// only after the clearing would land among the reshipped rows and be joined
+// twice — a wrong answer, not a leak. Shipments are numbered, the clearing
+// call names the one it makes room for, and the worker refuses what is older.
+// A delta extends a sealed plan, belongs to no shipment, and is not checked.
 func TestStaleLoadAfterMidQueryClear(t *testing.T) {
 	w := NewWorker("stale")
-	row := func(v float64) *data.Relation {
-		r := data.NewRelation("c", 1)
-		r.Append(v)
-		return r
+	row := data.NewRelation("c", 1)
+	row.Append(1)
+	load := func(side string, attempt int, delta bool) error {
+		hdr := toPlan("plan")
+		hdr.Attempt, hdr.Delta = attempt, delta
+		p := testPart{s: row, sIDs: []int64{7}}
+		if side == "T" {
+			p = testPart{t: row, tIDs: []int64{7}}
+		}
+		_, err := ship(w, hdr, p)
+		return err
 	}
-	load := func(job, side string, attempt int, retain, delta bool) error {
-		return w.Load(&LoadArgs{JobID: job, Partition: 0, Side: side, Columnar: chunkOf(row(1), []int64{7}),
-			Attempt: attempt, Retain: retain, Delta: delta}, &LoadReply{})
-	}
-	output := func(job string, retained bool) int64 {
+	output := func() int64 {
 		t.Helper()
 		var jr JoinReply
-		if err := w.Join(&JoinArgs{JobID: job, Band: data.Symmetric(0.5), Retained: retained}, &jr); err != nil {
+		if err := w.Join(&JoinArgs{PlanID: "plan", Band: data.Symmetric(0.5)}, &jr); err != nil {
 			t.Fatalf("Join: %v", err)
 		}
 		if len(jr.Partitions) != 1 {
@@ -564,50 +500,29 @@ func TestStaleLoadAfterMidQueryClear(t *testing.T) {
 		}
 	}
 
-	// Transient job: S and half-shipped T, cleared, shipped again.
-	mustLoad("first shipment, S", load("q", "S", 0, false, false))
-	mustLoad("first shipment, T", load("q", "T", 0, false, false))
-	if err := w.Reset(&ResetArgs{JobID: "q", Attempt: 1}, &ResetReply{}); err != nil {
-		t.Fatalf("clearing Reset: %v", err)
-	}
-	mustRefuse("a Load of the aborted shipment, first after the clearing", load("q", "S", 0, false, false))
-	mustLoad("second shipment, S", load("q", "S", 1, false, false))
-	mustLoad("second shipment, T", load("q", "T", 1, false, false))
-	mustRefuse("a Load of the aborted shipment among the reshipped rows", load("q", "T", 0, false, false))
-	if got := output("q", false); got != 1 {
-		t.Errorf("transient job joined %d pairs, want the reshipped rows' 1", got)
-	}
-	// Cleared a second time, the second shipment is the stale one.
-	if err := w.Reset(&ResetArgs{JobID: "q", Attempt: 2}, &ResetReply{}); err != nil {
-		t.Fatalf("second clearing Reset: %v", err)
-	}
-	mustRefuse("a Load of the second shipment after the second clearing", load("q", "S", 1, false, false))
-	mustLoad("third shipment", load("q", "S", 2, false, false))
-	if err := w.Reset(&ResetArgs{JobID: "q", Final: true}, &ResetReply{}); err != nil {
-		t.Fatalf("final Reset: %v", err)
-	}
-	var pong PingReply
-	if err := w.Ping(&PingArgs{}, &pong); err != nil || pong.Jobs != 0 {
-		t.Errorf("after the final Reset: Ping err %v, %d jobs resident, want 0", err, pong.Jobs)
-	}
-
-	// Retained plan: the same, cleared by Evict; then sealed and extended by a
-	// delta, which belongs to no shipment and carries no number.
-	mustLoad("first retained shipment", load("plan", "S", 0, true, false))
+	mustLoad("first shipment", load("S", 0, false))
 	if err := w.Evict(&EvictArgs{PlanID: "plan", Attempt: 1}, &EvictReply{}); err != nil {
 		t.Fatalf("clearing Evict: %v", err)
 	}
-	mustRefuse("a retained Load of the aborted shipment", load("plan", "S", 0, true, false))
-	mustLoad("second retained shipment, S", load("plan", "S", 1, true, false))
-	mustLoad("second retained shipment, T", load("plan", "T", 1, true, false))
+	mustRefuse("a stream of the aborted shipment, first after the clearing", load("S", 0, false))
+	mustLoad("second shipment, S", load("S", 1, false))
+	mustLoad("second shipment, T", load("T", 1, false))
+	mustRefuse("a stream of the aborted shipment among the reshipped rows", load("T", 0, false))
+	// Cleared a second time, the second shipment is the stale one.
+	if err := w.Evict(&EvictArgs{PlanID: "plan", Attempt: 2}, &EvictReply{}); err != nil {
+		t.Fatalf("second clearing Evict: %v", err)
+	}
+	mustRefuse("a stream of the second shipment after the second clearing", load("S", 1, false))
+	mustLoad("third shipment, S", load("S", 2, false))
+	mustLoad("third shipment, T", load("T", 2, false))
 	if err := w.Seal(&SealArgs{PlanID: "plan", Band: data.Symmetric(0.5)}, &SealReply{}); err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	if got := output("plan", true); got != 1 {
+	if got := output(); got != 1 {
 		t.Errorf("retained plan joined %d pairs, want the reshipped rows' 1", got)
 	}
-	mustLoad("delta into the sealed plan", load("plan", "S", 0, true, true))
-	if got := output("plan", true); got != 2 {
+	mustLoad("delta into the sealed plan", load("S", 0, true))
+	if got := output(); got != 2 {
 		t.Errorf("retained plan joined %d pairs after a one-row delta, want 2", got)
 	}
 	var er EvictReply

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"maps"
 	"net/rpc"
 	"runtime"
 	"slices"
@@ -32,10 +34,12 @@ import (
 // same sharded pass as the in-process executor's (exec.Route) into
 // per-partition row lists — no copy of the input is made — and each worker has
 // a dedicated sender goroutine that gathers one fixed-size chunk at a time out
-// of the source relations and ships it columnar (internal/wire) with a bounded
-// window of asynchronous Load RPCs in flight, so gathering, encoding, network
-// transfer, and the workers' decode+append overlap instead of serializing on
-// every chunk round trip.
+// of the source relations and writes it columnar (internal/wire) to one
+// ordered shipment stream (stream.go), so gathering, encoding, network
+// transfer, and the worker's decode+append overlap, TCP's flow control
+// bounding how far the sender runs ahead. A one-shot query's stream carries
+// its band; the worker prepares each partition as soon as it is complete and
+// joins at the end of the stream, answering with the join.
 //
 // The coordinator is fault tolerant (see DESIGN.md, "Failure model"): every
 // RPC carries a deadline and honors the query's context, idempotent calls are
@@ -60,9 +64,10 @@ type Coordinator struct {
 	retainedPlans map[string]*retainedPlanRec
 
 	// shipments numbers every shipment this coordinator makes, to any worker
-	// under any job id or plan fingerprint (see LoadArgs.Attempt): one monotone
-	// counter, so whatever a worker is cleared for is newer than every Load
-	// still in flight — of this shipPartitions call or of one long returned.
+	// under any plan fingerprint (see ShipHeader.Attempt): one monotone
+	// counter, so whatever a worker is cleared for is newer than every stream
+	// it has yet to read — of this shipPartitions call or of one long
+	// returned.
 	shipments atomic.Int64
 
 	m *coordMetrics
@@ -99,7 +104,7 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 			"Row-major uncompressed bytes of the tuples shipped by shuffles (8 bytes per key value and per tuple ID)."),
 		shuffleWire: reg.Counter("bandjoin_coord_shuffle_wire_bytes_total",
 			"Wire bytes moved by shuffles; pairs with the raw counter so raw/wire is the shuffle compression ratio."),
-		shuffleRPCs:    reg.Counter("bandjoin_coord_shuffle_rpcs_total", "Load RPCs issued by shuffles."),
+		shuffleRPCs:    reg.Counter("bandjoin_coord_shuffle_rpcs_total", "Chunk frames shipped by shuffles."),
 		retries:        reg.Counter("bandjoin_coord_retries_total", "RPC retries and recovery escalations."),
 		failoverRounds: reg.Counter("bandjoin_coord_failover_rounds_total", "Failover rounds (shuffle, join, or retained reshipment)."),
 		workersLost:    reg.Counter("bandjoin_coord_workers_lost_total", "Workers declared dead mid-query."),
@@ -224,9 +229,6 @@ func (c *Coordinator) wireBytes() int64 {
 
 // Options configures a distributed run.
 type Options struct {
-	// JobID names the job on the workers; empty generates one from the clock.
-	// An id is good for one run: workers close it when the run ends.
-	JobID string
 	// Model supplies β coefficients for planning and load accounting.
 	Model costmodel.Model
 	// Sampling configures the optimization-phase samples.
@@ -234,11 +236,9 @@ type Options struct {
 	// CollectPairs returns the result pairs for verification (small inputs
 	// only).
 	CollectPairs bool
-	// ChunkSize is the number of tuples per Load RPC; zero means 4096.
+	// ChunkSize is the number of tuples per chunk frame; zero means 4096. A
+	// chunk also holds at most wire.MaxChunkValues values.
 	ChunkSize int
-	// Window is the maximum number of Load RPCs in flight per worker on the
-	// streaming shuffle; zero means 4.
-	Window int
 	// JoinParallelism bounds the number of partition joins each worker runs
 	// concurrently; zero lets every worker use its GOMAXPROCS.
 	JoinParallelism int
@@ -249,28 +249,12 @@ type Options struct {
 	MorselRows int
 	// PlanID, when non-empty, is the plan's fingerprint and enables partition
 	// retention: the first run ships the shuffled partitions to the workers'
-	// retained registry (surviving job Reset), and every later run with the
-	// same fingerprint skips the shuffle entirely — zero Load RPCs, zero wire
-	// bytes — and goes straight to the local joins.
+	// retained registry, and every later run with the same fingerprint skips
+	// the shuffle entirely — zero chunks, zero wire bytes — and goes straight
+	// to the local joins.
 	PlanID string
 	// Seed drives randomized plan decisions.
 	Seed int64
-
-	// retain marks the shuffle's Load RPCs as registry loads. It is set
-	// internally on the shipping path of a retained run.
-	retain bool
-	// delta marks the shuffle's Load RPCs as incremental appends into an
-	// already sealed plan (see LoadArgs.Delta). It is set internally on the
-	// catch-up path of a retained run and by AbsorbPlan.
-	delta bool
-	// attempt is the number of the shipment to one worker (see
-	// LoadArgs.Attempt); shipPartitions sets it per worker.
-	attempt int
-	// band, when non-empty, rides on every Load (LoadArgs.Band) so workers
-	// prepare each partition in the background once its rows are all in
-	// (pipelined worker-side joins). It is set internally on the transient
-	// path, where the upcoming Join's band is known at shuffle time.
-	band data.Band
 }
 
 // resolve fills unset options and checks that a chunk fits the wire format; it
@@ -282,11 +266,6 @@ func (o Options) resolve() (Options, error) {
 	return o.withDefaults(), nil
 }
 
-// jobCounter disambiguates generated job IDs: two queries starting in the
-// same nanosecond (easy under concurrent serving) must not share worker-side
-// job state.
-var jobCounter atomic.Int64
-
 // withDefaults fills unset options. It is idempotent.
 func (o Options) withDefaults() Options {
 	if (o.Model == costmodel.Model{}) {
@@ -297,12 +276,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = 4096
-	}
-	if o.Window <= 0 {
-		o.Window = 4
-	}
-	if o.JobID == "" {
-		o.JobID = fmt.Sprintf("job-%d-%d", time.Now().UnixNano(), jobCounter.Add(1))
 	}
 	return o
 }
@@ -319,16 +292,14 @@ var (
 )
 
 // runState is the per-query fault accounting: which workers were declared
-// dead, which are excluded as failover targets, how many retries and
-// recovery reshipments happened, and which job IDs need cleanup.
+// dead, which are excluded as failover targets, and how many retries and
+// recovery reshipments happened.
 type runState struct {
 	liveAtStart int
 	wasLive     map[int]bool
 
-	retries    atomic.Int64
-	failovers  atomic.Int64
-	extraRPCs  atomic.Int64
-	extraBytes atomic.Int64
+	retries   atomic.Int64
+	failovers atomic.Int64
 	// rawBytes accumulates the row-major uncompressed size of every chunk the
 	// query shipped (including failover reshipments), mirroring how wire bytes
 	// are counted; it becomes Result.ShuffleRawBytes.
@@ -337,11 +308,15 @@ type runState struct {
 	// time inside EncodeChunk and the workers' reported decode time.
 	encodeNanos atomic.Int64
 	decodeNanos atomic.Int64
+	// lastEnd and lastReply are the latest times, in Unix nanoseconds, at
+	// which a stream wrote its end frame and read its reply: a one-shot query's
+	// shuffle ends at the first and its join at the second.
+	lastEnd   atomic.Int64
+	lastReply atomic.Int64
 
 	mu       sync.Mutex
 	lost     map[int]bool
 	excluded map[int]bool
-	jobs     []string
 	// events is the query's fault timeline (worker losses, failover rounds),
 	// surfaced on the Result so the engine can fold it into the QueryTrace.
 	events []exec.TraceEvent
@@ -413,16 +388,10 @@ func (rs *runState) lostCount() int {
 	return len(rs.lost)
 }
 
-func (rs *runState) addJob(id string) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.jobs = append(rs.jobs, id)
-}
-
-func (rs *runState) jobList() []string {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return append([]string(nil), rs.jobs...)
+// storeMax raises v to t's Unix nanoseconds if that is later.
+func storeMax(v *atomic.Int64, t time.Time) {
+	for n, old := t.UnixNano(), v.Load(); n > old && !v.CompareAndSwap(old, n); old = v.Load() {
+	}
 }
 
 // liveSlots returns the worker slots a query may currently use: not down and
@@ -443,7 +412,7 @@ func (c *Coordinator) liveSlots(rs *runState) []int {
 
 // Run executes the band-join of s and t with the given partitioner across the
 // connected workers. The context bounds the whole query: cancellation aborts
-// in-flight shuffle windows and join pools and returns ctx.Err().
+// its shipment streams and returns ctx.Err().
 func (c *Coordinator) Run(ctx context.Context, pt partition.Partitioner, s, t *data.Relation, band data.Band, opts Options) (*exec.Result, error) {
 	if len(c.workers) == 0 {
 		return nil, fmt.Errorf("cluster: coordinator has no workers")
@@ -523,13 +492,19 @@ func redistributor(plan partition.Plan, pctx *partition.Context) func(pids, targ
 	}
 }
 
-func sortedKeys(m map[int][]int) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+func sortedKeys(m map[int][]int) []int { return slices.Sorted(maps.Keys(m)) }
+
+// parallel runs fn(0), ..., fn(n-1) concurrently and waits for them.
+func parallel(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
 	}
-	sort.Ints(keys)
-	return keys
+	wg.Wait()
 }
 
 // shuffleStats is the shuffle-phase accounting of one run. A warm retained
@@ -580,25 +555,13 @@ func (c *Coordinator) RunPlan(ctx context.Context, plan partition.Plan, pctx *pa
 	return c.runTransient(ctx, plan, pctx, s, t, band, opts, rs)
 }
 
-// runTransient is the one-shot path: ship, join, aggregate, and always clear
-// the job state afterwards.
+// runTransient is the one-shot path: one stream per worker, each joined at its
+// end, so nothing of the query outlives its streams on any worker.
 func (c *Coordinator) runTransient(ctx context.Context, plan partition.Plan, pctx *partition.Context, s, t *data.Relation, band data.Band, opts Options, rs *runState) (*exec.Result, error) {
-	// Partition data may already sit on workers when any later step fails;
-	// always clear every job this query used (primary and recovery rounds,
-	// best effort) so an aborted run cannot leak worker memory in a
-	// long-lived recpartd. Reset is scoped to transient job state, so
-	// retained plans of other queries are untouched.
-	rs.addJob(opts.JobID)
-	defer func() { c.resetJobs(rs.jobList()) }()
-
-	// The transient path knows the upcoming join at shuffle time, so its
-	// Loads carry the band and workers overlap prepare with chunks still in
-	// flight.
-	opts.band = band
-
 	redistribute := redistributor(plan, pctx)
-	wireStart := c.wireBytes()
-	shuffleStart := time.Now()
+	start := time.Now()
+	storeMax(&rs.lastEnd, start)
+	storeMax(&rs.lastReply, start)
 	routed, err := exec.Route(ctx, plan, s, t, 0, 0, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
@@ -607,116 +570,109 @@ func (c *Coordinator) runTransient(ctx context.Context, plan partition.Plan, pct
 	if len(targets) == 0 {
 		return nil, errNoLiveWorkers
 	}
-	assignment := redistribute(routed.NonEmpty(), targets)
-	owned, rpcs, err := c.shipPartitions(ctx, assignment, routed, opts, c.clearTransient(opts.JobID), redistribute, rs)
+	hdr := ShipHeader{JoinArgs: JoinArgs{Band: band, CollectPairs: opts.CollectPairs, Parallelism: opts.JoinParallelism, MorselRows: opts.MorselRows}}
+	sh, err := c.shipPartitions(ctx, redistribute(routed.NonEmpty(), targets), routed, hdr, opts.ChunkSize, redistribute, rs)
 	if err != nil {
 		return nil, err
 	}
-	st := shuffleStats{
-		totalInput: routed.TotalInput,
-		rpcs:       rpcs,
-		duration:   time.Since(shuffleStart),
-		bytes:      c.wireBytes() - wireStart,
-	}
-
-	joined, joinWall, err := c.runJoinsTransient(ctx, opts.JobID, owned, routed, redistribute, band, opts, rs)
-	if err != nil {
-		return nil, err
-	}
-	return c.aggregate(joined, opts, s, t, st, joinWall, rs), nil
-}
-
-// clearTransient returns the recovery hook that clears one job's partial
-// state on a single worker before reshipping to it as the given attempt.
-func (c *Coordinator) clearTransient(jobID string) func(context.Context, *workerClient, int) error {
-	return func(ctx context.Context, wc *workerClient, attempt int) error {
-		var rr ResetReply
-		return wc.call(ctx, ServiceName+".Reset", &ResetArgs{JobID: jobID, Attempt: attempt}, &rr, c.opts.callDeadline(), 1, nil)
-	}
-}
-
-// clearRetained returns the recovery hook that clears one plan's partial
-// shipment on a single worker before reshipping to it as the given attempt.
-func (c *Coordinator) clearRetained(planID string) func(context.Context, *workerClient, int) error {
-	return func(ctx context.Context, wc *workerClient, attempt int) error {
-		var er EvictReply
-		return wc.call(ctx, ServiceName+".Evict", &EvictArgs{PlanID: planID, Attempt: attempt}, &er, c.opts.callDeadline(), 1, nil)
-	}
+	shuffleEnd, lastReply := time.Unix(0, rs.lastEnd.Load()), time.Unix(0, rs.lastReply.Load())
+	st := shuffleStats{totalInput: routed.TotalInput, rpcs: sh.chunks, bytes: sh.bytes, duration: shuffleEnd.Sub(start)}
+	return c.aggregate(sh.joined, opts, s, t, st, lastReply.Sub(shuffleEnd), rs), nil
 }
 
 // maxShipAttemptsPerWorker bounds how many times a shipment to one worker is
-// cleared and restarted before the worker is abandoned for the query.
+// restarted before the worker is abandoned for the query.
 const maxShipAttemptsPerWorker = 2
 
-// shipPartitions ships an assignment (slot → partition ids) with mid-shuffle
-// failover. Each round ships every slot's pids in parallel; a slot whose
-// shipment fails with a transport error is probed:
+// shipped is what shipPartitions moved: the final ownership (slot → pids
+// resident there) of a retained shipment, the joins of a one-shot one, and
+// the chunk frames and bytes written, failover reshipments included.
+type shipped struct {
+	owned  map[int][]int
+	joined []slotJoin
+	chunks int64
+	bytes  int64
+}
+
+// shipPartitions ships an assignment (slot → partition ids), one stream per
+// slot and round, with failover. Each round ships every slot's pids in
+// parallel; a slot whose stream fails with a transport error is probed:
 //
-//   - alive → its partial job state is cleared and everything it was given
-//     (including pids shipped in earlier rounds — clearing dropped them) is
-//     reshipped to it, up to maxShipAttemptsPerWorker times, after which the
-//     worker is abandoned for this query and its pids redistributed. The
-//     reshipment goes under the same job id or plan fingerprint, so shipments
-//     are numbered (Coordinator.shipments): the clearing call and the Loads
-//     that follow it carry the new shipment's number, and the worker refuses
-//     a Load of an aborted one that arrives late instead of joining its rows
-//     a second time;
-//   - dead → marked down; everything it ever owned is re-placed over the
-//     surviving workers and reshipped from the coordinator-held row lists.
+//   - alive → the stream is repeated to it, up to maxShipAttemptsPerWorker
+//     times, after which the worker is abandoned for this query and its pids
+//     redistributed. A one-shot stream is repeated alone: nothing of it
+//     outlived its connection. A retained one first has its plan cleared on
+//     the worker (a numbered Evict), and everything the worker was given —
+//     pids shipped in earlier rounds too, which the clearing dropped — goes
+//     again. The clearing and the new stream carry the new shipment's number
+//     (Coordinator.shipments), so a stream of the aborted shipment that the
+//     worker reads only now is refused instead of landing among the
+//     reshipped rows;
+//   - dead → marked down; the stream's pids (on a retained shipment,
+//     everything the worker ever owned) are re-placed over the surviving
+//     workers and reshipped from the coordinator-held row lists.
 //
-// Application errors are not failed over: Load is not idempotent, and a
-// worker that rejects a chunk will reject it again; the shipment fails
-// cleanly. The returned map is the final ownership (slot → pids resident
-// there) the join phase must target.
-func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]int, routed *exec.Routed, opts Options, clear func(context.Context, *workerClient, int) error, redistribute func(pids, targets []int) map[int][]int, rs *runState) (map[int][]int, int64, error) {
-	owned := make(map[int][]int)
+// Application errors are not failed over: a worker that refuses a stream
+// will refuse it again; the shipment fails cleanly. Neither is a delta
+// stream, which may have landed in part and cannot be repeated.
+func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]int, routed *exec.Routed, hdr ShipHeader, chunkSize int, redistribute func(pids, targets []int) map[int][]int, rs *runState) (shipped, error) {
+	oneShot := hdr.PlanID == ""
+	sh := shipped{owned: make(map[int][]int)}
 	attempts := make(map[int]int) // slot → shipments to it that died on the wire
 	numbers := make(map[int]int)  // slot → number of the shipment to it now
-	var rpcs int64
 	for round := 0; len(assignment) > 0; round++ {
 		if round > 2*len(c.workers)+4 {
-			return nil, rpcs, fmt.Errorf("cluster: shuffle failover did not converge after %d rounds", round)
+			return sh, fmt.Errorf("cluster: shuffle failover did not converge after %d rounds", round)
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, rpcs, err
+			return sh, err
 		}
 		slots := sortedKeys(assignment)
-		type outcome struct {
-			sent int64
-			err  error
-		}
-		outs := make([]outcome, len(slots))
-		var wg sync.WaitGroup
-		for i, slot := range slots {
-			wg.Add(1)
+		outs := make([]streamOutcome, len(slots))
+		for _, slot := range slots {
 			if numbers[slot] == 0 {
 				numbers[slot] = int(c.shipments.Add(1))
 			}
-			sopts := opts
-			sopts.attempt = numbers[slot]
-			go func(i, slot int) {
-				defer wg.Done()
-				outs[i].sent, outs[i].err = c.sendPartitions(ctx, c.workers[slot], assignment[slot], routed, sopts, rs)
-			}(i, slot)
 		}
-		wg.Wait()
+		parallel(len(slots), func(i int) {
+			h := hdr
+			h.Attempt = numbers[slots[i]]
+			outs[i] = c.ship(ctx, c.workers[slots[i]], assignment[slots[i]], routed, &h, chunkSize, rs)
+		})
 
 		next := make(map[int][]int)
 		var orphaned []int // pids whose worker was abandoned this round
+		joinPhase := false // an abandoned stream had reached its join
 		for i, slot := range slots {
-			rpcs += outs[i].sent
+			out := &outs[i]
+			sh.chunks += out.chunks
+			sh.bytes += out.bytes
 			pids := assignment[slot]
-			err := outs[i].err
-			if err == nil {
-				owned[slot] = append(owned[slot], pids...)
+			wc := c.workers[slot]
+			if out.err == nil && oneShot && len(out.join.Partitions) != len(pids) {
+				return sh, fmt.Errorf("cluster: worker %d (%s) joined %d partitions of the %d shipped to it", slot, wc.name(), len(out.join.Partitions), len(pids))
+			}
+			if out.err == nil {
+				if oneShot {
+					sh.joined = append(sh.joined, slotJoin{slot: slot, stats: out.join.Partitions})
+				} else {
+					sh.owned[slot] = append(sh.owned[slot], pids...)
+				}
 				continue
 			}
 			if cerr := ctx.Err(); cerr != nil {
-				return nil, rpcs, cerr
+				return sh, cerr
 			}
-			wc := c.workers[slot]
-			if !isTransportErr(err) {
-				return nil, rpcs, fmt.Errorf("cluster: shipping to worker %d (%s): %w", slot, wc.name(), err)
+			if !isTransportErr(out.err) {
+				return sh, fmt.Errorf("cluster: shipping to worker %d (%s): %w", slot, wc.name(), out.err)
+			}
+			if hdr.Delta {
+				// Rows of a delta may have landed: it cannot be repeated, and
+				// the caller reships the plan cold.
+				if !wc.probe(ctx) {
+					rs.noteLost(slot)
+				}
+				return sh, fmt.Errorf("cluster: delta to worker %d (%s): %w (%v)", slot, wc.name(), errWorkerLost, out.err)
 			}
 			rs.retry()
 			attempts[slot]++
@@ -730,28 +686,36 @@ func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]i
 				// this worker for the query.
 				rs.exclude(slot)
 				abandon = true
-			} else if cerr := clear(ctx, wc, numbers[slot]); cerr != nil {
-				if isTransportErr(cerr) && !wc.probe(ctx) {
-					rs.noteLost(slot)
-				} else {
-					rs.exclude(slot)
+			} else if !oneShot {
+				var er EvictReply
+				if cerr := wc.call(ctx, ServiceName+".Evict", &EvictArgs{PlanID: hdr.PlanID, Attempt: numbers[slot]}, &er, c.opts.callDeadline(), 1, nil); cerr != nil {
+					if isTransportErr(cerr) && !wc.probe(ctx) {
+						rs.noteLost(slot)
+					} else {
+						rs.exclude(slot)
+					}
+					abandon = true
 				}
-				abandon = true
 			}
-			all := append(append([]int(nil), owned[slot]...), pids...)
-			delete(owned, slot)
+			all := append(append([]int(nil), sh.owned[slot]...), pids...)
+			delete(sh.owned, slot)
 			if abandon {
 				orphaned = append(orphaned, all...)
+				joinPhase = joinPhase || out.ended
 			} else {
 				next[slot] = all
 			}
 		}
 		if len(orphaned) > 0 {
 			sort.Ints(orphaned)
-			rs.failover("shuffle_failover", fmt.Sprintf("pids=%d", len(orphaned)))
+			phase := "shuffle_failover"
+			if joinPhase {
+				phase = "join_failover"
+			}
+			rs.failover(phase, fmt.Sprintf("pids=%d", len(orphaned)))
 			targets := c.liveSlots(rs)
 			if len(targets) == 0 {
-				return nil, rpcs, errNoLiveWorkers
+				return sh, errNoLiveWorkers
 			}
 			for slot, pids := range redistribute(orphaned, targets) {
 				// A redistribution target may already hold (or be retrying)
@@ -763,128 +727,10 @@ func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]i
 		}
 		assignment = next
 	}
-	for _, pids := range owned {
+	for _, pids := range sh.owned {
 		sort.Ints(pids)
 	}
-	return owned, rpcs, nil
-}
-
-// maxRecoveryRounds bounds how many reship-and-rejoin rounds the join phase
-// attempts when workers keep dying.
-const maxRecoveryRounds = 4
-
-// runJoinsTransient triggers the local joins over the shipped ownership with
-// mid-join failover: a worker that dies during its join — or silently comes
-// back empty after a restart — has its pids reshipped to the survivors under
-// a recovery job ID and just those joins rerun. Every reply is validated
-// against the pid set the worker owns, and each pid's stats are merged
-// exactly once, so recovered queries return the same pairs as undisturbed
-// ones.
-func (c *Coordinator) runJoinsTransient(ctx context.Context, baseJob string, owned map[int][]int, routed *exec.Routed, redistribute func(pids, targets []int) map[int][]int, band data.Band, opts Options, rs *runState) ([]slotJoin, time.Duration, error) {
-	joinParallelism := opts.JoinParallelism
-	joinStart := time.Now()
-	var collected []slotJoin
-	pending := owned
-	curJob := baseJob
-	for round := 0; len(pending) > 0; round++ {
-		if round > maxRecoveryRounds {
-			return nil, 0, fmt.Errorf("cluster: join failover did not converge after %d recovery rounds", round)
-		}
-		slots := sortedKeys(pending)
-		type outcome struct {
-			reply JoinReply
-			err   error
-		}
-		outs := make([]outcome, len(slots))
-		var wg sync.WaitGroup
-		for i, slot := range slots {
-			wg.Add(1)
-			go func(i, slot int) {
-				defer wg.Done()
-				args := &JoinArgs{
-					JobID:        curJob,
-					Band:         band,
-					CollectPairs: opts.CollectPairs,
-					Parallelism:  joinParallelism,
-					MorselRows:   opts.MorselRows,
-				}
-				outs[i].err = c.workers[slot].call(ctx, ServiceName+".Join", args, &outs[i].reply,
-					c.opts.joinDeadline(), c.opts.MaxRetries, rs.retry)
-			}(i, slot)
-		}
-		wg.Wait()
-
-		var lostPids []int
-		for i, slot := range slots {
-			wc := c.workers[slot]
-			if err := outs[i].err; err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, 0, cerr
-				}
-				if !isTransportErr(err) {
-					return nil, 0, fmt.Errorf("cluster: local joins on worker %d (%s) failed: %w", slot, wc.name(), err)
-				}
-				rs.retry()
-				if !wc.probe(ctx) {
-					rs.noteLost(slot)
-				}
-				// Alive or not, the join would not complete within its
-				// retries; move this round's pids elsewhere. Results merged
-				// from the worker's earlier rounds stay valid — they were
-				// computed and returned before the failure.
-				rs.exclude(slot)
-				lostPids = append(lostPids, pending[slot]...)
-				continue
-			}
-			expected := make(map[int]bool, len(pending[slot]))
-			for _, pid := range pending[slot] {
-				expected[pid] = true
-			}
-			returned := make(map[int]bool, len(outs[i].reply.Partitions))
-			kept := make([]PartitionStats, 0, len(outs[i].reply.Partitions))
-			for _, ps := range outs[i].reply.Partitions {
-				returned[ps.Partition] = true
-				if expected[ps.Partition] {
-					kept = append(kept, ps)
-				}
-			}
-			for _, pid := range pending[slot] {
-				if !returned[pid] {
-					// The worker answered but no longer holds the pid — it
-					// restarted between Load and Join. Its memory of the job
-					// is gone; reship those pids (possibly back to it).
-					lostPids = append(lostPids, pid)
-				}
-			}
-			if len(kept) > 0 {
-				collected = append(collected, slotJoin{slot: slot, stats: kept})
-			}
-		}
-		if len(lostPids) == 0 {
-			break
-		}
-		sort.Ints(lostPids)
-		rs.retry()
-		curJob = fmt.Sprintf("%s#r%d", baseJob, round+1)
-		rs.failover("join_failover", fmt.Sprintf("pids=%d job=%s", len(lostPids), curJob))
-		rs.addJob(curJob)
-		targets := c.liveSlots(rs)
-		if len(targets) == 0 {
-			return nil, 0, errNoLiveWorkers
-		}
-		ropts := opts
-		ropts.JobID = curJob
-		ropts.retain = false
-		wireStart := c.wireBytes()
-		newOwned, rpcs, err := c.shipPartitions(ctx, redistribute(lostPids, targets), routed, ropts, c.clearTransient(curJob), redistribute, rs)
-		rs.extraRPCs.Add(rpcs)
-		rs.extraBytes.Add(c.wireBytes() - wireStart)
-		if err != nil {
-			return nil, 0, err
-		}
-		pending = newOwned
-	}
-	return collected, time.Since(joinStart), nil
+	return sh, nil
 }
 
 // runJoinsRetained triggers the local joins of one sealed retained plan on
@@ -895,24 +741,10 @@ func (c *Coordinator) runJoinsRetained(ctx context.Context, planID string, slots
 	joinStart := time.Now()
 	outs := make([]JoinReply, len(slots))
 	errs := make([]error, len(slots))
-	var wg sync.WaitGroup
-	for i, slot := range slots {
-		wg.Add(1)
-		go func(i, slot int) {
-			defer wg.Done()
-			args := &JoinArgs{
-				JobID:        planID,
-				Band:         band,
-				CollectPairs: opts.CollectPairs,
-				Parallelism:  opts.JoinParallelism,
-				Retained:     true,
-				MorselRows:   opts.MorselRows,
-			}
-			errs[i] = c.workers[slot].call(ctx, ServiceName+".Join", args, &outs[i],
-				c.opts.joinDeadline(), c.opts.MaxRetries, rs.retry)
-		}(i, slot)
-	}
-	wg.Wait()
+	args := &JoinArgs{PlanID: planID, Band: band, CollectPairs: opts.CollectPairs, Parallelism: opts.JoinParallelism, MorselRows: opts.MorselRows}
+	parallel(len(slots), func(i int) {
+		errs[i] = c.workers[slots[i]].call(ctx, ServiceName+".Join", args, &outs[i], c.opts.joinDeadline(), c.opts.MaxRetries, rs.retry)
+	})
 	joinWall := time.Since(joinStart)
 
 	joined := make([]slotJoin, 0, len(slots))
@@ -1078,20 +910,15 @@ func (c *Coordinator) ensureShipped(ctx context.Context, rec *retainedPlanRec, p
 		return shuffleStats{}, nil, false, errStalePlanRec
 	}
 	// Clear any half-shipped remnants of a previously failed shipment before
-	// loading: the registry accumulates across Load calls. The clearing is
-	// numbered like a shipment, so a Load that outlived an earlier shipment of
-	// this fingerprint — failed, evicted, long forgotten here — is older than
-	// what every worker now accepts.
+	// shipping: a plan's entry accumulates across streams. The clearing is
+	// numbered like a shipment, so a stream that outlived an earlier shipment
+	// of this fingerprint — failed, evicted, long forgotten here — is older
+	// than what every worker now accepts.
 	c.evictWorkers(opts.PlanID, int(c.shipments.Add(1)))
 
-	opts.JobID = opts.PlanID
-	opts.retain = true
-
 	redistribute := redistributor(plan, pctx)
-	wireStart := c.wireBytes()
 	start := time.Now()
 	var st shuffleStats
-	var owned map[int][]int
 	targets := c.liveSlots(rs)
 	if len(targets) == 0 {
 		return shuffleStats{}, nil, false, errNoLiveWorkers
@@ -1102,7 +929,9 @@ func (c *Coordinator) ensureShipped(ctx context.Context, rec *retainedPlanRec, p
 	}
 	st.totalInput = routed.TotalInput
 	assignment := redistribute(routed.NonEmpty(), targets)
-	owned, st.rpcs, err = c.shipPartitions(ctx, assignment, routed, opts, c.clearRetained(opts.PlanID), redistribute, rs)
+	sh, err := c.shipPartitions(ctx, assignment, routed, ShipHeader{JoinArgs: JoinArgs{PlanID: opts.PlanID}}, opts.ChunkSize, redistribute, rs)
+	owned := sh.owned
+	st.rpcs, st.bytes = sh.chunks, sh.bytes
 	if err != nil {
 		c.evictWorkers(opts.PlanID, 0)
 		return shuffleStats{}, nil, false, err
@@ -1111,16 +940,11 @@ func (c *Coordinator) ensureShipped(ctx context.Context, rec *retainedPlanRec, p
 	// Seal on every slot that may serve this plan — both the owners and the
 	// empty live workers, so "sealed with zero partitions" stays
 	// distinguishable from "evicted" at join time.
-	sealSet := make(map[int]bool)
+	sealed := c.liveSlots(rs)
 	for slot := range owned {
-		sealSet[slot] = true
-	}
-	for _, slot := range c.liveSlots(rs) {
-		sealSet[slot] = true
-	}
-	sealed := make([]int, 0, len(sealSet))
-	for slot := range sealSet {
-		sealed = append(sealed, slot)
+		if !slices.Contains(sealed, slot) {
+			sealed = append(sealed, slot)
+		}
 	}
 	sort.Ints(sealed)
 	final := sealed[:0]
@@ -1149,7 +973,6 @@ func (c *Coordinator) ensureShipped(ctx context.Context, rec *retainedPlanRec, p
 		return shuffleStats{}, nil, false, fmt.Errorf("cluster: sealing plan on worker %d (%s): %w", slot, wc.name(), err)
 	}
 	st.duration = time.Since(start)
-	st.bytes = c.wireBytes() - wireStart
 	rec.shipped = true
 	rec.totalInput = st.totalInput
 	rec.slots = append([]int(nil), final...)
@@ -1167,7 +990,7 @@ func (c *Coordinator) ensureShipped(ctx context.Context, rec *retainedPlanRec, p
 // ensureFresh catches a sealed shipment up to rows appended to s and t since
 // it was shipped: the suffixes past the record's covered prefixes are shuffled
 // through the same plan (with tuple IDs offset to stay globally consistent)
-// and shipped as delta Loads into the sealed plan — existing partitions
+// and shipped as delta streams into the sealed plan, to every slot at once — existing partitions
 // receive their delta exactly where their base rows live, new partitions are
 // placed over the sealed slot set. Freshness is checked under a read lock so
 // the common already-fresh case costs no delta work and warm queries proceed
@@ -1197,7 +1020,6 @@ func (c *Coordinator) ensureFresh(ctx context.Context, rec *retainedPlanRec, pla
 		return errStalePlanRec
 	}
 
-	wireStart := c.wireBytes()
 	start := time.Now()
 	deltaS := s.Slice(s.Name(), rec.coveredS, s.Len())
 	deltaT := t.Slice(t.Name(), rec.coveredT, t.Len())
@@ -1205,51 +1027,26 @@ func (c *Coordinator) ensureFresh(ctx context.Context, rec *retainedPlanRec, pla
 	if err != nil {
 		return err
 	}
-	opts.JobID = opts.PlanID
-	opts.retain = true
-	opts.delta = true
 	place := placementOver(plan, pctx, len(rec.slots))
 	assignment := make(map[int][]int)
 	for _, pid := range routed.NonEmpty() {
 		slot, ok := rec.pidSlot[pid]
 		if !ok {
 			slot = rec.slots[place(pid)]
+			rec.pidSlot[pid] = slot
 		}
 		assignment[slot] = append(assignment[slot], pid)
 	}
-	var rpcs int64
-	for _, slot := range sortedKeys(assignment) {
-		pids := assignment[slot]
-		sort.Ints(pids)
-		wc := c.workers[slot]
-		sent, err := c.sendPartitions(ctx, wc, pids, routed, opts, rs)
-		rpcs += sent
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			if isTransportErr(err) && !wc.probe(ctx) {
-				rs.noteLost(slot)
-			}
-			st.rpcs += rpcs
-			st.bytes += c.wireBytes() - wireStart
-			return fmt.Errorf("cluster: delta to worker %d (%s): %w (%v)", slot, wc.name(), errWorkerLost, err)
-		}
-		if rec.pidSlot == nil {
-			rec.pidSlot = make(map[int]int)
-		}
-		for _, pid := range pids {
-			if _, ok := rec.pidSlot[pid]; !ok {
-				rec.pidSlot[pid] = slot
-			}
-		}
+	sh, err := c.shipPartitions(ctx, assignment, routed, ShipHeader{JoinArgs: JoinArgs{PlanID: opts.PlanID}, Delta: true}, opts.ChunkSize, nil, rs)
+	st.rpcs += sh.chunks
+	st.bytes += sh.bytes
+	if err != nil {
+		return err
 	}
 	rec.totalInput += routed.TotalInput
 	rec.coveredS = s.Len()
 	rec.coveredT = t.Len()
 	st.totalInput = rec.totalInput
-	st.rpcs += rpcs
-	st.bytes += c.wireBytes() - wireStart
 	st.absorbed += time.Since(start)
 	return nil
 }
@@ -1353,10 +1150,8 @@ func (c *Coordinator) evictWorkers(planID string, shipment int) {
 	}
 }
 
-// aggregate folds the workers' join replies into the Result. Workers reply
-// with partitions sorted by id, and slots are visited in collection order
-// (deterministic), so the aggregation is deterministic across runs; pairs are
-// sorted at the end either way.
+// aggregate folds the workers' join replies into the Result (pairs come only
+// when collected) and accounts it (exec.Result.Account).
 func (c *Coordinator) aggregate(joined []slotJoin, opts Options, s, t *data.Relation, st shuffleStats, joinWall time.Duration, rs *runState) *exec.Result {
 	workers := len(c.workers)
 	res := &exec.Result{
@@ -1367,11 +1162,11 @@ func (c *Coordinator) aggregate(joined []slotJoin, opts Options, s, t *data.Rela
 		InputS:            s.Len(),
 		InputT:            t.Len(),
 		TotalInput:        st.totalInput,
-		ShuffleBytes:      st.bytes + rs.extraBytes.Load(),
+		ShuffleBytes:      st.bytes,
 		ShuffleRawBytes:   rs.rawBytes.Load(),
 		ShuffleEncodeBusy: time.Duration(rs.encodeNanos.Load()),
 		ShuffleDecodeBusy: time.Duration(rs.decodeNanos.Load()),
-		ShuffleRPCs:       st.rpcs + rs.extraRPCs.Load(),
+		ShuffleRPCs:       st.rpcs,
 		Retries:           int(rs.retries.Load()),
 		LostWorkers:       rs.lostCount(),
 		WorkerInput:       make([]int64, workers),
@@ -1401,169 +1196,128 @@ func (c *Coordinator) aggregate(joined []slotJoin, opts Options, s, t *data.Rela
 				res.FoldTime += time.Duration(ps.FoldNanos)
 			}
 			workerBusy[sj.slot] += time.Duration(ps.JoinNanos)
-			if opts.CollectPairs {
-				for i := range ps.PairS {
-					res.Pairs = append(res.Pairs, exec.Pair{S: ps.PairS[i], T: ps.PairT[i]})
-				}
+			for i := range ps.PairS {
+				res.Pairs = append(res.Pairs, exec.Pair{S: ps.PairS[i], T: ps.PairT[i]})
 			}
 		}
 	}
-	maxW := 0
-	for w := 1; w < workers; w++ {
-		lw := opts.Model.Load(float64(res.WorkerInput[w]), float64(res.WorkerOutput[w]))
-		lm := opts.Model.Load(float64(res.WorkerInput[maxW]), float64(res.WorkerOutput[maxW]))
-		if lw > lm {
-			maxW = w
-		}
-	}
-	res.Im = res.WorkerInput[maxW]
-	res.Om = res.WorkerOutput[maxW]
-	res.MaxLoad = opts.Model.Load(float64(res.Im), float64(res.Om))
-	res.LowerBoundLoad = opts.Model.LowerBoundLoad(float64(res.InputS+res.InputT), float64(res.Output), workers)
-	if res.InputS+res.InputT > 0 {
-		res.DupOverhead = float64(res.TotalInput)/float64(res.InputS+res.InputT) - 1
-	}
-	if res.LowerBoundLoad > 0 {
-		res.LoadOverhead = res.MaxLoad/res.LowerBoundLoad - 1
-	}
-	res.PredictedTime = opts.Model.Predict(float64(res.TotalInput), float64(res.Im), float64(res.Om))
-	for _, busy := range workerBusy {
-		if busy > res.Makespan {
-			res.Makespan = busy
-		}
-	}
-	if opts.CollectPairs {
-		sort.Slice(res.Pairs, func(a, b int) bool {
-			if res.Pairs[a].S != res.Pairs[b].S {
-				return res.Pairs[a].S < res.Pairs[b].S
-			}
-			return res.Pairs[a].T < res.Pairs[b].T
-		})
-	}
+	res.Account(opts.Model, workerBusy)
 	return res
 }
 
-// sendPartitions streams one worker's partitions in fixed-size chunks, keeping
-// at most opts.Window Load RPCs in flight. A chunk's rows are gathered from the
-// source relation, through the partition's routed list, into a slab this
-// sender owns and reuses, and travel as a columnar payload encoded from it
-// (a row list may span several routing shards; the chunk boundaries are those
-// of the partition, not of its lists). A worker whose Ping advertised
-// less than wire.Version cannot read them and is refused with an error that is
-// not failed over. Every Load carries its partition's row counts per side
-// (and, on transient runs, the band), so the worker knows when a partition is
-// whole and can begin preparing its join structure while later partitions are
-// still in flight. Each wait for a window slot is bounded
-// by the call deadline and the query context; either firing drops the
-// connection, aborting the whole in-flight window at once.
-func (c *Coordinator) sendPartitions(ctx context.Context, wc *workerClient, pids []int, routed *exec.Routed, opts Options, rs *runState) (int64, error) {
-	cl, err := wc.conn()
-	if err != nil {
+// streamOutcome is one stream's result: the chunk frames and bytes it wrote,
+// whether it got as far as its end frame, and the worker's join of a one-shot
+// stream.
+type streamOutcome struct {
+	chunks, bytes int64
+	ended         bool
+	join          JoinReply
+	err           error
+}
+
+// ship writes one worker's partitions to it as one shipment stream under hdr,
+// in fixed-size chunks, and reads the worker's reply. A chunk's rows are
+// gathered from the source relation, through the partition's routed list,
+// into a slab this sender owns and reuses, and travel as a columnar chunk
+// encoded from it (a row list may span several routing shards; the chunk
+// boundaries are those of the partition, not of its lists). Each partition's
+// frame announces its row counts per side, so the worker knows when it is
+// whole and, on a one-shot stream, begins preparing its join structure while
+// later partitions are still in flight. A worker whose Ping advertised less
+// than wire.Version cannot read the stream and is refused with an error that
+// is not failed over.
+//
+// Every frame is written within the call deadline; the reply is awaited
+// within the call deadline, or the join deadline on a one-shot stream, whose
+// join runs before it answers. The query context's cancellation closes the
+// connection. A refusal in the reply is returned as an rpc.ServerError, like
+// an RPC method's error.
+func (c *Coordinator) ship(ctx context.Context, wc *workerClient, pids []int, routed *exec.Routed, hdr *ShipHeader, chunkSize int, rs *runState) (out streamOutcome) {
+	if _, out.err = wc.conn(); out.err != nil {
 		wc.markSuspect()
-		return 0, err
+		return out
 	}
 	if v := wc.wireVersion(); v < wire.Version {
-		return 0, fmt.Errorf("the worker reads wire version %d, this coordinator ships version %d only", v, wire.Version)
+		out.err = fmt.Errorf("the worker reads wire version %d, this coordinator ships version %d only", v, wire.Version)
+		return out
 	}
-	// Client.Go gob-encodes the args before returning, so one encoder's
-	// buffer — and one slab of gathered rows under it — can back every chunk
-	// of the stream without copies.
+	conn, err := wc.dial()
+	if err != nil {
+		wc.markSuspect()
+		out.err = err
+		return out
+	}
+	defer conn.Close()
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
+	defer func() {
+		if cerr := ctx.Err(); cerr != nil {
+			out.err = cerr
+		} else if isTransportErr(out.err) {
+			wc.markSuspect()
+		}
+	}()
+
+	sw := newShipWriter(conn, conn, c.opts.callDeadline())
+	err = sw.write(shipMagic[:])
+	if err == nil {
+		err = sw.header(hdr)
+	}
+	// One encoder's buffer — and one slab of gathered rows under it — backs
+	// every chunk of the stream: each is written before the next is encoded.
 	enc := wire.NewEncoder(wire.ModeAuto)
 	var keys []float64
 	var ids []int64
-	deadline := c.opts.callDeadline()
-	done := make(chan *rpc.Call, opts.Window+1)
-	inFlight := 0
-	var sent int64
-	var firstErr error
-	collect := func() {
-		var timerC <-chan time.Time
-		if deadline > 0 {
-			timer := time.NewTimer(deadline)
-			defer timer.Stop()
-			timerC = timer.C
-		}
-		select {
-		case <-ctx.Done():
-			firstErr = ctx.Err()
-			wc.dropConn(cl)
-		case <-timerC:
-			firstErr = fmt.Errorf("%w: Load to worker %d (%s) after %v", errCallTimeout, wc.idx, wc.name(), deadline)
-			wc.dropConn(cl)
-			wc.markSuspect()
-		case call := <-done:
-			inFlight--
-			rs.decodeNanos.Add(call.Reply.(*LoadReply).DecodeNanos)
-			if call.Error != nil && firstErr == nil {
-				firstErr = call.Error
-				if isTransportErr(call.Error) {
-					wc.dropConn(cl)
-					wc.markSuspect()
-				}
-			}
-		}
-	}
-	dispatch := func(args *LoadArgs) {
-		for inFlight >= opts.Window {
-			collect()
-			if firstErr != nil {
-				return
-			}
-		}
-		cl.Go(ServiceName+".Load", args, &LoadReply{}, done)
-		inFlight++
-		sent++
-	}
-	sendSide := func(pid int, name string, side *exec.RoutedSide) {
-		dims, total := side.Rel.Dims(), side.Rows(pid)
-		for lo := 0; lo < total && firstErr == nil; lo += opts.ChunkSize {
-			n := min(opts.ChunkSize, total-lo)
-			keys, ids = slices.Grow(keys[:0], n*dims)[:n*dims], slices.Grow(ids[:0], n)[:n]
-			side.Gather(pid, lo, lo+n, keys, ids)
-			rs.rawBytes.Add(wire.RawBytes(n, dims))
-			args := &LoadArgs{
-				JobID:     opts.JobID,
-				Partition: pid,
-				Side:      name,
-				ExpectS:   routed.S.Rows(pid),
-				ExpectT:   routed.T.Rows(pid),
-				Band:      opts.band,
-				Retain:    opts.retain,
-				Delta:     opts.delta,
-				Attempt:   opts.attempt,
-			}
-			start := time.Now()
-			args.Columnar = enc.EncodeChunk(keys, dims, ids)
-			rs.encodeNanos.Add(time.Since(start).Nanoseconds())
-			dispatch(args)
-		}
-	}
 	for _, pid := range pids {
-		sendSide(pid, "S", &routed.S)
-		sendSide(pid, "T", &routed.T)
+		if err == nil {
+			err = sw.partition(pid, routed.S.Rows(pid), routed.T.Rows(pid))
+		}
+		for _, side := range []*exec.RoutedSide{&routed.S, &routed.T} {
+			dims, total := side.Rel.Dims(), side.Rows(pid)
+			rows := min(chunkSize, wire.MaxChunkValues/(dims+1))
+			for lo := 0; lo < total && err == nil; lo += rows {
+				n := min(rows, total-lo)
+				keys, ids = slices.Grow(keys[:0], n*dims)[:n*dims], slices.Grow(ids[:0], n)[:n]
+				side.Gather(pid, lo, lo+n, keys, ids)
+				rs.rawBytes.Add(wire.RawBytes(n, dims))
+				start := time.Now()
+				chunk := enc.EncodeChunk(keys, dims, ids)
+				rs.encodeNanos.Add(time.Since(start).Nanoseconds())
+				err = sw.chunk(chunk)
+				out.chunks++
+			}
+		}
 	}
-	for inFlight > 0 && firstErr == nil {
-		collect()
+	if err == nil {
+		err = sw.end()
 	}
-	if firstErr != nil {
-		return sent, firstErr
+	out.bytes = sw.bytes
+	if err != nil {
+		out.err = err
+		return out
+	}
+	out.ended = true
+	storeMax(&rs.lastEnd, time.Now())
+
+	timeout := c.opts.callDeadline()
+	if hdr.PlanID == "" {
+		timeout = c.opts.joinDeadline()
+	}
+	if timeout > 0 {
+		conn.SetReadDeadline(time.Now().Add(timeout))
+	}
+	var rep shipReply
+	if out.err = gob.NewDecoder(conn).Decode(&rep); out.err != nil {
+		return out
+	}
+	storeMax(&rs.lastReply, time.Now())
+	rs.decodeNanos.Add(rep.DecodeNanos)
+	if rep.Err != "" {
+		out.err = rpc.ServerError(rep.Err)
+		return out
+	}
+	if rep.Join != nil {
+		out.join = *rep.Join
 	}
 	wc.markUp()
-	return sent, nil
-}
-
-// resetJobs discards the jobs' partition state on every worker, best effort.
-// It runs deferred on success and on every error path, so a run that fails
-// mid-shuffle or mid-join retains nothing on the workers. Cleanup uses a
-// background context (the query's may already be cancelled) and retries once:
-// a Reset lost to a transient blip must not leak a job in a long-lived
-// recpartd. The Reset is final: the workers close the job ids, so a Load of
-// this query still in flight somewhere cannot bring a job back afterwards.
-func (c *Coordinator) resetJobs(jobIDs []string) {
-	for _, jobID := range jobIDs {
-		for _, wc := range c.workers {
-			var rr ResetReply
-			_ = wc.call(context.Background(), ServiceName+".Reset", &ResetArgs{JobID: jobID, Final: true}, &rr, c.opts.callDeadline(), 1, nil)
-		}
-	}
+	return out
 }

@@ -48,10 +48,8 @@ func newFoldFixture(t *testing.T, parts, batches int) *foldFixture {
 	f := &foldFixture{w: NewWorker("fold"), band: data.Symmetric(0.3, 0.3), t: foldPoints(rng, "t", 400), base: 300}
 	s := foldPoints(rng, "s", f.base)
 	for pid := 0; pid < parts; pid++ {
-		for side, rel := range map[string]*data.Relation{"S": s, "T": f.t} {
-			if err := f.w.Load(&LoadArgs{JobID: "plan", Partition: pid, Side: side, Columnar: chunkOf(rel, seqIDs(0, rel.Len())), Retain: true}, &LoadReply{}); err != nil {
-				t.Fatalf("Load: %v", err)
-			}
+		if _, err := ship(f.w, toPlan("plan"), testPart{pid: pid, s: s, t: f.t}); err != nil {
+			t.Fatalf("stream: %v", err)
 		}
 	}
 	if err := f.w.Seal(&SealArgs{PlanID: "plan", Band: f.band}, &SealReply{}); err != nil {
@@ -73,7 +71,7 @@ func newFoldFixture(t *testing.T, parts, batches int) *foldFixture {
 	return f
 }
 
-// appendBatch delta-loads batch k into partition 0.
+// appendBatch ships batch k into partition 0 as a delta stream.
 func (f *foldFixture) appendBatch(t *testing.T, k int) {
 	t.Helper()
 	from := f.base
@@ -81,8 +79,10 @@ func (f *foldFixture) appendBatch(t *testing.T, k int) {
 		from += b.Len()
 	}
 	b := f.batches[k]
-	if err := f.w.Load(&LoadArgs{JobID: "plan", Partition: 0, Side: "S", Columnar: chunkOf(b, seqIDs(from, b.Len())), Retain: true, Delta: true}, &LoadReply{}); err != nil {
-		t.Errorf("delta Load: %v", err)
+	hdr := toPlan("plan")
+	hdr.Delta = true
+	if _, err := ship(f.w, hdr, testPart{s: b, sIDs: seqIDs(from, b.Len())}); err != nil {
+		t.Errorf("delta stream: %v", err)
 	}
 }
 
@@ -111,7 +111,7 @@ func (f *foldFixture) checkReply(t *testing.T, what string, jr *JoinReply) {
 	}
 }
 
-func (f *foldFixture) partition(pid int) *partitionData {
+func (f *foldFixture) partition(pid int) *exec.Partition {
 	rs := f.w.retained["plan"]
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -140,7 +140,7 @@ func TestFoldBetweenJoinPhases(t *testing.T) {
 
 	// Hold partition 1's write lock: an append whose rows never come.
 	locked, unlock := make(chan struct{}), make(chan struct{})
-	go p1.part.Append(false, func(*data.Relation, *[]int64) error {
+	go p1.Append(false, func(*data.Relation, *[]int64) error {
 		close(locked)
 		<-unlock
 		return nil
@@ -149,7 +149,7 @@ func TestFoldBetweenJoinPhases(t *testing.T) {
 	var reply JoinReply
 	done := make(chan error, 1)
 	go func() {
-		done <- f.w.Join(&JoinArgs{JobID: "plan", Band: f.band, Retained: true, CollectPairs: true, Parallelism: 2}, &reply)
+		done <- f.w.Join(&JoinArgs{PlanID: "plan", Band: f.band, CollectPairs: true, Parallelism: 2}, &reply)
 	}()
 	for deadline := time.Now().Add(10 * time.Second); f.w.m.folds.Value() < 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -158,7 +158,7 @@ func TestFoldBetweenJoinPhases(t *testing.T) {
 		}
 	}
 	f.appendBatch(t, 1)
-	if _, foldNanos := p0.part.Refresh(f.band); foldNanos == 0 {
+	if _, foldNanos := p0.Refresh(f.band); foldNanos == 0 {
 		t.Error("the second query's first phase did not fold batch 1")
 	}
 	close(unlock)
@@ -194,7 +194,7 @@ func TestFoldConcurrentJoinAppend(t *testing.T) {
 				default:
 				}
 				var jr JoinReply
-				args := &JoinArgs{JobID: "plan", Band: f.band, Retained: true, CollectPairs: true, Parallelism: 2}
+				args := &JoinArgs{PlanID: "plan", Band: f.band, CollectPairs: true, Parallelism: 2}
 				if (g+round)%3 == 0 {
 					args.MorselRows = -1 // the per-partition path
 				}
@@ -209,7 +209,7 @@ func TestFoldConcurrentJoinAppend(t *testing.T) {
 	for k := 0; k < batches; k++ {
 		f.appendBatch(t, k)
 		var jr JoinReply
-		if err := f.w.Join(&JoinArgs{JobID: "plan", Band: f.band, Retained: true, CollectPairs: true}, &jr); err != nil {
+		if err := f.w.Join(&JoinArgs{PlanID: "plan", Band: f.band, CollectPairs: true}, &jr); err != nil {
 			t.Fatalf("Join: %v", err)
 		}
 		f.checkReply(t, "Join after an append", &jr)

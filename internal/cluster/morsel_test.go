@@ -93,13 +93,13 @@ func TestWorkerMorselRowsMatchDefinition(t *testing.T) {
 	}
 }
 
-// TestWorkerJoinOversizedParallelism: JoinArgs.Parallelism is unvalidated
-// network input, and net/rpc does not recover a panicking handler, so a value
-// that overflowed the morsel scheduler's arithmetic would kill the worker
-// process. Both lifecycles must instead answer the band-join definition.
+// TestWorkerJoinOversizedParallelism: JoinArgs.Parallelism, of a Join or a
+// one-shot stream's header, is unvalidated network input, and neither net/rpc
+// nor the stream handler recovers a panic, so a value that overflowed the
+// morsel scheduler's arithmetic would kill the worker process. Both
+// lifecycles must instead answer the band-join definition.
 func TestWorkerJoinOversizedParallelism(t *testing.T) {
 	w, parts := joinFixture(t)
-	defer w.Drain(0)
 	band := data.Symmetric(0.25, 0.25)
 	want := joinFixtureDefinition(parts, band)
 	if len(want) == 0 {
@@ -107,12 +107,18 @@ func TestWorkerJoinOversizedParallelism(t *testing.T) {
 	}
 	for _, job := range []string{"j", "p"} {
 		for _, parallelism := range []int{math.MaxInt, math.MaxInt/2 + 1} {
-			var reply JoinReply
-			args := &JoinArgs{JobID: job, Band: band, CollectPairs: true, Parallelism: parallelism, Retained: job == "p"}
-			if err := w.Join(args, &reply); err != nil {
-				t.Fatalf("Join(%s, parallelism %d): %v", job, parallelism, err)
+			reply := &JoinReply{}
+			args := &JoinArgs{PlanID: job, Band: band, CollectPairs: true, Parallelism: parallelism}
+			var err error
+			if job == "p" {
+				err = w.Join(args, reply)
+			} else {
+				reply, err = joinOneShot(w, parts, args)
 			}
-			samePairs(t, fmt.Sprintf("%s, parallelism %d vs nested loop", job, parallelism), replyPairs(&reply), want)
+			if err != nil {
+				t.Fatalf("join of %s, parallelism %d: %v", job, parallelism, err)
+			}
+			samePairs(t, fmt.Sprintf("%s, parallelism %d vs nested loop", job, parallelism), replyPairs(reply), want)
 		}
 	}
 }

@@ -1,125 +1,101 @@
 package cluster
 
 import (
+	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"bandjoin/internal/data"
-	"bandjoin/internal/wire"
 )
 
-// loadRows ships rows [lo, hi) of rel, with their row numbers as IDs, to
-// partition 0 of transient job "j" as one Load announcing the partition's
-// per-side counts and the upcoming band, as the coordinator's Loads do.
-func loadRows(t *testing.T, w *Worker, side string, rel *data.Relation, lo, hi, expectS, expectT int, band data.Band) {
-	t.Helper()
-	ids := make([]int64, hi-lo)
-	for i := range ids {
-		ids[i] = int64(lo + i)
-	}
-	payload := wire.NewEncoder(wire.ModeAuto).EncodeChunk(rel.KeysRange(lo, hi), rel.Dims(), ids)
-	args := &LoadArgs{JobID: "j", Side: side, Columnar: payload, ExpectS: expectS, ExpectT: expectT, Band: band}
-	if err := w.Load(args, &LoadReply{}); err != nil {
-		t.Fatalf("Load %s[%d:%d]: %v", side, lo, hi, err)
+// chunked writes one partition's frame announcing s's and t's rows, then
+// their chunks of at most rows rows each, IDs the row numbers.
+func chunked(sw *shipWriter, pid int, s, t *data.Relation, rows int) {
+	sw.partition(pid, s.Len(), t.Len())
+	for _, rel := range []*data.Relation{s, t} {
+		for lo := 0; lo < rel.Len(); lo += rows {
+			hi := min(lo+rows, rel.Len())
+			sw.chunk(chunkOf(rel.Slice(rel.Name(), lo, hi), seqIDs(lo, hi-lo)))
+		}
 	}
 }
 
-// TestPipelinedPrepareAnyArrivalOrder: every data Load carries its partition's
-// per-side counts, so a worker prepares a transient partition in the
-// background exactly once, when its last row arrives — whether S came first, T
-// came first or the two interleaved, and when one side is empty — and the join
-// then returns exactly the nested loop's pairs.
-func TestPipelinedPrepareAnyArrivalOrder(t *testing.T) {
+// TestPipelinedPrepareAtPartitionEnd: a one-shot stream's partition is
+// complete when its rows reach the counts its frame announced, S first, and
+// the worker starts preparing it in the background right then — while the
+// next partition is still arriving, and when one side is empty — and the join
+// at the stream's end returns exactly the nested loop's pairs.
+func TestPipelinedPrepareAtPartitionEnd(t *testing.T) {
 	s, tt := decimalPair(2, 100, 67)
 	band := data.Symmetric(0.05, 0.05)
 	empty := data.NewRelation("empty", 2)
-	const chunk = 30
-	type load struct {
-		side   string
-		lo, hi int
-	}
-	chunks := func(side string, n int) (out []load) {
-		for lo := 0; lo < n; lo += chunk {
-			out = append(out, load{side, lo, min(lo+chunk, n)})
-		}
-		return out
-	}
-	sChunks, tChunks := chunks("S", s.Len()), chunks("T", tt.Len())
-	var interleaved []load
-	for i := range sChunks {
-		interleaved = append(interleaved, sChunks[i], tChunks[i])
-	}
+	// Partition 1 is one far-away row a side.
+	far := data.NewRelation("far", 2)
+	far.Append(100, 100)
 	for _, tc := range []struct {
-		name  string
-		s, t  *data.Relation
-		loads []load
+		name string
+		s, t *data.Relation
 	}{
-		{"S-first", s, tt, append(append([]load(nil), sChunks...), tChunks...)},
-		{"T-first", s, tt, append(append([]load(nil), tChunks...), sChunks...)},
-		{"interleaved", s, tt, interleaved},
-		{"empty-T", s, empty, sChunks},
-		{"empty-S", empty, tt, tChunks},
+		{"full", s, tt},
+		{"empty-T", s, empty},
+		{"empty-S", empty, tt},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := NewWorker("w")
-			for _, l := range tc.loads {
-				rel := tc.s
-				if l.side == "T" {
-					rel = tc.t
+			w.SetShipHook(func(ev *ShipEvent) error {
+				if ev.At != ShipChunk || ev.Partition != 1 {
+					return nil
 				}
-				loadRows(t, w, l.side, rel, l.lo, l.hi, tc.s.Len(), tc.t.Len(), band)
+				for deadline := time.Now().Add(10 * time.Second); w.m.pipelinedPreps.Value() < 1; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						return errors.New("partition 0 was not prepared while partition 1 arrived")
+					}
+				}
+				return nil
+			})
+			reply, err := shipBytes(w, encodeShipment(oneShotOf(band), func(sw *shipWriter) {
+				chunked(sw, 0, tc.s, tc.t, 30)
+				chunked(sw, 1, far, far, 30)
+			}))
+			if err != nil {
+				t.Fatalf("stream: %v", err)
 			}
-			w.inflight.Wait() // the background prepare, if one started
-			if n := w.m.pipelinedPreps.Value(); n != 1 {
-				t.Fatalf("%d pipelined prepares, want 1", n)
+			if n := w.m.pipelinedPreps.Value(); n < 1 || n > 2 {
+				t.Fatalf("%d pipelined prepares of 2 partitions, want partition 0's and at most one more", n)
 			}
-			checkWorkerJoin(t, w, tc.s, tc.t, band)
+			if len(reply.Partitions) != 2 || reply.Partitions[1].Output != 1 {
+				t.Fatalf("reply %+v, want partition 1's one pair beside partition 0", reply.Partitions)
+			}
+			checkJoin(t, reply.Partitions[:1], tc.s, tc.t, band)
 		})
 	}
 }
 
-// TestLoadAfterPipelinedPrepareDropsGrid is the regression test for a silent
-// wrong answer: rows that land on a transient partition after its background
-// structure was built were missed by the join, which probed the stale
-// structure. Load is unvalidated network input, so a Load beyond the counts it
-// announced must drop the structure and the join build over all the rows.
-func TestLoadAfterPipelinedPrepareDropsGrid(t *testing.T) {
+// TestShipmentRefusesRowsPastCounts: rows that landed on a transient
+// partition after its background structure was built used to be missed by the
+// join, which probed the stale structure. A partition is now complete when
+// its rows reach the counts its frame announced, so a chunk past them, on
+// either side, is refused, and the stream holds nothing afterwards.
+func TestShipmentRefusesRowsPastCounts(t *testing.T) {
 	s, tt := decimalPair(2, 80, 71)
-	s = s.Slice("S", 0, 40)
 	band := data.Symmetric(0.1, 0.1)
-	w := NewWorker("w")
-	loadRows(t, w, "S", s, 0, 40, 40, 40, band)
-	loadRows(t, w, "T", tt, 0, 40, 40, 40, band)
-	w.inflight.Wait()
-	if n := w.m.pipelinedPreps.Value(); n != 1 {
-		t.Fatalf("%d pipelined prepares after the announced rows, want 1", n)
+	for _, side := range []string{"S", "T"} {
+		w := NewWorker("w")
+		_, err := shipBytes(w, encodeShipment(oneShotOf(band), func(sw *shipWriter) {
+			sw.partition(0, 40, 40)
+			if side == "S" {
+				sw.chunk(chunkOf(s, seqIDs(0, 80)))
+				return
+			}
+			sw.chunk(chunkOf(s.Slice("S", 0, 40), seqIDs(0, 40)))
+			sw.chunk(chunkOf(tt, seqIDs(0, 80)))
+		}))
+		if err == nil || !strings.Contains(err.Error(), "to come") {
+			t.Errorf("%s: 80 rows for a partition announcing 40: err = %v, want a refusal", side, err)
+		}
+		if n := w.oneShots.Load() + w.oneShotBytes.Load(); n != 0 {
+			t.Errorf("%s: the refused stream left state open", side)
+		}
 	}
-	loadRows(t, w, "T", tt, 40, 80, 40, 40, band)
-
-	if len(definitionPairs(s, tt.Slice("T", 0, 40), band)) == len(definitionPairs(s, tt, band)) {
-		t.Fatal("the late T rows join nothing; the test stages no wrong answer")
-	}
-	checkWorkerJoin(t, w, s, tt, band)
-}
-
-// TestLoadAfterPipelinedPrepareKeepsGridForS: late rows on the S side follow
-// the delta rule of the retained partitions — the grid, built over T, stays and
-// probes them as an unresolved tail — and the join still returns exactly the
-// nested loop's pairs over every row.
-func TestLoadAfterPipelinedPrepareKeepsGridForS(t *testing.T) {
-	s, tt := decimalPair(2, 80, 73)
-	tt = tt.Slice("T", 0, 40)
-	band := data.Symmetric(0.1, 0.1)
-	w := NewWorker("w")
-	loadRows(t, w, "S", s, 0, 40, 40, 40, band)
-	loadRows(t, w, "T", tt, 0, 40, 40, 40, band)
-	w.inflight.Wait()
-	if n := w.m.pipelinedPreps.Value(); n != 1 {
-		t.Fatalf("%d pipelined prepares after the announced rows, want 1", n)
-	}
-	loadRows(t, w, "S", s, 40, 80, 40, 40, band)
-
-	if len(definitionPairs(s.Slice("S", 0, 40), tt, band)) == len(definitionPairs(s, tt, band)) {
-		t.Fatal("the late S rows join nothing; the test stages no wrong answer")
-	}
-	checkWorkerJoin(t, w, s, tt, band)
 }

@@ -45,7 +45,7 @@ func samePairs(t *testing.T, label string, a, b []exec.Pair) {
 
 // TestRetainedPlanZeroShuffleRerun is the core warm-partition property: a
 // repeated RunPlan naming the same plan fingerprint must move zero shuffle
-// bytes and zero Load RPCs, and report bit-identical accounting and pairs.
+// bytes and zero chunks, and report bit-identical accounting and pairs.
 func TestRetainedPlanZeroShuffleRerun(t *testing.T) {
 	lc, err := StartLocal(3)
 	if err != nil {
@@ -87,88 +87,30 @@ func TestRetainedPlanZeroShuffleRerun(t *testing.T) {
 	samePairs(t, "cold vs nested loop", cold.Pairs, definitionPairs(s, tt, band))
 }
 
-// TestResetScopedToTransientJobs pins the Reset-scoping bugfix at the worker
-// level: a Reset naming a retained plan's fingerprint must not evict it, and
-// the plan must remain joinable.
-func TestResetScopedToTransientJobs(t *testing.T) {
-	w := NewWorker("scoped")
-	chunk := data.NewRelation("c", 1)
-	ids := make([]int64, 8)
-	for i := 0; i < 8; i++ {
-		chunk.Append(float64(i))
-		ids[i] = int64(i)
-	}
-	for _, side := range []string{"S", "T"} {
-		var lr LoadReply
-		if err := w.Load(&LoadArgs{JobID: "plan-x", Partition: 0, Side: side, Columnar: chunkOf(chunk, ids), Retain: true}, &lr); err != nil {
-			t.Fatalf("Load: %v", err)
+// failShipments arms w to fail every chunk of its shipment streams while the
+// returned flag is set: a worker that dies mid-shuffle, on demand.
+func failShipments(w *Worker) *atomic.Bool {
+	var fail atomic.Bool
+	w.SetShipHook(func(ev *ShipEvent) error {
+		if ev.At == ShipChunk && fail.Load() {
+			return fmt.Errorf("synthetic mid-shuffle failure")
 		}
-	}
-	var sr SealReply
-	if err := w.Seal(&SealArgs{PlanID: "plan-x"}, &sr); err != nil {
-		t.Fatalf("Seal: %v", err)
-	}
-	if sr.Partitions != 1 {
-		t.Fatalf("sealed partitions = %d, want 1", sr.Partitions)
-	}
-
-	var rr ResetReply
-	if err := w.Reset(&ResetArgs{JobID: "plan-x"}, &rr); err != nil {
-		t.Fatalf("Reset: %v", err)
-	}
-	if got := w.Retained(); got != 1 {
-		t.Fatalf("Reset evicted the retained registry: %d plans resident, want 1", got)
-	}
-	var jr JoinReply
-	if err := w.Join(&JoinArgs{JobID: "plan-x", Band: data.Symmetric(0.5), Retained: true}, &jr); err != nil {
-		t.Fatalf("retained Join after Reset: %v", err)
-	}
-	if len(jr.Partitions) != 1 || jr.Partitions[0].Output == 0 {
-		t.Fatalf("retained join produced %+v, want one partition with output", jr.Partitions)
-	}
-
-	// Eviction is explicit: Evict removes what Reset must not.
-	var er EvictReply
-	if err := w.Evict(&EvictArgs{PlanID: "plan-x"}, &er); err != nil {
-		t.Fatalf("Evict: %v", err)
-	}
-	if !er.Existed || w.Retained() != 0 {
-		t.Fatalf("Evict(existed=%v) left %d plans resident", er.Existed, w.Retained())
-	}
+		return nil
+	})
+	return &fail
 }
 
-// toggleFailLoadWorker fails Load RPCs while armed, letting a test ship a
-// retained plan successfully and then inject a mid-shuffle failure into a
-// later transient query.
-type toggleFailLoadWorker struct {
-	*Worker
-	fail atomic.Bool
-}
-
-func (w *toggleFailLoadWorker) Load(args *LoadArgs, reply *LoadReply) error {
-	if w.fail.Load() {
-		return fmt.Errorf("synthetic mid-shuffle failure")
-	}
-	return w.Worker.Load(args, reply)
-}
-
-// TestFailedQueryPreservesRetainedRegistry is the fault-injection regression
-// for the Reset-scoping bugfix, end to end: a transient query that fails
-// mid-shuffle fires the coordinator's best-effort Reset on every worker, and
-// the retained plan shipped before the failure must survive and still serve
-// warm zero-shuffle queries with identical results.
+// TestFailedQueryPreservesRetainedRegistry is a fault-injection regression,
+// end to end: a transient query that fails mid-shuffle must leave the retained
+// plan shipped before the failure resident, still serving warm zero-shuffle
+// queries with identical results.
 func TestFailedQueryPreservesRetainedRegistry(t *testing.T) {
 	s, tt := data.ParetoPair(2, 1.3, 400, 13)
 	band := data.Symmetric(0.35, 0.35)
 
-	good := NewWorker("good")
-	goodAddr, stopGood := serveService(t, good)
-	defer stopGood()
-	flaky := &toggleFailLoadWorker{Worker: NewWorker("flaky")}
-	flakyAddr, stopFlaky := serveService(t, flaky)
-	defer stopFlaky()
-
-	coord, err := Dial([]string{goodAddr, flakyAddr})
+	good, flaky := NewWorker("good"), NewWorker("flaky")
+	fail := failShipments(flaky)
+	coord, err := Dial([]string{serveWorker(t, good), serveWorker(t, flaky)})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -180,23 +122,22 @@ func TestFailedQueryPreservesRetainedRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold retained RunPlan: %v", err)
 	}
-	retainedBefore := good.Retained() + flaky.Worker.Retained()
+	retainedBefore := good.Retained() + flaky.Retained()
 	if retainedBefore == 0 {
 		t.Fatal("no retained state resident after the cold run")
 	}
 
-	// Inject: a transient query now dies mid-shuffle; its deferred Reset
-	// fires on both workers.
-	flaky.fail.Store(true)
+	// Inject: a transient query now dies mid-shuffle.
+	fail.Store(true)
 	if _, err := coord.RunPlan(context.Background(), plan, ctx, s, tt, band, Options{ChunkSize: 64}); err == nil {
 		t.Fatal("transient run with a failing worker unexpectedly succeeded")
 	}
-	flaky.fail.Store(false)
+	fail.Store(false)
 
-	if got := good.Retained() + flaky.Worker.Retained(); got != retainedBefore {
+	if got := good.Retained() + flaky.Retained(); got != retainedBefore {
 		t.Fatalf("failed transient query changed the retained registry: %d plans resident, want %d", got, retainedBefore)
 	}
-	for _, w := range []*Worker{good, flaky.Worker} {
+	for _, w := range []*Worker{good, flaky} {
 		var pong PingReply
 		if err := w.Ping(&PingArgs{}, &pong); err != nil {
 			t.Fatalf("Ping: %v", err)
@@ -280,9 +221,8 @@ func TestWorkerMaxRetainedCap(t *testing.T) {
 	chunk.Append(0.2)
 
 	for _, plan := range []string{"plan-a", "plan-b"} {
-		var lr LoadReply
-		if err := w.Load(&LoadArgs{JobID: plan, Partition: 0, Side: "S", Columnar: chunkOf(chunk, ids), Retain: true}, &lr); err != nil {
-			t.Fatalf("Load(%s): %v", plan, err)
+		if _, err := ship(w, toPlan(plan), testPart{s: chunk, sIDs: ids}); err != nil {
+			t.Fatalf("stream to %s: %v", plan, err)
 		}
 		var sr SealReply
 		if err := w.Seal(&SealArgs{PlanID: plan}, &sr); err != nil {
@@ -293,11 +233,11 @@ func TestWorkerMaxRetainedCap(t *testing.T) {
 		t.Fatalf("%d plans resident under cap 1", got)
 	}
 	var jr JoinReply
-	err := w.Join(&JoinArgs{JobID: "plan-a", Band: data.Symmetric(1), Retained: true}, &jr)
+	err := w.Join(&JoinArgs{PlanID: "plan-a", Band: data.Symmetric(1)}, &jr)
 	if err == nil || !strings.Contains(err.Error(), ErrUnknownRetainedPlan) {
 		t.Fatalf("join of evicted plan: err = %v, want %q marker", err, ErrUnknownRetainedPlan)
 	}
-	if err := w.Join(&JoinArgs{JobID: "plan-b", Band: data.Symmetric(1), Retained: true}, &jr); err != nil {
+	if err := w.Join(&JoinArgs{PlanID: "plan-b", Band: data.Symmetric(1)}, &jr); err != nil {
 		t.Fatalf("join of resident plan: %v", err)
 	}
 }

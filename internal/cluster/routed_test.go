@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"runtime"
 	"slices"
 	"sync"
@@ -17,8 +16,8 @@ import (
 	"bandjoin/internal/wire"
 )
 
-// loadKey identifies a data Load by everything the worker sees of it but the
-// job, the shipment number and the band.
+// loadKey identifies a chunk frame by everything the worker sees of it but
+// the stream's header.
 func loadKey(pid int, side string, expectS, expectT int, chunk []byte) string {
 	return fmt.Sprintf("%d|%s|%d|%d|%x", pid, side, expectS, expectT, chunk)
 }
@@ -59,8 +58,8 @@ func materializedStream(parts []*exec.PartitionInput, s, t *data.Relation, chunk
 // TestRoutedShipMatchesMaterialized: the coordinator ships from routed row
 // lists, gathering each chunk out of the source relations, and what reaches
 // the workers must be what shipping the materialised shuffle would have sent —
-// the same Loads byte for byte (so the same bytes on the wire and the same
-// RPC count), the same rows resident in every partition — on the transient
+// the same chunks byte for byte (so the same bytes on the wire and the same
+// chunk count), the same rows resident in every partition — on the transient
 // and the retained path, with chunks that span two shards' lists, and when a
 // shipment dies on the wire and is repeated.
 func TestRoutedShipMatchesMaterialized(t *testing.T) {
@@ -90,7 +89,7 @@ func TestRoutedShipMatchesMaterialized(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		retained bool
-		dropAt   int // the data Load, counted over the cluster, whose connection dies; 0 = none
+		dropAt   int // the chunk, counted over the cluster, whose connection dies; 0 = none
 	}{
 		{"transient", false, 0},
 		{"retained", true, 0},
@@ -98,14 +97,22 @@ func TestRoutedShipMatchesMaterialized(t *testing.T) {
 		{"retained/reship", true, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			type seenChunk struct {
+				pid, attempt int
+				key          string
+			}
 			var mu sync.Mutex
-			var seen []*LoadArgs
-			coord, workers := startTapped(t, 2, func(_ int, conn net.Conn, args *LoadArgs) error {
+			var seen []seenChunk
+			coord, workers := startTapped(t, 2, func(_ int, ev *ShipEvent) error {
+				if ev.At != ShipChunk {
+					return nil
+				}
 				mu.Lock()
 				defer mu.Unlock()
-				seen = append(seen, args)
+				side := map[bool]string{false: "S", true: "T"}[ev.T]
+				seen = append(seen, seenChunk{ev.Partition, ev.Attempt, loadKey(ev.Partition, side, ev.RowsS, ev.RowsT, ev.Chunk)})
 				if len(seen) == tc.dropAt {
-					conn.Close()
+					ev.Conn.Close()
 					return errors.New("connection dropped by the test")
 				}
 				return nil
@@ -123,30 +130,30 @@ func TestRoutedShipMatchesMaterialized(t *testing.T) {
 				t.Errorf("TotalInput %d, Shuffle's %d", res.TotalInput, totalInput)
 			}
 
-			// The Loads that count are those of each partition's last shipment.
+			// The chunks that count are those of each partition's last shipment.
 			last := make(map[int]int)
 			for _, a := range seen {
-				last[a.Partition] = max(last[a.Partition], a.Attempt)
+				last[a.pid] = max(last[a.pid], a.attempt)
 			}
 			var got []string
 			for _, a := range seen {
-				if a.Attempt == last[a.Partition] {
-					got = append(got, loadKey(a.Partition, a.Side, a.ExpectS, a.ExpectT, a.Columnar))
+				if a.attempt == last[a.pid] {
+					got = append(got, a.key)
 				}
 			}
 			slices.Sort(got)
 			if !slices.Equal(got, wantLoads) {
-				t.Fatalf("%d Loads reached the workers, shipping the materialised shuffle sends %d (or they differ)", len(got), len(wantLoads))
+				t.Fatalf("%d chunks reached the workers, shipping the materialised shuffle sends %d (or they differ)", len(got), len(wantLoads))
 			}
 			if tc.dropAt == 0 {
 				if res.ShuffleRPCs != int64(len(wantLoads)) || len(seen) != len(wantLoads) {
-					t.Errorf("%d Load RPCs (%d seen), want one per chunk, %d", res.ShuffleRPCs, len(seen), len(wantLoads))
+					t.Errorf("%d chunk frames (%d seen), want one per chunk, %d", res.ShuffleRPCs, len(seen), len(wantLoads))
 				}
 				if res.ShuffleRawBytes != wantRaw {
 					t.Errorf("raw shuffle bytes %d, want %d", res.ShuffleRawBytes, wantRaw)
 				}
 			} else if res.Retries == 0 || len(seen) <= len(wantLoads) {
-				t.Errorf("retries %d, %d data Loads: the shipment was never repeated", res.Retries, len(seen))
+				t.Errorf("retries %d, %d chunks: the shipment was never repeated", res.Retries, len(seen))
 			}
 			if !tc.retained {
 				return
@@ -158,7 +165,7 @@ func TestRoutedShipMatchesMaterialized(t *testing.T) {
 			for _, w := range workers {
 				for pid, p := range w.retained[opts.PlanID].partitions {
 					resident++
-					_, held, unlock := exec.LockForProbe([]*exec.Partition{p.part}, band, nil, 1)
+					_, held, unlock := exec.LockForProbe([]*exec.Partition{p}, band, nil, 1)
 					in := held[0]
 					sameRows(t, fmt.Sprintf("partition %d S", pid), in.S, in.SIDs, parts[pid].S, parts[pid].SIDs)
 					sameRows(t, fmt.Sprintf("partition %d T", pid), in.T, in.TIDs, parts[pid].T, parts[pid].TIDs)
@@ -194,7 +201,7 @@ func sameRows(t *testing.T, label string, a *data.Relation, aIDs []int64, b *dat
 // meanwhile (Relation.Extend writes past the snapshot's length, into storage
 // the snapshot shares). The row lists name only rows below that length, so
 // the query's answer is the nested loop's over the snapshot — and -race sees
-// no conflicting access. The overlap is staged: the first Load to arrive
+// no conflicting access. The overlap is staged: the first chunk to arrive
 // holds the shipment until an append has happened, and appends continue until
 // the query returns.
 func TestRoutedShipConcurrentAppend(t *testing.T) {
@@ -208,7 +215,7 @@ func TestRoutedShipConcurrentAppend(t *testing.T) {
 
 	appended := make(chan struct{})
 	var once sync.Once
-	coord, _ := startTapped(t, 2, func(int, net.Conn, *LoadArgs) error {
+	coord, _ := startTapped(t, 2, func(int, *ShipEvent) error {
 		<-appended
 		return nil
 	})
@@ -261,7 +268,7 @@ func TestCancelBetweenRoutingAndShipping(t *testing.T) {
 	for _, planID := range []string{"", "plan|cancelled"} {
 		var mu sync.Mutex
 		loads := 0
-		coord, _ := startTapped(t, 2, func(int, net.Conn, *LoadArgs) error {
+		coord, _ := startTapped(t, 2, func(_ int, ev *ShipEvent) error {
 			mu.Lock()
 			defer mu.Unlock()
 			loads++
@@ -274,7 +281,7 @@ func TestCancelBetweenRoutingAndShipping(t *testing.T) {
 		}
 		mu.Lock()
 		if loads != 0 {
-			t.Errorf("plan id %q: %d Loads were shipped after the cancellation", planID, loads)
+			t.Errorf("plan id %q: %d shipment events came after the cancellation", planID, loads)
 		}
 		mu.Unlock()
 	}

@@ -57,7 +57,7 @@ func (cs *ClusterStats) String() string {
 	fmt.Fprintf(&b, "cluster: %d/%d workers live, %d retained plans, %d wire bytes\n",
 		cs.Live, len(cs.Workers), cs.RetainedPlans, cs.WireBytes)
 	fmt.Fprintf(&b, "%-4s %-12s %-8s %6s %6s %10s %12s %10s %12s %12s %8s %7s %10s %9s %9s %8s %7s %9s %6s %6s %7s %9s %7s %10s %6s %8s\n",
-		"slot", "worker", "state", "jobs", "plans", "ret.bytes", "load.rpcs", "load.tup", "load.bytes", "raw.bytes", "raw/wire", "dec.ms", "joins", "pairs", "join.ms", "morsels", "steals", "straggler", "hits", "miss", "deltas", "delta.tup", "rebuild", "rebuild.ms", "folds", "fold.ms")
+		"slot", "worker", "state", "jobs", "plans", "ret.bytes", "load.chunks", "load.tup", "load.bytes", "raw.bytes", "raw/wire", "dec.ms", "joins", "pairs", "join.ms", "morsels", "steals", "straggler", "hits", "miss", "deltas", "delta.tup", "rebuild", "rebuild.ms", "folds", "fold.ms")
 	for _, ws := range cs.Workers {
 		if ws.Err != "" {
 			fmt.Fprintf(&b, "%-4d %-12s %-8s unreachable: %s\n", ws.Slot, ws.Addr, ws.State, ws.Err)
@@ -78,14 +78,14 @@ func (cs *ClusterStats) String() string {
 		fmt.Fprintf(&b, "%-4d %-12s %-8s %6d %6d %10d %12d %10d %12d %12d %8.2f %7.1f %10d %9d %9.1f %8d %7d %9.2f %6d %6d %7d %9d %7d %10.1f %6d %8.1f\n",
 			ws.Slot, name, state,
 			ws.Stats.Jobs, ws.Stats.RetainedPlans, ws.Stats.RetainedBytes,
-			ws.Stats.LoadRPCs, ws.Stats.LoadTuples, ws.Stats.LoadBytes,
+			ws.Stats.LoadChunks, ws.Stats.LoadTuples, ws.Stats.LoadBytes,
 			ws.Stats.LoadRawBytes, ratio,
 			float64(ws.Stats.DecodeNanos)/float64(time.Millisecond),
 			ws.Stats.PartitionsJoined, ws.Stats.PairsEmitted,
 			float64(ws.Stats.JoinNanos)/float64(time.Millisecond),
 			ws.Stats.Morsels, ws.Stats.MorselSteals, ws.Stats.StragglerRatio,
 			ws.Stats.RetainedHits, ws.Stats.RetainedMisses,
-			ws.Stats.DeltaLoads, ws.Stats.DeltaTuples,
+			ws.Stats.DeltaChunks, ws.Stats.DeltaTuples,
 			ws.Stats.StaleRebuilds,
 			float64(ws.Stats.StaleRebuildNanos)/float64(time.Millisecond),
 			ws.Stats.Folds,

@@ -55,7 +55,7 @@ func TestClusterStatsAfterRetainedRuns(t *testing.T) {
 	if cs.WireBytes == 0 {
 		t.Error("wire bytes = 0 after a cold shuffle")
 	}
-	var loadRPCs, loadTuples, loadBytes, joined, pairs, retainedHits, seals, retainedBytes int64
+	var loadChunks, loadTuples, loadBytes, joined, pairs, retainedHits, seals, retainedBytes int64
 	for _, ws := range cs.Workers {
 		if ws.Err != "" {
 			t.Fatalf("worker %d unreachable: %s", ws.Slot, ws.Err)
@@ -63,7 +63,7 @@ func TestClusterStatsAfterRetainedRuns(t *testing.T) {
 		if ws.Stats.Draining {
 			t.Errorf("worker %d reports draining", ws.Slot)
 		}
-		loadRPCs += ws.Stats.LoadRPCs
+		loadChunks += ws.Stats.LoadChunks
 		loadTuples += ws.Stats.LoadTuples
 		loadBytes += ws.Stats.LoadBytes
 		joined += ws.Stats.PartitionsJoined
@@ -72,8 +72,8 @@ func TestClusterStatsAfterRetainedRuns(t *testing.T) {
 		seals += ws.Stats.Seals
 		retainedBytes += ws.Stats.RetainedBytes
 	}
-	if loadRPCs == 0 || loadTuples == 0 || loadBytes == 0 {
-		t.Errorf("load totals zero: rpcs=%d tuples=%d bytes=%d", loadRPCs, loadTuples, loadBytes)
+	if loadChunks == 0 || loadTuples == 0 || loadBytes == 0 {
+		t.Errorf("load totals zero: chunks=%d tuples=%d bytes=%d", loadChunks, loadTuples, loadBytes)
 	}
 	if loadTuples != cold.TotalInput {
 		t.Errorf("loaded tuples = %d, want total input %d", loadTuples, cold.TotalInput)
@@ -100,7 +100,7 @@ func TestClusterStatsAfterRetainedRuns(t *testing.T) {
 	var workerProm strings.Builder
 	lc.Handles()[0].Metrics().WritePrometheus(&workerProm)
 	for _, series := range []string{
-		"bandjoin_worker_load_rpcs_total",
+		"bandjoin_worker_load_chunks_total",
 		"bandjoin_worker_retained_join_total{outcome=\"hit\"}",
 		"bandjoin_worker_partition_join_seconds_bucket",
 		"bandjoin_worker_retained_bytes",
@@ -131,9 +131,9 @@ func TestStatsWhileDraining(t *testing.T) {
 
 	chunk := data.NewRelation("c", 1)
 	chunk.Append(1)
-	err := w.Load(&LoadArgs{JobID: "j", Partition: 0, Side: "S", Columnar: chunkOf(chunk, []int64{0})}, &LoadReply{})
+	_, err := ship(w, toPlan("j"), testPart{s: chunk})
 	if err == nil || !strings.Contains(err.Error(), "draining") {
-		t.Fatalf("Load on draining worker: err = %v, want draining rejection", err)
+		t.Fatalf("stream to a draining worker: err = %v, want draining rejection", err)
 	}
 
 	var sr StatsReply

@@ -150,8 +150,8 @@ func TestCoordinatorRefusesOldWorker(t *testing.T) {
 			if err := w.Ping(&PingArgs{}, &pong); err != nil || pong.Jobs != 0 {
 				t.Errorf("worker %d after the refused run: Ping err %v, %d jobs resident, want 0", i, err, pong.Jobs)
 			}
-			if slices.Contains(tc.old, i) && w.m.loadRPCs.Value() != 0 {
-				t.Errorf("old worker %d received %d Loads", i, w.m.loadRPCs.Value())
+			if slices.Contains(tc.old, i) && w.m.loadChunks.Value() != 0 {
+				t.Errorf("old worker %d received %d chunks", i, w.m.loadChunks.Value())
 			}
 		}
 		coord.Close()
@@ -167,10 +167,11 @@ func decodeNanos(lc *LocalCluster) (total int64) {
 }
 
 // TestBadColumnarChunkLeavesPartitionIntact is the regression test for a
-// chunk that fails part-way through decoding: its Load must fail cleanly and
-// leave the partition exactly as it was, so that the chunks that follow and
-// the Join see only whole rows, each with its ID. A header declaring more rows
-// than wire.MaxChunkRows must be refused before anything is sized by it.
+// chunk that fails part-way through decoding: its stream must fail cleanly and
+// leave the partition exactly as it was, so that the streams that follow into
+// the same retained partition and the Join see only whole rows, each with its
+// ID. A header declaring more rows than wire.MaxChunkRows must be refused
+// before anything is sized by it.
 func TestBadColumnarChunkLeavesPartitionIntact(t *testing.T) {
 	s, tt := decimalPair(2, 300, 53)
 	band := data.Symmetric(0.05, 0.05)
@@ -189,42 +190,53 @@ func TestBadColumnarChunkLeavesPartitionIntact(t *testing.T) {
 	truncated, halved := first[:len(first)-3], first[:len(first)/2]
 
 	w := NewWorker("w")
-	load := func(side string, payload []byte) error {
-		return w.Load(&LoadArgs{JobID: "j", Partition: 0, Side: side, Columnar: payload}, &LoadReply{})
+	load := func(rowsS, rowsT int, payloads ...[]byte) error {
+		_, err := shipBytes(w, encodeShipment(toPlan("p"), func(sw *shipWriter) {
+			sw.partition(0, rowsS, rowsT)
+			for _, p := range payloads {
+				sw.chunk(p)
+			}
+		}))
+		return err
 	}
-	if err := load("S", truncated); err == nil {
+	if err := load(half, 0, truncated); err == nil {
 		t.Fatal("chunk cut short in its ID column was accepted")
 	}
-	if err := load("T", halved); err == nil {
+	if err := load(0, half, halved); err == nil {
 		t.Fatal("chunk cut short in a key column was accepted")
 	}
 	oversize := binary.AppendUvarint([]byte{first[0]}, wire.MaxChunkRows+1)
 	oversize = append(oversize, 2)
-	if err := load("S", oversize); err == nil {
+	if err := load(half, 0, oversize); err == nil {
 		t.Fatal("chunk declaring more than MaxChunkRows rows was accepted")
 	}
-	for _, l := range []struct {
-		side    string
-		payload []byte
-	}{{"S", first}, {"S", chunk(s, half, s.Len())}, {"T", chunk(tt, 0, half)}, {"T", chunk(tt, half, tt.Len())}} {
-		if err := load(l.side, l.payload); err != nil {
-			t.Fatalf("valid %s chunk after the bad ones: %v", l.side, err)
-		}
+	if err := load(s.Len(), tt.Len(), first, chunk(s, half, s.Len()), chunk(tt, 0, half), chunk(tt, half, tt.Len())); err != nil {
+		t.Fatalf("valid chunks after the bad ones: %v", err)
 	}
-	checkWorkerJoin(t, w, s, tt, band)
+	checkRetainedJoin(t, w, "p", s, tt, band)
 }
 
-// checkWorkerJoin joins job "j" on w, whose single partition must hold exactly
-// s and tt with row indices as IDs, and compares the pairs with a nested loop.
-// Unless a side is empty, the data must join to something.
-func checkWorkerJoin(t *testing.T, w *Worker, s, tt *data.Relation, band data.Band) {
+// checkRetainedJoin seals plan id on w, joins it, and checks the join with
+// checkJoin.
+func checkRetainedJoin(t *testing.T, w *Worker, id string, s, tt *data.Relation, band data.Band) {
 	t.Helper()
+	if err := w.Seal(&SealArgs{PlanID: id, Band: band}, &SealReply{}); err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
 	var jr JoinReply
-	if err := w.Join(&JoinArgs{JobID: "j", Band: band, CollectPairs: true}, &jr); err != nil {
+	if err := w.Join(&JoinArgs{PlanID: id, Band: band, CollectPairs: true}, &jr); err != nil {
 		t.Fatalf("Join: %v", err)
 	}
+	checkJoin(t, jr.Partitions, s, tt, band)
+}
+
+// checkJoin checks a join's partitions: each must hold exactly s and tt with
+// row indices as IDs, and their pairs must be the nested loop's. Unless a side
+// is empty, the data must join to something.
+func checkJoin(t *testing.T, parts []PartitionStats, s, tt *data.Relation, band data.Band) {
+	t.Helper()
 	var got []exec.Pair
-	for _, ps := range jr.Partitions {
+	for _, ps := range parts {
 		if ps.InputS != s.Len() || ps.InputT != tt.Len() {
 			t.Fatalf("partition holds %d x %d rows, want %d x %d", ps.InputS, ps.InputT, s.Len(), tt.Len())
 		}
@@ -245,11 +257,13 @@ func checkWorkerJoin(t *testing.T, w *Worker, s, tt *data.Relation, band data.Ba
 	samePairs(t, "worker join vs nested loop", got, want)
 }
 
-// TestHostileSideTotalReservesLittle: a side's total, the ExpectS or ExpectT
-// of its Loads, arrives unvalidated from the network and sizes a reservation. A Load claiming 2^40 rows to come must cost
-// no more than a small multiple of the rows it carries (honoured as sent it is
-// a 16 TiB allocation, which kills the process); a negative one is refused;
-// honest chunks then load and join.
+// TestHostileSideTotalReservesLittle: a side's row count in a partition frame
+// arrives unvalidated from the network and sizes a reservation. A frame
+// claiming 2^40 rows to come must cost no more than a small multiple of the
+// rows its chunk carries (honoured as sent it is a 16 TiB allocation, which
+// kills the process); one past the counts' bound (what a negative count
+// encodes as) is refused; honest streams then land in the same retained
+// partition and join.
 func TestHostileSideTotalReservesLittle(t *testing.T) {
 	s, tt := decimalPair(2, 300, 53)
 	band := data.Symmetric(0.05, 0.05)
@@ -263,23 +277,31 @@ func TestHostileSideTotalReservesLittle(t *testing.T) {
 	for side, rel := range map[string]*data.Relation{"S": s, "T": tt} {
 		load := func(lo, hi, total int) error {
 			payload := append([]byte(nil), enc.EncodeChunk(rel.KeysRange(lo, hi), rel.Dims(), ids[lo:hi])...)
-			return w.Load(&LoadArgs{JobID: "j", Side: side, Columnar: payload, ExpectS: total, ExpectT: total}, &LoadReply{})
+			_, err := shipBytes(w, encodeShipment(toPlan("p"), func(sw *shipWriter) {
+				if side == "S" {
+					sw.partition(0, total, 0)
+				} else {
+					sw.partition(0, 0, total)
+				}
+				sw.chunk(payload)
+			}))
+			return err
 		}
 		if err := load(0, half, -1); err == nil {
 			t.Errorf("%s: a negative total was accepted", side)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if err := load(0, half, 1<<40); err != nil {
-			t.Fatalf("%s: chunk with an inflated total: %v", side, err)
+		if err := load(0, half, 1<<40); err == nil {
+			t.Errorf("%s: a stream ending 2^40 rows short of its partition's count was accepted", side)
 		}
 		runtime.ReadMemStats(&after)
 		if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
 			t.Errorf("%s: a %d-row chunk announcing 2^40 rows allocated %d bytes", side, half, grown)
 		}
-		if err := load(half, rel.Len(), rel.Len()); err != nil {
-			t.Fatalf("%s: honest chunk after the inflated one: %v", side, err)
+		if err := load(half, rel.Len(), rel.Len()-half); err != nil {
+			t.Fatalf("%s: honest stream after the inflated one: %v", side, err)
 		}
 	}
-	checkWorkerJoin(t, w, s, tt, band)
+	checkRetainedJoin(t, w, "p", s, tt, band)
 }

@@ -2,15 +2,18 @@ package cluster
 
 import (
 	"context"
+	"encoding/gob"
 	"fmt"
+	"io"
 	"log"
+	"maps"
 	"math"
 	"net"
 	"net/rpc"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bandjoin/internal/data"
@@ -19,25 +22,25 @@ import (
 	"bandjoin/internal/wire"
 )
 
-// Worker is the RPC service a worker machine runs. It accumulates partition
-// input shipped by the coordinator and executes local band-joins on request.
-// A single worker can hold several jobs concurrently (keyed by job ID), like
-// a node-manager running several reduce tasks. Loads for different partitions
-// append concurrently, and a job's joins run on a bounded goroutine pool.
+// Worker is the service a worker machine runs. It receives partition input
+// shipped by the coordinator as shipment streams (ServeShipment) and executes
+// local band-joins. Partitions of different streams append concurrently, and
+// joins run on a bounded goroutine pool.
 //
-// Besides the transient job table (cleared by Reset after every query), the
-// worker keeps a retained-plan registry: partition data shipped with
-// LoadArgs.Retain and completed with Seal stays resident under its plan
-// fingerprint, so repeated queries over the same plan run their local joins
-// with zero shuffle. Sealed plans change only through delta appends
-// (LoadArgs.Delta), which hold the target partition's write lock; joins take
-// read locks and therefore run concurrently with each other.
+// A one-shot query's stream carries its band and is joined at its own end:
+// nothing of it outlives the connection. A retained stream ships into the
+// retained-plan registry instead: its partitions, completed with Seal, stay
+// resident under their plan fingerprint, so repeated queries over the same
+// plan run their local joins (the Join RPC) with zero shuffle. Sealed plans
+// change only through delta streams, which hold the target partition's write
+// lock while they append; joins take read locks and therefore run
+// concurrently with each other.
 type Worker struct {
 	name string
 
-	// maxParallelism caps the per-job join parallelism a coordinator may
-	// request via JoinArgs.Parallelism; zero means GOMAXPROCS. Set it before
-	// serving (see SetMaxParallelism).
+	// maxParallelism caps the join parallelism a coordinator may request via
+	// JoinArgs.Parallelism; zero means GOMAXPROCS. Set it before serving (see
+	// SetMaxParallelism).
 	maxParallelism int
 
 	// maxRetained caps the number of sealed retained plans; zero means
@@ -46,24 +49,27 @@ type Worker struct {
 	// ErrUnknownRetainedPlan and fall back to a cold shuffle).
 	maxRetained int
 
-	mu       sync.Mutex // guards jobs, closed, retained, sealSeq, draining
-	jobs     map[string]*jobState
+	mu       sync.Mutex // guards closed, retained, sealSeq, draining
 	retained map[string]*retainedState
 	sealSeq  uint64
 
-	// closed maps the ids of the last closedJobs jobs reset with
-	// ResetArgs.Final and plans evicted for good (EvictArgs without Attempt)
-	// to their slot in closedRing, which holds the ids in closing order
-	// (closedNext is the oldest, overwritten next).
+	// closed maps the ids of the last closedPlans plans evicted for good
+	// (EvictArgs without Attempt) to their slot in closedRing, which holds the
+	// ids in closing order (closedNext is the oldest, overwritten next).
 	closed     map[string]int
-	closedRing [closedJobs]string
+	closedRing [closedPlans]string
 	closedNext int
 
-	// draining rejects new data-plane work (Load, Join, Seal) while inflight
-	// tracks the calls already running, so a graceful shutdown can stop taking
-	// queries yet let the ones in progress finish (see Drain).
+	// draining rejects new data-plane work (shipments, Join, Seal) while
+	// inflight tracks the work already running, so a graceful shutdown can
+	// stop taking queries yet let the ones in progress finish (see Drain).
 	draining bool
 	inflight sync.WaitGroup
+
+	// oneShots counts the one-shot streams open and oneShotBytes the key and ID
+	// bytes they hold: the transient state of a worker.
+	oneShots     atomic.Int64
+	oneShotBytes atomic.Int64
 
 	// wireVersion is the chunk format version advertised in Ping replies
 	// (wire.Version by default). Tests advertise an older value via
@@ -71,33 +77,27 @@ type Worker struct {
 	// refuse to ship to.
 	wireVersion int
 
+	// shipHook, when set, sees every shipment stream at each ShipPoint (see
+	// SetShipHook).
+	shipHook func(*ShipEvent) error
+
 	// prepSem bounds the background pipelined-join preparations (partitions
-	// whose shipment completed while later partitions are still in flight)
+	// of a one-shot stream that are complete while later ones still arrive)
 	// to the same width as the join pool.
 	prepSem chan struct{}
-
-	// decPool holds per-RPC columnar decode scratch (a wire.Decoder plus a
-	// column buffer), so concurrent Loads decode without per-chunk allocation.
-	decPool sync.Pool
 
 	m *workerMetrics
 }
 
-// decodeScratch is the pooled per-Load columnar decoding state.
-type decodeScratch struct {
-	dec wire.Decoder
-	col []float64
-}
-
 // workerMetrics is the worker's observability surface: data-plane counters
-// (Load/Join RPCs, tuples, bytes, pairs), retained-tier outcomes, the join
+// (chunks, tuples, bytes, joins, pairs), retained-tier outcomes, the join
 // pool's occupancy, per-partition join latency, and scrape-time occupancy
 // gauges, all in the worker's own registry (see Worker.Metrics). Counter
-// updates on the Load/Join paths are single atomics.
+// updates on the shipment and join paths are single atomics.
 type workerMetrics struct {
 	reg *obs.Registry
 
-	loadRPCs     *obs.Counter
+	loadChunks   *obs.Counter
 	loadTuples   *obs.Counter
 	loadBytes    *obs.Counter
 	loadRawBytes *obs.Counter
@@ -105,7 +105,7 @@ type workerMetrics struct {
 
 	pipelinedPreps *obs.Counter
 
-	deltaLoads    *obs.Counter
+	deltaChunks   *obs.Counter
 	deltaTuples   *obs.Counter
 	staleRebuilds *obs.Counter
 	folds         *obs.Counter
@@ -134,17 +134,17 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 	reg := obs.NewRegistry()
 	m := &workerMetrics{
 		reg:              reg,
-		loadRPCs:         reg.Counter("bandjoin_worker_load_rpcs_total", "Load RPCs accepted."),
-		loadTuples:       reg.Counter("bandjoin_worker_load_tuples_total", "Tuples received via Load."),
-		loadBytes:        reg.Counter("bandjoin_worker_load_bytes_total", "Payload bytes (keys+IDs) received via Load, as shipped on the wire."),
+		loadChunks:       reg.Counter("bandjoin_worker_load_chunks_total", "Chunk frames accepted from shipment streams."),
+		loadTuples:       reg.Counter("bandjoin_worker_load_tuples_total", "Tuples received in shipment streams."),
+		loadBytes:        reg.Counter("bandjoin_worker_load_bytes_total", "Chunk bytes (keys+IDs) received in shipment streams, as shipped on the wire."),
 		loadRawBytes:     reg.Counter("bandjoin_worker_load_raw_bytes_total", "Bytes the received tuples would occupy row-major and uncompressed (raw/wire = compression ratio)."),
-		loadRejected:     reg.Counter("bandjoin_worker_load_rejected_total", "Data-plane RPCs rejected while draining."),
+		loadRejected:     reg.Counter("bandjoin_worker_load_rejected_total", "Shipments and data-plane RPCs rejected while draining."),
 		pipelinedPreps:   reg.Counter("bandjoin_worker_pipelined_preps_total", "Partitions presorted and prepared in the background while the shuffle was still in flight."),
-		deltaLoads:       reg.Counter("bandjoin_worker_delta_loads_total", "Delta Load RPCs appended into sealed retained plans."),
-		deltaTuples:      reg.Counter("bandjoin_worker_delta_tuples_total", "Tuples appended into sealed retained plans via delta Loads."),
+		deltaChunks:      reg.Counter("bandjoin_worker_delta_chunks_total", "Chunk frames of delta streams appended into sealed retained plans."),
+		deltaTuples:      reg.Counter("bandjoin_worker_delta_tuples_total", "Tuples appended into sealed retained plans by delta streams."),
 		staleRebuilds:    reg.Counter("bandjoin_worker_stale_rebuilds_total", "Prepared join structures rebuilt lazily after delta invalidation."),
 		folds:            reg.Counter("bandjoin_worker_folds_total", "Retained partitions whose appended S rows were folded into dim-0 order and given resolved cell lists (T-side structure kept)."),
-		joinRPCs:         reg.Counter("bandjoin_worker_join_rpcs_total", "Join RPCs served."),
+		joinRPCs:         reg.Counter("bandjoin_worker_join_rpcs_total", "Joins served: retained Join RPCs and one-shot stream ends."),
 		partitionsJoined: reg.Counter("bandjoin_worker_partitions_joined_total", "Partition-level local joins executed."),
 		pairsEmitted:     reg.Counter("bandjoin_worker_pairs_emitted_total", "Result pairs produced by local joins."),
 		retainedHits:     reg.Counter("bandjoin_worker_retained_join_total", "Retained-plan join outcomes.", "outcome", "hit"),
@@ -158,18 +158,16 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 		partitionJoinSeconds: reg.Histogram("bandjoin_worker_partition_join_seconds",
 			"Per-partition local-join latency.", obs.LatencyBuckets()),
 		loadChunkBytes: reg.Histogram("bandjoin_worker_load_chunk_bytes",
-			"Per-Load payload size (keys+IDs).", obs.ByteBuckets()),
+			"Per-chunk payload size (keys+IDs).", obs.ByteBuckets()),
 		staleRebuildSeconds: reg.Histogram("bandjoin_worker_stale_rebuild_seconds",
 			"Per-partition lazy prepared-structure rebuild latency.", obs.LatencyBuckets()),
 		foldSeconds: reg.Histogram("bandjoin_worker_fold_seconds",
 			"Per-partition S-side fold latency.", obs.LatencyBuckets()),
 		decodeSeconds: reg.Histogram("bandjoin_worker_decode_seconds",
-			"Per-Load columnar chunk decode latency (wire bytes to partition arenas).", obs.LatencyBuckets()),
+			"Per-chunk columnar decode latency (wire bytes to partition arenas).", obs.LatencyBuckets()),
 	}
-	reg.GaugeFunc("bandjoin_worker_jobs", "Resident transient jobs.", func() float64 {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return float64(len(w.jobs))
+	reg.GaugeFunc("bandjoin_worker_jobs", "One-shot shipment streams open.", func() float64 {
+		return float64(w.oneShots.Load())
 	})
 	reg.GaugeFunc("bandjoin_worker_retained_plans", "Resident retained plans.", func() float64 {
 		w.mu.Lock()
@@ -177,10 +175,10 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 		return float64(len(w.retained))
 	})
 	reg.GaugeFunc("bandjoin_worker_retained_bytes", "Approximate key/ID bytes held by retained plans.", func() float64 {
-		return float64(w.heldBytes(true))
+		return float64(w.retainedBytes())
 	})
-	reg.GaugeFunc("bandjoin_worker_transient_bytes", "Approximate key/ID bytes held by transient jobs.", func() float64 {
-		return float64(w.heldBytes(false))
+	reg.GaugeFunc("bandjoin_worker_transient_bytes", "Approximate key/ID bytes held by open one-shot streams.", func() float64 {
+		return float64(w.oneShotBytes.Load())
 	})
 	reg.GaugeFunc("bandjoin_worker_draining", "1 while the worker is draining.", func() float64 {
 		w.mu.Lock()
@@ -197,9 +195,10 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 // -metrics-addr).
 func (w *Worker) Metrics() *obs.Registry { return w.m.reg }
 
-// beginWork admits one data-plane RPC, or rejects it if the worker is
-// draining. The WaitGroup Add happens under the same lock as the draining
-// check, so Drain can never observe the flag set yet miss an admitted call.
+// beginWork admits one shipment or data-plane RPC, or rejects it if the
+// worker is draining. The WaitGroup Add happens under the same lock as the
+// draining check, so Drain can never observe the flag set yet miss an
+// admitted call.
 func (w *Worker) beginWork() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -213,10 +212,10 @@ func (w *Worker) beginWork() error {
 
 func (w *Worker) endWork() { w.inflight.Done() }
 
-// Drain puts the worker into draining mode — new Load/Join/Seal calls are
-// rejected while Ping, Reset, and Evict keep working — and waits up to
-// timeout for the in-flight data-plane calls to finish. It reports whether
-// everything drained in time; timeout <= 0 waits indefinitely. Drain is the
+// Drain puts the worker into draining mode — new shipments, Join and Seal
+// calls are rejected while Ping and Evict keep working — and waits up to
+// timeout for the work in flight to finish. It reports whether everything
+// drained in time; timeout <= 0 waits indefinitely. Drain is the
 // graceful-shutdown half of cmd/recpartd's signal handling (the other half is
 // closing the listener).
 func (w *Worker) Drain(timeout time.Duration) bool {
@@ -242,65 +241,36 @@ func (w *Worker) Drain(timeout time.Duration) bool {
 	}
 }
 
-// jobState holds one job's partitions. Its mutex guards only the partitions
-// map; every partition carries its own lock so that concurrent Load batches
-// for different partitions append in parallel, and a late Load batch for a
-// partition whose join is already running waits for that join instead of
-// racing it.
-type jobState struct {
-	mu         sync.Mutex
-	partitions map[int]*partitionData
-	// attempt is the lowest shipment number this job accepts Loads of: the
-	// Attempt of the last Reset or Evict that cleared it mid-query, 0 if none
-	// did. Written only when the job is created (under Worker.mu).
-	attempt int
-}
-
-// retainedState is one retained plan: a jobState plus the seal bit that makes
-// it joinable, and its position in the seal order (for cap eviction).
+// retainedState is one retained plan: its partitions, the seal bit that makes
+// it joinable, and its position in the seal order (for cap eviction). Its
+// mutex guards only the partitions map; every partition carries its own lock,
+// so streams append to different partitions in parallel, and a delta landing
+// on a partition whose join is running waits for that join instead of racing
+// it.
 type retainedState struct {
-	jobState
-	sealed bool
-	seq    uint64
+	mu         sync.Mutex
+	partitions map[int]*exec.Partition
+	// attempt is the lowest shipment number this entry accepts streams of:
+	// the Attempt of the Evict that cleared it for a shipment, 0 if none did.
+	// Written only when the entry is created (under Worker.mu).
+	attempt int
+	sealed  bool
+	seq     uint64
 }
 
-// partitionData is one partition a worker holds: its rows and their join
-// structure (exec.Partition, shared with the in-process plane) and, for a
-// transient job's partition, the state of its pipelined background build.
-type partitionData struct {
-	part *exec.Partition
-
-	// mu guards preparing and canceled, and is held across the background
-	// build, so a join that cancels the build waits for one already running.
-	// It is never taken while part's lock is held.
-	mu sync.Mutex
-	// preparing claims the background build, so it is spawned at most once;
-	// canceled marks a partition whose join started first: a queued build
-	// backs off, and the join builds the structure itself exactly once.
-	preparing bool
-	canceled  bool
-}
-
-// readyLocked reports (under p.mu) that no background build was claimed or
-// cancelled yet and that the Load at hand, whose append left sRows and tRows,
-// completed the rows it announced, in a band they can be prepared for.
-// net/rpc dispatches requests out of order, so every data Load checks this.
-func (p *partitionData) readyLocked(args *LoadArgs, sRows, tRows int) bool {
-	return !p.preparing && !p.canceled && sRows == args.ExpectS && tRows == args.ExpectT &&
-		args.Band.Validate() == nil && args.Band.Dims() == p.part.Dims()
+func newRetained(attempt int) *retainedState {
+	return &retainedState{partitions: make(map[int]*exec.Partition), attempt: attempt}
 }
 
 // NewWorker returns a worker service with the given display name.
 func NewWorker(name string) *Worker {
 	w := &Worker{
 		name:        name,
-		jobs:        make(map[string]*jobState),
 		closed:      make(map[string]int),
 		retained:    make(map[string]*retainedState),
 		wireVersion: wire.Version,
 		prepSem:     make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
-	w.decPool.New = func() any { return &decodeScratch{} }
 	w.m = newWorkerMetrics(w)
 	return w
 }
@@ -315,31 +285,61 @@ func (w *Worker) SetWireVersion(v int) {
 	w.wireVersion = v
 }
 
-// heldBytes approximates the key/ID bytes held by the retained-plan registry
-// or by the transient job table. It takes w.mu only to copy the job pointers,
-// each job.mu only to copy its partition pointers and each partition's read
-// lock only to sum, so a scrape never holds two locks at once and cannot
-// deadlock against the Load path (which locks job.mu, then the partition).
-func (w *Worker) heldBytes(retained bool) int64 {
+// ShipPoint is a point of a shipment stream at which the worker's ship hook
+// runs.
+type ShipPoint int
+
+const (
+	// ShipOpen: the header is read; the worker has not acted on it.
+	ShipOpen ShipPoint = iota
+	// ShipChunk: a chunk frame is read, not yet decoded.
+	ShipChunk
+	// ShipReply: the end frame is read (and a one-shot stream joined); the
+	// reply is not yet written.
+	ShipReply
+)
+
+func (p ShipPoint) String() string { return [...]string{"Open", "Chunk", "Reply"}[p] }
+
+// ShipEvent is what a ship hook sees of a stream at one point.
+type ShipEvent struct {
+	ShipHeader
+	At ShipPoint
+	// Conn is the stream's connection.
+	Conn net.Conn
+	// At ShipChunk: the chunk's partition with the row counts its frame
+	// announced, its side, and its bytes (valid during the call only).
+	Partition    int
+	RowsS, RowsT int
+	T            bool
+	Chunk        []byte
+}
+
+// SetShipHook installs fn, which the worker calls at every ShipPoint of every
+// shipment stream it serves; an error it returns ends the stream with that
+// error. Tests use it to tap and to fault shipments. It must be called before
+// the worker starts serving.
+func (w *Worker) SetShipHook(fn func(*ShipEvent) error) { w.shipHook = fn }
+
+// retainedBytes approximates the key/ID bytes held by the retained-plan
+// registry. It takes w.mu only to copy the plan pointers, each plan's mu only
+// to copy its partition pointers and each partition's read lock only to sum,
+// so a scrape never holds two locks at once and cannot deadlock against a
+// stream (which locks the plan, then the partition).
+func (w *Worker) retainedBytes() int64 {
 	w.mu.Lock()
-	var jobs []*jobState
-	if retained {
-		for _, rs := range w.retained {
-			jobs = append(jobs, &rs.jobState)
-		}
-	} else {
-		for _, job := range w.jobs {
-			jobs = append(jobs, job)
-		}
+	plans := make([]*retainedState, 0, len(w.retained))
+	for _, rs := range w.retained {
+		plans = append(plans, rs)
 	}
 	w.mu.Unlock()
 	var parts []*exec.Partition
-	for _, job := range jobs {
-		job.mu.Lock()
-		for _, p := range job.partitions {
-			parts = append(parts, p.part)
+	for _, rs := range plans {
+		rs.mu.Lock()
+		for _, p := range rs.partitions {
+			parts = append(parts, p)
 		}
-		job.mu.Unlock()
+		rs.mu.Unlock()
 	}
 	return exec.Bytes(parts)
 }
@@ -364,151 +364,181 @@ func (w *Worker) SetMaxRetained(n int) {
 }
 
 // Retained reports the number of resident retained plans (sealed or still
-// shipping); tests use it to pin the Reset-scoping regression.
+// shipping).
 func (w *Worker) Retained() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.retained)
 }
 
-// Load implements the RPC method receiving partition input as a columnar
-// chunk of internal/wire.
-func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
-	if err := w.beginWork(); err != nil {
-		return err
+// ServeShipment reads one shipment stream from conn (after its magic, which
+// SplitConn consumed), answers it and closes conn.
+func (w *Worker) ServeShipment(conn net.Conn) {
+	defer conn.Close()
+	st := &shipStream{w: w, conn: conn, sr: shipReader{r: readerOf(conn)}}
+	rep := st.receive()
+	if gob.NewEncoder(conn).Encode(&rep) == nil && rep.Err != "" {
+		// Read the rest, so that the coordinator, still writing, gets to read
+		// the refusal instead of a reset connection.
+		io.Copy(io.Discard, st.sr.r)
 	}
-	defer w.endWork()
-	// The arguments are unvalidated network input (FuzzLoadArgs).
-	if args.Partition < 0 || args.Attempt < 0 || args.ExpectS < 0 || args.ExpectT < 0 {
-		return fmt.Errorf("cluster: worker %s: malformed Load: a negative partition, shipment number or expected count", w.name)
-	}
-	if len(args.Columnar) == 0 {
-		// gob drops the fields this struct no longer has, so this is also what
-		// a coordinator that still ships one of the older row-major forms, or
-		// an end-of-partition marker carrying no data, sends.
-		return fmt.Errorf("cluster: worker %s: Load carries no columnar chunk; this worker reads wire version %d only (the row-major formats before it are gone)",
-			w.name, wire.Version)
-	}
-	// Parse only the header here (it bounds the row count by
-	// wire.MaxChunkRows); the columns are decoded straight into the
-	// partition's arenas once it is resolved.
-	var hdr wire.Decoder
-	n, dims, err := hdr.Begin(args.Columnar)
-	if err != nil {
-		return fmt.Errorf("cluster: worker %s: %w", w.name, err)
-	}
-	if args.Side != "S" && args.Side != "T" {
-		return fmt.Errorf("cluster: unknown relation side %q", args.Side)
-	}
-	if args.Delta && !args.Retain {
-		return fmt.Errorf("cluster: worker %s: delta load requires retain", w.name)
-	}
+}
 
-	job, err := w.jobFor(args)
-	if err != nil {
-		return err
-	}
+// shipStream is the state of one stream being received.
+type shipStream struct {
+	w    *Worker
+	conn net.Conn
+	sr   shipReader
+	hdr  ShipHeader
 
-	job.mu.Lock()
-	p, ok := job.partitions[args.Partition]
-	if !ok {
-		p = &partitionData{part: exec.NewPartition(dims)}
-		job.partitions[args.Partition] = p
-	}
-	job.mu.Unlock()
+	dec         wire.Decoder
+	col         []float64
+	decodeNanos int64
+	// held is the key and ID bytes a one-shot stream holds.
+	held int64
+}
 
-	// Chunks of one partition must agree on dimensionality.
-	if dims != p.part.Dims() {
-		return fmt.Errorf("cluster: worker %s: partition %d chunk has %d dims, want %d",
-			w.name, args.Partition, dims, p.part.Dims())
+// receive reads and applies the stream, joining a one-shot one at its end.
+func (st *shipStream) receive() (rep shipReply) {
+	if err := st.w.beginWork(); err != nil {
+		return shipReply{Err: err.Error()}
 	}
-	var decodeNanos int64
-	sRows, tRows, err := p.part.Append(args.Side == "T", func(rel *data.Relation, ids *[]int64) error {
-		start := time.Now()
-		defer func() { decodeNanos = time.Since(start).Nanoseconds() }()
-		return w.decodeColumnar(args, rel, ids, n, dims)
-	})
+	defer st.w.endWork()
+	var err error
+	if st.hdr, err = st.sr.header(); err == nil {
+		err = st.hook(&ShipEvent{At: ShipOpen})
+	}
+	if err == nil && st.hdr.PlanID == "" {
+		rep.Join, err = st.oneShot()
+	} else if err == nil {
+		err = st.retained()
+	}
+	if err == nil {
+		err = st.hook(&ShipEvent{At: ShipReply})
+	}
+	rep.DecodeNanos = st.decodeNanos
 	if err != nil {
-		return fmt.Errorf("cluster: worker %s: %w", w.name, err)
+		rep.Join, rep.Err = nil, fmt.Sprintf("cluster: worker %s: %v", st.w.name, err)
 	}
-	reply.DecodeNanos = decodeNanos
-	payload := int64(len(args.Columnar))
-	if args.Delta {
-		w.m.deltaLoads.Inc()
-		w.m.deltaTuples.Add(int64(n))
+	return rep
+}
+
+func (st *shipStream) hook(ev *ShipEvent) error {
+	if st.w.shipHook == nil {
+		return nil
 	}
-	if !args.Retain {
-		p.mu.Lock()
-		spawn := p.readyLocked(args, sRows, tRows)
-		p.preparing = p.preparing || spawn
-		p.mu.Unlock()
-		if spawn {
-			w.spawnPrepare(p, args.Band)
+	ev.ShipHeader, ev.Conn = st.hdr, st.conn
+	return st.w.shipHook(ev)
+}
+
+// partitions reads partition frames until the end frame. part resolves the
+// partition a frame's first chunk lands in, given the chunk's dimensionality;
+// done, if set, is called once a partition holds the rows its frame announced.
+func (st *shipStream) partitions(part func(pid, dims int) (*exec.Partition, error), done func(*exec.Partition)) error {
+	for {
+		pid, counts, end, err := st.sr.partition()
+		if err != nil || end {
+			return err
+		}
+		var p *exec.Partition
+		for side, want := range counts {
+			for have := 0; have < want; {
+				chunk, err := st.sr.chunk()
+				if err != nil {
+					return fmt.Errorf("reading a chunk of partition %d: %w", pid, err)
+				}
+				ev := ShipEvent{At: ShipChunk, Partition: pid, RowsS: counts[0], RowsT: counts[1], T: side == 1, Chunk: chunk}
+				if err := st.hook(&ev); err != nil {
+					return err
+				}
+				n, dims, err := st.dec.Begin(chunk)
+				switch {
+				case err != nil:
+					return err
+				case n == 0 || n > want-have:
+					return fmt.Errorf("a chunk of %d rows where partition %d has %d to come", n, pid, want-have)
+				case p == nil:
+					if p, err = part(pid, dims); err != nil {
+						return err
+					}
+				}
+				if dims != p.Dims() {
+					return fmt.Errorf("partition %d chunk has %d dims, want %d", pid, dims, p.Dims())
+				}
+				if err := st.append(p, side == 1, want, n, dims, len(chunk)); err != nil {
+					return err
+				}
+				have += n
+			}
+		}
+		if p != nil && done != nil {
+			done(p)
 		}
 	}
+}
 
-	w.m.loadRPCs.Inc()
-	w.m.loadTuples.Add(int64(n))
-	w.m.loadBytes.Add(payload)
-	w.m.loadRawBytes.Add(wire.RawBytes(n, dims))
-	w.m.loadChunkBytes.Observe(float64(payload))
-	w.m.decodeSeconds.Observe(float64(decodeNanos) / 1e9)
+// append decodes the chunk Begin parsed into one side of p: a block of rows is
+// reserved once, then each key column is decoded and scattered with one
+// strided pass (no row-major intermediate), and the ID column is decoded
+// directly into the grown ID slice. The append is transactional: a chunk that
+// fails to decode part-way leaves the side at its previous length, so the
+// partition never holds half-written rows or more rows than IDs.
+func (st *shipStream) append(p *exec.Partition, toT bool, total, n, dims, size int) error {
+	if cap(st.col) < n {
+		st.col = make([]float64, n)
+	}
+	col := st.col[:n]
+	var nanos int64
+	_, _, err := p.Append(toT, func(rel *data.Relation, ids *[]int64) (err error) {
+		start := time.Now()
+		defer func() { nanos = time.Since(start).Nanoseconds() }()
+		reserveSide(rel, ids, total, n)
+		base, idBase := rel.GrowRows(n), len(*ids)
+		defer func() {
+			if err != nil {
+				rel.Truncate(base)
+				*ids = (*ids)[:idBase]
+			}
+		}()
+		for d := 0; d < dims; d++ {
+			if _, _, err := st.dec.KeyColumn(col); err != nil {
+				return err
+			}
+			rel.SetColumn(base, d, col)
+		}
+		*ids = slices.Grow(*ids, n)[:idBase+n]
+		return st.dec.IDs((*ids)[idBase:])
+	})
+	if err != nil {
+		return err
+	}
+	m, raw := st.w.m, wire.RawBytes(n, dims)
+	st.decodeNanos += nanos
+	if st.hdr.Delta {
+		m.deltaChunks.Inc()
+		m.deltaTuples.Add(int64(n))
+	}
+	if st.hdr.PlanID == "" {
+		st.held += raw
+		st.w.oneShotBytes.Add(raw)
+	}
+	m.loadChunks.Inc()
+	m.loadTuples.Add(int64(n))
+	m.loadBytes.Add(int64(size))
+	m.loadRawBytes.Add(raw)
+	m.loadChunkBytes.Observe(float64(size))
+	m.decodeSeconds.Observe(float64(nanos) / 1e9)
 	return nil
 }
 
-// jobFor resolves (creating if appropriate) the job or retained-plan entry a
-// Load targets. A Load of a shipment older than the entry's last mid-query
-// clearing is refused: its shipment was aborted and is being repeated.
-func (w *Worker) jobFor(args *LoadArgs) (*jobState, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var job *jobState
-	if args.Retain {
-		rs, ok := w.retained[args.JobID]
-		if !ok {
-			if args.Delta {
-				// A delta targets a plan the coordinator believes this worker
-				// holds; if the plan is gone (evicted, restarted), surface the
-				// retained-miss marker so the caller falls back to a cold
-				// shuffle instead of building a partial plan from the delta.
-				return nil, fmt.Errorf("cluster: worker %s: %s %q", w.name, ErrUnknownRetainedPlan, args.JobID)
-			}
-			if _, closed := w.closed[args.JobID]; closed {
-				// Evicted for good: a Load its coordinator gave up on, landing
-				// late, would hold rows no Seal or Evict ever follows.
-				return nil, fmt.Errorf("cluster: worker %s: retained plan %q is closed", w.name, args.JobID)
-			}
-			rs = &retainedState{jobState: jobState{partitions: make(map[int]*partitionData)}}
-			w.retained[args.JobID] = rs
-		} else if rs.sealed && !args.Delta {
-			return nil, fmt.Errorf("cluster: worker %s: retained plan %q is sealed", w.name, args.JobID)
-		}
-		job = &rs.jobState
-	} else {
-		var ok bool
-		if job, ok = w.jobs[args.JobID]; !ok {
-			if _, closed := w.closed[args.JobID]; closed {
-				return nil, fmt.Errorf("cluster: worker %s: job %q is closed", w.name, args.JobID)
-			}
-			job = &jobState{partitions: make(map[int]*partitionData)}
-			w.jobs[args.JobID] = job
-		}
-	}
-	if !args.Delta && args.Attempt < job.attempt {
-		return nil, fmt.Errorf("cluster: worker %s: Load of shipment %d to %q, which was cleared for shipment %d",
-			w.name, args.Attempt, args.JobID, job.attempt)
-	}
-	return job, nil
-}
-
-// reserveAhead bounds what a sender's expected count may reserve: this many
-// times the rows the side holds once the chunk at hand is appended. The count
-// is unvalidated network input — honoured as sent, one small Load claiming 2^40
-// rows allocates terabytes — so it is a hint that costs at most a constant
-// factor over the rows actually received. An honest side of up to 32 chunks
-// still gets its one exact reservation, a larger one a few (each about 33
-// times the last) instead of append's dozens. (At 8 the 2-worker 8-d cluster
-// workload, 27 chunks a side, reserved twice: peak RSS +5%.)
+// reserveAhead bounds what a partition frame's row count may reserve: this
+// many times the rows the side holds once the chunk at hand is appended. The
+// count is unvalidated network input — honoured as sent, one small stream
+// claiming 2^40 rows allocates terabytes — so it is a hint that costs at most a
+// constant factor over the rows actually received. An honest side of up to 32
+// chunks still gets its one exact reservation, a larger one a few (each about
+// 33 times the last) instead of append's dozens. (At 8 the 2-worker 8-d
+// cluster workload, 27 chunks a side, reserved twice: peak RSS +5%.)
 const reserveAhead = 32
 
 // reserveSide makes room for a chunk of n rows on a side that was announced
@@ -522,70 +552,135 @@ func reserveSide(rel *data.Relation, ids *[]int64, total, n int) {
 	}
 }
 
-// decodeColumnar decodes a columnar chunk straight into the partition's
-// arenas: a block of rows is reserved once, then each key column is decoded
-// and scattered with one strided pass (no row-major intermediate), and the ID
-// column is decoded directly into the grown ID slice. The append is
-// transactional: a chunk that fails to decode part-way leaves rel and ids at
-// their previous lengths, so the partition never holds half-written rows or
-// more rows than IDs. Caller holds the partition's write lock.
-func (w *Worker) decodeColumnar(args *LoadArgs, rel *data.Relation, ids *[]int64, n, dims int) (err error) {
-	total := args.ExpectS
-	if args.Side == "T" {
-		total = args.ExpectT
+// oneShot receives a one-shot stream and joins it at its end. Each partition
+// is prepared in the background as soon as its rows are complete (Prepare,
+// which does not presort: keeping arrival order means the probe emits pairs in
+// the exact order a plain per-query join would), overlapping with the
+// partitions still arriving. At the end frame, builds still queued for a slot
+// are dropped — the join builds those partitions itself, once — and running
+// ones are waited for.
+func (st *shipStream) oneShot() (*JoinReply, error) {
+	w, band := st.w, st.hdr.Band
+	if err := band.Validate(); err != nil {
+		return nil, fmt.Errorf("invalid band condition: %w", err)
 	}
-	reserveSide(rel, ids, total, n)
-	sc := w.decPool.Get().(*decodeScratch)
-	defer w.decPool.Put(sc)
-	if _, _, err := sc.dec.Begin(args.Columnar); err != nil {
+	w.oneShots.Add(1)
+	defer func() {
+		w.oneShots.Add(-1)
+		w.oneShotBytes.Add(-st.held)
+	}()
+	parts := make(map[int]*exec.Partition)
+	stop := make(chan struct{})
+	var builds sync.WaitGroup
+	stopBuilds := sync.OnceFunc(func() {
+		close(stop)
+		builds.Wait()
+	})
+	defer stopBuilds()
+	err := st.partitions(func(pid, dims int) (*exec.Partition, error) {
+		switch {
+		case dims != band.Dims():
+			return nil, fmt.Errorf("band condition has %d dimensions but partition %d has %d", band.Dims(), pid, dims)
+		case parts[pid] != nil:
+			return nil, fmt.Errorf("partition %d shipped twice", pid)
+		}
+		parts[pid] = exec.NewPartition(dims)
+		return parts[pid], nil
+	}, func(p *exec.Partition) {
+		// A free slot is claimed right away, so the build runs; without one it
+		// queues until a slot frees or the stream ends.
+		builds.Add(1)
+		var slot bool
+		select {
+		case w.prepSem <- struct{}{}:
+			slot = true
+		default:
+		}
+		go func() {
+			defer builds.Done()
+			if !slot {
+				select {
+				case w.prepSem <- struct{}{}:
+				case <-stop:
+					return
+				}
+			}
+			defer func() { <-w.prepSem }()
+			if p.Prepare(band) {
+				w.m.pipelinedPreps.Inc()
+			}
+		}()
+	})
+	if err != nil {
+		return nil, err
+	}
+	stopBuilds()
+	w.m.joinRPCs.Inc()
+	pids, list := inPidOrder(parts)
+	return &JoinReply{Worker: w.name, Partitions: w.join(pids, list, &st.hdr.JoinArgs, false)}, nil
+}
+
+// inPidOrder lists a map's partitions and their ids in ascending id order.
+func inPidOrder(parts map[int]*exec.Partition) ([]int, []*exec.Partition) {
+	pids := slices.Sorted(maps.Keys(parts))
+	list := make([]*exec.Partition, len(pids))
+	for i, pid := range pids {
+		list[i] = parts[pid]
+	}
+	return pids, list
+}
+
+// retained receives a retained or delta stream into its plan's entry,
+// resolved once: a numbered Evict replaces the entry, so the frames of a
+// stream it aborted can only reach an orphan. A stream numbered below the
+// entry's last clearing is refused: its shipment was aborted and is being
+// repeated.
+func (st *shipStream) retained() error {
+	w, h := st.w, &st.hdr
+	w.mu.Lock()
+	rs, ok := w.retained[h.PlanID]
+	_, closed := w.closed[h.PlanID]
+	var err error
+	switch {
+	case !ok && h.Delta:
+		// A delta targets a plan the coordinator believes this worker holds;
+		// if the plan is gone (evicted, restarted), surface the retained-miss
+		// marker so the caller falls back to a cold shuffle instead of
+		// building a partial plan from the delta.
+		err = fmt.Errorf("%s %q", ErrUnknownRetainedPlan, h.PlanID)
+	case !ok && closed:
+		// Evicted for good: a shipment its coordinator gave up on, read late,
+		// would hold rows no Seal or Evict ever follows.
+		err = fmt.Errorf("retained plan %q is closed", h.PlanID)
+	case !ok:
+		rs = newRetained(0)
+		w.retained[h.PlanID] = rs
+	case !h.Delta && rs.sealed:
+		err = fmt.Errorf("retained plan %q is sealed", h.PlanID)
+	}
+	if err == nil && !h.Delta && h.Attempt < rs.attempt {
+		err = fmt.Errorf("shipment %d to %q, which was cleared for shipment %d", h.Attempt, h.PlanID, rs.attempt)
+	}
+	w.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	if cap(sc.col) < n {
-		sc.col = make([]float64, n)
-	}
-	col := sc.col[:n]
-	base, idBase := rel.GrowRows(n), len(*ids)
-	defer func() {
-		if err != nil {
-			rel.Truncate(base)
-			*ids = (*ids)[:idBase]
+	return st.partitions(func(pid, dims int) (*exec.Partition, error) {
+		rs.mu.Lock()
+		defer rs.mu.Unlock()
+		if rs.partitions[pid] == nil {
+			rs.partitions[pid] = exec.NewPartition(dims)
 		}
-	}()
-	for d := 0; d < dims; d++ {
-		if _, _, err := sc.dec.KeyColumn(col); err != nil {
-			return err
-		}
-		rel.SetColumn(base, d, col)
-	}
-	*ids = slices.Grow(*ids, n)[:idBase+n]
-	return sc.dec.IDs((*ids)[idBase:])
+		return rs.partitions[pid], nil
+	}, nil)
 }
 
-// spawnPrepare launches the background prepare for a partition whose shipment
-// is complete (exec.Partition.Prepare). Unlike Seal it does not presort:
-// localjoin.Prepare is self-contained over unsorted inputs, and keeping arrival
-// order means the probe emits pairs in the exact order a plain per-query join
-// would. The goroutine joins the worker's inflight group so Drain waits for
-// it; p.preparing was claimed by the caller under p.mu, which also checked
-// band against the partition.
-func (w *Worker) spawnPrepare(p *partitionData, band data.Band) {
-	w.inflight.Add(1)
-	go func() {
-		defer w.inflight.Done()
-		w.prepSem <- struct{}{}
-		defer func() { <-w.prepSem }()
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if !p.canceled && p.part.Prepare(band) {
-			w.m.pipelinedPreps.Inc()
-		}
-	}()
-}
-
-// Join implements the RPC method running all local joins of a job. Partitions
-// run on a bounded goroutine pool (JoinArgs.Parallelism, default GOMAXPROCS),
-// and the reply lists partitions in ascending partition-id order so result
-// aggregation and logs are deterministic across runs.
+// Join implements the RPC method running all local joins of a sealed retained
+// plan. Partitions run on a bounded goroutine pool (JoinArgs.Parallelism,
+// default GOMAXPROCS), and the reply lists partitions in ascending
+// partition-id order so result aggregation and logs are deterministic across
+// runs. It fails with ErrUnknownRetainedPlan if the worker does not hold the
+// plan sealed.
 func (w *Worker) Join(args *JoinArgs, reply *JoinReply) error {
 	if err := w.beginWork(); err != nil {
 		return err
@@ -594,43 +689,28 @@ func (w *Worker) Join(args *JoinArgs, reply *JoinReply) error {
 	if err := args.Band.Validate(); err != nil {
 		return fmt.Errorf("cluster: invalid band condition: %w", err)
 	}
-
 	w.m.joinRPCs.Inc()
-	var job *jobState
 	w.mu.Lock()
-	if args.Retained {
-		rs := w.retained[args.JobID]
-		if rs == nil || !rs.sealed {
-			w.mu.Unlock()
-			w.m.retainedMisses.Inc()
-			return fmt.Errorf("cluster: worker %s: %s %q", w.name, ErrUnknownRetainedPlan, args.JobID)
-		}
-		job = &rs.jobState
-		w.m.retainedHits.Inc()
-	} else {
-		job = w.jobs[args.JobID]
+	rs := w.retained[args.PlanID]
+	if rs == nil || !rs.sealed {
+		w.mu.Unlock()
+		w.m.retainedMisses.Inc()
+		return fmt.Errorf("cluster: worker %s: %s %q", w.name, ErrUnknownRetainedPlan, args.PlanID)
 	}
+	w.m.retainedHits.Inc()
 	w.mu.Unlock()
 	reply.Worker = w.name
-	if job == nil {
-		return nil // no partitions were shipped here
-	}
 
-	job.mu.Lock()
-	tasks := make([]joinTask, 0, len(job.partitions))
-	for pid, p := range job.partitions {
-		tasks = append(tasks, joinTask{pid: pid, p: p})
-	}
-	job.mu.Unlock()
-	for _, task := range tasks {
-		if task.p.part.Dims() != args.Band.Dims() {
+	rs.mu.Lock()
+	pids, parts := inPidOrder(rs.partitions)
+	rs.mu.Unlock()
+	for i, p := range parts {
+		if p.Dims() != args.Band.Dims() {
 			return fmt.Errorf("cluster: worker %s: band condition has %d dimensions but partition %d has %d",
-				w.name, args.Band.Dims(), task.pid, task.p.part.Dims())
+				w.name, args.Band.Dims(), pids[i], p.Dims())
 		}
 	}
-	sort.Slice(tasks, func(a, b int) bool { return tasks[a].pid < tasks[b].pid })
-
-	reply.Partitions = w.joinTasksMorsels(tasks, args, w.parallelism(args.Parallelism))
+	reply.Partitions = w.join(pids, parts, args, true)
 	return nil
 }
 
@@ -646,32 +726,27 @@ func (w *Worker) parallelism(asked int) int {
 	return asked
 }
 
-// joinTask is one partition of a Join call, in pid order.
-type joinTask struct {
-	pid int
-	p   *partitionData
-}
-
-// joinTasksMorsels runs a job's local joins: exec.LockForProbe refreshes each
-// retained partition's structure (lazy rebuild and fold) and read-locks the
-// partitions — a transient one's queued background build is cancelled first —
-// then one shared exec.RunMorsels pool drains probe-row ranges of all
-// partitions largest-first, so one fat partition cannot bound the join phase.
-// The read locks are held across the whole morsel phase, so a late Load waits
-// for the join instead of racing it, and each partition's pairs are
-// concatenated in morsel order, so the reply is the same for every MorselRows.
-func (w *Worker) joinTasksMorsels(tasks []joinTask, args *JoinArgs, parallelism int) []PartitionStats {
-	n := len(tasks)
+// join runs one join over partitions in pid order, a retained plan's (Join)
+// or a one-shot stream's: exec.LockForProbe refreshes each retained
+// partition's structure (lazy rebuild and fold) and read-locks the
+// partitions, then one shared exec.RunMorsels pool drains probe-row ranges of
+// all partitions largest-first, so one fat partition cannot bound the join
+// phase. The read locks are held across the whole morsel phase, so a delta
+// waits for the join instead of racing it, and each partition's pairs are
+// concatenated in morsel order, so the reply is the same for every
+// MorselRows.
+func (w *Worker) join(pids []int, parts []*exec.Partition, args *JoinArgs, refresh bool) []PartitionStats {
+	n := len(parts)
 	if n == 0 {
 		return []PartitionStats{}
 	}
+	parallelism := w.parallelism(args.Parallelism)
 	w.m.joinInflight.Add(int64(n))
 	defer w.m.joinInflight.Add(int64(-n))
 
-	parts := make([]*exec.Partition, n)
 	rebuild, fold := make([]int64, n), make([]int64, n)
 	var refreshed func(i int, rebuildNanos, foldNanos int64)
-	if args.Retained {
+	if refresh {
 		refreshed = func(i int, r, f int64) {
 			rebuild[i], fold[i] = r, f
 			if r > 0 {
@@ -684,30 +759,17 @@ func (w *Worker) joinTasksMorsels(tasks []joinTask, args *JoinArgs, parallelism 
 			}
 		}
 	}
-	for i, task := range tasks {
-		parts[i] = task.p.part
-		if !args.Retained {
-			// The join phase has started: a background build still queued
-			// behind the prep semaphore could only duplicate the build this
-			// join runs when it reaches the partition, stealing cores from the
-			// other joins, so it is cancelled. One already running holds p.mu;
-			// this waits for it.
-			task.p.mu.Lock()
-			task.p.canceled = true
-			task.p.mu.Unlock()
-		}
-	}
 	jobs, held, unlock := exec.LockForProbe(parts, args.Band, refreshed, parallelism)
 	defer unlock()
-	// The context never cancels (worker RPCs run to completion), so the only
-	// error path of RunMorsels is unreachable here.
+	// The context never cancels (joins run to completion), so the only error
+	// path of RunMorsels is unreachable here.
 	jres, mstats, _ := exec.RunMorsels(context.Background(), jobs, args.MorselRows, parallelism, args.CollectPairs)
 
 	stats := make([]PartitionStats, n)
-	for i := range tasks {
+	for i, pid := range pids {
 		in := held[i]
 		st := PartitionStats{
-			Partition:    tasks[i].pid,
+			Partition:    pid,
 			InputS:       in.S.Len(),
 			InputT:       in.T.Len(),
 			Output:       jres[i].Count,
@@ -734,33 +796,6 @@ func (w *Worker) joinTasksMorsels(tasks []joinTask, args *JoinArgs, parallelism 
 	return stats
 }
 
-// Reset implements the RPC method discarding a transient job's state. It is
-// deliberately scoped to the transient job table: a plan fingerprint passed as
-// the job ID of a Reset must NOT evict the retained registry, so a failed or
-// aborted query (whose coordinator fires a best-effort Reset on every exit
-// path) can never take warm partitions down with it. Eviction of retained
-// plans is only ever explicit, via Evict.
-//
-// A mid-query Reset (ResetArgs.Attempt) leaves the job in place, emptied: the
-// coordinator reships under the same id, and the emptied job remembers which
-// shipment it was cleared for, so that a Load of the aborted one still in
-// flight is refused instead of landing among the reshipped rows.
-//
-// A final Reset also closes the job id: a Load that the network delayed past the end of its query finds no job, and without the
-// closed set jobFor would create one that no Reset ever follows.
-func (w *Worker) Reset(args *ResetArgs, _ *ResetReply) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	delete(w.jobs, args.JobID)
-	if args.Attempt > 0 && !args.Final {
-		w.jobs[args.JobID] = &jobState{partitions: make(map[int]*partitionData), attempt: args.Attempt}
-	}
-	if args.Final {
-		w.closeLocked(args.JobID)
-	}
-	return nil
-}
-
 // closeLocked remembers id as closed, forgetting the oldest closed id. Caller
 // holds w.mu.
 func (w *Worker) closeLocked(id string) {
@@ -772,24 +807,26 @@ func (w *Worker) closeLocked(id string) {
 	}
 	w.closedRing[w.closedNext] = id
 	w.closed[id] = w.closedNext
-	w.closedNext = (w.closedNext + 1) % closedJobs
+	w.closedNext = (w.closedNext + 1) % closedPlans
 }
 
-// closedJobs is how many closed job and plan ids a worker remembers. A late Load trails
-// its query by at most a call deadline plus retries, so it only has to outlast
-// the queries that can end in that time; an id costs a few dozen bytes.
-const closedJobs = 1024
+// closedPlans is how many closed plan ids a worker remembers. A late stream
+// or Seal trails its query by at most a call deadline plus retries, so it only
+// has to outlast the queries that can end in that time; an id costs a few
+// dozen bytes.
+const closedPlans = 1024
 
 // Seal implements the RPC method completing a retained plan's shipment: it
 // marks the plan joinable, creating an empty entry on workers that received no
 // partitions so a later retained Join can distinguish "sealed, zero
-// partitions" from "evicted". Sealing (exec.Partition.Seal) presorts every
+// partitions" from "evicted". A plan evicted for good stays closed: a Seal
+// that lands after its final Evict is refused rather than bringing back an
+// entry no Evict follows. Sealing (exec.Partition.Seal) presorts every
 // partition's rows on the first join attribute and, for a valid band,
-// prebuilds its ε-grid — both
-// paid once, off every later query's critical path. The ε-grid sorts nothing;
-// the presort gives warm probes their locality and is the order exec.FoldS
-// merges appended S rows into. If the retention cap is exceeded, the
-// least-recently-sealed other plan is evicted.
+// prebuilds its ε-grid — both paid once, off every later query's critical
+// path. The ε-grid sorts nothing; the presort gives warm probes their locality
+// and is the order exec.FoldS merges appended S rows into. If the retention
+// cap is exceeded, the least-recently-sealed other plan is evicted.
 func (w *Worker) Seal(args *SealArgs, reply *SealReply) error {
 	if err := w.beginWork(); err != nil {
 		return err
@@ -801,19 +838,23 @@ func (w *Worker) Seal(args *SealArgs, reply *SealReply) error {
 	w.mu.Lock()
 	rs, ok := w.retained[args.PlanID]
 	if !ok {
-		rs = &retainedState{jobState: jobState{partitions: make(map[int]*partitionData)}}
+		if _, closed := w.closed[args.PlanID]; closed {
+			w.mu.Unlock()
+			return fmt.Errorf("cluster: worker %s: retained plan %q is closed", w.name, args.PlanID)
+		}
+		rs = newRetained(0)
 		w.retained[args.PlanID] = rs
 	}
-	parts := make([]*exec.Partition, 0, len(rs.partitions))
+	var parts []*exec.Partition
 	if !rs.sealed {
-		for _, p := range rs.partitions {
-			parts = append(parts, p.part)
-		}
+		rs.mu.Lock()
+		parts = slices.Collect(maps.Values(rs.partitions))
+		rs.mu.Unlock()
 	}
 	w.mu.Unlock()
 
 	// Seal outside the registry lock; each partition is presorted under its
-	// own write lock, so a straggler Load cannot race the reorder.
+	// own write lock, so a straggler stream cannot race the reorder.
 	exec.SealAll(parts, args.Band, w.parallelism(0))
 
 	w.mu.Lock()
@@ -826,8 +867,8 @@ func (w *Worker) Seal(args *SealArgs, reply *SealReply) error {
 		for len(w.retained) > w.maxRetained {
 			// Only sealed plans are eviction candidates: an unsealed entry is
 			// a shipment in progress (its zero seq would otherwise always sort
-			// oldest), and evicting it mid-load would silently truncate the
-			// data its Seal later marks joinable.
+			// oldest), and evicting it mid-shipment would silently truncate
+			// the data its Seal later marks joinable.
 			oldest, oldestSeq := "", uint64(0)
 			for id, r := range w.retained {
 				if id == args.PlanID || !r.sealed {
@@ -851,8 +892,8 @@ func (w *Worker) Seal(args *SealArgs, reply *SealReply) error {
 // Evict implements the RPC method discarding retained plans: one plan when
 // PlanID is set, the whole registry when it is empty. With EvictArgs.Attempt
 // it clears one plan's partial shipment for the next one, and reopens the plan
-// id. Without, it closes the id like a final Reset: a non-delta Load of the
-// plan that lands after it is refused until a numbered Evict reopens it.
+// id. Without, it closes the id: a non-delta stream or a Seal of the plan that
+// lands after it is refused until a numbered Evict reopens it.
 func (w *Worker) Evict(args *EvictArgs, reply *EvictReply) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -868,10 +909,10 @@ func (w *Worker) Evict(args *EvictArgs, reply *EvictReply) error {
 	}
 	delete(w.retained, args.PlanID)
 	if args.Attempt > 0 {
-		// Cleared to be shipped again (see Reset): keep an unsealed, empty
-		// entry that refuses the aborted shipment's late Loads.
+		// Cleared to be shipped again: keep an unsealed, empty entry that
+		// refuses the aborted shipment's late streams.
 		delete(w.closed, args.PlanID)
-		w.retained[args.PlanID] = &retainedState{jobState: jobState{partitions: make(map[int]*partitionData), attempt: args.Attempt}}
+		w.retained[args.PlanID] = newRetained(args.Attempt)
 	} else {
 		w.closeLocked(args.PlanID)
 	}
@@ -883,7 +924,7 @@ func (w *Worker) Ping(_ *PingArgs, reply *PingReply) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	reply.Worker = w.name
-	reply.Jobs = len(w.jobs)
+	reply.Jobs = int(w.oneShots.Load())
 	reply.Retained = len(w.retained)
 	reply.Draining = w.draining
 	reply.WireVersion = w.wireVersion
@@ -898,23 +939,23 @@ func (w *Worker) Stats(_ *StatsArgs, reply *StatsReply) error {
 	w.mu.Lock()
 	reply.Worker = w.name
 	reply.Draining = w.draining
-	reply.Jobs = len(w.jobs)
 	reply.RetainedPlans = len(w.retained)
 	w.mu.Unlock()
 
-	// Byte sums take per-job/per-partition locks; w.mu is already released.
-	reply.RetainedBytes = w.heldBytes(true)
-	reply.TransientBytes = w.heldBytes(false)
+	// Byte sums take per-plan/per-partition locks; w.mu is already released.
+	reply.RetainedBytes = w.retainedBytes()
+	reply.Jobs = int(w.oneShots.Load())
+	reply.TransientBytes = w.oneShotBytes.Load()
 
 	m := w.m
 	reply.JoinInflight = m.joinInflight.Value()
-	reply.LoadRPCs = m.loadRPCs.Value()
+	reply.LoadChunks = m.loadChunks.Value()
 	reply.LoadTuples = m.loadTuples.Value()
 	reply.LoadBytes = m.loadBytes.Value()
 	reply.LoadRawBytes = m.loadRawBytes.Value()
 	reply.DecodeNanos = int64(m.decodeSeconds.Sum() * 1e9)
 	reply.LoadRejected = m.loadRejected.Value()
-	reply.DeltaLoads = m.deltaLoads.Value()
+	reply.DeltaChunks = m.deltaChunks.Value()
 	reply.DeltaTuples = m.deltaTuples.Value()
 	reply.StaleRebuilds = m.staleRebuilds.Value()
 	reply.StaleRebuildNanos = int64(m.staleRebuildSeconds.Sum() * 1e9)
@@ -935,8 +976,9 @@ func (w *Worker) Stats(_ *StatsArgs, reply *StatsReply) error {
 }
 
 // Serve registers the worker on a fresh RPC server and serves connections on
-// the listener until it is closed. It is intended to be run in a goroutine or
-// as the body of cmd/recpartd.
+// the listener until it is closed: each one a shipment stream or net/rpc, as
+// SplitConn tells them apart. It is intended to be run in a goroutine or as
+// the body of cmd/recpartd.
 func Serve(w *Worker, ln net.Listener) error {
 	srv := rpc.NewServer()
 	if err := srv.RegisterName(ServiceName, w); err != nil {
@@ -948,7 +990,17 @@ func Serve(w *Worker, ln net.Listener) error {
 			// Listener closed: normal shutdown.
 			return nil
 		}
-		go srv.ServeConn(conn)
+		go func() {
+			c, stream, err := SplitConn(conn)
+			switch {
+			case err != nil:
+				conn.Close()
+			case stream:
+				w.ServeShipment(c)
+			default:
+				srv.ServeConn(c)
+			}
+		}()
 	}
 }
 

@@ -13,10 +13,11 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -88,10 +89,10 @@ type Result struct {
 	LoadOverhead   float64 // Lm/L0 − 1
 	PredictedTime  float64 // M(I, Im, Om), seconds
 
-	// RPC data-plane accounting, filled only by the cluster coordinator
-	// (internal/cluster): wire bytes moved during the shuffle (both directions,
-	// post-encoding) and the number of Load RPCs issued. Zero for in-process
-	// runs, which move no bytes over a network.
+	// Cluster data-plane accounting, filled only by the cluster coordinator
+	// (internal/cluster): bytes its shipment streams wrote (post-encoding,
+	// failover reshipments included) and the chunk frames they carried. Zero
+	// for in-process runs, which move no bytes over a network.
 	ShuffleBytes int64
 	ShuffleRPCs  int64
 	// ShuffleRawBytes is what the shipped tuples would occupy row-major and
@@ -102,7 +103,7 @@ type Result struct {
 	// ShuffleEncodeBusy and ShuffleDecodeBusy split the shuffle's codec cost
 	// out of ShuffleTime: the coordinator senders' summed time encoding
 	// columnar chunks, and the workers' summed time decoding them into their
-	// partitions (reported per Load). Both are busy time across concurrent
+	// partitions (reported per stream). Both are busy time across concurrent
 	// senders and workers, so they can exceed the wall time they overlap.
 	ShuffleEncodeBusy time.Duration
 	ShuffleDecodeBusy time.Duration
@@ -480,39 +481,36 @@ func reduce(ctx context.Context, plan partition.Plan, jobs []MorselJob, tuples [
 			}
 		}
 	}
+	res.Account(opts.Model, workerBusy)
+	return res, nil
+}
+
+// Account fills in what follows from a result's per-worker input and output:
+// the most loaded worker's Im, Om and MaxLoad, the Lemma 1 lower bound, the
+// duplication and load overheads, the predicted time, and the makespan of the
+// per-worker busy times; and it sorts the pairs. Both data planes end a query
+// with it.
+func (res *Result) Account(model costmodel.Model, workerBusy []time.Duration) {
 	maxW := 0
-	for w := 1; w < opts.Workers; w++ {
-		lw := opts.Model.Load(float64(res.WorkerInput[w]), float64(res.WorkerOutput[w]))
-		lm := opts.Model.Load(float64(res.WorkerInput[maxW]), float64(res.WorkerOutput[maxW]))
-		if lw > lm {
+	for w := 1; w < res.Workers; w++ {
+		if model.Load(float64(res.WorkerInput[w]), float64(res.WorkerOutput[w])) >
+			model.Load(float64(res.WorkerInput[maxW]), float64(res.WorkerOutput[maxW])) {
 			maxW = w
 		}
 	}
 	res.Im = res.WorkerInput[maxW]
 	res.Om = res.WorkerOutput[maxW]
-	res.MaxLoad = opts.Model.Load(float64(res.Im), float64(res.Om))
-	res.LowerBoundLoad = opts.Model.LowerBoundLoad(float64(res.InputS+res.InputT), float64(res.Output), opts.Workers)
+	res.MaxLoad = model.Load(float64(res.Im), float64(res.Om))
+	res.LowerBoundLoad = model.LowerBoundLoad(float64(res.InputS+res.InputT), float64(res.Output), res.Workers)
 	if res.InputS+res.InputT > 0 {
 		res.DupOverhead = float64(res.TotalInput)/float64(res.InputS+res.InputT) - 1
 	}
 	if res.LowerBoundLoad > 0 {
 		res.LoadOverhead = res.MaxLoad/res.LowerBoundLoad - 1
 	}
-	res.PredictedTime = opts.Model.Predict(float64(res.TotalInput), float64(res.Im), float64(res.Om))
-	for _, busy := range workerBusy {
-		if busy > res.Makespan {
-			res.Makespan = busy
-		}
-	}
-	if opts.CollectPairs {
-		sort.Slice(res.Pairs, func(a, b int) bool {
-			if res.Pairs[a].S != res.Pairs[b].S {
-				return res.Pairs[a].S < res.Pairs[b].S
-			}
-			return res.Pairs[a].T < res.Pairs[b].T
-		})
-	}
-	return res, nil
+	res.PredictedTime = model.Predict(float64(res.TotalInput), float64(res.Im), float64(res.Om))
+	res.Makespan = slices.Max(append(workerBusy, 0))
+	slices.SortFunc(res.Pairs, func(a, b Pair) int { return cmp.Or(cmp.Compare(a.S, b.S), cmp.Compare(a.T, b.T)) })
 }
 
 // String returns a one-line summary of the result.

@@ -32,7 +32,8 @@ func fuzzSeedChunks() [][]byte {
 
 // FuzzDecode feeds arbitrary bytes to the decoder: it must return an error or
 // a chunk that re-encodes losslessly, and never panic. Begin bounds the row
-// count by MaxChunkRows, which bounds what this test and the decoder allocate.
+// count by MaxChunkRows and the values by MaxChunkValues, which bounds what
+// this test and the decoder allocate.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range fuzzSeedChunks() {
 		f.Add(seed)
@@ -43,7 +44,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n > MaxChunkRows || dims > maxDims {
+		if n > MaxChunkRows || dims > maxDims || n*(dims+1) > MaxChunkValues {
 			t.Fatalf("Begin accepted %d rows x %d dims", n, dims)
 		}
 		if dims > 4 {

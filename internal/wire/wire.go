@@ -1,5 +1,5 @@
 // Package wire implements the cluster's columnar chunk format (shuffle
-// protocol v3). A chunk carries n tuples as dims key columns plus one tuple-ID
+// protocol v4, whose shipment streams carry these chunks). A chunk carries n tuples as dims key columns plus one tuple-ID
 // column; every column is encoded independently as one of two encodings:
 //
 //	chunk  := version(1B) uvarint(n) uvarint(dims) column{dims+1}
@@ -20,7 +20,7 @@
 // column decoding perform zero allocations (pinned by TestWireSteadyStateAllocs
 // and CI's allocation-check step). Decoding is defensive: malformed input from
 // the network returns an error, never panics, and allocates at most
-// MaxChunkRows values of scratch.
+// MaxChunkValues values of scratch.
 package wire
 
 import (
@@ -32,10 +32,11 @@ import (
 	"slices"
 )
 
-// Version is the chunk format version this package encodes. It is also the
-// wire version advertised in cluster Ping replies; a coordinator refuses to
-// ship to a peer that reports an older one.
-const Version = 3
+// Version is the shuffle protocol version: this package's chunk format inside
+// the cluster's shipment streams. It is the wire version advertised in cluster
+// Ping replies; a coordinator refuses to ship to a peer that reports an older
+// one.
+const Version = 4
 
 // chunkVersion is the leading byte of every encoded chunk.
 const chunkVersion = 2
@@ -44,6 +45,16 @@ const chunkVersion = 2
 // width 0 has an empty payload, so the payload cannot bound the count; this
 // constant does, and with it what a decoder allocates for one chunk.
 const MaxChunkRows = 1 << 20
+
+// MaxChunkValues bounds the values a chunk may declare, rows × (dims + 1)
+// counting the ID column: what decoding one chunk makes a worker hold. A chunk
+// of width-0 packed columns is a few bytes a column whatever its row count, so
+// MaxChunkRows alone would let 1.2 KB ask for 2^20 rows × 64 dims.
+const MaxChunkValues = 1 << 20
+
+// MaxChunkBytes bounds an encoded chunk: MaxChunkValues raw64 values, a header
+// per column and the chunk header. A packed column is never larger than raw64.
+const MaxChunkBytes = 1 + 2*binary.MaxVarintLen64 + 8*MaxChunkValues + (maxDims+1)*(1+deltaHeader)
 
 // maxDims bounds the dimensionality a chunk may declare.
 const maxDims = 4096
@@ -153,16 +164,15 @@ func NewEncoder(Mode) *Encoder { return &Encoder{} }
 
 // EncodeChunk encodes a chunk of n = len(ids) tuples whose keys are the given
 // row-major slab (len(keys) == n*dims). The returned slice aliases the
-// encoder's internal buffer and is valid until the next call; net/rpc's gob
-// codec serializes arguments synchronously inside Go(), so senders may reuse
-// the encoder immediately after the call is issued.
+// encoder's internal buffer and is valid until the next call: a sender writes
+// it to its stream before encoding the next chunk.
 func (e *Encoder) EncodeChunk(keys []float64, dims int, ids []int64) []byte {
 	n := len(ids)
 	if len(keys) != n*dims {
 		panic(fmt.Sprintf("wire: EncodeChunk: %d key values for %d tuples x %d dims", len(keys), n, dims))
 	}
-	if n > MaxChunkRows {
-		panic(fmt.Sprintf("wire: EncodeChunk: %d tuples exceed MaxChunkRows", n))
+	if n > MaxChunkRows || n*(dims+1) > MaxChunkValues {
+		panic(fmt.Sprintf("wire: EncodeChunk: %d tuples x %d dims exceed MaxChunkRows or MaxChunkValues", n, dims))
 	}
 	buf := e.buf[:0]
 	buf = append(buf, chunkVersion)
@@ -413,7 +423,7 @@ func (d *Decoder) Begin(raw []byte) (n, dims int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if un > MaxChunkRows || ud == 0 || ud > maxDims {
+	if un > MaxChunkRows || ud == 0 || ud > maxDims || un*(ud+1) > MaxChunkValues {
 		return 0, 0, errCorrupt
 	}
 	d.n, d.dims = int(un), int(ud)

@@ -490,3 +490,30 @@ func TestDecoderRejectsMalformedChunks(t *testing.T) {
 		t.Fatal("IDs before KeyColumn should fail")
 	}
 }
+
+// TestBeginBoundsChunkValues is the regression test for a chunk that asked a
+// worker for half a gigabyte: 2^20 rows (MaxChunkRows) of 64 dimensions, every
+// column packed at width 0, so that 1 240 bytes declare 65 columns of 2^20
+// values. Begin, which sizes nothing yet, must refuse it; a chunk of the same
+// shape within the bound still decodes.
+func TestBeginBoundsChunkValues(t *testing.T) {
+	chunk := func(rows, dims uint64) []byte {
+		b := binary.AppendUvarint([]byte{chunkVersion}, rows)
+		b = binary.AppendUvarint(b, dims)
+		for c := uint64(0); c <= dims; c++ {
+			b = append(append(b, encPacked), make([]byte, plainHeader)...)
+		}
+		return b
+	}
+	var dec Decoder
+	hostile := chunk(1<<20, 64)
+	if len(hostile) != 1240 {
+		t.Fatalf("the hostile chunk is %d bytes, want 1240", len(hostile))
+	}
+	if n, dims, err := dec.Begin(hostile); err == nil {
+		t.Errorf("Begin accepted a %d-byte chunk declaring %d rows x %d dims", len(hostile), n, dims)
+	}
+	if _, _, err := dec.Begin(chunk(1<<20/65, 64)); err != nil {
+		t.Errorf("Begin refused a chunk within the bound: %v", err)
+	}
+}

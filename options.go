@@ -22,13 +22,12 @@ type resolved struct {
 	EstimateOnly    bool
 	Seed            int64
 	ChunkSize       int
-	Window          int
 	JoinParallelism int
 	MorselRows      int
 }
 
 // resolve validates the options and fills defaults. Nonsensical values —
-// negative Workers, ClusterChunkSize, ClusterWindow, ClusterJoinParallelism,
+// negative Workers, ClusterChunkSize, ClusterJoinParallelism,
 // or sample sizes — are errors rather than being silently replaced, so a
 // caller who mis-derives a knob hears about it instead of getting a default.
 func (o Options) resolve() (resolved, error) {
@@ -42,9 +41,6 @@ func (o Options) resolve() (resolved, error) {
 	}
 	if o.ClusterChunkSize < 0 || o.ClusterChunkSize > wire.MaxChunkRows {
 		return r, fmt.Errorf("bandjoin: ClusterChunkSize must be in [0, %d], got %d", wire.MaxChunkRows, o.ClusterChunkSize)
-	}
-	if o.ClusterWindow < 0 {
-		return r, fmt.Errorf("bandjoin: ClusterWindow must be >= 0, got %d", o.ClusterWindow)
 	}
 	if o.ClusterJoinParallelism < 0 {
 		return r, fmt.Errorf("bandjoin: ClusterJoinParallelism must be >= 0, got %d", o.ClusterJoinParallelism)
@@ -78,7 +74,6 @@ func (o Options) resolve() (resolved, error) {
 	r.EstimateOnly = o.EstimateOnly
 	r.Seed = o.Seed
 	r.ChunkSize = o.ClusterChunkSize
-	r.Window = o.ClusterWindow
 	r.JoinParallelism = o.ClusterJoinParallelism
 	r.MorselRows = o.MorselRows // negative is meaningful: one morsel per partition
 	return r, nil
