@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"bandjoin/internal/cluster"
+	"bandjoin/internal/core"
 	"bandjoin/internal/exec"
 	"bandjoin/internal/obs"
+	"bandjoin/internal/partition"
 	"bandjoin/internal/sample"
 )
 
@@ -675,7 +677,7 @@ func (e *Engine) Join(ctx context.Context, sName, tName string, band Band, opts 
 	}
 	planTime := time.Since(planStart)
 	e.m.planSeconds.ObserveDuration(planTime)
-	tr.AddSpan("plan", planStart, time.Now(), tr.PlanTier)
+	tr.AddSpan("plan", planStart, time.Now(), planDetail(tr.PlanTier, hit, pe.prep.Plan))
 	tr.Partitioner = pe.prep.Partitioner
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -736,6 +738,16 @@ func (e *Engine) Join(ctx context.Context, sName, tName string, band Band, opts 
 	e.finishTrace(tr, res, start, end)
 	e.m.querySeconds.ObserveDuration(end.Sub(start))
 	return res, nil
+}
+
+// planDetail is the plan span's detail: the cache tier, and on a miss the
+// optimizer's exact work counts when the partitioner reports them.
+func planDetail(tier string, hit bool, plan partition.Plan) string {
+	cp, ok := plan.(*core.Plan)
+	if hit || !ok {
+		return tier
+	}
+	return fmt.Sprintf("%s candidates=%d scored=%d iterations=%d", tier, cp.Work.Candidates, cp.Work.Scored, cp.Work.Iterations)
 }
 
 // finishTrace copies the result's accounting into the trace and attaches it.

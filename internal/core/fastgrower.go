@@ -128,19 +128,23 @@ type sampleColumns struct {
 	s, t, outS, outT *sample.Columns
 }
 
-// evalScratch is one sweep worker's private value buffers.
+// evalScratch is one sweep worker's private value buffers, and the block
+// bounds of sweepDim.
 type evalScratch struct {
 	sv, tv, ovS, ovT, cands []float64
 	cS, cT                  []int32
+	bounds                  []sweepBound
 }
 
-// evalTask is one per-dimension sweep of one leaf; result holds the
-// dimension's best candidate after runTasks.
+// evalTask is one per-dimension sweep of one leaf; after runTasks, result
+// holds the dimension's best candidate, and cands and scored the candidates
+// generated and the ones the per-candidate loop scored.
 type evalTask struct {
-	n      *node
-	dim    int
-	lpSq   float64
-	result candidate
+	n             *node
+	dim           int
+	lpSq          float64
+	result        candidate
+	cands, scored int
 }
 
 // plannerScratch is the reusable state of one fast plan computation, checked
@@ -196,6 +200,7 @@ func growTree(ctx *partition.Context, opts Options) (growEnv, int) {
 	growBytes(&f.sc.membOut, smp.OutS.Len())
 	f.initialize()
 	chosen := f.grow()
+	f.work.Iterations = len(f.actions)
 	return f.growEnv, chosen
 }
 
@@ -474,6 +479,8 @@ func (f *fastGrower) evalBatch(a, b *node) {
 		if t.result.sc.better(t.n.best.sc) {
 			t.n.best = t.result
 		}
+		f.work.Candidates += int64(t.cands)
+		f.work.Scored += int64(t.scored)
 	}
 }
 
@@ -491,8 +498,7 @@ func (f *fastGrower) runTasks(tasks []evalTask) {
 	if workers <= 1 {
 		es := &f.sc.evals[0]
 		for i := range tasks {
-			t := &tasks[i]
-			t.result = f.evalDim(t.n, t.dim, t.lpSq, es)
+			f.evalDim(&tasks[i], es)
 		}
 		return
 	}
@@ -504,8 +510,7 @@ func (f *fastGrower) runTasks(tasks []evalTask) {
 			if i >= len(tasks) {
 				return
 			}
-			t := &tasks[i]
-			t.result = f.evalDim(t.n, t.dim, t.lpSq, es)
+			f.evalDim(&tasks[i], es)
 		}
 	}
 	for w := 1; w < workers; w++ {
@@ -522,18 +527,20 @@ func (f *fastGrower) runTasks(tasks []evalTask) {
 // evalDim computes one dimension's best candidate for a leaf: gather the
 // leaf's sorted values from its inherited views (no sorting), merge S and T
 // linearly, form the candidate mid-points, and run the shared sweep.
-func (f *fastGrower) evalDim(n *node, dim int, lpSq float64, es *evalScratch) candidate {
-	d := f.dims
+func (f *fastGrower) evalDim(t *evalTask, es *evalScratch) {
+	n, dim, d := t.n, t.dim, f.dims
 	es.sv = gatherVals(f.cols.s.Col(dim), n.sView(dim), es.sv)
 	es.tv = gatherVals(f.cols.t.Col(dim), n.tView(d, dim), es.tv)
 	es.ovS = gatherVals(f.cols.outS.Col(dim), n.outSView(d, dim), es.ovS)
 	es.ovT = gatherVals(f.cols.outT.Col(dim), n.outTView(d, dim), es.ovT)
 	es.cands, es.cS, es.cT = candsFromSorted(es.sv, es.tv, n.region.Lo[dim], n.region.Hi[dim],
 		es.cands[:0], es.cS[:0], es.cT[:0])
-	if len(es.cands) == 0 {
-		return candidate{sc: invalidScore()}
+	t.cands = len(es.cands)
+	if t.cands == 0 {
+		t.result = candidate{sc: invalidScore()}
+		return
 	}
-	return f.sweepDim(dim, es.sv, es.tv, es.ovS, es.ovT, es.cands, es.cS, es.cT, lpSq)
+	t.result, t.scored = f.sweepDim(dim, es, t.lpSq)
 }
 
 // gatherVals returns the column's values of the referenced sample tuples, in
@@ -552,7 +559,10 @@ func gatherVals(col []float64, idx []int32, buf []float64) []float64 {
 // restricted to the open interval (lo, hi) — together with the per-candidate
 // counts of S and T values strictly below each point (the sweep's unshifted
 // pointers). One merge pass does all three: at the moment a candidate is
-// emitted, the merge positions are exactly those counts.
+// emitted, the merge positions are exactly those counts. Both inputs sort NaN
+// last (data.Argsort's order), and so does the merge — S first on ties, and
+// a NaN on either side waits for every value of the other — so no candidate
+// is lost and no NaN is counted below one.
 func candsFromSorted(sv, tv []float64, lo, hi float64, out []float64, cS, cT []int32) ([]float64, []int32, []int32) {
 	i, j := 0, 0
 	have := false
@@ -560,7 +570,7 @@ func candsFromSorted(sv, tv []float64, lo, hi float64, out []float64, cS, cT []i
 	for i < len(sv) || j < len(tv) {
 		pi, pj := i, j
 		var v float64
-		if j >= len(tv) || (i < len(sv) && sv[i] <= tv[j]) {
+		if j >= len(tv) || (i < len(sv) && (sv[i] <= tv[j] || tv[j] != tv[j])) {
 			v = sv[i]
 			i++
 		} else {

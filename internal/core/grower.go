@@ -63,6 +63,9 @@ type growEnv struct {
 	// Floating-point addition is order-sensitive: reordering these updates
 	// changes plans.
 	totalInput float64
+
+	// work is what the growth did, reported as Plan.Work.
+	work PlanWork
 }
 
 func newGrowEnv(ctx *partition.Context, opts Options) growEnv {
@@ -178,20 +181,170 @@ func (e *growEnv) evalSmall(n *node) candidate {
 	return candidate{sc: invalidScore()}
 }
 
-// sweepDim scores every candidate split point of one dimension and returns the
-// dimension's best candidate, visiting candidates in ascending order and
-// scoring the T-split before the S-split at each point. The value slices must
-// be the leaf's sample values in that dimension, sorted ascending; cands, cS,
-// and cT must come from candsFromSorted over sv and tv:
-// the candidate points plus, per candidate, the number of S and T values
-// strictly below it.
-func (e *growEnv) sweepDim(dim int, sv, tv, ovS, ovT, cands []float64, cS, cT []int32, lpSq float64) candidate {
+// sweepBlock is the number of consecutive candidates that share one bound in
+// sweepDim. A constant, not an option: DESIGN.md "Score arithmetic" records
+// the 32/64/128 measurement that chose it.
+const sweepBlock = 32
+
+// Slack of sweepDim's pruning test. A block is skipped only when its bound
+// is below the threshold by more than both, so floating-point rounding can
+// never turn a skipped candidate into one the full scan would have kept:
+//
+//   - pruneAbsSlack (a fraction of lpSq + 4·base², added to the bound's
+//     variance reduction; 2^13 ulps) covers the absolute rounding of lpSq − lL² − lR²,
+//     which cancels to a few ulps of that scale — lL, lR ≤ 2·base and
+//     lpSq ≈ base² — both in a candidate's own expression and in the
+//     bound's monotone form of lR;
+//   - pruneRelSlack (relative, on the ratio) covers the running best's
+//     multiply-form comparison, which can let the best ratio slip by ≈2 ulps
+//     per accepted candidate: 2^-24 outlasts 2^26 acceptances, more
+//     candidates than any sample has.
+const (
+	pruneAbsSlack = 0x1p-40
+	pruneRelSlack = 0x1p-24
+)
+
+// sweepBound is one block's state in sweepDim: the six sweep pointers at its
+// first candidate, and per split kind an upper bound on the ratio any of its
+// candidates can score (−1 when none can reduce the variance).
+type sweepBound struct {
+	pTHigh, pTLow, pOS, pSLow, pSHigh, pOT int32
+	ubT, ubS                               float64
+}
+
+// sweepDim returns the best candidate split of one dimension of a leaf, the
+// one the full scan finds: every candidate visited in ascending order, the
+// T-split scored before the S-split at each point, the running best replaced
+// by each candidate that beats it. es holds the leaf's sample values in that
+// dimension, sorted ascending (NaN last), and cands, cS and cT from
+// candsFromSorted over them: the candidate points plus, per candidate, the
+// number of S and T values strictly below it. The second result is how many
+// candidates the per-candidate loop scored.
+//
+// Branch and bound. The candidates are cut into blocks of sweepBlock. One
+// forward pass records the pointers at each block's first candidate, scores
+// each block's first and last candidate exactly (the largest ratio among them
+// is the threshold τ), and bounds each block per split kind: every count is
+// non-decreasing in x and every coefficient non-negative, so over a block lL
+// is at least its value at the first candidate, lR — in its monotone form
+// base − b2s·pS − b2t·pTLow − b3o·pOS (S-split: base − b2s·pSHigh − b2t·pT −
+// b3o·pOT) — at least its value at the last, and the duplication at least
+// pTHigh(first) − pTLow(last) (S-split: pSLow(first) − pSHigh(last)). The
+// per-candidate loop then runs, unchanged, only over the blocks and kinds
+// whose bound reaches τ, restarting its pointers from the recorded ones.
+//
+// Why the result is the full scan's: the returned state is that of the last
+// accepted candidate. Once the scan has visited the candidate that set τ, its
+// running best stays at τ (less the slip pruneRelSlack covers), so the last
+// accepted candidate scores at least that and sits in an unpruned block. A
+// skipped candidate scores below τ by more than the slack: if the full scan
+// accepted it at all, it was an intermediate best. The first later candidate
+// that scores clearly above every skipped one — the last accepted is such a
+// candidate — beats either scan's running best by more than rounding, so both
+// scans accept it and agree from there on.
+func (e *growEnv) sweepDim(dim int, es *evalScratch, lpSq float64) (candidate, int) {
+	sv, tv, ovS, ovT := es.sv, es.tv, es.ovS, es.ovT
+	cands, cS, cT := es.cands, es.cS, es.cT
 	nS, nT, nOut := len(sv), len(tv), len(ovS)
 	low, high := e.band.Low[dim], e.band.High[dim]
 	b2s, b2t, b3o := e.b2s, e.b2t, e.b3o
+	invS, invT := e.invS, e.invT
 	varFactor, smoothing := e.varFactor, e.smoothing
 	symmetric := e.opts.Symmetric
 
+	// The two loads are linked: lL + lR equals the leaf's duplication-free
+	// total plus the duplicated tuples' contribution, so lR is one fused
+	// multiply-add away from lL instead of a second full dot product.
+	base := b2s*float64(nS) + b2t*float64(nT) + b3o*float64(nOut)
+	scoreT := func(pS, pTHigh, pTLow, pOS int) (varRed, dup float64) {
+		dupT := float64(pTHigh - pTLow) // tLeft + tRight − nT, exactly
+		lL := b2s*float64(pS) + b2t*float64(pTHigh) + b3o*float64(pOS)
+		lR := base - lL + b2t*dupT
+		return varFactor * (lpSq - lL*lL - lR*lR), dupT * invT
+	}
+	scoreS := func(pT, pSLow, pSHigh, pOT int) (varRed, dup float64) {
+		dupS := float64(pSLow - pSHigh) // sL + sR − nS, exactly
+		lL := b2s*float64(pSLow) + b2t*float64(pT) + b3o*float64(pOT)
+		lR := base - lL + b2s*dupS
+		return varFactor * (lpSq - lL*lL - lR*lR), dupS * invS
+	}
+
+	// --- Bounding pass. Monotone pointers into the sorted value arrays;
+	// every threshold is a non-decreasing function of x, so one forward pass
+	// suffices. The unshifted counts (S and T values below x itself) ride
+	// along with the candidates, so only the band-shifted thresholds advance.
+	nb := (len(cands) + sweepBlock - 1) / sweepBlock
+	if cap(es.bounds) < nb {
+		// Sized by the candidates' capacity, so the bounds grow only when
+		// the candidates do.
+		es.bounds = make([]sweepBound, (cap(cands)+sweepBlock-1)/sweepBlock)
+	}
+	bounds := es.bounds[:nb]
+	absSlack := pruneAbsSlack * varFactor * (lpSq + 4*base*base)
+	tau := 0.0
+	seed := func(varRed, dup float64) {
+		if varRed > 0 {
+			if r := varRed / (dup + smoothing); r > tau {
+				tau = r
+			}
+		}
+	}
+	bound := func(lLMin, lRMin, dupMin, inv float64) float64 {
+		lRMin = max(lRMin, 0)
+		varRed := varFactor*(lpSq-lLMin*lLMin-lRMin*lRMin) + absSlack
+		if !(varRed > 0) {
+			return -1
+		}
+		return varRed / (max(dupMin, 0)*inv + smoothing)
+	}
+	var pTHigh, pTLow, pOS int // T-split pointers
+	var pSLow, pSHigh, pOT int // S-split pointers
+	for b := range bounds {
+		bd := &bounds[b]
+		first := b * sweepBlock
+		last := min(first+sweepBlock, len(cands)) - 1
+
+		x := cands[first]
+		pTHigh = advance(tv, pTHigh, x+high)
+		pTLow = advance(tv, pTLow, x-low)
+		pOS = advance(ovS, pOS, x)
+		fS, fTHigh, fOS := int(cS[first]), pTHigh, pOS
+		seed(scoreT(fS, pTHigh, pTLow, pOS))
+		bd.pTHigh, bd.pTLow, bd.pOS = int32(pTHigh), int32(pTLow), int32(pOS)
+		x = cands[last]
+		pTHigh = advance(tv, pTHigh, x+high)
+		pTLow = advance(tv, pTLow, x-low)
+		pOS = advance(ovS, pOS, x)
+		lS := int(cS[last])
+		seed(scoreT(lS, pTHigh, pTLow, pOS))
+		bd.ubT = bound(b2s*float64(fS)+b2t*float64(fTHigh)+b3o*float64(fOS),
+			base-(b2s*float64(lS)+b2t*float64(pTLow)+b3o*float64(pOS)),
+			float64(fTHigh-pTLow), invT)
+
+		if !symmetric {
+			continue
+		}
+		x = cands[first]
+		pSLow = advance(sv, pSLow, x+low)
+		pSHigh = advance(sv, pSHigh, x-high)
+		pOT = advance(ovT, pOT, x)
+		fT, fSLow, fOT := int(cT[first]), pSLow, pOT
+		seed(scoreS(fT, pSLow, pSHigh, pOT))
+		bd.pSLow, bd.pSHigh, bd.pOT = int32(pSLow), int32(pSHigh), int32(pOT)
+		x = cands[last]
+		pSLow = advance(sv, pSLow, x+low)
+		pSHigh = advance(sv, pSHigh, x-high)
+		pOT = advance(ovT, pOT, x)
+		lT := int(cT[last])
+		seed(scoreS(lT, pSLow, pSHigh, pOT))
+		bd.ubS = bound(b2s*float64(fSLow)+b2t*float64(fT)+b3o*float64(fOT),
+			base-(b2s*float64(pSHigh)+b2t*float64(lT)+b3o*float64(pOT)),
+			float64(fSLow-pSHigh), invS)
+	}
+	cut := tau * (1 - pruneRelSlack)
+
+	// --- The per-candidate loop over the blocks that can win.
+	//
 	// The running best is tracked as (ratio, varRed); a challenger wins when
 	// varRed > ratio·(dup'+δ) — the multiply form of the ratio comparison —
 	// so the division is paid only by the rare improving candidate, not by
@@ -215,57 +368,50 @@ func (e *growEnv) sweepDim(dim int, sv, tv, ovS, ovT, cands []float64, cS, cT []
 		bestX, bestKind = x, kind
 		found = true
 	}
-
-	// Monotone pointers into the sorted value arrays; every threshold is
-	// a non-decreasing function of the candidate x, so one sweep suffices.
-	// The unshifted counts (S and T values below x itself) ride along with
-	// the candidates, so only the band-shifted thresholds advance here.
-	// The two loads are linked: lL + lR equals the leaf's duplication-free
-	// total plus the duplicated tuples' contribution, so lR is one
-	// fused multiply-add away from lL instead of a second full dot product.
-	base := b2s*float64(nS) + b2t*float64(nT) + b3o*float64(nOut)
-
-	var pTHigh, pTLow, pOS int // T-split pointers
-	var pSLow, pSHigh, pOT int // S-split pointers
-	for ci, x := range cands {
-		// --- T-split: partition S at x, duplicate T within the band.
-		pS := int(cS[ci])
-		pTHigh = advance(tv, pTHigh, x+high)
-		pTLow = advance(tv, pTLow, x-low)
-		pOS = advance(ovS, pOS, x)
-
-		dupT := float64(pTHigh - pTLow) // tLeft + tRight − nT, exactly
-		lL := b2s*float64(pS) + b2t*float64(pTHigh) + b3o*float64(pOS)
-		lR := base - lL + b2t*dupT
-		if varRed := varFactor * (lpSq - lL*lL - lR*lR); varRed > 0 {
-			consider(varRed, dupT*e.invT, x, splitT)
-		}
-
-		if !symmetric {
+	scored := 0
+	for b := range bounds {
+		bd := &bounds[b]
+		runT := bd.ubT >= cut
+		runS := symmetric && bd.ubS >= cut
+		if !runT && !runS {
 			continue
 		}
-		// --- S-split: partition T at x, duplicate S within the band.
-		pT := int(cT[ci])
-		pSLow = advance(sv, pSLow, x+low)
-		pSHigh = advance(sv, pSHigh, x-high)
-		pOT = advance(ovT, pOT, x)
-
-		dupS := float64(pSLow - pSHigh) // sL + sR − nS, exactly
-		lL = b2s*float64(pSLow) + b2t*float64(pT) + b3o*float64(pOT)
-		lR = base - lL + b2s*dupS
-		if varRed := varFactor * (lpSq - lL*lL - lR*lR); varRed > 0 {
-			consider(varRed, dupS*e.invS, x, splitS)
+		first := b * sweepBlock
+		last := min(first+sweepBlock, len(cands))
+		scored += last - first
+		pTHigh, pTLow, pOS = int(bd.pTHigh), int(bd.pTLow), int(bd.pOS)
+		pSLow, pSHigh, pOT = int(bd.pSLow), int(bd.pSHigh), int(bd.pOT)
+		for ci := first; ci < last; ci++ {
+			x := cands[ci]
+			if runT {
+				// T-split: partition S at x, duplicate T within the band.
+				pTHigh = advance(tv, pTHigh, x+high)
+				pTLow = advance(tv, pTLow, x-low)
+				pOS = advance(ovS, pOS, x)
+				if varRed, dup := scoreT(int(cS[ci]), pTHigh, pTLow, pOS); varRed > 0 {
+					consider(varRed, dup, x, splitT)
+				}
+			}
+			if runS {
+				// S-split: partition T at x, duplicate S within the band.
+				pSLow = advance(sv, pSLow, x+low)
+				pSHigh = advance(sv, pSHigh, x-high)
+				pOT = advance(ovT, pOT, x)
+				if varRed, dup := scoreS(int(cT[ci]), pSLow, pSHigh, pOT); varRed > 0 {
+					consider(varRed, dup, x, splitS)
+				}
+			}
 		}
 	}
 	if !found {
-		return candidate{sc: invalidScore()}
+		return candidate{sc: invalidScore()}, scored
 	}
 	return candidate{
 		sc:   score{valid: true, dup: bestDup, varRed: bestVarRed, ratio: bestRatio},
 		dim:  dim,
 		val:  bestX,
 		kind: bestKind,
-	}
+	}, scored
 }
 
 // advance moves pointer p forward until vals[p] >= threshold and returns the

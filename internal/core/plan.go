@@ -28,6 +28,8 @@ type Plan struct {
 	// Leaves is the number of split-tree leaves (before expanding small
 	// leaves into their grid cells).
 	Leaves int
+	// Work counts the optimizer's work for this plan.
+	Work PlanWork
 }
 
 // finalizePlan numbers the partitions of every leaf, fixes the T-splits'

@@ -75,5 +75,6 @@ func (r *RecPart) PlanDetailed(ctx *partition.Context) (*Plan, error) {
 	plan.History = env.history
 	plan.Chosen = chosen
 	plan.Symmetric = env.opts.Symmetric
+	plan.Work = env.work
 	return plan, nil
 }

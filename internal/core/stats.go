@@ -38,3 +38,17 @@ func (s IterationStats) objective(mode Termination) float64 {
 	}
 	return s.PredictedTime
 }
+
+// PlanWork counts what growing one plan did. The counts depend only on the
+// plan's inputs — never on Parallelism or scheduling — so they compare runs on
+// different machines where timings cannot.
+type PlanWork struct {
+	// Candidates is the number of candidate split points generated, summed
+	// over every (leaf, dimension) sweep.
+	Candidates int64
+	// Scored is the number of those the sweep's per-candidate loop scored;
+	// the rest sat in blocks whose bound could not reach the best.
+	Scored int64
+	// Iterations is the number of growth-loop iterations: actions applied.
+	Iterations int
+}

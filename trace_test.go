@@ -63,6 +63,24 @@ func TestQueryTraceColdWarm(t *testing.T) {
 					t.Errorf("cold trace missing span %q (have %v)", name, ctr.Spans)
 				}
 			}
+			// A plan-cache miss reports the optimizer's exact work; a hit did none.
+			for _, sp := range ctr.Spans {
+				if sp.Name != "plan" {
+					continue
+				}
+				var cands, scored, iters int64
+				if _, err := fmt.Sscanf(sp.Detail, "miss candidates=%d scored=%d iterations=%d", &cands, &scored, &iters); err != nil {
+					t.Fatalf("cold plan span detail %q: %v", sp.Detail, err)
+				}
+				if cands <= 0 || scored > cands || iters <= 0 {
+					t.Errorf("cold plan span detail %q: implausible work counts", sp.Detail)
+				}
+			}
+			for _, sp := range wtr.Spans {
+				if sp.Name == "plan" && sp.Detail != exec.TierHit {
+					t.Errorf("warm plan span detail %q, want %q", sp.Detail, exec.TierHit)
+				}
+			}
 			if ctr.Output != cold.Output || ctr.WallMicros <= 0 {
 				t.Errorf("cold trace accounting: output=%d wall_us=%d", ctr.Output, ctr.WallMicros)
 			}
