@@ -117,24 +117,8 @@ type Options struct {
 	// parallelism; > 0 fixes the row count; < 0 runs every partition as one
 	// morsel, the skew baseline. Results are bit-identical for every setting.
 	MorselRows int
-	// PlannerParallelism bounds the worker pool of the default partitioner's
-	// parallel best-split evaluation (0 = GOMAXPROCS, 1 = inline). It applies
-	// only when Partitioner is nil; an explicit partitioner carries its own
-	// configuration (RecPartOptions.PlannerParallelism). Plans are
-	// bit-identical regardless of the value.
-	PlannerParallelism int
 	// Seed makes sampling and randomized assignment deterministic.
 	Seed int64
-
-	// The remaining knobs tune the RPC data plane and apply only to cluster
-	// runs (Cluster.Join); zeros select the defaults.
-
-	// ClusterChunkSize is the number of tuples per chunk of a shipment
-	// stream (default 4096).
-	ClusterChunkSize int
-	// ClusterJoinParallelism bounds the number of partition joins each worker
-	// runs concurrently (default: the worker's GOMAXPROCS).
-	ClusterJoinParallelism int
 }
 
 // Join runs the band-join of s and t on the in-process cluster simulator.

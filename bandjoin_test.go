@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"bandjoin"
+	"bandjoin/internal/csio"
+	"bandjoin/internal/grid"
+	"bandjoin/internal/iejoin"
 )
 
 func TestJoinWithDefaults(t *testing.T) {
@@ -54,12 +57,12 @@ func TestAllPublicPartitionersAgreeOnCardinality(t *testing.T) {
 		{"RecPartWith", bandjoin.RecPartWith(bandjoin.RecPartOptions{Symmetric: true, Theoretical: true, Seed: 2})},
 		{"OneBucket", bandjoin.OneBucket()},
 		{"GridEps", bandjoin.GridEps()},
-		{"GridEpsX4", bandjoin.GridEpsWithMultiplier(4)},
+		{"GridEpsX4", grid.NewWithMultiplier(4)},
 		{"GridStar", bandjoin.GridStar()},
 		{"CSIO", bandjoin.CSIO()},
-		{"CSIO-32", bandjoin.CSIOWithGranularity(32)},
+		{"CSIO-32", csio.NewWithGranularity(32)},
 		{"IEJoin", bandjoin.IEJoin()},
-		{"IEJoin-500", bandjoin.IEJoinWithBlockSize(500)},
+		{"IEJoin-500", iejoin.NewWithBlockSize(500)},
 	} {
 		res, err := bandjoin.Join(s, tt, band, bandjoin.Options{Workers: 5, Partitioner: p.pt, Seed: 7})
 		if err != nil {
@@ -264,9 +267,8 @@ func TestOptionsSurface(t *testing.T) {
 	}{
 		{bandjoin.Options{}, []string{
 			"Workers", "Partitioner", "Model", "InputSampleSize", "OutputSampleSize",
-			"CollectPairs", "EstimateOnly", "MorselRows", "PlannerParallelism", "Seed",
-			"ClusterChunkSize", "ClusterJoinParallelism"}},
-		{bandjoin.RecPartOptions{}, []string{"Symmetric", "Theoretical", "MaxIterations", "Seed", "PlannerParallelism"}},
+			"CollectPairs", "EstimateOnly", "MorselRows", "Seed"}},
+		{bandjoin.RecPartOptions{}, []string{"Symmetric", "Theoretical", "MaxIterations", "Seed"}},
 		{bandjoin.EngineOptions{}, []string{"DisableRetention"}},
 	} {
 		typ := reflect.TypeOf(c.opts)

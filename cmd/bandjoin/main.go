@@ -62,15 +62,10 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed")
 		verbose     = flag.Bool("v", false, "print per-worker load distribution")
 
-		clusterChunk   = flag.Int("cluster-chunk", 0, "tuples per shipment chunk on cluster runs (default 4096)")
-		clusterJoinPar = flag.Int("cluster-join-parallelism", 0, "partition joins each worker runs concurrently (default: worker GOMAXPROCS)")
-
 		clusterMinWorkers  = flag.Int("cluster-min-workers", 0, "start the coordinator as long as this many workers are reachable; the rest join via the heartbeat (default: all must be reachable)")
 		clusterCallTimeout = flag.Duration("cluster-call-timeout", 0, "per-attempt deadline of control-plane RPCs and of each shipment frame (default 15s, negative disables)")
 		clusterJoinTimeout = flag.Duration("cluster-join-timeout", 0, "per-attempt deadline of joins: Join RPCs and one-shot shipment replies (default 2m, negative disables)")
 		clusterRetries     = flag.Int("cluster-retries", 0, "transport-error retries per idempotent RPC before failover (default 3, negative disables)")
-
-		plannerPar = flag.Int("planner-parallelism", 0, "worker pool bound of RecPart's parallel best-split evaluation (0 = GOMAXPROCS)")
 
 		repeat     = flag.Int("repeat", 1, "serve the query this many times through an engine; repeats are answered from cached samples, plans, and retained partitions")
 		noRetain   = flag.Bool("no-retain", false, "with -repeat: disable partition retention (repeats reuse the plan but reshuffle)")
@@ -106,17 +101,15 @@ func main() {
 	}
 	band := bandjoin.Symmetric(eps...)
 
-	pt, err := pickPartitioner(*partitioner, *seed, *plannerPar)
+	pt, err := pickPartitioner(*partitioner, *seed)
 	if err != nil {
 		fatal(err)
 	}
 	opts := bandjoin.Options{
-		Workers:                *workers,
-		Partitioner:            pt,
-		MorselRows:             *morselRows,
-		Seed:                   *seed,
-		ClusterChunkSize:       *clusterChunk,
-		ClusterJoinParallelism: *clusterJoinPar,
+		Workers:     *workers,
+		Partitioner: pt,
+		MorselRows:  *morselRows,
+		Seed:        *seed,
 	}
 
 	if *repeat < 1 {
@@ -336,16 +329,12 @@ func parseEps(s string) ([]float64, error) {
 	return out, nil
 }
 
-func pickPartitioner(name string, seed int64, plannerPar int) (bandjoin.Partitioner, error) {
+func pickPartitioner(name string, seed int64) (bandjoin.Partitioner, error) {
 	switch strings.ToLower(name) {
 	case "recpart":
-		return bandjoin.RecPartWith(bandjoin.RecPartOptions{
-			Symmetric: true, Seed: seed, PlannerParallelism: plannerPar,
-		}), nil
+		return bandjoin.RecPartWith(bandjoin.RecPartOptions{Symmetric: true, Seed: seed}), nil
 	case "recpart-s":
-		return bandjoin.RecPartWith(bandjoin.RecPartOptions{
-			Seed: seed, PlannerParallelism: plannerPar,
-		}), nil
+		return bandjoin.RecPartWith(bandjoin.RecPartOptions{Seed: seed}), nil
 	case "1-bucket", "onebucket":
 		return bandjoin.OneBucket(), nil
 	case "grid", "grid-eps":

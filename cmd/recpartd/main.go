@@ -5,20 +5,24 @@
 // Usage:
 //
 //	recpartd -listen :7070 -name worker-1
-//	recpartd -listen :7070 -max-parallelism 4
+//	GOMAXPROCS=4 recpartd -listen :7070
 //	recpartd -listen :7070 -max-retained 16
 //	recpartd -listen :7070 -drain-timeout 60s
 //	recpartd -listen :7070 -metrics-addr :9090
+//
+// The worker joins each query's partitions on a pool of GOMAXPROCS
+// goroutines; set the GOMAXPROCS environment variable to give it fewer cores.
 //
 // With -metrics-addr the worker serves its observability surface over HTTP:
 // /metrics (Prometheus text format: load/join counters, retained bytes, pool
 // occupancy, latency histograms), /debug/vars (expvar JSON), and
 // /debug/pprof/* (live profiling).
 //
-// Besides transient per-query job state, the worker keeps a retained-plan
-// registry serving engine queries (bandjoin.Engine): shuffled partitions stay
-// resident — presorted, with prebuilt join structures — under their plan
-// fingerprint, so repeated queries join with zero shuffle bytes.
+// Besides one-shot shipments, joined at the end of their own stream, the
+// worker keeps a retained-plan registry serving engine queries
+// (bandjoin.Engine): shuffled partitions stay resident — presorted, with
+// prebuilt join structures — under their plan fingerprint, so repeated
+// queries join with zero shuffle bytes.
 // -max-retained bounds that registry; the least-recently-sealed plan is
 // evicted when the cap is exceeded (coordinators reshuffle it transparently
 // if it is queried again).
@@ -46,7 +50,6 @@ func main() {
 	var (
 		listen       = flag.String("listen", ":7070", "TCP address to listen on")
 		name         = flag.String("name", "", "worker name reported to the coordinator (default: hostname)")
-		maxPar       = flag.Int("max-parallelism", 0, "cap on concurrent partition joins per job, regardless of what coordinators request (default: GOMAXPROCS)")
 		maxRetained  = flag.Int("max-retained", 0, "cap on resident retained plans (engine warm-partition cache); exceeding it evicts the least-recently-sealed plan, and coordinators transparently reshuffle evicted plans (default: unlimited)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGINT/SIGTERM shutdown waits for in-flight shipments and Join RPCs to finish before exiting anyway (0 waits indefinitely)")
 		metricsAddr  = flag.String("metrics-addr", "", "HTTP address serving /metrics (Prometheus), /debug/vars (expvar), and /debug/pprof (empty disables)")
@@ -63,7 +66,6 @@ func main() {
 	}
 
 	w := cluster.NewWorker(workerName)
-	w.SetMaxParallelism(*maxPar)
 	w.SetMaxRetained(*maxRetained)
 
 	if *metricsAddr != "" {

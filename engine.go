@@ -780,7 +780,7 @@ func inputSampleBytes(in *sample.InputSample) int64 {
 // partitionerFingerprint identifies a partitioner configuration for the plan
 // cache. Partitioners that carry execution-only knobs irrelevant to the plans
 // they produce expose a PlanFingerprint that omits them (core.RecPart's
-// grower selection and parallelism), so two queries differing only in such
+// planner parallelism), so two queries differing only in such
 // knobs share one cached plan and one retained partition set; everything else
 // falls back to the full configuration dump.
 func partitionerFingerprint(p Partitioner) string {
@@ -1041,14 +1041,12 @@ func (p *clusterPlane) workers() int { return p.coord.Workers() }
 
 func (p *clusterPlane) execute(ctx context.Context, prep *exec.Prepared, s, t *Relation, band Band, r resolved, planID string) (*Result, error) {
 	copts := cluster.Options{
-		Model:           r.Model,
-		Sampling:        r.Sampling,
-		CollectPairs:    r.CollectPairs,
-		ChunkSize:       r.ChunkSize,
-		JoinParallelism: r.JoinParallelism,
-		MorselRows:      r.MorselRows,
-		Seed:            r.Seed,
-		PlanID:          planID,
+		Model:        r.Model,
+		Sampling:     r.Sampling,
+		CollectPairs: r.CollectPairs,
+		MorselRows:   r.MorselRows,
+		Seed:         r.Seed,
+		PlanID:       planID,
 	}
 	return p.coord.RunPlan(ctx, prep.Plan, prep.Ctx, s, t, band, copts)
 }

@@ -339,11 +339,7 @@ func TestOptionsValidation(t *testing.T) {
 	band := bandjoin.Uniform(2, 0.5)
 	bad := []bandjoin.Options{
 		{Workers: -1},
-		{ClusterChunkSize: -5},
-		{ClusterChunkSize: 1<<20 + 1}, // past wire.MaxChunkRows
-		{ClusterJoinParallelism: -1},
 		{InputSampleSize: -100},
-		{PlannerParallelism: -3},
 	}
 	for i, opts := range bad {
 		if _, err := bandjoin.Join(s, tt, band, opts); err == nil {
@@ -486,8 +482,8 @@ func TestEngineRetainedWarmMatchesCold(t *testing.T) {
 	}
 }
 
-// TestEnginePlanCacheIgnoresPlannerKnobs: queries that differ only in
-// execution-only planner knobs (grower selection, planner parallelism)
+// TestEnginePlanCacheIgnoresPlannerKnobs: a query with the default
+// partitioner and one with an explicit RecPartWith of the same configuration
 // produce bit-identical plans, so they must share one cached plan and one
 // retained partition set rather than re-optimizing and re-shuffling.
 func TestEnginePlanCacheIgnoresPlannerKnobs(t *testing.T) {
@@ -505,8 +501,7 @@ func TestEnginePlanCacheIgnoresPlannerKnobs(t *testing.T) {
 
 	variants := []bandjoin.Options{
 		{Workers: 3, Seed: 4},
-		{Workers: 3, Seed: 4, PlannerParallelism: 2},
-		{Workers: 3, Seed: 4, Partitioner: bandjoin.RecPartWith(bandjoin.RecPartOptions{Symmetric: true, Seed: 1, PlannerParallelism: 3})},
+		{Workers: 3, Seed: 4, Partitioner: bandjoin.RecPartWith(bandjoin.RecPartOptions{Symmetric: true, Seed: 1})},
 	}
 	for i, opts := range variants {
 		if _, err := e.Join(context.Background(), "s", "t", band, opts); err != nil {

@@ -26,8 +26,6 @@ type AppendConfig struct {
 	Eps float64
 	// Workers is the number of in-process RPC workers.
 	Workers int
-	// ChunkSize is the number of tuples per shipment chunk.
-	ChunkSize int
 	// DeltaFraction sizes the appended delta as a fraction of the base
 	// (per relation). The acceptance scenario is 0.10: a ≤10% append must be
 	// absorbed without any full-relation reshuffle.
@@ -50,7 +48,6 @@ func DefaultAppendConfig() AppendConfig {
 		Dims:          8,
 		Eps:           0.003,
 		Workers:       2,
-		ChunkSize:     4096,
 		DeltaFraction: 0.10,
 		Batches:       5,
 		Rounds:        3,
@@ -80,7 +77,6 @@ type AppendReport struct {
 	Dims          int     `json:"dims"`
 	Eps           float64 `json:"band_width"`
 	Workers       int     `json:"workers"`
-	ChunkSize     int     `json:"chunk_size"`
 	Partitioner   string  `json:"partitioner"`
 	Output        int64   `json:"output_pairs"`
 
@@ -140,9 +136,8 @@ func RunAppend(cfg AppendConfig) (*AppendReport, error) {
 	baseS, baseT, deltaS, deltaT := appendWorkload(cfg)
 	band := data.Uniform(cfg.Dims, cfg.Eps)
 	opts := bandjoin.Options{
-		Partitioner:      bandjoin.RecPartS(),
-		Seed:             cfg.Seed,
-		ClusterChunkSize: cfg.ChunkSize,
+		Partitioner: bandjoin.RecPartS(),
+		Seed:        cfg.Seed,
 	}
 
 	cl, err := bandjoin.StartLocalCluster(cfg.Workers)
@@ -163,7 +158,6 @@ func RunAppend(cfg AppendConfig) (*AppendReport, error) {
 		Dims:          cfg.Dims,
 		Eps:           cfg.Eps,
 		Workers:       cfg.Workers,
-		ChunkSize:     cfg.ChunkSize,
 	}
 
 	// --- Baseline: register the full relations fresh and serve the cold
@@ -350,10 +344,9 @@ func appendPairCheck(ctx context.Context, cl *bandjoin.Cluster, cfg AppendConfig
 	small.Seed = cfg.Seed + 100
 	baseS, baseT, deltaS, deltaT := appendWorkload(small)
 	opts := bandjoin.Options{
-		Partitioner:      bandjoin.RecPartS(),
-		Seed:             cfg.Seed,
-		ClusterChunkSize: cfg.ChunkSize,
-		CollectPairs:     true,
+		Partitioner:  bandjoin.RecPartS(),
+		Seed:         cfg.Seed,
+		CollectPairs: true,
 	}
 	fresh, err := cl.Join(baseS.Clone("s").Extend(deltaS), baseT.Clone("t").Extend(deltaT), band, opts)
 	if err != nil {

@@ -16,7 +16,6 @@ func TestRunAppendQuick(t *testing.T) {
 		Dims:          4,
 		Eps:           0.01,
 		Workers:       2,
-		ChunkSize:     256,
 		DeltaFraction: 0.10,
 		Batches:       3,
 		Rounds:        1,

@@ -29,8 +29,6 @@ type EngineConfig struct {
 	Eps float64
 	// Workers is the number of in-process RPC workers.
 	Workers int
-	// ChunkSize is the number of tuples per shipment chunk.
-	ChunkSize int
 	// Rounds measures each tier this many times and keeps the fastest.
 	Rounds int
 	// Seed drives data generation and planning.
@@ -41,13 +39,12 @@ type EngineConfig struct {
 // the shape of the benchmark's cold-cluster-ptf8d workload.
 func DefaultEngineConfig() EngineConfig {
 	return EngineConfig{
-		Tuples:    500_000,
-		Dims:      8,
-		Eps:       0.003,
-		Workers:   2,
-		ChunkSize: 4096,
-		Rounds:    3,
-		Seed:      1,
+		Tuples:  500_000,
+		Dims:    8,
+		Eps:     0.003,
+		Workers: 2,
+		Rounds:  3,
+		Seed:    1,
 	}
 }
 
@@ -82,7 +79,6 @@ type EngineReport struct {
 	Dims        int     `json:"dims"`
 	Eps         float64 `json:"band_width"`
 	Workers     int     `json:"workers"`
-	ChunkSize   int     `json:"chunk_size"`
 	Partitioner string  `json:"partitioner"`
 	TotalInput  int64   `json:"total_input"`
 	Output      int64   `json:"output_pairs"`
@@ -171,9 +167,8 @@ func RunEngine(cfg EngineConfig) (*EngineReport, error) {
 	s, t := engineWorkload(cfg.Tuples, cfg.Dims, cfg.Eps, cfg.Seed)
 	band := data.Uniform(cfg.Dims, cfg.Eps)
 	opts := bandjoin.Options{
-		Partitioner:      bandjoin.RecPartS(),
-		Seed:             cfg.Seed,
-		ClusterChunkSize: cfg.ChunkSize,
+		Partitioner: bandjoin.RecPartS(),
+		Seed:        cfg.Seed,
 	}
 
 	cl, err := bandjoin.StartLocalCluster(cfg.Workers)
@@ -253,7 +248,6 @@ func RunEngine(cfg EngineConfig) (*EngineReport, error) {
 		Dims:           cfg.Dims,
 		Eps:            cfg.Eps,
 		Workers:        cfg.Workers,
-		ChunkSize:      cfg.ChunkSize,
 		Partitioner:    coldRes.Partitioner,
 		TotalInput:     coldRes.TotalInput,
 		Output:         coldRes.Output,
@@ -324,10 +318,9 @@ func enginePairCheck(cl *bandjoin.Cluster, cfg EngineConfig) (int, bool, error) 
 	s, t := engineWorkload(tuples, cfg.Dims, cfg.Eps, cfg.Seed+100)
 	band := data.Uniform(cfg.Dims, cfg.Eps)
 	opts := bandjoin.Options{
-		Partitioner:      bandjoin.RecPartS(),
-		Seed:             cfg.Seed,
-		ClusterChunkSize: cfg.ChunkSize,
-		CollectPairs:     true,
+		Partitioner:  bandjoin.RecPartS(),
+		Seed:         cfg.Seed,
+		CollectPairs: true,
 	}
 	coldRes, err := cl.Join(s, t, band, opts)
 	if err != nil {

@@ -12,13 +12,12 @@ import (
 // identity check), and the JSON artifact must round-trip.
 func TestRunEngineQuick(t *testing.T) {
 	cfg := EngineConfig{
-		Tuples:    4000,
-		Dims:      4,
-		Eps:       0.01,
-		Workers:   2,
-		ChunkSize: 256,
-		Rounds:    1,
-		Seed:      5,
+		Tuples:  4000,
+		Dims:    4,
+		Eps:     0.01,
+		Workers: 2,
+		Rounds:  1,
+		Seed:    5,
 	}
 	rep, err := RunEngine(cfg)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -267,7 +268,7 @@ func TestWorkerLoadJoinRaceSafety(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 15; round++ {
 				var jr JoinReply
-				if err := w.Join(&JoinArgs{PlanID: "job", Band: band, Parallelism: 3}, &jr); err != nil {
+				if err := w.Join(&JoinArgs{PlanID: "job", Band: band}, &jr); err != nil {
 					t.Errorf("Join: %v", err)
 					return
 				}
@@ -283,7 +284,8 @@ func TestWorkerLoadJoinRaceSafety(t *testing.T) {
 
 // TestJoinReplyDeterministicOrder checks that a one-shot stream's reply lists
 // partitions in ascending partition-id order regardless of shipping order, and
-// that joining the same partitions again produces an identical reply.
+// that joining the same partitions again, on a join pool of another width,
+// produces an identical reply.
 func TestJoinReplyDeterministicOrder(t *testing.T) {
 	w := NewWorker("det")
 	band := data.Symmetric(0.2)
@@ -299,10 +301,10 @@ func TestJoinReplyDeterministicOrder(t *testing.T) {
 	}
 
 	var replies [2]*JoinReply
-	for i, parallelism := range []int{4, 2} {
-		hdr := oneShotOf(band)
-		hdr.Parallelism = parallelism
-		reply, err := ship(w, hdr, parts...)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for i, procs := range []int{4, 2} {
+		runtime.GOMAXPROCS(procs)
+		reply, err := ship(w, oneShotOf(band), parts...)
 		if err != nil {
 			t.Fatalf("stream %d: %v", i, err)
 		}

@@ -236,12 +236,12 @@ type Options struct {
 	// CollectPairs returns the result pairs for verification (small inputs
 	// only).
 	CollectPairs bool
-	// ChunkSize is the number of tuples per chunk frame; zero means 4096. A
-	// chunk also holds at most wire.MaxChunkValues values.
+	// ChunkSize is the number of tuples per chunk frame; zero means 4096, the
+	// size every run outside tests uses (DESIGN.md "Wire format" records its
+	// measurement). It is a seam for the cluster and chaos tests, which set
+	// 16–128 rows to get many chunk frames from small inputs. A chunk also
+	// holds at most wire.MaxChunkValues values.
 	ChunkSize int
-	// JoinParallelism bounds the number of partition joins each worker runs
-	// concurrently; zero lets every worker use its GOMAXPROCS.
-	JoinParallelism int
 	// MorselRows sets the grain of the workers' morsel-driven joins
 	// (JoinArgs.MorselRows): 0 sizes probe-side morsels automatically, > 0
 	// fixes the morsel row count, and < 0 runs every partition as one morsel.
@@ -570,7 +570,7 @@ func (c *Coordinator) runTransient(ctx context.Context, plan partition.Plan, pct
 	if len(targets) == 0 {
 		return nil, errNoLiveWorkers
 	}
-	hdr := ShipHeader{JoinArgs: JoinArgs{Band: band, CollectPairs: opts.CollectPairs, Parallelism: opts.JoinParallelism, MorselRows: opts.MorselRows}}
+	hdr := ShipHeader{JoinArgs: JoinArgs{Band: band, CollectPairs: opts.CollectPairs, MorselRows: opts.MorselRows}}
 	sh, err := c.shipPartitions(ctx, redistribute(routed.NonEmpty(), targets), routed, hdr, opts.ChunkSize, redistribute, rs)
 	if err != nil {
 		return nil, err
@@ -741,7 +741,7 @@ func (c *Coordinator) runJoinsRetained(ctx context.Context, planID string, slots
 	joinStart := time.Now()
 	outs := make([]JoinReply, len(slots))
 	errs := make([]error, len(slots))
-	args := &JoinArgs{PlanID: planID, Band: band, CollectPairs: opts.CollectPairs, Parallelism: opts.JoinParallelism, MorselRows: opts.MorselRows}
+	args := &JoinArgs{PlanID: planID, Band: band, CollectPairs: opts.CollectPairs, MorselRows: opts.MorselRows}
 	parallel(len(slots), func(i int) {
 		errs[i] = c.workers[slots[i]].call(ctx, ServiceName+".Join", args, &outs[i], c.opts.joinDeadline(), c.opts.MaxRetries, rs.retry)
 	})

@@ -149,7 +149,7 @@ func TestFoldBetweenJoinPhases(t *testing.T) {
 	var reply JoinReply
 	done := make(chan error, 1)
 	go func() {
-		done <- f.w.Join(&JoinArgs{PlanID: "plan", Band: f.band, CollectPairs: true, Parallelism: 2}, &reply)
+		done <- f.w.Join(&JoinArgs{PlanID: "plan", Band: f.band, CollectPairs: true}, &reply)
 	}()
 	for deadline := time.Now().Add(10 * time.Second); f.w.m.folds.Value() < 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -194,7 +194,7 @@ func TestFoldConcurrentJoinAppend(t *testing.T) {
 				default:
 				}
 				var jr JoinReply
-				args := &JoinArgs{PlanID: "plan", Band: f.band, CollectPairs: true, Parallelism: 2}
+				args := &JoinArgs{PlanID: "plan", Band: f.band, CollectPairs: true}
 				if (g+round)%3 == 0 {
 					args.MorselRows = -1 // the per-partition path
 				}

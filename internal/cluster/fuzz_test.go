@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"cmp"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -61,6 +64,53 @@ func FuzzShipment(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestShipmentSeedsRefuseAsNamed runs every checked-in FuzzShipment seed at
+// shipmentFixture's worker and requires the refusal the seed is named for.
+// FuzzShipment itself only checks that nothing panics, so without this a
+// change to the stream's header could leave every seed failing early on some
+// other check, and the corpus would test nothing.
+func TestShipmentSeedsRefuseAsNamed(t *testing.T) {
+	want := map[string]string{
+		"chunk-dims-not-partition-dims": "partition 0 chunk has 4 dims, want 2",
+		"delta-without-retain":          "a delta shipment names no retained plan",
+		"negative-attempt-on-delta":     "a shipment header of 0 dimensions, shipment 18446744073709551615",
+		"negative-expect-s":             "a partition frame of partition 0, 18446744073709551615 and 2 rows",
+		"negative-partition":            "a partition frame of partition 18446744073709551615, 3 and 0 rows",
+		"negative-side-total":           "a partition frame of partition 7, 0 and 18446744073709551611 rows",
+		"side-neither-s-nor-t":          "unknown frame 0x55",
+		"side-total-2-to-the-40":        "reading a chunk of partition 0: unexpected EOF",
+	}
+	files, err := filepath.Glob("testdata/fuzz/FuzzShipment/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(want) {
+		t.Errorf("%d seeds in testdata/fuzz/FuzzShipment, %d named here", len(files), len(want))
+	}
+	for _, file := range files {
+		name := filepath.Base(file)
+		refusal, ok := want[name]
+		if !ok {
+			t.Errorf("seed %s has no expected refusal", name)
+			continue
+		}
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		quoted, ok := strings.CutPrefix(value, "[]byte(")
+		stream, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if header != "go test fuzz v1" || !ok || err != nil {
+			t.Fatalf("seed %s is not one []byte value: %v", name, err)
+		}
+		_, err = shipBytes(shipmentFixture(t), []byte(stream))
+		if err == nil || !strings.Contains(err.Error(), refusal) {
+			t.Errorf("seed %s: got %v, want a refusal containing %q", name, err, refusal)
+		}
+	}
 }
 
 // joinFixture is a worker holding a sealed retained plan "p" of two 2-d
@@ -138,7 +188,7 @@ func replyPairs(reply *JoinReply) []exec.Pair {
 
 // FuzzJoinArgs throws hostile join arguments at joinFixture's worker: any job
 // (the fixture's partitions in a one-shot stream, the sealed plan, one it does
-// not hold), either lifecycle, any parallelism and morsel size, with or
+// not hold), either lifecycle, any morsel size, with or
 // without pairs, and any band — NaN, negative, infinite, or of the wrong
 // dimensionality. A retained join is the Join RPC; a one-shot one is a stream
 // carrying job "j"'s partitions, or none for another job. Whatever arrives,
@@ -148,16 +198,16 @@ func replyPairs(reply *JoinReply) []exec.Pair {
 // definition's pair count (and pairs, when collected) over the partitions the
 // named job holds.
 func FuzzJoinArgs(f *testing.F) {
-	f.Add(uint8(0), false, 2, 0, true, 0.25, 0.25, 0.1, 0.1, uint8(1)) // an honest one-shot join
-	f.Add(uint8(1), true, 0, 3, false, 0.5, 0.0, 0.2, 0.0, uint8(1))   // an honest retained Join, another band
+	f.Add(uint8(0), false, 0, true, 0.25, 0.25, 0.1, 0.1, uint8(1)) // an honest one-shot join
+	f.Add(uint8(1), true, 3, false, 0.5, 0.0, 0.2, 0.0, uint8(1))   // an honest retained Join, another band
 	// The hostile seeds are in testdata/fuzz/FuzzJoinArgs.
-	f.Fuzz(func(t *testing.T, job uint8, retained bool, parallelism, morselRows int, collect bool,
+	f.Fuzz(func(t *testing.T, job uint8, retained bool, morselRows int, collect bool,
 		low0, high0, low1, high1 float64, bandDims uint8) {
 		w, parts := joinFixture(t)
 		d := int(bandDims%3) + 1
 		band := data.Band{Low: []float64{low0, low1, low0}[:d], High: []float64{high0, high1, high0}[:d]}
 		args := &JoinArgs{PlanID: []string{"j", "p", "new"}[job%3], Band: band, CollectPairs: collect,
-			Parallelism: parallelism, MorselRows: morselRows}
+			MorselRows: morselRows}
 
 		reply := &JoinReply{}
 		var err error

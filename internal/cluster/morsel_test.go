@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math"
 	"testing"
 
 	"bandjoin/internal/core"
@@ -90,35 +89,5 @@ func TestWorkerMorselRowsMatchDefinition(t *testing.T) {
 	}
 	if morsels == 0 {
 		t.Error("no worker reported executed morsels after morsel-path runs")
-	}
-}
-
-// TestWorkerJoinOversizedParallelism: JoinArgs.Parallelism, of a Join or a
-// one-shot stream's header, is unvalidated network input, and neither net/rpc
-// nor the stream handler recovers a panic, so a value that overflowed the
-// morsel scheduler's arithmetic would kill the worker process. Both
-// lifecycles must instead answer the band-join definition.
-func TestWorkerJoinOversizedParallelism(t *testing.T) {
-	w, parts := joinFixture(t)
-	band := data.Symmetric(0.25, 0.25)
-	want := joinFixtureDefinition(parts, band)
-	if len(want) == 0 {
-		t.Fatal("fixture joins to nothing; widen the band")
-	}
-	for _, job := range []string{"j", "p"} {
-		for _, parallelism := range []int{math.MaxInt, math.MaxInt/2 + 1} {
-			reply := &JoinReply{}
-			args := &JoinArgs{PlanID: job, Band: band, CollectPairs: true, Parallelism: parallelism}
-			var err error
-			if job == "p" {
-				err = w.Join(args, reply)
-			} else {
-				reply, err = joinOneShot(w, parts, args)
-			}
-			if err != nil {
-				t.Fatalf("join of %s, parallelism %d: %v", job, parallelism, err)
-			}
-			samePairs(t, fmt.Sprintf("%s, parallelism %d vs nested loop", job, parallelism), replyPairs(reply), want)
-		}
 	}
 }

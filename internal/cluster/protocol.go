@@ -26,10 +26,6 @@ type JoinArgs struct {
 	// CollectPairs requests the result pairs (original tuple index pairs) in
 	// the reply; otherwise only counts are returned.
 	CollectPairs bool
-	// Parallelism bounds the number of partition joins the worker runs
-	// concurrently; zero means the worker's GOMAXPROCS, and the worker may cap
-	// it further (Worker.SetMaxParallelism).
-	Parallelism int
 	// MorselRows selects the grain of the worker's morsel-driven join: 0 sizes
 	// probe-side morsels automatically, > 0 fixes the morsel row count, and
 	// < 0 runs every partition as one morsel. All settings produce

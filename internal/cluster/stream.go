@@ -41,10 +41,10 @@ const (
 // headerFrame and partitionFrame are the fixed parts of a stream's header and
 // of a partition's frame.
 type headerFrame struct {
-	Flags                   uint8
-	Attempt                 uint64
-	Parallelism, MorselRows int64
-	PlanLen, Dims           uint16
+	Flags         uint8
+	Attempt       uint64
+	MorselRows    int64
+	PlanLen, Dims uint16
 }
 
 type partitionFrame struct{ Pid, RowsS, RowsT uint64 }
@@ -138,7 +138,7 @@ func (sw *shipWriter) write(parts ...any) error {
 }
 
 func (sw *shipWriter) header(h *ShipHeader) error {
-	f := headerFrame{Attempt: uint64(h.Attempt), Parallelism: int64(h.Parallelism), MorselRows: int64(h.MorselRows),
+	f := headerFrame{Attempt: uint64(h.Attempt), MorselRows: int64(h.MorselRows),
 		PlanLen: uint16(len(h.PlanID)), Dims: uint16(len(h.Band.Low))}
 	if len(h.PlanID) > math.MaxUint16 || len(h.Band.Low) > maxBandDims || len(h.Band.High) != len(h.Band.Low) {
 		return fmt.Errorf("cluster: no shipment header holds a plan id of %d bytes and a band of %d and %d dimensions",
@@ -196,8 +196,7 @@ func (sr *shipReader) header() (h ShipHeader, err error) {
 	if err != nil {
 		return h, fmt.Errorf("reading the shipment header: %w", err)
 	}
-	h.PlanID, h.Attempt = string(id), int(f.Attempt)
-	h.Parallelism, h.MorselRows = int(f.Parallelism), int(f.MorselRows)
+	h.PlanID, h.Attempt, h.MorselRows = string(id), int(f.Attempt), int(f.MorselRows)
 	h.Delta, h.CollectPairs = f.Flags&flagDelta != 0, f.Flags&flagCollect != 0
 	if h.Delta && h.PlanID == "" {
 		return h, errors.New("a delta shipment names no retained plan")

@@ -38,11 +38,6 @@ import (
 type Worker struct {
 	name string
 
-	// maxParallelism caps the join parallelism a coordinator may request via
-	// JoinArgs.Parallelism; zero means GOMAXPROCS. Set it before serving (see
-	// SetMaxParallelism).
-	maxParallelism int
-
 	// maxRetained caps the number of sealed retained plans; zero means
 	// unlimited. When Seal pushes the registry past the cap, the
 	// least-recently-sealed plan is evicted (coordinators detect that via
@@ -342,16 +337,6 @@ func (w *Worker) retainedBytes() int64 {
 		rs.mu.Unlock()
 	}
 	return exec.Bytes(parts)
-}
-
-// SetMaxParallelism caps the join parallelism coordinators may request; n < 1
-// restores the default (GOMAXPROCS). It must be called before the worker
-// starts serving.
-func (w *Worker) SetMaxParallelism(n int) {
-	if n < 1 {
-		n = 0
-	}
-	w.maxParallelism = n
 }
 
 // SetMaxRetained caps the number of sealed retained plans kept resident; n < 1
@@ -676,11 +661,10 @@ func (st *shipStream) retained() error {
 }
 
 // Join implements the RPC method running all local joins of a sealed retained
-// plan. Partitions run on a bounded goroutine pool (JoinArgs.Parallelism,
-// default GOMAXPROCS), and the reply lists partitions in ascending
-// partition-id order so result aggregation and logs are deterministic across
-// runs. It fails with ErrUnknownRetainedPlan if the worker does not hold the
-// plan sealed.
+// plan. Partitions run on a goroutine pool of the worker's GOMAXPROCS, and
+// the reply lists partitions in ascending partition-id order so result
+// aggregation and logs are deterministic across runs. It fails with
+// ErrUnknownRetainedPlan if the worker does not hold the plan sealed.
 func (w *Worker) Join(args *JoinArgs, reply *JoinReply) error {
 	if err := w.beginWork(); err != nil {
 		return err
@@ -714,18 +698,6 @@ func (w *Worker) Join(args *JoinArgs, reply *JoinReply) error {
 	return nil
 }
 
-// parallelism resolves a requested pool width: GOMAXPROCS for asked < 1, then
-// capped by SetMaxParallelism.
-func (w *Worker) parallelism(asked int) int {
-	if asked < 1 {
-		asked = runtime.GOMAXPROCS(0)
-	}
-	if w.maxParallelism > 0 {
-		asked = min(asked, w.maxParallelism)
-	}
-	return asked
-}
-
 // join runs one join over partitions in pid order, a retained plan's (Join)
 // or a one-shot stream's: exec.LockForProbe refreshes each retained
 // partition's structure (lazy rebuild and fold) and read-locks the
@@ -740,7 +712,7 @@ func (w *Worker) join(pids []int, parts []*exec.Partition, args *JoinArgs, refre
 	if n == 0 {
 		return []PartitionStats{}
 	}
-	parallelism := w.parallelism(args.Parallelism)
+	parallelism := runtime.GOMAXPROCS(0)
 	w.m.joinInflight.Add(int64(n))
 	defer w.m.joinInflight.Add(int64(-n))
 
@@ -855,7 +827,7 @@ func (w *Worker) Seal(args *SealArgs, reply *SealReply) error {
 
 	// Seal outside the registry lock; each partition is presorted under its
 	// own write lock, so a straggler stream cannot race the reorder.
-	exec.SealAll(parts, args.Band, w.parallelism(0))
+	exec.SealAll(parts, args.Band, runtime.GOMAXPROCS(0))
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1006,7 +978,7 @@ func Serve(w *Worker, ln net.Listener) error {
 
 // ListenAndServe starts the given worker on a TCP address and blocks. The
 // worker is passed in (rather than constructed here) so callers can configure
-// it first (e.g. SetMaxParallelism).
+// it first (e.g. SetMaxRetained).
 func ListenAndServe(w *Worker, addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

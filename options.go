@@ -6,7 +6,6 @@ import (
 	"bandjoin/internal/costmodel"
 	"bandjoin/internal/exec"
 	"bandjoin/internal/sample"
-	"bandjoin/internal/wire"
 )
 
 // resolved is the fully defaulted and validated form of Options. It is the
@@ -14,21 +13,18 @@ import (
 // cluster path, and the engine — previously each path defaulted its knobs
 // independently (and silently accepted nonsense like negative worker counts).
 type resolved struct {
-	Workers         int
-	Partitioner     Partitioner
-	Model           CostModel
-	Sampling        sample.Options
-	CollectPairs    bool
-	EstimateOnly    bool
-	Seed            int64
-	ChunkSize       int
-	JoinParallelism int
-	MorselRows      int
+	Workers      int
+	Partitioner  Partitioner
+	Model        CostModel
+	Sampling     sample.Options
+	CollectPairs bool
+	EstimateOnly bool
+	Seed         int64
+	MorselRows   int
 }
 
 // resolve validates the options and fills defaults. Nonsensical values —
-// negative Workers, ClusterChunkSize, ClusterJoinParallelism,
-// or sample sizes — are errors rather than being silently replaced, so a
+// negative Workers or sample sizes — are errors rather than being silently replaced, so a
 // caller who mis-derives a knob hears about it instead of getting a default.
 func (o Options) resolve() (resolved, error) {
 	var r resolved
@@ -39,15 +35,6 @@ func (o Options) resolve() (resolved, error) {
 		return r, fmt.Errorf("bandjoin: sample sizes must be >= 0, got input %d, output %d",
 			o.InputSampleSize, o.OutputSampleSize)
 	}
-	if o.ClusterChunkSize < 0 || o.ClusterChunkSize > wire.MaxChunkRows {
-		return r, fmt.Errorf("bandjoin: ClusterChunkSize must be in [0, %d], got %d", wire.MaxChunkRows, o.ClusterChunkSize)
-	}
-	if o.ClusterJoinParallelism < 0 {
-		return r, fmt.Errorf("bandjoin: ClusterJoinParallelism must be >= 0, got %d", o.ClusterJoinParallelism)
-	}
-	if o.PlannerParallelism < 0 {
-		return r, fmt.Errorf("bandjoin: PlannerParallelism must be >= 0, got %d", o.PlannerParallelism)
-	}
 
 	r.Workers = o.Workers
 	if r.Workers == 0 {
@@ -55,7 +42,7 @@ func (o Options) resolve() (resolved, error) {
 	}
 	r.Partitioner = o.Partitioner
 	if r.Partitioner == nil {
-		r.Partitioner = defaultPartitioner(o.PlannerParallelism)
+		r.Partitioner = RecPart()
 	}
 	r.Model = o.Model
 	if (r.Model == costmodel.Model{}) {
@@ -73,8 +60,6 @@ func (o Options) resolve() (resolved, error) {
 	r.CollectPairs = o.CollectPairs
 	r.EstimateOnly = o.EstimateOnly
 	r.Seed = o.Seed
-	r.ChunkSize = o.ClusterChunkSize
-	r.JoinParallelism = o.ClusterJoinParallelism
 	r.MorselRows = o.MorselRows // negative is meaningful: one morsel per partition
 	return r, nil
 }

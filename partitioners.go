@@ -21,10 +21,6 @@ type RecPartOptions struct {
 	MaxIterations int
 	// Seed drives the deterministic small-partition row/column assignment.
 	Seed int64
-	// PlannerParallelism bounds the planner's worker pool for best-split
-	// evaluation; 0 selects GOMAXPROCS, 1 evaluates inline. Plans are
-	// bit-identical regardless of the value.
-	PlannerParallelism int
 }
 
 // RecPart returns the paper's partitioner with symmetric partitioning and the
@@ -43,15 +39,6 @@ func RecPartWith(opts RecPartOptions) Partitioner {
 	}
 	o.MaxIterations = opts.MaxIterations
 	o.Seed = opts.Seed
-	o.Parallelism = opts.PlannerParallelism
-	return core.New(o)
-}
-
-// defaultPartitioner returns the partitioner an unset Options.Partitioner
-// resolves to: symmetric RecPart with the given planner parallelism.
-func defaultPartitioner(plannerParallelism int) Partitioner {
-	o := core.DefaultOptions()
-	o.Parallelism = plannerParallelism
 	return core.New(o)
 }
 
@@ -63,24 +50,12 @@ func OneBucket() Partitioner { return onebucket.New() }
 // width per dimension.
 func GridEps() Partitioner { return grid.New() }
 
-// GridEpsWithMultiplier returns Grid-ε with cell size multiplier·ε per
-// dimension (Table 5's grid-size sweep).
-func GridEpsWithMultiplier(m float64) Partitioner { return grid.NewWithMultiplier(m) }
-
 // GridStar returns Grid*, which tunes the grid size with the cost model.
 func GridStar() Partitioner { return grid.NewStar() }
 
 // CSIO returns the CSIO baseline (quantile matrix + rectangle covering).
 func CSIO() Partitioner { return csio.New() }
 
-// CSIOWithGranularity returns CSIO with an explicit statistics granularity
-// (number of quantile ranges per input).
-func CSIOWithGranularity(g int) Partitioner { return csio.NewWithGranularity(g) }
-
 // IEJoin returns the distributed IEJoin partitioning (range blocks on the
 // first join attribute, joinable block pairs as work units).
 func IEJoin() Partitioner { return iejoin.New() }
-
-// IEJoinWithBlockSize returns distributed IEJoin with an explicit
-// sizePerBlock, its key meta-parameter.
-func IEJoinWithBlockSize(size int) Partitioner { return iejoin.NewWithBlockSize(size) }
