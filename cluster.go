@@ -3,7 +3,6 @@ package bandjoin
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"bandjoin/internal/cluster"
 	"bandjoin/internal/obs"
@@ -15,52 +14,11 @@ type Cluster struct {
 	local *cluster.LocalCluster
 }
 
-// ClusterConfig tunes the coordinator's fault-tolerance policy. The zero
-// value selects the production defaults documented on every field; see
-// DESIGN.md's "Failure model" for the machinery behind the knobs.
-type ClusterConfig struct {
-	// MinWorkers lets the coordinator start degraded: connecting succeeds as
-	// long as this many workers are reachable, and the rest join the pool when
-	// the background heartbeat finds them. Zero requires every worker.
-	MinWorkers int
-	// CallTimeout is the per-attempt deadline of control-plane RPCs (Ping,
-	// Seal, Evict, Stats), of dialing, of each frame written to a shipment
-	// stream and of a retained stream's reply. Zero means 15s; negative
-	// disables the deadline.
-	CallTimeout time.Duration
-	// JoinTimeout is the per-attempt deadline of Join RPCs and of a one-shot
-	// stream's reply, which comes after its join: both legitimately run long.
-	// Zero means 2m; negative disables the deadline.
-	JoinTimeout time.Duration
-	// MaxRetries is how many times an idempotent RPC is retried after a
-	// transport error before recovery escalates to failover. Zero means 3;
-	// negative disables retries.
-	MaxRetries int
-	// RetryBaseDelay and RetryMaxDelay shape the capped exponential backoff
-	// between retries (defaults 25ms and 1s). Jitter is deterministic, drawn
-	// from a per-worker generator seeded with Seed.
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
-	// HeartbeatInterval is the cadence of the background liveness probe that
-	// detects silent worker deaths and redials down workers. Zero means 3s;
-	// negative disables the heartbeat.
-	HeartbeatInterval time.Duration
-	// Seed drives the retry jitter.
-	Seed int64
-}
-
-func (c ClusterConfig) dialOptions() cluster.DialOptions {
-	return cluster.DialOptions{
-		MinWorkers:        c.MinWorkers,
-		CallTimeout:       c.CallTimeout,
-		JoinTimeout:       c.JoinTimeout,
-		MaxRetries:        c.MaxRetries,
-		RetryBaseDelay:    c.RetryBaseDelay,
-		RetryMaxDelay:     c.RetryMaxDelay,
-		HeartbeatInterval: c.HeartbeatInterval,
-		Seed:              c.Seed,
-	}
-}
+// ClusterConfig tunes the coordinator's fault-tolerance policy: it is the
+// cluster's dial options. The zero value selects the production defaults
+// documented on every field; see DESIGN.md's "Failure model" for the
+// machinery behind the knobs.
+type ClusterConfig = cluster.DialOptions
 
 // ConnectCluster connects to already-running workers (see cmd/recpartd) at the
 // given TCP addresses with the default fault-tolerance policy (every worker
@@ -72,7 +30,7 @@ func ConnectCluster(addrs []string) (*Cluster, error) {
 // ConnectClusterConfig connects to already-running workers with an explicit
 // fault-tolerance policy.
 func ConnectClusterConfig(addrs []string, cfg ClusterConfig) (*Cluster, error) {
-	coord, err := cluster.DialConfig(addrs, cfg.dialOptions())
+	coord, err := cluster.DialConfig(addrs, cfg)
 	if err != nil {
 		return nil, err
 	}

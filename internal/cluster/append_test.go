@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"context"
+	"maps"
 	"testing"
 
 	"bandjoin/internal/core"
 	"bandjoin/internal/data"
+	"bandjoin/internal/grid"
 )
 
 // extendPair returns base prefixes of s and t plus the full relations, for
@@ -137,6 +139,79 @@ func TestRetainedLazyDeltaAbsorb(t *testing.T) {
 		t.Errorf("run after lazy absorb shuffled %d bytes, want 0", rewarm.ShuffleBytes)
 	}
 	samePairs(t, "lazy absorb vs re-warm", warm.Pairs, rewarm.Pairs)
+}
+
+// TestDeltaIntoPartitionNewToThePlan: rows appended into Grid-ε cells that no
+// base row reached are partitions the shipment has no slot for. The delta
+// shipment must place them where the plan's placement puts them (it is built
+// only when such a partition turns up), and the warm run must return exactly
+// the nested loop's pairs over the extended relations.
+func TestDeltaIntoPartitionNewToThePlan(t *testing.T) {
+	baseS, baseT := data.ParetoPair(2, 1.5, 400, 31)
+	band := data.Symmetric(0.2, 0.2)
+	// The delta repeats the base rows 1000 away in every dimension: cells no
+	// base row reaches, whose rows join only each other.
+	shifted := func(r *data.Relation) *data.Relation {
+		out := r.Clone(r.Name())
+		for i := range r.Len() {
+			k := r.Key(i)
+			out.Append(k[0]+1000, k[1]+1000)
+		}
+		return out
+	}
+	fullS, fullT := shifted(baseS), shifted(baseT)
+
+	lc, err := StartLocal(3)
+	if err != nil {
+		t.Fatalf("StartLocal: %v", err)
+	}
+	defer lc.Stop()
+	coord, err := Dial(lc.Addrs())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer coord.Close()
+
+	plan, pctx := retainPlanFor(t, grid.New(), baseS, baseT, band, 3)
+	opts := Options{PlanID: "delta-new-cells", CollectPairs: true, ChunkSize: 128}
+	if _, err := coord.RunPlan(context.Background(), plan, pctx, baseS, baseT, band, opts); err != nil {
+		t.Fatalf("cold RunPlan: %v", err)
+	}
+	coord.mu.Lock()
+	rec := coord.retainedPlans[opts.PlanID]
+	coord.mu.Unlock()
+	rec.mu.RLock()
+	shipped := maps.Clone(rec.pidSlot)
+	rec.mu.RUnlock()
+
+	if err := coord.AbsorbPlan(context.Background(), plan, pctx, fullS, fullT, opts); err != nil {
+		t.Fatalf("AbsorbPlan: %v", err)
+	}
+	rec.mu.RLock()
+	place := placementOver(plan, pctx, len(rec.slots))
+	added := 0
+	for pid, slot := range rec.pidSlot {
+		if _, ok := shipped[pid]; ok {
+			continue
+		}
+		added++
+		if want := rec.slots[place(pid)]; slot != want {
+			t.Errorf("new partition %d went to slot %d, the placement says %d", pid, slot, want)
+		}
+	}
+	rec.mu.RUnlock()
+	if added == 0 {
+		t.Fatalf("the delta created no partition new to the plan (%d partitions shipped)", len(shipped))
+	}
+
+	warm, err := coord.RunPlan(context.Background(), plan, pctx, fullS, fullT, band, opts)
+	if err != nil {
+		t.Fatalf("warm RunPlan: %v", err)
+	}
+	if warm.ShuffleBytes != 0 {
+		t.Errorf("warm run after absorb shuffled %d bytes, want 0", warm.ShuffleBytes)
+	}
+	samePairs(t, "delta into new partitions vs nested loop", warm.Pairs, definitionPairs(fullS, fullT, band))
 }
 
 // TestAbsorbAfterWorkerLossFallsBackToCold: an append delta that cannot reach

@@ -1027,11 +1027,16 @@ func (c *Coordinator) ensureFresh(ctx context.Context, rec *retainedPlanRec, pla
 	if err != nil {
 		return err
 	}
-	place := placementOver(plan, pctx, len(rec.slots))
+	// Placing a partition new to the plan routes the sample through it, so
+	// the placement is built only when a delta lands in one.
+	var place func(pid int) int
 	assignment := make(map[int][]int)
 	for _, pid := range routed.NonEmpty() {
 		slot, ok := rec.pidSlot[pid]
 		if !ok {
+			if place == nil {
+				place = placementOver(plan, pctx, len(rec.slots))
+			}
 			slot = rec.slots[place(pid)]
 			rec.pidSlot[pid] = slot
 		}

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"log"
 	"maps"
 	"math"
 	"net"
@@ -974,16 +973,4 @@ func Serve(w *Worker, ln net.Listener) error {
 			}
 		}()
 	}
-}
-
-// ListenAndServe starts the given worker on a TCP address and blocks. The
-// worker is passed in (rather than constructed here) so callers can configure
-// it first (e.g. SetMaxRetained).
-func ListenAndServe(w *Worker, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("cluster: listening on %s: %w", addr, err)
-	}
-	log.Printf("band-join worker %s listening on %s", w.name, ln.Addr())
-	return Serve(w, ln)
 }

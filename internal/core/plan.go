@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"bandjoin/internal/data"
@@ -161,11 +160,4 @@ func (p *Plan) FinalStats() IterationStats {
 		return p.History[len(p.History)-1]
 	}
 	return IterationStats{}
-}
-
-// Describe returns a short human-readable summary of the plan.
-func (p *Plan) Describe() string {
-	fs := p.FinalStats()
-	return fmt.Sprintf("recpart plan: %d leaves, %d partitions, est dup overhead %.2f%%, est load overhead %.2f%%",
-		p.Leaves, p.parts, 100*fs.DupOverhead, 100*fs.LoadOverhead)
 }

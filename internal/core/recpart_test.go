@@ -303,9 +303,6 @@ func TestPlanDescribeAndRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Describe() == "" {
-		t.Error("Describe is empty")
-	}
 	regions := plan.Regions()
 	if len(regions) != plan.Leaves {
 		t.Errorf("Regions returned %d regions for %d leaves", len(regions), plan.Leaves)

@@ -46,10 +46,6 @@ func TestModelValidate(t *testing.T) {
 
 func TestModelRatioHelpers(t *testing.T) {
 	m := Default()
-	m2 := m.WithInputOutputRatio(10)
-	if math.Abs(m2.Beta2/m2.Beta3-10) > 1e-9 {
-		t.Errorf("WithInputOutputRatio: β2/β3 = %g", m2.Beta2/m2.Beta3)
-	}
 	m3 := m.WithShuffleWeight(100)
 	if math.Abs(m3.Beta2/m3.Beta1-100) > 1e-9 {
 		t.Errorf("WithShuffleWeight: β2/β1 = %g", m3.Beta2/m3.Beta1)
@@ -60,27 +56,6 @@ func TestModelRatioHelpers(t *testing.T) {
 	}
 	if m.String() == "" {
 		t.Error("String() empty")
-	}
-}
-
-func TestPiecewise(t *testing.T) {
-	seg1 := Model{Beta2: 1}
-	seg2 := Model{Beta2: 10}
-	p, err := NewPiecewise([]float64{100}, []Model{seg1, seg2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Segment(50).Beta2 != 1 || p.Segment(150).Beta2 != 10 {
-		t.Error("segment selection wrong")
-	}
-	if p.Predict(150, 10, 0) != 100 {
-		t.Errorf("piecewise Predict = %g", p.Predict(150, 10, 0))
-	}
-	if _, err := NewPiecewise([]float64{1, 1}, []Model{seg1, seg1, seg2}); err == nil {
-		t.Error("non-ascending breaks accepted")
-	}
-	if _, err := NewPiecewise([]float64{1}, []Model{seg1}); err == nil {
-		t.Error("wrong segment count accepted")
 	}
 }
 

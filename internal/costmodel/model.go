@@ -1,8 +1,9 @@
 // Package costmodel implements the abstract running-time model of Li et al.
-// used by the paper (Section 2): join time is estimated as a (piecewise)
-// linear function M(I, Im, Om) = β0 + β1·I + β2·Im + β3·Om of the total input
-// (including duplicates) I, and the input Im and output Om assigned to the
-// most loaded worker. The β coefficients are obtained by linear regression on
+// used by the paper (Section 2): join time is estimated as a linear function
+// M(I, Im, Om) = β0 + β1·I + β2·Im + β3·Om of the total input (including
+// duplicates) I, and the input Im and output Om assigned to the most loaded
+// worker. (The paper allows M to be piecewise linear; one segment is fitted
+// here.) The β coefficients are obtained by linear regression on
 // a micro-benchmark of local joins, mirroring the paper's offline profiling of
 // the cluster.
 package costmodel
@@ -78,16 +79,6 @@ func (m Model) Validate() error {
 	return nil
 }
 
-// WithInputOutputRatio returns a copy of the model with β2 scaled so that
-// β2/β3 equals the given ratio, keeping β3 fixed. Table 8 / Table 13 of the
-// paper sweep this ratio to study how the relative cost of input versus
-// output (i.e. the local join algorithm) changes the chosen partitioning.
-func (m Model) WithInputOutputRatio(ratio float64) Model {
-	out := m
-	out.Beta2 = out.Beta3 * ratio
-	return out
-}
-
 // WithShuffleWeight returns a copy of the model with β1 set so that
 // β2/β1 equals the given ratio (Table 8's x-axis is β2/β1). A high ratio
 // models fast networks and slow local processing.
@@ -104,47 +95,4 @@ func (m Model) WithShuffleWeight(beta2OverBeta1 float64) Model {
 // String implements fmt.Stringer.
 func (m Model) String() string {
 	return fmt.Sprintf("M(I,Im,Om) = %.3g + %.3g·I + %.3g·Im + %.3g·Om", m.Beta0, m.Beta1, m.Beta2, m.Beta3)
-}
-
-// ---------------------------------------------------------------------------
-// Piecewise model
-
-// Piecewise is a piecewise-linear running-time model: the segment whose input
-// range contains the total input I is used for prediction. The paper describes
-// M as piecewise linear because per-tuple costs grow once inputs exceed memory.
-type Piecewise struct {
-	// Breaks are the upper input bounds of each segment, ascending; the last
-	// segment is unbounded.
-	Breaks   []float64
-	Segments []Model
-}
-
-// NewPiecewise builds a piecewise model. len(segments) must be
-// len(breaks) + 1.
-func NewPiecewise(breaks []float64, segments []Model) (*Piecewise, error) {
-	if len(segments) != len(breaks)+1 {
-		return nil, fmt.Errorf("costmodel: piecewise model needs %d segments for %d breaks, got %d",
-			len(breaks)+1, len(breaks), len(segments))
-	}
-	for i := 1; i < len(breaks); i++ {
-		if breaks[i] <= breaks[i-1] {
-			return nil, fmt.Errorf("costmodel: piecewise breaks must be ascending")
-		}
-	}
-	return &Piecewise{Breaks: breaks, Segments: segments}, nil
-}
-
-// Segment returns the model applicable to total input i.
-func (p *Piecewise) Segment(i float64) Model {
-	for k, b := range p.Breaks {
-		if i <= b {
-			return p.Segments[k]
-		}
-	}
-	return p.Segments[len(p.Segments)-1]
-}
-
-// Predict estimates join time using the segment selected by total input.
-func (p *Piecewise) Predict(i, im, om float64) float64 {
-	return p.Segment(i).Predict(i, im, om)
 }

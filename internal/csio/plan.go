@@ -88,7 +88,8 @@ func (p *Plan) NumPartitions() int { return len(p.rects) }
 // Rectangles returns the number of cover rectangles (for diagnostics).
 func (p *Plan) Rectangles() int { return len(p.rects) }
 
-// EstimatedLoads implements partition.LoadEstimator.
+// EstimatedLoads returns the per-partition loads the cover was scored by
+// (for diagnostics).
 func (p *Plan) EstimatedLoads() []float64 { return p.estLoads }
 
 // AssignS implements partition.Plan.

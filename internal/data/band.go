@@ -121,31 +121,6 @@ func (b Band) IsEquiJoin() bool {
 	return true
 }
 
-// EpsRangeOfT returns the region of the join-attribute space containing every
-// S-key that could match the T-key t: [t-High, t+Low] per dimension (the
-// ε-range around t, mirrored because Matches is phrased from s's perspective).
-func (b Band) EpsRangeOfT(t []float64) Region {
-	lo := make([]float64, len(t))
-	hi := make([]float64, len(t))
-	for i := range t {
-		lo[i] = t[i] - b.High[i]
-		hi[i] = t[i] + b.Low[i]
-	}
-	return Region{Lo: lo, Hi: hi}
-}
-
-// EpsRangeOfS returns the region of the join-attribute space containing every
-// T-key that could match the S-key s: [s-Low, s+High] per dimension.
-func (b Band) EpsRangeOfS(s []float64) Region {
-	lo := make([]float64, len(s))
-	hi := make([]float64, len(s))
-	for i := range s {
-		lo[i] = s[i] - b.Low[i]
-		hi[i] = s[i] + b.High[i]
-	}
-	return Region{Lo: lo, Hi: hi}
-}
-
 // String implements fmt.Stringer.
 func (b Band) String() string {
 	return fmt.Sprintf("band(low=%v, high=%v)", b.Low, b.High)

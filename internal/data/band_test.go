@@ -2,10 +2,7 @@ package data
 
 import (
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestSymmetricMatches(t *testing.T) {
@@ -105,32 +102,6 @@ func TestWidthAccessors(t *testing.T) {
 	}
 }
 
-// TestEpsRangeConsistency is the key correctness property the partitioners
-// rely on: s matches t exactly when s lies in the ε-range of t, and exactly
-// when t lies in the ε-range of s.
-func TestEpsRangeConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	f := func(sv, tv [2]float64, lowRaw, highRaw [2]float64) bool {
-		low := [2]float64{math.Abs(lowRaw[0]), math.Abs(lowRaw[1])}
-		high := [2]float64{math.Abs(highRaw[0]), math.Abs(highRaw[1])}
-		b := Asymmetric(low[:], high[:])
-		s := sv[:]
-		tt := tv[:]
-		matches := b.Matches(s, tt)
-		inRangeOfT := b.EpsRangeOfT(tt).containsClosed(s)
-		inRangeOfS := b.EpsRangeOfS(s).containsClosed(tt)
-		return matches == inRangeOfT && matches == inRangeOfS
-	}
-	cfg := &quick.Config{MaxCount: 300, Rand: rng, Values: func(args []reflect.Value, r *rand.Rand) {
-		for i := range args {
-			args[i] = reflect.ValueOf([2]float64{r.NormFloat64() * 3, r.NormFloat64() * 3})
-		}
-	}}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMatchesDim(t *testing.T) {
 	b := Symmetric(1, 5)
 	if !b.MatchesDim(0, 3, 4) || b.MatchesDim(0, 3, 4.5) {
@@ -170,16 +141,4 @@ func TestBandString(t *testing.T) {
 	if Symmetric(1).String() == "" {
 		t.Error("String() empty")
 	}
-}
-
-// containsClosed treats the region as closed on both sides, which is the
-// correct reading for ε-ranges (they are closed boxes, unlike the half-open
-// split-tree regions).
-func (r Region) containsClosed(key []float64) bool {
-	for i, v := range key {
-		if v < r.Lo[i] || v > r.Hi[i] {
-			return false
-		}
-	}
-	return true
 }

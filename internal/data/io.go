@@ -2,50 +2,11 @@ package data
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/csv"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"strconv"
 )
-
-// relationWire is the gob wire representation of a Relation. Relation keeps
-// its fields unexported to protect the flat-storage invariant, so it
-// implements gob.GobEncoder/GobDecoder via this struct.
-type relationWire struct {
-	Name string
-	Dims int
-	Keys []float64
-}
-
-// GobEncode implements gob.GobEncoder.
-func (r *Relation) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(relationWire{Name: r.name, Dims: r.dims, Keys: r.keys}); err != nil {
-		return nil, fmt.Errorf("data: encoding relation %q: %w", r.name, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (r *Relation) GobDecode(b []byte) error {
-	var w relationWire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return fmt.Errorf("data: decoding relation: %w", err)
-	}
-	if w.Dims < 1 {
-		return fmt.Errorf("data: decoded relation %q has invalid dimensionality %d", w.Name, w.Dims)
-	}
-	if len(w.Keys)%w.Dims != 0 {
-		return fmt.Errorf("data: decoded relation %q has %d key values, not a multiple of %d dimensions", w.Name, len(w.Keys), w.Dims)
-	}
-	r.name = w.Name
-	r.dims = w.Dims
-	r.keys = w.Keys
-	return nil
-}
 
 // WriteCSV writes the relation's join attributes to w as CSV, one tuple per
 // row, with a header row naming the attributes A1..Ad.

@@ -2,7 +2,6 @@ package data
 
 import (
 	"bytes"
-	"encoding/gob"
 	"strings"
 	"testing"
 )
@@ -40,32 +39,5 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV("bad", strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
-	}
-}
-
-func TestGobRoundTrip(t *testing.T) {
-	r := NewRelation("wire", 2)
-	r.Append(1, 2)
-	r.Append(3, 4)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		t.Fatalf("gob encode: %v", err)
-	}
-	var back Relation
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatalf("gob decode: %v", err)
-	}
-	if back.Name() != "wire" || back.Len() != 2 || back.Dims() != 2 {
-		t.Fatalf("decoded relation wrong: %v", &back)
-	}
-	if back.Key(1)[1] != 4 {
-		t.Errorf("decoded value = %g, want 4", back.Key(1)[1])
-	}
-}
-
-func TestGobDecodeRejectsCorruptPayload(t *testing.T) {
-	var r Relation
-	if err := r.GobDecode([]byte("garbage")); err == nil {
-		t.Error("corrupt payload accepted")
 	}
 }

@@ -16,17 +16,6 @@ type Region struct {
 	Hi []float64
 }
 
-// FullSpace returns the region covering the whole d-dimensional space.
-func FullSpace(d int) Region {
-	lo := make([]float64, d)
-	hi := make([]float64, d)
-	for i := 0; i < d; i++ {
-		lo[i] = math.Inf(-1)
-		hi[i] = math.Inf(1)
-	}
-	return Region{Lo: lo, Hi: hi}
-}
-
 // NewRegion returns a region with the given bounds, copying the slices.
 func NewRegion(lo, hi []float64) Region {
 	if len(lo) != len(hi) {
@@ -62,23 +51,6 @@ func (r Region) Contains(key []float64) bool {
 	return true
 }
 
-// Intersects reports whether the region intersects the closed box
-// [lo[i], hi[i]] in every dimension. It is used to decide whether a tuple's
-// ε-range crosses into a child partition and the tuple must therefore be
-// duplicated there.
-func (r Region) Intersects(box Region) bool {
-	for i := range r.Lo {
-		// r is [Lo, Hi); box is treated as closed.
-		if box.Hi[i] < r.Lo[i] {
-			return false
-		}
-		if box.Lo[i] >= r.Hi[i] && !math.IsInf(r.Hi[i], 1) {
-			return false
-		}
-	}
-	return true
-}
-
 // Extent returns Hi[i]-Lo[i] for dimension i (may be +Inf).
 func (r Region) Extent(i int) float64 { return r.Hi[i] - r.Lo[i] }
 
@@ -91,22 +63,6 @@ func (r Region) SplitAt(dim int, x float64) (left, right Region) {
 	left.Hi[dim] = x
 	right.Lo[dim] = x
 	return left, right
-}
-
-// ClampTo returns the region clipped to the bounding box [lo, hi] (closed).
-// Infinite sides are replaced by the corresponding bound. It is used to turn
-// unbounded split-tree regions into finite boxes for reporting.
-func (r Region) ClampTo(lo, hi []float64) Region {
-	out := r.Clone()
-	for i := range out.Lo {
-		if math.IsInf(out.Lo[i], -1) || out.Lo[i] < lo[i] {
-			out.Lo[i] = lo[i]
-		}
-		if math.IsInf(out.Hi[i], 1) || out.Hi[i] > hi[i] {
-			out.Hi[i] = hi[i]
-		}
-	}
-	return out
 }
 
 // IsSmall reports whether the region is "small" with respect to the band

@@ -7,15 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestFullSpaceContainsEverything(t *testing.T) {
-	r := FullSpace(3)
-	for _, key := range [][]float64{{0, 0, 0}, {1e300, -1e300, 42}, {math.MaxFloat64, 0, -math.MaxFloat64}} {
-		if !r.Contains(key) {
-			t.Errorf("FullSpace does not contain %v", key)
-		}
-	}
-}
-
 func TestRegionContainsHalfOpen(t *testing.T) {
 	r := NewRegion([]float64{0, 0}, []float64{1, 1})
 	if !r.Contains([]float64{0, 0}) {
@@ -63,22 +54,6 @@ func TestSplitTilesExactly(t *testing.T) {
 	}
 }
 
-func TestRegionIntersects(t *testing.T) {
-	r := NewRegion([]float64{0}, []float64{10})
-	if !r.Intersects(NewRegion([]float64{-5}, []float64{0})) {
-		t.Error("box touching the lower (closed) bound should intersect")
-	}
-	if r.Intersects(NewRegion([]float64{10}, []float64{12})) {
-		t.Error("box starting at the open upper bound should not intersect")
-	}
-	if !r.Intersects(NewRegion([]float64{9.9}, []float64{20})) {
-		t.Error("overlapping box should intersect")
-	}
-	if r.Intersects(NewRegion([]float64{-5}, []float64{-0.1})) {
-		t.Error("box entirely below should not intersect")
-	}
-}
-
 func TestRegionSmall(t *testing.T) {
 	band := Symmetric(1, 2)
 	small := NewRegion([]float64{0, 0}, []float64{2, 4}) // extent equals 2ε in both dims
@@ -92,21 +67,14 @@ func TestRegionSmall(t *testing.T) {
 	if !big.SmallInDim(1, band) || big.SmallInDim(0, band) {
 		t.Error("SmallInDim disagrees with extents")
 	}
-	unbounded := FullSpace(2)
+	inf := math.Inf(1)
+	unbounded := NewRegion([]float64{-inf, -inf}, []float64{inf, inf})
 	if unbounded.IsSmall(band) {
 		t.Error("unbounded region cannot be small")
 	}
 	equi := Symmetric(0, 0)
 	if NewRegion([]float64{0, 0}, []float64{1, 1}).IsSmall(equi) {
 		t.Error("non-degenerate region cannot be small under an equi-join")
-	}
-}
-
-func TestRegionClampTo(t *testing.T) {
-	r := FullSpace(2)
-	clamped := r.ClampTo([]float64{0, 0}, []float64{5, 5})
-	if clamped.Lo[0] != 0 || clamped.Hi[1] != 5 {
-		t.Errorf("ClampTo produced %v", clamped)
 	}
 }
 

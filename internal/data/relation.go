@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Relation is a collection of tuples participating in a band-join. Only the
@@ -248,35 +247,6 @@ func (r *Relation) MinMax() (min, max []float64, err error) {
 		}
 	}
 	return min, max, nil
-}
-
-// SortByDim sorts the relation's tuples in place by ascending value of the
-// given dimension, breaking ties by subsequent dimensions. Tuple IDs (indices)
-// are not stable across this call; it is intended for relations used purely as
-// value collections (e.g. samples).
-func (r *Relation) SortByDim(dim int) {
-	n := r.Len()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ka, kb := r.Key(idx[a]), r.Key(idx[b])
-		if ka[dim] != kb[dim] {
-			return ka[dim] < kb[dim]
-		}
-		for d := 0; d < r.dims; d++ {
-			if ka[d] != kb[d] {
-				return ka[d] < kb[d]
-			}
-		}
-		return false
-	})
-	sorted := make([]float64, len(r.keys))
-	for pos, i := range idx {
-		copy(sorted[pos*r.dims:(pos+1)*r.dims], r.Key(i))
-	}
-	r.keys = sorted
 }
 
 // Values returns a copy of all values of the given dimension, in tuple order.

@@ -94,17 +94,6 @@ func TestRelationMinMax(t *testing.T) {
 	}
 }
 
-func TestRelationSortByDim(t *testing.T) {
-	r := NewRelation("r", 2)
-	r.Append(3, 1)
-	r.Append(1, 2)
-	r.Append(2, 3)
-	r.SortByDim(0)
-	if r.Key(0)[0] != 1 || r.Key(1)[0] != 2 || r.Key(2)[0] != 3 {
-		t.Errorf("SortByDim(0) produced %v %v %v", r.Key(0), r.Key(1), r.Key(2))
-	}
-}
-
 func TestRelationValues(t *testing.T) {
 	r := NewRelation("r", 2)
 	r.Append(1, 10)

@@ -7,9 +7,8 @@
 // the input Im and output Om of the most loaded worker, max worker load Lm,
 // the Lemma 1 lower bounds, and the relative overheads plotted in Figure 4.
 //
-// Options.Parallelism bounds both the number of shuffle shards (see
-// shuffle.go) and the number of concurrent local joins (zero means
-// GOMAXPROCS).
+// GOMAXPROCS bounds both the number of shuffle shards (see shuffle.go) and
+// the number of concurrent local joins.
 package exec
 
 import (
@@ -39,9 +38,6 @@ type Options struct {
 	// CollectPairs materializes every result pair's (S id, T id); it is meant
 	// for correctness tests on small inputs, not for benchmarks.
 	CollectPairs bool
-	// Parallelism bounds the number of shuffle shards and concurrent local
-	// joins; zero means GOMAXPROCS.
-	Parallelism int
 	// MorselRows sets the probe-side morsel size of the reduce phase's
 	// morsel-driven scheduler (see morsel.go): 0 sizes morsels automatically
 	// from the partition sizes and the parallelism, > 0 fixes the row count,
@@ -259,7 +255,7 @@ func ExecutePlan(ctx context.Context, plan partition.Plan, s, t *data.Relation, 
 
 	// --- Shuffle (map phase): route every tuple to its partitions.
 	shuffleStart := time.Now()
-	r, err := Route(ctx, plan, s, t, 0, 0, opts.Parallelism)
+	r, err := Route(ctx, plan, s, t, 0, 0, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +349,7 @@ func ExecutePartitions(ctx context.Context, plan partition.Plan, parts []*Partit
 		return nil, fmt.Errorf("exec: need at least one worker, got %d", opts.Workers)
 	}
 	rebuild, fold := make([]int64, len(parts)), make([]int64, len(parts))
-	jobs, held, unlock := LockForProbe(parts, band, func(i int, r, f int64) { rebuild[i], fold[i] = r, f }, opts.Parallelism)
+	jobs, held, unlock := LockForProbe(parts, band, func(i int, r, f int64) { rebuild[i], fold[i] = r, f }, runtime.GOMAXPROCS(0))
 	defer unlock()
 	tuples := make([]int64, len(parts))
 	for pid, in := range held {
@@ -421,16 +417,11 @@ func reduce(ctx context.Context, plan partition.Plan, jobs []MorselJob, tuples [
 	if (opts.Model == costmodel.Model{}) {
 		opts.Model = costmodel.Default()
 	}
-	parallelism := opts.Parallelism
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-
 	// --- Reduce phase: a shared pool drains probe-row ranges of all
 	// partitions, so one fat partition cannot bound the wall time (every
 	// partition is one range when MorselRows < 0).
 	joinStart := time.Now()
-	jres, mstats, err := RunMorsels(ctx, jobs, opts.MorselRows, parallelism, opts.CollectPairs)
+	jres, mstats, err := RunMorsels(ctx, jobs, opts.MorselRows, runtime.GOMAXPROCS(0), opts.CollectPairs)
 	if err != nil {
 		return nil, err
 	}

@@ -27,14 +27,12 @@ package exec
 
 import (
 	"context"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"bandjoin/internal/localjoin"
-	"bandjoin/internal/obs"
 )
 
 // Morsel sizing bounds for the auto setting (MorselRows == 0): small enough
@@ -390,33 +388,5 @@ func RunMorsels(ctx context.Context, jobs []MorselJob, morselRows, parallelism i
 			r.TIdx = append(r.TIdx, slots[idx].tIdx...)
 		}
 	}
-	metrics.morsels.Add(stats.Morsels)
-	metrics.steals.Add(stats.Steals)
-	metrics.straggler.Set(int64(math.Round(stats.StragglerRatio * 1000)))
 	return results, stats, nil
 }
-
-// metrics is the exec plane's process-wide morsel instrumentation, the
-// in-process counterpart of the cluster workers' bandjoin_worker_morsel_*
-// series (every in-process Engine shares one exec pipeline, so unlike the
-// per-Worker registries this one is package-level).
-var metrics = struct {
-	reg       *obs.Registry
-	morsels   *obs.Counter
-	steals    *obs.Counter
-	straggler *obs.Gauge
-}{}
-
-func init() {
-	metrics.reg = obs.NewRegistry()
-	metrics.morsels = metrics.reg.Counter("bandjoin_exec_morsels_total",
-		"Probe-side morsels executed by the in-process morsel scheduler.")
-	metrics.steals = metrics.reg.Counter("bandjoin_exec_morsel_steals_total",
-		"Morsels executed by a worker other than their partition's first claimer.")
-	metrics.straggler = metrics.reg.Gauge("bandjoin_exec_straggler_ratio_millis",
-		"Max-partition / mean-partition probe rows of the last morsel run, in thousandths.")
-}
-
-// Metrics returns the exec plane's morsel-scheduler registry for exposition
-// alongside an engine's own registry.
-func Metrics() *obs.Registry { return metrics.reg }

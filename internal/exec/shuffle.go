@@ -201,8 +201,8 @@ func (r *Routed) NonEmpty() []int {
 }
 
 // eachShard executes fn for every S- and T-shard, at most r.shards at a time
-// across both sides, so Options.Parallelism truly bounds the concurrency
-// (Parallelism = 1 processes the shards strictly one after another).
+// across both sides, so the shard count truly bounds the concurrency (one
+// shard processes the two sides strictly one after another).
 func (r *Routed) eachShard(fn func(side *RoutedSide, k int)) {
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, r.shards)

@@ -147,11 +147,12 @@ func TestShuffleEquivalence(t *testing.T) {
 	}
 }
 
-// TestExecutePlanSerialVsParallel checks the end-to-end accounting: a run on
-// one goroutine (one shuffle shard, one local join at a time) and a run on
-// seven must agree on every quantity the paper evaluates, and both must return
-// exactly the pairs of the band-join definition.
+// TestExecutePlanSerialVsParallel checks the end-to-end accounting: a run at
+// GOMAXPROCS 1 (one shuffle shard, one local join at a time) and a run at
+// GOMAXPROCS 7 must agree on every quantity the paper evaluates, and both must
+// return exactly the pairs of the band-join definition.
 func TestExecutePlanSerialVsParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	s, tt := data.ParetoPair(2, 1.5, 700, 29)
 	for bandName, band := range equivalenceBands() {
 		var want []Pair
@@ -162,9 +163,9 @@ func TestExecutePlanSerialVsParallel(t *testing.T) {
 			t.Run(pt.Name()+"/"+bandName, func(t *testing.T) {
 				plan := planFor(t, pt, s, tt, band, 5)
 				run := func(parallelism int) *Result {
+					runtime.GOMAXPROCS(parallelism)
 					opts := DefaultOptions(5)
 					opts.CollectPairs = true
-					opts.Parallelism = parallelism
 					res, err := ExecutePlan(context.Background(), plan, s, tt, band, opts)
 					if err != nil {
 						t.Fatalf("ExecutePlan(parallelism=%d): %v", parallelism, err)

@@ -53,9 +53,6 @@ func (c *Context) Validate() error {
 // Dims returns the dimensionality of the join.
 func (c *Context) Dims() int { return c.Band.Dims() }
 
-// InputSize returns |S| + |T|, the Lemma 1 lower bound on total input.
-func (c *Context) InputSize() int { return c.Sample.TotalS + c.Sample.TotalT }
-
 // Plan is the output of a partitioner's optimization phase: an assignment of
 // every input tuple to one or more partitions such that every join result is
 // produced by exactly one partition's local join (Definition 1). Partitions
@@ -79,13 +76,6 @@ type Plan interface {
 // stand-in for the cluster scheduler's dynamic load balancing.
 type WorkerPlacer interface {
 	PlaceWorker(partition, workers int) int
-}
-
-// LoadEstimator is an optional interface a Plan can implement to expose its
-// optimizer's per-partition load estimates (used for reporting and for
-// scheduling before actual loads are known).
-type LoadEstimator interface {
-	EstimatedLoads() []float64
 }
 
 // Partitioner finds a Plan for a given context. Implementations: RecPart

@@ -7,18 +7,6 @@ import (
 // Schedule maps each partition index to the worker that will process it.
 type Schedule []int
 
-// Workers returns the number of distinct workers referenced by the schedule
-// assuming workers are numbered 0..w-1; it is the maximum worker index + 1.
-func (s Schedule) Workers() int {
-	max := -1
-	for _, w := range s {
-		if w > max {
-			max = w
-		}
-	}
-	return max + 1
-}
-
 // LPT assigns partitions to workers with the greedy longest-processing-time
 // rule: partitions are considered in decreasing load order and each is placed
 // on the currently least-loaded worker. LPT is within 4/3 of the optimal
@@ -129,32 +117,6 @@ func resizeFloats(buf *[]float64, n int) []float64 {
 	return *buf
 }
 
-// RoundRobin assigns partition i to worker i mod workers.
-func RoundRobin(partitions, workers int) Schedule {
-	if workers < 1 {
-		workers = 1
-	}
-	sched := make(Schedule, partitions)
-	for i := range sched {
-		sched[i] = i % workers
-	}
-	return sched
-}
-
-// Hash assigns partitions to workers by a multiplicative hash of the partition
-// index, the placement used by Grid-ε style partitioners that avoid any
-// optimization cost.
-func Hash(partitions, workers int) Schedule {
-	if workers < 1 {
-		workers = 1
-	}
-	sched := make(Schedule, partitions)
-	for i := range sched {
-		sched[i] = int(hash64(uint64(i)) % uint64(workers))
-	}
-	return sched
-}
-
 // FromPlacer builds a schedule by asking the plan's WorkerPlacer for each
 // partition.
 func FromPlacer(p WorkerPlacer, partitions, workers int) Schedule {
@@ -167,30 +129,6 @@ func FromPlacer(p WorkerPlacer, partitions, workers int) Schedule {
 		sched[i] = w
 	}
 	return sched
-}
-
-// WorkerLoads aggregates per-partition loads into per-worker loads under the
-// schedule.
-func (s Schedule) WorkerLoads(loads []float64, workers int) []float64 {
-	out := make([]float64, workers)
-	for p, w := range s {
-		if p < len(loads) {
-			out[w] += loads[p]
-		}
-	}
-	return out
-}
-
-// MaxLoad returns the largest per-worker load under the schedule.
-func (s Schedule) MaxLoad(loads []float64, workers int) float64 {
-	wl := s.WorkerLoads(loads, workers)
-	max := 0.0
-	for _, l := range wl {
-		if l > max {
-			max = l
-		}
-	}
-	return max
 }
 
 // hash64 is the splitmix64 finalizer, used for cheap deterministic hashing of
