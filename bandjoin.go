@@ -109,15 +109,9 @@ type Options struct {
 	// estimates of I, Im, Om instead (useful for very high-duplication
 	// configurations).
 	EstimateOnly bool
-	// MorselRows sets the join execution grain on both planes: partitions'
-	// probe (S) sides are split into morsels of this many rows, executed by a
-	// shared worker pool draining a largest-partition-first queue, so one fat
-	// partition cannot bound query latency (skew immunity). 0 (the default)
-	// sizes morsels automatically from the partition sizes and the join
-	// parallelism; > 0 fixes the row count; < 0 runs every partition as one
-	// morsel, the skew baseline. Results are bit-identical for every setting.
-	MorselRows int
-	// Seed makes sampling and randomized assignment deterministic.
+	// Seed makes sampling and 1-Bucket's random row/column assignment
+	// deterministic. RecPart's small-partition assignment hashes with its own
+	// seed (RecPartOptions.Seed, 1 for RecPart and RecPartS), not this one.
 	Seed int64
 }
 

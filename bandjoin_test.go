@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bandjoin"
+	"bandjoin/internal/core"
 	"bandjoin/internal/csio"
 	"bandjoin/internal/grid"
 	"bandjoin/internal/iejoin"
@@ -257,9 +258,9 @@ func TestAsymmetricPublicAPI(t *testing.T) {
 	}
 }
 
-// TestOptionsSurface pins the exported fields of the three option structs, so
-// that a new knob is a deliberate diff here: each one multiplies the
-// configurations the tests and the benchmark have to cover.
+// TestOptionsSurface pins the exported fields of the option structs, RecPart's
+// own included, so that a new knob is a deliberate diff here: each one
+// multiplies the configurations the tests and the benchmark have to cover.
 func TestOptionsSurface(t *testing.T) {
 	for _, c := range []struct {
 		opts any
@@ -267,8 +268,9 @@ func TestOptionsSurface(t *testing.T) {
 	}{
 		{bandjoin.Options{}, []string{
 			"Workers", "Partitioner", "Model", "InputSampleSize", "OutputSampleSize",
-			"CollectPairs", "EstimateOnly", "MorselRows", "Seed"}},
-		{bandjoin.RecPartOptions{}, []string{"Symmetric", "Theoretical", "MaxIterations", "Seed"}},
+			"CollectPairs", "EstimateOnly", "Seed"}},
+		{bandjoin.RecPartOptions{}, []string{"Symmetric", "Theoretical", "Seed"}},
+		{core.Options{}, []string{"Symmetric", "Termination", "Seed"}},
 		{bandjoin.EngineOptions{}, []string{"DisableRetention"}},
 	} {
 		typ := reflect.TypeOf(c.opts)

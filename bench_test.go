@@ -86,30 +86,6 @@ func ablationWorkload() (*bandjoin.Relation, *bandjoin.Relation, bandjoin.Band) 
 	return s, t, bandjoin.Uniform(3, 0.03)
 }
 
-// BenchmarkAblationDupSmoothing sweeps the split-score smoothing budget δ
-// (DESIGN.md's noted deviation from the literal paper scoring) and reports the
-// resulting duplication and load overheads.
-func BenchmarkAblationDupSmoothing(b *testing.B) {
-	s, t, band := ablationWorkload()
-	for _, frac := range []float64{0.00002, 0.0002, 0.002, 0.02, 0.2} {
-		b.Run(fmt.Sprintf("delta=%g", frac), func(b *testing.B) {
-			var res *bandjoin.Result
-			for i := 0; i < b.N; i++ {
-				opts := core.DefaultOptions()
-				opts.Symmetric = false
-				opts.DupSmoothingFraction = frac
-				r, err := exec.Run(core.New(opts), s, t, band, exec.DefaultOptions(30))
-				if err != nil {
-					b.Fatal(err)
-				}
-				res = r
-			}
-			b.ReportMetric(100*res.DupOverhead, "dup-%")
-			b.ReportMetric(100*res.LoadOverhead, "load-%")
-		})
-	}
-}
-
 // BenchmarkAblationSampleSize studies how the optimization-phase sample size
 // affects partitioning quality and optimization time.
 func BenchmarkAblationSampleSize(b *testing.B) {

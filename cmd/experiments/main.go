@@ -10,10 +10,10 @@
 //
 // Each table identifier corresponds to one paper artifact (see DESIGN.md for
 // the full index). Output is an aligned text table; -csv additionally exports
-// the raw per-method measurements. -engine, -append, -scaling and -skew run
-// the serving-tier, incremental-ingestion, GOMAXPROCS-sweep and point-mass
-// benchmarks and write their JSON reports to the given paths; they stay until
-// the repository's benchmark (BENCHMARK.json) has their shapes as workloads.
+// the raw per-method measurements. -append, -scaling and -skew run the
+// incremental-ingestion, GOMAXPROCS-sweep and point-mass benchmarks and write
+// their JSON reports to the given paths; they stay until the repository's
+// benchmark (BENCHMARK.json) has their shapes as workloads.
 package main
 
 import (
@@ -54,13 +54,6 @@ func main() {
 		csvPath = flag.String("csv", "", "also export raw measurements to this CSV file")
 		quick   = flag.Bool("quick", false, "use a very small configuration (smoke test)")
 
-		enginePath    = flag.String("engine", "", "run the engine-throughput benchmark (cold vs warm-plan vs warm-partitions on the cluster plane) and write the JSON report to this path")
-		engineTuples  = flag.Int("engine-tuples", 0, "per-relation input size of the engine benchmark (default 500000)")
-		engineWorkers = flag.Int("engine-workers", 0, "number of in-process RPC workers of the engine benchmark (default 2)")
-		engineDims    = flag.Int("engine-dims", 0, "number of join attributes of the engine benchmark (default 8)")
-		engineEps     = flag.Float64("engine-eps", 0, "symmetric band width of the engine benchmark (default 0.003)")
-		engineRounds  = flag.Int("engine-rounds", 0, "rounds per serving tier, fastest kept (default 3)")
-
 		appendPath    = flag.String("append", "", "run the incremental-ingestion benchmark (Engine.Append vs full rebuild, sustained-append query latency) and write the JSON report to this path")
 		appendTuples  = flag.Int("append-tuples", 0, "per-relation base size of the append benchmark (default 500000)")
 		appendWorkers = flag.Int("append-workers", 0, "number of in-process RPC workers of the append benchmark (default 2)")
@@ -86,50 +79,6 @@ func main() {
 		skewProcs   = flag.String("skew-procs", "", "comma-separated GOMAXPROCS list to measure at (default: current setting)")
 	)
 	flag.Parse()
-
-	if *enginePath != "" {
-		cfg := bench.DefaultEngineConfig()
-		if *engineTuples > 0 {
-			cfg.Tuples = *engineTuples
-		}
-		if *engineWorkers > 0 {
-			cfg.Workers = *engineWorkers
-		}
-		if *engineDims > 0 {
-			cfg.Dims = *engineDims
-		}
-		if *engineEps > 0 {
-			cfg.Eps = *engineEps
-		}
-		if *engineRounds > 0 {
-			cfg.Rounds = *engineRounds
-		}
-		cfg.Seed = *seed
-		f, err := os.Create(*enginePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "creating %s: %v\n", *enginePath, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		fmt.Printf("engine benchmark: %d x %d tuples, %dD, band %g, %d in-process workers...\n",
-			cfg.Tuples, cfg.Tuples, cfg.Dims, cfg.Eps, cfg.Workers)
-		rep, err := bench.RunEngine(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "engine benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteEngineJSON(f, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *enginePath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("cold %.2fs/query (opt %.2fs + shuffle %.2fs + join %.2fs)\n",
-			rep.Cold.WallSeconds, rep.Cold.OptimizationSeconds, rep.Cold.ShuffleSeconds, rep.Cold.JoinSeconds)
-		fmt.Printf("warm-plan %.2fs/query (shuffle %.2fs), warm-partitions %.2fs/query (shuffle bytes %d)\n",
-			rep.WarmPlan.WallSeconds, rep.WarmPlan.ShuffleSeconds, rep.WarmPartitions.WallSeconds, rep.WarmPartitions.ShuffleBytes)
-		fmt.Printf("speedups: warm-plan %.2fx, warm-partitions %.2fx; pairs checked %d identical=%v; report written to %s\n",
-			rep.SpeedupWarmPlan, rep.SpeedupWarmPartitions, rep.PairsChecked, rep.PairsIdentical, *enginePath)
-		return
-	}
 
 	if *appendPath != "" {
 		cfg := bench.DefaultAppendConfig()

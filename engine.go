@@ -778,15 +778,8 @@ func inputSampleBytes(in *sample.InputSample) int64 {
 }
 
 // partitionerFingerprint identifies a partitioner configuration for the plan
-// cache. Partitioners that carry execution-only knobs irrelevant to the plans
-// they produce expose a PlanFingerprint that omits them (core.RecPart's
-// planner parallelism), so two queries differing only in such
-// knobs share one cached plan and one retained partition set; everything else
-// falls back to the full configuration dump.
+// cache: its type and full configuration dump.
 func partitionerFingerprint(p Partitioner) string {
-	if fp, ok := p.(interface{ PlanFingerprint() string }); ok {
-		return fp.PlanFingerprint()
-	}
 	return fmt.Sprintf("%T%+v", p, p)
 }
 
@@ -1044,7 +1037,6 @@ func (p *clusterPlane) execute(ctx context.Context, prep *exec.Prepared, s, t *R
 		Model:        r.Model,
 		Sampling:     r.Sampling,
 		CollectPairs: r.CollectPairs,
-		MorselRows:   r.MorselRows,
 		Seed:         r.Seed,
 		PlanID:       planID,
 	}

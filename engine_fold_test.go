@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"bandjoin"
+	"bandjoin/internal/exec"
 	"bandjoin/internal/localjoin"
 	"bandjoin/internal/partition"
 )
@@ -265,11 +266,21 @@ func TestPartitionersGroundTruth(t *testing.T) {
 		for _, p := range partitioners {
 			// The one-shot plane: no retention, every partition built when the
 			// morsel scheduler reaches it, straight from the routed lists —
-			// striped into morsels, and whole.
+			// striped into morsels by the public Join, and whole by exec's
+			// per-partition baseline (MorselRows < 0, which the skew and
+			// scaling harnesses run) with Join's seeds, so the same plan.
 			for _, morselRows := range []int{0, -1} {
 				t.Run(fmt.Sprintf("%s/%s/one-shot-morsels=%d", row.name, p.name, morselRows), func(t *testing.T) {
-					opts := bandjoin.Options{Workers: 8, Seed: 5, CollectPairs: true, Partitioner: p.pt, MorselRows: morselRows}
-					res, err := bandjoin.Join(s, tt, band, opts)
+					var res *bandjoin.Result
+					var err error
+					if morselRows == 0 {
+						res, err = bandjoin.Join(s, tt, band, bandjoin.Options{Workers: 8, Seed: 5, CollectPairs: true, Partitioner: p.pt})
+					} else {
+						opts := exec.DefaultOptions(8)
+						opts.Sampling.Seed, opts.Seed = 6, 5
+						opts.CollectPairs, opts.MorselRows = true, morselRows
+						res, err = exec.Run(p.pt, s, tt, band, opts)
+					}
 					if len(row.zero) > 0 && strings.HasPrefix(p.name, "Grid") {
 						if err == nil || !strings.Contains(err.Error(), "undefined for equi-joins") {
 							t.Fatalf("Join with a zero band width: got %v, want the grid's refusal", err)
@@ -293,7 +304,7 @@ func TestPartitionersGroundTruth(t *testing.T) {
 					if err := e.Register("t", tt.Clone("t")); err != nil {
 						t.Fatalf("Register: %v", err)
 					}
-					spy := &planSpy{Partitioner: p.pt}
+					spy := &planSpy{Partitioner: p.pt, log: &planLog{}}
 					opts := bandjoin.Options{Workers: 8, Seed: 5, CollectPairs: true, Partitioner: spy}
 					res, err := e.Join(context.Background(), "s", "t", band, opts)
 					if len(row.zero) > 0 && strings.HasPrefix(p.name, "Grid") {
@@ -316,7 +327,7 @@ func TestPartitionersGroundTruth(t *testing.T) {
 					// (a delta shuffle with offset IDs) into the partitions the
 					// first join left.
 					deltaS, deltaT := bandjoin.NewRelation("s", row.d), bandjoin.NewRelation("t", row.d)
-					for _, key := range boundaryKeys(spy.plans[0], s, tt) {
+					for _, key := range boundaryKeys(spy.log.plans[0], s, tt) {
 						deltaS.AppendKey(key)
 						for j := range key {
 							for _, v := range []float64{key[j] - band.Low[j], key[j] + band.High[j]} {
@@ -347,8 +358,8 @@ func TestPartitionersGroundTruth(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Join after the append: %v", err)
 					}
-					if len(spy.plans) != 1 {
-						t.Fatalf("the engine planned %d times; the appended keys were meant for the first plan", len(spy.plans))
+					if len(spy.log.plans) != 1 {
+						t.Fatalf("the engine planned %d times; the appended keys were meant for the first plan", len(spy.log.plans))
 					}
 					pairsEqual(t, "after the append: engine vs nested loop", res.Pairs, definitionPairs(s, tt, band))
 				})
@@ -357,22 +368,25 @@ func TestPartitionersGroundTruth(t *testing.T) {
 	}
 }
 
-// planSpy is a partitioner that keeps the plans it makes. Its fingerprint is
-// fixed, so the plans it has kept do not make it a new partitioner to the
-// engine's plan cache.
+// planSpy is a partitioner that keeps the plans it makes. It keeps them
+// behind a pointer, so the value the engine's plan cache prints as its
+// fingerprint stays fixed and the plans it has kept do not make it a new
+// partitioner.
 type planSpy struct {
 	bandjoin.Partitioner
+	log *planLog
+}
+
+type planLog struct {
 	mu    sync.Mutex
 	plans []bandjoin.Plan
 }
 
-func (p *planSpy) PlanFingerprint() string { return "spy|" + p.Name() }
-
 func (p *planSpy) Plan(ctx *partition.Context) (bandjoin.Plan, error) {
 	plan, err := p.Partitioner.Plan(ctx)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.plans = append(p.plans, plan)
+	p.log.mu.Lock()
+	defer p.log.mu.Unlock()
+	p.log.plans = append(p.log.plans, plan)
 	return plan, err
 }
 
@@ -393,7 +407,12 @@ func boundaryKeys(plan bandjoin.Plan, s, t *bandjoin.Relation) [][]float64 {
 		for row := 0; row < s.Len() && len(out) < 48; row += s.Len() / 4 {
 			key := s.Key(row)
 			for j := 0; j < d; j++ {
-				vals := append(s.Values(j), t.Values(j)...)
+				var vals []float64
+				for _, r := range []*bandjoin.Relation{s, t} {
+					for i := 0; i < r.Len(); i++ {
+						vals = append(vals, r.Key(i)[j])
+					}
+				}
 				sort.Float64s(vals)
 				for i := 1; i < len(vals); i++ {
 					lo, hi := vals[i-1], vals[i]

@@ -2,10 +2,14 @@ package bandjoin_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"maps"
+	"path"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -18,8 +22,8 @@ import (
 // "pkg.Func", "pkg.Type" or "pkg.Type.Method".
 var exportsAllowed = map[string]string{
 	"cluster.Worker.SetWireVersion":    "test seam: pins a worker to an older wire version for the mixed-version tests",
-	"cluster.Worker.SetShipHook":       "test seam: the chaos and fault tests intercept shipment streams with it",
 	"cluster.Coordinator.WorkerStates": "test seam: failover tests read each worker's health through it",
+	"cluster.Coordinator.Run":          "kept while benchmark/replay.go sets cluster.Options.Sampling and Seed, which only Run reads; it goes with the benchmark's half of the knob audit",
 	"grid.Plan.CellSizes":              "test seam: pins the cell sizes Grid-ε derives from the band",
 	"csio.Plan.Rectangles":             "test seam: counts the rectangles CSIO's cover produced",
 	"csio.Plan.EstimatedLoads":         "test seam: exposes the per-partition loads CSIO's cover was scored by",
@@ -27,14 +31,11 @@ var exportsAllowed = map[string]string{
 	"csio.NewWithGranularity":          "test seam: builds CSIO at a granularity the public constructor does not expose",
 	"bench.Summarize":                  "test seam: reduces a paper table to the overheads its tests assert",
 	"core.Plan.Regions":                "test seam: the golden-plan hashes and the tiling test read a plan's leaf regions",
-	"core.Plan.FinalStats":             "test seam: the planner tests assert the chosen iteration's estimates",
-	"onebucket.Plan.Cols":              "test seam: pins the 1-Bucket matrix shape (Rows has a caller)",
-	"data.Relation.MinMax":             "test seam: the sample-merge test checks that an appended range reaches the sample",
 	"chaos.Start":                      "fault-injection harness: the package exists for the cluster fault tests",
-	"chaos.StartOn":                    "fault-injection harness: restarts a killed node on its old address",
-	"chaos.NewSchedule":                "fault-injection harness: a hand-written fault schedule",
 	"chaos.Generate":                   "fault-injection harness: a seeded fault schedule",
 	"chaos.Node.Worker":                "fault-injection harness: the worker behind a chaos node",
+	"chaos.Node.Addr":                  "fault-injection harness: the address a test dials or restarts a chaos node on",
+	"chaos.Node.Stop":                  "fault-injection harness: shuts a chaos node down at the end of a test",
 	"chaos.Schedule.Calls":             "fault-injection harness: counts the RPCs a chaos schedule saw",
 	"chaos.Node.Killed":                "fault-injection harness: reports whether a chaos schedule killed a node",
 	"core.Plan.DumpTree":               "debugging aid: the starting point for dumping a plan's split tree in the trace",
@@ -50,61 +51,45 @@ var exportsAllowedMethods = map[string]string{
 	"Swap":   "sort.Interface / heap.Interface",
 	"Push":   "heap.Interface",
 	"Pop":    "heap.Interface",
+	"Read":   "io.Reader",
+	"Write":  "io.Writer",
 }
 
 // TestInternalExportsHaveCallers fails when an exported top-level func,
-// method or type under internal/ is referenced by no non-test file of this
-// module or of benchmark/. Code that only its own tests call is code nothing
-// runs; delete it with its tests, or add it to exportsAllowed with a reason.
+// method or type under internal/, or a method of an exported interface there,
+// is referenced by no non-test file of this module or of benchmark/. Code that
+// only its own tests call is code nothing runs; delete it with its tests, or
+// add it to exportsAllowed with a reason.
 //
-// The check is syntactic (go/parser only):
-//   - a type or func counts as referenced by its bare name in its own package,
-//     or as pkg.Name where pkg is an import of its package;
-//   - a method counts as referenced by any call x.Name(...), by a non-call
-//     selector x.Name when no struct field of that name exists, or by a string
-//     literal "Service.Name" (net/rpc methods are called by string);
+// The check type-checks every non-test package (go/types, the standard
+// library from source) and resolves each reference to the object it denotes:
+//   - a type or func counts as referenced where an identifier resolves to it;
+//   - a method counts as referenced where a selector resolves to it, where a
+//     selector resolves to an interface method of the same name that its
+//     type implements, or by a string literal "Service.Name" (net/rpc
+//     methods are called by string);
 //   - a reference made inside an unreferenced declaration does not count, so
-//     a chain of dead code is reported whole;
+//     a chain of dead code is reported whole, but one made inside an allowed
+//     declaration does: what a kept declaration calls is kept too;
 //   - a method of an unreferenced type is unreferenced.
 func TestInternalExportsHaveCallers(t *testing.T) {
-	var files []*parsedFile
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, &parsedFile{dir: filepath.ToSlash(filepath.Dir(p)), f: f})
-		return nil
-	})
+	m, err := loadModule(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) == 0 {
-		t.Fatal("no Go files found; the test must run from the module root")
+	allowed := func(k string) bool {
+		if _, ok := exportsAllowed[k]; ok {
+			return true
+		}
+		_, ok := exportsAllowedMethods[k[strings.LastIndexByte(k, '.')+1:]]
+		return ok && strings.Count(k, ".") == 2
 	}
-	dead := deadExports(files)
+	dead := m.deadExports(allowed)
 	var unexplained []string
 	for _, k := range dead {
-		if _, ok := exportsAllowed[k]; ok {
-			continue
+		if !allowed(k) {
+			unexplained = append(unexplained, k)
 		}
-		if _, ok := exportsAllowedMethods[k[strings.LastIndexByte(k, '.')+1:]]; ok && strings.Count(k, ".") == 2 {
-			continue
-		}
-		unexplained = append(unexplained, k)
 	}
 	if len(unexplained) > 0 {
 		t.Errorf("%d exported internal identifiers have no caller outside tests:\n\t%s",
@@ -118,104 +103,187 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	}
 }
 
-type parsedFile struct {
-	dir string // slash-separated, relative to the module root
-	f   *ast.File
+// modulePkg is one non-test package of the module or of benchmark/.
+type modulePkg struct {
+	path  string // import path
+	dir   string // slash-separated, relative to the module root
+	files []*ast.File
+	types *types.Package
 }
 
-// exportDecl is one exported top-level declaration under internal/.
+// moduleSet type-checks the module's packages into one universe of objects,
+// so a reference in one package resolves to the very object another declares.
+// It is the checker's importer: module paths are checked here, everything else
+// comes from the standard library's source.
+type moduleSet struct {
+	fset   *token.FileSet
+	info   *types.Info
+	pkgs   []*modulePkg
+	byPath map[string]*modulePkg
+	std    types.ImporterFrom
+}
+
+// loadModule parses every non-test Go file under root that the build
+// constraints select, skipping dot directories and testdata, and type-checks
+// the packages. The benchmark module's path, bandjoin/benchmark, is its
+// directory's path under the root module's, so one mapping serves both.
+func loadModule(root string) (*moduleSet, error) {
+	fset := token.NewFileSet()
+	m := &moduleSet{
+		fset:   fset,
+		info:   &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		byPath: map[string]*modulePkg{},
+		std:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+	}
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		ip := path.Join("bandjoin", dir)
+		pkg := m.byPath[ip]
+		if pkg == nil {
+			pkg = &modulePkg{path: ip, dir: dir}
+			m.byPath[ip] = pkg
+			m.pkgs = append(m.pkgs, pkg)
+		}
+		pkg.files = append(pkg.files, f)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(m.pkgs) == 0 {
+		return nil, fs.ErrNotExist
+	}
+	for _, pkg := range m.pkgs {
+		if _, err := m.check(pkg); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+func (m *moduleSet) Import(path string) (*types.Package, error) {
+	return m.ImportFrom(path, ".", 0)
+}
+
+func (m *moduleSet) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if pkg, ok := m.byPath[path]; ok {
+		return m.check(pkg)
+	}
+	return m.std.ImportFrom(path, dir, mode)
+}
+
+func (m *moduleSet) check(pkg *modulePkg) (*types.Package, error) {
+	if pkg.types == nil {
+		conf := types.Config{Importer: m}
+		tp, err := conf.Check(pkg.path, m.fset, pkg.files, m.info)
+		if err != nil {
+			return nil, err
+		}
+		pkg.types = tp
+	}
+	return pkg.types, nil
+}
+
+// exportDecl is one candidate: an exported top-level func or type under
+// internal/, an exported method of a type there, or a method of an exported
+// interface there.
 type exportDecl struct {
 	key  string // "pkg.Name" or "pkg.Type.Method"
-	dir  string
-	name string
-	recv string // the receiver's type name, for a method
+	obj  types.Object
+	recv string // the key of the receiver's type, for a method
 }
 
-// refIndex records, for every name referenced, the declarations the
-// references sit in: the key of a candidate exportDecl, or "" for code that is
-// always kept.
-type refIndex struct {
-	fields  map[string]bool        // every struct field name of the module
-	pkg     map[[2]string][]string // (dir, name) of a package-level name
-	methods map[string][]string    // method name
+// refs records, for every object referenced, the candidates the references
+// sit in: a candidate's key, or "" for code that is always kept.
+type refs struct {
+	objs   map[types.Object][]string
+	byName map[string][]string // "Service.Method" string literals, by method name
 }
 
-func deadExports(files []*parsedFile) []string {
-	pkgName := map[string]string{} // dir → package name
-	for _, pf := range files {
-		pkgName[pf.dir] = pf.f.Name.Name
-	}
+// deadExports returns the keys of the candidates nothing references. An
+// allowed candidate is reported too, but stays live to what it references.
+func (m *moduleSet) deadExports(allowed func(key string) bool) []string {
 	decls := map[string]*exportDecl{}
-	idx := refIndex{fields: map[string]bool{}, pkg: map[[2]string][]string{}, methods: map[string][]string{}}
-	for _, pf := range files {
-		ast.Inspect(pf.f, func(n ast.Node) bool {
-			if st, ok := n.(*ast.StructType); ok {
-				for _, fl := range st.Fields.List {
-					for _, nm := range fl.Names {
-						idx.fields[nm.Name] = true
+	r := refs{objs: map[types.Object][]string{}, byName: map[string][]string{}}
+	for _, pkg := range m.pkgs {
+		internal := strings.HasPrefix(pkg.dir, "internal/")
+		for _, f := range pkg.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					from := ""
+					if internal && d.Name.IsExported() {
+						e := m.funcExport(pkg.types, d)
+						decls[e.key] = e
+						from = e.key
 					}
-				}
-			}
-			return true
-		})
-		if strings.HasPrefix(pf.dir, "internal/") {
-			for _, d := range pf.f.Decls {
-				for _, e := range declExports(pf.dir, pkgName[pf.dir], d) {
-					decls[e.key] = e
+					// A func's receiver is no reference to its type.
+					m.collect(&r, d.Type, from)
+					if d.Body != nil {
+						m.collect(&r, d.Body, from)
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						from := ""
+						if ts, ok := s.(*ast.TypeSpec); ok && internal && ts.Name.IsExported() {
+							for _, e := range m.typeExports(pkg.types, ts) {
+								decls[e.key] = e
+							}
+							from = pkg.types.Name() + "." + ts.Name.Name
+						}
+						m.collect(&r, s, from)
+					}
 				}
 			}
 		}
 	}
 
-	for _, pf := range files {
-		imports := map[string]string{} // local name → dir
-		for _, is := range pf.f.Imports {
-			ip, _ := strconv.Unquote(is.Path.Value)
-			if dir, ok := strings.CutPrefix(ip, "bandjoin/"); ok {
-				local := pkgName[dir]
-				if is.Name != nil {
-					local = is.Name.Name
-				}
-				imports[local] = dir
-			}
+	// Every interface method a reference resolves to, by name: a method of a
+	// type implementing that interface is reached through it.
+	ifaceRefs := map[string][]*types.Func{}
+	for obj := range r.objs {
+		if fn, ok := obj.(*types.Func); ok && isInterfaceMethod(fn) {
+			ifaceRefs[fn.Name()] = append(ifaceRefs[fn.Name()], fn)
 		}
-		// A reference sits in the candidate it is made from, if any; a
-		// declaration's own name and a method's receiver are no references.
-		internal := strings.HasPrefix(pf.dir, "internal/")
-		for _, d := range pf.f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				from := ""
-				if ex := declExports(pf.dir, pkgName[pf.dir], d); internal && len(ex) == 1 {
-					from = ex[0].key
-				}
-				idx.collect(pf.dir, imports, d.Type, from)
-				if d.Body != nil {
-					idx.collect(pf.dir, imports, d.Body, from)
-				}
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					ts, ok := s.(*ast.TypeSpec)
-					if !ok {
-						idx.collect(pf.dir, imports, s, "")
-						continue
+	}
+	refsOf := map[string][]string{}
+	for k, e := range decls {
+		rs := slices.Clone(r.objs[e.obj])
+		if fn, ok := e.obj.(*types.Func); ok && fn.Signature().Recv() != nil {
+			rs = append(rs, r.byName[fn.Name()]...)
+			if !isInterfaceMethod(fn) {
+				for _, im := range ifaceRefs[fn.Name()] {
+					if implements(fn, im) {
+						rs = append(rs, r.objs[im]...)
 					}
-					from := ""
-					if internal && ts.Name.IsExported() {
-						from = pkgName[pf.dir] + "." + ts.Name.Name
-					}
-					if ts.TypeParams != nil {
-						idx.collect(pf.dir, imports, ts.TypeParams, from)
-					}
-					idx.collect(pf.dir, imports, ts.Type, from)
 				}
 			}
 		}
+		refsOf[k] = rs
 	}
 
 	// A declaration is dead when every reference to it sits in itself or in
 	// a dead declaration; iterate until no more die.
-	isDead := map[string]bool{}
+	uncalled, isDead := map[string]bool{}, map[string]bool{}
 	live := func(refs []string, self string) bool {
 		for _, r := range refs {
 			if r == "" || (r != self && !isDead[r]) {
@@ -227,104 +295,101 @@ func deadExports(files []*parsedFile) []string {
 	for changed := true; changed; {
 		changed = false
 		for k, e := range decls {
-			if isDead[k] {
+			if uncalled[k] {
 				continue
 			}
-			ok := live(idx.pkg[[2]string{e.dir, e.name}], k)
-			if e.recv != "" {
-				ok = !isDead[pkgName[e.dir]+"."+e.recv] && live(idx.methods[e.name], k)
-			}
-			if !ok {
-				isDead[k] = true
+			if (e.recv != "" && isDead[e.recv]) || !live(refsOf[k], k) {
+				uncalled[k] = true
+				isDead[k] = !allowed(k)
 				changed = true
 			}
 		}
 	}
-	return slices.Sorted(maps.Keys(isDead))
+	return slices.Sorted(maps.Keys(uncalled))
 }
 
-// declExports returns the exported funcs, methods and types declared by d.
-func declExports(dir, pkg string, d ast.Decl) []*exportDecl {
-	switch d := d.(type) {
-	case *ast.FuncDecl:
-		if !d.Name.IsExported() {
-			return nil
-		}
-		if d.Recv == nil {
-			return []*exportDecl{{key: pkg + "." + d.Name.Name, dir: dir, name: d.Name.Name}}
-		}
-		recv := recvTypeName(d.Recv.List[0].Type)
-		return []*exportDecl{{key: pkg + "." + recv + "." + d.Name.Name, dir: dir, name: d.Name.Name, recv: recv}}
-	case *ast.GenDecl:
-		if d.Tok != token.TYPE {
-			return nil
-		}
-		var out []*exportDecl
-		for _, s := range d.Specs {
-			ts := s.(*ast.TypeSpec)
-			if ts.Name.IsExported() {
-				out = append(out, &exportDecl{key: pkg + "." + ts.Name.Name, dir: dir, name: ts.Name.Name})
-			}
-		}
-		return out
+// funcExport returns the candidate an exported func or method declares.
+func (m *moduleSet) funcExport(pkg *types.Package, d *ast.FuncDecl) *exportDecl {
+	fn := m.info.Defs[d.Name].(*types.Func)
+	if d.Recv == nil {
+		return &exportDecl{key: pkg.Name() + "." + fn.Name(), obj: fn}
 	}
-	return nil
+	recv := pkg.Name() + "." + recvName(fn)
+	return &exportDecl{key: recv + "." + fn.Name(), obj: fn, recv: recv}
 }
 
-func recvTypeName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
+// typeExports returns the candidates an exported type declares: the type and,
+// for an interface, its methods.
+func (m *moduleSet) typeExports(pkg *types.Package, ts *ast.TypeSpec) []*exportDecl {
+	tn := m.info.Defs[ts.Name]
+	key := pkg.Name() + "." + tn.Name()
+	out := []*exportDecl{{key: key, obj: tn}}
+	if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+		for i := 0; i < it.NumExplicitMethods(); i++ {
+			fn := it.ExplicitMethod(i)
+			out = append(out, &exportDecl{key: key + "." + fn.Name(), obj: fn, recv: key})
 		}
 	}
+	return out
 }
 
-// collect records every reference made inside node n of a file in dir, as
-// made from the declaration keyed from.
-func (idx refIndex) collect(dir string, imports map[string]string, n ast.Node, from string) {
-	called := map[*ast.SelectorExpr]bool{}
-	skip := map[*ast.Ident]bool{}
+// collect records every reference made inside n as made from the candidate
+// keyed from.
+func (m *moduleSet) collect(r *refs, n ast.Node, from string) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.CallExpr:
-			if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
-				called[sel] = true
-			}
-		case *ast.SelectorExpr:
-			skip[x.Sel] = true
-			if id, ok := x.X.(*ast.Ident); ok {
-				if pkgDir, ok := imports[id.Name]; ok {
-					skip[id] = true
-					k := [2]string{pkgDir, x.Sel.Name}
-					idx.pkg[k] = append(idx.pkg[k], from)
-					return true
-				}
-			}
-			if called[x] || !idx.fields[x.Sel.Name] {
-				idx.methods[x.Sel.Name] = append(idx.methods[x.Sel.Name], from)
+		case *ast.Ident:
+			switch obj := m.info.Uses[x].(type) {
+			case *types.Func:
+				r.objs[obj.Origin()] = append(r.objs[obj.Origin()], from)
+			case *types.TypeName:
+				r.objs[obj] = append(r.objs[obj], from)
 			}
 		case *ast.BasicLit:
 			// "Service.Method": a net/rpc call by name.
 			if s, err := strconv.Unquote(x.Value); x.Kind == token.STRING && err == nil {
 				if i := strings.LastIndexByte(s, '.'); i >= 0 && token.IsIdentifier(s[i+1:]) {
-					idx.methods[s[i+1:]] = append(idx.methods[s[i+1:]], from)
+					r.byName[s[i+1:]] = append(r.byName[s[i+1:]], from)
 				}
-			}
-		case *ast.Ident:
-			if !skip[x] {
-				k := [2]string{dir, x.Name}
-				idx.pkg[k] = append(idx.pkg[k], from)
 			}
 		}
 		return true
 	})
+}
+
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Signature().Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
+// recvName is the name of a method's receiver type.
+func recvName(fn *types.Func) string {
+	t := fn.Signature().Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
+}
+
+// implements reports whether the receiver type of the concrete method fn, or
+// a pointer to it, implements the interface that declares im.
+func implements(fn, im *types.Func) bool {
+	t := fn.Signature().Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); !ok || n.TypeParams().Len() > 0 {
+		return false // a generic type implements nothing until instantiated
+	}
+	it, ok := im.Signature().Recv().Type().Underlying().(*types.Interface)
+	if !ok {
+		return false
+	}
+	if n, ok := im.Signature().Recv().Type().(*types.Named); ok && n.TypeParams().Len() > 0 {
+		return false
+	}
+	return types.Implements(t, it) || types.Implements(types.NewPointer(t), it)
 }

@@ -15,10 +15,13 @@ package bench
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"strconv"
 	"time"
 
+	"bandjoin"
 	"bandjoin/internal/core"
 	"bandjoin/internal/costmodel"
 	"bandjoin/internal/csio"
@@ -260,4 +263,62 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
+}
+
+// quantizeKeys rounds every key of r to the given number of decimal places in
+// place; negative decimals is a no-op.
+func quantizeKeys(r *data.Relation, decimals int) {
+	if decimals < 0 {
+		return
+	}
+	scale := math.Pow(10, float64(decimals))
+	keys := r.KeysRange(0, r.Len())
+	for i, k := range keys {
+		keys[i] = math.Round(k*scale) / scale
+	}
+}
+
+// selfMatchPair generates the paper's PTF-style near-duplicate workload: S is
+// Pareto-distributed and each T tuple is a jittered copy of its S counterpart
+// within the band, guaranteeing an output of at least |S| pairs at any
+// dimensionality. It is shared by the append and scaling benchmarks.
+// Non-negative decimals quantize both relations to that many decimal places; S
+// is quantized before T is derived, so as long as 10^-decimals ≤ eps the
+// jitter (≤ eps/2) plus T's own rounding error (≤ 10^-decimals/2) keeps every
+// T tuple within the band of its S counterpart and the output floor of |S|
+// pairs survives.
+func selfMatchPair(tuples, dims int, eps float64, seed int64, decimals int) (*data.Relation, *data.Relation) {
+	gen := data.NewPareto(dims, 1.5)
+	s := gen.Generate("S", tuples, rand.New(rand.NewSource(seed)))
+	quantizeKeys(s, decimals)
+	rng := rand.New(rand.NewSource(seed + 1))
+	t := data.NewRelationCapacity("T", dims, s.Len())
+	key := make([]float64, dims)
+	for i := 0; i < s.Len(); i++ {
+		k := s.Key(i)
+		for d := range key {
+			key[d] = k[d] + (rng.Float64()-0.5)*eps
+		}
+		t.AppendKey(key)
+	}
+	quantizeKeys(t, decimals)
+	return s, t
+}
+
+// ratio returns ref/opt, or 0 when opt is not positive.
+func ratio(ref, opt float64) float64 {
+	if opt <= 0 {
+		return 0
+	}
+	return ref / opt
+}
+
+func registerPair(e *bandjoin.Engine, s, t *data.Relation) error {
+	if err := e.Register("s", s); err != nil {
+		return fmt.Errorf("bench: registering s: %w", err)
+	}
+	if err := e.Register("t", t); err != nil {
+		return fmt.Errorf("bench: registering t: %w", err)
+	}
+	return nil
 }

@@ -245,7 +245,9 @@ type Options struct {
 	// MorselRows sets the grain of the workers' morsel-driven joins
 	// (JoinArgs.MorselRows): 0 sizes probe-side morsels automatically, > 0
 	// fixes the morsel row count, and < 0 runs every partition as one morsel.
-	// All settings produce bit-identical results.
+	// All settings produce bit-identical results. Every run outside tests
+	// uses 0; like ChunkSize it is a seam for the cluster and chaos tests,
+	// which set small grains to get many morsels from small inputs.
 	MorselRows int
 	// PlanID, when non-empty, is the plan's fingerprint and enables partition
 	// retention: the first run ships the shuffled partitions to the workers'

@@ -29,7 +29,7 @@ type JoinArgs struct {
 	// MorselRows selects the grain of the worker's morsel-driven join: 0 sizes
 	// probe-side morsels automatically, > 0 fixes the morsel row count, and
 	// < 0 runs every partition as one morsel. All settings produce
-	// bit-identical replies.
+	// bit-identical replies. Only tests set it (Options.MorselRows).
 	MorselRows int
 }
 

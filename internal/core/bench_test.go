@@ -82,6 +82,7 @@ func BenchmarkReplan(b *testing.B) {
 const maxPlanAllocs = 305
 
 // TestPlanSteadyStateAllocs pins a warm plan's allocations on replanShape.
+// AllocsPerRun runs at GOMAXPROCS 1, so the planner's sweeps run inline.
 func TestPlanSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; steady state not observable")
@@ -89,7 +90,6 @@ func TestPlanSteadyStateAllocs(t *testing.T) {
 	drawn, band := replanShape(t)
 	ctx := replanContext(t, drawn, band(1))
 	rp := NewDefault()
-	rp.Opts.Parallelism = 1
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := rp.Plan(ctx); err != nil {
 			t.Fatal(err)

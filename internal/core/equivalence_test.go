@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -137,15 +138,16 @@ func hashAssignments(p *Plan, smp *sample.Sample) uint64 {
 }
 
 // TestFastGrowerMatchesSerialOracle pins the fast grower's action logs and
-// histories, at two parallelism levels, to the serial grower's recording.
+// histories, at two planner pool sizes (GOMAXPROCS), to the serial grower's
+// recording.
 func TestFastGrowerMatchesSerialOracle(t *testing.T) {
 	for _, c := range equivCases() {
 		t.Run(c.name, func(t *testing.T) {
 			ctx := equivContext(t, c)
 			for _, par := range []int{1, 4} {
+				setGOMAXPROCS(t, par)
 				opts := DefaultOptions()
 				opts.Symmetric = c.symmetric
-				opts.Parallelism = par
 				env, chosen := growTree(ctx, opts)
 				if got, want := hashGrowth(t, env, chosen), serialOracle[c.name].growth; got != want {
 					t.Fatalf("par=%d: %d actions, chosen %d, %d history entries, hash %#x; the serial grower recorded %#x",
@@ -178,7 +180,8 @@ func TestFastPlanMatchesSerialPlan(t *testing.T) {
 
 // TestConcurrentPlanningMatchesOracle plans the same contexts from many
 // goroutines at once — sharing the planner scratch pool and each using a
-// parallel best-split pool — and checks every result against the recording.
+// parallel best-split pool of GOMAXPROCS 3 — and checks every result against
+// the recording.
 // Run under -race this is the concurrency regression test for the planner.
 func TestConcurrentPlanningMatchesOracle(t *testing.T) {
 	cases := equivCases()
@@ -187,6 +190,7 @@ func TestConcurrentPlanningMatchesOracle(t *testing.T) {
 		ctxs[i] = equivContext(t, c)
 	}
 
+	setGOMAXPROCS(t, 3)
 	const rounds = 3
 	var wg sync.WaitGroup
 	errs := make(chan error, rounds*len(cases))
@@ -197,7 +201,6 @@ func TestConcurrentPlanningMatchesOracle(t *testing.T) {
 				defer wg.Done()
 				opts := DefaultOptions()
 				opts.Symmetric = c.symmetric
-				opts.Parallelism = 3
 				plan, err := New(opts).PlanDetailed(ctxs[i])
 				if err != nil {
 					errs <- err
@@ -214,4 +217,11 @@ func TestConcurrentPlanningMatchesOracle(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// setGOMAXPROCS sets GOMAXPROCS, and so the planner pool's size, to n until
+// the test ends.
+func setGOMAXPROCS(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }

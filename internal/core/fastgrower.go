@@ -45,7 +45,7 @@ import (
 //     order, worker heap, and schedule every iteration.
 //
 //   - Parallel best-split. The per-dimension sweeps of the leaves created by
-//     a split are evaluated on a bounded worker pool (Options.Parallelism)
+//     a split are evaluated on a worker pool of GOMAXPROCS goroutines
 //     and merged deterministically in (node, ascending dimension) order with
 //     score.better (a strict weak order, so the first element of the maximal
 //     class wins whatever the interleaving): plans are bit-identical
@@ -184,10 +184,7 @@ const (
 // growth environment (action log, history) plus the winning iteration.
 func growTree(ctx *partition.Context, opts Options) (growEnv, int) {
 	env := newGrowEnv(ctx, opts)
-	f := &fastGrower{growEnv: env, dims: env.band.Dims(), par: opts.Parallelism}
-	if f.par <= 0 {
-		f.par = runtime.GOMAXPROCS(0)
-	}
+	f := &fastGrower{growEnv: env, dims: env.band.Dims(), par: runtime.GOMAXPROCS(0)}
 	f.sc = plannerPool.Get().(*plannerScratch)
 	defer f.release()
 	smp := f.ctx.Sample
@@ -255,9 +252,11 @@ func (f *fastGrower) initialize() {
 }
 
 // grow runs the repeat loop until a termination condition fires and returns
-// the index (into the action log) of the winning partitioning.
+// the index (into the action log) of the winning partitioning. The iteration
+// cap, 64·w + 64, is a safety net far above the "small multiple of w" the
+// paper observes in practice.
 func (f *fastGrower) grow() int {
-	for iter := 1; iter <= f.opts.MaxIterations; iter++ {
+	for iter := 1; iter <= 64*f.w+64; iter++ {
 		top := f.leaves.peek()
 		if top == nil || !top.best.sc.valid {
 			break

@@ -139,9 +139,8 @@ func TestPlanGolden(t *testing.T) {
 					}
 				}
 				for _, par := range []int{1, 2, 8} {
-					fo := opts
-					fo.Parallelism = par
-					check(fmt.Sprintf("par=%d", par), fo)
+					setGOMAXPROCS(t, par)
+					check(fmt.Sprintf("par=%d", par), opts)
 				}
 				ctx = &handCtx
 				check("hand-built sample", opts)

@@ -72,7 +72,7 @@ func newGrowEnv(ctx *partition.Context, opts Options) growEnv {
 	w := ctx.Workers
 	e := growEnv{
 		ctx:       ctx,
-		opts:      opts.withDefaults(w),
+		opts:      opts,
 		band:      ctx.Band,
 		w:         w,
 		beta2:     ctx.Model.Beta2,
@@ -82,7 +82,9 @@ func newGrowEnv(ctx *partition.Context, opts Options) growEnv {
 	e.inputLowerBound = float64(ctx.Sample.TotalS + ctx.Sample.TotalT)
 	e.estTotalOutput = ctx.Sample.EstimatedOutput()
 	e.loadLowerBound = ctx.Model.LowerBoundLoad(e.inputLowerBound, e.estTotalOutput, w)
-	e.smoothing = e.opts.DupSmoothingFraction * e.inputLowerBound
+	// δ, the split score's smoothing budget (score.go), is 0.2% of |S|+|T|.
+	const dupSmoothingFraction = 0.002
+	e.smoothing = dupSmoothingFraction * e.inputLowerBound
 	if e.smoothing < 1 {
 		e.smoothing = 1
 	}
@@ -513,7 +515,10 @@ func (e *growEnv) shouldStop() bool {
 		}
 		return last.DupOverhead > minLoad
 	default:
-		window := e.opts.ImprovementWindow
+		// Progress is a 1% gain in predicted join time within the last w
+		// iterations, the paper's window.
+		const minImprovement = 0.01
+		window := e.w
 		n := len(e.history)
 		if n <= window {
 			return false
@@ -530,7 +535,7 @@ func (e *growEnv) shouldStop() bool {
 				bestNow = h.PredictedTime
 			}
 		}
-		return bestNow > bestOld*(1-e.opts.MinImprovement)
+		return bestNow > bestOld*(1-minImprovement)
 	}
 }
 

@@ -17,8 +17,8 @@ type Termination int
 
 const (
 	// TerminateApplied stops when the cost-model-predicted join time has not
-	// improved by at least MinImprovement over the last ImprovementWindow
-	// iterations; the winning partitioning minimizes predicted join time.
+	// improved by at least 1% over the last w iterations (w workers); the
+	// winning partitioning minimizes predicted join time.
 	TerminateApplied Termination = iota
 	// TerminateTheoretical stops when the input-duplication overhead exceeds
 	// the smallest max-load overhead seen so far; the winning partitioning
@@ -52,55 +52,13 @@ type Options struct {
 	// (cost-model) rule the paper uses for its cloud experiments.
 	Termination Termination
 
-	// MaxIterations caps the number of repeat-loop executions as a safety
-	// net. Zero means the default of 64·w + 64, far above the "small multiple
-	// of w" the paper observes in practice.
-	MaxIterations int
-
-	// ImprovementWindow is the number of recent iterations over which the
-	// applied rule looks for improvement. Zero means w, the paper's choice.
-	ImprovementWindow int
-
-	// MinImprovement is the relative improvement in predicted join time that
-	// counts as progress for the applied rule. Zero means 1%.
-	MinImprovement float64
-
-	// DupSmoothingFraction is the smoothing budget δ of the split score
-	// ΔVar/(ΔDup+δ), expressed as a fraction of |S|+|T|. Zero means 0.2%.
-	// See score.go for why the smoothing exists; the ablation benchmark
-	// BenchmarkAblationDupSmoothing sweeps it.
-	DupSmoothingFraction float64
-
 	// Seed drives the deterministic pseudo-random row/column assignment used
 	// inside small partitions.
 	Seed int64
-
-	// Parallelism bounds the planner's worker pool for best-split evaluation
-	// (per-dimension sweeps of the leaves created by each split). Zero selects
-	// GOMAXPROCS; 1 evaluates inline on the calling goroutine. The planner's
-	// decisions are bit-identical regardless of the value.
-	Parallelism int
 }
 
 // DefaultOptions returns RecPart with symmetric partitioning enabled and the
 // applied termination rule.
 func DefaultOptions() Options {
 	return Options{Symmetric: true, Termination: TerminateApplied, Seed: 1}
-}
-
-// withDefaults fills unset option fields given the number of workers.
-func (o Options) withDefaults(workers int) Options {
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 64*workers + 64
-	}
-	if o.ImprovementWindow <= 0 {
-		o.ImprovementWindow = workers
-	}
-	if o.MinImprovement <= 0 {
-		o.MinImprovement = 0.01
-	}
-	if o.DupSmoothingFraction <= 0 {
-		o.DupSmoothingFraction = 0.002
-	}
-	return o
 }

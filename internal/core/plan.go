@@ -148,16 +148,3 @@ func (p *Plan) Regions() []data.Region {
 	walk(p.root)
 	return out
 }
-
-// FinalStats returns the iteration statistics of the chosen partitioning.
-func (p *Plan) FinalStats() IterationStats {
-	for _, h := range p.History {
-		if h.Iteration == p.Chosen {
-			return h
-		}
-	}
-	if len(p.History) > 0 {
-		return p.History[len(p.History)-1]
-	}
-	return IterationStats{}
-}

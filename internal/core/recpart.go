@@ -37,18 +37,6 @@ func (r *RecPart) Name() string {
 	return "RecPart-S"
 }
 
-// PlanFingerprint returns a canonical description of every option that
-// influences the plans this partitioner produces. The execution-only knob,
-// Parallelism, is excluded: plans are bit-identical regardless of it, so
-// caches keyed on the fingerprint (the engine's plan cache and
-// partition-retention registry) share plans and retained partitions across
-// parallelism levels.
-func (r *RecPart) PlanFingerprint() string {
-	o := r.Opts
-	o.Parallelism = 0
-	return fmt.Sprintf("%T%+v", r, o)
-}
-
 // Plan implements partition.Partitioner: it grows the split tree on the
 // samples, selects the best partitioning seen, and returns a Plan that routes
 // real tuples to partitions.

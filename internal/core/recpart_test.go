@@ -126,9 +126,9 @@ func TestRecPartSymmetricBeatsRecPartSOnReversePareto(t *testing.T) {
 	}
 	// The paper's Table 14: with symmetric splits the estimated max-worker
 	// input drops dramatically on reverse-Pareto data.
-	if planSym.FinalStats().EstIm > planS.FinalStats().EstIm {
+	if planSym.History[planSym.Chosen].EstIm > planS.History[planS.Chosen].EstIm {
 		t.Errorf("symmetric RecPart Im=%.0f not better than RecPart-S Im=%.0f",
-			planSym.FinalStats().EstIm, planS.FinalStats().EstIm)
+			planSym.History[planSym.Chosen].EstIm, planS.History[planS.Chosen].EstIm)
 	}
 }
 
@@ -170,9 +170,9 @@ func TestRecPartHistoryInvariants(t *testing.T) {
 			best = h.PredictedTime
 		}
 	}
-	if plan.FinalStats().PredictedTime > best*1.0001 {
+	if plan.History[plan.Chosen].PredictedTime > best*1.0001 {
 		t.Errorf("chosen partitioning (predicted %f) is not the best seen (%f)",
-			plan.FinalStats().PredictedTime, best)
+			plan.History[plan.Chosen].PredictedTime, best)
 	}
 }
 
@@ -208,8 +208,8 @@ func TestRecPartEquiJoinAddsNoDuplication(t *testing.T) {
 			t.Fatalf("equi-join duplicated T tuple %d to %d partitions", j, n)
 		}
 	}
-	if plan.FinalStats().DupOverhead > 1e-9 {
-		t.Errorf("equi-join plan reports duplication overhead %f", plan.FinalStats().DupOverhead)
+	if plan.History[plan.Chosen].DupOverhead > 1e-9 {
+		t.Errorf("equi-join plan reports duplication overhead %f", plan.History[plan.Chosen].DupOverhead)
 	}
 }
 
@@ -223,7 +223,7 @@ func TestRecPartTheoreticalTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := plan.FinalStats()
+	fs := plan.History[plan.Chosen]
 	// The theoretical winner minimizes max{dup, load} overhead; on this
 	// workload both must end well below the single-partition starting point.
 	if fs.LoadOverhead > 1.0 {

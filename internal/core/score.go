@@ -14,8 +14,8 @@ const zeroDup = 1e-9
 // an arbitrarily small variance reduction with zero duplication would always
 // outrank the (duplication-adding) split or 1-Bucket refinement of the
 // partition that actually dominates the max worker load. We therefore smooth
-// the denominator by a small duplication budget δ (a fraction of |S|+|T|,
-// Options.DupSmoothingFraction): free splits with meaningful variance
+// the denominator by a small duplication budget δ (0.2% of |S|+|T|, a constant
+// in newGrowEnv): free splits with meaningful variance
 // reduction still rank first, ties among free splits are still broken by
 // variance reduction, but a heavy partition whose only splits cost
 // duplication can no longer be starved by near-useless free splits. The

@@ -76,20 +76,6 @@ func TestTerminationString(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults(10)
-	if o.MaxIterations <= 0 || o.ImprovementWindow != 10 || o.MinImprovement != 0.01 {
-		t.Errorf("defaults not applied: %+v", o)
-	}
-	if o.DupSmoothingFraction != 0.002 {
-		t.Errorf("default smoothing fraction = %g", o.DupSmoothingFraction)
-	}
-	explicit := Options{MaxIterations: 5, ImprovementWindow: 3, MinImprovement: 0.1, DupSmoothingFraction: 0.01}.withDefaults(10)
-	if explicit.MaxIterations != 5 || explicit.ImprovementWindow != 3 || explicit.MinImprovement != 0.1 || explicit.DupSmoothingFraction != 0.01 {
-		t.Errorf("explicit options overridden: %+v", explicit)
-	}
-}
-
 func TestPartitionerNames(t *testing.T) {
 	if NewDefault().Name() != "RecPart" || NewRecPartS().Name() != "RecPart-S" {
 		t.Error("partitioner names wrong")

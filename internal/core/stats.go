@@ -40,7 +40,7 @@ func (s IterationStats) objective(mode Termination) float64 {
 }
 
 // PlanWork counts what growing one plan did. The counts depend only on the
-// plan's inputs — never on Parallelism or scheduling — so they compare runs on
+// plan's inputs — never on GOMAXPROCS or scheduling — so they compare runs on
 // different machines where timings cannot.
 type PlanWork struct {
 	// Candidates is the number of candidate split points generated, summed

@@ -384,16 +384,15 @@ func TestCandsFromSortedNaNLast(t *testing.T) {
 }
 
 // TestPlanWorkIndependentOfParallelism: a plan's work counters are exact — the
-// same at every Parallelism — and the block bounds spare most candidates on
+// same at every planner pool size (GOMAXPROCS) — and the block bounds spare most candidates on
 // the plan-sweep shape.
 func TestPlanWorkIndependentOfParallelism(t *testing.T) {
 	drawn, band := replanShape(t)
 	ctx := replanContext(t, drawn, band(1))
 	var first PlanWork
 	for _, par := range []int{1, 2, 8} {
-		rp := NewDefault()
-		rp.Opts.Parallelism = par
-		p, err := rp.PlanDetailed(ctx)
+		setGOMAXPROCS(t, par)
+		p, err := NewDefault().PlanDetailed(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,7 +407,7 @@ func TestPlanWorkIndependentOfParallelism(t *testing.T) {
 			continue
 		}
 		if w != first {
-			t.Errorf("Parallelism %d: work %+v, at Parallelism 1 %+v", par, w, first)
+			t.Errorf("GOMAXPROCS %d: work %+v, at GOMAXPROCS 1 %+v", par, w, first)
 		}
 	}
 }

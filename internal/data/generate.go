@@ -13,8 +13,6 @@ type Generator interface {
 	// Generate returns a relation with n tuples and the generator's
 	// dimensionality, drawn using the given pseudo-random source.
 	Generate(name string, n int, rng *rand.Rand) *Relation
-	// Dims returns the dimensionality of generated relations.
-	Dims() int
 	// String describes the generator (used in experiment reports).
 	String() string
 }
@@ -35,9 +33,6 @@ type ParetoGen struct {
 // NewPareto returns a Pareto generator over [1, ∞) with d dimensions and
 // shape z.
 func NewPareto(d int, z float64) ParetoGen { return ParetoGen{D: d, Z: z, Scale: 1} }
-
-// Dims implements Generator.
-func (g ParetoGen) Dims() int { return g.D }
 
 // String implements Generator.
 func (g ParetoGen) String() string { return fmt.Sprintf("pareto-%g (d=%d)", g.Z, g.D) }
@@ -85,9 +80,6 @@ func NewReversePareto(d int, z float64) ReverseParetoGen {
 	return ReverseParetoGen{D: d, Z: z, Pivot: 1e6}
 }
 
-// Dims implements Generator.
-func (g ReverseParetoGen) Dims() int { return g.D }
-
 // String implements Generator.
 func (g ReverseParetoGen) String() string { return fmt.Sprintf("rv-pareto-%g (d=%d)", g.Z, g.D) }
 
@@ -122,9 +114,6 @@ func NewUniform(lo, hi []float64) UniformGen {
 	}
 	return UniformGen{Lo: lo, Hi: hi}
 }
-
-// Dims implements Generator.
-func (g UniformGen) Dims() int { return len(g.Lo) }
 
 // String implements Generator.
 func (g UniformGen) String() string { return fmt.Sprintf("uniform (d=%d)", len(g.Lo)) }
@@ -167,9 +156,6 @@ type ClusteredGen struct {
 	name       string
 }
 
-// Dims implements Generator.
-func (g ClusteredGen) Dims() int { return len(g.Lo) }
-
 // String implements Generator.
 func (g ClusteredGen) String() string {
 	return fmt.Sprintf("%s (clustered, d=%d, %d hotspots)", g.name, len(g.Lo), len(g.Hotspots))
@@ -177,12 +163,12 @@ func (g ClusteredGen) String() string {
 
 // Generate implements Generator.
 func (g ClusteredGen) Generate(name string, n int, rng *rand.Rand) *Relation {
-	r := NewRelationCapacity(name, g.Dims(), n)
+	r := NewRelationCapacity(name, len(g.Lo), n)
 	total := 0.0
 	for _, h := range g.Hotspots {
 		total += h.Weight
 	}
-	key := make([]float64, g.Dims())
+	key := make([]float64, len(g.Lo))
 	for i := 0; i < n; i++ {
 		if rng.Float64() < g.Background || total == 0 {
 			for d := range key {
@@ -275,9 +261,6 @@ type PTFGen struct {
 // NewPTF returns a PTF surrogate with 3 observations per object on average and
 // 0.3 arcsecond jitter.
 func NewPTF() PTFGen { return PTFGen{ObsPerObject: 3, JitterDeg: 0.3 / 3600} }
-
-// Dims implements Generator.
-func (PTFGen) Dims() int { return 2 }
 
 // String implements Generator.
 func (g PTFGen) String() string { return "ptf_objects (d=2)" }

@@ -28,27 +28,9 @@ func NewRegion(lo, hi []float64) Region {
 	return Region{Lo: l, Hi: h}
 }
 
-// Dims returns the dimensionality of the region.
-func (r Region) Dims() int { return len(r.Lo) }
-
 // Clone returns a deep copy of the region.
 func (r Region) Clone() Region {
 	return NewRegion(r.Lo, r.Hi)
-}
-
-// Contains reports whether the key lies in the region (lower-closed,
-// upper-open; an upper bound of +Inf is treated as unbounded and therefore
-// closed).
-func (r Region) Contains(key []float64) bool {
-	for i, v := range key {
-		if v < r.Lo[i] {
-			return false
-		}
-		if v >= r.Hi[i] && !math.IsInf(r.Hi[i], 1) {
-			return false
-		}
-	}
-	return true
 }
 
 // Extent returns Hi[i]-Lo[i] for dimension i (may be +Inf).

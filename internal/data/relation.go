@@ -6,9 +6,7 @@
 package data
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -219,43 +217,6 @@ func (r *Relation) Slice(name string, lo, hi int) *Relation {
 	}
 	out := NewRelationCapacity(name, r.dims, hi-lo)
 	out.AppendRows(r, lo, hi)
-	return out
-}
-
-// MinMax returns, per dimension, the minimum and maximum attribute value in
-// the relation. It returns an error if the relation is empty.
-func (r *Relation) MinMax() (min, max []float64, err error) {
-	n := r.Len()
-	if n == 0 {
-		return nil, nil, errors.New("data: MinMax of empty relation")
-	}
-	min = make([]float64, r.dims)
-	max = make([]float64, r.dims)
-	for d := 0; d < r.dims; d++ {
-		min[d] = math.Inf(1)
-		max[d] = math.Inf(-1)
-	}
-	for i := 0; i < n; i++ {
-		k := r.Key(i)
-		for d, v := range k {
-			if v < min[d] {
-				min[d] = v
-			}
-			if v > max[d] {
-				max[d] = v
-			}
-		}
-	}
-	return min, max, nil
-}
-
-// Values returns a copy of all values of the given dimension, in tuple order.
-func (r *Relation) Values(dim int) []float64 {
-	n := r.Len()
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = r.keys[i*r.dims+dim]
-	}
 	return out
 }
 

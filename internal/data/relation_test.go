@@ -76,34 +76,6 @@ func TestRelationSlice(t *testing.T) {
 	r.Slice("bad", 5, 20)
 }
 
-func TestRelationMinMax(t *testing.T) {
-	r := NewRelation("r", 2)
-	r.Append(3, -1)
-	r.Append(1, 5)
-	r.Append(2, 0)
-	min, max, err := r.MinMax()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if min[0] != 1 || min[1] != -1 || max[0] != 3 || max[1] != 5 {
-		t.Errorf("MinMax = %v %v", min, max)
-	}
-	empty := NewRelation("e", 2)
-	if _, _, err := empty.MinMax(); err == nil {
-		t.Error("MinMax of an empty relation should fail")
-	}
-}
-
-func TestRelationValues(t *testing.T) {
-	r := NewRelation("r", 2)
-	r.Append(1, 10)
-	r.Append(2, 20)
-	vals := r.Values(1)
-	if len(vals) != 2 || vals[0] != 10 || vals[1] != 20 {
-		t.Errorf("Values(1) = %v", vals)
-	}
-}
-
 func TestRelationStringer(t *testing.T) {
 	r := NewRelation("r", 2)
 	r.Append(1, 2)

@@ -42,8 +42,8 @@ type Options struct {
 	// morsel-driven scheduler (see morsel.go): 0 sizes morsels automatically
 	// from the partition sizes and the parallelism, > 0 fixes the row count,
 	// and < 0 runs every partition as one morsel (the per-partition schedule,
-	// the skew harnesses' baseline). All settings produce bit-identical
-	// results.
+	// the skew and scaling harnesses' baseline). All settings produce
+	// bit-identical results.
 	MorselRows int
 	// Seed drives randomized plan decisions.
 	Seed int64

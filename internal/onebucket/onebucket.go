@@ -76,12 +76,6 @@ type Plan struct {
 	seed       uint64
 }
 
-// Rows returns the number of matrix rows of the cover.
-func (p *Plan) Rows() int { return p.rows }
-
-// Cols returns the number of matrix columns of the cover.
-func (p *Plan) Cols() int { return p.cols }
-
 // NumPartitions implements partition.Plan.
 func (p *Plan) NumPartitions() int { return p.rows * p.cols }
 

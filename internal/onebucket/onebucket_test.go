@@ -46,8 +46,8 @@ func TestPlanAssignmentStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := plan.(*Plan)
-	if p.Rows()*p.Cols() != plan.NumPartitions() {
-		t.Fatalf("partitions %d != rows*cols %d", plan.NumPartitions(), p.Rows()*p.Cols())
+	if p.rows*p.cols != plan.NumPartitions() {
+		t.Fatalf("partitions %d != rows*cols %d", plan.NumPartitions(), p.rows*p.cols)
 	}
 	if plan.NumPartitions() > 12 {
 		t.Errorf("1-Bucket uses %d regions for 12 workers", plan.NumPartitions())
@@ -55,11 +55,11 @@ func TestPlanAssignmentStructure(t *testing.T) {
 	key := []float64{1, 1}
 	sParts := plan.AssignS(7, key, nil)
 	tParts := plan.AssignT(7, key, nil)
-	if len(sParts) != p.Cols() {
-		t.Errorf("S tuple copied to %d regions, want one full row of %d", len(sParts), p.Cols())
+	if len(sParts) != p.cols {
+		t.Errorf("S tuple copied to %d regions, want one full row of %d", len(sParts), p.cols)
 	}
-	if len(tParts) != p.Rows() {
-		t.Errorf("T tuple copied to %d regions, want one full column of %d", len(tParts), p.Rows())
+	if len(tParts) != p.rows {
+		t.Errorf("T tuple copied to %d regions, want one full column of %d", len(tParts), p.rows)
 	}
 	// Exactly one region in common: the row/column intersection.
 	common := 0
@@ -104,13 +104,13 @@ func TestRowsSpreadAcrossIDs(t *testing.T) {
 	rows := make(map[int]int)
 	for id := int64(0); id < 1000; id++ {
 		parts := plan.AssignS(id, []float64{1, 1}, nil)
-		rows[parts[0]/p.Cols()]++
+		rows[parts[0]/p.cols]++
 	}
-	if len(rows) != p.Rows() {
-		t.Errorf("random row assignment used %d of %d rows", len(rows), p.Rows())
+	if len(rows) != p.rows {
+		t.Errorf("random row assignment used %d of %d rows", len(rows), p.rows)
 	}
 	for r, n := range rows {
-		if n < 1000/p.Rows()/3 {
+		if n < 1000/p.rows/3 {
 			t.Errorf("row %d received only %d of 1000 tuples", r, n)
 		}
 	}

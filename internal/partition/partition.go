@@ -50,9 +50,6 @@ func (c *Context) Validate() error {
 	return nil
 }
 
-// Dims returns the dimensionality of the join.
-func (c *Context) Dims() int { return c.Band.Dims() }
-
 // Plan is the output of a partitioner's optimization phase: an assignment of
 // every input tuple to one or more partitions such that every join result is
 // produced by exactly one partition's local join (Definition 1). Partitions

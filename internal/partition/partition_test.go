@@ -51,9 +51,6 @@ func TestContextValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("invalid band accepted")
 	}
-	if ctx.Dims() != 2 {
-		t.Errorf("Dims = %d", ctx.Dims())
-	}
 }
 
 func TestLPTBalancesLoads(t *testing.T) {

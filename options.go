@@ -20,7 +20,6 @@ type resolved struct {
 	CollectPairs bool
 	EstimateOnly bool
 	Seed         int64
-	MorselRows   int
 }
 
 // resolve validates the options and fills defaults. Nonsensical values —
@@ -60,7 +59,6 @@ func (o Options) resolve() (resolved, error) {
 	r.CollectPairs = o.CollectPairs
 	r.EstimateOnly = o.EstimateOnly
 	r.Seed = o.Seed
-	r.MorselRows = o.MorselRows // negative is meaningful: one morsel per partition
 	return r, nil
 }
 
@@ -72,7 +70,6 @@ func (r resolved) execOptions() exec.Options {
 		Model:        r.Model,
 		Sampling:     r.Sampling,
 		CollectPairs: r.CollectPairs,
-		MorselRows:   r.MorselRows,
 		Seed:         r.Seed,
 	}
 }

@@ -17,9 +17,9 @@ type RecPartOptions struct {
 	// max of the two lower-bound overheads) instead of the applied,
 	// cost-model-based one.
 	Theoretical bool
-	// MaxIterations caps tree growth (0 = default).
-	MaxIterations int
-	// Seed drives the deterministic small-partition row/column assignment.
+	// Seed drives the deterministic row/column assignment inside small
+	// partitions; RecPart and RecPartS use 1. The query's Options.Seed does
+	// not reach it.
 	Seed int64
 }
 
@@ -37,7 +37,6 @@ func RecPartWith(opts RecPartOptions) Partitioner {
 	if opts.Theoretical {
 		o.Termination = core.TerminateTheoretical
 	}
-	o.MaxIterations = opts.MaxIterations
 	o.Seed = opts.Seed
 	return core.New(o)
 }
