@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"strconv"
 	"time"
 
 	"bandjoin"
@@ -51,22 +49,15 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration used by bench_test.go and
-// cmd/experiments. The environment variable BANDJOIN_BENCH_TUPLES overrides
-// the per-relation input size.
+// cmd/experiments (whose -tuples sets the per-relation input size).
 func DefaultConfig() Config {
-	cfg := Config{
+	return Config{
 		Workers:    30,
 		BaseTuples: 40000,
 		SampleSize: 6000,
 		Seed:       1,
 		Model:      costmodel.Default(),
 	}
-	if v := os.Getenv("BANDJOIN_BENCH_TUPLES"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			cfg.BaseTuples = n
-		}
-	}
-	return cfg
 }
 
 // QuickConfig returns a small configuration used by unit tests of the harness

@@ -189,12 +189,12 @@ func RunScaling(cfg ScalingConfig) (*ScalingReport, error) {
 				return nil, fmt.Errorf("bench: shuffle at procs=%d: %w", p, err)
 			}
 			start = time.Now()
-			if _, err := exec.ExecuteShuffled(context.Background(), prep.Plan, parts, total, s.Len(), t.Len(), band, opts); err != nil {
+			if _, err := exec.ExecuteShuffledPrepared(context.Background(), prep.Plan, parts, nil, total, s.Len(), t.Len(), band, opts); err != nil {
 				return nil, fmt.Errorf("bench: join at procs=%d: %w", p, err)
 			}
 			joinWall := time.Since(start)
 			start = time.Now()
-			if _, err := exec.ExecuteShuffled(context.Background(), prep.Plan, parts, total, s.Len(), t.Len(), band, optsPP); err != nil {
+			if _, err := exec.ExecuteShuffledPrepared(context.Background(), prep.Plan, parts, nil, total, s.Len(), t.Len(), band, optsPP); err != nil {
 				return nil, fmt.Errorf("bench: per-partition join at procs=%d: %w", p, err)
 			}
 			joinPPWall := time.Since(start)

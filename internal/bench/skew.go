@@ -171,7 +171,7 @@ func RunSkew(cfg SkewConfig) (*SkewReport, error) {
 		return nil, fmt.Errorf("bench: shuffle: %w", err)
 	}
 	run := func(o exec.Options) (*exec.Result, error) {
-		return exec.ExecuteShuffled(context.Background(), prep.Plan, parts, total, s.Len(), t.Len(), band, o)
+		return exec.ExecuteShuffledPrepared(context.Background(), prep.Plan, parts, nil, total, s.Len(), t.Len(), band, o)
 	}
 
 	// Verification pass: both reduce paths must emit bit-identical pairs.

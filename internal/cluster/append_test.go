@@ -7,6 +7,7 @@ import (
 
 	"bandjoin/internal/core"
 	"bandjoin/internal/data"
+	"bandjoin/internal/exec"
 	"bandjoin/internal/grid"
 )
 
@@ -188,7 +189,7 @@ func TestDeltaIntoPartitionNewToThePlan(t *testing.T) {
 		t.Fatalf("AbsorbPlan: %v", err)
 	}
 	rec.mu.RLock()
-	place := placementOver(plan, pctx, len(rec.slots))
+	place := exec.Placement(plan, pctx, len(rec.slots))
 	added := 0
 	for pid, slot := range rec.pidSlot {
 		if _, ok := shipped[pid]; ok {

@@ -84,7 +84,6 @@ type coordMetrics struct {
 	runs            *obs.Counter
 	shuffleBytes    *obs.Counter
 	shuffleRawBytes *obs.Counter
-	shuffleWire     *obs.Counter
 	shuffleRPCs     *obs.Counter
 	retries         *obs.Counter
 	failoverRounds  *obs.Counter
@@ -102,8 +101,6 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 		shuffleBytes: reg.Counter("bandjoin_coord_shuffle_bytes_total", "Wire bytes moved by shuffles, including failover reshipments."),
 		shuffleRawBytes: reg.Counter("bandjoin_coord_shuffle_raw_bytes_total",
 			"Row-major uncompressed bytes of the tuples shipped by shuffles (8 bytes per key value and per tuple ID)."),
-		shuffleWire: reg.Counter("bandjoin_coord_shuffle_wire_bytes_total",
-			"Wire bytes moved by shuffles; pairs with the raw counter so raw/wire is the shuffle compression ratio."),
 		shuffleRPCs:    reg.Counter("bandjoin_coord_shuffle_rpcs_total", "Chunk frames shipped by shuffles."),
 		retries:        reg.Counter("bandjoin_coord_retries_total", "RPC retries and recovery escalations."),
 		failoverRounds: reg.Counter("bandjoin_coord_failover_rounds_total", "Failover rounds (shuffle, join, or retained reshipment)."),
@@ -123,7 +120,7 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 	})
 	reg.GaugeFunc("bandjoin_coord_shuffle_compression_ratio",
 		"Cumulative raw/wire byte ratio of all shuffles (0 until bytes move).", func() float64 {
-			w := m.shuffleWire.Value()
+			w := m.shuffleBytes.Value()
 			if w == 0 {
 				return 0
 			}
@@ -450,38 +447,13 @@ func (c *Coordinator) Run(ctx context.Context, pt partition.Partitioner, s, t *d
 	return res, nil
 }
 
-// placementOver returns the partition→index mapping for placing partitions on
-// n workers. Plans that place their own partitions (Grid-ε) are honored;
-// otherwise partition loads are estimated from the samples and placed with
-// greedy LPT — the stand-in for the load-aware scheduling a cluster scheduler
-// performs. The returned index is in [0, n); callers map it through their
-// slot list.
-func placementOver(plan partition.Plan, pctx *partition.Context, n int) func(pid int) int {
-	var lptSched partition.Schedule
-	if _, ok := plan.(partition.WorkerPlacer); !ok {
-		lptSched = partition.LPT(exec.EstimatePartitionLoads(plan, pctx), n)
-	}
-	return func(pid int) int {
-		if placer, ok := plan.(partition.WorkerPlacer); ok {
-			w := placer.PlaceWorker(pid, n)
-			if w >= 0 && w < n {
-				return w
-			}
-		}
-		if pid < len(lptSched) {
-			return lptSched[pid]
-		}
-		return int(partition.HashID(int64(pid), 0xc0ffee) % uint64(n))
-	}
-}
-
 // redistributor returns the function that assigns a pid set to a target slot
 // list: the placement is recomputed over exactly len(targets) workers, so
 // failing over to survivors re-balances the lost partitions the same way the
 // original placement balanced all of them.
 func redistributor(plan partition.Plan, pctx *partition.Context) func(pids, targets []int) map[int][]int {
 	return func(pids, targets []int) map[int][]int {
-		place := placementOver(plan, pctx, len(targets))
+		place := exec.Placement(plan, pctx, len(targets))
 		out := make(map[int][]int)
 		for _, pid := range pids {
 			slot := targets[place(pid)]
@@ -527,7 +499,7 @@ type shuffleStats struct {
 // produce several entries per slot, each covering a disjoint pid set.
 type slotJoin struct {
 	slot  int
-	stats []PartitionStats
+	stats []exec.PartitionStats
 }
 
 // RunPlan shuffles the inputs to the workers per an already-computed plan,
@@ -579,7 +551,7 @@ func (c *Coordinator) runTransient(ctx context.Context, plan partition.Plan, pct
 	}
 	shuffleEnd, lastReply := time.Unix(0, rs.lastEnd.Load()), time.Unix(0, rs.lastReply.Load())
 	st := shuffleStats{totalInput: routed.TotalInput, rpcs: sh.chunks, bytes: sh.bytes, duration: shuffleEnd.Sub(start)}
-	return c.aggregate(sh.joined, opts, s, t, st, lastReply.Sub(shuffleEnd), rs), nil
+	return c.result(sh.joined, opts, s, t, st, lastReply.Sub(shuffleEnd), rs), nil
 }
 
 // maxShipAttemptsPerWorker bounds how many times a shipment to one worker is
@@ -844,7 +816,7 @@ func (c *Coordinator) runRetained(ctx context.Context, plan partition.Plan, pctx
 		}
 		joined, joinWall, err := c.runJoinsRetained(ctx, opts.PlanID, slots, band, opts, rs)
 		if err == nil {
-			res := c.aggregate(joined, opts, s, t, st, joinWall, rs)
+			res := c.result(joined, opts, s, t, st, joinWall, rs)
 			res.WarmPartitions = warm
 			return res, nil
 		}
@@ -1037,7 +1009,7 @@ func (c *Coordinator) ensureFresh(ctx context.Context, rec *retainedPlanRec, pla
 		slot, ok := rec.pidSlot[pid]
 		if !ok {
 			if place == nil {
-				place = placementOver(plan, pctx, len(rec.slots))
+				place = exec.Placement(plan, pctx, len(rec.slots))
 			}
 			slot = rec.slots[place(pid)]
 			rec.pidSlot[pid] = slot
@@ -1157,9 +1129,10 @@ func (c *Coordinator) evictWorkers(planID string, shipment int) {
 	}
 }
 
-// aggregate folds the workers' join replies into the Result (pairs come only
-// when collected) and accounts it (exec.Result.Account).
-func (c *Coordinator) aggregate(joined []slotJoin, opts Options, s, t *data.Relation, st shuffleStats, joinWall time.Duration, rs *runState) *exec.Result {
+// result is the Result of a query whose workers reported joined: the
+// coordinator's shuffle, fault and timing accounting, and the workers' records
+// aggregated on the slots that ran them (exec.Result.Aggregate).
+func (c *Coordinator) result(joined []slotJoin, opts Options, s, t *data.Relation, st shuffleStats, joinWall time.Duration, rs *runState) *exec.Result {
 	workers := len(c.workers)
 	res := &exec.Result{
 		Workers:           workers,
@@ -1176,8 +1149,6 @@ func (c *Coordinator) aggregate(joined []slotJoin, opts Options, s, t *data.Rela
 		ShuffleRPCs:       st.rpcs,
 		Retries:           int(rs.retries.Load()),
 		LostWorkers:       rs.lostCount(),
-		WorkerInput:       make([]int64, workers),
-		WorkerOutput:      make([]int64, workers),
 	}
 	res.Degraded = res.LostWorkers > 0 || rs.liveAtStart < workers
 	res.FailoverRounds = int(rs.failovers.Load())
@@ -1185,30 +1156,19 @@ func (c *Coordinator) aggregate(joined []slotJoin, opts Options, s, t *data.Rela
 	c.m.runs.Inc()
 	c.m.shuffleBytes.Add(res.ShuffleBytes)
 	c.m.shuffleRawBytes.Add(res.ShuffleRawBytes)
-	c.m.shuffleWire.Add(res.ShuffleBytes)
 	c.m.shuffleRPCs.Add(res.ShuffleRPCs)
 	c.m.retries.Add(int64(res.Retries))
 	c.m.failoverRounds.Add(int64(res.FailoverRounds))
 	c.m.workersLost.Add(int64(res.LostWorkers))
-	workerBusy := make([]time.Duration, workers)
+	var recs []exec.PartitionStats
+	slot := make(map[int]int)
 	for _, sj := range joined {
 		for _, ps := range sj.stats {
-			res.Partitions++
-			res.WorkerInput[sj.slot] += int64(ps.InputS + ps.InputT)
-			res.WorkerOutput[sj.slot] += ps.Output
-			res.Output += ps.Output
-			res.StaleRebuildTime += time.Duration(ps.RebuildNanos)
-			if ps.FoldNanos > 0 {
-				res.Folds++
-				res.FoldTime += time.Duration(ps.FoldNanos)
-			}
-			workerBusy[sj.slot] += time.Duration(ps.JoinNanos)
-			for i := range ps.PairS {
-				res.Pairs = append(res.Pairs, exec.Pair{S: ps.PairS[i], T: ps.PairT[i]})
-			}
+			slot[ps.Partition] = sj.slot
 		}
+		recs = append(recs, sj.stats...)
 	}
-	res.Account(opts.Model, workerBusy)
+	res.Aggregate(recs, func(pid int) int { return slot[pid] }, opts.Model)
 	return res
 }
 

@@ -8,7 +8,10 @@
 // separate processes (cmd/recpartd) or in-process for tests.
 package cluster
 
-import "bandjoin/internal/data"
+import (
+	"bandjoin/internal/data"
+	"bandjoin/internal/exec"
+)
 
 // ServiceName is the name the worker RPC service is registered under.
 const ServiceName = "BandJoinWorker"
@@ -38,32 +41,11 @@ type JoinArgs struct {
 // errors to strings, so coordinators detect the condition by substring.
 const ErrUnknownRetainedPlan = "unknown retained plan"
 
-// PartitionStats reports one partition's local-join outcome.
-type PartitionStats struct {
-	Partition int
-	InputS    int
-	InputT    int
-	Output    int64
-	// JoinNanos is the local join's measured duration.
-	JoinNanos int64
-	// RebuildNanos is the time this probe spent re-sorting and re-building the
-	// partition's prepared join structure after delta appends invalidated it
-	// (zero when the sealed structure was still fresh).
-	RebuildNanos int64
-	// FoldNanos is the time this probe spent folding the partition's appended
-	// S rows into its sorted order and resolved cell lists (exec.FoldS; zero
-	// when no fold was due). A fold keeps the T-side structure, so it is no
-	// rebuild and is not part of RebuildNanos.
-	FoldNanos int64
-	// PairS/PairT are parallel slices of result pairs when requested.
-	PairS []int64
-	PairT []int64
-}
-
-// JoinReply aggregates a worker's local joins of one plan or stream.
+// JoinReply aggregates a worker's local joins of one plan or stream: one
+// record per partition, the same the in-process plane aggregates.
 type JoinReply struct {
 	Worker     string
-	Partitions []PartitionStats
+	Partitions []exec.PartitionStats
 }
 
 // SealArgs completes the shipment of a retained plan: it marks the plan

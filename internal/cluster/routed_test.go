@@ -165,7 +165,7 @@ func TestRoutedShipMatchesMaterialized(t *testing.T) {
 			for _, w := range workers {
 				for pid, p := range w.retained[opts.PlanID].partitions {
 					resident++
-					_, held, unlock := exec.LockForProbe([]*exec.Partition{p}, band, nil, 1)
+					_, _, held, unlock := exec.LockForProbe([]*exec.Partition{p}, band, nil, 1)
 					in := held[0]
 					sameRows(t, fmt.Sprintf("partition %d S", pid), in.S, in.SIDs, parts[pid].S, parts[pid].SIDs)
 					sameRows(t, fmt.Sprintf("partition %d T", pid), in.T, in.TIDs, parts[pid].T, parts[pid].TIDs)

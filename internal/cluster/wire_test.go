@@ -233,7 +233,7 @@ func checkRetainedJoin(t *testing.T, w *Worker, id string, s, tt *data.Relation,
 // checkJoin checks a join's partitions: each must hold exactly s and tt with
 // row indices as IDs, and their pairs must be the nested loop's. Unless a side
 // is empty, the data must join to something.
-func checkJoin(t *testing.T, parts []PartitionStats, s, tt *data.Relation, band data.Band) {
+func checkJoin(t *testing.T, parts []exec.PartitionStats, s, tt *data.Relation, band data.Band) {
 	t.Helper()
 	var got []exec.Pair
 	for _, ps := range parts {

@@ -700,26 +700,24 @@ func (w *Worker) Join(args *JoinArgs, reply *JoinReply) error {
 // join runs one join over partitions in pid order, a retained plan's (Join)
 // or a one-shot stream's: exec.LockForProbe refreshes each retained
 // partition's structure (lazy rebuild and fold) and read-locks the
-// partitions, then one shared exec.RunMorsels pool drains probe-row ranges of
-// all partitions largest-first, so one fat partition cannot bound the join
-// phase. The read locks are held across the whole morsel phase, so a delta
-// waits for the join instead of racing it, and each partition's pairs are
-// concatenated in morsel order, so the reply is the same for every
-// MorselRows.
-func (w *Worker) join(pids []int, parts []*exec.Partition, args *JoinArgs, refresh bool) []PartitionStats {
+// partitions, then exec.JoinPartitions drains probe-row ranges of all
+// partitions on one shared morsel pool, largest first, so one fat partition
+// cannot bound the join phase. The read locks are held across the whole
+// morsel phase, so a delta waits for the join instead of racing it, and each
+// partition's pairs are concatenated in morsel order, so the reply is the
+// same for every MorselRows.
+func (w *Worker) join(pids []int, parts []*exec.Partition, args *JoinArgs, refresh bool) []exec.PartitionStats {
 	n := len(parts)
 	if n == 0 {
-		return []PartitionStats{}
+		return []exec.PartitionStats{}
 	}
 	parallelism := runtime.GOMAXPROCS(0)
 	w.m.joinInflight.Add(int64(n))
 	defer w.m.joinInflight.Add(int64(-n))
 
-	rebuild, fold := make([]int64, n), make([]int64, n)
 	var refreshed func(i int, rebuildNanos, foldNanos int64)
 	if refresh {
-		refreshed = func(i int, r, f int64) {
-			rebuild[i], fold[i] = r, f
+		refreshed = func(_ int, r, f int64) {
 			if r > 0 {
 				w.m.staleRebuilds.Inc()
 				w.m.staleRebuildSeconds.Observe(float64(r) / 1e9)
@@ -730,41 +728,22 @@ func (w *Worker) join(pids []int, parts []*exec.Partition, args *JoinArgs, refre
 			}
 		}
 	}
-	jobs, held, unlock := exec.LockForProbe(parts, args.Band, refreshed, parallelism)
+	jobs, recs, held, unlock := exec.LockForProbe(parts, args.Band, refreshed, parallelism)
 	defer unlock()
 	// The context never cancels (joins run to completion), so the only error
-	// path of RunMorsels is unreachable here.
-	jres, mstats, _ := exec.RunMorsels(context.Background(), jobs, args.MorselRows, parallelism, args.CollectPairs)
-
-	stats := make([]PartitionStats, n)
-	for i, pid := range pids {
-		in := held[i]
-		st := PartitionStats{
-			Partition:    pid,
-			InputS:       in.S.Len(),
-			InputT:       in.T.Len(),
-			Output:       jres[i].Count,
-			JoinNanos:    jres[i].Nanos,
-			RebuildNanos: rebuild[i],
-			FoldNanos:    fold[i],
-		}
-		if args.CollectPairs {
-			st.PairS = make([]int64, len(jres[i].SIdx))
-			st.PairT = make([]int64, len(jres[i].SIdx))
-			for k, si := range jres[i].SIdx {
-				st.PairS[k] = in.SIDs[si]
-				st.PairT[k] = in.TIDs[jres[i].TIdx[k]]
-			}
-		}
-		stats[i] = st
+	// path of JoinPartitions is unreachable here.
+	mstats, _ := exec.JoinPartitions(context.Background(), recs, jobs, func(i int) ([]int64, []int64) { return held[i].SIDs, held[i].TIDs },
+		args.MorselRows, args.CollectPairs)
+	for i := range recs {
+		recs[i].Partition = pids[i]
 		w.m.partitionsJoined.Inc()
-		w.m.pairsEmitted.Add(st.Output)
-		w.m.partitionJoinSeconds.Observe(float64(st.JoinNanos) / 1e9)
+		w.m.pairsEmitted.Add(recs[i].Output)
+		w.m.partitionJoinSeconds.Observe(float64(recs[i].JoinNanos) / 1e9)
 	}
 	w.m.morsels.Add(mstats.Morsels)
 	w.m.morselSteals.Add(mstats.Steals)
 	w.m.stragglerRatio.Set(int64(math.Round(mstats.StragglerRatio * 1000)))
-	return stats
+	return recs
 }
 
 // closeLocked remembers id as closed, forgetting the oldest closed id. Caller

@@ -39,27 +39,57 @@ func Estimate(pt partition.Partitioner, s, t *data.Relation, band data.Band, opt
 	return res, nil
 }
 
-// EstimatePartitionLoads routes only the sample tuples through the plan and
-// returns the estimated load (β2·input + β3·output) per partition, scaled to
-// the full input. It is used by schedulers (e.g. the RPC coordinator) that
-// must place partitions on workers before the actual partition sizes are
-// known — the role the cluster scheduler's load estimates play in the paper's
-// MapReduce setting.
-func EstimatePartitionLoads(plan partition.Plan, ctx *partition.Context) []float64 {
-	smp := ctx.Sample
-	loads := make(map[int]float64)
+// Placement places the plan's partitions on n workers before their sizes are
+// known, the role the cluster scheduler's load estimates play in the paper's
+// MapReduce setting: partition.Place over the loads the sample predicts for
+// them (the pass EstimatePlan makes). The RPC coordinator places its
+// shipments with it.
+func Placement(plan partition.Plan, ctx *partition.Context, n int) func(pid int) int {
+	return partition.Place(plan, n, func() []float64 { return estimatePartitions(plan, ctx).load })
+}
+
+// sampleEstimate is what routing the sample through a plan predicts: per
+// partition — every one the plan knows and every one the sample reaches — its
+// input and output scaled to the full input, and the total input I. load is
+// each partition's β2·input + β3·output summed term by term, the order the
+// coordinator's placements are pinned to: β2·in + β3·out rounds differently
+// in the last bits, LPT breaks near-ties between partitions the other way,
+// and placements move (DESIGN.md, "Scheduling stand-in").
+type sampleEstimate struct {
+	in, out, load []float64
+	total         float64
+}
+
+// estimatePartitions routes the sample through the plan once. A sample
+// output pair counts towards the partition where it meets: the (unique)
+// partition receiving both sides, which intersecting the assignment lists of
+// the pair's S- and T-side finds.
+func estimatePartitions(plan partition.Plan, ctx *partition.Context) sampleEstimate {
+	smp, model := ctx.Sample, ctx.Model
+	var e sampleEstimate
+	at := func(id int) int {
+		for id >= len(e.in) {
+			e.in, e.out, e.load = append(e.in, 0), append(e.out, 0), append(e.load, 0)
+		}
+		return id
+	}
+	at(plan.NumPartitions() - 1)
 	var dst []int
 	for i := 0; i < smp.S.Len(); i++ {
 		dst = plan.AssignS(int64(i), smp.S.Key(i), dst[:0])
 		for _, id := range dst {
-			loads[id] += ctx.Model.Beta2 / smp.SRate
+			e.in[at(id)] += 1 / smp.SRate
+			e.load[id] += model.Beta2 / smp.SRate
 		}
+		e.total += float64(len(dst)) / smp.SRate
 	}
 	for i := 0; i < smp.T.Len(); i++ {
 		dst = plan.AssignT(int64(i), smp.T.Key(i), dst[:0])
 		for _, id := range dst {
-			loads[id] += ctx.Model.Beta2 / smp.TRate
+			e.in[at(id)] += 1 / smp.TRate
+			e.load[id] += model.Beta2 / smp.TRate
 		}
+		e.total += float64(len(dst)) / smp.TRate
 	}
 	var sDst, tDst []int
 	for i := 0; i < smp.OutS.Len(); i++ {
@@ -68,98 +98,39 @@ func EstimatePartitionLoads(plan partition.Plan, ctx *partition.Context) []float
 		for _, a := range sDst {
 			for _, b := range tDst {
 				if a == b {
-					loads[a] += ctx.Model.Beta3 * smp.OutWeight
+					e.out[at(a)] += smp.OutWeight
+					e.load[a] += model.Beta3 * smp.OutWeight
 				}
 			}
 		}
 	}
-	maxID := plan.NumPartitions() - 1
-	for id := range loads {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	out := make([]float64, maxID+1)
-	for id, l := range loads {
-		out[id] = l
-	}
-	return out
+	return e
 }
 
 // EstimatePlan estimates the execution metrics of a plan from the context's
 // samples without touching the full inputs.
 func EstimatePlan(plan partition.Plan, ctx *partition.Context) *Result {
 	smp := ctx.Sample
-	type pload struct{ in, out float64 }
-	partLoads := make(map[int]*pload)
-	get := func(id int) *pload {
-		l, ok := partLoads[id]
-		if !ok {
-			l = &pload{}
-			partLoads[id] = l
-		}
-		return l
-	}
-
-	var dst []int
-	totalInput := 0.0
-	for i := 0; i < smp.S.Len(); i++ {
-		dst = plan.AssignS(int64(i), smp.S.Key(i), dst[:0])
-		for _, id := range dst {
-			get(id).in += 1 / smp.SRate
-		}
-		totalInput += float64(len(dst)) / smp.SRate
-	}
-	for i := 0; i < smp.T.Len(); i++ {
-		dst = plan.AssignT(int64(i), smp.T.Key(i), dst[:0])
-		for _, id := range dst {
-			get(id).in += 1 / smp.TRate
-		}
-		totalInput += float64(len(dst)) / smp.TRate
-	}
-	// Output is attributed to the partition where the pair meets: the (unique)
-	// partition receiving both sides. Intersecting the assignment lists of the
-	// sample pair's S- and T-side finds it.
-	var sDst, tDst []int
-	for i := 0; i < smp.OutS.Len(); i++ {
-		sDst = plan.AssignS(int64(i), smp.OutS.Key(i), sDst[:0])
-		tDst = plan.AssignT(int64(i), smp.OutT.Key(i), tDst[:0])
-		for _, a := range sDst {
-			for _, b := range tDst {
-				if a == b {
-					get(a).out += smp.OutWeight
-				}
-			}
+	e := estimatePartitions(plan, ctx)
+	// The partitions the sample reaches are placed, and only those: LPT's
+	// order among equal loads depends on how many there are.
+	reached, parts := 0, 0
+	for id := range e.in {
+		if e.in[id] > 0 || e.out[id] > 0 {
+			reached, parts = id+1, parts+1
 		}
 	}
-
-	// Place partitions on workers.
-	maxID := -1
-	for id := range partLoads {
-		if id > maxID {
-			maxID = id
-		}
+	loads := make([]float64, reached)
+	for id := range loads {
+		loads[id] = ctx.Model.Load(e.in[id], e.out[id])
 	}
-	loads := make([]float64, maxID+1)
-	ins := make([]float64, maxID+1)
-	outs := make([]float64, maxID+1)
-	for id, l := range partLoads {
-		ins[id] = l.in
-		outs[id] = l.out
-		loads[id] = ctx.Model.Load(l.in, l.out)
-	}
-	var sched partition.Schedule
-	if placer, ok := plan.(partition.WorkerPlacer); ok {
-		sched = partition.FromPlacer(placer, maxID+1, ctx.Workers)
-	} else {
-		sched = partition.LPT(loads, ctx.Workers)
-	}
+	place := partition.Place(plan, ctx.Workers, func() []float64 { return loads })
 	workerIn := make([]float64, ctx.Workers)
 	workerOut := make([]float64, ctx.Workers)
 	for id := range loads {
-		w := sched[id]
-		workerIn[w] += ins[id]
-		workerOut[w] += outs[id]
+		w := place(id)
+		workerIn[w] += e.in[id]
+		workerOut[w] += e.out[id]
 	}
 	maxW := 0
 	for w := 1; w < ctx.Workers; w++ {
@@ -171,10 +142,10 @@ func EstimatePlan(plan partition.Plan, ctx *partition.Context) *Result {
 	totalOutput := smp.EstimatedOutput()
 	res := &Result{
 		Workers:        ctx.Workers,
-		Partitions:     len(partLoads),
+		Partitions:     parts,
 		InputS:         smp.TotalS,
 		InputT:         smp.TotalT,
-		TotalInput:     int64(totalInput + 0.5),
+		TotalInput:     int64(e.total + 0.5),
 		Output:         int64(totalOutput + 0.5),
 		Im:             int64(workerIn[maxW] + 0.5),
 		Om:             int64(workerOut[maxW] + 0.5),
@@ -186,12 +157,12 @@ func EstimatePlan(plan partition.Plan, ctx *partition.Context) *Result {
 	if smp.TotalS+smp.TotalT > 0 {
 		// Sample scaling can undershoot by a fraction of a tuple; overheads are
 		// clamped at zero (they are relative to true lower bounds).
-		res.DupOverhead = math.Max(0, totalInput/float64(smp.TotalS+smp.TotalT)-1)
+		res.DupOverhead = math.Max(0, e.total/float64(smp.TotalS+smp.TotalT)-1)
 	}
 	if res.LowerBoundLoad > 0 {
 		res.LoadOverhead = math.Max(0, res.MaxLoad/res.LowerBoundLoad-1)
 	}
-	res.PredictedTime = ctx.Model.Predict(totalInput, workerIn[maxW], workerOut[maxW])
+	res.PredictedTime = ctx.Model.Predict(e.total, workerIn[maxW], workerOut[maxW])
 	return res
 }
 

@@ -22,7 +22,7 @@ func TestEstimatePartitionLoadsCoversAllPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loads := EstimatePartitionLoads(plan, ctx)
+	loads := estimatePartitions(plan, ctx).load
 	if len(loads) < plan.NumPartitions() {
 		t.Fatalf("loads cover %d partitions, plan has %d", len(loads), plan.NumPartitions())
 	}

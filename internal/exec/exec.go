@@ -261,22 +261,16 @@ func ExecutePlan(ctx context.Context, plan partition.Plan, s, t *data.Relation, 
 	}
 	shuffleTime := time.Since(shuffleStart)
 
-	jobs := make([]MorselJob, r.NumPartitions)
-	tuples := make([]int64, r.NumPartitions)
-	ids := make([][2][]int64, r.NumPartitions) // filled by the builds when pairs are collected
-	for _, pid := range r.NonEmpty() {
-		tuples[pid] = int64(r.S.Rows(pid) + r.T.Rows(pid))
-		jobs[pid] = preparingJob(r.S.Rows(pid), band, func() (*data.Relation, *data.Relation, func()) {
+	pids := r.NonEmpty()
+	recs, jobs := make([]PartitionStats, len(pids)), make([]MorselJob, len(pids))
+	for i, pid := range pids {
+		recs[i] = PartitionStats{Partition: pid, InputS: r.S.Rows(pid), InputT: r.T.Rows(pid)}
+		jobs[i] = preparingJob(r.S.Rows(pid), band, func() (*data.Relation, *data.Relation, func()) {
 			buf := gatherPool.Get().(*gatherBuf)
-			var sIDs, tIDs *[]int64
-			if opts.CollectPairs {
-				sIDs, tIDs = &ids[pid][0], &ids[pid][1]
-			}
-			sp, tp := r.S.gatherAll(pid, &buf.s, sIDs), r.T.gatherAll(pid, &buf.t, tIDs)
-			return sp, tp, func() { gatherPool.Put(buf) }
+			return r.S.gatherAll(pid, &buf.s), r.T.gatherAll(pid, &buf.t), func() { gatherPool.Put(buf) }
 		})
 	}
-	res, err := reduce(ctx, plan, jobs, tuples, func(pid int) ([]int64, []int64) { return ids[pid][0], ids[pid][1] },
+	res, err := reduce(ctx, plan, r.NumPartitions, recs, jobs, func(i int) ([]int64, []int64) { return r.S.IDs(pids[i]), r.T.IDs(pids[i]) },
 		r.TotalInput, s.Len(), t.Len(), opts)
 	if err != nil {
 		return nil, err
@@ -302,29 +296,23 @@ func PrepareShuffled(parts []*PartitionInput, band data.Band, _ any, parallelism
 	return prepared
 }
 
-// ExecuteShuffled runs the reduce phase (local joins, worker placement, and
-// accounting) over already-shuffled partition inputs. It is the stage an
-// engine reuses when the shuffled partitions for a plan are retained between
-// queries: a warm query skips the shuffle entirely and pays only for the
+// ExecuteShuffledPrepared runs the reduce phase (local joins, worker
+// placement, and accounting) over already-shuffled partition inputs: the stage
+// an engine reuses when the shuffled partitions for a plan are retained
+// between queries, so a warm query skips the shuffle and pays only for the
 // joins. totalInput is the routed tuple count I the shuffle reported; inputS
-// and inputT are the original relation cardinalities.
-func ExecuteShuffled(ctx context.Context, plan partition.Plan, parts []*PartitionInput, totalInput int64, inputS, inputT int, band data.Band, opts Options) (*Result, error) {
-	return ExecuteShuffledPrepared(ctx, plan, parts, nil, totalInput, inputS, inputT, band, opts)
-}
-
-// ExecuteShuffledPrepared is ExecuteShuffled over partitions whose reusable
-// join structures were prebuilt with PrepareShuffled (for the same band):
-// partitions with a non-nil entry probe the prepared structure instead of
-// rebuilding grid buckets per query. prepared may be nil or sparse; those
-// partitions prepare once for this query. Results are identical either way
-// (a prepared probe emits exactly the pairs of the one-shot join, in the same
-// order).
+// and inputT are the original relation cardinalities. Partitions with a
+// non-nil entry in prepared (PrepareShuffled's, for the same band) probe that
+// structure; prepared may be nil or sparse, and the other partitions prepare
+// once for this query. Results are identical either way (a prepared probe
+// emits exactly the pairs of the one-shot join, in the same order).
 func ExecuteShuffledPrepared(ctx context.Context, plan partition.Plan, parts []*PartitionInput, prepared []*localjoin.EpsGrid, totalInput int64, inputS, inputT int, band data.Band, opts Options) (*Result, error) {
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("exec: need at least one worker, got %d", opts.Workers)
 	}
-	jobs := make([]MorselJob, len(parts))
-	tuples := make([]int64, len(parts))
+	var recs []PartitionStats
+	var jobs []MorselJob
+	var in []*PartitionInput
 	for pid, p := range parts {
 		if p == nil {
 			continue
@@ -333,43 +321,26 @@ func ExecuteShuffledPrepared(ctx context.Context, plan partition.Plan, parts []*
 		if pid < len(prepared) {
 			prep = prepared[pid]
 		}
-		jobs[pid] = PartitionJob(prep, p.S, p.T, band)
-		tuples[pid] = int64(p.Tuples())
+		recs = append(recs, PartitionStats{Partition: pid, InputS: p.S.Len(), InputT: p.T.Len()})
+		jobs = append(jobs, PartitionJob(prep, p.S, p.T, band))
+		in = append(in, p)
 	}
-	return reduce(ctx, plan, jobs, tuples, func(pid int) ([]int64, []int64) { return parts[pid].SIDs, parts[pid].TIDs },
+	return reduce(ctx, plan, len(parts), recs, jobs, func(i int) ([]int64, []int64) { return in[i].SIDs, in[i].TIDs },
 		totalInput, inputS, inputT, opts)
 }
 
-// ExecutePartitions is ExecuteShuffled over partitions kept between queries
-// (the in-process plane's retained plans): LockForProbe refreshes each for
-// band and holds it read-locked through the joins and the accounting, and the
-// result reports what the refreshes took (StaleRebuildTime, Folds, FoldTime).
+// ExecutePartitions is ExecuteShuffledPrepared over partitions kept between
+// queries (the in-process plane's retained plans): LockForProbe refreshes each
+// for band and holds it read-locked through the joins, and the result reports
+// what the refreshes took (StaleRebuildTime, Folds, FoldTime).
 func ExecutePartitions(ctx context.Context, plan partition.Plan, parts []*Partition, totalInput int64, inputS, inputT int, band data.Band, opts Options) (*Result, error) {
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("exec: need at least one worker, got %d", opts.Workers)
 	}
-	rebuild, fold := make([]int64, len(parts)), make([]int64, len(parts))
-	jobs, held, unlock := LockForProbe(parts, band, func(i int, r, f int64) { rebuild[i], fold[i] = r, f }, runtime.GOMAXPROCS(0))
+	jobs, recs, held, unlock := LockForProbe(parts, band, func(int, int64, int64) {}, runtime.GOMAXPROCS(0))
 	defer unlock()
-	tuples := make([]int64, len(parts))
-	for pid, in := range held {
-		if in != nil {
-			tuples[pid] = int64(in.Tuples())
-		}
-	}
-	res, err := reduce(ctx, plan, jobs, tuples, func(pid int) ([]int64, []int64) { return held[pid].SIDs, held[pid].TIDs },
+	return reduce(ctx, plan, len(parts), recs, jobs, func(i int) ([]int64, []int64) { return held[i].SIDs, held[i].TIDs },
 		totalInput, inputS, inputT, opts)
-	if err != nil {
-		return nil, err
-	}
-	for pid := range parts {
-		res.StaleRebuildTime += time.Duration(rebuild[pid])
-		if fold[pid] > 0 {
-			res.Folds++
-			res.FoldTime += time.Duration(fold[pid])
-		}
-	}
-	return res, nil
 }
 
 // PartitionJob is the morsel job joining one partition (s, t): over prep, the
@@ -408,80 +379,123 @@ func preparingJob(rows int, band data.Band, load func() (s, t *data.Relation, do
 	}}
 }
 
-// reduce runs the reduce phase — jobs[pid] joins partition pid, whose input
-// |S_p| + |T_p| is tuples[pid] (0 for an empty partition) — on the morsel
-// scheduler, places the partitions on workers, and does the accounting. ids
-// maps a partition's local S and T indices to tuple IDs when pairs are
-// collected; it is called after the jobs have run.
-func reduce(ctx context.Context, plan partition.Plan, jobs []MorselJob, tuples []int64, ids func(pid int) (sIDs, tIDs []int64), totalInput int64, inputS, inputT int, opts Options) (*Result, error) {
+// PartitionStats is one partition's join outcome: the record both data planes
+// report — the in-process reduce for itself, a cluster worker in its
+// JoinReply — and Aggregate folds into a Result.
+type PartitionStats struct {
+	Partition int
+	InputS    int
+	InputT    int
+	Output    int64
+	// JoinNanos is the partition's busy time: its morsels and, when the join
+	// built the partition's structure, that build.
+	JoinNanos int64
+	// RebuildNanos is the time this probe spent re-sorting and re-building the
+	// partition's prepared join structure after delta appends invalidated it
+	// (zero when the sealed structure was still fresh).
+	RebuildNanos int64
+	// FoldNanos is the time this probe spent folding the partition's appended
+	// S rows into its sorted order and resolved cell lists (FoldS; zero when
+	// no fold was due). A fold keeps the T-side structure, so it is no rebuild
+	// and is not part of RebuildNanos.
+	FoldNanos int64
+	// PairS/PairT are parallel slices of result pairs, as tuple IDs, when
+	// pairs are collected.
+	PairS []int64
+	PairT []int64
+}
+
+// JoinPartitions runs the partitions' morsel jobs on one shared pool
+// (RunMorsels, GOMAXPROCS workers) — jobs[i] joins the partition recs[i]
+// describes — and completes each record with its output, its busy time and,
+// when collect is set, its pairs: ids(i) maps job i's local S and T indices to
+// tuple IDs, and is called after the jobs have run, for the jobs that emitted
+// pairs. morselRows follows the MorselRows convention. It is the one record
+// builder of both planes.
+func JoinPartitions(ctx context.Context, recs []PartitionStats, jobs []MorselJob, ids func(i int) (sIDs, tIDs []int64), morselRows int, collect bool) (MorselStats, error) {
+	jres, mstats, err := RunMorsels(ctx, jobs, morselRows, runtime.GOMAXPROCS(0), collect)
+	if err != nil {
+		return mstats, err
+	}
+	for i := range recs {
+		rec, jr := &recs[i], &jres[i]
+		rec.Output, rec.JoinNanos = jr.Count, jr.Nanos
+		if len(jr.SIdx) == 0 {
+			continue
+		}
+		sIDs, tIDs := ids(i)
+		rec.PairS, rec.PairT = make([]int64, len(jr.SIdx)), make([]int64, len(jr.SIdx))
+		for k, si := range jr.SIdx {
+			rec.PairS[k], rec.PairT[k] = sIDs[si], tIDs[jr.TIdx[k]]
+		}
+	}
+	return mstats, nil
+}
+
+// reduce runs the in-process reduce phase: jobs[i] joins the partition recs[i]
+// describes (JoinPartitions, which ids serves), on the morsel scheduler, so
+// one fat partition cannot bound the wall time. Then it places the plan's
+// numParts partitions on the workers — the plan's own placement, else LPT
+// over their observed loads — and aggregates the records into the result.
+func reduce(ctx context.Context, plan partition.Plan, numParts int, recs []PartitionStats, jobs []MorselJob, ids func(i int) (sIDs, tIDs []int64), totalInput int64, inputS, inputT int, opts Options) (*Result, error) {
 	if (opts.Model == costmodel.Model{}) {
 		opts.Model = costmodel.Default()
 	}
-	// --- Reduce phase: a shared pool drains probe-row ranges of all
-	// partitions, so one fat partition cannot bound the wall time (every
-	// partition is one range when MorselRows < 0).
 	joinStart := time.Now()
-	jres, mstats, err := RunMorsels(ctx, jobs, opts.MorselRows, runtime.GOMAXPROCS(0), opts.CollectPairs)
+	mstats, err := JoinPartitions(ctx, recs, jobs, ids, opts.MorselRows, opts.CollectPairs)
 	if err != nil {
 		return nil, err
 	}
-	joinWall := time.Since(joinStart)
-
-	// --- Place partitions on workers and aggregate per-worker accounting.
-	numParts := len(jobs)
-	loads := make([]float64, numParts)
-	for pid := range jobs {
-		if tuples[pid] > 0 {
-			loads[pid] = opts.Model.Load(float64(tuples[pid]), float64(jres[pid].Count))
-		}
-	}
-	var sched partition.Schedule
-	if placer, ok := plan.(partition.WorkerPlacer); ok {
-		sched = partition.FromPlacer(placer, numParts, opts.Workers)
-	} else {
-		sched = partition.LPT(loads, opts.Workers)
-	}
-
 	res := &Result{
 		Workers:        opts.Workers,
-		JoinWallTime:   joinWall,
+		JoinWallTime:   time.Since(joinStart),
 		InputS:         inputS,
 		InputT:         inputT,
 		TotalInput:     totalInput,
 		Morsels:        mstats.Morsels,
 		MorselSteals:   mstats.Steals,
 		StragglerRatio: mstats.StragglerRatio,
-		WorkerInput:    make([]int64, opts.Workers),
-		WorkerOutput:   make([]int64, opts.Workers),
 	}
-	workerBusy := make([]time.Duration, opts.Workers)
-	for pid := range jobs {
-		if tuples[pid] == 0 {
-			continue
-		}
-		res.Partitions++
-		w := sched[pid]
-		res.WorkerInput[w] += tuples[pid]
-		res.WorkerOutput[w] += jres[pid].Count
-		res.Output += jres[pid].Count
-		workerBusy[w] += time.Duration(jres[pid].Nanos)
-		if opts.CollectPairs {
-			sIDs, tIDs := ids(pid)
-			for k, si := range jres[pid].SIdx {
-				res.Pairs = append(res.Pairs, Pair{S: sIDs[si], T: tIDs[jres[pid].TIdx[k]]})
-			}
-		}
+	loads := make([]float64, numParts)
+	for _, rec := range recs {
+		loads[rec.Partition] = opts.Model.Load(float64(rec.InputS+rec.InputT), float64(rec.Output))
 	}
-	res.Account(opts.Model, workerBusy)
+	res.Aggregate(recs, partition.Place(plan, opts.Workers, func() []float64 { return loads }), opts.Model)
 	return res, nil
 }
 
-// Account fills in what follows from a result's per-worker input and output:
+// Aggregate folds partition records into the result and accounts it. Each
+// record with input is one partition, run on the worker place(pid) names: it
+// adds to Partitions, Output, that worker's input, output and busy time
+// (JoinNanos), StaleRebuildTime, Folds and FoldTime, and Pairs. Then come
 // the most loaded worker's Im, Om and MaxLoad, the Lemma 1 lower bound, the
-// duplication and load overheads, the predicted time, and the makespan of the
-// per-worker busy times; and it sorts the pairs. Both data planes end a query
-// with it.
-func (res *Result) Account(model costmodel.Model, workerBusy []time.Duration) {
+// duplication and load overheads, the predicted time, the makespan of the
+// per-worker busy times, and the pairs in order. res must carry Workers,
+// InputS, InputT and TotalInput. Both data planes end a query with it.
+func (res *Result) Aggregate(recs []PartitionStats, place func(pid int) int, model costmodel.Model) {
+	res.WorkerInput, res.WorkerOutput = make([]int64, res.Workers), make([]int64, res.Workers)
+	workerBusy := make([]time.Duration, res.Workers)
+	for i := range recs {
+		rec := &recs[i]
+		if rec.InputS+rec.InputT == 0 {
+			continue
+		}
+		w := place(rec.Partition)
+		res.Partitions++
+		res.WorkerInput[w] += int64(rec.InputS + rec.InputT)
+		res.WorkerOutput[w] += rec.Output
+		res.Output += rec.Output
+		workerBusy[w] += time.Duration(rec.JoinNanos)
+		res.StaleRebuildTime += time.Duration(rec.RebuildNanos)
+		if rec.FoldNanos > 0 {
+			res.Folds++
+			res.FoldTime += time.Duration(rec.FoldNanos)
+		}
+		for k, s := range rec.PairS {
+			res.Pairs = append(res.Pairs, Pair{S: s, T: rec.PairT[k]})
+		}
+	}
+
 	maxW := 0
 	for w := 1; w < res.Workers; w++ {
 		if model.Load(float64(res.WorkerInput[w]), float64(res.WorkerOutput[w])) >

@@ -4,10 +4,13 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"bandjoin/internal/core"
+	"bandjoin/internal/costmodel"
 	"bandjoin/internal/csio"
 	"bandjoin/internal/data"
 	"bandjoin/internal/grid"
@@ -306,9 +309,9 @@ func TestExecuteShuffledMatchesExecutePlan(t *testing.T) {
 		t.Fatalf("Shuffle: %v", err)
 	}
 	for round := 0; round < 2; round++ {
-		warm, err := ExecuteShuffled(context.Background(), plan, parts, total, s.Len(), tt.Len(), band, opts)
+		warm, err := ExecuteShuffledPrepared(context.Background(), plan, parts, nil, total, s.Len(), tt.Len(), band, opts)
 		if err != nil {
-			t.Fatalf("ExecuteShuffled round %d: %v", round, err)
+			t.Fatalf("ExecuteShuffledPrepared round %d: %v", round, err)
 		}
 		if warm.TotalInput != full.TotalInput || warm.Output != full.Output ||
 			warm.Im != full.Im || warm.Om != full.Om {
@@ -324,5 +327,67 @@ func TestExecuteShuffledMatchesExecutePlan(t *testing.T) {
 				t.Fatalf("round %d: pair %d differs", round, i)
 			}
 		}
+	}
+}
+
+// TestAggregate pins the one aggregation of both planes: fixed records and a
+// fixed placement give the partition count, the output, the per-worker input
+// and output, the most loaded worker's Im and Om, the makespan, the refresh
+// times and the pairs in order.
+func TestAggregate(t *testing.T) {
+	recs := []PartitionStats{
+		{Partition: 0, InputS: 3, InputT: 2, Output: 3, JoinNanos: 100, PairS: []int64{7, 1, 1}, PairT: []int64{0, 9, 2}},
+		{Partition: 1, InputS: 10, InputT: 5, Output: 7, JoinNanos: 300, RebuildNanos: 50},
+		{Partition: 2}, // no input: no partition, wherever it is placed
+		{Partition: 3, InputS: 1, InputT: 1, JoinNanos: 20, FoldNanos: 30, RebuildNanos: 5},
+		{Partition: 4, InputS: 4, Output: 1, JoinNanos: 60, FoldNanos: 10, PairS: []int64{0}, PairT: []int64{4}},
+	}
+	for _, tc := range []struct {
+		name           string
+		workers        int
+		place          []int // worker of each record's partition
+		recs           []PartitionStats
+		parts          int
+		output         int64
+		wIn, wOut      []int64
+		im, om         int64
+		makespan       time.Duration
+		rebuild, foldT time.Duration
+		folds          int
+		pairs          []Pair
+	}{
+		{name: "two workers", workers: 2, place: []int{0, 1, 0, 0, 1}, recs: recs,
+			parts: 4, output: 11, wIn: []int64{7, 19}, wOut: []int64{3, 8}, im: 19, om: 8,
+			makespan: 360, rebuild: 55, foldT: 40, folds: 2,
+			pairs: []Pair{{0, 4}, {1, 2}, {1, 9}, {7, 0}}},
+		{name: "one busy worker of three", workers: 3, place: []int{2, 2, 2, 2, 2}, recs: recs,
+			parts: 4, output: 11, wIn: []int64{0, 0, 26}, wOut: []int64{0, 0, 11}, im: 26, om: 11,
+			makespan: 480, rebuild: 55, foldT: 40, folds: 2,
+			pairs: []Pair{{0, 4}, {1, 2}, {1, 9}, {7, 0}}},
+		{name: "no records", workers: 2, wIn: []int64{0, 0}, wOut: []int64{0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := &Result{Workers: tc.workers, InputS: 20, InputT: 10, TotalInput: 26}
+			res.Aggregate(slices.Clone(tc.recs), func(pid int) int { return tc.place[pid] }, costmodel.Default())
+			if res.Partitions != tc.parts || res.Output != tc.output {
+				t.Errorf("%d partitions, output %d; want %d and %d", res.Partitions, res.Output, tc.parts, tc.output)
+			}
+			if !slices.Equal(res.WorkerInput, tc.wIn) || !slices.Equal(res.WorkerOutput, tc.wOut) {
+				t.Errorf("worker input %v, output %v; want %v and %v", res.WorkerInput, res.WorkerOutput, tc.wIn, tc.wOut)
+			}
+			if res.Im != tc.im || res.Om != tc.om {
+				t.Errorf("Im=%d Om=%d, want %d and %d", res.Im, res.Om, tc.im, tc.om)
+			}
+			if res.Makespan != tc.makespan || res.StaleRebuildTime != tc.rebuild || res.Folds != tc.folds || res.FoldTime != tc.foldT {
+				t.Errorf("makespan %v, rebuild %v, %d folds in %v; want %v, %v, %d in %v",
+					res.Makespan, res.StaleRebuildTime, res.Folds, res.FoldTime, tc.makespan, tc.rebuild, tc.folds, tc.foldT)
+			}
+			if !slices.Equal(res.Pairs, tc.pairs) {
+				t.Errorf("pairs %v, want %v", res.Pairs, tc.pairs)
+			}
+			if math.Abs(res.DupOverhead-(26.0/30-1)) > 1e-12 {
+				t.Errorf("dup overhead %g, want %g", res.DupOverhead, 26.0/30-1)
+			}
+		})
 	}
 }

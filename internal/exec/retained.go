@@ -183,8 +183,11 @@ func Bytes(parts []*Partition) int64 {
 // called as soon as parts[i]'s refresh returns. Then each partition is
 // read-locked and jobs[i], its morsel job, built under that lock: over the
 // structure found there if it is band's, else through a Build that prepares
-// the partition once. held[i] holds the rows and tuple IDs the job's pairs
-// index. Both stay valid until the caller, done with them, calls unlock.
+// the partition once. recs[i] is its record for JoinPartitions, with the
+// partition index i, both sides' row counts and what the refresh took
+// (RebuildNanos, FoldNanos) filled in, and held[i] holds the rows and tuple
+// IDs the job's pairs index. Both stay valid until the caller, done with
+// them, calls unlock.
 //
 // The read locks are taken only here, from one goroutine, in index order, with
 // no other partition lock held: concurrent joins of the same partitions each
@@ -192,16 +195,19 @@ func Bytes(parts []*Partition) int64 {
 // readers, and any other order lets two joins wait on each other's
 // partitions. A refresh or an append holds one write lock at a time and waits
 // for nothing while it does.
-func LockForProbe(parts []*Partition, band data.Band, refreshed func(i int, rebuildNanos, foldNanos int64), parallelism int) (jobs []MorselJob, held []*PartitionInput, unlock func()) {
+func LockForProbe(parts []*Partition, band data.Band, refreshed func(i int, rebuildNanos, foldNanos int64), parallelism int) (jobs []MorselJob, recs []PartitionStats, held []*PartitionInput, unlock func()) {
+	recs = make([]PartitionStats, len(parts))
 	if refreshed != nil {
 		each(parts, parallelism, func(i int, p *Partition) {
-			rebuild, fold := p.Refresh(band)
-			refreshed(i, rebuild, fold)
+			rec := &recs[i]
+			rec.RebuildNanos, rec.FoldNanos = p.Refresh(band)
+			refreshed(i, rec.RebuildNanos, rec.FoldNanos)
 		})
 	}
 	key := bandKey(band)
 	jobs, held = make([]MorselJob, len(parts)), make([]*PartitionInput, len(parts))
 	for i, p := range parts {
+		recs[i].Partition = i
 		if p == nil {
 			continue
 		}
@@ -212,8 +218,9 @@ func LockForProbe(parts []*Partition, band data.Band, refreshed func(i int, rebu
 		}
 		jobs[i] = PartitionJob(prep, p.s, p.t, band)
 		held[i] = &PartitionInput{S: p.s, SIDs: p.sIDs, T: p.t, TIDs: p.tIDs}
+		recs[i].InputS, recs[i].InputT = p.s.Len(), p.t.Len()
 	}
-	return jobs, held, func() {
+	return jobs, recs, held, func() {
 		for _, p := range parts {
 			if p != nil {
 				p.mu.RUnlock()

@@ -31,21 +31,22 @@ func appendRows(p *Partition, toT bool, rel *data.Relation, ids []int64) {
 	}[toT])
 }
 
-// probedPairs joins p for band under LockForProbe (refreshing it first when
-// refreshed is set) in morsels of 7 rows, and returns the pairs as tuple IDs
-// together with the nested loop's over the rows the probe held.
-func probedPairs(t *testing.T, p *Partition, band data.Band, refreshed func(int, int64, int64)) (got, want []Pair) {
+// probedPairs refreshes p for band and joins it under LockForProbe
+// (JoinPartitions, in morsels of 7 rows), and returns the pairs as tuple IDs
+// together with the nested loop's over the rows the probe held, and the
+// partition's record.
+func probedPairs(t *testing.T, p *Partition, band data.Band) (got, want []Pair, rec PartitionStats) {
 	t.Helper()
-	jobs, held, unlock := LockForProbe([]*Partition{p}, band, refreshed, 2)
+	jobs, recs, held, unlock := LockForProbe([]*Partition{p}, band, func(int, int64, int64) {}, 2)
 	defer unlock()
-	res, _, err := RunMorsels(context.Background(), jobs, 7, 2, true)
-	if err != nil {
-		t.Errorf("RunMorsels: %v", err) // t.Fatal is for the test's own goroutine
-		return nil, nil
-	}
 	in := held[0]
-	for k, si := range res[0].SIdx {
-		got = append(got, Pair{S: in.SIDs[si], T: in.TIDs[res[0].TIdx[k]]})
+	if _, err := JoinPartitions(context.Background(), recs, jobs, func(int) ([]int64, []int64) { return in.SIDs, in.TIDs }, 7, true); err != nil {
+		t.Errorf("JoinPartitions: %v", err) // t.Fatal is for the test's own goroutine
+		return nil, nil, rec
+	}
+	rec = recs[0]
+	for k, s := range rec.PairS {
+		got = append(got, Pair{S: s, T: rec.PairT[k]})
 	}
 	localjoin.NestedLoop{}.Join(in.S, in.T, band, func(si, ti int, _, _ []float64) {
 		want = append(want, Pair{S: in.SIDs[si], T: in.TIDs[ti]})
@@ -58,7 +59,7 @@ func probedPairs(t *testing.T, p *Partition, band data.Band, refreshed func(int,
 			return int(a.T - b.T)
 		})
 	}
-	return got, want
+	return got, want, rec
 }
 
 // dim0Sorted reports whether a relation's rows ascend on dimension 0.
@@ -116,8 +117,8 @@ func TestPartitionLifecycle(t *testing.T) {
 				appendRows(p, true, rel, ids)
 			}
 
-			var rebuild, fold int64
-			got, want := probedPairs(t, p, tc.query, func(_ int, r, f int64) { rebuild, fold = r, f })
+			got, want, rec := probedPairs(t, p, tc.query)
+			rebuild, fold := rec.RebuildNanos, rec.FoldNanos
 			outcome := map[[2]bool]string{{false, false}: "none", {true, false}: "rebuild", {false, true}: "fold", {true, true}: "both"}[[2]bool{rebuild > 0, fold > 0}]
 			if outcome != tc.want {
 				t.Errorf("refresh took %d ns rebuilding and %d ns folding, want %s", rebuild, fold, tc.want)
@@ -164,7 +165,7 @@ func TestPartitionConcurrentAppendRefreshProbe(t *testing.T) {
 					return
 				default:
 				}
-				if got, want := probedPairs(t, p, band, func(int, int64, int64) {}); !slices.Equal(got, want) {
+				if got, want, _ := probedPairs(t, p, band); !slices.Equal(got, want) {
 					t.Errorf("probe found %d pairs, the nested loop %d over the same rows", len(got), len(want))
 					return
 				}
@@ -185,7 +186,7 @@ func TestPartitionConcurrentAppendRefreshProbe(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if got, want := probedPairs(t, p, band, func(int, int64, int64) {}); !slices.Equal(got, want) || p.s.Len() != int(nextS) || p.t.Len() != int(nextT) {
+	if got, want, _ := probedPairs(t, p, band); !slices.Equal(got, want) || p.s.Len() != int(nextS) || p.t.Len() != int(nextT) {
 		t.Errorf("after the appends: %d S and %d T rows, %d pairs, want %d, %d and %d", p.s.Len(), p.t.Len(), len(got), nextS, nextT, len(want))
 	}
 }

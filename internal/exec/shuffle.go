@@ -41,9 +41,6 @@ type PartitionInput struct {
 	TIDs []int64
 }
 
-// Tuples returns the partition's input size |S_p| + |T_p|.
-func (p *PartitionInput) Tuples() int { return p.S.Len() + p.T.Len() }
-
 // Presort reorders the partition's rows into ascending dim-0 key order (NaN
 // last, ties kept in row order), returning a new PartitionInput that owns its
 // storage. Retained partitions are presorted when sealed and when rebuilt
@@ -138,18 +135,26 @@ func (rs *RoutedSide) gather(rows []int32, keys []float64, ids []int64) {
 }
 
 // gatherAll gathers all of partition pid's rows into *keys, reusing its
-// storage, and returns them as a relation; unless ids is nil, their tuple IDs
-// too, into a new *ids.
-func (rs *RoutedSide) gatherAll(pid int, keys *[]float64, ids *[]int64) *data.Relation {
+// storage, and returns them as a relation.
+func (rs *RoutedSide) gatherAll(pid int, keys *[]float64) *data.Relation {
 	n, dims := rs.Rows(pid), rs.Rel.Dims()
 	*keys = slices.Grow((*keys)[:0], n*dims)[:n*dims]
-	var idBuf []int64
-	if ids != nil {
-		*ids = make([]int64, n)
-		idBuf = *ids
-	}
-	rs.Gather(pid, 0, n, *keys, idBuf)
+	rs.Gather(pid, 0, n, *keys, nil)
 	return data.NewRelationFromKeys(rs.Rel.Name(), dims, *keys)
+}
+
+// IDs returns the tuple IDs of partition pid's rows, in the partition's
+// order.
+func (rs *RoutedSide) IDs(pid int) []int64 {
+	ids := make([]int64, 0, rs.Rows(pid))
+	for _, lists := range rs.shards {
+		if pid < len(lists) {
+			for _, row := range lists[pid] {
+				ids = append(ids, int64(row)+rs.Base)
+			}
+		}
+	}
+	return ids
 }
 
 // route runs shard k's pass, over its share of the side's rows, and stores its

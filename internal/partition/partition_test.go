@@ -107,7 +107,8 @@ func TestLPTNeverWorseThanRoundRobin(t *testing.T) {
 	}
 }
 
-type fixedPlacer struct{ workers int }
+// fixedPlacer is a placing plan; Place calls nothing of it but PlaceWorker.
+type fixedPlacer struct{ Plan }
 
 func (f fixedPlacer) PlaceWorker(p, w int) int {
 	if p%2 == 0 {
@@ -116,15 +117,29 @@ func (f fixedPlacer) PlaceWorker(p, w int) int {
 	return w + 5 // deliberately out of range to exercise the fallback
 }
 
-func TestFromPlacerFallsBackOnBadWorker(t *testing.T) {
-	sched := FromPlacer(fixedPlacer{}, 10, 3)
-	for p, w := range sched {
+func TestPlaceFallsBackOnBadWorker(t *testing.T) {
+	place := Place(fixedPlacer{}, 3, func() []float64 { t.Fatal("a placer plan's loads were computed"); return nil })
+	for p := 0; p < 10; p++ {
+		w := place(p)
 		if w < 0 || w >= 3 {
 			t.Fatalf("partition %d placed on invalid worker %d", p, w)
 		}
 		if p%2 == 0 && w != 0 {
 			t.Errorf("partition %d ignored the placer", p)
 		}
+	}
+	// A plan without a placer is placed by LPT over its loads, and a
+	// partition past them by the same hash.
+	loads := []float64{5, 1, 4, 2}
+	sched := LPT(loads, 3)
+	place = Place(nil, 3, func() []float64 { return loads })
+	for p := range loads {
+		if place(p) != sched[p] {
+			t.Errorf("partition %d placed on %d, LPT says %d", p, place(p), sched[p])
+		}
+	}
+	if w := place(7); w != int(hash64(7)%3) {
+		t.Errorf("partition past the loads placed on %d, want its hash's %d", w, hash64(7)%3)
 	}
 }
 

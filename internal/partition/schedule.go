@@ -117,18 +117,30 @@ func resizeFloats(buf *[]float64, n int) []float64 {
 	return *buf
 }
 
-// FromPlacer builds a schedule by asking the plan's WorkerPlacer for each
-// partition.
-func FromPlacer(p WorkerPlacer, partitions, workers int) Schedule {
-	sched := make(Schedule, partitions)
-	for i := range sched {
-		w := p.PlaceWorker(i, workers)
-		if w < 0 || w >= workers {
-			w = int(hash64(uint64(i)) % uint64(workers))
-		}
-		sched[i] = w
+// Place returns where a plan's partitions run on workers workers: where the
+// plan's WorkerPlacer puts a partition, when the plan is one, and otherwise
+// where greedy LPT over loads() — the partitions' observed or estimated
+// loads, asked for only by plans that need them — puts it. A partition the
+// placer puts outside [0, workers), or one past the loads, goes to the worker
+// its index hashes to. Both data planes and EstimatePlan place with it.
+func Place(plan Plan, workers int, loads func() []float64) func(pid int) int {
+	placer, ok := plan.(WorkerPlacer)
+	var sched Schedule
+	if !ok {
+		sched = LPT(loads(), workers)
 	}
-	return sched
+	return func(pid int) int {
+		w := -1
+		if ok {
+			w = placer.PlaceWorker(pid, workers)
+		} else if pid < len(sched) {
+			w = sched[pid]
+		}
+		if w < 0 || w >= workers {
+			w = int(hash64(uint64(pid)) % uint64(workers))
+		}
+		return w
+	}
 }
 
 // hash64 is the splitmix64 finalizer, used for cheap deterministic hashing of
