@@ -9,6 +9,7 @@ import (
 
 	"bandjoin/internal/cluster"
 	"bandjoin/internal/core"
+	"bandjoin/internal/data"
 	"bandjoin/internal/exec"
 	"bandjoin/internal/obs"
 	"bandjoin/internal/partition"
@@ -861,8 +862,8 @@ type retainedParts struct {
 	totalInput int64
 
 	// coveredS/coveredT record the base-relation prefix lengths the retained
-	// partitions were shuffled from. Appended suffixes are absorbed by
-	// catchUpLocked — eagerly from Engine.Append, lazily by the next query —
+	// partitions were filled from. Appended suffixes are absorbed by
+	// absorbLocked — eagerly from Engine.Append, lazily by the next query —
 	// idempotently, because covered only advances past an absorbed delta.
 	coveredS int
 	coveredT int
@@ -873,54 +874,24 @@ type retainedParts struct {
 	bytes atomic.Int64
 }
 
-// fillLocked runs the cold fill: shuffle everything, seal every partition
-// (presort, prebuild the local join's structure) and record the covered
-// prefix lengths. Caller holds rec.mu for writing.
-func (rec *retainedParts) fillLocked(ctx context.Context, plan Plan, s, t *Relation, band Band) error {
-	ins, totalInput, err := exec.Shuffle(ctx, plan, s, t, 0)
-	if err != nil {
-		return err // the record stays unfilled; the next query redoes it
+// absorbLocked routes the rows of s and t past the record's covered prefixes
+// through the plan, tuple IDs offset by those prefixes so they are what a
+// routing of the whole relations assigns, and appends them to the retained
+// partitions (exec.AppendRouted), creating those seen for the first time. The
+// cold fill is this absorb from row 0 followed by a seal; after a catch-up the
+// next probe brings the structures up to date. Caller holds rec.mu for
+// writing; nothing changes unless the routing succeeds, so a failed or
+// cancelled absorb is simply retried by the next caller.
+func (rec *retainedParts) absorbLocked(ctx context.Context, plan Plan, s, t *Relation) error {
+	suffix := func(r *Relation, covered int) *Relation {
+		return data.NewRelationFromKeys(r.Name(), r.Dims(), r.KeysRange(covered, r.Len())) // a view: nothing writes below Len
 	}
-	rec.parts = make([]*exec.Partition, len(ins))
-	for pid, in := range ins {
-		if in != nil {
-			rec.parts[pid] = exec.PartitionOf(in)
-		}
-	}
-	exec.SealAll(rec.parts, band, 0)
-	rec.totalInput, rec.done = totalInput, true
-	rec.coveredS, rec.coveredT = s.Len(), t.Len()
-	rec.bytes.Store(exec.Bytes(rec.parts))
-	return nil
-}
-
-// catchUpLocked absorbs rows appended past the record's covered prefixes: the
-// suffixes are shuffled through the plan (with tuple IDs offset to stay
-// globally consistent) and appended to the retained partitions under the
-// delta rule (exec.Partition.Append), creating those seen for the first time;
-// their structures are brought up to date by the next probe. Caller holds
-// rec.mu for writing; covered advances only on success, so a failed or
-// cancelled catch-up is simply retried by the next caller.
-func (rec *retainedParts) catchUpLocked(ctx context.Context, plan Plan, s, t *Relation) error {
-	deltaS := s.Slice(s.Name(), rec.coveredS, s.Len())
-	deltaT := t.Slice(t.Name(), rec.coveredT, t.Len())
-	ins, deltaInput, err := exec.ShuffleDelta(ctx, plan, deltaS, deltaT, rec.coveredS, rec.coveredT, 0)
+	routed, err := exec.Route(ctx, plan, suffix(s, rec.coveredS), suffix(t, rec.coveredT), rec.coveredS, rec.coveredT, 0)
 	if err != nil {
 		return err
 	}
-	if n := len(ins) - len(rec.parts); n > 0 {
-		rec.parts = append(rec.parts, make([]*exec.Partition, n)...)
-	}
-	for pid, in := range ins {
-		if in == nil {
-			continue
-		}
-		if rec.parts[pid] == nil {
-			rec.parts[pid] = exec.NewPartition(s.Dims())
-		}
-		rec.parts[pid].AppendInput(in)
-	}
-	rec.totalInput += deltaInput
+	rec.parts = exec.AppendRouted(rec.parts, routed)
+	rec.totalInput += routed.TotalInput
 	rec.coveredS, rec.coveredT = s.Len(), t.Len()
 	rec.bytes.Store(exec.Bytes(rec.parts))
 	return nil
@@ -959,13 +930,18 @@ func (p *inProcessPlane) execute(ctx context.Context, prep *exec.Prepared, s, t 
 		start := time.Now()
 		var err error
 		if warm = rec.done; !warm {
-			err = rec.fillLocked(ctx, prep.Plan, s, t, band)
+			// The cold fill: everything absorbed, then every partition sealed
+			// (presorted, its local join's structure prebuilt).
+			if err = rec.absorbLocked(ctx, prep.Plan, s, t); err == nil {
+				exec.SealAll(rec.parts, band)
+				rec.done = true
+			}
 			shuffleTime = time.Since(start)
 		} else if !rec.currentLocked(s, t) {
 			// The fill (possibly by a concurrent query holding an older
 			// snapshot) covers a prefix of this query's relations: absorb the
 			// appended suffix through the plan's routing before joining.
-			err = rec.catchUpLocked(ctx, prep.Plan, s, t)
+			err = rec.absorbLocked(ctx, prep.Plan, s, t)
 			absorbTime = time.Since(start)
 		}
 		rec.mu.Unlock()
@@ -999,7 +975,7 @@ func (p *inProcessPlane) absorb(ctx context.Context, prep *exec.Prepared, s, t *
 	if !rec.done || rec.currentLocked(s, t) {
 		return nil // a cold fill in progress covers a snapshot; its query catches up
 	}
-	return rec.catchUpLocked(ctx, prep.Plan, s, t)
+	return rec.absorbLocked(ctx, prep.Plan, s, t)
 }
 
 func (p *inProcessPlane) evict(planID string) {

@@ -55,7 +55,7 @@ func FuzzShipment(f *testing.F) {
 		}
 		for id, rs := range w.retained {
 			for pid, p := range rs.partitions {
-				_, _, held, unlock := exec.LockForProbe([]*exec.Partition{p}, data.Symmetric(make([]float64, p.Dims())...), nil, 1)
+				_, _, held, unlock := exec.LockForProbe([]*exec.Partition{p}, data.Symmetric(make([]float64, p.Dims())...), nil)
 				in := held[0]
 				unlock()
 				if in.S.Len() != len(in.SIDs) || in.T.Len() != len(in.TIDs) {

@@ -711,7 +711,6 @@ func (w *Worker) join(pids []int, parts []*exec.Partition, args *JoinArgs, refre
 	if n == 0 {
 		return []exec.PartitionStats{}
 	}
-	parallelism := runtime.GOMAXPROCS(0)
 	w.m.joinInflight.Add(int64(n))
 	defer w.m.joinInflight.Add(int64(-n))
 
@@ -728,7 +727,7 @@ func (w *Worker) join(pids []int, parts []*exec.Partition, args *JoinArgs, refre
 			}
 		}
 	}
-	jobs, recs, held, unlock := exec.LockForProbe(parts, args.Band, refreshed, parallelism)
+	jobs, recs, held, unlock := exec.LockForProbe(parts, args.Band, refreshed)
 	defer unlock()
 	// The context never cancels (joins run to completion), so the only error
 	// path of JoinPartitions is unreachable here.
@@ -805,7 +804,7 @@ func (w *Worker) Seal(args *SealArgs, reply *SealReply) error {
 
 	// Seal outside the registry lock; each partition is presorted under its
 	// own write lock, so a straggler stream cannot race the reorder.
-	exec.SealAll(parts, args.Band, runtime.GOMAXPROCS(0))
+	exec.SealAll(parts, args.Band)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -121,8 +121,10 @@ func (r *Relation) Reserve(n int) {
 }
 
 // KeysRange returns the row-major key storage of tuples [lo, hi) as a
-// zero-copy view. The caller must treat it as read-only and must not retain
-// it across Append; it is the slab the columnar wire encoder gathers from.
+// zero-copy view. The caller must not retain it across Append, and must treat
+// it as read-only unless it owns rows it has just reserved with GrowRows: the
+// one writer is exec.AppendRouted, gathering a partition's routed rows into
+// them. It is also the slab the columnar wire encoder gathers from.
 func (r *Relation) KeysRange(lo, hi int) []float64 {
 	if lo < 0 || hi > r.Len() || lo > hi {
 		panic(fmt.Sprintf("data: key range [%d,%d) out of bounds for relation of %d tuples", lo, hi, r.Len()))

@@ -297,15 +297,15 @@ func PrepareShuffled(parts []*PartitionInput, band data.Band, _ any, parallelism
 }
 
 // ExecuteShuffledPrepared runs the reduce phase (local joins, worker
-// placement, and accounting) over already-shuffled partition inputs: the stage
-// an engine reuses when the shuffled partitions for a plan are retained
-// between queries, so a warm query skips the shuffle and pays only for the
-// joins. totalInput is the routed tuple count I the shuffle reported; inputS
-// and inputT are the original relation cardinalities. Partitions with a
-// non-nil entry in prepared (PrepareShuffled's, for the same band) probe that
-// structure; prepared may be nil or sparse, and the other partitions prepare
-// once for this query. Results are identical either way (a prepared probe
-// emits exactly the pairs of the one-shot join, in the same order).
+// placement, and accounting) over Shuffle's partition inputs, for the
+// benchmark's replay and the skew and scaling harnesses (the engine's retained
+// plans join through ExecutePartitions). totalInput is the routed tuple count
+// I the shuffle reported; inputS and inputT are the original relation
+// cardinalities. Partitions with a non-nil entry in prepared
+// (PrepareShuffled's, for the same band) probe that structure; prepared may be
+// nil or sparse, and the other partitions prepare once for this query. Results
+// are identical either way (a prepared probe emits exactly the pairs of the
+// one-shot join, in the same order).
 func ExecuteShuffledPrepared(ctx context.Context, plan partition.Plan, parts []*PartitionInput, prepared []*localjoin.EpsGrid, totalInput int64, inputS, inputT int, band data.Band, opts Options) (*Result, error) {
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("exec: need at least one worker, got %d", opts.Workers)
@@ -337,7 +337,7 @@ func ExecutePartitions(ctx context.Context, plan partition.Plan, parts []*Partit
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("exec: need at least one worker, got %d", opts.Workers)
 	}
-	jobs, recs, held, unlock := LockForProbe(parts, band, func(int, int64, int64) {}, runtime.GOMAXPROCS(0))
+	jobs, recs, held, unlock := LockForProbe(parts, band, func(int, int64, int64) {})
 	defer unlock()
 	return reduce(ctx, plan, len(parts), recs, jobs, func(i int) ([]int64, []int64) { return held[i].SIDs, held[i].TIDs },
 		totalInput, inputS, inputT, opts)

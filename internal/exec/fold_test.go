@@ -11,8 +11,8 @@ import (
 	"bandjoin/internal/localjoin"
 )
 
-// TestPresortIsTheStableSort: Presort orders both sides by dimension 0 like a
-// stable comparison sort with NaN last — −0 and +0 tie, rows that tie keep
+// TestPresortIsTheStableSort: the seal's presort (sortByDim0) orders both
+// sides by dimension 0 like a stable comparison sort with NaN last — −0 and +0 tie, rows that tie keep
 // their order — and every tuple ID travels with its row.
 func TestPresortIsTheStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -36,12 +36,13 @@ func TestPresortIsTheStableSort(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5000} {
 		s, sIDs := build(n)
 		tt, tIDs := build(n / 2)
-		sorted := (&PartitionInput{S: s, SIDs: sIDs, T: tt, TIDs: tIDs}).Presort()
+		sortedS, sortedSIDs := sortByDim0(s, sIDs, 0)
+		sortedT, sortedTIDs := sortByDim0(tt, tIDs, 0)
 		for _, side := range []struct {
 			name     string
 			in, out  *data.Relation
 			ids, got []int64
-		}{{"S", s, sorted.S, sIDs, sorted.SIDs}, {"T", tt, sorted.T, tIDs, sorted.TIDs}} {
+		}{{"S", s, sortedS, sIDs, sortedSIDs}, {"T", tt, sortedT, tIDs, sortedTIDs}} {
 			want := make([]int, side.in.Len())
 			for i := range want {
 				want[i] = i
@@ -92,7 +93,9 @@ func tailedPartition(s, t *data.Relation, band data.Band, tail int) (*PartitionI
 	for i := range ids {
 		ids[i] = int64(i)
 	}
-	sealed := (&PartitionInput{S: s.Slice("s", 0, n-tail), SIDs: ids[:n-tail], T: t, TIDs: ids[:t.Len()]}).Presort()
+	sealed := &PartitionInput{}
+	sealed.S, sealed.SIDs = sortByDim0(s.Slice("s", 0, n-tail), ids[:n-tail], 0)
+	sealed.T, sealed.TIDs = sortByDim0(t, ids[:t.Len()], 0)
 	prep := localjoin.Prepare(sealed.S, sealed.T, band)
 	sealed.S = sealed.S.Extend(s.Slice("d", n-tail, n))
 	sealed.SIDs = append(sealed.SIDs, ids[n-tail:]...)
@@ -202,13 +205,13 @@ func testFoldS(t *testing.T, s, tt *data.Relation, band data.Band) {
 func BenchmarkPresort(b *testing.B) {
 	s, t := data.ParetoPair(2, 1.5, 600_000, 42)
 	ids := make([]int64, s.Len())
-	p := &PartitionInput{S: s, SIDs: ids, T: t, TIDs: ids}
-	var sink *PartitionInput
+	var sinkS, sinkT *data.Relation
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = p.Presort()
+		sinkS, _ = sortByDim0(s, ids, 0)
+		sinkT, _ = sortByDim0(t, ids, 0)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(sink.S.Len()+sink.T.Len())), "ns/row")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(sinkS.Len()+sinkT.Len())), "ns/row")
 }
 
 // BenchmarkAppendTail times the prepared probe of a partition whose last

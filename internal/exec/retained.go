@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,10 +19,6 @@ import (
 // its last morsel (LockForProbe). So S, its IDs and the structure are replaced
 // together and read together: the structure's cell lists are positional, and
 // one resolved for one S order must never meet another.
-//
-// A partition owns its storage before anything is appended to it in place:
-// NewPartition starts empty and Append copies rows in, and Seal re-sorts what
-// PartitionOf adopted into storage of its own.
 type Partition struct {
 	mu   sync.RWMutex
 	s, t *data.Relation
@@ -39,22 +36,22 @@ func NewPartition(dims int) *Partition {
 	return &Partition{s: data.NewRelation("S-part", dims), t: data.NewRelation("T-part", dims), dims: dims}
 }
 
-// PartitionOf returns a partition holding a shuffle's output for one
-// partition. It adopts in's storage, which may alias a shared arena, so it
-// must be sealed before anything is appended to it.
-func PartitionOf(in *PartitionInput) *Partition {
-	return &Partition{s: in.S, sIDs: in.SIDs, t: in.T, tIDs: in.TIDs, dims: in.S.Dims()}
-}
-
 // Dims returns the partition's dimensionality, fixed at creation.
 func (p *Partition) Dims() int { return p.dims }
 
 // bandKey names the band a structure is built for.
 func bandKey(band data.Band) string { return fmt.Sprintf("%v|%v", band.Low, band.High) }
 
-// Seal presorts both sides by dimension 0 (PartitionInput.Presort) and, when
-// band is valid for the partition, prepares its structure: both paid once,
-// when a retained partition is complete, off every later query's path.
+// Seal presorts both sides by dimension 0 (NaN last, ties kept in row order,
+// tuple IDs travelling with their rows, into storage of the partition's own)
+// and, when band is valid for the partition, prepares its structure: both
+// paid once, when a retained partition is complete, off every later query's
+// path — the analogue of an index built at load time. The ε-grid probes S in
+// row order and numbers T's cells in first-seen order, so over presorted sides
+// consecutive probes walk neighbouring cells whose rows lie next to each other
+// in memory (the serving workload's warm op reads 0.15 s sealed this way, 0.27
+// s sealed unsorted; DESIGN.md, "Folding the appended tail"). The result set
+// is unchanged: joins are order-independent.
 func (p *Partition) Seal(band data.Band) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -62,8 +59,8 @@ func (p *Partition) Seal(band data.Band) {
 }
 
 func (p *Partition) sealLocked(band data.Band) {
-	sorted := (&PartitionInput{S: p.s, SIDs: p.sIDs, T: p.t, TIDs: p.tIDs}).Presort()
-	p.s, p.sIDs, p.t, p.tIDs = sorted.S, sorted.SIDs, sorted.T, sorted.TIDs
+	p.s, p.sIDs = sortByDim0(p.s, p.sIDs, 0)
+	p.t, p.tIDs = sortByDim0(p.t, p.tIDs, 0)
 	p.band, p.prep = "", nil
 	if band.Validate() == nil && band.Dims() == p.dims {
 		p.prepareLocked(band)
@@ -74,10 +71,9 @@ func (p *Partition) prepareLocked(band data.Band) {
 	p.prep, p.band = localjoin.Prepare(p.s, p.t, band), bandKey(band)
 }
 
-// SealAll seals every non-nil partition, at most parallelism at a time (< 1
-// selects GOMAXPROCS).
-func SealAll(parts []*Partition, band data.Band, parallelism int) {
-	each(parts, parallelism, func(_ int, p *Partition) { p.Seal(band) })
+// SealAll seals every non-nil partition, GOMAXPROCS at a time.
+func SealAll(parts []*Partition, band data.Band) {
+	each(parts, 0, func(_ int, p *Partition) { p.Seal(band) })
 }
 
 // Append adds rows to one side, S or (toT) T, under the write lock: fill
@@ -102,19 +98,36 @@ func (p *Partition) Append(toT bool, fill func(rel *data.Relation, ids *[]int64)
 	return p.s.Len(), p.t.Len(), err
 }
 
-// AppendInput appends a delta shuffle's rows for this partition: Append, for
-// each side that has any.
-func (p *Partition) AppendInput(in *PartitionInput) {
-	for side, rel := range [2]*data.Relation{in.S, in.T} {
-		ids := [2][]int64{in.SIDs, in.TIDs}[side]
-		if rel.Len() > 0 {
-			p.Append(side == 1, func(dst *data.Relation, dstIDs *[]int64) error {
-				dst.AppendRows(rel, 0, rel.Len())
-				*dstIDs = append(*dstIDs, ids...)
-				return nil
-			})
-		}
+// AppendRouted appends a routing's rows to the partitions it names —
+// parts[pid] for partition pid, created by NewPartition the first time a
+// routing sends it a row — and returns parts, grown to r.NumPartitions. Each
+// side's rows go in through Append, gathered straight from the routed lists
+// into the rows GrowRows reserves, several partitions at a time: a worker's
+// shipment stream without the wire.
+func AppendRouted(parts []*Partition, r *Routed) []*Partition {
+	if n := r.NumPartitions - len(parts); n > 0 {
+		parts = append(parts, make([]*Partition, n)...)
 	}
+	routed := make([]*Partition, len(parts))
+	for _, pid := range r.NonEmpty() {
+		if parts[pid] == nil {
+			parts[pid] = NewPartition(r.S.Rel.Dims())
+		}
+		routed[pid] = parts[pid]
+	}
+	each(routed, 0, func(pid int, p *Partition) {
+		for side, rs := range [2]*RoutedSide{&r.S, &r.T} {
+			if n := rs.Rows(pid); n > 0 {
+				p.Append(side == 1, func(rel *data.Relation, ids *[]int64) error {
+					base := rel.GrowRows(n)
+					*ids = slices.Grow(*ids, n)[:base+n]
+					rs.Gather(pid, 0, n, rel.KeysRange(base, base+n), (*ids)[base:])
+					return nil
+				})
+			}
+		}
+	})
+	return parts
 }
 
 // Prepare builds the structure for band over the rows in the order they
@@ -179,7 +192,7 @@ func Bytes(parts []*Partition) int64 {
 
 // LockForProbe sets up one join of the partitions (nil entries are skipped)
 // for band. With refreshed set, each partition is refreshed first (Refresh, at
-// most parallelism at a time) and refreshed(i, rebuildNanos, foldNanos) is
+// most GOMAXPROCS at a time) and refreshed(i, rebuildNanos, foldNanos) is
 // called as soon as parts[i]'s refresh returns. Then each partition is
 // read-locked and jobs[i], its morsel job, built under that lock: over the
 // structure found there if it is band's, else through a Build that prepares
@@ -195,10 +208,10 @@ func Bytes(parts []*Partition) int64 {
 // readers, and any other order lets two joins wait on each other's
 // partitions. A refresh or an append holds one write lock at a time and waits
 // for nothing while it does.
-func LockForProbe(parts []*Partition, band data.Band, refreshed func(i int, rebuildNanos, foldNanos int64), parallelism int) (jobs []MorselJob, recs []PartitionStats, held []*PartitionInput, unlock func()) {
+func LockForProbe(parts []*Partition, band data.Band, refreshed func(i int, rebuildNanos, foldNanos int64)) (jobs []MorselJob, recs []PartitionStats, held []*PartitionInput, unlock func()) {
 	recs = make([]PartitionStats, len(parts))
 	if refreshed != nil {
-		each(parts, parallelism, func(i int, p *Partition) {
+		each(parts, 0, func(i int, p *Partition) {
 			rec := &recs[i]
 			rec.RebuildNanos, rec.FoldNanos = p.Refresh(band)
 			refreshed(i, rec.RebuildNanos, rec.FoldNanos)

@@ -25,10 +25,21 @@ func latticeRows(rng *rand.Rand, n int, from int64) (*data.Relation, []int64) {
 
 // appendRows appends rows and their IDs to one side of p.
 func appendRows(p *Partition, toT bool, rel *data.Relation, ids []int64) {
-	p.AppendInput(map[bool]*PartitionInput{
-		false: {S: rel, SIDs: ids, T: data.NewRelation("t", 2)},
-		true:  {S: data.NewRelation("s", 2), T: rel, TIDs: ids},
-	}[toT])
+	p.Append(toT, func(dst *data.Relation, dstIDs *[]int64) error {
+		dst.AppendRows(rel, 0, rel.Len())
+		*dstIDs = append(*dstIDs, ids...)
+		return nil
+	})
+}
+
+// sealedPartition returns a partition filled with s and t, then sealed for
+// band.
+func sealedPartition(s *data.Relation, sIDs []int64, t *data.Relation, tIDs []int64, band data.Band) *Partition {
+	p := NewPartition(s.Dims())
+	appendRows(p, false, s, sIDs)
+	appendRows(p, true, t, tIDs)
+	p.Seal(band)
+	return p
 }
 
 // probedPairs refreshes p for band and joins it under LockForProbe
@@ -37,7 +48,7 @@ func appendRows(p *Partition, toT bool, rel *data.Relation, ids []int64) {
 // partition's record.
 func probedPairs(t *testing.T, p *Partition, band data.Band) (got, want []Pair, rec PartitionStats) {
 	t.Helper()
-	jobs, recs, held, unlock := LockForProbe([]*Partition{p}, band, func(int, int64, int64) {}, 2)
+	jobs, recs, held, unlock := LockForProbe([]*Partition{p}, band, func(int, int64, int64) {})
 	defer unlock()
 	in := held[0]
 	if _, err := JoinPartitions(context.Background(), recs, jobs, func(int) ([]int64, []int64) { return in.SIDs, in.TIDs }, 7, true); err != nil {
@@ -100,8 +111,7 @@ func TestPartitionLifecycle(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(tc.name))))
 			s, sIDs := latticeRows(rng, tc.sRows, 0)
 			tt, tIDs := latticeRows(rng, tc.tRows, 0)
-			p := PartitionOf(&PartitionInput{S: s, SIDs: sIDs, T: tt, TIDs: tIDs})
-			p.Seal(band)
+			p := sealedPartition(s, sIDs, tt, tIDs, band)
 			if !dim0Sorted(p.s) || !dim0Sorted(p.t) {
 				t.Fatal("sealed rows are not in dimension-0 order")
 			}
@@ -150,8 +160,7 @@ func TestPartitionConcurrentAppendRefreshProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s, sIDs := latticeRows(rng, 300, 0)
 	tt, tIDs := latticeRows(rng, 200, 0)
-	p := PartitionOf(&PartitionInput{S: s, SIDs: sIDs, T: tt, TIDs: tIDs})
-	p.Seal(band)
+	p := sealedPartition(s, sIDs, tt, tIDs, band)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -188,5 +197,99 @@ func TestPartitionConcurrentAppendRefreshProbe(t *testing.T) {
 	wg.Wait()
 	if got, want, _ := probedPairs(t, p, band); !slices.Equal(got, want) || p.s.Len() != int(nextS) || p.t.Len() != int(nextT) {
 		t.Errorf("after the appends: %d S and %d T rows, %d pairs, want %d, %d and %d", p.s.Len(), p.t.Len(), len(got), nextS, nextT, len(want))
+	}
+}
+
+// TestAppendRoutedMatchesShuffle: partitions AppendRouted fills, once sealed,
+// hold exactly the rows and tuple IDs of Shuffle's output (with ShuffleDelta's
+// appended to it) sorted as the seal sorts, partition by partition. The fill is
+// of whole relations, or of one row a side followed by a delta that leaves one
+// side empty and names partitions the fill left empty; absorbing that delta
+// after the fill must equal filling the extended relations at once. The plans
+// are RecPart-S, 1-Bucket, whose assignment reads the tuple ID, and Grid-ε,
+// which discovers partitions while AppendRouted's routing runs (the shuffles
+// run after it and reuse the plan's numbering).
+func TestAppendRoutedMatchesShuffle(t *testing.T) {
+	s, tt := data.ParetoPair(2, 1.5, 900, 17)
+	band := data.Symmetric(0.4, 0.4)
+	ctx := context.Background()
+	held := func(parts []*Partition) []*PartitionInput {
+		out := make([]*PartitionInput, len(parts))
+		for pid, p := range parts {
+			if p != nil {
+				out[pid] = &PartitionInput{S: p.s, SIDs: p.sIDs, T: p.t, TIDs: p.tIDs}
+			}
+		}
+		return out
+	}
+	for _, pt := range equivalencePartitioners() {
+		for _, tc := range []struct {
+			name         string
+			sFill, tFill int // rows filled; the delta is the rest up to sEnd, tEnd
+			sEnd, tEnd   int
+		}{
+			{"whole", 900, 900, 900, 900},
+			{"S delta", 1, 1, 900, 1},
+			{"T delta", 1, 1, 1, 900},
+		} {
+			t.Run(pt.Name()+"/"+tc.name, func(t *testing.T) {
+				plan := planFor(t, pt, s, tt, band, 6)
+				fillS, fillT := s.Slice("S", 0, tc.sFill), tt.Slice("T", 0, tc.tFill)
+				deltaS, deltaT := s.Slice("S", tc.sFill, tc.sEnd), tt.Slice("T", tc.tFill, tc.tEnd)
+				route := func(s, tt *data.Relation, sBase, tBase int) *Routed {
+					t.Helper()
+					r, err := Route(ctx, plan, s, tt, sBase, tBase, 3)
+					if err != nil {
+						t.Fatalf("Route: %v", err)
+					}
+					return r
+				}
+
+				parts := AppendRouted(nil, route(fillS, fillT, 0, 0))
+				filled := slices.Clone(parts)
+				parts = AppendRouted(parts, route(deltaS, deltaT, tc.sFill, tc.tFill))
+				if tc.name != "whole" && len(slices.DeleteFunc(slices.Clone(parts), func(p *Partition) bool {
+					return p == nil || slices.Contains(filled, p)
+				})) == 0 {
+					t.Fatal("the delta names no partition the fill left empty; the case exercises nothing")
+				}
+				SealAll(parts, band)
+
+				shuffled, _, err := Shuffle(ctx, plan, fillS, fillT, 3)
+				if err != nil {
+					t.Fatalf("Shuffle: %v", err)
+				}
+				delta, _, err := ShuffleDelta(ctx, plan, deltaS, deltaT, tc.sFill, tc.tFill, 3)
+				if err != nil {
+					t.Fatalf("ShuffleDelta: %v", err)
+				}
+				want := make([]*PartitionInput, max(len(shuffled), len(delta)))
+				for _, out := range [][]*PartitionInput{shuffled, delta} {
+					for pid, in := range out {
+						if in == nil {
+							continue
+						}
+						if want[pid] == nil {
+							want[pid] = &PartitionInput{S: data.NewRelation("S", 2), T: data.NewRelation("T", 2)}
+						}
+						w := want[pid]
+						w.S.AppendRows(in.S, 0, in.S.Len())
+						w.T.AppendRows(in.T, 0, in.T.Len())
+						w.SIDs, w.TIDs = append(w.SIDs, in.SIDs...), append(w.TIDs, in.TIDs...)
+					}
+				}
+				for _, w := range want {
+					if w != nil {
+						w.S, w.SIDs = sortByDim0(w.S, w.SIDs, 0)
+						w.T, w.TIDs = sortByDim0(w.T, w.TIDs, 0)
+					}
+				}
+				equalParts(t, want, held(parts))
+
+				whole := AppendRouted(nil, route(s.Slice("S", 0, tc.sEnd), tt.Slice("T", 0, tc.tEnd), 0, 0))
+				SealAll(whole, band)
+				equalParts(t, held(whole), held(parts))
+			})
+		}
 	}
 }

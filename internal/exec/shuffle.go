@@ -21,9 +21,11 @@ import (
 // everything a partition holds without copying a key. The RPC coordinator
 // ships from them, gathering one chunk at a time out of the source relations
 // (Routed.Gather), ExecutePlan gathers each partition when its join reaches it
-// and reuses the buffers for the next, and Shuffle materialises them all for
-// the retained in-process partitions, with one gather per (partition, shard)
-// segment into exactly-sized shared arenas.
+// and reuses the buffers for the next, and AppendRouted gathers each into the
+// retained in-process partitions as a worker's stream would fill them. Shuffle
+// materialises them all, with one gather per (partition, shard) segment into
+// exactly-sized shared arenas, for the benchmark's replay and the skew and
+// scaling harnesses.
 // Shards write disjoint row ranges, so no path needs a lock, and partition
 // contents come out as one pass over S then T appending to per-partition
 // relations would produce them (TestRouteMatchesAssign, TestShuffleEquivalence).
@@ -31,30 +33,14 @@ import (
 // Plans must be safe for concurrent Assign calls (all in-repo plans are; see
 // grid.Plan for the one that needed internal synchronization).
 
-// PartitionInput is the data shuffled to one partition, as returned by
-// Shuffle. The relations and ID slices may alias a shared arena; callers must
-// not append to them.
+// PartitionInput is one partition's rows and tuple IDs: Shuffle's output, and
+// what LockForProbe hands a join. Shuffle's relations and ID slices may alias a
+// shared arena; callers must not append to them.
 type PartitionInput struct {
 	S    *data.Relation
 	SIDs []int64
 	T    *data.Relation
 	TIDs []int64
-}
-
-// Presort reorders the partition's rows into ascending dim-0 key order (NaN
-// last, ties kept in row order), returning a new PartitionInput that owns its
-// storage. Retained partitions are presorted when sealed and when rebuilt
-// (Partition.Seal, Partition.Refresh) — the analogue of an index built at load
-// time. The ε-grid probes S in row order and numbers T's cells in first-seen
-// order, so over presorted sides consecutive probes walk neighbouring cells
-// whose rows lie next to each other in memory (the serving workload's warm op
-// reads 0.15 s sealed this way, 0.27 s sealed unsorted; DESIGN.md, "Folding
-// the appended tail"). The result set is unchanged (joins are
-// order-independent, and tuple IDs travel with their rows).
-func (p *PartitionInput) Presort() *PartitionInput {
-	s, sIDs := sortByDim0(p.S, p.SIDs, 0)
-	t, tIDs := sortByDim0(p.T, p.TIDs, 0)
-	return &PartitionInput{S: s, SIDs: sIDs, T: t, TIDs: tIDs}
 }
 
 // sortByDim0 returns the relation's rows (and their parallel tuple IDs)
@@ -321,7 +307,9 @@ func (a *arena) partition(name string, pid int) (*data.Relation, []int64) {
 // per-partition inputs, returning them with the total routed tuple count I.
 // Entries for empty partitions are nil. shards bounds the goroutines of both
 // steps as it does Route's. Cancelling ctx aborts the shuffle between routing
-// and gathering, returning ctx.Err().
+// and gathering, returning ctx.Err(). It serves the benchmark's replay, which
+// times the shuffle as a stage of its own, and the skew and scaling harnesses;
+// the engine's planes route (Route) and gather as they go.
 func Shuffle(ctx context.Context, plan partition.Plan, s, t *data.Relation, shards int) ([]*PartitionInput, int64, error) {
 	return ShuffleDelta(ctx, plan, s, t, 0, 0, shards)
 }
@@ -332,9 +320,9 @@ func Shuffle(ctx context.Context, plan partition.Plan, s, t *data.Relation, shar
 // tuple ID (1-Bucket's randomized row/column choice) must see what a
 // full-relation shuffle of the extended input would pass them — and as
 // returned, so a delta shuffle's IDs are exactly what that full shuffle would
-// have assigned those rows. Either delta may be empty. The returned partitions
-// own their arenas (nothing aliases the deltas), so callers may append them
-// into retained partition storage.
+// have assigned those rows. Either delta may be empty, and nothing returned
+// aliases the deltas. Like Shuffle, it serves the benchmark's replay; the
+// engine absorbs a delta through Route and AppendRouted.
 func ShuffleDelta(ctx context.Context, plan partition.Plan, deltaS, deltaT *data.Relation, sBase, tBase int, shards int) ([]*PartitionInput, int64, error) {
 	r, err := Route(ctx, plan, deltaS, deltaT, sBase, tBase, shards)
 	if err != nil {
