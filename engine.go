@@ -135,7 +135,12 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		defer e.mu.Unlock()
 		var total int64
 		for _, se := range e.samples {
-			total += se.bytes.Load()
+			se.mu.RLock()
+			in := se.in
+			se.mu.RUnlock()
+			if in != nil {
+				total += in.Bytes()
+			}
 		}
 		return float64(total)
 	}, "tier", "sample")
@@ -209,10 +214,6 @@ type sampleEntry struct {
 	// drawn flips once the initial draw succeeded; Append skips entries still
 	// drawing (the drawing query catches itself up right after its once).
 	drawn atomic.Bool
-	// bytes is the drawn sample's approximate footprint, stored after the
-	// once completes so the occupancy gauge can read it without racing the
-	// draw.
-	bytes atomic.Int64
 
 	// mu guards the merged-sample snapshot. in is immutable once published;
 	// catchUp replaces it wholesale with a reservoir-merged successor.
@@ -255,7 +256,6 @@ func (se *sampleEntry) catchUp(s, t *Relation) (*sample.InputSample, error) {
 	}
 	se.in = merged
 	se.coveredS, se.coveredT = s.Len(), t.Len()
-	se.bytes.Store(inputSampleBytes(merged))
 	return merged, nil
 }
 
@@ -619,7 +619,6 @@ func (e *Engine) Join(ctx context.Context, sName, tName string, band Band, opts 
 			se.in = in
 			se.coveredS, se.coveredT = sRel.Len(), tRel.Len()
 			se.mu.Unlock()
-			se.bytes.Store(inputSampleBytes(in))
 			se.drawn.Store(true)
 		}
 	})
@@ -762,20 +761,6 @@ func (e *Engine) finishTrace(tr *exec.QueryTrace, res *Result, start, end time.T
 	tr.FailoverRounds = res.FailoverRounds
 	tr.Degraded = res.Degraded
 	res.Trace = tr
-}
-
-// inputSampleBytes approximates a drawn input sample's resident footprint: the
-// key bytes of both sampled relations plus the sorted columnar views the first
-// plan builds over them (sample.Columns; counted from the draw on, since every
-// sample the engine draws is drawn to be planned from).
-func inputSampleBytes(in *sample.InputSample) int64 {
-	var total int64
-	for _, r := range []*Relation{in.S, in.T} {
-		if r != nil {
-			total += int64(r.Len())*int64(r.Dims())*8 + sample.ColumnsBytes(r.Len(), r.Dims())
-		}
-	}
-	return total
 }
 
 // partitionerFingerprint identifies a partitioner configuration for the plan

@@ -406,10 +406,12 @@ func TestEngineAppendReplansFromMergedSample(t *testing.T) {
 			t.Fatalf("Join before append: %v", err)
 		}
 		// The resident-sample gauge counts those columns beside the keys: 20
-		// bytes (8 key, 8 column, 4 order) for each of 4000 rows × 3 dimensions.
+		// bytes (8 key, 8 column, 4 order) for each of 4000 rows × 3
+		// dimensions, and 8 (T's dimension-0 order and rank) for each of T's
+		// 2000 rows.
 		var prom strings.Builder
 		e.Metrics().WritePrometheus(&prom)
-		if want := `bandjoin_engine_cache_bytes{tier="sample"} 240000`; !strings.Contains(prom.String(), want+"\n") {
+		if want := `bandjoin_engine_cache_bytes{tier="sample"} 256000`; !strings.Contains(prom.String(), want+"\n") {
 			t.Errorf("engine /metrics missing %q", want)
 		}
 		if err := e.Append(ctx, "s", deltaS); err != nil {

@@ -165,6 +165,48 @@ func TestEngineSampleReuseAcrossBands(t *testing.T) {
 	}
 }
 
+// TestEngineSampleGaugeCountsRungs: a second band of one input sample is
+// filtered from a rung's cached pair list, which the resident-sample gauge
+// counts; a third band under the same rung adds nothing.
+func TestEngineSampleGaugeCountsRungs(t *testing.T) {
+	s, tt := bandjoin.Pareto(2, 1.5, 600, 8)
+	e := bandjoin.NewEngine(bandjoin.EngineOptions{})
+	defer e.Close()
+	if err := e.Register("s", s); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	if err := e.Register("t", tt); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	gauge := func() float64 {
+		var prom strings.Builder
+		e.Metrics().WritePrometheus(&prom)
+		const name = `bandjoin_engine_cache_bytes{tier="sample"} `
+		for _, line := range strings.Split(prom.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name); ok {
+				var f float64
+				if _, err := fmt.Sscan(v, &f); err != nil {
+					t.Fatalf("gauge line %q: %v", line, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("engine /metrics has no %s", name)
+		return 0
+	}
+	// 0.102 and 0.104 round up onto the same rung, 2^(-13/4) ≈ 0.1051.
+	var got []float64
+	for _, eps := range []float64{0.1, 0.102, 0.104} {
+		if _, err := e.Join(context.Background(), "s", "t", bandjoin.Uniform(2, eps), bandjoin.Options{EstimateOnly: true}); err != nil {
+			t.Fatalf("Join(eps=%g): %v", eps, err)
+		}
+		got = append(got, gauge())
+	}
+	if !(got[1] > got[0]) || got[2] != got[1] {
+		t.Errorf("sample gauge after bands 0.1, 0.102, 0.104 = %v; want a rise at the second band and none at the third", got)
+	}
+}
+
 // TestEngineConcurrentJoins hammers one engine with concurrent queries of
 // several shapes on both planes; run under -race (as CI does) it verifies the
 // cache and registry locking, and every result must be bit-identical to the

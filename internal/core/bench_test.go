@@ -41,7 +41,11 @@ func replanContext(tb testing.TB, drawn *sample.InputSample, band data.Band) *pa
 // sample is drawn — the optimizer's whole per-query cost in an engine whose
 // sample tier hits: ForBand (the sample join) and Plan (the grower), as
 // separate sub-benchmarks over one drawn InputSample, with a fresh band per
-// iteration, on replanShape.
+// iteration, on replanShape. Past its first few iterations ForBand times rung
+// hits, a filter over a covering band's cached pairs; ForBandMiss times the
+// join a rung's first band pays, each iteration asking its band of a fresh
+// InputSample over the same rows that has answered one band before (set up
+// outside the timer).
 func BenchmarkReplan(b *testing.B) {
 	drawn, band := replanShape(b)
 	plan := func(b *testing.B, ctx *partition.Context) {
@@ -57,6 +61,21 @@ func BenchmarkReplan(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := drawn.ForBand(band(i + 1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ForBandMiss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fresh := &sample.InputSample{S: drawn.S, T: drawn.T, SRate: drawn.SRate, TRate: drawn.TRate,
+				TotalS: drawn.TotalS, TotalT: drawn.TotalT, Opts: drawn.Opts}
+			if _, err := fresh.ForBand(band(0)); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := fresh.ForBand(band(i + 1)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -55,9 +55,9 @@ func (c *Columns) Col(d int) []float64 { return c.vals[d*c.n : (d+1)*c.n] }
 // by index.
 func (c *Columns) Order(d int) []int32 { return c.order[d*c.n : (d+1)*c.n] }
 
-// ColumnsBytes is the resident size of the view of a rows × dims relation: an
+// columnsBytes is the resident size of the view of a rows × dims relation: an
 // 8-byte value and a 4-byte index per key, one and a half times the key bytes.
-func ColumnsBytes(rows, dims int) int64 { return int64(rows) * int64(dims) * 12 }
+func columnsBytes(rows, dims int) int64 { return int64(rows) * int64(dims) * 12 }
 
 // resize returns buf with length n, reusing its storage when large enough;
 // the contents are unspecified.

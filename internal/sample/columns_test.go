@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"bandjoin/internal/data"
+	"bandjoin/internal/localjoin"
 )
 
 // checkColumns fails unless c is the view of r: every column the transposed
@@ -93,13 +94,18 @@ func forBandCases(t *testing.T) []forBandCase {
 
 // TestForBandIndependentOfGOMAXPROCS: the sample join probes S ranges on
 // GOMAXPROCS goroutines; how many there are, and how the ranges fall to them,
-// must not show in the sample.
+// must not show in the sample. The inputs are drawn afresh at each width, so
+// every sample there is joined at that width, none filtered from a rung list
+// joined at another.
 func TestForBandIndependentOfGOMAXPROCS(t *testing.T) {
-	inputs := forBandCases(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	want := make([]uint64, len(inputs))
+	var want []uint64
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
+		inputs := forBandCases(t)
+		if want == nil {
+			want = make([]uint64, len(inputs))
+		}
 		for i, c := range inputs {
 			smp, err := c.in.ForBand(c.band)
 			if err != nil {
@@ -118,20 +124,23 @@ func TestForBandIndependentOfGOMAXPROCS(t *testing.T) {
 }
 
 // TestForBandConcurrentOnOneInputSample derives samples for several bands at
-// once from one InputSample and asks each for the shared columns: the results
-// are those of doing it one at a time, every Sample sees the same views, and
-// the race detector sees no conflicting access.
+// once from one fresh InputSample and asks each for the shared columns: the
+// goroutines race on the first band asked and on the first and later asks of
+// each rung (the bands come in threes under one rung). The results are those
+// of a fresh Draw per band, every Sample sees the same views, and the race
+// detector sees no conflicting access.
 func TestForBandConcurrentOnOneInputSample(t *testing.T) {
 	s, tt := data.ParetoPair(3, 1.5, 20000, 9)
-	in, err := DrawInputs(s, tt, Options{InputSampleSize: 6000, OutputSampleSize: 1000, Seed: 3})
+	opts := Options{InputSampleSize: 6000, OutputSampleSize: 1000, Seed: 3}
+	in, err := DrawInputs(s, tt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bands := make([]data.Band, 6)
 	want := make([]uint64, len(bands))
 	for i := range bands {
-		bands[i] = data.Uniform(3, 0.05+0.01*float64(i))
-		smp, err := in.ForBand(bands[i])
+		bands[i] = data.Uniform(3, []float64{0.05, 0.06}[i/3]+0.001*float64(i%3))
+		smp, err := Draw(s, tt, bands[i], opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,9 +179,10 @@ func TestForBandConcurrentOnOneInputSample(t *testing.T) {
 	checkColumns(t, "T", views[0][1], in.T)
 }
 
-// TestMergeDropsColumns: the views belong to one InputSample's rows. Merge
-// returns a new InputSample whose rows differ, so it must come without them
-// and build its own on demand, and the receiver's must stay as they were.
+// TestMergeDropsColumns: the views, T's rank and the rungs' pair lists belong
+// to one InputSample's rows. Merge returns a new InputSample whose rows
+// differ, so it must come without them and build its own on demand, and the
+// receiver's must stay as they were.
 func TestMergeDropsColumns(t *testing.T) {
 	s, tt := data.ParetoPair(2, 1.5, 5000, 13)
 	in, err := DrawInputs(s, tt, Options{InputSampleSize: 1000, OutputSampleSize: 200, Seed: 3})
@@ -180,6 +190,16 @@ func TestMergeDropsColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldS, oldT := in.columns()
+	// A first and a second band: the rank is built and a rung list kept.
+	for _, eps := range []float64{0.05, 0.051} {
+		if _, err := in.ForBand(data.Uniform(2, eps)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldOrder, _ := in.dim0()
+	if held, _ := rungCounts(in); held == 0 {
+		t.Fatal("the second band kept no rung list")
+	}
 	deltaS, deltaT := data.ParetoPair(2, 1.5, 4000, 14)
 	merged, err := in.Merge(deltaS, deltaT)
 	if err != nil {
@@ -188,9 +208,18 @@ func TestMergeDropsColumns(t *testing.T) {
 	if merged.sCols != nil || merged.tCols != nil {
 		t.Fatal("Merge carried the columns of the sample it merged from")
 	}
+	if merged.tOrder != nil || merged.tRank != nil || merged.rungs != nil || merged.asked || merged.held != 0 {
+		t.Fatal("Merge carried the rank or the rung lists of the sample it merged from")
+	}
 	smp, err := merged.ForBand(data.Uniform(2, 0.05))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if newOrder, _ := merged.dim0(); &newOrder[0] == &oldOrder[0] || !slices.Equal(newOrder, localjoin.Dim0Order(merged.T)) {
+		t.Fatal("the merged sample's rank is not the order of its own T rows")
+	}
+	if held, _ := rungCounts(in); held == 0 {
+		t.Fatal("the receiver lost its rung list")
 	}
 	if merged.sCols != nil {
 		t.Fatal("ForBand built the columns; only a plan that reads them should")

@@ -69,11 +69,11 @@ type Options struct {
 // DefaultOptions returns the sampling configuration used by the experiments.
 // The paper samples 100,000 input tuples; 32,000 keep the optimization phase
 // far below the join cost — the sample join (ForBand) runs on the local
-// ε-grid kernel, about 35 ms for an 8-dimensional band over two 16,000-row
-// Pareto samples, and the planner is allocation-free and parallel — while
-// larger samples mean tighter load estimates and
-// better plans on skewed inputs. Inputs smaller than the sample size are used
-// whole.
+// ε-grid kernel, about 30 ms on two cores for an 8-dimensional band over two
+// 16,000-row Pareto samples and 0.05 ms for a later band filtered from a
+// covering band's pairs, and the planner is allocation-free and parallel —
+// while larger samples mean tighter load estimates and better plans on skewed
+// inputs. Inputs smaller than the sample size are used whole.
 func DefaultOptions() Options {
 	return Options{InputSampleSize: 32000, OutputSampleSize: 4000, Seed: 1}
 }
@@ -100,6 +100,20 @@ type InputSample struct {
 	// with this InputSample: Merge returns a new one without them.
 	colsOnce     sync.Once
 	sCols, tCols *Columns
+
+	// T's dimension-0 order (localjoin.Dim0Order) and its inverse, the rank
+	// every sample-join pair carries; built by the first ForBand (dim0).
+	rankOnce sync.Once
+	tOrder   []int32
+	tRank    []uint32
+
+	// mu guards what ForBand caches beyond the first band (rung.go): whether a
+	// band was asked yet, the rungs' pair lists, and held, the bytes of the
+	// columns, the rank and the lists built so far.
+	mu    sync.Mutex
+	asked bool
+	rungs map[string]*rung
+	held  int64
 }
 
 // columns returns the views of S and T, building them on first use. Nothing
@@ -107,8 +121,41 @@ type InputSample struct {
 func (is *InputSample) columns() (sCols, tCols *Columns) {
 	is.colsOnce.Do(func() {
 		is.sCols, is.tCols = NewColumns(is.S), NewColumns(is.T)
+		is.hold(columnsBytes(is.S.Len(), is.S.Dims()) + columnsBytes(is.T.Len(), is.T.Dims()))
 	})
 	return is.sCols, is.tCols
+}
+
+// dim0 returns T's dimension-0 order and rank, building them on first use.
+// The order is Dim0Order's, not Columns.Order(0)'s: the two break ties
+// differently, and the pair order every recorded sample was drawn in is this
+// one's.
+func (is *InputSample) dim0() (order []int32, rank []uint32) {
+	is.rankOnce.Do(func() {
+		is.tOrder = localjoin.Dim0Order(is.T)
+		is.tRank = make([]uint32, len(is.tOrder))
+		for pos, ti := range is.tOrder {
+			is.tRank[ti] = uint32(pos)
+		}
+		is.hold(int64(len(is.tOrder)) * 8)
+	})
+	return is.tOrder, is.tRank
+}
+
+// hold adds n bytes to what Bytes reports beyond the sampled keys.
+func (is *InputSample) hold(n int64) {
+	is.mu.Lock()
+	is.held += n
+	is.mu.Unlock()
+}
+
+// Bytes is the sample's resident footprint: the key bytes of both sampled
+// relations plus whatever it has built over them so far — the columnar views,
+// T's dimension-0 rank and the rungs' pair lists.
+func (is *InputSample) Bytes() int64 {
+	is.mu.Lock()
+	defer is.mu.Unlock()
+	return int64(is.S.Len()*is.S.Dims()+is.T.Len()*is.T.Dims())*8 + is.held
 }
 
 // DrawInputs draws the band-independent input samples. It is the stage of Draw
@@ -166,10 +213,12 @@ func DrawInputs(s, t *data.Relation, opts Options) (*InputSample, error) {
 // ForBand derives the full optimizer-facing Sample for one band condition by
 // joining the cached input samples. It never touches the full inputs, so
 // replanning the same dataset pair for a new ε costs a sample-sized join, not
-// an input scan. The output subsample's RNG is derived deterministically from
-// the draw seed (not from shared RNG state), so repeated calls with the same
-// band produce bit-identical samples — the property the engine's plan-cache
-// equivalence guarantees rest on.
+// an input scan — or, from the second band on, a filter over the pairs of a
+// covering band's join (rung.go). The output subsample's RNG is derived
+// deterministically from the draw seed (not from shared RNG state), so
+// repeated calls with the same band produce bit-identical samples, whichever
+// bands were asked before — the property the engine's plan-cache equivalence
+// guarantees rest on.
 func (is *InputSample) ForBand(band data.Band) (*Sample, error) {
 	if err := band.Validate(); err != nil {
 		return nil, err
@@ -188,10 +237,11 @@ func (is *InputSample) ForBand(band data.Band) (*Sample, error) {
 		TotalT: is.TotalT,
 		in:     is,
 	}
+	order, rank := is.dim0()
 	// The golden-ratio offset decorrelates this stream from the input-sampling
 	// stream seeded with Opts.Seed itself.
 	rng := rand.New(rand.NewSource(is.Opts.Seed + 0x9e3779b9))
-	out.sampleOutput(is.Opts.OutputSampleSize, rng)
+	out.sampleOutput(is.pairs(band, order, rank), order, is.Opts.OutputSampleSize, rng)
 	return out, nil
 }
 
@@ -357,27 +407,20 @@ func Uniform(r *data.Relation, k int, rng *rand.Rand) *data.Relation {
 	return out
 }
 
-// sampleOutput joins the two input samples and keeps at most maxPairs pairs,
-// recording the scale factor that converts sample-pair counts to estimated
-// real output counts.
+// sampleOutput keeps at most maxPairs of the sample join's pairs, recording
+// the scale factor that converts sample-pair counts to estimated real output
+// counts. collected holds every pair, sorted; it is shuffled in place.
 //
 // The pair order decides which pairs a subsample keeps, so it is fixed
 // independently of the join kernel: S index ascending and, within one S
 // tuple, T in dimension-0 order — what the one-dimensional sorted probe this
-// join used to run emitted. Each pair is collected as (S index, T rank) packed
-// into one sortable word, so the kernel's own order — and how joinSamples
-// splits the probe — never shows.
-func (s *Sample) sampleOutput(maxPairs int, rng *rand.Rand) {
+// join used to run emitted. Each pair is (S index, T rank) packed into one
+// sortable word (InputSample.join), so the kernel's own order — and how the
+// join splits the probe — never shows.
+func (s *Sample) sampleOutput(collected []uint64, order []int32, maxPairs int, rng *rand.Rand) {
 	d := s.Band.Dims()
 	outS := data.NewRelation("outS", d)
 	outT := data.NewRelation("outT", d)
-	order := localjoin.Dim0Order(s.T)
-	rank := make([]uint64, len(order))
-	for pos, ti := range order {
-		rank[ti] = uint64(pos)
-	}
-	collected := s.joinSamples(rank)
-	slices.Sort(collected)
 	kept := collected
 	if len(collected) > maxPairs {
 		rng.Shuffle(len(collected), func(i, j int) { collected[i], collected[j] = collected[j], collected[i] })
@@ -405,26 +448,27 @@ func (s *Sample) sampleOutput(maxPairs int, rng *rand.Rand) {
 // free.
 const probeChunk = 512
 
-// joinSamples joins the two input samples and returns every pair as
-// uint64(S index)<<32 | rank[T index], in no particular order. The T-side
-// structure is built once and the S side probed in chunks on up to GOMAXPROCS
-// goroutines, each collecting into its own list.
-func (s *Sample) joinSamples(rank []uint64) []uint64 {
+// join joins the two input samples under band and returns every pair as
+// uint64(S index)<<32 | rank[T index], sorted. The T-side structure is built
+// once and the S side probed in chunks on up to GOMAXPROCS goroutines, each
+// collecting into its own list.
+func (is *InputSample) join(band data.Band, rank []uint32) []uint64 {
 	collectInto := func(dst *[]uint64) localjoin.Emit {
 		return func(si, ti int, _, _ []float64) {
-			*dst = append(*dst, uint64(si)<<32|rank[ti])
+			*dst = append(*dst, uint64(si)<<32|uint64(rank[ti]))
 		}
 	}
-	prober := localjoin.PrepareOnce(s.S, s.T, s.Band)
+	prober := localjoin.PrepareOnce(is.S, is.T, band)
 	// The next plan's sample join rebuilds in this one's buffers.
 	defer localjoin.Release(prober)
 	if prober == nil {
 		// Empty or tiny samples: the nested loop, nothing to share.
 		var collected []uint64
-		localjoin.NestedLoop{}.Join(s.S, s.T, s.Band, collectInto(&collected))
+		localjoin.NestedLoop{}.Join(is.S, is.T, band, collectInto(&collected))
+		slices.Sort(collected)
 		return collected
 	}
-	ns := s.S.Len()
+	ns := is.S.Len()
 	lists := make([][]uint64, min(runtime.GOMAXPROCS(0), (ns+probeChunk-1)/probeChunk))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -441,13 +485,15 @@ func (s *Sample) joinSamples(rank []uint64) []uint64 {
 				if lo >= ns {
 					break
 				}
-				prober.ProbeRange(s.S, lo, min(lo+probeChunk, ns), emit)
+				prober.ProbeRange(is.S, lo, min(lo+probeChunk, ns), emit)
 			}
 			lists[w] = list
 		}()
 	}
 	wg.Wait()
-	return slices.Concat(lists...)
+	collected := slices.Concat(lists...)
+	slices.Sort(collected)
+	return collected
 }
 
 // EstimatedOutput returns the estimated size of the full join output.
