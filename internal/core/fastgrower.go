@@ -23,7 +23,8 @@ import (
 //     pairs are sorted per plan); a split then distributes each sorted view to
 //     the two children with a linear stable partition, so every child's
 //     per-dimension sorted views cost O(n·d) instead of fresh O(n·d·log n)
-//     sorts per leaf.
+//     sorts per leaf. The partition of a dimension's views runs in the
+//     parallel task that then sweeps the children in that dimension.
 //
 //   - Columnar reads. Every sample value the grower reads — a leaf's sorted
 //     values of one dimension, the split dimension's values when distributing
@@ -44,12 +45,12 @@ import (
 //     reuses its scratch (partition.LPTInto) instead of reallocating sort
 //     order, worker heap, and schedule every iteration.
 //
-//   - Parallel best-split. The per-dimension sweeps of the leaves created by
-//     a split are evaluated on a worker pool of GOMAXPROCS goroutines
-//     and merged deterministically in (node, ascending dimension) order with
-//     score.better (a strict weak order, so the first element of the maximal
-//     class wins whatever the interleaving): plans are bit-identical
-//     regardless of scheduling.
+//   - Parallel best-split. The per-dimension view splits and sweeps of the
+//     leaves created by a split are evaluated on a worker pool of GOMAXPROCS
+//     goroutines, one task per dimension, and merged deterministically in
+//     (node, ascending dimension) order with score.better (a strict weak
+//     order, so the first element of the maximal class wins whatever the
+//     interleaving): plans are bit-identical regardless of scheduling.
 type fastGrower struct {
 	growEnv
 
@@ -131,19 +132,23 @@ type sampleColumns struct {
 // evalScratch is one sweep worker's private value buffers, and the block
 // bounds of sweepDim.
 type evalScratch struct {
-	sv, tv, ovS, ovT, cands []float64
-	cS, cT                  []int32
-	bounds                  []sweepBound
+	sv, tv, ovS, ovT []float64
+	bounds           []sweepBound
 }
 
-// evalTask is one per-dimension sweep of one leaf; after runTasks, result
-// holds the dimension's best candidate, and cands and scored the candidates
-// generated and the ones the per-candidate loop scored.
+// evalTask is one dimension of a split: it partitions the parent's four
+// sorted views of the dimension into the two children, then sweeps each
+// child with a squared load lpSq (0 when the child is not swept in the
+// dimension). At the root there is no parent — initialize has filled its
+// views — and one child. After runTasks, result holds each child's best
+// candidate in the dimension, and cands and scored the candidates the sweeps
+// materialised and the ones their per-candidate loops scored.
 type evalTask struct {
-	n             *node
+	parent        *node
+	kids          [2]*node
 	dim           int
-	lpSq          float64
-	result        candidate
+	lpSq          [2]float64
+	result        [2]candidate
 	cands, scored int
 }
 
@@ -241,7 +246,7 @@ func (f *fastGrower) initialize() {
 	}
 	f.setEstimates(root)
 	root.small = root.region.IsSmall(f.band)
-	f.evalBatch(root, nil)
+	f.evalBatch(nil, [2]*node{root, nil})
 
 	f.numNodes = 1
 	f.root = root
@@ -272,8 +277,9 @@ func (f *fastGrower) grow() int {
 }
 
 // apply performs the leaf's best action and re-inserts the affected leaves
-// with fresh best-split scores (lines 7-9 of Algorithm 1), evaluating both
-// fresh children's per-dimension sweeps on the worker pool.
+// with fresh best-split scores (lines 7-9 of Algorithm 1), splitting the
+// views into both fresh children and evaluating their per-dimension sweeps on
+// the worker pool.
 func (f *fastGrower) apply(n *node) {
 	c := n.best
 	if c.smallAction {
@@ -307,7 +313,7 @@ func (f *fastGrower) apply(n *node) {
 	f.setEstimates(right)
 	left.small = left.region.IsSmall(f.band)
 	right.small = right.region.IsSmall(f.band)
-	f.evalBatch(left, right)
+	f.evalBatch(n, [2]*node{left, right})
 	f.noteSplit(n, left, right)
 
 	n.isLeaf = false
@@ -323,10 +329,11 @@ func (f *fastGrower) apply(n *node) {
 // distribute assigns the leaf's sample tuples to the two children of the
 // given split, duplicating tuples of the duplicated relation whose ε-range
 // crosses the split boundary, as the real shuffle will (Algorithm 3) — while
-// inheriting sortedness: membership flags
-// are computed once per tuple from the dimension-0 views, then every
-// dimension's sorted view is split by a linear stable partition, so the
-// children's views are sorted without sorting.
+// inheriting sortedness: membership flags are computed once per tuple from
+// the dimension-0 views, and the children's counts and slabs follow from
+// them. The views themselves are split later, one dimension per evalTask, by
+// a linear stable partition, so the children's views are sorted without
+// sorting.
 func (f *fastGrower) distribute(n *node, c candidate, left, right *node) {
 	d := f.dims
 	dim, x := c.dim, c.val
@@ -411,13 +418,6 @@ func (f *fastGrower) distribute(n *node, c candidate, left, right *node) {
 	right.nS, right.nT, right.nOut = rnS, rnT, rnOut
 	left.slab = f.sc.idx.alloc(d * (lnS + lnT + 2*lnOut))
 	right.slab = f.sc.idx.alloc(d * (rnS + rnT + 2*rnOut))
-
-	for dd := 0; dd < d; dd++ {
-		stablePartition(n.sView(dd), membS, left.sView(dd), right.sView(dd))
-		stablePartition(n.tView(d, dd), membT, left.tView(d, dd), right.tView(d, dd))
-		stablePartition(n.outSView(d, dd), membOut, left.outSView(d, dd), right.outSView(d, dd))
-		stablePartition(n.outTView(d, dd), membOut, left.outTView(d, dd), right.outTView(d, dd))
-	}
 }
 
 // stablePartition distributes the sorted index view src into left and right
@@ -441,13 +441,14 @@ func stablePartition(src []int32, memb []byte, left, right []int32) {
 // ---------------------------------------------------------------------------
 // Parallel best-split
 
-// evalBatch computes the best action of the given fresh leaves (b may be
-// nil). Small leaves are scored inline; the regular leaves' per-dimension
-// sweeps are fanned out to the worker pool and reduced in (node, ascending
+// evalBatch computes the best action of the given fresh leaves, the children
+// of parent (nil at the root, whose one leaf is kids[0]). Small leaves are
+// scored inline; the per-dimension view splits and the regular leaves' sweeps
+// are fanned out to the worker pool and reduced in (node, ascending
 // dimension) order.
-func (f *fastGrower) evalBatch(a, b *node) {
-	tasks := f.sc.tasks[:0]
-	for _, n := range [2]*node{a, b} {
+func (f *fastGrower) evalBatch(parent *node, kids [2]*node) {
+	var lpSq [2]float64
+	for k, n := range kids {
 		if n == nil {
 			continue
 		}
@@ -456,36 +457,47 @@ func (f *fastGrower) evalBatch(a, b *node) {
 			continue
 		}
 		n.best = candidate{sc: invalidScore()}
-		lp := n.load(f.beta2, f.beta3)
-		if lp <= 0 {
+		if lp := n.load(f.beta2, f.beta3); lp > 0 {
+			lpSq[k] = lp * lp
+		}
+	}
+	tasks := f.sc.tasks[:0]
+	for dim := 0; dim < f.dims; dim++ {
+		t := evalTask{parent: parent, kids: kids, dim: dim}
+		for k, n := range kids {
+			if lpSq[k] > 0 && !n.region.SmallInDim(dim, f.band) {
+				t.lpSq[k] = lpSq[k]
+			}
+		}
+		if parent == nil && t.lpSq[0] == 0 {
 			continue
 		}
-		lpSq := lp * lp
-		for dim := 0; dim < f.dims; dim++ {
-			if n.region.SmallInDim(dim, f.band) {
-				continue
-			}
-			tasks = append(tasks, evalTask{n: n, dim: dim, lpSq: lpSq})
-		}
+		tasks = append(tasks, t)
 	}
 	f.sc.tasks = tasks
 	if len(tasks) == 0 {
 		return
 	}
 	f.runTasks(tasks)
-	for i := range tasks {
-		t := &tasks[i]
-		if t.result.sc.better(t.n.best.sc) {
-			t.n.best = t.result
+	for k, n := range kids {
+		for i := range tasks {
+			t := &tasks[i]
+			if t.lpSq[k] > 0 && t.result[k].sc.better(n.best.sc) {
+				n.best = t.result[k]
+			}
 		}
-		f.work.Candidates += int64(t.cands)
-		f.work.Scored += int64(t.scored)
+	}
+	for i := range tasks {
+		f.work.Candidates += int64(tasks[i].cands)
+		f.work.Scored += int64(tasks[i].scored)
 	}
 }
 
-// runTasks evaluates the sweep tasks on at most f.par goroutines, each with
-// its own value scratch. Tasks only read shared state and write their own
-// result slot, so the reduction in evalBatch is free of ordering effects.
+// runTasks evaluates the tasks on at most f.par goroutines, each with its own
+// value scratch. Tasks only read shared state — the parent's views and the
+// membership flags, fixed once distribute returns — and write their own
+// result slot and their dimension's segments of the children's slabs, so the
+// reduction in evalBatch is free of ordering effects.
 func (f *fastGrower) runTasks(tasks []evalTask) {
 	workers := f.par
 	if workers > len(tasks) {
@@ -497,7 +509,7 @@ func (f *fastGrower) runTasks(tasks []evalTask) {
 	if workers <= 1 {
 		es := &f.sc.evals[0]
 		for i := range tasks {
-			f.evalDim(&tasks[i], es)
+			f.runTask(&tasks[i], es)
 		}
 		return
 	}
@@ -509,7 +521,7 @@ func (f *fastGrower) runTasks(tasks []evalTask) {
 			if i >= len(tasks) {
 				return
 			}
-			f.evalDim(&tasks[i], es)
+			f.runTask(&tasks[i], es)
 		}
 	}
 	for w := 1; w < workers; w++ {
@@ -523,23 +535,32 @@ func (f *fastGrower) runTasks(tasks []evalTask) {
 	wg.Wait()
 }
 
-// evalDim computes one dimension's best candidate for a leaf: gather the
-// leaf's sorted values from its inherited views (no sorting), merge S and T
-// linearly, form the candidate mid-points, and run the shared sweep.
-func (f *fastGrower) evalDim(t *evalTask, es *evalScratch) {
-	n, dim, d := t.n, t.dim, f.dims
-	es.sv = gatherVals(f.cols.s.Col(dim), n.sView(dim), es.sv)
-	es.tv = gatherVals(f.cols.t.Col(dim), n.tView(d, dim), es.tv)
-	es.ovS = gatherVals(f.cols.outS.Col(dim), n.outSView(d, dim), es.ovS)
-	es.ovT = gatherVals(f.cols.outT.Col(dim), n.outTView(d, dim), es.ovT)
-	es.cands, es.cS, es.cT = candsFromSorted(es.sv, es.tv, n.region.Lo[dim], n.region.Hi[dim],
-		es.cands[:0], es.cS[:0], es.cT[:0])
-	t.cands = len(es.cands)
-	if t.cands == 0 {
-		t.result = candidate{sc: invalidScore()}
-		return
+// runTask splits the parent's views of the task's dimension into the
+// children, then computes each swept child's best candidate in it: gather
+// the leaf's sorted values from its inherited views (no sorting) and run the
+// bounded sweep over them.
+func (f *fastGrower) runTask(t *evalTask, es *evalScratch) {
+	dim, d := t.dim, f.dims
+	if p := t.parent; p != nil {
+		l, r := t.kids[0], t.kids[1]
+		stablePartition(p.sView(dim), f.sc.membS, l.sView(dim), r.sView(dim))
+		stablePartition(p.tView(d, dim), f.sc.membT, l.tView(d, dim), r.tView(d, dim))
+		stablePartition(p.outSView(d, dim), f.sc.membOut, l.outSView(d, dim), r.outSView(d, dim))
+		stablePartition(p.outTView(d, dim), f.sc.membOut, l.outTView(d, dim), r.outTView(d, dim))
 	}
-	t.result, t.scored = f.sweepDim(dim, es, t.lpSq)
+	for k, n := range t.kids {
+		if t.lpSq[k] == 0 {
+			continue
+		}
+		es.sv = gatherVals(f.cols.s.Col(dim), n.sView(dim), es.sv)
+		es.tv = gatherVals(f.cols.t.Col(dim), n.tView(d, dim), es.tv)
+		es.ovS = gatherVals(f.cols.outS.Col(dim), n.outSView(d, dim), es.ovS)
+		es.ovT = gatherVals(f.cols.outT.Col(dim), n.outTView(d, dim), es.ovT)
+		var cands, scored int
+		t.result[k], cands, scored = f.sweepDim(dim, es, n.region.Lo[dim], n.region.Hi[dim], t.lpSq[k])
+		t.cands += cands
+		t.scored += scored
+	}
 }
 
 // gatherVals returns the column's values of the referenced sample tuples, in
@@ -551,41 +572,4 @@ func gatherVals(col []float64, idx []int32, buf []float64) []float64 {
 		out[i] = col[id]
 	}
 	return out
-}
-
-// candsFromSorted returns the candidate split points of one dimension — the
-// mid-points between consecutive distinct values of the merged sample,
-// restricted to the open interval (lo, hi) — together with the per-candidate
-// counts of S and T values strictly below each point (the sweep's unshifted
-// pointers). One merge pass does all three: at the moment a candidate is
-// emitted, the merge positions are exactly those counts. Both inputs sort NaN
-// last (data.Argsort's order), and so does the merge — S first on ties, and
-// a NaN on either side waits for every value of the other — so no candidate
-// is lost and no NaN is counted below one.
-func candsFromSorted(sv, tv []float64, lo, hi float64, out []float64, cS, cT []int32) ([]float64, []int32, []int32) {
-	i, j := 0, 0
-	have := false
-	var prev float64
-	for i < len(sv) || j < len(tv) {
-		pi, pj := i, j
-		var v float64
-		if j >= len(tv) || (i < len(sv) && (sv[i] <= tv[j] || tv[j] != tv[j])) {
-			v = sv[i]
-			i++
-		} else {
-			v = tv[j]
-			j++
-		}
-		if have && v != prev {
-			mid := prev + (v-prev)/2
-			if mid > lo && mid < hi && mid > prev {
-				out = append(out, mid)
-				cS = append(cS, int32(pi))
-				cT = append(cT, int32(pj))
-			}
-		}
-		prev = v
-		have = true
-	}
-	return out, cS, cT
 }

@@ -183,9 +183,9 @@ func (e *growEnv) evalSmall(n *node) candidate {
 	return candidate{sc: invalidScore()}
 }
 
-// sweepBlock is the number of consecutive candidates that share one bound in
-// sweepDim. A constant, not an option: DESIGN.md "Score arithmetic" records
-// the 32/64/128 measurement that chose it.
+// sweepBlock is the number of consecutive positions of a leaf's merged S∪T
+// order that share one bound in sweepDim. A constant, not an option: DESIGN.md
+// "Score arithmetic" records the measurements that chose it.
 const sweepBlock = 32
 
 // Slack of sweepDim's pruning test. A block is skipped only when its bound
@@ -206,10 +206,14 @@ const (
 	pruneRelSlack = 0x1p-24
 )
 
-// sweepBound is one block's state in sweepDim: the six sweep pointers at its
-// first candidate, and per split kind an upper bound on the ratio any of its
-// candidates can score (−1 when none can reduce the variance).
+// sweepBound is one block's state in sweepDim: the merge's state at its first
+// position (the S values taken so far and the last value taken), the six
+// sweep pointers at the block's low end, and per split kind an upper bound on
+// the ratio any of its candidates can score (−1 when none can reduce the
+// variance, or the block holds no candidate).
 type sweepBound struct {
+	prev                                   float64
+	iS                                     int32
 	pTHigh, pTLow, pOS, pSLow, pSHigh, pOT int32
 	ubT, ubS                               float64
 }
@@ -218,22 +222,32 @@ type sweepBound struct {
 // one the full scan finds: every candidate visited in ascending order, the
 // T-split scored before the S-split at each point, the running best replaced
 // by each candidate that beats it. es holds the leaf's sample values in that
-// dimension, sorted ascending (NaN last), and cands, cS and cT from
-// candsFromSorted over them: the candidate points plus, per candidate, the
-// number of S and T values strictly below it. The second result is how many
-// candidates the per-candidate loop scored.
+// dimension, sorted ascending (NaN last), and lo, hi are the leaf's region
+// bounds in it. The candidates are the mid-points between consecutive
+// distinct values of the merged order M of S and T (S first on ties, NaN
+// last) that fall strictly inside (lo, hi): the one met at merged position m
+// lies in (M[m−1], M[m]] and has i(m) S and m − i(m) T values below it, where
+// the co-rank i(m) counts the S values among M's first m. The other results
+// are how many candidate points the sweep materialised and how many of those
+// the per-candidate loop scored.
 //
-// Branch and bound. The candidates are cut into blocks of sweepBlock. One
-// forward pass records the pointers at each block's first candidate, scores
-// each block's first and last candidate exactly (the largest ratio among them
-// is the threshold τ), and bounds each block per split kind: every count is
-// non-decreasing in x and every coefficient non-negative, so over a block lL
-// is at least its value at the first candidate, lR — in its monotone form
-// base − b2s·pS − b2t·pTLow − b3o·pOS (S-split: base − b2s·pSHigh − b2t·pT −
-// b3o·pOT) — at least its value at the last, and the duplication at least
-// pTHigh(first) − pTLow(last) (S-split: pSLow(first) − pSHigh(last)). The
-// per-candidate loop then runs, unchanged, only over the blocks and kinds
-// whose bound reaches τ, restarting its pointers from the recorded ones.
+// Branch and bound. The merged positions are cut into blocks of sweepBlock,
+// and candidates are materialised only inside the blocks that can win. One
+// forward pass finds each block's ends [m0, m1) by co-rank — a binary search
+// for i(m1) within sweepBlock of i(m0) — and reads M[m0−1] and M[m1−1] off
+// them, so every candidate x of the block lies in (max(lo, M[m0−1]),
+// min(hi, M[m1−1])] with its S count in [i(m0), i(m1)] (a NaN at M[m0−1]
+// leaves the block empty; one at M[m1−1] clamps to hi). The pass scores the
+// candidate at each block's first position exactly, when there is one (the
+// largest such ratio is the threshold τ), and bounds the block per split
+// kind: every count is non-decreasing in x and every coefficient
+// non-negative, so over a block lL is at least its value at the low end, lR —
+// in its monotone form base − b2s·pS − b2t·pTLow − b3o·pOS (S-split: base −
+// b2s·pSHigh − b2t·pT − b3o·pOT) — at least its value at the high end, and
+// the duplication at least pTHigh(low) − pTLow(high) (S-split: pSLow(low) −
+// pSHigh(high)). The per-candidate loop then runs, unchanged, only over the
+// blocks and kinds whose bound reaches τ, restarting the merge from the
+// block's co-rank and its pointers from the ones recorded at its low end.
 //
 // Why the result is the full scan's: the returned state is that of the last
 // accepted candidate. Once the scan has visited the candidate that set τ, its
@@ -244,10 +258,13 @@ type sweepBound struct {
 // that scores clearly above every skipped one — the last accepted is such a
 // candidate — beats either scan's running best by more than rounding, so both
 // scans accept it and agree from there on.
-func (e *growEnv) sweepDim(dim int, es *evalScratch, lpSq float64) (candidate, int) {
+func (e *growEnv) sweepDim(dim int, es *evalScratch, lo, hi, lpSq float64) (best candidate, cands, scored int) {
 	sv, tv, ovS, ovT := es.sv, es.tv, es.ovS, es.ovT
-	cands, cS, cT := es.cands, es.cS, es.cT
 	nS, nT, nOut := len(sv), len(tv), len(ovS)
+	npos := nS + nT
+	if npos < 2 {
+		return candidate{sc: invalidScore()}, 0, 0
+	}
 	low, high := e.band.Low[dim], e.band.High[dim]
 	b2s, b2t, b3o := e.b2s, e.b2t, e.b3o
 	invS, invT := e.invS, e.invT
@@ -272,14 +289,12 @@ func (e *growEnv) sweepDim(dim int, es *evalScratch, lpSq float64) (candidate, i
 	}
 
 	// --- Bounding pass. Monotone pointers into the sorted value arrays;
-	// every threshold is a non-decreasing function of x, so one forward pass
-	// suffices. The unshifted counts (S and T values below x itself) ride
-	// along with the candidates, so only the band-shifted thresholds advance.
-	nb := (len(cands) + sweepBlock - 1) / sweepBlock
+	// every threshold is a non-decreasing function of x, and the blocks'
+	// ranges of x follow one another, so one forward pass suffices. Position
+	// 0 holds no candidate, so the blocks start at position 1.
+	nb := (npos - 1 + sweepBlock - 1) / sweepBlock
 	if cap(es.bounds) < nb {
-		// Sized by the candidates' capacity, so the bounds grow only when
-		// the candidates do.
-		es.bounds = make([]sweepBound, (cap(cands)+sweepBlock-1)/sweepBlock)
+		es.bounds = make([]sweepBound, nb)
 	}
 	bounds := es.bounds[:nb]
 	absSlack := pruneAbsSlack * varFactor * (lpSq + 4*base*base)
@@ -301,46 +316,71 @@ func (e *growEnv) sweepDim(dim int, es *evalScratch, lpSq float64) (candidate, i
 	}
 	var pTHigh, pTLow, pOS int // T-split pointers
 	var pSLow, pSHigh, pOT int // S-split pointers
+	i1 := coRank(sv, tv, 1, 0, 1)
 	for b := range bounds {
 		bd := &bounds[b]
-		first := b * sweepBlock
-		last := min(first+sweepBlock, len(cands)) - 1
+		m0 := 1 + b*sweepBlock
+		m1 := min(m0+sweepBlock, npos)
+		i0 := i1
+		j0 := m0 - i0
+		i1 = coRank(sv, tv, m1, i0, i0+sweepBlock)
+		j1 := m1 - i1
+		prev, last := mergedLast(sv, tv, i0, j0), mergedLast(sv, tv, i1, j1)
+		bd.prev, bd.iS = prev, int32(i0)
+		bd.ubT, bd.ubS = -1, -1
+		// The block's candidates lie in (xLo, xHi]. Go's min and max
+		// propagate NaN, so the clamps test it explicitly.
+		xLo, xHi := lo, hi
+		if prev > xLo {
+			xLo = prev
+		}
+		if last < xHi {
+			xHi = last
+		}
+		if prev != prev || !(xLo < xHi) {
+			continue
+		}
+		v, _ := mergeNext(sv, tv, i0, j0)
+		x, isCand := candidateAt(prev, v, lo, hi)
+		if isCand {
+			cands++
+		}
 
-		x := cands[first]
-		pTHigh = advance(tv, pTHigh, x+high)
-		pTLow = advance(tv, pTLow, x-low)
-		pOS = advance(ovS, pOS, x)
-		fS, fTHigh, fOS := int(cS[first]), pTHigh, pOS
-		seed(scoreT(fS, pTHigh, pTLow, pOS))
+		pTHigh = advance(tv, pTHigh, xLo+high)
+		pTLow = advance(tv, pTLow, xLo-low)
+		pOS = advance(ovS, pOS, xLo)
 		bd.pTHigh, bd.pTLow, bd.pOS = int32(pTHigh), int32(pTLow), int32(pOS)
-		x = cands[last]
-		pTHigh = advance(tv, pTHigh, x+high)
-		pTLow = advance(tv, pTLow, x-low)
-		pOS = advance(ovS, pOS, x)
-		lS := int(cS[last])
-		seed(scoreT(lS, pTHigh, pTLow, pOS))
-		bd.ubT = bound(b2s*float64(fS)+b2t*float64(fTHigh)+b3o*float64(fOS),
-			base-(b2s*float64(lS)+b2t*float64(pTLow)+b3o*float64(pOS)),
+		fTHigh, fOS := pTHigh, pOS
+		if isCand {
+			pTHigh = advance(tv, pTHigh, x+high)
+			pTLow = advance(tv, pTLow, x-low)
+			pOS = advance(ovS, pOS, x)
+			seed(scoreT(i0, pTHigh, pTLow, pOS))
+		}
+		pTLow = advance(tv, pTLow, xHi-low)
+		pOS = advance(ovS, pOS, xHi)
+		bd.ubT = bound(b2s*float64(i0)+b2t*float64(fTHigh)+b3o*float64(fOS),
+			base-(b2s*float64(i1)+b2t*float64(pTLow)+b3o*float64(pOS)),
 			float64(fTHigh-pTLow), invT)
 
 		if !symmetric {
 			continue
 		}
-		x = cands[first]
-		pSLow = advance(sv, pSLow, x+low)
-		pSHigh = advance(sv, pSHigh, x-high)
-		pOT = advance(ovT, pOT, x)
-		fT, fSLow, fOT := int(cT[first]), pSLow, pOT
-		seed(scoreS(fT, pSLow, pSHigh, pOT))
+		pSLow = advance(sv, pSLow, xLo+low)
+		pSHigh = advance(sv, pSHigh, xLo-high)
+		pOT = advance(ovT, pOT, xLo)
 		bd.pSLow, bd.pSHigh, bd.pOT = int32(pSLow), int32(pSHigh), int32(pOT)
-		x = cands[last]
-		pSLow = advance(sv, pSLow, x+low)
-		pSHigh = advance(sv, pSHigh, x-high)
-		pOT = advance(ovT, pOT, x)
-		lT := int(cT[last])
-		seed(scoreS(lT, pSLow, pSHigh, pOT))
-		bd.ubS = bound(b2s*float64(fSLow)+b2t*float64(fT)+b3o*float64(fOT),
-			base-(b2s*float64(pSHigh)+b2t*float64(lT)+b3o*float64(pOT)),
+		fSLow, fOT := pSLow, pOT
+		if isCand {
+			pSLow = advance(sv, pSLow, x+low)
+			pSHigh = advance(sv, pSHigh, x-high)
+			pOT = advance(ovT, pOT, x)
+			seed(scoreS(j0, pSLow, pSHigh, pOT))
+		}
+		pSHigh = advance(sv, pSHigh, xHi-high)
+		pOT = advance(ovT, pOT, xHi)
+		bd.ubS = bound(b2s*float64(fSLow)+b2t*float64(j0)+b3o*float64(fOT),
+			base-(b2s*float64(pSHigh)+b2t*float64(j1)+b3o*float64(pOT)),
 			float64(fSLow-pSHigh), invS)
 	}
 	cut := tau * (1 - pruneRelSlack)
@@ -370,7 +410,6 @@ func (e *growEnv) sweepDim(dim int, es *evalScratch, lpSq float64) (candidate, i
 		bestX, bestKind = x, kind
 		found = true
 	}
-	scored := 0
 	for b := range bounds {
 		bd := &bounds[b]
 		runT := bd.ubT >= cut
@@ -378,19 +417,32 @@ func (e *growEnv) sweepDim(dim int, es *evalScratch, lpSq float64) (candidate, i
 		if !runT && !runS {
 			continue
 		}
-		first := b * sweepBlock
-		last := min(first+sweepBlock, len(cands))
-		scored += last - first
+		m0 := 1 + b*sweepBlock
+		m1 := min(m0+sweepBlock, npos)
+		i, prev := int(bd.iS), bd.prev
+		j := m0 - i
 		pTHigh, pTLow, pOS = int(bd.pTHigh), int(bd.pTLow), int(bd.pOS)
 		pSLow, pSHigh, pOT = int(bd.pSLow), int(bd.pSHigh), int(bd.pOT)
-		for ci := first; ci < last; ci++ {
-			x := cands[ci]
+		for m := m0; m < m1; m++ {
+			v, fromS := mergeNext(sv, tv, i, j)
+			x, isCand := candidateAt(prev, v, lo, hi)
+			pS, pT := i, j
+			if fromS {
+				i++
+			} else {
+				j++
+			}
+			prev = v
+			if !isCand {
+				continue
+			}
+			scored++
 			if runT {
 				// T-split: partition S at x, duplicate T within the band.
 				pTHigh = advance(tv, pTHigh, x+high)
 				pTLow = advance(tv, pTLow, x-low)
 				pOS = advance(ovS, pOS, x)
-				if varRed, dup := scoreT(int(cS[ci]), pTHigh, pTLow, pOS); varRed > 0 {
+				if varRed, dup := scoreT(pS, pTHigh, pTLow, pOS); varRed > 0 {
 					consider(varRed, dup, x, splitT)
 				}
 			}
@@ -399,21 +451,73 @@ func (e *growEnv) sweepDim(dim int, es *evalScratch, lpSq float64) (candidate, i
 				pSLow = advance(sv, pSLow, x+low)
 				pSHigh = advance(sv, pSHigh, x-high)
 				pOT = advance(ovT, pOT, x)
-				if varRed, dup := scoreS(int(cT[ci]), pSLow, pSHigh, pOT); varRed > 0 {
+				if varRed, dup := scoreS(pT, pSLow, pSHigh, pOT); varRed > 0 {
 					consider(varRed, dup, x, splitS)
 				}
 			}
 		}
 	}
+	cands += scored
 	if !found {
-		return candidate{sc: invalidScore()}, scored
+		return candidate{sc: invalidScore()}, cands, scored
 	}
 	return candidate{
 		sc:   score{valid: true, dup: bestDup, varRed: bestVarRed, ratio: bestRatio},
 		dim:  dim,
 		val:  bestX,
 		kind: bestKind,
-	}, scored
+	}, cands, scored
+}
+
+// sFirst reports whether the merge of a leaf's S and T values takes the S
+// value s before the T value t: S first on ties, and a NaN on either side
+// waits for every value of the other (data.Argsort sorts NaN last).
+func sFirst(s, t float64) bool { return s <= t || t != t }
+
+// mergeNext returns the value the merge takes after i S and j T values, and
+// whether it comes from S. At least one value must remain.
+func mergeNext(sv, tv []float64, i, j int) (float64, bool) {
+	if j >= len(tv) || (i < len(sv) && sFirst(sv[i], tv[j])) {
+		return sv[i], true
+	}
+	return tv[j], false
+}
+
+// mergedLast returns the last value the merge took after i S and j T values,
+// i + j ≥ 1: M[i+j−1].
+func mergedLast(sv, tv []float64, i, j int) float64 {
+	if j == 0 || (i > 0 && !sFirst(sv[i-1], tv[j-1])) {
+		return sv[i-1]
+	}
+	return tv[j-1]
+}
+
+// coRank returns i(m), the number of S values among the first m values the
+// merge takes, searching [lo, hi]: a range known to hold it. It is the
+// smallest i at which the S value i does not precede the T value m − i − 1.
+func coRank(sv, tv []float64, m, lo, hi int) int {
+	lo, hi = max(lo, m-len(tv)), min(hi, m, len(sv))
+	for lo < hi {
+		i := int(uint(lo+hi) >> 1)
+		if sFirst(sv[i], tv[m-i-1]) {
+			lo = i + 1
+		} else {
+			hi = i
+		}
+	}
+	return lo
+}
+
+// candidateAt returns the candidate split point between consecutive merged
+// values prev and v, and whether it is one: the mid-point must separate them
+// (so v differs from prev, and neither is NaN) and fall strictly inside
+// (lo, hi).
+func candidateAt(prev, v, lo, hi float64) (float64, bool) {
+	if v == prev {
+		return 0, false
+	}
+	mid := prev + (v-prev)/2
+	return mid, mid > lo && mid < hi && mid > prev
 }
 
 // advance moves pointer p forward until vals[p] >= threshold and returns the

@@ -43,11 +43,14 @@ func (s IterationStats) objective(mode Termination) float64 {
 // plan's inputs — never on GOMAXPROCS or scheduling — so they compare runs on
 // different machines where timings cannot.
 type PlanWork struct {
-	// Candidates is the number of candidate split points generated, summed
-	// over every (leaf, dimension) sweep.
+	// Candidates is the number of candidate split points the sweeps
+	// materialised, summed over every (leaf, dimension) sweep: each block's
+	// seed — the candidate at its first merged position, when there is one —
+	// plus every candidate of a block the per-candidate loop ran. Candidates
+	// in blocks whose bound could not reach the best are never formed.
 	Candidates int64
-	// Scored is the number of those the sweep's per-candidate loop scored;
-	// the rest sat in blocks whose bound could not reach the best.
+	// Scored is the number of candidates the sweep's per-candidate loop
+	// scored.
 	Scored int64
 	// Iterations is the number of growth-loop iterations: actions applied.
 	Iterations int

@@ -13,10 +13,10 @@ import (
 	"bandjoin/internal/sample"
 )
 
-// fullSweep is the sweep without bounds: every candidate scored, in order, by
-// the loop sweepDim runs over the blocks it keeps. It is the reference the
-// bounded sweep must match bit for bit.
-func fullSweep(e *growEnv, dim int, es *evalScratch, lpSq float64) candidate {
+// fullSweep is the sweep without bounds: every candidate of candsFromSorted
+// scored, in order, by the loop sweepDim runs over the blocks it keeps. It is
+// the reference the bounded sweep must match bit for bit.
+func fullSweep(e *growEnv, dim int, es *evalScratch, cands []float64, cS, cT []int32, lpSq float64) candidate {
 	sv, tv, ovS, ovT := es.sv, es.tv, es.ovS, es.ovT
 	low, high := e.band.Low[dim], e.band.High[dim]
 	b2s, b2t, b3o := e.b2s, e.b2t, e.b3o
@@ -34,12 +34,12 @@ func fullSweep(e *growEnv, dim int, es *evalScratch, lpSq float64) candidate {
 	}
 	base := b2s*float64(len(sv)) + b2t*float64(len(tv)) + b3o*float64(len(ovS))
 	var pTHigh, pTLow, pOS, pSLow, pSHigh, pOT int
-	for ci, x := range es.cands {
+	for ci, x := range cands {
 		pTHigh = advance(tv, pTHigh, x+high)
 		pTLow = advance(tv, pTLow, x-low)
 		pOS = advance(ovS, pOS, x)
 		dupT := float64(pTHigh - pTLow)
-		lL := b2s*float64(es.cS[ci]) + b2t*float64(pTHigh) + b3o*float64(pOS)
+		lL := b2s*float64(cS[ci]) + b2t*float64(pTHigh) + b3o*float64(pOS)
 		lR := base - lL + b2t*dupT
 		if varRed := e.varFactor * (lpSq - lL*lL - lR*lR); varRed > 0 {
 			consider(varRed, dupT*e.invT, x, splitT)
@@ -51,7 +51,7 @@ func fullSweep(e *growEnv, dim int, es *evalScratch, lpSq float64) candidate {
 		pSHigh = advance(sv, pSHigh, x-high)
 		pOT = advance(ovT, pOT, x)
 		dupS := float64(pSLow - pSHigh)
-		lL = b2s*float64(pSLow) + b2t*float64(es.cT[ci]) + b3o*float64(pOT)
+		lL = b2s*float64(pSLow) + b2t*float64(cT[ci]) + b3o*float64(pOT)
 		lR = base - lL + b2s*dupS
 		if varRed := e.varFactor * (lpSq - lL*lL - lR*lR); varRed > 0 {
 			consider(varRed, dupS*e.invS, x, splitS)
@@ -81,32 +81,29 @@ type sweepLeaf struct {
 }
 
 // checkSweep runs the bounded and the full sweep over one leaf and fails the
-// test unless they return the same candidate. It returns the candidates
-// generated and scored.
+// test unless they return the same candidate. It returns the candidates there
+// are and the ones the bounded sweep scored.
 func checkSweep(t *testing.T, name string, l sweepLeaf) (cands, scored int) {
 	t.Helper()
 	es := &evalScratch{sv: l.sv, tv: l.tv, ovS: l.ovS, ovT: l.ovT}
-	es.cands, es.cS, es.cT = candsFromSorted(l.sv, l.tv, l.lo, l.hi, nil, nil, nil)
-	if len(es.cands) == 0 {
-		return 0, 0
-	}
+	all, cS, cT := candsFromSorted(l.sv, l.tv, l.lo, l.hi, nil, nil, nil)
 	// Each candidate carries the counts of S and T values below it.
 	var pS, pT int
-	for ci, x := range es.cands {
+	for ci, x := range all {
 		pS, pT = advance(l.sv, pS, x), advance(l.tv, pT, x)
-		if int(es.cS[ci]) != pS || int(es.cT[ci]) != pT {
-			t.Fatalf("%s: candidate %v has counts %d, %d below it, want %d, %d", name, x, es.cS[ci], es.cT[ci], pS, pT)
+		if int(cS[ci]) != pS || int(cT[ci]) != pT {
+			t.Fatalf("%s: candidate %v has counts %d, %d below it, want %d, %d", name, x, cS[ci], cT[ci], pS, pT)
 		}
 	}
-	want := fullSweep(&l.env, 0, es, l.lpSq)
-	got, scored := l.env.sweepDim(0, es, l.lpSq)
+	want := fullSweep(&l.env, 0, es, all, cS, cT, l.lpSq)
+	got, made, scored := l.env.sweepDim(0, es, l.lo, l.hi, l.lpSq)
 	if !sameCandidate(got, want) {
-		t.Fatalf("%s: %d candidates, %d scored: bounded sweep %+v, full scan %+v", name, len(es.cands), scored, got, want)
+		t.Fatalf("%s: %d candidates, %d scored: bounded sweep %+v, full scan %+v", name, len(all), scored, got, want)
 	}
-	if scored > len(es.cands) {
-		t.Fatalf("%s: %d of %d candidates scored", name, scored, len(es.cands))
+	if scored > len(all) || made < scored || made > scored+len(es.bounds) {
+		t.Fatalf("%s: %d candidates, %d materialised, %d scored", name, len(all), made, scored)
 	}
-	return len(es.cands), scored
+	return len(all), scored
 }
 
 // sweepEnv is the sweep's arithmetic for a leaf of 8 workers with the given
@@ -188,14 +185,39 @@ func (s leafSpec) leaf() sweepLeaf {
 	return l
 }
 
-// blockValues returns the integers 0..n, so a leaf with them on both sides
-// has exactly n candidates: whole blocks when n is a multiple of sweepBlock.
+// blockValues returns the integers 0..n, so a leaf with them on one side
+// only has exactly n candidates, one per merged position after the first:
+// whole blocks when n is a multiple of sweepBlock.
 func blockValues(n int) []float64 {
 	v := make([]float64, n+1)
 	for i := range v {
 		v[i] = float64(i)
 	}
 	return v
+}
+
+// tieRuns returns n values off, off+1, … in runs of run equal values.
+func tieRuns(n, run int, off float64) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = off + float64(i/run)
+	}
+	return v
+}
+
+// withNaN returns v with k NaNs appended, where data.Argsort puts them.
+func withNaN(v []float64, k int) []float64 {
+	for ; k > 0; k-- {
+		v = append(v, math.NaN())
+	}
+	return v
+}
+
+// withLoad sets the leaf's squared load from its values and rates.
+func withLoad(l sweepLeaf) sweepLeaf {
+	lp := l.env.b2s*float64(len(l.sv)) + l.env.b2t*float64(len(l.tv)) + l.env.b3o*float64(len(l.ovS))
+	l.lpSq = lp * lp
+	return l
 }
 
 // TestSweepDimMatchesFullScan compares the bounded sweep with the full scan
@@ -240,20 +262,44 @@ func TestSweepDimMatchesFullScan(t *testing.T) {
 		}
 	}
 
-	// Exact block multiples (and one past): n candidates from the integers.
+	// Around block multiples: n candidates from the integers, in exactly
+	// n merged positions past the first when T is empty.
 	for _, n := range []int{sweepBlock - 1, sweepBlock, sweepBlock + 1, 2 * sweepBlock, 5 * sweepBlock} {
 		for _, symmetric := range []bool{false, true} {
 			for _, nan := range []int{0, 3} {
-				l := sweepLeaf{env: sweepEnv(2, 3, symmetric, 0.5, 0.25, 2), lo: math.Inf(-1), hi: math.Inf(1)}
-				l.sv, l.tv = blockValues(n), blockValues(n/2)
-				for i := 0; i < nan; i++ {
-					l.sv, l.tv = append(l.sv, math.NaN()), append(l.tv, math.NaN())
+				for _, tn := range []int{n / 2, -1} {
+					l := sweepLeaf{env: sweepEnv(2, 3, symmetric, 0.5, 0.25, 2), lo: math.Inf(-1), hi: math.Inf(1)}
+					l.sv = withNaN(blockValues(n), nan)
+					if tn >= 0 {
+						l.tv = withNaN(blockValues(tn), nan)
+					}
+					l.ovS, l.ovT = blockValues(n/3), blockValues(n/4)
+					tally(checkSweep(t, "block multiple", withLoad(l)))
 				}
-				l.ovS, l.ovT = blockValues(n/3), blockValues(n/4)
-				lp := l.env.b2s*float64(len(l.sv)) + l.env.b2t*float64(len(l.tv)) + l.env.b3o*float64(len(l.ovS))
-				l.lpSq = lp * lp
-				tally(checkSweep(t, "block multiple", l))
 			}
+		}
+	}
+
+	// The blocks' edges: tie runs longer than a block that straddle block
+	// boundaries, region clips that fall inside a block, blocks whose low
+	// end is in the NaN tail, and leaves of fewer than two values.
+	inf := math.Inf(1)
+	for name, l := range map[string]sweepLeaf{
+		"tie runs across blocks":       {sv: tieRuns(300, 45, 0), tv: tieRuns(280, 70, 0.5), ovS: tieRuns(90, 20, 0), ovT: tieRuns(90, 20, 0.5), lo: -inf, hi: inf},
+		"equal tie runs on both sides": {sv: tieRuns(400, 40, 0), tv: tieRuns(400, 40, 0), ovS: tieRuns(100, 33, 0), ovT: tieRuns(100, 33, 0), lo: -inf, hi: inf},
+		"tie runs clipped":             {sv: tieRuns(300, 45, 0), tv: tieRuns(280, 70, 0.5), ovS: tieRuns(90, 20, 0), ovT: tieRuns(90, 20, 0.5), lo: 1.3, hi: 4.6},
+		"clips inside blocks":          {sv: blockValues(200), tv: blockValues(150), ovS: blockValues(60), ovT: blockValues(60), lo: 37.3, hi: 141.6},
+		"clip inside the first block":  {sv: blockValues(200), tv: blockValues(150), ovS: blockValues(60), ovT: blockValues(60), lo: 3.5, hi: 9.25},
+		"NaN low ends on both sides":   {sv: withNaN(blockValues(40), 50), tv: withNaN(blockValues(20), 45), ovS: blockValues(15), ovT: blockValues(15), lo: -inf, hi: inf},
+		"NaN low ends on S's side":     {sv: withNaN(tieRuns(90, 3, 0), 80), tv: tieRuns(60, 2, 0.25), ovS: blockValues(20), ovT: blockValues(20), lo: -inf, hi: inf},
+		"NaN low ends, clipped":        {sv: withNaN(blockValues(40), 50), tv: withNaN(blockValues(20), 45), ovS: blockValues(15), ovT: blockValues(15), lo: 2.5, hi: 30.5},
+		"no values":                    {lo: -inf, hi: inf},
+		"one S value":                  {sv: []float64{1}, ovS: []float64{1}, ovT: []float64{1}, lo: -inf, hi: inf},
+		"one T value":                  {tv: []float64{2}, lo: -inf, hi: inf},
+	} {
+		for _, symmetric := range []bool{false, true} {
+			l.env = sweepEnv(1, 2, symmetric, 0.5, 0.25, 2)
+			tally(checkSweep(t, name, withLoad(l)))
 		}
 	}
 
@@ -293,13 +339,13 @@ func TestSweepDimMatchesFullScan(t *testing.T) {
 					ovS: gatherVals(outS.Col(dim), outS.Order(dim), nil),
 					ovT: gatherVals(outT.Col(dim), outT.Order(dim), nil),
 				}
-				es.cands, es.cS, es.cT = candsFromSorted(es.sv, es.tv, region.Lo[dim], region.Hi[dim], nil, nil, nil)
-				want := fullSweep(&env, dim, es, lp*lp)
-				got, n := env.sweepDim(dim, es, lp*lp)
+				cands, cS, cT := candsFromSorted(es.sv, es.tv, region.Lo[dim], region.Hi[dim], nil, nil, nil)
+				want := fullSweep(&env, dim, es, cands, cS, cT, lp*lp)
+				got, _, n := env.sweepDim(dim, es, region.Lo[dim], region.Hi[dim], lp*lp)
 				if !sameCandidate(got, want) {
 					t.Fatalf("root dim %d symmetric=%v: bounded sweep %+v, full scan %+v", dim, symmetric, got, want)
 				}
-				tally(len(es.cands), n)
+				tally(len(cands), n)
 			}
 		}
 	}
@@ -354,6 +400,15 @@ func FuzzSweepDim(f *testing.F) {
 	f.Add([]byte{100, 160, 0, 5, 0, 0x70, 0xff, 0x5a, 3})
 	f.Add([]byte{21, 21, 21, 0, 0, 0x11, 0x25, 0, 4})
 	f.Add([]byte{90, 70, 40, 12, 30, 0x52, 0x0d, 0x11, 5})
+	// Tie runs longer than a block, straddling its edges.
+	f.Add([]byte{250, 250, 60, 2, 0, 0x33, 1, 9, 6})
+	// Region clips inside a block.
+	f.Add([]byte{200, 200, 50, 0, 0, 0x22, 3, 9, 7})
+	// 93 values and 3 NaNs a side: the block at merged position 97 starts
+	// after a NaN.
+	f.Add([]byte{16, 15, 10, 0, 0, 0x33, 0x1d, 9, 8})
+	// Fewer than two values.
+	f.Add([]byte{0, 0, 5, 0, 0, 0x11, 1, 0, 9})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, ok := decodeLeaf(b)
 		if !ok {
@@ -361,6 +416,70 @@ func FuzzSweepDim(f *testing.F) {
 		}
 		checkSweep(t, "fuzz", s.leaf())
 	})
+}
+
+// TestCoRankMatchesMerge checks the sweep's merge-path helpers against a
+// linear merge at every merged position m: the co-rank i(m), searched over
+// its whole range and within a window of an earlier co-rank as the sweep
+// searches it, the last value taken, M[m−1], and the value taken next.
+func TestCoRankMatchesMerge(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	rng := rand.New(rand.NewSource(3))
+	cases := []struct {
+		name   string
+		sv, tv []float64
+	}{
+		{"ties", []float64{1, 1, 1, 2, 2, 3}, []float64{1, 1, 2, 2, 2, 2, 3, 3}},
+		{"tie runs longer than a block", tieRuns(200, 45, 0), tieRuns(150, 60, 0)},
+		{"±Inf", []float64{-inf, -inf, 0, 1, inf}, []float64{-inf, 0, 0, inf, inf}},
+		{"NaN tail on S", []float64{1, 2, 3, nan, nan}, []float64{0, 2, 4}},
+		{"NaN tail on T", []float64{0, 2, 4}, []float64{1, 2, 3, nan, nan}},
+		{"NaN tails on both", []float64{1, inf, nan, nan}, []float64{1, nan, nan, nan}},
+		{"only NaN", []float64{nan, nan}, []float64{nan}},
+		{"empty S", nil, []float64{1, 2, 2, nan}},
+		{"empty T", []float64{-inf, 3, 3, nan}, nil},
+		{"both empty", nil, nil},
+		{"lattice with tails", leafValues(rng, 300, 20, 0.1, 2, 3, 4), leafValues(rng, 250, 20, 0.1, 1, 2, 40)},
+	}
+	same := func(a, b float64) bool { return a == b || (a != a && b != b) }
+	for _, c := range cases {
+		n := len(c.sv) + len(c.tv)
+		is := make([]int, n+1) // is[m] = i(m)
+		merged := make([]float64, n)
+		i, j := 0, 0
+		for m := range merged {
+			if j >= len(c.tv) || (i < len(c.sv) && (c.sv[i] <= c.tv[j] || c.tv[j] != c.tv[j])) {
+				merged[m] = c.sv[i]
+				i++
+			} else {
+				merged[m] = c.tv[j]
+				j++
+			}
+			is[m+1] = i
+		}
+		for m := 0; m <= n; m++ {
+			if got := coRank(c.sv, c.tv, m, 0, m); got != is[m] {
+				t.Fatalf("%s: co-rank of %d is %d, the merge took %d S values", c.name, m, got, is[m])
+			}
+			for _, w := range []int{1, 3, sweepBlock} {
+				from := is[max(m-w, 0)]
+				if got := coRank(c.sv, c.tv, m, from, from+w); got != is[m] {
+					t.Fatalf("%s: co-rank of %d within %d of %d is %d, the merge took %d S values", c.name, m, w, from, got, is[m])
+				}
+			}
+			if m > 0 {
+				if got := mergedLast(c.sv, c.tv, is[m], m-is[m]); !same(got, merged[m-1]) {
+					t.Fatalf("%s: M[%d] is %v, the merge took %v", c.name, m-1, got, merged[m-1])
+				}
+			}
+			if m < n {
+				got, fromS := mergeNext(c.sv, c.tv, is[m], m-is[m])
+				if !same(got, merged[m]) || fromS != (is[m+1] > is[m]) {
+					t.Fatalf("%s: next after %d is %v (from S: %v), the merge took %v", c.name, m, got, fromS, merged[m])
+				}
+			}
+		}
+	}
 }
 
 // TestCandsFromSortedNaNLast: a NaN sorts after every finite value on either
@@ -383,6 +502,17 @@ func TestCandsFromSortedNaNLast(t *testing.T) {
 	}
 }
 
+// Work of the plan of TestPlanWorkIndependentOfParallelism when the sweep
+// formed every candidate of a leaf and bounded blocks of 32 candidates: it
+// generated 3 008 413 candidates and scored 199 904 of them. Forming only the
+// blocks' seeds and the candidates of the blocks that can win must keep the
+// candidates under 15 % of the first, and the looser bounds of blocks of
+// merged positions must keep the scored within 10 % of the second.
+const (
+	replanEveryCandidate = 3008413
+	replanScoredBefore   = 199904
+)
+
 // TestPlanWorkIndependentOfParallelism: a plan's work counters are exact — the
 // same at every planner pool size (GOMAXPROCS) — and the block bounds spare most candidates on
 // the plan-sweep shape.
@@ -399,10 +529,14 @@ func TestPlanWorkIndependentOfParallelism(t *testing.T) {
 		w := p.Work
 		if par == 1 {
 			first = w
-			t.Logf("%d candidates generated, %d scored (%.1f %%), %d iterations",
+			t.Logf("%d candidates materialised, %d scored (%.1f %%), %d iterations",
 				w.Candidates, w.Scored, 100*float64(w.Scored)/float64(w.Candidates), w.Iterations)
 			if w.Candidates == 0 || w.Scored >= w.Candidates || w.Iterations != len(p.History)-1 {
 				t.Fatalf("work %+v with %d history entries", w, len(p.History))
+			}
+			if w.Candidates > replanEveryCandidate*15/100 || w.Scored > replanScoredBefore*11/10 {
+				t.Errorf("work %+v: want at most %d candidates and %d scored", w,
+					replanEveryCandidate*15/100, replanScoredBefore*11/10)
 			}
 			continue
 		}
@@ -410,4 +544,41 @@ func TestPlanWorkIndependentOfParallelism(t *testing.T) {
 			t.Errorf("GOMAXPROCS %d: work %+v, at GOMAXPROCS 1 %+v", par, w, first)
 		}
 	}
+}
+
+// candsFromSorted returns the candidate split points of one dimension — the
+// mid-points between consecutive distinct values of the merged sample,
+// restricted to the open interval (lo, hi) — together with the per-candidate
+// counts of S and T values strictly below each point (the sweep's unshifted
+// pointers). One merge pass does all three: at the moment a candidate is
+// emitted, the merge positions are exactly those counts. Both inputs sort NaN
+// last (data.Argsort's order), and so does the merge — S first on ties, and
+// a NaN on either side waits for every value of the other — so no candidate
+// is lost and no NaN is counted below one.
+func candsFromSorted(sv, tv []float64, lo, hi float64, out []float64, cS, cT []int32) ([]float64, []int32, []int32) {
+	i, j := 0, 0
+	have := false
+	var prev float64
+	for i < len(sv) || j < len(tv) {
+		pi, pj := i, j
+		var v float64
+		if j >= len(tv) || (i < len(sv) && (sv[i] <= tv[j] || tv[j] != tv[j])) {
+			v = sv[i]
+			i++
+		} else {
+			v = tv[j]
+			j++
+		}
+		if have && v != prev {
+			mid := prev + (v-prev)/2
+			if mid > lo && mid < hi && mid > prev {
+				out = append(out, mid)
+				cS = append(cS, int32(pi))
+				cT = append(cT, int32(pj))
+			}
+		}
+		prev = v
+		have = true
+	}
+	return out, cS, cT
 }
