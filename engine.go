@@ -9,7 +9,6 @@ import (
 
 	"bandjoin/internal/cluster"
 	"bandjoin/internal/core"
-	"bandjoin/internal/data"
 	"bandjoin/internal/exec"
 	"bandjoin/internal/obs"
 	"bandjoin/internal/partition"
@@ -245,10 +244,10 @@ func (se *sampleEntry) catchUp(s, t *Relation) (*sample.InputSample, error) {
 	}
 	var deltaS, deltaT *Relation
 	if se.coveredS < s.Len() {
-		deltaS = s.Slice(s.Name(), se.coveredS, s.Len())
+		deltaS = s.Suffix(se.coveredS)
 	}
 	if se.coveredT < t.Len() {
-		deltaT = t.Slice(t.Name(), se.coveredT, t.Len())
+		deltaT = t.Suffix(se.coveredT)
 	}
 	merged, err := se.in.Merge(deltaS, deltaT)
 	if err != nil {
@@ -868,10 +867,7 @@ type retainedParts struct {
 // writing; nothing changes unless the routing succeeds, so a failed or
 // cancelled absorb is simply retried by the next caller.
 func (rec *retainedParts) absorbLocked(ctx context.Context, plan Plan, s, t *Relation) error {
-	suffix := func(r *Relation, covered int) *Relation {
-		return data.NewRelationFromKeys(r.Name(), r.Dims(), r.KeysRange(covered, r.Len())) // a view: nothing writes below Len
-	}
-	routed, err := exec.Route(ctx, plan, suffix(s, rec.coveredS), suffix(t, rec.coveredT), rec.coveredS, rec.coveredT, 0)
+	routed, err := exec.Route(ctx, plan, s.Suffix(rec.coveredS), t.Suffix(rec.coveredT), rec.coveredS, rec.coveredT, 0)
 	if err != nil {
 		return err
 	}

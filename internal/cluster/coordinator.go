@@ -995,9 +995,7 @@ func (c *Coordinator) ensureFresh(ctx context.Context, rec *retainedPlanRec, pla
 	}
 
 	start := time.Now()
-	deltaS := s.Slice(s.Name(), rec.coveredS, s.Len())
-	deltaT := t.Slice(t.Name(), rec.coveredT, t.Len())
-	routed, err := exec.Route(ctx, plan, deltaS, deltaT, rec.coveredS, rec.coveredT, runtime.GOMAXPROCS(0))
+	routed, err := exec.Route(ctx, plan, s.Suffix(rec.coveredS), t.Suffix(rec.coveredT), rec.coveredS, rec.coveredT, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return err
 	}

@@ -123,8 +123,9 @@ func (r *Relation) Reserve(n int) {
 // KeysRange returns the row-major key storage of tuples [lo, hi) as a
 // zero-copy view. The caller must not retain it across Append, and must treat
 // it as read-only unless it owns rows it has just reserved with GrowRows: the
-// one writer is exec.AppendRouted, gathering a partition's routed rows into
-// them. It is also the slab the columnar wire encoder gathers from.
+// one writer is exec's routed fill of a partition (AppendRouted and
+// ExecutePlan), gathering its routed rows into them. It is also the slab the
+// columnar wire encoder gathers from.
 func (r *Relation) KeysRange(lo, hi int) []float64 {
 	if lo < 0 || hi > r.Len() || lo > hi {
 		panic(fmt.Sprintf("data: key range [%d,%d) out of bounds for relation of %d tuples", lo, hi, r.Len()))
@@ -220,6 +221,15 @@ func (r *Relation) Slice(name string, lo, hi int) *Relation {
 	out := NewRelationCapacity(name, r.dims, hi-lo)
 	out.AppendRows(r, lo, hi)
 	return out
+}
+
+// Suffix returns tuples [lo, Len) as a zero-copy view under the receiver's
+// name: an appended delta, routed or merged without a copy. The view stays
+// valid because nothing writes below a relation's Len (Extend writes past
+// it), and its capacity ends at the receiver's Len, so appending to the view
+// copies instead of writing into the receiver's spare storage.
+func (r *Relation) Suffix(lo int) *Relation {
+	return &Relation{name: r.name, dims: r.dims, keys: r.KeysRange(lo, r.Len())}
 }
 
 // String implements fmt.Stringer.

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"bandjoin/internal/costmodel"
@@ -243,11 +242,12 @@ func Run(pt partition.Partitioner, s, t *data.Relation, band data.Band, opts Opt
 
 // ExecutePlan routes s and t through an already-computed plan (Route) and runs
 // the local joins without materialising the shuffle: each non-empty partition
-// is one morsel job whose Build gathers its rows from the routed lists into
-// pooled buffers and prepares them once, and whose release hands the buffers
-// back after the partition's last morsel, so only the partitions in flight
-// are held at once. Cancelling ctx aborts the run after routing and between
-// morsels, returning ctx.Err().
+// is one morsel job whose Build fills a pooled Partition from the routed lists
+// (appendRouted, as AppendRouted fills a retained one) and prepares it once,
+// and whose release hands the structure and then the partition back after the
+// partition's last morsel, so only the partitions in flight are held at once
+// and each fills the storage an earlier one left. Cancelling ctx aborts the run
+// after routing and between morsels, returning ctx.Err().
 func ExecutePlan(ctx context.Context, plan partition.Plan, s, t *data.Relation, band data.Band, opts Options) (*Result, error) {
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("exec: need at least one worker, got %d", opts.Workers)
@@ -265,11 +265,14 @@ func ExecutePlan(ctx context.Context, plan partition.Plan, s, t *data.Relation, 
 	recs, jobs := make([]PartitionStats, len(pids)), make([]MorselJob, len(pids))
 	for i, pid := range pids {
 		recs[i] = PartitionStats{Partition: pid, InputS: r.S.Rows(pid), InputT: r.T.Rows(pid)}
-		jobs[i] = preparingJob(r.S.Rows(pid), band, func() (*data.Relation, *data.Relation, func()) {
-			buf := gatherPool.Get().(*gatherBuf)
-			return r.S.gatherAll(pid, &buf.s), r.T.gatherAll(pid, &buf.t), func() { gatherPool.Put(buf) }
-		})
+		jobs[i] = MorselJob{Rows: r.S.Rows(pid), Build: func() (RangeRun, func()) {
+			p := pooledPartition(s.Dims())
+			p.appendRouted(r, pid)
+			return p.job(band, func() { partitionPool.Put(p) }).Build()
+		}}
 	}
+	// The partitions are back in the pool by the time pairs are mapped, so
+	// their IDs come from the routed lists.
 	res, err := reduce(ctx, plan, r.NumPartitions, recs, jobs, func(i int) ([]int64, []int64) { return r.S.IDs(pids[i]), r.T.IDs(pids[i]) },
 		r.TotalInput, s.Len(), t.Len(), opts)
 	if err != nil {
@@ -278,11 +281,6 @@ func ExecutePlan(ctx context.Context, plan partition.Plan, s, t *data.Relation, 
 	res.ShuffleTime = shuffleTime
 	return res, nil
 }
-
-// gatherBuf holds one partition's gathered keys while its job is in flight.
-type gatherBuf struct{ s, t []float64 }
-
-var gatherPool = sync.Pool{New: func() any { return new(gatherBuf) }}
 
 // PrepareShuffled builds, for every non-nil partition, the local join's
 // reusable structure for (p.S, p.T, band) (localjoin.Prepare), running at most
@@ -317,12 +315,12 @@ func ExecuteShuffledPrepared(ctx context.Context, plan partition.Plan, parts []*
 		if p == nil {
 			continue
 		}
-		var prep *localjoin.EpsGrid
+		view := &Partition{s: p.S, t: p.T}
 		if pid < len(prepared) {
-			prep = prepared[pid]
+			view.band, view.prep = bandKey(band), prepared[pid]
 		}
 		recs = append(recs, PartitionStats{Partition: pid, InputS: p.S.Len(), InputT: p.T.Len()})
-		jobs = append(jobs, PartitionJob(prep, p.S, p.T, band))
+		jobs = append(jobs, view.job(band, nil))
 		in = append(in, p)
 	}
 	return reduce(ctx, plan, len(parts), recs, jobs, func(i int) ([]int64, []int64) { return in[i].SIDs, in[i].TIDs },
@@ -341,42 +339,6 @@ func ExecutePartitions(ctx context.Context, plan partition.Plan, parts []*Partit
 	defer unlock()
 	return reduce(ctx, plan, len(parts), recs, jobs, func(i int) ([]int64, []int64) { return held[i].SIDs, held[i].TIDs },
 		totalInput, inputS, inputT, opts)
-}
-
-// PartitionJob is the morsel job joining one partition (s, t): over prep, the
-// structure built for it earlier, when there is one, and otherwise through a
-// Build that prepares the partition once (localjoin.PrepareOnce) and a release
-// that hands the structure back after the job's last morsel.
-func PartitionJob(prep *localjoin.EpsGrid, s, t *data.Relation, band data.Band) MorselJob {
-	if prep != nil {
-		return MorselJob{Rows: s.Len(), Run: func(lo, hi int, emit localjoin.Emit) int64 {
-			return prep.ProbeRange(s, lo, hi, emit)
-		}}
-	}
-	return preparingJob(s.Len(), band, func() (*data.Relation, *data.Relation, func()) { return s, t, nil })
-}
-
-// preparingJob is the job of a partition of rows S-rows without a structure:
-// its Build loads the two sides, prepares them once, and its release hands the
-// structure back and calls the loader's done.
-func preparingJob(rows int, band data.Band, load func() (s, t *data.Relation, done func())) MorselJob {
-	return MorselJob{Rows: rows, Build: func() (RangeRun, func()) {
-		s, t, done := load()
-		prep := localjoin.PrepareOnce(s, t, band)
-		release := func() {
-			localjoin.Release(prep)
-			if done != nil {
-				done()
-			}
-		}
-		if prep == nil {
-			// The nested loop (or an empty side): nothing to share.
-			return func(lo, hi int, emit localjoin.Emit) int64 {
-				return localjoin.NestedLoop{}.JoinRange(s, t, band, lo, hi, emit)
-			}, release
-		}
-		return func(lo, hi int, emit localjoin.Emit) int64 { return prep.ProbeRange(s, lo, hi, emit) }, release
-	}}
 }
 
 // PartitionStats is one partition's join outcome: the record both data planes

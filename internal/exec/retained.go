@@ -11,10 +11,11 @@ import (
 	"bandjoin/internal/localjoin"
 )
 
-// Partition is one partition's rows held between calls — a retained plan's on
-// either plane, a transient job's on a cluster worker — together with the
-// local join's structure for them: S, T, their tuple IDs and the ε-grid, under
-// one read-write lock. Appends and the structure's upkeep take the write lock;
+// Partition is one partition's rows — a retained plan's on either plane, a
+// one-shot join's on a cluster worker or, taken from a pool for the length of
+// its morsel job, in process (ExecutePlan) — together with the local join's
+// structure for them: S, T, their tuple IDs and the ε-grid, under one
+// read-write lock. Appends and the structure's upkeep take the write lock;
 // a join holds the read lock from the moment it fetches the structure until
 // its last morsel (LockForProbe). So S, its IDs and the structure are replaced
 // together and read together: the structure's cell lists are positional, and
@@ -100,10 +101,9 @@ func (p *Partition) Append(toT bool, fill func(rel *data.Relation, ids *[]int64)
 
 // AppendRouted appends a routing's rows to the partitions it names —
 // parts[pid] for partition pid, created by NewPartition the first time a
-// routing sends it a row — and returns parts, grown to r.NumPartitions. Each
-// side's rows go in through Append, gathered straight from the routed lists
-// into the rows GrowRows reserves, several partitions at a time: a worker's
-// shipment stream without the wire.
+// routing sends it a row — and returns parts, grown to r.NumPartitions,
+// several partitions at a time (appendRouted): a worker's shipment stream
+// without the wire.
 func AppendRouted(parts []*Partition, r *Routed) []*Partition {
 	if n := r.NumPartitions - len(parts); n > 0 {
 		parts = append(parts, make([]*Partition, n)...)
@@ -115,19 +115,41 @@ func AppendRouted(parts []*Partition, r *Routed) []*Partition {
 		}
 		routed[pid] = parts[pid]
 	}
-	each(routed, 0, func(pid int, p *Partition) {
-		for side, rs := range [2]*RoutedSide{&r.S, &r.T} {
-			if n := rs.Rows(pid); n > 0 {
-				p.Append(side == 1, func(rel *data.Relation, ids *[]int64) error {
-					base := rel.GrowRows(n)
-					*ids = slices.Grow(*ids, n)[:base+n]
-					rs.Gather(pid, 0, n, rel.KeysRange(base, base+n), (*ids)[base:])
-					return nil
-				})
-			}
-		}
-	})
+	each(routed, 0, func(pid int, p *Partition) { p.appendRouted(r, pid) })
 	return parts
+}
+
+// appendRouted appends partition pid's routed rows to p, each side through
+// Append, gathered straight from the routed lists into the rows GrowRows
+// reserves.
+func (p *Partition) appendRouted(r *Routed, pid int) {
+	for side, rs := range [2]*RoutedSide{&r.S, &r.T} {
+		if n := rs.Rows(pid); n > 0 {
+			p.Append(side == 1, func(rel *data.Relation, ids *[]int64) error {
+				base := rel.GrowRows(n)
+				*ids = slices.Grow(*ids, n)[:base+n]
+				rs.Gather(pid, 0, n, rel.KeysRange(base, base+n), (*ids)[base:])
+				return nil
+			})
+		}
+	}
+}
+
+// partitionPool holds the partitions one-shot in-process joins (ExecutePlan)
+// handed back, for the next to fill.
+var partitionPool sync.Pool
+
+// pooledPartition returns an empty partition of dimensionality dims: one from
+// the pool, emptied, keeping its storage, when its dimensionality is dims, else
+// a new one.
+func pooledPartition(dims int) *Partition {
+	if p, ok := partitionPool.Get().(*Partition); ok && p.dims == dims {
+		p.s.Truncate(0)
+		p.t.Truncate(0)
+		p.sIDs, p.tIDs = p.sIDs[:0], p.tIDs[:0]
+		return p
+	}
+	return NewPartition(dims)
 }
 
 // Prepare builds the structure for band over the rows in the order they
@@ -194,12 +216,10 @@ func Bytes(parts []*Partition) int64 {
 // for band. With refreshed set, each partition is refreshed first (Refresh, at
 // most GOMAXPROCS at a time) and refreshed(i, rebuildNanos, foldNanos) is
 // called as soon as parts[i]'s refresh returns. Then each partition is
-// read-locked and jobs[i], its morsel job, built under that lock: over the
-// structure found there if it is band's, else through a Build that prepares
-// the partition once. recs[i] is its record for JoinPartitions, with the
-// partition index i, both sides' row counts and what the refresh took
-// (RebuildNanos, FoldNanos) filled in, and held[i] holds the rows and tuple
-// IDs the job's pairs index. Both stay valid until the caller, done with
+// read-locked and jobs[i], its morsel job (job), built under that lock.
+// recs[i] is its record for JoinPartitions, with the partition index i, both
+// sides' row counts and what the refresh took (RebuildNanos, FoldNanos)
+// filled in, and held[i] holds the rows and tuple IDs the job's pairs index. Both stay valid until the caller, done with
 // them, calls unlock.
 //
 // The read locks are taken only here, from one goroutine, in index order, with
@@ -217,7 +237,6 @@ func LockForProbe(parts []*Partition, band data.Band, refreshed func(i int, rebu
 			refreshed(i, rec.RebuildNanos, rec.FoldNanos)
 		})
 	}
-	key := bandKey(band)
 	jobs, held = make([]MorselJob, len(parts)), make([]*PartitionInput, len(parts))
 	for i, p := range parts {
 		recs[i].Partition = i
@@ -225,11 +244,7 @@ func LockForProbe(parts []*Partition, band data.Band, refreshed func(i int, rebu
 			continue
 		}
 		p.mu.RLock()
-		var prep *localjoin.EpsGrid
-		if p.band == key {
-			prep = p.prep
-		}
-		jobs[i] = PartitionJob(prep, p.s, p.t, band)
+		jobs[i] = p.job(band, nil)
 		held[i] = &PartitionInput{S: p.s, SIDs: p.sIDs, T: p.t, TIDs: p.tIDs}
 		recs[i].InputS, recs[i].InputT = p.s.Len(), p.t.Len()
 	}
@@ -240,6 +255,39 @@ func LockForProbe(parts []*Partition, band data.Band, refreshed func(i int, rebu
 			}
 		}
 	}
+}
+
+// job is the morsel job joining p for band. It reads p's rows and structure
+// as they are when job is called, so they must stay so until its last morsel
+// (LockForProbe's read lock, or a partition no one else holds). The job
+// probes the structure p holds when it is band's; otherwise its Build
+// prepares p once (localjoin.PrepareOnce), and its release hands that
+// structure back after the job's last morsel, then calls done if it is set.
+// Every join's job is built here: LockForProbe's, ExecutePlan's and
+// ExecuteShuffledPrepared's.
+func (p *Partition) job(band data.Band, done func()) MorselJob {
+	s, t := p.s, p.t
+	if prep := p.prep; prep != nil && p.band == bandKey(band) {
+		return MorselJob{Rows: s.Len(), Run: func(lo, hi int, emit localjoin.Emit) int64 {
+			return prep.ProbeRange(s, lo, hi, emit)
+		}}
+	}
+	return MorselJob{Rows: s.Len(), Build: func() (RangeRun, func()) {
+		prep := localjoin.PrepareOnce(s, t, band)
+		release := func() {
+			localjoin.Release(prep)
+			if done != nil {
+				done()
+			}
+		}
+		if prep == nil {
+			// The nested loop (or an empty side): nothing to share.
+			return func(lo, hi int, emit localjoin.Emit) int64 {
+				return localjoin.NestedLoop{}.JoinRange(s, t, band, lo, hi, emit)
+			}, release
+		}
+		return func(lo, hi int, emit localjoin.Emit) int64 { return prep.ProbeRange(s, lo, hi, emit) }, release
+	}}
 }
 
 // each runs fn for every non-nil element, at most parallelism at a time (< 1

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 
 	"bandjoin/internal/data"
@@ -20,12 +19,13 @@ import (
 // tuple's ID is its row number plus the side's base, so the routed lists name
 // everything a partition holds without copying a key. The RPC coordinator
 // ships from them, gathering one chunk at a time out of the source relations
-// (Routed.Gather), ExecutePlan gathers each partition when its join reaches it
-// and reuses the buffers for the next, and AppendRouted gathers each into the
-// retained in-process partitions as a worker's stream would fill them. Shuffle
-// materialises them all, with one gather per (partition, shard) segment into
-// exactly-sized shared arenas, for the benchmark's replay and the skew and
-// scaling harnesses.
+// (RoutedSide.Gather); AppendRouted gathers each partition into a retained
+// in-process Partition as a worker's stream would fill it, and ExecutePlan
+// gathers each the same way into a pooled Partition when its join reaches it,
+// which goes back to the pool for the next after the partition's last morsel.
+// Shuffle materialises them all, with one gather per (partition, shard)
+// segment into exactly-sized shared arenas, for the benchmark's replay and the
+// skew and scaling harnesses.
 // Shards write disjoint row ranges, so no path needs a lock, and partition
 // contents come out as one pass over S then T appending to per-partition
 // relations would produce them (TestRouteMatchesAssign, TestShuffleEquivalence).
@@ -85,8 +85,7 @@ func (rs *RoutedSide) Rows(pid int) int { return rs.totals[pid] }
 
 // Gather copies rows [lo, hi) of partition pid — positions in the partition's
 // global tuple order, which may span several shards' lists — into keys
-// (row-major, (hi-lo)*Dims values) and, unless ids is nil, their tuple IDs
-// into ids.
+// (row-major, (hi-lo)*Dims values) and their tuple IDs into ids.
 func (rs *RoutedSide) Gather(pid, lo, hi int, keys []float64, ids []int64) {
 	dims := rs.Rel.Dims()
 	for _, lists := range rs.shards {
@@ -96,37 +95,21 @@ func (rs *RoutedSide) Gather(pid, lo, hi int, keys []float64, ids []int64) {
 		seg := lists[pid]
 		if from, to := max(lo, 0), min(hi, len(seg)); from < to {
 			rs.gather(seg[from:to], keys, ids)
-			keys = keys[(to-from)*dims:]
-			if ids != nil {
-				ids = ids[to-from:]
-			}
+			keys, ids = keys[(to-from)*dims:], ids[to-from:]
 		}
 		lo, hi = lo-len(seg), hi-len(seg)
 	}
 }
 
-// gather copies the listed rows' keys, and tuple IDs unless ids is nil, to the
-// front of keys and ids.
+// gather copies the listed rows' keys and tuple IDs to the front of keys and
+// ids.
 func (rs *RoutedSide) gather(rows []int32, keys []float64, ids []int64) {
 	dims := rs.Rel.Dims()
 	src := rs.Rel.KeysRange(0, rs.Rel.Len())
 	for i, row := range rows {
 		copy(keys[i*dims:(i+1)*dims], src[int(row)*dims:(int(row)+1)*dims])
+		ids[i] = int64(row) + rs.Base
 	}
-	if ids != nil {
-		for i, row := range rows {
-			ids[i] = int64(row) + rs.Base
-		}
-	}
-}
-
-// gatherAll gathers all of partition pid's rows into *keys, reusing its
-// storage, and returns them as a relation.
-func (rs *RoutedSide) gatherAll(pid int, keys *[]float64) *data.Relation {
-	n, dims := rs.Rows(pid), rs.Rel.Dims()
-	*keys = slices.Grow((*keys)[:0], n*dims)[:n*dims]
-	rs.Gather(pid, 0, n, *keys, nil)
-	return data.NewRelationFromKeys(rs.Rel.Name(), dims, *keys)
 }
 
 // IDs returns the tuple IDs of partition pid's rows, in the partition's

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -190,6 +191,72 @@ func TestExecutePlanSerialVsParallel(t *testing.T) {
 						serialRes.Im, serialRes.Om, parRes.Im, parRes.Om)
 				}
 			})
+		}
+	}
+}
+
+// idGridPlan routes by tuple ID, as 1-Bucket does, over rows × cols
+// partitions: S tuple i to every partition of row i%rows, T tuple j to the
+// partition of column j%(cols-1) in every row. Each pair meets in exactly one
+// partition, and the last column's partitions receive no T row.
+type idGridPlan struct{ rows, cols int }
+
+func (p idGridPlan) NumPartitions() int { return p.rows * p.cols }
+
+func (p idGridPlan) AssignS(id int64, _ []float64, dst []int) []int {
+	for c := range p.cols {
+		dst = append(dst, int(id)%p.rows*p.cols+c)
+	}
+	return dst
+}
+
+func (p idGridPlan) AssignT(id int64, _ []float64, dst []int) []int {
+	for r := range p.rows {
+		dst = append(dst, r*p.cols+int(id)%(p.cols-1))
+	}
+	return dst
+}
+
+// TestExecutePlanPooledPartitionsAcrossDims: ExecutePlan fills pooled
+// partitions, so a partition one query handed back is the next one's to fill,
+// whatever its dimensionality. With the collector off, so the pool keeps what
+// it is given, one-shot joins of 3-d, 1-d, 8-d and again 3-d inputs — more
+// partitions than are in flight at once, some holding NaN keys, some with no T
+// row — must each return exactly the nested loop's pairs.
+func TestExecutePlanPooledPartitionsAcrossDims(t *testing.T) {
+	gcPercent := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(gcPercent) })
+	rng := rand.New(rand.NewSource(43))
+	lattice := func(dims, n int) *data.Relation {
+		r := data.NewRelationCapacity("r", dims, n)
+		key := make([]float64, dims)
+		for range n {
+			for d := range key {
+				key[d] = float64(rng.Intn(4))
+			}
+			r.AppendKey(key)
+		}
+		return r
+	}
+	plan := idGridPlan{rows: 3, cols: 4}
+	for _, dims := range []int{3, 1, 8, 3} {
+		s, tt := lattice(dims, 300), lattice(dims, 300)
+		nanKey := slices.Repeat([]float64{math.NaN()}, dims)
+		s.SetKey(7, nanKey)
+		tt.SetKey(11, nanKey)
+		band := data.Uniform(dims, 1)
+		var want []Pair
+		localjoin.NestedLoop{}.Join(s, tt, band, func(si, ti int, _, _ []float64) {
+			want = append(want, Pair{S: int64(si), T: int64(ti)})
+		})
+		opts := DefaultOptions(4)
+		opts.CollectPairs = true
+		res, err := ExecutePlan(context.Background(), plan, s, tt, band, opts)
+		if err != nil {
+			t.Fatalf("%d-d: %v", dims, err)
+		}
+		if len(want) == 0 || !slices.Equal(res.Pairs, want) {
+			t.Fatalf("%d-d: %d pairs, the nested loop has %d (or they differ)", dims, len(res.Pairs), len(want))
 		}
 	}
 }
