@@ -23,9 +23,9 @@
 // (bandjoin.Engine): shuffled partitions stay resident — presorted, with
 // prebuilt join structures — under their plan fingerprint, so repeated
 // queries join with zero shuffle bytes.
-// -max-retained bounds that registry; the least-recently-sealed plan is
-// evicted when the cap is exceeded (coordinators reshuffle it transparently
-// if it is queried again).
+// -max-retained caps the plans that registry holds: a Seal past the cap evicts
+// the least recently sealed others, never one still being shipped (coordinators
+// reshuffle an evicted plan transparently if it is queried again).
 //
 // On SIGINT or SIGTERM the worker shuts down gracefully: it stops accepting
 // connections, rejects new shipments and Join/Seal work (coordinators see the

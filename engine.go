@@ -125,8 +125,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		return float64(len(e.plans))
 	}, "tier", "plan")
 	reg.GaugeFunc("bandjoin_engine_cache_entries", entries, func() float64 {
-		plans, _ := e.plane.retained()
-		return float64(plans)
+		return float64(e.plane.retainedPlans())
 	}, "tier", "retained")
 	bytesHelp := "Engine cache occupancy by tier (approximate key/ID bytes)."
 	reg.GaugeFunc("bandjoin_engine_cache_bytes", bytesHelp, func() float64 {
@@ -144,8 +143,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		return float64(total)
 	}, "tier", "sample")
 	reg.GaugeFunc("bandjoin_engine_cache_bytes", bytesHelp, func() float64 {
-		_, bytes := e.plane.retained()
-		return float64(bytes)
+		return float64(e.plane.retainedBytes())
 	}, "tier", "retained")
 	return m
 }
@@ -532,7 +530,6 @@ func (e *Engine) Close() {
 	e.datasets, e.samples, e.plans = nil, nil, nil
 	e.mu.Unlock()
 	e.evictAll(evict)
-	e.plane.close()
 }
 
 // Join runs the band-join of the registered datasets sName and tName. The
@@ -819,68 +816,18 @@ type enginePlane interface {
 	absorb(ctx context.Context, prep *exec.Prepared, s, t *Relation, planID string) error
 	// evict drops one retained partition set.
 	evict(planID string)
-	// retained reports the plane's retained-partition occupancy: resident
-	// plan count and (for planes that hold the data locally) approximate
-	// resident bytes. Scrape-time only; never on a query path.
-	retained() (plans int, bytes int64)
-	// close releases plane-held resources.
-	close()
+	// retainedPlans and retainedBytes report the plane's retained-partition
+	// occupancy: resident plan count and (for planes that hold the data
+	// locally) approximate resident bytes. Scrape-time only.
+	retainedPlans() int
+	retainedBytes() int64
 }
 
 // inProcessPlane executes on the in-process cluster simulator and retains
-// shuffled partitions in memory.
+// shuffled partitions in memory, one registry entry per fingerprint, whose Fill
+// lock plays the role of the coordinator's shipment record.
 type inProcessPlane struct {
-	mu    sync.Mutex
-	parts map[string]*retainedParts
-}
-
-// retainedParts is one retained in-memory shuffle outcome, its partitions kept
-// as the cluster workers keep theirs (exec.Partition). Its RWMutex plays the
-// role of the coordinator's shipment record: exactly one shuffle per
-// fingerprint, any number of concurrent warm joins, each holding the read lock
-// while it probes, so a catch-up appends only between joins.
-type retainedParts struct {
-	mu         sync.RWMutex
-	done       bool
-	parts      []*exec.Partition
-	totalInput int64
-
-	// coveredS/coveredT record the base-relation prefix lengths the retained
-	// partitions were filled from. Appended suffixes are absorbed by
-	// absorbLocked — eagerly from Engine.Append, lazily by the next query —
-	// idempotently, because covered only advances past an absorbed delta.
-	coveredS int
-	coveredT int
-
-	// bytes is the retained partitions' approximate footprint (key and ID
-	// bytes), stored when the record fills or absorbs so the occupancy gauge
-	// can read it without taking the record's lock against a running shuffle.
-	bytes atomic.Int64
-}
-
-// absorbLocked routes the rows of s and t past the record's covered prefixes
-// through the plan, tuple IDs offset by those prefixes so they are what a
-// routing of the whole relations assigns, and appends them to the retained
-// partitions (exec.AppendRouted), creating those seen for the first time. The
-// cold fill is this absorb from row 0 followed by a seal; after a catch-up the
-// next probe brings the structures up to date. Caller holds rec.mu for
-// writing; nothing changes unless the routing succeeds, so a failed or
-// cancelled absorb is simply retried by the next caller.
-func (rec *retainedParts) absorbLocked(ctx context.Context, plan Plan, s, t *Relation) error {
-	routed, err := exec.Route(ctx, plan, s.Suffix(rec.coveredS), t.Suffix(rec.coveredT), rec.coveredS, rec.coveredT, 0)
-	if err != nil {
-		return err
-	}
-	rec.parts = exec.AppendRouted(rec.parts, routed)
-	rec.totalInput += routed.TotalInput
-	rec.coveredS, rec.coveredT = s.Len(), t.Len()
-	rec.bytes.Store(exec.Bytes(rec.parts))
-	return nil
-}
-
-// currentLocked reports whether the record covers s and t. Caller holds rec.mu.
-func (rec *retainedParts) currentLocked(s, t *Relation) bool {
-	return rec.done && rec.coveredS >= s.Len() && rec.coveredT >= t.Len()
+	reg exec.Registry[struct{}]
 }
 
 func (p *inProcessPlane) workers() int { return 0 }
@@ -891,49 +838,41 @@ func (p *inProcessPlane) execute(ctx context.Context, prep *exec.Prepared, s, t 
 		return exec.ExecutePlan(ctx, prep.Plan, s, t, band, execOpts)
 	}
 
-	p.mu.Lock()
-	if p.parts == nil {
-		p.parts = make(map[string]*retainedParts)
-	}
-	rec, ok := p.parts[planID]
-	if !ok {
-		rec = &retainedParts{}
-		p.parts[planID] = rec
-	}
-	p.mu.Unlock()
-
+	e := p.reg.Open(planID)
 	var shuffleTime, absorbTime time.Duration
-	rec.mu.RLock()
-	warm := rec.done
-	if !rec.currentLocked(s, t) {
-		rec.mu.RUnlock()
-		rec.mu.Lock()
+	e.Fill.RLock()
+	warm := e.Sealed()
+	if !e.Covers(s, t) {
+		e.Fill.RUnlock()
+		e.Fill.Lock()
 		start := time.Now()
 		var err error
-		if warm = rec.done; !warm {
+		if warm = e.Sealed(); !warm {
 			// The cold fill: everything absorbed, then every partition sealed
-			// (presorted, its local join's structure prebuilt).
-			if err = rec.absorbLocked(ctx, prep.Plan, s, t); err == nil {
-				exec.SealAll(rec.parts, band)
-				rec.done = true
+			// (presorted, its local join's structure prebuilt). A failed one
+			// leaves no entry: nothing is resident.
+			if err = e.Absorb(ctx, prep.Plan, s, t); err == nil {
+				p.reg.Seal(e, band, 0)
+			} else {
+				p.reg.Delete(e)
 			}
 			shuffleTime = time.Since(start)
-		} else if !rec.currentLocked(s, t) {
+		} else if !e.Covers(s, t) {
 			// The fill (possibly by a concurrent query holding an older
 			// snapshot) covers a prefix of this query's relations: absorb the
 			// appended suffix through the plan's routing before joining.
-			err = rec.absorbLocked(ctx, prep.Plan, s, t)
+			err = e.Absorb(ctx, prep.Plan, s, t)
 			absorbTime = time.Since(start)
 		}
-		rec.mu.Unlock()
+		e.Fill.Unlock()
 		if err != nil {
 			return nil, err
 		}
-		// Covered prefixes only grow, so the record still covers s and t.
-		rec.mu.RLock()
+		// Covered prefixes only grow, so the entry still covers s and t.
+		e.Fill.RLock()
 	}
-	res, err := exec.ExecutePartitions(ctx, prep.Plan, rec.parts, rec.totalInput, s.Len(), t.Len(), band, execOpts)
-	rec.mu.RUnlock()
+	res, err := e.Execute(ctx, prep.Plan, s.Len(), t.Len(), band, execOpts)
+	e.Fill.RUnlock()
 	if err != nil {
 		return nil, err
 	}
@@ -941,45 +880,27 @@ func (p *inProcessPlane) execute(ctx context.Context, prep *exec.Prepared, s, t 
 	return res, nil
 }
 
-// absorb eagerly appends rows past the retained record's covered prefixes to
+// absorb eagerly appends rows past the retained entry's covered prefixes to
 // the in-memory partitions. A plan with nothing retained (never filled, or
 // evicted) is a no-op: the next query fills cold from the full relations.
 func (p *inProcessPlane) absorb(ctx context.Context, prep *exec.Prepared, s, t *Relation, planID string) error {
-	p.mu.Lock()
-	rec := p.parts[planID]
-	p.mu.Unlock()
-	if rec == nil {
+	e := p.reg.Get(planID)
+	if e == nil {
 		return nil
 	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if !rec.done || rec.currentLocked(s, t) {
+	e.Fill.Lock()
+	defer e.Fill.Unlock()
+	if !e.Sealed() || e.Covers(s, t) {
 		return nil // a cold fill in progress covers a snapshot; its query catches up
 	}
-	return rec.absorbLocked(ctx, prep.Plan, s, t)
+	return e.Absorb(ctx, prep.Plan, s, t)
 }
 
-func (p *inProcessPlane) evict(planID string) {
-	p.mu.Lock()
-	delete(p.parts, planID)
-	p.mu.Unlock()
-}
+func (p *inProcessPlane) evict(planID string) { p.reg.Delete(p.reg.Get(planID)) }
 
-func (p *inProcessPlane) retained() (int, int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var bytes int64
-	for _, rec := range p.parts {
-		bytes += rec.bytes.Load()
-	}
-	return len(p.parts), bytes
-}
+func (p *inProcessPlane) retainedPlans() int { return p.reg.Len() }
 
-func (p *inProcessPlane) close() {
-	p.mu.Lock()
-	p.parts = nil
-	p.mu.Unlock()
-}
+func (p *inProcessPlane) retainedBytes() int64 { return p.reg.Bytes() }
 
 // clusterPlane executes across RPC workers; retained partitions live in the
 // workers' registries and warm queries ship zero shuffle bytes.
@@ -1008,8 +929,8 @@ func (p *clusterPlane) absorb(ctx context.Context, prep *exec.Prepared, s, t *Re
 
 func (p *clusterPlane) evict(planID string) { p.coord.EvictPlan(planID) }
 
-// retained reports the coordinator's sealed-shipment count; the bytes live on
+// retainedPlans is the coordinator's sealed-shipment count; the bytes live on
 // the workers, whose own registries report them (bandjoin_worker_retained_bytes).
-func (p *clusterPlane) retained() (int, int64) { return p.coord.RetainedPlans(), 0 }
+func (p *clusterPlane) retainedPlans() int { return p.coord.RetainedPlans() }
 
-func (p *clusterPlane) close() {}
+func (p *clusterPlane) retainedBytes() int64 { return 0 }

@@ -883,6 +883,12 @@ func (c *Coordinator) ensureShipped(ctx context.Context, rec *retainedPlanRec, p
 	if stale {
 		return shuffleStats{}, nil, false, errStalePlanRec
 	}
+	// A shipment that fails leaves no record: nothing of it is resident.
+	defer func() {
+		if !rec.shipped {
+			c.forget(opts.PlanID, rec)
+		}
+	}()
 	// Clear any half-shipped remnants of a previously failed shipment before
 	// shipping: a plan's entry accumulates across streams. The clearing is
 	// numbered like a shipment, so a stream that outlived an earlier shipment
@@ -1107,13 +1113,18 @@ func (c *Coordinator) EvictPlan(planID string) {
 	rec.mu.Lock()
 	rec.shipped = false
 	rec.slots = nil
+	c.forget(planID, rec)
+	c.evictWorkers(planID, 0)
+	rec.mu.Unlock()
+}
+
+// forget drops rec from the shipment records if it is still planID's.
+func (c *Coordinator) forget(planID string, rec *retainedPlanRec) {
 	c.mu.Lock()
 	if c.retainedPlans[planID] == rec {
 		delete(c.retainedPlans, planID)
 	}
 	c.mu.Unlock()
-	c.evictWorkers(planID, 0)
-	rec.mu.Unlock()
 }
 
 // evictWorkers drops the plan from every worker's registry, best effort; a

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -112,10 +113,8 @@ func (f *foldFixture) checkReply(t *testing.T, what string, jr *JoinReply) {
 }
 
 func (f *foldFixture) partition(pid int) *exec.Partition {
-	rs := f.w.retained["plan"]
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.partitions[pid]
+	pids, parts := f.w.retained.Get("plan").Partitions()
+	return parts[slices.Index(pids, pid)]
 }
 
 // TestFoldBetweenJoinPhases stages the one interleaving a fold makes dangerous.

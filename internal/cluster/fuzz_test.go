@@ -45,6 +45,13 @@ func FuzzShipment(f *testing.F) {
 	f.Add(encodeShipment(oneShotOf(data.Symmetric(0.5, 0.5)), testPart{s: r, t: r}.frames)) // an honest one-shot stream
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		w := shipmentFixture(t)
+		ids := []string{"p"} // the plans the stream may have touched
+		w.SetShipHook(func(ev *ShipEvent) error {
+			if ev.At == ShipOpen {
+				ids = append(ids, ev.PlanID)
+			}
+			return nil
+		})
 		_, err := shipBytes(w, stream)
 		if err != nil && !strings.HasPrefix(err.Error(), "cluster: ") {
 			t.Fatalf("the stream ended with an error not the worker's: %v", err)
@@ -53,9 +60,15 @@ func FuzzShipment(f *testing.F) {
 		if n, b := w.oneShots.Load(), w.oneShotBytes.Load(); n != 0 || b != 0 {
 			t.Fatalf("%d one-shot streams holding %d bytes open after the reply", n, b)
 		}
-		for id, rs := range w.retained {
-			for pid, p := range rs.partitions {
-				_, _, held, unlock := exec.LockForProbe([]*exec.Partition{p}, data.Symmetric(make([]float64, p.Dims())...), nil)
+		for _, id := range ids {
+			e := w.retained.Get(id)
+			if e == nil {
+				continue
+			}
+			pids, parts := e.Partitions()
+			for i, p := range parts {
+				pid := pids[i]
+				_, _, held, unlock := exec.LockForProbe([]int{pid}, []*exec.Partition{p}, data.Symmetric(make([]float64, p.Dims())...), nil)
 				in := held[0]
 				unlock()
 				if in.S.Len() != len(in.SIDs) || in.T.Len() != len(in.TIDs) {

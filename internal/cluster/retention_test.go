@@ -241,3 +241,102 @@ func TestWorkerMaxRetainedCap(t *testing.T) {
 		t.Fatalf("join of resident plan: %v", err)
 	}
 }
+
+// TestFailedShipmentLeavesNoRecord: a retained query whose every chunk is
+// refused fails, and leaves the coordinator recording nothing resident, as
+// the workers hold nothing; the next query ships cold and serves.
+func TestFailedShipmentLeavesNoRecord(t *testing.T) {
+	s, tt := data.ParetoPair(2, 1.3, 300, 23)
+	band := data.Symmetric(0.35, 0.35)
+	a, b := NewWorker("a"), NewWorker("b")
+	failA, failB := failShipments(a), failShipments(b)
+	coord, err := Dial([]string{serveWorker(t, a), serveWorker(t, b)})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer coord.Close()
+
+	plan, pctx := retainPlanFor(t, core.NewRecPartS(), s, tt, band, 2)
+	opts := Options{PlanID: "refused", CollectPairs: true, ChunkSize: 64}
+	failA.Store(true)
+	failB.Store(true)
+	if _, err := coord.RunPlan(context.Background(), plan, pctx, s, tt, band, opts); err == nil {
+		t.Fatal("a retained run whose every chunk is refused succeeded")
+	}
+	if n, na, nb := coord.RetainedPlans(), a.Retained(), b.Retained(); n != 0 || na != 0 || nb != 0 {
+		t.Errorf("after the failed shipment the coordinator records %d plans, the workers hold %d and %d; want none", n, na, nb)
+	}
+	failA.Store(false)
+	failB.Store(false)
+	res, err := coord.RunPlan(context.Background(), plan, pctx, s, tt, band, opts)
+	if err != nil {
+		t.Fatalf("RunPlan after the failure: %v", err)
+	}
+	samePairs(t, "after the failure vs nested loop", res.Pairs, definitionPairs(s, tt, band))
+	if coord.RetainedPlans() != 1 {
+		t.Errorf("the coordinator records %d plans after a cold shipment, want 1", coord.RetainedPlans())
+	}
+}
+
+// TestRetainedBytesMatchPartitions: each worker's Stats.RetainedBytes is
+// exec.Bytes over the partitions its registry holds, after a cold fill of two
+// plans, an S append absorbed into both, a T append absorbed lazily by one's
+// next query, and the eviction of the other.
+func TestRetainedBytesMatchPartitions(t *testing.T) {
+	fullS, fullT := data.ParetoPair(2, 1.5, 500, 31)
+	band := data.Symmetric(0.35, 0.35)
+	lc, err := StartLocal(2)
+	if err != nil {
+		t.Fatalf("StartLocal: %v", err)
+	}
+	defer lc.Stop()
+	coord, err := Dial(lc.Addrs())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer coord.Close()
+
+	ids := []string{"bytes-a", "bytes-b"}
+	check := func(when string) {
+		t.Helper()
+		for _, w := range lc.Handles() {
+			var parts []*exec.Partition
+			for _, id := range ids {
+				if e := w.retained.Get(id); e != nil {
+					_, ps := e.Partitions()
+					parts = append(parts, ps...)
+				}
+			}
+			var st StatsReply
+			if err := w.Stats(&StatsArgs{}, &st); err != nil {
+				t.Fatalf("Stats: %v", err)
+			}
+			if want := exec.Bytes(parts); st.RetainedBytes != want || want == 0 {
+				t.Errorf("%s: worker %s reports %d retained bytes, its partitions hold %d", when, w.name, st.RetainedBytes, want)
+			}
+		}
+	}
+	ctx := context.Background()
+	s, tt := extendPair(fullS, fullT, 400, 400)
+	plan, pctx := retainPlanFor(t, core.NewRecPartS(), s, tt, band, 2)
+	for _, id := range ids {
+		if _, err := coord.RunPlan(ctx, plan, pctx, s, tt, band, Options{PlanID: id, ChunkSize: 64}); err != nil {
+			t.Fatalf("cold RunPlan %s: %v", id, err)
+		}
+	}
+	check("after the cold fills")
+	s = fullS
+	for _, id := range ids {
+		if err := coord.AbsorbPlan(ctx, plan, pctx, s, tt, Options{PlanID: id, ChunkSize: 64}); err != nil {
+			t.Fatalf("AbsorbPlan %s: %v", id, err)
+		}
+	}
+	check("after the S append")
+	tt = fullT
+	if _, err := coord.RunPlan(ctx, plan, pctx, s, tt, band, Options{PlanID: ids[0], ChunkSize: 64}); err != nil {
+		t.Fatalf("RunPlan after the T append: %v", err)
+	}
+	check("after the T append")
+	coord.EvictPlan(ids[1])
+	check("after the eviction")
+}

@@ -163,9 +163,11 @@ func TestRoutedShipMatchesMaterialized(t *testing.T) {
 			// may also have landed out of order).
 			resident := 0
 			for _, w := range workers {
-				for pid, p := range w.retained[opts.PlanID].partitions {
+				pids, ps := w.retained.Get(opts.PlanID).Partitions()
+				for i, p := range ps {
+					pid := pids[i]
 					resident++
-					_, _, held, unlock := exec.LockForProbe([]*exec.Partition{p}, band, nil)
+					_, _, held, unlock := exec.LockForProbe([]int{pid}, []*exec.Partition{p}, band, nil)
 					in := held[0]
 					sameRows(t, fmt.Sprintf("partition %d S", pid), in.S, in.SIDs, parts[pid].S, parts[pid].SIDs)
 					sameRows(t, fmt.Sprintf("partition %d T", pid), in.T, in.TIDs, parts[pid].T, parts[pid].TIDs)

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"maps"
 	"math"
 	"net"
 	"net/rpc"
@@ -43,9 +42,11 @@ type Worker struct {
 	// ErrUnknownRetainedPlan and fall back to a cold shuffle).
 	maxRetained int
 
-	mu       sync.Mutex // guards closed, retained, sealSeq, draining
-	retained map[string]*retainedState
-	sealSeq  uint64
+	// mu guards closed, draining and the entries' fences; entries are opened
+	// and deleted under it (bar Seal's cap eviction), so an id's entry and its
+	// closed mark change together.
+	mu       sync.Mutex
+	retained exec.Registry[fence]
 
 	// closed maps the ids of the last closedPlans plans evicted for good
 	// (EvictArgs without Attempt) to their slot in closedRing, which holds the
@@ -164,12 +165,10 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 		return float64(w.oneShots.Load())
 	})
 	reg.GaugeFunc("bandjoin_worker_retained_plans", "Resident retained plans.", func() float64 {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return float64(len(w.retained))
+		return float64(w.retained.Len())
 	})
 	reg.GaugeFunc("bandjoin_worker_retained_bytes", "Approximate key/ID bytes held by retained plans.", func() float64 {
-		return float64(w.retainedBytes())
+		return float64(w.retained.Bytes())
 	})
 	reg.GaugeFunc("bandjoin_worker_transient_bytes", "Approximate key/ID bytes held by open one-shot streams.", func() float64 {
 		return float64(w.oneShotBytes.Load())
@@ -235,33 +234,17 @@ func (w *Worker) Drain(timeout time.Duration) bool {
 	}
 }
 
-// retainedState is one retained plan: its partitions, the seal bit that makes
-// it joinable, and its position in the seal order (for cap eviction). Its
-// mutex guards only the partitions map; every partition carries its own lock,
-// so streams append to different partitions in parallel, and a delta landing
-// on a partition whose join is running waits for that join instead of racing
-// it.
-type retainedState struct {
-	mu         sync.Mutex
-	partitions map[int]*exec.Partition
-	// attempt is the lowest shipment number this entry accepts streams of:
-	// the Attempt of the Evict that cleared it for a shipment, 0 if none did.
-	// Written only when the entry is created (under Worker.mu).
-	attempt int
-	sealed  bool
-	seq     uint64
-}
-
-func newRetained(attempt int) *retainedState {
-	return &retainedState{partitions: make(map[int]*exec.Partition), attempt: attempt}
-}
+// fence is what a worker keeps with each retained entry: the lowest shipment
+// number the entry accepts streams of, the Attempt of the Evict that cleared it
+// for a shipment, 0 if none did. It is set when the entry is opened, under
+// Worker.mu.
+type fence struct{ attempt int }
 
 // NewWorker returns a worker service with the given display name.
 func NewWorker(name string) *Worker {
 	w := &Worker{
 		name:        name,
 		closed:      make(map[string]int),
-		retained:    make(map[string]*retainedState),
 		wireVersion: wire.Version,
 		prepSem:     make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
@@ -315,29 +298,6 @@ type ShipEvent struct {
 // the worker starts serving.
 func (w *Worker) SetShipHook(fn func(*ShipEvent) error) { w.shipHook = fn }
 
-// retainedBytes approximates the key/ID bytes held by the retained-plan
-// registry. It takes w.mu only to copy the plan pointers, each plan's mu only
-// to copy its partition pointers and each partition's read lock only to sum,
-// so a scrape never holds two locks at once and cannot deadlock against a
-// stream (which locks the plan, then the partition).
-func (w *Worker) retainedBytes() int64 {
-	w.mu.Lock()
-	plans := make([]*retainedState, 0, len(w.retained))
-	for _, rs := range w.retained {
-		plans = append(plans, rs)
-	}
-	w.mu.Unlock()
-	var parts []*exec.Partition
-	for _, rs := range plans {
-		rs.mu.Lock()
-		for _, p := range rs.partitions {
-			parts = append(parts, p)
-		}
-		rs.mu.Unlock()
-	}
-	return exec.Bytes(parts)
-}
-
 // SetMaxRetained caps the number of sealed retained plans kept resident; n < 1
 // removes the cap. It must be called before the worker starts serving.
 func (w *Worker) SetMaxRetained(n int) {
@@ -349,11 +309,7 @@ func (w *Worker) SetMaxRetained(n int) {
 
 // Retained reports the number of resident retained plans (sealed or still
 // shipping).
-func (w *Worker) Retained() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.retained)
-}
+func (w *Worker) Retained() int { return w.retained.Len() }
 
 // ServeShipment reads one shipment stream from conn (after its magic, which
 // SplitConn consumed), answers it and closes conn.
@@ -600,18 +556,8 @@ func (st *shipStream) oneShot() (*JoinReply, error) {
 	}
 	stopBuilds()
 	w.m.joinRPCs.Inc()
-	pids, list := inPidOrder(parts)
+	pids, list := exec.InPidOrder(parts)
 	return &JoinReply{Worker: w.name, Partitions: w.join(pids, list, &st.hdr.JoinArgs, false)}, nil
-}
-
-// inPidOrder lists a map's partitions and their ids in ascending id order.
-func inPidOrder(parts map[int]*exec.Partition) ([]int, []*exec.Partition) {
-	pids := slices.Sorted(maps.Keys(parts))
-	list := make([]*exec.Partition, len(pids))
-	for i, pid := range pids {
-		list[i] = parts[pid]
-	}
-	return pids, list
 }
 
 // retained receives a retained or delta stream into its plan's entry,
@@ -622,41 +568,33 @@ func inPidOrder(parts map[int]*exec.Partition) ([]int, []*exec.Partition) {
 func (st *shipStream) retained() error {
 	w, h := st.w, &st.hdr
 	w.mu.Lock()
-	rs, ok := w.retained[h.PlanID]
+	e := w.retained.Get(h.PlanID)
 	_, closed := w.closed[h.PlanID]
 	var err error
 	switch {
-	case !ok && h.Delta:
+	case e == nil && h.Delta:
 		// A delta targets a plan the coordinator believes this worker holds;
 		// if the plan is gone (evicted, restarted), surface the retained-miss
 		// marker so the caller falls back to a cold shuffle instead of
 		// building a partial plan from the delta.
 		err = fmt.Errorf("%s %q", ErrUnknownRetainedPlan, h.PlanID)
-	case !ok && closed:
+	case e == nil && closed:
 		// Evicted for good: a shipment its coordinator gave up on, read late,
 		// would hold rows no Seal or Evict ever follows.
 		err = fmt.Errorf("retained plan %q is closed", h.PlanID)
-	case !ok:
-		rs = newRetained(0)
-		w.retained[h.PlanID] = rs
-	case !h.Delta && rs.sealed:
+	case e == nil:
+		e = w.retained.Open(h.PlanID)
+	case !h.Delta && e.Sealed():
 		err = fmt.Errorf("retained plan %q is sealed", h.PlanID)
 	}
-	if err == nil && !h.Delta && h.Attempt < rs.attempt {
-		err = fmt.Errorf("shipment %d to %q, which was cleared for shipment %d", h.Attempt, h.PlanID, rs.attempt)
+	if err == nil && !h.Delta && h.Attempt < e.Meta.attempt {
+		err = fmt.Errorf("shipment %d to %q, which was cleared for shipment %d", h.Attempt, h.PlanID, e.Meta.attempt)
 	}
 	w.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return st.partitions(func(pid, dims int) (*exec.Partition, error) {
-		rs.mu.Lock()
-		defer rs.mu.Unlock()
-		if rs.partitions[pid] == nil {
-			rs.partitions[pid] = exec.NewPartition(dims)
-		}
-		return rs.partitions[pid], nil
-	}, nil)
+	return st.partitions(func(pid, dims int) (*exec.Partition, error) { return e.Partition(pid, dims), nil }, nil)
 }
 
 // Join implements the RPC method running all local joins of a sealed retained
@@ -673,20 +611,15 @@ func (w *Worker) Join(args *JoinArgs, reply *JoinReply) error {
 		return fmt.Errorf("cluster: invalid band condition: %w", err)
 	}
 	w.m.joinRPCs.Inc()
-	w.mu.Lock()
-	rs := w.retained[args.PlanID]
-	if rs == nil || !rs.sealed {
-		w.mu.Unlock()
+	e := w.retained.Get(args.PlanID)
+	if e == nil || !e.Sealed() {
 		w.m.retainedMisses.Inc()
 		return fmt.Errorf("cluster: worker %s: %s %q", w.name, ErrUnknownRetainedPlan, args.PlanID)
 	}
 	w.m.retainedHits.Inc()
-	w.mu.Unlock()
 	reply.Worker = w.name
 
-	rs.mu.Lock()
-	pids, parts := inPidOrder(rs.partitions)
-	rs.mu.Unlock()
+	pids, parts := e.Partitions()
 	for i, p := range parts {
 		if p.Dims() != args.Band.Dims() {
 			return fmt.Errorf("cluster: worker %s: band condition has %d dimensions but partition %d has %d",
@@ -727,14 +660,13 @@ func (w *Worker) join(pids []int, parts []*exec.Partition, args *JoinArgs, refre
 			}
 		}
 	}
-	jobs, recs, held, unlock := exec.LockForProbe(parts, args.Band, refreshed)
+	jobs, recs, held, unlock := exec.LockForProbe(pids, parts, args.Band, refreshed)
 	defer unlock()
 	// The context never cancels (joins run to completion), so the only error
 	// path of JoinPartitions is unreachable here.
 	mstats, _ := exec.JoinPartitions(context.Background(), recs, jobs, func(i int) ([]int64, []int64) { return held[i].SIDs, held[i].TIDs },
 		args.MorselRows, args.CollectPairs)
 	for i := range recs {
-		recs[i].Partition = pids[i]
 		w.m.partitionsJoined.Inc()
 		w.m.pairsEmitted.Add(recs[i].Output)
 		w.m.partitionJoinSeconds.Observe(float64(recs[i].JoinNanos) / 1e9)
@@ -785,55 +717,21 @@ func (w *Worker) Seal(args *SealArgs, reply *SealReply) error {
 		return fmt.Errorf("cluster: worker %s: Seal requires a plan id", w.name)
 	}
 	w.mu.Lock()
-	rs, ok := w.retained[args.PlanID]
-	if !ok {
+	e := w.retained.Get(args.PlanID)
+	if e == nil {
 		if _, closed := w.closed[args.PlanID]; closed {
 			w.mu.Unlock()
 			return fmt.Errorf("cluster: worker %s: retained plan %q is closed", w.name, args.PlanID)
 		}
-		rs = newRetained(0)
-		w.retained[args.PlanID] = rs
-	}
-	var parts []*exec.Partition
-	if !rs.sealed {
-		rs.mu.Lock()
-		parts = slices.Collect(maps.Values(rs.partitions))
-		rs.mu.Unlock()
+		e = w.retained.Open(args.PlanID)
 	}
 	w.mu.Unlock()
 
-	// Seal outside the registry lock; each partition is presorted under its
-	// own write lock, so a straggler stream cannot race the reorder.
-	exec.SealAll(parts, args.Band)
-
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	rs.sealed = true
-	w.sealSeq++
-	rs.seq = w.sealSeq
-	reply.Partitions = len(rs.partitions)
-	if w.maxRetained > 0 {
-		for len(w.retained) > w.maxRetained {
-			// Only sealed plans are eviction candidates: an unsealed entry is
-			// a shipment in progress (its zero seq would otherwise always sort
-			// oldest), and evicting it mid-shipment would silently truncate
-			// the data its Seal later marks joinable.
-			oldest, oldestSeq := "", uint64(0)
-			for id, r := range w.retained {
-				if id == args.PlanID || !r.sealed {
-					continue
-				}
-				if oldest == "" || r.seq < oldestSeq {
-					oldest, oldestSeq = id, r.seq
-				}
-			}
-			if oldest == "" {
-				break
-			}
-			delete(w.retained, oldest)
-			w.m.evictions.Inc()
-		}
-	}
+	// Seal outside w.mu; each partition is presorted under its own write
+	// lock, so a straggler stream cannot race the reorder.
+	w.m.evictions.Add(int64(w.retained.Seal(e, args.Band, w.maxRetained)))
+	pids, _ := e.Partitions()
+	reply.Partitions = len(pids)
 	w.m.seals.Inc()
 	return nil
 }
@@ -847,21 +745,19 @@ func (w *Worker) Evict(args *EvictArgs, reply *EvictReply) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if args.PlanID == "" {
-		reply.Existed = len(w.retained) > 0
-		w.m.evictions.Add(int64(len(w.retained)))
-		w.retained = make(map[string]*retainedState)
+		n := w.retained.Clear()
+		reply.Existed = n > 0
+		w.m.evictions.Add(int64(n))
 		return nil
 	}
-	_, reply.Existed = w.retained[args.PlanID]
-	if reply.Existed {
+	if reply.Existed = w.retained.Delete(w.retained.Get(args.PlanID)); reply.Existed {
 		w.m.evictions.Inc()
 	}
-	delete(w.retained, args.PlanID)
 	if args.Attempt > 0 {
 		// Cleared to be shipped again: keep an unsealed, empty entry that
 		// refuses the aborted shipment's late streams.
 		delete(w.closed, args.PlanID)
-		w.retained[args.PlanID] = newRetained(args.Attempt)
+		w.retained.Open(args.PlanID).Meta.attempt = args.Attempt
 	} else {
 		w.closeLocked(args.PlanID)
 	}
@@ -874,7 +770,7 @@ func (w *Worker) Ping(_ *PingArgs, reply *PingReply) error {
 	defer w.mu.Unlock()
 	reply.Worker = w.name
 	reply.Jobs = int(w.oneShots.Load())
-	reply.Retained = len(w.retained)
+	reply.Retained = w.retained.Len()
 	reply.Draining = w.draining
 	reply.WireVersion = w.wireVersion
 	return nil
@@ -888,11 +784,10 @@ func (w *Worker) Stats(_ *StatsArgs, reply *StatsReply) error {
 	w.mu.Lock()
 	reply.Worker = w.name
 	reply.Draining = w.draining
-	reply.RetainedPlans = len(w.retained)
 	w.mu.Unlock()
 
-	// Byte sums take per-plan/per-partition locks; w.mu is already released.
-	reply.RetainedBytes = w.retainedBytes()
+	reply.RetainedPlans = w.retained.Len()
+	reply.RetainedBytes = w.retained.Bytes()
 	reply.Jobs = int(w.oneShots.Load())
 	reply.TransientBytes = w.oneShotBytes.Load()
 

@@ -243,7 +243,7 @@ func Run(pt partition.Partitioner, s, t *data.Relation, band data.Band, opts Opt
 // ExecutePlan routes s and t through an already-computed plan (Route) and runs
 // the local joins without materialising the shuffle: each non-empty partition
 // is one morsel job whose Build fills a pooled Partition from the routed lists
-// (appendRouted, as AppendRouted fills a retained one) and prepares it once,
+// (appendRouted, as Entry.Absorb fills a retained one) and prepares it once,
 // and whose release hands the structure and then the partition back after the
 // partition's last morsel, so only the partitions in flight are held at once
 // and each fills the storage an earlier one left. Cancelling ctx aborts the run
@@ -297,7 +297,7 @@ func PrepareShuffled(parts []*PartitionInput, band data.Band, _ any, parallelism
 // ExecuteShuffledPrepared runs the reduce phase (local joins, worker
 // placement, and accounting) over Shuffle's partition inputs, for the
 // benchmark's replay and the skew and scaling harnesses (the engine's retained
-// plans join through ExecutePartitions). totalInput is the routed tuple count
+// plans join through Entry.Execute). totalInput is the routed tuple count
 // I the shuffle reported; inputS and inputT are the original relation
 // cardinalities. Partitions with a non-nil entry in prepared
 // (PrepareShuffled's, for the same band) probe that structure; prepared may be
@@ -324,20 +324,6 @@ func ExecuteShuffledPrepared(ctx context.Context, plan partition.Plan, parts []*
 		in = append(in, p)
 	}
 	return reduce(ctx, plan, len(parts), recs, jobs, func(i int) ([]int64, []int64) { return in[i].SIDs, in[i].TIDs },
-		totalInput, inputS, inputT, opts)
-}
-
-// ExecutePartitions is ExecuteShuffledPrepared over partitions kept between
-// queries (the in-process plane's retained plans): LockForProbe refreshes each
-// for band and holds it read-locked through the joins, and the result reports
-// what the refreshes took (StaleRebuildTime, Folds, FoldTime).
-func ExecutePartitions(ctx context.Context, plan partition.Plan, parts []*Partition, totalInput int64, inputS, inputT int, band data.Band, opts Options) (*Result, error) {
-	if opts.Workers < 1 {
-		return nil, fmt.Errorf("exec: need at least one worker, got %d", opts.Workers)
-	}
-	jobs, recs, held, unlock := LockForProbe(parts, band, func(int, int64, int64) {})
-	defer unlock()
-	return reduce(ctx, plan, len(parts), recs, jobs, func(i int) ([]int64, []int64) { return held[i].SIDs, held[i].TIDs },
 		totalInput, inputS, inputT, opts)
 }
 

@@ -72,11 +72,6 @@ func (p *Partition) prepareLocked(band data.Band) {
 	p.prep, p.band = localjoin.Prepare(p.s, p.t, band), bandKey(band)
 }
 
-// SealAll seals every non-nil partition, GOMAXPROCS at a time.
-func SealAll(parts []*Partition, band data.Band) {
-	each(parts, 0, func(_ int, p *Partition) { p.Seal(band) })
-}
-
 // Append adds rows to one side, S or (toT) T, under the write lock: fill
 // appends them to the side's relation and IDs (a worker decodes a chunk
 // straight into them), must leave both at their previous lengths when it
@@ -99,29 +94,9 @@ func (p *Partition) Append(toT bool, fill func(rel *data.Relation, ids *[]int64)
 	return p.s.Len(), p.t.Len(), err
 }
 
-// AppendRouted appends a routing's rows to the partitions it names —
-// parts[pid] for partition pid, created by NewPartition the first time a
-// routing sends it a row — and returns parts, grown to r.NumPartitions,
-// several partitions at a time (appendRouted): a worker's shipment stream
-// without the wire.
-func AppendRouted(parts []*Partition, r *Routed) []*Partition {
-	if n := r.NumPartitions - len(parts); n > 0 {
-		parts = append(parts, make([]*Partition, n)...)
-	}
-	routed := make([]*Partition, len(parts))
-	for _, pid := range r.NonEmpty() {
-		if parts[pid] == nil {
-			parts[pid] = NewPartition(r.S.Rel.Dims())
-		}
-		routed[pid] = parts[pid]
-	}
-	each(routed, 0, func(pid int, p *Partition) { p.appendRouted(r, pid) })
-	return parts
-}
-
 // appendRouted appends partition pid's routed rows to p, each side through
 // Append, gathered straight from the routed lists into the rows GrowRows
-// reserves.
+// reserves: Entry.Absorb's fill, and a pooled partition's (ExecutePlan).
 func (p *Partition) appendRouted(r *Routed, pid int) {
 	for side, rs := range [2]*RoutedSide{&r.S, &r.T} {
 		if n := rs.Rows(pid); n > 0 {
@@ -212,15 +187,15 @@ func Bytes(parts []*Partition) int64 {
 	return total
 }
 
-// LockForProbe sets up one join of the partitions (nil entries are skipped)
-// for band. With refreshed set, each partition is refreshed first (Refresh, at
-// most GOMAXPROCS at a time) and refreshed(i, rebuildNanos, foldNanos) is
-// called as soon as parts[i]'s refresh returns. Then each partition is
-// read-locked and jobs[i], its morsel job (job), built under that lock.
-// recs[i] is its record for JoinPartitions, with the partition index i, both
+// LockForProbe sets up one join of the partitions, parts[i] being partition
+// pids[i], for band. With refreshed set, each partition is refreshed first
+// (Refresh, at most GOMAXPROCS at a time) and refreshed(i, rebuildNanos,
+// foldNanos) is called as soon as parts[i]'s refresh returns. Then each
+// partition is read-locked and jobs[i], its morsel job (job), built under that
+// lock. recs[i] is its record for JoinPartitions, with its partition id, both
 // sides' row counts and what the refresh took (RebuildNanos, FoldNanos)
-// filled in, and held[i] holds the rows and tuple IDs the job's pairs index. Both stay valid until the caller, done with
-// them, calls unlock.
+// filled in, and held[i] holds the rows and tuple IDs the job's pairs index.
+// Both stay valid until the caller, done with them, calls unlock.
 //
 // The read locks are taken only here, from one goroutine, in index order, with
 // no other partition lock held: concurrent joins of the same partitions each
@@ -228,7 +203,7 @@ func Bytes(parts []*Partition) int64 {
 // readers, and any other order lets two joins wait on each other's
 // partitions. A refresh or an append holds one write lock at a time and waits
 // for nothing while it does.
-func LockForProbe(parts []*Partition, band data.Band, refreshed func(i int, rebuildNanos, foldNanos int64)) (jobs []MorselJob, recs []PartitionStats, held []*PartitionInput, unlock func()) {
+func LockForProbe(pids []int, parts []*Partition, band data.Band, refreshed func(i int, rebuildNanos, foldNanos int64)) (jobs []MorselJob, recs []PartitionStats, held []*PartitionInput, unlock func()) {
 	recs = make([]PartitionStats, len(parts))
 	if refreshed != nil {
 		each(parts, 0, func(i int, p *Partition) {
@@ -239,20 +214,14 @@ func LockForProbe(parts []*Partition, band data.Band, refreshed func(i int, rebu
 	}
 	jobs, held = make([]MorselJob, len(parts)), make([]*PartitionInput, len(parts))
 	for i, p := range parts {
-		recs[i].Partition = i
-		if p == nil {
-			continue
-		}
 		p.mu.RLock()
 		jobs[i] = p.job(band, nil)
 		held[i] = &PartitionInput{S: p.s, SIDs: p.sIDs, T: p.t, TIDs: p.tIDs}
-		recs[i].InputS, recs[i].InputT = p.s.Len(), p.t.Len()
+		recs[i].Partition, recs[i].InputS, recs[i].InputT = pids[i], p.s.Len(), p.t.Len()
 	}
 	return jobs, recs, held, func() {
 		for _, p := range parts {
-			if p != nil {
-				p.mu.RUnlock()
-			}
+			p.mu.RUnlock()
 		}
 	}
 }

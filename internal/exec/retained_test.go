@@ -48,7 +48,7 @@ func sealedPartition(s *data.Relation, sIDs []int64, t *data.Relation, tIDs []in
 // partition's record.
 func probedPairs(t *testing.T, p *Partition, band data.Band) (got, want []Pair, rec PartitionStats) {
 	t.Helper()
-	jobs, recs, held, unlock := LockForProbe([]*Partition{p}, band, func(int, int64, int64) {})
+	jobs, recs, held, unlock := LockForProbe([]int{0}, []*Partition{p}, band, func(int, int64, int64) {})
 	defer unlock()
 	in := held[0]
 	if _, err := JoinPartitions(context.Background(), recs, jobs, func(int) ([]int64, []int64) { return in.SIDs, in.TIDs }, 7, true); err != nil {
@@ -200,25 +200,25 @@ func TestPartitionConcurrentAppendRefreshProbe(t *testing.T) {
 	}
 }
 
-// TestAppendRoutedMatchesShuffle: partitions AppendRouted fills, once sealed,
-// hold exactly the rows and tuple IDs of Shuffle's output (with ShuffleDelta's
-// appended to it) sorted as the seal sorts, partition by partition. The fill is
-// of whole relations, or of one row a side followed by a delta that leaves one
-// side empty and names partitions the fill left empty; absorbing that delta
-// after the fill must equal filling the extended relations at once. The plans
-// are RecPart-S, 1-Bucket, whose assignment reads the tuple ID, and Grid-ε,
-// which discovers partitions while AppendRouted's routing runs (the shuffles
-// run after it and reuse the plan's numbering).
+// TestAppendRoutedMatchesShuffle: partitions an entry's Absorb fills (each
+// through appendRouted), once sealed, hold exactly the rows and tuple IDs of
+// Shuffle's output (with ShuffleDelta's appended to it) sorted as the seal
+// sorts, partition by partition. The fill is of whole relations, or of one row
+// a side followed by a delta that leaves one side empty and names partitions
+// the fill left empty; absorbing that delta after the fill must equal filling
+// the extended relations at once. The plans are RecPart-S, 1-Bucket, whose
+// assignment reads the tuple ID, and Grid-ε, which discovers partitions while
+// Absorb's routing runs (the shuffles run after it and reuse the plan's
+// numbering).
 func TestAppendRoutedMatchesShuffle(t *testing.T) {
 	s, tt := data.ParetoPair(2, 1.5, 900, 17)
 	band := data.Symmetric(0.4, 0.4)
 	ctx := context.Background()
-	held := func(parts []*Partition) []*PartitionInput {
-		out := make([]*PartitionInput, len(parts))
-		for pid, p := range parts {
-			if p != nil {
-				out[pid] = &PartitionInput{S: p.s, SIDs: p.sIDs, T: p.t, TIDs: p.tIDs}
-			}
+	held := func(e *Entry[struct{}]) []*PartitionInput {
+		out := make([]*PartitionInput, e.n)
+		pids, parts := e.Partitions()
+		for i, p := range parts {
+			out[pids[i]] = &PartitionInput{S: p.s, SIDs: p.sIDs, T: p.t, TIDs: p.tIDs}
 		}
 		return out
 	}
@@ -236,24 +236,28 @@ func TestAppendRoutedMatchesShuffle(t *testing.T) {
 				plan := planFor(t, pt, s, tt, band, 6)
 				fillS, fillT := s.Slice("S", 0, tc.sFill), tt.Slice("T", 0, tc.tFill)
 				deltaS, deltaT := s.Slice("S", tc.sFill, tc.sEnd), tt.Slice("T", tc.tFill, tc.tEnd)
-				route := func(s, tt *data.Relation, sBase, tBase int) *Routed {
+				absorb := func(e *Entry[struct{}], s, tt *data.Relation) {
 					t.Helper()
-					r, err := Route(ctx, plan, s, tt, sBase, tBase, 3)
-					if err != nil {
-						t.Fatalf("Route: %v", err)
+					if err := e.Absorb(ctx, plan, s, tt); err != nil {
+						t.Fatalf("Absorb: %v", err)
 					}
-					return r
 				}
 
-				parts := AppendRouted(nil, route(fillS, fillT, 0, 0))
-				filled := slices.Clone(parts)
-				parts = AppendRouted(parts, route(deltaS, deltaT, tc.sFill, tc.tFill))
-				if tc.name != "whole" && len(slices.DeleteFunc(slices.Clone(parts), func(p *Partition) bool {
-					return p == nil || slices.Contains(filled, p)
+				var reg Registry[struct{}]
+				e := reg.Open("filled")
+				absorb(e, fillS, fillT)
+				_, filled := e.Partitions()
+				absorb(e, s.Slice("S", 0, tc.sEnd), tt.Slice("T", 0, tc.tEnd))
+				_, parts := e.Partitions()
+				if tc.name != "whole" && len(slices.DeleteFunc(parts, func(p *Partition) bool {
+					return slices.Contains(filled, p)
 				})) == 0 {
 					t.Fatal("the delta names no partition the fill left empty; the case exercises nothing")
 				}
-				SealAll(parts, band)
+				_, parts = e.Partitions()
+				for _, p := range parts {
+					p.Seal(band)
+				}
 
 				shuffled, _, err := Shuffle(ctx, plan, fillS, fillT, 3)
 				if err != nil {
@@ -284,11 +288,15 @@ func TestAppendRoutedMatchesShuffle(t *testing.T) {
 						w.T, w.TIDs = sortByDim0(w.T, w.TIDs, 0)
 					}
 				}
-				equalParts(t, want, held(parts))
+				equalParts(t, want, held(e))
 
-				whole := AppendRouted(nil, route(s.Slice("S", 0, tc.sEnd), tt.Slice("T", 0, tc.tEnd), 0, 0))
-				SealAll(whole, band)
-				equalParts(t, held(whole), held(parts))
+				whole := reg.Open("whole")
+				absorb(whole, s.Slice("S", 0, tc.sEnd), tt.Slice("T", 0, tc.tEnd))
+				_, wholeParts := whole.Partitions()
+				for _, p := range wholeParts {
+					p.Seal(band)
+				}
+				equalParts(t, held(whole), held(e))
 			})
 		}
 	}

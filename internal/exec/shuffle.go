@@ -19,7 +19,7 @@ import (
 // tuple's ID is its row number plus the side's base, so the routed lists name
 // everything a partition holds without copying a key. The RPC coordinator
 // ships from them, gathering one chunk at a time out of the source relations
-// (RoutedSide.Gather); AppendRouted gathers each partition into a retained
+// (RoutedSide.Gather); Entry.Absorb gathers each partition into a retained
 // in-process Partition as a worker's stream would fill it, and ExecutePlan
 // gathers each the same way into a pooled Partition when its join reaches it,
 // which goes back to the pool for the next after the partition's last morsel.
@@ -305,7 +305,7 @@ func Shuffle(ctx context.Context, plan partition.Plan, s, t *data.Relation, shar
 // returned, so a delta shuffle's IDs are exactly what that full shuffle would
 // have assigned those rows. Either delta may be empty, and nothing returned
 // aliases the deltas. Like Shuffle, it serves the benchmark's replay; the
-// engine absorbs a delta through Route and AppendRouted.
+// engine absorbs a delta through Entry.Absorb.
 func ShuffleDelta(ctx context.Context, plan partition.Plan, deltaS, deltaT *data.Relation, sBase, tBase int, shards int) ([]*PartitionInput, int64, error) {
 	r, err := Route(ctx, plan, deltaS, deltaT, sBase, tBase, shards)
 	if err != nil {
