@@ -824,8 +824,8 @@ type enginePlane interface {
 }
 
 // inProcessPlane executes on the in-process cluster simulator and retains
-// shuffled partitions in memory, one registry entry per fingerprint, whose Fill
-// lock plays the role of the coordinator's shipment record.
+// shuffled partitions in memory, one registry entry per fingerprint, filled
+// under the entry's Fill lock as a coordinator ships under its own entry's.
 type inProcessPlane struct {
 	reg exec.Registry[struct{}]
 }
@@ -839,38 +839,38 @@ func (p *inProcessPlane) execute(ctx context.Context, prep *exec.Prepared, s, t 
 	}
 
 	e := p.reg.Open(planID)
-	var shuffleTime, absorbTime time.Duration
-	e.Fill.RLock()
+	var shuffleTime time.Duration
 	warm := e.Sealed()
-	if !e.Covers(s, t) {
-		e.Fill.RUnlock()
+	if !warm {
+		// The cold fill: everything absorbed, then every partition sealed
+		// (presorted, its local join's structure prebuilt), under the write
+		// lock, so concurrent first queries wait for one fill. A failed one
+		// leaves no entry: nothing is resident.
 		e.Fill.Lock()
-		start := time.Now()
 		var err error
 		if warm = e.Sealed(); !warm {
-			// The cold fill: everything absorbed, then every partition sealed
-			// (presorted, its local join's structure prebuilt). A failed one
-			// leaves no entry: nothing is resident.
-			if err = e.Absorb(ctx, prep.Plan, s, t); err == nil {
+			start := time.Now()
+			if err = e.Absorb(ctx, prep.Plan, s, t, nil); err == nil {
 				p.reg.Seal(e, band, 0)
 			} else {
 				p.reg.Delete(e)
 			}
 			shuffleTime = time.Since(start)
-		} else if !e.Covers(s, t) {
-			// The fill (possibly by a concurrent query holding an older
-			// snapshot) covers a prefix of this query's relations: absorb the
-			// appended suffix through the plan's routing before joining.
-			err = e.Absorb(ctx, prep.Plan, s, t)
-			absorbTime = time.Since(start)
 		}
 		e.Fill.Unlock()
 		if err != nil {
 			return nil, err
 		}
-		// Covered prefixes only grow, so the entry still covers s and t.
-		e.Fill.RLock()
 	}
+	// The fill (possibly by a concurrent query holding an older snapshot) may
+	// cover a prefix of this query's relations: absorb the appended suffix
+	// through the plan's routing before joining. Covered prefixes only grow,
+	// so the entry still covers s and t when the join takes the read lock.
+	_, absorbTime, err := e.CatchUp(ctx, prep.Plan, s, t, nil)
+	if err != nil {
+		return nil, err
+	}
+	e.Fill.RLock()
 	res, err := e.Execute(ctx, prep.Plan, s.Len(), t.Len(), band, execOpts)
 	e.Fill.RUnlock()
 	if err != nil {
@@ -881,19 +881,16 @@ func (p *inProcessPlane) execute(ctx context.Context, prep *exec.Prepared, s, t 
 }
 
 // absorb eagerly appends rows past the retained entry's covered prefixes to
-// the in-memory partitions. A plan with nothing retained (never filled, or
-// evicted) is a no-op: the next query fills cold from the full relations.
+// the in-memory partitions (Entry.CatchUp). A plan with nothing retained
+// (never filled, or evicted) is a no-op: the next query fills cold from the
+// full relations.
 func (p *inProcessPlane) absorb(ctx context.Context, prep *exec.Prepared, s, t *Relation, planID string) error {
 	e := p.reg.Get(planID)
 	if e == nil {
 		return nil
 	}
-	e.Fill.Lock()
-	defer e.Fill.Unlock()
-	if !e.Sealed() || e.Covers(s, t) {
-		return nil // a cold fill in progress covers a snapshot; its query catches up
-	}
-	return e.Absorb(ctx, prep.Plan, s, t)
+	_, _, err := e.CatchUp(ctx, prep.Plan, s, t, nil)
+	return err
 }
 
 func (p *inProcessPlane) evict(planID string) { p.reg.Delete(p.reg.Get(planID)) }

@@ -285,6 +285,72 @@ func TestEngineConcurrentJoins(t *testing.T) {
 	}
 }
 
+// TestConcurrentFirstQueriesFillOnce: on both planes, eight concurrent first
+// queries of one plan give the one-shot oracle's pairs, and exactly one of them
+// fills (in process) or ships (on the cluster) the retained partitions — the
+// entry's Fill lock makes the others wait and join warm. On the cluster the
+// queries' chunk frames sum to one cold shipment's, which an engine of its own
+// measures on the same workers.
+func TestConcurrentFirstQueriesFillOnce(t *testing.T) {
+	s, tt := bandjoin.Pareto(2, 1.4, 600, 37)
+	band := bandjoin.Uniform(2, 0.15)
+	opts := bandjoin.Options{Workers: 3, CollectPairs: true, Seed: 5}
+	oracle, err := bandjoin.Join(s, tt, band, opts)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	engine := func(t *testing.T, newEngine func(bandjoin.EngineOptions) *bandjoin.Engine) *bandjoin.Engine {
+		t.Helper()
+		e := newEngine(bandjoin.EngineOptions{})
+		t.Cleanup(e.Close)
+		for name, r := range map[string]*bandjoin.Relation{"s": s, "t": tt} {
+			if err := e.Register(name, r); err != nil {
+				t.Fatalf("Register: %v", err)
+			}
+		}
+		return e
+	}
+
+	for planeName, newEngine := range enginePlanes(t, 3) {
+		t.Run(planeName, func(t *testing.T) {
+			cold, err := engine(t, newEngine).Join(context.Background(), "s", "t", band, opts)
+			if err != nil {
+				t.Fatalf("reference cold Join: %v", err)
+			}
+			e := engine(t, newEngine)
+			const goroutines = 8
+			results := make([]*bandjoin.Result, goroutines)
+			errs := make([]error, goroutines)
+			var wg sync.WaitGroup
+			for g := range goroutines {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					results[g], errs[g] = e.Join(context.Background(), "s", "t", band, opts)
+				}()
+			}
+			wg.Wait()
+			coldRuns, rpcs := 0, int64(0)
+			for g, res := range results {
+				if errs[g] != nil {
+					t.Fatalf("goroutine %d: %v", g, errs[g])
+				}
+				pairsEqual(t, fmt.Sprintf("goroutine %d vs one-shot", g), res.Pairs, oracle.Pairs)
+				if !res.WarmPartitions {
+					coldRuns++
+				}
+				rpcs += res.ShuffleRPCs
+			}
+			if coldRuns != 1 {
+				t.Errorf("%d of %d first queries ran cold, want exactly 1", coldRuns, goroutines)
+			}
+			if planeName == "cluster" && (rpcs != cold.ShuffleRPCs || rpcs == 0) {
+				t.Errorf("the first queries shipped %d chunk frames in all, one cold shipment ships %d", rpcs, cold.ShuffleRPCs)
+			}
+		})
+	}
+}
+
 // TestEngineUnregisterInvalidates: replacing or removing a dataset must
 // invalidate cached samples and plans so no query ever serves stale data.
 func TestEngineUnregisterInvalidates(t *testing.T) {

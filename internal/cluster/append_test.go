@@ -178,29 +178,27 @@ func TestDeltaIntoPartitionNewToThePlan(t *testing.T) {
 	if _, err := coord.RunPlan(context.Background(), plan, pctx, baseS, baseT, band, opts); err != nil {
 		t.Fatalf("cold RunPlan: %v", err)
 	}
-	coord.mu.Lock()
-	rec := coord.retainedPlans[opts.PlanID]
-	coord.mu.Unlock()
-	rec.mu.RLock()
-	shipped := maps.Clone(rec.pidSlot)
-	rec.mu.RUnlock()
+	e := coord.retained.Get(opts.PlanID)
+	e.Fill.RLock()
+	shipped := maps.Clone(e.Meta.pidSlot)
+	e.Fill.RUnlock()
 
 	if err := coord.AbsorbPlan(context.Background(), plan, pctx, fullS, fullT, opts); err != nil {
 		t.Fatalf("AbsorbPlan: %v", err)
 	}
-	rec.mu.RLock()
-	place := exec.Placement(plan, pctx, len(rec.slots))
+	e.Fill.RLock()
+	place := exec.Placement(plan, pctx, len(e.Meta.slots))
 	added := 0
-	for pid, slot := range rec.pidSlot {
+	for pid, slot := range e.Meta.pidSlot {
 		if _, ok := shipped[pid]; ok {
 			continue
 		}
 		added++
-		if want := rec.slots[place(pid)]; slot != want {
+		if want := e.Meta.slots[place(pid)]; slot != want {
 			t.Errorf("new partition %d went to slot %d, the placement says %d", pid, slot, want)
 		}
 	}
-	rec.mu.RUnlock()
+	e.Fill.RUnlock()
 	if added == 0 {
 		t.Fatalf("the delta created no partition new to the plan (%d partitions shipped)", len(shipped))
 	}

@@ -58,10 +58,10 @@ type Coordinator struct {
 	hbWG      sync.WaitGroup
 	closeOnce sync.Once
 
-	// mu guards retainedPlans, the coordinator-side record of which plan
-	// fingerprints have been fully shipped and sealed on the workers.
-	mu            sync.Mutex
-	retainedPlans map[string]*retainedPlanRec
+	// retained holds one entry per plan fingerprint that is sealed on the
+	// workers or being shipped to them; an entry's Fill lock is its shipment
+	// lock, its covered prefixes and routed total are the shipment's.
+	retained exec.Registry[shipment]
 
 	// shipments numbers every shipment this coordinator makes, to any worker
 	// under any plan fingerprint (see ShipHeader.Attempt): one monotone
@@ -115,7 +115,7 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 	reg.GaugeFunc("bandjoin_coord_live_workers", "Workers not currently marked down.", func() float64 {
 		return float64(c.LiveWorkers())
 	})
-	reg.GaugeFunc("bandjoin_coord_retained_plans", "Plan fingerprints with a sealed shipment record.", func() float64 {
+	reg.GaugeFunc("bandjoin_coord_retained_plans", "Plan fingerprints whose shipment is sealed or shipping.", func() float64 {
 		return float64(c.RetainedPlans())
 	})
 	reg.GaugeFunc("bandjoin_coord_shuffle_compression_ratio",
@@ -144,33 +144,19 @@ func (m *coordMetrics) transition(_, to WorkerState) {
 // Metrics returns the coordinator's metrics registry.
 func (c *Coordinator) Metrics() *obs.Registry { return c.m.reg }
 
-// RetainedPlans returns the number of plan fingerprints the coordinator
-// currently records as shipped (warm) on the workers.
-func (c *Coordinator) RetainedPlans() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.retainedPlans)
-}
+// RetainedPlans returns the number of plan fingerprints whose shipment to the
+// workers is sealed or shipping (an EvictPlan in progress holds one too).
+func (c *Coordinator) RetainedPlans() int { return c.retained.Len() }
 
-// retainedPlanRec tracks one retained plan's shipment. Its RWMutex serializes
-// shipping against itself (exactly one shuffle per fingerprint, concurrent
-// first queries wait and then join warm) while letting any number of warm
-// queries proceed concurrently under read locks.
-type retainedPlanRec struct {
-	mu         sync.RWMutex
-	shipped    bool
-	totalInput int64
+// shipment is what the coordinator keeps with a retained plan's entry beside
+// the entry's covered prefixes and routed total: where the sealed shipment
+// lives. Its entry's Fill guards it.
+type shipment struct {
 	// slots are the worker slots holding the sealed shipment. Warm joins
 	// target exactly this set — not the current live set — so a worker that
 	// went down since shipping is detected (and the plan reshipped) rather
 	// than its partitions being silently skipped.
 	slots []int
-	// coveredS/coveredT record how many base-relation rows (prefix lengths)
-	// the sealed shipment covers. Relations only grow by appending, so any
-	// later query or AbsorbPlan catches the shipment up idempotently by
-	// shuffling just the suffix [covered, Len) as a delta (see ensureFresh).
-	coveredS int
-	coveredT int
 	// pidSlot maps each shipped partition id to the slot holding it, so delta
 	// rows for an existing partition land exactly where its base rows live;
 	// partitions a delta opens for the first time are placed over slots and
@@ -482,7 +468,7 @@ func parallel(n int, fn func(i int)) {
 }
 
 // shuffleStats is the shuffle-phase accounting of one run. A warm retained
-// run reports the recorded total input with zero duration, bytes, and RPCs —
+// run reports its entry's routed total with zero duration, bytes, and RPCs —
 // nothing moved.
 type shuffleStats struct {
 	totalInput int64
@@ -741,9 +727,10 @@ func (c *Coordinator) runJoinsRetained(ctx context.Context, planID string, slots
 	return joined, joinWall, nil
 }
 
-// errStalePlanRec signals that a shipment record was superseded (evicted and
-// re-created) while a query held it; the caller re-fetches and retries.
-var errStalePlanRec = fmt.Errorf("cluster: retained-plan record superseded")
+// errSuperseded signals that a plan's entry was superseded (evicted, and
+// perhaps opened again) while a query held it; the caller re-fetches and
+// retries.
+var errSuperseded = errors.New("cluster: retained-plan entry superseded")
 
 // maxRetainedAttempts bounds how often a retained query reships a plan that
 // keeps disappearing (evictions, worker deaths) before giving up.
@@ -752,26 +739,28 @@ const maxRetainedAttempts = 6
 // runRetained serves a query whose plan fingerprint is retained on the
 // workers: the first run ships and seals the partitions, later runs join the
 // resident data directly. If a worker lost the plan (retention-cap eviction,
-// restart, or death), the shipment record is invalidated and the coordinator
-// falls back to a cold reshipment over the currently live workers. The record
-// is re-fetched every attempt so a concurrent EvictPlan can never leave two
-// goroutines shipping the same fingerprint through different records.
+// restart, or death), the entry the query used is evicted (evictEntry) and the
+// coordinator falls back to a cold reshipment over the currently live
+// workers; concurrent queries that lost the same entry leave the reshipment
+// to whichever evicted it. The entry is re-fetched every attempt so a
+// concurrent EvictPlan can never leave two goroutines shipping the same
+// fingerprint through different entries.
 func (c *Coordinator) runRetained(ctx context.Context, plan partition.Plan, pctx *partition.Context, s, t *data.Relation, band data.Band, opts Options, rs *runState) (*exec.Result, error) {
 	var lastErr error
 	for attempt := 0; attempt < maxRetainedAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rec := c.retainedRec(opts.PlanID)
-		st, slots, warm, err := c.ensureShipped(ctx, rec, plan, pctx, s, t, band, opts, rs)
-		if err == errStalePlanRec {
+		e := c.retained.Open(opts.PlanID)
+		st, slots, warm, err := c.ensureShipped(ctx, e, plan, pctx, s, t, band, opts, rs)
+		if err == errSuperseded {
 			lastErr = err
 			continue
 		}
 		if errors.Is(err, errWorkerLost) {
+			// The failed shipment deleted e and evicted what it shipped.
 			lastErr = err
 			rs.failover("retained_failover", "worker lost during shipment")
-			c.EvictPlan(opts.PlanID)
 			continue
 		}
 		if err != nil {
@@ -792,7 +781,7 @@ func (c *Coordinator) runRetained(ctx context.Context, plan partition.Plan, pctx
 		if stale {
 			lastErr = errWorkerLost
 			rs.failover("retained_failover", "shipment holder went down since sealing")
-			c.EvictPlan(opts.PlanID)
+			c.evictEntry(e, opts.PlanID)
 			continue
 		}
 		// The shipment is resident, but rows may have been appended to the
@@ -800,8 +789,8 @@ func (c *Coordinator) runRetained(ctx context.Context, plan partition.Plan, pctx
 		// absorb): shuffle just the appended suffix into the sealed plan
 		// before joining, so warm queries never rescan or reship the base.
 		if warm {
-			if err := c.ensureFresh(ctx, rec, plan, pctx, s, t, opts, rs, &st); err != nil {
-				if err == errStalePlanRec {
+			if err := c.ensureFresh(ctx, e, plan, pctx, s, t, opts, rs, &st); err != nil {
+				if err == errSuperseded {
 					lastErr = err
 					continue
 				}
@@ -810,7 +799,7 @@ func (c *Coordinator) runRetained(ctx context.Context, plan partition.Plan, pctx
 				}
 				lastErr = err
 				rs.failover("retained_failover", "delta absorb failed; reshipping")
-				c.EvictPlan(opts.PlanID)
+				c.evictEntry(e, opts.PlanID)
 				continue
 			}
 		}
@@ -827,99 +816,93 @@ func (c *Coordinator) runRetained(ctx context.Context, plan partition.Plan, pctx
 			return nil, err
 		}
 		// A worker no longer holds the plan (retention-cap eviction, restart,
-		// or death): drop the stale record and reship.
+		// or death): evict the plan and reship.
 		lastErr = err
 		rs.failover("retained_failover", "plan lost at join time; reshipping")
-		c.EvictPlan(opts.PlanID)
+		c.evictEntry(e, opts.PlanID)
 	}
 	return nil, fmt.Errorf("cluster: retained plan %q kept disappearing: %w", opts.PlanID, lastErr)
 }
 
-// retainedRec returns (creating if needed) the shipment record of a plan
-// fingerprint.
-func (c *Coordinator) retainedRec(planID string) *retainedPlanRec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.retainedPlans == nil {
-		c.retainedPlans = make(map[string]*retainedPlanRec)
-	}
-	rec, ok := c.retainedPlans[planID]
-	if !ok {
-		rec = &retainedPlanRec{}
-		c.retainedPlans[planID] = rec
-	}
-	return rec
-}
-
 // ensureShipped makes the plan's partitions resident and sealed on the
-// workers, shipping them if this is the first query (or the previous shipment
-// failed). Exactly one shuffle runs per fingerprint; concurrent first queries
-// block on the record's write lock and then proceed warm. It returns the slot
-// set holding the sealed shipment, which the warm join must target, and
-// whether the shipment was already resident (warm) — the retained-tier
-// outcome the trace reports.
-func (c *Coordinator) ensureShipped(ctx context.Context, rec *retainedPlanRec, plan partition.Plan, pctx *partition.Context, s, t *data.Relation, band data.Band, opts Options, rs *runState) (shuffleStats, []int, bool, error) {
-	rec.mu.RLock()
-	if rec.shipped {
-		st := shuffleStats{totalInput: rec.totalInput}
-		slots := append([]int(nil), rec.slots...)
-		rec.mu.RUnlock()
-		return st, slots, true, nil
+// workers, shipping them cold if e is unsealed: the first query of the plan,
+// or the first since an eviction or a failed shipment. Exactly one shuffle
+// runs per fingerprint: the cold shipment holds e's Fill lock for writing,
+// and concurrent first queries wait on it and then proceed warm. An entry
+// that is no longer its fingerprint's (EvictPlan deleted it) is neither
+// shipped through nor joined warm: errSuperseded. It returns the slot set
+// holding the sealed shipment, which the warm join must target, and whether
+// the shipment was already resident (warm) — the retained-tier outcome the
+// trace reports; a warm query's routed total is ensureFresh's to fill in.
+//
+// The cold shipment is e's Absorb from row 0: its delivery clears any remnant
+// of an earlier shipment from the workers, ships the routed partitions and
+// seals them on every worker. A shipment that fails leaves no entry: nothing
+// of it is resident.
+func (c *Coordinator) ensureShipped(ctx context.Context, e *exec.Entry[shipment], plan partition.Plan, pctx *partition.Context, s, t *data.Relation, band data.Band, opts Options, rs *runState) (shuffleStats, []int, bool, error) {
+	e.Fill.RLock()
+	warm := e.Sealed() && c.retained.Get(opts.PlanID) == e
+	slots := slices.Clone(e.Meta.slots)
+	e.Fill.RUnlock()
+	if warm {
+		return shuffleStats{}, slots, true, nil
 	}
-	rec.mu.RUnlock()
 
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if rec.shipped {
-		return shuffleStats{totalInput: rec.totalInput}, append([]int(nil), rec.slots...), true, nil
+	e.Fill.Lock()
+	defer e.Fill.Unlock()
+	if c.retained.Get(opts.PlanID) != e {
+		return shuffleStats{}, nil, false, errSuperseded
 	}
-	// A concurrent EvictPlan may have removed this record from the map while
-	// we waited for the lock; shipping through a superseded record could
-	// interleave with the current record's shipment, so bail out and let the
-	// caller re-fetch.
-	c.mu.Lock()
-	stale := c.retainedPlans[opts.PlanID] != rec
-	c.mu.Unlock()
-	if stale {
-		return shuffleStats{}, nil, false, errStalePlanRec
+	if e.Sealed() {
+		return shuffleStats{}, slices.Clone(e.Meta.slots), true, nil
 	}
-	// A shipment that fails leaves no record: nothing of it is resident.
-	defer func() {
-		if !rec.shipped {
-			c.forget(opts.PlanID, rec)
-		}
-	}()
-	// Clear any half-shipped remnants of a previously failed shipment before
-	// shipping: a plan's entry accumulates across streams. The clearing is
-	// numbered like a shipment, so a stream that outlived an earlier shipment
-	// of this fingerprint — failed, evicted, long forgotten here — is older
-	// than what every worker now accepts.
-	c.evictWorkers(opts.PlanID, int(c.shipments.Add(1)))
-
-	redistribute := redistributor(plan, pctx)
 	start := time.Now()
 	var st shuffleStats
-	targets := c.liveSlots(rs)
-	if len(targets) == 0 {
-		return shuffleStats{}, nil, false, errNoLiveWorkers
-	}
-	routed, err := exec.Route(ctx, plan, s, t, 0, 0, runtime.GOMAXPROCS(0))
+	err := e.Absorb(ctx, plan, s, t, func(routed *exec.Routed) error {
+		// Clear any half-shipped remnants of a previously failed shipment
+		// before shipping: a plan's entry on a worker accumulates across
+		// streams. The clearing is numbered like a shipment, so a stream that
+		// outlived an earlier shipment of this fingerprint — failed, evicted,
+		// long forgotten here — is older than what every worker now accepts.
+		c.evictWorkers(opts.PlanID, int(c.shipments.Add(1)))
+		targets := c.liveSlots(rs)
+		if len(targets) == 0 {
+			return errNoLiveWorkers
+		}
+		redistribute := redistributor(plan, pctx)
+		sh, err := c.shipPartitions(ctx, redistribute(routed.NonEmpty(), targets), routed, ShipHeader{JoinArgs: JoinArgs{PlanID: opts.PlanID}}, opts.ChunkSize, redistribute, rs)
+		st.totalInput, st.rpcs, st.bytes = routed.TotalInput, sh.chunks, sh.bytes
+		if err != nil {
+			c.evictWorkers(opts.PlanID, 0)
+			return err
+		}
+		slots, err := c.sealWorkers(ctx, opts.PlanID, band, sh.owned, rs)
+		if err != nil {
+			return err
+		}
+		e.Meta = shipment{slots: slots, pidSlot: make(map[int]int)}
+		for slot, pids := range sh.owned {
+			for _, pid := range pids {
+				e.Meta.pidSlot[pid] = slot
+			}
+		}
+		return nil
+	})
 	if err != nil {
+		c.retained.Delete(e)
 		return shuffleStats{}, nil, false, err
 	}
-	st.totalInput = routed.TotalInput
-	assignment := redistribute(routed.NonEmpty(), targets)
-	sh, err := c.shipPartitions(ctx, assignment, routed, ShipHeader{JoinArgs: JoinArgs{PlanID: opts.PlanID}}, opts.ChunkSize, redistribute, rs)
-	owned := sh.owned
-	st.rpcs, st.bytes = sh.chunks, sh.bytes
-	if err != nil {
-		c.evictWorkers(opts.PlanID, 0)
-		return shuffleStats{}, nil, false, err
-	}
+	c.retained.Seal(e, band, 0)
+	st.duration = time.Since(start)
+	return st, slices.Clone(e.Meta.slots), false, nil
+}
 
-	// Seal on every slot that may serve this plan — both the owners and the
-	// empty live workers, so "sealed with zero partitions" stays
-	// distinguishable from "evicted" at join time.
+// sealWorkers seals a shipped plan on every slot that may serve it — both the
+// owners and the empty live workers, so "sealed with zero partitions" stays
+// distinguishable from "evicted" at join time — and returns the slots that
+// sealed it. A seal that fails on a worker holding partitions evicts the plan
+// from every worker.
+func (c *Coordinator) sealWorkers(ctx context.Context, planID string, band data.Band, owned map[int][]int, rs *runState) ([]int, error) {
 	sealed := c.liveSlots(rs)
 	for slot := range owned {
 		if !slices.Contains(sealed, slot) {
@@ -931,8 +914,7 @@ func (c *Coordinator) ensureShipped(ctx context.Context, rec *retainedPlanRec, p
 	for _, slot := range sealed {
 		wc := c.workers[slot]
 		var sr SealReply
-		sealArgs := &SealArgs{PlanID: opts.PlanID, Band: band}
-		err := wc.call(ctx, ServiceName+".Seal", sealArgs, &sr, c.opts.callDeadline(), c.opts.MaxRetries, rs.retry)
+		err := wc.call(ctx, ServiceName+".Seal", &SealArgs{PlanID: planID, Band: band}, &sr, c.opts.callDeadline(), c.opts.MaxRetries, rs.retry)
 		if err == nil {
 			final = append(final, slot)
 			continue
@@ -943,102 +925,70 @@ func (c *Coordinator) ensureShipped(ctx context.Context, rec *retainedPlanRec, p
 			rs.noteLost(slot)
 			continue
 		}
-		c.evictWorkers(opts.PlanID, 0)
+		c.evictWorkers(planID, 0)
 		if isTransportErr(err) {
 			if !wc.probe(ctx) {
 				rs.noteLost(slot)
 			}
-			return shuffleStats{}, nil, false, fmt.Errorf("cluster: sealing plan on worker %d (%s): %w (%v)", slot, wc.name(), errWorkerLost, err)
+			return nil, fmt.Errorf("cluster: sealing plan on worker %d (%s): %w (%v)", slot, wc.name(), errWorkerLost, err)
 		}
-		return shuffleStats{}, nil, false, fmt.Errorf("cluster: sealing plan on worker %d (%s): %w", slot, wc.name(), err)
+		return nil, fmt.Errorf("cluster: sealing plan on worker %d (%s): %w", slot, wc.name(), err)
 	}
-	st.duration = time.Since(start)
-	rec.shipped = true
-	rec.totalInput = st.totalInput
-	rec.slots = append([]int(nil), final...)
-	rec.coveredS = s.Len()
-	rec.coveredT = t.Len()
-	rec.pidSlot = make(map[int]int)
-	for slot, pids := range owned {
-		for _, pid := range pids {
-			rec.pidSlot[pid] = slot
-		}
-	}
-	return st, append([]int(nil), final...), false, nil
+	return final, nil
 }
 
 // ensureFresh catches a sealed shipment up to rows appended to s and t since
-// it was shipped: the suffixes past the record's covered prefixes are shuffled
-// through the same plan (with tuple IDs offset to stay globally consistent)
-// and shipped as delta streams into the sealed plan, to every slot at once — existing partitions
+// it was shipped (exec.Entry.CatchUp, the rule the in-process plane follows
+// too): the rows past the entry's covered prefixes, routed through the plan
+// with tuple IDs offset to stay globally consistent, are delivered as delta
+// streams into the sealed plan, to every slot at once — existing partitions
 // receive their delta exactly where their base rows live, new partitions are
-// placed over the sealed slot set. Freshness is checked under a read lock so
-// the common already-fresh case costs no delta work and warm queries proceed
-// concurrently; catch-up itself runs under the record's write lock, so exactly
-// one delta shuffle happens per appended suffix and is idempotent (covered
-// advances only on success). On failure the shipment may be torn mid-delta;
-// callers must evict the plan and fall back to a cold reshipment.
-func (c *Coordinator) ensureFresh(ctx context.Context, rec *retainedPlanRec, plan partition.Plan, pctx *partition.Context, s, t *data.Relation, opts Options, rs *runState, st *shuffleStats) error {
-	rec.mu.RLock()
-	fresh := !rec.shipped || (rec.coveredS >= s.Len() && rec.coveredT >= t.Len())
-	rec.mu.RUnlock()
-	if fresh {
-		return nil
-	}
-
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if !rec.shipped || (rec.coveredS >= s.Len() && rec.coveredT >= t.Len()) {
-		return nil
-	}
-	// A concurrent EvictPlan may have superseded this record; shipping deltas
-	// through it would interleave with the fresh record's cold shipment.
-	c.mu.Lock()
-	stale := c.retainedPlans[opts.PlanID] != rec
-	c.mu.Unlock()
-	if stale {
-		return errStalePlanRec
-	}
-
-	start := time.Now()
-	routed, err := exec.Route(ctx, plan, s.Suffix(rec.coveredS), t.Suffix(rec.coveredT), rec.coveredS, rec.coveredT, runtime.GOMAXPROCS(0))
-	if err != nil {
-		return err
-	}
-	// Placing a partition new to the plan routes the sample through it, so
-	// the placement is built only when a delta lands in one.
-	var place func(pid int) int
-	assignment := make(map[int][]int)
-	for _, pid := range routed.NonEmpty() {
-		slot, ok := rec.pidSlot[pid]
-		if !ok {
-			if place == nil {
-				place = exec.Placement(plan, pctx, len(rec.slots))
-			}
-			slot = rec.slots[place(pid)]
-			rec.pidSlot[pid] = slot
+// placed over the sealed slot set. An unsealed or fresh entry is left as it
+// is; a superseded one is not shipped through (errSuperseded). It sets st's
+// routed total to the entry's and adds the delta's chunks, bytes and time.
+// On failure the shipment may be torn mid-delta; callers must evict the plan
+// and fall back to a cold reshipment.
+func (c *Coordinator) ensureFresh(ctx context.Context, e *exec.Entry[shipment], plan partition.Plan, pctx *partition.Context, s, t *data.Relation, opts Options, rs *runState, st *shuffleStats) error {
+	total, absorbed, err := e.CatchUp(ctx, plan, s, t, func(routed *exec.Routed) error {
+		// An eviction may have superseded e; shipping deltas
+		// through it would interleave with the current entry's cold shipment.
+		if c.retained.Get(opts.PlanID) != e {
+			return errSuperseded
 		}
-		assignment[slot] = append(assignment[slot], pid)
-	}
-	sh, err := c.shipPartitions(ctx, assignment, routed, ShipHeader{JoinArgs: JoinArgs{PlanID: opts.PlanID}, Delta: true}, opts.ChunkSize, nil, rs)
-	st.rpcs += sh.chunks
-	st.bytes += sh.bytes
+		// Placing a partition new to the plan routes the sample through it,
+		// so the placement is built only when a delta lands in one.
+		var place func(pid int) int
+		assignment := make(map[int][]int)
+		for _, pid := range routed.NonEmpty() {
+			slot, ok := e.Meta.pidSlot[pid]
+			if !ok {
+				if place == nil {
+					place = exec.Placement(plan, pctx, len(e.Meta.slots))
+				}
+				slot = e.Meta.slots[place(pid)]
+				e.Meta.pidSlot[pid] = slot
+			}
+			assignment[slot] = append(assignment[slot], pid)
+		}
+		sh, err := c.shipPartitions(ctx, assignment, routed, ShipHeader{JoinArgs: JoinArgs{PlanID: opts.PlanID}, Delta: true}, opts.ChunkSize, nil, rs)
+		st.rpcs += sh.chunks
+		st.bytes += sh.bytes
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	rec.totalInput += routed.TotalInput
-	rec.coveredS = s.Len()
-	rec.coveredT = t.Len()
-	st.totalInput = rec.totalInput
-	st.absorbed += time.Since(start)
+	st.totalInput = total
+	st.absorbed += absorbed
 	return nil
 }
 
 // AbsorbPlan eagerly catches a retained plan up to rows appended to s and t
-// since it was shipped, so the next warm query of the plan finds the shipment
-// fresh and moves zero bytes. It is the engine's Append hook. A plan with no
-// shipment record (never shipped, or evicted) is a no-op: the next query ships
-// cold from the full relations and needs no delta. On error the shipment may
+// since it was shipped (ensureFresh), so the next warm query of the plan
+// finds the shipment fresh and moves zero bytes. It is the engine's Append
+// hook. A plan with no entry (never shipped, or evicted), or with one not yet
+// sealed, is a no-op: the next query ships cold from the full relations, or
+// catches up what its cold shipment did not cover. On error the shipment may
 // be torn; the caller must evict the plan (the next query then reships cold).
 func (c *Coordinator) AbsorbPlan(ctx context.Context, plan partition.Plan, pctx *partition.Context, s, t *data.Relation, opts Options) error {
 	opts, err := opts.resolve()
@@ -1048,16 +998,14 @@ func (c *Coordinator) AbsorbPlan(ctx context.Context, plan partition.Plan, pctx 
 	if opts.PlanID == "" {
 		return fmt.Errorf("cluster: AbsorbPlan requires a plan id")
 	}
-	c.mu.Lock()
-	rec := c.retainedPlans[opts.PlanID]
-	c.mu.Unlock()
-	if rec == nil {
+	e := c.retained.Get(opts.PlanID)
+	if e == nil {
 		return nil
 	}
 	var st shuffleStats
-	err = c.ensureFresh(ctx, rec, plan, pctx, s, t, opts, c.newRunState(), &st)
-	if err == errStalePlanRec {
-		return nil // superseded; the fresh record ships cold with everything
+	err = c.ensureFresh(ctx, e, plan, pctx, s, t, opts, c.newRunState(), &st)
+	if err == errSuperseded {
+		return nil // the current entry ships cold with everything
 	}
 	return err
 }
@@ -1083,9 +1031,8 @@ func (c *Coordinator) ShipPlan(ctx context.Context, plan partition.Plan, pctx *p
 		if rs.liveAtStart == 0 {
 			return errNoLiveWorkers
 		}
-		rec := c.retainedRec(opts.PlanID)
-		_, _, _, err := c.ensureShipped(ctx, rec, plan, pctx, s, t, band, opts, rs)
-		if err == errStalePlanRec {
+		_, _, _, err := c.ensureShipped(ctx, c.retained.Open(opts.PlanID), plan, pctx, s, t, band, opts, rs)
+		if err == errSuperseded {
 			lastErr = err
 			continue
 		}
@@ -1094,37 +1041,33 @@ func (c *Coordinator) ShipPlan(ctx context.Context, plan partition.Plan, pctx *p
 	return fmt.Errorf("cluster: priming plan %q: %w", opts.PlanID, lastErr)
 }
 
-// EvictPlan discards one retained plan from every worker and removes the
-// coordinator's shipment record (so the record map cannot grow without bound
-// in a long-lived coordinator); the next query naming the fingerprint ships
-// cold through a fresh record. It is the invalidation hook engines call when
-// a dataset is replaced, and the failover path's invalidation when a worker
-// holding part of a shipment dies.
+// EvictPlan discards one retained plan from every worker and deletes its
+// entry (so the registry cannot grow without bound in a long-lived
+// coordinator); the next query naming the fingerprint ships cold through a
+// new entry. It is the invalidation hook engines call when a dataset is
+// replaced. It evicts the current entry (evictEntry), an empty one opened for
+// the purpose if there is none, so that no shipment starts before the workers
+// have closed the plan: one that did would have its streams refused.
 func (c *Coordinator) EvictPlan(planID string) {
-	c.mu.Lock()
-	rec := c.retainedPlans[planID]
-	c.mu.Unlock()
-	if rec == nil {
-		c.evictWorkers(planID, 0)
-		return
+	for !c.evictEntry(c.retained.Open(planID), planID) {
 	}
-	// Take the record's write lock so an in-flight shipment completes before
-	// its plan is evicted from the workers.
-	rec.mu.Lock()
-	rec.shipped = false
-	rec.slots = nil
-	c.forget(planID, rec)
-	c.evictWorkers(planID, 0)
-	rec.mu.Unlock()
 }
 
-// forget drops rec from the shipment records if it is still planID's.
-func (c *Coordinator) forget(planID string, rec *retainedPlanRec) {
-	c.mu.Lock()
-	if c.retainedPlans[planID] == rec {
-		delete(c.retainedPlans, planID)
+// evictEntry evicts the plan from every worker and deletes e if e is still the
+// plan's entry, under e's write lock: an in-flight shipment or catch-up
+// completes first, no new one starts until the workers have closed the plan,
+// and a query holding e finds it superseded afterwards. A superseded e is left
+// alone — its plan was evicted already, and a newer shipment may stand in its
+// place — and evictEntry reports false.
+func (c *Coordinator) evictEntry(e *exec.Entry[shipment], planID string) bool {
+	e.Fill.Lock()
+	defer e.Fill.Unlock()
+	if c.retained.Get(planID) != e {
+		return false
 	}
-	c.mu.Unlock()
+	c.evictWorkers(planID, 0)
+	c.retained.Delete(e)
+	return true
 }
 
 // evictWorkers drops the plan from every worker's registry, best effort; a

@@ -3,9 +3,12 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bandjoin/internal/core"
 	"bandjoin/internal/costmodel"
@@ -339,4 +342,151 @@ func TestRetainedBytesMatchPartitions(t *testing.T) {
 	check("after the T append")
 	coord.EvictPlan(ids[1])
 	check("after the eviction")
+}
+
+// TestEvictRacingRetainedQueries: queries of one retained plan racing an
+// EvictPlan loop on fixed relations all answer the nested loop's pairs. A
+// query that holds an entry the eviction superseded neither ships through it
+// nor joins it warm; it re-fetches the plan's entry and ships cold. While the
+// evictions go on, a query may run out of attempts; once they stop, every
+// query must succeed. Afterwards one query leaves one plan retained, the next
+// is warm and ships nothing, and a final eviction leaves nothing retained on
+// the coordinator or any worker.
+func TestEvictRacingRetainedQueries(t *testing.T) {
+	s, tt := data.ParetoPair(2, 1.4, 400, 19)
+	band := data.Symmetric(0.3, 0.3)
+	lc, err := StartLocal(3)
+	if err != nil {
+		t.Fatalf("StartLocal: %v", err)
+	}
+	defer lc.Stop()
+	coord, err := Dial(lc.Addrs())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer coord.Close()
+
+	plan, pctx := retainPlanFor(t, core.NewRecPartS(), s, tt, band, 3)
+	opts := Options{PlanID: "evict-race", CollectPairs: true, ChunkSize: 64}
+	want := definitionPairs(s, tt, band)
+	ctx := context.Background()
+
+	const queriers, answers, evictions = 4, 3, 40
+	var evicting atomic.Bool
+	evicting.Store(true)
+	var wg sync.WaitGroup
+	errs := make(chan error, queriers)
+	for q := range queriers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for got := 0; got < answers || evicting.Load(); {
+				during := evicting.Load()
+				res, err := coord.RunPlan(ctx, plan, pctx, s, tt, band, opts)
+				if err != nil {
+					if during && strings.Contains(err.Error(), "kept disappearing") {
+						continue
+					}
+					errs <- fmt.Errorf("querier %d: %w", q, err)
+					return
+				}
+				if len(res.Pairs) != len(want) || !slices.Equal(res.Pairs, want) {
+					errs <- fmt.Errorf("querier %d: %d pairs differ from the nested loop's %d", q, len(res.Pairs), len(want))
+					return
+				}
+				got++
+			}
+		}()
+	}
+	for range evictions {
+		coord.EvictPlan(opts.PlanID)
+		time.Sleep(200 * time.Microsecond)
+	}
+	evicting.Store(false)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	if _, err := coord.RunPlan(ctx, plan, pctx, s, tt, band, opts); err != nil {
+		t.Fatalf("RunPlan after the race: %v", err)
+	}
+	if n := coord.RetainedPlans(); n != 1 {
+		t.Errorf("after one RunPlan the coordinator retains %d plans, want 1", n)
+	}
+	warm, err := coord.RunPlan(ctx, plan, pctx, s, tt, band, opts)
+	if err != nil {
+		t.Fatalf("warm RunPlan: %v", err)
+	}
+	if !warm.WarmPartitions || warm.ShuffleRPCs != 0 {
+		t.Errorf("the next RunPlan ran warm=%v with %d chunk frames, want warm with 0", warm.WarmPartitions, warm.ShuffleRPCs)
+	}
+	samePairs(t, "warm after the race vs nested loop", warm.Pairs, want)
+	coord.EvictPlan(opts.PlanID)
+	if n := coord.RetainedPlans(); n != 0 {
+		t.Errorf("after the final EvictPlan the coordinator retains %d plans", n)
+	}
+	for _, w := range lc.Handles() {
+		if n := w.Retained(); n != 0 {
+			t.Errorf("after the final EvictPlan worker %s retains %d plans", w.name, n)
+		}
+	}
+}
+
+// TestConcurrentPlanLossReshipsOnce: when every worker has dropped a retained
+// plan (as its -max-retained cap does), concurrent queries of the plan all
+// fail their joins, and exactly one of them reships it: the others find the
+// entry they joined through superseded, leave the new shipment alone and join
+// it warm. Every answer is the nested loop's.
+func TestConcurrentPlanLossReshipsOnce(t *testing.T) {
+	s, tt := data.ParetoPair(2, 1.4, 400, 19)
+	band := data.Symmetric(0.3, 0.3)
+	lc, err := StartLocal(3)
+	if err != nil {
+		t.Fatalf("StartLocal: %v", err)
+	}
+	defer lc.Stop()
+	coord, err := Dial(lc.Addrs())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer coord.Close()
+
+	plan, pctx := retainPlanFor(t, core.NewRecPartS(), s, tt, band, 3)
+	opts := Options{PlanID: "lost", CollectPairs: true, ChunkSize: 64}
+	want := definitionPairs(s, tt, band)
+	ctx := context.Background()
+	cold, err := coord.RunPlan(ctx, plan, pctx, s, tt, band, opts)
+	if err != nil {
+		t.Fatalf("cold RunPlan: %v", err)
+	}
+	for round := range 5 {
+		for _, w := range lc.Handles() {
+			w.retained.Delete(w.retained.Get(opts.PlanID))
+		}
+		const queriers = 4
+		results := make([]*exec.Result, queriers)
+		errs := make([]error, queriers)
+		var wg sync.WaitGroup
+		for q := range queriers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[q], errs[q] = coord.RunPlan(ctx, plan, pctx, s, tt, band, opts)
+			}()
+		}
+		wg.Wait()
+		var rpcs int64
+		for q, res := range results {
+			if errs[q] != nil {
+				t.Fatalf("round %d, querier %d: %v", round, q, errs[q])
+			}
+			samePairs(t, fmt.Sprintf("round %d, querier %d vs nested loop", round, q), res.Pairs, want)
+			rpcs += res.ShuffleRPCs
+		}
+		if rpcs != cold.ShuffleRPCs {
+			t.Errorf("round %d: the queries shipped %d chunk frames in all, one shipment ships %d", round, rpcs, cold.ShuffleRPCs)
+		}
+	}
 }

@@ -6,31 +6,36 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"bandjoin/internal/data"
 	"bandjoin/internal/partition"
 )
 
 // Registry maps plan IDs to retained entries: the one store of retained
-// partition sets, the in-process plane's and a cluster worker's. M is what its
-// user keeps with each entry (Entry.Meta). The zero value is ready. Its lock
-// guards the entry map and the seal order, an entry's short lock the entry's
-// partition map; no method holds two at once or takes Entry.Fill.
+// plans: the in-process plane's and a cluster worker's partition sets, and a
+// cluster coordinator's shipments. M is what its user keeps with each entry
+// (Entry.Meta). The zero value is ready. Its lock guards the entry map and the
+// seal order, an entry's short lock the entry's partition map; no Registry
+// method holds two at once or takes Entry.Fill.
 type Registry[M any] struct {
 	mu      sync.Mutex
 	entries map[string]*Entry[M]
 	sealSeq uint64
 }
 
-// Entry is one retained plan: its partitions by id, its place in the seal
-// order, and the state the in-process plane catches it up from.
+// Entry is one retained plan: its partitions by id (none on a coordinator,
+// whose workers hold them), its place in the seal order, and the covered
+// prefixes and routed total it is caught up from.
 type Entry[M any] struct {
 	Meta M // the registry never reads or writes it
 
-	// Fill is the in-process plane's: held for writing while Absorb fills the
-	// entry or catches it up, and for reading while Execute probes it, so one
-	// routing fills each entry and a catch-up appends only between joins. It
-	// guards the prefixes filled from, the routed tuples and partition count.
+	// Fill is held for writing while a cold fill or shipment and Absorb fill
+	// the entry or catch it up, so one routing fills each entry, and for
+	// reading while its state is read or, in process, Execute probes it, so a
+	// catch-up appends only between joins. It guards the prefixes filled
+	// from, the routed tuples and the partition count, and a coordinator's
+	// Meta.
 	Fill               sync.RWMutex
 	coveredS, coveredT int
 	totalInput         int64
@@ -173,33 +178,68 @@ func InPidOrder(parts map[int]*Partition) ([]int, []*Partition) {
 	return pids, list
 }
 
-// Covers reports whether e is sealed and filled from at least s and t. The
-// caller holds Fill.
-func (e *Entry[M]) Covers(s, t *data.Relation) bool {
-	return e.Sealed() && e.coveredS >= s.Len() && e.coveredT >= t.Len()
+// covers reports whether e is filled from at least s and t. The caller holds
+// Fill.
+func (e *Entry[M]) covers(s, t *data.Relation) bool {
+	return e.coveredS >= s.Len() && e.coveredT >= t.Len()
 }
 
 // Absorb routes the rows of s and t past e's covered prefixes through plan,
 // tuple IDs offset by those prefixes as a routing of the whole relations
-// assigns them, and appends them to e's partitions several at a time
-// (appendRouted), as a worker's shipment stream would. A cold fill is an Absorb
-// from row 0 and a Seal; after a catch-up the next probe refreshes the
-// structures. The caller holds Fill for writing. Nothing changes unless the
-// routing succeeds, so a failed Absorb is simply retried by the next caller.
-func (e *Entry[M]) Absorb(ctx context.Context, plan partition.Plan, s, t *data.Relation) error {
+// assigns them, and hands the routing to deliver: a cluster coordinator's
+// shipment, or, when deliver is nil, the in-process plane's fill, which appends
+// the rows to e's own partitions several at a time (appendRouted), as a
+// worker's shipment stream would. A cold fill is an Absorb from row 0 and a
+// Seal; after a catch-up the next probe refreshes the structures. The caller
+// holds Fill for writing. The prefixes, the routed total and the partition
+// count advance only when the routing and its delivery succeed, so a failed
+// Absorb is simply retried by the next caller.
+func (e *Entry[M]) Absorb(ctx context.Context, plan partition.Plan, s, t *data.Relation, deliver func(*Routed) error) error {
 	r, err := Route(ctx, plan, s.Suffix(e.coveredS), t.Suffix(e.coveredT), e.coveredS, e.coveredT, 0)
 	if err != nil {
 		return err
 	}
-	routed := make([]*Partition, r.NumPartitions)
-	for _, pid := range r.NonEmpty() {
-		routed[pid] = e.Partition(pid, s.Dims())
+	if deliver == nil {
+		routed := make([]*Partition, r.NumPartitions)
+		for _, pid := range r.NonEmpty() {
+			routed[pid] = e.Partition(pid, s.Dims())
+		}
+		each(routed, 0, func(pid int, p *Partition) { p.appendRouted(r, pid) })
+	} else if err := deliver(r); err != nil {
+		return err
 	}
-	each(routed, 0, func(pid int, p *Partition) { p.appendRouted(r, pid) })
 	e.n = max(e.n, r.NumPartitions)
 	e.totalInput += r.TotalInput
 	e.coveredS, e.coveredT = s.Len(), t.Len()
 	return nil
+}
+
+// CatchUp is the one catch-up rule of a retained entry, on both planes, before
+// a join and after an append: when e is sealed but short of s or t, it
+// absorbs the rows past its covered prefixes (Absorb, deliver as there) under
+// Fill's write lock; otherwise it does nothing. An unsealed entry is a cold
+// fill in progress (or failed) whose filler covers a snapshot of its own.
+// Freshness is checked under the read lock first, so in the common fresh case
+// concurrent callers take no write lock, and again under the write lock, so
+// one absorb runs per appended suffix. It returns the input e has routed, and
+// the time the absorb took, zero when none ran.
+func (e *Entry[M]) CatchUp(ctx context.Context, plan partition.Plan, s, t *data.Relation, deliver func(*Routed) error) (totalInput int64, absorbed time.Duration, err error) {
+	e.Fill.RLock()
+	fresh, totalInput := !e.Sealed() || e.covers(s, t), e.totalInput
+	e.Fill.RUnlock()
+	if fresh {
+		return totalInput, 0, nil
+	}
+	e.Fill.Lock()
+	defer e.Fill.Unlock()
+	if e.Sealed() && !e.covers(s, t) {
+		start := time.Now()
+		if err := e.Absorb(ctx, plan, s, t, deliver); err != nil {
+			return 0, 0, err
+		}
+		absorbed = time.Since(start)
+	}
+	return e.totalInput, absorbed, nil
 }
 
 // Execute joins e's partitions for band, as ExecuteShuffledPrepared joins a

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"bandjoin/internal/data"
+	"bandjoin/internal/onebucket"
 )
 
 // fillEntry gives e partition pid with n lattice rows a side.
@@ -183,5 +186,62 @@ func TestRegistryConcurrentOps(t *testing.T) {
 	}
 	if sealed > 3 {
 		t.Errorf("%d sealed entries resident under a limit of 3", sealed)
+	}
+}
+
+// TestEntryCatchUpRule: CatchUp hands nothing to its delivery while the entry
+// is unsealed (an eager catch-up of a cold fill in progress) or covers the
+// relations; once sealed and short, it delivers the rows past the covered
+// prefixes, tuple IDs offset by them. A failed delivery advances neither the
+// prefixes nor the routed total, so the next CatchUp delivers the same rows.
+func TestEntryCatchUpRule(t *testing.T) {
+	ctx := context.Background()
+	s, tt := data.ParetoPair(2, 1.5, 300, 7)
+	band := data.Symmetric(0.2, 0.2)
+	plan := planFor(t, onebucket.New(), s, tt, band, 4)
+	fillS, fillT := s.Slice("S", 0, 200), tt.Slice("T", 0, 250)
+
+	var r Registry[struct{}]
+	e := r.Open("p")
+	var got []*Routed
+	var fail error
+	deliver := func(rt *Routed) error {
+		got = append(got, rt)
+		return fail
+	}
+	if _, _, err := e.CatchUp(ctx, plan, s, tt, deliver); err != nil || len(got) != 0 {
+		t.Fatalf("CatchUp of an unsealed entry: err %v, %d deliveries; want none", err, len(got))
+	}
+	e.Fill.Lock()
+	err := e.Absorb(ctx, plan, fillS, fillT, deliver)
+	e.Fill.Unlock()
+	if err != nil {
+		t.Fatalf("Absorb: %v", err)
+	}
+	r.Seal(e, band, 0)
+	filled := got[0].TotalInput
+	if total, _, err := e.CatchUp(ctx, plan, fillS, fillT, deliver); err != nil || len(got) != 1 || total != filled {
+		t.Fatalf("CatchUp of a fresh entry: err %v, %d deliveries, total %d; want 1 delivery, total %d", err, len(got), total, filled)
+	}
+
+	fail = errors.New("delivery refused")
+	for range 2 {
+		if _, _, err := e.CatchUp(ctx, plan, s, tt, deliver); !errors.Is(err, fail) {
+			t.Fatalf("CatchUp with a refused delivery: err %v, want %v", err, fail)
+		}
+		if rt := got[len(got)-1]; rt.S.Base != 200 || rt.T.Base != 250 {
+			t.Fatalf("the catch-up routed from rows %d and %d, want 200 and 250", rt.S.Base, rt.T.Base)
+		}
+	}
+	fail = nil
+	total, absorbed, err := e.CatchUp(ctx, plan, s, tt, deliver)
+	if err != nil || len(got) != 4 || absorbed <= 0 {
+		t.Fatalf("CatchUp after the refusals: err %v, %d deliveries, absorbed %v; want a fourth delivery", err, len(got), absorbed)
+	}
+	if want := filled + got[3].TotalInput; total != want || got[3].S.Base != 200 || got[3].T.Base != 250 {
+		t.Errorf("after the catch-up the total is %d from rows %d and %d, want %d from 200 and 250", total, got[3].S.Base, got[3].T.Base, want)
+	}
+	if _, _, err := e.CatchUp(ctx, plan, s, tt, deliver); err != nil || len(got) != 4 {
+		t.Errorf("CatchUp of a caught-up entry: err %v, %d deliveries; want still 4", err, len(got))
 	}
 }

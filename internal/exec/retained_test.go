@@ -238,7 +238,7 @@ func TestAppendRoutedMatchesShuffle(t *testing.T) {
 				deltaS, deltaT := s.Slice("S", tc.sFill, tc.sEnd), tt.Slice("T", tc.tFill, tc.tEnd)
 				absorb := func(e *Entry[struct{}], s, tt *data.Relation) {
 					t.Helper()
-					if err := e.Absorb(ctx, plan, s, tt); err != nil {
+					if err := e.Absorb(ctx, plan, s, tt, nil); err != nil {
 						t.Fatalf("Absorb: %v", err)
 					}
 				}
