@@ -19,7 +19,6 @@ import (
 	"bandjoin/internal/core"
 	"bandjoin/internal/costmodel"
 	"bandjoin/internal/data"
-	"bandjoin/internal/exec"
 	"bandjoin/internal/localjoin"
 	"bandjoin/internal/partition"
 	"bandjoin/internal/sample"
@@ -94,9 +93,8 @@ func BenchmarkAblationSampleSize(b *testing.B) {
 		b.Run(fmt.Sprintf("sample=%d", size), func(b *testing.B) {
 			var res *bandjoin.Result
 			for i := 0; i < b.N; i++ {
-				opts := exec.DefaultOptions(30)
-				opts.Sampling = sample.Options{InputSampleSize: size, OutputSampleSize: size / 2, Seed: 9}
-				r, err := exec.Run(core.NewRecPartS(), s, t, band, opts)
+				r, err := bandjoin.Join(s, t, band, bandjoin.Options{Workers: 30, Partitioner: core.NewRecPartS(),
+					InputSampleSize: size, OutputSampleSize: size / 2, Seed: 8})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -119,7 +117,7 @@ func BenchmarkAblationTermination(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := core.DefaultOptions()
 				opts.Termination = mode
-				r, err := exec.Run(core.New(opts), s, t, band, exec.DefaultOptions(30))
+				r, err := bandjoin.Join(s, t, band, bandjoin.Options{Workers: 30, Partitioner: core.New(opts)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -144,7 +142,7 @@ func BenchmarkAblationSymmetric(b *testing.B) {
 		b.Run(spec.name, func(b *testing.B) {
 			var res *bandjoin.Result
 			for i := 0; i < b.N; i++ {
-				r, err := exec.Run(spec.pt, s, t, band, exec.DefaultOptions(30))
+				r, err := bandjoin.Join(s, t, band, bandjoin.Options{Workers: 30, Partitioner: spec.pt})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -268,7 +268,7 @@ func TestPartitionersGroundTruth(t *testing.T) {
 			// morsel scheduler reaches it, straight from the routed lists —
 			// striped into morsels by the public Join, and whole by exec's
 			// per-partition baseline (MorselRows < 0, which the skew and
-			// scaling harnesses run) with Join's seeds, so the same plan.
+			// scaling harnesses run) over Join's plan.
 			for _, morselRows := range []int{0, -1} {
 				t.Run(fmt.Sprintf("%s/%s/one-shot-morsels=%d", row.name, p.name, morselRows), func(t *testing.T) {
 					var res *bandjoin.Result
@@ -276,10 +276,14 @@ func TestPartitionersGroundTruth(t *testing.T) {
 					if morselRows == 0 {
 						res, err = bandjoin.Join(s, tt, band, bandjoin.Options{Workers: 8, Seed: 5, CollectPairs: true, Partitioner: p.pt})
 					} else {
-						opts := exec.DefaultOptions(8)
-						opts.Sampling.Seed, opts.Seed = 6, 5
-						opts.CollectPairs, opts.MorselRows = true, morselRows
-						res, err = exec.Run(p.pt, s, tt, band, opts)
+						// Join's plan, caught by a spy on an estimate-only
+						// query, run on exec's per-partition schedule.
+						spy := &planSpy{Partitioner: p.pt, log: &planLog{}}
+						res, err = bandjoin.Join(s, tt, band, bandjoin.Options{Workers: 8, Seed: 5, EstimateOnly: true, Partitioner: spy})
+						if err == nil {
+							res, err = exec.ExecutePlan(context.Background(), spy.log.plans[0], s, tt, band,
+								exec.Options{Workers: 8, CollectPairs: true, MorselRows: morselRows})
+						}
 					}
 					if len(row.zero) > 0 && strings.HasPrefix(p.name, "Grid") {
 						if err == nil || !strings.Contains(err.Error(), "undefined for equi-joins") {

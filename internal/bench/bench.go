@@ -28,7 +28,6 @@ import (
 	"bandjoin/internal/grid"
 	"bandjoin/internal/onebucket"
 	"bandjoin/internal/partition"
-	"bandjoin/internal/sample"
 )
 
 // Config controls the scale of all experiments.
@@ -147,27 +146,19 @@ func standardMethods(includeGrid bool) []methodSpec {
 	return ms
 }
 
-// run executes (or estimates) one method on one workload.
+// run executes (or estimates) one method on one workload through
+// bandjoin.Join, the path users run: the same option resolution, sample and
+// seed rule.
 func (c Config) run(spec methodSpec, s, t *data.Relation, band data.Band, workers int) Cell {
-	opts := exec.Options{
-		Workers: workers,
-		Model:   c.Model,
-		Seed:    c.Seed,
-		Sampling: sample.Options{
-			InputSampleSize:  c.SampleSize,
-			OutputSampleSize: c.SampleSize / 2,
-			Seed:             c.Seed + 7,
-		},
-	}
-	var (
-		res *exec.Result
-		err error
-	)
-	if spec.estimateOnly {
-		res, err = exec.Estimate(spec.pt, s, t, band, opts)
-	} else {
-		res, err = exec.Run(spec.pt, s, t, band, opts)
-	}
+	res, err := bandjoin.Join(s, t, band, bandjoin.Options{
+		Workers:          workers,
+		Partitioner:      spec.pt,
+		Model:            c.Model,
+		InputSampleSize:  c.SampleSize,
+		OutputSampleSize: c.SampleSize / 2,
+		EstimateOnly:     spec.estimateOnly,
+		Seed:             c.Seed,
+	})
 	return Cell{Method: spec.name, Result: res, Err: err}
 }
 

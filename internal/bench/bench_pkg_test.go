@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"bandjoin/internal/data"
+	"bandjoin/internal/localjoin"
 )
 
 func TestByID(t *testing.T) {
@@ -153,5 +156,53 @@ func TestSummarize(t *testing.T) {
 	}
 	if _, ok := sum["RecPart-S"]; !ok {
 		t.Error("Summarize misses RecPart-S")
+	}
+}
+
+// TestTablesMatchNestedLoop: every joined cell of Tables 2b and 6 at
+// QuickConfig reports the output the nested loop finds on its row's inputs
+// and band. Neither table estimates a cell, so every cell is checked.
+func TestTablesMatchNestedLoop(t *testing.T) {
+	cfg := QuickConfig()
+	type rowInput struct {
+		s, t *data.Relation
+		band data.Band
+	}
+	var rows2b, rows6 []rowInput
+	s, tt := cfg.pareto(3, 1.5)
+	for _, eps := range widths3D {
+		rows2b = append(rows2b, rowInput{s, tt, data.Uniform(3, eps)})
+	}
+	s, tt = cfg.pareto(3, 2.0)
+	rows6 = append(rows6, rowInput{s, tt, data.Uniform(3, width3D)})
+	s, tt = cfg.reversePareto(3, 1.5)
+	for _, eps := range []float64{1000, 2000} {
+		rows6 = append(rows6, rowInput{s, tt, data.Uniform(3, eps)})
+	}
+
+	for _, table := range []struct {
+		run  func(Config) (*Table, error)
+		rows []rowInput
+	}{{Table2b, rows2b}, {Table6, rows6}} {
+		tbl, err := table.run(cfg)
+		if err != nil {
+			t.Fatalf("table: %v", err)
+		}
+		if len(tbl.Rows) != len(table.rows) {
+			t.Fatalf("Table %s has %d rows, the test knows the inputs of %d", tbl.ID, len(tbl.Rows), len(table.rows))
+		}
+		for i, row := range tbl.Rows {
+			in := table.rows[i]
+			want := localjoin.NestedLoop{}.Join(in.s, in.t, in.band, nil)
+			for _, cell := range row.Cells {
+				if cell.Err != nil {
+					t.Errorf("Table %s row %d %s: %v", tbl.ID, i, cell.Method, cell.Err)
+					continue
+				}
+				if cell.Result.Output != want {
+					t.Errorf("Table %s row %d %s: output %d, the nested loop finds %d", tbl.ID, i, cell.Method, cell.Result.Output, want)
+				}
+			}
+		}
 	}
 }

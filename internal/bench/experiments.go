@@ -328,7 +328,9 @@ func (c Config) gridAnalytic(s, t *data.Relation, band data.Band, workers int) C
 		return Cell{Method: method, Err: err}
 	}
 	plan := grid.NewPlan(band, size)
-	smp, err := sample.Draw(s, t, band, sample.Options{InputSampleSize: c.SampleSize, OutputSampleSize: c.SampleSize / 2, Seed: c.Seed + 7})
+	// The sample Config.run's Join draws: bandjoin.Options seeds its sampler
+	// with Seed + 1.
+	smp, err := sample.Draw(s, t, band, sample.Options{InputSampleSize: c.SampleSize, OutputSampleSize: c.SampleSize / 2, Seed: c.Seed + 1})
 	if err != nil {
 		return Cell{Method: method, Err: err}
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"time"
 
+	"bandjoin"
 	"bandjoin/internal/core"
 	"bandjoin/internal/data"
 	"bandjoin/internal/exec"
@@ -73,7 +74,8 @@ type ScalingTier struct {
 	// "join-per-partition" (the retained one-goroutine-per-partition reduce
 	// path, the skew baseline the morsel tier is compared against), "planner"
 	// (RecPart optimization with parallel best-split evaluation), "engine"
-	// (the full in-process query: sample + plan + shuffle + join).
+	// (the full in-process query through bandjoin.Join: sample + plan +
+	// shuffle + join).
 	Tier   string         `json:"tier"`
 	Points []ScalingPoint `json:"points"`
 }
@@ -218,7 +220,7 @@ func RunScaling(cfg ScalingConfig) (*ScalingReport, error) {
 		}
 
 		engineWall, err := fastest(func() error {
-			_, err := exec.Run(pt, s, t, band, opts)
+			_, err := bandjoin.Join(s, t, band, bandjoin.Options{Workers: cfg.Workers, Partitioner: pt, Seed: cfg.Seed})
 			return err
 		})
 		if err != nil {

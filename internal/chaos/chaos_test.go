@@ -12,6 +12,7 @@ import (
 	"bandjoin/internal/core"
 	"bandjoin/internal/data"
 	"bandjoin/internal/exec"
+	"bandjoin/internal/localjoin"
 	"bandjoin/internal/onebucket"
 	"bandjoin/internal/partition"
 )
@@ -24,18 +25,15 @@ func testData() (*data.Relation, *data.Relation, data.Band) {
 	return s, tt, data.Symmetric(0.25, 0.25)
 }
 
-// oraclePairs is the serial in-process result the chaos runs must match
+// oraclePairs is the nested loop's result the chaos runs must match
 // bit-identically. The pair set is a property of the inputs and the band, not
-// of any plan, so the oracle's plan need not match the cluster's.
-func oraclePairs(t *testing.T, pt partition.Partitioner, s, tt *data.Relation, band data.Band) []exec.Pair {
-	t.Helper()
-	opts := exec.DefaultOptions(3)
-	opts.CollectPairs = true
-	res, err := exec.Run(pt, s, tt, band, opts)
-	if err != nil {
-		t.Fatalf("oracle run: %v", err)
-	}
-	return sortedPairs(res.Pairs)
+// of any plan.
+func oraclePairs(s, tt *data.Relation, band data.Band) []exec.Pair {
+	var out []exec.Pair
+	localjoin.NestedLoop{}.Join(s, tt, band, func(si, ti int, _, _ []float64) {
+		out = append(out, exec.Pair{S: int64(si), T: int64(ti)})
+	})
+	return sortedPairs(out)
 }
 
 func sortedPairs(pairs []exec.Pair) []exec.Pair {
@@ -180,7 +178,7 @@ func TestChaosMatrix(t *testing.T) {
 	}
 
 	for _, ptc := range partitioners {
-		oracle := oraclePairs(t, ptc.mk(), s, tt, band)
+		oracle := oraclePairs(s, tt, band)
 		for _, mode := range []string{"transient", "retained"} {
 			for _, fc := range faultCases(joinPoint(mode)) {
 				t.Run(ptc.name+"/"+mode+"/"+fc.name, func(t *testing.T) {
@@ -231,7 +229,7 @@ func TestChaosMatrix(t *testing.T) {
 // error — and the workers end up with no leaked jobs either way.
 func TestChaosSeededSchedules(t *testing.T) {
 	s, tt, band := testData()
-	oracle := oraclePairs(t, core.NewRecPartS(), s, tt, band)
+	oracle := oraclePairs(s, tt, band)
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			coord, nodes := startChaosCluster(t, chaos.Generate(seed, 4), testDialOptions())
@@ -260,7 +258,7 @@ func TestChaosSeededSchedules(t *testing.T) {
 // alone, to an answer nobody reads.
 func TestStaleLoadOfAbortedShipmentIsNotJoined(t *testing.T) {
 	s, tt, band := testData()
-	oracle := oraclePairs(t, core.NewRecPartS(), s, tt, band)
+	oracle := oraclePairs(s, tt, band)
 	for _, mode := range []string{"transient", "retained"} {
 		t.Run(mode, func(t *testing.T) {
 			sched := chaos.NewSchedule(
@@ -293,7 +291,7 @@ func TestStaleLoadOfAbortedShipmentIsNotJoined(t *testing.T) {
 // recovered ones).
 func TestWorkerDeathBetweenLoadAndJoinLeavesNoJobState(t *testing.T) {
 	s, tt, band := testData()
-	oracle := oraclePairs(t, core.NewRecPartS(), s, tt, band)
+	oracle := oraclePairs(s, tt, band)
 	sched := chaos.NewSchedule(chaos.Fault{Method: "Reply", Call: 0, Kind: chaos.Kill})
 	coord, nodes := startChaosCluster(t, sched, testDialOptions())
 
@@ -318,7 +316,7 @@ func TestWorkerDeathBetweenLoadAndJoinLeavesNoJobState(t *testing.T) {
 // promoted back to up and serves again.
 func TestHeartbeatDetectsDeathAndRevival(t *testing.T) {
 	s, tt, band := testData()
-	oracle := oraclePairs(t, core.NewRecPartS(), s, tt, band)
+	oracle := oraclePairs(s, tt, band)
 	dopts := testDialOptions()
 	dopts.HeartbeatInterval = 40 * time.Millisecond
 	dopts.CallTimeout = 300 * time.Millisecond
@@ -374,7 +372,7 @@ func TestHeartbeatDetectsDeathAndRevival(t *testing.T) {
 // starts it and serves correct (degraded) results over the reachable ones.
 func TestDialConfigMinWorkers(t *testing.T) {
 	s, tt, band := testData()
-	oracle := oraclePairs(t, core.NewRecPartS(), s, tt, band)
+	oracle := oraclePairs(s, tt, band)
 
 	nodes := make([]*chaos.Node, 2)
 	addrs := make([]string, 3)
@@ -475,7 +473,7 @@ func skewedData() (*data.Relation, *data.Relation, data.Band) {
 // both the transient and the retained lifecycle.
 func TestChaosMorselSkewedEquivalence(t *testing.T) {
 	s, tt, band := skewedData()
-	oracle := oraclePairs(t, core.NewRecPartS(), s, tt, band)
+	oracle := oraclePairs(s, tt, band)
 
 	for _, morselRows := range []int{0, 16, -1} {
 		for _, mode := range []string{"transient", "retained"} {

@@ -16,6 +16,7 @@ import (
 	"bandjoin/internal/localjoin"
 	"bandjoin/internal/onebucket"
 	"bandjoin/internal/partition"
+	"bandjoin/internal/sample"
 	"bandjoin/internal/wire"
 )
 
@@ -33,6 +34,21 @@ func definitionPairs(s, t *data.Relation, band data.Band) []exec.Pair {
 		out = append(out, exec.Pair{S: int64(si), T: int64(ti)})
 	})
 	return out
+}
+
+// simulate is the in-process executor's answer to the query Coordinator.Run
+// answers with the same options: the default sample, the plan PlanQuery makes
+// from it with seed, and ExecutePlan over that plan.
+func simulate(pt partition.Partitioner, s, t *data.Relation, band data.Band, opts exec.Options) (*exec.Result, error) {
+	smp, err := sample.Draw(s, t, band, sample.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	prep, err := exec.PlanQuery(pt, smp, band, opts)
+	if err != nil {
+		return nil, err
+	}
+	return exec.ExecutePlan(context.Background(), prep.Plan, s, t, band, opts)
 }
 
 func TestDistributedJoinMatchesBruteForce(t *testing.T) {
@@ -91,7 +107,7 @@ func TestDistributedAgreesWithSimulator(t *testing.T) {
 
 	simOpts := exec.DefaultOptions(4)
 	simOpts.Seed = 5
-	sim, err := exec.Run(core.NewRecPartS(), s, tt, band, simOpts)
+	sim, err := simulate(core.NewRecPartS(), s, tt, band, simOpts)
 	if err != nil {
 		t.Fatalf("simulator run: %v", err)
 	}
@@ -132,7 +148,7 @@ func TestClusterMatchesInProcessExact(t *testing.T) {
 		simOpts := exec.DefaultOptions(3)
 		simOpts.CollectPairs = true
 		simOpts.Seed = 11
-		sim, err := exec.Run(pt, s, tt, band, simOpts)
+		sim, err := simulate(pt, s, tt, band, simOpts)
 		if err != nil {
 			t.Fatalf("simulator run (%s): %v", pt.Name(), err)
 		}

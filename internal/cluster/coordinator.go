@@ -900,8 +900,11 @@ func (c *Coordinator) ensureShipped(ctx context.Context, e *exec.Entry[shipment]
 // sealWorkers seals a shipped plan on every slot that may serve it — both the
 // owners and the empty live workers, so "sealed with zero partitions" stays
 // distinguishable from "evicted" at join time — and returns the slots that
-// sealed it. A seal that fails on a worker holding partitions evicts the plan
-// from every worker.
+// sealed it. The Seal calls run concurrently, as runJoinsRetained's Join calls
+// do, so the seal takes the slowest worker's presort and prepare, not their
+// sum. An empty worker that died is skipped; a seal that fails on a worker
+// holding partitions evicts the plan from every worker, and the first such
+// slot, in slot order, names the error.
 func (c *Coordinator) sealWorkers(ctx context.Context, planID string, band data.Band, owned map[int][]int, rs *runState) ([]int, error) {
 	sealed := c.liveSlots(rs)
 	for slot := range owned {
@@ -910,11 +913,14 @@ func (c *Coordinator) sealWorkers(ctx context.Context, planID string, band data.
 		}
 	}
 	sort.Ints(sealed)
+	errs := make([]error, len(sealed))
+	args := &SealArgs{PlanID: planID, Band: band}
+	parallel(len(sealed), func(i int) {
+		errs[i] = c.workers[sealed[i]].call(ctx, ServiceName+".Seal", args, &SealReply{}, c.opts.callDeadline(), c.opts.MaxRetries, rs.retry)
+	})
 	final := sealed[:0]
-	for _, slot := range sealed {
-		wc := c.workers[slot]
-		var sr SealReply
-		err := wc.call(ctx, ServiceName+".Seal", &SealArgs{PlanID: planID, Band: band}, &sr, c.opts.callDeadline(), c.opts.MaxRetries, rs.retry)
+	for i, slot := range sealed {
+		wc, err := c.workers[slot], errs[i]
 		if err == nil {
 			final = append(final, slot)
 			continue

@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net"
+	"net/rpc"
 	"slices"
 	"strings"
 	"sync"
@@ -489,4 +491,83 @@ func TestConcurrentPlanLossReshipsOnce(t *testing.T) {
 			t.Errorf("round %d: the queries shipped %d chunk frames in all, one shipment ships %d", round, rpcs, cold.ShuffleRPCs)
 		}
 	}
+}
+
+// sealGate is a worker whose Seal first reports that it has started, then
+// waits for the other gate's Seal to start before it seals.
+type sealGate struct {
+	*Worker
+	once           sync.Once
+	started, other chan struct{}
+}
+
+func (g *sealGate) Seal(args *SealArgs, reply *SealReply) error {
+	g.once.Do(func() { close(g.started) })
+	select {
+	case <-g.other:
+	case <-time.After(5 * time.Second):
+		return fmt.Errorf("worker %s: no other Seal started while this one waited; the seals run one after another", g.name)
+	}
+	return g.Worker.Seal(args, reply)
+}
+
+// serveGate serves g as Serve serves a worker: its RPC methods, Seal being
+// g's own, and its shipment streams.
+func serveGate(t *testing.T, g *sealGate) string {
+	t.Helper()
+	srv := rpc.NewServer()
+	if err := srv.RegisterName(ServiceName, g); err != nil {
+		t.Fatalf("registering the gate: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				c, stream, err := SplitConn(conn)
+				switch {
+				case err != nil:
+					conn.Close()
+				case stream:
+					g.ServeShipment(c)
+				default:
+					srv.ServeConn(c)
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestSealWorkersConcurrently: a cold retained query seals its plan on every
+// worker at once. Each worker's Seal blocks until the other's has started, so
+// seals sent one after another fail the query.
+func TestSealWorkersConcurrently(t *testing.T) {
+	started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var addrs []string
+	for i := range 2 {
+		g := &sealGate{Worker: NewWorker(fmt.Sprintf("gate-%d", i)), started: started[i], other: started[1-i]}
+		addrs = append(addrs, serveGate(t, g))
+	}
+	coord, err := Dial(addrs)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer coord.Close()
+
+	s, tt := data.ParetoPair(2, 1.4, 400, 29)
+	band := data.Symmetric(0.3, 0.3)
+	plan, pctx := retainPlanFor(t, core.NewRecPartS(), s, tt, band, 2)
+	res, err := coord.RunPlan(context.Background(), plan, pctx, s, tt, band, Options{PlanID: "gated", CollectPairs: true})
+	if err != nil {
+		t.Fatalf("cold retained RunPlan: %v", err)
+	}
+	samePairs(t, "gated seals vs nested loop", res.Pairs, definitionPairs(s, tt, band))
 }

@@ -1,43 +1,10 @@
 package exec
 
 import (
-	"fmt"
 	"math"
 
-	"bandjoin/internal/data"
 	"bandjoin/internal/partition"
-	"bandjoin/internal/sample"
 )
-
-// Estimate runs only the optimization phase and then predicts I, Im, Om and
-// join time by routing the sample tuples (not the full input) through the
-// plan and scaling the counts. The paper does the same for its most expensive
-// configurations (the 8-dimensional scalability tables use the running-time
-// model instead of cloud executions); here it additionally avoids shuffling
-// inputs whose duplication factor is in the thousands (Grid-ε at d = 8).
-func Estimate(pt partition.Partitioner, s, t *data.Relation, band data.Band, opts Options) (*Result, error) {
-	if opts.Workers < 1 {
-		return nil, fmt.Errorf("exec: need at least one worker, got %d", opts.Workers)
-	}
-	if err := band.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Sampling.InputSampleSize == 0 {
-		opts.Sampling = sample.DefaultOptions()
-	}
-	smp, err := sample.Draw(s, t, band, opts.Sampling)
-	if err != nil {
-		return nil, fmt.Errorf("exec: sampling: %w", err)
-	}
-	prep, err := PlanQuery(pt, smp, band, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := EstimatePlan(prep.Plan, prep.Ctx)
-	res.Partitioner = prep.Partitioner
-	res.OptimizationTime = prep.OptimizationTime
-	return res, nil
-}
 
 // Placement places the plan's partitions on n workers before their sizes are
 // known, the role the cluster scheduler's load estimates play in the paper's
@@ -107,8 +74,12 @@ func estimatePartitions(plan partition.Plan, ctx *partition.Context) sampleEstim
 	return e
 }
 
-// EstimatePlan estimates the execution metrics of a plan from the context's
-// samples without touching the full inputs.
+// EstimatePlan predicts I, Im, Om and join time by routing the context's
+// sample tuples (not the full input) through the plan and scaling the counts.
+// The paper does the same for its most expensive configurations (the
+// 8-dimensional scalability tables use the running-time model instead of cloud
+// executions); here it additionally avoids shuffling inputs whose duplication
+// factor is in the thousands (Grid-ε at d = 8).
 func EstimatePlan(plan partition.Plan, ctx *partition.Context) *Result {
 	smp := ctx.Sample
 	e := estimatePartitions(plan, ctx)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"bandjoin/internal/core"
@@ -40,22 +41,29 @@ func TestEstimatePartitionLoadsCoversAllPartitions(t *testing.T) {
 	}
 }
 
-func TestEstimateRejectsBadInputs(t *testing.T) {
+// TestPlanQueryRejectsBadInputs: a query's stages refuse a worker count
+// below one and an invalid band before they plan or route anything.
+func TestPlanQueryRejectsBadInputs(t *testing.T) {
 	s, tt := data.ParetoPair(1, 1.5, 300, 5)
-	if _, err := Estimate(core.NewDefault(), s, tt, data.Symmetric(0.1), Options{Workers: 0}); err == nil {
+	band := data.Symmetric(0.1)
+	smp, err := sample.Draw(s, tt, band, sample.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PlanQuery(core.NewDefault(), smp, band, Options{Workers: 0}); err == nil {
 		t.Error("zero workers accepted")
 	}
-	if _, err := Estimate(core.NewDefault(), s, tt, data.Band{Low: []float64{-1}, High: []float64{1}}, Options{Workers: 2}); err == nil {
+	if _, err := PlanQuery(core.NewDefault(), smp, data.Band{Low: []float64{-1}, High: []float64{1}}, Options{Workers: 2}); err == nil {
 		t.Error("invalid band accepted")
 	}
-}
-
-func TestRunRejectsBadInputs(t *testing.T) {
-	s, tt := data.ParetoPair(1, 1.5, 300, 5)
-	if _, err := Run(core.NewDefault(), s, tt, data.Symmetric(0.1), Options{Workers: 0}); err == nil {
+	if _, err := PlanQuery(core.NewDefault(), smp, data.Band{Low: []float64{1}, High: []float64{1, 2}}, Options{Workers: 2}); err == nil {
+		t.Error("invalid band accepted")
+	}
+	prep, err := PlanQuery(core.NewDefault(), smp, band, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExecutePlan(context.Background(), prep.Plan, s, tt, band, Options{Workers: 0}); err == nil {
 		t.Error("zero workers accepted")
-	}
-	if _, err := Run(core.NewDefault(), s, tt, data.Band{Low: []float64{1}, High: []float64{1, 2}}, Options{Workers: 2}); err == nil {
-		t.Error("invalid band accepted")
 	}
 }

@@ -32,8 +32,6 @@ type Options struct {
 	Workers int
 	// Model supplies the β coefficients; a zero value selects the default.
 	Model costmodel.Model
-	// Sampling configures the optimization-phase samples.
-	Sampling sample.Options
 	// CollectPairs materializes every result pair's (S id, T id); it is meant
 	// for correctness tests on small inputs, not for benchmarks.
 	CollectPairs bool
@@ -50,7 +48,7 @@ type Options struct {
 
 // DefaultOptions returns options for a w-worker run.
 func DefaultOptions(workers int) Options {
-	return Options{Workers: workers, Model: costmodel.Default(), Sampling: sample.DefaultOptions()}
+	return Options{Workers: workers, Model: costmodel.Default()}
 }
 
 // Pair is one join result identified by the original tuple indices.
@@ -180,9 +178,10 @@ type Prepared struct {
 }
 
 // PlanQuery runs the optimization stage on an already-drawn sample: it builds
-// the partitioning context and asks the partitioner for a plan. Splitting this
-// from Run lets callers cache the sample (one input scan per dataset pair) and
-// the resulting Prepared plan (one optimization per distinct query shape).
+// the partitioning context and asks the partitioner for a plan. Keeping it
+// apart from the sampling lets callers cache the sample (one input scan per
+// dataset pair) and the resulting Prepared plan (one optimization per distinct
+// query shape).
 func PlanQuery(pt partition.Partitioner, smp *sample.Sample, band data.Band, opts Options) (*Prepared, error) {
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("exec: need at least one worker, got %d", opts.Workers)
@@ -205,39 +204,6 @@ func PlanQuery(pt partition.Partitioner, smp *sample.Sample, band data.Band, opt
 		Partitioner:      pt.Name(),
 		OptimizationTime: time.Since(optStart),
 	}, nil
-}
-
-// Run samples the inputs, runs the partitioner's optimization phase, executes
-// the join on the simulated cluster, and returns the full accounting. It is
-// the one-shot composition of the staged pipeline: sample.Draw → PlanQuery →
-// ExecutePlan.
-func Run(pt partition.Partitioner, s, t *data.Relation, band data.Band, opts Options) (*Result, error) {
-	if opts.Workers < 1 {
-		return nil, fmt.Errorf("exec: need at least one worker, got %d", opts.Workers)
-	}
-	if err := band.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Sampling.InputSampleSize == 0 {
-		opts.Sampling = sample.DefaultOptions()
-	}
-
-	smp, err := sample.Draw(s, t, band, opts.Sampling)
-	if err != nil {
-		return nil, fmt.Errorf("exec: sampling: %w", err)
-	}
-	prep, err := PlanQuery(pt, smp, band, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	res, err := ExecutePlan(context.Background(), prep.Plan, s, t, band, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Partitioner = prep.Partitioner
-	res.OptimizationTime = prep.OptimizationTime
-	return res, nil
 }
 
 // ExecutePlan routes s and t through an already-computed plan (Route) and runs
@@ -263,17 +229,23 @@ func ExecutePlan(ctx context.Context, plan partition.Plan, s, t *data.Relation, 
 
 	pids := r.NonEmpty()
 	recs, jobs := make([]PartitionStats, len(pids)), make([]MorselJob, len(pids))
+	// Pairs are mapped through each partition's own IDs after its last
+	// morsel, so a run that collects them keeps its partitions out of the
+	// pool.
+	held := make([]*Partition, len(pids))
 	for i, pid := range pids {
 		recs[i] = PartitionStats{Partition: pid, InputS: r.S.Rows(pid), InputT: r.T.Rows(pid)}
 		jobs[i] = MorselJob{Rows: r.S.Rows(pid), Build: func() (RangeRun, func()) {
 			p := pooledPartition(s.Dims())
 			p.appendRouted(r, pid)
+			if opts.CollectPairs {
+				held[i] = p
+				return p.job(band, nil).Build()
+			}
 			return p.job(band, func() { partitionPool.Put(p) }).Build()
 		}}
 	}
-	// The partitions are back in the pool by the time pairs are mapped, so
-	// their IDs come from the routed lists.
-	res, err := reduce(ctx, plan, r.NumPartitions, recs, jobs, func(i int) ([]int64, []int64) { return r.S.IDs(pids[i]), r.T.IDs(pids[i]) },
+	res, err := reduce(ctx, plan, r.NumPartitions, recs, jobs, func(i int) ([]int64, []int64) { return held[i].sIDs, held[i].tIDs },
 		r.TotalInput, s.Len(), t.Len(), opts)
 	if err != nil {
 		return nil, err

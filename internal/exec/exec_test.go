@@ -78,6 +78,21 @@ func allPartitioners() []partition.Partitioner {
 	}
 }
 
+// runQuery is one whole query over the stages the planes compose —
+// sample.Draw with the default sampling, PlanQuery, ExecutePlan — for the
+// tests of this package that need one; bandjoin.Join is the product's.
+func runQuery(pt partition.Partitioner, s, t *data.Relation, band data.Band, opts Options) (*Result, error) {
+	smp, err := sample.Draw(s, t, band, sample.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	prep, err := PlanQuery(pt, smp, band, opts)
+	if err != nil {
+		return nil, err
+	}
+	return ExecutePlan(context.Background(), prep.Plan, s, t, band, opts)
+}
+
 func TestAllPartitionersProduceExactResult(t *testing.T) {
 	s, tt, band := testInputs(600, 11)
 	want := bruteForce(s, tt, band)
@@ -90,7 +105,7 @@ func TestAllPartitionersProduceExactResult(t *testing.T) {
 			opts := DefaultOptions(5)
 			opts.CollectPairs = true
 			opts.Seed = 3
-			res, err := Run(pt, s, tt, band, opts)
+			res, err := runQuery(pt, s, tt, band, opts)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -122,7 +137,7 @@ func TestAllPartitionersEquiJoin(t *testing.T) {
 		t.Run(pt.Name(), func(t *testing.T) {
 			opts := DefaultOptions(4)
 			opts.CollectPairs = true
-			res, err := Run(pt, s, tt, band, opts)
+			res, err := runQuery(pt, s, tt, band, opts)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -134,7 +149,7 @@ func TestAllPartitionersEquiJoin(t *testing.T) {
 func TestGridRejectsEquiJoin(t *testing.T) {
 	s, tt, _ := testInputs(200, 3)
 	band := data.Symmetric(0, 0)
-	_, err := Run(grid.New(), s, tt, band, DefaultOptions(4))
+	_, err := runQuery(grid.New(), s, tt, band, DefaultOptions(4))
 	if err == nil {
 		t.Fatal("Grid-ε accepted a zero band width; the paper states it is undefined for equi-joins")
 	}
@@ -142,7 +157,7 @@ func TestGridRejectsEquiJoin(t *testing.T) {
 
 func TestRunAccountingConsistency(t *testing.T) {
 	s, tt, band := testInputs(800, 21)
-	res, err := Run(core.NewDefault(), s, tt, band, DefaultOptions(6))
+	res, err := runQuery(core.NewDefault(), s, tt, band, DefaultOptions(6))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -172,15 +187,20 @@ func TestEstimateAgreesRoughlyWithExecution(t *testing.T) {
 	s, tt, band := testInputs(2000, 31)
 	opts := DefaultOptions(8)
 	opts.Seed = 1
+	smp, err := sample.Draw(s, tt, band, sample.DefaultOptions())
+	if err != nil {
+		t.Fatalf("Draw: %v", err)
+	}
 	for _, pt := range []partition.Partitioner{core.NewRecPartS(), onebucket.New()} {
-		run, err := Run(pt, s, tt, band, opts)
+		prep, err := PlanQuery(pt, smp, band, opts)
 		if err != nil {
-			t.Fatalf("Run(%s): %v", pt.Name(), err)
+			t.Fatalf("PlanQuery(%s): %v", pt.Name(), err)
 		}
-		est, err := Estimate(pt, s, tt, band, opts)
+		run, err := ExecutePlan(context.Background(), prep.Plan, s, tt, band, opts)
 		if err != nil {
-			t.Fatalf("Estimate(%s): %v", pt.Name(), err)
+			t.Fatalf("ExecutePlan(%s): %v", pt.Name(), err)
 		}
+		est := EstimatePlan(prep.Plan, prep.Ctx)
 		ratio := float64(est.TotalInput) / float64(run.TotalInput)
 		if ratio < 0.5 || ratio > 2.0 {
 			t.Errorf("%s: estimated total input %d is far from executed %d", pt.Name(), est.TotalInput, run.TotalInput)
@@ -231,7 +251,7 @@ func TestExecutePlanOnEveryBandShape(t *testing.T) {
 		for _, pt := range allPartitioners() {
 			opts := DefaultOptions(3)
 			opts.CollectPairs = true
-			res, err := Run(pt, in.s, in.t, in.band, opts)
+			res, err := runQuery(pt, in.s, in.t, in.band, opts)
 			if err != nil {
 				// Grid-ε and Grid* are undefined for a zero width
 				// (TestGridRejectsEquiJoin); nothing else may fail.
@@ -241,52 +261,6 @@ func TestExecutePlanOnEveryBandShape(t *testing.T) {
 				continue
 			}
 			checkExactlyOnce(t, res, want)
-		}
-	}
-}
-
-// TestPlanQueryComposesToRun: the staged pipeline (sample.Draw → PlanQuery →
-// ExecutePlan) must reproduce Run's accounting and pairs exactly — Run is the
-// one-shot composition the engine's cached stages are pinned against.
-func TestPlanQueryComposesToRun(t *testing.T) {
-	s, tt := data.ParetoPair(2, 1.4, 800, 7)
-	band := data.Symmetric(0.25, 0.25)
-	opts := DefaultOptions(4)
-	opts.CollectPairs = true
-	opts.Seed = 3
-
-	direct, err := Run(core.NewRecPartS(), s, tt, band, opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-
-	smp, err := sample.Draw(s, tt, band, opts.Sampling)
-	if err != nil {
-		t.Fatalf("Draw: %v", err)
-	}
-	prep, err := PlanQuery(core.NewRecPartS(), smp, band, opts)
-	if err != nil {
-		t.Fatalf("PlanQuery: %v", err)
-	}
-	if prep.Partitioner != direct.Partitioner {
-		t.Errorf("partitioner name %q, want %q", prep.Partitioner, direct.Partitioner)
-	}
-	staged, err := ExecutePlan(context.Background(), prep.Plan, s, tt, band, opts)
-	if err != nil {
-		t.Fatalf("ExecutePlan: %v", err)
-	}
-	if staged.TotalInput != direct.TotalInput || staged.Output != direct.Output ||
-		staged.Im != direct.Im || staged.Om != direct.Om || staged.Partitions != direct.Partitions {
-		t.Errorf("staged (I=%d out=%d Im=%d Om=%d parts=%d) differs from Run (I=%d out=%d Im=%d Om=%d parts=%d)",
-			staged.TotalInput, staged.Output, staged.Im, staged.Om, staged.Partitions,
-			direct.TotalInput, direct.Output, direct.Im, direct.Om, direct.Partitions)
-	}
-	if len(staged.Pairs) != len(direct.Pairs) {
-		t.Fatalf("pair counts differ: staged %d, Run %d", len(staged.Pairs), len(direct.Pairs))
-	}
-	for i := range staged.Pairs {
-		if staged.Pairs[i] != direct.Pairs[i] {
-			t.Fatalf("pair %d differs: staged %v, Run %v", i, staged.Pairs[i], direct.Pairs[i])
 		}
 	}
 }

@@ -52,7 +52,7 @@ func TestMorselMatchesPerPartitionOracle(t *testing.T) {
 			opts.CollectPairs = true
 			opts.Seed = 3
 			opts.MorselRows = -1 // the per-partition oracle
-			oracle, err := Run(core.NewRecPartS(), in.s, in.t, in.band, opts)
+			oracle, err := runQuery(core.NewRecPartS(), in.s, in.t, in.band, opts)
 			if err != nil {
 				t.Fatalf("oracle Run: %v", err)
 			}
@@ -72,7 +72,7 @@ func TestMorselMatchesPerPartitionOracle(t *testing.T) {
 			}
 			for _, rows := range []int{0, 1, 7, 64} {
 				opts.MorselRows = rows
-				got, err := Run(core.NewRecPartS(), in.s, in.t, in.band, opts)
+				got, err := runQuery(core.NewRecPartS(), in.s, in.t, in.band, opts)
 				if err != nil {
 					t.Fatalf("morsel Run (rows=%d): %v", rows, err)
 				}

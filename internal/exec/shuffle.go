@@ -112,20 +112,6 @@ func (rs *RoutedSide) gather(rows []int32, keys []float64, ids []int64) {
 	}
 }
 
-// IDs returns the tuple IDs of partition pid's rows, in the partition's
-// order.
-func (rs *RoutedSide) IDs(pid int) []int64 {
-	ids := make([]int64, 0, rs.Rows(pid))
-	for _, lists := range rs.shards {
-		if pid < len(lists) {
-			for _, row := range lists[pid] {
-				ids = append(ids, int64(row)+rs.Base)
-			}
-		}
-	}
-	return ids
-}
-
 // route runs shard k's pass, over its share of the side's rows, and stores its
 // per-partition row lists. numParts is the plan's partition count before the
 // pass: each of those lists starts with room for an even share of the shard

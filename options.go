@@ -68,7 +68,6 @@ func (r resolved) execOptions() exec.Options {
 	return exec.Options{
 		Workers:      r.Workers,
 		Model:        r.Model,
-		Sampling:     r.Sampling,
 		CollectPairs: r.CollectPairs,
 		Seed:         r.Seed,
 	}
