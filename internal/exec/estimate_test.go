@@ -41,8 +41,8 @@ func TestEstimatePartitionLoadsCoversAllPartitions(t *testing.T) {
 	}
 }
 
-// TestPlanQueryRejectsBadInputs: a query's stages refuse a worker count
-// below one and an invalid band before they plan or route anything.
+// TestPlanQueryRejectsBadInputs: planning refuses a worker count below one
+// and an invalid band before it plans anything.
 func TestPlanQueryRejectsBadInputs(t *testing.T) {
 	s, tt := data.ParetoPair(1, 1.5, 300, 5)
 	band := data.Symmetric(0.1)
@@ -58,6 +58,17 @@ func TestPlanQueryRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := PlanQuery(core.NewDefault(), smp, data.Band{Low: []float64{1}, High: []float64{1, 2}}, Options{Workers: 2}); err == nil {
 		t.Error("invalid band accepted")
+	}
+}
+
+// TestExecutePlanRejectsBadInputs: executing a valid plan refuses a worker
+// count below one before it routes anything.
+func TestExecutePlanRejectsBadInputs(t *testing.T) {
+	s, tt := data.ParetoPair(1, 1.5, 300, 5)
+	band := data.Symmetric(0.1)
+	smp, err := sample.Draw(s, tt, band, sample.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
 	prep, err := PlanQuery(core.NewDefault(), smp, band, Options{Workers: 2})
 	if err != nil {
