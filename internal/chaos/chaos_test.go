@@ -177,8 +177,8 @@ func TestChaosMatrix(t *testing.T) {
 		}
 	}
 
+	oracle := oraclePairs(s, tt, band)
 	for _, ptc := range partitioners {
-		oracle := oraclePairs(s, tt, band)
 		for _, mode := range []string{"transient", "retained"} {
 			for _, fc := range faultCases(joinPoint(mode)) {
 				t.Run(ptc.name+"/"+mode+"/"+fc.name, func(t *testing.T) {

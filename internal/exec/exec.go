@@ -229,23 +229,23 @@ func ExecutePlan(ctx context.Context, plan partition.Plan, s, t *data.Relation, 
 
 	pids := r.NonEmpty()
 	recs, jobs := make([]PartitionStats, len(pids)), make([]MorselJob, len(pids))
-	// Pairs are mapped through each partition's own IDs after its last
-	// morsel, so a run that collects them keeps its partitions out of the
-	// pool.
-	held := make([]*Partition, len(pids))
+	// A run that collects pairs copies each partition's tuple IDs before its
+	// release hands it back to the pool; the pairs map through the copies.
+	sIDs, tIDs := make([][]int64, len(pids)), make([][]int64, len(pids))
 	for i, pid := range pids {
 		recs[i] = PartitionStats{Partition: pid, InputS: r.S.Rows(pid), InputT: r.T.Rows(pid)}
 		jobs[i] = MorselJob{Rows: r.S.Rows(pid), Build: func() (RangeRun, func()) {
 			p := pooledPartition(s.Dims())
 			p.appendRouted(r, pid)
-			if opts.CollectPairs {
-				held[i] = p
-				return p.job(band, nil).Build()
-			}
-			return p.job(band, func() { partitionPool.Put(p) }).Build()
+			return p.job(band, func() {
+				if opts.CollectPairs {
+					sIDs[i], tIDs[i] = slices.Clone(p.sIDs), slices.Clone(p.tIDs)
+				}
+				partitionPool.Put(p)
+			}).Build()
 		}}
 	}
-	res, err := reduce(ctx, plan, r.NumPartitions, recs, jobs, func(i int) ([]int64, []int64) { return held[i].sIDs, held[i].tIDs },
+	res, err := reduce(ctx, plan, r.NumPartitions, recs, jobs, func(i int) ([]int64, []int64) { return sIDs[i], tIDs[i] },
 		r.TotalInput, s.Len(), t.Len(), opts)
 	if err != nil {
 		return nil, err
