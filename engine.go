@@ -737,13 +737,15 @@ func (e *Engine) Join(ctx context.Context, sName, tName string, band Band, opts 
 }
 
 // planDetail is the plan span's detail: the cache tier, and on a miss the
-// optimizer's exact work counts when the partitioner reports them.
+// optimizer's exact work counts and chosen iteration when the partitioner
+// reports them.
 func planDetail(tier string, hit bool, plan partition.Plan) string {
 	cp, ok := plan.(*core.Plan)
 	if hit || !ok {
 		return tier
 	}
-	return fmt.Sprintf("%s candidates=%d scored=%d iterations=%d", tier, cp.Work.Candidates, cp.Work.Scored, cp.Work.Iterations)
+	return fmt.Sprintf("%s candidates=%d scored=%d advances=%d iterations=%d chosen=%d",
+		tier, cp.Work.Candidates, cp.Work.Scored, cp.Work.Advances, cp.Work.Iterations, cp.Chosen)
 }
 
 // finishTrace copies the result's accounting into the trace and attaches it.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"bandjoin/internal/costmodel"
@@ -54,7 +55,7 @@ func BenchmarkReplan(b *testing.B) {
 		}
 	}
 	// One plan outside the timers: the first builds the sample's columns and
-	// sizes the planner's pooled scratch.
+	// sizes the planner's scratch.
 	plan(b, replanContext(b, drawn, band(0)))
 
 	b.Run("ForBand", func(b *testing.B) {
@@ -93,18 +94,18 @@ func BenchmarkReplan(b *testing.B) {
 
 // maxPlanAllocs is the allocation count of a warm plan on replanShape, with
 // the sweeps run inline, before the sweep's block bounds existed: the bounds
-// live in pooled scratch, so the count must not grow. What remains is the plan
-// itself — the replayed split tree, its regions and the history — not the
-// grower's working state. The sweeps run inline because a worker pool hands
-// tasks out in whatever order its goroutines arrive, so which pooled scratch
-// first meets the largest leaf, and allocates, varies from run to run.
+// live in the planner's scratch, so the count must not grow. What remains is
+// the plan itself — the replayed split tree, its regions and the history — not
+// the grower's working state. The sweeps run inline because a worker pool
+// hands tasks out in whatever order its goroutines arrive, so which worker's
+// scratch first meets the largest leaf, and allocates, varies from run to run.
 const maxPlanAllocs = 305
 
 // TestPlanSteadyStateAllocs pins a warm plan's allocations on replanShape.
 // AllocsPerRun runs at GOMAXPROCS 1, so the planner's sweeps run inline.
 func TestPlanSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race; steady state not observable")
+		t.Skip("data.Argsort's sync.Pool drops items under -race; steady state not observable")
 	}
 	drawn, band := replanShape(t)
 	ctx := replanContext(t, drawn, band(1))
@@ -117,5 +118,77 @@ func TestPlanSteadyStateAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per warm plan", allocs)
 	if allocs > maxPlanAllocs {
 		t.Errorf("a warm plan allocates %.0f times, more than the %d before the sweep's block bounds", allocs, maxPlanAllocs)
+	}
+}
+
+// maxBytesPerPlanAfterGC bounds what a plan on replanShape allocates when two
+// GCs ran since the last plan and it starts on a fresh goroutine: the plan
+// itself, 40–100 KB. A plan that cannot find the last plan's scratch
+// regrows its arenas, about 16 MB.
+const maxBytesPerPlanAfterGC = 1 << 20
+
+// TestPlanAfterGCSteadyStateAllocs: the planner's scratch survives garbage
+// collections and is found by a plan that runs on another goroutine, and so
+// on whichever core picks it up.
+func TestPlanAfterGCSteadyStateAllocs(t *testing.T) {
+	drawn, band := replanShape(t)
+	rp := NewDefault()
+	plan := func(ctx *partition.Context) {
+		done := make(chan error)
+		go func() {
+			_, err := rp.Plan(ctx)
+			done <- err
+		}()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	const warm, rounds = 3, 6
+	ctxs := make([]*partition.Context, warm+rounds)
+	for i := range ctxs {
+		ctxs[i] = replanContext(t, drawn, band(i+1))
+	}
+	for _, ctx := range ctxs[:warm] {
+		plan(ctx)
+	}
+	var before, after runtime.MemStats
+	var total uint64
+	for _, ctx := range ctxs[warm:] {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		plan(ctx)
+		runtime.ReadMemStats(&after)
+		t.Logf("%d bytes allocated", after.TotalAlloc-before.TotalAlloc)
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	if perPlan := total / rounds; perPlan > maxBytesPerPlanAfterGC {
+		t.Errorf("a plan after two GCs allocates %d bytes, more than %d: it regrew the planner's scratch", perPlan, maxBytesPerPlanAfterGC)
+	}
+}
+
+// TestHeldPlanSurvivesScratchReuse: a finished Plan never aliases the
+// planner's scratch, so the plans that reuse it after leave a held plan's
+// routing unchanged.
+func TestHeldPlanSurvivesScratchReuse(t *testing.T) {
+	cases := equivCases()
+	held := cases[len(cases)-1]
+	ctx := equivContext(t, held)
+	opts := DefaultOptions()
+	opts.Symmetric = held.symmetric
+	plan, err := New(opts).PlanDetailed(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := hashAssignments(plan, ctx.Sample)
+	for _, c := range cases[:len(cases)-1] {
+		opts := DefaultOptions()
+		opts.Symmetric = c.symmetric
+		if _, err := New(opts).Plan(equivContext(t, c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hashAssignments(plan, ctx.Sample); got != want {
+		t.Fatalf("the held plan's assignments hash to %#x after %d more plans, %#x before", got, len(cases)-1, want)
 	}
 }

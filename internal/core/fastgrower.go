@@ -33,11 +33,11 @@ import (
 //
 //   - Allocation-free growth. Leaf index slabs are carved from a reusable
 //     arena, growth nodes come from a chunked node arena, and every sweep,
-//     candidate, membership, and statistics buffer lives in a pooled scratch
-//     (the sync.Pool pattern of internal/localjoin and the flat-arena pattern
-//     of internal/exec's shuffle), so steady-state planning performs a
-//     handful of allocations per plan instead of several per leaf per
-//     dimension.
+//     candidate, membership, and statistics buffer lives in a planner scratch
+//     kept across plans on a bounded free list (plannerScratches), so
+//     steady-state planning performs a handful of allocations per plan
+//     instead of several per leaf per dimension, on whichever core the next
+//     plan runs.
 //
 //   - Incremental iteration statistics. The estimated total input is
 //     maintained incrementally (growEnv.totalInput), the per-iteration
@@ -64,7 +64,7 @@ type fastGrower struct {
 }
 
 // ---------------------------------------------------------------------------
-// Arenas and pooled scratch
+// Arenas and reused scratch
 
 // i32Arena carves int32 slices from a single reusable buffer. When the buffer
 // is exhausted a larger one replaces it (previously carved slices stay alive
@@ -98,7 +98,7 @@ func (a *i32Arena) reset() { a.off = 0 }
 // nodeArena hands out growth-phase nodes from fixed-size blocks, so node
 // pointers stay valid as the arena grows. reset rewinds for the next plan;
 // nodes are zeroed on alloc. The final split tree is never built from the
-// arena (replay allocates fresh nodes), so pooling the arena across plans is
+// arena (replay allocates fresh nodes), so reusing the arena across plans is
 // safe.
 type nodeArena struct {
 	blocks [][]node
@@ -141,19 +141,19 @@ type evalScratch struct {
 // child with a squared load lpSq (0 when the child is not swept in the
 // dimension). At the root there is no parent — initialize has filled its
 // views — and one child. After runTasks, result holds each child's best
-// candidate in the dimension, and cands and scored the candidates the sweeps
-// materialised and the ones their per-candidate loops scored.
+// candidate in the dimension, and cands, scored and advances the sweeps'
+// work counts (sweepDim's).
 type evalTask struct {
-	parent        *node
-	kids          [2]*node
-	dim           int
-	lpSq          [2]float64
-	result        [2]candidate
-	cands, scored int
+	parent                  *node
+	kids                    [2]*node
+	dim                     int
+	lpSq                    [2]float64
+	result                  [2]candidate
+	cands, scored, advances int
 }
 
-// plannerScratch is the reusable state of one fast plan computation, checked
-// out of plannerPool per plan so concurrent planners never share buffers.
+// plannerScratch is the reusable state of one fast plan computation, taken
+// from plannerScratches per plan so concurrent planners never share buffers.
 type plannerScratch struct {
 	idx                   i32Arena
 	nodes                 nodeArena
@@ -167,7 +167,17 @@ type plannerScratch struct {
 	outS, outT sample.Columns
 }
 
-var plannerPool = sync.Pool{New: func() interface{} { return &plannerScratch{} }}
+// plannerScratches is the free list of planner scratch, at most
+// maxIdleScratches long. Not a sync.Pool, which parks a lone scratch in one
+// P's private slot, out of reach of a plan on another P, and drops it after
+// two GCs. Last in, first out, so plans after a burst of concurrent ones keep
+// reusing one grown scratch (DESIGN.md "Planner scratch").
+var plannerScratches struct {
+	sync.Mutex
+	free []*plannerScratch
+}
+
+const maxIdleScratches = 4
 
 // growBytes ensures *buf has length n.
 func growBytes(buf *[]byte, n int) {
@@ -185,12 +195,19 @@ const (
 // ---------------------------------------------------------------------------
 // Growth
 
-// growTree grows the split tree with pooled scratch and returns the populated
+// growTree grows the split tree with reused scratch and returns the populated
 // growth environment (action log, history) plus the winning iteration.
 func growTree(ctx *partition.Context, opts Options) (growEnv, int) {
 	env := newGrowEnv(ctx, opts)
 	f := &fastGrower{growEnv: env, dims: env.band.Dims(), par: runtime.GOMAXPROCS(0)}
-	f.sc = plannerPool.Get().(*plannerScratch)
+	plannerScratches.Lock()
+	if n := len(plannerScratches.free); n > 0 {
+		f.sc = plannerScratches.free[n-1]
+		plannerScratches.free = plannerScratches.free[:n-1]
+	} else {
+		f.sc = &plannerScratch{}
+	}
+	plannerScratches.Unlock()
 	defer f.release()
 	smp := f.ctx.Sample
 	f.cols.s, f.cols.t = smp.InputColumns()
@@ -206,8 +223,9 @@ func growTree(ctx *partition.Context, opts Options) (growEnv, int) {
 	return f.growEnv, chosen
 }
 
-// release returns the scratch to the pool, dropping node references so the
-// previous plan's tree can be collected once its arena slots are reused.
+// release returns the scratch to the free list, or drops it when the list is
+// full, after dropping node references so the previous plan's tree can be
+// collected.
 func (f *fastGrower) release() {
 	for i := range f.leaves {
 		f.leaves[i] = nil
@@ -219,7 +237,11 @@ func (f *fastGrower) release() {
 	f.sc.tasks = f.sc.tasks[:0]
 	f.sc.idx.reset()
 	f.sc.nodes.reset()
-	plannerPool.Put(f.sc)
+	plannerScratches.Lock()
+	if len(plannerScratches.free) < maxIdleScratches {
+		plannerScratches.free = append(plannerScratches.free, f.sc)
+	}
+	plannerScratches.Unlock()
 	f.sc = nil
 	f.root = nil
 	f.leaves = nil
@@ -490,6 +512,7 @@ func (f *fastGrower) evalBatch(parent *node, kids [2]*node) {
 	for i := range tasks {
 		f.work.Candidates += int64(tasks[i].cands)
 		f.work.Scored += int64(tasks[i].scored)
+		f.work.Advances += int64(tasks[i].advances)
 	}
 }
 
@@ -556,10 +579,11 @@ func (f *fastGrower) runTask(t *evalTask, es *evalScratch) {
 		es.tv = gatherVals(f.cols.t.Col(dim), n.tView(d, dim), es.tv)
 		es.ovS = gatherVals(f.cols.outS.Col(dim), n.outSView(d, dim), es.ovS)
 		es.ovT = gatherVals(f.cols.outT.Col(dim), n.outTView(d, dim), es.ovT)
-		var cands, scored int
-		t.result[k], cands, scored = f.sweepDim(dim, es, n.region.Lo[dim], n.region.Hi[dim], t.lpSq[k])
+		var cands, scored, advances int
+		t.result[k], cands, scored, advances = f.sweepDim(dim, es, n.region.Lo[dim], n.region.Hi[dim], t.lpSq[k])
 		t.cands += cands
 		t.scored += scored
+		t.advances += advances
 	}
 }
 

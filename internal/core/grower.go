@@ -228,8 +228,9 @@ type sweepBound struct {
 // last) that fall strictly inside (lo, hi): the one met at merged position m
 // lies in (M[m−1], M[m]] and has i(m) S and m − i(m) T values below it, where
 // the co-rank i(m) counts the S values among M's first m. The other results
-// are how many candidate points the sweep materialised and how many of those
-// the per-candidate loop scored.
+// are how many candidate points the sweep materialised, how many of those
+// the per-candidate loop scored, and how many steps the bounding pass's
+// pointers advanced.
 //
 // Branch and bound. The merged positions are cut into blocks of sweepBlock,
 // and candidates are materialised only inside the blocks that can win. One
@@ -258,12 +259,12 @@ type sweepBound struct {
 // that scores clearly above every skipped one — the last accepted is such a
 // candidate — beats either scan's running best by more than rounding, so both
 // scans accept it and agree from there on.
-func (e *growEnv) sweepDim(dim int, es *evalScratch, lo, hi, lpSq float64) (best candidate, cands, scored int) {
+func (e *growEnv) sweepDim(dim int, es *evalScratch, lo, hi, lpSq float64) (best candidate, cands, scored, advances int) {
 	sv, tv, ovS, ovT := es.sv, es.tv, es.ovS, es.ovT
 	nS, nT, nOut := len(sv), len(tv), len(ovS)
 	npos := nS + nT
 	if npos < 2 {
-		return candidate{sc: invalidScore()}, 0, 0
+		return candidate{sc: invalidScore()}, 0, 0, 0
 	}
 	low, high := e.band.Low[dim], e.band.High[dim]
 	b2s, b2t, b3o := e.b2s, e.b2t, e.b3o
@@ -384,6 +385,9 @@ func (e *growEnv) sweepDim(dim int, es *evalScratch, lo, hi, lpSq float64) (best
 			float64(fSLow-pSHigh), invS)
 	}
 	cut := tau * (1 - pruneRelSlack)
+	// The pointers start at 0 and only move forward: their final positions
+	// are the pass's steps.
+	advances = pTHigh + pTLow + pOS + pSLow + pSHigh + pOT
 
 	// --- The per-candidate loop over the blocks that can win.
 	//
@@ -459,14 +463,14 @@ func (e *growEnv) sweepDim(dim int, es *evalScratch, lo, hi, lpSq float64) (best
 	}
 	cands += scored
 	if !found {
-		return candidate{sc: invalidScore()}, cands, scored
+		return candidate{sc: invalidScore()}, cands, scored, advances
 	}
 	return candidate{
 		sc:   score{valid: true, dup: bestDup, varRed: bestVarRed, ratio: bestRatio},
 		dim:  dim,
 		val:  bestX,
 		kind: bestKind,
-	}, cands, scored
+	}, cands, scored, advances
 }
 
 // sFirst reports whether the merge of a leaf's S and T values takes the S

@@ -52,6 +52,9 @@ type PlanWork struct {
 	// Scored is the number of candidates the sweep's per-candidate loop
 	// scored.
 	Scored int64
+	// Advances is the number of steps the sweeps' bounding passes moved
+	// their monotone pointers, summed like Candidates.
+	Advances int64
 	// Iterations is the number of growth-loop iterations: actions applied.
 	Iterations int
 }

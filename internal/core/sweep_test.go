@@ -96,7 +96,7 @@ func checkSweep(t *testing.T, name string, l sweepLeaf) (cands, scored int) {
 		}
 	}
 	want := fullSweep(&l.env, 0, es, all, cS, cT, l.lpSq)
-	got, made, scored := l.env.sweepDim(0, es, l.lo, l.hi, l.lpSq)
+	got, made, scored, _ := l.env.sweepDim(0, es, l.lo, l.hi, l.lpSq)
 	if !sameCandidate(got, want) {
 		t.Fatalf("%s: %d candidates, %d scored: bounded sweep %+v, full scan %+v", name, len(all), scored, got, want)
 	}
@@ -341,7 +341,7 @@ func TestSweepDimMatchesFullScan(t *testing.T) {
 				}
 				cands, cS, cT := candsFromSorted(es.sv, es.tv, region.Lo[dim], region.Hi[dim], nil, nil, nil)
 				want := fullSweep(&env, dim, es, cands, cS, cT, lp*lp)
-				got, _, n := env.sweepDim(dim, es, region.Lo[dim], region.Hi[dim], lp*lp)
+				got, _, n, _ := env.sweepDim(dim, es, region.Lo[dim], region.Hi[dim], lp*lp)
 				if !sameCandidate(got, want) {
 					t.Fatalf("root dim %d symmetric=%v: bounded sweep %+v, full scan %+v", dim, symmetric, got, want)
 				}
@@ -513,9 +513,10 @@ const (
 	replanScoredBefore   = 199904
 )
 
-// TestPlanWorkIndependentOfParallelism: a plan's work counters are exact — the
-// same at every planner pool size (GOMAXPROCS) — and the block bounds spare most candidates on
-// the plan-sweep shape.
+// TestPlanWorkIndependentOfParallelism: a plan's work counters — candidates,
+// scored, pointer advances, iterations — are exact, the same at every planner
+// pool size (GOMAXPROCS), and the block bounds spare most candidates on the
+// plan-sweep shape.
 func TestPlanWorkIndependentOfParallelism(t *testing.T) {
 	drawn, band := replanShape(t)
 	ctx := replanContext(t, drawn, band(1))
@@ -529,9 +530,9 @@ func TestPlanWorkIndependentOfParallelism(t *testing.T) {
 		w := p.Work
 		if par == 1 {
 			first = w
-			t.Logf("%d candidates materialised, %d scored (%.1f %%), %d iterations",
-				w.Candidates, w.Scored, 100*float64(w.Scored)/float64(w.Candidates), w.Iterations)
-			if w.Candidates == 0 || w.Scored >= w.Candidates || w.Iterations != len(p.History)-1 {
+			t.Logf("%d candidates materialised, %d scored (%.1f %%), %d pointer advances, %d iterations",
+				w.Candidates, w.Scored, 100*float64(w.Scored)/float64(w.Candidates), w.Advances, w.Iterations)
+			if w.Candidates == 0 || w.Scored >= w.Candidates || w.Advances == 0 || w.Iterations != len(p.History)-1 {
 				t.Fatalf("work %+v with %d history entries", w, len(p.History))
 			}
 			if w.Candidates > replanEveryCandidate*15/100 || w.Scored > replanScoredBefore*11/10 {

@@ -68,11 +68,12 @@ func TestQueryTraceColdWarm(t *testing.T) {
 				if sp.Name != "plan" {
 					continue
 				}
-				var cands, scored, iters int64
-				if _, err := fmt.Sscanf(sp.Detail, "miss candidates=%d scored=%d iterations=%d", &cands, &scored, &iters); err != nil {
+				var cands, scored, advances, iters, chosen int64
+				if _, err := fmt.Sscanf(sp.Detail, "miss candidates=%d scored=%d advances=%d iterations=%d chosen=%d",
+					&cands, &scored, &advances, &iters, &chosen); err != nil {
 					t.Fatalf("cold plan span detail %q: %v", sp.Detail, err)
 				}
-				if cands <= 0 || scored > cands || iters <= 0 {
+				if cands <= 0 || scored > cands || advances <= 0 || iters <= 0 || chosen < 0 || chosen > iters {
 					t.Errorf("cold plan span detail %q: implausible work counts", sp.Detail)
 				}
 			}
