@@ -63,7 +63,7 @@ func main() {
 
 		clusterMinWorkers  = flag.Int("cluster-min-workers", 0, "start the coordinator as long as this many workers are reachable; the rest join via the heartbeat (default: all must be reachable)")
 		clusterCallTimeout = flag.Duration("cluster-call-timeout", 0, "per-attempt deadline of control-plane RPCs and of each shipment frame (default 15s, negative disables)")
-		clusterJoinTimeout = flag.Duration("cluster-join-timeout", 0, "per-attempt deadline of joins: Join RPCs and one-shot shipment replies (default 2m, negative disables)")
+		clusterJoinTimeout = flag.Duration("cluster-join-timeout", 0, "per-attempt deadline of joins: Join RPCs and the replies of shipments joined at their end (default 2m, negative disables)")
 		clusterRetries     = flag.Int("cluster-retries", 0, "transport-error retries per idempotent RPC before failover (default 3, negative disables)")
 
 		repeat     = flag.Int("repeat", 1, "serve the query this many times through an engine; repeats are answered from cached samples, plans, and retained partitions")

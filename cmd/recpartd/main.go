@@ -18,17 +18,18 @@
 // occupancy, latency histograms), /debug/vars (expvar JSON), and
 // /debug/pprof/* (live profiling).
 //
-// Besides one-shot shipments, joined at the end of their own stream, the
-// worker keeps a retained-plan registry serving engine queries
-// (bandjoin.Engine): shuffled partitions stay resident — presorted, with
-// prebuilt join structures — under their plan fingerprint, so repeated
-// queries join with zero shuffle bytes.
-// -max-retained caps the plans that registry holds: a Seal past the cap evicts
+// Every shipment is joined at the end of its own stream. Besides one-shot
+// shipments, the worker keeps a retained-plan registry serving engine queries
+// (bandjoin.Engine): the partitions a first query's stream ships stay
+// resident — presorted, with prebuilt join structures — under their plan
+// fingerprint, sealed at the stream's end, so repeated queries join with zero
+// shuffle bytes.
+// -max-retained caps the plans that registry holds: a seal past the cap evicts
 // the least recently sealed others, never one still being shipped (coordinators
 // reshuffle an evicted plan transparently if it is queried again).
 //
 // On SIGINT or SIGTERM the worker shuts down gracefully: it stops accepting
-// connections, rejects new shipments and Join/Seal work (coordinators see the
+// connections, rejects new shipments and Join work (coordinators see the
 // refusals as clean errors and fail over), drains the work in flight for up to
 // -drain-timeout, logs the retained-plan count it is taking down, and exits 0.
 package main

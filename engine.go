@@ -369,7 +369,7 @@ func (e *Engine) evictAll(planIDs []string) {
 // input samples covering the dataset are merged up by weighted reservoir
 // continuation, and every live plan's retained partitions absorb just the
 // appended rows through the plan's existing routing (in memory on the
-// in-process plane, via delta Loads into the sealed plans on the cluster
+// in-process plane, via delta streams into the sealed plans on the cluster
 // plane). Appended partitions are re-sorted and their prepared join structures
 // rebuilt lazily on the next probe, not here. If a delta cannot be absorbed
 // (e.g. a worker died mid-delta), that plan's retained partitions are evicted
@@ -920,7 +920,7 @@ func (p *clusterPlane) execute(ctx context.Context, prep *exec.Prepared, s, t *R
 	return p.coord.RunPlan(ctx, prep.Plan, prep.Ctx, s, t, band, copts)
 }
 
-// absorb ships the appended suffixes as delta Loads into the sealed plan on
+// absorb ships the appended suffixes as delta streams into the sealed plan on
 // the workers, so the next warm query moves zero bytes.
 func (p *clusterPlane) absorb(ctx context.Context, prep *exec.Prepared, s, t *Relation, planID string) error {
 	return p.coord.AbsorbPlan(ctx, prep.Plan, prep.Ctx, s, t, cluster.Options{PlanID: planID})

@@ -37,7 +37,6 @@ var exportsAllowed = map[string]string{
 	"chaos.Node.Addr":                  "fault-injection harness: the address a test dials or restarts a chaos node on",
 	"chaos.Node.Stop":                  "fault-injection harness: shuts a chaos node down at the end of a test",
 	"chaos.Schedule.Calls":             "fault-injection harness: counts the RPCs a chaos schedule saw",
-	"chaos.Node.Killed":                "fault-injection harness: reports whether a chaos schedule killed a node",
 	"core.Plan.DumpTree":               "debugging aid: the starting point for dumping a plan's split tree in the trace",
 }
 

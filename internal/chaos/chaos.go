@@ -62,7 +62,7 @@ func (k Kind) String() string {
 
 // Fault perturbs one specific RPC invocation or point of a shipment stream.
 type Fault struct {
-	// Method is the short RPC method name ("Join", "Seal", "Evict", "Ping",
+	// Method is the short RPC method name ("Join", "Evict", "Ping",
 	// "Stats"), a shipment stream's point ("Open" once its header is read,
 	// "Chunk" at each chunk frame, "Reply" between its end frame and its
 	// reply; cluster.ShipPoint), or "*" to match any of them.

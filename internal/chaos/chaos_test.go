@@ -131,21 +131,25 @@ func assertNoJobLeaks(t *testing.T, nodes []*chaos.Node) {
 }
 
 // joinPoint is where a query's join phase meets its worker: the Join RPC of a
-// retained plan, the point between a one-shot stream's end frame and its
-// reply.
+// warm retained query, the point between its stream's end frame and its reply
+// for a one-shot or cold retained one.
 func joinPoint(mode string) string {
-	if mode == "retained" {
+	if mode == "warm-retained" {
 		return "Join"
 	}
 	return "Reply"
 }
 
 // TestChaosMatrix is the equivalence suite: every seeded fault schedule, on
-// both data-plane-relevant partitioners and both the transient and retained
-// paths, must yield either pairs bit-identical to the serial oracle or a
-// clean error — never a hang, a leaked job, or a wrong answer. Kill faults
-// additionally must complete degraded with exactly one lost worker. The
-// shuffle's faults hit chunk frames; the join's, the join point of the mode.
+// both data-plane-relevant partitioners and on the transient, cold retained
+// ("retained") and warm retained paths, must yield either pairs
+// bit-identical to the serial oracle or a clean error — never a hang, a leaked
+// job, or a wrong answer. Kill faults additionally must complete degraded with
+// exactly one lost worker. The shuffle's faults hit chunk frames; the join's,
+// the join point of the mode. A warm retained case first primes the plan with
+// a cold query, which the shuffle's faults hit, and then is asserted on the
+// warm query its join's faults hit; after a shuffle fault, the warm query
+// must still return the oracle's pairs.
 func TestChaosMatrix(t *testing.T) {
 	s, tt, band := testData()
 
@@ -162,6 +166,7 @@ func TestChaosMatrix(t *testing.T) {
 		wantErr  bool
 		wantLost int
 	}
+	joinPhase := func(fc faultCase) bool { return fc.faults[0].Method != "Chunk" }
 	faultCases := func(join string) []faultCase {
 		return []faultCase{
 			{"drop-load", []chaos.Fault{{Method: "Chunk", Call: 1, Kind: chaos.Drop}}, false, 0},
@@ -179,15 +184,21 @@ func TestChaosMatrix(t *testing.T) {
 
 	oracle := oraclePairs(s, tt, band)
 	for _, ptc := range partitioners {
-		for _, mode := range []string{"transient", "retained"} {
+		for _, mode := range []string{"transient", "retained", "warm-retained"} {
 			for _, fc := range faultCases(joinPoint(mode)) {
 				t.Run(ptc.name+"/"+mode+"/"+fc.name, func(t *testing.T) {
 					coord, nodes := startChaosCluster(t, chaos.NewSchedule(fc.faults...), testDialOptions())
 					opts := cluster.Options{CollectPairs: true, ChunkSize: 32, Seed: 42}
-					if mode == "retained" {
+					if mode != "transient" {
 						opts.PlanID = "chaos|" + t.Name()
 					}
 					ctx := context.Background()
+					warm := mode == "warm-retained"
+					if warm && joinPhase(fc) {
+						if _, err := coord.Run(ctx, ptc.mk(), s, tt, band, opts); err != nil {
+							t.Fatalf("priming the plan: %v", err)
+						}
+					}
 
 					res, err := coord.Run(ctx, ptc.mk(), s, tt, band, opts)
 					if fc.wantErr {
@@ -216,6 +227,16 @@ func TestChaosMatrix(t *testing.T) {
 						if fc.wantLost == 0 && res.Degraded {
 							t.Errorf("no worker lost but Degraded is true")
 						}
+					}
+					if warm && !joinPhase(fc) {
+						res, err := coord.Run(ctx, ptc.mk(), s, tt, band, opts)
+						if err != nil {
+							t.Fatalf("warm query after the primed plan's fault: %v", err)
+						}
+						if !res.WarmPartitions {
+							t.Error("the query after priming shipped the plan again")
+						}
+						assertPairsEqual(t, oracle, res.Pairs)
 					}
 					assertNoJobLeaks(t, nodes)
 				})
@@ -251,20 +272,19 @@ func TestChaosSeededSchedules(t *testing.T) {
 // deadline, so the coordinator gives up on the connection, finds the worker
 // alive, clears it and ships everything again under the same plan
 // fingerprint. The stalled stream — of the aborted shipment, its frames still
-// buffered — then goes on into the reshipped plan, while the worker's Seal
-// and Join are held back in turn to be sure it lands first. Joined, its rows
-// count twice; the worker must refuse them instead. A one-shot stream shares
-// nothing with its repeat, so on the transient path the stalled one joins
-// alone, to an answer nobody reads.
+// buffered — then goes on into the reshipped plan, while the repeat is held
+// back at its first chunk to be sure the stalled one lands first. Joined at
+// the repeat's end, its rows count twice; the worker must refuse them
+// instead. A one-shot stream shares nothing with its repeat, so on the
+// transient path the stalled one joins alone, to an answer nobody reads.
 func TestStaleLoadOfAbortedShipmentIsNotJoined(t *testing.T) {
 	s, tt, band := testData()
 	oracle := oraclePairs(s, tt, band)
 	for _, mode := range []string{"transient", "retained"} {
 		t.Run(mode, func(t *testing.T) {
 			sched := chaos.NewSchedule(
-				chaos.Fault{Method: "Open", Call: 0, Kind: chaos.Delay, Delay: 1000 * time.Millisecond},
-				chaos.Fault{Method: "Seal", Call: 0, Kind: chaos.Delay, Delay: 800 * time.Millisecond},
-				chaos.Fault{Method: "Join", Call: 0, Kind: chaos.Delay, Delay: 300 * time.Millisecond},
+				chaos.Fault{Method: "Open", Call: 0, Kind: chaos.Delay, Delay: 700 * time.Millisecond},
+				chaos.Fault{Method: "Chunk", Call: 0, Kind: chaos.Delay, Delay: 350 * time.Millisecond},
 			)
 			coord, nodes := startChaosCluster(t, sched, testDialOptions())
 			opts := cluster.Options{CollectPairs: true, ChunkSize: 32, Seed: 42}

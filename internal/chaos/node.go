@@ -121,7 +121,10 @@ func (n *Node) Release() {
 }
 
 // Kill terminates the node as a process death would: the listener closes, so
-// do all live connections, and later dials are refused. Idempotent.
+// do all live connections, and later dials are refused. The node answers no
+// call and reads no stream from the moment Kill begins, before the first
+// connection closes, so no caller that saw one close gets an answer on
+// another. Idempotent.
 func (n *Node) Kill() {
 	n.mu.Lock()
 	if n.killed {
@@ -177,6 +180,12 @@ func (n *Node) interceptShip(ev *cluster.ShipEvent) error {
 // fault applies the scheduled fault (if any) of one invocation of method on
 // conn and otherwise executes it. A Hang waits in hang.
 func (n *Node) fault(method string, conn net.Conn, invoke func() error, hang func()) error {
+	if n.Killed() {
+		// A dead process answers nothing: a call or stream that reaches the
+		// node while Kill is still closing its connections dies with it.
+		conn.Close()
+		return ErrInjected
+	}
 	f := n.sched.next(method)
 	if f == nil {
 		return invoke()
@@ -220,10 +229,6 @@ type chaosService struct {
 
 func (s *chaosService) Join(args *cluster.JoinArgs, reply *cluster.JoinReply) error {
 	return s.node.intercept("Join", s.conn, func() error { return s.node.worker.Join(args, reply) })
-}
-
-func (s *chaosService) Seal(args *cluster.SealArgs, reply *cluster.SealReply) error {
-	return s.node.intercept("Seal", s.conn, func() error { return s.node.worker.Seal(args, reply) })
 }
 
 func (s *chaosService) Evict(args *cluster.EvictArgs, reply *cluster.EvictReply) error {

@@ -54,13 +54,13 @@ type DialOptions struct {
 	// reachable (the strict historical behavior).
 	MinWorkers int
 	// CallTimeout is the per-attempt deadline of control-plane RPCs (Ping,
-	// Seal, Evict, Stats), of dialing, of each frame written to a shipment
-	// stream and of a retained stream's reply; zero selects 15s, negative
-	// disables the deadline.
+	// Evict, Stats), of dialing, of each frame written to a shipment stream
+	// and of a delta stream's reply; zero selects 15s, negative disables the
+	// deadline.
 	CallTimeout time.Duration
 	// JoinTimeout is the per-attempt deadline of Join RPCs and of a one-shot
-	// stream's reply (its join runs at the stream's end), which legitimately
-	// run long; zero selects 2m, negative disables the deadline (the caller's
+	// or kept stream's reply (its join runs at the stream's end), which
+	// legitimately run long; zero selects 2m, negative disables the deadline (the caller's
 	// context still bounds the query).
 	JoinTimeout time.Duration
 	// MaxRetries is how many times an idempotent RPC is retried after a

@@ -255,10 +255,10 @@ func TestWorkerLoadJoinRaceSafety(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		chunk.Append(float64(i) / 64)
 	}
-	if err := w.Seal(&SealArgs{PlanID: "job", Band: band}, &SealReply{}); err != nil {
-		t.Fatalf("Seal: %v", err)
+	if err := seal(w, toPlan("job", band)); err != nil {
+		t.Fatalf("seal: %v", err)
 	}
-	delta := toPlan("job")
+	delta := toPlan("job", band)
 	delta.Delta = true
 
 	var wg sync.WaitGroup
@@ -350,7 +350,7 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 	w := NewWorker("w0")
 	chunk := data.NewRelation("c", 1)
 	chunk.Append(1)
-	unknownFrame := encodeShipment(toPlan("j"), func(sw *shipWriter) { sw.write([]byte{'U'}) })
+	unknownFrame := encodeShipment(toPlan("j", data.Symmetric(1)), func(sw *shipWriter) { sw.write([]byte{'U'}) })
 	if _, err := shipBytes(w, unknownFrame); err == nil {
 		t.Error("a stream with an unknown frame was accepted")
 	}
@@ -363,12 +363,12 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 	}
 	// Establish a 1D partition, then try to append a 2D chunk to it: the
 	// mismatch must fail the stream instead of desyncing keys from IDs.
-	if _, err := ship(w, toPlan("j"), testPart{pid: 3, s: chunk}); err != nil {
+	if _, err := ship(w, toPlan("j", data.Symmetric(1)), testPart{pid: 3, s: chunk}); err != nil {
 		t.Fatalf("a stream of a valid chunk failed: %v", err)
 	}
 	wide := data.NewRelation("c2", 2)
 	wide.Append(1, 2)
-	if _, err := ship(w, toPlan("j"), testPart{pid: 3, s: wide, sIDs: []int64{1}}); err == nil {
+	if _, err := ship(w, toPlan("j", data.Symmetric(1)), testPart{pid: 3, s: wide, sIDs: []int64{1}}); err == nil {
 		t.Error("a stream appended a chunk whose dims differ from the partition's")
 	}
 }
@@ -376,7 +376,7 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 // TestLateRetainedLoadAfterFinalEvict: a retained stream the coordinator
 // timed out on may be read after the plan was evicted for good (EvictPlan, or
 // a failed shipment's clean-up). Accepted, it would leave rows resident under
-// a plan id that no Seal or Evict ever names again, and the retention cap,
+// a plan id that no stream or Evict ever names again, and the retention cap,
 // which spares unsealed entries as shipments in progress, would never reclaim
 // them. A numbered Evict, which precedes every shipment, reopens the id. The
 // memory of closed ids is bounded, oldest forgotten first.
@@ -385,7 +385,7 @@ func TestLateRetainedLoadAfterFinalEvict(t *testing.T) {
 	w.SetMaxRetained(1)
 	chunk := data.NewRelation("c", 1)
 	chunk.Append(1)
-	hdr := toPlan("p")
+	hdr := toPlan("p", data.Symmetric(1))
 	hdr.Attempt = 3
 	load := func() error {
 		_, err := ship(w, hdr, testPart{s: chunk, sIDs: []int64{7}})
@@ -397,8 +397,8 @@ func TestLateRetainedLoadAfterFinalEvict(t *testing.T) {
 	if err := load(); err != nil {
 		t.Fatalf("stream: %v", err)
 	}
-	if err := w.Seal(&SealArgs{PlanID: "p"}, &SealReply{}); err != nil {
-		t.Fatalf("Seal: %v", err)
+	if err := seal(w, hdr); err != nil {
+		t.Fatalf("seal: %v", err)
 	}
 	if err := w.Evict(&EvictArgs{PlanID: "p"}, &EvictReply{}); err != nil {
 		t.Fatalf("final Evict: %v", err)
@@ -410,8 +410,8 @@ func TestLateRetainedLoadAfterFinalEvict(t *testing.T) {
 		t.Errorf("%d plans resident after the late stream, want 0", n)
 	}
 	for _, id := range []string{"q", "r"} {
-		if err := w.Seal(&SealArgs{PlanID: id}, &SealReply{}); err != nil {
-			t.Fatalf("Seal %s: %v", id, err)
+		if err := seal(w, toPlan(id, data.Symmetric(1))); err != nil {
+			t.Fatalf("seal %s: %v", id, err)
 		}
 	}
 	if n := w.Retained(); n != 1 {
@@ -444,22 +444,23 @@ func TestLateRetainedLoadAfterFinalEvict(t *testing.T) {
 	}
 }
 
-// TestLateSealAfterFinalEvict is the regression test for a Seal that brought
-// an evicted plan back: after its final Evict, a Seal of the plan — a retry
-// its coordinator gave up on, landing late — created an empty entry, sealed,
-// that a retained Join then answered with zero partitions, and that under a
-// retention cap could push a real plan out. The closed id refuses it.
+// TestLateSealAfterFinalEvict is the regression test for a seal that brought
+// an evicted plan back: after its final Evict, a kept stream of no partitions
+// — a retry its coordinator gave up on, landing late — created an empty
+// entry, sealed, that a retained Join then answered with zero partitions, and
+// that under a retention cap could push a real plan out. (It was a Seal RPC
+// when the test was written.) The closed id refuses it.
 func TestLateSealAfterFinalEvict(t *testing.T) {
 	w := NewWorker("late-seal")
 	w.SetMaxRetained(1)
 	band := data.Symmetric(0.5)
-	if err := w.Seal(&SealArgs{PlanID: "q", Band: band}, &SealReply{}); err != nil {
-		t.Fatalf("Seal q: %v", err)
+	if err := seal(w, toPlan("q", band)); err != nil {
+		t.Fatalf("seal q: %v", err)
 	}
 	if err := w.Evict(&EvictArgs{PlanID: "p"}, &EvictReply{}); err != nil {
 		t.Fatalf("final Evict: %v", err)
 	}
-	if err := w.Seal(&SealArgs{PlanID: "p", Band: band}, &SealReply{}); err == nil {
+	if err := seal(w, toPlan("p", band)); err == nil {
 		t.Error("a Seal after its plan's final Evict was accepted")
 	}
 	if n := w.Retained(); n != 1 {
@@ -485,7 +486,7 @@ func TestStaleLoadAfterMidQueryClear(t *testing.T) {
 	row := data.NewRelation("c", 1)
 	row.Append(1)
 	load := func(side string, attempt int, delta bool) error {
-		hdr := toPlan("plan")
+		hdr := toPlan("plan", data.Symmetric(0.5))
 		hdr.Attempt, hdr.Delta = attempt, delta
 		p := testPart{s: row, sIDs: []int64{7}}
 		if side == "T" {
@@ -533,8 +534,10 @@ func TestStaleLoadAfterMidQueryClear(t *testing.T) {
 	mustRefuse("a stream of the second shipment after the second clearing", load("S", 1, false))
 	mustLoad("third shipment, S", load("S", 2, false))
 	mustLoad("third shipment, T", load("T", 2, false))
-	if err := w.Seal(&SealArgs{PlanID: "plan", Band: data.Symmetric(0.5)}, &SealReply{}); err != nil {
-		t.Fatalf("Seal: %v", err)
+	sealed := toPlan("plan", data.Symmetric(0.5))
+	sealed.Attempt = 2
+	if err := seal(w, sealed); err != nil {
+		t.Fatalf("seal: %v", err)
 	}
 	if got := output(); got != 1 {
 		t.Errorf("retained plan joined %d pairs, want the reshipped rows' 1", got)

@@ -37,9 +37,11 @@ import (
 // of the source relations and writes it columnar (internal/wire) to one
 // ordered shipment stream (stream.go), so gathering, encoding, network
 // transfer, and the worker's decode+append overlap, TCP's flow control
-// bounding how far the sender runs ahead. A one-shot query's stream carries
-// its band; the worker prepares each partition as soon as it is complete and
-// joins at the end of the stream, answering with the join.
+// bounding how far the sender runs ahead. A query's stream carries its band,
+// one-shot or kept under a retained plan's fingerprint alike; the worker builds
+// each partition's join structure as soon as it is complete and joins at the
+// end of the stream, answering with the join. Only a warm retained query joins
+// through an RPC (Join).
 //
 // The coordinator is fault tolerant (see DESIGN.md, "Failure model"): every
 // RPC carries a deadline and honors the query's context, idempotent calls are
@@ -152,7 +154,8 @@ func (c *Coordinator) RetainedPlans() int { return c.retained.Len() }
 // the entry's covered prefixes and routed total: where the sealed shipment
 // lives. Its entry's Fill guards it.
 type shipment struct {
-	// slots are the worker slots holding the sealed shipment. Warm joins
+	// slots are the worker slots whose kept streams answered: the ones
+	// holding the sealed shipment, partitions or none. Warm joins
 	// target exactly this set — not the current live set — so a worker that
 	// went down since shipping is detected (and the plan reshipped) rather
 	// than its partitions being silently skipped.
@@ -294,8 +297,8 @@ type runState struct {
 	encodeNanos atomic.Int64
 	decodeNanos atomic.Int64
 	// lastEnd and lastReply are the latest times, in Unix nanoseconds, at
-	// which a stream wrote its end frame and read its reply: a one-shot query's
-	// shuffle ends at the first and its join at the second.
+	// which a stream wrote its end frame and read its reply: a shipment's
+	// shuffle ends at the first and its join at the second (shipmentTimes).
 	lastEnd   atomic.Int64
 	lastReply atomic.Int64
 
@@ -371,6 +374,23 @@ func (rs *runState) lostCount() int {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	return len(rs.lost)
+}
+
+// startShipment starts a shipment's clock and returns its start.
+func (rs *runState) startShipment() time.Time {
+	start := time.Now()
+	storeMax(&rs.lastEnd, start)
+	storeMax(&rs.lastReply, start)
+	return start
+}
+
+// shipmentTimes is the accounting of sh, a shipment of a routing of
+// totalInput tuples started at start: its shuffle ends when its last stream
+// wrote its end frame, and its join phase, the wall time it returns, when its
+// last reply came in.
+func (rs *runState) shipmentTimes(start time.Time, sh shipped, totalInput int64) (shuffleStats, time.Duration) {
+	shuffleEnd, lastReply := time.Unix(0, rs.lastEnd.Load()), time.Unix(0, rs.lastReply.Load())
+	return shuffleStats{totalInput: totalInput, rpcs: sh.chunks, bytes: sh.bytes, duration: shuffleEnd.Sub(start)}, lastReply.Sub(shuffleEnd)
 }
 
 // storeMax raises v to t's Unix nanoseconds if that is later.
@@ -481,13 +501,6 @@ type shuffleStats struct {
 	absorbed time.Duration
 }
 
-// slotJoin is one worker's (partial) join contribution: recovery rounds can
-// produce several entries per slot, each covering a disjoint pid set.
-type slotJoin struct {
-	slot  int
-	stats []exec.PartitionStats
-}
-
 // RunPlan shuffles the inputs to the workers per an already-computed plan,
 // runs the local joins, and aggregates the result. It is the execution half
 // of Run, exported so benchmarks can compare data planes on one shared plan.
@@ -518,66 +531,83 @@ func (c *Coordinator) RunPlan(ctx context.Context, plan partition.Plan, pctx *pa
 // runTransient is the one-shot path: one stream per worker, each joined at its
 // end, so nothing of the query outlives its streams on any worker.
 func (c *Coordinator) runTransient(ctx context.Context, plan partition.Plan, pctx *partition.Context, s, t *data.Relation, band data.Band, opts Options, rs *runState) (*exec.Result, error) {
-	redistribute := redistributor(plan, pctx)
-	start := time.Now()
-	storeMax(&rs.lastEnd, start)
-	storeMax(&rs.lastReply, start)
+	start := rs.startShipment()
 	routed, err := exec.Route(ctx, plan, s, t, 0, 0, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
 	}
-	targets := c.liveSlots(rs)
-	if len(targets) == 0 {
-		return nil, errNoLiveWorkers
-	}
-	hdr := ShipHeader{JoinArgs: JoinArgs{Band: band, CollectPairs: opts.CollectPairs, MorselRows: opts.MorselRows}}
-	sh, err := c.shipPartitions(ctx, redistribute(routed.NonEmpty(), targets), routed, hdr, opts.ChunkSize, redistribute, rs)
+	sh, err := c.deliver(ctx, plan, pctx, routed, band, opts, rs)
 	if err != nil {
 		return nil, err
 	}
-	shuffleEnd, lastReply := time.Unix(0, rs.lastEnd.Load()), time.Unix(0, rs.lastReply.Load())
-	st := shuffleStats{totalInput: routed.TotalInput, rpcs: sh.chunks, bytes: sh.bytes, duration: shuffleEnd.Sub(start)}
-	return c.result(sh.joined, opts, s, t, st, lastReply.Sub(shuffleEnd), rs), nil
+	st, joinWall := rs.shipmentTimes(start, sh, routed.TotalInput)
+	return c.result(sh.joined, opts, s, t, st, joinWall, rs), nil
+}
+
+// deliver ships a routing to the live workers as one shipment, kept under
+// opts.PlanID when it is set, and returns what the streams answered: the
+// joins of their partitions and, kept, where the partitions now live.
+func (c *Coordinator) deliver(ctx context.Context, plan partition.Plan, pctx *partition.Context, routed *exec.Routed, band data.Band, opts Options, rs *runState) (shipped, error) {
+	targets := c.liveSlots(rs)
+	if len(targets) == 0 {
+		return shipped{}, errNoLiveWorkers
+	}
+	redistribute := redistributor(plan, pctx)
+	hdr := ShipHeader{JoinArgs: JoinArgs{PlanID: opts.PlanID, Band: band, CollectPairs: opts.CollectPairs, MorselRows: opts.MorselRows}}
+	return c.shipPartitions(ctx, redistribute(routed.NonEmpty(), targets), routed, hdr, opts.ChunkSize, redistribute, rs)
 }
 
 // maxShipAttemptsPerWorker bounds how many times a shipment to one worker is
 // restarted before the worker is abandoned for the query.
 const maxShipAttemptsPerWorker = 2
 
-// shipped is what shipPartitions moved: the final ownership (slot → pids
-// resident there) of a retained shipment, the joins of a one-shot one, and
-// the chunk frames and bytes written, failover reshipments included.
+// shipped is what shipPartitions moved: the joins the streams answered (slot
+// → partition records), the final ownership (slot → pids resident there) of a
+// kept shipment, whose keys are the slots whose streams answered, and the
+// chunk frames and bytes written, failover reshipments included.
 type shipped struct {
+	joined map[int][]exec.PartitionStats
 	owned  map[int][]int
-	joined []slotJoin
 	chunks int64
 	bytes  int64
 }
 
 // shipPartitions ships an assignment (slot → partition ids), one stream per
-// slot and round, with failover. Each round ships every slot's pids in
-// parallel; a slot whose stream fails with a transport error is probed:
+// slot and round, with failover. A kept shipment (hdr.PlanID set, not a
+// delta) also sends a stream of no partitions to every live worker the
+// assignment skips, so that "sealed with zero partitions" stays distinct from
+// "evicted" at join time. Each round ships every slot's pids in parallel; a
+// slot whose stream fails with a transport error is probed:
 //
 //   - alive → the stream is repeated to it, up to maxShipAttemptsPerWorker
 //     times, after which the worker is abandoned for this query and its pids
 //     redistributed. A one-shot stream is repeated alone: nothing of it
-//     outlived its connection. A retained one first has its plan cleared on
-//     the worker (a numbered Evict), and everything the worker was given —
+//     outlived its connection. A kept one first has its plan cleared on the
+//     worker (a numbered Evict), and everything the worker was given —
 //     pids shipped in earlier rounds too, which the clearing dropped — goes
 //     again. The clearing and the new stream carry the new shipment's number
 //     (Coordinator.shipments), so a stream of the aborted shipment that the
 //     worker reads only now is refused instead of landing among the
 //     reshipped rows;
-//   - dead → marked down; the stream's pids (on a retained shipment,
-//     everything the worker ever owned) are re-placed over the surviving
-//     workers and reshipped from the coordinator-held row lists.
+//   - dead → marked down; the stream's pids (on a kept shipment, everything
+//     the worker ever owned) are re-placed over the surviving workers and
+//     reshipped from the coordinator-held row lists.
 //
-// Application errors are not failed over: a worker that refuses a stream
-// will refuse it again; the shipment fails cleanly. Neither is a delta
+// When a kept slot is cleared or abandoned, the joins its earlier streams
+// answered go with its ownership: everything it owned is shipped and joined
+// again. Application errors are not failed over: a worker that refuses a
+// stream will refuse it again; the shipment fails cleanly. Neither is a delta
 // stream, which may have landed in part and cannot be repeated.
 func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]int, routed *exec.Routed, hdr ShipHeader, chunkSize int, redistribute func(pids, targets []int) map[int][]int, rs *runState) (shipped, error) {
-	oneShot := hdr.PlanID == ""
-	sh := shipped{owned: make(map[int][]int)}
+	kept := hdr.PlanID != "" && !hdr.Delta
+	sh := shipped{joined: make(map[int][]exec.PartitionStats), owned: make(map[int][]int)}
+	if kept {
+		for _, slot := range c.liveSlots(rs) {
+			if _, ok := assignment[slot]; !ok {
+				assignment[slot] = nil
+			}
+		}
+	}
 	attempts := make(map[int]int) // slot → shipments to it that died on the wire
 	numbers := make(map[int]int)  // slot → number of the shipment to it now
 	for round := 0; len(assignment) > 0; round++ {
@@ -609,15 +639,12 @@ func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]i
 			sh.bytes += out.bytes
 			pids := assignment[slot]
 			wc := c.workers[slot]
-			if out.err == nil && oneShot && len(out.join.Partitions) != len(pids) {
+			if out.err == nil && !hdr.Delta && len(out.join.Partitions) != len(pids) {
 				return sh, fmt.Errorf("cluster: worker %d (%s) joined %d partitions of the %d shipped to it", slot, wc.name(), len(out.join.Partitions), len(pids))
 			}
 			if out.err == nil {
-				if oneShot {
-					sh.joined = append(sh.joined, slotJoin{slot: slot, stats: out.join.Partitions})
-				} else {
-					sh.owned[slot] = append(sh.owned[slot], pids...)
-				}
+				sh.joined[slot] = append(sh.joined[slot], out.join.Partitions...)
+				sh.owned[slot] = append(sh.owned[slot], pids...)
 				continue
 			}
 			if cerr := ctx.Err(); cerr != nil {
@@ -646,7 +673,7 @@ func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]i
 				// this worker for the query.
 				rs.exclude(slot)
 				abandon = true
-			} else if !oneShot {
+			} else if kept {
 				var er EvictReply
 				if cerr := wc.call(ctx, ServiceName+".Evict", &EvictArgs{PlanID: hdr.PlanID, Attempt: numbers[slot]}, &er, c.opts.callDeadline(), 1, nil); cerr != nil {
 					if isTransportErr(cerr) && !wc.probe(ctx) {
@@ -657,8 +684,12 @@ func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]i
 					abandon = true
 				}
 			}
-			all := append(append([]int(nil), sh.owned[slot]...), pids...)
-			delete(sh.owned, slot)
+			all := pids
+			if kept {
+				all = append(slices.Clone(sh.owned[slot]), pids...)
+				delete(sh.owned, slot)
+				delete(sh.joined, slot)
+			}
 			if abandon {
 				orphaned = append(orphaned, all...)
 				joinPhase = joinPhase || out.ended
@@ -694,10 +725,10 @@ func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]i
 }
 
 // runJoinsRetained triggers the local joins of one sealed retained plan on
-// the given slots in parallel, with retries but no failover. A worker that
-// fails its liveness probe yields errWorkerLost, which the retained path turns
-// into an invalidate-and-reship.
-func (c *Coordinator) runJoinsRetained(ctx context.Context, planID string, slots []int, band data.Band, opts Options, rs *runState) ([]slotJoin, time.Duration, error) {
+// the given slots in parallel (the Join RPC of a warm query), with retries
+// but no failover. A worker that fails its liveness probe yields
+// errWorkerLost, which the retained path turns into an invalidate-and-reship.
+func (c *Coordinator) runJoinsRetained(ctx context.Context, planID string, slots []int, band data.Band, opts Options, rs *runState) (map[int][]exec.PartitionStats, time.Duration, error) {
 	joinStart := time.Now()
 	outs := make([]JoinReply, len(slots))
 	errs := make([]error, len(slots))
@@ -707,7 +738,7 @@ func (c *Coordinator) runJoinsRetained(ctx context.Context, planID string, slots
 	})
 	joinWall := time.Since(joinStart)
 
-	joined := make([]slotJoin, 0, len(slots))
+	joined := make(map[int][]exec.PartitionStats, len(slots))
 	for i, slot := range slots {
 		wc := c.workers[slot]
 		if err := errs[i]; err != nil {
@@ -722,7 +753,7 @@ func (c *Coordinator) runJoinsRetained(ctx context.Context, planID string, slots
 			}
 			return nil, 0, fmt.Errorf("cluster: local joins on worker %d (%s) failed: %w", slot, wc.name(), err)
 		}
-		joined = append(joined, slotJoin{slot: slot, stats: outs[i].Partitions})
+		joined[slot] = outs[i].Partitions
 	}
 	return joined, joinWall, nil
 }
@@ -737,14 +768,15 @@ var errSuperseded = errors.New("cluster: retained-plan entry superseded")
 const maxRetainedAttempts = 6
 
 // runRetained serves a query whose plan fingerprint is retained on the
-// workers: the first run ships and seals the partitions, later runs join the
-// resident data directly. If a worker lost the plan (retention-cap eviction,
-// restart, or death), the entry the query used is evicted (evictEntry) and the
-// coordinator falls back to a cold reshipment over the currently live
-// workers; concurrent queries that lost the same entry leave the reshipment
-// to whichever evicted it. The entry is re-fetched every attempt so a
-// concurrent EvictPlan can never leave two goroutines shipping the same
-// fingerprint through different entries.
+// workers: the first run ships the partitions kept, each stream joining and
+// sealing its worker's share at its end, and later runs join the resident
+// data directly (the Join RPC). If a worker lost the plan (retention-cap
+// eviction, restart, or death), the entry the query used is evicted
+// (evictEntry) and the coordinator falls back to a cold reshipment over the
+// currently live workers; concurrent queries that lost the same entry leave
+// the reshipment to whichever evicted it. The entry is re-fetched every
+// attempt so a concurrent EvictPlan can never leave two goroutines shipping
+// the same fingerprint through different entries.
 func (c *Coordinator) runRetained(ctx context.Context, plan partition.Plan, pctx *partition.Context, s, t *data.Relation, band data.Band, opts Options, rs *runState) (*exec.Result, error) {
 	var lastErr error
 	for attempt := 0; attempt < maxRetainedAttempts; attempt++ {
@@ -752,19 +784,17 @@ func (c *Coordinator) runRetained(ctx context.Context, plan partition.Plan, pctx
 			return nil, err
 		}
 		e := c.retained.Open(opts.PlanID)
-		st, slots, warm, err := c.ensureShipped(ctx, e, plan, pctx, s, t, band, opts, rs)
+		cold, slots, err := c.ensureShipped(ctx, e, plan, pctx, s, t, band, opts, rs)
 		if err == errSuperseded {
 			lastErr = err
 			continue
 		}
-		if errors.Is(err, errWorkerLost) {
-			// The failed shipment deleted e and evicted what it shipped.
-			lastErr = err
-			rs.failover("retained_failover", "worker lost during shipment")
-			continue
-		}
 		if err != nil {
 			return nil, err
+		}
+		if cold != nil {
+			// The shipment's streams answered with the joins.
+			return c.result(cold.sh.joined, opts, s, t, cold.st, cold.joinWall, rs), nil
 		}
 		// A worker holding part of the shipment went down since it was
 		// sealed: its partitions are unreachable, so invalidate and reship
@@ -788,25 +818,24 @@ func (c *Coordinator) runRetained(ctx context.Context, plan partition.Plan, pctx
 		// relations since it was sealed (Engine.Append without an eager
 		// absorb): shuffle just the appended suffix into the sealed plan
 		// before joining, so warm queries never rescan or reship the base.
-		if warm {
-			if err := c.ensureFresh(ctx, e, plan, pctx, s, t, opts, rs, &st); err != nil {
-				if err == errSuperseded {
-					lastErr = err
-					continue
-				}
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				}
+		var st shuffleStats
+		if err := c.ensureFresh(ctx, e, plan, pctx, s, t, opts, rs, &st); err != nil {
+			if err == errSuperseded {
 				lastErr = err
-				rs.failover("retained_failover", "delta absorb failed; reshipping")
-				c.evictEntry(e, opts.PlanID)
 				continue
 			}
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, cerr
+			}
+			lastErr = err
+			rs.failover("retained_failover", "delta absorb failed; reshipping")
+			c.evictEntry(e, opts.PlanID)
+			continue
 		}
 		joined, joinWall, err := c.runJoinsRetained(ctx, opts.PlanID, slots, band, opts, rs)
 		if err == nil {
 			res := c.result(joined, opts, s, t, st, joinWall, rs)
-			res.WarmPartitions = warm
+			res.WarmPartitions = true
 			return res, nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
@@ -824,40 +853,49 @@ func (c *Coordinator) runRetained(ctx context.Context, plan partition.Plan, pctx
 	return nil, fmt.Errorf("cluster: retained plan %q kept disappearing: %w", opts.PlanID, lastErr)
 }
 
+// coldShipment is what a retained plan's cold shipment returns: its streams'
+// joins and where its partitions live, its shuffle's accounting and its join
+// phase's wall time.
+type coldShipment struct {
+	sh       shipped
+	st       shuffleStats
+	joinWall time.Duration
+}
+
 // ensureShipped makes the plan's partitions resident and sealed on the
 // workers, shipping them cold if e is unsealed: the first query of the plan,
 // or the first since an eviction or a failed shipment. Exactly one shuffle
 // runs per fingerprint: the cold shipment holds e's Fill lock for writing,
 // and concurrent first queries wait on it and then proceed warm. An entry
 // that is no longer its fingerprint's (EvictPlan deleted it) is neither
-// shipped through nor joined warm: errSuperseded. It returns the slot set
-// holding the sealed shipment, which the warm join must target, and whether
-// the shipment was already resident (warm) — the retained-tier outcome the
-// trace reports; a warm query's routed total is ensureFresh's to fill in.
+// shipped through nor joined warm: errSuperseded. A warm query gets the slot
+// set holding the sealed shipment, which its join must target; a cold one
+// gets the shipment, whose streams answered with the join.
 //
 // The cold shipment is e's Absorb from row 0: its delivery clears any remnant
-// of an earlier shipment from the workers, ships the routed partitions and
-// seals them on every worker. A shipment that fails leaves no entry: nothing
+// of an earlier shipment from the workers and ships the routed partitions kept,
+// each worker's stream sealing them there at its end. e.Meta.slots are the
+// slots whose streams answered. A shipment that fails leaves no entry: nothing
 // of it is resident.
-func (c *Coordinator) ensureShipped(ctx context.Context, e *exec.Entry[shipment], plan partition.Plan, pctx *partition.Context, s, t *data.Relation, band data.Band, opts Options, rs *runState) (shuffleStats, []int, bool, error) {
+func (c *Coordinator) ensureShipped(ctx context.Context, e *exec.Entry[shipment], plan partition.Plan, pctx *partition.Context, s, t *data.Relation, band data.Band, opts Options, rs *runState) (*coldShipment, []int, error) {
 	e.Fill.RLock()
 	warm := e.Sealed() && c.retained.Get(opts.PlanID) == e
 	slots := slices.Clone(e.Meta.slots)
 	e.Fill.RUnlock()
 	if warm {
-		return shuffleStats{}, slots, true, nil
+		return nil, slots, nil
 	}
 
 	e.Fill.Lock()
 	defer e.Fill.Unlock()
 	if c.retained.Get(opts.PlanID) != e {
-		return shuffleStats{}, nil, false, errSuperseded
+		return nil, nil, errSuperseded
 	}
 	if e.Sealed() {
-		return shuffleStats{}, slices.Clone(e.Meta.slots), true, nil
+		return nil, slices.Clone(e.Meta.slots), nil
 	}
-	start := time.Now()
-	var st shuffleStats
+	start := rs.startShipment()
+	var cold coldShipment
 	err := e.Absorb(ctx, plan, s, t, func(routed *exec.Routed) error {
 		// Clear any half-shipped remnants of a previously failed shipment
 		// before shipping: a plan's entry on a worker accumulates across
@@ -865,22 +903,14 @@ func (c *Coordinator) ensureShipped(ctx context.Context, e *exec.Entry[shipment]
 		// outlived an earlier shipment of this fingerprint — failed, evicted,
 		// long forgotten here — is older than what every worker now accepts.
 		c.evictWorkers(opts.PlanID, int(c.shipments.Add(1)))
-		targets := c.liveSlots(rs)
-		if len(targets) == 0 {
-			return errNoLiveWorkers
-		}
-		redistribute := redistributor(plan, pctx)
-		sh, err := c.shipPartitions(ctx, redistribute(routed.NonEmpty(), targets), routed, ShipHeader{JoinArgs: JoinArgs{PlanID: opts.PlanID}}, opts.ChunkSize, redistribute, rs)
-		st.totalInput, st.rpcs, st.bytes = routed.TotalInput, sh.chunks, sh.bytes
+		sh, err := c.deliver(ctx, plan, pctx, routed, band, opts, rs)
+		cold.sh = sh
+		cold.st, cold.joinWall = rs.shipmentTimes(start, sh, routed.TotalInput)
 		if err != nil {
 			c.evictWorkers(opts.PlanID, 0)
 			return err
 		}
-		slots, err := c.sealWorkers(ctx, opts.PlanID, band, sh.owned, rs)
-		if err != nil {
-			return err
-		}
-		e.Meta = shipment{slots: slots, pidSlot: make(map[int]int)}
+		e.Meta = shipment{slots: sortedKeys(sh.owned), pidSlot: make(map[int]int)}
 		for slot, pids := range sh.owned {
 			for _, pid := range pids {
 				e.Meta.pidSlot[pid] = slot
@@ -890,57 +920,10 @@ func (c *Coordinator) ensureShipped(ctx context.Context, e *exec.Entry[shipment]
 	})
 	if err != nil {
 		c.retained.Delete(e)
-		return shuffleStats{}, nil, false, err
+		return nil, nil, err
 	}
 	c.retained.Seal(e, band, 0)
-	st.duration = time.Since(start)
-	return st, slices.Clone(e.Meta.slots), false, nil
-}
-
-// sealWorkers seals a shipped plan on every slot that may serve it — both the
-// owners and the empty live workers, so "sealed with zero partitions" stays
-// distinguishable from "evicted" at join time — and returns the slots that
-// sealed it. The Seal calls run concurrently, as runJoinsRetained's Join calls
-// do, so the seal takes the slowest worker's presort and prepare, not their
-// sum. An empty worker that died is skipped; a seal that fails on a worker
-// holding partitions evicts the plan from every worker, and the first such
-// slot, in slot order, names the error.
-func (c *Coordinator) sealWorkers(ctx context.Context, planID string, band data.Band, owned map[int][]int, rs *runState) ([]int, error) {
-	sealed := c.liveSlots(rs)
-	for slot := range owned {
-		if !slices.Contains(sealed, slot) {
-			sealed = append(sealed, slot)
-		}
-	}
-	sort.Ints(sealed)
-	errs := make([]error, len(sealed))
-	args := &SealArgs{PlanID: planID, Band: band}
-	parallel(len(sealed), func(i int) {
-		errs[i] = c.workers[sealed[i]].call(ctx, ServiceName+".Seal", args, &SealReply{}, c.opts.callDeadline(), c.opts.MaxRetries, rs.retry)
-	})
-	final := sealed[:0]
-	for i, slot := range sealed {
-		wc, err := c.workers[slot], errs[i]
-		if err == nil {
-			final = append(final, slot)
-			continue
-		}
-		if isTransportErr(err) && len(owned[slot]) == 0 && !wc.probe(ctx) {
-			// An empty worker died before sealing: it holds nothing of this
-			// plan, so the shipment is complete without it.
-			rs.noteLost(slot)
-			continue
-		}
-		c.evictWorkers(planID, 0)
-		if isTransportErr(err) {
-			if !wc.probe(ctx) {
-				rs.noteLost(slot)
-			}
-			return nil, fmt.Errorf("cluster: sealing plan on worker %d (%s): %w (%v)", slot, wc.name(), errWorkerLost, err)
-		}
-		return nil, fmt.Errorf("cluster: sealing plan on worker %d (%s): %w", slot, wc.name(), err)
-	}
-	return final, nil
+	return &cold, slices.Clone(e.Meta.slots), nil
 }
 
 // ensureFresh catches a sealed shipment up to rows appended to s and t since
@@ -1016,10 +999,10 @@ func (c *Coordinator) AbsorbPlan(ctx context.Context, plan partition.Plan, pctx 
 	return err
 }
 
-// ShipPlan shuffles, ships, and seals a plan's partitions on the workers
-// without running a join — the priming half of a retained query. Its only
-// caller is the benchmark's replay, which times the ship stage apart from the
-// join.
+// ShipPlan shuffles, ships, and seals a plan's partitions on the workers —
+// the priming half of a retained query — and discards the join the streams
+// answered with. Its only caller is the benchmark's replay, which times the
+// ship stage apart from the warm join.
 func (c *Coordinator) ShipPlan(ctx context.Context, plan partition.Plan, pctx *partition.Context, s, t *data.Relation, band data.Band, opts Options) error {
 	opts, err := opts.resolve()
 	if err != nil {
@@ -1037,7 +1020,7 @@ func (c *Coordinator) ShipPlan(ctx context.Context, plan partition.Plan, pctx *p
 		if rs.liveAtStart == 0 {
 			return errNoLiveWorkers
 		}
-		_, _, _, err := c.ensureShipped(ctx, c.retained.Open(opts.PlanID), plan, pctx, s, t, band, opts, rs)
+		_, _, err := c.ensureShipped(ctx, c.retained.Open(opts.PlanID), plan, pctx, s, t, band, opts, rs)
 		if err == errSuperseded {
 			lastErr = err
 			continue
@@ -1090,7 +1073,7 @@ func (c *Coordinator) evictWorkers(planID string, shipment int) {
 // result is the Result of a query whose workers reported joined: the
 // coordinator's shuffle, fault and timing accounting, and the workers' records
 // aggregated on the slots that ran them (exec.Result.Aggregate).
-func (c *Coordinator) result(joined []slotJoin, opts Options, s, t *data.Relation, st shuffleStats, joinWall time.Duration, rs *runState) *exec.Result {
+func (c *Coordinator) result(joined map[int][]exec.PartitionStats, opts Options, s, t *data.Relation, st shuffleStats, joinWall time.Duration, rs *runState) *exec.Result {
 	workers := len(c.workers)
 	res := &exec.Result{
 		Workers:           workers,
@@ -1120,19 +1103,19 @@ func (c *Coordinator) result(joined []slotJoin, opts Options, s, t *data.Relatio
 	c.m.workersLost.Add(int64(res.LostWorkers))
 	var recs []exec.PartitionStats
 	slot := make(map[int]int)
-	for _, sj := range joined {
-		for _, ps := range sj.stats {
-			slot[ps.Partition] = sj.slot
+	for _, w := range slices.Sorted(maps.Keys(joined)) {
+		for _, ps := range joined[w] {
+			slot[ps.Partition] = w
 		}
-		recs = append(recs, sj.stats...)
+		recs = append(recs, joined[w]...)
 	}
 	res.Aggregate(recs, func(pid int) int { return slot[pid] }, opts.Model)
 	return res
 }
 
 // streamOutcome is one stream's result: the chunk frames and bytes it wrote,
-// whether it got as far as its end frame, and the worker's join of a one-shot
-// stream.
+// whether it got as far as its end frame, and the worker's join of its
+// partitions (none for a delta stream).
 type streamOutcome struct {
 	chunks, bytes int64
 	ended         bool
@@ -1147,14 +1130,14 @@ type streamOutcome struct {
 // encoded from it (a row list may span several routing shards; the chunk
 // boundaries are those of the partition, not of its lists). Each partition's
 // frame announces its row counts per side, so the worker knows when it is
-// whole and, on a one-shot stream, begins preparing its join structure while
-// later partitions are still in flight. A worker whose Ping advertised less
+// whole and, unless the stream is a delta, begins building its join structure
+// while later partitions are still in flight. A worker whose Ping advertised less
 // than wire.Version cannot read the stream and is refused with an error that
 // is not failed over.
 //
 // Every frame is written within the call deadline; the reply is awaited
-// within the call deadline, or the join deadline on a one-shot stream, whose
-// join runs before it answers. The query context's cancellation closes the
+// within the join deadline, as the join runs before it answers, or the call
+// deadline on a delta stream, which joins nothing. The query context's cancellation closes the
 // connection. A refusal in the reply is returned as an rpc.ServerError, like
 // an RPC method's error.
 func (c *Coordinator) ship(ctx context.Context, wc *workerClient, pids []int, routed *exec.Routed, hdr *ShipHeader, chunkSize int, rs *runState) (out streamOutcome) {
@@ -1223,9 +1206,9 @@ func (c *Coordinator) ship(ctx context.Context, wc *workerClient, pids []int, ro
 	out.ended = true
 	storeMax(&rs.lastEnd, time.Now())
 
-	timeout := c.opts.callDeadline()
-	if hdr.PlanID == "" {
-		timeout = c.opts.joinDeadline()
+	timeout := c.opts.joinDeadline()
+	if hdr.Delta {
+		timeout = c.opts.callDeadline()
 	}
 	if timeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(timeout))

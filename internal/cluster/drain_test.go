@@ -8,7 +8,7 @@ import (
 )
 
 // TestDrainGatesDataPlane pins the graceful-shutdown contract of cmd/recpartd:
-// after Drain, new shipment streams and Join/Seal work are rejected with a
+// after Drain, new shipment streams and Join work are rejected with a
 // clean error, Ping still answers (advertising Draining), and Evict keeps
 // working so coordinators can release state while the worker goes down.
 func TestDrainGatesDataPlane(t *testing.T) {
@@ -17,7 +17,7 @@ func TestDrainGatesDataPlane(t *testing.T) {
 	chunk := data.NewRelation("c", 1)
 	chunk.Append(1.0)
 	load := func() error {
-		_, err := ship(w, toPlan("p"), testPart{s: chunk})
+		_, err := ship(w, toPlan("p", data.Symmetric(1)), testPart{s: chunk})
 		return err
 	}
 	if err := load(); err != nil {
@@ -37,8 +37,8 @@ func TestDrainGatesDataPlane(t *testing.T) {
 	if err := w.Join(&JoinArgs{PlanID: "p", Band: data.Symmetric(1)}, &JoinReply{}); err == nil {
 		t.Error("Join accepted while draining")
 	}
-	if err := w.Seal(&SealArgs{PlanID: "p", Band: data.Symmetric(1)}, &SealReply{}); err == nil {
-		t.Error("Seal accepted while draining")
+	if err := seal(w, toPlan("p", data.Symmetric(1))); err == nil {
+		t.Error("seal accepted while draining")
 	}
 
 	var pong PingReply

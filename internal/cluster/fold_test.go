@@ -49,12 +49,12 @@ func newFoldFixture(t *testing.T, parts, batches int) *foldFixture {
 	f := &foldFixture{w: NewWorker("fold"), band: data.Symmetric(0.3, 0.3), t: foldPoints(rng, "t", 400), base: 300}
 	s := foldPoints(rng, "s", f.base)
 	for pid := 0; pid < parts; pid++ {
-		if _, err := ship(f.w, toPlan("plan"), testPart{pid: pid, s: s, t: f.t}); err != nil {
+		if _, err := ship(f.w, toPlan("plan", f.band), testPart{pid: pid, s: s, t: f.t}); err != nil {
 			t.Fatalf("stream: %v", err)
 		}
 	}
-	if err := f.w.Seal(&SealArgs{PlanID: "plan", Band: f.band}, &SealReply{}); err != nil {
-		t.Fatalf("Seal: %v", err)
+	if err := seal(f.w, toPlan("plan", f.band)); err != nil {
+		t.Fatalf("seal: %v", err)
 	}
 	grown := s.Clone("s")
 	for k := 0; k <= batches; k++ {
@@ -80,7 +80,7 @@ func (f *foldFixture) appendBatch(t *testing.T, k int) {
 		from += b.Len()
 	}
 	b := f.batches[k]
-	hdr := toPlan("plan")
+	hdr := toPlan("plan", f.band)
 	hdr.Delta = true
 	if _, err := ship(f.w, hdr, testPart{s: b, sIDs: seqIDs(from, b.Len())}); err != nil {
 		t.Errorf("delta stream: %v", err)

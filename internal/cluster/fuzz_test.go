@@ -20,11 +20,12 @@ func shipmentFixture(t *testing.T) *Worker {
 	r := data.NewRelation("r", 2)
 	r.Append(1, 2)
 	r.Append(1.5, 2.5)
-	if _, err := ship(w, toPlan("p"), testPart{s: r, t: r}); err != nil {
+	hdr := toPlan("p", data.Symmetric(0.5, 0.5))
+	if _, err := ship(w, hdr, testPart{s: r, t: r}); err != nil {
 		t.Fatalf("seeding p: %v", err)
 	}
-	if err := w.Seal(&SealArgs{PlanID: "p", Band: data.Symmetric(0.5, 0.5)}, &SealReply{}); err != nil {
-		t.Fatalf("Seal: %v", err)
+	if err := seal(w, hdr); err != nil {
+		t.Fatalf("seal: %v", err)
 	}
 	return w
 }
@@ -142,11 +143,12 @@ func joinFixture(t testing.TB) (*Worker, [][2]*data.Relation) {
 			parts[pid][side] = r
 		}
 	}
-	if _, err := ship(w, toPlan("p"), fixtureParts(parts)...); err != nil {
+	hdr := toPlan("p", data.Symmetric(0.25, 0.25))
+	if _, err := ship(w, hdr, fixtureParts(parts)...); err != nil {
 		t.Fatalf("seeding p: %v", err)
 	}
-	if err := w.Seal(&SealArgs{PlanID: "p", Band: data.Symmetric(0.25, 0.25)}, &SealReply{}); err != nil {
-		t.Fatalf("Seal: %v", err)
+	if err := seal(w, hdr); err != nil {
+		t.Fatalf("seal: %v", err)
 	}
 	return w, parts
 }
@@ -262,12 +264,13 @@ func FuzzJoinArgs(f *testing.F) {
 
 // FuzzRegistryOps drives a worker's retained-plan registry, and its one-shot
 // streams, through up to 32 operations over two ids, one byte each: a
-// one-shot, retained or delta stream of one row with a shipment number 0–3, a
-// Seal, a numbered, final or all-plan Evict, and a Join. Whatever the
+// one-shot, kept or delta stream of one row with a shipment number 0–3, a
+// kept stream of no partitions (what seals a plan on a worker its shipment
+// gives none), a numbered, final or all-plan Evict, and a Join. Whatever the
 // sequence, no call may panic, and every error must be the worker's own.
-// Then, after a final Evict of both ids, every stream and every Seal of the
-// sequence lands again — late, as the network may deliver it — and must leave
-// no stream open and no plan resident.
+// Then, after a final Evict of both ids, every stream of the sequence lands
+// again — late, as the network may deliver it — and must leave no stream open
+// and no plan resident.
 func FuzzRegistryOps(f *testing.F) {
 	f.Add([]byte{35, 49, 1, 2, 0, 4, 23, 6, 3})
 	// The seed that found the late-stream leak is in testdata/fuzz/FuzzRegistryOps.
@@ -301,9 +304,10 @@ func FuzzRegistryOps(f *testing.F) {
 				late = append(late, stream)
 				clean("stream", stream())
 			case 2:
-				seal := func() error { return w.Seal(&SealArgs{PlanID: id, Band: band}, &SealReply{}) }
-				late = append(late, seal)
-				clean("Seal", seal())
+				hdr := ShipHeader{JoinArgs: JoinArgs{PlanID: id, Band: band}, Attempt: attempt}
+				sealPlan := func() error { return seal(w, hdr) }
+				late = append(late, sealPlan)
+				clean("seal", sealPlan())
 			case 3:
 				clean("Evict", w.Evict(&EvictArgs{PlanID: id, Attempt: attempt + 1}, &EvictReply{}))
 			case 4:

@@ -16,16 +16,21 @@ import (
 // ServiceName is the name the worker RPC service is registered under.
 const ServiceName = "BandJoinWorker"
 
-// JoinArgs starts the local joins of a retained plan on a worker (the Join
-// RPC); all but PlanID also head a one-shot shipment stream (ShipHeader),
-// which the worker joins at its end.
+// JoinArgs starts the local joins of a sealed retained plan on a worker (the
+// Join RPC, a warm query's), and heads every shipment stream (ShipHeader):
+// the worker joins a one-shot or kept stream's partitions at its end, under
+// these same arguments.
 type JoinArgs struct {
-	// PlanID names the sealed retained plan to join (a plan fingerprint). The
-	// Join RPC fails with ErrUnknownRetainedPlan if the worker does not hold
-	// the plan sealed (never shipped, evicted, or restarted), signalling the
-	// coordinator to fall back to a cold shuffle.
+	// PlanID names the retained plan (a plan fingerprint): the sealed one the
+	// Join RPC joins, or the one a kept stream ships into and seals. The Join
+	// RPC fails with ErrUnknownRetainedPlan if the worker does not hold the
+	// plan sealed (never shipped, evicted, or restarted), signalling the
+	// coordinator to fall back to a cold shuffle. Empty on a one-shot stream.
 	PlanID string
-	Band   data.Band
+	// Band is the band condition. A retained plan's fingerprint pins it, so
+	// the structures a kept stream builds for it serve every later query of
+	// the plan.
+	Band data.Band
 	// CollectPairs requests the result pairs (original tuple index pairs) in
 	// the reply; otherwise only counts are returned.
 	CollectPairs bool
@@ -46,26 +51,6 @@ const ErrUnknownRetainedPlan = "unknown retained plan"
 type JoinReply struct {
 	Worker     string
 	Partitions []exec.PartitionStats
-}
-
-// SealArgs completes the shipment of a retained plan: it marks the plan
-// joinable on the worker (creating an empty entry on workers that received no
-// partitions, so "sealed with zero partitions" is distinguishable from
-// "evicted"). Sealing presorts the partitions and prebuilds each partition's
-// reusable local-join structure for the plan's band — paid once at retention
-// time, so warm queries go straight to probing. Sealing may
-// evict the oldest retained plan if the worker's retention cap is exceeded.
-type SealArgs struct {
-	PlanID string
-	// Band is the plan's band condition; a retained plan's fingerprint pins
-	// the band, so the join structure prebuilt for it serves every later
-	// query of the plan.
-	Band data.Band
-}
-
-// SealReply reports the sealed plan's resident partition count.
-type SealReply struct {
-	Partitions int
 }
 
 // EvictArgs discards one retained plan, or every retained plan when PlanID is
@@ -157,7 +142,7 @@ type PingReply struct {
 	Jobs     int
 	Retained int
 	// Draining reports that the worker is shutting down gracefully: it still
-	// answers Ping but rejects new shipments, Join and Seal.
+	// answers Ping but rejects new shipments and Join.
 	Draining bool
 	// WireVersion is the columnar chunk format the worker decodes (see
 	// internal/wire.Version). Coordinators refuse to ship to a worker that

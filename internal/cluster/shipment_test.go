@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -102,8 +103,18 @@ func ship(w *Worker, hdr ShipHeader, parts ...testPart) (*JoinReply, error) {
 	}))
 }
 
-// toPlan is the header of a stream shipping into retained plan id.
-func toPlan(id string) ShipHeader { return ShipHeader{JoinArgs: JoinArgs{PlanID: id}} }
+// toPlan is the header of a stream kept in retained plan id and joined under
+// band.
+func toPlan(id string, band data.Band) ShipHeader {
+	return ShipHeader{JoinArgs: JoinArgs{PlanID: id, Band: band}}
+}
+
+// seal seals hdr's retained plan on w as a kept shipment does on a worker it
+// gives no partitions: with a stream of hdr's header and end frame alone.
+func seal(w *Worker, hdr ShipHeader) error {
+	_, err := ship(w, hdr)
+	return err
+}
 
 // oneShotOf is the header of a one-shot stream joined under band.
 func oneShotOf(band data.Band) ShipHeader {
@@ -221,4 +232,103 @@ func TestStaleLoadAcrossReshippedPlan(t *testing.T) {
 		t.Errorf("a Load of shipment %d was accepted into the plan's next shipment", stale.Attempt)
 	}
 	samePairs(t, "second shipment", res.Pairs, want)
+}
+
+// dyingListener is a worker's listener that records the connections it
+// accepts, so that kill closes them with it, as the worker's process dying
+// would: its streams and RPCs break, and its liveness probe is refused.
+type dyingListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *dyingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+func (l *dyingListener) kill() {
+	l.Listener.Close()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		c.Close()
+	}
+}
+
+// TestClearedKeptSlotJoinsEverythingOnce: a kept stream joins its partitions
+// at its end, so a worker that has answered its stream has answered for them.
+// When another worker dies mid-shipment, its partitions are shipped to the
+// survivors as a second kept stream into the plan they already sealed. Here
+// that second stream dies on the wire while its worker stays alive: the
+// coordinator clears the worker's plan (a numbered Evict) and ships it
+// everything again — its own partitions too, which its first stream had
+// joined already. The joins that first stream answered must go with the
+// clearing, or the worker's own partitions count twice.
+func TestClearedKeptSlotJoinsEverythingOnce(t *testing.T) {
+	s, tt := data.ParetoPair(2, 1.3, 400, 67)
+	band := data.Symmetric(0.3, 0.3)
+
+	var mu sync.Mutex
+	opens := make(map[int]int) // slot → streams it has opened
+	dropped := -1              // the slot whose second stream died
+	var dying *dyingListener
+	var addrs []string
+	for slot := 0; slot < 3; slot++ {
+		w := NewWorker(fmt.Sprint("w", slot))
+		w.SetShipHook(func(ev *ShipEvent) error {
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case ev.At == ShipOpen:
+				opens[slot]++
+			case ev.At != ShipChunk:
+			case slot == 1:
+				dying.kill()
+				return errors.New("worker died")
+			case opens[slot] == 2 && dropped < 0:
+				dropped = slot
+				ev.Conn.Close()
+				return errors.New("stream died on the wire")
+			}
+			return nil
+		})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		l := &dyingListener{Listener: ln}
+		if slot == 1 {
+			dying = l
+		}
+		t.Cleanup(l.kill)
+		go Serve(w, l)
+		addrs = append(addrs, ln.Addr().String())
+	}
+	coord, err := Dial(addrs)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	t.Cleanup(coord.Close)
+
+	opts := Options{CollectPairs: true, ChunkSize: 64, PlanID: "plan|cleared", Seed: 9}
+	res, err := coord.Run(context.Background(), core.NewRecPartS(), s, tt, band, opts)
+	if err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if dropped < 0 {
+		t.Fatalf("no survivor was shipped a second stream (opens %v); the test stages nothing", opens)
+	}
+	if res.LostWorkers != 1 {
+		t.Errorf("LostWorkers = %d, want 1", res.LostWorkers)
+	}
+	samePairs(t, "query vs nested loop", res.Pairs, definitionPairs(s, tt, band))
 }

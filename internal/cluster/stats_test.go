@@ -131,7 +131,7 @@ func TestStatsWhileDraining(t *testing.T) {
 
 	chunk := data.NewRelation("c", 1)
 	chunk.Append(1)
-	_, err := ship(w, toPlan("j"), testPart{s: chunk})
+	_, err := ship(w, toPlan("j", data.Symmetric(1)), testPart{s: chunk})
 	if err == nil || !strings.Contains(err.Error(), "draining") {
 		t.Fatalf("stream to a draining worker: err = %v, want draining rejection", err)
 	}

@@ -54,19 +54,21 @@ type partitionFrame struct{ Pid, RowsS, RowsT uint64 }
 // no stream to this worker.
 var shipMagic = [8]byte{'b', 'j', 's', 'h', 'i', 'p', 0, wire.Version}
 
-// ShipHeader is a shipment stream's first frame. With PlanID set, the stream
-// ships (Delta: appends) partitions into that retained plan; empty, it is a
-// one-shot query's shipment, joined at the end of the stream under the rest of
-// its JoinArgs.
+// ShipHeader is a shipment stream's first frame. With PlanID empty, the
+// stream is a one-shot query's shipment; set, it is kept: its partitions go
+// into that retained plan, which the worker seals at the stream's end. Either
+// is joined at its end under its JoinArgs, over the partitions it carried, and
+// answered with the join. A Delta stream appends partitions into a sealed
+// retained plan and joins nothing.
 type ShipHeader struct {
 	JoinArgs
 	Delta bool
 	// Attempt numbers the shipment among all the shipments its coordinator
 	// ever makes: one counter per coordinator, starting at 1, so a later
 	// shipment under the same plan id has a higher number. A worker refuses a
-	// non-delta retained stream numbered below what the plan was last cleared
-	// for (EvictArgs.Attempt): a stream of an aborted shipment that the
-	// worker reads only after the clearing would land in the reshipped plan.
+	// kept stream numbered below what the plan was last cleared for
+	// (EvictArgs.Attempt): a stream of an aborted shipment that the worker
+	// reads only after the clearing would land in the reshipped plan.
 	Attempt int
 }
 
@@ -249,8 +251,8 @@ func (sr *shipReader) chunk() ([]byte, error) {
 }
 
 // shipReply is a worker's one answer to a stream: the time it spent decoding
-// chunks, the error that ended the stream, if any, and a one-shot stream's
-// join. It is gob-encoded, as an RPC reply is: it is the coordinator's input,
+// chunks, the error that ended the stream, if any, and the join of a one-shot
+// or kept stream. It is gob-encoded, as an RPC reply is: it is the coordinator's input,
 // from a worker it trusts, where the stream is the worker's, from the network.
 type shipReply struct {
 	DecodeNanos int64

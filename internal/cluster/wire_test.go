@@ -191,7 +191,7 @@ func TestBadColumnarChunkLeavesPartitionIntact(t *testing.T) {
 
 	w := NewWorker("w")
 	load := func(rowsS, rowsT int, payloads ...[]byte) error {
-		_, err := shipBytes(w, encodeShipment(toPlan("p"), func(sw *shipWriter) {
+		_, err := shipBytes(w, encodeShipment(toPlan("p", band), func(sw *shipWriter) {
 			sw.partition(0, rowsS, rowsT)
 			for _, p := range payloads {
 				sw.chunk(p)
@@ -220,8 +220,8 @@ func TestBadColumnarChunkLeavesPartitionIntact(t *testing.T) {
 // checkJoin.
 func checkRetainedJoin(t *testing.T, w *Worker, id string, s, tt *data.Relation, band data.Band) {
 	t.Helper()
-	if err := w.Seal(&SealArgs{PlanID: id, Band: band}, &SealReply{}); err != nil {
-		t.Fatalf("Seal: %v", err)
+	if err := seal(w, toPlan(id, band)); err != nil {
+		t.Fatalf("seal: %v", err)
 	}
 	var jr JoinReply
 	if err := w.Join(&JoinArgs{PlanID: id, Band: band, CollectPairs: true}, &jr); err != nil {
@@ -277,7 +277,7 @@ func TestHostileSideTotalReservesLittle(t *testing.T) {
 	for side, rel := range map[string]*data.Relation{"S": s, "T": tt} {
 		load := func(lo, hi, total int) error {
 			payload := append([]byte(nil), enc.EncodeChunk(rel.KeysRange(lo, hi), rel.Dims(), ids[lo:hi])...)
-			_, err := shipBytes(w, encodeShipment(toPlan("p"), func(sw *shipWriter) {
+			_, err := shipBytes(w, encodeShipment(toPlan("p", band), func(sw *shipWriter) {
 				if side == "S" {
 					sw.partition(0, total, 0)
 				} else {

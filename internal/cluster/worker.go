@@ -25,25 +25,26 @@ import (
 // local band-joins. Partitions of different streams append concurrently, and
 // joins run on a bounded goroutine pool.
 //
-// A one-shot query's stream carries its band and is joined at its own end:
-// nothing of it outlives the connection. A retained stream ships into the
-// retained-plan registry instead: its partitions, completed with Seal, stay
-// resident under their plan fingerprint, so repeated queries over the same
-// plan run their local joins (the Join RPC) with zero shuffle. Sealed plans
-// change only through delta streams, which hold the target partition's write
-// lock while they append; joins take read locks and therefore run
-// concurrently with each other.
+// Every stream but a delta carries its band and is joined at its own end,
+// one handler for both kinds. A one-shot query's stream keeps nothing past
+// its connection. A kept stream, a retained query's cold shipment, ships into
+// the retained-plan registry instead and seals its plan's entry at its end:
+// its partitions stay resident under their plan fingerprint, so repeated
+// queries over the same plan run their local joins (the Join RPC) with zero
+// shuffle. Sealed plans change only through delta streams, which hold the
+// target partition's write lock while they append; joins take read locks and
+// therefore run concurrently with each other.
 type Worker struct {
 	name string
 
 	// maxRetained caps the number of sealed retained plans; zero means
-	// unlimited. When Seal pushes the registry past the cap, the
+	// unlimited. When a kept stream's seal pushes the registry past the cap, the
 	// least-recently-sealed plan is evicted (coordinators detect that via
 	// ErrUnknownRetainedPlan and fall back to a cold shuffle).
 	maxRetained int
 
 	// mu guards closed, draining and the entries' fences; entries are opened
-	// and deleted under it (bar Seal's cap eviction), so an id's entry and its
+	// and deleted under it (bar the seal's cap eviction), so an id's entry and its
 	// closed mark change together.
 	mu       sync.Mutex
 	retained exec.Registry[fence]
@@ -55,7 +56,7 @@ type Worker struct {
 	closedRing [closedPlans]string
 	closedNext int
 
-	// draining rejects new data-plane work (shipments, Join, Seal) while
+	// draining rejects new data-plane work (shipments, Join) while
 	// inflight tracks the work already running, so a graceful shutdown can
 	// stop taking queries yet let the ones in progress finish (see Drain).
 	draining bool
@@ -76,9 +77,9 @@ type Worker struct {
 	// SetShipHook).
 	shipHook func(*ShipEvent) error
 
-	// prepSem bounds the background pipelined-join preparations (partitions
-	// of a one-shot stream that are complete while later ones still arrive)
-	// to the same width as the join pool.
+	// prepSem bounds the background builds (partitions of a stream that are
+	// complete while later ones still arrive) to the same width as the join
+	// pool.
 	prepSem chan struct{}
 
 	m *workerMetrics
@@ -139,7 +140,7 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 		deltaTuples:      reg.Counter("bandjoin_worker_delta_tuples_total", "Tuples appended into sealed retained plans by delta streams."),
 		staleRebuilds:    reg.Counter("bandjoin_worker_stale_rebuilds_total", "Prepared join structures rebuilt lazily after delta invalidation."),
 		folds:            reg.Counter("bandjoin_worker_folds_total", "Retained partitions whose appended S rows were folded into dim-0 order and given resolved cell lists (T-side structure kept)."),
-		joinRPCs:         reg.Counter("bandjoin_worker_join_rpcs_total", "Joins served: retained Join RPCs and one-shot stream ends."),
+		joinRPCs:         reg.Counter("bandjoin_worker_join_rpcs_total", "Joins served: warm retained Join RPCs and the ends of one-shot and kept streams."),
 		partitionsJoined: reg.Counter("bandjoin_worker_partitions_joined_total", "Partition-level local joins executed."),
 		pairsEmitted:     reg.Counter("bandjoin_worker_pairs_emitted_total", "Result pairs produced by local joins."),
 		retainedHits:     reg.Counter("bandjoin_worker_retained_join_total", "Retained-plan join outcomes.", "outcome", "hit"),
@@ -205,8 +206,8 @@ func (w *Worker) beginWork() error {
 
 func (w *Worker) endWork() { w.inflight.Done() }
 
-// Drain puts the worker into draining mode — new shipments, Join and Seal
-// calls are rejected while Ping and Evict keep working — and waits up to
+// Drain puts the worker into draining mode — new shipments and Join calls
+// are rejected while Ping and Evict keep working — and waits up to
 // timeout for the work in flight to finish. It reports whether everything
 // drained in time; timeout <= 0 waits indefinitely. Drain is the
 // graceful-shutdown half of cmd/recpartd's signal handling (the other half is
@@ -271,8 +272,8 @@ const (
 	ShipOpen ShipPoint = iota
 	// ShipChunk: a chunk frame is read, not yet decoded.
 	ShipChunk
-	// ShipReply: the end frame is read (and a one-shot stream joined); the
-	// reply is not yet written.
+	// ShipReply: the end frame is read, and a one-shot or kept stream joined
+	// (a kept one's plan sealed); the reply is not yet written.
 	ShipReply
 )
 
@@ -338,7 +339,8 @@ type shipStream struct {
 	held int64
 }
 
-// receive reads and applies the stream, joining a one-shot one at its end.
+// receive reads and applies the stream, joining it at its end unless it is a
+// delta.
 func (st *shipStream) receive() (rep shipReply) {
 	if err := st.w.beginWork(); err != nil {
 		return shipReply{Err: err.Error()}
@@ -348,10 +350,10 @@ func (st *shipStream) receive() (rep shipReply) {
 	if st.hdr, err = st.sr.header(); err == nil {
 		err = st.hook(&ShipEvent{At: ShipOpen})
 	}
-	if err == nil && st.hdr.PlanID == "" {
-		rep.Join, err = st.oneShot()
+	if err == nil && st.hdr.Delta {
+		err = st.delta()
 	} else if err == nil {
-		err = st.retained()
+		rep.Join, err = st.join()
 	}
 	if err == nil {
 		err = st.hook(&ShipEvent{At: ShipReply})
@@ -492,43 +494,72 @@ func reserveSide(rel *data.Relation, ids *[]int64, total, n int) {
 	}
 }
 
-// oneShot receives a one-shot stream and joins it at its end. Each partition
-// is prepared in the background as soon as its rows are complete (Prepare,
-// which does not presort: keeping arrival order means the probe emits pairs in
-// the exact order a plain per-query join would), overlapping with the
-// partitions still arriving. At the end frame, builds still queued for a slot
-// are dropped — the join builds those partitions itself, once — and running
-// ones are waited for.
-func (st *shipStream) oneShot() (*JoinReply, error) {
-	w, band := st.w, st.hdr.Band
-	if err := band.Validate(); err != nil {
-		return nil, fmt.Errorf("invalid band condition: %w", err)
+// join receives a one-shot or kept stream and joins the stream's own
+// partitions at its end. A one-shot stream's partitions live in a map of its
+// own, which nothing outlives; a kept stream's in its plan's entry (entry).
+// Each partition is built on a prepSem slot as soon as its rows are complete,
+// overlapping with the partitions still arriving:
+//
+//   - one-shot: Prepare, which does not presort: keeping arrival order means
+//     the probe emits pairs in the exact order a plain per-query join would.
+//     At the end frame, builds still queued for a slot are dropped — the join
+//     builds those partitions itself, once — and running ones are waited for;
+//   - kept: Refresh, which presorts and prepares a partition as a warm join
+//     wants it. Every build runs, so the join, with refresh on as a warm
+//     join's, finds each partition sealed. Then the entry is sealed, under
+//     the count cap.
+//
+// The band is checked with the first partition and at the end frame: a
+// stream refused before either is refused for what it is.
+func (st *shipStream) join() (*JoinReply, error) {
+	w, band, keep := st.w, st.hdr.Band, st.hdr.PlanID != ""
+	var e *exec.Entry[fence]
+	if keep {
+		var err error
+		if e, err = st.entry(); err != nil {
+			return nil, err
+		}
+	} else {
+		w.oneShots.Add(1)
+		defer func() {
+			w.oneShots.Add(-1)
+			w.oneShotBytes.Add(-st.held)
+		}()
 	}
-	w.oneShots.Add(1)
-	defer func() {
-		w.oneShots.Add(-1)
-		w.oneShotBytes.Add(-st.held)
-	}()
+	checkBand := func() error {
+		if err := band.Validate(); err != nil {
+			return fmt.Errorf("invalid band condition: %w", err)
+		}
+		return nil
+	}
 	parts := make(map[int]*exec.Partition)
-	stop := make(chan struct{})
+	stop := make(chan struct{}) // closed to drop a one-shot stream's queued builds
 	var builds sync.WaitGroup
 	stopBuilds := sync.OnceFunc(func() {
-		close(stop)
+		if !keep {
+			close(stop)
+		}
 		builds.Wait()
 	})
 	defer stopBuilds()
 	err := st.partitions(func(pid, dims int) (*exec.Partition, error) {
+		if err := checkBand(); err != nil {
+			return nil, err
+		}
 		switch {
 		case dims != band.Dims():
 			return nil, fmt.Errorf("band condition has %d dimensions but partition %d has %d", band.Dims(), pid, dims)
 		case parts[pid] != nil:
 			return nil, fmt.Errorf("partition %d shipped twice", pid)
+		case keep:
+			parts[pid] = e.Partition(pid, dims)
+		default:
+			parts[pid] = exec.NewPartition(dims)
 		}
-		parts[pid] = exec.NewPartition(dims)
 		return parts[pid], nil
 	}, func(p *exec.Partition) {
 		// A free slot is claimed right away, so the build runs; without one it
-		// queues until a slot frees or the stream ends.
+		// queues until a slot frees or a one-shot stream ends.
 		builds.Add(1)
 		var slot bool
 		select {
@@ -546,55 +577,71 @@ func (st *shipStream) oneShot() (*JoinReply, error) {
 				}
 			}
 			defer func() { <-w.prepSem }()
-			if p.Prepare(band) {
+			if keep {
+				if rebuild, _ := p.Refresh(band); rebuild > 0 {
+					w.m.pipelinedPreps.Inc()
+				}
+			} else if p.Prepare(band) {
 				w.m.pipelinedPreps.Inc()
 			}
 		}()
 	})
+	if err == nil {
+		err = checkBand()
+	}
 	if err != nil {
 		return nil, err
 	}
 	stopBuilds()
 	w.m.joinRPCs.Inc()
 	pids, list := exec.InPidOrder(parts)
-	return &JoinReply{Worker: w.name, Partitions: w.join(pids, list, &st.hdr.JoinArgs, false)}, nil
+	rep := &JoinReply{Worker: w.name, Partitions: w.join(pids, list, &st.hdr.JoinArgs, keep)}
+	if keep {
+		w.m.evictions.Add(int64(w.retained.Seal(e, band, w.maxRetained)))
+		w.m.seals.Inc()
+	}
+	return rep, nil
 }
 
-// retained receives a retained or delta stream into its plan's entry,
-// resolved once: a numbered Evict replaces the entry, so the frames of a
-// stream it aborted can only reach an orphan. A stream numbered below the
-// entry's last clearing is refused: its shipment was aborted and is being
-// repeated.
-func (st *shipStream) retained() error {
+// delta receives a delta stream into its sealed plan's entry; it joins
+// nothing.
+func (st *shipStream) delta() error {
+	e, err := st.entry()
+	if err != nil {
+		return err
+	}
+	return st.partitions(func(pid, dims int) (*exec.Partition, error) { return e.Partition(pid, dims), nil }, nil)
+}
+
+// entry resolves a kept or delta stream's plan entry, once: a numbered Evict
+// replaces the entry, so the frames of a stream it aborted can only reach an
+// orphan. A kept stream numbered below the entry's last clearing is refused:
+// its shipment was aborted and is being repeated. One that passes lands in
+// the entry sealed or not: a shipment's later round brings a worker that has
+// answered its stream the partitions of one that failed.
+func (st *shipStream) entry() (*exec.Entry[fence], error) {
 	w, h := st.w, &st.hdr
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	e := w.retained.Get(h.PlanID)
 	_, closed := w.closed[h.PlanID]
-	var err error
 	switch {
 	case e == nil && h.Delta:
 		// A delta targets a plan the coordinator believes this worker holds;
 		// if the plan is gone (evicted, restarted), surface the retained-miss
 		// marker so the caller falls back to a cold shuffle instead of
 		// building a partial plan from the delta.
-		err = fmt.Errorf("%s %q", ErrUnknownRetainedPlan, h.PlanID)
+		return nil, fmt.Errorf("%s %q", ErrUnknownRetainedPlan, h.PlanID)
 	case e == nil && closed:
 		// Evicted for good: a shipment its coordinator gave up on, read late,
-		// would hold rows no Seal or Evict ever follows.
-		err = fmt.Errorf("retained plan %q is closed", h.PlanID)
+		// would hold rows no Evict ever follows.
+		return nil, fmt.Errorf("retained plan %q is closed", h.PlanID)
 	case e == nil:
 		e = w.retained.Open(h.PlanID)
-	case !h.Delta && e.Sealed():
-		err = fmt.Errorf("retained plan %q is sealed", h.PlanID)
+	case !h.Delta && h.Attempt < e.Meta.attempt:
+		return nil, fmt.Errorf("shipment %d to %q, which was cleared for shipment %d", h.Attempt, h.PlanID, e.Meta.attempt)
 	}
-	if err == nil && !h.Delta && h.Attempt < e.Meta.attempt {
-		err = fmt.Errorf("shipment %d to %q, which was cleared for shipment %d", h.Attempt, h.PlanID, e.Meta.attempt)
-	}
-	w.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return st.partitions(func(pid, dims int) (*exec.Partition, error) { return e.Partition(pid, dims), nil }, nil)
+	return e, nil
 }
 
 // Join implements the RPC method running all local joins of a sealed retained
@@ -631,7 +678,7 @@ func (w *Worker) Join(args *JoinArgs, reply *JoinReply) error {
 }
 
 // join runs one join over partitions in pid order, a retained plan's (Join)
-// or a one-shot stream's: exec.LockForProbe refreshes each retained
+// or a stream's: exec.LockForProbe refreshes each retained
 // partition's structure (lazy rebuild and fold) and read-locks the
 // partitions, then exec.JoinPartitions drains probe-row ranges of all
 // partitions on one shared morsel pool, largest first, so one fat partition
@@ -692,55 +739,16 @@ func (w *Worker) closeLocked(id string) {
 }
 
 // closedPlans is how many closed plan ids a worker remembers. A late stream
-// or Seal trails its query by at most a call deadline plus retries, so it only
+// trails its query by at most a call deadline plus retries, so it only
 // has to outlast the queries that can end in that time; an id costs a few
 // dozen bytes.
 const closedPlans = 1024
 
-// Seal implements the RPC method completing a retained plan's shipment: it
-// marks the plan joinable, creating an empty entry on workers that received no
-// partitions so a later retained Join can distinguish "sealed, zero
-// partitions" from "evicted". A plan evicted for good stays closed: a Seal
-// that lands after its final Evict is refused rather than bringing back an
-// entry no Evict follows. Sealing (exec.Partition.Seal) presorts every
-// partition's rows on the first join attribute and, for a valid band,
-// prebuilds its ε-grid — both paid once, off every later query's critical
-// path. The ε-grid sorts nothing; the presort gives warm probes their locality
-// and is the order exec.FoldS merges appended S rows into. If the retention
-// cap is exceeded, the least-recently-sealed other plan is evicted.
-func (w *Worker) Seal(args *SealArgs, reply *SealReply) error {
-	if err := w.beginWork(); err != nil {
-		return err
-	}
-	defer w.endWork()
-	if args.PlanID == "" {
-		return fmt.Errorf("cluster: worker %s: Seal requires a plan id", w.name)
-	}
-	w.mu.Lock()
-	e := w.retained.Get(args.PlanID)
-	if e == nil {
-		if _, closed := w.closed[args.PlanID]; closed {
-			w.mu.Unlock()
-			return fmt.Errorf("cluster: worker %s: retained plan %q is closed", w.name, args.PlanID)
-		}
-		e = w.retained.Open(args.PlanID)
-	}
-	w.mu.Unlock()
-
-	// Seal outside w.mu; each partition is presorted under its own write
-	// lock, so a straggler stream cannot race the reorder.
-	w.m.evictions.Add(int64(w.retained.Seal(e, args.Band, w.maxRetained)))
-	pids, _ := e.Partitions()
-	reply.Partitions = len(pids)
-	w.m.seals.Inc()
-	return nil
-}
-
 // Evict implements the RPC method discarding retained plans: one plan when
 // PlanID is set, the whole registry when it is empty. With EvictArgs.Attempt
 // it clears one plan's partial shipment for the next one, and reopens the plan
-// id. Without, it closes the id: a non-delta stream or a Seal of the plan that
-// lands after it is refused until a numbered Evict reopens it.
+// id. Without, it closes the id: a kept stream of the plan that lands after it
+// is refused until a numbered Evict reopens it.
 func (w *Worker) Evict(args *EvictArgs, reply *EvictReply) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -123,8 +123,8 @@ func (r *Relation) Reserve(n int) {
 // KeysRange returns the row-major key storage of tuples [lo, hi) as a
 // zero-copy view. The caller must not retain it across Append, and must treat
 // it as read-only unless it owns rows it has just reserved with GrowRows: the
-// one writer is exec's routed fill of a partition (AppendRouted and
-// ExecutePlan), gathering its routed rows into them. It is also the slab the
+// one writer is exec's routed fill of a partition (Partition.appendRouted,
+// for Entry.Absorb and ExecutePlan), gathering its routed rows into them. It is also the slab the
 // columnar wire encoder gathers from.
 func (r *Relation) KeysRange(lo, hi int) []float64 {
 	if lo < 0 || hi > r.Len() || lo > hi {

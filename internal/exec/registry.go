@@ -114,8 +114,9 @@ func (r *Registry[M]) Bytes() int64 {
 	return Bytes(parts)
 }
 
-// Seal seals e's partitions for band, GOMAXPROCS at a time, unless e was
-// sealed before, and puts e last in the seal order. Then, while limit > 0 and
+// Seal seals e's partitions for band (Partition.Seal, which leaves one that
+// has band's structure as it is), GOMAXPROCS at a time, unless e was sealed
+// before, and puts e last in the seal order. Then, while limit > 0 and
 // more than limit entries are held, it deletes the least recently sealed entry
 // other than e's id's, and returns how many it deleted. It never deletes an
 // unsealed entry: a fill or shipment in progress, whose seal would mark
