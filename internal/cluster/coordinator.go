@@ -728,7 +728,12 @@ func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]i
 // the given slots in parallel (the Join RPC of a warm query), with retries
 // but no failover. A worker that fails its liveness probe yields
 // errWorkerLost, which the retained path turns into an invalidate-and-reship.
-func (c *Coordinator) runJoinsRetained(ctx context.Context, planID string, slots []int, band data.Band, opts Options, rs *runState) (map[int][]exec.PartitionStats, time.Duration, error) {
+//
+// Joins covering fewer than the plan's total routed tuples are a plan lost
+// in part (shipStream.entry: a cap eviction before a failover stream), an
+// ErrUnknownRetainedPlan. Deltas only add rows, so one since total was read
+// cannot make a whole plan short.
+func (c *Coordinator) runJoinsRetained(ctx context.Context, planID string, slots []int, total int64, band data.Band, opts Options, rs *runState) (map[int][]exec.PartitionStats, time.Duration, error) {
 	joinStart := time.Now()
 	outs := make([]JoinReply, len(slots))
 	errs := make([]error, len(slots))
@@ -739,6 +744,7 @@ func (c *Coordinator) runJoinsRetained(ctx context.Context, planID string, slots
 	joinWall := time.Since(joinStart)
 
 	joined := make(map[int][]exec.PartitionStats, len(slots))
+	var got int64
 	for i, slot := range slots {
 		wc := c.workers[slot]
 		if err := errs[i]; err != nil {
@@ -754,6 +760,12 @@ func (c *Coordinator) runJoinsRetained(ctx context.Context, planID string, slots
 			return nil, 0, fmt.Errorf("cluster: local joins on worker %d (%s) failed: %w", slot, wc.name(), err)
 		}
 		joined[slot] = outs[i].Partitions
+		for _, r := range outs[i].Partitions {
+			got += int64(r.InputS + r.InputT)
+		}
+	}
+	if got < total {
+		return nil, 0, fmt.Errorf("cluster: %s %q: the workers joined %d of its %d routed tuples", ErrUnknownRetainedPlan, planID, got, total)
 	}
 	return joined, joinWall, nil
 }
@@ -832,7 +844,7 @@ func (c *Coordinator) runRetained(ctx context.Context, plan partition.Plan, pctx
 			c.evictEntry(e, opts.PlanID)
 			continue
 		}
-		joined, joinWall, err := c.runJoinsRetained(ctx, opts.PlanID, slots, band, opts, rs)
+		joined, joinWall, err := c.runJoinsRetained(ctx, opts.PlanID, slots, st.totalInput, band, opts, rs)
 		if err == nil {
 			res := c.result(joined, opts, s, t, st, joinWall, rs)
 			res.WarmPartitions = true
@@ -844,8 +856,8 @@ func (c *Coordinator) runRetained(ctx context.Context, plan partition.Plan, pctx
 		if !errors.Is(err, errWorkerLost) && !strings.Contains(err.Error(), ErrUnknownRetainedPlan) {
 			return nil, err
 		}
-		// A worker no longer holds the plan (retention-cap eviction, restart,
-		// or death): evict the plan and reship.
+		// A worker no longer holds all of the plan (retention-cap eviction,
+		// restart, or death): evict the plan and reship.
 		lastErr = err
 		rs.failover("retained_failover", "plan lost at join time; reshipping")
 		c.evictEntry(e, opts.PlanID)
@@ -1002,7 +1014,8 @@ func (c *Coordinator) AbsorbPlan(ctx context.Context, plan partition.Plan, pctx 
 // ShipPlan shuffles, ships, and seals a plan's partitions on the workers —
 // the priming half of a retained query — and discards the join the streams
 // answered with. Its only caller is the benchmark's replay, which times the
-// ship stage apart from the warm join.
+// ship stage apart from the warm join; as each kept stream joins its
+// partitions before it answers, that stage includes a full local join.
 func (c *Coordinator) ShipPlan(ctx context.Context, plan partition.Plan, pctx *partition.Context, s, t *data.Relation, band data.Band, opts Options) error {
 	opts, err := opts.resolve()
 	if err != nil {

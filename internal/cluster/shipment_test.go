@@ -332,3 +332,88 @@ func TestClearedKeptSlotJoinsEverythingOnce(t *testing.T) {
 	}
 	samePairs(t, "query vs nested loop", res.Pairs, definitionPairs(s, tt, band))
 }
+
+// TestPlanCappedMidShipmentIsReshipped: a kept stream seals its worker's share
+// at its end, while the coordinator may still be shipping the rest. Here a
+// worker dies mid-shipment, and before its partitions reach a survivor, that
+// survivor seals a second plan, so its count cap of 1 evicts the first. The
+// failover stream opens the first plan anew there, with the orphans alone.
+// The cold answer comes from the streams and is whole; the warm query's joins
+// cover only part of the plan, so the plan must be reshipped, not answered
+// short.
+func TestPlanCappedMidShipmentIsReshipped(t *testing.T) {
+	s, tt := data.ParetoPair(2, 1.3, 400, 67)
+	band := data.Symmetric(0.3, 0.3)
+	want := definitionPairs(s, tt, band)
+	const plan = "plan|capped"
+
+	var mu sync.Mutex
+	opens := make(map[int]int) // slot → streams of plan it has opened
+	capped := 0                // survivors that sealed the second plan
+	var dying *dyingListener
+	var addrs []string
+	for slot := 0; slot < 3; slot++ {
+		w := NewWorker(fmt.Sprint("w", slot))
+		w.SetMaxRetained(1)
+		w.SetShipHook(func(ev *ShipEvent) error {
+			if ev.PlanID != plan {
+				return nil
+			}
+			mu.Lock()
+			if slot == 1 && ev.At == ShipChunk {
+				mu.Unlock()
+				dying.kill()
+				return errors.New("worker died")
+			}
+			if ev.At == ShipOpen {
+				opens[slot]++
+			}
+			second := ev.At == ShipOpen && opens[slot] == 2
+			if second {
+				capped++
+			}
+			mu.Unlock()
+			if second {
+				return seal(w, toPlan("plan|other", band))
+			}
+			return nil
+		})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		l := &dyingListener{Listener: ln}
+		if slot == 1 {
+			dying = l
+		}
+		t.Cleanup(l.kill)
+		go Serve(w, l)
+		addrs = append(addrs, ln.Addr().String())
+	}
+	coord, err := Dial(addrs)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	t.Cleanup(coord.Close)
+
+	opts := Options{CollectPairs: true, ChunkSize: 64, PlanID: plan, Seed: 9}
+	cold, err := coord.Run(context.Background(), core.NewRecPartS(), s, tt, band, opts)
+	if err != nil {
+		t.Fatalf("cold query: %v", err)
+	}
+	mu.Lock()
+	if capped == 0 {
+		t.Fatalf("no survivor was shipped a second stream (opens %v); the test stages nothing", opens)
+	}
+	mu.Unlock()
+	if cold.LostWorkers != 1 {
+		t.Errorf("LostWorkers = %d, want 1", cold.LostWorkers)
+	}
+	samePairs(t, "cold query vs nested loop", cold.Pairs, want)
+
+	warm, err := coord.Run(context.Background(), core.NewRecPartS(), s, tt, band, opts)
+	if err != nil {
+		t.Fatalf("warm query: %v", err)
+	}
+	samePairs(t, "warm query vs nested loop", warm.Pairs, want)
+}

@@ -509,8 +509,8 @@ func reserveSide(rel *data.Relation, ids *[]int64, total, n int) {
 //     join's, finds each partition sealed. Then the entry is sealed, under
 //     the count cap.
 //
-// The band is checked with the first partition and at the end frame: a
-// stream refused before either is refused for what it is.
+// The band is checked once, after a kept stream's entry is resolved, so a
+// stream its plan refuses is refused for that.
 func (st *shipStream) join() (*JoinReply, error) {
 	w, band, keep := st.w, st.hdr.Band, st.hdr.PlanID != ""
 	var e *exec.Entry[fence]
@@ -526,11 +526,8 @@ func (st *shipStream) join() (*JoinReply, error) {
 			w.oneShotBytes.Add(-st.held)
 		}()
 	}
-	checkBand := func() error {
-		if err := band.Validate(); err != nil {
-			return fmt.Errorf("invalid band condition: %w", err)
-		}
-		return nil
+	if err := band.Validate(); err != nil {
+		return nil, fmt.Errorf("invalid band condition: %w", err)
 	}
 	parts := make(map[int]*exec.Partition)
 	stop := make(chan struct{}) // closed to drop a one-shot stream's queued builds
@@ -543,9 +540,6 @@ func (st *shipStream) join() (*JoinReply, error) {
 	})
 	defer stopBuilds()
 	err := st.partitions(func(pid, dims int) (*exec.Partition, error) {
-		if err := checkBand(); err != nil {
-			return nil, err
-		}
 		switch {
 		case dims != band.Dims():
 			return nil, fmt.Errorf("band condition has %d dimensions but partition %d has %d", band.Dims(), pid, dims)
@@ -586,9 +580,6 @@ func (st *shipStream) join() (*JoinReply, error) {
 			}
 		}()
 	})
-	if err == nil {
-		err = checkBand()
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -618,7 +609,8 @@ func (st *shipStream) delta() error {
 // orphan. A kept stream numbered below the entry's last clearing is refused:
 // its shipment was aborted and is being repeated. One that passes lands in
 // the entry sealed or not: a shipment's later round brings a worker that has
-// answered its stream the partitions of one that failed.
+// answered its stream the partitions of one that failed, or, if the count
+// cap evicted the entry since, a new one that a warm join finds short.
 func (st *shipStream) entry() (*exec.Entry[fence], error) {
 	w, h := st.w, &st.hdr
 	w.mu.Lock()
