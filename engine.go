@@ -912,9 +912,7 @@ func (p *clusterPlane) workers() int { return p.coord.Workers() }
 func (p *clusterPlane) execute(ctx context.Context, prep *exec.Prepared, s, t *Relation, band Band, r resolved, planID string) (*Result, error) {
 	copts := cluster.Options{
 		Model:        r.Model,
-		Sampling:     r.Sampling,
 		CollectPairs: r.CollectPairs,
-		Seed:         r.Seed,
 		PlanID:       planID,
 	}
 	return p.coord.RunPlan(ctx, prep.Plan, prep.Ctx, s, t, band, copts)

@@ -270,13 +270,14 @@ func TestChaosSeededSchedules(t *testing.T) {
 // schedules produced once in a hundred runs under load. The chaotic worker
 // reads its first stream's header and then stalls past the coordinator's
 // deadline, so the coordinator gives up on the connection, finds the worker
-// alive, clears it and ships everything again under the same plan
-// fingerprint. The stalled stream — of the aborted shipment, its frames still
-// buffered — then goes on into the reshipped plan, while the repeat is held
-// back at its first chunk to be sure the stalled one lands first. Joined at
-// the repeat's end, its rows count twice; the worker must refuse them
-// instead. A one-shot stream shares nothing with its repeat, so on the
-// transient path the stalled one joins alone, to an answer nobody reads.
+// alive and ships again: on the retained path the whole plan, under the same
+// fingerprint, every worker cleared for it first. The stalled stream — of the
+// aborted shipment, its frames still buffered — then goes on into the
+// reshipped plan, while the repeat is held back at its first chunk to be sure
+// the stalled one lands first. Joined at the repeat's end, its rows count
+// twice; the worker must refuse them instead. A one-shot stream shares
+// nothing with its repeat, so on the transient path the stalled one joins
+// alone, to an answer nobody reads.
 func TestStaleLoadOfAbortedShipmentIsNotJoined(t *testing.T) {
 	s, tt, band := testData()
 	oracle := oraclePairs(s, tt, band)
@@ -299,6 +300,72 @@ func TestStaleLoadOfAbortedShipmentIsNotJoined(t *testing.T) {
 				t.Fatal("the shipment was never repeated; the schedule stages nothing")
 			}
 			assertPairsEqual(t, oracle, res.Pairs)
+			assertNoJobLeaks(t, nodes)
+		})
+	}
+}
+
+// TestKeptStreamNeverJoinsAStaleShare: before every shipment of a plan the
+// coordinator clears it on the workers (a numbered Evict), and a plan it
+// gives up on it closes there (a plain one), both best effort. Here the
+// chaotic worker loses those calls, so a kept stream meets what an earlier
+// shipment left of the plan: a sealed share (the plan was evicted and shipped
+// again), or the rows of a stream that died on the wire. Landing beside
+// them, it joined them twice. A kept stream carries its worker's whole share,
+// so the worker refuses it there instead; the query fails cleanly or reships,
+// and the queries after it answer cold, then warm.
+func TestKeptStreamNeverJoinsAStaleShare(t *testing.T) {
+	s, tt, band := testData()
+	oracle := oraclePairs(s, tt, band)
+	evicts := func(first, last int) []chaos.Fault {
+		var faults []chaos.Fault
+		for call := first; call <= last; call++ {
+			faults = append(faults, chaos.Fault{Method: "Evict", Call: call, Kind: chaos.Drop})
+		}
+		return faults
+	}
+	for _, tc := range []struct {
+		name   string
+		faults []chaos.Fault
+	}{
+		// The closing Evict of EvictPlan, then the second query's clearing.
+		{"sealed-share", evicts(1, 4)},
+		// A stream that dies on the wire, then every Evict that would clear
+		// the rows it left.
+		{"torn-share", append(evicts(1, 6), chaos.Fault{Method: "Chunk", Call: 1, Kind: chaos.Drop})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched := chaos.NewSchedule(tc.faults...)
+			coord, nodes := startChaosCluster(t, sched, testDialOptions())
+			opts := cluster.Options{CollectPairs: true, ChunkSize: 32, Seed: 42, PlanID: "chaos|" + t.Name()}
+			query := func(what string, mayFail bool) *exec.Result {
+				t.Helper()
+				res, err := coord.Run(context.Background(), core.NewRecPartS(), s, tt, band, opts)
+				if err != nil {
+					if !mayFail {
+						t.Fatalf("%s: %v", what, err)
+					}
+					t.Logf("%s: clean error (acceptable): %v", what, err)
+					return nil
+				}
+				assertPairsEqual(t, oracle, res.Pairs)
+				return res
+			}
+			query("first query", true)
+			coord.EvictPlan(opts.PlanID)
+			res := query("query after EvictPlan", true)
+			if res == nil {
+				res = query("query after the refusal", false)
+			}
+			if res.WarmPartitions {
+				t.Error("a query after EvictPlan joined warm")
+			}
+			if res := query("warm query", false); !res.WarmPartitions {
+				t.Error("the last query shipped the plan again")
+			}
+			if n := sched.Calls("Evict"); n <= 4 {
+				t.Fatalf("the chaotic worker saw %d Evict calls; the schedule stages nothing", n)
+			}
 			assertNoJobLeaks(t, nodes)
 		})
 	}

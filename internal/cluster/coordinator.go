@@ -217,7 +217,7 @@ func (c *Coordinator) wireBytes() int64 {
 type Options struct {
 	// Model supplies β coefficients for planning and load accounting.
 	Model costmodel.Model
-	// Sampling configures the optimization-phase samples.
+	// Sampling configures the optimization-phase samples. Only Run reads it.
 	Sampling sample.Options
 	// CollectPairs returns the result pairs for verification (small inputs
 	// only).
@@ -241,7 +241,7 @@ type Options struct {
 	// the shuffle entirely — zero chunks, zero wire bytes — and goes straight
 	// to the local joins.
 	PlanID string
-	// Seed drives randomized plan decisions.
+	// Seed drives randomized plan decisions. Only Run reads it.
 	Seed int64
 }
 
@@ -305,6 +305,9 @@ type runState struct {
 	mu       sync.Mutex
 	lost     map[int]bool
 	excluded map[int]bool
+	// onWire counts, per slot, the streams to it that died on the wire while
+	// it stayed alive, over all of the query's rounds and reshipments.
+	onWire map[int]int
 	// events is the query's fault timeline (worker losses, failover rounds),
 	// surfaced on the Result so the engine can fold it into the QueryTrace.
 	events []exec.TraceEvent
@@ -315,6 +318,7 @@ func (c *Coordinator) newRunState() *runState {
 		wasLive:  make(map[int]bool),
 		lost:     make(map[int]bool),
 		excluded: make(map[int]bool),
+		onWire:   make(map[int]int),
 	}
 	for slot, wc := range c.workers {
 		if wc.State() != StateDown {
@@ -356,12 +360,22 @@ func (rs *runState) eventList() []exec.TraceEvent {
 	return append([]exec.TraceEvent(nil), rs.events...)
 }
 
-// exclude removes a worker from this query's failover targets (dead, or alive
-// but persistently failing) without declaring it dead.
-func (rs *runState) exclude(slot int) {
+// maxShipAttemptsPerWorker bounds how many streams to one live worker may
+// die on the wire before the worker is abandoned for the query.
+const maxShipAttemptsPerWorker = 2
+
+// diedOnWire counts a stream to a live slot that died on the wire and reports
+// whether that was one too many: the slot is then excluded for the rest of
+// the query.
+func (rs *runState) diedOnWire(slot int) bool {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	rs.excluded[slot] = true
+	rs.onWire[slot]++
+	if rs.onWire[slot] > maxShipAttemptsPerWorker {
+		rs.excluded[slot] = true
+		return true
+	}
+	return false
 }
 
 func (rs *runState) isExcluded(slot int) bool {
@@ -557,10 +571,6 @@ func (c *Coordinator) deliver(ctx context.Context, plan partition.Plan, pctx *pa
 	return c.shipPartitions(ctx, redistribute(routed.NonEmpty(), targets), routed, hdr, opts.ChunkSize, redistribute, rs)
 }
 
-// maxShipAttemptsPerWorker bounds how many times a shipment to one worker is
-// restarted before the worker is abandoned for the query.
-const maxShipAttemptsPerWorker = 2
-
 // shipped is what shipPartitions moved: the joins the streams answered (slot
 // → partition records), the final ownership (slot → pids resident there) of a
 // kept shipment, whose keys are the slots whose streams answered, and the
@@ -573,43 +583,31 @@ type shipped struct {
 }
 
 // shipPartitions ships an assignment (slot → partition ids), one stream per
-// slot and round, with failover. A kept shipment (hdr.PlanID set, not a
-// delta) also sends a stream of no partitions to every live worker the
-// assignment skips, so that "sealed with zero partitions" stays distinct from
-// "evicted" at join time. Each round ships every slot's pids in parallel; a
-// slot whose stream fails with a transport error is probed:
+// slot and round, each numbered by Coordinator.shipments. A kept shipment
+// (hdr.PlanID set, not a delta) also sends a stream of no partitions to every
+// live worker the assignment skips, so that "sealed with zero partitions"
+// stays distinct from "evicted" at join time. Each round ships every slot's
+// pids in parallel; a slot whose stream fails with a transport error is
+// probed and, if dead, marked down.
 //
-//   - alive → the stream is repeated to it, up to maxShipAttemptsPerWorker
-//     times, after which the worker is abandoned for this query and its pids
-//     redistributed. A one-shot stream is repeated alone: nothing of it
-//     outlived its connection. A kept one first has its plan cleared on the
-//     worker (a numbered Evict), and everything the worker was given —
-//     pids shipped in earlier rounds too, which the clearing dropped — goes
-//     again. The clearing and the new stream carry the new shipment's number
-//     (Coordinator.shipments), so a stream of the aborted shipment that the
-//     worker reads only now is refused instead of landing among the
-//     reshipped rows;
-//   - dead → marked down; the stream's pids (on a kept shipment, everything
-//     the worker ever owned) are re-placed over the surviving workers and
-//     reshipped from the coordinator-held row lists.
-//
-// When a kept slot is cleared or abandoned, the joins its earlier streams
-// answered go with its ownership: everything it owned is shipped and joined
-// again. Application errors are not failed over: a worker that refuses a
-// stream will refuse it again; the shipment fails cleanly. Neither is a delta
-// stream, which may have landed in part and cannot be repeated.
+// A one-shot stream is repeated, as nothing of it outlived its connection: to
+// the same worker while it is alive and has not failed maxShipAttemptsPerWorker
+// times this query (runState.diedOnWire), else its pids are re-placed over the
+// surviving workers and reshipped from the coordinator-held row lists. A
+// stream under a plan, kept or delta, may have landed in part, so it is never
+// repeated: the shipment fails with errWorkerLost, and the caller evicts the
+// plan and reships it whole (runRetained). Application errors are not failed
+// over: a worker that refuses a stream will refuse it again; the shipment
+// fails cleanly.
 func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]int, routed *exec.Routed, hdr ShipHeader, chunkSize int, redistribute func(pids, targets []int) map[int][]int, rs *runState) (shipped, error) {
-	kept := hdr.PlanID != "" && !hdr.Delta
 	sh := shipped{joined: make(map[int][]exec.PartitionStats), owned: make(map[int][]int)}
-	if kept {
+	if hdr.PlanID != "" && !hdr.Delta {
 		for _, slot := range c.liveSlots(rs) {
 			if _, ok := assignment[slot]; !ok {
 				assignment[slot] = nil
 			}
 		}
 	}
-	attempts := make(map[int]int) // slot → shipments to it that died on the wire
-	numbers := make(map[int]int)  // slot → number of the shipment to it now
 	for round := 0; len(assignment) > 0; round++ {
 		if round > 2*len(c.workers)+4 {
 			return sh, fmt.Errorf("cluster: shuffle failover did not converge after %d rounds", round)
@@ -619,14 +617,9 @@ func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]i
 		}
 		slots := sortedKeys(assignment)
 		outs := make([]streamOutcome, len(slots))
-		for _, slot := range slots {
-			if numbers[slot] == 0 {
-				numbers[slot] = int(c.shipments.Add(1))
-			}
-		}
 		parallel(len(slots), func(i int) {
 			h := hdr
-			h.Attempt = numbers[slots[i]]
+			h.Attempt = int(c.shipments.Add(1))
 			outs[i] = c.ship(ctx, c.workers[slots[i]], assignment[slots[i]], routed, &h, chunkSize, rs)
 		})
 
@@ -653,48 +646,20 @@ func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]i
 			if !isTransportErr(out.err) {
 				return sh, fmt.Errorf("cluster: shipping to worker %d (%s): %w", slot, wc.name(), out.err)
 			}
-			if hdr.Delta {
-				// Rows of a delta may have landed: it cannot be repeated, and
-				// the caller reships the plan cold.
-				if !wc.probe(ctx) {
-					rs.noteLost(slot)
-				}
-				return sh, fmt.Errorf("cluster: delta to worker %d (%s): %w (%v)", slot, wc.name(), errWorkerLost, out.err)
-			}
 			rs.retry()
-			attempts[slot]++
-			numbers[slot] = int(c.shipments.Add(1))
-			abandon := false
-			if !wc.probe(ctx) {
+			alive := wc.probe(ctx)
+			if !alive {
 				rs.noteLost(slot)
-				abandon = true
-			} else if attempts[slot] > maxShipAttemptsPerWorker {
-				// Alive but the shipment keeps dying on the wire: stop using
-				// this worker for the query.
-				rs.exclude(slot)
-				abandon = true
-			} else if kept {
-				var er EvictReply
-				if cerr := wc.call(ctx, ServiceName+".Evict", &EvictArgs{PlanID: hdr.PlanID, Attempt: numbers[slot]}, &er, c.opts.callDeadline(), 1, nil); cerr != nil {
-					if isTransportErr(cerr) && !wc.probe(ctx) {
-						rs.noteLost(slot)
-					} else {
-						rs.exclude(slot)
-					}
-					abandon = true
-				}
 			}
-			all := pids
-			if kept {
-				all = append(slices.Clone(sh.owned[slot]), pids...)
-				delete(sh.owned, slot)
-				delete(sh.joined, slot)
+			abandon := !alive || rs.diedOnWire(slot)
+			if hdr.PlanID != "" {
+				return sh, fmt.Errorf("cluster: shipping to worker %d (%s): %w (%v)", slot, wc.name(), errWorkerLost, out.err)
 			}
 			if abandon {
-				orphaned = append(orphaned, all...)
+				orphaned = append(orphaned, pids...)
 				joinPhase = joinPhase || out.ended
 			} else {
-				next[slot] = all
+				next[slot] = pids
 			}
 		}
 		if len(orphaned) > 0 {
@@ -782,9 +747,11 @@ const maxRetainedAttempts = 6
 // runRetained serves a query whose plan fingerprint is retained on the
 // workers: the first run ships the partitions kept, each stream joining and
 // sealing its worker's share at its end, and later runs join the resident
-// data directly (the Join RPC). If a worker lost the plan (retention-cap
-// eviction, restart, or death), the entry the query used is evicted
-// (evictEntry) and the coordinator falls back to a cold reshipment over the
+// data directly (the Join RPC). Whatever part of the plan is lost — a kept
+// or delta stream that failed on the wire, a worker found down, a warm join
+// that finds the plan gone or short (retention-cap eviction, restart, or
+// death) — the entry the query used goes (a failed shipment deletes its own;
+// evictEntry the others) and the coordinator reships the plan whole over the
 // currently live workers; concurrent queries that lost the same entry leave
 // the reshipment to whichever evicted it. The entry is re-fetched every
 // attempt so a concurrent EvictPlan can never leave two goroutines shipping
@@ -799,6 +766,12 @@ func (c *Coordinator) runRetained(ctx context.Context, plan partition.Plan, pctx
 		cold, slots, err := c.ensureShipped(ctx, e, plan, pctx, s, t, band, opts, rs)
 		if err == errSuperseded {
 			lastErr = err
+			continue
+		}
+		if errors.Is(err, errWorkerLost) {
+			// A kept stream failed on the wire; its shipment left no entry.
+			lastErr = err
+			rs.failover("retained_failover", "kept stream lost; reshipping")
 			continue
 		}
 		if err != nil {
@@ -887,8 +860,8 @@ type coldShipment struct {
 // The cold shipment is e's Absorb from row 0: its delivery clears any remnant
 // of an earlier shipment from the workers and ships the routed partitions kept,
 // each worker's stream sealing them there at its end. e.Meta.slots are the
-// slots whose streams answered. A shipment that fails leaves no entry: nothing
-// of it is resident.
+// slots whose streams answered. A shipment that fails leaves no entry: it
+// closes the plan on the workers, so nothing of it is resident.
 func (c *Coordinator) ensureShipped(ctx context.Context, e *exec.Entry[shipment], plan partition.Plan, pctx *partition.Context, s, t *data.Relation, band data.Band, opts Options, rs *runState) (*coldShipment, []int, error) {
 	e.Fill.RLock()
 	warm := e.Sealed() && c.retained.Get(opts.PlanID) == e
@@ -1013,34 +986,16 @@ func (c *Coordinator) AbsorbPlan(ctx context.Context, plan partition.Plan, pctx 
 
 // ShipPlan shuffles, ships, and seals a plan's partitions on the workers —
 // the priming half of a retained query — and discards the join the streams
-// answered with. Its only caller is the benchmark's replay, which times the
-// ship stage apart from the warm join; as each kept stream joins its
-// partitions before it answers, that stage includes a full local join.
+// answered with: it is RunPlan under a plan id, answer unread. Its only caller
+// is the benchmark's replay, which times the ship stage apart from the warm
+// join; as each kept stream joins its partitions before it answers, that
+// stage includes a full local join.
 func (c *Coordinator) ShipPlan(ctx context.Context, plan partition.Plan, pctx *partition.Context, s, t *data.Relation, band data.Band, opts Options) error {
-	opts, err := opts.resolve()
-	if err != nil {
-		return err
-	}
 	if opts.PlanID == "" {
 		return fmt.Errorf("cluster: ShipPlan requires a plan id")
 	}
-	var lastErr error
-	for attempt := 0; attempt < maxRetainedAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		rs := c.newRunState()
-		if rs.liveAtStart == 0 {
-			return errNoLiveWorkers
-		}
-		_, _, err := c.ensureShipped(ctx, c.retained.Open(opts.PlanID), plan, pctx, s, t, band, opts, rs)
-		if err == errSuperseded {
-			lastErr = err
-			continue
-		}
-		return err
-	}
-	return fmt.Errorf("cluster: priming plan %q: %w", opts.PlanID, lastErr)
+	_, err := c.RunPlan(ctx, plan, pctx, s, t, band, opts)
+	return err
 }
 
 // EvictPlan discards one retained plan from every worker and deletes its

@@ -41,20 +41,20 @@ func seqIDs(from, n int) []int64 {
 	return ids
 }
 
-// newFoldFixture loads and seals partitions 0..parts-1. Every batch is more
-// than a sixteenth of what precedes it, so each one makes a fold due.
+// newFoldFixture ships partitions 0..parts-1 in one kept stream, which seals
+// them. Every batch is more than a sixteenth of what precedes it, so each one
+// makes a fold due.
 func newFoldFixture(t *testing.T, parts, batches int) *foldFixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	f := &foldFixture{w: NewWorker("fold"), band: data.Symmetric(0.3, 0.3), t: foldPoints(rng, "t", 400), base: 300}
 	s := foldPoints(rng, "s", f.base)
-	for pid := 0; pid < parts; pid++ {
-		if _, err := ship(f.w, toPlan("plan", f.band), testPart{pid: pid, s: s, t: f.t}); err != nil {
-			t.Fatalf("stream: %v", err)
-		}
+	shipped := make([]testPart, parts)
+	for pid := range shipped {
+		shipped[pid] = testPart{pid: pid, s: s, t: f.t}
 	}
-	if err := seal(f.w, toPlan("plan", f.band)); err != nil {
-		t.Fatalf("seal: %v", err)
+	if _, err := ship(f.w, toPlan("plan", f.band), shipped...); err != nil {
+		t.Fatalf("stream: %v", err)
 	}
 	grown := s.Clone("s")
 	for k := 0; k <= batches; k++ {

@@ -24,9 +24,6 @@ func shipmentFixture(t *testing.T) *Worker {
 	if _, err := ship(w, hdr, testPart{s: r, t: r}); err != nil {
 		t.Fatalf("seeding p: %v", err)
 	}
-	if err := seal(w, hdr); err != nil {
-		t.Fatalf("seal: %v", err)
-	}
 	return w
 }
 
@@ -146,9 +143,6 @@ func joinFixture(t testing.TB) (*Worker, [][2]*data.Relation) {
 	hdr := toPlan("p", data.Symmetric(0.25, 0.25))
 	if _, err := ship(w, hdr, fixtureParts(parts)...); err != nil {
 		t.Fatalf("seeding p: %v", err)
-	}
-	if err := seal(w, hdr); err != nil {
-		t.Fatalf("seal: %v", err)
 	}
 	return w, parts
 }

@@ -59,10 +59,11 @@ type JoinReply struct {
 type EvictArgs struct {
 	PlanID string
 	// Attempt, when positive, marks a clearing that makes room for a shipment
-	// under the same fingerprint — the first of a query, or the repeat of one
-	// that died on the wire — numbered Attempt or higher: the worker keeps the
-	// plan's entry, emptied and unsealed, and refuses its non-delta streams of
-	// a lower number (see ShipHeader.Attempt). Requires PlanID.
+	// under the same fingerprint — the first of a query, or the whole
+	// reshipment of one that lost a stream — numbered Attempt or higher: the
+	// worker keeps the plan's entry, emptied and unsealed, and refuses its
+	// non-delta streams of a lower number (see ShipHeader.Attempt). Requires
+	// PlanID.
 	Attempt int
 }
 

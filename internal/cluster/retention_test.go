@@ -228,9 +228,6 @@ func TestWorkerMaxRetainedCap(t *testing.T) {
 		if _, err := ship(w, hdr, testPart{s: chunk, sIDs: ids}); err != nil {
 			t.Fatalf("stream to %s: %v", plan, err)
 		}
-		if err := seal(w, hdr); err != nil {
-			t.Fatalf("seal(%s): %v", plan, err)
-		}
 	}
 	if got := w.Retained(); got != 1 {
 		t.Fatalf("%d plans resident under cap 1", got)

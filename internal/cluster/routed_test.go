@@ -24,7 +24,7 @@ func loadKey(pid int, side string, expectS, expectT int, chunk []byte) string {
 
 // materializedStream is what shipping exec.Shuffle's output sends: every
 // non-empty partition side cut into chunks of chunkSize rows and encoded from
-// the partition's arena. It also reports whether some chunk holds rows from
+// the partition's rows. It also reports whether some chunk holds rows from
 // both sides of a routing-shard boundary of its relation (shards ranges each),
 // i.e. spans two shards' row lists.
 func materializedStream(parts []*exec.PartitionInput, s, t *data.Relation, chunkSize, shards int) (keys []string, raw int64, spans bool) {

@@ -264,13 +264,13 @@ func (l *dyingListener) kill() {
 
 // TestClearedKeptSlotJoinsEverythingOnce: a kept stream joins its partitions
 // at its end, so a worker that has answered its stream has answered for them.
-// When another worker dies mid-shipment, its partitions are shipped to the
-// survivors as a second kept stream into the plan they already sealed. Here
-// that second stream dies on the wire while its worker stays alive: the
-// coordinator clears the worker's plan (a numbered Evict) and ships it
-// everything again — its own partitions too, which its first stream had
-// joined already. The joins that first stream answered must go with the
-// clearing, or the worker's own partitions count twice.
+// When another worker dies mid-shipment, the plan is closed on every worker
+// and reshipped whole over the survivors. Here one survivor's stream of that
+// reshipment dies on the wire while the survivor stays alive, so the plan is
+// reshipped whole once more. Every kept stream must open onto a cleared plan,
+// never onto a share an earlier stream sealed, and the joins the earlier
+// streams answered must go with their shipment, or the survivors' partitions
+// count twice.
 func TestClearedKeptSlotJoinsEverythingOnce(t *testing.T) {
 	s, tt := data.ParetoPair(2, 1.3, 400, 67)
 	band := data.Symmetric(0.3, 0.3)
@@ -278,6 +278,7 @@ func TestClearedKeptSlotJoinsEverythingOnce(t *testing.T) {
 	var mu sync.Mutex
 	opens := make(map[int]int) // slot → streams it has opened
 	dropped := -1              // the slot whose second stream died
+	ontoSealed := 0            // kept streams opened while their plan was sealed there
 	var dying *dyingListener
 	var addrs []string
 	for slot := 0; slot < 3; slot++ {
@@ -288,6 +289,9 @@ func TestClearedKeptSlotJoinsEverythingOnce(t *testing.T) {
 			switch {
 			case ev.At == ShipOpen:
 				opens[slot]++
+				if e := w.retained.Get(ev.PlanID); !ev.Delta && e != nil && e.Sealed() {
+					ontoSealed++
+				}
 			case ev.At != ShipChunk:
 			case slot == 1:
 				dying.kill()
@@ -330,17 +334,21 @@ func TestClearedKeptSlotJoinsEverythingOnce(t *testing.T) {
 	if res.LostWorkers != 1 {
 		t.Errorf("LostWorkers = %d, want 1", res.LostWorkers)
 	}
+	if ontoSealed != 0 {
+		t.Errorf("%d kept streams opened onto a share of their plan sealed already", ontoSealed)
+	}
 	samePairs(t, "query vs nested loop", res.Pairs, definitionPairs(s, tt, band))
 }
 
 // TestPlanCappedMidShipmentIsReshipped: a kept stream seals its worker's share
 // at its end, while the coordinator may still be shipping the rest. Here a
-// worker dies mid-shipment, and before its partitions reach a survivor, that
-// survivor seals a second plan, so its count cap of 1 evicts the first. The
-// failover stream opens the first plan anew there, with the orphans alone.
-// The cold answer comes from the streams and is whole; the warm query's joins
-// cover only part of the plan, so the plan must be reshipped, not answered
-// short.
+// worker dies mid-shipment, so the plan is closed on every worker and
+// reshipped whole over the survivors, and as each reshipped stream opens, its
+// survivor seals a second plan under a count cap of 1. The cap spares the
+// first plan's entry, cleared and unsealed for the reshipment, and the
+// reshipped stream lands in it whole; sealing it then evicts the second plan.
+// The cold answer comes from the streams and the warm query's from the
+// resident plan, and neither may be short.
 func TestPlanCappedMidShipmentIsReshipped(t *testing.T) {
 	s, tt := data.ParetoPair(2, 1.3, 400, 67)
 	band := data.Symmetric(0.3, 0.3)

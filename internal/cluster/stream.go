@@ -63,10 +63,10 @@ var shipMagic = [8]byte{'b', 'j', 's', 'h', 'i', 'p', 0, wire.Version}
 type ShipHeader struct {
 	JoinArgs
 	Delta bool
-	// Attempt numbers the shipment among all the shipments its coordinator
-	// ever makes: one counter per coordinator, starting at 1, so a later
-	// shipment under the same plan id has a higher number. A worker refuses a
-	// kept stream numbered below what the plan was last cleared for
+	// Attempt numbers the stream among all the streams its coordinator ever
+	// sends: one counter per coordinator, starting at 1, so a later shipment
+	// under the same plan id has a higher number. A worker refuses a kept
+	// stream numbered below what the plan was last cleared for
 	// (EvictArgs.Attempt): a stream of an aborted shipment that the worker
 	// reads only after the clearing would land in the reshipped plan.
 	Attempt int

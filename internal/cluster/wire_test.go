@@ -216,13 +216,10 @@ func TestBadColumnarChunkLeavesPartitionIntact(t *testing.T) {
 	checkRetainedJoin(t, w, "p", s, tt, band)
 }
 
-// checkRetainedJoin seals plan id on w, joins it, and checks the join with
-// checkJoin.
+// checkRetainedJoin joins plan id, which a kept stream sealed on w, and checks
+// the join with checkJoin.
 func checkRetainedJoin(t *testing.T, w *Worker, id string, s, tt *data.Relation, band data.Band) {
 	t.Helper()
-	if err := seal(w, toPlan(id, band)); err != nil {
-		t.Fatalf("seal: %v", err)
-	}
 	var jr JoinReply
 	if err := w.Join(&JoinArgs{PlanID: id, Band: band, CollectPairs: true}, &jr); err != nil {
 		t.Fatalf("Join: %v", err)
@@ -262,8 +259,10 @@ func checkJoin(t *testing.T, parts []exec.PartitionStats, s, tt *data.Relation, 
 // claiming 2^40 rows to come must cost no more than a small multiple of the
 // rows its chunk carries (honoured as sent it is a 16 TiB allocation, which
 // kills the process); one past the counts' bound (what a negative count
-// encodes as) is refused; honest streams then land in the same retained
-// partition and join.
+// encodes as) is refused. Each side's hostile streams go to a plan cleared for
+// them (a numbered Evict), since one that fails leaves its rows behind; an
+// honest stream of both sides then lands in the plan, cleared once more, and
+// joins.
 func TestHostileSideTotalReservesLittle(t *testing.T) {
 	s, tt := decimalPair(2, 300, 53)
 	band := data.Symmetric(0.05, 0.05)
@@ -273,11 +272,19 @@ func TestHostileSideTotalReservesLittle(t *testing.T) {
 	}
 	enc := wire.NewEncoder(wire.ModeAuto)
 	w := NewWorker("w")
+	hdr := toPlan("p", band)
+	clearPlan := func() {
+		hdr.Attempt++
+		if err := w.Evict(&EvictArgs{PlanID: "p", Attempt: hdr.Attempt}, &EvictReply{}); err != nil {
+			t.Fatalf("numbered Evict: %v", err)
+		}
+	}
 	const half = 150
 	for side, rel := range map[string]*data.Relation{"S": s, "T": tt} {
+		clearPlan()
 		load := func(lo, hi, total int) error {
 			payload := append([]byte(nil), enc.EncodeChunk(rel.KeysRange(lo, hi), rel.Dims(), ids[lo:hi])...)
-			_, err := shipBytes(w, encodeShipment(toPlan("p", band), func(sw *shipWriter) {
+			_, err := shipBytes(w, encodeShipment(hdr, func(sw *shipWriter) {
 				if side == "S" {
 					sw.partition(0, total, 0)
 				} else {
@@ -299,9 +306,10 @@ func TestHostileSideTotalReservesLittle(t *testing.T) {
 		if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
 			t.Errorf("%s: a %d-row chunk announcing 2^40 rows allocated %d bytes", side, half, grown)
 		}
-		if err := load(half, rel.Len(), rel.Len()-half); err != nil {
-			t.Fatalf("%s: honest stream after the inflated one: %v", side, err)
-		}
+	}
+	clearPlan()
+	if _, err := ship(w, hdr, testPart{s: s, t: tt, sIDs: ids, tIDs: ids}); err != nil {
+		t.Fatalf("honest stream after the inflated ones: %v", err)
 	}
 	checkRetainedJoin(t, w, "p", s, tt, band)
 }

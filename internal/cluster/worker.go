@@ -135,7 +135,7 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 		loadBytes:        reg.Counter("bandjoin_worker_load_bytes_total", "Chunk bytes (keys+IDs) received in shipment streams, as shipped on the wire."),
 		loadRawBytes:     reg.Counter("bandjoin_worker_load_raw_bytes_total", "Bytes the received tuples would occupy row-major and uncompressed (raw/wire = compression ratio)."),
 		loadRejected:     reg.Counter("bandjoin_worker_load_rejected_total", "Shipments and data-plane RPCs rejected while draining."),
-		pipelinedPreps:   reg.Counter("bandjoin_worker_pipelined_preps_total", "Partitions presorted and prepared in the background while the shuffle was still in flight."),
+		pipelinedPreps:   reg.Counter("bandjoin_worker_pipelined_preps_total", "Partitions whose join structure was built in the background while the shuffle was still in flight (a kept stream's presorted first)."),
 		deltaChunks:      reg.Counter("bandjoin_worker_delta_chunks_total", "Chunk frames of delta streams appended into sealed retained plans."),
 		deltaTuples:      reg.Counter("bandjoin_worker_delta_tuples_total", "Tuples appended into sealed retained plans by delta streams."),
 		staleRebuilds:    reg.Counter("bandjoin_worker_stale_rebuilds_total", "Prepared join structures rebuilt lazily after delta invalidation."),
@@ -606,11 +606,12 @@ func (st *shipStream) delta() error {
 
 // entry resolves a kept or delta stream's plan entry, once: a numbered Evict
 // replaces the entry, so the frames of a stream it aborted can only reach an
-// orphan. A kept stream numbered below the entry's last clearing is refused:
-// its shipment was aborted and is being repeated. One that passes lands in
-// the entry sealed or not: a shipment's later round brings a worker that has
-// answered its stream the partitions of one that failed, or, if the count
-// cap evicted the entry since, a new one that a warm join finds short.
+// orphan. A kept stream carries its worker's whole share of a shipment, so it
+// lands only in an empty, unsealed entry — the one its shipment's numbered
+// clearing opened, or one it opens — and is refused where an earlier share
+// is sealed or left rows: a clearing was lost, and what the entry holds is
+// stale. One numbered below the entry's last clearing is refused too: its
+// shipment was aborted and has been shipped again.
 func (st *shipStream) entry() (*exec.Entry[fence], error) {
 	w, h := st.w, &st.hdr
 	w.mu.Lock()
@@ -630,7 +631,11 @@ func (st *shipStream) entry() (*exec.Entry[fence], error) {
 		return nil, fmt.Errorf("retained plan %q is closed", h.PlanID)
 	case e == nil:
 		e = w.retained.Open(h.PlanID)
-	case !h.Delta && h.Attempt < e.Meta.attempt:
+	case h.Delta:
+		// A delta extends the plan it finds; it belongs to no shipment.
+	case e.Sealed() || e.Bytes() > 0:
+		return nil, fmt.Errorf("shipment %d to %q, which holds a share already", h.Attempt, h.PlanID)
+	case h.Attempt < e.Meta.attempt:
 		return nil, fmt.Errorf("shipment %d to %q, which was cleared for shipment %d", h.Attempt, h.PlanID, e.Meta.attempt)
 	}
 	return e, nil

@@ -105,12 +105,16 @@ func (r *Registry[M]) Bytes() int64 {
 	r.mu.Lock()
 	entries := slices.Collect(maps.Values(r.entries))
 	r.mu.Unlock()
-	var parts []*Partition
+	var total int64
 	for _, e := range entries {
-		e.mu.Lock()
-		parts = slices.AppendSeq(parts, maps.Values(e.parts))
-		e.mu.Unlock()
+		total += e.Bytes()
 	}
+	return total
+}
+
+// Bytes approximates the key and ID bytes e's partitions hold.
+func (e *Entry[M]) Bytes() int64 {
+	_, parts := e.Partitions()
 	return Bytes(parts)
 }
 

@@ -23,9 +23,8 @@ import (
 // in-process Partition as a worker's stream would fill it, and ExecutePlan
 // gathers each the same way into a pooled Partition when its join reaches it,
 // which goes back to the pool for the next after the partition's last morsel.
-// Shuffle materialises them all, with one gather per (partition, shard)
-// segment into exactly-sized shared arenas, for the benchmark's replay and the
-// skew and scaling harnesses.
+// Shuffle materialises them all, each partition filled as Entry.Absorb fills
+// one, for the benchmark's replay and the skew and scaling harnesses.
 // Shards write disjoint row ranges, so no path needs a lock, and partition
 // contents come out as one pass over S then T appending to per-partition
 // relations would produce them (TestRouteMatchesAssign, TestShuffleEquivalence).
@@ -34,8 +33,8 @@ import (
 // grid.Plan for the one that needed internal synchronization).
 
 // PartitionInput is one partition's rows and tuple IDs: Shuffle's output, and
-// what LockForProbe hands a join. Shuffle's relations and ID slices may alias a
-// shared arena; callers must not append to them.
+// what LockForProbe hands a join. LockForProbe's are a read-locked
+// partition's own storage; callers must not append to them.
 type PartitionInput struct {
 	S    *data.Relation
 	SIDs []int64
@@ -243,35 +242,6 @@ func checkRows(name string, n int) error {
 	return nil
 }
 
-// arena is one side's materialised partitions: all keys (row-major) and tuple
-// IDs in partition order, partition pid at rows [starts[pid], starts[pid+1]).
-type arena struct {
-	dims   int
-	starts []int
-	keys   []float64
-	ids    []int64
-}
-
-// newArena sizes a side's arena exactly.
-func newArena(rs *RoutedSide) *arena {
-	a := &arena{dims: rs.Rel.Dims(), starts: make([]int, len(rs.totals)+1)}
-	for pid, n := range rs.totals {
-		a.starts[pid+1] = a.starts[pid] + n
-	}
-	total := a.starts[len(rs.totals)]
-	a.keys = make([]float64, total*a.dims)
-	a.ids = make([]int64, total)
-	return a
-}
-
-// partition returns partition pid's rows as zero-copy slices of the arena.
-// Capacities are clamped so a later Append on the wrapped relation reallocates
-// instead of silently overwriting the next partition's rows.
-func (a *arena) partition(name string, pid int) (*data.Relation, []int64) {
-	lo, hi := a.starts[pid], a.starts[pid+1]
-	return data.NewRelationFromKeys(name, a.dims, a.keys[lo*a.dims:hi*a.dims:hi*a.dims]), a.ids[lo:hi:hi]
-}
-
 // Shuffle routes every tuple of s and t (Route) and materialises the
 // per-partition inputs, returning them with the total routed tuple count I.
 // Entries for empty partitions are nil. shards bounds the goroutines of both
@@ -297,30 +267,19 @@ func ShuffleDelta(ctx context.Context, plan partition.Plan, deltaS, deltaT *data
 	if err != nil {
 		return nil, 0, err
 	}
-	// One gather per (partition, shard) segment, the shards side by side: a
-	// segment starts where the partition's earlier shards' segments end.
-	arenas := map[*RoutedSide]*arena{&r.S: newArena(&r.S), &r.T: newArena(&r.T)}
-	r.eachShard(func(side *RoutedSide, k int) {
-		a := arenas[side]
-		for pid, rows := range side.shards[k] {
-			at := a.starts[pid]
-			for _, earlier := range side.shards[:k] {
-				if pid < len(earlier) {
-					at += len(earlier[pid])
-				}
-			}
-			side.gather(rows, a.keys[at*a.dims:], a.ids[at:])
-		}
-	})
-	parts := make([]*PartitionInput, r.NumPartitions)
+	filled := make([]*Partition, r.NumPartitions)
 	for _, pid := range r.NonEmpty() {
-		p := &PartitionInput{}
-		p.S, p.SIDs = arenas[&r.S].partition("S-part", pid)
-		p.T, p.TIDs = arenas[&r.T].partition("T-part", pid)
-		parts[pid] = p
+		filled[pid] = NewPartition(deltaS.Dims())
 	}
+	each(filled, r.shards, func(pid int, p *Partition) { p.appendRouted(r, pid) })
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
+	}
+	parts := make([]*PartitionInput, r.NumPartitions)
+	for pid, p := range filled {
+		if p != nil {
+			parts[pid] = &PartitionInput{S: p.s, SIDs: p.sIDs, T: p.t, TIDs: p.tIDs}
+		}
 	}
 	return parts, r.TotalInput, nil
 }

@@ -36,7 +36,7 @@ import (
 // the cluster's shipment streams. It is the wire version advertised in cluster
 // Ping replies; a coordinator refuses to ship to a peer that reports an older
 // one.
-const Version = 6
+const Version = 7
 
 // chunkVersion is the leading byte of every encoded chunk.
 const chunkVersion = 2
