@@ -651,6 +651,8 @@ func (c *Coordinator) shipPartitions(ctx context.Context, assignment map[int][]i
 			if !alive {
 				rs.noteLost(slot)
 			}
+			// Counted for a plan's stream too: its reshipment leaves out a
+			// worker whose streams keep dying.
 			abandon := !alive || rs.diedOnWire(slot)
 			if hdr.PlanID != "" {
 				return sh, fmt.Errorf("cluster: shipping to worker %d (%s): %w (%v)", slot, wc.name(), errWorkerLost, out.err)
